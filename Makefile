@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test race chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke online-smoke service-smoke shared-smoke bench bench-grouping bench-online bench-service bench-shareddb
+.PHONY: check vet build test race chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke online-smoke service-smoke shared-smoke fuzz-smoke bench bench-grouping bench-online bench-service bench-shareddb
 
 # The full pre-commit gate: static checks, build, the bounded chaos,
-# overload, gray-failure, domain, grouping, online, service and shared-work
-# smokes, and the race-enabled suite.
-check: vet build chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke online-smoke service-smoke shared-smoke race
+# overload, gray-failure, domain, grouping, online, service, shared-work and
+# fuzz smokes, and the race-enabled suite.
+check: vet build chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke online-smoke service-smoke shared-smoke fuzz-smoke race
 
 vet:
 	$(GO) vet ./...
@@ -85,6 +85,13 @@ bench-grouping:
 service-smoke:
 	$(GO) test -race -run 'TestBatchErrorPartitioning|TestConcurrentSubmitsAndScrapes|TestShardedConcurrentSubmits' -count=1 ./internal/service
 	$(GO) test -race -run 'TestBatchSubmitEquivalence' -count=1 .
+
+# Five seconds of differential fuzzing per write endpoint: the hand-written
+# request decoder against encoding/json (go test -fuzz takes one target per
+# run). A failing input lands in internal/service/testdata/fuzz; commit it.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSubmit$$' -fuzztime=5s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=5s ./internal/service
 
 # Submit-path benchmark run: single vs 64-query batched submits over HTTP in
 # both clock layouts, plus the runtime-layer batched path (which must stay

@@ -579,6 +579,7 @@ type Plane struct {
 type tenantEntry struct {
 	g   *GroupRuntime
 	ref tenant.Ref
+	id  string // the plane's own copy of the key, see Lookup
 }
 
 // NewPlane creates an empty plane. sharded records whether groups run on
@@ -594,7 +595,7 @@ func NewPlane(hub *telemetry.Hub, sharded bool) *Plane {
 
 // entry builds a tenant's index entry, resolving its ref in g's router.
 func entry(g *GroupRuntime, id string) tenantEntry {
-	e := tenantEntry{g: g, ref: tenant.NoRef}
+	e := tenantEntry{g: g, ref: tenant.NoRef, id: id}
 	if g.Router != nil {
 		e.ref = g.Router.Ref(id)
 	}
@@ -741,10 +742,20 @@ func (p *Plane) ForTenant(id string) (*GroupRuntime, bool) {
 // tenant's interned ref in that group, resolved once at deploy or cutover.
 // The ref is NoRef when the group's router runs in string mode.
 func (p *Plane) ForTenantRef(id string) (*GroupRuntime, tenant.Ref, bool) {
+	g, ref, _, ok := p.Lookup(id)
+	return g, ref, ok
+}
+
+// Lookup is ForTenantRef for an id that may not outlive the call, such as a
+// string aliasing a request buffer: it also returns the id as the plane
+// holds it, which stays valid for as long as the tenant is indexed. Callers
+// put that one into a BatchItem, since admission, events and typed errors
+// keep the item's tenant string.
+func (p *Plane) Lookup(id string) (*GroupRuntime, tenant.Ref, string, bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	e, ok := p.byTen[id]
-	return e.g, e.ref, ok
+	return e.g, e.ref, e.id, ok
 }
 
 // Tenants returns the number of indexed tenants.

@@ -7,53 +7,16 @@
 package service
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"sync"
 
-	"repro/internal/admission"
 	"repro/internal/master"
 	"repro/internal/monitor"
 	"repro/internal/queries"
 	"repro/internal/runtime"
-	"repro/internal/sim"
 )
-
-// submitFailure maps a submit error to its HTTP status, Retry-After header
-// value ("" for none), and JSON body — shared by the single and batch
-// endpoints so both speak the same typed errors.
-func (s *Server) submitFailure(err error) (int, string, map[string]any) {
-	var ce *admission.ContractExceededError
-	if errors.As(err, &ce) {
-		return http.StatusTooManyRequests, s.wallRetryAfter(ce.RetryAfter), map[string]any{
-			"error":               ce.Error(),
-			"kind":                "contract_exceeded",
-			"retry_after_virtual": ce.RetryAfter.String(),
-			"brownout":            ce.Brownout,
-		}
-	}
-	var se *admission.ShedError
-	if errors.As(err, &se) {
-		return http.StatusServiceUnavailable, s.wallRetryAfter(se.RetryAfter), map[string]any{
-			"error":               se.Error(),
-			"kind":                "shed",
-			"reason":              se.Reason,
-			"retry_after_virtual": se.RetryAfter.String(),
-		}
-	}
-	var te *runtime.TimeoutError
-	if errors.As(err, &te) {
-		return http.StatusGatewayTimeout, s.wallRetryAfter(sim.Duration(s.retry.Backoff)), map[string]any{
-			"error":    te.Error(),
-			"kind":     "timeout",
-			"attempts": te.Attempts,
-		}
-	}
-	return http.StatusUnprocessableEntity, "", map[string]any{"error": err.Error()}
-}
 
 // classFor resolves a submit request's query class: a catalog ID, or raw
 // SQL matched against the catalog templates (or classified as ad-hoc). The
@@ -69,7 +32,9 @@ func (s *Server) classFor(q *SubmitRequest) (*queries.Class, bool, error) {
 		}
 		return cl, true, nil
 	case q.SQL != "":
-		res, err := s.matcher.Classify(q.SQL)
+		// An ad-hoc class keeps its statement, and q.SQL may alias the
+		// request buffer.
+		res, err := s.matcher.Classify(strings.Clone(q.SQL))
 		if err != nil {
 			return nil, false, err
 		}
@@ -234,39 +199,6 @@ type BatchResult struct {
 	Attempts          int    `json:"attempts,omitempty"`
 }
 
-// fillFailure classifies a submit error into a BatchResult — the typed
-// mirror of submitFailure, allocation-light for large batches.
-func fillFailure(res *BatchResult, err error) {
-	var ce *admission.ContractExceededError
-	if errors.As(err, &ce) {
-		res.Status = http.StatusTooManyRequests
-		res.Error = ce.Error()
-		res.Kind = "contract_exceeded"
-		res.RetryAfterVirtual = ce.RetryAfter.String()
-		res.Brownout = ce.Brownout
-		return
-	}
-	var se *admission.ShedError
-	if errors.As(err, &se) {
-		res.Status = http.StatusServiceUnavailable
-		res.Error = se.Error()
-		res.Kind = "shed"
-		res.Reason = se.Reason
-		res.RetryAfterVirtual = se.RetryAfter.String()
-		return
-	}
-	var te *runtime.TimeoutError
-	if errors.As(err, &te) {
-		res.Status = http.StatusGatewayTimeout
-		res.Error = te.Error()
-		res.Kind = "timeout"
-		res.Attempts = te.Attempts
-		return
-	}
-	res.Status = http.StatusUnprocessableEntity
-	res.Error = err.Error()
-}
-
 // groupBatch is one tenant-group's slice of a submit batch: the indexes of
 // the batch items routed to g, in batch order.
 type groupBatch struct {
@@ -277,10 +209,10 @@ type groupBatch struct {
 // batchScratch is the reusable working state of one handleSubmitBatch call:
 // the decoded request, per-item results, partition-by-group structures, and
 // the per-group item/outcome slices. Pooled so a steady stream of batches
-// allocates only what JSON decoding itself must (the request strings).
+// allocates nothing here.
 type batchScratch struct {
-	req     BatchSubmitRequest
-	results []BatchResult
+	queries []SubmitRequest
+	results []outcome
 	items   []runtime.BatchItem
 	order   []*groupBatch
 	byGroup map[*runtime.GroupRuntime]*groupBatch
@@ -293,8 +225,12 @@ var batchScratchPool = sync.Pool{New: func() any {
 	return &batchScratch{byGroup: make(map[*runtime.GroupRuntime]*groupBatch)}
 }}
 
-// reset returns per-call structures to their empty state, keeping capacity.
+// reset returns per-call structures to their empty state, keeping capacity,
+// and drops the strings that alias the request buffer so a pooled scratch
+// does not pin a body too large to pool.
 func (sc *batchScratch) reset() {
+	clear(sc.queries)
+	clear(sc.results)
 	for _, gb := range sc.order {
 		gb.g = nil
 		gb.idxs = gb.idxs[:0]
@@ -324,51 +260,49 @@ func (sc *batchScratch) grabGroup(g *runtime.GroupRuntime) *groupBatch {
 // healthy batch-mate. The response is always 200 with a per-item results
 // array; each result carries its own status code.
 func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
+	wb := wireBufPool.Get().(*wireBuf)
+	defer wb.release()
+	if !readBody(w, r, wb, maxBatchBody) {
+		return
+	}
 	sc := batchScratchPool.Get().(*batchScratch)
 	defer func() {
 		sc.reset()
 		batchScratchPool.Put(sc)
 	}()
-	// encoding/json reuses a decoded slice's backing array without zeroing
-	// recycled elements, so stale fields from the previous request would
-	// bleed into items that omit them — clear up to capacity first.
-	qs := sc.req.Queries[:cap(sc.req.Queries)]
-	clear(qs)
-	sc.req.Queries = qs[:0]
-	if err := json.NewDecoder(r.Body).Decode(&sc.req); err != nil {
+	// The queries' strings alias wb.in: nothing below keeps one past this call.
+	var err error
+	if sc.queries, err = decodeBatch(wb.in, sc.queries); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad body: %v", err)
 		return
 	}
-	if len(sc.req.Queries) == 0 {
+	if len(sc.queries) == 0 {
 		writeErr(w, http.StatusBadRequest, "empty batch")
 		return
 	}
-	n := len(sc.req.Queries)
+	n := len(sc.queries)
 	if cap(sc.results) < n {
-		sc.results = make([]BatchResult, n)
+		sc.results = make([]outcome, n)
 		sc.items = make([]runtime.BatchItem, n)
 	} else {
 		sc.results = sc.results[:n]
-		clear(sc.results)
 		sc.items = sc.items[:n]
 		clear(sc.items)
 	}
 	results, items := sc.results, sc.items
-	for i := range sc.req.Queries {
-		q := &sc.req.Queries[i]
-		results[i].Tenant = q.Tenant
+	for i := range sc.queries {
+		q := &sc.queries[i]
+		results[i].tenant = q.Tenant
 		class, template, err := s.classFor(q)
 		if err != nil {
-			results[i].Status = http.StatusBadRequest
-			results[i].Error = err.Error()
+			results[i].fail = failure{status: http.StatusBadRequest, msg: err.Error()}
 			continue
 		}
 		items[i] = runtime.BatchItem{
-			Tenant:     q.Tenant,
 			Class:      class,
 			BestEffort: q.BestEffort,
 		}
-		results[i].Template = template
+		results[i].class, results[i].template = class, template
 	}
 
 	// Partition the surviving items by tenant-group, preserving batch order
@@ -377,15 +311,17 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	s.topo.RLock()
 	plane := s.dep.Plane()
 	for i := range items {
-		if results[i].Status != 0 {
+		if results[i].fail.status != 0 {
 			continue
 		}
-		g, ref, ok := plane.ForTenantRef(items[i].Tenant)
+		g, ref, tenant, ok := plane.Lookup(results[i].tenant)
 		if !ok {
-			results[i].Status = http.StatusUnprocessableEntity
-			results[i].Error = "tenant " + items[i].Tenant + " not deployed"
+			results[i].fail = failure{status: http.StatusUnprocessableEntity,
+				msg: "tenant " + results[i].tenant + " not deployed"}
 			continue
 		}
+		// From here on the tenant is the plane's string, not the buffer's.
+		items[i].Tenant, results[i].tenant = tenant, tenant
 		if ref != runtime.NoTenantRef {
 			items[i].Ref = ref
 			items[i].HasRef = true
@@ -409,35 +345,19 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			gitems[k] = items[i]
 		}
 		gb.g.SubmitBatchAt(t, gitems, outs, s.retry)
-		now := gb.g.Now().String()
+		now := gb.g.Now()
 		for k, i := range gb.idxs {
 			res := &results[i]
 			if err := outs[k].Err; err != nil {
-				res.Template = false
-				fillFailure(res, err)
+				res.fail = s.classify(err)
 				continue
 			}
-			res.Status = http.StatusAccepted
-			res.Query = items[i].Class.ID
-			res.RoutedTo = outs[k].DB
-			res.Retries = outs[k].Retries
-			res.SubmittedAt = now
+			res.db, res.retries, res.at = outs[k].DB, outs[k].Retries, now
 		}
 	}
 	s.topo.RUnlock()
-	accepted, failed := 0, 0
-	for i := range results {
-		if results[i].Status == http.StatusAccepted {
-			accepted++
-		} else {
-			failed++
-		}
-	}
-	writeJSON(w, http.StatusOK, BatchSubmitResponse{
-		Results:  results,
-		Accepted: accepted,
-		Failed:   failed,
-	})
+	wb.out = appendBatchResponse(wb.out[:0], results)
+	writeWire(w, http.StatusOK, wb.out)
 }
 
 // BatchSubmitResponse is the body of a POST /v1/submit-batch response.

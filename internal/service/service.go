@@ -27,10 +27,12 @@
 package service
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -433,8 +435,14 @@ type SubmitRequest struct {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	wb := wireBufPool.Get().(*wireBuf)
+	defer wb.release()
+	if !readBody(w, r, wb, maxSubmitBody) {
+		return
+	}
+	// req's strings alias wb.in: nothing below keeps one past this call.
 	var req SubmitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeSubmit(wb.in, &req); err != nil {
 		writeErr(w, http.StatusBadRequest, "bad body: %v", err)
 		return
 	}
@@ -449,14 +457,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// shard-local batches (one domain lock, one Advance per batch).
 	t := s.target()
 	s.topo.RLock()
-	g, ref, ok := s.dep.Plane().ForTenantRef(req.Tenant)
+	g, ref, tenant, ok := s.dep.Plane().Lookup(req.Tenant)
 	if !ok {
 		s.topo.RUnlock()
 		writeErr(w, http.StatusUnprocessableEntity, "tenant %s not deployed", req.Tenant)
 		return
 	}
 	item := runtime.BatchItem{
-		Tenant:     req.Tenant,
+		Tenant:     tenant,
 		Class:      class,
 		BestEffort: req.BestEffort,
 	}
@@ -476,62 +484,32 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	now := g.Now()
 	s.topo.RUnlock()
 	if out.Err != nil {
-		status, retryAfter, body := s.submitFailure(out.Err)
-		if retryAfter != "" {
-			w.Header().Set("Retry-After", retryAfter)
+		f := s.classify(out.Err)
+		if f.kind != "" {
+			w.Header().Set("Retry-After", s.wallRetryAfter(f.backoff))
 		}
-		writeJSON(w, status, body)
+		wb.out = appendFailure(wb.out[:0], &f)
+		writeWire(w, f.status, wb.out)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"tenant":       req.Tenant,
-		"query":        class.ID,
-		"template":     template,
-		"routed_to":    out.DB,
-		"retries":      out.Retries,
-		"submitted_at": now.String(),
-	})
+	wb.out = appendAccepted(wb.out[:0], &outcome{tenant: tenant, class: class,
+		template: template, db: out.DB, retries: out.Retries, at: now})
+	writeWire(w, http.StatusAccepted, wb.out)
 }
 
 // handleRecords serves the completed-query log, sorted by submit time.
-// Gathering and sorting every record on every request is O(n log n) in the
-// full history; the logs are append-only, so the sorted view is cached and
-// revalidated with one O(groups) count sweep — a hit costs no copy and no
-// sort. (Sorting compares sim.Time, not the formatted string: string order
-// broke past ten virtual days, e.g. "10d0:00:00.000" < "2d0:00:00.000".)
+// (Sorting compares sim.Time, not the formatted string: string order broke
+// past ten virtual days, e.g. "10d0:00:00.000" < "2d0:00:00.000".)
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	tenantFilter := r.URL.Query().Get("tenant")
+	tenant := r.URL.Query().Get("tenant")
 	t := s.target()
 	s.topo.RLock()
-	dep := s.dep
-	groups := dep.Groups()
-	counts := make([]int, len(groups))
-	for i, g := range groups {
-		counts[i] = g.RecordCountAt(t)
+	var recs []monitor.QueryRecord
+	if tenant == "" {
+		recs = s.allRecords(t)
+	} else {
+		recs = s.tenantRecords(tenant, t)
 	}
-	rc := &s.recCache
-	rc.mu.Lock()
-	stale := rc.dep != dep || len(rc.counts) != len(counts)
-	if !stale {
-		for i := range counts {
-			if rc.counts[i] != counts[i] {
-				stale = true
-				break
-			}
-		}
-	}
-	if stale {
-		// Fresh slice on every rebuild: readers of the previous cached view
-		// may still be marshaling it outside the lock.
-		recs := make([]monitor.QueryRecord, 0, sum(counts))
-		for _, g := range groups {
-			recs = append(recs, g.RecordsAt(t)...)
-		}
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].Submit < recs[j].Submit })
-		rc.dep, rc.counts, rc.recs = dep, counts, recs
-	}
-	recs := rc.recs
-	rc.mu.Unlock()
 	s.topo.RUnlock()
 	type rec struct {
 		Tenant     string  `json:"tenant"`
@@ -543,11 +521,8 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		Normalized float64 `json:"normalized"`
 		SLAMet     bool    `json:"sla_met"`
 	}
-	out := []rec{}
+	out := make([]rec, 0, len(recs))
 	for _, q := range recs {
-		if tenantFilter != "" && q.Tenant != tenantFilter {
-			continue
-		}
 		out = append(out, rec{
 			Tenant: q.Tenant, Query: q.Class.ID, MPPDB: q.MPPDB,
 			Submit: q.Submit.String(), Finish: q.Finish.String(),
@@ -556,6 +531,63 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
+}
+
+func bySubmit(a, b monitor.QueryRecord) int { return cmp.Compare(a.Submit, b.Submit) }
+
+// allRecords returns every group's records as one sorted view the caller must
+// not modify; s.topo is read-held. Gathering and sorting every record on
+// every request is O(n log n) in the full history; the logs are append-only,
+// so the view is cached and revalidated with one O(groups) count sweep — a
+// hit costs no copy and no sort.
+func (s *Server) allRecords(t sim.Time) []monitor.QueryRecord {
+	dep := s.dep
+	groups := dep.Groups()
+	counts := make([]int, len(groups))
+	for i, g := range groups {
+		counts[i] = g.RecordCountAt(t)
+	}
+	rc := &s.recCache
+	rc.mu.Lock()
+	defer rc.mu.Unlock()
+	if rc.dep != dep || !slices.Equal(rc.counts, counts) {
+		// Fresh slice on every rebuild: readers of the previous cached view
+		// may still be marshaling it outside the lock.
+		recs := make([]monitor.QueryRecord, 0, sum(counts))
+		for _, g := range groups {
+			recs = append(recs, g.RecordsAt(t)...)
+		}
+		slices.SortStableFunc(recs, bySubmit)
+		rc.dep, rc.counts, rc.recs = dep, counts, recs
+	}
+	return rc.recs
+}
+
+// tenantRecords returns one tenant's records, sorted; s.topo is read-held. A
+// tenant's queries run in its own group, so only that group's log is read —
+// the same rows as filtering allRecords, without gathering and sorting
+// everyone else's. Under the online loop a migrated tenant has records in
+// the group it left as well, so then every group is read.
+func (s *Server) tenantRecords(tenant string, t sim.Time) []monitor.QueryRecord {
+	s.onlineMu.Lock()
+	migrations := s.online != nil
+	s.onlineMu.Unlock()
+	var groups []*runtime.GroupRuntime
+	if migrations {
+		groups = s.dep.Groups()
+	} else if g, ok := s.dep.Plane().ForTenant(tenant); ok {
+		groups = append(groups, g)
+	}
+	var recs []monitor.QueryRecord
+	for _, g := range groups {
+		for _, q := range g.RecordsAt(t) {
+			if q.Tenant == tenant {
+				recs = append(recs, q)
+			}
+		}
+	}
+	slices.SortStableFunc(recs, bySubmit)
+	return recs
 }
 
 func sum(xs []int) int {

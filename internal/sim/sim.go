@@ -11,6 +11,7 @@ import (
 	"container/heap"
 	"fmt"
 	"math"
+	"strconv"
 	"time"
 )
 
@@ -45,20 +46,27 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 
 // String formats the timestamp as d:hh:mm:ss.mmm for logs and traces.
 func (t Time) String() string {
-	neg := ""
+	var buf [32]byte
+	return string(t.AppendFormat(buf[:0]))
+}
+
+// AppendFormat appends the String form of t to b without allocating: the
+// day count unpadded, then two-digit hours, minutes and seconds and
+// three-digit milliseconds (truncated, not rounded).
+func (t Time) AppendFormat(b []byte) []byte {
+	u := uint64(t)
 	if t < 0 {
-		neg = "-"
-		t = -t
+		b = append(b, '-')
+		u = -u
 	}
-	d := t / Day
-	t %= Day
-	h := t / Hour
-	t %= Hour
-	m := t / Minute
-	t %= Minute
-	s := t / Second
-	ms := (t % Second) / Millisecond
-	return fmt.Sprintf("%s%dd%02d:%02d:%02d.%03d", neg, d, h, m, s, ms)
+	b = strconv.AppendUint(b, u/uint64(Day), 10)
+	h, m := u%uint64(Day)/uint64(Hour), u%uint64(Hour)/uint64(Minute)
+	s, ms := u%uint64(Minute)/uint64(Second), u%uint64(Second)/uint64(Millisecond)
+	return append(b, 'd',
+		byte('0'+h/10), byte('0'+h%10), ':',
+		byte('0'+m/10), byte('0'+m%10), ':',
+		byte('0'+s/10), byte('0'+s%10), '.',
+		byte('0'+ms/100), byte('0'+ms/10%10), byte('0'+ms%10))
 }
 
 // Event is a scheduled callback. It is returned by Schedule so callers can

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
+	"testing/quick"
 	"time"
 )
 
@@ -22,6 +25,58 @@ func TestTimeString(t *testing.T) {
 		if got := c.t.String(); got != c.want {
 			t.Errorf("Time(%d).String() = %q, want %q", int64(c.t), got, c.want)
 		}
+	}
+}
+
+// sprintfTime is the formatter String used before AppendFormat existed, kept
+// as the oracle. It cannot negate math.MinInt64; AppendFormat can, so that
+// one value is checked against a literal instead.
+func sprintfTime(t Time) string {
+	neg := ""
+	if t < 0 {
+		neg = "-"
+		t = -t
+	}
+	d := t / Day
+	t %= Day
+	h := t / Hour
+	t %= Hour
+	m := t / Minute
+	t %= Minute
+	s := t / Second
+	ms := (t % Second) / Millisecond
+	return fmt.Sprintf("%s%dd%02d:%02d:%02d.%03d", neg, d, h, m, s, ms)
+}
+
+func TestTimeAppendFormatMatchesSprintf(t *testing.T) {
+	for _, c := range []Time{
+		0, 1, -1, Millisecond - 1, Millisecond, 999*Millisecond + 999_999,
+		Second - 1, Minute - 1, Hour - 1, Day - 1, Day, -Day,
+		9*Day + 23*Hour + 59*Minute + 59*Second + 999*Millisecond,
+		10 * Day, 12*Day + 7*Hour + 5*Millisecond, 365 * Day, -400*Day - 3*Millisecond,
+		MaxTime, -MaxTime,
+	} {
+		if got, want := string(c.AppendFormat(nil)), sprintfTime(c); got != want {
+			t.Errorf("Time(%d).AppendFormat = %q, want %q", int64(c), got, want)
+		}
+	}
+	if got, want := Time(math.MinInt64).String(), "-106751d23:47:16.854"; got != want {
+		t.Errorf("MinInt64: got %q, want %q", got, want)
+	}
+	// AppendFormat appends: a prefix survives, and String is the same text.
+	if got := string((3 * Second).AppendFormat([]byte("at "))); got != "at 0d00:00:03.000" {
+		t.Errorf("append to prefix: got %q", got)
+	}
+	same := func(v int64) bool {
+		t := Time(v)
+		return v == math.MinInt64 || (string(t.AppendFormat(nil)) == sprintfTime(t) && t.String() == sprintfTime(t))
+	}
+	if err := quick.Check(same, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+	var buf [32]byte
+	if n := testing.AllocsPerRun(100, func() { _ = (12*Day + 5*Millisecond).AppendFormat(buf[:0]) }); n != 0 {
+		t.Errorf("AppendFormat allocates %v times", n)
 	}
 }
 
