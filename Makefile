@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke online-smoke service-smoke shared-smoke fuzz-smoke bench bench-grouping bench-online bench-service bench-shareddb
+.PHONY: check vet build test race chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke online-smoke service-smoke shared-smoke fuzz-smoke bench bench-grouping bench-online bench-service bench-shareddb bench-compare
 
 # The full pre-commit gate: static checks, build, the bounded chaos,
 # overload, gray-failure, domain, grouping, online, service, shared-work and
@@ -86,12 +86,14 @@ service-smoke:
 	$(GO) test -race -run 'TestBatchErrorPartitioning|TestConcurrentSubmitsAndScrapes|TestShardedConcurrentSubmits' -count=1 ./internal/service
 	$(GO) test -race -run 'TestBatchSubmitEquivalence' -count=1 .
 
-# Five seconds of differential fuzzing per write endpoint: the hand-written
-# request decoder against encoding/json (go test -fuzz takes one target per
-# run). A failing input lands in internal/service/testdata/fuzz; commit it.
+# Five seconds of differential fuzzing per kernel with a naive oracle: the
+# hand-written request decoders against encoding/json, and the replay arrival
+# stream against collect-then-stable-sort (go test -fuzz takes one target per
+# run). A failing input lands in the package's testdata/fuzz; commit it.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSubmit$$' -fuzztime=5s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=5s ./internal/service
+	$(GO) test -run '^$$' -fuzz '^FuzzStreamOrder$$' -fuzztime=5s ./internal/workload
 
 # Submit-path benchmark run: single vs 64-query batched submits over HTTP in
 # both clock layouts, plus the runtime-layer batched path (which must stay
@@ -116,3 +118,34 @@ bench-online:
 # verdict PASS) regress.
 bench-shareddb:
 	BENCH_JSON_OUT=$(CURDIR)/BENCH_shareddb.json $(GO) test -run TestWriteSharedBenchJSON -count=1 -v -timeout 20m ./internal/experiments
+
+# Paired comparison of the working tree against another commit on one
+# benchmark workload, the procedure a performance claim needs: ./benchmark is
+# built from a temporary checkout of BASE and from the tree, PAIRS pairs of
+# untraced runs alternate which side goes first (pair i uses seed i), and
+# -compare judges every end-to-end metric; throughput is also listed pair by
+# pair with the pairs the tree won. Reports stay in .bench_build/compare.
+#	make bench-compare BASE=HEAD~1 WORKLOAD=replay-7d [PAIRS=10] [RUN_SECONDS=15]
+BASE ?= HEAD~1
+WORKLOAD ?= replay-7d
+PAIRS ?= 10
+RUN_SECONDS ?= 15
+bench-compare:
+	@set -e; out=$(CURDIR)/.bench_build/compare; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
+	rm -rf $$out; mkdir -p $$out $$tmp/base; \
+	git archive $(BASE) | tar -x -C $$tmp/base; \
+	(cd $$tmp/base && $(GO) build -o $$tmp/base.bin ./benchmark); \
+	$(GO) build -o $$tmp/tree.bin ./benchmark; \
+	for i in $$(seq 1 $(PAIRS)); do \
+		order="base tree"; [ $$((i % 2)) -eq 0 ] && order="tree base"; \
+		for side in $$order; do \
+			dir=$(CURDIR); [ $$side = base ] && dir=$$tmp/base; \
+			echo "pair $$i: $$side"; \
+			(cd $$dir && $$tmp/$$side.bin --workload $(WORKLOAD) --seed $$i --seconds $(RUN_SECONDS) --trace 0 -out $$out/$$side.jsonl >/dev/null); \
+		done; \
+	done; \
+	$$tmp/tree.bin -compare $$out/base.jsonl $$out/tree.jsonl; \
+	for side in base tree; do \
+		sed -n 's/.*"throughput":{"value":\([0-9.e+]*\).*/\1/p' $$out/$$side.jsonl > $$tmp/$$side.tp; \
+	done; \
+	paste $$tmp/base.tp $$tmp/tree.tp | awk '{ printf "pair %d throughput: base %.0f tree %.0f\n", NR, $$1, $$2; if ($$2 > $$1) won++ } END { printf "tree won %d of %d pairs\n", won, NR }'

@@ -186,20 +186,18 @@ type extraTraffic struct {
 }
 
 func (x *extraTraffic) schedule(eng *sim.Engine, dep *master.Deployment, env *Env,
-	tl *workload.TenantLog, from, to sim.Time) {
-	for _, ev := range tl.Materialize(from, to) {
-		ev := ev
-		class, ok := env.Cat.ByID(ev.ClassID)
-		if !ok {
-			continue
-		}
-		eng.Schedule(ev.At, func(sim.Time) {
-			x.submitted++
-			if _, err := dep.SubmitWithTarget(ev.Tenant, class, ev.SLATarget); err != nil {
-				x.errors++
-			}
-		})
+	tl *workload.TenantLog, from, to sim.Time) error {
+	arrivals, err := workload.NewStream(env.Cat, []*workload.TenantLog{tl}, from, to)
+	if err != nil {
+		return fmt.Errorf("drift: %w", err)
 	}
+	arrivals.Drive(eng, func(a workload.Arrival) {
+		x.submitted++
+		if _, err := dep.SubmitWithTarget(a.Tenant, a.Class, a.SLATarget); err != nil {
+			x.errors++
+		}
+	})
+	return nil
 }
 
 // telemetryHash fingerprints a deployment's event log and trace.
@@ -244,7 +242,9 @@ func runDriftOnline(env *Env, cfg DriftConfig, w *driftWorld) (*DriftResult, err
 		eng.Schedule(at, func(sim.Time) { ctl.Join(jl) })
 		// The joiner's own traffic begins at registration; submissions before
 		// its placement cuts over are rejected, not dropped.
-		extra.schedule(eng, dep, env, jl, at, cfg.Window)
+		if err := extra.schedule(eng, dep, env, jl, at, cfg.Window); err != nil {
+			return nil, err
+		}
 		res.Joined = append(res.Joined, jl.Tenant.ID)
 	}
 	for i, id := range w.leavers {
@@ -252,7 +252,9 @@ func runDriftOnline(env *Env, cfg DriftConfig, w *driftWorld) (*DriftResult, err
 		at := cfg.LeaveStart + sim.Time(i)*3*sim.Hour
 		eng.Schedule(at, func(sim.Time) { ctl.Leave(id) })
 		// The leaver submits normally until departure.
-		extra.schedule(eng, dep, env, w.logByID[id], 0, at)
+		if err := extra.schedule(eng, dep, env, w.logByID[id], 0, at); err != nil {
+			return nil, err
+		}
 		res.Left = append(res.Left, id)
 	}
 	// Replay the steady population (leavers and joiners are scheduled above).
@@ -366,7 +368,9 @@ func runDriftOracle(env *Env, cfg DriftConfig, w *driftWorld) (float64, error) {
 	var extra extraTraffic
 	for i, jl := range w.joiners {
 		at := cfg.JoinStart + sim.Time(i)*2*sim.Hour
-		extra.schedule(eng, dep, env, jl, at, cfg.Window)
+		if err := extra.schedule(eng, dep, env, jl, at, cfg.Window); err != nil {
+			return 0, err
+		}
 	}
 	rep, err := replay.Run(eng, dep, env.Cat, replayLogs, replay.Options{
 		From:        0,

@@ -440,10 +440,4 @@ func (d *Deployment) ScalerTargets() []*scaling.Target {
 
 // Records returns all completed query records across groups, in deployment
 // group order.
-func (d *Deployment) Records() []monitor.QueryRecord {
-	var out []monitor.QueryRecord
-	for _, g := range d.plane.Groups() {
-		out = append(out, g.Monitor.Records()...)
-	}
-	return out
-}
+func (d *Deployment) Records() []monitor.QueryRecord { return d.plane.Records() }

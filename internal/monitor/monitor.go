@@ -7,6 +7,7 @@ package monitor
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/epoch"
@@ -165,6 +166,11 @@ func (m *GroupMonitor) QueryStarted(tenant string) {
 
 // QueryFinished records a query completion and, optionally, the full record.
 func (m *GroupMonitor) QueryFinished(rec QueryRecord) {
+	if len(m.records) == cap(m.records) {
+		// Double. append grows a large slice by a quarter, which copies and
+		// clears the log about five times over while a replay fills it.
+		m.records = slices.Grow(m.records, max(len(m.records), 64))
+	}
 	m.records = append(m.records, rec)
 	if m.tel != nil {
 		met := rec.SLAMet()

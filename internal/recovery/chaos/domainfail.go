@@ -358,34 +358,33 @@ func RunDomainFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog
 	}
 	applyOutages(eng, dep, sched, res)
 
-	// Schedule every tenant's logged traffic through its group's router.
+	// Stream every tenant's logged traffic through its group's router, in
+	// group then member order.
 	logByID := make(map[string]*workload.TenantLog, len(logs))
 	for _, tl := range logs {
 		logByID[tl.Tenant.ID] = tl
 	}
+	var members []*workload.TenantLog
+	var owners []*master.DeployedGroup
 	for _, g := range groups {
-		g := g
 		for _, tn := range g.Members {
-			tl := logByID[tn.ID]
-			if tl == nil {
-				continue
-			}
-			for _, ev := range tl.Materialize(cfg.From, cfg.To) {
-				ev := ev
-				class, ok := cat.ByID(ev.ClassID)
-				if !ok {
-					return nil, fmt.Errorf("domainfail: unknown class %s", ev.ClassID)
-				}
-				sla := sim.Time(float64(ev.SLATarget) * cfg.SLASlack)
-				res.Submitted++
-				eng.Schedule(ev.At, func(sim.Time) {
-					if _, err := g.Router.SubmitWithTarget(ev.Tenant, class, sla); err != nil {
-						res.Errors++
-					}
-				})
+			if tl := logByID[tn.ID]; tl != nil {
+				members = append(members, tl)
+				owners = append(owners, g)
 			}
 		}
 	}
+	arrivals, err := workload.NewStream(cat, members, cfg.From, cfg.To)
+	if err != nil {
+		return nil, fmt.Errorf("domainfail: %w", err)
+	}
+	arrivals.Drive(eng, func(a workload.Arrival) {
+		res.Submitted++
+		sla := sim.Time(float64(a.SLATarget) * cfg.SLASlack)
+		if _, err := owners[a.Log].Router.SubmitWithTarget(a.Tenant, a.Class, sla); err != nil {
+			res.Errors++
+		}
+	})
 
 	// Sample the worst RT-TTP across all groups through the window.
 	var sample func(sim.Time)

@@ -214,31 +214,28 @@ func RunGrayFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 		return nil, err
 	}
 
-	// Schedule every member's logged traffic.
+	// Stream every member's logged traffic, in member order.
 	logByID := make(map[string]*workload.TenantLog, len(logs))
 	for _, tl := range logs {
 		logByID[tl.Tenant.ID] = tl
 	}
+	var members []*workload.TenantLog
 	for _, tn := range target.Members {
-		tl := logByID[tn.ID]
-		if tl == nil {
-			continue
-		}
-		for _, ev := range tl.Materialize(cfg.From, cfg.To) {
-			ev := ev
-			class, ok := cat.ByID(ev.ClassID)
-			if !ok {
-				return nil, fmt.Errorf("grayfail: unknown class %s", ev.ClassID)
-			}
-			sla := sim.Time(float64(ev.SLATarget) * cfg.SLASlack)
-			res.Submitted++
-			eng.Schedule(ev.At, func(sim.Time) {
-				if _, err := target.Router.SubmitWithTarget(ev.Tenant, class, sla); err != nil {
-					res.Errors++
-				}
-			})
+		if tl := logByID[tn.ID]; tl != nil {
+			members = append(members, tl)
 		}
 	}
+	arrivals, err := workload.NewStream(cat, members, cfg.From, cfg.To)
+	if err != nil {
+		return nil, fmt.Errorf("grayfail: %w", err)
+	}
+	arrivals.Drive(eng, func(a workload.Arrival) {
+		res.Submitted++
+		sla := sim.Time(float64(a.SLATarget) * cfg.SLASlack)
+		if _, err := target.Router.SubmitWithTarget(a.Tenant, a.Class, sla); err != nil {
+			res.Errors++
+		}
+	})
 
 	// Sample the target group's RT-TTP through the window.
 	var sample func(sim.Time)

@@ -274,28 +274,23 @@ func RunOverload(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 		}
 	}
 
-	// Schedule the compliant members' logged traffic.
+	// Stream the compliant members' logged traffic, in member order; the
+	// storm replaces an aggressor's own traffic.
+	var compliant []*workload.TenantLog
 	for _, tn := range target.Members {
-		if hot[tn.ID] {
-			continue // the storm replaces the aggressor's own traffic
-		}
-		tl := logByID[tn.ID]
-		if tl == nil {
-			continue
-		}
-		for _, ev := range tl.Materialize(cfg.From, cfg.To) {
-			ev := ev
-			class, ok := cat.ByID(ev.ClassID)
-			if !ok {
-				return nil, fmt.Errorf("overload: unknown class %s", ev.ClassID)
-			}
-			sla := sim.Time(float64(ev.SLATarget) * cfg.SLASlack)
-			res.NormalSubmitted++
-			eng.Schedule(ev.At, func(sim.Time) {
-				submit(ev.Tenant, class, sla, false)
-			})
+		if tl := logByID[tn.ID]; tl != nil && !hot[tn.ID] {
+			compliant = append(compliant, tl)
 		}
 	}
+	arrivals, err := workload.NewStream(cat, compliant, cfg.From, cfg.To)
+	if err != nil {
+		return nil, fmt.Errorf("overload: %w", err)
+	}
+	arrivals.Drive(eng, func(a workload.Arrival) {
+		res.NormalSubmitted++
+		sla := sim.Time(float64(a.SLATarget) * cfg.SLASlack)
+		submit(a.Tenant, a.Class, sla, false)
+	})
 
 	// Sample the target group's RT-TTP through the window.
 	var sample func(sim.Time)

@@ -1,7 +1,7 @@
 // Package replay drives a live deployment with recorded tenant logs: it
-// materializes every query submission in a time window, routes each through
-// the deployment's per-group routers at its logged time (open loop), and
-// samples run-time statistics. This is the run-time half of the evaluation
+// streams the query submissions of a time window (workload.Stream), routes
+// each through the deployment's per-group routers at its logged time (open
+// loop), and samples run-time statistics. This is the run-time half of the evaluation
 // testbed — the §7.5 elastic-scaling experiment and the SLA-attainment
 // validation both run on it.
 package replay
@@ -172,25 +172,31 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	}
 	rep := &Report{Samples: make(map[string][]Sample)}
 
-	// Schedule query submissions.
+	// Logged submissions stream from an arrival source, with the logged
+	// before-consolidation latency as the SLA target. The tenant's group and
+	// ref are resolved per query: the online control loop may live-migrate a
+	// tenant mid-window. Master interns every group, so a NoRef is a tenant
+	// its router does not hold, and SubmitRef reports it.
+	var deployed []*workload.TenantLog
 	for _, tl := range logs {
-		if _, ok := dep.GroupFor(tl.Tenant.ID); !ok {
-			continue
-		}
-		for _, ev := range tl.Materialize(opts.From, opts.To) {
-			ev := ev
-			class, ok := cat.ByID(ev.ClassID)
-			if !ok {
-				return nil, fmt.Errorf("replay: unknown query class %s", ev.ClassID)
-			}
-			eng.Schedule(ev.At, func(sim.Time) {
-				rep.Submitted++
-				if _, err := dep.SubmitWithTarget(ev.Tenant, class, ev.SLATarget); err != nil {
-					rep.SubmitErrors++
-				}
-			})
+		if _, ok := dep.GroupFor(tl.Tenant.ID); ok {
+			deployed = append(deployed, tl)
 		}
 	}
+	arrivals, err := workload.NewStream(cat, deployed, opts.From, opts.To)
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
+	}
+	plane := dep.Plane()
+	arrivals.Drive(eng, func(a workload.Arrival) {
+		rep.Submitted++
+		if g, ref, ok := plane.ForTenantRef(a.Tenant); ok {
+			if _, err := g.Router.SubmitRef(ref, a.Class, a.SLATarget); err == nil {
+				return
+			}
+		}
+		rep.SubmitErrors++
+	})
 
 	// Take-over injection. The interval is a floor, not an open-loop rate:
 	// a new query is only submitted once the previous one finishes — the
@@ -267,7 +273,9 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	}
 
 	// Statistics sampling. Each sample also lands on the telemetry RT-TTP
-	// gauge, so a /metrics scrape sees the timeline the report sees.
+	// gauge, so a /metrics scrape sees the timeline the report sees. A
+	// registry lookup builds its key string, so each group's is done once.
+	gauges := make(map[*master.DeployedGroup]*telemetry.Gauge)
 	var sample func(now sim.Time)
 	sample = func(now sim.Time) {
 		for _, g := range dep.Groups() {
@@ -278,7 +286,10 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 				Active: g.Monitor.ActiveTenants(),
 			})
 			if h := dep.Telemetry(); h != nil {
-				h.Registry.Gauge("thrifty_group_rt_ttp", "group", g.Plan.ID).Set(rt)
+				if gauges[g] == nil {
+					gauges[g] = h.Registry.Gauge("thrifty_group_rt_ttp", "group", g.Plan.ID)
+				}
+				gauges[g].Set(rt)
 			}
 		}
 		if now < opts.To {
@@ -528,40 +539,23 @@ func replayGroup(dep *master.Deployment, g *master.DeployedGroup, cat *queries.C
 				g.Plan.ID, eng.Now(), opts.From)
 			return
 		}
-		// All logged submissions go through one ScheduleBatch: the engine
-		// builds its heap once (heap.Init) instead of sifting per event, the
-		// tenant's interned ref resolves once per log instead of once per
-		// query, and submissions fire through the router's ref path. Batch
-		// order matches the old per-event Schedule order, so event sequence
-		// numbers — and therefore the replay — are unchanged.
-		var batch []sim.TimedFunc
-		for _, tl := range logs {
-			ref := g.Router.Ref(tl.Tenant.ID)
-			for _, ev := range tl.Materialize(opts.From, opts.To) {
-				ev := ev
-				class, ok := cat.ByID(ev.ClassID)
-				if !ok {
-					res.err = fmt.Errorf("replay: unknown query class %s", ev.ClassID)
-					return
-				}
-				fn := func(sim.Time) {
-					res.submitted++
-					if _, err := g.Router.SubmitWithTarget(ev.Tenant, class, ev.SLATarget); err != nil {
-						res.submitErrors++
-					}
-				}
-				if ref != tenant.NoRef {
-					fn = func(sim.Time) {
-						res.submitted++
-						if _, err := g.Router.SubmitRef(ref, class, ev.SLATarget); err != nil {
-							res.submitErrors++
-						}
-					}
-				}
-				batch = append(batch, sim.TimedFunc{At: ev.At, Fn: fn})
-			}
+		// Logged submissions stream from an arrival source; a group's
+		// membership is fixed here, so each log's ref resolves once.
+		refs := make([]tenant.Ref, len(logs))
+		for i, tl := range logs {
+			refs[i] = g.Router.Ref(tl.Tenant.ID)
 		}
-		eng.ScheduleBatch(batch)
+		arrivals, err := workload.NewStream(cat, logs, opts.From, opts.To)
+		if err != nil {
+			res.err = fmt.Errorf("replay: %w", err)
+			return
+		}
+		arrivals.Drive(eng, func(a workload.Arrival) {
+			res.submitted++
+			if _, err := g.Router.SubmitRef(refs[a.Log], a.Class, a.SLATarget); err != nil {
+				res.submitErrors++
+			}
+		})
 
 		// Take-over injection (§7.5), closed loop as in Run.
 		if takeOver {
@@ -614,6 +608,7 @@ func replayGroup(dep *master.Deployment, g *master.DeployedGroup, cat *queries.C
 		}
 
 		// Statistics sampling for this group.
+		var gauge *telemetry.Gauge
 		var sample func(now sim.Time)
 		sample = func(now sim.Time) {
 			rt := g.Monitor.RTTTP()
@@ -623,7 +618,10 @@ func replayGroup(dep *master.Deployment, g *master.DeployedGroup, cat *queries.C
 				Active: g.Monitor.ActiveTenants(),
 			})
 			if h := dep.Telemetry(); h != nil {
-				h.Registry.Gauge("thrifty_group_rt_ttp", "group", g.Plan.ID).Set(rt)
+				if gauge == nil {
+					gauge = h.Registry.Gauge("thrifty_group_rt_ttp", "group", g.Plan.ID)
+				}
+				gauge.Set(rt)
 			}
 			if now < opts.To {
 				eng.After(opts.SampleEvery, sample)

@@ -817,8 +817,14 @@ func (p *Plane) allShedding(d *sim.Domain) bool {
 // Records returns a copy of all completed query records, concatenated in
 // deployment group order (each group's records in completion order).
 func (p *Plane) Records() []monitor.QueryRecord {
-	var out []monitor.QueryRecord
-	for _, g := range p.Groups() {
+	groups := p.Groups()
+	n := 0
+	for _, g := range groups {
+		g.dom.Do(func(*sim.Engine) { n += g.Monitor.RecordCount() })
+	}
+	// Sized from a first pass; groups that completed more since just append.
+	out := make([]monitor.QueryRecord, 0, n)
+	for _, g := range groups {
 		g.dom.Do(func(*sim.Engine) {
 			out = append(out, g.Monitor.Records()...)
 		})

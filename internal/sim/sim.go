@@ -84,6 +84,9 @@ type Event struct {
 	// later time.
 	owned bool
 	fn    func(now Time)
+	// src marks the head of an attached source (see Attach): the event fires
+	// src instead of fn and re-keys itself to the next arrival.
+	src func(now Time) (next Time, ok bool)
 }
 
 // At reports the virtual time at which the event fires (or would have fired).
@@ -177,35 +180,22 @@ func (e *Engine) CancelOwned(ev *Event) {
 	e.release(ev)
 }
 
-// TimedFunc is one entry of a ScheduleBatch bulk insertion.
-type TimedFunc struct {
-	At Time
-	Fn func(now Time)
-}
-
-// ScheduleBatch inserts a whole batch of events at once: every entry is
-// appended to the queue and the heap property is re-established with one
-// heap.Init — O(n + m) for n new events over m pending, versus the
-// O(n log(n+m)) of push-per-event. Entries fire in (time, batch order),
-// exactly as if scheduled one by one; the events are engine-owned (no
-// handles are returned) and recycle through the freelist after firing.
-// Replay uses this to materialize a full window of query submissions in one
-// shot.
-func (e *Engine) ScheduleBatch(batch []TimedFunc) {
-	if len(batch) == 0 {
-		return
+// Attach registers a source: a lazy, time-ordered sequence of arrivals that
+// costs the queue one slot instead of one event per arrival. first is when
+// the first arrival is due; fire delivers the arrival due at now and reports
+// when the next one is due (never before now), ok false once exhausted. The
+// source takes one sequence number here and keeps it for every arrival, so
+// arrivals fire in exactly the order they would had each been Scheduled at
+// this point: after same-instant events scheduled earlier, before those
+// scheduled later (callbacks included), in source order among themselves.
+// Each arrival is one Step; a live source is one Pending event. Several
+// sources may be attached, each ordering by its own attach point.
+func (e *Engine) Attach(first Time, fire func(now Time) (next Time, ok bool)) {
+	if first < e.now {
+		panic(fmt.Sprintf("sim: attach at %v before now %v", first, e.now))
 	}
-	for _, tf := range batch {
-		if tf.At < e.now {
-			panic(fmt.Sprintf("sim: schedule at %v before now %v", tf.At, e.now))
-		}
-		e.seq++
-		ev := e.acquire()
-		ev.at, ev.seq, ev.fn = tf.At, e.seq, tf.Fn
-		ev.index = len(e.queue)
-		e.queue = append(e.queue, ev)
-	}
-	heap.Init(&e.queue)
+	e.seq++
+	heap.Push(&e.queue, &Event{at: first, seq: e.seq, src: fire})
 }
 
 // acquire pops a recycled event from the freelist (or allocates one) and
@@ -258,6 +248,10 @@ func (e *Engine) Cancel(ev *Event) {
 // queue is empty.
 func (e *Engine) Step() bool {
 	for e.queue.Len() > 0 {
+		if ev := e.queue[0]; ev.src != nil {
+			e.fireSource(ev)
+			return true
+		}
 		ev := heap.Pop(&e.queue).(*Event)
 		ev.index = -1
 		if ev.canceled {
@@ -275,6 +269,26 @@ func (e *Engine) Step() bool {
 		return true
 	}
 	return false
+}
+
+// fireSource delivers the head arrival of the source whose event tops the
+// queue. The event stays queued while the arrival runs — nothing a callback
+// schedules at or after now can order before it — and then moves to the
+// source's next arrival under the same sequence number.
+func (e *Engine) fireSource(ev *Event) {
+	e.now = ev.at
+	e.nsteps++
+	next, ok := ev.src(e.now)
+	if !ok {
+		heap.Remove(&e.queue, ev.index)
+		ev.index = -1
+		return
+	}
+	if next < e.now {
+		panic(fmt.Sprintf("sim: source arrival at %v before now %v", next, e.now))
+	}
+	ev.at = next
+	heap.Fix(&e.queue, ev.index)
 }
 
 // Run executes events until the queue drains or the next event would fire

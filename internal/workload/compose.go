@@ -166,41 +166,20 @@ type QueryEvent struct {
 }
 
 // Materialize expands a tenant log into the individual query submissions of
-// the window [from, to). The runtime simulator (Fig 7.7) replays these
-// against a deployment; submissions are open-loop at their logged times.
+// the window [from, to), in time order. Replay does not go through it: it
+// pulls the same sequence from a Stream without building the list.
 func (tl *TenantLog) Materialize(from, to sim.Time) []QueryEvent {
-	var out []QueryEvent
-	for _, ref := range tl.Sessions {
-		if ref.Start >= to {
-			break
-		}
-		for _, ev := range ref.Log.Events {
-			at := ref.Start + ev.Offset
-			if at < from || at >= to {
-				continue
-			}
-			out = append(out, QueryEvent{
-				At:        at,
-				Tenant:    tl.Tenant.ID,
-				ClassID:   ev.ClassID,
-				User:      ev.User,
-				Batch:     ev.Batch,
-				SLATarget: ev.Duration,
-			})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
-	return out
+	return MaterializeAll([]*TenantLog{tl}, from, to)
 }
 
 // MaterializeAll merges the query events of several tenant logs in time
-// order.
+// order (ties in Stream order) by draining a Stream over them.
 func MaterializeAll(logs []*TenantLog, from, to sim.Time) []QueryEvent {
-	var out []QueryEvent
-	for _, tl := range logs {
-		out = append(out, tl.Materialize(from, to)...)
+	s, _ := NewStream(nil, logs, from, to) // no catalog, nothing to fail
+	out := make([]QueryEvent, 0, s.Len())
+	for a, ok := s.Next(); ok; a, ok = s.Next() {
+		out = append(out, a.QueryEvent)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out
 }
 
