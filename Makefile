@@ -45,9 +45,12 @@ gray-smoke:
 domain-smoke:
 	$(GO) test -race -short -run TestDomainSmoke ./internal/recovery/chaos
 
-# Solver-equivalence property tests under the race detector plus a one-shot
-# pass over the solver-scale benchmarks, so a pruning bug or a benchmark
-# bit-rot is caught before commit without paying full benchmark time.
+# Solver-equivalence property tests under the race detector — synthetic,
+# adversarial, shared-credit and composed-log (benchmark-shaped) instances at
+# workers {1,3,4,8}; the composed one is what catches a CountSet level view
+# written from inside concurrent previews — plus a one-shot pass over the
+# solver-scale benchmarks, so a pruning bug or a benchmark bit-rot is caught
+# before commit without paying full benchmark time.
 grouping-smoke:
 	$(GO) test -race -run 'TestSolverMatchesReference' -count=1 ./internal/grouping
 	$(GO) test -bench 'BenchmarkTwoStep2000|BenchmarkPickBest' -benchtime=1x -run '^$$' ./internal/grouping
@@ -87,13 +90,17 @@ service-smoke:
 	$(GO) test -race -run 'TestBatchSubmitEquivalence' -count=1 .
 
 # Five seconds of differential fuzzing per kernel with a naive oracle: the
-# hand-written request decoders against encoding/json, and the replay arrival
-# stream against collect-then-stable-sort (go test -fuzz takes one target per
-# run). A failing input lands in the package's testdata/fuzz; commit it.
+# hand-written request decoders against encoding/json, the replay arrival
+# stream against collect-then-stable-sort, and the CountSet algebra (Add,
+# Remove, the previews and the top-level view) against one slot per epoch (go
+# test -fuzz takes one target per run). A failing input lands in the package's
+# testdata/fuzz; commit it. FuzzCountSet finds new coverage all the time and
+# the default minute of minimizing each find would eat the whole smoke.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSubmit$$' -fuzztime=5s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=5s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamOrder$$' -fuzztime=5s ./internal/workload
+	$(GO) test -run '^$$' -fuzz '^FuzzCountSet$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/epoch
 
 # Submit-path benchmark run: single vs 64-query batched submits over HTTP in
 # both clock layouts, plus the runtime-layer batched path (which must stay
@@ -123,8 +130,9 @@ bench-shareddb:
 # benchmark workload, the procedure a performance claim needs: ./benchmark is
 # built from a temporary checkout of BASE and from the tree, PAIRS pairs of
 # untraced runs alternate which side goes first (pair i uses seed i), and
-# -compare judges every end-to-end metric; throughput is also listed pair by
-# pair with the pairs the tree won. Reports stay in .bench_build/compare.
+# -compare judges every end-to-end metric; throughput, latency_p50_us and
+# peak_rss_mb are also listed pair by pair with the pairs the tree won.
+# Reports stay in .bench_build/compare.
 #	make bench-compare BASE=HEAD~1 WORKLOAD=replay-7d [PAIRS=10] [RUN_SECONDS=15]
 BASE ?= HEAD~1
 WORKLOAD ?= replay-7d
@@ -145,7 +153,9 @@ bench-compare:
 		done; \
 	done; \
 	$$tmp/tree.bin -compare $$out/base.jsonl $$out/tree.jsonl; \
-	for side in base tree; do \
-		sed -n 's/.*"throughput":{"value":\([0-9.e+]*\).*/\1/p' $$out/$$side.jsonl > $$tmp/$$side.tp; \
-	done; \
-	paste $$tmp/base.tp $$tmp/tree.tp | awk '{ printf "pair %d throughput: base %.0f tree %.0f\n", NR, $$1, $$2; if ($$2 > $$1) won++ } END { printf "tree won %d of %d pairs\n", won, NR }'
+	for m in throughput:1 latency_p50_us:-1 peak_rss_mb:-1; do \
+		for side in base tree; do \
+			sed -n 's/.*"'$${m%:*}'":{"value":\([0-9.e+]*\).*/\1/p' $$out/$$side.jsonl > $$tmp/$$side.col; \
+		done; \
+		paste $$tmp/base.col $$tmp/tree.col | awk -v m=$${m%:*} -v up=$${m#*:} '{ printf "pair %d %s: base %.6g tree %.6g\n", NR, m, $$1, $$2; if (($$2 - $$1) * up > 0) won++ } END { printf "tree won %d of %d pairs on %s\n", won, NR, m }'; \
+	done

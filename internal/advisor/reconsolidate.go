@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/epoch"
+	"repro/internal/grouping"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -132,8 +133,15 @@ func (a *Advisor) Reconsolidate(in ReconsolidationInput, horizon sim.Time) (*Pla
 	sort.Strings(rep.NewTenants)
 	sort.Strings(rep.Departed)
 
-	// Decide which groups survive.
+	// Decide which groups survive. A kept group answers to the test the
+	// previous plan was adopted under: the sharing-credited one when it was
+	// (Plan.Shared), else the plain TTP.
 	next := &Plan{Config: a.cfg}
+	prob := &grouping.Problem{D: grid.D, R: a.cfg.R, P: a.cfg.P}
+	if in.Previous.Shared {
+		prob.Share = a.cfg.ShareWeights()
+	}
+	cs := epoch.NewCountSet(grid.D)
 	var repackLogs []*workload.TenantLog
 	for _, g := range in.Previous.Groups {
 		keep := !flagged[g.ID]
@@ -155,22 +163,22 @@ func (a *Advisor) Reconsolidate(in ReconsolidationInput, horizon sim.Time) (*Pla
 			// Fresh-history feasibility check: if the group's recent
 			// activity now violates the fuzzy capacity, repack it rather
 			// than deploy a plan we already know is broken.
-			cs := epoch.NewCountSet(grid.D)
-			for _, id := range g.TenantIDs {
-				cs.Add(grid.Quantize(current[id].Activity))
+			items := make([]*grouping.Item, len(g.TenantIDs))
+			requested := 0
+			for i, id := range g.TenantIDs {
+				tl := current[id]
+				items[i] = &grouping.Item{ID: id, Nodes: tl.Tenant.Nodes, Spans: grid.Quantize(tl.Activity)}
+				requested += tl.Tenant.Nodes
 			}
-			if cs.TTP(a.cfg.R) < a.cfg.P {
+			if fresh := prob.Measure(cs, items); fresh.TTP < a.cfg.P {
 				keep = false
 				reason = ReasonCapacityViolation
 			} else {
 				kept := g
-				kept.TTP = cs.TTP(a.cfg.R)
-				kept.MaxActive = cs.MaxCount()
+				kept.TTP, kept.MaxActive = fresh.TTP, fresh.MaxActive
 				next.Groups = append(next.Groups, kept)
 				rep.KeptGroups++
-				for _, id := range g.TenantIDs {
-					next.RequestedNodes += current[id].Tenant.Nodes
-				}
+				next.RequestedNodes += requested
 			}
 		}
 		if !keep {
@@ -204,6 +212,7 @@ func (a *Advisor) Reconsolidate(in ReconsolidationInput, horizon sim.Time) (*Pla
 	next.RequestedNodes += sub.RequestedNodes
 	next.Algorithm = sub.Algorithm
 	next.SolveTime = sub.SolveTime
+	next.Shared = sub.Shared || (in.Previous.Shared && rep.KeptGroups > 0)
 	for i := range sub.Groups {
 		g := sub.Groups[i]
 		g.ID = fmt.Sprintf("TG-R%04d", i) // new-cycle namespace; avoids collisions

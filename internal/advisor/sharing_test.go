@@ -97,6 +97,60 @@ func TestPlanSharingNeverCostsMore(t *testing.T) {
 	}
 }
 
+// TestReconsolidateKeepsSharingCreditedGroups: the TestPlanSharingPacksDenser
+// group is feasible only with the share credit (plain TTP ≈ 0.917 < P = 0.95
+// ≤ credited ≈ 0.975). A stable cycle must test it under the rule it was
+// adopted under and keep it — not declare a capacity violation and repack it
+// every cycle — report the credited statistics, and carry Plan.Shared forward
+// so the cycle after that does the same.
+func TestReconsolidateKeepsSharingCreditedGroups(t *testing.T) {
+	logs := []*workload.TenantLog{
+		mkLog("s1", 4, epoch.Activity{{Start: 0, End: 2 * sim.Hour}}),
+		mkLog("s2", 4, epoch.Activity{{Start: 0, End: 2 * sim.Hour}}),
+	}
+	cfg := DefaultConfig()
+	cfg.R = 1
+	cfg.P = 0.95
+	cfg.Sharing = true
+	cfg.Share = &queries.ShareModel{R: 1, W: []float64{0.7}}
+	a := mustNew(t, cfg)
+	plan, err := a.Plan(logs, sim.Day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Groups) != 1 || !plan.Shared {
+		t.Fatalf("setup: %d groups, Shared=%v", len(plan.Groups), plan.Shared)
+	}
+	for cycle := 1; cycle <= 2; cycle++ {
+		next, rep, err := a.Reconsolidate(ReconsolidationInput{Previous: plan, Logs: logs}, sim.Day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.KeptGroups != 1 || rep.RepackedTenants != 0 {
+			t.Fatalf("cycle %d: kept %d groups, repacked %d tenants; decisions %+v",
+				cycle, rep.KeptGroups, rep.RepackedTenants, rep.Decisions)
+		}
+		if !next.Shared {
+			t.Fatalf("cycle %d: Plan.Shared dropped", cycle)
+		}
+		if got := next.Groups[0].TTP; got < cfg.P {
+			t.Fatalf("cycle %d: kept group reports TTP %.4f, want the credited one ≥ %.2f", cycle, got, cfg.P)
+		}
+		plan = next
+	}
+	// The same group under a plan that was not adopted under the credit
+	// answers to the plain test.
+	plain := *plan
+	plain.Shared = false
+	_, rep, err := a.Reconsolidate(ReconsolidationInput{Previous: &plain, Logs: logs}, sim.Day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := rep.Decisions[0]; d.Kept || d.Reason != ReasonCapacityViolation {
+		t.Fatalf("plain-rule decision = %+v, want a capacity violation", d)
+	}
+}
+
 func mustNew(t *testing.T, cfg Config) *Advisor {
 	t.Helper()
 	a, err := New(cfg)

@@ -21,6 +21,10 @@ type CountSet struct {
 	hist  []int64    // hist[c] = number of epochs with count c, c ≥ 1
 	n     int        // number of activities added
 	spare []countSeg // retired segment buffer, reused by the next Add
+	// lvl[i] lists the segments at count MaxCount()-i, the two levels that
+	// decide the head of a T_best key. Add, Remove and Reset rebuild it;
+	// previews only read it, so concurrent previews of one set stay safe.
+	lvl [2]Spans
 }
 
 type countSeg struct {
@@ -74,6 +78,7 @@ func (cs *CountSet) Reset() {
 	cs.segs = cs.segs[:0]
 	cs.hist = append(cs.hist[:0], 0)
 	cs.n = 0
+	cs.lvl = [2]Spans{cs.lvl[0][:0], cs.lvl[1][:0]}
 }
 
 // OverCount returns the number of epochs with active count strictly greater
@@ -168,38 +173,55 @@ func (cs *CountSet) NewHist(tr Transition) []int64 {
 // Preview computes the transition vector of adding sp without modifying the
 // set. sp must be valid (see Spans.Valid) and within [0, D).
 func (cs *CountSet) Preview(sp Spans) Transition {
-	tr, _, _, _ := cs.preview(sp, make([]int64, cs.MaxCount()+1), -1, 0)
-	return tr
+	return cs.preview(sp, make([]int64, cs.MaxCount()+1))
 }
 
 // PreviewInto is Preview with a caller-provided scratch buffer: the returned
 // transition's Up aliases buf when buf has sufficient capacity, so a search
 // loop can evaluate candidates without per-candidate heap allocations.
 func (cs *CountSet) PreviewInto(sp Spans, buf []int64) Transition {
-	tr, _, _, _ := cs.preview(sp, cs.prepBuf(buf), -1, 0)
-	return tr
+	return cs.preview(sp, cs.prepBuf(buf))
 }
 
-// PreviewBounded is PreviewInto with an early abort against an incumbent
+// PreviewBounded is PreviewInto behind a head check against an incumbent
 // candidate under the T_best rule (see CompareTransitions): bestMax is the
 // incumbent's resulting maximum active count and bestUp the number of epochs
-// its transition raises into that maximum (its Up[bestMax-1]). Comparing
-// Up[max-1] values is equivalent to comparing the resulting top-level
-// histogram entries hist[max]+Up[max-1], since both candidates see the same
-// live hist[max] — but unlike the absolute share it does not drift as the
-// group grows, so callers can cache it across rounds.
+// its transition raises into that maximum (its Up[bestMax-1]); a negative
+// bestMax means no incumbent, otherwise bestMax must be at least MaxCount().
+// Comparing Up[max-1] values is equivalent to comparing the resulting
+// top-level histogram entries hist[max]+Up[max-1], since both candidates see
+// the same live hist[max] — but unlike the absolute share it does not drift
+// as the group grows, so callers can cache it across rounds.
 //
-// On success (ok true) tr is the exact transition and (keyMax, keyUp) is its
-// key head as NewTopUp would report it. When the partial transition proves
-// the candidate lexicographically worse than the incumbent at the top
-// histogram levels, ok is false, tr only serves to recover the scratch
-// buffer, and (keyMax, keyUp) is a lower bound on the candidate's key head —
-// the partial sums at the moment the loss became certain. (Continuing the
-// walk to compute the exact top-level mass would make the bound stronger and
-// future skips more durable, but measured on dense workloads the extra
-// traversal costs more than the walks it later saves.)
+// The head of sp's key is its overlap with the set's top two count levels:
+// any epoch on the top level raises the maximum and counts into it, otherwise
+// the maximum stands and the epochs on the level below are the ones raised
+// into it. Those two level lists are a small fraction of the count function,
+// so the head is computed exactly from them first, and the full merge walk
+// runs only when the head does not already lose to (bestMax, bestUp). (While
+// the maximum is below 2 the top level is the whole function and the level
+// below it the idle epochs: the check would be the walk by another name, so
+// the walk decides.) ok reports whether the head survives: true with the
+// exact transition; false with tr only carrying a buffer back. Either way
+// (keyMax, keyUp) is sp's exact key head, as NewTopUp would report it.
 func (cs *CountSet) PreviewBounded(sp Spans, buf []int64, bestMax int, bestUp int64) (tr Transition, keyMax int, keyUp int64, ok bool) {
-	return cs.preview(sp, cs.prepBuf(buf), bestMax, bestUp)
+	if m := cs.MaxCount(); m >= 2 && (bestMax == m || bestMax == m+1) {
+		if up := sp.Overlap(cs.lvl[0]); up > 0 {
+			if bestMax == m || up > bestUp {
+				return Transition{Up: buf}, m + 1, up, false
+			}
+		} else if bestMax == m && cs.hist[m-1] > bestUp {
+			// The maximum stands and the tie is open: the level below holds
+			// enough epochs for a candidate to lose on it.
+			if up = sp.Overlap(cs.lvl[1]); up > bestUp {
+				return Transition{Up: buf}, m, up, false
+			}
+		}
+	}
+	tr = cs.PreviewInto(sp, buf)
+	keyMax, keyUp = cs.NewTopUp(tr)
+	ok = bestMax < 0 || keyMax < bestMax || (keyMax == bestMax && keyUp <= bestUp)
+	return tr, keyMax, keyUp, ok
 }
 
 // prepBuf returns buf resized and zeroed for one transition, reallocating
@@ -216,128 +238,56 @@ func (cs *CountSet) prepBuf(buf []int64) []int64 {
 	return buf
 }
 
-// preview is the shared merge walk. up must be zeroed with length
-// MaxCount()+1; bestMax < 0 disables the abort bound.
-//
-// The abort test runs inside the segment loop, not once per span: nearly
-// every bounded walk in a T_best scan ends in an abort, and candidate spans
-// routinely cross a dozen segments, so deciding after one or two segment
-// pieces instead of at the span boundary matters. Both abort triggers are
-// O(1): the partial maximum exceeds the incumbent's as soon as a piece lands
-// above level bestMax-1, and the top-level tie breaks as soon as the mass
-// accumulated at level bestMax-1 passes bestUp (a piece at bestMax-1 implies
-// the candidate's maximum reaches bestMax, so the tie comparison is the live
-// one). On abort the partial top-level sums are returned as the caller's
-// cacheable lower bound.
-func (cs *CountSet) preview(sp Spans, up []int64, bestMax int, bestUp int64) (Transition, int, int64, bool) {
-	segs := cs.segs
-	// Index of the first segment that could overlap the current span.
-	si := 0
-	top := -1 // highest index with up[top] > 0 so far
-	bounded := bestMax >= 0
-	watch := int32(bestMax - 1) // level whose mass decides a top-level tie
-	for _, s := range sp {
-		// Advance si to the first segment ending after s.S. Manual binary
-		// search — the sort.Search closure is measurable at this call rate —
-		// and spans arrive in order, so the cursor only moves forward.
-		if si < len(segs) && segs[si].e <= s.S {
-			lo, hi := si+1, len(segs)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if segs[mid].e <= s.S {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			si = lo
+// seekSeg returns the index of the first segment at or after from that ends
+// after epoch x. Callers walk ascending spans, so the target is usually near
+// the cursor: the search gallops out from it before bisecting.
+func seekSeg(segs []countSeg, from int, x int32) int {
+	lo, hi := from, from
+	for step := 1; hi < len(segs) && segs[hi].e <= x; step *= 2 {
+		lo = hi + 1
+		hi += step
+	}
+	if hi > len(segs) {
+		hi = len(segs)
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if segs[mid].e <= x {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
+	}
+	return lo
+}
+
+// preview is the merge walk behind every Preview*. up must be zeroed with
+// length MaxCount()+1.
+func (cs *CountSet) preview(sp Spans, up []int64) Transition {
+	segs := cs.segs
+	si := 0 // first segment that could overlap the current span
+	for _, s := range sp {
+		si = seekSeg(segs, si, s.S)
 		cur := s.S
-		k := si
-		for cur < s.E {
+		for k := si; cur < s.E; k++ {
 			if k >= len(segs) || segs[k].s >= s.E {
-				// Remaining range is all idle.
-				up[0] += int64(s.E - cur)
-				if top < 0 {
-					top = 0
-				}
-				if bounded && watch <= 0 {
-					if watch < 0 || up[0] > bestUp {
-						// max(MaxCount, top+1) == 1 in both branches: bestMax
-						// is 0 or 1 here and bestMax >= MaxCount always.
-						return Transition{Up: up}, 1, up[0], false
-					}
-				}
+				up[0] += int64(s.E - cur) // the rest of the span is idle
 				break
 			}
 			seg := segs[k]
 			if seg.s > cur {
-				// Idle gap before the segment.
-				gapEnd := seg.s
-				if gapEnd > s.E {
-					gapEnd = s.E
-				}
-				up[0] += int64(gapEnd - cur)
-				if top < 0 {
-					top = 0
-				}
-				if bounded && watch <= 0 {
-					if watch < 0 || up[0] > bestUp {
-						return Transition{Up: up}, 1, up[0], false
-					}
-				}
-				cur = gapEnd
-				if cur >= s.E {
-					break
-				}
-			}
-			// Overlap with segment k.
-			lo := cur
-			if seg.s > lo {
-				lo = seg.s
+				up[0] += int64(seg.s - cur) // idle gap before the segment
+				cur = seg.s
 			}
 			hi := s.E
 			if seg.e < hi {
 				hi = seg.e
 			}
-			if hi > lo {
-				c := seg.c
-				up[c] += int64(hi - lo)
-				if int(c) > top {
-					top = int(c)
-				}
-				cur = hi
-				if bounded && c >= watch {
-					if c > watch {
-						// A piece at level > bestMax-1 pushes the candidate's
-						// new maximum past bestMax — already a bound strong
-						// enough to skip the candidate until the group's
-						// maximum itself catches up.
-						return Transition{Up: up}, int(c) + 1, up[c], false
-					}
-					if up[c] > bestUp {
-						// A piece at bestMax-1 means the candidate's maximum
-						// reaches exactly bestMax (a higher piece would have
-						// aborted above), so the top-level tie is decided by
-						// the mass raised into it.
-						return Transition{Up: up}, int(c) + 1, up[c], false
-					}
-				}
-			}
-			if seg.e <= s.E {
-				k++
-			}
+			up[seg.c] += int64(hi - cur)
+			cur = hi
 		}
 	}
-	m := cs.MaxCount()
-	if top+1 > m {
-		m = top + 1
-	}
-	var u int64
-	if m >= 1 && m-1 < len(up) {
-		u = up[m-1]
-	}
-	return Transition{Up: up}, m, u, true
+	return Transition{Up: up}
 }
 
 // NewTopUp returns the maximum active count after applying tr together with
@@ -432,19 +382,8 @@ func (cs *CountSet) PatchTransition(sp, added Spans, tr Transition) (Transition,
 		// Every epoch of `added` is covered by the current segment list
 		// (its counts are ≥ 1 after the Add), so walk the segments across
 		// the piece. Pieces arrive in ascending order: the cursor k only
-		// moves forward, with a binary-search skip over far gaps.
-		if k < len(segs) && segs[k].e <= lo {
-			a, b := k+1, len(segs)
-			for a < b {
-				mid := int(uint(a+b) >> 1)
-				if segs[mid].e <= lo {
-					a = mid + 1
-				} else {
-					b = mid
-				}
-			}
-			k = a
-		}
+		// moves forward.
+		k = seekSeg(segs, k, lo)
 		for cur := lo; cur < hi; {
 			seg := segs[k] // cannot run out: segments cover all of `added`
 			pe := seg.e
@@ -482,174 +421,120 @@ func (cs *CountSet) PatchTransition(sp, added Spans, tr Transition) (Transition,
 }
 
 // Add commits sp into the count function. sp must be valid and within
-// [0, D). The histogram is maintained incrementally during the same merge
-// walk — only the epochs whose count actually rises are touched — and the
-// retired segment list is kept as a spare buffer for the next Add, so
-// committing a tenant allocates only when the segment list outgrows both
-// buffers.
+// [0, D).
 func (cs *CountSet) Add(sp Spans) {
 	cs.n++
-	if len(sp) == 0 {
-		return
-	}
-	segs := cs.segs
-	newSegs := cs.spare[:0]
-	if need := len(segs) + 2*len(sp); cap(newSegs) < need {
-		newSegs = make([]countSeg, 0, need)
-	}
-	si := 0
-	emit := func(s, e, c int32) {
-		if e <= s || c == 0 {
-			return
-		}
-		if n := len(newSegs); n > 0 && newSegs[n-1].e == s && newSegs[n-1].c == c {
-			newSegs[n-1].e = e
-			return
-		}
-		newSegs = append(newSegs, countSeg{s, e, c})
-	}
-	// bump records n epochs rising from count c to c+1 in the histogram.
-	bump := func(c int32, n int64) {
-		if c > 0 {
-			cs.hist[c] -= n
-		}
-		for int(c)+1 >= len(cs.hist) {
-			cs.hist = append(cs.hist, 0)
-		}
-		cs.hist[c+1] += n
-	}
-	for _, s := range sp {
-		// Copy segments that end before this span starts.
-		for si < len(segs) && segs[si].e <= s.S {
-			seg := segs[si]
-			emit(seg.s, seg.e, seg.c)
-			si++
-		}
-		// A segment may straddle the span start: split it.
-		if si < len(segs) && segs[si].s < s.S {
-			emit(segs[si].s, s.S, segs[si].c)
-			segs[si].s = s.S // consume the head; remainder handled below
-		}
-		cur := s.S
-		for cur < s.E {
-			if si >= len(segs) || segs[si].s >= s.E {
-				emit(cur, s.E, 1)
-				bump(0, int64(s.E-cur))
-				cur = s.E
-				break
-			}
-			seg := segs[si]
-			if seg.s > cur {
-				emit(cur, seg.s, 1)
-				bump(0, int64(seg.s-cur))
-				cur = seg.s
-			}
-			hi := s.E
-			if seg.e < hi {
-				hi = seg.e
-			}
-			emit(cur, hi, seg.c+1)
-			bump(seg.c, int64(hi-cur))
-			cur = hi
-			if seg.e <= s.E {
-				si++
-			} else {
-				segs[si].s = s.E // tail of the straddling segment
-			}
-		}
-	}
-	// Copy the remaining untouched segments.
-	for si < len(segs) {
-		seg := segs[si]
-		emit(seg.s, seg.e, seg.c)
-		si++
-	}
-	cs.spare = cs.segs[:0] // retire the old list as the next Add's buffer
-	cs.segs = newSegs
+	cs.shift(sp, 1)
 }
 
 // Remove is the inverse of Add: it commits the departure of a previously
 // added activity, decrementing the count on sp's epochs. Every epoch of sp
 // must currently have count ≥ 1 — callers remove exactly the spans they
 // added (the online control loop removes a tenant's running profile, the
-// union of its planned spans and every streamed delta). The merge walk
-// mirrors Add's: segments are rewritten in one pass, the histogram is
-// maintained on exactly the epochs whose count falls, and the retired
-// segment list is kept as the spare buffer for the next commit.
+// union of its planned spans and every streamed delta).
 func (cs *CountSet) Remove(sp Spans) {
 	cs.n--
+	cs.shift(sp, -1)
+}
+
+// shift moves the count of every epoch of sp by d (+1 or −1) in one merge
+// walk. Segments between two spans are untouched and copied as whole runs;
+// the histogram is maintained on exactly the epochs whose count moves; and
+// the retired segment list is kept as the spare buffer for the next commit,
+// so a commit allocates only when the list outgrows both buffers.
+func (cs *CountSet) shift(sp Spans, d int32) {
 	if len(sp) == 0 {
 		return
 	}
 	segs := cs.segs
-	newSegs := cs.spare[:0]
-	if need := len(segs) + 2*len(sp); cap(newSegs) < need {
-		newSegs = make([]countSeg, 0, need)
+	out := cs.spare[:0]
+	if need := len(segs) + 2*len(sp); cap(out) < need {
+		out = make([]countSeg, 0, 2*need) // headroom: a growing set allocates O(log) times
+	}
+	hist := cs.hist
+	if d > 0 {
+		hist = append(hist, 0) // room for a new maximum; trimmed below
 	}
 	si := 0
-	emit := func(s, e, c int32) {
-		if e <= s || c == 0 {
-			return
-		}
-		if n := len(newSegs); n > 0 && newSegs[n-1].e == s && newSegs[n-1].c == c {
-			newSegs[n-1].e = e
-			return
-		}
-		newSegs = append(newSegs, countSeg{s, e, c})
-	}
-	// drop records n epochs falling from count c to c-1 in the histogram.
-	drop := func(c int32, n int64) {
-		cs.hist[c] -= n
-		if c > 1 {
-			cs.hist[c-1] += n
-		}
-	}
 	for _, s := range sp {
-		// Copy segments that end before this span starts.
-		for si < len(segs) && segs[si].e <= s.S {
-			seg := segs[si]
-			emit(seg.s, seg.e, seg.c)
-			si++
-		}
+		// The run of segments that end before this span starts.
+		j := seekSeg(segs, si, s.S)
+		out = appendRun(out, segs[si:j])
+		si = j
 		// A segment may straddle the span start: split it.
 		if si < len(segs) && segs[si].s < s.S {
-			emit(segs[si].s, s.S, segs[si].c)
+			out = appendSeg(out, countSeg{segs[si].s, s.S, segs[si].c})
 			segs[si].s = s.S // consume the head; remainder handled below
 		}
-		cur := s.S
-		for cur < s.E {
-			if si >= len(segs) || segs[si].s > cur {
+		for cur := s.S; cur < s.E; {
+			// The piece [cur, hi) sits at one count c: 0 in a gap between
+			// segments, else the count of the segment it lies in.
+			hi, c := s.E, int32(0)
+			switch {
+			case si < len(segs) && segs[si].s <= cur:
+				c = segs[si].c
+				if segs[si].e <= hi {
+					hi = segs[si].e
+					si++
+				} else {
+					segs[si].s = hi // tail of the straddling segment
+				}
+			case d < 0:
 				panic(fmt.Sprintf("epoch: Remove of epochs at count 0 (at epoch %d)", cur))
+			case si < len(segs) && segs[si].s < hi:
+				hi = segs[si].s
 			}
-			seg := segs[si]
-			hi := s.E
-			if seg.e < hi {
-				hi = seg.e
+			n := int64(hi - cur)
+			if c > 0 {
+				hist[c] -= n
 			}
-			emit(cur, hi, seg.c-1)
-			drop(seg.c, int64(hi-cur))
+			if c += d; c > 0 {
+				hist[c] += n
+				out = appendSeg(out, countSeg{cur, hi, c})
+			}
 			cur = hi
-			if seg.e <= s.E {
-				si++
+		}
+	}
+	out = appendRun(out, segs[si:])
+	cs.spare = segs[:0] // retire the old list as the next commit's buffer
+	cs.segs = out
+	top := len(hist) - 1
+	for top > 0 && hist[top] == 0 {
+		top--
+	}
+	cs.hist = hist[:top+1]
+	// Refresh the view of the top two levels.
+	l0, l1 := cs.lvl[0][:0], cs.lvl[1][:0]
+	for i := range out {
+		if g := &out[i]; int(g.c) >= top-1 {
+			if int(g.c) == top {
+				l0 = append(l0, Span{g.s, g.e})
 			} else {
-				segs[si].s = s.E // tail of the straddling segment
+				l1 = append(l1, Span{g.s, g.e})
 			}
 		}
 	}
-	// Copy the remaining untouched segments.
-	for si < len(segs) {
-		seg := segs[si]
-		emit(seg.s, seg.e, seg.c)
-		si++
+	cs.lvl = [2]Spans{l0, l1}
+}
+
+// appendSeg appends g to dst, extending dst's last segment instead when g
+// continues it at the same count.
+func appendSeg(dst []countSeg, g countSeg) []countSeg {
+	if n := len(dst); n > 0 && dst[n-1].e == g.s && dst[n-1].c == g.c {
+		dst[n-1].e = g.e
+		return dst
 	}
-	cs.spare = cs.segs[:0]
-	cs.segs = newSegs
-	// Shrink the histogram to the new maximum count.
-	top := len(cs.hist) - 1
-	for top > 0 && cs.hist[top] == 0 {
-		top--
+	return append(dst, g)
+}
+
+// appendRun appends a run of consecutive segments to dst. Only the run's
+// first segment can continue dst's last one; the rest were already
+// neighbours of each other.
+func appendRun(dst, run []countSeg) []countSeg {
+	if len(run) == 0 {
+		return dst
 	}
-	cs.hist = cs.hist[:top+1]
+	return append(appendSeg(dst, run[0]), run[1:]...)
 }
 
 // NewHistAt returns the post-transition histogram value at level c ≥ 1
@@ -665,6 +550,7 @@ func (cs *CountSet) clone() *CountSet {
 	out := &CountSet{d: cs.d, n: cs.n}
 	out.segs = append([]countSeg(nil), cs.segs...)
 	out.hist = append([]int64(nil), cs.hist...)
+	out.lvl = [2]Spans{append(Spans(nil), cs.lvl[0]...), append(Spans(nil), cs.lvl[1]...)}
 	return out
 }
 

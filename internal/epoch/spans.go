@@ -72,3 +72,55 @@ func (sp Spans) Diff(other Spans) Spans {
 	}
 	return out
 }
+
+// Overlap returns the number of epochs covered by both sp and other. Both
+// must satisfy the Spans invariant. Whichever list falls behind gallops to
+// catch up, so intersecting a long list with a short one costs about the
+// short one's length times the logarithm of the gaps between its hits.
+func (sp Spans) Overlap(other Spans) int64 {
+	var n int64
+	i, j := 0, 0
+	for i < len(sp) && j < len(other) {
+		a, b := sp[i], other[j]
+		switch {
+		case a.E <= b.S:
+			if i++; i < len(sp) && sp[i].E <= b.S {
+				i = sp.seek(i+1, b.S)
+			}
+		case b.E <= a.S:
+			if j++; j < len(other) && other[j].E <= a.S {
+				j = other.seek(j+1, a.S)
+			}
+		default:
+			n += int64(min(a.E, b.E) - max(a.S, b.S))
+			if a.E <= b.E {
+				i++
+			} else {
+				j++
+			}
+		}
+	}
+	return n
+}
+
+// seek returns the index of the first span at or after from that ends after
+// epoch x, galloping out from the cursor before bisecting.
+func (sp Spans) seek(from int, x int32) int {
+	lo, hi := from, from
+	for step := 1; hi < len(sp) && sp[hi].E <= x; step *= 2 {
+		lo = hi + 1
+		hi += step
+	}
+	if hi > len(sp) {
+		hi = len(sp)
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if sp[mid].E <= x {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}

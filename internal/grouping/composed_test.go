@@ -1,0 +1,96 @@
+package grouping
+
+import (
+	"reflect"
+	"testing"
+
+	"repro/internal/epoch"
+	"repro/internal/queries"
+	"repro/internal/sim"
+	"repro/internal/tenant"
+	"repro/internal/workload"
+)
+
+// composedProblem builds the instance the repository benchmark plans: n
+// tenants' composed multi-day logs quantized on 3 s epochs at R=3, P=99.9%.
+// Unlike randomProblem's handful of spans, every tenant carries hundreds, a
+// group's count function runs to thousands of segments, and its maximum
+// count passes R — the regime the level-view head check exists for.
+func composedProblem(tb testing.TB, n, days int, seed int64, sizes []int) *Problem {
+	tb.Helper()
+	cat := queries.Default()
+	lib, err := workload.BuildLibrary(cat, sizes, 10, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	logs, err := workload.ComposeVariant(lib, cat, n, 0.8, sizes, workload.VariantDefault, days, seed+1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	grid := epoch.MustGrid(3*sim.Second, sim.Time(days)*sim.Day)
+	p := &Problem{D: grid.D, R: 3, P: 0.999}
+	for _, tl := range logs {
+		p.Items = append(p.Items, &Item{ID: tl.Tenant.ID, Nodes: tl.Tenant.Nodes, Spans: grid.Quantize(tl.Activity)})
+	}
+	return p
+}
+
+// TestSolverMatchesReferenceComposed is the equivalence property on
+// benchmark-shaped input, serial and sharded. Run under -race it is also the
+// test that catches a CountSet level view built lazily inside a preview:
+// with two size classes the larger one is wide enough for Workers: 4 to shard
+// its scans, and the shards call PreviewBounded concurrently on one set.
+func TestSolverMatchesReferenceComposed(t *testing.T) {
+	p := composedProblem(t, 160, 7, 40, []int{4, 8})
+	var spans, maxActive int
+	classes := map[int]int{}
+	for _, it := range p.Items {
+		spans += len(it.Spans)
+		classes[it.Nodes]++
+	}
+	if mean := spans / len(p.Items); mean < 200 {
+		t.Fatalf("composed items average %d spans, want hundreds", mean)
+	}
+	if widest := max(classes[4], classes[8]); widest < minParallelScan {
+		t.Fatalf("widest size class has %d tenants, too few to shard a scan (%d)", widest, minParallelScan)
+	}
+	want, err := referenceTwoStep(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Verify(p, want); err != nil {
+		t.Fatalf("reference produced invalid solution: %v", err)
+	}
+	for _, g := range want.Groups {
+		maxActive = max(maxActive, g.MaxActive)
+	}
+	if maxActive <= p.R {
+		t.Fatalf("max active count %d never passes R=%d", maxActive, p.R)
+	}
+	for _, workers := range []int{1, 4} {
+		got, err := Solver{Workers: workers}.TwoStep(p)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if !reflect.DeepEqual(stripTiming(got), stripTiming(want)) {
+			t.Errorf("workers %d: solver diverged from reference on composed logs", workers)
+		}
+	}
+}
+
+// BenchmarkTwoStepComposed500 is one benchmark population: 500 tenants, 7
+// days.
+func BenchmarkTwoStepComposed500(b *testing.B) {
+	p := composedProblem(b, 500, 7, 40, tenant.DefaultSizes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol, err := TwoStep(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := Verify(p, sol); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -78,6 +78,23 @@ func (p *Problem) NewTTP(cs *epoch.CountSet, tr epoch.Transition) float64 {
 	return cs.NewTTPShare(p.R, p.Share, tr)
 }
 
+// Measure packs items into cs, emptied first, and returns the statistics of
+// the group they form under the problem's test (Items is left nil). It is the
+// one place a member list becomes TTP, MaxActive and MaxNodes, so the audits
+// that re-derive a group from its members — Verify, SolutionFromMembers, the
+// advisor's kept-group check — cannot drift from the rule the solvers pack
+// under. cs must span p.D epochs; reusing one across calls reuses its buffers.
+func (p *Problem) Measure(cs *epoch.CountSet, items []*Item) Group {
+	cs.Reset()
+	var g Group
+	for _, it := range items {
+		cs.Add(it.Spans)
+		g.MaxNodes = max(g.MaxNodes, it.Nodes)
+	}
+	g.TTP, g.MaxActive = p.TTP(cs), cs.MaxCount()
+	return g
+}
+
 // Validate checks instance consistency.
 func (p *Problem) Validate() error {
 	if p.D <= 0 {
@@ -200,25 +217,24 @@ func SolutionFromMembers(p *Problem, groups [][]string, algorithm string) (*Solu
 		idx[it.ID] = i
 	}
 	sol := &Solution{Algorithm: algorithm}
+	cs := epoch.NewCountSet(p.D)
+	var items []*Item
 	for gi, members := range groups {
 		if len(members) == 0 {
 			return nil, fmt.Errorf("grouping: member group %d is empty", gi)
 		}
-		g := Group{}
-		cs := epoch.NewCountSet(p.D)
+		var indices []int
+		items = items[:0]
 		for _, id := range members {
 			i, ok := idx[id]
 			if !ok {
 				return nil, fmt.Errorf("grouping: member %q is not a problem item", id)
 			}
-			g.Items = append(g.Items, i)
-			cs.Add(p.Items[i].Spans)
-			if p.Items[i].Nodes > g.MaxNodes {
-				g.MaxNodes = p.Items[i].Nodes
-			}
+			indices = append(indices, i)
+			items = append(items, p.Items[i])
 		}
-		g.TTP = p.TTP(cs)
-		g.MaxActive = cs.MaxCount()
+		g := p.Measure(cs, items)
+		g.Items = indices
 		sol.Groups = append(sol.Groups, g)
 	}
 	return sol, nil
@@ -232,13 +248,14 @@ func Verify(p *Problem, s *Solution) error {
 		return err
 	}
 	used := make([]bool, len(p.Items))
+	cs := epoch.NewCountSet(p.D)
+	var items []*Item
 	for gi := range s.Groups {
 		g := &s.Groups[gi]
 		if len(g.Items) == 0 {
 			return fmt.Errorf("grouping: group %d is empty", gi)
 		}
-		cs := epoch.NewCountSet(p.D)
-		maxNodes := 0
+		items = items[:0]
 		for _, idx := range g.Items {
 			if idx < 0 || idx >= len(p.Items) {
 				return fmt.Errorf("grouping: group %d references item %d", gi, idx)
@@ -247,23 +264,20 @@ func Verify(p *Problem, s *Solution) error {
 				return fmt.Errorf("grouping: item %d in multiple groups", idx)
 			}
 			used[idx] = true
-			cs.Add(p.Items[idx].Spans)
-			if p.Items[idx].Nodes > maxNodes {
-				maxNodes = p.Items[idx].Nodes
-			}
+			items = append(items, p.Items[idx])
 		}
-		ttp := p.TTP(cs)
-		if ttp < p.P-1e-12 {
-			return fmt.Errorf("grouping: group %d TTP %.6f < P %.6f", gi, ttp, p.P)
+		want := p.Measure(cs, items)
+		if want.TTP < p.P-1e-12 {
+			return fmt.Errorf("grouping: group %d TTP %.6f < P %.6f", gi, want.TTP, p.P)
 		}
-		if g.MaxNodes != maxNodes {
-			return fmt.Errorf("grouping: group %d MaxNodes %d, recomputed %d", gi, g.MaxNodes, maxNodes)
+		if g.MaxNodes != want.MaxNodes {
+			return fmt.Errorf("grouping: group %d MaxNodes %d, recomputed %d", gi, g.MaxNodes, want.MaxNodes)
 		}
-		if diff := g.TTP - ttp; diff > 1e-9 || diff < -1e-9 {
-			return fmt.Errorf("grouping: group %d TTP %.9f, recomputed %.9f", gi, g.TTP, ttp)
+		if diff := g.TTP - want.TTP; diff > 1e-9 || diff < -1e-9 {
+			return fmt.Errorf("grouping: group %d TTP %.9f, recomputed %.9f", gi, g.TTP, want.TTP)
 		}
-		if g.MaxActive != cs.MaxCount() {
-			return fmt.Errorf("grouping: group %d MaxActive %d, recomputed %d", gi, g.MaxActive, cs.MaxCount())
+		if g.MaxActive != want.MaxActive {
+			return fmt.Errorf("grouping: group %d MaxActive %d, recomputed %d", gi, g.MaxActive, want.MaxActive)
 		}
 	}
 	for i, u := range used {

@@ -27,7 +27,7 @@ func TwoStep(p *Problem) (*Solution, error) { return Solver{}.TwoStep(p) }
 
 // Solver configures the scalable T_best search. The zero value is the serial
 // solver; every configuration produces output byte-identical to the
-// reference implementation (reference.go) — the optimizations below only
+// reference implementation (reference_test.go) — the optimizations below only
 // change how fast T_best is found, never which tenant it is:
 //
 //   - candidates are scanned in ascending active-epoch order and the scan
@@ -36,10 +36,11 @@ func TwoStep(p *Problem) (*Solution, error) { return Solver{}.TwoStep(p) }
 //   - a candidate's transition is cached across insertions and only
 //     recomputed when its spans overlap the tenant just committed (the only
 //     event that can change it), so steady-state rounds are comparison-only;
-//   - fresh previews abort as soon as their partial transition already loses
-//     to the incumbent at the top histogram levels (PreviewBounded), and the
-//     partial bound is remembered so provably-losing candidates are skipped
-//     without another walk;
+//   - a fresh preview first computes the candidate's exact key head from the
+//     group's top two count levels (PreviewBounded) and walks the whole count
+//     function only when that head does not already lose to the incumbent;
+//     a losing head is remembered, so provably-losing candidates are skipped
+//     without another look;
 //   - all transitions live in per-candidate scratch buffers owned by the
 //     search, so pickBest performs no steady-state heap allocations;
 //   - with Workers > 1, candidate evaluation is sharded across a worker pool
@@ -156,7 +157,7 @@ func solveClass(p *Problem, items []int, workers int) []Group {
 const (
 	cacheNone    = uint8(iota) // no usable information; must preview
 	cacheFull    = uint8(1)    // tr is the candidate's exact transition
-	cacheAborted = uint8(2)    // a bounded preview aborted; (pM, pU) lower-bounds the final key
+	cacheAborted = uint8(2)    // the key head lost; (pM, pU) lower-bounds the final key
 )
 
 // candidate is one unassigned tenant of a size class, with its cached
@@ -182,8 +183,8 @@ type candidate struct {
 	// CountSet.NewTopUp) — the new maximum and the epochs raised into it.
 	// When state == cacheFull it is exact, refreshed in O(1) after every
 	// commit from top and the patched transition. When state == cacheAborted
-	// it is the head at the moment the candidate was last evaluated (a
-	// bounded preview that gave up, or a head-of-key loss that demoted it);
+	// it is the exact head at the moment the candidate was last evaluated (a
+	// bounded preview's head check, or a head-of-key loss that demoted it);
 	// both components are then monotone lower bounds on the candidate's
 	// future key head for the rest of the group, because counts only grow
 	// while tenants join: the maximum cannot shrink, and an epoch raised into
@@ -402,11 +403,10 @@ func (se *search) pickBest(order []int) (int, epoch.Transition) {
 // scan finds T_best within one shard of the candidate order. base is the
 // shard's offset in the full list; the returned pos is absolute.
 //
-// The incumbent is tracked as (bM, bT): its resulting maximum active count
-// and the epoch share at that maximum — the head of the comparison key. Both
-// quantities of any candidate's partial transition only grow as its preview
-// walk proceeds, so a candidate whose cached or partial key already exceeds
-// (bM, bT) can be discarded without finishing (or even starting) its walk.
+// The incumbent is tracked as (bestMax, bestUp): its resulting maximum active
+// count and the epochs raised into that maximum — the head of the comparison
+// key. A candidate whose cached head already exceeds it is discarded without
+// a look; one whose fresh head does (PreviewBounded) without a walk.
 func (se *search) scan(order []int, base int) pickResult {
 	cs := se.cs
 	var res pickResult
@@ -415,7 +415,7 @@ func (se *search) scan(order []int, base int) pickResult {
 
 	// Pass 1: cached-exact candidates only — O(1) key reads, no walks. This
 	// builds the strongest available incumbent before any preview runs, so
-	// pass 2 can skip (or shallowly abort) nearly every stale candidate
+	// pass 2 can skip nearly every stale candidate, or reject it on its head,
 	// instead of re-walking it against a still-weak early incumbent.
 	for i, pos := range order {
 		c := &se.cands[pos]
@@ -465,8 +465,8 @@ func (se *search) scan(order []int, base int) pickResult {
 			continue
 		}
 		if res.ok && (c.pM > bestMax || (c.pM == bestMax && c.pU > bestUp)) {
-			// The remembered partial key still exceeds the incumbent's: the
-			// candidate's final key can only be larger. Skip without a walk.
+			// The remembered head still exceeds the incumbent's: the
+			// candidate's final key can only be larger. Skip without a look.
 			continue
 		}
 		bm, bt := bestMax, bestUp
@@ -477,9 +477,9 @@ func (se *search) scan(order []int, base int) pickResult {
 		c.buf = tr.Up
 		c.tr = tr
 		if !ok {
-			// Remember the partial key. It strictly exceeds the incumbent
-			// bound (that is why the walk aborted), so it is stronger than
-			// whatever bound previously failed to skip this candidate.
+			// Remember the head. It strictly exceeds the incumbent's (that is
+			// why it lost), so it is stronger than whatever bound previously
+			// failed to skip this candidate.
 			c.state = cacheAborted
 			c.pM, c.pU = cM, cU
 			continue

@@ -18,7 +18,7 @@
 // in-memory partition state — tenants with epoch-quantized activity
 // profiles, groups with live CountSets — and the single-tenant re-plan hot
 // path: BestGroup is the T_best scan of the offline solver restated for one
-// tenant against all live groups, with the same monotone-bound abort
+// tenant against all live groups, with the same key-head rejection
 // (epoch.PreviewBounded) that makes the PR-5 solver scale. Controller
 // (online.go) drives a Placer from the runtime: monitors feed deltas in,
 // placement decisions come out as live migrations.
@@ -308,10 +308,11 @@ func (pl *Placer) Infeasible() []string {
 //
 // The scan is the planner's bounded-preview loop: once an incumbent exists,
 // a group whose current maximum already exceeds the incumbent's resulting
-// maximum is skipped in O(1), and PreviewBounded aborts the merge walk for
-// any candidate as soon as a partial transition proves its resulting
-// maximum worse. That keeps the steady-state re-plan latency far under the
-// epoch width even at 100k tenants (see BENCH_online.json).
+// maximum is skipped in O(1), and PreviewBounded walks a group's count
+// function only when the tenant's overlap with the group's top count level
+// does not already prove its resulting maximum worse. That keeps the
+// steady-state re-plan latency far under the epoch width even at 100k
+// tenants (see BENCH_online.json).
 func (pl *Placer) BestGroup(nodes int, sp epoch.Spans, exclude string) (string, bool) {
 	bestID := ""
 	bestMax := 0
@@ -335,7 +336,7 @@ func (pl *Placer) BestGroup(nodes int, sp epoch.Spans, exclude string) (string, 
 				continue
 			}
 			// Max-only bound: bestUp = MaxInt64 disables the top-level tie
-			// abort, which is only sound within one CountSet — across
+			// rejection, which is only sound within one CountSet — across
 			// groups the tie is decided by NewHistAt below instead.
 			tr, km, _, ok = cs.PreviewBounded(sp, pl.buf, bestMax, math.MaxInt64)
 		}
