@@ -91,16 +91,19 @@ service-smoke:
 
 # Five seconds of differential fuzzing per kernel with a naive oracle: the
 # hand-written request decoders against encoding/json, the replay arrival
-# stream against collect-then-stable-sort, and the CountSet algebra (Add,
-# Remove, the previews and the top-level view) against one slot per epoch (go
-# test -fuzz takes one target per run). A failing input lands in the package's
-# testdata/fuzz; commit it. FuzzCountSet finds new coverage all the time and
-# the default minute of minimizing each find would eat the whole smoke.
+# stream against collect-then-stable-sort, the CountSet algebra (Add, Remove,
+# the previews and the top-level view) against one slot per epoch, and the
+# ref-indexed monitor with its chunked record log against the map-and-slice
+# monitor it replaced (go test -fuzz takes one target per run). A failing
+# input lands in the package's testdata/fuzz; commit it. FuzzCountSet and
+# FuzzMonitorOps find new coverage all the time and the default minute of
+# minimizing each find would eat the whole smoke.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSubmit$$' -fuzztime=5s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=5s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamOrder$$' -fuzztime=5s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzCountSet$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/epoch
+	$(GO) test -run '^$$' -fuzz '^FuzzMonitorOps$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/monitor
 
 # Submit-path benchmark run: single vs 64-query batched submits over HTTP in
 # both clock layouts, plus the runtime-layer batched path (which must stay
@@ -132,30 +135,37 @@ bench-shareddb:
 # untraced runs alternate which side goes first (pair i uses seed i), and
 # -compare judges every end-to-end metric; throughput, latency_p50_us and
 # peak_rss_mb are also listed pair by pair with the pairs the tree won.
+# WORKLOAD=all runs the four workloads one after the other through the same
+# binaries into one -compare table, which is what the merge gate judges.
 # Reports stay in .bench_build/compare.
 #	make bench-compare BASE=HEAD~1 WORKLOAD=replay-7d [PAIRS=10] [RUN_SECONDS=15]
 BASE ?= HEAD~1
 WORKLOAD ?= replay-7d
 PAIRS ?= 10
 RUN_SECONDS ?= 15
+WORKLOADS = $(if $(filter all,$(WORKLOAD)),plan-4x500 replay-7d serve-single serve-mixed,$(WORKLOAD))
 bench-compare:
 	@set -e; out=$(CURDIR)/.bench_build/compare; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	rm -rf $$out; mkdir -p $$out $$tmp/base; \
 	git archive $(BASE) | tar -x -C $$tmp/base; \
 	(cd $$tmp/base && $(GO) build -o $$tmp/base.bin ./benchmark); \
 	$(GO) build -o $$tmp/tree.bin ./benchmark; \
-	for i in $$(seq 1 $(PAIRS)); do \
-		order="base tree"; [ $$((i % 2)) -eq 0 ] && order="tree base"; \
-		for side in $$order; do \
-			dir=$(CURDIR); [ $$side = base ] && dir=$$tmp/base; \
-			echo "pair $$i: $$side"; \
-			(cd $$dir && $$tmp/$$side.bin --workload $(WORKLOAD) --seed $$i --seconds $(RUN_SECONDS) --trace 0 -out $$out/$$side.jsonl >/dev/null); \
+	for wl in $(WORKLOADS); do \
+		for i in $$(seq 1 $(PAIRS)); do \
+			order="base tree"; [ $$((i % 2)) -eq 0 ] && order="tree base"; \
+			for side in $$order; do \
+				dir=$(CURDIR); [ $$side = base ] && dir=$$tmp/base; \
+				echo "$$wl pair $$i: $$side"; \
+				(cd $$dir && $$tmp/$$side.bin --workload $$wl --seed $$i --seconds $(RUN_SECONDS) --trace 0 -out $$out/$$side.jsonl >/dev/null); \
+			done; \
 		done; \
 	done; \
 	$$tmp/tree.bin -compare $$out/base.jsonl $$out/tree.jsonl; \
-	for m in throughput:1 latency_p50_us:-1 peak_rss_mb:-1; do \
-		for side in base tree; do \
-			sed -n 's/.*"'$${m%:*}'":{"value":\([0-9.e+]*\).*/\1/p' $$out/$$side.jsonl > $$tmp/$$side.col; \
+	for wl in $(WORKLOADS); do \
+		for m in throughput:1 latency_p50_us:-1 peak_rss_mb:-1; do \
+			for side in base tree; do \
+				grep '"workload":"'$$wl'"' $$out/$$side.jsonl | sed -n 's/.*"'$${m%:*}'":{"value":\([0-9.e+]*\).*/\1/p' > $$tmp/$$side.col; \
+			done; \
+			paste $$tmp/base.col $$tmp/tree.col | awk -v wl=$$wl -v m=$${m%:*} -v up=$${m#*:} '{ printf "%s pair %d %s: base %.6g tree %.6g\n", wl, NR, m, $$1, $$2; if (($$2 - $$1) * up > 0) won++ } END { printf "%s: tree won %d of %d pairs on %s\n", wl, won, NR, m }'; \
 		done; \
-		paste $$tmp/base.col $$tmp/tree.col | awk -v m=$${m%:*} -v up=$${m#*:} '{ printf "pair %d %s: base %.6g tree %.6g\n", NR, m, $$1, $$2; if (($$2 - $$1) * up > 0) won++ } END { printf "tree won %d of %d pairs on %s\n", won, NR, m }'; \
 	done

@@ -70,6 +70,7 @@ func main() {
 				continue
 			}
 			var onG0, missed int
+			// Records materialises the monitor's log into a slice of our own.
 			for _, r := range g.Monitor.Records() {
 				if r.Tenant == victim || r.MPPDB != g.Instances[0].ID() {
 					continue

@@ -3,6 +3,10 @@
 // activity, and maintains the run-time TTP (RT-TTP) over a sliding window —
 // the signal that triggers lightweight elastic scaling when it drops below
 // the performance SLA guarantee P.
+//
+// Per-tenant state is one slice indexed by tenant.Ref. The router reports
+// starts and finishes by ref (QueryStartedRef, QueryFinishedRef); the
+// string-keyed methods resolve the tenant once and do the same work.
 package monitor
 
 import (
@@ -14,6 +18,7 @@ import (
 	"repro/internal/queries"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/tenant"
 )
 
 // QueryRecord is one completed query observation.
@@ -46,6 +51,29 @@ func (r QueryRecord) Normalized() float64 {
 // absorbs float-to-duration rounding in the simulator.
 func (r QueryRecord) SLAMet() bool { return r.Normalized() <= 1.0+1e-9 }
 
+// tenantState is everything the monitor keeps about one tenant.
+type tenantState struct {
+	// inflight counts the tenant's running queries; it is active (the strong
+	// notion: at least one query in flight) since activeSince while positive.
+	inflight    int
+	activeSince sim.Time
+	// ivs accumulates closed activity intervals, pruned to the window (used
+	// by over-active identification).
+	ivs []epoch.Interval
+	// tally is the tenant's line in the hub's SLA account, fetched at its
+	// first completion under the attached hub.
+	tally *telemetry.SLATally
+	// finished counts the tenant's entries in the record log.
+	finished int
+	// excluded tenants no longer count toward the group's activity (their
+	// queries moved to a dedicated MPPDB after elastic scaling: "the
+	// tenant-group excluded all the activities of the removed tenant").
+	excluded bool
+	// closed is set once the tenant has closed an activity interval: Tenants
+	// lists it from then on, also after the window pruned every interval.
+	closed bool
+}
+
 // GroupMonitor tracks one tenant-group.
 type GroupMonitor struct {
 	eng    *sim.Engine
@@ -53,17 +81,11 @@ type GroupMonitor struct {
 	r      int
 	window time.Duration
 
-	// inflight counts running queries per (non-excluded) tenant.
-	inflight map[string]int
-	// excluded tenants no longer count toward the group's activity (their
-	// queries moved to a dedicated MPPDB after elastic scaling: "the
-	// tenant-group excluded all the activities of the removed tenant").
-	excluded map[string]bool
-	// activeSince records when each currently-active tenant became active.
-	activeSince map[string]sim.Time
-	// perTenant accumulates closed activity intervals per tenant, pruned to
-	// the window (used by over-active identification).
-	perTenant map[string][]epoch.Interval
+	// in assigns the refs that index tenants: the group's interner once a
+	// router in ref mode attached it, a private one until then.
+	in      *tenant.Interner
+	tenants []tenantState
+	active  int // tenants with a query in flight
 
 	// Violation tracking: spans during which more than R tenants were
 	// active concurrently.
@@ -75,7 +97,7 @@ type GroupMonitor struct {
 	// extends before it is computed against observed time only).
 	observedSince sim.Time
 
-	records []QueryRecord
+	log recordLog
 
 	// Telemetry (optional): per-query SLA accounting and the group's
 	// active-tenant gauge.
@@ -99,10 +121,7 @@ func NewGroup(eng *sim.Engine, group string, r int, window time.Duration) (*Grou
 		group:         group,
 		r:             r,
 		window:        window,
-		inflight:      make(map[string]int),
-		excluded:      make(map[string]bool),
-		activeSince:   make(map[string]sim.Time),
-		perTenant:     make(map[string][]epoch.Interval),
+		in:            tenant.NewInterner(),
 		observedSince: eng.Now(),
 	}, nil
 }
@@ -110,12 +129,26 @@ func NewGroup(eng *sim.Engine, group string, r int, window time.Duration) (*Grou
 // Group returns the monitored group's identifier.
 func (m *GroupMonitor) Group() string { return m.group }
 
+// SetInterner makes the monitor index tenants by the refs of in — the group
+// interner its router and instances share, so the router reports by ref. It
+// fails once the monitor has observed a tenant under other refs.
+func (m *GroupMonitor) SetInterner(in *tenant.Interner) error {
+	if in != m.in && len(m.tenants) > 0 {
+		return fmt.Errorf("monitor: group %s already observes tenants under another interner", m.group)
+	}
+	m.in = in
+	return nil
+}
+
 // SetTelemetry attaches a telemetry hub: every completed query feeds the
 // per-tenant SLA account, misses are published as sla_violation events, and
 // the group's active-tenant count is kept as a gauge. A nil hub disables
 // instrumentation.
 func (m *GroupMonitor) SetTelemetry(h *telemetry.Hub) {
 	m.tel = h
+	for i := range m.tenants {
+		m.tenants[i].tally = nil
+	}
 	if h == nil {
 		return
 	}
@@ -124,106 +157,122 @@ func (m *GroupMonitor) SetTelemetry(h *telemetry.Hub) {
 	m.mActive = h.Registry.Gauge("thrifty_group_active_tenants", "group", m.group)
 }
 
+// state returns the tenant's slot, growing the table to a ref first seen.
+func (m *GroupMonitor) state(ref tenant.Ref) *tenantState {
+	if int(ref) >= len(m.tenants) {
+		m.tenants = append(m.tenants, make([]tenantState, int(ref)+1-len(m.tenants))...)
+	}
+	return &m.tenants[ref]
+}
+
+// known returns the slot of a tenant the monitor has seen, or nil.
+func (m *GroupMonitor) known(tenantID string) *tenantState {
+	if ref, ok := m.in.Lookup(tenantID); ok && int(ref) < len(m.tenants) {
+		return &m.tenants[ref]
+	}
+	return nil
+}
+
 // ActiveTenants returns the number of currently active (non-excluded)
 // tenants — the strong notion of active: at least one query in flight.
-func (m *GroupMonitor) ActiveTenants() int { return len(m.inflight) }
+func (m *GroupMonitor) ActiveTenants() int { return m.active }
 
 // Exclude removes a tenant from the group's activity accounting (after
 // elastic scaling moved it to a dedicated MPPDB).
-func (m *GroupMonitor) Exclude(tenant string) {
-	if m.excluded[tenant] {
+func (m *GroupMonitor) Exclude(tenantID string) {
+	st := m.state(m.in.Intern(tenantID))
+	if st.excluded {
 		return
 	}
 	// Close out any in-flight activity of the tenant first.
-	if m.inflight[tenant] > 0 {
-		delete(m.inflight, tenant)
-		m.tenantInactive(tenant)
-		m.recheckViolation()
-		if m.tel != nil {
-			m.mActive.Set(float64(len(m.inflight)))
-		}
+	if st.inflight > 0 {
+		st.inflight = 0
+		m.tenantInactive(st)
 	}
-	m.excluded[tenant] = true
+	st.excluded = true
 }
 
 // Excluded reports whether the tenant has been excluded.
-func (m *GroupMonitor) Excluded(tenant string) bool { return m.excluded[tenant] }
+func (m *GroupMonitor) Excluded(tenantID string) bool {
+	st := m.known(tenantID)
+	return st != nil && st.excluded
+}
 
 // QueryStarted records a query start for the tenant.
-func (m *GroupMonitor) QueryStarted(tenant string) {
-	if m.excluded[tenant] {
+func (m *GroupMonitor) QueryStarted(tenantID string) { m.QueryStartedRef(m.in.Intern(tenantID)) }
+
+// QueryStartedRef is QueryStarted for the tenant behind a ref of the
+// monitor's interner.
+func (m *GroupMonitor) QueryStartedRef(ref tenant.Ref) {
+	st := m.state(ref)
+	if st.excluded {
 		return
 	}
-	m.inflight[tenant]++
-	if m.inflight[tenant] == 1 {
-		m.activeSince[tenant] = m.eng.Now()
-		m.recheckViolation()
-		if m.tel != nil {
-			m.mActive.Set(float64(len(m.inflight)))
-		}
+	st.inflight++
+	if st.inflight == 1 {
+		st.activeSince = m.eng.Now()
+		m.active++
+		m.activeChanged()
 	}
 }
 
-// QueryFinished records a query completion and, optionally, the full record.
+// QueryFinished records a query completion and logs the full record.
 func (m *GroupMonitor) QueryFinished(rec QueryRecord) {
-	if len(m.records) == cap(m.records) {
-		// Double. append grows a large slice by a quarter, which copies and
-		// clears the log about five times over while a replay fills it.
-		m.records = slices.Grow(m.records, max(len(m.records), 64))
-	}
-	m.records = append(m.records, rec)
+	m.QueryFinishedRef(m.in.Intern(rec.Tenant), rec)
+}
+
+// QueryFinishedRef is QueryFinished for the tenant behind a ref of the
+// monitor's interner; rec.Tenant is not read.
+func (m *GroupMonitor) QueryFinishedRef(ref tenant.Ref, rec QueryRecord) {
+	st := m.state(ref)
+	met := rec.SLAMet()
+	m.log.add(ref, rec, met)
+	st.finished++
 	if m.tel != nil {
-		met := rec.SLAMet()
 		m.mCompleted.Inc()
-		m.tel.SLA.Observe(rec.Tenant, rec.Normalized(), met)
+		if st.tally == nil {
+			st.tally = m.tel.SLA.Tally(m.in.ID(ref))
+		}
+		st.tally.Observe(rec.Normalized(), met)
 		if !met {
 			m.mMissed.Inc()
 			m.tel.Events.Publish(telemetry.Event{
 				Type:   telemetry.EventSLAViolation,
 				Group:  m.group,
-				Tenant: rec.Tenant,
+				Tenant: m.in.ID(ref),
 				MPPDB:  rec.MPPDB,
 				Value:  rec.Normalized(),
 				Detail: rec.Class.ID,
 			})
 		}
 	}
-	t := rec.Tenant
-	if m.excluded[t] {
-		return
+	if st.inflight == 0 {
+		return // no start on the books: the tenant was excluded before or while the query ran
 	}
-	if m.inflight[t] == 0 {
-		return // start was recorded before an Exclude; ignore
-	}
-	m.inflight[t]--
-	if m.inflight[t] == 0 {
-		delete(m.inflight, t)
-		m.tenantInactive(t)
-		m.recheckViolation()
-		if m.tel != nil {
-			m.mActive.Set(float64(len(m.inflight)))
-		}
+	st.inflight--
+	if st.inflight == 0 {
+		m.tenantInactive(st)
 	}
 }
 
-// tenantInactive closes the tenant's current activity interval.
-func (m *GroupMonitor) tenantInactive(t string) {
-	start, ok := m.activeSince[t]
-	if !ok {
-		return
-	}
-	delete(m.activeSince, t)
+// tenantInactive closes the current activity interval of a tenant whose last
+// query left.
+func (m *GroupMonitor) tenantInactive(st *tenantState) {
 	now := m.eng.Now()
-	if now > start {
-		m.perTenant[t] = append(m.perTenant[t], epoch.Interval{Start: start, End: now})
+	if now > st.activeSince {
+		st.ivs = append(st.ivs, epoch.Interval{Start: st.activeSince, End: now})
+		st.closed = true
 	}
-	m.pruneTenant(t)
+	st.ivs = m.prune(st.ivs)
+	m.active--
+	m.activeChanged()
 }
 
-// recheckViolation opens or closes the "more than R active" span.
-func (m *GroupMonitor) recheckViolation() {
+// activeChanged follows a change of the active-tenant count: it opens or
+// closes the "more than R active" span and refreshes the gauge.
+func (m *GroupMonitor) activeChanged() {
 	now := m.eng.Now()
-	overNow := len(m.inflight) > m.r
+	overNow := m.active > m.r
 	switch {
 	case overNow && !m.over:
 		m.over = true
@@ -233,37 +282,25 @@ func (m *GroupMonitor) recheckViolation() {
 		if now > m.overSince {
 			m.violations = append(m.violations, epoch.Interval{Start: m.overSince, End: now})
 		}
-		m.pruneViolations()
+		m.violations = m.prune(m.violations)
+	}
+	if m.tel != nil {
+		m.mActive.Set(float64(m.active))
 	}
 }
 
-func (m *GroupMonitor) pruneViolations() {
+// prune drops the intervals that ended more than two windows ago. It shifts
+// in place: readers get copies, so the backing array is reused across prunes.
+func (m *GroupMonitor) prune(ivs []epoch.Interval) []epoch.Interval {
 	cut := m.eng.Now() - sim.Duration(m.window)*2
-	i := 0
-	for i < len(m.violations) && m.violations[i].End < cut {
-		i++
-	}
-	if i > 0 {
-		// Shift in place: the slice is internal-only (readers copy), so
-		// pruning must not reallocate on every violation close.
-		n := copy(m.violations, m.violations[i:])
-		m.violations = m.violations[:n]
-	}
-}
-
-func (m *GroupMonitor) pruneTenant(t string) {
-	cut := m.eng.Now() - sim.Duration(m.window)*2
-	ivs := m.perTenant[t]
 	i := 0
 	for i < len(ivs) && ivs[i].End < cut {
 		i++
 	}
-	if i > 0 {
-		// Shift in place: TenantActivity hands callers a copy, so the
-		// per-tenant log can reuse its backing array across prunes.
-		n := copy(ivs, ivs[i:])
-		m.perTenant[t] = ivs[:n]
+	if i == 0 {
+		return ivs
 	}
+	return ivs[:copy(ivs, ivs[i:])]
 }
 
 // RTTTP returns the run-time TTP over the trailing window: the fraction of
@@ -302,56 +339,61 @@ func (m *GroupMonitor) RTTTP() float64 {
 
 // TenantActivity returns the tenant's observed activity within the trailing
 // window, as a normalized interval set (an open interval is closed at now).
-func (m *GroupMonitor) TenantActivity(tenant string) epoch.Activity {
+func (m *GroupMonitor) TenantActivity(tenantID string) epoch.Activity {
 	now := m.eng.Now()
 	from := now - sim.Duration(m.window)
-	ivs := append([]epoch.Interval(nil), m.perTenant[tenant]...)
-	if s, ok := m.activeSince[tenant]; ok && now > s {
-		ivs = append(ivs, epoch.Interval{Start: s, End: now})
+	var ivs []epoch.Interval
+	if st := m.known(tenantID); st != nil {
+		ivs = append(ivs, st.ivs...)
+		if st.inflight > 0 && now > st.activeSince {
+			ivs = append(ivs, epoch.Interval{Start: st.activeSince, End: now})
+		}
 	}
 	return epoch.Normalize(ivs).Clip(from, now)
 }
 
-// Tenants returns all tenants with any observed activity (excluded or not).
+// Tenants returns all tenants with any observed activity (excluded or not),
+// sorted.
 func (m *GroupMonitor) Tenants() []string {
-	seen := map[string]bool{}
-	for t := range m.perTenant {
-		seen[t] = true
-	}
-	for t := range m.activeSince {
-		seen[t] = true
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	// Deterministic order.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j-1] > out[j]; j-- {
-			out[j-1], out[j] = out[j], out[j-1]
+	out := []string{}
+	ids := m.in.IDs()
+	for ref := range m.tenants {
+		if st := &m.tenants[ref]; st.closed || st.inflight > 0 {
+			out = append(out, ids[ref])
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 
-// Records returns all completed query records (including excluded tenants').
-func (m *GroupMonitor) Records() []QueryRecord { return m.records }
+// Records returns all completed query records (including excluded tenants')
+// in completion order, materialised from the log into a new slice.
+func (m *GroupMonitor) Records() []QueryRecord { return m.AppendRecords(nil) }
+
+// AppendRecords appends all completed query records to dst.
+func (m *GroupMonitor) AppendRecords(dst []QueryRecord) []QueryRecord {
+	return m.log.appendTo(dst, m.in.IDs(), tenant.NoRef, m.log.n)
+}
+
+// AppendTenantRecords appends one tenant's completed query records to dst;
+// other tenants' log entries are passed over without being materialised.
+func (m *GroupMonitor) AppendTenantRecords(dst []QueryRecord, tenantID string) []QueryRecord {
+	ref, ok := m.in.Lookup(tenantID)
+	if !ok || int(ref) >= len(m.tenants) || m.tenants[ref].finished == 0 {
+		return dst
+	}
+	return m.log.appendTo(dst, m.in.IDs(), ref, m.tenants[ref].finished)
+}
 
 // RecordCount returns the number of completed-query records retained. The
 // log is append-only, so the count alone detects staleness of a copy.
-func (m *GroupMonitor) RecordCount() int { return len(m.records) }
+func (m *GroupMonitor) RecordCount() int { return m.log.n }
 
 // SLAAttainment returns the fraction of completed queries that met their
-// SLA. It returns 1 when nothing completed yet.
+// SLA, kept as a running count. It returns 1 when nothing completed yet.
 func (m *GroupMonitor) SLAAttainment() float64 {
-	if len(m.records) == 0 {
+	if m.log.n == 0 {
 		return 1
 	}
-	met := 0
-	for _, r := range m.records {
-		if r.SLAMet() {
-			met++
-		}
-	}
-	return float64(met) / float64(len(m.records))
+	return float64(m.log.met) / float64(m.log.n)
 }

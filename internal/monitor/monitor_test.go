@@ -191,3 +191,22 @@ func TestSLAAttainment(t *testing.T) {
 		t.Errorf("records = %d", len(m.Records()))
 	}
 }
+
+// TestAttainmentIsARunningCount: RecordCount and SLAAttainment are read on
+// every group snapshot (GET /v1/groups, each admission brownout tick), so
+// they must cost the same whatever the log holds. With the log's entries
+// taken away they still answer, hence neither walks it.
+func TestAttainmentIsARunningCount(t *testing.T) {
+	m, _ := NewGroup(sim.NewEngine(), "g", 3, time.Hour)
+	cl := &queries.Class{ID: "x"}
+	for i := 0; i < 1000; i++ {
+		m.QueryFinished(QueryRecord{Tenant: "a", Class: cl, Finish: sim.Time(1+i%4/3) * sim.Second, SLATarget: sim.Second})
+	}
+	m.log.chunks = nil
+	if got := m.RecordCount(); got != 1000 {
+		t.Errorf("RecordCount = %d, want 1000", got)
+	}
+	if got := m.SLAAttainment(); got != 0.75 {
+		t.Errorf("SLAAttainment = %v, want 0.75", got)
+	}
+}

@@ -482,10 +482,11 @@ func (c *Controller) retireWhenDrained(gid string) {
 			return
 		}
 		// Releasing the group takes its monitor out of the deployment, so
-		// keep its completed-query records for end-of-run accounting.
-		recs := grt.Monitor.Records()
+		// keep its completed-query records for end-of-run accounting: they
+		// are materialised out of the monitor's log into c.drained, which
+		// shares nothing with the monitor.
 		c.mu.Lock()
-		c.drained = append(c.drained, recs...)
+		c.drained = grt.Monitor.AppendRecords(c.drained)
 		c.mu.Unlock()
 		freed := c.dep.ReleaseGroup(grt)
 		c.events().Publish(telemetry.Event{

@@ -654,7 +654,7 @@ func replayGroup(dep *master.Deployment, g *master.DeployedGroup, cat *queries.C
 	dom.Advance(opts.drainUntil(), nil)
 
 	dom.Do(func(*sim.Engine) {
-		res.records = append(res.records, g.Monitor.Records()...)
+		res.records = g.Monitor.AppendRecords(res.records)
 		if scaler != nil {
 			res.scaling = scaler.Events()
 		}

@@ -43,6 +43,7 @@ const noPartner = ^uint64(0)
 // and whichever completes first wins and withdraws the other.
 type pending struct {
 	tenantID  string
+	ref       tenant.Ref // the tenant's group ref, as the monitor indexes it
 	class     *queries.Class
 	submit    sim.Time
 	slaTarget sim.Time
@@ -151,6 +152,12 @@ func NewGroup(eng *sim.Engine, group string, dbs []*mppdb.Instance,
 	if r.refMode {
 		for _, db := range dbs {
 			db.SetCompletionHandler(r.completed)
+		}
+		if mon != nil {
+			// The monitor indexes tenants by the same refs from here on.
+			if err := mon.SetInterner(r.in); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return r, nil
@@ -453,6 +460,7 @@ func (r *GroupRouter) completed(res mppdb.Result, tag uint64) {
 			}
 		}
 	}
+	ref := prim.ref
 	rec := monitor.QueryRecord{
 		Tenant:    prim.tenantID,
 		Class:     prim.class,
@@ -479,7 +487,7 @@ func (r *GroupRouter) completed(res mppdb.Result, tag uint64) {
 		r.freeTags = append(r.freeTags, t)
 	}
 	if r.mon != nil {
-		r.mon.QueryFinished(rec)
+		r.mon.QueryFinishedRef(ref, rec)
 	}
 	if r.onResult != nil {
 		r.onResult(rec)
@@ -534,6 +542,7 @@ func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget 
 	tag := r.acquireTag()
 	p := &r.pending[tag]
 	p.tenantID = tn.ID
+	p.ref = ref
 	p.class = class
 	p.submit = submit
 	p.slaTarget = slaTarget
@@ -559,11 +568,11 @@ func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget 
 	// The completion callback fires via a later engine event, never
 	// synchronously inside Submit, so the start is recorded first.
 	if r.mon != nil {
-		r.mon.QueryStarted(tn.ID)
+		r.mon.QueryStartedRef(ref)
 	}
 	// Routed to a confirmed-gray instance: duplicate onto a healthy peer.
 	if r.nGray > 0 && targetIdx >= 0 && r.grayOn[targetIdx] {
-		r.hedgeTo(tag, ref, targetIdx)
+		r.hedgeTo(tag, targetIdx)
 	}
 	r.routed++
 	if r.tel != nil {
@@ -595,7 +604,7 @@ func (r *GroupRouter) hedgePeer(exclude int) *mppdb.Instance {
 
 // hedgeTo duplicates the in-flight query in pending[tag] onto a healthy
 // peer of dbs[grayIdx]. First completion wins; the loser is cancelled.
-func (r *GroupRouter) hedgeTo(tag uint64, ref tenant.Ref, grayIdx int) {
+func (r *GroupRouter) hedgeTo(tag uint64, grayIdx int) {
 	peer := r.hedgePeer(grayIdx)
 	if peer == nil {
 		return
@@ -604,6 +613,7 @@ func (r *GroupRouter) hedgeTo(tag uint64, ref tenant.Ref, grayIdx int) {
 	// acquireTag may grow the pending slice; re-resolve both slots after.
 	h, p := &r.pending[ht], &r.pending[tag]
 	h.tenantID = p.tenantID
+	h.ref = p.ref
 	h.class = p.class
 	h.submit = p.submit
 	h.slaTarget = p.slaTarget
@@ -612,7 +622,7 @@ func (r *GroupRouter) hedgeTo(tag uint64, ref tenant.Ref, grayIdx int) {
 	h.inst = peer
 	h.partner = tag
 	h.hedge = true
-	if _, err := peer.SubmitHedge(ref, p.class, ht); err != nil {
+	if _, err := peer.SubmitHedge(p.ref, p.class, ht); err != nil {
 		h.tenantID, h.dbID, h.class, h.inst = "", "", nil, nil
 		h.partner, h.hedge = noPartner, false
 		r.freeTags = append(r.freeTags, ht)
@@ -650,12 +660,8 @@ func (r *GroupRouter) HedgeInFlight(dbID string) int {
 	}
 	n := 0
 	for _, tag := range tags {
-		ref, ok := r.in.Lookup(r.pending[tag].tenantID)
-		if !ok {
-			continue
-		}
 		before := r.pending[tag].partner
-		r.hedgeTo(tag, ref, idx)
+		r.hedgeTo(tag, idx)
 		if r.pending[tag].partner != before {
 			n++
 		}

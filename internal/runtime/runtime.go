@@ -533,14 +533,19 @@ func (g *GroupRuntime) StatsAt(at sim.Time) Stats {
 	return st
 }
 
-// RecordsAt advances the group to at and returns a copy of its completed
-// query records.
-func (g *GroupRuntime) RecordsAt(at sim.Time) []monitor.QueryRecord {
-	var out []monitor.QueryRecord
-	g.dom.Advance(at, func(*sim.Engine) {
-		out = append(out, g.Monitor.Records()...)
-	})
-	return out
+// AppendRecordsAt advances the group to at and appends its completed query
+// records, materialised from the monitor's log, to dst.
+func (g *GroupRuntime) AppendRecordsAt(dst []monitor.QueryRecord, at sim.Time) []monitor.QueryRecord {
+	g.dom.Advance(at, func(*sim.Engine) { dst = g.Monitor.AppendRecords(dst) })
+	return dst
+}
+
+// AppendTenantRecordsAt advances the group to at and appends one tenant's
+// completed query records to dst; the filter runs on the log's refs, so the
+// domain is held only for the scan and the tenant's own rows.
+func (g *GroupRuntime) AppendTenantRecordsAt(dst []monitor.QueryRecord, tenantID string, at sim.Time) []monitor.QueryRecord {
+	g.dom.Advance(at, func(*sim.Engine) { dst = g.Monitor.AppendTenantRecords(dst, tenantID) })
+	return dst
 }
 
 // RecordCountAt advances the group to at and returns how many completed
@@ -814,8 +819,9 @@ func (p *Plane) allShedding(d *sim.Domain) bool {
 	return true
 }
 
-// Records returns a copy of all completed query records, concatenated in
-// deployment group order (each group's records in completion order).
+// Records returns all completed query records, materialised from the groups'
+// logs into one slice in deployment group order (each group's records in
+// completion order).
 func (p *Plane) Records() []monitor.QueryRecord {
 	groups := p.Groups()
 	n := 0
@@ -825,9 +831,7 @@ func (p *Plane) Records() []monitor.QueryRecord {
 	// Sized from a first pass; groups that completed more since just append.
 	out := make([]monitor.QueryRecord, 0, n)
 	for _, g := range groups {
-		g.dom.Do(func(*sim.Engine) {
-			out = append(out, g.Monitor.Records()...)
-		})
+		g.dom.Do(func(*sim.Engine) { out = g.Monitor.AppendRecords(out) })
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package runtime
 
 import (
 	"fmt"
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -97,7 +98,7 @@ func TestGroupRuntimeSubmitStatsRecords(t *testing.T) {
 	if g.Now() != sim.Day {
 		t.Errorf("Now = %v after StatsAt(Day)", g.Now())
 	}
-	recs := g.RecordsAt(sim.Day)
+	recs := g.AppendRecordsAt(nil, sim.Day)
 	if len(recs) != 1 {
 		t.Fatalf("%d records, want 1", len(recs))
 	}
@@ -235,7 +236,48 @@ func TestGroupRuntimeConcurrentSubmits(t *testing.T) {
 	if st.Routed != 4*per {
 		t.Errorf("routed = %d, want %d", st.Routed, 4*per)
 	}
-	if got := len(g.RecordsAt(sim.Day)); got != 4*per {
+	if got := len(g.AppendRecordsAt(nil, sim.Day)); got != 4*per {
 		t.Errorf("%d records, want %d", got, 4*per)
+	}
+}
+
+// TestSnapshotCostIndependentOfLogLength: a group's snapshot is taken on
+// every GET /v1/groups and on every admission brownout tick, so it must not
+// walk the record log. Outside the monitor the only way to walk the log is to
+// materialise it, which allocates 64 bytes a record, so the bytes one
+// snapshot allocates are compared between a short log and a long one (a
+// count, not a wall time; internal/monitor pins that the attainment itself
+// is read off a running count).
+func TestSnapshotCostIndependentOfLogLength(t *testing.T) {
+	eng := sim.NewEngine()
+	g := newGroup(t, eng, "TG-0001", "t1", "t2")
+	g.Bind(sim.NewDomain(eng))
+	cl := q1(t)
+	grow := func(n int) {
+		for i := 0; i < n; i++ {
+			// Every fourth query misses its target.
+			g.Monitor.QueryFinished(monitor.QueryRecord{Tenant: "t1", Class: cl,
+				Finish: sim.Time(1+i%4/3) * sim.Second, SLATarget: sim.Second, MPPDB: "TG-0001-db0"})
+		}
+	}
+	bytesPerSnapshot := func() float64 {
+		const runs = 100
+		var before, after goruntime.MemStats
+		goruntime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if st := g.Stats(); st.SLAAttainment != 0.75 {
+				t.Fatalf("attainment = %v over %d records, want 0.75", st.SLAAttainment, g.Monitor.RecordCount())
+			}
+		}
+		goruntime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	grow(100)
+	short := bytesPerSnapshot()
+	grow(100_000)
+	long := bytesPerSnapshot()
+	t.Logf("a snapshot allocates %.0f bytes over 100 records, %.0f over 100,100", short, long)
+	if long > short+1024 {
+		t.Errorf("a snapshot allocates %.0f bytes over 100 records and %.0f over 100,100: it reads the log", short, long)
 	}
 }

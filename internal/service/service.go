@@ -555,7 +555,7 @@ func (s *Server) allRecords(t sim.Time) []monitor.QueryRecord {
 		// may still be marshaling it outside the lock.
 		recs := make([]monitor.QueryRecord, 0, sum(counts))
 		for _, g := range groups {
-			recs = append(recs, g.RecordsAt(t)...)
+			recs = g.AppendRecordsAt(recs, t)
 		}
 		slices.SortStableFunc(recs, bySubmit)
 		rc.dep, rc.counts, rc.recs = dep, counts, recs
@@ -564,10 +564,11 @@ func (s *Server) allRecords(t sim.Time) []monitor.QueryRecord {
 }
 
 // tenantRecords returns one tenant's records, sorted; s.topo is read-held. A
-// tenant's queries run in its own group, so only that group's log is read —
-// the same rows as filtering allRecords, without gathering and sorting
-// everyone else's. Under the online loop a migrated tenant has records in
-// the group it left as well, so then every group is read.
+// tenant's queries run in its own group, so only that group's log is read,
+// and the log filters by the tenant's ref — the same rows as filtering
+// allRecords, without materialising and sorting everyone else's. Under the
+// online loop a migrated tenant has records in the group it left as well, so
+// then every group is read.
 func (s *Server) tenantRecords(tenant string, t sim.Time) []monitor.QueryRecord {
 	s.onlineMu.Lock()
 	migrations := s.online != nil
@@ -580,11 +581,7 @@ func (s *Server) tenantRecords(tenant string, t sim.Time) []monitor.QueryRecord 
 	}
 	var recs []monitor.QueryRecord
 	for _, g := range groups {
-		for _, q := range g.RecordsAt(t) {
-			if q.Tenant == tenant {
-				recs = append(recs, q)
-			}
-		}
+		recs = g.AppendTenantRecordsAt(recs, tenant, t)
 	}
 	slices.SortStableFunc(recs, bySubmit)
 	return recs

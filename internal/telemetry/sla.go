@@ -24,10 +24,13 @@ type TenantSLO struct {
 type SLAAccount struct {
 	mu        sync.Mutex
 	p         float64
-	perTenant map[string]*slaCounts
+	perTenant map[string]*SLATally
 }
 
-type slaCounts struct {
+// SLATally is one tenant's tallies in an account. A caller that observes the
+// same tenant again and again keeps the handle and skips the lookup by name.
+type SLATally struct {
+	a           *SLAAccount
 	met, missed int64
 	worst       float64
 }
@@ -35,20 +38,33 @@ type slaCounts struct {
 // NewSLAAccount builds an account judged against the guarantee p (fraction,
 // e.g. 0.999).
 func NewSLAAccount(p float64) *SLAAccount {
-	return &SLAAccount{p: p, perTenant: make(map[string]*slaCounts)}
+	return &SLAAccount{p: p, perTenant: make(map[string]*SLATally)}
 }
 
 // P returns the guarantee the account judges against.
 func (a *SLAAccount) P() float64 { return a.p }
 
-// Observe records one completed query's SLA outcome.
-func (a *SLAAccount) Observe(tenant string, normalized float64, met bool) {
+// Tally returns the tenant's tallies, listing the tenant in the account if it
+// was not yet.
+func (a *SLAAccount) Tally(tenant string) *SLATally {
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	c := a.perTenant[tenant]
 	if c == nil {
-		c = &slaCounts{}
+		c = &SLATally{a: a}
 		a.perTenant[tenant] = c
 	}
+	return c
+}
+
+// Observe records one completed query's SLA outcome.
+func (a *SLAAccount) Observe(tenant string, normalized float64, met bool) {
+	a.Tally(tenant).Observe(normalized, met)
+}
+
+// Observe records one completed query's SLA outcome for the tally's tenant.
+func (c *SLATally) Observe(normalized float64, met bool) {
+	c.a.mu.Lock()
 	if met {
 		c.met++
 	} else {
@@ -57,7 +73,7 @@ func (a *SLAAccount) Observe(tenant string, normalized float64, met bool) {
 	if normalized > c.worst {
 		c.worst = normalized
 	}
-	a.mu.Unlock()
+	c.a.mu.Unlock()
 }
 
 // Report returns every observed tenant's standing, sorted by tenant ID.

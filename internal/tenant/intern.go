@@ -71,6 +71,15 @@ func (in *Interner) ID(ref Ref) string {
 	return in.ids[ref]
 }
 
+// IDs returns the tenant IDs interned so far, indexed by Ref. The interner
+// only ever appends, so the view stays valid (and must stay unmodified) after
+// the call; bulk readers take it once where ID would lock per tenant.
+func (in *Interner) IDs() []string {
+	in.mu.RLock()
+	defer in.mu.RUnlock()
+	return in.ids[:len(in.ids):len(in.ids)]
+}
+
 // Len returns the number of interned tenants. Refs are always < Len.
 func (in *Interner) Len() int {
 	in.mu.RLock()
