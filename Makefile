@@ -49,11 +49,14 @@ domain-smoke:
 # adversarial, shared-credit and composed-log (benchmark-shaped) instances at
 # workers {1,3,4,8}; the composed one is what catches a CountSet level view
 # written from inside concurrent previews — plus a one-shot pass over the
-# solver-scale benchmarks, so a pruning bug or a benchmark bit-rot is caught
-# before commit without paying full benchmark time.
+# solver-scale benchmarks and the planner's per-stage ones (solve, verify,
+# quantize and burst detection on one 500-tenant composed population), so a
+# pruning bug or a benchmark bit-rot is caught before commit without paying
+# full benchmark time.
 grouping-smoke:
 	$(GO) test -race -run 'TestSolverMatchesReference' -count=1 ./internal/grouping
-	$(GO) test -bench 'BenchmarkTwoStep2000|BenchmarkPickBest' -benchtime=1x -run '^$$' ./internal/grouping
+	$(GO) test -bench 'BenchmarkTwoStep2000|BenchmarkPickBest|BenchmarkTwoStepComposed500|BenchmarkVerifyComposed500|BenchmarkQuantize500' -benchtime=1x -run '^$$' ./internal/grouping
+	$(GO) test -bench 'BenchmarkDetectBursts500' -benchtime=1x -run '^$$' ./internal/advisor
 
 # Bounded online-re-consolidation smoke with the race detector on: a seeded
 # drift run (churn, activity shift, live migrations, oracle comparison) plus
@@ -92,7 +95,7 @@ service-smoke:
 # Five seconds of differential fuzzing per kernel with a naive oracle: the
 # hand-written request decoders against encoding/json, the replay arrival
 # stream against collect-then-stable-sort, the CountSet algebra (Add, Remove,
-# the previews and the top-level view) against one slot per epoch, and the
+# Fill, the previews and the top-level view) against one slot per epoch, and the
 # ref-indexed monitor with its chunked record log against the map-and-slice
 # monitor it replaced (go test -fuzz takes one target per run). A failing
 # input lands in the package's testdata/fuzz; commit it. FuzzCountSet and

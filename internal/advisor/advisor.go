@@ -245,37 +245,27 @@ func (a *Advisor) Plan(logs []*workload.TenantLog, horizon sim.Time) (*Plan, err
 	}
 	plan := &Plan{Config: a.cfg}
 
-	// Exclusion pass.
+	// Exclusion pass. Burst detection reads the whole log, so it comes last
+	// and only for tenants the two cheaper tests did not already exclude.
 	historyDays := int(horizon / sim.Day)
 	var consolidated []*workload.TenantLog
 	for _, tl := range logs {
-		burst := BurstProfile{}
-		if a.cfg.BurstLookaheadDays > 0 {
-			burst = DetectBursts(tl.Activity, horizon)
+		var reason string
+		if tl.Tenant.DataGB > a.cfg.MaxDataGB {
+			reason = fmt.Sprintf("oversized: %.0f GB > %.0f GB", tl.Tenant.DataGB, a.cfg.MaxDataGB)
+		} else if ratio := tl.Activity.Ratio(horizon); ratio > a.cfg.MaxActiveRatio {
+			reason = fmt.Sprintf("always active: %.0f%% of horizon", 100*ratio)
+		} else if a.cfg.BurstLookaheadDays > 0 {
+			if burst := DetectBursts(tl.Activity, horizon); burst.PredictsBurstWithin(historyDays, a.cfg.BurstLookaheadDays) {
+				reason = fmt.Sprintf("regular bursts every ~%d days; next predicted on day %d",
+					burst.PeriodDays, burst.NextBurstDay)
+			}
 		}
-		switch {
-		case tl.Tenant.DataGB > a.cfg.MaxDataGB:
-			plan.Excluded = append(plan.Excluded, Exclusion{
-				TenantID: tl.Tenant.ID,
-				Reason:   fmt.Sprintf("oversized: %.0f GB > %.0f GB", tl.Tenant.DataGB, a.cfg.MaxDataGB),
-				Nodes:    tl.Tenant.Nodes,
-			})
-		case tl.Activity.Ratio(horizon) > a.cfg.MaxActiveRatio:
-			plan.Excluded = append(plan.Excluded, Exclusion{
-				TenantID: tl.Tenant.ID,
-				Reason:   fmt.Sprintf("always active: %.0f%% of horizon", 100*tl.Activity.Ratio(horizon)),
-				Nodes:    tl.Tenant.Nodes,
-			})
-		case a.cfg.BurstLookaheadDays > 0 && burst.PredictsBurstWithin(historyDays, a.cfg.BurstLookaheadDays):
-			plan.Excluded = append(plan.Excluded, Exclusion{
-				TenantID: tl.Tenant.ID,
-				Reason: fmt.Sprintf("regular bursts every ~%d days; next predicted on day %d",
-					burst.PeriodDays, burst.NextBurstDay),
-				Nodes: tl.Tenant.Nodes,
-			})
-		default:
-			consolidated = append(consolidated, tl)
+		if reason != "" {
+			plan.Excluded = append(plan.Excluded, Exclusion{TenantID: tl.Tenant.ID, Reason: reason, Nodes: tl.Tenant.Nodes})
+			continue
 		}
+		consolidated = append(consolidated, tl)
 	}
 
 	// Build and solve the LIVBPwFC instance.

@@ -50,9 +50,20 @@ func DetectBursts(act epoch.Activity, horizon sim.Time) BurstProfile {
 		return BurstProfile{}
 	}
 	p := BurstProfile{DailyRatio: make([]float64, days)}
-	for d := 0; d < days; d++ {
-		from := sim.Time(d) * sim.Day
-		p.DailyRatio[d] = act.Clip(from, from+sim.Day).Total().Seconds() / sim.Day.Seconds()
+	// One pass over the log: each interval, clipped to the whole days of the
+	// horizon, is split at the midnights it crosses.
+	busy := make([]sim.Time, days)
+	end := sim.Time(days) * sim.Day
+	for _, iv := range act {
+		for s, e := max(iv.Start, 0), min(iv.End, end); s < e; {
+			d := s / sim.Day
+			next := min((d+1)*sim.Day, e)
+			busy[d] += next - s
+			s = next
+		}
+	}
+	for d, t := range busy {
+		p.DailyRatio[d] = t.Seconds() / sim.Day.Seconds()
 	}
 	// Median over active days only (weekends/holidays would otherwise drag
 	// the baseline to zero and make every workday look like a burst).

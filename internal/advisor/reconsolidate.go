@@ -211,6 +211,11 @@ func (a *Advisor) Reconsolidate(in ReconsolidationInput, horizon sim.Time) (*Pla
 	next.Excluded = sub.Excluded
 	next.RequestedNodes += sub.RequestedNodes
 	next.Algorithm = sub.Algorithm
+	if len(sub.Groups) == 0 {
+		// Nobody was repacked, or everybody repacked was excluded: no solver
+		// ran, so every group of the plan is still the previous solver's.
+		next.Algorithm = in.Previous.Algorithm
+	}
 	next.SolveTime = sub.SolveTime
 	next.Shared = sub.Shared || (in.Previous.Shared && rep.KeptGroups > 0)
 	for i := range sub.Groups {

@@ -289,3 +289,53 @@ func TestReconsolidateRequiresPrevious(t *testing.T) {
 		t.Error("missing previous plan accepted")
 	}
 }
+
+// TestReconsolidateWithoutRepackingKeepsAlgorithm: a cycle whose sub-plan
+// solves nothing — nobody to repack, or everybody repacked excluded — used to
+// come back with no algorithm name, which GET /v1/plan then served as "".
+func TestReconsolidateWithoutRepackingKeepsAlgorithm(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.BurstLookaheadDays = 0
+	a, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	logs := officeLogs(60, 2, 4)
+	plan, err := a.Plan(logs, sim.Day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Algorithm == "" {
+		t.Fatal("plan names no algorithm")
+	}
+	next, rep, err := a.Reconsolidate(ReconsolidationInput{Previous: plan, Logs: logs}, sim.Day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.RepackedTenants != 0 || next.Algorithm != plan.Algorithm {
+		t.Errorf("undisturbed cycle: %d repacked, algorithm %q, want 0 and %q", rep.RepackedTenants, next.Algorithm, plan.Algorithm)
+	}
+
+	// The one flagged group's members all outgrew the data cap.
+	flagged := plan.Groups[0]
+	big := map[string]bool{}
+	for _, id := range flagged.TenantIDs {
+		big[id] = true
+	}
+	var fresh []*workload.TenantLog
+	for _, tl := range logs {
+		if big[tl.Tenant.ID] {
+			tl = mkLog(tl.Tenant.ID, tl.Tenant.Nodes, tl.Activity)
+			tl.Tenant.DataGB = 2 * cfg.MaxDataGB
+		}
+		fresh = append(fresh, tl)
+	}
+	next, rep, err = a.Reconsolidate(ReconsolidationInput{Previous: plan, Logs: fresh, FlaggedGroups: []string{flagged.ID}}, sim.Day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(next.Excluded) != len(flagged.TenantIDs) || rep.KeptGroups != len(plan.Groups)-1 || next.Algorithm != plan.Algorithm {
+		t.Errorf("all repacked tenants excluded: %d excluded of %d, kept %d of %d groups, algorithm %q, want %q",
+			len(next.Excluded), len(flagged.TenantIDs), rep.KeptGroups, len(plan.Groups), next.Algorithm, plan.Algorithm)
+	}
+}

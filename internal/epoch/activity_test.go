@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -246,6 +247,67 @@ func TestQuantizeMatchesDense(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+}
+
+// quantizeByAppend is Quantize as it was before it sized its result up front:
+// the same loop growing a nil slice.
+func quantizeByAppend(g Grid, a Activity) Spans {
+	var out Spans
+	for _, iv := range a {
+		s64 := int64(iv.Start / g.Width)
+		e64 := int64((iv.End + g.Width - 1) / g.Width)
+		if s64 < 0 {
+			s64 = 0
+		}
+		if e64 > g.D {
+			e64 = g.D
+		}
+		if e64 <= s64 {
+			continue
+		}
+		s, e := int32(s64), int32(e64)
+		if n := len(out); n > 0 && s <= out[n-1].E {
+			if e > out[n-1].E {
+				out[n-1].E = e
+			}
+			continue
+		}
+		out = append(out, Span{s, e})
+	}
+	return out
+}
+
+// TestQuantizeAllocatesOnce: one allocation of at most one span per interval,
+// and the spans the growing version produced. The activities are the fuzz
+// reader's spans on a time base three times finer than the grid and running
+// past its horizon, so intervals share epochs, merge after rounding and clip.
+func TestQuantizeAllocatesOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	g := MustGrid(3*sim.Second, 40*sim.Second)
+	for i := 0; i < 500; i++ {
+		data := make([]byte, 16)
+		rng.Read(data)
+		var a Activity
+		for _, s := range (&fuzzReader{data: data}).spans(60) {
+			a = append(a, Interval{sim.Time(s.S-3) * sim.Second, sim.Time(s.E-3) * sim.Second})
+		}
+		if !a.Valid() {
+			t.Fatalf("invalid activity %v", a)
+		}
+		got, want := g.Quantize(a), quantizeByAppend(g, a)
+		if !slices.Equal(got, want) || !got.Valid() {
+			t.Fatalf("Quantize(%v) = %v, want %v", a, got, want)
+		}
+		if cap(got) > len(a) {
+			t.Fatalf("Quantize(%v) holds %d spans of capacity for %d intervals", a, cap(got), len(a))
+		}
+		if len(a) == 0 {
+			continue // nothing to allocate
+		}
+		if allocs := testing.AllocsPerRun(5, func() { g.Quantize(a) }); allocs != 1 {
+			t.Fatalf("Quantize(%v) allocates %v times", a, allocs)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // CountSet maintains the per-epoch active-tenant count of a tenant-group as
@@ -11,7 +12,11 @@ import (
 //   - Preview(spans): the transition vector of adding a candidate tenant,
 //     from which the new active-count histogram, the new maximum, and the new
 //     TTP all follow in O(max count);
-//   - Add(spans): commit the candidate.
+//   - Add(spans): commit the candidate;
+//
+// and one for the audits that re-derive a finished group from its members:
+//
+//   - Fill(members): the set all the members' Adds would build, in one sweep.
 //
 // Internally the count function is a sorted list of segments with count ≥ 1;
 // epochs outside every segment have count 0.
@@ -25,6 +30,11 @@ type CountSet struct {
 	// decide the head of a T_best key. Add, Remove and Reset rebuild it;
 	// previews only read it, so concurrent previews of one set stay safe.
 	lvl [2]Spans
+	// Fill's scratch, made by the first Fill and all zero between calls:
+	// diff[x] is the number of member spans that start at epoch x minus the
+	// number that end there, mark has a bit set for every x that has either.
+	diff []int32
+	mark []uint64
 }
 
 type countSeg struct {
@@ -437,6 +447,58 @@ func (cs *CountSet) Remove(sp Spans) {
 	cs.shift(sp, -1)
 }
 
+// Fill makes cs the count function of members, as Reset followed by one Add
+// per member would — the same segments, histogram, level view and Size — but
+// in one sweep: every span boundary is tallied into a difference array over
+// the horizon, and a walk over the bitmap of touched epochs turns the running
+// sum into segments, so the cost is O(D/64 + total spans) instead of one merge
+// of the whole list per member. Every member must be valid and within [0, D).
+// The scratch is 4 bytes per epoch, allocated by a set's first Fill and wiped
+// as it is read; a set that is only ever Added to never holds it.
+func (cs *CountSet) Fill(members []Spans) {
+	cs.Reset()
+	cs.n = len(members)
+	if cs.diff == nil {
+		cs.diff = make([]int32, cs.d+1)
+		cs.mark = make([]uint64, cs.d/64+1)
+	}
+	diff, mark := cs.diff, cs.mark
+	for _, sp := range members {
+		for _, s := range sp {
+			diff[s.S]++
+			diff[s.E]--
+			mark[s.S>>6] |= 1 << (s.S & 63)
+			mark[s.E>>6] |= 1 << (s.E & 63)
+		}
+	}
+	segs, hist := cs.segs, cs.hist
+	var c, from int32 // the running count and the epoch it has held since
+	for w, word := range mark {
+		if word == 0 {
+			continue
+		}
+		mark[w] = 0
+		for ; word != 0; word &= word - 1 {
+			x := int32(w<<6 + bits.TrailingZeros64(word))
+			step := diff[x]
+			if step == 0 {
+				continue // as many spans end here as start: not a boundary
+			}
+			diff[x] = 0
+			if c > 0 {
+				segs = append(segs, countSeg{from, x, c})
+				for int(c) >= len(hist) {
+					hist = append(hist, 0)
+				}
+				hist[c] += int64(x - from)
+			}
+			c, from = c+step, x
+		}
+	}
+	cs.segs, cs.hist = segs, hist
+	cs.viewTop()
+}
+
 // shift moves the count of every epoch of sp by d (+1 or −1) in one merge
 // walk. Segments between two spans are untouched and copied as whole runs;
 // the histogram is maintained on exactly the epochs whose count moves; and
@@ -503,10 +565,16 @@ func (cs *CountSet) shift(sp Spans, d int32) {
 		top--
 	}
 	cs.hist = hist[:top+1]
-	// Refresh the view of the top two levels.
+	cs.viewTop()
+}
+
+// viewTop rebuilds the view of the top two count levels from the segment
+// list and the histogram.
+func (cs *CountSet) viewTop() {
+	top := cs.MaxCount()
 	l0, l1 := cs.lvl[0][:0], cs.lvl[1][:0]
-	for i := range out {
-		if g := &out[i]; int(g.c) >= top-1 {
+	for i := range cs.segs {
+		if g := &cs.segs[i]; int(g.c) >= top-1 {
 			if int(g.c) == top {
 				l0 = append(l0, Span{g.s, g.e})
 			} else {

@@ -130,16 +130,20 @@ func checkAgainstDense(t *testing.T, cs *CountSet, ref *denseCounts) {
 			t.Fatalf("level view [%d] = %v, oracle %v (max %d)", i, got, want, top)
 		}
 	}
+	requireCleanScratch(t, "Fill's scratch", cs)
 }
 
 // FuzzCountSet drives a CountSet and the slot-per-epoch oracle through the
-// same Add/Remove sequence. After every mutation the segment list, histogram
-// and top-two level view must match the oracle; before it, the step's spans
-// are previewed as a candidate under a fuzzed incumbent bound: PreviewBounded
-// must accept exactly the candidates whose oracle key head does not lose,
-// report that exact head either way, agree with Preview when it accepts, and
-// — like Preview and PatchTransition — leave the set untouched. A preview
-// taken before an Add and patched after it must equal a fresh one.
+// same Add/Fill/Remove sequence; a Fill step adds its spans like an Add step
+// but by rebuilding the whole set from its live members in one sweep, so
+// everything that follows also runs on a filled set. After every mutation the
+// segment list, histogram and top-two level view must match the oracle and
+// Fill's scratch must be wiped; before it, the step's spans are previewed as a
+// candidate under a fuzzed incumbent bound: PreviewBounded must accept exactly
+// the candidates whose oracle key head does not lose, report that exact head
+// either way, agree with Preview when it accepts, and — like Preview and
+// PatchTransition — leave the set untouched. A preview taken before an Add or
+// a Fill and patched after it must equal a fresh one.
 func FuzzCountSet(f *testing.F) {
 	// Figure 5.1's six tenants in the order Figure 5.3 packs them (T3, T2,
 	// T5, T4, T6, then the rejected T1), each previewed against a bound that
@@ -153,6 +157,15 @@ func FuzzCountSet(f *testing.F) {
 	}
 	seed = append(seed, 3+4*3, 0, 0, 0, 3+4*3, 0, 1, 2) // remove live[3] (T4), then T6
 	f.Add(seed)
+	// The same with every other tenant arriving by Fill.
+	filled := append([]byte(nil), seed...)
+	for i, pos := 0, 1; i < len(fig51); i++ {
+		if i%2 == 1 {
+			filled[pos] = 2
+		}
+		pos += 1 + len(encodeSpans(fig51[i])) + 2
+	}
+	f.Add(filled)
 	f.Add([]byte{5, 0, 2, 0, 3, 0, 3, 1, 0, 0, 1, 4, 2, 2, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := &fuzzReader{data: data}
@@ -204,9 +217,13 @@ func FuzzCountSet(f *testing.F) {
 				ref.remove(live[i])
 				live = append(live[:i], live[i+1:]...)
 			} else {
-				cs.Add(sp)
 				ref.add(sp)
 				live = append(live, sp)
+				if op%4 == 2 {
+					cs.Fill(live)
+				} else {
+					cs.Add(sp)
+				}
 				added := stateOf(cs)
 				patched, _ := cs.PatchTransition(prev, sp, pre)
 				if want := ref.up(prev); !spansEqualInt64(patched.Up, want) {

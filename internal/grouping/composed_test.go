@@ -18,6 +18,18 @@ import (
 // count passes R — the regime the level-view head check exists for.
 func composedProblem(tb testing.TB, n, days int, seed int64, sizes []int) *Problem {
 	tb.Helper()
+	logs, grid := composedLogs(tb, n, days, seed, sizes)
+	p := &Problem{D: grid.D, R: 3, P: 0.999}
+	for _, tl := range logs {
+		p.Items = append(p.Items, &Item{ID: tl.Tenant.ID, Nodes: tl.Tenant.Nodes, Spans: grid.Quantize(tl.Activity)})
+	}
+	return p
+}
+
+// composedLogs is composedProblem's population before quantization, with the
+// grid it is quantized on.
+func composedLogs(tb testing.TB, n, days int, seed int64, sizes []int) ([]*workload.TenantLog, epoch.Grid) {
+	tb.Helper()
 	cat := queries.Default()
 	lib, err := workload.BuildLibrary(cat, sizes, 10, seed)
 	if err != nil {
@@ -27,12 +39,7 @@ func composedProblem(tb testing.TB, n, days int, seed int64, sizes []int) *Probl
 	if err != nil {
 		tb.Fatal(err)
 	}
-	grid := epoch.MustGrid(3*sim.Second, sim.Time(days)*sim.Day)
-	p := &Problem{D: grid.D, R: 3, P: 0.999}
-	for _, tl := range logs {
-		p.Items = append(p.Items, &Item{ID: tl.Tenant.ID, Nodes: tl.Tenant.Nodes, Spans: grid.Quantize(tl.Activity)})
-	}
-	return p
+	return logs, epoch.MustGrid(3*sim.Second, sim.Time(days)*sim.Day)
 }
 
 // TestSolverMatchesReferenceComposed is the equivalence property on
@@ -91,6 +98,39 @@ func BenchmarkTwoStepComposed500(b *testing.B) {
 		}
 		if err := Verify(p, sol); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkVerifyComposed500 is the audit of that population's plan on its
+// own: every group re-measured from its members.
+func BenchmarkVerifyComposed500(b *testing.B) {
+	p := composedProblem(b, 500, 7, 40, tenant.DefaultSizes)
+	sol, err := TwoStep(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := Verify(p, sol); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkQuantize500 is the same population's logs onto the planner's grid.
+// (BenchmarkDetectBursts500, the third per-log pass of a plan, sits in
+// internal/advisor, which this package cannot import.)
+func BenchmarkQuantize500(b *testing.B) {
+	logs, grid := composedLogs(b, 500, 7, 40, tenant.DefaultSizes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, tl := range logs {
+			if len(grid.Quantize(tl.Activity)) == 0 {
+				b.Fatal("idle tenant")
+			}
 		}
 	}
 }

@@ -78,19 +78,22 @@ func (p *Problem) NewTTP(cs *epoch.CountSet, tr epoch.Transition) float64 {
 	return cs.NewTTPShare(p.R, p.Share, tr)
 }
 
-// Measure packs items into cs, emptied first, and returns the statistics of
+// Measure fills cs with items, whatever it held, and returns the statistics of
 // the group they form under the problem's test (Items is left nil). It is the
 // one place a member list becomes TTP, MaxActive and MaxNodes, so the audits
 // that re-derive a group from its members — Verify, SolutionFromMembers, the
 // advisor's kept-group check — cannot drift from the rule the solvers pack
-// under. cs must span p.D epochs; reusing one across calls reuses its buffers.
+// under, and it builds the count function in one sweep (CountSet.Fill) where
+// the solvers merge member by member, so an audit does not repeat the solve.
+// cs must span p.D epochs; reusing one across calls reuses its buffers.
 func (p *Problem) Measure(cs *epoch.CountSet, items []*Item) Group {
-	cs.Reset()
 	var g Group
-	for _, it := range items {
-		cs.Add(it.Spans)
+	members := make([]epoch.Spans, len(items))
+	for i, it := range items {
+		members[i] = it.Spans
 		g.MaxNodes = max(g.MaxNodes, it.Nodes)
 	}
+	cs.Fill(members)
 	g.TTP, g.MaxActive = p.TTP(cs), cs.MaxCount()
 	return g
 }

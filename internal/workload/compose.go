@@ -203,10 +203,14 @@ func ComputeStats(logs []*TenantLog, grid epoch.Grid) Stats {
 	cs := epoch.NewCountSet(grid.D)
 	var perTenant float64
 	horizon := sim.Time(grid.D) * grid.Width
-	for _, tl := range logs {
-		cs.Add(grid.Quantize(tl.Activity))
+	members := make([]epoch.Spans, len(logs))
+	for i, tl := range logs {
+		members[i] = grid.Quantize(tl.Activity)
 		perTenant += tl.Activity.Ratio(horizon)
 	}
+	// One sweep: adding tenant by tenant re-merges a count function that
+	// grows towards one segment per epoch, quadratic in the population.
+	cs.Fill(members)
 	hist := cs.Hist()
 	var busyEpochs, tenantEpochs int64
 	for c := 1; c < len(hist); c++ {

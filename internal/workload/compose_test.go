@@ -249,6 +249,52 @@ func TestComputeStats(t *testing.T) {
 	}
 }
 
+// TestComputeStatsMatchesPerTenantAdds compares ComputeStats, which builds
+// the population's count function in one CountSet.Fill, with the computation
+// it replaced — one Add per tenant — on a population large enough for the
+// count function to reach thousands of segments and a maximum in the dozens.
+func TestComputeStatsMatchesPerTenantAdds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("composes 2,000 tenants")
+	}
+	cat := queries.Default()
+	lib, err := BuildLibrary(cat, []int{2, 4}, 4, 61)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const days = 7
+	logs, err := ComposeVariant(lib, cat, 2000, 0.8, []int{2, 4}, VariantDefault, days, 404)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []sim.Time{MonitorEpoch, 3 * sim.Second} {
+		grid := epoch.MustGrid(width, days*sim.Day)
+		cs := epoch.NewCountSet(grid.D)
+		var perTenant float64
+		for _, tl := range logs {
+			cs.Add(grid.Quantize(tl.Activity))
+			perTenant += tl.Activity.Ratio(days * sim.Day)
+		}
+		var busy, tenantEpochs int64
+		for c, h := range cs.Hist()[1:] {
+			busy += h
+			tenantEpochs += int64(c+1) * h
+		}
+		want := Stats{
+			Tenants:              len(logs),
+			MaxActive:            cs.MaxCount(),
+			MeanActiveRatio:      float64(tenantEpochs) / float64(busy) / float64(len(logs)),
+			PerTenantActiveRatio: perTenant / float64(len(logs)),
+		}
+		if want.MaxActive < 12 {
+			t.Fatalf("epoch %v: only %d tenants ever active at once", width, want.MaxActive)
+		}
+		if got := ComputeStats(logs, grid); got != want {
+			t.Errorf("epoch %v: ComputeStats = %+v, per-tenant Adds give %+v", width, got, want)
+		}
+	}
+}
+
 func TestHighActivityVariants(t *testing.T) {
 	for _, c := range []struct {
 		v       HighActivityVariant
