@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check vet build test race chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke online-smoke service-smoke shared-smoke fuzz-smoke bench bench-grouping bench-online bench-service bench-shareddb bench-compare
+.PHONY: check vet build test race loc chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke online-smoke service-smoke shared-smoke fuzz-smoke bench bench-grouping bench-online bench-service bench-shareddb bench-compare
 
 # The full pre-commit gate: static checks, build, the bounded chaos,
 # overload, gray-failure, domain, grouping, online, service, shared-work and
@@ -19,28 +19,41 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Non-test Go lines per package and in total — the size figure ROADMAP.md,
+# CHANGES.md and the issues quote. CI prints it after `make check`.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | \
+		awk '$$2 == "total" { next } { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+
+# The four fault smokes below drive four harnesses that share one loop: each
+# schedules its own perturbation on the engine and calls replay.Run, so a
+# break in the arrival → sample → drain driver fails all of them.
+#
 # Bounded failure-injection smoke: a small sharded deployment under the
 # chaos harness with the race detector on (~1 s), exercising parallel
-# injection, heartbeat detection, and autonomous recovery end to end.
+# injection, heartbeat detection, and autonomous recovery end to end
+# (replay.Run's per-group clock-domain layout).
 chaos-smoke:
 	$(GO) test -race -short -run TestChaosSmoke ./internal/recovery/chaos
 
 # Bounded noisy-tenant smoke with the race detector on: a seeded storm
-# against an admission-armed group, verifying the aggressor is throttled
-# and compliant tenants hold their guarantee.
+# against an admission-armed group (replay.Run with an admission-then-router
+# submit hook), verifying the aggressor is throttled and compliant tenants
+# hold their guarantee.
 overload-smoke:
 	$(GO) test -race -short -run TestOverloadSmoke ./internal/recovery/chaos
 
 # Bounded fail-slow smoke with the race detector on: a seeded gray-failure
-# storm (stuck, gradual, flapping slowdowns) against a detector-armed group,
-# verifying the hedge → drain-and-replace ladder restores attainment and
+# storm (stuck, gradual, flapping slowdowns scheduled ahead of replay.Run)
+# against a detector-armed group, verifying the hedge → drain-and-replace ladder restores attainment and
 # leaves the pool leak-free.
 gray-smoke:
 	$(GO) test -race -short -run TestGraySmoke ./internal/recovery/chaos
 
 # Bounded correlated-failure smoke with the race detector on: a seeded
-# whole-domain outage against a spread-placed, triage-armed deployment,
-# verifying quarantine re-routing, the scarcity triage queue, and
+# whole-domain outage (scheduled ahead of replay.Run) against a spread-placed,
+# triage-armed deployment, verifying quarantine re-routing, the scarcity triage queue, and
 # restoration re-spread leave zero dropped queries and a leak-free pool.
 domain-smoke:
 	$(GO) test -race -short -run TestDomainSmoke ./internal/recovery/chaos

@@ -196,20 +196,20 @@ type Snapshot struct {
 // engine clock and mutate buckets); the inspection methods are lock-free
 // and safe from any goroutine.
 type Controller struct {
-	eng     *sim.Engine
-	group   string
-	p       float64
-	enter   float64
-	cfg     Config
-	mon     *monitor.GroupMonitor
-	rec     *recovery.Controller
-	insts   []*mppdb.Instance
-	states  map[string]*tenantState // read-only after New
-	order   []string                // sorted member IDs
+	eng    *sim.Engine
+	group  string
+	p      float64
+	enter  float64
+	cfg    Config
+	mon    *monitor.GroupMonitor
+	rec    *recovery.Controller
+	insts  []*mppdb.Instance
+	states map[string]*tenantState // read-only after New
+	order  []string                // sorted member IDs
 	// Interned fast path (optional, via AdoptInterner): member states
 	// indexed by the group's dense tenant refs for AdmitRef.
-	in    *tenant.Interner
-	byRef []*tenantState
+	in      *tenant.Interner
+	byRef   []*tenantState
 	level   atomic.Int32
 	waiting atomic.Int32
 	started bool

@@ -20,27 +20,14 @@ import (
 // the Table 5.1 model while the instance serves degraded. The outcome table
 // records the SLA guarantee (min RT-TTP vs P) and the pool leak check.
 func ChaosRecovery(env *Env) ([]*Table, error) {
-	logs, err := env.DefaultLogs()
-	if err != nil {
-		return nil, err
-	}
-	acfg := advisor.DefaultConfig()
-	adv, err := advisor.New(acfg)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := adv.Plan(logs, env.Horizon())
+	logs, plan, err := planDefault(env, advisor.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	// One deployment of the largest groups (so failure bursts span groups),
 	// bounded like the headline SLA validation.
-	subPlan, subLogs := largestSubPlan(plan, logs, env.Scale.ReplayGroups)
-
-	eng := sim.NewEngine()
-	pool := cluster.NewPool(2 * subPlan.NodesUsed())
-	m := master.New(eng, pool, master.Options{Immediate: true})
-	dep, err := m.Deploy(subPlan, Tenants(subLogs))
+	w := carve(plan, logs, top(rank(plan, largestFirst(plan)), env.Scale.ReplayGroups))
+	eng, dep, err := w.deploy(cluster.NewPool(2*w.plan.NodesUsed()), master.Options{Immediate: true})
 	if err != nil {
 		return nil, err
 	}
@@ -51,7 +38,7 @@ func ChaosRecovery(env *Env) ([]*Table, error) {
 	// share of the tenant data), so the drain needs enough room to finish
 	// every recovery and re-image before the pool is tallied.
 	cfg.DrainSlack = 3 * 24 * time.Hour
-	res, err := chaos.Run(eng, dep, env.Cat, subLogs, cfg)
+	res, err := chaos.Run(eng, dep, env.Cat, w.logs, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -87,7 +74,7 @@ func ChaosRecovery(env *Env) ([]*Table, error) {
 			res.MinRTTTP, plan.Config.P)
 	}
 	outcome := &Table{
-		Title:   fmt.Sprintf("Chaos recovery — outcome (%d groups, seed %d)", len(subPlan.Groups), cfg.Seed),
+		Title:   fmt.Sprintf("Chaos recovery — outcome (%d groups, seed %d)", len(w.plan.Groups), cfg.Seed),
 		Columns: []string{"metric", "value"},
 	}
 	outcome.AddRow("failures injected / applied", fmt.Sprintf("%d / %d", res.Injected, res.Applied))

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/advisor"
@@ -14,62 +13,35 @@ import (
 	"repro/internal/workload"
 )
 
-// recoveryBoundSubPlan picks the n groups with the smallest per-node data
-// shard (ties: more members, then plan order). A domain outage is a recovery
-// experiment: the per-node shard fixes the Table 5.1 reload that bounds how
-// long a casualty stays degraded, and the whale groups consolidation produces
-// (multi-TB shards packed onto two-node instances) would spend days
-// reloading — far past any storm horizon — drowning the placement signal in
-// reload tail no matter how the arms place or triage. Bounding the shard
-// keeps repair on the storm's timescale, matching the paper's own
-// ~hundred-GB-per-node Table 5.1 loads.
-func recoveryBoundSubPlan(plan *advisor.Plan, logs []*workload.TenantLog, n int) (*advisor.Plan, []*workload.TenantLog) {
+// smallestShardFirst ranks a plan's groups by per-node data shard, smallest
+// first (ties: more members). A domain outage is a recovery experiment: the
+// per-node shard fixes the Table 5.1 reload that bounds how long a casualty
+// stays degraded, and the whale groups consolidation produces (multi-TB
+// shards packed onto two-node instances) would spend days reloading — far
+// past any storm horizon — drowning the placement signal in reload tail no
+// matter how the arms place or triage. Bounding the shard keeps repair on the
+// storm's timescale, matching the paper's own ~hundred-GB-per-node Table 5.1
+// loads.
+func smallestShardFirst(plan *advisor.Plan, logs []*workload.TenantLog) func(a, b int) bool {
 	data := map[string]float64{}
 	for _, tl := range logs {
 		data[tl.Tenant.ID] = tl.Tenant.DataGB
 	}
-	type cand struct {
-		gi      int
-		share   float64
-		members int
-	}
-	cands := make([]cand, 0, len(plan.Groups))
+	share := make([]float64, len(plan.Groups))
 	for i := range plan.Groups {
 		pg := &plan.Groups[i]
 		var gb float64
 		for _, id := range pg.TenantIDs {
 			gb += data[id]
 		}
-		cands = append(cands, cand{i, gb / float64(pg.Design.N1), len(pg.TenantIDs)})
+		share[i] = gb / float64(pg.Design.N1)
 	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].share != cands[j].share {
-			return cands[i].share < cands[j].share
+	return func(a, b int) bool {
+		if share[a] != share[b] {
+			return share[a] < share[b]
 		}
-		if cands[i].members != cands[j].members {
-			return cands[i].members > cands[j].members
-		}
-		return cands[i].gi < cands[j].gi
-	})
-	if len(cands) > n {
-		cands = cands[:n]
+		return len(plan.Groups[a].TenantIDs) > len(plan.Groups[b].TenantIDs)
 	}
-	subPlan := &advisor.Plan{Config: plan.Config}
-	members := map[string]bool{}
-	for _, c := range cands {
-		pg := plan.Groups[c.gi]
-		subPlan.Groups = append(subPlan.Groups, pg)
-		for _, id := range pg.TenantIDs {
-			members[id] = true
-		}
-	}
-	var subLogs []*workload.TenantLog
-	for _, tl := range logs {
-		if members[tl.Tenant.ID] {
-			subLogs = append(subLogs, tl)
-		}
-	}
-	return subPlan, subLogs
 }
 
 // DomainFail measures correlated-failure resilience: the same seeded schedule
@@ -83,28 +55,19 @@ func recoveryBoundSubPlan(plan *advisor.Plan, logs []*workload.TenantLog, n int)
 // restoration bar: protected attainment within two points of no-fault, zero
 // dropped queries everywhere, every pool leak-free.
 func DomainFail(env *Env) ([]*Table, error) {
-	logs, err := env.DefaultLogs()
-	if err != nil {
-		return nil, err
-	}
 	const domains = 3
 	acfg := advisor.DefaultConfig()
 	acfg.FailureDomains = domains
-	adv, err := advisor.New(acfg)
+	logs, plan, err := planDefault(env, acfg)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := adv.Plan(logs, env.Horizon())
-	if err != nil {
-		return nil, err
-	}
-	subPlan, subLogs := recoveryBoundSubPlan(plan, logs, env.Scale.ReplayGroups)
+	w := carve(plan, logs, top(rank(plan, smallestShardFirst(plan, logs)), env.Scale.ReplayGroups))
 
 	// One storm config for every arm; an explicit empty schedule turns the
 	// injection off for the baseline while keeping the replay identical.
 	run := func(spread, triage bool, sched []chaos.DomainOutage) (*chaos.DomainFailResult, error) {
-		eng := sim.NewEngine()
-		used := subPlan.NodesUsed()
+		used := w.plan.NodesUsed()
 		pool := cluster.NewPoolDomains(used+(used+4)/5, domains)
 		rcfg := recovery.DefaultConfig()
 		// The protected posture also re-replicates a casualty's shard from
@@ -116,8 +79,7 @@ func DomainFail(env *Env) ([]*Table, error) {
 			tc := recovery.DefaultTriageConfig()
 			opts.Triage = &tc
 		}
-		m := master.New(eng, pool, opts)
-		dep, err := m.Deploy(subPlan, Tenants(subLogs))
+		eng, dep, err := w.deploy(pool, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -128,7 +90,7 @@ func DomainFail(env *Env) ([]*Table, error) {
 		// run for hours per node on the largest groups.
 		cfg.DrainSlack = 3 * 24 * time.Hour
 		cfg.Schedule = sched
-		return chaos.RunDomainFail(eng, dep, env.Cat, subLogs, cfg)
+		return chaos.RunDomainFail(eng, dep, env.Cat, w.logs, cfg)
 	}
 
 	baseline, err := run(true, true, []chaos.DomainOutage{})
@@ -168,7 +130,7 @@ func DomainFail(env *Env) ([]*Table, error) {
 
 	outcome := &Table{
 		Title: fmt.Sprintf("Correlated failure — bare vs spread+triage (%d groups, seed %d)",
-			len(subPlan.Groups), env.Seed),
+			len(w.plan.Groups), env.Seed),
 		Columns: []string{"metric", "no-fault", "bare", "protected"},
 	}
 	outcome.AddRow("per-query SLA attainment", pct(baseline.Attainment), pct(bare.Attainment), pct(protected.Attainment))

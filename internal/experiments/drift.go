@@ -4,14 +4,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/advisor"
 	"repro/internal/cluster"
 	"repro/internal/epoch"
 	"repro/internal/master"
-	"repro/internal/monitor"
 	"repro/internal/online"
 	"repro/internal/replay"
 	"repro/internal/sim"
@@ -93,13 +91,12 @@ func (r *DriftResult) AttainmentDelta() float64 {
 
 // driftWorld is the shared setup of the online and oracle runs.
 type driftWorld struct {
-	acfg    advisor.Config
-	subPlan *advisor.Plan
-	subLogs []*workload.TenantLog // initially deployed population
-	joiners []*workload.TenantLog
-	leavers []string
-	victim  string
-	logByID map[string]*workload.TenantLog
+	subWorld // initially deployed population
+	acfg     advisor.Config
+	joiners  []*workload.TenantLog
+	leavers  []string
+	victim   string
+	logByID  map[string]*workload.TenantLog
 }
 
 // buildDriftWorld plans the default population and carves the experiment's
@@ -107,67 +104,36 @@ type driftWorld struct {
 // groups become joiners, members of the second-picked group become leavers,
 // and the largest group's first member is the take-over victim.
 func buildDriftWorld(env *Env, cfg DriftConfig) (*driftWorld, error) {
-	logs, err := env.DefaultLogs()
-	if err != nil {
-		return nil, err
-	}
 	acfg := advisor.DefaultConfig()
 	acfg.SolverWorkers = SolverWorkers
-	adv, err := advisor.New(acfg)
+	logs, plan, err := planDefault(env, acfg)
 	if err != nil {
 		return nil, err
 	}
-	plan, err := adv.Plan(logs, env.Horizon())
-	if err != nil {
-		return nil, err
-	}
-	type cand struct{ gi, members int }
-	cands := make([]cand, 0, len(plan.Groups))
-	for i := range plan.Groups {
-		cands = append(cands, cand{i, len(plan.Groups[i].TenantIDs)})
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		if cands[i].members != cands[j].members {
-			return cands[i].members > cands[j].members
-		}
-		return cands[i].gi < cands[j].gi
-	})
-	picked := cands
-	if len(picked) > env.Scale.ReplayGroups {
-		picked = picked[:env.Scale.ReplayGroups]
-	}
-	w := &driftWorld{acfg: acfg, logByID: map[string]*workload.TenantLog{}}
+	ranked := rank(plan, largestFirst(plan))
+	picked := top(ranked, env.Scale.ReplayGroups)
+	w := &driftWorld{subWorld: carve(plan, logs, picked), acfg: acfg, logByID: map[string]*workload.TenantLog{}}
 	for _, tl := range logs {
 		w.logByID[tl.Tenant.ID] = tl
 	}
-	w.subPlan = &advisor.Plan{Config: plan.Config}
-	inWorld := map[string]bool{}
-	for _, c := range picked {
-		pg := plan.Groups[c.gi]
-		w.subPlan.Groups = append(w.subPlan.Groups, pg)
-		for _, id := range pg.TenantIDs {
-			inWorld[id] = true
-			w.subLogs = append(w.subLogs, w.logByID[id])
-		}
-	}
-	if len(w.subPlan.Groups) == 0 {
+	if len(w.plan.Groups) == 0 {
 		return nil, fmt.Errorf("drift: the plan has no groups")
 	}
 	// Joiners: reserve tenants from groups outside the sub-world.
-	for _, c := range cands[len(picked):] {
+	for _, gi := range ranked[len(picked):] {
 		if len(w.joiners) >= cfg.Joins {
 			break
 		}
-		for _, id := range plan.Groups[c.gi].TenantIDs {
+		for _, id := range plan.Groups[gi].TenantIDs {
 			if len(w.joiners) >= cfg.Joins {
 				break
 			}
 			w.joiners = append(w.joiners, w.logByID[id])
 		}
 	}
-	w.victim = w.subPlan.Groups[0].TenantIDs[0]
+	w.victim = w.plan.Groups[0].TenantIDs[0]
 	// Leavers: from the last picked group, never the victim.
-	last := w.subPlan.Groups[len(w.subPlan.Groups)-1]
+	last := w.plan.Groups[len(w.plan.Groups)-1]
 	for _, id := range last.TenantIDs {
 		if len(w.leavers) >= cfg.Leaves {
 			break
@@ -177,27 +143,6 @@ func buildDriftWorld(env *Env, cfg DriftConfig) (*driftWorld, error) {
 		}
 	}
 	return w, nil
-}
-
-// extraTraffic schedules out-of-band submissions (joiners after their join
-// time, leavers before their departure) and tallies them.
-type extraTraffic struct {
-	submitted, errors int
-}
-
-func (x *extraTraffic) schedule(eng *sim.Engine, dep *master.Deployment, env *Env,
-	tl *workload.TenantLog, from, to sim.Time) error {
-	arrivals, err := workload.NewStream(env.Cat, []*workload.TenantLog{tl}, from, to)
-	if err != nil {
-		return fmt.Errorf("drift: %w", err)
-	}
-	arrivals.Drive(eng, func(a workload.Arrival) {
-		x.submitted++
-		if _, err := dep.SubmitWithTarget(a.Tenant, a.Class, a.SLATarget); err != nil {
-			x.errors++
-		}
-	})
-	return nil
 }
 
 // telemetryHash fingerprints a deployment's event log and trace.
@@ -214,10 +159,8 @@ func telemetryHash(dep *master.Deployment) string {
 // runDriftOnline executes the online half: deploy the initial sub-plan, arm
 // the control loop, schedule churn and the take-over, and replay the window.
 func runDriftOnline(env *Env, cfg DriftConfig, w *driftWorld) (*DriftResult, error) {
-	eng := sim.NewEngine()
-	pool := cluster.NewPool(w.subPlan.NodesUsed() + 64)
-	m := master.New(eng, pool, master.Options{Immediate: true, ParallelLoad: true, MonitorWindow: 24 * time.Hour})
-	dep, err := m.Deploy(w.subPlan, Tenants(w.subLogs))
+	pool := cluster.NewPool(w.plan.NodesUsed() + 64)
+	eng, dep, err := w.deploy(pool, master.Options{Immediate: true, ParallelLoad: true, MonitorWindow: 24 * time.Hour})
 	if err != nil {
 		return nil, err
 	}
@@ -228,31 +171,31 @@ func runDriftOnline(env *Env, cfg DriftConfig, w *driftWorld) (*DriftResult, err
 	mig := master.New(eng, pool, master.Options{ParallelLoad: true, MonitorWindow: 24 * time.Hour})
 	ocfg := online.DefaultConfig(w.acfg, env.Horizon())
 	ocfg.Interval = cfg.TickEvery
-	ctl, err := online.New(eng, dep, mig, w.subPlan, w.subLogs, ocfg)
+	ctl, err := online.New(eng, dep, mig, w.plan, w.logs, ocfg)
 	if err != nil {
 		return nil, err
 	}
 	ctl.Start()
 
+	// Out-of-band submissions — joiners after their join time, leavers before
+	// their departure — attach to the engine ahead of the steady replay.
 	res := &DriftResult{Victim: w.victim}
-	var extra extraTraffic
+	var extra replay.Counts
 	for i, jl := range w.joiners {
-		jl := jl
 		at := cfg.JoinStart + sim.Time(i)*2*sim.Hour
 		eng.Schedule(at, func(sim.Time) { ctl.Join(jl) })
 		// The joiner's own traffic begins at registration; submissions before
 		// its placement cuts over are rejected, not dropped.
-		if err := extra.schedule(eng, dep, env, jl, at, cfg.Window); err != nil {
+		if err := replay.Attach(eng, dep, env.Cat, []*workload.TenantLog{jl}, at, cfg.Window, nil, &extra); err != nil {
 			return nil, err
 		}
 		res.Joined = append(res.Joined, jl.Tenant.ID)
 	}
 	for i, id := range w.leavers {
-		id := id
 		at := cfg.LeaveStart + sim.Time(i)*3*sim.Hour
 		eng.Schedule(at, func(sim.Time) { ctl.Leave(id) })
 		// The leaver submits normally until departure.
-		if err := extra.schedule(eng, dep, env, w.logByID[id], 0, at); err != nil {
+		if err := replay.Attach(eng, dep, env.Cat, []*workload.TenantLog{w.logByID[id]}, 0, at, nil, &extra); err != nil {
 			return nil, err
 		}
 		res.Left = append(res.Left, id)
@@ -263,7 +206,7 @@ func runDriftOnline(env *Env, cfg DriftConfig, w *driftWorld) (*DriftResult, err
 		leaving[id] = true
 	}
 	var replayLogs []*workload.TenantLog
-	for _, tl := range w.subLogs {
+	for _, tl := range w.logs {
 		if !leaving[tl.Tenant.ID] {
 			replayLogs = append(replayLogs, tl)
 		}
@@ -282,14 +225,14 @@ func runDriftOnline(env *Env, cfg DriftConfig, w *driftWorld) (*DriftResult, err
 	if err != nil {
 		return nil, err
 	}
-	records := append(rep.Records, ctl.DrainedRecords()...)
+	rep.Records = append(rep.Records, ctl.DrainedRecords()...)
 	res.Stats = ctl.Status()
 	res.Migrations = ctl.Migrations()
 	res.Report = ctl.LastReport()
-	res.Submitted = rep.Submitted + extra.submitted
-	res.SubmitErrors = rep.SubmitErrors + extra.errors
-	res.Completed = len(records)
-	res.OnlineAttainment = attainment(records)
+	res.Submitted = rep.Submitted + extra.Submitted
+	res.SubmitErrors = rep.SubmitErrors + extra.SubmitErrors
+	res.Completed = len(rep.Records)
+	res.OnlineAttainment = rep.SLAAttainment()
 	res.Hash = telemetryHash(dep)
 	res.Groups = res.Stats.Groups
 	return res, nil
@@ -311,7 +254,7 @@ func runDriftOracle(env *Env, cfg DriftConfig, w *driftWorld) (float64, error) {
 		leaving[id] = true
 	}
 	var planLogs, replayLogs []*workload.TenantLog
-	for _, tl := range w.subLogs {
+	for _, tl := range w.logs {
 		if leaving[tl.Tenant.ID] {
 			continue
 		}
@@ -365,10 +308,10 @@ func runDriftOracle(env *Env, cfg DriftConfig, w *driftWorld) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	var extra extraTraffic
+	var extra replay.Counts
 	for i, jl := range w.joiners {
 		at := cfg.JoinStart + sim.Time(i)*2*sim.Hour
-		if err := extra.schedule(eng, dep, env, jl, at, cfg.Window); err != nil {
+		if err := replay.Attach(eng, dep, env.Cat, []*workload.TenantLog{jl}, at, cfg.Window, nil, &extra); err != nil {
 			return 0, err
 		}
 	}
@@ -386,20 +329,7 @@ func runDriftOracle(env *Env, cfg DriftConfig, w *driftWorld) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return attainment(rep.Records), nil
-}
-
-func attainment(recs []monitor.QueryRecord) float64 {
-	if len(recs) == 0 {
-		return 1
-	}
-	met := 0
-	for _, r := range recs {
-		if r.SLAMet() {
-			met++
-		}
-	}
-	return float64(met) / float64(len(recs))
+	return rep.SLAAttainment(), nil
 }
 
 // DriftOutcome runs the full drift scenario: online run plus oracle

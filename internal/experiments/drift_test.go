@@ -1,10 +1,23 @@
 package experiments
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
+)
+
+// Golden fingerprints of TestOnlineDeterminism's fixed-seed online run,
+// captured on commit 26500ce (before drift's extra traffic and sub-world
+// selection moved onto the shared replay driver and helper): the telemetry
+// hash (SHA-256 of Events.Dump + Tracer.Dump) and the run's accounting, with
+// attainment to 17 digits. Re-capture with
+//
+//	go test -run TestOnlineDeterminism -v ./internal/experiments | grep golden
+const (
+	goldenDriftTelemetry = "1506881d66bf402cb06674113afa62504e74b2d29f02b51326bd6f381935dba9"
+	goldenDriftResult    = "{Ticks:144 LastTickAt:1d12:00:00.000 DeltaEpochs:9617 Drifts:1 Joins:1 Leaves:1 LocalMoves:1 Fallbacks:0 MigrationsStarted:2 MigrationsCutOver:2 MigrationsAborted:0 MigrationsPromoted:0 GroupsRetired:0 Groups:3 Tenants:46 Infeasible:0}|8182|0|8182|0.98985578098264482|T0091|[T0077]|[T0104]|2"
 )
 
 // driftTestCfg keeps the smoke fast enough for the -short -race gate: a
@@ -92,5 +105,15 @@ func TestOnlineDeterminism(t *testing.T) {
 	if a.Submitted != b.Submitted || a.SubmitErrors != b.SubmitErrors || a.Completed != b.Completed {
 		t.Fatalf("same-seed accounting diverged: %d/%d/%d vs %d/%d/%d",
 			a.Submitted, a.SubmitErrors, a.Completed, b.Submitted, b.SubmitErrors, b.Completed)
+	}
+	result := fmt.Sprintf("%+v|%d|%d|%d|%.17g|%s|%v|%v|%d", a.Stats, a.Submitted, a.SubmitErrors,
+		a.Completed, a.OnlineAttainment, a.Victim, a.Joined, a.Left, len(a.Migrations))
+	t.Logf("golden drift telemetry: %s", a.Hash)
+	t.Logf("golden drift result: %s", result)
+	if a.Hash != goldenDriftTelemetry {
+		t.Errorf("drift telemetry drifted from the pinned run:\n got  %s\n want %s", a.Hash, goldenDriftTelemetry)
+	}
+	if result != goldenDriftResult {
+		t.Errorf("drift result drifted from the pinned run:\n got  %s\n want %s", result, goldenDriftResult)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"repro/internal/replay"
 	"repro/internal/scaling"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Fig77Result carries the elastic-scaling experiment's two runs (scaling
@@ -38,55 +37,31 @@ func (r *Fig77Result) Tables() []*Table {
 // over-active tenant is carved out onto a dedicated MPPDB and RT-TTP
 // recovers).
 func Fig77ElasticScaling(env *Env) (*Fig77Result, error) {
-	logs, err := env.DefaultLogs()
-	if err != nil {
-		return nil, err
-	}
 	acfg := advisor.DefaultConfig()
 	acfg.SolverWorkers = SolverWorkers
-	adv, err := advisor.New(acfg)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := adv.Plan(logs, env.Horizon())
+	logs, plan, err := planDefault(env, acfg)
 	if err != nil {
 		return nil, err
 	}
 	// Pick a multi-tenant 4-node group (the paper's group has 14 four-node
 	// tenants); fall back to the biggest group of any size.
-	var pick *advisor.PlannedGroup
-	for i := range plan.Groups {
-		g := &plan.Groups[i]
-		if g.Design.N1 == 4 && len(g.TenantIDs) >= 4 {
-			if pick == nil || len(g.TenantIDs) > len(pick.TenantIDs) {
-				pick = g
-			}
-		}
-	}
-	if pick == nil {
-		for i := range plan.Groups {
-			g := &plan.Groups[i]
-			if pick == nil || len(g.TenantIDs) > len(pick.TenantIDs) {
-				pick = g
-			}
-		}
-	}
-	if pick == nil {
+	if len(plan.Groups) == 0 {
 		return nil, fmt.Errorf("fig77: the plan has no groups")
 	}
-
-	// Restrict the world to just this group.
-	subPlan := &advisor.Plan{Config: plan.Config, Groups: []advisor.PlannedGroup{*pick}}
-	inGroup := map[string]bool{}
-	for _, id := range pick.TenantIDs {
-		inGroup[id] = true
+	fourNode := func(gi int) bool {
+		g := &plan.Groups[gi]
+		return g.Design.N1 == 4 && len(g.TenantIDs) >= 4
 	}
-	var subLogs []*workload.TenantLog
-	for _, tl := range logs {
-		if inGroup[tl.Tenant.ID] {
-			subLogs = append(subLogs, tl)
+	bySize := largestFirst(plan)
+	ranked := rank(plan, func(a, b int) bool {
+		if fourNode(a) != fourNode(b) {
+			return fourNode(a)
 		}
-	}
+		return bySize(a, b)
+	})
+	// Restrict the world to just this group.
+	w := carve(plan, logs, ranked[:1])
+	pick := &w.plan.Groups[0]
 	victim := pick.TenantIDs[0]
 	// Continuous submission: the interval is shorter than TPCH-Q1's latency
 	// on the victim's configuration, so the tenant never goes inactive —
@@ -106,10 +81,7 @@ func Fig77ElasticScaling(env *Env) (*Fig77Result, error) {
 	}
 	runs := []*run{{name: "disabled"}, {name: "enabled", scaling: true}}
 	for _, r := range runs {
-		eng := sim.NewEngine()
-		pool := cluster.NewPool(subPlan.NodesUsed() + 64)
-		m := master.New(eng, pool, master.Options{Immediate: true})
-		dep, err := m.Deploy(subPlan, Tenants(subLogs))
+		eng, dep, err := w.deploy(cluster.NewPool(w.plan.NodesUsed()+64), master.Options{Immediate: true})
 		if err != nil {
 			return nil, err
 		}
@@ -123,7 +95,7 @@ func Fig77ElasticScaling(env *Env) (*Fig77Result, error) {
 			opts.EnableScaling = true
 			opts.ScalerConfig = scaling.DefaultConfig(DefaultP, DefaultR)
 		}
-		rep, err := replay.Run(eng, dep, env.Cat, subLogs, opts)
+		rep, err := replay.Run(eng, dep, env.Cat, w.logs, opts)
 		if err != nil {
 			return nil, err
 		}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/advisor"
@@ -11,39 +10,7 @@ import (
 	"repro/internal/recovery"
 	"repro/internal/recovery/chaos"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
-
-// largestSubPlan extracts the n most-populated groups of a plan (ties in plan
-// order) as a standalone sub-plan plus the logs of their members — the shared
-// scoping step of the chaos-style experiments.
-func largestSubPlan(plan *advisor.Plan, logs []*workload.TenantLog, n int) (*advisor.Plan, []*workload.TenantLog) {
-	type cand struct{ gi, members int }
-	cands := make([]cand, 0, len(plan.Groups))
-	for i := range plan.Groups {
-		cands = append(cands, cand{i, len(plan.Groups[i].TenantIDs)})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].members > cands[j].members })
-	if len(cands) > n {
-		cands = cands[:n]
-	}
-	subPlan := &advisor.Plan{Config: plan.Config}
-	members := map[string]bool{}
-	for _, c := range cands {
-		pg := plan.Groups[c.gi]
-		subPlan.Groups = append(subPlan.Groups, pg)
-		for _, id := range pg.TenantIDs {
-			members[id] = true
-		}
-	}
-	var subLogs []*workload.TenantLog
-	for _, tl := range logs {
-		if members[tl.Tenant.ID] {
-			subLogs = append(subLogs, tl)
-		}
-	}
-	return subPlan, subLogs
-}
 
 // GrayFail measures the fail-slow response ladder: the same seeded storm of
 // fractional slowdowns (stuck, gradual, flapping) replays three times against
@@ -55,28 +22,16 @@ func largestSubPlan(plan *advisor.Plan, logs []*workload.TenantLog, n int) (*adv
 // must land within one point of the no-fault baseline, while the bare run
 // shows what gray failure costs an undefended deployment.
 func GrayFail(env *Env) ([]*Table, error) {
-	logs, err := env.DefaultLogs()
+	logs, plan, err := planDefault(env, advisor.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
-	acfg := advisor.DefaultConfig()
-	adv, err := advisor.New(acfg)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := adv.Plan(logs, env.Horizon())
-	if err != nil {
-		return nil, err
-	}
-	subPlan, subLogs := largestSubPlan(plan, logs, env.Scale.ReplayGroups)
+	w := carve(plan, logs, top(rank(plan, largestFirst(plan)), env.Scale.ReplayGroups))
 
 	// One storm config for every arm; an explicit empty schedule turns the
 	// injection off for the baseline while keeping the replay identical.
 	run := func(gray *recovery.GrayConfig, sched []chaos.Slowdown) (*chaos.GrayFailResult, error) {
-		eng := sim.NewEngine()
-		pool := cluster.NewPool(2 * subPlan.NodesUsed())
-		m := master.New(eng, pool, master.Options{Immediate: true, Gray: gray})
-		dep, err := m.Deploy(subPlan, Tenants(subLogs))
+		eng, dep, err := w.deploy(cluster.NewPool(2*w.plan.NodesUsed()), master.Options{Immediate: true, Gray: gray})
 		if err != nil {
 			return nil, err
 		}
@@ -87,7 +42,7 @@ func GrayFail(env *Env) ([]*Table, error) {
 		// which for the largest groups runs past a day.
 		cfg.DrainSlack = 3 * 24 * time.Hour
 		cfg.Slowdowns = sched
-		return chaos.RunGrayFail(eng, dep, env.Cat, subLogs, cfg)
+		return chaos.RunGrayFail(eng, dep, env.Cat, w.logs, cfg)
 	}
 
 	baseline, err := run(nil, []chaos.Slowdown{})
@@ -155,7 +110,7 @@ func GrayFail(env *Env) ([]*Table, error) {
 	}
 
 	outcome := &Table{
-		Title:   fmt.Sprintf("Gray failure — bare vs hedge→drain ladder (%d groups, seed %d)", len(subPlan.Groups), env.Seed),
+		Title:   fmt.Sprintf("Gray failure — bare vs hedge→drain ladder (%d groups, seed %d)", len(w.plan.Groups), env.Seed),
 		Columns: []string{"metric", "no-fault", "bare", "protected"},
 	}
 	outcome.AddRow("per-query SLA attainment", pct(baseline.Attainment), pct(bare.Attainment), pct(protected.Attainment))

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/advisor"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/master"
 	"repro/internal/replay"
 	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // HeadlineResult is the paper's banner claim (§1, abstract): under default
@@ -28,17 +26,9 @@ func (r *HeadlineResult) Tables() []*Table { return []*Table{r.Summary, r.Valida
 
 // Headline plans the default population and validates the plan at run time.
 func Headline(env *Env) (*HeadlineResult, error) {
-	logs, err := env.DefaultLogs()
-	if err != nil {
-		return nil, err
-	}
 	acfg := advisor.DefaultConfig()
 	acfg.SolverWorkers = SolverWorkers
-	adv, err := advisor.New(acfg)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := adv.Plan(logs, env.Horizon())
+	logs, plan, err := planDefault(env, acfg)
 	if err != nil {
 		return nil, err
 	}
@@ -59,44 +49,19 @@ func Headline(env *Env) (*HeadlineResult, error) {
 
 	// Run-time validation: replay the busiest groups for one day and check
 	// SLA attainment against the guarantee.
-	type cand struct {
-		gi      int
-		members int
-	}
-	var cands []cand
-	for i := range plan.Groups {
-		cands = append(cands, cand{i, len(plan.Groups[i].TenantIDs)})
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].members > cands[j].members })
-	if len(cands) > env.Scale.ReplayGroups {
-		cands = cands[:env.Scale.ReplayGroups]
-	}
 	res.Validation = &Table{
 		Title:   "Headline validation — one-day replay of the largest tenant-groups",
 		Columns: []string{"group", "tenants", "A×n", "queries", "SLA attainment", "min RT-TTP", "overflow queries"},
 	}
-	for _, c := range cands {
-		pg := plan.Groups[c.gi]
-		subPlan := &advisor.Plan{Config: plan.Config, Groups: []advisor.PlannedGroup{pg}}
-		members := map[string]bool{}
-		for _, id := range pg.TenantIDs {
-			members[id] = true
-		}
-		var subLogs []*workload.TenantLog
-		for _, tl := range logs {
-			if members[tl.Tenant.ID] {
-				subLogs = append(subLogs, tl)
-			}
-		}
-		eng := sim.NewEngine()
-		pool := cluster.NewPool(subPlan.NodesUsed() + 8)
-		m := master.New(eng, pool, master.Options{Immediate: true})
-		dep, err := m.Deploy(subPlan, Tenants(subLogs))
+	for _, gi := range top(rank(plan, largestFirst(plan)), env.Scale.ReplayGroups) {
+		pg := plan.Groups[gi]
+		w := carve(plan, logs, []int{gi})
+		eng, dep, err := w.deploy(cluster.NewPool(w.plan.NodesUsed()+8), master.Options{Immediate: true})
 		if err != nil {
 			return nil, err
 		}
 		// Replay the first two weekdays (day 0–2) of the logs.
-		rep, err := replay.Run(eng, dep, env.Cat, subLogs, replay.Options{
+		rep, err := replay.Run(eng, dep, env.Cat, w.logs, replay.Options{
 			From:        0,
 			To:          2 * sim.Day,
 			SampleEvery: time.Hour,

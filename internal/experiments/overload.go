@@ -9,8 +9,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/master"
 	"repro/internal/recovery/chaos"
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // OverloadStorm replays the same seeded noisy-tenant storm against the
@@ -22,37 +20,13 @@ import (
 // being throttled with typed 429s while every contract-abiding tenant's
 // attainment holds.
 func OverloadStorm(env *Env) ([]*Table, error) {
-	logs, err := env.DefaultLogs()
-	if err != nil {
-		return nil, err
-	}
-	adv, err := advisor.New(advisor.DefaultConfig())
-	if err != nil {
-		return nil, err
-	}
-	plan, err := adv.Plan(logs, env.Horizon())
+	logs, plan, err := planDefault(env, advisor.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	// The storm targets one group; deploy only the largest so the replay
 	// stays bounded.
-	gi := 0
-	for i := range plan.Groups {
-		if len(plan.Groups[i].TenantIDs) > len(plan.Groups[gi].TenantIDs) {
-			gi = i
-		}
-	}
-	subPlan := &advisor.Plan{Config: plan.Config, Groups: plan.Groups[gi : gi+1]}
-	members := map[string]bool{}
-	for _, id := range subPlan.Groups[0].TenantIDs {
-		members[id] = true
-	}
-	var subLogs []*workload.TenantLog
-	for _, tl := range logs {
-		if members[tl.Tenant.ID] {
-			subLogs = append(subLogs, tl)
-		}
-	}
+	w := carve(plan, logs, top(rank(plan, largestFirst(plan)), 1))
 
 	// Replay the advisor's whole horizon: the RT-TTP guarantee holds over
 	// that window, so any sub-window (e.g. one busy day) can dip below P
@@ -65,16 +39,14 @@ func OverloadStorm(env *Env) ([]*Table, error) {
 		opts := master.Options{Immediate: true, MonitorWindow: time.Hour}
 		if admit {
 			acfg := admission.DefaultConfig()
-			acfg.Contracts = admission.ContractsFromLogs(subLogs, acfg.Headroom)
+			acfg.Contracts = admission.ContractsFromLogs(w.logs, acfg.Headroom)
 			opts.Admission = &acfg
 		}
-		eng := sim.NewEngine()
-		m := master.New(eng, cluster.NewPool(subPlan.NodesUsed()), opts)
-		dep, err := m.Deploy(subPlan, Tenants(subLogs))
+		eng, dep, err := w.deploy(cluster.NewPool(w.plan.NodesUsed()), opts)
 		if err != nil {
 			return nil, err
 		}
-		return chaos.RunOverload(eng, dep, env.Cat, subLogs, cfg)
+		return chaos.RunOverload(eng, dep, env.Cat, w.logs, cfg)
 	}
 	// Three runs over the identical replay: a no-storm control fixing each
 	// tenant's intrinsic attainment, the storm bare, and the storm with

@@ -93,10 +93,7 @@ func runSharingArm(env *Env, p *advisor.Plan, sharing bool) (*sharingArm, error)
 	if err != nil {
 		return nil, err
 	}
-	eng := sim.NewEngine()
-	pool := cluster.NewPool(p.NodesUsed() + 8)
-	m := master.New(eng, pool, master.Options{Immediate: true, Sharing: sharing})
-	dep, err := m.Deploy(p, Tenants(logs))
+	eng, dep, err := subWorld{p, logs}.deploy(cluster.NewPool(p.NodesUsed()+8), master.Options{Immediate: true, Sharing: sharing})
 	if err != nil {
 		return nil, err
 	}
@@ -108,17 +105,12 @@ func runSharingArm(env *Env, p *advisor.Plan, sharing bool) (*sharingArm, error)
 	if err != nil {
 		return nil, err
 	}
-	arm := &sharingArm{rep: rep, digest: recordsDigest(rep.Records), minRT: 1}
+	arm := &sharingArm{rep: rep, digest: recordsDigest(rep.Records), minRT: rep.WorstRTTTP()}
 	for _, g := range dep.Groups() {
 		for _, inst := range g.Instances {
 			b, j := inst.SharedStats()
 			arm.batches += b
 			arm.joins += j
-		}
-	}
-	for _, pg := range p.Groups {
-		if rt := rep.MinRTTTP(pg.ID); rt < arm.minRT {
-			arm.minRT = rt
 		}
 	}
 	return arm, nil

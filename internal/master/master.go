@@ -26,7 +26,6 @@ import (
 	"repro/internal/recovery"
 	"repro/internal/router"
 	"repro/internal/runtime"
-	"repro/internal/scaling"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
@@ -424,16 +423,6 @@ func (d *Deployment) Tenants() map[string]*tenant.Tenant {
 		for _, tn := range g.Members {
 			out[tn.ID] = tn
 		}
-	}
-	return out
-}
-
-// ScalerTargets adapts the deployment's groups for the elastic scaler.
-func (d *Deployment) ScalerTargets() []*scaling.Target {
-	groups := d.plane.Groups()
-	out := make([]*scaling.Target, 0, len(groups))
-	for _, g := range groups {
-		out = append(out, &scaling.Target{Router: g.Router, Monitor: g.Monitor, Members: g.Members})
 	}
 	return out
 }

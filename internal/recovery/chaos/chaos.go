@@ -23,15 +23,184 @@ import (
 	"repro/internal/recovery"
 	"repro/internal/replay"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
-// Config parameterizes a chaos run.
+// Window is what every harness config shares with the replay it runs,
+// declared once and embedded in each: perturbations land inside [From, To),
+// and the post-window drain gives recoveries, re-images and queued claims
+// time to settle before the pool is tallied.
+type Window struct {
+	// From and To bound the run window.
+	From, To sim.Time
+	// SampleEvery is the RT-TTP sampling period (default 10 min).
+	SampleEvery time.Duration
+	// DrainSlack extends the post-window settle time; each harness names its
+	// default. Groups with long Table 5.1 reloads need enough to finish
+	// recovering.
+	DrainSlack time.Duration
+}
+
+// validate rejects an empty window, in the named harness's voice.
+func (w Window) validate(harness string) error {
+	if w.To <= w.From {
+		return fmt.Errorf("%s: window [%v,%v)", harness, w.From, w.To)
+	}
+	return nil
+}
+
+// options starts the replay options of a run over the window; drain is the
+// harness's default settle time (zero: the replay's own, one day).
+func (w Window) options(drain time.Duration) replay.Options {
+	if w.DrainSlack <= 0 {
+		w.DrainSlack = drain
+	}
+	return replay.Options{From: w.From, To: w.To, SampleEvery: w.SampleEvery, DrainSlack: w.DrainSlack}
+}
+
+// SLOSlack scales each replayed query's logged duration into its SLO target
+// in the storm harnesses. The logged duration is the zero-headroom
+// pre-consolidation latency, and the advisor's P guarantee already prices in
+// transient <=(1-P) overflow windows — a slack of 2.5 forgives worst-case
+// full-duration sharing with a single co-tenant (processor sharing doubles
+// latency) and flags only the sustained pile-ups a storm causes.
+const SLOSlack = 2.5
+
+// slackTarget is a logged duration as a storm harness's SLO target.
+func slackTarget(logged sim.Time) sim.Time { return sim.Time(float64(logged) * SLOSlack) }
+
+// submitWithSlack is the storm harnesses' submit hook: the replay's default
+// routing, with the SLO slack on the target.
+func submitWithSlack(dep *master.Deployment) replay.SubmitFunc {
+	route := replay.Route(dep)
+	return func(a workload.Arrival) error {
+		a.SLATarget = slackTarget(a.SLATarget)
+		return route(a)
+	}
+}
+
+// stormTarget checks what the three storm harnesses need of a deployment —
+// one shared engine to schedule their perturbation on — and returns its
+// groups.
+func stormTarget(harness string, eng *sim.Engine, dep *master.Deployment) ([]*master.DeployedGroup, error) {
+	if dep.Sharded() {
+		return nil, fmt.Errorf("%s: requires a shared-domain deployment", harness)
+	}
+	if eng == nil {
+		return nil, fmt.Errorf("%s: nil engine", harness)
+	}
+	groups := dep.Groups()
+	if len(groups) == 0 {
+		return nil, fmt.Errorf("%s: empty deployment", harness)
+	}
+	return groups, nil
+}
+
+// largest returns the group with the most members (first on ties —
+// deterministic in plan order).
+func largest(groups []*master.DeployedGroup) *master.DeployedGroup {
+	target := groups[0]
+	for _, g := range groups[1:] {
+		if len(g.Members) > len(target.Members) {
+			target = g
+		}
+	}
+	return target
+}
+
+// memberLogs returns the logs of the groups' members, in group then member
+// order — the order that breaks ties between simultaneous arrivals.
+func memberLogs(groups []*master.DeployedGroup, logs []*workload.TenantLog) []*workload.TenantLog {
+	byID := make(map[string]*workload.TenantLog, len(logs))
+	for _, tl := range logs {
+		byID[tl.Tenant.ID] = tl
+	}
+	var out []*workload.TenantLog
+	for _, g := range groups {
+		for _, tn := range g.Members {
+			if tl := byID[tn.ID]; tl != nil {
+				out = append(out, tl)
+			}
+		}
+	}
+	return out
+}
+
+// attainment condenses the hub's per-tenant SLA tallies over the groups'
+// members: the per-query attainment across them, and the worst member's.
+func attainment(dep *master.Deployment, groups []*master.DeployedGroup) (overall, worst float64) {
+	slo := sloByTenant(dep)
+	var met, missed int64
+	overall, worst = 1, 1
+	for _, g := range groups {
+		for _, tn := range g.Members {
+			s, ok := slo[tn.ID]
+			if !ok {
+				continue
+			}
+			met += s.Met
+			missed += s.Missed
+			if s.Attainment < worst {
+				worst = s.Attainment
+			}
+		}
+	}
+	if met+missed > 0 {
+		overall = float64(met) / float64(met+missed)
+	}
+	return overall, worst
+}
+
+// sloByTenant indexes the hub's SLA report by tenant.
+func sloByTenant(dep *master.Deployment) map[string]telemetry.TenantSLO {
+	report := dep.Telemetry().SLA.Report()
+	out := make(map[string]telemetry.TenantSLO, len(report))
+	for _, tn := range report {
+		out[tn.Tenant] = tn
+	}
+	return out
+}
+
+// PoolTally is the node-pool leak check every harness ends on: the node count
+// the deployment's instances own against the pool's end-state tallies.
+type PoolTally struct {
+	ExpectedActive, ActiveNodes, FailedNodes, RepairingNodes int
+}
+
+// tallyPool reads the leak check off the deployment after a run.
+func tallyPool(dep *master.Deployment) PoolTally {
+	var t PoolTally
+	for _, g := range dep.Groups() {
+		g.Domain().Do(func(*sim.Engine) {
+			for _, inst := range g.Instances {
+				t.ExpectedActive += inst.Nodes()
+			}
+		})
+	}
+	pool := dep.Pool()
+	t.ActiveNodes = pool.CountState(cluster.Active)
+	t.FailedNodes = pool.CountState(cluster.Failed)
+	t.RepairingNodes = pool.CountState(cluster.Repairing)
+	return t
+}
+
+// leak reports a pool that did not come back whole: active matches the
+// deployment, nothing stuck failed or mid-re-image.
+func (t PoolTally) leak(harness string) error {
+	if t.ActiveNodes != t.ExpectedActive || t.FailedNodes != 0 || t.RepairingNodes != 0 {
+		return fmt.Errorf("%s: pool leak — active %d (want %d), failed %d, repairing %d",
+			harness, t.ActiveNodes, t.ExpectedActive, t.FailedNodes, t.RepairingNodes)
+	}
+	return nil
+}
+
+// Config parameterizes a chaos run. Its drain defaults to one day.
 type Config struct {
 	// Seed fixes the schedule's randomness.
 	Seed int64
-	// From and To bound the replay window; failures land inside it.
-	From, To sim.Time
+	// Window bounds the replay; failures land inside it.
+	Window
 	// MeanBetween is the mean gap between failure instants (exponentially
 	// distributed).
 	MeanBetween time.Duration
@@ -48,12 +217,6 @@ type Config struct {
 	MaxFailures int
 	// Recovery overrides the recovery controllers' config.
 	Recovery *recovery.Config
-	// SampleEvery is the replay's statistics sampling period.
-	SampleEvery time.Duration
-	// DrainSlack extends the post-window settle time (default one day);
-	// groups with long Table 5.1 reloads need enough to finish recovering
-	// before the leak check tallies the pool.
-	DrainSlack time.Duration
 }
 
 // DefaultConfig returns a moderate failure mix: a crash every ~2 h, a quarter
@@ -70,8 +233,8 @@ func DefaultConfig() Config {
 }
 
 func (c Config) validate() error {
-	if c.To <= c.From {
-		return fmt.Errorf("chaos: window [%v,%v)", c.From, c.To)
+	if err := c.Window.validate("chaos"); err != nil {
+		return err
 	}
 	if c.MeanBetween <= 0 || c.MaxFailures < 1 {
 		return fmt.Errorf("chaos: MeanBetween=%v MaxFailures=%d", c.MeanBetween, c.MaxFailures)
@@ -133,10 +296,7 @@ type Result struct {
 	Injected, Applied, Recovered int
 	// InFlight counts recoveries still pending at the end of the drain.
 	InFlight int
-	// ExpectedActive is the node count the deployment's instances own;
-	// ActiveNodes/FailedNodes/RepairingNodes are the pool's end-state tallies
-	// for the leak check.
-	ExpectedActive, ActiveNodes, FailedNodes, RepairingNodes int
+	PoolTally
 }
 
 // Verify checks the acceptance bar: the SLA guarantee held (every group's
@@ -154,38 +314,22 @@ func (r *Result) Verify(p float64) error {
 	if r.InFlight != 0 {
 		return fmt.Errorf("chaos: %d recoveries still in flight", r.InFlight)
 	}
-	if r.ActiveNodes != r.ExpectedActive || r.FailedNodes != 0 || r.RepairingNodes != 0 {
-		return fmt.Errorf("chaos: pool leak — active %d (want %d), failed %d, repairing %d",
-			r.ActiveNodes, r.ExpectedActive, r.FailedNodes, r.RepairingNodes)
-	}
-	return nil
+	return r.leak("chaos")
 }
 
-// Run builds the schedule and replays the logs under it. Sharded deployments
-// run via replay.RunParallel (eng may be nil); shared ones via replay.Run on
-// eng. The post-window drain (DrainSlack, default one day) gives recoveries
-// and re-images time to settle before the pool is tallied.
+// Run builds the schedule and replays the logs under it, on either clock
+// layout (a sharded deployment needs no engine). The post-window drain gives
+// recoveries and re-images time to settle before the pool is tallied.
 func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	logs []*workload.TenantLog, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	sched := BuildSchedule(dep, cfg)
-	opts := replay.Options{
-		From:        cfg.From,
-		To:          cfg.To,
-		SampleEvery: cfg.SampleEvery,
-		Failures:    sched,
-		Recovery:    cfg.Recovery,
-		DrainSlack:  cfg.DrainSlack,
-	}
-	var rep *replay.Report
-	var err error
-	if dep.Sharded() {
-		rep, err = replay.RunParallel(dep, cat, logs, opts)
-	} else {
-		rep, err = replay.Run(eng, dep, cat, logs, opts)
-	}
+	opts := cfg.options(0)
+	opts.Failures = sched
+	opts.Recovery = cfg.Recovery
+	rep, err := replay.Run(eng, dep, cat, logs, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -193,13 +337,9 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 		Report:     rep,
 		Schedule:   sched,
 		Attainment: rep.SLAAttainment(),
-		MinRTTTP:   1,
+		MinRTTTP:   rep.WorstRTTTP(),
 		Injected:   len(sched),
-	}
-	for group := range rep.Samples {
-		if m := rep.MinRTTTP(group); m < res.MinRTTTP {
-			res.MinRTTTP = m
-		}
+		PoolTally:  tallyPool(dep),
 	}
 	for _, fe := range rep.FailureEvents {
 		if fe.Err == "" {
@@ -213,17 +353,10 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	}
 	for _, g := range dep.Groups() {
 		g.Domain().Do(func(*sim.Engine) {
-			for _, inst := range g.Instances {
-				res.ExpectedActive += inst.Nodes()
-			}
 			if g.Recovery != nil {
 				res.InFlight += g.Recovery.InProgress()
 			}
 		})
 	}
-	pool := dep.Pool()
-	res.ActiveNodes = pool.CountState(cluster.Active)
-	res.FailedNodes = pool.CountState(cluster.Failed)
-	res.RepairingNodes = pool.CountState(cluster.Repairing)
 	return res, nil
 }

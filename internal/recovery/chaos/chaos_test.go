@@ -180,10 +180,10 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 func TestChaosValidation(t *testing.T) {
 	w := newWorld(t, 4, 1, 2, false, 2)
 	bad := []Config{
-		{Seed: 1, From: sim.Day, To: 0, MeanBetween: time.Hour, MaxFailures: 1},
-		{Seed: 1, From: 0, To: sim.Day, MeanBetween: 0, MaxFailures: 1},
-		{Seed: 1, From: 0, To: sim.Day, MeanBetween: time.Hour, MaxFailures: 0},
-		{Seed: 1, From: 0, To: sim.Day, MeanBetween: time.Hour, MaxFailures: 1, RepeatProb: 0.5},
+		{Seed: 1, Window: Window{From: sim.Day, To: 0}, MeanBetween: time.Hour, MaxFailures: 1},
+		{Seed: 1, Window: Window{From: 0, To: sim.Day}, MeanBetween: 0, MaxFailures: 1},
+		{Seed: 1, Window: Window{From: 0, To: sim.Day}, MeanBetween: time.Hour, MaxFailures: 0},
+		{Seed: 1, Window: Window{From: 0, To: sim.Day}, MeanBetween: time.Hour, MaxFailures: 1, RepeatProb: 0.5},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(w.eng, w.dep, w.cat, w.logs, cfg); err == nil {
@@ -196,6 +196,7 @@ func TestChaosValidation(t *testing.T) {
 // shared clock domain: the same seed against a freshly built world must
 // reproduce the telemetry event and trace streams byte for byte.
 func TestChaosTelemetryDeterminism(t *testing.T) {
+	var sum, resSum string
 	dump := func() (events, traces []byte) {
 		t.Helper()
 		w := newWorld(t, 4, 1, 2, false, 3)
@@ -203,9 +204,14 @@ func TestChaosTelemetryDeterminism(t *testing.T) {
 		cfg.Seed = 99
 		cfg.From, cfg.To = 0, sim.Day
 		cfg.MaxFailures = 4
-		if _, err := Run(w.eng, w.dep, w.cat, w.logs, cfg); err != nil {
+		res, err := Run(w.eng, w.dep, w.cat, w.logs, cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
+		sum = telemetrySum(t, w.dep.Telemetry())
+		resSum = digest(res.Report.Submitted, res.Report.SubmitErrors, len(res.Report.Records),
+			res.Attainment, res.MinRTTTP, res.Schedule, res.Injected, res.Applied, res.Recovered,
+			res.InFlight, res.ExpectedActive, res.ActiveNodes, res.FailedNodes, res.RepairingNodes)
 		var ev, tr bytes.Buffer
 		if err := w.dep.Telemetry().Events.Dump(&ev); err != nil {
 			t.Fatal(err)
@@ -226,6 +232,8 @@ func TestChaosTelemetryDeterminism(t *testing.T) {
 	if len(ev1) == 0 || len(tr1) == 0 {
 		t.Error("empty telemetry dumps")
 	}
+	checkGolden(t, "chaos telemetry", sum, goldenChaosTelemetry)
+	checkGolden(t, "chaos result", resSum, goldenChaosResult)
 }
 
 // TestChaosSmoke is the bounded -race smoke target for make check: a small
@@ -249,5 +257,53 @@ func TestChaosSmoke(t *testing.T) {
 	}
 	if res.ActiveNodes != res.ExpectedActive || res.FailedNodes != 0 || res.RepairingNodes != 0 {
 		t.Errorf("pool leak: %+v", res)
+	}
+}
+
+// TestStormHarnessesRejectWhatTheyCannotDrive: the three storms schedule on
+// one shared engine, so each turns a sharded deployment, a missing engine and
+// an empty window away, in its own voice, before scheduling anything.
+func TestStormHarnessesRejectWhatTheyCannotDrive(t *testing.T) {
+	sharded := newWorld(t, 6, 1, 2, true, 2)
+	shared := newWorld(t, 6, 1, 2, false, 2)
+	win := Window{From: 0, To: sim.Hour}
+	runs := map[string]func(*sim.Engine, *world, Window) error{
+		"overload": func(eng *sim.Engine, w *world, win Window) error {
+			cfg := DefaultOverloadConfig()
+			cfg.Window = win
+			_, err := RunOverload(eng, w.dep, w.cat, w.logs, cfg)
+			return err
+		},
+		"grayfail": func(eng *sim.Engine, w *world, win Window) error {
+			cfg := DefaultGrayFailConfig()
+			cfg.Window = win
+			_, err := RunGrayFail(eng, w.dep, w.cat, w.logs, cfg)
+			return err
+		},
+		"domainfail": func(eng *sim.Engine, w *world, win Window) error {
+			cfg := DefaultDomainFailConfig()
+			cfg.Window = win
+			_, err := RunDomainFail(eng, w.dep, w.cat, w.logs, cfg)
+			return err
+		},
+	}
+	for name, run := range runs {
+		for _, tc := range []struct {
+			eng  *sim.Engine
+			w    *world
+			win  Window
+			want string
+		}{
+			{sharded.eng, sharded, win, name + ": requires a shared-domain deployment"},
+			{nil, shared, win, name + ": nil engine"},
+			{shared.eng, shared, Window{From: sim.Hour, To: sim.Hour}, name + ": window [0d01:00:00.000,0d01:00:00.000)"},
+		} {
+			if err := run(tc.eng, tc.w, tc.win); err == nil || err.Error() != tc.want {
+				t.Errorf("%s: got %v, want %q", name, err, tc.want)
+			}
+		}
+		if shared.eng.Pending() != 0 {
+			t.Errorf("%s scheduled events before rejecting", name)
+		}
 	}
 }

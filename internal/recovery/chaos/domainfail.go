@@ -6,9 +6,9 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/master"
 	"repro/internal/queries"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -32,8 +32,9 @@ type DomainOutage struct {
 type DomainFailConfig struct {
 	// Seed fixes the schedule's randomness (domain choice).
 	Seed int64
-	// From and To bound the run window.
-	From, To sim.Time
+	// Window bounds the run; the drain defaults to one day, so queued triage
+	// claims drain and Table 5.1 reloads finish before the pool is tallied.
+	Window
 	// Outages is how many domain outages to schedule (default 2).
 	Outages int
 	// Duration is each outage's length (default 3 h, clamped so same-domain
@@ -49,32 +50,20 @@ type DomainFailConfig struct {
 	// Slowdowns, when non-empty, overlays a fail-slow schedule on top of the
 	// outages — the outage-during-gray-drain composition.
 	Slowdowns []Slowdown
-	// SLASlack scales each replayed query's logged duration into its SLO
-	// target (default 2.5, as in the other storms).
-	SLASlack float64
-	// SampleEvery is the RT-TTP sampling period (default 10 min).
-	SampleEvery time.Duration
-	// DrainSlack extends the post-window settle time (default one day) so
-	// queued triage claims drain and Table 5.1 reloads finish before the pool
-	// is tallied.
-	DrainSlack time.Duration
 }
 
 // DefaultDomainFailConfig returns a two-outage storm.
 func DefaultDomainFailConfig() DomainFailConfig {
 	return DomainFailConfig{
-		Seed:        1,
-		Outages:     2,
-		Duration:    3 * time.Hour,
-		SLASlack:    2.5,
-		SampleEvery: 10 * time.Minute,
-		DrainSlack:  24 * time.Hour,
+		Seed:     1,
+		Outages:  2,
+		Duration: 3 * time.Hour,
 	}
 }
 
 func (c DomainFailConfig) validate() error {
-	if c.To <= c.From {
-		return fmt.Errorf("domainfail: window [%v,%v)", c.From, c.To)
+	if err := c.Window.validate("domainfail"); err != nil {
+		return err
 	}
 	if c.Schedule == nil && (c.Outages < 1 || c.Duration <= 0) {
 		return fmt.Errorf("domainfail: Outages=%d Duration=%v", c.Outages, c.Duration)
@@ -263,9 +252,7 @@ type DomainFailResult struct {
 	// ResidualDegraded instances still missing nodes; QuarantinedEnd
 	// instances still quarantined; DownDomains domains still down.
 	InFlight, ResidualDegraded, QuarantinedEnd, DownDomains int
-	// ExpectedActive is the node count the deployment's instances own;
-	// Active/Failed/Repairing are the pool's end-state tallies.
-	ExpectedActive, ActiveNodes, FailedNodes, RepairingNodes int
+	PoolTally
 }
 
 // Verify checks the structural bar shared by every arm: all injections
@@ -294,11 +281,7 @@ func (r *DomainFailResult) Verify() error {
 	if r.QuarantinedEnd != 0 {
 		return fmt.Errorf("domainfail: %d instances still quarantined", r.QuarantinedEnd)
 	}
-	if r.ActiveNodes != r.ExpectedActive || r.FailedNodes != 0 || r.RepairingNodes != 0 {
-		return fmt.Errorf("domainfail: pool leak — active %d (want %d), failed %d, repairing %d",
-			r.ActiveNodes, r.ExpectedActive, r.FailedNodes, r.RepairingNodes)
-	}
-	return nil
+	return r.leak("domainfail")
 }
 
 // RunDomainFail drives a seeded correlated-failure storm against every group
@@ -313,28 +296,13 @@ func RunDomainFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if dep.Sharded() {
-		return nil, fmt.Errorf("domainfail: requires a shared-domain deployment")
-	}
-	if eng == nil {
-		return nil, fmt.Errorf("domainfail: nil engine")
+	groups, err := stormTarget("domainfail", eng, dep)
+	if err != nil {
+		return nil, err
 	}
 	pool := dep.Pool()
 	if pool.Domains() < 2 {
 		return nil, fmt.Errorf("domainfail: pool has %d failure domains, need ≥2", pool.Domains())
-	}
-	if cfg.SLASlack <= 0 {
-		cfg.SLASlack = 2.5
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 10 * time.Minute
-	}
-	if cfg.DrainSlack <= 0 {
-		cfg.DrainSlack = 24 * time.Hour
-	}
-	groups := dep.Groups()
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("domainfail: empty deployment")
 	}
 	sched := cfg.Schedule
 	if sched == nil {
@@ -346,7 +314,6 @@ func RunDomainFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog
 	res := &DomainFailResult{
 		Schedule:    sched,
 		TriageArmed: dep.Triage() != nil,
-		MinRTTTP:    1,
 	}
 	if len(cfg.Slowdowns) > 0 {
 		if err := ValidateSlowdowns(cfg.Slowdowns, cfg.From, cfg.To); err != nil {
@@ -358,56 +325,20 @@ func RunDomainFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog
 	}
 	applyOutages(eng, dep, sched, res)
 
-	// Stream every tenant's logged traffic through its group's router, in
-	// group then member order.
-	logByID := make(map[string]*workload.TenantLog, len(logs))
-	for _, tl := range logs {
-		logByID[tl.Tenant.ID] = tl
-	}
-	var members []*workload.TenantLog
-	var owners []*master.DeployedGroup
-	for _, g := range groups {
-		for _, tn := range g.Members {
-			if tl := logByID[tn.ID]; tl != nil {
-				members = append(members, tl)
-				owners = append(owners, g)
-			}
-		}
-	}
-	arrivals, err := workload.NewStream(cat, members, cfg.From, cfg.To)
+	// Every tenant replays its logged traffic through its group's router.
+	opts := cfg.options(24 * time.Hour)
+	opts.Submit = submitWithSlack(dep)
+	rep, err := replay.Run(eng, dep, cat, memberLogs(groups, logs), opts)
 	if err != nil {
-		return nil, fmt.Errorf("domainfail: %w", err)
+		return nil, err
 	}
-	arrivals.Drive(eng, func(a workload.Arrival) {
-		res.Submitted++
-		sla := sim.Time(float64(a.SLATarget) * cfg.SLASlack)
-		if _, err := owners[a.Log].Router.SubmitWithTarget(a.Tenant, a.Class, sla); err != nil {
-			res.Errors++
-		}
-	})
-
-	// Sample the worst RT-TTP across all groups through the window.
-	var sample func(sim.Time)
-	sample = func(sim.Time) {
-		for _, g := range groups {
-			if rt := g.Monitor.RTTTP(); rt < res.MinRTTTP {
-				res.MinRTTTP = rt
-			}
-		}
-		if next := eng.Now().Add(cfg.SampleEvery); next < cfg.To {
-			eng.Schedule(next, sample)
-		}
-	}
-	eng.Schedule(cfg.From, sample)
-
-	eng.Run(cfg.To)
-	eng.Run(cfg.To.Add(cfg.DrainSlack))
+	res.Submitted, res.Errors = rep.Submitted, rep.SubmitErrors
+	res.MinRTTTP = rep.WorstRTTTP()
 
 	// Condense: recovery/triage/respread tallies, spread end-state, SLA
 	// attainment, and the pool leak check.
 	for _, g := range groups {
 		for _, inst := range g.Instances {
-			res.ExpectedActive += inst.Nodes()
 			if inst.FailedNodes() > 0 {
 				res.ResidualDegraded++
 			}
@@ -443,23 +374,7 @@ func RunDomainFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog
 		res.QueuedClaims = len(tri.Queued())
 	}
 	res.DownDomains = len(pool.DownDomains())
-
-	var met, missed int64
-	res.MinAttainment = 1
-	for _, tn := range dep.Telemetry().SLA.Report() {
-		met += tn.Met
-		missed += tn.Missed
-		if tn.Attainment < res.MinAttainment {
-			res.MinAttainment = tn.Attainment
-		}
-	}
-	if met+missed > 0 {
-		res.Attainment = float64(met) / float64(met+missed)
-	} else {
-		res.Attainment = 1
-	}
-	res.ActiveNodes = pool.CountState(cluster.Active)
-	res.FailedNodes = pool.CountState(cluster.Failed)
-	res.RepairingNodes = pool.CountState(cluster.Repairing)
+	res.Attainment, res.MinAttainment = attainment(dep, groups)
+	res.PoolTally = tallyPool(dep)
 	return res, nil
 }

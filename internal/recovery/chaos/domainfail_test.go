@@ -126,12 +126,21 @@ func TestDomainSmoke(t *testing.T) {
 // triage polling, quarantine, and re-spread all preserve the shared-domain
 // determinism contract.
 func TestDomainFailTelemetryDeterminism(t *testing.T) {
+	var sum, resSum string
 	dump := func() (string, string) {
 		w := domainWorld(t, 12, 1, 3, 3, true, true, 20)
-		if _, err := RunDomainFail(w.eng, w.dep, w.cat, w.logs, domainStormConfig()); err != nil {
+		res, err := RunDomainFail(w.eng, w.dep, w.cat, w.logs, domainStormConfig())
+		if err != nil {
 			t.Fatal(err)
 		}
 		hub := w.dep.Telemetry()
+		sum = telemetrySum(t, hub)
+		resSum = digest(res.Schedule, res.TriageArmed, res.Casualties, res.Quarantines, res.InjectErrs,
+			res.Submitted, res.Errors, res.Attainment, res.MinAttainment, res.MinRTTTP,
+			res.Lifecycles, res.Recovered, res.Triaged, res.TriageEnqueued, res.TriageGranted,
+			res.QueuedClaims, res.Respreads, res.CollapsedGroups,
+			res.InFlight, res.ResidualDegraded, res.QuarantinedEnd, res.DownDomains,
+			res.ExpectedActive, res.ActiveNodes, res.FailedNodes, res.RepairingNodes)
 		var ev, tr bytes.Buffer
 		if err := hub.Events.Dump(&ev); err != nil {
 			t.Fatal(err)
@@ -152,6 +161,8 @@ func TestDomainFailTelemetryDeterminism(t *testing.T) {
 	if len(ev1) == 0 {
 		t.Fatal("domain-fail run emitted no events")
 	}
+	checkGolden(t, "domain-fail telemetry", sum, goldenDomainTelemetry)
+	checkGolden(t, "domain-fail result", resSum, goldenDomainResult)
 }
 
 // TestDomainFailRolling marches outages through consecutive domains with

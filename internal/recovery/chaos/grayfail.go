@@ -5,10 +5,10 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/master"
 	"repro/internal/queries"
 	"repro/internal/recovery"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -20,8 +20,9 @@ type GrayFailConfig struct {
 	// Seed fixes the schedule's randomness (instance choice, profile order,
 	// factor jitter).
 	Seed int64
-	// From and To bound the run window.
-	From, To sim.Time
+	// Window bounds the run; the drain defaults to 6 h, so drain-replacements
+	// finish reloading before the pool is tallied.
+	Window
 	// Episodes is how many fail-slow episodes to schedule (default 3). They
 	// are spaced evenly through the window, one instance each.
 	Episodes int
@@ -34,33 +35,22 @@ type GrayFailConfig struct {
 	// Slowdowns, when non-nil, is an explicit schedule and overrides the
 	// generated one. It is validated either way.
 	Slowdowns []Slowdown
-	// SLASlack scales each replayed query's logged duration into its SLO
-	// target (default 2.5, as in the overload storm).
-	SLASlack float64
-	// SampleEvery is the RT-TTP sampling period (default 10 min).
-	SampleEvery time.Duration
-	// DrainSlack extends the post-window settle time (default 6 h) so
-	// drain-replacements finish reloading before the pool is tallied.
-	DrainSlack time.Duration
 }
 
 // DefaultGrayFailConfig returns a three-episode storm cycling through the
 // stuck, gradual, and flapping profiles.
 func DefaultGrayFailConfig() GrayFailConfig {
 	return GrayFailConfig{
-		Seed:        1,
-		Episodes:    3,
-		Factor:      0.3,
-		Duration:    2 * time.Hour,
-		SLASlack:    2.5,
-		SampleEvery: 10 * time.Minute,
-		DrainSlack:  6 * time.Hour,
+		Seed:     1,
+		Episodes: 3,
+		Factor:   0.3,
+		Duration: 2 * time.Hour,
 	}
 }
 
 func (c GrayFailConfig) validate() error {
-	if c.To <= c.From {
-		return fmt.Errorf("grayfail: window [%v,%v)", c.From, c.To)
+	if err := c.Window.validate("grayfail"); err != nil {
+		return err
 	}
 	if c.Slowdowns == nil {
 		if c.Episodes < 1 || c.Duration <= 0 {
@@ -131,9 +121,7 @@ type GrayFailResult struct {
 	CrashInFlight int
 	// ResidualSlow counts instances still below full speed at the end.
 	ResidualSlow int
-	// ExpectedActive is the node count the deployment's instances own;
-	// Active/Failed/Repairing are the pool's end-state tallies.
-	ExpectedActive, ActiveNodes, FailedNodes, RepairingNodes int
+	PoolTally
 }
 
 // Verify checks the structural bar shared by bare and protected runs: every
@@ -148,9 +136,8 @@ func (r *GrayFailResult) Verify() error {
 	if r.CrashInFlight != 0 {
 		return fmt.Errorf("grayfail: %d recoveries still in flight", r.CrashInFlight)
 	}
-	if r.ActiveNodes != r.ExpectedActive || r.FailedNodes != 0 || r.RepairingNodes != 0 {
-		return fmt.Errorf("grayfail: pool leak — active %d (want %d), failed %d, repairing %d",
-			r.ActiveNodes, r.ExpectedActive, r.FailedNodes, r.RepairingNodes)
+	if err := r.leak("grayfail"); err != nil {
+		return err
 	}
 	if r.GrayArmed && len(r.Schedule) > 0 && r.Confirmed == 0 {
 		return fmt.Errorf("grayfail: detector armed but never confirmed a gray instance")
@@ -169,34 +156,11 @@ func RunGrayFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if dep.Sharded() {
-		return nil, fmt.Errorf("grayfail: requires a shared-domain deployment")
+	groups, err := stormTarget("grayfail", eng, dep)
+	if err != nil {
+		return nil, err
 	}
-	if eng == nil {
-		return nil, fmt.Errorf("grayfail: nil engine")
-	}
-	if cfg.SLASlack <= 0 {
-		cfg.SLASlack = 2.5
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 10 * time.Minute
-	}
-	if cfg.DrainSlack <= 0 {
-		cfg.DrainSlack = 6 * time.Hour
-	}
-
-	// Target the largest group (first on ties — deterministic in plan
-	// order).
-	groups := dep.Groups()
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("grayfail: empty deployment")
-	}
-	target := groups[0]
-	for _, g := range groups[1:] {
-		if len(g.Members) > len(target.Members) {
-			target = g
-		}
-	}
+	target := largest(groups)
 	sched := cfg.Slowdowns
 	if sched == nil {
 		sched = BuildSlowdowns(target, cfg)
@@ -204,56 +168,30 @@ func RunGrayFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	if err := ValidateSlowdowns(sched, cfg.From, cfg.To); err != nil {
 		return nil, err
 	}
-	res := &GrayFailResult{
-		Group:     target.Plan.ID,
-		Schedule:  sched,
-		GrayArmed: target.Gray != nil,
-		MinRTTTP:  1,
-	}
 	if err := applySlowdowns(eng, dep, sched); err != nil {
 		return nil, err
 	}
 
-	// Stream every member's logged traffic, in member order.
-	logByID := make(map[string]*workload.TenantLog, len(logs))
-	for _, tl := range logs {
-		logByID[tl.Tenant.ID] = tl
-	}
-	var members []*workload.TenantLog
-	for _, tn := range target.Members {
-		if tl := logByID[tn.ID]; tl != nil {
-			members = append(members, tl)
-		}
-	}
-	arrivals, err := workload.NewStream(cat, members, cfg.From, cfg.To)
+	// Every member of the target replays its logged traffic.
+	opts := cfg.options(6 * time.Hour)
+	opts.Submit = submitWithSlack(dep)
+	rep, err := replay.Run(eng, dep, cat, memberLogs([]*master.DeployedGroup{target}, logs), opts)
 	if err != nil {
-		return nil, fmt.Errorf("grayfail: %w", err)
+		return nil, err
 	}
-	arrivals.Drive(eng, func(a workload.Arrival) {
-		res.Submitted++
-		sla := sim.Time(float64(a.SLATarget) * cfg.SLASlack)
-		if _, err := target.Router.SubmitWithTarget(a.Tenant, a.Class, sla); err != nil {
-			res.Errors++
-		}
-	})
-
-	// Sample the target group's RT-TTP through the window.
-	var sample func(sim.Time)
-	sample = func(sim.Time) {
-		if rt := target.Monitor.RTTTP(); rt < res.MinRTTTP {
-			res.MinRTTTP = rt
-		}
-		if next := eng.Now().Add(cfg.SampleEvery); next < cfg.To {
-			eng.Schedule(next, sample)
-		}
-	}
-	eng.Schedule(cfg.From, sample)
-
-	eng.Run(cfg.To)
-	eng.Run(cfg.To.Add(cfg.DrainSlack))
 
 	// Condense: detector ladder, hedge tallies, SLA attainment over the
 	// target's members, and the pool leak check.
+	res := &GrayFailResult{
+		Group:     target.Plan.ID,
+		Schedule:  sched,
+		GrayArmed: target.Gray != nil,
+		Submitted: rep.Submitted,
+		Errors:    rep.SubmitErrors,
+		MinRTTTP:  rep.MinRTTTP(target.Plan.ID),
+		PoolTally: tallyPool(dep),
+	}
+	res.Attainment, res.MinAttainment = attainment(dep, []*master.DeployedGroup{target})
 	if target.Gray != nil {
 		res.GrayEvents = target.Gray.Events()
 		for _, ev := range res.GrayEvents {
@@ -272,43 +210,10 @@ func RunGrayFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	}
 	for _, g := range dep.Groups() {
 		for _, inst := range g.Instances {
-			res.ExpectedActive += inst.Nodes()
 			if inst.Slowdown() != 1 {
 				res.ResidualSlow++
 			}
 		}
 	}
-	var met, missed int64
-	res.MinAttainment = 1
-	byTenant := make(map[string]struct {
-		met, missed int64
-		attainment  float64
-	})
-	for _, tn := range dep.Telemetry().SLA.Report() {
-		byTenant[tn.Tenant] = struct {
-			met, missed int64
-			attainment  float64
-		}{tn.Met, tn.Missed, tn.Attainment}
-	}
-	for _, tn := range target.Members {
-		s, ok := byTenant[tn.ID]
-		if !ok {
-			continue
-		}
-		met += s.met
-		missed += s.missed
-		if s.attainment < res.MinAttainment {
-			res.MinAttainment = s.attainment
-		}
-	}
-	if met+missed > 0 {
-		res.Attainment = float64(met) / float64(met+missed)
-	} else {
-		res.Attainment = 1
-	}
-	pool := dep.Pool()
-	res.ActiveNodes = pool.CountState(cluster.Active)
-	res.FailedNodes = pool.CountState(cluster.Failed)
-	res.RepairingNodes = pool.CountState(cluster.Repairing)
 	return res, nil
 }

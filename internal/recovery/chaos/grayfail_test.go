@@ -109,7 +109,7 @@ func TestGrayFailLadder(t *testing.T) {
 
 	base := grayWorld(t, 12, 2, nil)
 	baseRes, err := RunGrayFail(base.eng, base.dep, base.cat, base.logs, GrayFailConfig{
-		Seed: cfg.Seed, From: cfg.From, To: cfg.To, DrainSlack: cfg.DrainSlack,
+		Seed: cfg.Seed, Window: cfg.Window,
 		Slowdowns: []Slowdown{}, // explicit empty schedule: the no-fault arm
 	})
 	if err != nil {
@@ -170,13 +170,21 @@ func TestGrayFailLadder(t *testing.T) {
 // byte-identical telemetry — the whole ladder (hedging, cancellation, drain,
 // reload) preserves the shared-domain determinism contract.
 func TestGrayFailTelemetryDeterminism(t *testing.T) {
+	var sum, resSum string
 	dump := func() (string, string) {
 		gcfg := testGrayConfig()
 		w := grayWorld(t, 12, 2, &gcfg)
-		if _, err := RunGrayFail(w.eng, w.dep, w.cat, w.logs, grayStormConfig()); err != nil {
+		res, err := RunGrayFail(w.eng, w.dep, w.cat, w.logs, grayStormConfig())
+		if err != nil {
 			t.Fatal(err)
 		}
 		hub := w.dep.Telemetry()
+		sum = telemetrySum(t, hub)
+		resSum = digest(res.Group, res.Schedule, res.GrayArmed, res.Submitted, res.Errors,
+			res.Attainment, res.MinAttainment, res.MinRTTTP, res.GrayEvents,
+			res.Suspected, res.Confirmed, res.Drained, res.Hedged, res.HedgeWins,
+			res.CrashInFlight, res.ResidualSlow,
+			res.ExpectedActive, res.ActiveNodes, res.FailedNodes, res.RepairingNodes)
 		var ev, tr bytes.Buffer
 		if err := hub.Events.Dump(&ev); err != nil {
 			t.Fatal(err)
@@ -197,6 +205,8 @@ func TestGrayFailTelemetryDeterminism(t *testing.T) {
 	if len(ev1) == 0 {
 		t.Fatal("gray-fail run emitted no events")
 	}
+	checkGolden(t, "gray-fail telemetry", sum, goldenGrayTelemetry)
+	checkGolden(t, "gray-fail result", resSum, goldenGrayResult)
 }
 
 // TestGraySmoke is the bounded CI gate (make gray-smoke): a short seeded

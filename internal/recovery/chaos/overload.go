@@ -9,6 +9,7 @@ import (
 	"repro/internal/admission"
 	"repro/internal/master"
 	"repro/internal/queries"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -20,8 +21,8 @@ type OverloadConfig struct {
 	// Seed fixes the aggressor choice and nothing else — the storm itself
 	// is a deterministic function of the aggressor's contract.
 	Seed int64
-	// From and To bound the run window.
-	From, To sim.Time
+	// Window bounds the run; the drain defaults to 6 h.
+	Window
 	// Aggressors is how many members of the target group run hot
 	// (default 1). Zero is the no-storm control: every member replays its
 	// logged traffic, which measures the group's intrinsic attainment.
@@ -35,37 +36,22 @@ type OverloadConfig struct {
 	Headroom float64
 	// MaxStorm bounds each aggressor's storm submissions (default 2000).
 	MaxStorm int
-	// SLASlack scales each replayed query's logged duration into its SLO
-	// target (default 2.5). The logged duration is the zero-headroom
-	// pre-consolidation latency, and the advisor's P guarantee already
-	// prices in transient <=(1-P) overflow windows — a slack of 2.5 forgives
-	// worst-case full-duration sharing with a single co-tenant (processor
-	// sharing doubles latency) and flags only the sustained pile-ups a storm
-	// causes.
-	SLASlack float64
-	// SampleEvery is the RT-TTP sampling period (default 10 min).
-	SampleEvery time.Duration
-	// DrainSlack extends the post-window settle time (default 6 h).
-	DrainSlack time.Duration
 }
 
 // DefaultOverloadConfig returns a single 5×-over-contract aggressor.
 func DefaultOverloadConfig() OverloadConfig {
 	return OverloadConfig{
-		Seed:        1,
-		Aggressors:  1,
-		Factor:      5,
-		Headroom:    2,
-		MaxStorm:    2000,
-		SLASlack:    2.5,
-		SampleEvery: 10 * time.Minute,
-		DrainSlack:  6 * time.Hour,
+		Seed:       1,
+		Aggressors: 1,
+		Factor:     5,
+		Headroom:   2,
+		MaxStorm:   2000,
 	}
 }
 
 func (c OverloadConfig) validate() error {
-	if c.To <= c.From {
-		return fmt.Errorf("overload: window [%v,%v)", c.From, c.To)
+	if err := c.Window.validate("overload"); err != nil {
+		return err
 	}
 	if c.Aggressors < 0 || (c.Aggressors > 0 && (c.Factor <= 1 || c.MaxStorm < 1)) {
 		return fmt.Errorf("overload: Aggressors=%d Factor=%v MaxStorm=%d",
@@ -141,44 +127,17 @@ func RunOverload(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if dep.Sharded() {
-		return nil, fmt.Errorf("overload: requires a shared-domain deployment")
-	}
-	if eng == nil {
-		return nil, fmt.Errorf("overload: nil engine")
+	groups, err := stormTarget("overload", eng, dep)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Headroom <= 0 {
 		cfg.Headroom = 2
 	}
-	if cfg.SLASlack <= 0 {
-		cfg.SLASlack = 2.5
-	}
-	if cfg.SampleEvery <= 0 {
-		cfg.SampleEvery = 10 * time.Minute
-	}
-	if cfg.DrainSlack <= 0 {
-		cfg.DrainSlack = 6 * time.Hour
-	}
-
-	// Target the largest group (first on ties — deterministic in plan
-	// order).
-	groups := dep.Groups()
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("overload: empty deployment")
-	}
-	target := groups[0]
-	for _, g := range groups[1:] {
-		if len(g.Members) > len(target.Members) {
-			target = g
-		}
-	}
+	target := largest(groups)
 	if cfg.Aggressors > 0 && cfg.Aggressors >= len(target.Members) {
 		return nil, fmt.Errorf("overload: %d aggressors need a group larger than %d",
 			cfg.Aggressors, len(target.Members))
-	}
-	logByID := make(map[string]*workload.TenantLog, len(logs))
-	for _, tl := range logs {
-		logByID[tl.Tenant.ID] = tl
 	}
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -187,7 +146,6 @@ func RunOverload(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	res := &OverloadResult{
 		Group:       target.Plan.ID,
 		AdmissionOn: target.Admission != nil,
-		MinRTTTP:    1,
 	}
 	for _, i := range perm[:cfg.Aggressors] {
 		id := target.Members[i].ID
@@ -198,7 +156,7 @@ func RunOverload(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	// submit pushes one query through the group's admission controller
 	// (when armed) and router, tallying typed rejections. Runs inside an
 	// engine callback, so the domain is already held by the driver.
-	submit := func(tenantID string, class *queries.Class, sla sim.Time, storm bool) {
+	submit := func(tenantID string, class *queries.Class, sla sim.Time, storm bool) error {
 		if ac := target.Admission; ac != nil {
 			if err := ac.Admit(tenantID, sla, false); err != nil {
 				var ce *admission.ContractExceededError
@@ -217,27 +175,38 @@ func RunOverload(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 						res.NormalShed++
 					}
 				}
-				return
+				return err
 			}
 		}
 		if _, err := target.Router.SubmitWithTarget(tenantID, class, sla); err != nil {
 			if storm {
 				res.StormErrors++
 			}
-			return
+			return err
 		}
 		if storm {
 			res.StormAdmitted++
 		}
+		return nil
 	}
 
 	// Schedule the aggressors' storms: open-loop submissions of the
 	// heaviest query in each aggressor's own log, at Factor times the
 	// contract derived from that log — an open loop of long queries
 	// backlogs the aggressor's instance, so overflow traffic that lands
-	// there shares with the whole pile-up.
+	// there shares with the whole pile-up. The storm replaces an
+	// aggressor's own traffic: only the compliant members replay.
+	var compliant []*workload.TenantLog
+	hotLogs := make(map[string]*workload.TenantLog, cfg.Aggressors)
+	for _, tl := range memberLogs([]*master.DeployedGroup{target}, logs) {
+		if hot[tl.Tenant.ID] {
+			hotLogs[tl.Tenant.ID] = tl
+		} else {
+			compliant = append(compliant, tl)
+		}
+	}
 	for _, id := range res.Aggressors {
-		tl := logByID[id]
+		tl := hotLogs[id]
 		if tl == nil {
 			return nil, fmt.Errorf("overload: aggressor %s has no log", id)
 		}
@@ -257,68 +226,38 @@ func RunOverload(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 		if class == nil {
 			return nil, fmt.Errorf("overload: aggressor %s logged no queries", id)
 		}
-		sla = sim.Time(float64(sla) * cfg.SLASlack)
+		sla = slackTarget(sla)
 		contract := admission.ContractFromLog(tl, cfg.Headroom)
 		interval := sim.Time(float64(sim.Second) / (cfg.Factor * contract.Rate))
 		if interval < 1 {
 			interval = 1
 		}
-		tenantID := id
 		for i := 0; i < cfg.MaxStorm; i++ {
 			at := cfg.From + sim.Time(i)*interval
 			if at >= cfg.To {
 				break
 			}
 			res.StormSubmitted++
-			eng.Schedule(at, func(sim.Time) { submit(tenantID, class, sla, true) })
+			eng.Schedule(at, func(sim.Time) { _ = submit(id, class, sla, true) })
 		}
 	}
 
-	// Stream the compliant members' logged traffic, in member order; the
-	// storm replaces an aggressor's own traffic.
-	var compliant []*workload.TenantLog
-	for _, tn := range target.Members {
-		if tl := logByID[tn.ID]; tl != nil && !hot[tn.ID] {
-			compliant = append(compliant, tl)
-		}
+	// The compliant members replay behind the same admission-then-router
+	// path the storm takes.
+	opts := cfg.options(6 * time.Hour)
+	opts.Submit = func(a workload.Arrival) error {
+		return submit(a.Tenant, a.Class, slackTarget(a.SLATarget), false)
 	}
-	arrivals, err := workload.NewStream(cat, compliant, cfg.From, cfg.To)
+	rep, err := replay.Run(eng, dep, cat, compliant, opts)
 	if err != nil {
-		return nil, fmt.Errorf("overload: %w", err)
+		return nil, err
 	}
-	arrivals.Drive(eng, func(a workload.Arrival) {
-		res.NormalSubmitted++
-		sla := sim.Time(float64(a.SLATarget) * cfg.SLASlack)
-		submit(a.Tenant, a.Class, sla, false)
-	})
-
-	// Sample the target group's RT-TTP through the window.
-	var sample func(sim.Time)
-	sample = func(sim.Time) {
-		if rt := target.Monitor.RTTTP(); rt < res.MinRTTTP {
-			res.MinRTTTP = rt
-		}
-		if next := eng.Now().Add(cfg.SampleEvery); next < cfg.To {
-			eng.Schedule(next, sample)
-		}
-	}
-	eng.Schedule(cfg.From, sample)
-
-	eng.Run(cfg.To)
-	eng.Run(cfg.To.Add(cfg.DrainSlack))
+	res.NormalSubmitted = rep.Submitted
+	res.MinRTTTP = rep.MinRTTTP(target.Plan.ID)
 
 	// Condense per-tenant outcomes: completed-query SLA tallies from the
 	// hub, admission accounting from the controller.
-	slo := make(map[string]struct {
-		met, missed int64
-		attainment  float64
-	})
-	for _, tn := range dep.Telemetry().SLA.Report() {
-		slo[tn.Tenant] = struct {
-			met, missed int64
-			attainment  float64
-		}{tn.Met, tn.Missed, tn.Attainment}
-	}
+	slo := sloByTenant(dep)
 	adm := make(map[string]admission.TenantStat)
 	if target.Admission != nil {
 		for _, st := range target.Admission.TenantStats() {
@@ -329,7 +268,7 @@ func RunOverload(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	for _, tn := range target.Members {
 		o := TenantOutcome{Tenant: tn.ID, Aggressor: hot[tn.ID], Attainment: 1}
 		if s, ok := slo[tn.ID]; ok {
-			o.Met, o.Missed, o.Attainment = s.met, s.missed, s.attainment
+			o.Met, o.Missed, o.Attainment = s.Met, s.Missed, s.Attainment
 		}
 		if st, ok := adm[tn.ID]; ok {
 			o.Admitted, o.Throttled, o.Shed = st.Admitted, st.Throttled, st.Shed

@@ -136,12 +136,19 @@ func TestOverloadProtection(t *testing.T) {
 // byte-identical telemetry dumps — the admission layer preserves the
 // shared-domain determinism contract.
 func TestOverloadTelemetryDeterminism(t *testing.T) {
+	var sum, resSum string
 	dump := func() (string, string) {
 		w := overloadWorld(t, 12, 2, true)
-		if _, err := RunOverload(w.eng, w.dep, w.cat, w.logs, stormConfig()); err != nil {
+		res, err := RunOverload(w.eng, w.dep, w.cat, w.logs, stormConfig())
+		if err != nil {
 			t.Fatal(err)
 		}
 		hub := w.dep.Telemetry()
+		sum = telemetrySum(t, hub)
+		resSum = digest(res.Group, res.Aggressors, res.AdmissionOn,
+			res.StormSubmitted, res.StormAdmitted, res.StormThrottled, res.StormShed, res.StormErrors,
+			res.NormalSubmitted, res.NormalThrottled, res.NormalShed, res.Outcomes,
+			res.MinCompliantAttainment, res.MinRTTTP)
 		var ev, tr bytes.Buffer
 		if err := hub.Events.Dump(&ev); err != nil {
 			t.Fatal(err)
@@ -162,6 +169,8 @@ func TestOverloadTelemetryDeterminism(t *testing.T) {
 	if len(ev1) == 0 {
 		t.Fatal("overload run emitted no events")
 	}
+	checkGolden(t, "overload telemetry", sum, goldenOverloadTelemetry)
+	checkGolden(t, "overload result", resSum, goldenOverloadResult)
 }
 
 // TestOverloadSmoke is the bounded CI gate (make overload-smoke): a short

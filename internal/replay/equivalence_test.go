@@ -164,7 +164,7 @@ func runShared(t *testing.T, w *world, opts Options) outcome {
 
 func runParallel(t *testing.T, w *world, opts Options) outcome {
 	t.Helper()
-	rep, err := RunParallel(w.dep, w.cat, w.logs, opts)
+	rep, err := Run(nil, w.dep, w.cat, w.logs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,11 @@
 // Package replay drives a live deployment with recorded tenant logs: it
 // streams the query submissions of a time window (workload.Stream), routes
 // each through the deployment's per-group routers at its logged time (open
-// loop), and samples run-time statistics. This is the run-time half of the evaluation
-// testbed — the §7.5 elastic-scaling experiment and the SLA-attainment
-// validation both run on it.
+// loop), samples run-time statistics, and drains. This is the run-time half
+// of the evaluation testbed: Run is the one arrival → sample → drain loop, on
+// either clock layout, and every run-time experiment — §7.5 elastic scaling,
+// the SLA-attainment validation, the fault harnesses of recovery/chaos, the
+// drift scenario — schedules its own perturbation on the engine and calls it.
 package replay
 
 import (
@@ -19,7 +21,6 @@ import (
 	"repro/internal/scaling"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/tenant"
 	"repro/internal/workload"
 )
 
@@ -75,6 +76,11 @@ type Options struct {
 	// and, with failures, recoveries and re-images — settle (default one
 	// day). Long reloads of data-heavy groups can need more.
 	DrainSlack time.Duration
+	// Submit, when non-nil, routes each replayed arrival instead of Route:
+	// the storm harnesses put admission or an SLO slack
+	// in front of the router here. On a sharded deployment it is called from
+	// every group's goroutine.
+	Submit SubmitFunc
 }
 
 // drainUntil returns the absolute end of the post-window drain.
@@ -121,7 +127,11 @@ type Report struct {
 	// RecoveryEvents are the controllers' recovery lifecycles (empty when no
 	// failures were injected), in deployment group order.
 	RecoveryEvents []recovery.Event
-	// Submitted and SubmitErrors count routing attempts and failures.
+	Counts
+}
+
+// Counts tallies routing attempts and the ones that failed.
+type Counts struct {
 	Submitted    int
 	SubmitErrors int
 }
@@ -141,6 +151,17 @@ func (r *Report) SLAAttainment() float64 {
 	return float64(met) / float64(len(r.Records))
 }
 
+// WorstRTTTP returns the lowest RT-TTP sampled in any group.
+func (r *Report) WorstRTTTP() float64 {
+	min := 1.0
+	for group := range r.Samples {
+		if m := r.MinRTTTP(group); m < min {
+			min = m
+		}
+	}
+	return min
+}
+
 // MinRTTTP returns the lowest sampled RT-TTP of the group.
 func (r *Report) MinRTTTP(group string) float64 {
 	min := 1.0
@@ -152,10 +173,64 @@ func (r *Report) MinRTTTP(group string) float64 {
 	return min
 }
 
-// Run replays the logs' query events in [From, To) against the deployment.
-// Tenants in the logs that are not deployed (e.g. excluded ones) are
-// skipped. The engine is run to completion of the window plus any in-flight
-// queries.
+// SubmitFunc routes one replayed arrival. It runs inside the engine event of
+// the arrival's logged time, on the goroutine driving that engine.
+type SubmitFunc func(a workload.Arrival) error
+
+// Route is the default SubmitFunc: the arrival goes to its tenant's group
+// router with its SLATarget — as logged, the before-consolidation latency —
+// as the SLA target. The tenant's group and ref are resolved per query,
+// because the online control loop may live-migrate a tenant mid-window.
+// Master interns every group, so a NoRef is a tenant its router does not
+// hold, and SubmitRef reports it.
+func Route(dep *master.Deployment) SubmitFunc {
+	plane := dep.Plane()
+	return func(a workload.Arrival) error {
+		g, ref, ok := plane.ForTenantRef(a.Tenant)
+		if !ok {
+			return fmt.Errorf("replay: tenant %s not deployed", a.Tenant)
+		}
+		_, err := g.Router.SubmitRef(ref, a.Class, a.SLATarget)
+		return err
+	}
+}
+
+// Attach streams the logs' query events in [from, to) into the engine, each
+// through submit (nil: Route) at its logged time, counting into tally. It is
+// the one arrival loop of the tree: Run attaches the replayed population
+// through it, and a caller with traffic on a window of its own (the drift
+// experiment's joiners and leavers) attaches that before calling Run.
+func Attach(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog, logs []*workload.TenantLog,
+	from, to sim.Time, submit SubmitFunc, tally *Counts) error {
+	arrivals, err := workload.NewStream(cat, logs, from, to)
+	if err != nil {
+		return fmt.Errorf("replay: %w", err)
+	}
+	if submit == nil {
+		submit = Route(dep)
+	}
+	arrivals.Drive(eng, func(a workload.Arrival) {
+		tally.Submitted++
+		if submit(a) != nil {
+			tally.SubmitErrors++
+		}
+	})
+	return nil
+}
+
+// Run replays the logs' query events in [From, To) against the deployment and
+// runs it to the end of the window plus the drain. Tenants in the logs that
+// are not deployed (e.g. excluded ones) are skipped.
+//
+// A shared deployment is driven on eng, one globally ordered event sequence,
+// byte-identical per seed. A sharded one ignores eng (it may be nil) and
+// drives every tenant-group's clock domain in its own goroutine: groups share
+// nothing at query time (§3–§5), so each group's records, samples and scaling
+// events are identical run to run (and, with scaling disabled, identical to a
+// shared run of the same seed), and the merged Records are deterministic too
+// — stable-sorted by submit time, deployment group order breaking ties. Only
+// cross-group telemetry ordering (event sequence numbers, trace timestamps
+// from the max-clock) is best-effort under parallelism.
 func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	logs []*workload.TenantLog, opts Options) (*Report, error) {
 	if opts.To <= opts.From {
@@ -164,39 +239,143 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	if opts.SampleEvery <= 0 {
 		opts.SampleEvery = 10 * time.Minute
 	}
-	if dep.Sharded() {
-		return nil, fmt.Errorf("replay: Run drives one shared engine; use RunParallel for a sharded deployment")
+	d := &driver{dep: dep, cat: cat, opts: opts}
+	if to := opts.TakeOver; to != nil {
+		var ok bool
+		if d.takeOver, ok = cat.ByID(to.ClassID); !ok {
+			return nil, fmt.Errorf("replay: unknown take-over class %s", to.ClassID)
+		}
+		if _, ok := dep.GroupFor(to.Tenant); !ok {
+			return nil, fmt.Errorf("replay: take-over tenant %s not deployed", to.Tenant)
+		}
 	}
+	d.fails = make([]FailureEvent, len(opts.Failures))
+	for fi, f := range opts.Failures {
+		d.fails[fi] = FailureEvent{Failure: f, Node: -1}
+		if _, ok := dep.Plane().GroupByID(f.Group); !ok {
+			d.fails[fi].Err = fmt.Sprintf("no group %q", f.Group)
+		}
+	}
+
+	var parts []*part
+	if dep.Sharded() {
+		groups := dep.Groups()
+		parts = make([]*part, len(groups))
+		errs := make([]error, len(groups))
+		var wg sync.WaitGroup
+		for i, g := range groups {
+			wg.Add(1)
+			go func(i int, g *master.DeployedGroup) {
+				defer wg.Done()
+				// Everything is scheduled under the domain, then the domain is
+				// advanced through the window; callbacks run while it is held.
+				dom := g.Domain()
+				dom.Do(func(eng *sim.Engine) { parts[i], errs[i] = d.schedule(eng, logs, g) })
+				if errs[i] == nil {
+					dom.Advance(opts.To, nil)
+					dom.Advance(opts.drainUntil(), nil)
+				}
+			}(i, g)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		if eng == nil {
+			return nil, fmt.Errorf("replay: a shared deployment needs its engine")
+		}
+		p, err := d.schedule(eng, logs, nil)
+		if err != nil {
+			return nil, err
+		}
+		// Driven directly, not through Domain.Advance: a single driver owns
+		// the engine, and the domain's per-event clock mirror would be paid
+		// on every replayed query.
+		eng.Run(opts.To)
+		eng.Run(opts.drainUntil())
+		parts = []*part{p}
+	}
+
+	rep := &Report{Samples: make(map[string][]Sample), FailureEvents: d.fails, Records: dep.Records()}
+	for _, p := range parts {
+		for id, samples := range p.samples {
+			rep.Samples[id] = samples
+		}
+		rep.Submitted += p.Submitted
+		rep.SubmitErrors += p.SubmitErrors
+		if p.scaler != nil {
+			rep.ScalingEvents = append(rep.ScalingEvents, p.scaler.Events()...)
+		}
+		for _, rc := range p.controllers {
+			rep.RecoveryEvents = append(rep.RecoveryEvents, rc.Events()...)
+		}
+	}
+	fillRepairs(rep.FailureEvents, rep.RecoveryEvents)
+	if dep.Sharded() {
+		// Per-group sequences are already deterministic; a stable sort by
+		// submit time (group order breaking ties) yields one canonical order.
+		sort.SliceStable(rep.Records, func(i, j int) bool {
+			return rep.Records[i].Submit < rep.Records[j].Submit
+		})
+	}
+	return rep, nil
+}
+
+// driver is what every engine's share of one replay has in common.
+type driver struct {
+	dep      *master.Deployment
+	cat      *queries.Catalog
+	opts     Options
+	takeOver *queries.Class
+	// fails has one slot per Options.Failures entry; a slot is written only
+	// by the part driving the failure's group.
+	fails []FailureEvent
+}
+
+// part is one engine's share of a replay, written only by the goroutine
+// driving that engine.
+type part struct {
+	Counts
+	samples     map[string][]Sample
+	scaler      *scaling.Scaler
+	controllers []*recovery.Controller
+}
+
+// schedule puts one engine's share of the replay on eng — arrivals, take-over,
+// failures, sampling, scaling — for the caller to run through the window and
+// the drain. With only nil, eng is the shared engine of every group of the
+// deployment (read live, so a group the online loop deploys mid-window is
+// sampled from then on); otherwise it is only's private engine and the caller
+// holds its domain, so callbacks use the group's raw subsystems and never
+// re-enter locked GroupRuntime methods.
+func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, only *master.DeployedGroup) (*part, error) {
+	dep, opts := d.dep, d.opts
 	if eng.Now() > opts.From {
 		return nil, fmt.Errorf("replay: engine already at %v, window starts %v", eng.Now(), opts.From)
 	}
-	rep := &Report{Samples: make(map[string][]Sample)}
+	groups := dep.Groups
+	if only != nil {
+		one := []*master.DeployedGroup{only}
+		groups = func() []*master.DeployedGroup { return one }
+	}
+	mine := func(tenantID string) bool {
+		g, ok := dep.GroupFor(tenantID)
+		return ok && (only == nil || g == only)
+	}
+	p := &part{samples: make(map[string][]Sample)}
 
-	// Logged submissions stream from an arrival source, with the logged
-	// before-consolidation latency as the SLA target. The tenant's group and
-	// ref are resolved per query: the online control loop may live-migrate a
-	// tenant mid-window. Master interns every group, so a NoRef is a tenant
-	// its router does not hold, and SubmitRef reports it.
 	var deployed []*workload.TenantLog
 	for _, tl := range logs {
-		if _, ok := dep.GroupFor(tl.Tenant.ID); ok {
+		if mine(tl.Tenant.ID) {
 			deployed = append(deployed, tl)
 		}
 	}
-	arrivals, err := workload.NewStream(cat, deployed, opts.From, opts.To)
-	if err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
+	if err := Attach(eng, dep, d.cat, deployed, opts.From, opts.To, opts.Submit, &p.Counts); err != nil {
+		return nil, err
 	}
-	plane := dep.Plane()
-	arrivals.Drive(eng, func(a workload.Arrival) {
-		rep.Submitted++
-		if g, ref, ok := plane.ForTenantRef(a.Tenant); ok {
-			if _, err := g.Router.SubmitRef(ref, a.Class, a.SLATarget); err == nil {
-				return
-			}
-		}
-		rep.SubmitErrors++
-	})
 
 	// Take-over injection. The interval is a floor, not an open-loop rate:
 	// a new query is only submitted once the previous one finishes — the
@@ -204,15 +383,8 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	// (§7.5). An open loop with an interval under the query latency would
 	// grow an unbounded queue, which no real client does, and the victim's
 	// self-inflicted slowdown would drown the group's numbers.
-	if to := opts.TakeOver; to != nil {
-		class, ok := cat.ByID(to.ClassID)
-		if !ok {
-			return nil, fmt.Errorf("replay: unknown take-over class %s", to.ClassID)
-		}
-		group, ok := dep.GroupFor(to.Tenant)
-		if !ok {
-			return nil, fmt.Errorf("replay: take-over tenant %s not deployed", to.Tenant)
-		}
+	if to := opts.TakeOver; to != nil && mine(to.Tenant) {
+		group, _ := dep.GroupFor(to.Tenant)
 		eng.Schedule(to.Start, func(sim.Time) {
 			if h := dep.Telemetry(); h != nil {
 				h.Events.Publish(telemetry.Event{
@@ -233,9 +405,9 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 			// (for a static deployment this is the same group every time).
 			g, ok := dep.GroupFor(to.Tenant)
 			if ok && g.Router.TenantInFlight(to.Tenant) == 0 {
-				rep.Submitted++
-				if _, err := dep.Submit(to.Tenant, class); err != nil {
-					rep.SubmitErrors++
+				p.Submitted++
+				if _, err := g.Router.Submit(to.Tenant, d.takeOver); err != nil {
+					p.SubmitErrors++
 				}
 			}
 			eng.After(to.Interval, hammer)
@@ -246,12 +418,11 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	// Failure injection (§4.4). The injector only breaks things: it degrades
 	// the instance and fails the backing pool node. Detection and repair run
 	// on the groups' recovery controllers — the same autonomous path the
-	// service uses — armed here only when there are failures to recover, so
-	// failure-free replays keep their pre-controller event schedule
-	// bit-identically.
-	var controllers []*recovery.Controller
-	if len(opts.Failures) > 0 {
-		for _, g := range dep.Groups() {
+	// service uses — armed here only when there are failures to recover (in
+	// any group, so the layouts arm the same controllers), so failure-free
+	// replays keep their pre-controller event schedule bit-identically.
+	if len(d.fails) > 0 {
+		for _, g := range groups() {
 			if g.Recovery == nil {
 				rc, err := recovery.New(eng, dep.Pool(), g.Plan.ID, g.Instances, recoveryConfig(opts))
 				if err != nil {
@@ -261,15 +432,14 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 				rc.Start()
 				g.Recovery = rc
 			}
-			controllers = append(controllers, g.Recovery)
+			p.controllers = append(p.controllers, g.Recovery)
 		}
 	}
-	for fi, f := range opts.Failures {
-		fi, f := fi, f
-		rep.FailureEvents = append(rep.FailureEvents, FailureEvent{Failure: f, Node: -1})
-		eng.Schedule(f.At, func(sim.Time) {
-			injectFailure(dep, &rep.FailureEvents[fi])
-		})
+	for fi := range d.fails {
+		ev := &d.fails[fi]
+		if g, ok := dep.Plane().GroupByID(ev.Group); ok && (only == nil || g == only) {
+			eng.Schedule(ev.At, func(sim.Time) { injectFailure(dep, g, ev) })
+		}
 	}
 
 	// Statistics sampling. Each sample also lands on the telemetry RT-TTP
@@ -278,9 +448,9 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	gauges := make(map[*master.DeployedGroup]*telemetry.Gauge)
 	var sample func(now sim.Time)
 	sample = func(now sim.Time) {
-		for _, g := range dep.Groups() {
+		for _, g := range groups() {
 			rt := g.Monitor.RTTTP()
-			rep.Samples[g.Plan.ID] = append(rep.Samples[g.Plan.ID], Sample{
+			p.samples[g.Plan.ID] = append(p.samples[g.Plan.ID], Sample{
 				At:     now,
 				RTTTP:  rt,
 				Active: g.Monitor.ActiveTenants(),
@@ -298,35 +468,23 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	}
 	eng.Schedule(opts.From, sample)
 
-	// Elastic scaling.
-	var scaler *scaling.Scaler
+	// Elastic scaling: one scaler per engine, all drawing from the one
+	// (mutex-protected) node pool. Scale-up MPPDB IDs stay deterministic: a
+	// scaler numbers the instances it adds under their group's name, and a
+	// private engine's scaler watches that one group.
 	if opts.EnableScaling {
 		var err error
-		scaler, err = scaling.New(eng, dep.Pool(), opts.ScalerConfig)
+		p.scaler, err = scaling.New(eng, dep.Pool(), opts.ScalerConfig)
 		if err != nil {
 			return nil, err
 		}
-		scaler.SetTelemetry(dep.Telemetry())
-		for _, t := range dep.ScalerTargets() {
-			scaler.Watch(t)
+		p.scaler.SetTelemetry(dep.Telemetry())
+		for _, g := range groups() {
+			p.scaler.Watch(&scaling.Target{Router: g.Router, Monitor: g.Monitor, Members: g.Members})
 		}
-		scaler.Start()
+		p.scaler.Start()
 	}
-
-	eng.Run(opts.To)
-	// Let in-flight queries finish; the scaler's periodic tick (and the
-	// recovery heartbeat) would run forever, so bound the drain.
-	eng.Run(opts.drainUntil())
-
-	rep.Records = dep.Records()
-	if scaler != nil {
-		rep.ScalingEvents = scaler.Events()
-	}
-	for _, rc := range controllers {
-		rep.RecoveryEvents = append(rep.RecoveryEvents, rc.Events()...)
-	}
-	fillRepairs(rep.FailureEvents, rep.RecoveryEvents)
-	return rep, nil
+	return p, nil
 }
 
 // recoveryConfig resolves the controllers' config for a run with failures.
@@ -337,27 +495,11 @@ func recoveryConfig(opts Options) recovery.Config {
 	return recovery.DefaultConfig()
 }
 
-// injectFailure applies one scripted failure against the deployment: the
-// instance loses a node and the pool's backing node (if any is active for
-// that instance) is marked Failed, so the controller's swap has a node to
-// cart away. The caller must own the deployment's engine.
-func injectFailure(dep *master.Deployment, ev *FailureEvent) {
-	var g *master.DeployedGroup
-	for _, cand := range dep.Groups() {
-		if cand.Plan.ID == ev.Group {
-			g = cand
-		}
-	}
-	if g == nil {
-		ev.Err = fmt.Sprintf("no group %q", ev.Group)
-		return
-	}
-	injectFailureOn(dep, g, ev)
-}
-
-// injectFailureOn is injectFailure with the group already resolved; the
-// parallel path calls it from the group's own clock domain.
-func injectFailureOn(dep *master.Deployment, g *master.DeployedGroup, ev *FailureEvent) {
+// injectFailure applies one scripted failure to its group: the instance loses
+// a node and the pool's backing node (if any is active for that instance) is
+// marked Failed, so the controller's swap has a node to cart away. The caller
+// must own the group's engine.
+func injectFailure(dep *master.Deployment, g *master.DeployedGroup, ev *FailureEvent) {
 	if ev.Instance < 0 || ev.Instance >= len(g.Instances) {
 		ev.Err = fmt.Sprintf("group %s has no instance %d", ev.Group, ev.Instance)
 		return
@@ -408,259 +550,4 @@ func fillRepairs(fails []FailureEvent, recs []recovery.Event) {
 			fails[i].RepairedAt = byDB[db][k].Completed
 		}
 	}
-}
-
-// groupReport accumulates one group's share of a parallel replay. All fields
-// are written only by the goroutine driving that group's clock domain.
-type groupReport struct {
-	samples      []Sample
-	records      []monitor.QueryRecord
-	scaling      []scaling.Event
-	recovery     []recovery.Event
-	submitted    int
-	submitErrors int
-	err          error
-}
-
-// RunParallel replays the logs against a sharded deployment, driving every
-// tenant-group's clock domain in its own goroutine. Tenant-groups share
-// nothing at query time (§3–§5), so each group's replay is independently
-// deterministic: per-group record sequences, samples, and scaling events are
-// identical run to run (and, with scaling disabled, identical to a shared
-// domain Run of the same seed). The merged Records are deterministic too —
-// stable-sorted by submit time, with deployment group order breaking ties.
-// Only cross-group telemetry ordering (event sequence numbers, trace
-// timestamps from the max-clock) is best-effort under parallelism.
-func RunParallel(dep *master.Deployment, cat *queries.Catalog,
-	logs []*workload.TenantLog, opts Options) (*Report, error) {
-	if opts.To <= opts.From {
-		return nil, fmt.Errorf("replay: window [%v,%v)", opts.From, opts.To)
-	}
-	if opts.SampleEvery <= 0 {
-		opts.SampleEvery = 10 * time.Minute
-	}
-	if !dep.Sharded() {
-		return nil, fmt.Errorf("replay: RunParallel needs a sharded deployment; use Run")
-	}
-	groups := dep.Groups()
-
-	// Partition the inputs by group up front, so each goroutine touches only
-	// its own slice.
-	index := make(map[*master.DeployedGroup]int, len(groups))
-	for i, g := range groups {
-		index[g] = i
-	}
-	logsBy := make([][]*workload.TenantLog, len(groups))
-	for _, tl := range logs {
-		if g, ok := dep.GroupFor(tl.Tenant.ID); ok {
-			logsBy[index[g]] = append(logsBy[index[g]], tl)
-		}
-	}
-	takeOverBy := -1
-	var takeOverClass *queries.Class
-	if to := opts.TakeOver; to != nil {
-		cl, ok := cat.ByID(to.ClassID)
-		if !ok {
-			return nil, fmt.Errorf("replay: unknown take-over class %s", to.ClassID)
-		}
-		g, ok := dep.GroupFor(to.Tenant)
-		if !ok {
-			return nil, fmt.Errorf("replay: take-over tenant %s not deployed", to.Tenant)
-		}
-		takeOverBy = index[g]
-		takeOverClass = cl
-	}
-	failEvents := make([]FailureEvent, len(opts.Failures))
-	failuresBy := make([][]int, len(groups))
-	for fi, f := range opts.Failures {
-		failEvents[fi] = FailureEvent{Failure: f, Node: -1}
-		found := false
-		for i, g := range groups {
-			if g.Plan.ID == f.Group {
-				failuresBy[i] = append(failuresBy[i], fi)
-				found = true
-				break
-			}
-		}
-		if !found {
-			failEvents[fi].Err = fmt.Sprintf("no group %q", f.Group)
-		}
-	}
-
-	reports := make([]groupReport, len(groups))
-	var wg sync.WaitGroup
-	for i := range groups {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			reports[i] = replayGroup(dep, groups[i], cat, logsBy[i],
-				takeOverBy == i, takeOverClass, failuresBy[i], failEvents, opts)
-		}(i)
-	}
-	wg.Wait()
-
-	rep := &Report{Samples: make(map[string][]Sample), FailureEvents: failEvents}
-	for i, g := range groups {
-		r := &reports[i]
-		if r.err != nil {
-			return nil, r.err
-		}
-		rep.Samples[g.Plan.ID] = r.samples
-		rep.Records = append(rep.Records, r.records...)
-		rep.ScalingEvents = append(rep.ScalingEvents, r.scaling...)
-		rep.RecoveryEvents = append(rep.RecoveryEvents, r.recovery...)
-		rep.Submitted += r.submitted
-		rep.SubmitErrors += r.submitErrors
-	}
-	fillRepairs(rep.FailureEvents, rep.RecoveryEvents)
-	// Deterministic merge: per-group sequences are already deterministic;
-	// a stable sort by submit time (concatenation group order breaking
-	// ties) yields one canonical global order.
-	sort.SliceStable(rep.Records, func(i, j int) bool {
-		return rep.Records[i].Submit < rep.Records[j].Submit
-	})
-	return rep, nil
-}
-
-// replayGroup runs one group's slice of the replay on its own clock domain.
-// Everything is scheduled first under the domain (Do), then the domain is
-// advanced through the window; callbacks run while the domain is held, so
-// they use the group's raw subsystems directly and never re-enter locked
-// GroupRuntime methods.
-func replayGroup(dep *master.Deployment, g *master.DeployedGroup, cat *queries.Catalog,
-	logs []*workload.TenantLog, takeOver bool, takeOverClass *queries.Class,
-	failures []int, failEvents []FailureEvent, opts Options) groupReport {
-	var res groupReport
-	dom := g.Domain()
-	var scaler *scaling.Scaler
-	dom.Do(func(eng *sim.Engine) {
-		if eng.Now() > opts.From {
-			res.err = fmt.Errorf("replay: group %s already at %v, window starts %v",
-				g.Plan.ID, eng.Now(), opts.From)
-			return
-		}
-		// Logged submissions stream from an arrival source; a group's
-		// membership is fixed here, so each log's ref resolves once.
-		refs := make([]tenant.Ref, len(logs))
-		for i, tl := range logs {
-			refs[i] = g.Router.Ref(tl.Tenant.ID)
-		}
-		arrivals, err := workload.NewStream(cat, logs, opts.From, opts.To)
-		if err != nil {
-			res.err = fmt.Errorf("replay: %w", err)
-			return
-		}
-		arrivals.Drive(eng, func(a workload.Arrival) {
-			res.submitted++
-			if _, err := g.Router.SubmitRef(refs[a.Log], a.Class, a.SLATarget); err != nil {
-				res.submitErrors++
-			}
-		})
-
-		// Take-over injection (§7.5), closed loop as in Run.
-		if takeOver {
-			to := opts.TakeOver
-			eng.Schedule(to.Start, func(sim.Time) {
-				if h := dep.Telemetry(); h != nil {
-					h.Events.Publish(telemetry.Event{
-						Type:   telemetry.EventTakeOver,
-						Group:  g.Plan.ID,
-						Tenant: to.Tenant,
-						Detail: fmt.Sprintf("continuous %s every %v", to.ClassID, to.Interval),
-					})
-				}
-			})
-			var hammer func(now sim.Time)
-			hammer = func(now sim.Time) {
-				if now >= opts.To {
-					return
-				}
-				if g.Router.TenantInFlight(to.Tenant) == 0 {
-					res.submitted++
-					if _, err := g.Router.SubmitWithTarget(to.Tenant, takeOverClass, 0); err != nil {
-						res.submitErrors++
-					}
-				}
-				eng.After(to.Interval, hammer)
-			}
-			eng.Schedule(to.Start, hammer)
-		}
-
-		// Failure injection for this group's instances (§4.4): the injector
-		// breaks, the group's recovery controller detects and repairs. The
-		// controller is armed whenever the run injects failures anywhere —
-		// matching Run's shared-mode behaviour group for group.
-		if len(opts.Failures) > 0 && g.Recovery == nil {
-			rc, err := recovery.New(eng, dep.Pool(), g.Plan.ID, g.Instances, recoveryConfig(opts))
-			if err != nil {
-				res.err = err
-				return
-			}
-			rc.SetTelemetry(dep.Telemetry())
-			rc.Start()
-			g.Recovery = rc
-		}
-		for _, fi := range failures {
-			fi := fi
-			eng.Schedule(failEvents[fi].At, func(sim.Time) {
-				injectFailureOn(dep, g, &failEvents[fi])
-			})
-		}
-
-		// Statistics sampling for this group.
-		var gauge *telemetry.Gauge
-		var sample func(now sim.Time)
-		sample = func(now sim.Time) {
-			rt := g.Monitor.RTTTP()
-			res.samples = append(res.samples, Sample{
-				At:     now,
-				RTTTP:  rt,
-				Active: g.Monitor.ActiveTenants(),
-			})
-			if h := dep.Telemetry(); h != nil {
-				if gauge == nil {
-					gauge = h.Registry.Gauge("thrifty_group_rt_ttp", "group", g.Plan.ID)
-				}
-				gauge.Set(rt)
-			}
-			if now < opts.To {
-				eng.After(opts.SampleEvery, sample)
-			}
-		}
-		eng.Schedule(opts.From, sample)
-
-		// Elastic scaling: one scaler per group, all drawing from the shared
-		// (mutex-protected) node pool. Scale-up MPPDB IDs stay deterministic:
-		// each scaler numbers its own group's instances.
-		if opts.EnableScaling {
-			var err error
-			scaler, err = scaling.New(eng, dep.Pool(), opts.ScalerConfig)
-			if err != nil {
-				res.err = err
-				return
-			}
-			scaler.SetTelemetry(dep.Telemetry())
-			scaler.Watch(&scaling.Target{Router: g.Router, Monitor: g.Monitor, Members: g.Members})
-			scaler.Start()
-		}
-	})
-	if res.err != nil {
-		return res
-	}
-
-	dom.Advance(opts.To, nil)
-	// Let in-flight queries finish; the scaler's periodic tick (and the
-	// recovery heartbeat) would run forever, so bound the drain.
-	dom.Advance(opts.drainUntil(), nil)
-
-	dom.Do(func(*sim.Engine) {
-		res.records = g.Monitor.AppendRecords(res.records)
-		if scaler != nil {
-			res.scaling = scaler.Events()
-		}
-		if g.Recovery != nil {
-			res.recovery = g.Recovery.Events()
-		}
-	})
-	return res
 }

@@ -295,7 +295,7 @@ func TestReplayParallelBasics(t *testing.T) {
 	if !w.dep.Sharded() {
 		t.Fatal("deployment not sharded")
 	}
-	rep, err := RunParallel(w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day})
+	rep, err := Run(nil, w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestReplayParallelMatchesShared(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	repPar, err := RunParallel(sharded.dep, sharded.cat, sharded.logs, opts)
+	repPar, err := Run(nil, sharded.dep, sharded.cat, sharded.logs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestReplayParallelMatchesShared(t *testing.T) {
 func TestReplayParallelDeterministic(t *testing.T) {
 	run := func() (*Report, *master.Deployment) {
 		w := newWorldMode(t, 8, 2, 2, true)
-		rep, err := RunParallel(w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day})
+		rep, err := Run(nil, w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,23 +389,28 @@ func TestReplayParallelDeterministic(t *testing.T) {
 	_ = dep2
 }
 
-// TestReplayModeValidation: each driver rejects the other's deployment mode.
+// TestReplayModeValidation: Run dispatches on the deployment's layout — a
+// sharded one needs no engine (and ignores one it is given), a shared one
+// cannot run without its own — and validates the same way on both.
 func TestReplayModeValidation(t *testing.T) {
 	sharded := newWorldMode(t, 4, 1, 2, true)
 	if _, err := Run(sharded.eng, sharded.dep, sharded.cat, sharded.logs,
-		Options{From: 0, To: sim.Day}); err == nil {
-		t.Error("Run accepted a sharded deployment")
+		Options{From: 0, To: sim.Day}); err != nil {
+		t.Errorf("sharded deployment with a spare engine: %v", err)
+	}
+	if sharded.eng.Steps() != 0 {
+		t.Error("a sharded replay stepped the engine it was handed")
 	}
 	shared := newWorldMode(t, 4, 1, 2, false)
-	if _, err := RunParallel(shared.dep, shared.cat, shared.logs,
+	if _, err := Run(nil, shared.dep, shared.cat, shared.logs,
 		Options{From: 0, To: sim.Day}); err == nil {
-		t.Error("RunParallel accepted a shared deployment")
+		t.Error("shared deployment accepted without an engine")
 	}
-	// Parallel pre-validation mirrors the shared driver's.
-	if _, err := RunParallel(sharded.dep, sharded.cat, sharded.logs, Options{From: sim.Day, To: 0}); err == nil {
+	sharded = newWorldMode(t, 4, 1, 2, true)
+	if _, err := Run(nil, sharded.dep, sharded.cat, sharded.logs, Options{From: sim.Day, To: 0}); err == nil {
 		t.Error("inverted window accepted")
 	}
-	if _, err := RunParallel(sharded.dep, sharded.cat, sharded.logs, Options{From: 0, To: sim.Day,
+	if _, err := Run(nil, sharded.dep, sharded.cat, sharded.logs, Options{From: 0, To: sim.Day,
 		TakeOver: &TakeOver{Tenant: "ghost", ClassID: "TPCH-Q1", Interval: time.Minute}}); err == nil {
 		t.Error("take-over of undeployed tenant accepted")
 	}
@@ -417,7 +422,7 @@ func TestReplayModeValidation(t *testing.T) {
 func TestReplayParallelFailureInjection(t *testing.T) {
 	w := newWorldMode(t, 6, 2, 2, true)
 	g := w.dep.Groups()[0]
-	rep, err := RunParallel(w.dep, w.cat, w.logs, Options{
+	rep, err := Run(nil, w.dep, w.cat, w.logs, Options{
 		From: 0,
 		To:   sim.Day,
 		Failures: []Failure{

@@ -22,7 +22,7 @@ func TestCompletionPathAllocations(t *testing.T) {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	members := []string{"a", "b", "c"}
-	g := hedgeRig(t, 2, 4, tn("a", 2), tn("b", 2), tn("c", 2))
+	g := newRig(t, 2, 4, tn("a", 2), tn("b", 2), tn("c", 2))
 	hub := telemetry.NewHub(g.eng, 0.99)
 	for _, db := range g.dbs {
 		db.SetTelemetry(hub)

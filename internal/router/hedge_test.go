@@ -2,51 +2,17 @@ package router
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/monitor"
-	"repro/internal/mppdb"
-	"repro/internal/queries"
 	"repro/internal/sim"
-	"repro/internal/tenant"
 )
-
-// hedgeRig builds a ref-mode group: every instance shares one interner, so
-// the router takes the pooled-tag path where gray flags, quarantine, and
-// hedged duplication live.
-func hedgeRig(t *testing.T, a, nodes int, members ...*tenant.Tenant) *rig {
-	t.Helper()
-	eng := sim.NewEngine()
-	in := tenant.NewInterner()
-	var dbs []*mppdb.Instance
-	for i := 0; i < a; i++ {
-		db := mppdb.NewInterned(eng, "db"+string(rune('0'+i)), nodes, in)
-		for _, m := range members {
-			db.DeployTenant(m.ID, m.DataGB)
-		}
-		dbs = append(dbs, db)
-	}
-	mon, err := monitor.NewGroup(eng, "tg", a, 24*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := NewGroup(eng, "tg", dbs, members, mon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.refMode {
-		t.Fatal("shared-interner rig not in ref mode")
-	}
-	return &rig{eng: eng, dbs: dbs, mon: mon, r: r,
-		cl: &queries.Class{ID: "q", FixedSec: 1, ScanSecGB: 0.1}}
-}
 
 // TestHedgePeerWinsSingleCount: every submit routed to a confirmed-gray
 // instance is duplicated onto a healthy peer; the fast peer wins every race,
 // the gray copy is cancelled, and exactly one record per logical query
 // reaches the observers — hedging never double-counts.
 func TestHedgePeerWinsSingleCount(t *testing.T) {
-	r := hedgeRig(t, 3, 2, tn("a", 2))
+	r := newRig(t, 3, 2, tn("a", 2))
 	var recs []monitor.QueryRecord
 	r.r.OnResult(func(rec monitor.QueryRecord) { recs = append(recs, rec) })
 	if err := r.dbs[0].SetSlowdown(0.25); err != nil {
@@ -90,7 +56,7 @@ func TestHedgePeerWinsSingleCount(t *testing.T) {
 // (the flag outlived the fault), the hedge is withdrawn instead — still one
 // record, attributed to the gray winner, with zero peer wins.
 func TestHedgeGrayWinSingleCount(t *testing.T) {
-	r := hedgeRig(t, 3, 2, tn("a", 2))
+	r := newRig(t, 3, 2, tn("a", 2))
 	var recs []monitor.QueryRecord
 	r.r.OnResult(func(rec monitor.QueryRecord) { recs = append(recs, rec) })
 	// db0 is flagged gray but actually healthy; the peers are the slow ones.
@@ -133,7 +99,7 @@ func TestHedgeGrayWinSingleCount(t *testing.T) {
 // TestHedgeInFlight duplicates queries already stuck on an instance at the
 // moment it is confirmed gray, exactly once each.
 func TestHedgeInFlight(t *testing.T) {
-	r := hedgeRig(t, 2, 2, tn("a", 2))
+	r := newRig(t, 2, 2, tn("a", 2))
 	var recs []monitor.QueryRecord
 	r.r.OnResult(func(rec monitor.QueryRecord) { recs = append(recs, rec) })
 	if err := r.dbs[0].SetSlowdown(0.1); err != nil {
@@ -168,7 +134,7 @@ func TestHedgeInFlight(t *testing.T) {
 // TestHedgeWithoutPeerDegradesGracefully: a gray instance with no eligible
 // duplicate target just runs the query itself — no hedge, no drop.
 func TestHedgeWithoutPeerDegradesGracefully(t *testing.T) {
-	r := hedgeRig(t, 1, 2, tn("a", 2))
+	r := newRig(t, 1, 2, tn("a", 2))
 	var recs []monitor.QueryRecord
 	r.r.OnResult(func(rec monitor.QueryRecord) { recs = append(recs, rec) })
 	r.r.SetGrayFlag("db0", true)
@@ -188,7 +154,7 @@ func TestHedgeWithoutPeerDegradesGracefully(t *testing.T) {
 // it is the only ready choice left — a query is never dropped for the sake
 // of a quarantine.
 func TestQuarantineRouting(t *testing.T) {
-	r := hedgeRig(t, 2, 2, tn("a", 2), tn("b", 2))
+	r := newRig(t, 2, 2, tn("a", 2), tn("b", 2))
 	r.r.SetQuarantine("db0", true)
 	db, err := r.r.Submit("a", r.cl)
 	if err != nil {

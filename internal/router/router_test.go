@@ -11,7 +11,8 @@ import (
 	"repro/internal/tenant"
 )
 
-// rig builds a group of A MPPDBs with the given tenants deployed everywhere.
+// rig builds a group of A MPPDBs on one shared interner (how the Deployment
+// Master wires groups) with the given tenants deployed everywhere.
 type rig struct {
 	eng *sim.Engine
 	dbs []*mppdb.Instance
@@ -23,9 +24,10 @@ type rig struct {
 func newRig(t *testing.T, a, nodes int, members ...*tenant.Tenant) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
+	in := tenant.NewInterner()
 	var dbs []*mppdb.Instance
 	for i := 0; i < a; i++ {
-		db := mppdb.New(eng, "db"+string(rune('0'+i)), nodes)
+		db := mppdb.NewInterned(eng, "db"+string(rune('0'+i)), nodes, in)
 		for _, m := range members {
 			db.DeployTenant(m.ID, m.DataGB)
 		}
@@ -128,6 +130,13 @@ func TestNewGroupValidatesDeployment(t *testing.T) {
 	if _, err := NewGroup(eng, "g", nil, nil, nil); err == nil {
 		t.Error("no MPPDBs accepted")
 	}
+	// Instances on private interners: a ref means a different tenant on each.
+	a, b := mppdb.New(eng, "a0", 2), mppdb.New(eng, "a1", 2)
+	a.DeployTenant("a", 200)
+	b.DeployTenant("a", 200)
+	if _, err := NewGroup(eng, "g", []*mppdb.Instance{a, b}, []*tenant.Tenant{tn("a", 2)}, nil); err == nil {
+		t.Error("instances with private interners accepted")
+	}
 }
 
 func TestRouterSkipsNonReadyInstances(t *testing.T) {
@@ -149,8 +158,11 @@ func TestRouterSkipsNonReadyInstances(t *testing.T) {
 
 func TestOverride(t *testing.T) {
 	r := newRig(t, 2, 2, tn("hog", 2), tn("b", 2))
-	// Dedicated MPPDB for the over-active tenant.
+	// Dedicated MPPDB for the over-active tenant, on a private interner as
+	// the elastic scaler builds it: the tenant's ref there is not its group
+	// ref (b is interned first).
 	ded := mppdb.New(r.eng, "dedicated", 2)
+	ded.DeployTenant("b", 200)
 	ded.DeployTenant("hog", 200)
 
 	if err := r.r.SetOverride("ghost", ded); err == nil {
@@ -180,9 +192,23 @@ func TestOverride(t *testing.T) {
 	if got != "dedicated" {
 		t.Errorf("overridden tenant routed to %s", got)
 	}
+	if n := r.r.TenantInFlight("hog"); n != 1 {
+		t.Errorf("%d of the overridden tenant's queries in flight, want 1", n)
+	}
 	// The monitor no longer counts the excluded tenant.
 	if r.mon.ActiveTenants() != 0 {
 		t.Errorf("excluded tenant counted: %d", r.mon.ActiveTenants())
+	}
+	// The query completes on the dedicated instance and reports through the
+	// router.
+	var done []monitor.QueryRecord
+	r.r.OnResult(func(rec monitor.QueryRecord) { done = append(done, rec) })
+	r.eng.RunAll()
+	if len(done) != 1 || done[0].Tenant != "hog" || done[0].MPPDB != "dedicated" {
+		t.Errorf("override completion not reported: %+v", done)
+	}
+	if r.r.TenantInFlight("hog") != 0 {
+		t.Error("overridden tenant still in flight after completion")
 	}
 	// Other tenants unaffected.
 	if db, _ := r.r.Submit("b", r.cl); db == "dedicated" {

@@ -28,9 +28,10 @@ func newGroup(t *testing.T, eng *sim.Engine, id string, tenantIDs ...string) *Gr
 			ID: tid, Nodes: 2, DataGB: 10, Suite: queries.TPCH, Users: 1,
 		})
 	}
+	in := tenant.NewInterner()
 	var insts []*mppdb.Instance
 	for i := 0; i < 2; i++ {
-		inst := mppdb.New(eng, fmt.Sprintf("%s-db%d", id, i), 2)
+		inst := mppdb.NewInterned(eng, fmt.Sprintf("%s-db%d", id, i), 2, in)
 		for _, m := range members {
 			inst.DeployTenant(m.ID, m.DataGB)
 		}

@@ -33,9 +33,10 @@ func newScenario(t *testing.T, cfg Config, poolNodes int) *scenario {
 		{ID: "hog", Nodes: 2, DataGB: 200, Users: 1},
 		{ID: "good", Nodes: 2, DataGB: 200, Users: 1},
 	}
+	in := tenant.NewInterner()
 	var dbs []*mppdb.Instance
 	for i := 0; i < cfg.R+0; i++ { // A = R MPPDBs
-		db := mppdb.New(eng, "g0-db"+string(rune('0'+i)), 2)
+		db := mppdb.NewInterned(eng, "g0-db"+string(rune('0'+i)), 2, in)
 		for _, m := range members {
 			db.DeployTenant(m.ID, m.DataGB)
 		}

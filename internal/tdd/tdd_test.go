@@ -1,15 +1,27 @@
 package tdd
 
-import "testing"
+import (
+	"testing"
 
-// fakeDB implements MPPDBState for routing tests.
+	"repro/internal/tenant"
+)
+
+// names interns the routing tests' tenant names, as a group's interner does.
+var names = tenant.NewInterner()
+
+// fakeDB implements MPPDBStateRef for routing tests.
 type fakeDB struct {
 	busy    bool
 	running map[string]int
 }
 
-func (f *fakeDB) Busy() bool                      { return f.busy || len(f.running) > 0 }
-func (f *fakeDB) TenantRunning(tenant string) int { return f.running[tenant] }
+func (f *fakeDB) Busy() bool                    { return f.busy || len(f.running) > 0 }
+func (f *fakeDB) RefRunning(ref tenant.Ref) int { return f.running[names.ID(ref)] }
+
+// routeByName is RouteRef for a tenant given by name.
+func routeByName(tenantID string, dbs []MPPDBStateRef) (int, error) {
+	return RouteRef(names.Intern(tenantID), dbs)
+}
 
 func free() *fakeDB             { return &fakeDB{} }
 func busyWith(t string) *fakeDB { return &fakeDB{running: map[string]int{t: 1}} }
@@ -74,9 +86,9 @@ func TestPlacement(t *testing.T) {
 // 4.2 decision by decision.
 func TestRouteFollowsPaperWalkthrough(t *testing.T) {
 	db0, db1, db2 := free(), free(), free()
-	dbs := []MPPDBState{db0, db1, db2}
+	dbs := []MPPDBStateRef{db0, db1, db2}
 	route := func(tenant string) int {
-		i, err := Route(tenant, dbs)
+		i, err := routeByName(tenant, dbs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,8 +151,8 @@ func TestRouteFollowsPaperWalkthrough(t *testing.T) {
 func TestRouteOverloadGoesToTuningMPPDB(t *testing.T) {
 	// All MPPDBs busy with other tenants → line 10: concurrent processing
 	// on G₀.
-	dbs := []MPPDBState{busyWith("a"), busyWith("b"), busyWith("c")}
-	got, err := Route("d", dbs)
+	dbs := []MPPDBStateRef{busyWith("a"), busyWith("b"), busyWith("c")}
+	got, err := routeByName("d", dbs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +164,8 @@ func TestRouteOverloadGoesToTuningMPPDB(t *testing.T) {
 func TestRouteAffinityBeatsFreeDB(t *testing.T) {
 	// Tenant has a query on MPPDB2; MPPDB0 is free. Affinity wins: the
 	// tenant's concurrent queries must share one MPPDB.
-	dbs := []MPPDBState{free(), free(), busyWith("t")}
-	got, err := Route("t", dbs)
+	dbs := []MPPDBStateRef{free(), free(), busyWith("t")}
+	got, err := routeByName("t", dbs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +175,7 @@ func TestRouteAffinityBeatsFreeDB(t *testing.T) {
 }
 
 func TestRouteErrors(t *testing.T) {
-	if _, err := Route("t", nil); err == nil {
+	if _, err := routeByName("t", nil); err == nil {
 		t.Error("routing with no MPPDBs accepted")
 	}
 }
@@ -171,8 +183,8 @@ func TestRouteErrors(t *testing.T) {
 func TestRouteBusyFlagWithoutRunningMap(t *testing.T) {
 	// A loading/hibernating DB can present Busy()==true with no running
 	// queries; the router must skip it.
-	dbs := []MPPDBState{&fakeDB{busy: true}, free()}
-	got, err := Route("t", dbs)
+	dbs := []MPPDBStateRef{&fakeDB{busy: true}, free()}
+	got, err := routeByName("t", dbs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -376,9 +376,6 @@ func DefaultScalerConfig(p float64, r int) ScalerConfig { return scaling.Default
 // seed); a sharded one replays every tenant-group in parallel on its own
 // clock domain with a deterministic merge of the resulting records.
 func (s *System) Replay(opts ReplayOptions) (*ReplayReport, error) {
-	if s.Deployment.Sharded() {
-		return replay.RunParallel(s.Deployment, s.Workload.Catalog, s.Workload.Logs, opts)
-	}
 	return replay.Run(s.Engine, s.Deployment, s.Workload.Catalog, s.Workload.Logs, opts)
 }
 

@@ -4,8 +4,10 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/workload"
 )
 
@@ -72,6 +74,80 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 	if att := rep.SLAAttainment(); att < 0.95 {
 		t.Errorf("SLA attainment %v", att)
+	}
+}
+
+// TestShardedReplayTakeOverAndFailures: System.Replay hands either layout to
+// the one replay driver. On a sharded deployment a take-over and a node
+// failure in different groups each land in their own group's clock domain,
+// the failure is repaired autonomously, an unknown group surfaces as an event
+// error, and the merged records come out in submit order.
+func TestShardedReplayTakeOverAndFailures(t *testing.T) {
+	w := smallWorkload(t)
+	cfg := DefaultPlanConfig()
+	cfg.R = 2
+	plan, err := PlanDeployment(w, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Groups) < 2 {
+		t.Fatalf("%d groups planned, need 2", len(plan.Groups))
+	}
+	sys, err := Deploy(w, plan, DeployOptions{Immediate: true, SpareNodes: 16, Sharded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := plan.Groups[0].TenantIDs[0]
+	quiet, err := sys.Replay(ReplayOptions{From: 0, To: 6 * sim.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err = Deploy(w, plan, DeployOptions{Immediate: true, SpareNodes: 16, Sharded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sys.Replay(ReplayOptions{
+		From:     0,
+		To:       6 * sim.Hour,
+		TakeOver: &TakeOver{Tenant: victim, Start: sim.Hour, Interval: 3 * time.Second, ClassID: "TPCH-Q1"},
+		Failures: []Failure{
+			{At: 2 * sim.Hour, Group: plan.Groups[1].ID, Instance: 0},
+			{At: 2 * sim.Hour, Group: "TG-NOPE", Instance: 0},
+		},
+		DrainSlack: 3 * 24 * time.Hour,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Submitted <= quiet.Submitted {
+		t.Errorf("take-over submitted nothing: %d queries with it, %d without", rep.Submitted, quiet.Submitted)
+	}
+	if rep.SubmitErrors != 0 || len(rep.Records) != rep.Submitted {
+		t.Errorf("%d submitted, %d errors, %d completed", rep.Submitted, rep.SubmitErrors, len(rep.Records))
+	}
+	for i := 1; i < len(rep.Records); i++ {
+		if rep.Records[i].Submit < rep.Records[i-1].Submit {
+			t.Fatalf("records not merged by submit time at %d", i)
+		}
+	}
+	takeOvers := 0
+	for _, ev := range sys.Telemetry().Events.Recent(0) {
+		if ev.Type == telemetry.EventTakeOver {
+			takeOvers++
+		}
+	}
+	if takeOvers != 1 {
+		t.Errorf("%d take-over events, want 1", takeOvers)
+	}
+	ok, bad := rep.FailureEvents[0], rep.FailureEvents[1]
+	if ok.Err != "" || ok.RepairedAt <= ok.At {
+		t.Errorf("failure not injected and repaired: %+v", ok)
+	}
+	if bad.Err == "" {
+		t.Error("unknown group did not surface an error")
+	}
+	if len(rep.RecoveryEvents) != 1 {
+		t.Errorf("%d recovery lifecycles, want 1", len(rep.RecoveryEvents))
 	}
 }
 
