@@ -1,11 +1,12 @@
 GO ?= go
 
-.PHONY: check vet build test race loc chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke online-smoke service-smoke shared-smoke fuzz-smoke bench bench-grouping bench-online bench-service bench-shareddb bench-compare
+.PHONY: check vet build test race loc chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke bench-smoke online-smoke service-smoke shared-smoke fuzz-smoke bench-compare
 
-# The full pre-commit gate: static checks, build, the bounded chaos,
-# overload, gray-failure, domain, grouping, online, service, shared-work and
-# fuzz smokes, and the race-enabled suite.
-check: vet build chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke online-smoke service-smoke shared-smoke fuzz-smoke race
+# The full pre-commit gate: static checks, build, the race-enabled suite
+# (which holds every test the *-smoke targets below pick out for local
+# iteration, so check does not run those twice), the fuzz smoke and one
+# iteration of the planner benchmarks.
+check: vet build race fuzz-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -19,12 +20,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Non-test Go lines per package and in total — the size figure ROADMAP.md,
-# CHANGES.md and the issues quote. CI prints it after `make check`.
+# Non-test Go lines per package and in total, and the number of thriftyd
+# flags — the size and option-surface figures ROADMAP.md, CHANGES.md and the
+# issues quote. CI prints them after `make check`.
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk '$$2 == "total" { next } { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+	@printf '%7d thriftyd flags\n' $$($(GO) run ./cmd/thriftyd -h 2>&1 | grep -c '^  -')
 
 # The four fault smokes below drive four harnesses that share one loop: each
 # schedules its own perturbation on the engine and calls replay.Run, so a
@@ -61,13 +64,15 @@ domain-smoke:
 # Solver-equivalence property tests under the race detector — synthetic,
 # adversarial, shared-credit and composed-log (benchmark-shaped) instances at
 # workers {1,3,4,8}; the composed one is what catches a CountSet level view
-# written from inside concurrent previews — plus a one-shot pass over the
-# solver-scale benchmarks and the planner's per-stage ones (solve, verify,
-# quantize and burst detection on one 500-tenant composed population), so a
-# pruning bug or a benchmark bit-rot is caught before commit without paying
-# full benchmark time.
-grouping-smoke:
+# written from inside concurrent previews — plus bench-smoke.
+grouping-smoke: bench-smoke
 	$(GO) test -race -run 'TestSolverMatchesReference' -count=1 ./internal/grouping
+
+# One iteration of the solver-scale benchmarks and the planner's per-stage
+# ones (solve, verify, quantize and burst detection on one 500-tenant composed
+# population), so a benchmark that no longer builds or runs is caught before
+# commit without paying full benchmark time.
+bench-smoke:
 	$(GO) test -bench 'BenchmarkTwoStep2000|BenchmarkPickBest|BenchmarkTwoStepComposed500|BenchmarkVerifyComposed500|BenchmarkQuantize500' -benchtime=1x -run '^$$' ./internal/grouping
 	$(GO) test -bench 'BenchmarkDetectBursts500' -benchtime=1x -run '^$$' ./internal/advisor
 
@@ -87,15 +92,6 @@ shared-smoke:
 	$(GO) test -race -run 'TestShared|TestSharing' -count=1 ./internal/mppdb
 	$(GO) test -race -run 'TestBrownoutSharingEffectiveCapacity' -count=1 ./internal/admission
 	$(GO) test -race -short -run 'TestSharingSmoke' -count=1 -timeout 20m ./internal/experiments
-
-bench:
-	$(GO) test -bench=. -benchmem ./...
-
-# Full solver-scale benchmark run; persists ns/op, allocs/op, bytes/op and
-# solution effectiveness to BENCH_grouping.json (committed, so perf
-# regressions show up in review).
-bench-grouping:
-	BENCH_JSON_OUT=$(CURDIR)/BENCH_grouping.json $(GO) test -run TestWriteBenchJSON -count=1 -v ./internal/grouping
 
 # Batched-submit smoke with the race detector on: per-item error
 # partitioning over /v1/submit-batch (a 429/503/504 never drops a healthy
@@ -120,30 +116,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamOrder$$' -fuzztime=5s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzCountSet$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/epoch
 	$(GO) test -run '^$$' -fuzz '^FuzzMonitorOps$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/monitor
-
-# Submit-path benchmark run: single vs 64-query batched submits over HTTP in
-# both clock layouts, plus the runtime-layer batched path (which must stay
-# allocation-free). Persists to BENCH_service.json (committed) and fails if
-# the batched path drops below 3x the recorded pre-PR baseline.
-bench-service:
-	BENCH_JSON_OUT=$(CURDIR)/BENCH_service.json $(GO) test -run TestWriteServiceBenchJSON -count=1 -v -timeout 20m .
-
-# Online-loop benchmark run: steady-state re-plan latency at 10k and 100k
-# tenants against the epoch width, plus the drift scenario's online-vs-oracle
-# SLA attainment. Persists to BENCH_online.json (committed) and fails if the
-# acceptance bars (100× under the epoch width, no drops, within 1% of the
-# oracle) regress.
-bench-online:
-	BENCH_JSON_OUT=$(CURDIR)/BENCH_online.json $(GO) test -run TestWriteOnlineBenchJSON -count=1 -v ./internal/experiments
-
-# Shared-work executor benchmark run: the submit hot path with and without
-# sharing, the merged batch's virtual-time work ratio against k independent
-# scans, and the full consolidation-vs-attainment experiment outcome.
-# Persists to BENCH_shareddb.json (committed) and fails if the acceptance
-# bars (work ratio (1+(k-1)sigma)/k, hot path within 5x of plain, experiment
-# verdict PASS) regress.
-bench-shareddb:
-	BENCH_JSON_OUT=$(CURDIR)/BENCH_shareddb.json $(GO) test -run TestWriteSharedBenchJSON -count=1 -v -timeout 20m ./internal/experiments
 
 # Paired comparison of the working tree against another commit on one
 # benchmark workload, the procedure a performance claim needs: ./benchmark is

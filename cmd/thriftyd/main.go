@@ -39,132 +39,121 @@ import (
 	thrifty "repro"
 )
 
-func main() {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address")
-		tenants   = flag.Int("tenants", 200, "number of tenants")
-		days      = flag.Int("days", 7, "history horizon used for planning")
-		r         = flag.Int("r", 3, "replication factor R")
-		p         = flag.Float64("p", 0.999, "performance SLA guarantee P")
-		timeScale = flag.Float64("timescale", 60, "virtual seconds per wall second")
-		seed      = flag.Int64("seed", 1, "random seed")
-		metrics   = flag.Bool("metrics", true, "expose Prometheus text metrics at /metrics")
-		sharded   = flag.Bool("sharded", true, "per-group clock domains: submits to different tenant-groups proceed in parallel")
-		recovery  = flag.Bool("recovery", true, "arm an autonomous recovery controller per tenant-group (heartbeat failure detection, pool swap, Table 5.1 reload)")
+// options is everything the command line decides. Flags that pick a field of
+// a facade config bind straight onto it; the booleans below arm a subsystem
+// with its Default*Config.
+type options struct {
+	addr     string
+	workload thrifty.WorkloadConfig
+	plan     thrifty.PlanConfig
+	deploy   thrifty.DeployOptions
+	serve    thrifty.ServeOptions
 
-		domains        = flag.Int("domains", 1, "failure domains (racks/zones) the pool is split across; >1 enables spread-aware placement")
-		triageOn       = flag.Bool("triage", false, "arm the cluster-wide scarcity triage: exhausted recoveries queue claims ranked by SLA-at-risk instead of uncoordinated backoff (requires -recovery)")
-		triageInterval = flag.Duration("triage-interval", time.Minute, "virtual-time poll period of queued triage claims")
+	metrics, recovery, admission, gray, online bool
+}
 
-		onlineOn       = flag.Bool("online", false, "arm continuous online re-consolidation (drift detection, local repair, live migrations); forces a shared clock domain")
-		onlineInterval = flag.Duration("online-interval", 15*time.Minute, "virtual-time control period of the online loop")
+// flagSet declares thriftyd's flags over o.
+func (o *options) flagSet() *flag.FlagSet {
+	o.workload = thrifty.WorkloadConfig{SessionsPerClass: 10}
+	o.plan = thrifty.DefaultPlanConfig()
+	o.deploy = thrifty.DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64}
 
-		admissionOn       = flag.Bool("admission", true, "arm overload protection per tenant-group (contract enforcement, bounded admission queue, brownout)")
-		admissionHeadroom = flag.Float64("admission-headroom", 2, "factor applied to each tenant's logged arrival rate/burst when deriving its contract")
-		admissionQueue    = flag.Int("admission-queue", 32, "bound of the per-group admission queue (submits waiting for a retry slot)")
+	fs := flag.NewFlagSet("thriftyd", flag.ContinueOnError)
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.workload.Tenants, "tenants", 200, "number of tenants")
+	fs.IntVar(&o.workload.Days, "days", 7, "history horizon used for planning")
+	fs.Int64Var(&o.workload.Seed, "seed", 1, "random seed")
+	fs.IntVar(&o.plan.R, "r", 3, "replication factor R")
+	fs.Float64Var(&o.plan.P, "p", 0.999, "performance SLA guarantee P")
+	fs.Float64Var(&o.serve.TimeScale, "timescale", 60, "virtual seconds per wall second")
+	fs.BoolVar(&o.metrics, "metrics", true, "expose Prometheus text metrics at /metrics")
+	fs.BoolVar(&o.deploy.Sharded, "sharded", true, "per-group clock domains: submits to different tenant-groups proceed in parallel (default false with -online)")
+	fs.BoolVar(&o.recovery, "recovery", true, "arm an autonomous recovery controller per tenant-group (heartbeat failure detection, pool swap, Table 5.1 reload)")
+	fs.IntVar(&o.deploy.Domains, "domains", 1, "failure domains (racks/zones) the pool is split across; >1 enables spread-aware placement")
+	fs.BoolVar(&o.deploy.Triage, "triage", false, "arm the cluster-wide scarcity triage: exhausted recoveries queue claims ranked by SLA-at-risk instead of uncoordinated backoff (requires -recovery)")
+	fs.BoolVar(&o.online, "online", false, "arm continuous online re-consolidation (drift detection, local repair, live migrations); needs one shared clock domain, so it excludes -sharded")
+	fs.BoolVar(&o.admission, "admission", true, "arm overload protection per tenant-group (contract enforcement, bounded admission queue, brownout)")
+	fs.BoolVar(&o.gray, "gray", false, "arm fail-slow (gray failure) detection per tenant-group: peer-relative latency anomaly detection with a hedge → drain-and-replace ladder")
+	fs.BoolVar(&o.deploy.Sharing, "sharing", false, "enable shared-work execution: concurrent same-class queries merge into one shared scan per MPPDB, and the advisor packs for the credited capacity")
+	return fs
+}
 
-		grayOn           = flag.Bool("gray", false, "arm fail-slow (gray failure) detection per tenant-group: peer-relative latency anomaly detection with a hedge → drain-and-replace ladder")
-		grayInterval     = flag.Duration("gray-interval", time.Minute, "virtual-time beat of the gray detector")
-		graySuspect      = flag.Float64("gray-suspect", 1.5, "suspicion threshold: an instance's mean completion slowdown vs the peer median")
-		grayConfirmBeats = flag.Int("gray-confirm-beats", 3, "consecutive suspect beats before a suspected (and already hedged) gray instance is confirmed")
-		grayDrainAfter   = flag.Duration("gray-drain-after", 10*time.Minute, "how long a confirmed-gray instance is hedged before it is drained and replaced")
-		grayStrikeDecay  = flag.Duration("gray-strike-decay", 6*time.Hour, "clear stretch after which an instance's strike count is forgotten")
-
-		sharingOn = flag.Bool("sharing", false, "enable shared-work execution: concurrent same-class queries merge into one shared scan per MPPDB, and the advisor packs for the credited capacity")
-
-		submitRetries = flag.Int("submit-retries", 3, "retries of a transiently failed submit before 504 (negative disables)")
-		submitBackoff = flag.Duration("submit-backoff", 30*time.Second, "virtual-time wait between submit attempts")
-		submitTimeout = flag.Duration("submit-timeout", 5*time.Minute, "virtual-time budget per submit before 504")
-		noCoalesce    = flag.Bool("no-coalesce", false, "disable server-side coalescing of concurrent submits into per-group batches")
-		maxBatch      = flag.Int("max-batch", 64, "max coalesced submits per batched routing call")
-	)
-	flag.Parse()
-
-	fmt.Fprintf(os.Stderr, "thriftyd: generating %d tenants (%d-day history)...\n", *tenants, *days)
-	w, err := thrifty.GenerateWorkload(thrifty.WorkloadConfig{
-		Tenants:          *tenants,
-		Days:             *days,
-		SessionsPerClass: 10,
-		Seed:             *seed,
-	})
-	if err != nil {
-		fatal("%v", err)
+// build parses the command line, generates and plans the tenant population,
+// deploys it with the subsystems the flags arm, and returns the live system
+// with its unstarted HTTP server.
+func build(args []string) (*thrifty.System, *http.Server, error) {
+	var o options
+	fs := o.flagSet()
+	if err := fs.Parse(args); err != nil {
+		return nil, nil, err
+	}
+	if o.online {
+		// -sharded defaults to true; only an explicit one contradicts -online.
+		explicit := false
+		fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "sharded" })
+		if explicit && o.deploy.Sharded {
+			return nil, nil, errors.New("-online requires one shared clock domain; drop -sharded")
+		}
+		o.deploy.Sharded = false
+	}
+	if o.deploy.Triage && !o.recovery {
+		return nil, nil, errors.New("-triage requires -recovery")
+	}
+	o.plan.Sharing = o.deploy.Sharing
+	o.serve.DisableMetrics = !o.metrics
+	if o.recovery {
+		cfg := thrifty.DefaultRecoveryConfig()
+		o.deploy.Recovery = &cfg
+	}
+	if o.admission {
+		cfg := thrifty.DefaultAdmissionConfig()
+		o.deploy.Admission = &cfg
+	}
+	if o.gray {
+		cfg := thrifty.DefaultGrayConfig()
+		o.deploy.Gray = &cfg
 	}
 
-	pcfg := thrifty.DefaultPlanConfig()
-	pcfg.R = *r
-	pcfg.P = *p
-	pcfg.Sharing = *sharingOn
-	fmt.Fprintf(os.Stderr, "thriftyd: planning deployment (R=%d, P=%.4g%%)...\n", *r, 100**p)
-	start := time.Now()
-	plan, err := thrifty.PlanDeployment(w, pcfg)
+	fmt.Fprintf(os.Stderr, "thriftyd: generating %d tenants (%d-day history)...\n", o.workload.Tenants, o.workload.Days)
+	w, err := thrifty.GenerateWorkload(o.workload)
 	if err != nil {
-		fatal("%v", err)
+		return nil, nil, err
+	}
+	fmt.Fprintf(os.Stderr, "thriftyd: planning deployment (R=%d, P=%.4g%%)...\n", o.plan.R, 100*o.plan.P)
+	start := time.Now()
+	plan, err := thrifty.PlanDeployment(w, o.plan)
+	if err != nil {
+		return nil, nil, err
 	}
 	fmt.Fprintf(os.Stderr, "thriftyd: %d groups on %d of %d requested nodes (%.1f%% saved) in %v\n",
 		len(plan.Groups), plan.NodesUsed(), plan.RequestedNodes,
 		100*plan.Effectiveness(), time.Since(start).Round(time.Millisecond))
 
-	if *onlineOn && *sharded {
-		fmt.Fprintln(os.Stderr, "thriftyd: -online requires one shared clock domain; overriding -sharded=false")
-		*sharded = false
-	}
-	dopts := thrifty.DeployOptions{
-		Immediate:    true,
-		ParallelLoad: true,
-		SpareNodes:   64,
-		Sharded:      *sharded,
-		Domains:      *domains,
-		Sharing:      *sharingOn,
-	}
-	if *recovery {
-		rcfg := thrifty.DefaultRecoveryConfig()
-		dopts.Recovery = &rcfg
-	}
-	if *triageOn {
-		if !*recovery {
-			fatal("-triage requires -recovery")
-		}
-		tcfg := thrifty.DefaultTriageConfig()
-		tcfg.Interval = *triageInterval
-		dopts.Triage = &tcfg
-	}
-	if *admissionOn {
-		acfg := thrifty.DefaultAdmissionConfig()
-		acfg.Headroom = *admissionHeadroom
-		acfg.MaxQueue = *admissionQueue
-		dopts.Admission = &acfg
-	}
-	if *grayOn {
-		gcfg := thrifty.DefaultGrayConfig()
-		gcfg.Interval = *grayInterval
-		gcfg.SuspectRatio = *graySuspect
-		gcfg.ConfirmBeats = *grayConfirmBeats
-		gcfg.DrainAfter = *grayDrainAfter
-		gcfg.StrikeDecay = *grayStrikeDecay
-		dopts.Gray = &gcfg
-	}
-	sys, err := thrifty.Deploy(w, plan, dopts)
+	sys, err := thrifty.Deploy(w, plan, o.deploy)
 	if err != nil {
-		fatal("%v", err)
+		return nil, nil, err
 	}
-	if *onlineOn {
-		ocfg := thrifty.DefaultOnlineConfig(pcfg, w.Horizon)
-		ocfg.Interval = *onlineInterval
+	if o.online {
+		ocfg := thrifty.DefaultOnlineConfig(o.plan, w.Horizon)
 		if _, err := sys.EnableOnline(ocfg); err != nil {
-			fatal("%v", err)
+			return nil, nil, err
 		}
-		fmt.Fprintf(os.Stderr, "thriftyd: online re-consolidation armed (control period %v)\n", *onlineInterval)
+		fmt.Fprintf(os.Stderr, "thriftyd: online re-consolidation armed (control period %v)\n", ocfg.Interval)
 	}
-	h, err := sys.Handler(thrifty.ServeOptions{
-		TimeScale:       *timeScale,
-		DisableMetrics:  !*metrics,
-		SubmitRetries:   *submitRetries,
-		SubmitBackoff:   *submitBackoff,
-		SubmitTimeout:   *submitTimeout,
-		DisableCoalesce: *noCoalesce,
-		MaxBatch:        *maxBatch,
-	})
+	h, err := sys.Handler(o.serve)
+	if err != nil {
+		return nil, nil, err
+	}
+	fmt.Fprintf(os.Stderr, "thriftyd: deployed (time scale %g×, metrics %v, sharded %v, recovery %v, admission %v, gray %v, online %v, sharing %v)\n",
+		o.serve.TimeScale, o.metrics, o.deploy.Sharded, o.recovery, o.admission, o.gray, o.online, o.deploy.Sharing)
+	return sys, &http.Server{Addr: o.addr, Handler: h}, nil
+}
+
+func main() {
+	_, srv, err := build(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
 	if err != nil {
 		fatal("%v", err)
 	}
@@ -173,11 +162,9 @@ func main() {
 	// and event reads are never cut off mid-response.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	srv := &http.Server{Addr: *addr, Handler: h}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "thriftyd: serving MPPDBaaS on %s (time scale %g×, metrics %v, sharded %v, recovery %v, admission %v, gray %v, online %v, sharing %v)\n",
-		*addr, *timeScale, *metrics, *sharded, *recovery, *admissionOn, *grayOn, *onlineOn, *sharingOn)
+	fmt.Fprintf(os.Stderr, "thriftyd: serving MPPDBaaS on %s\n", srv.Addr)
 
 	select {
 	case err := <-errc:

@@ -80,36 +80,16 @@ func (e *ShedError) Error() string {
 
 // Config parameterizes a group's admission controller.
 type Config struct {
-	// Contracts maps tenant ID to its contracted arrival process. Tenants
-	// absent from the map get Default. Derive from the advisor's workload
-	// model with ContractsFromLogs.
+	// Contracts maps tenant ID to its contracted arrival process; a tenant
+	// absent from the map is unlimited (counted, never throttled). Derive
+	// from the advisor's workload model with ContractsFromLogs.
 	Contracts map[string]Contract
-	// Default applies to tenants without an explicit contract. The zero
-	// value is unlimited (counted, never throttled).
-	Default Contract
-	// Headroom is recorded for operators (the factor contracts were scaled
-	// by at derivation); it is not applied again here. <= 0 defaults to 2.
-	Headroom float64
 	// MaxQueue bounds how many submits may wait in the group's admission
 	// queue for a retry slot (default 32).
 	MaxQueue int
-	// DeadlineFactor sheds a queued query whose projected start delay
-	// exceeds (DeadlineFactor-1) x its SLA target (default 1.25: a query
-	// allowed to wait at most a quarter of its target before starting is
-	// shed immediately instead of wasting group capacity).
-	DeadlineFactor float64
 	// TickInterval is the brownout controller's evaluation cadence on the
 	// group's virtual clock (default 30 s).
 	TickInterval time.Duration
-	// BrownoutEnter is the RT-TTP threshold below which the group enters
-	// LevelThrottleHot. 0 defaults to P + (1-P)/2 — halfway into the
-	// remaining headroom above the guarantee.
-	BrownoutEnter float64
-	// HotFraction is the fraction of a tenant's burst it must retain to be
-	// admitted during brownout (default 0.5): a tenant that drained below
-	// HotFraction x Burst has been submitting above its sustained rate and
-	// is rejected first.
-	HotFraction float64
 	// StrikeLimit is how many consecutive rejections a tenant may accrue
 	// before the policer turns punitive regardless of brownout level: each
 	// further attempt restarts its refill from zero, locking an open-loop
@@ -118,33 +98,33 @@ type Config struct {
 	StrikeLimit int
 }
 
+const (
+	// deadlineFactor sheds a queued query whose projected start delay exceeds
+	// (deadlineFactor-1) x its SLA target: a query that would wait more than
+	// a quarter of its target before starting is shed at once instead of
+	// wasting group capacity.
+	deadlineFactor = 1.25
+	// hotFraction is the fraction of its burst a tenant must retain to be
+	// admitted during brownout: one that drained below it has been submitting
+	// above its sustained rate and is rejected first.
+	hotFraction = 0.5
+)
+
 // DefaultConfig returns the production defaults described above.
 func DefaultConfig() Config {
 	return Config{
-		Headroom:       2,
-		MaxQueue:       32,
-		DeadlineFactor: 1.25,
-		TickInterval:   30 * time.Second,
-		HotFraction:    0.5,
-		StrikeLimit:    8,
+		MaxQueue:     32,
+		TickInterval: 30 * time.Second,
+		StrikeLimit:  8,
 	}
 }
 
 func (c *Config) normalize() {
-	if c.Headroom <= 0 {
-		c.Headroom = 2
-	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = 32
 	}
-	if c.DeadlineFactor <= 1 {
-		c.DeadlineFactor = 1.25
-	}
 	if c.TickInterval <= 0 {
 		c.TickInterval = 30 * time.Second
-	}
-	if c.HotFraction <= 0 || c.HotFraction >= 1 {
-		c.HotFraction = 0.5
 	}
 	if c.StrikeLimit <= 0 {
 		c.StrikeLimit = 8
@@ -240,18 +220,12 @@ func New(eng *sim.Engine, group string, p float64, members []string,
 		return nil, fmt.Errorf("admission: guarantee P=%v out of (0,1)", p)
 	}
 	cfg.normalize()
-	enter := cfg.BrownoutEnter
-	if enter <= 0 {
-		enter = p + (1-p)/2
-	}
-	if enter <= p || enter >= 1 {
-		return nil, fmt.Errorf("admission: brownout-enter %v must lie in (P=%v, 1)", enter, p)
-	}
 	c := &Controller{
-		eng:    eng,
-		group:  group,
-		p:      p,
-		enter:  enter,
+		eng:   eng,
+		group: group,
+		p:     p,
+		// Halfway into the headroom that remains above the guarantee.
+		enter:  p + (1-p)/2,
 		cfg:    cfg,
 		mon:    mon,
 		rec:    rec,
@@ -259,10 +233,7 @@ func New(eng *sim.Engine, group string, p float64, members []string,
 		states: make(map[string]*tenantState, len(members)),
 	}
 	for _, id := range members {
-		ct, ok := cfg.Contracts[id]
-		if !ok {
-			ct = cfg.Default
-		}
+		ct := cfg.Contracts[id]
 		ts := &tenantState{tenant: id, contract: ct}
 		if !ct.Unlimited() {
 			ts.bucket = newBucket(ct)
@@ -450,13 +421,13 @@ func (c *Controller) admit(ts *tenantState, tenant string, sla sim.Time, bestEff
 		}
 		return nil
 	}
-	// During brownout a tenant must hold HotFraction of its burst in
+	// During brownout a tenant must hold hotFraction of its burst in
 	// reserve: only tenants that sustained submission above their
 	// contracted rate have drained below that watermark, so they are
 	// rejected first while contract-abiding tenants pass untouched.
 	need := 1.0
 	if level >= LevelThrottleHot {
-		if hot := c.cfg.HotFraction * ts.contract.Burst; hot+1 > need {
+		if hot := hotFraction * ts.contract.Burst; hot+1 > need {
 			need = hot + 1
 		}
 	}
@@ -510,7 +481,7 @@ func (c *Controller) admit(ts *tenantState, tenant string, sla sim.Time, bestEff
 // the slot is held until LeaveQueue.
 func (c *Controller) EnterQueue(tenant string, sla, delay sim.Time) error {
 	if sla > 0 {
-		slack := sim.Time(float64(sla) * (c.cfg.DeadlineFactor - 1))
+		slack := sim.Time(float64(sla) * (deadlineFactor - 1))
 		if delay > slack {
 			c.shedTenant(tenant)
 			c.countShed(tenant, ShedDeadline,

@@ -38,6 +38,10 @@ type Contract struct {
 // Unlimited reports whether the contract never throttles.
 func (c Contract) Unlimited() bool { return c.Rate <= 0 }
 
+// defaultHeadroom is the factor a deployment scales each tenant's logged
+// arrival rate and burst by when it derives the tenant's contract.
+const defaultHeadroom = 2
+
 // Contract floors: a derived contract never drops below these, so a tenant
 // with a sparse log still gets a usable interactive allowance.
 const (
@@ -56,7 +60,7 @@ const (
 // logged history is not punished. headroom <= 0 defaults to 2.
 func ContractFromLog(tl *workload.TenantLog, headroom float64) Contract {
 	if headroom <= 0 {
-		headroom = 2
+		headroom = defaultHeadroom
 	}
 	if tl == nil {
 		return Contract{Rate: headroom * MinRate, Burst: headroom * MinBurst}
@@ -91,11 +95,12 @@ func ContractFromLog(tl *workload.TenantLog, headroom float64) Contract {
 	return Contract{Rate: headroom * rate, Burst: headroom * burst}
 }
 
-// ContractsFromLogs derives every tenant's contract from its log.
-func ContractsFromLogs(logs []*workload.TenantLog, headroom float64) map[string]Contract {
+// ContractsFromLogs derives every tenant's contract from its log at the
+// default headroom of 2.
+func ContractsFromLogs(logs []*workload.TenantLog) map[string]Contract {
 	out := make(map[string]Contract, len(logs))
 	for _, tl := range logs {
-		out[tl.Tenant.ID] = ContractFromLog(tl, headroom)
+		out[tl.Tenant.ID] = ContractFromLog(tl, defaultHeadroom)
 	}
 	return out
 }

@@ -582,25 +582,6 @@ func (p *Pool) Snapshot() PoolSnapshot {
 	return snap
 }
 
-// Owners returns the distinct owner IDs with at least one active node,
-// sorted for deterministic iteration.
-func (p *Pool) Owners() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	seen := map[string]bool{}
-	for _, nd := range p.nodes {
-		if nd.State == Active && nd.Owner != "" {
-			seen[nd.Owner] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for o := range seen {
-		out = append(out, o)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Provisioning model, calibrated to Table 5.1.
 //
 // Node starting + MPPDB initialization was measured at 462 s for 2 nodes up
@@ -647,10 +628,4 @@ func LoadTime(dataGB float64, n int, parallel bool) time.Duration {
 		sec /= float64(n)
 	}
 	return loadFixed + time.Duration(sec*float64(time.Second))
-}
-
-// ProvisionTime returns the full time to bring up an n-node MPPDB holding
-// dataGB: startup plus bulk load.
-func ProvisionTime(dataGB float64, n int, parallel bool) time.Duration {
-	return StartupTime(n) + LoadTime(dataGB, n, parallel)
 }

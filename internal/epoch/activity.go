@@ -187,22 +187,6 @@ func (sp Spans) Valid() bool {
 	return true
 }
 
-// Overlaps reports whether sp and other share at least one epoch. Both must
-// satisfy the Spans invariant; the merge walk is O(len(sp)+len(other)).
-func (sp Spans) Overlaps(other Spans) bool {
-	i, j := 0, 0
-	for i < len(sp) && j < len(other) {
-		if sp[i].E <= other[j].S {
-			i++
-		} else if other[j].E <= sp[i].S {
-			j++
-		} else {
-			return true
-		}
-	}
-	return false
-}
-
 // Grid describes an epoch quantization: Width is the epoch length, D the
 // number of epochs covering the horizon.
 type Grid struct {

@@ -74,11 +74,7 @@ func DomainFail(env *Env) ([]*Table, error) {
 		// its surviving peers in parallel; bare keeps the classic
 		// single-stream reload.
 		rcfg.ParallelReload = spread
-		opts := master.Options{Immediate: true, Recovery: &rcfg, NoSpread: !spread}
-		if triage {
-			tc := recovery.DefaultTriageConfig()
-			opts.Triage = &tc
-		}
+		opts := master.Options{Immediate: true, Recovery: &rcfg, NoSpread: !spread, Triage: triage}
 		eng, dep, err := w.deploy(pool, opts)
 		if err != nil {
 			return nil, err

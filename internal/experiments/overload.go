@@ -39,7 +39,7 @@ func OverloadStorm(env *Env) ([]*Table, error) {
 		opts := master.Options{Immediate: true, MonitorWindow: time.Hour}
 		if admit {
 			acfg := admission.DefaultConfig()
-			acfg.Contracts = admission.ContractsFromLogs(w.logs, acfg.Headroom)
+			acfg.Contracts = admission.ContractsFromLogs(w.logs)
 			opts.Admission = &acfg
 		}
 		eng, dep, err := w.deploy(cluster.NewPool(w.plan.NodesUsed()), opts)

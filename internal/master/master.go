@@ -33,6 +33,13 @@ import (
 
 // Options controls plan execution.
 type Options struct {
+	// SpareNodes is how many nodes beyond the plan NewPool provisions (for
+	// elastic scaling and node replacement).
+	SpareNodes int
+	// Domains is how many failure domains (racks/zones that fail together)
+	// NewPool splits the pool into. Values ≤1 keep the classic single-domain
+	// pool — the layout every byte-deterministic replay pins.
+	Domains int
 	// Immediate skips provisioning delays: instances are Ready at once.
 	// Experiments that study steady-state behaviour use this; the elastic
 	// scaling experiment does not.
@@ -41,9 +48,6 @@ type Options struct {
 	ParallelLoad bool
 	// MonitorWindow is the RT-TTP window (default 24 h).
 	MonitorWindow time.Duration
-	// Telemetry overrides the deployment's telemetry hub. When nil, Deploy
-	// creates one over the deployment's clock with the plan's P.
-	Telemetry *telemetry.Hub
 	// Sharded gives each tenant-group a private engine and clock domain so
 	// groups can be driven concurrently (the service path). The default —
 	// one shared domain over the master's engine — keeps event interleaving
@@ -74,21 +78,23 @@ type Options struct {
 	// Sharing enables shared-work execution on every instance (and tells the
 	// admission controller to read effective, batch-collapsed concurrency):
 	// concurrent same-class queries merge into one shared scan per
-	// mppdb.SetSharing. Strictly opt-in so existing replays stay
-	// byte-identical.
+	// mppdb.SetSharing. Pair with advisor.Config.Sharing so the plan packs
+	// for the capacity the executor delivers. Strictly opt-in so existing
+	// replays stay byte-identical.
 	Sharing bool
-	// Triage, when non-nil, arms the cluster-wide scarcity triage: one
-	// allocator per deployment, shared by every group's recovery controller.
-	// On pool exhaustion lifecycles queue ranked by SLA-at-risk (sliding
-	// RT-TTP deficit × tenant count) instead of burning backoff cycles, and
-	// scarce nodes go to the worst-off group first. Needs Recovery (or Gray,
-	// which auto-arms it).
-	Triage *recovery.TriageConfig
+	// Triage arms the cluster-wide scarcity triage: one allocator per
+	// deployment, shared by every group's recovery controller. On pool
+	// exhaustion lifecycles queue ranked by SLA-at-risk (sliding RT-TTP
+	// deficit × tenant count) instead of burning backoff cycles, and scarce
+	// nodes go to the worst-off group first. Needs Recovery (or Gray, which
+	// auto-arms it).
+	Triage bool
 }
 
-// DefaultOptions returns the thesis' run-time settings.
-func DefaultOptions() Options {
-	return Options{ParallelLoad: true, MonitorWindow: 24 * time.Hour}
+// NewPool returns the node pool the options ask for under a plan: the plan's
+// nodes plus SpareNodes, striped over Domains failure domains.
+func (o Options) NewPool(plan *advisor.Plan) *cluster.Pool {
+	return cluster.NewPoolDomains(plan.NodesUsed()+o.SpareNodes, o.Domains)
 }
 
 // DeployedGroup is one tenant-group brought up on the cluster.
@@ -144,13 +150,11 @@ func (m *Master) Deploy(plan *advisor.Plan, tenants map[string]*tenant.Tenant) (
 			domains[i] = shared
 		}
 	}
-	tel := m.opts.Telemetry
-	if tel == nil {
-		if m.opts.Sharded {
-			tel = telemetry.NewHub(sim.Domains(domains), plan.Config.P)
-		} else {
-			tel = telemetry.NewHub(m.eng, plan.Config.P)
-		}
+	var tel *telemetry.Hub
+	if m.opts.Sharded {
+		tel = telemetry.NewHub(sim.Domains(domains), plan.Config.P)
+	} else {
+		tel = telemetry.NewHub(m.eng, plan.Config.P)
 	}
 	dep := &Deployment{
 		eng:   m.eng,
@@ -159,8 +163,8 @@ func (m *Master) Deploy(plan *advisor.Plan, tenants map[string]*tenant.Tenant) (
 		dom:   shared,
 		ready: make(map[string]sim.Time),
 	}
-	if m.opts.Triage != nil {
-		dep.triage = recovery.NewTriage(m.pool, *m.opts.Triage)
+	if m.opts.Triage {
+		dep.triage = recovery.NewTriage(m.pool)
 	}
 	for gi, pg := range plan.Groups {
 		g, readyAt, err := m.buildGroup(engines[gi], domains[gi], tel, dep.triage, pg, plan.Config.P, tenants)
@@ -283,7 +287,7 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 			rc.SetQuarantine(rt.SetQuarantine)
 		}
 		if spread {
-			rc.SetRespread(recovery.RespreadConfig{ParallelLoad: m.opts.ParallelLoad})
+			rc.SetRespread(m.opts.ParallelLoad)
 		}
 		rc.Start()
 		g.Recovery = rc
@@ -394,19 +398,13 @@ func (d *Deployment) ReadyAt(groupID string) sim.Time {
 
 // Submit routes a query for the tenant through its group's router. It is a
 // single-driver path: the caller must own the group's engine (shared-mode
-// replay does). Concurrent callers use the group's SubmitAt instead.
+// replay does). Concurrent callers use the group's SubmitBatchAt instead.
 func (d *Deployment) Submit(tenantID string, class *queries.Class) (string, error) {
-	return d.SubmitWithTarget(tenantID, class, 0)
-}
-
-// SubmitWithTarget routes a query with an explicit SLA target (see
-// router.SubmitWithTarget). Single-driver path, like Submit.
-func (d *Deployment) SubmitWithTarget(tenantID string, class *queries.Class, target sim.Time) (string, error) {
 	g, ok := d.plane.ForTenant(tenantID)
 	if !ok {
 		return "", fmt.Errorf("master: tenant %s not deployed", tenantID)
 	}
-	return g.Router.SubmitWithTarget(tenantID, class, target)
+	return g.Router.Submit(tenantID, class)
 }
 
 // NodesUsed returns the number of active nodes in the pool.

@@ -109,7 +109,7 @@ func TestDeployWithProvisioningDelay(t *testing.T) {
 	plan, tenants := plannedWorld(t)
 	eng := sim.NewEngine()
 	pool := cluster.NewPool(100)
-	m := New(eng, pool, DefaultOptions())
+	m := New(eng, pool, Options{ParallelLoad: true})
 	dep, err := m.Deploy(plan, tenants)
 	if err != nil {
 		t.Fatal(err)

@@ -562,16 +562,6 @@ func (m *Instance) IsolatedLatencyRef(ref tenant.Ref, class *queries.Class) (sim
 	return sim.Duration(class.Latency(m.tenantGB[ref], m.nodes)), nil
 }
 
-// IsolatedLatency returns the latency the query class would see on this
-// instance, alone and healthy, for the given tenant's data.
-func (m *Instance) IsolatedLatency(tenantID string, class *queries.Class) (sim.Time, error) {
-	ref, ok := m.in.Lookup(tenantID)
-	if !ok {
-		return 0, fmt.Errorf("mppdb %s: tenant %q not deployed", m.id, tenantID)
-	}
-	return m.IsolatedLatencyRef(ref, class)
-}
-
 // Submit starts executing a query for a deployed tenant. done (optional) is
 // invoked when the query completes. Submit returns the isolated latency so
 // callers can set expectations without re-deriving it.

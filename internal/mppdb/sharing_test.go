@@ -1,6 +1,7 @@
 package mppdb
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/queries"
@@ -281,5 +282,34 @@ func TestSharingToggleGuard(t *testing.T) {
 	eng.RunAll()
 	if err := m.SetSharing(true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSharedWorkRatio is the executor's acceptance bar: draining k
+// same-instant same-class queries as one shared scan takes (1+(k−1)σ)/k of
+// the virtual time k independent scans take under processor sharing.
+func TestSharedWorkRatio(t *testing.T) {
+	const k = 4
+	cl, ok := queries.Default().ByID("TPCH-Q8") // mid-σ: neither the widest scan alone nor k of them
+	if !ok {
+		t.Fatal("TPCH-Q8 missing from the default catalog")
+	}
+	drain := func(sharing bool) float64 {
+		eng, m := newReady(t, 8, "T")
+		if err := m.SetSharing(sharing); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < k; i++ {
+			if _, err := m.Submit("T", cl, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		eng.RunAll()
+		return eng.Now().Seconds()
+	}
+	sigma := cl.ShareSigma()
+	want := (1 + (k-1)*sigma) / k
+	if got := drain(true) / drain(false); math.Abs(got-want) > 1e-9 {
+		t.Errorf("merged work ratio %.6f, want (1+(k−1)σ)/k = %.6f for σ=%.3f k=%d", got, want, sigma, k)
 	}
 }

@@ -29,36 +29,27 @@ type Config struct {
 	Horizon sim.Time
 	// Interval is the virtual-time control period (default 15 min).
 	Interval time.Duration
-	// DrainSlack is how long after a cutover a vacated source group keeps
-	// serving stragglers before its nodes return to the pool (default 1 h).
-	DrainSlack time.Duration
-	// DriftEpochs is how many unforeseen active epochs a tenant accumulates
-	// before the loop reports it drifted (default 32).
-	DriftEpochs int64
-	// MaxLocalMoves bounds single-tenant repair moves per group per tick
-	// before the loop escalates to a scoped offline re-consolidation
-	// (default 4).
-	MaxLocalMoves int
-	// ParallelLoad selects the parallel bulk-load cost model for migrations
-	// (Table 5.1; default true via DefaultConfig).
-	ParallelLoad bool
 	// Immediate zeroes migration provisioning delays — unit tests only; the
 	// drift experiment keeps the Table 5.1 costs.
 	Immediate bool
 }
 
+const (
+	// drainSlack is how long after a cutover a vacated source group keeps
+	// serving stragglers before its nodes return to the pool.
+	drainSlack = time.Hour
+	// driftEpochs is how many unforeseen active epochs a tenant accumulates
+	// before the loop reports it drifted.
+	driftEpochs = 32
+	// maxLocalMoves bounds single-tenant repair moves per group per tick
+	// before the loop escalates to a scoped offline re-consolidation.
+	maxLocalMoves = 4
+)
+
 // DefaultConfig returns the control loop's standard settings over the given
 // planning config and horizon.
 func DefaultConfig(plan advisor.Config, horizon sim.Time) Config {
-	return Config{
-		Plan:          plan,
-		Horizon:       horizon,
-		Interval:      15 * time.Minute,
-		DrainSlack:    time.Hour,
-		DriftEpochs:   32,
-		MaxLocalMoves: 4,
-		ParallelLoad:  true,
-	}
+	return Config{Plan: plan, Horizon: horizon, Interval: 15 * time.Minute}
 }
 
 // Stats counts what the loop has done so far. All fields are cumulative.
@@ -183,15 +174,6 @@ func New(eng *sim.Engine, dep *master.Deployment, mst *master.Master,
 	}
 	if cfg.Interval <= 0 {
 		cfg.Interval = 15 * time.Minute
-	}
-	if cfg.DrainSlack <= 0 {
-		cfg.DrainSlack = time.Hour
-	}
-	if cfg.DriftEpochs <= 0 {
-		cfg.DriftEpochs = 32
-	}
-	if cfg.MaxLocalMoves <= 0 {
-		cfg.MaxLocalMoves = 4
 	}
 	grid, err := epoch.NewGrid(cfg.Plan.Epoch, cfg.Horizon)
 	if err != nil {
@@ -391,7 +373,7 @@ func (c *Controller) ingestDeltas(now sim.Time) {
 			continue
 		}
 		total += delta.Len()
-		if !c.drifted[id] && t.DeltaEpochs >= c.cfg.DriftEpochs {
+		if !c.drifted[id] && t.DeltaEpochs >= driftEpochs {
 			c.drifted[id] = true
 			c.events().Publish(telemetry.Event{
 				Type:   telemetry.EventDriftDetected,
@@ -476,7 +458,7 @@ func (c *Controller) retireWhenDrained(gid string) {
 		return
 	}
 	c.retiring[gid] = true
-	c.eng.After(c.cfg.DrainSlack, func(at sim.Time) {
+	c.eng.After(drainSlack, func(at sim.Time) {
 		grt, ok := c.dep.Plane().GroupByID(gid)
 		if !ok {
 			return
@@ -561,7 +543,8 @@ func (c *Controller) migrateInto(now sim.Time, kind, id, from, to string) {
 	for _, inst := range grt.Instances {
 		inst.DeployTenant(tn.ID, tn.DataGB)
 	}
-	cost := sim.Duration(cluster.LoadTime(tn.DataGB, grt.Plan.Design.N1, c.cfg.ParallelLoad))
+	// Migrations pay the parallel bulk-load cost (Table 5.1).
+	cost := sim.Duration(cluster.LoadTime(tn.DataGB, grt.Plan.Design.N1, true))
 	if c.cfg.Immediate {
 		cost = 0
 	}
@@ -821,7 +804,7 @@ func (c *Controller) releaseSource(id, from string) {
 	}
 	src.Monitor.Exclude(id)
 	src.RemoveMember(id)
-	c.eng.After(c.cfg.DrainSlack, func(sim.Time) {
+	c.eng.After(drainSlack, func(sim.Time) {
 		src.Router.RemoveTenant(id)
 		for _, inst := range src.Instances {
 			inst.RemoveTenant(id)
@@ -931,7 +914,7 @@ func (c *Controller) cutOverGroup(at sim.Time, fl *flight) {
 // scoped advisor.Reconsolidate of just this group.
 func (c *Controller) repairGroup(now sim.Time, gid string) {
 	moves := 0
-	for !c.pl.Feasible(gid) && moves < c.cfg.MaxLocalMoves {
+	for !c.pl.Feasible(gid) && moves < maxLocalMoves {
 		progress := false
 		for _, id := range c.pl.EvictionOrder(gid) {
 			t, _ := c.pl.Tenant(id)

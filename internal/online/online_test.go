@@ -1,6 +1,7 @@
 package online
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -620,5 +621,47 @@ func TestPlacerUnassignIsExactInverse(t *testing.T) {
 	}
 	if g.CS.MaxCount() != 0 || g.CS.TTP(2) != 1 {
 		t.Errorf("group not empty after unassign: max=%d", g.CS.MaxCount())
+	}
+}
+
+// TestReplanBeatsEpochWidth is the online loop's acceptance bar: one
+// steady-state re-plan decision over 10,000 tenants — rank a group's members
+// by eviction relief, then find the best feasible target group for a
+// tenant-sized probe with a bounded T_best scan across every group — takes
+// less than a hundredth of the epoch width it races.
+func TestReplanBeatsEpochWidth(t *testing.T) {
+	const groups, perGroup = 1250, 8
+	cfg := advisor.DefaultConfig()
+	d := int64(sim.Day / cfg.Epoch)
+	pl := NewPlacer(d, cfg.R, cfg.P)
+	gids := make([]string, groups)
+	for g := range gids {
+		gids[g] = fmt.Sprintf("G%05d", g)
+		if _, err := pl.AddGroup(gids[g], 2); err != nil {
+			t.Fatal(err)
+		}
+		// Members stagger their single active span, so every group satisfies
+		// the fuzzy-capacity constraint.
+		for m := 0; m < perGroup; m++ {
+			id := fmt.Sprintf("T%06d", g*perGroup+m)
+			s := int32(int64(m) * d / perGroup)
+			if _, err := pl.Register(id, 2, epoch.Spans{{S: s, E: s + int32(d/(2*perGroup))}}); err != nil {
+				t.Fatal(err)
+			}
+			if err := pl.Assign(id, gids[g]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const rounds = 20
+	start := time.Now()
+	for i := 0; i < rounds; i++ {
+		gid := gids[i*61%groups]
+		_ = pl.EvictionOrder(gid)
+		off := int32(int64(i%16) * d / 16)
+		_, _ = pl.BestGroup(2, epoch.Spans{{S: off, E: off + int32(d/16)}}, gid)
+	}
+	if per := time.Since(start) / rounds; per > time.Duration(cfg.Epoch)/100 {
+		t.Errorf("re-plan %v is not 100× under the %v epoch width", per, time.Duration(cfg.Epoch))
 	}
 }

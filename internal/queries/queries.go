@@ -171,18 +171,3 @@ func (c *Catalog) Random(rng *rand.Rand, s Suite) *Class {
 	}
 	return set[rng.Intn(len(set))]
 }
-
-// MeanLatency returns the mean isolated latency over a suite for the given
-// dataset and node count; the workload generator uses it for calibration
-// reporting.
-func (c *Catalog) MeanLatency(s Suite, dataGB float64, nodes int) time.Duration {
-	set := c.Suite(s)
-	if len(set) == 0 {
-		return 0
-	}
-	var total time.Duration
-	for _, cl := range set {
-		total += cl.Latency(dataGB, nodes)
-	}
-	return total / time.Duration(len(set))
-}

@@ -56,10 +56,7 @@ func domainWorld(t *testing.T, tenants, days, r, domains int, spread, triage boo
 		MonitorWindow: time.Hour,
 		Recovery:      &rcfg,
 		NoSpread:      !spread,
-	}
-	if triage {
-		tc := recovery.DefaultTriageConfig()
-		opts.Triage = &tc
+		Triage:        triage,
 	}
 	used := plan.NodesUsed()
 	pool := cluster.NewPoolDomains(used+(used*slackPct+99)/100, domains)

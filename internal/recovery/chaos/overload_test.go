@@ -53,7 +53,7 @@ func overloadWorld(t *testing.T, tenants, days int, admit bool) *world {
 	opts := master.Options{Immediate: true, MonitorWindow: time.Hour}
 	if admit {
 		cfg := admission.DefaultConfig()
-		cfg.Contracts = admission.ContractsFromLogs(logs, cfg.Headroom)
+		cfg.Contracts = admission.ContractsFromLogs(logs)
 		cfg.TickInterval = 5 * time.Second
 		opts.Admission = &cfg
 	}

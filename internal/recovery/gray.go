@@ -10,7 +10,7 @@
 //
 // The response is a ladder, cheapest rung first:
 //
-//  1. suspicion (gray_suspected) — observed profile exceeds SuspectRatio ×
+//  1. suspicion (gray_suspected) — observed profile exceeds suspectRatio ×
 //     the peer median. Suspicion is cheap to act on and fully reversible, so
 //     hedging engages here: every query routed to the instance is duplicated
 //     onto a healthy peer (first completion wins, loser cancelled, nothing
@@ -26,10 +26,10 @@
 //     replacement restores full node count the slowdown is cleared and the
 //     instance re-admitted (gray_cleared).
 //
-// Each confirmed episode costs the instance a strike; at MaxStrikes the
+// Each confirmed episode costs the instance a strike; at maxStrikes the
 // ladder stops being patient with a flapping node and drains it the moment
 // it is confirmed again. Strikes are forgotten once the instance stays clear
-// for StrikeDecay — the strike-out targets rapid relapse, not a lifetime
+// for strikeDecay — the strike-out targets rapid relapse, not a lifetime
 // episode total.
 package recovery
 
@@ -45,22 +45,12 @@ import (
 
 // GrayConfig controls a group's fail-slow detector.
 type GrayConfig struct {
-	// Interval is the evaluation period on the group's clock domain.
-	Interval time.Duration
 	// Window is how many recent load-normalized slowdown samples each
 	// instance's profile retains.
 	Window int
 	// MinSamples is how many samples an instance needs before it is judged
 	// (and before it counts as a peer).
 	MinSamples int
-	// SuspectRatio is the observed-over-peer-median slowdown ratio at which
-	// an instance becomes suspect.
-	SuspectRatio float64
-	// MinSlowdown is an absolute floor: an instance is never suspected while
-	// its mean load-normalized slowdown is below it, however idle the peers
-	// are. A healthy instance's normalized slowdown never exceeds 1, so any
-	// floor above that demands genuine speed loss.
-	MinSlowdown float64
 	// ConfirmBeats is how many consecutive suspect evaluations confirm a
 	// gray failure (and engage hedging).
 	ConfirmBeats int
@@ -70,47 +60,51 @@ type GrayConfig struct {
 	// DrainAfter is how long a confirmed-gray instance is tolerated (served
 	// by hedging) before it is drained and its slow node replaced.
 	DrainAfter time.Duration
-	// MaxStrikes is the flapping strike-out: once an instance has been
-	// confirmed gray this many times, the next confirmation drains it
-	// immediately instead of waiting out DrainAfter.
-	MaxStrikes int
-	// StrikeDecay forgets an instance's strikes once it has stayed clear for
-	// this long: transient episodes far apart never accumulate into a
-	// strike-out, while a flapper relapsing within the window still does.
-	StrikeDecay time.Duration
 }
 
-// DefaultGrayConfig returns the detector's standard settings: minute-level
-// evaluation over a 64-sample window, suspect at 1.5× the peer median (and
-// at least 1.3× absolute), confirm after 3 beats, drain after 10 further
-// minutes, strike out after 3 episodes within a 6 h decay window.
+const (
+	// grayInterval is the evaluation period on the group's clock domain.
+	grayInterval = time.Minute
+	// suspectRatio is the observed-over-peer-median slowdown ratio at which an
+	// instance becomes suspect.
+	suspectRatio = 1.5
+	// minSlowdown is an absolute floor: an instance is never suspected while
+	// its mean load-normalized slowdown is below it, however idle the peers
+	// are. A healthy instance's normalized slowdown never exceeds 1, so any
+	// floor above that demands genuine speed loss.
+	minSlowdown = 1.3
+	// maxStrikes is the flapping strike-out: once an instance has been
+	// confirmed gray this many times, the next confirmation drains it
+	// immediately instead of waiting out DrainAfter.
+	maxStrikes = 3
+	// strikeDecay forgets an instance's strikes once it has stayed clear for
+	// this long: transient episodes far apart never accumulate into a
+	// strike-out, while a flapper relapsing within the window still does.
+	strikeDecay = 6 * time.Hour
+)
+
+// DefaultGrayConfig returns the detector's standard settings: a 64-sample
+// window judged from 8 samples, confirm after 3 beats, clear after 2, drain
+// after 10 further minutes.
 func DefaultGrayConfig() GrayConfig {
 	return GrayConfig{
-		Interval:     time.Minute,
 		Window:       64,
 		MinSamples:   8,
-		SuspectRatio: 1.5,
-		MinSlowdown:  1.3,
 		ConfirmBeats: 3,
 		ClearBeats:   2,
 		DrainAfter:   10 * time.Minute,
-		MaxStrikes:   3,
-		StrikeDecay:  6 * time.Hour,
 	}
 }
 
 func (c GrayConfig) validate() error {
-	if c.Interval <= 0 || c.DrainAfter < 0 || c.StrikeDecay <= 0 {
-		return fmt.Errorf("recovery: gray intervals in %+v", c)
+	if c.DrainAfter < 0 {
+		return fmt.Errorf("recovery: gray drain-after %v", c.DrainAfter)
 	}
 	if c.Window < 1 || c.MinSamples < 1 || c.MinSamples > c.Window {
 		return fmt.Errorf("recovery: gray window %d / min samples %d", c.Window, c.MinSamples)
 	}
-	if c.SuspectRatio <= 1 || c.MinSlowdown < 1 {
-		return fmt.Errorf("recovery: gray thresholds ratio=%v floor=%v", c.SuspectRatio, c.MinSlowdown)
-	}
-	if c.ConfirmBeats < 1 || c.ClearBeats < 1 || c.MaxStrikes < 1 {
-		return fmt.Errorf("recovery: gray beats/strikes in %+v", c)
+	if c.ConfirmBeats < 1 || c.ClearBeats < 1 {
+		return fmt.Errorf("recovery: gray beats in %+v", c)
 	}
 	return nil
 }
@@ -254,9 +248,9 @@ func (d *GrayDetector) Start() {
 	var beat func(now sim.Time)
 	beat = func(now sim.Time) {
 		d.evaluate()
-		d.eng.After(d.cfg.Interval, beat)
+		d.eng.After(grayInterval, beat)
 	}
-	d.eng.After(d.cfg.Interval, beat)
+	d.eng.After(grayInterval, beat)
 }
 
 // Started reports whether the evaluation loop is armed.
@@ -381,7 +375,7 @@ func (d *GrayDetector) evaluate() {
 			continue // no basis for peer-relative judgement
 		}
 		pm := median(peers)
-		suspicious := pm > 0 && means[i] >= d.cfg.SuspectRatio*pm && means[i] >= d.cfg.MinSlowdown
+		suspicious := pm > 0 && means[i] >= suspectRatio*pm && means[i] >= minSlowdown
 		if suspicious {
 			st.healthyBeats = 0
 			st.suspectBeats++
@@ -434,7 +428,7 @@ func (d *GrayDetector) escalate(i int, inst *mppdb.Instance, now sim.Time, obser
 		}
 		st.phase = grayConfirmed
 		st.confirmedAt = now
-		if st.strikes > 0 && st.clearedAt > 0 && now-st.clearedAt >= sim.Duration(d.cfg.StrikeDecay) {
+		if st.strikes > 0 && st.clearedAt > 0 && now-st.clearedAt >= sim.Duration(strikeDecay) {
 			st.strikes = 0
 		}
 		st.strikes++
@@ -451,7 +445,7 @@ func (d *GrayDetector) escalate(i int, inst *mppdb.Instance, now sim.Time, obser
 			})
 		}
 		// A flapping instance that has struck out skips the patience window.
-		if st.strikes >= d.cfg.MaxStrikes {
+		if st.strikes >= maxStrikes {
 			d.drain(i, inst, now)
 		}
 	case grayConfirmed:

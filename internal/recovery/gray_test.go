@@ -24,17 +24,12 @@ func TestGrayConfigValidation(t *testing.T) {
 		return c
 	}
 	bad := map[string]GrayConfig{
-		"zero interval":          mut(func(c *GrayConfig) { c.Interval = 0 }),
-		"negative drain":         mut(func(c *GrayConfig) { c.DrainAfter = -time.Minute }),
-		"zero window":            mut(func(c *GrayConfig) { c.Window = 0 }),
-		"zero min samples":       mut(func(c *GrayConfig) { c.MinSamples = 0 }),
-		"samples beyond window":  mut(func(c *GrayConfig) { c.MinSamples = c.Window + 1 }),
-		"suspect ratio at 1":     mut(func(c *GrayConfig) { c.SuspectRatio = 1 }),
-		"slowdown floor below 1": mut(func(c *GrayConfig) { c.MinSlowdown = 0.9 }),
-		"zero confirm beats":     mut(func(c *GrayConfig) { c.ConfirmBeats = 0 }),
-		"zero clear beats":       mut(func(c *GrayConfig) { c.ClearBeats = 0 }),
-		"zero strikes":           mut(func(c *GrayConfig) { c.MaxStrikes = 0 }),
-		"zero strike decay":      mut(func(c *GrayConfig) { c.StrikeDecay = 0 }),
+		"negative drain":        mut(func(c *GrayConfig) { c.DrainAfter = -time.Minute }),
+		"zero window":           mut(func(c *GrayConfig) { c.Window = 0 }),
+		"zero min samples":      mut(func(c *GrayConfig) { c.MinSamples = 0 }),
+		"samples beyond window": mut(func(c *GrayConfig) { c.MinSamples = c.Window + 1 }),
+		"zero confirm beats":    mut(func(c *GrayConfig) { c.ConfirmBeats = 0 }),
+		"zero clear beats":      mut(func(c *GrayConfig) { c.ClearBeats = 0 }),
 	}
 	for name, cfg := range bad {
 		if err := cfg.validate(); err == nil {
@@ -72,7 +67,7 @@ func TestNewGrayDetectorRejectsMissingPieces(t *testing.T) {
 		t.Error("nil crash controller accepted")
 	}
 	bad := cfg
-	bad.SuspectRatio = 0.5
+	bad.Window = 0
 	if _, err := NewGrayDetector(eng, pool, "g0", insts, nopRouter{}, ctl, bad); err == nil {
 		t.Error("invalid config accepted")
 	}

@@ -155,7 +155,8 @@ type Controller struct {
 
 	// respread, when armed, re-spreads the group across failure domains
 	// after a collapse (see respread.go).
-	respread         *respreadState
+	respread         bool
+	respreadParallel bool
 	respreadInFlight bool
 	respreads        int
 
@@ -402,8 +403,8 @@ func (c *Controller) enqueueTriage(ev *Event, inst *mppdb.Instance) {
 		deficit, tenants := c.prio()
 		failedID, repl, ok := c.triage.TryGrant(key, deficit, tenants)
 		if !ok {
-			ev.NextAttemptAt = c.eng.Now().Add(c.triage.Interval())
-			c.eng.After(c.triage.Interval(), poll)
+			ev.NextAttemptAt = c.eng.Now().Add(triageInterval)
+			c.eng.After(triageInterval, poll)
 			return
 		}
 		if failedID >= 0 {
@@ -421,8 +422,8 @@ func (c *Controller) enqueueTriage(ev *Event, inst *mppdb.Instance) {
 		}
 		c.replaced(ev, inst, failedID, repl)
 	}
-	ev.NextAttemptAt = c.eng.Now().Add(c.triage.Interval())
-	c.eng.After(c.triage.Interval(), poll)
+	ev.NextAttemptAt = c.eng.Now().Add(triageInterval)
+	c.eng.After(triageInterval, poll)
 }
 
 // replaced is the success half of a lifecycle: a replacement node is in

@@ -18,32 +18,21 @@ import (
 	"repro/internal/telemetry"
 )
 
-// RespreadConfig arms the post-restoration re-spread check.
-type RespreadConfig struct {
-	// MinDomains is the spread target: the group should span at least this
-	// many failure domains (default 2, capped by the pool's domain count and
-	// the group's instance count).
-	MinDomains int
-	// ParallelLoad selects the Table 5.1 parallel bulk-load model for the
-	// migration reload.
-	ParallelLoad bool
-}
-
-type respreadState struct {
-	cfg RespreadConfig
-}
+// respreadMinDomains is the spread target: the group should span at least
+// this many failure domains (capped by the pool's domain count and the
+// group's instance count).
+const respreadMinDomains = 2
 
 // Respreads returns how many re-spread migrations have cut over.
 func (c *Controller) Respreads() int { return c.respreads }
 
-// SetRespread arms the collapse check, evaluated on each heartbeat. Call
-// before Start. Strictly opt-in: unarmed controllers behave byte-identically
-// to the pre-domain code.
-func (c *Controller) SetRespread(cfg RespreadConfig) {
-	if cfg.MinDomains <= 0 {
-		cfg.MinDomains = 2
-	}
-	c.respread = &respreadState{cfg: cfg}
+// SetRespread arms the collapse check, evaluated on each heartbeat;
+// parallelLoad selects the Table 5.1 parallel bulk-load model for the
+// migration reload. Call before Start. Strictly opt-in: unarmed controllers
+// behave byte-identically to the pre-domain code.
+func (c *Controller) SetRespread(parallelLoad bool) {
+	c.respread = true
+	c.respreadParallel = parallelLoad
 }
 
 // maybeRespread runs on the heartbeat: when the group is healthy but spans
@@ -52,7 +41,7 @@ func (c *Controller) SetRespread(cfg RespreadConfig) {
 // domain has capacity (e.g. the rack is still down), it simply tries again
 // next beat.
 func (c *Controller) maybeRespread() {
-	if c.respread == nil || c.respreadInFlight || c.InProgress() > 0 {
+	if !c.respread || c.respreadInFlight || c.InProgress() > 0 {
 		return
 	}
 	if len(c.insts) < 2 || c.pool.Domains() < 2 {
@@ -67,7 +56,7 @@ func (c *Controller) maybeRespread() {
 			used[d] = true
 		}
 	}
-	want := c.respread.cfg.MinDomains
+	want := respreadMinDomains
 	if c.pool.Domains() < want {
 		want = c.pool.Domains()
 	}
@@ -105,7 +94,7 @@ func (c *Controller) maybeRespread() {
 	}
 	c.respreadInFlight = true
 	cost := cluster.StartupTime(inst.Nodes()) +
-		cluster.LoadTime(inst.TenantDataGB(), inst.Nodes(), c.respread.cfg.ParallelLoad)
+		cluster.LoadTime(inst.TenantDataGB(), inst.Nodes(), c.respreadParallel)
 	if c.tel != nil {
 		c.tel.Events.Publish(telemetry.Event{
 			Type:   telemetry.EventRespread,

@@ -25,18 +25,9 @@ import (
 	"repro/internal/cluster"
 )
 
-// TriageConfig tunes the allocator.
-type TriageConfig struct {
-	// Interval is the claim poll period (default 1 min). Each queued
-	// lifecycle re-evaluates its priority and asks for a grant once per
-	// interval on its own clock domain.
-	Interval time.Duration
-}
-
-// DefaultTriageConfig returns one-minute claim polls.
-func DefaultTriageConfig() TriageConfig {
-	return TriageConfig{Interval: time.Minute}
-}
+// triageInterval is the claim poll period: each queued lifecycle re-evaluates
+// its priority and asks for a grant once per interval on its own clock domain.
+const triageInterval = time.Minute
 
 // TriageClaim is one queued recovery's entry, snapshot for observability.
 type TriageClaim struct {
@@ -69,7 +60,6 @@ func (c *triageClaim) priority() float64 { return c.deficit * float64(c.tenants)
 type Triage struct {
 	mu     sync.Mutex
 	pool   *cluster.Pool
-	cfg    TriageConfig
 	claims map[string]*triageClaim
 
 	granted  int
@@ -77,15 +67,9 @@ type Triage struct {
 }
 
 // NewTriage builds an allocator over the pool.
-func NewTriage(pool *cluster.Pool, cfg TriageConfig) *Triage {
-	if cfg.Interval <= 0 {
-		cfg.Interval = time.Minute
-	}
-	return &Triage{pool: pool, cfg: cfg, claims: make(map[string]*triageClaim)}
+func NewTriage(pool *cluster.Pool) *Triage {
+	return &Triage{pool: pool, claims: make(map[string]*triageClaim)}
 }
-
-// Interval returns the poll period claimants should use.
-func (t *Triage) Interval() time.Duration { return t.cfg.Interval }
 
 // Enqueue registers (or refreshes) a claim under key for owner's group. It
 // reports whether the claim is new.
@@ -179,13 +163,6 @@ func (t *Triage) TryGrant(key string, deficit float64, tenants int) (failedID in
 	delete(t.claims, key)
 	t.granted++
 	return -1, nodes[0], true
-}
-
-// Abandon drops a claim (the lifecycle resolved some other way).
-func (t *Triage) Abandon(key string) {
-	t.mu.Lock()
-	delete(t.claims, key)
-	t.mu.Unlock()
 }
 
 // Queued returns the outstanding claims, worst-off first.

@@ -7,7 +7,7 @@ import (
 )
 
 func TestTriagePriorityOrdering(t *testing.T) {
-	tr := NewTriage(cluster.NewPool(4), DefaultTriageConfig())
+	tr := NewTriage(cluster.NewPool(4))
 	tr.Enqueue("k1", "g1", "g1/0", 0.05, 2)  // priority 0.10
 	tr.Enqueue("k2", "g2", "g2/0", 0.02, 10) // priority 0.20
 	tr.Enqueue("k3", "g3", "g3/0", 0.10, 1)  // priority 0.10, fewer tenants than k1
@@ -48,7 +48,7 @@ func TestTriageGrantBudget(t *testing.T) {
 	if _, err := pool.Acquire("b", 1); err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTriage(pool, DefaultTriageConfig())
+	tr := NewTriage(pool)
 	tr.Enqueue("a", "ga", "a", 0.01, 1)
 	tr.Enqueue("b", "gb", "b", 0.50, 4)
 	if _, _, ok := tr.TryGrant("a", 0.01, 1); ok {
@@ -84,7 +84,7 @@ func TestTriageGrantSwapsFailedNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewTriage(pool, DefaultTriageConfig())
+	tr := NewTriage(pool)
 	tr.Enqueue("a", "ga", "a", 0.1, 1)
 	gotFailed, repl, ok := tr.TryGrant("a", 0.1, 1)
 	if !ok || gotFailed != failed || repl == nil {
@@ -101,29 +101,14 @@ func TestTriageGrantSwapsFailedNode(t *testing.T) {
 	}
 }
 
-func TestTriageDenyAndAbandon(t *testing.T) {
+func TestTriageDeny(t *testing.T) {
 	pool := cluster.NewPool(2)
-	tr := NewTriage(pool, DefaultTriageConfig())
+	tr := NewTriage(pool)
 	// Unknown key: denied, nothing granted.
 	if _, _, ok := tr.TryGrant("ghost", 1, 1); ok {
 		t.Fatalf("granted a claim that was never enqueued")
 	}
-	tr.Enqueue("k", "g", "g/0", 0.2, 3)
-	tr.Abandon("k")
-	if q := tr.Queued(); len(q) != 0 {
-		t.Fatalf("abandoned claim still queued: %+v", q)
-	}
-	if _, _, ok := tr.TryGrant("k", 0.2, 3); ok {
-		t.Fatalf("granted an abandoned claim")
-	}
-	if enq, granted := tr.Stats(); enq != 1 || granted != 0 {
+	if enq, granted := tr.Stats(); enq != 0 || granted != 0 {
 		t.Fatalf("stats: enqueued=%d granted=%d", enq, granted)
-	}
-	if tr.Interval() != DefaultTriageConfig().Interval {
-		t.Fatalf("interval: %v", tr.Interval())
-	}
-	// A zero config falls back to the one-minute default.
-	if NewTriage(pool, TriageConfig{}).Interval() <= 0 {
-		t.Fatalf("zero-config interval not defaulted")
 	}
 }

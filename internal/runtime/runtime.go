@@ -111,21 +111,6 @@ func (g *GroupRuntime) Domain() *sim.Domain { return g.dom }
 // Now returns the group's virtual time without blocking.
 func (g *GroupRuntime) Now() sim.Time { return g.dom.Now() }
 
-// AdvanceTo drives the group's domain up to the target time.
-func (g *GroupRuntime) AdvanceTo(at sim.Time) { g.dom.Advance(at, nil) }
-
-// SubmitAt advances the group to at and routes one query for the tenant
-// through the group's router (TDD Algorithm 1). A non-positive sla falls
-// back to the tenant's isolated latency. It returns the chosen MPPDB's ID.
-func (g *GroupRuntime) SubmitAt(at sim.Time, tenantID string, class *queries.Class, sla sim.Time) (string, error) {
-	var db string
-	var err error
-	g.dom.Advance(at, func(*sim.Engine) {
-		db, err = g.Router.SubmitWithTarget(tenantID, class, sla)
-	})
-	return db, err
-}
-
 // rebuildMemberIdx (re)derives the membership index from Members.
 func (g *GroupRuntime) rebuildMemberIdx() {
 	g.memberIdx = make(map[string]int, len(g.Members))
@@ -176,7 +161,7 @@ func (g *GroupRuntime) RemoveMember(id string) {
 	}
 }
 
-// RetryPolicy shapes SubmitWithRetry: how often a transiently failed submit
+// RetryPolicy shapes SubmitBatchAt: how often a transiently failed submit
 // is re-tried against the group's replica set, and when to give up.
 type RetryPolicy struct {
 	// MaxRetries bounds the re-tries after the first attempt.
@@ -216,27 +201,25 @@ func (e *TimeoutError) Error() string {
 // Unwrap exposes the final routing error.
 func (e *TimeoutError) Unwrap() error { return e.Last }
 
-// SubmitWithRetry routes like SubmitAt but shields the caller from transient
-// routing failures: when the router cannot place the query (every replica of
-// the set R busy recovering or not Ready), the submit is re-tried at
-// virtual-time backoff — the domain is released between attempts, so other
-// callers and the group's own recovery keep progressing. Once the policy is
-// exhausted it returns a *TimeoutError. The second return value is the
-// number of retries used by a successful submit.
-func (g *GroupRuntime) SubmitWithRetry(at sim.Time, tenantID string, class *queries.Class,
-	sla sim.Time, pol RetryPolicy) (string, int, error) {
-	return g.SubmitGoverned(at, tenantID, class, sla, pol, false)
-}
-
-// SubmitGoverned is SubmitWithRetry behind the group's admission controller
-// (when armed): the first attempt must pass the tenant's contract bucket and
-// the brownout policy — a typed *admission.ContractExceededError (429) or
-// *admission.ShedError (503) is returned immediately, before any routing
-// work. A submit that fails transiently claims a slot in the bounded
-// admission queue for the wait; if the queue is full, or the projected start
-// delay alone would blow the query's SLA deadline, the query is shed with a
-// typed *admission.ShedError instead of occupying the group. bestEffort
-// marks traffic the brownout controller may drop wholesale at its top level.
+// SubmitGoverned advances the group to at and routes one query for the
+// tenant through the group's router (TDD Algorithm 1), shielding the caller
+// from transient routing failures: when the router cannot place the query
+// (every replica of the set R busy recovering or not Ready), the submit is
+// re-tried at virtual-time backoff — the domain is released between attempts,
+// so other callers and the group's own recovery keep progressing. Once the
+// policy is exhausted it returns a *TimeoutError. A non-positive sla falls
+// back to the tenant's isolated latency. It returns the chosen MPPDB's ID and
+// the number of retries used.
+//
+// With an admission controller armed, the first attempt must pass the
+// tenant's contract bucket and the brownout policy — a typed
+// *admission.ContractExceededError (429) or *admission.ShedError (503) is
+// returned immediately, before any routing work. A submit that fails
+// transiently claims a slot in the bounded admission queue for the wait; if
+// the queue is full, or the projected start delay alone would blow the
+// query's SLA deadline, the query is shed with a typed *admission.ShedError
+// instead of occupying the group. bestEffort marks traffic the brownout
+// controller may drop wholesale at its top level.
 //
 // SubmitGoverned is a one-item batch: there is a single retry/admission
 // implementation, SubmitBatchAt, and this is its scalar shim.
@@ -284,7 +267,7 @@ type BatchOutcome struct {
 // outcome is outs[i].
 //
 // Per-item semantics are identical to SubmitGoverned: admission is consulted
-// once per item, transient routing failures claim an admission-queue slot
+// once per item, transient routing failures claim an admission queue slot
 // and retry on the policy's backoff, and exhaustion yields a *TimeoutError.
 // Items are processed in slice order, so a batch at time t is
 // operation-for-operation equivalent to submitting its items sequentially at
@@ -321,7 +304,7 @@ func (g *GroupRuntime) SubmitBatchAt(at sim.Time, items []BatchItem, outs []Batc
 	}
 
 	// live holds the indices of items still in flight across rounds; queued
-	// marks items holding an admission-queue slot. Both come from a pool so
+	// marks items holding an admission queue slot. Both come from a pool so
 	// a steady stream of batches allocates nothing here.
 	sc := batchScratchPool.Get().(*batchScratch)
 	live := sc.live[:0]

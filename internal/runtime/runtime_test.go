@@ -68,7 +68,7 @@ func TestGroupRuntimeSubmitStatsRecords(t *testing.T) {
 	g := newGroup(t, eng, "TG-0001", "t1", "t2")
 	g.Bind(sim.NewDomain(eng))
 
-	db, err := g.SubmitAt(sim.Second, "t1", q1(t), 0)
+	db, _, err := g.SubmitGoverned(sim.Second, "t1", q1(t), 0, RetryPolicy{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestGroupRuntimeSubmitUnknownTenant(t *testing.T) {
 	eng := sim.NewEngine()
 	g := newGroup(t, eng, "TG-0001", "t1")
 	g.Bind(sim.NewDomain(eng))
-	if _, err := g.SubmitAt(sim.Second, "ghost", q1(t), 0); err == nil {
+	if _, _, err := g.SubmitGoverned(sim.Second, "ghost", q1(t), 0, RetryPolicy{}, false); err == nil {
 		t.Error("submit for non-member accepted")
 	}
 }
@@ -149,7 +149,7 @@ func TestPlaneShardedIndexAndClocks(t *testing.T) {
 		t.Error("ghost tenant resolved")
 	}
 	// Clocks are independent; Plane.Now is the max.
-	groups[1].AdvanceTo(5 * sim.Minute)
+	groups[1].Domain().Advance(5*sim.Minute, nil)
 	if groups[0].Now() != 0 || groups[1].Now() != 5*sim.Minute {
 		t.Errorf("clocks coupled: %v %v", groups[0].Now(), groups[1].Now())
 	}
@@ -191,10 +191,10 @@ func TestPlaneRecordsGroupOrder(t *testing.T) {
 		p.Add(g)
 	}
 	// Submit in reverse group order; Records still returns group order.
-	if _, err := p.Groups()[1].SubmitAt(sim.Second, "t1", class, 0); err != nil {
+	if _, _, err := p.Groups()[1].SubmitGoverned(sim.Second, "t1", class, 0, RetryPolicy{}, false); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Groups()[0].SubmitAt(2*sim.Second, "t0", class, 0); err != nil {
+	if _, _, err := p.Groups()[0].SubmitGoverned(2*sim.Second, "t0", class, 0, RetryPolicy{}, false); err != nil {
 		t.Fatal(err)
 	}
 	p.AdvanceAll(sim.Day)
@@ -224,7 +224,7 @@ func TestGroupRuntimeConcurrentSubmits(t *testing.T) {
 			tid := fmt.Sprintf("t%d", w+1)
 			for i := 0; i < per; i++ {
 				at := sim.Time(i+1) * sim.Second
-				if _, err := g.SubmitAt(at, tid, class, 0); err != nil {
+				if _, _, err := g.SubmitGoverned(at, tid, class, 0, RetryPolicy{}, false); err != nil {
 					t.Errorf("submit %s: %v", tid, err)
 					return
 				}

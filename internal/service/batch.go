@@ -53,6 +53,10 @@ type pendingSubmit struct {
 	done chan struct{}
 }
 
+// maxCoalesced caps how many coalesced submits one SubmitBatchAt call takes;
+// excess stays queued for the next drain round.
+const maxCoalesced = 64
+
 // coalescer batches concurrent single submits to one tenant-group. The
 // first arrival at an idle group becomes the leader: it drains the queue in
 // batches through SubmitBatchAt, delivers each follower's outcome over its
@@ -128,10 +132,7 @@ func (s *Server) submitCoalesced(g *runtime.GroupRuntime, item runtime.BatchItem
 			c.mu.Unlock()
 			return myOut
 		}
-		take := len(c.queue)
-		if s.maxBatch > 0 && take > s.maxBatch {
-			take = s.maxBatch
-		}
+		take := min(len(c.queue), maxCoalesced)
 		c.batch = append(c.batch[:0], c.queue[:take]...)
 		rest := copy(c.queue, c.queue[take:])
 		for i := rest; i < len(c.queue); i++ {

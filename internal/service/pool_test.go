@@ -106,9 +106,8 @@ func deployScarce(t *testing.T) (*master.Deployment, *advisor.Plan) {
 	}
 	eng := sim.NewEngine()
 	rcfg := recovery.DefaultConfig()
-	tc := recovery.DefaultTriageConfig()
 	m := master.New(eng, cluster.NewPoolDomains(plan.NodesUsed(), 2),
-		master.Options{Immediate: true, Recovery: &rcfg, Triage: &tc})
+		master.Options{Immediate: true, Recovery: &rcfg, Triage: true})
 	dep, err := m.Deploy(plan, tenants)
 	if err != nil {
 		t.Fatal(err)

@@ -80,10 +80,8 @@ type Server struct {
 	online      *online.Controller
 	reconReport *advisor.ReconsolidationReport
 
-	// coalesce batches concurrent single submits per group (leader/follower);
-	// coalescers are lazily created per group and reset on Install.
-	coalesce   bool
-	maxBatch   int
+	// coalescers batch concurrent single submits per group (leader/follower);
+	// they are lazily created per group and reset on Install.
 	coalMu     sync.Mutex
 	coalescers map[*runtime.GroupRuntime]*coalescer
 
@@ -123,13 +121,6 @@ type Config struct {
 	// request fails with 504 instead of hanging the group's clock domain
 	// (default 5 min).
 	SubmitTimeout time.Duration
-	// DisableCoalesce turns off server-side coalescing of concurrent single
-	// submits into shard-local batches (on by default). Coalescing is purely
-	// a throughput optimization: per-query semantics are unchanged.
-	DisableCoalesce bool
-	// MaxBatch caps how many coalesced submits one SubmitBatchAt call takes;
-	// excess stays queued for the next drain round (default 64).
-	MaxBatch int
 }
 
 // New builds a server over a live deployment. The deployment may be shared
@@ -156,12 +147,6 @@ func New(dep *master.Deployment, cat *queries.Catalog,
 	if cfg.SubmitTimeout > 0 {
 		retry.Timeout = cfg.SubmitTimeout
 	}
-	if cfg.MaxBatch < 0 {
-		return nil, fmt.Errorf("service: negative max batch")
-	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = 64
-	}
 	s := &Server{
 		dep:        dep,
 		cat:        cat,
@@ -170,8 +155,6 @@ func New(dep *master.Deployment, cat *queries.Catalog,
 		retry:      retry,
 		started:    time.Now(),
 		now:        time.Now,
-		coalesce:   !cfg.DisableCoalesce,
-		maxBatch:   cfg.MaxBatch,
 		coalescers: make(map[*runtime.GroupRuntime]*coalescer),
 		matcher:    sqlmatch.New(cat),
 		mux:        http.NewServeMux(),
@@ -455,7 +438,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// O(1) and take only that group's clock domain. Submits to other groups
 	// do not contend, and concurrent submits to the same group coalesce into
 	// shard-local batches (one domain lock, one Advance per batch).
-	t := s.target()
 	s.topo.RLock()
 	g, ref, tenant, ok := s.dep.Plane().Lookup(req.Tenant)
 	if !ok {
@@ -472,15 +454,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		item.Ref = ref
 		item.HasRef = true
 	}
-	var out runtime.BatchOutcome
-	if s.coalesce {
-		out = s.submitCoalesced(g, item)
-	} else {
-		items := [1]runtime.BatchItem{item}
-		var outs [1]runtime.BatchOutcome
-		g.SubmitBatchAt(t, items[:], outs[:], s.retry)
-		out = outs[0]
-	}
+	out := s.submitCoalesced(g, item)
 	now := g.Now()
 	s.topo.RUnlock()
 	if out.Err != nil {

@@ -17,31 +17,13 @@
 // Hub as "telemetry disabled".
 package telemetry
 
-import (
-	"time"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Clock supplies timestamps for spans and events. *sim.Engine satisfies it
-// directly (virtual time); WallClock adapts the machine clock for live
-// deployments.
+// directly (virtual time), as does sim.Domains for a sharded deployment.
 type Clock interface {
 	Now() sim.Time
 }
-
-// WallClock is a Clock over the machine's monotonic wall time, expressed as
-// a sim.Time offset from the moment the clock was created — the same
-// timeline shape the simulator uses, so consumers never branch on the mode.
-type WallClock struct {
-	start time.Time
-}
-
-// NewWallClock anchors a wall clock at the current instant.
-func NewWallClock() *WallClock { return &WallClock{start: time.Now()} }
-
-// Now returns the elapsed wall time since the anchor.
-func (c *WallClock) Now() sim.Time { return sim.Time(time.Since(c.start)) }
 
 // Hub bundles the four telemetry components behind one handle.
 type Hub struct {

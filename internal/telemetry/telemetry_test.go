@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/sim"
 )
@@ -63,24 +62,6 @@ func TestTracerRingBound(t *testing.T) {
 	}
 	if tr.Dropped() != 6 {
 		t.Errorf("dropped = %d", tr.Dropped())
-	}
-}
-
-func TestWallClock(t *testing.T) {
-	c := NewWallClock()
-	a := c.Now()
-	time.Sleep(2 * time.Millisecond)
-	b := c.Now()
-	if a < 0 || b <= a {
-		t.Errorf("wall clock not monotonic: %v then %v", a, b)
-	}
-	// The tracer works unchanged against wall time.
-	tr := NewTracer(c, 4)
-	sp := tr.StartSpan("wall")
-	time.Sleep(time.Millisecond)
-	sp.End()
-	if d := tr.Finished()[0].Duration(); d < sim.Millisecond {
-		t.Errorf("wall span duration %v", d)
 	}
 }
 
@@ -165,7 +146,7 @@ func TestSLAAccount(t *testing.T) {
 // TestHubConcurrency drives every hub component from many goroutines at once
 // under -race: spans, events with a live subscriber, SLA observations.
 func TestHubConcurrency(t *testing.T) {
-	h := NewHub(NewWallClock(), 0.999)
+	h := NewHub(sim.NewEngine(), 0.999)
 	ch, cancel := h.Events.Subscribe(64)
 	defer cancel()
 	done := make(chan struct{})

@@ -141,13 +141,3 @@ func TotalNodes(ts []*Tenant) int {
 	}
 	return n
 }
-
-// SizeHistogram returns the tenant count per requested node count, for
-// reports like Fig 5.2.
-func SizeHistogram(ts []*Tenant) map[int]int {
-	h := make(map[int]int)
-	for _, t := range ts {
-		h[t.Nodes]++
-	}
-	return h
-}

@@ -23,7 +23,6 @@ package thrifty
 import (
 	"fmt"
 	"net/http"
-	"time"
 
 	"repro/internal/admission"
 	"repro/internal/advisor"
@@ -172,99 +171,26 @@ type System struct {
 	Online *OnlineController
 }
 
-// DeployOptions controls plan execution.
-type DeployOptions struct {
-	// SpareNodes is how many nodes beyond the plan the pool holds (for
-	// elastic scaling and node replacement).
-	SpareNodes int
-	// Immediate skips provisioning delays.
-	Immediate bool
-	// ParallelLoad enables the MPPDB parallel-loading option.
-	ParallelLoad bool
-	// MonitorWindow is the RT-TTP window (default 24 h).
-	MonitorWindow time.Duration
-	// Sharded gives each tenant-group a private engine and clock domain:
-	// the service path handles submits to different groups fully in
-	// parallel, and Replay drives groups concurrently. Leave false for
-	// experiments — the shared domain keeps event interleaving globally
-	// ordered, so same-seed runs are byte-identical.
-	Sharded bool
-	// Recovery arms an autonomous recovery controller per tenant-group
-	// (§4.4): a heartbeat failure detector plus replacement acquisition,
-	// Table 5.1 reload modeling, and repair. Nil leaves groups bare — the
-	// service path typically sets it, replay arms controllers itself when
-	// failures are injected.
-	Recovery *RecoveryConfig
-	// Admission arms an overload-protection controller per tenant-group:
-	// per-tenant contract enforcement (token buckets derived from the
-	// workload's per-tenant arrival model), a bounded admission queue with
-	// deadline-aware shedding, and a brownout loop watching the group's
-	// live RT-TTP and recovery state. When the config carries no explicit
-	// Contracts, Deploy derives them from the workload's logs with the
-	// config's Headroom. Nil leaves groups ungoverned (byte-identical
-	// replay).
-	Admission *AdmissionConfig
-	// Gray arms a fail-slow (gray-failure) detector per tenant-group:
-	// peer-relative completion-latency anomaly detection driving a hedge →
-	// drain-and-replace response ladder. Setting it with a nil Recovery
-	// auto-arms the default recovery controller — the drain rung replaces
-	// the slow node through it. Nil disables detection (byte-identical
-	// replay).
-	Gray *GrayConfig
-	// Domains splits the pool into that many failure domains (racks/zones
-	// that fail together). Values ≤1 keep the classic single-domain pool —
-	// the layout every byte-deterministic replay pins.
-	Domains int
-	// NoSpread keeps the pre-domain first-fit placement even on a
-	// multi-domain pool (an instance may land entirely in one rack). Only
-	// meaningful with Domains > 1; used for A/B-ing correlated-failure
-	// exposure.
-	NoSpread bool
-	// Triage arms the cluster-wide scarcity triage allocator: when the pool
-	// runs dry, exhausted recovery lifecycles queue a claim ranked by
-	// SLA-at-risk (sliding RT-TTP deficit × tenant count) instead of
-	// fighting with uncoordinated backoff. Requires Recovery (or Gray,
-	// which auto-arms it). Nil keeps classic per-group retry cycles.
-	Triage *TriageConfig
-	// Sharing enables shared-work execution on every MPPDB instance:
-	// concurrent same-class queries merge into one shared scan
-	// (mppdb.SetSharing), and the admission controller reads effective,
-	// batch-collapsed concurrency. Pair with PlanConfig.Sharing so the plan
-	// packs for the capacity the executor actually delivers. Strictly
-	// opt-in (byte-identical replay when off).
-	Sharing bool
-}
+// DeployOptions re-exports the Deployment Master's options: the pool shape
+// (SpareNodes, Domains), provisioning (Immediate, ParallelLoad), the clock
+// layout (Sharded — leave false for experiments: the shared domain keeps
+// event interleaving globally ordered, so same-seed runs are byte-identical)
+// and the opt-in subsystems (Recovery, Admission, Gray, Triage, Sharing,
+// NoSpread), each off — and replay byte-identical — at its zero value.
+type DeployOptions = master.Options
 
-// Deploy brings the plan up on a fresh simulated cluster.
+// Deploy brings the plan up on a fresh simulated cluster. An Admission config
+// that carries no explicit Contracts gets them derived from the workload's
+// logs.
 func Deploy(w *Workload, plan *Plan, opts DeployOptions) (*System, error) {
-	if opts.MonitorWindow == 0 {
-		opts.MonitorWindow = 24 * time.Hour
-	}
 	if opts.Admission != nil && opts.Admission.Contracts == nil {
 		cfg := *opts.Admission
-		cfg.Contracts = admission.ContractsFromLogs(w.Logs, cfg.Headroom)
+		cfg.Contracts = admission.ContractsFromLogs(w.Logs)
 		opts.Admission = &cfg
 	}
 	eng := sim.NewEngine()
-	var pool *cluster.Pool
-	if opts.Domains > 1 {
-		pool = cluster.NewPoolDomains(plan.NodesUsed()+opts.SpareNodes, opts.Domains)
-	} else {
-		pool = cluster.NewPool(plan.NodesUsed() + opts.SpareNodes)
-	}
-	m := master.New(eng, pool, master.Options{
-		Immediate:     opts.Immediate,
-		ParallelLoad:  opts.ParallelLoad,
-		MonitorWindow: opts.MonitorWindow,
-		Sharded:       opts.Sharded,
-		Recovery:      opts.Recovery,
-		Admission:     opts.Admission,
-		Gray:          opts.Gray,
-		NoSpread:      opts.NoSpread,
-		Triage:        opts.Triage,
-		Sharing:       opts.Sharing,
-	})
-	dep, err := m.Deploy(plan, w.Tenants())
+	pool := opts.NewPool(plan)
+	dep, err := master.New(eng, pool, opts).Deploy(plan, w.Tenants())
 	if err != nil {
 		return nil, err
 	}
@@ -293,30 +219,20 @@ type RecoveryConfig = recovery.Config
 // backing off 1→16 min with an hour between cycles.
 func DefaultRecoveryConfig() RecoveryConfig { return recovery.DefaultConfig() }
 
-// GrayConfig re-exports the fail-slow detector configuration (beat
-// interval, peer-relative suspicion thresholds, confirm/clear beats, drain
-// timing, flap strike-out).
+// GrayConfig re-exports the fail-slow detector configuration (sample window,
+// confirm/clear beats, drain timing).
 type GrayConfig = recovery.GrayConfig
 
-// DefaultGrayConfig returns 1 min beats, a 1.5× peer-median suspicion
-// threshold, 3 confirm / 2 clear beats, a 10 min hedge-first grace before
-// drain, and a 3-strike flap cutoff.
+// DefaultGrayConfig returns a 64-sample window, 3 confirm / 2 clear beats and
+// a 10 min hedge-first grace before drain.
 func DefaultGrayConfig() GrayConfig { return recovery.DefaultGrayConfig() }
 
-// TriageConfig re-exports the cluster-wide scarcity triage configuration
-// (claim poll interval).
-type TriageConfig = recovery.TriageConfig
-
-// DefaultTriageConfig returns one-minute claim polls.
-func DefaultTriageConfig() TriageConfig { return recovery.DefaultTriageConfig() }
-
 // AdmissionConfig re-exports the overload-protection configuration
-// (per-tenant contracts, queue bound, deadline factor, brownout
-// thresholds).
+// (per-tenant contracts, queue bound, brownout cadence, strike limit).
 type AdmissionConfig = admission.Config
 
-// DefaultAdmissionConfig returns 2× contract headroom, a 32-slot admission
-// queue, a 1.25 deadline factor, and 30 s brownout evaluation.
+// DefaultAdmissionConfig returns a 32-slot admission queue, 30 s brownout
+// evaluation and an 8-strike policing limit.
 func DefaultAdmissionConfig() AdmissionConfig { return admission.DefaultConfig() }
 
 // Contract re-exports a tenant's contracted arrival process (token-bucket
@@ -324,13 +240,11 @@ func DefaultAdmissionConfig() AdmissionConfig { return admission.DefaultConfig()
 type Contract = admission.Contract
 
 // OnlineConfig re-exports the continuous re-consolidation loop's
-// configuration (control period, drain slack, drift threshold, local-move
-// budget, migration cost model).
+// configuration (planning parameters, horizon, control period).
 type OnlineConfig = online.Config
 
-// DefaultOnlineConfig returns the loop's standard settings: 15-minute
-// control period, 1-hour drain slack, 32-epoch drift threshold, 4 local
-// moves per group per tick, parallel bulk-load migrations.
+// DefaultOnlineConfig returns the loop's standard settings: a 15-minute
+// control period over the given planning config and horizon.
 func DefaultOnlineConfig(plan PlanConfig, horizon sim.Time) OnlineConfig {
 	return online.DefaultConfig(plan, horizon)
 }
@@ -348,13 +262,9 @@ type OnlineController = online.Controller
 //
 // Requires a shared-domain deployment (DeployOptions.Sharded=false).
 // Migrations run through a second master on the same engine and node pool,
-// paying the Table 5.1 startup and reload costs unless cfg.Immediate.
+// paying the Table 5.1 startup and parallel-reload costs unless cfg.Immediate.
 func (s *System) EnableOnline(cfg OnlineConfig) (*OnlineController, error) {
-	mig := master.New(s.Engine, s.Pool, master.Options{
-		Immediate:     cfg.Immediate,
-		ParallelLoad:  cfg.ParallelLoad,
-		MonitorWindow: 24 * time.Hour,
-	})
+	mig := master.New(s.Engine, s.Pool, master.Options{Immediate: cfg.Immediate, ParallelLoad: true})
 	ctl, err := online.New(s.Engine, s.Deployment, mig, s.Plan, s.Workload.Logs, cfg)
 	if err != nil {
 		return nil, err
@@ -379,43 +289,16 @@ func (s *System) Replay(opts ReplayOptions) (*ReplayReport, error) {
 	return replay.Run(s.Engine, s.Deployment, s.Workload.Catalog, s.Workload.Logs, opts)
 }
 
-// ServeOptions configures the HTTP front end.
-type ServeOptions struct {
-	// TimeScale is virtual seconds per wall second (default 60).
-	TimeScale float64
-	// DisableMetrics removes the Prometheus GET /metrics endpoint.
-	DisableMetrics bool
-	// SubmitRetries bounds retries of a transiently failed submit (all
-	// replicas down, e.g. mid-recovery) before giving up with 504
-	// (default 3; negative disables retries).
-	SubmitRetries int
-	// SubmitBackoff is the virtual-time wait between submit attempts
-	// (default 30 s).
-	SubmitBackoff time.Duration
-	// SubmitTimeout is the virtual-time budget per submit (default 5 min).
-	SubmitTimeout time.Duration
-	// DisableCoalesce turns off server-side coalescing of concurrent single
-	// submits into shard-local batches (on by default).
-	DisableCoalesce bool
-	// MaxBatch caps how many coalesced submits one batched routing call
-	// takes (default 64).
-	MaxBatch int
-}
+// ServeOptions re-exports the HTTP front end's configuration: the time scale,
+// the /metrics switch and the submit retry policy.
+type ServeOptions = service.Config
 
 // Handler returns the MPPDBaaS HTTP API over the system. Deploy with
 // Sharded for a front end whose submits to different tenant-groups proceed
 // in parallel. An online control loop armed via EnableOnline is surfaced at
 // GET /v1/online and GET /v1/reconsolidation.
 func (s *System) Handler(opts ServeOptions) (http.Handler, error) {
-	srv, err := service.New(s.Deployment, s.Workload.Catalog, s.Plan, service.Config{
-		TimeScale:       opts.TimeScale,
-		DisableMetrics:  opts.DisableMetrics,
-		SubmitRetries:   opts.SubmitRetries,
-		SubmitBackoff:   opts.SubmitBackoff,
-		SubmitTimeout:   opts.SubmitTimeout,
-		DisableCoalesce: opts.DisableCoalesce,
-		MaxBatch:        opts.MaxBatch,
-	})
+	srv, err := service.New(s.Deployment, s.Workload.Catalog, s.Plan, opts)
 	if err != nil {
 		return nil, err
 	}

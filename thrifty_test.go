@@ -160,13 +160,12 @@ func TestDeployDomainsAndTriage(t *testing.T) {
 		t.Fatal(err)
 	}
 	rcfg := DefaultRecoveryConfig()
-	tcfg := DefaultTriageConfig()
 	sys, err := Deploy(w, plan, DeployOptions{
 		Immediate:  true,
 		SpareNodes: 8,
 		Domains:    3,
 		Recovery:   &rcfg,
-		Triage:     &tcfg,
+		Triage:     true,
 	})
 	if err != nil {
 		t.Fatal(err)
