@@ -104,18 +104,20 @@ service-smoke:
 # Five seconds of differential fuzzing per kernel with a naive oracle: the
 # hand-written request decoders against encoding/json, the replay arrival
 # stream against collect-then-stable-sort, the CountSet algebra (Add, Remove,
-# Fill, the previews and the top-level view) against one slot per epoch, and the
+# Fill, the previews and the top-level view) against one slot per epoch, the
 # ref-indexed monitor with its chunked record log against the map-and-slice
-# monitor it replaced (go test -fuzz takes one target per run). A failing
-# input lands in the package's testdata/fuzz; commit it. FuzzCountSet and
-# FuzzMonitorOps find new coverage all the time and the default minute of
-# minimizing each find would eat the whole smoke.
+# monitor it replaced, and the tracer's entry ring against the ring of whole
+# span records it replaced (go test -fuzz takes one target per run). A failing
+# input lands in the package's testdata/fuzz; commit it. FuzzCountSet,
+# FuzzMonitorOps and FuzzTracerRing find new coverage all the time and the
+# default minute of minimizing each find would eat the whole smoke.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSubmit$$' -fuzztime=5s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=5s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamOrder$$' -fuzztime=5s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzCountSet$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/epoch
 	$(GO) test -run '^$$' -fuzz '^FuzzMonitorOps$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/monitor
+	$(GO) test -run '^$$' -fuzz '^FuzzTracerRing$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/telemetry
 
 # Paired comparison of the working tree against another commit on one
 # benchmark workload, the procedure a performance claim needs: ./benchmark is

@@ -172,10 +172,8 @@ func runParallel(t *testing.T, w *world, opts Options) outcome {
 }
 
 // TestReplayAllocations bounds what a replay allocates per logged query once
-// the tracer's span ring has wrapped (until then every finished span
-// allocates its slot's attribute storage, as TestSubmitPathAllocations in
-// internal/service notes): the first day is the warm-up, the next two are
-// measured. What is left is the record log growing by doubling and the
+// the engine's, instances' and router's pools are warm: the first day is the
+// warm-up, the next two are measured. What is left is the record log growing by doubling and the
 // periodic samples; one closure and one engine event per query, as before
 // arrivals were streamed, would alone be two.
 func TestReplayAllocations(t *testing.T) {

@@ -14,9 +14,8 @@ import (
 // their per-query state in pooled slots and ref-indexed slices, and the log
 // takes one 32-byte entry per query, in one chunk per 4,096 of them (the
 // slice of records it replaces allocated as rarely, by doubling, but 180
-// bytes a query over the same stretch). "Steady state" starts once the
-// tracer's span ring has wrapped, as in TestSubmitPathAllocations of
-// internal/service.
+// bytes a query over the same stretch). The tracer needs no warm-up: a
+// query's three spans are stores into its preallocated ring.
 func TestCompletionPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -36,18 +35,18 @@ func TestCompletionPathAllocations(t *testing.T) {
 		}
 		g.eng.Run(g.eng.Now() + sim.Hour)
 	}
-	for i := 0; i < telemetry.DefaultSpanCapacity; i++ {
+	const warm, n = 100, 40_000
+	for i := 0; i < warm; i++ {
 		query(i)
 	}
-	const n = 40_000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < n; i++ {
 		query(i)
 	}
 	runtime.ReadMemStats(&after)
-	if got := g.mon.RecordCount(); got != telemetry.DefaultSpanCapacity+n {
-		t.Fatalf("%d records for %d queries", got, telemetry.DefaultSpanCapacity+n)
+	if got := g.mon.RecordCount(); got != warm+n {
+		t.Fatalf("%d records for %d queries", got, warm+n)
 	}
 	per := float64(after.Mallocs-before.Mallocs) / n
 	t.Logf("%d allocations for %d completed queries: %.4f per query", after.Mallocs-before.Mallocs, n, per)

@@ -36,9 +36,9 @@ const noPartner = ^uint64(0)
 
 // pending is one in-flight query's completion context, pooled and addressed
 // by the tag issued at submit time. A hedged query occupies two slots: the
-// primary holds the full accounting context, the hedge slot only what is
-// needed to attribute and cancel — both point at each other via partner,
-// and whichever completes first wins and withdraws the other.
+// primary holds the full accounting context and the trace, the hedge slot
+// only what is needed to attribute and cancel — both point at each other via
+// partner, and whichever completes first wins and withdraws the other.
 type pending struct {
 	tenantID  string
 	ref       tenant.Ref // the tenant's group ref, as the monitor indexes it
@@ -46,8 +46,7 @@ type pending struct {
 	submit    sim.Time
 	slaTarget sim.Time
 	dbID      string
-	root      *telemetry.Span
-	exec      *telemetry.Span
+	trace     telemetry.QueryTrace // zero when the query is not traced
 	inst      *mppdb.Instance
 	partner   uint64
 	hedge     bool
@@ -395,6 +394,12 @@ func (r *GroupRouter) acquireTag() uint64 {
 	return uint64(len(r.pending) - 1)
 }
 
+// release clears a pending slot's references and returns its tag to the pool.
+func (r *GroupRouter) release(tag uint64) {
+	r.pending[tag] = pending{partner: noPartner}
+	r.freeTags = append(r.freeTags, tag)
+}
+
 // completed is the pooled completion handler shared by every group instance:
 // it rebuilds the query record from the tag's pending slot and performs the
 // observer sequence. For a hedged query, whichever
@@ -433,21 +438,14 @@ func (r *GroupRouter) completed(res mppdb.Result, tag uint64) {
 		MPPDB:     winnerDB,
 	}
 	if r.tel != nil {
-		if prim.exec != nil {
-			prim.exec.End()
-			prim.root.End()
+		if prim.trace.Root != 0 {
+			r.tel.Tracer.EndQuery(prim.trace, rec.Submit, rec.Finish, r.group, rec.Tenant, rec.Class.ID, prim.dbID)
 		}
 		r.mInflight.Add(-1)
 	}
-	for _, t := range [2]uint64{tag, partnerTag} {
-		if t == noPartner {
-			continue
-		}
-		s := &r.pending[t]
-		s.root, s.exec, s.class, s.inst = nil, nil, nil, nil
-		s.tenantID, s.dbID = "", ""
-		s.partner, s.hedge = noPartner, false
-		r.freeTags = append(r.freeTags, t)
+	r.release(tag)
+	if partnerTag != noPartner {
+		r.release(partnerTag)
 	}
 	if r.mon != nil {
 		r.mon.QueryFinishedRef(ref, rec)
@@ -461,8 +459,9 @@ func (r *GroupRouter) completed(res mppdb.Result, tag uint64) {
 }
 
 // SubmitRef is the one submit path: one slice index resolves the tenant,
-// Algorithm 1 runs over ref-indexed instance state, and the completion
-// context goes into the pooled tag table — no allocation on the steady
+// Algorithm 1 runs over ref-indexed instance state, the completion context
+// goes into the pooled tag table and the trace into the tracer's ring, a
+// two-word handle on it into that context — no allocation on the steady
 // state. Callers obtain refs via Ref or the group interner.
 func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget sim.Time) (string, error) {
 	var tn *tenant.Tenant
@@ -472,23 +471,9 @@ func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget 
 	if tn == nil {
 		return "", fmt.Errorf("router: unknown tenant %s in group %s", r.in.ID(ref), r.group)
 	}
-	// One trace per query: a root span spanning submit → complete, with a
-	// route child (the Algorithm 1 decision) and an execute child (time on
-	// the chosen MPPDB). Under processor sharing there is no queueing
-	// phase: a query starts executing the instant it is routed.
-	var root, route, exec *telemetry.Span
-	if r.tel != nil {
-		root = r.tel.Tracer.StartSpan("query",
-			"group", r.group, "tenant", tn.ID, "class", class.ID)
-		route = r.tel.Tracer.StartChild(root.Context(), "route")
-	}
 	target, targetRef, targetIdx, err := r.pickRef(ref)
 	if err != nil {
-		if root != nil {
-			route.Annotate("error", err.Error())
-			route.End()
-			root.End()
-		}
+		r.traceFailed(tn.ID, class.ID, "", err)
 		return "", err
 	}
 	if slaTarget <= 0 {
@@ -496,36 +481,20 @@ func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget 
 	}
 	submit := r.eng.Now()
 	dbID := target.ID()
-	if root != nil {
-		route.Annotate("mppdb", dbID)
-		route.End()
-		exec = r.tel.Tracer.StartChild(root.Context(), "execute", "mppdb", dbID)
-	}
 	tag := r.acquireTag()
-	p := &r.pending[tag]
-	p.tenantID = tn.ID
-	p.ref = ref
-	p.class = class
-	p.submit = submit
-	p.slaTarget = slaTarget
-	p.dbID = dbID
-	p.root = root
-	p.exec = exec
-	p.inst = target
-	p.partner = noPartner
-	p.hedge = false
-	_, err = target.SubmitTagged(targetRef, class, tag)
-	if err != nil {
-		p.root, p.exec, p.class, p.inst = nil, nil, nil, nil
-		p.tenantID, p.dbID = "", ""
-		p.partner = noPartner
-		r.freeTags = append(r.freeTags, tag)
-		if exec != nil {
-			exec.Annotate("error", err.Error())
-			exec.End()
-			root.End()
-		}
+	r.pending[tag] = pending{tenantID: tn.ID, ref: ref, class: class, submit: submit,
+		slaTarget: slaTarget, dbID: dbID, inst: target, partner: noPartner}
+	if _, err := target.SubmitTagged(targetRef, class, tag); err != nil {
+		r.release(tag)
+		r.traceFailed(tn.ID, class.ID, dbID, err)
 		return "", err
+	}
+	// One trace per query, on this group's engine time: a root span spanning
+	// submit → complete, with a route child (the Algorithm 1 decision) and an
+	// execute child (time on the chosen MPPDB). Under processor sharing there
+	// is no queueing phase: a query starts executing the instant it is routed.
+	if r.tel != nil {
+		r.pending[tag].trace = r.tel.Tracer.BeginQuery(submit, dbID)
 	}
 	// The completion callback fires via a later engine event, never
 	// synchronously inside Submit, so the start is recorded first.
@@ -542,6 +511,27 @@ func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget 
 		r.mInflight.Add(1)
 	}
 	return dbID, nil
+}
+
+// traceFailed records a submit that started no query, in general spans: the
+// root and route a served query leaves, the error on the route when no MPPDB
+// could be picked (dbID empty), else on the execute child of the one that
+// refused.
+func (r *GroupRouter) traceFailed(tenantID, classID, dbID string, err error) {
+	if r.tel == nil {
+		return
+	}
+	tr := r.tel.Tracer
+	root := tr.StartSpan("query", "group", r.group, "tenant", tenantID, "class", classID)
+	failed := tr.StartChild(root.Context(), "route")
+	if dbID != "" {
+		failed.Annotate("mppdb", dbID)
+		failed.End()
+		failed = tr.StartChild(root.Context(), "execute", "mppdb", dbID)
+	}
+	failed.Annotate("error", err.Error())
+	failed.End()
+	root.End()
 }
 
 // hedgePeer picks the healthiest eligible duplicate target for a hedge away
@@ -574,20 +564,10 @@ func (r *GroupRouter) hedgeTo(tag uint64, grayIdx int) {
 	ht := r.acquireTag()
 	// acquireTag may grow the pending slice; re-resolve both slots after.
 	h, p := &r.pending[ht], &r.pending[tag]
-	h.tenantID = p.tenantID
-	h.ref = p.ref
-	h.class = p.class
-	h.submit = p.submit
-	h.slaTarget = p.slaTarget
-	h.dbID = peer.ID()
-	h.root, h.exec = nil, nil
-	h.inst = peer
-	h.partner = tag
-	h.hedge = true
+	*h = pending{tenantID: p.tenantID, ref: p.ref, class: p.class, submit: p.submit,
+		slaTarget: p.slaTarget, dbID: peer.ID(), inst: peer, partner: tag, hedge: true}
 	if _, err := peer.SubmitHedge(p.ref, p.class, ht); err != nil {
-		h.tenantID, h.dbID, h.class, h.inst = "", "", nil, nil
-		h.partner, h.hedge = noPartner, false
-		r.freeTags = append(r.freeTags, ht)
+		r.release(ht)
 		return
 	}
 	p.partner = ht

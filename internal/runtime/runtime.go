@@ -728,7 +728,7 @@ func (p *Plane) ForTenant(id string) (*GroupRuntime, bool) {
 
 // ForTenantRef returns the group hosting the tenant together with the
 // tenant's interned ref in that group, resolved once at deploy or cutover.
-// The ref is NoRef when the group's router runs in string mode.
+// The ref is NoRef only for a group bound without a router.
 func (p *Plane) ForTenantRef(id string) (*GroupRuntime, tenant.Ref, bool) {
 	g, ref, _, ok := p.Lookup(id)
 	return g, ref, ok

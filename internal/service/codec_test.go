@@ -16,7 +16,6 @@ import (
 	"repro/internal/queries"
 	"repro/internal/runtime"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 )
 
 // The legacy* functions build the values the handlers handed to encoding/json
@@ -291,9 +290,9 @@ func (w *bodyWriter) Write(p []byte) (int, error) {
 // the batch 4.9 times a query, all of it in encoding/json, the map[string]any
 // bodies, Time.String and Header().Set. The bounds below leave one allocation
 // of slack per request for what is not this repository's: ServeMux internals
-// differ between Go releases. "Steady state" starts once the tracer's span
-// ring has wrapped; until then each finished span allocates its slot's
-// attribute storage once.
+// differ between Go releases. "Steady state" starts once the pools are warm;
+// the tracer's ring has nothing to warm, a query's spans are plain stores
+// into it.
 func TestSubmitPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -325,9 +324,7 @@ func TestSubmitPathAllocations(t *testing.T) {
 	}
 
 	single := drive("/v1/queries", []byte(`{"tenant":"t1","query":"TPCH-Q6"}`), http.StatusAccepted)
-	// Warm up until the tracer's span ring has wrapped: until then every
-	// finished span allocates its slot's attribute storage.
-	for i := 0; i < telemetry.DefaultSpanCapacity; i++ {
+	for i := 0; i < 50; i++ {
 		single()
 	}
 	if n := testing.AllocsPerRun(200, single); n > 1 {

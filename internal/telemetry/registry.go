@@ -63,15 +63,18 @@ func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 type Histogram struct {
 	bounds  []float64
 	buckets []atomic.Int64 // len(bounds)+1, non-cumulative
-	count   atomic.Int64
 	sumBits atomic.Uint64
 }
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	i := sort.SearchFloat64s(h.bounds, v)
+	// The first bound >= v (none for NaN): sort.SearchFloat64s without a
+	// closure call per probe.
+	i := 0
+	for i < len(h.bounds) && !(h.bounds[i] >= v) {
+		i++
+	}
 	h.buckets[i].Add(1)
-	h.count.Add(1)
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)
@@ -81,8 +84,13 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
+// Count returns the number of observations, the sum over the buckets.
+func (h *Histogram) Count() (n int64) {
+	for i := range h.buckets {
+		n += h.buckets[i].Load()
+	}
+	return n
+}
 
 // Sum returns the sum of all observations.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
@@ -268,8 +276,8 @@ func (r *Registry) Snapshot() []MetricValue {
 			mv.Buckets = make([]int64, len(m.h.buckets))
 			for i := range m.h.buckets {
 				mv.Buckets[i] = m.h.buckets[i].Load()
+				mv.Count += mv.Buckets[i]
 			}
-			mv.Count = m.h.Count()
 			mv.Sum = m.h.Sum()
 		}
 		out = append(out, mv)

@@ -2,7 +2,9 @@ package telemetry
 
 import (
 	"bytes"
+	"math"
 	"regexp"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -55,6 +57,32 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		if hv.Buckets[i] != w {
 			t.Errorf("bucket %d = %d, want %d", i, hv.Buckets[i], w)
 		}
+	}
+}
+
+// TestHistogramBucketSearch: Observe's own search picks the bucket
+// sort.SearchFloat64s picked — on, beside and beyond every default boundary —
+// and the snapshot's count is the sum of its buckets.
+func TestHistogramBucketSearch(t *testing.T) {
+	r := NewRegistry()
+	h := r.Histogram("latency_seconds", nil)
+	want := make([]int64, len(DefaultLatencyBoundaries)+1)
+	vs := []float64{math.Inf(-1), -1, 0, math.Inf(1), math.NaN()}
+	for _, b := range DefaultLatencyBoundaries {
+		vs = append(vs, math.Nextafter(b, 0), b, math.Nextafter(b, math.Inf(1)))
+	}
+	for _, v := range vs {
+		h.Observe(v)
+		want[sort.SearchFloat64s(DefaultLatencyBoundaries, v)]++
+	}
+	mv := r.Snapshot()[0]
+	for i := range want {
+		if mv.Buckets[i] != want[i] {
+			t.Errorf("bucket %d = %d, want %d", i, mv.Buckets[i], want[i])
+		}
+	}
+	if n := int64(len(vs)); h.Count() != n || mv.Count != n {
+		t.Errorf("Count() = %d, snapshot count %d, want %d", h.Count(), mv.Count, n)
 	}
 }
 

@@ -1,8 +1,10 @@
 package telemetry
 
 import (
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // TenantSLO is one tenant's SLA attainment standing.
@@ -27,12 +29,11 @@ type SLAAccount struct {
 	perTenant map[string]*SLATally
 }
 
-// SLATally is one tenant's tallies in an account. A caller that observes the
-// same tenant again and again keeps the handle and skips the lookup by name.
+// SLATally is one tenant's tallies in an account, updated without its mutex. A
+// caller that observes one tenant again and again keeps the handle.
 type SLATally struct {
-	a           *SLAAccount
-	met, missed int64
-	worst       float64
+	met, missed atomic.Int64
+	worst       atomic.Uint64 // float64 bits
 }
 
 // NewSLAAccount builds an account judged against the guarantee p (fraction,
@@ -51,7 +52,7 @@ func (a *SLAAccount) Tally(tenant string) *SLATally {
 	defer a.mu.Unlock()
 	c := a.perTenant[tenant]
 	if c == nil {
-		c = &SLATally{a: a}
+		c = &SLATally{}
 		a.perTenant[tenant] = c
 	}
 	return c
@@ -64,16 +65,18 @@ func (a *SLAAccount) Observe(tenant string, normalized float64, met bool) {
 
 // Observe records one completed query's SLA outcome for the tally's tenant.
 func (c *SLATally) Observe(normalized float64, met bool) {
-	c.a.mu.Lock()
 	if met {
-		c.met++
+		c.met.Add(1)
 	} else {
-		c.missed++
+		c.missed.Add(1)
 	}
-	if normalized > c.worst {
-		c.worst = normalized
+	for {
+		old := c.worst.Load()
+		if !(normalized > math.Float64frombits(old)) ||
+			c.worst.CompareAndSwap(old, math.Float64bits(normalized)) {
+			return
+		}
 	}
-	c.a.mu.Unlock()
 }
 
 // Report returns every observed tenant's standing, sorted by tenant ID.
@@ -81,17 +84,17 @@ func (a *SLAAccount) Report() []TenantSLO {
 	a.mu.Lock()
 	out := make([]TenantSLO, 0, len(a.perTenant))
 	for t, c := range a.perTenant {
-		total := c.met + c.missed
+		met, missed := c.met.Load(), c.missed.Load()
 		att := 1.0
-		if total > 0 {
-			att = float64(c.met) / float64(total)
+		if met+missed > 0 {
+			att = float64(met) / float64(met+missed)
 		}
 		out = append(out, TenantSLO{
 			Tenant:          t,
-			Met:             c.met,
-			Missed:          c.missed,
+			Met:             met,
+			Missed:          missed,
 			Attainment:      att,
-			WorstNormalized: c.worst,
+			WorstNormalized: math.Float64frombits(c.worst.Load()),
 			OK:              att >= a.p,
 		})
 	}
@@ -107,8 +110,9 @@ func (a *SLAAccount) Overall() float64 {
 	defer a.mu.Unlock()
 	var met, total int64
 	for _, c := range a.perTenant {
-		met += c.met
-		total += c.met + c.missed
+		m := c.met.Load()
+		met += m
+		total += m + c.missed.Load()
 	}
 	if total == 0 {
 		return 1

@@ -1,14 +1,15 @@
 // Package telemetry is Thrifty's self-observation layer: a dependency-free
 // metrics registry (atomic counters, gauges, and fixed-boundary latency
 // histograms with Prometheus text encoding), causally-linked trace spans
-// driven by a pluggable clock (virtual time in simulations, wall time in a
-// live service), a bounded subscribable stream of SLA-relevant events, and
-// per-tenant SLA attainment accounting.
+// kept as compact entries in a bounded ring until a reader asks for records,
+// a bounded subscribable stream of SLA-relevant events, and per-tenant SLA
+// attainment accounting.
 //
 // The whole layer is deterministic under the simulator: span and event
 // identifiers are monotonic counters (never random), timestamps come from
-// the injected Clock, and every dump/encoding orders its output totally —
-// two runs of the same seeded simulation emit byte-identical traces and
+// the injected Clock (virtual or wall time) or, for a routed query's spans,
+// from its router's engine, and every dump/encoding orders its output totally
+// — two runs of the same seeded simulation emit byte-identical traces and
 // event logs.
 //
 // A Hub bundles one of each component and is what the instrumented

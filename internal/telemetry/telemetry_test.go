@@ -40,10 +40,33 @@ func TestSpansAgainstSimClock(t *testing.T) {
 	if spans[1].Duration() != 5*sim.Second {
 		t.Errorf("execute duration %v", spans[1].Duration())
 	}
-	// End is idempotent.
+	// End is idempotent, and an ended span takes no more attributes — also
+	// once later spans have been opened and ended.
+	tr.StartSpan("later").End()
 	root.End()
-	if len(tr.Finished()) != 3 {
-		t.Error("double End committed twice")
+	root.Annotate("late", "x")
+	if spans = tr.Finished(); len(spans) != 4 {
+		t.Fatalf("double End committed twice: %d spans", len(spans))
+	}
+	if spans[2].ID != root.Context().Span || len(spans[2].Attrs) != 2 || spans[3].Name != "later" {
+		t.Errorf("spans after the second End: %+v", spans[2:])
+	}
+}
+
+// TestQueryTraceAllocations: tracing a routed query allocates nothing, from
+// the first query on — there is no ring slot storage to grow into.
+func TestQueryTraceAllocations(t *testing.T) {
+	tr := NewTracer(sim.NewEngine(), DefaultSpanCapacity)
+	now := sim.Time(0)
+	if n := testing.AllocsPerRun(1000, func() {
+		q := tr.BeginQuery(now, "TG-0-db0")
+		now += sim.Second
+		tr.EndQuery(q, now-sim.Second, now, "TG-0", "T0001", "TPCH-Q1", "TG-0-db0")
+	}); n != 0 {
+		t.Errorf("BeginQuery + EndQuery: %v allocs, want 0", n)
+	}
+	if got := len(tr.Finished()); got != 3*1001 {
+		t.Errorf("%d spans retained, want %d", got, 3*1001)
 	}
 }
 
@@ -164,9 +187,11 @@ func TestHubConcurrency(t *testing.T) {
 			for j := 0; j < 300; j++ {
 				sp := h.Tracer.StartSpan("op", "worker", "w")
 				h.Registry.Counter("ops_total").Inc()
-				h.SLA.Observe("T1", 0.5, true)
+				h.SLA.Observe("T1", float64(j), j%2 == 0)
 				h.Events.Publish(Event{Type: EventSLAViolation, Tenant: "T1"})
+				q := h.Tracer.BeginQuery(0, "db")
 				sp.End()
+				h.Tracer.EndQuery(q, 0, sim.Second, "g", "T1", "c", "db")
 			}
 		}(i)
 	}
@@ -180,11 +205,14 @@ func TestHubConcurrency(t *testing.T) {
 	if h.Events.Total() != 3000 {
 		t.Errorf("events = %d", h.Events.Total())
 	}
+	if rep := h.SLA.Report(); len(rep) != 1 || rep[0].Met != 1500 || rep[0].Missed != 1500 || rep[0].WorstNormalized != 299 {
+		t.Errorf("SLA report = %+v", rep)
+	}
 	var buf bytes.Buffer
 	if err := h.Tracer.Dump(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "op") {
-		t.Error("trace dump empty")
+	if got := strings.Count(buf.String(), "\n"); got != DefaultSpanCapacity || h.Tracer.Dropped() != 4*3000-DefaultSpanCapacity {
+		t.Errorf("trace dump of %d spans, %d dropped", got, h.Tracer.Dropped())
 	}
 }

@@ -28,19 +28,55 @@ type SpanRecord struct {
 // Duration returns the span's elapsed clock time.
 func (r SpanRecord) Duration() sim.Time { return r.End - r.Start }
 
-// Tracer creates spans against a Clock and retains the most recent finished
-// spans in a bounded ring. Identifiers are monotonic counters, so a
-// deterministic simulation yields a byte-identical Dump across runs.
+// entryKind says what an entry's strings mean: a query's three spans have
+// fixed names and attribute keys, which only a reader's SpanRecord spells out.
+type entryKind uint8
+
+const (
+	spanGeneral entryKind = iota // a = name, attrs as annotated
+	spanRoute                    // a = mppdb
+	spanExecute                  // a = mppdb
+	spanQuery                    // a, b, c = group, tenant, class
+)
+
+// entry is one finished span as the ring keeps it.
+type entry struct {
+	trace, id, parent uint64
+	start, end        sim.Time
+	kind              entryKind
+	a, b, c           string
+	attrs             []Label // spanGeneral only; handed over by Span.End
+}
+
+// record builds the entry's readable form; Attrs is the caller's own copy.
+func (e *entry) record() SpanRecord {
+	r := SpanRecord{Trace: e.trace, ID: e.id, Parent: e.parent, Start: e.start, End: e.end}
+	switch e.kind {
+	case spanRoute:
+		r.Name, r.Attrs = "route", []Label{{"mppdb", e.a}}
+	case spanExecute:
+		r.Name, r.Attrs = "execute", []Label{{"mppdb", e.a}}
+	case spanQuery:
+		r.Name, r.Attrs = "query", []Label{{"group", e.a}, {"tenant", e.b}, {"class", e.c}}
+	default:
+		r.Name, r.Attrs = e.a, append([]Label(nil), e.attrs...)
+	}
+	return r
+}
+
+// Tracer retains the most recent finished spans in a bounded ring.
+// Identifiers are monotonic counters, so a deterministic simulation yields a
+// byte-identical Dump across runs. A routed query is traced by BeginQuery and
+// EndQuery, one lock round trip each and the caller's own timestamps; any
+// other span is a heap object from StartSpan or StartChild on the Clock.
 type Tracer struct {
 	mu        sync.Mutex
 	clock     Clock
 	nextTrace uint64
 	nextSpan  uint64
-	ring      []SpanRecord
-	start     int
-	n         int
-	dropped   uint64
-	free      *Span // intrusive freelist of ended spans, for reuse
+	ring      []entry
+	next      int    // ring position the next finished span goes to
+	total     uint64 // spans ever finished; the last len(ring) of them are retained
 }
 
 // NewTracer builds a tracer retaining up to capacity finished spans.
@@ -48,22 +84,59 @@ func NewTracer(clock Clock, capacity int) *Tracer {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &Tracer{clock: clock, ring: make([]SpanRecord, capacity)}
+	return &Tracer{clock: clock, ring: make([]entry, capacity)}
 }
 
-// Span is an in-flight operation. End it exactly once, and do not touch the
-// span afterwards: End recycles the object into the tracer's freelist, so any
-// post-End call may land on an unrelated later span.
+// commit writes one finished span over the oldest ring position, field by
+// field (assigning a built entry copies its 120 bytes twice), and returns it
+// for the caller to add what its kind has beyond a; callers hold t.mu.
+func (t *Tracer) commit(kind entryKind, trace, id, parent uint64, start, end sim.Time, a string) *entry {
+	e := &t.ring[t.next]
+	if t.next++; t.next == len(t.ring) {
+		t.next = 0
+	}
+	t.total++
+	e.trace, e.id, e.parent = trace, id, parent
+	e.start, e.end, e.kind = start, end, kind
+	e.a, e.b, e.c, e.attrs = a, "", "", nil
+	return e
+}
+
+// QueryTrace is the handle on one routed query's trace: a root "query" span
+// Root with a "route" child Root+1 and an "execute" child Root+2. The zero
+// value means the query is not traced.
+type QueryTrace struct {
+	Trace, Root uint64
+}
+
+// BeginQuery opens the trace of a query routed to mppdb at now and commits
+// its route span, the Algorithm 1 decision, which takes no clock time.
+func (t *Tracer) BeginQuery(now sim.Time, mppdb string) QueryTrace {
+	t.mu.Lock()
+	t.nextTrace++
+	q := QueryTrace{Trace: t.nextTrace, Root: t.nextSpan + 1}
+	t.nextSpan += 3
+	t.commit(spanRoute, q.Trace, q.Root+1, q.Root, now, now, mppdb)
+	t.mu.Unlock()
+	return q
+}
+
+// EndQuery commits the query's execute span and then its root, both running
+// from submit to finish. mppdb is the instance the query was routed to.
+func (t *Tracer) EndQuery(q QueryTrace, submit, finish sim.Time, group, tenant, class, mppdb string) {
+	t.mu.Lock()
+	t.commit(spanExecute, q.Trace, q.Root+2, q.Root, submit, finish, mppdb)
+	e := t.commit(spanQuery, q.Trace, q.Root, 0, submit, finish, group)
+	e.b, e.c = tenant, class
+	t.mu.Unlock()
+}
+
+// Span is an in-flight operation opened by StartSpan or StartChild. End
+// commits it; an ended span ignores further calls.
 type Span struct {
 	t     *Tracer
-	next  *Span // freelist link, nil while in flight
 	rec   SpanRecord
 	ended bool
-	// inline backs rec.Attrs for the common small-span case so opening a
-	// span costs no allocation once the freelist is warm. End copies the
-	// attrs out into ring-slot-owned storage, so recycling the array never
-	// mutates a retained record.
-	inline [4]Label
 }
 
 // StartSpan opens a root span of a fresh trace. attrs is a flat
@@ -82,37 +155,29 @@ func (t *Tracer) StartChild(parent SpanContext, name string, attrs ...string) *S
 	return t.newSpan(parent.Trace, parent.Span, name, attrs)
 }
 
-// newSpan takes a span off the freelist (or allocates one); callers hold t.mu.
+// newSpan allocates the span and its identifier; callers hold t.mu.
 func (t *Tracer) newSpan(trace, parent uint64, name string, attrs []string) *Span {
 	t.nextSpan++
-	s := t.free
-	if s != nil {
-		t.free = s.next
-		s.next = nil
-		s.ended = false
-	} else {
-		s = &Span{t: t}
-	}
-	s.rec = SpanRecord{
+	return &Span{t: t, rec: SpanRecord{
 		Trace:  trace,
 		ID:     t.nextSpan,
 		Parent: parent,
 		Name:   name,
 		Start:  t.clock.Now(),
-	}
-	s.rec.Attrs = appendPairs(s.inline[:0], attrs)
-	return s
+		Attrs:  attrPairs(attrs),
+	}}
 }
 
-// appendPairs appends a flat key/value list to dst preserving insertion
+// attrPairs turns a flat key/value list into labels, preserving insertion
 // order (unlike metric labels, span attributes tell a story in sequence).
 // The panic message deliberately reports only len(kv): formatting kv itself
 // would leak the slice to the heap and force every StartSpan/StartChild
 // caller's variadic attr list to allocate.
-func appendPairs(dst []Label, kv []string) []Label {
+func attrPairs(kv []string) []Label {
 	if len(kv)%2 != 0 {
 		panic(fmt.Sprintf("telemetry: odd attribute list (%d items)", len(kv)))
 	}
+	dst := make([]Label, 0, len(kv)/2)
 	for i := 0; i < len(kv); i += 2 {
 		dst = append(dst, Label{Key: kv[i], Value: kv[i+1]})
 	}
@@ -133,10 +198,8 @@ func (s *Span) Annotate(key, value string) {
 	}
 }
 
-// End closes the span at the clock's current time, commits it to the
-// tracer's ring, and recycles the span object. The ring slot keeps its own
-// attrs backing array (grown on demand, reused across evictions), so the
-// recycled span's inline storage never aliases a retained record.
+// End closes the span at the clock's current time and commits it to the
+// tracer's ring, which takes over the span's attributes.
 func (s *Span) End() {
 	s.t.mu.Lock()
 	defer s.t.mu.Unlock()
@@ -144,37 +207,20 @@ func (s *Span) End() {
 		return
 	}
 	s.ended = true
-	s.rec.End = s.t.clock.Now()
-	t := s.t
-	var slot *SpanRecord
-	if t.n == len(t.ring) {
-		slot = &t.ring[t.start]
-		t.start = (t.start + 1) % len(t.ring)
-		t.dropped++
-	} else {
-		slot = &t.ring[(t.start+t.n)%len(t.ring)]
-		t.n++
-	}
-	attrs := append(slot.Attrs[:0], s.rec.Attrs...)
-	*slot = s.rec
-	slot.Attrs = attrs
-	s.rec.Attrs = nil
-	s.next = t.free
-	t.free = s
+	r := &s.rec
+	s.t.commit(spanGeneral, r.Trace, r.ID, r.Parent, r.Start, s.t.clock.Now(), r.Name).attrs = r.Attrs
 }
 
-// Finished returns the retained finished spans, oldest first (which is also
-// ascending span-ID order, since spans commit on End and the sim clock never
-// runs backwards within a run). Attrs are deep-copied so the result stays
-// valid while later spans reuse the ring's slot-owned storage.
+// Finished returns the retained finished spans, oldest first, in the order
+// they were committed (a child that ends before its parent comes first, so
+// span IDs do not ascend). Every record's Attrs is the caller's own.
 func (t *Tracer) Finished() []SpanRecord {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out := make([]SpanRecord, 0, t.n)
-	for i := 0; i < t.n; i++ {
-		out = append(out, t.ring[(t.start+i)%len(t.ring)])
-		r := &out[len(out)-1]
-		r.Attrs = append([]Label(nil), r.Attrs...)
+	n := int(min(t.total, uint64(len(t.ring))))
+	out := make([]SpanRecord, 0, n)
+	for i := len(t.ring) + t.next - n; i < len(t.ring)+t.next; i++ {
+		out = append(out, t.ring[i%len(t.ring)].record())
 	}
 	return out
 }
@@ -183,7 +229,7 @@ func (t *Tracer) Finished() []SpanRecord {
 func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.total - min(t.total, uint64(len(t.ring)))
 }
 
 // Dump writes every retained span as one text line:

@@ -181,3 +181,49 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Errorf("span names = %v", names)
 	}
 }
+
+// TestShardedSpanTimesMatchRecords: on the sharded layout the hub's clock is
+// the furthest-ahead group's, which is not when a query of another group was
+// submitted or finished. Every retained query span must carry its own
+// record's times — the router stamps them from its group's engine.
+func TestShardedSpanTimesMatchRecords(t *testing.T) {
+	w := smallWorkload(t)
+	plan, err := PlanDeployment(w, DefaultPlanConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(plan.Groups) < 2 {
+		t.Fatalf("%d groups planned, need 2", len(plan.Groups))
+	}
+	sys, err := Deploy(w, plan, DeployOptions{Immediate: true, SpareNodes: 16, Sharded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sys.Replay(ReplayOptions{From: 0, To: sim.Day})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct {
+		tenant         string
+		submit, finish sim.Time
+	}
+	records := make(map[key]bool, len(rep.Records))
+	for _, rec := range rep.Records {
+		records[key{rec.Tenant, rec.Submit, rec.Finish}] = true
+	}
+	queries, strays := 0, 0
+	for _, s := range sys.Telemetry().Tracer.Finished() {
+		if s.Name != "query" {
+			continue
+		}
+		queries++
+		if tenant := s.Attrs[1]; tenant.Key != "tenant" || !records[key{tenant.Value, s.Start, s.End}] {
+			if strays++; strays <= 3 {
+				t.Errorf("no record matches span %+v", s)
+			}
+		}
+	}
+	if queries == 0 || strays > 0 {
+		t.Errorf("%d of %d retained query spans match no record's tenant, submit and finish", strays, queries)
+	}
+}
