@@ -4,9 +4,10 @@ GO ?= go
 
 # The full pre-commit gate: static checks, build, the race-enabled suite
 # (which holds every test the *-smoke targets below pick out for local
-# iteration, so check does not run those twice), the fuzz smoke and one
+# iteration, so check does not run those twice — except grouping-smoke, whose
+# -cpu list the suite's single run does not have), the fuzz smoke and one
 # iteration of the planner benchmarks.
-check: vet build race fuzz-smoke bench-smoke
+check: vet build race grouping-smoke fuzz-smoke bench-smoke
 
 vet:
 	$(GO) vet ./...
@@ -63,17 +64,21 @@ domain-smoke:
 
 # Solver-equivalence property tests under the race detector — synthetic,
 # adversarial, shared-credit and composed-log (benchmark-shaped) instances at
-# workers {1,3,4,8}; the composed one is what catches a CountSet level view
-# written from inside concurrent previews — plus bench-smoke.
+# workers {0,1,3,4,8} — at three GOMAXPROCS settings, because Workers 0 (what
+# every caller leaves it at) takes its width from there and the runner's own
+# width is one point; the composed one is what catches state shared between
+# two size classes' searches. Plus bench-smoke.
 grouping-smoke: bench-smoke
-	$(GO) test -race -run 'TestSolverMatchesReference' -count=1 ./internal/grouping
+	$(GO) test -race -cpu 1,2,4 -run 'TestSolverMatchesReference|TestLaunchOrder' -count=1 ./internal/grouping
 
 # One iteration of the solver-scale benchmarks and the planner's per-stage
 # ones (solve, verify, quantize and burst detection on one 500-tenant composed
 # population), so a benchmark that no longer builds or runs is caught before
-# commit without paying full benchmark time.
+# commit without paying full benchmark time. The composed solve runs serial
+# and two classes wide.
 bench-smoke:
-	$(GO) test -bench 'BenchmarkTwoStep2000|BenchmarkPickBest|BenchmarkTwoStepComposed500|BenchmarkVerifyComposed500|BenchmarkQuantize500' -benchtime=1x -run '^$$' ./internal/grouping
+	$(GO) test -bench 'BenchmarkTwoStep2000|BenchmarkPickBest|BenchmarkVerifyComposed500|BenchmarkQuantize500' -benchtime=1x -run '^$$' ./internal/grouping
+	$(GO) test -bench 'BenchmarkTwoStepComposed500' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/grouping
 	$(GO) test -bench 'BenchmarkDetectBursts500' -benchtime=1x -run '^$$' ./internal/advisor
 
 # Bounded online-re-consolidation smoke with the race detector on: a seeded

@@ -28,7 +28,6 @@ func main() {
 		epochSec = flag.Float64("epoch", 3, "epoch size E in seconds")
 		algo     = flag.String("algo", "2-step", `grouping algorithm: "2-step" or "ffd"`)
 		uextra   = flag.Int("uextra", 0, "extra nodes for every tuning MPPDB G0 (manual tuning, §6)")
-		workers  = flag.Int("solver-workers", 0, "grouping-solver parallelism (0 = serial; the plan is identical at any value)")
 		verbose  = flag.Bool("v", false, "print every tenant-group")
 	)
 	flag.Parse()
@@ -50,7 +49,6 @@ func main() {
 	cfg.P = *p
 	cfg.Epoch = sim.Time(*epochSec * float64(sim.Second))
 	cfg.UExtra = *uextra
-	cfg.SolverWorkers = *workers
 	switch *algo {
 	case "2-step":
 		cfg.Algorithm = advisor.TwoStep

@@ -87,14 +87,9 @@ func main() {
 		scaleName = flag.String("scale", "small", `experiment scale: "small" or "full" (paper parameters)`)
 		only      = flag.String("only", "", "comma-separated experiment names (default: all)")
 		seed      = flag.Int64("seed", 1, "random seed")
-		workers   = flag.Int("solver-workers", 0, "grouping-solver parallelism (0 = serial; tables are identical at any value)")
 		list      = flag.Bool("list", false, "list experiment names and exit")
 	)
 	flag.Parse()
-	if *workers < 0 {
-		fatal("-solver-workers must be >= 0")
-	}
-	experiments.SolverWorkers = *workers
 
 	if *list {
 		for _, e := range all {

@@ -55,11 +55,6 @@ type Config struct {
 	// U optionally widens every group's tuning MPPDB G₀ by this many nodes
 	// beyond n₁ (§6 manual tuning). 0 keeps U = n₁.
 	UExtra int
-	// SolverWorkers bounds the grouping solver's parallelism (see
-	// grouping.Solver): 0 or 1 solves serially, larger values shard the
-	// T_best candidate scans and solve size classes concurrently. The
-	// partition produced is identical at any worker count.
-	SolverWorkers int
 	// FailureDomains records the failure-domain count of the pool the plan
 	// will deploy onto (racks/zones). The grouping itself is
 	// placement-agnostic — the master's spread-aware acquisition realizes
@@ -227,9 +222,6 @@ func New(cfg Config) (*Advisor, error) {
 	if cfg.BurstLookaheadDays < 0 {
 		return nil, fmt.Errorf("advisor: BurstLookaheadDays=%d", cfg.BurstLookaheadDays)
 	}
-	if cfg.SolverWorkers < 0 {
-		return nil, fmt.Errorf("advisor: SolverWorkers=%d", cfg.SolverWorkers)
-	}
 	if cfg.Share != nil && cfg.Share.R != cfg.R {
 		return nil, fmt.Errorf("advisor: share model capacity %d != R %d", cfg.Share.R, cfg.R)
 	}
@@ -288,7 +280,7 @@ func (a *Advisor) Plan(logs []*workload.TenantLog, horizon sim.Time) (*Plan, err
 		case FFD:
 			s, serr = grouping.FFD(p)
 		default:
-			s, serr = grouping.Solver{Workers: a.cfg.SolverWorkers}.TwoStep(p)
+			s, serr = grouping.TwoStep(p)
 		}
 		if serr != nil {
 			return nil, serr

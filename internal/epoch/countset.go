@@ -28,7 +28,7 @@ type CountSet struct {
 	spare []countSeg // retired segment buffer, reused by the next Add
 	// lvl[i] lists the segments at count MaxCount()-i, the two levels that
 	// decide the head of a T_best key. Add, Remove and Reset rebuild it;
-	// previews only read it, so concurrent previews of one set stay safe.
+	// previews only read it.
 	lvl [2]Spans
 	// Fill's scratch, made by the first Fill and all zero between calls:
 	// diff[x] is the number of member spans that start at epoch x minus the

@@ -45,7 +45,7 @@ func AblationSolvers(env *Env) (*Table, error) {
 		run  func(*grouping.Problem) (*grouping.Solution, error)
 	}
 	for _, s := range []solver{
-		{"2-step (size split + T_best)", grouping.Solver{Workers: SolverWorkers}.TwoStep},
+		{"2-step (size split + T_best)", grouping.TwoStep},
 		{"FFD (size split only)", grouping.FFD},
 		{"FFD-global (neither)", grouping.FFDGlobal},
 	} {
@@ -79,7 +79,7 @@ func AblationSolvers(env *Env) (*Table, error) {
 	sub := &grouping.Problem{D: prob.D, R: prob.R, P: prob.P, Items: biggest}
 	for _, s := range []solver{
 		{fmt.Sprintf("exact (first %d same-size tenants)", len(biggest)), grouping.Exact},
-		{"2-step on the same subsample", grouping.Solver{Workers: SolverWorkers}.TwoStep},
+		{"2-step on the same subsample", grouping.TwoStep},
 	} {
 		sol, err := s.run(sub)
 		if err != nil {

@@ -105,7 +105,6 @@ type driftWorld struct {
 // and the largest group's first member is the take-over victim.
 func buildDriftWorld(env *Env, cfg DriftConfig) (*driftWorld, error) {
 	acfg := advisor.DefaultConfig()
-	acfg.SolverWorkers = SolverWorkers
 	logs, plan, err := planDefault(env, acfg)
 	if err != nil {
 		return nil, err

@@ -80,12 +80,6 @@ const (
 // epoch-size independent, so the finer grid is free.
 var DefaultEpoch = 3 * sim.Second
 
-// SolverWorkers bounds the grouping solver's parallelism in every
-// experiment (see grouping.Solver). 0 or 1 solves serially; the solutions —
-// and therefore every table — are identical at any worker count, only the
-// planning-time column changes. Set from the -solver-workers flag.
-var SolverWorkers int
-
 // Env is the shared experimental environment: the query catalog and the
 // step-1 session library, built once and reused by every experiment.
 type Env struct {
@@ -240,7 +234,7 @@ func MeasureConsolidation(logs []*workload.TenantLog, horizon, E sim.Time, r int
 		return nil, err
 	}
 	pt.ActiveRatio = workload.ComputeStats(logs, ratioGrid).MeanActiveRatio
-	two, err := grouping.Solver{Workers: SolverWorkers}.TwoStep(prob)
+	two, err := grouping.TwoStep(prob)
 	if err != nil {
 		return nil, err
 	}

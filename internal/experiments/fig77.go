@@ -38,7 +38,6 @@ func (r *Fig77Result) Tables() []*Table {
 // recovers).
 func Fig77ElasticScaling(env *Env) (*Fig77Result, error) {
 	acfg := advisor.DefaultConfig()
-	acfg.SolverWorkers = SolverWorkers
 	logs, plan, err := planDefault(env, acfg)
 	if err != nil {
 		return nil, err

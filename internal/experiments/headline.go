@@ -27,7 +27,6 @@ func (r *HeadlineResult) Tables() []*Table { return []*Table{r.Summary, r.Valida
 // Headline plans the default population and validates the plan at run time.
 func Headline(env *Env) (*HeadlineResult, error) {
 	acfg := advisor.DefaultConfig()
-	acfg.SolverWorkers = SolverWorkers
 	logs, plan, err := planDefault(env, acfg)
 	if err != nil {
 		return nil, err

@@ -130,7 +130,6 @@ func SharingOutcome(env *Env) (*SharingResult, error) {
 	}
 	plan := func(sharing bool) (*advisor.Plan, error) {
 		cfg := advisor.DefaultConfig()
-		cfg.SolverWorkers = SolverWorkers
 		cfg.Sharing = sharing
 		adv, err := advisor.New(cfg)
 		if err != nil {

@@ -2,6 +2,7 @@ package grouping
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/epoch"
@@ -43,10 +44,10 @@ func composedLogs(tb testing.TB, n, days int, seed int64, sizes []int) ([]*workl
 }
 
 // TestSolverMatchesReferenceComposed is the equivalence property on
-// benchmark-shaped input, serial and sharded. Run under -race it is also the
-// test that catches a CountSet level view built lazily inside a preview:
-// with two size classes the larger one is wide enough for Workers: 4 to shard
-// its scans, and the shards call PreviewBounded concurrently on one set.
+// benchmark-shaped input: two size classes, solved one after the other, both
+// at once, and at the default width under three GOMAXPROCS settings. Run
+// under -race it is the test that catches state shared between two classes'
+// searches.
 func TestSolverMatchesReferenceComposed(t *testing.T) {
 	p := composedProblem(t, 160, 7, 40, []int{4, 8})
 	var spans, maxActive int
@@ -58,8 +59,8 @@ func TestSolverMatchesReferenceComposed(t *testing.T) {
 	if mean := spans / len(p.Items); mean < 200 {
 		t.Fatalf("composed items average %d spans, want hundreds", mean)
 	}
-	if widest := max(classes[4], classes[8]); widest < minParallelScan {
-		t.Fatalf("widest size class has %d tenants, too few to shard a scan (%d)", widest, minParallelScan)
+	if len(classes) != 2 {
+		t.Fatalf("%d size classes, want 2 to solve concurrently", len(classes))
 	}
 	want, err := referenceTwoStep(p)
 	if err != nil {
@@ -74,14 +75,20 @@ func TestSolverMatchesReferenceComposed(t *testing.T) {
 	if maxActive <= p.R {
 		t.Fatalf("max active count %d never passes R=%d", maxActive, p.R)
 	}
-	for _, workers := range []int{1, 4} {
+	check := func(procs, workers int) {
 		got, err := Solver{Workers: workers}.TwoStep(p)
 		if err != nil {
-			t.Fatalf("workers %d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS %d workers %d: %v", procs, workers, err)
 		}
 		if !reflect.DeepEqual(stripTiming(got), stripTiming(want)) {
-			t.Errorf("workers %d: solver diverged from reference on composed logs", workers)
+			t.Errorf("GOMAXPROCS %d workers %d: solver diverged from reference on composed logs", procs, workers)
 		}
+	}
+	for _, workers := range []int{1, 4} {
+		check(runtime.GOMAXPROCS(0), workers)
+	}
+	for _, procs := range []int{1, 2, 8} {
+		withProcs(procs, func() { check(procs, 0) })
 	}
 }
 

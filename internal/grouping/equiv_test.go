@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/epoch"
@@ -17,12 +18,19 @@ func stripTiming(s *Solution) *Solution {
 	return &out
 }
 
+// withProcs runs f with GOMAXPROCS set to n, the width Solver{Workers: 0}
+// takes.
+func withProcs(n int, f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	f()
+}
+
 // TestSolverMatchesReference is the solver-equivalence property test: over
-// seeded random instances, the optimized solver (serial and parallel at
-// several worker counts) must produce partitions byte-identical to the
+// seeded random instances, the optimized solver (at the default width and at
+// several pinned worker counts) must produce partitions byte-identical to the
 // retained reference implementation — same groups, same member order, same
-// statistics. This is what licenses every pruning/scratch-buffer/sharding
-// optimization in twostep.go.
+// statistics. This is what licenses every pruning, scratch-buffer and
+// scheduling optimization in twostep.go.
 func TestSolverMatchesReference(t *testing.T) {
 	sizePools := [][]int{{2}, {2, 4}, {2, 4, 8}, {2, 4, 8, 16, 32}}
 	instances := 0
@@ -40,7 +48,7 @@ func TestSolverMatchesReference(t *testing.T) {
 		if err := Verify(p, want); err != nil {
 			t.Fatalf("seed %d: reference produced invalid solution: %v", seed, err)
 		}
-		for _, workers := range []int{1, 4, 8} {
+		for _, workers := range []int{0, 1, 4, 8} {
 			got, err := Solver{Workers: workers}.TwoStep(p)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
@@ -58,9 +66,10 @@ func TestSolverMatchesReference(t *testing.T) {
 }
 
 // TestSolverMatchesReferenceAdversarial covers the shapes most likely to
-// break the pruning arguments: many identical tenants (maximal tie-breaking
-// pressure), all-idle tenants (empty spans), and a single size class large
-// enough to engage the sharded parallel scan.
+// break the pruning arguments — many identical tenants (maximal tie-breaking
+// pressure), all-idle tenants (empty spans) — and the class scheduler: one
+// class only, more workers than classes, more classes than workers, and a
+// class with nothing to search.
 func TestSolverMatchesReferenceAdversarial(t *testing.T) {
 	build := func(name string, items []*Item, d int64, r int, pg float64) *Problem {
 		t.Helper()
@@ -85,16 +94,33 @@ func TestSolverMatchesReferenceAdversarial(t *testing.T) {
 	}
 	cases = append(cases, build("ties", tied, 50, 2, 0.9))
 
-	// One large size class: engages the parallel shard path (> minParallelScan).
+	// One size class only: nothing to schedule, whatever the worker count.
 	rng := rand.New(rand.NewSource(7))
 	cases = append(cases, build("one-class", randomProblem(rng, 300, 400, 3, 0.95, []int{8}).Items, 400, 3, 0.95))
+
+	// Two classes: Workers 3 and 8 have more workers than classes.
+	cases = append(cases, build("two-classes", randomProblem(rng, 120, 400, 3, 0.95, []int{2, 16}).Items, 400, 3, 0.95))
+
+	// 40 classes of one tenant each: every worker count queues classes.
+	var singles []*Item
+	for i := 0; i < 40; i++ {
+		singles = append(singles, &Item{ID: fmt.Sprintf("s%02d", i), Nodes: 1 + i, Spans: pats[i%len(pats)]})
+	}
+	cases = append(cases, build("singletons", singles, 50, 2, 0.9))
+
+	// An all-idle class beside an active one.
+	mixed := randomProblem(rng, 40, 400, 2, 0.95, []int{4}).Items
+	for i := 0; i < 25; i++ {
+		mixed = append(mixed, &Item{ID: fmt.Sprintf("idle%02d", i), Nodes: 8})
+	}
+	cases = append(cases, build("idle-class", mixed, 400, 2, 0.95))
 
 	for ci, p := range cases {
 		want, err := referenceTwoStep(p)
 		if err != nil {
 			t.Fatalf("case %d: %v", ci, err)
 		}
-		for _, workers := range []int{1, 3, 8} {
+		for _, workers := range []int{0, 1, 3, 8} {
 			got, err := Solver{Workers: workers}.TwoStep(p)
 			if err != nil {
 				t.Fatalf("case %d workers %d: %v", ci, workers, err)
@@ -103,5 +129,34 @@ func TestSolverMatchesReferenceAdversarial(t *testing.T) {
 				t.Errorf("case %d workers %d: diverged from reference", ci, workers)
 			}
 		}
+	}
+}
+
+// TestLaunchOrder pins the class schedule as a function of the populations
+// alone: most populous first, equal populations by descending node count.
+func TestLaunchOrder(t *testing.T) {
+	pops := map[int]int{32: 3, 16: 7, 8: 7, 4: 12, 2: 7, 1: 1}
+	bySize := make(map[int][]int)
+	for n, pop := range pops {
+		bySize[n] = make([]int, pop)
+	}
+	want := []int{4, 16, 8, 2, 32, 1}
+	for rep := 0; rep < 20; rep++ { // map iteration order varies between reps
+		sizes := sortedSizesDesc(bySize)
+		var got []int
+		for _, ci := range launchOrder(sizes, bySize) {
+			got = append(got, sizes[ci])
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("launch order %v, want %v", got, want)
+		}
+	}
+}
+
+// TestSolverRejectsNegativeWorkers: a negative count is a caller's bug, not a
+// request to solve serially.
+func TestSolverRejectsNegativeWorkers(t *testing.T) {
+	if _, err := (Solver{Workers: -1}).TwoStep(fig51()); err == nil {
+		t.Fatal("Workers: -1 solved")
 	}
 }

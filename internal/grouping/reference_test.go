@@ -10,7 +10,7 @@ import (
 // executable specification of Algorithm 2. The production Solver (twostep.go)
 // must produce byte-identical partitions — the seeded equivalence suite in
 // equiv_test.go checks every optimization (candidate-order pruning, bounded
-// previews, scratch-buffer reuse, worker sharding) against this code. It is
+// previews, scratch-buffer reuse, the class scheduler) against this code. It is
 // O(m²) scans with fresh Preview/NewHist allocations per candidate; never use
 // it on large instances.
 

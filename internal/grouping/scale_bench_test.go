@@ -42,8 +42,7 @@ func BenchmarkPickBest(b *testing.B) {
 			items = is
 		}
 	}
-	se := newSearch(p, items, 1)
-	defer se.close()
+	se := newSearch(p, items)
 	order := make([]int, len(se.cands))
 	for i := range order {
 		order[i] = i

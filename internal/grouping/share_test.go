@@ -75,8 +75,8 @@ func TestSharePacksDenser(t *testing.T) {
 }
 
 // TestSolverMatchesReferenceShared re-runs the solver-equivalence property
-// under sharing weights: the pruned/parallel solver must stay byte-identical
-// to the reference when both use the credited capacity test.
+// under sharing weights: the pruned, class-concurrent solver must stay
+// byte-identical to the reference when both use the credited capacity test.
 func TestSolverMatchesReferenceShared(t *testing.T) {
 	sizePools := [][]int{{2}, {2, 4}, {2, 4, 8}}
 	for seed := int64(100); seed < 112; seed++ {
@@ -94,7 +94,7 @@ func TestSolverMatchesReferenceShared(t *testing.T) {
 		if err := Verify(p, want); err != nil {
 			t.Fatalf("seed %d: reference invalid under sharing: %v", seed, err)
 		}
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{0, 1, 4} {
 			got, err := Solver{Workers: workers}.TwoStep(p)
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)

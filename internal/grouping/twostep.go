@@ -1,6 +1,8 @@
 package grouping
 
 import (
+	"fmt"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -9,7 +11,7 @@ import (
 )
 
 // TwoStep runs the paper's two-step tenant-grouping heuristic (Algorithm 2)
-// with the default serial Solver.
+// with the default Solver.
 //
 // Step 1 puts tenants requesting the same number of nodes into the same
 // initial group — the total node count of a cluster design is dictated by
@@ -25,10 +27,10 @@ import (
 // least active tenant first", exactly as the thesis describes.
 func TwoStep(p *Problem) (*Solution, error) { return Solver{}.TwoStep(p) }
 
-// Solver configures the scalable T_best search. The zero value is the serial
-// solver; every configuration produces output byte-identical to the
-// reference implementation (reference_test.go) — the optimizations below only
-// change how fast T_best is found, never which tenant it is:
+// Solver configures the scalable T_best search. Every configuration produces
+// output byte-identical to the reference implementation (reference_test.go) —
+// the optimizations below only change how fast T_best is found, never which
+// tenant it is:
 //
 //   - candidates are scanned in ascending active-epoch order and the scan
 //     short-circuits on the first zero-overlap candidate, whose resulting
@@ -43,33 +45,28 @@ func TwoStep(p *Problem) (*Solution, error) { return Solver{}.TwoStep(p) }
 //     without another look;
 //   - all transitions live in per-candidate scratch buffers owned by the
 //     search, so pickBest performs no steady-state heap allocations;
-//   - with Workers > 1, candidate evaluation is sharded across a worker pool
-//     with a deterministic lowest-position merge, and independent size
-//     classes are solved concurrently.
+//   - independent size classes are solved concurrently, the most populous
+//     first, and spliced back in descending node-count order.
 type Solver struct {
-	// Workers bounds the solver's parallelism. 0 or 1 runs serially; larger
-	// values shard candidate evaluation and solve size classes concurrently.
+	// Workers is the number of size classes solved at once. 0 means
+	// runtime.GOMAXPROCS(0); 1 solves them one after the other on the
+	// calling goroutine. The plan is the same at any value.
 	Workers int
 }
 
-// minParallelScan is the candidate count below which sharding a pickBest scan
-// across workers costs more than it saves.
-const minParallelScan = 96
-
-// minShardLen keeps shards large enough that the per-shard dispatch overhead
-// stays amortized.
-const minShardLen = 32
-
 // TwoStep solves p under the solver's configuration.
 func (s Solver) TwoStep(p *Problem) (*Solution, error) {
+	if s.Workers < 0 {
+		return nil, fmt.Errorf("grouping: Solver.Workers=%d", s.Workers)
+	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	start := time.Now()
 	sol := &Solution{Algorithm: "2-step"}
 	workers := s.Workers
-	if workers < 1 {
-		workers = 1
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 
 	// Step 1: initial groups by node count, processed in descending size
@@ -81,25 +78,25 @@ func (s Solver) TwoStep(p *Problem) (*Solution, error) {
 	sizes := sortedSizesDesc(bySize)
 
 	// Step 2 per initial group. Size classes are independent subproblems:
-	// solve them concurrently and splice the per-class groups back together
-	// in the same descending-size order the serial loop would have produced.
+	// solve up to workers of them at once, and splice the per-class groups
+	// back together in descending-size order whatever order they finished in.
 	classGroups := make([][]Group, len(sizes))
 	if workers > 1 && len(sizes) > 1 {
 		sem := make(chan struct{}, workers)
 		var wg sync.WaitGroup
-		for ci, n := range sizes {
+		for _, ci := range launchOrder(sizes, bySize) {
 			wg.Add(1)
 			sem <- struct{}{}
-			go func(ci int, items []int) {
+			go func(ci int) {
 				defer wg.Done()
-				classGroups[ci] = solveClass(p, items, workers)
+				classGroups[ci] = solveClass(p, bySize[sizes[ci]])
 				<-sem
-			}(ci, bySize[n])
+			}(ci)
 		}
 		wg.Wait()
 	} else {
 		for ci, n := range sizes {
-			classGroups[ci] = solveClass(p, bySize[n], workers)
+			classGroups[ci] = solveClass(p, bySize[n])
 		}
 	}
 	for _, gs := range classGroups {
@@ -119,6 +116,22 @@ func sortedSizesDesc(bySize map[int][]int) []int {
 	return sizes
 }
 
+// launchOrder returns the indices into sizes (descending node counts) in the
+// order their classes are started: most populous first, ties in sizes' own
+// order. A class's solve time grows faster than its population, so the
+// largest class is the critical path and must not be the one left waiting for
+// a worker.
+func launchOrder(sizes []int, bySize map[int][]int) []int {
+	order := make([]int, len(sizes))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool {
+		return len(bySize[sizes[order[a]]]) > len(bySize[sizes[order[b]]])
+	})
+	return order
+}
+
 // finishGroup assembles a Group from its committed members and count set.
 func finishGroup(p *Problem, cs *epoch.CountSet, members []int) Group {
 	maxNodes := 0
@@ -136,9 +149,8 @@ func finishGroup(p *Problem, cs *epoch.CountSet, members []int) Group {
 }
 
 // solveClass runs step 2 over one size-homogeneous initial group.
-func solveClass(p *Problem, items []int, workers int) []Group {
-	se := newSearch(p, items, workers)
-	defer se.close()
+func solveClass(p *Problem, items []int) []Group {
+	se := newSearch(p, items)
 	// order holds the positions (into se.cands) still unassigned.
 	order := make([]int, len(items))
 	for i := range order {
@@ -204,39 +216,20 @@ func (s byActive) Len() int           { return len(s) }
 func (s byActive) Less(a, b int) bool { return s[a].active < s[b].active }
 func (s byActive) Swap(a, b int)      { s[a], s[b] = s[b], s[a] }
 
-// pickResult is one shard's best candidate. tr aliases the winning
-// candidate's buffer and stays valid until that candidate is re-previewed.
-type pickResult struct {
-	ok  bool
-	pos int              // position in the scanned order slice
-	tr  epoch.Transition // the winning candidate's transition
-}
-
-// pickJob asks a pool worker to scan one shard of the candidate order.
-type pickJob struct {
-	order []int
-	base  int // offset of order within the full candidate list
-	shard int
-	wg    *sync.WaitGroup
-}
-
 // search is the per-class T_best search state: the group under construction's
-// count function, the candidates with their cached transitions, and (when
-// parallel) a persistent worker pool fed one shard per pickBest round.
+// count function and the candidates with their cached transitions. One
+// goroutine owns it.
 type search struct {
-	p       *Problem
-	cs      *epoch.CountSet
-	cands   []candidate
-	results []pickResult
-	jobs    chan pickJob
+	p     *Problem
+	cs    *epoch.CountSet
+	cands []candidate
 }
 
-func newSearch(p *Problem, items []int, workers int) *search {
+func newSearch(p *Problem, items []int) *search {
 	se := &search{
-		p:       p,
-		cs:      epoch.NewCountSet(p.D),
-		cands:   make([]candidate, len(items)),
-		results: make([]pickResult, workers),
+		p:     p,
+		cs:    epoch.NewCountSet(p.D),
+		cands: make([]candidate, len(items)),
 	}
 	for i, idx := range items {
 		it := p.Items[idx]
@@ -253,32 +246,13 @@ func newSearch(p *Problem, items []int, workers int) *search {
 	// candidates, where the stable order reproduces the reference
 	// first-in-input-order tie-break.
 	sort.Stable(byActive(se.cands))
-	if workers > 1 {
-		se.jobs = make(chan pickJob)
-		for w := 0; w < workers; w++ {
-			go func() {
-				for job := range se.jobs {
-					se.results[job.shard] = se.scan(job.order, job.base)
-					job.wg.Done()
-				}
-			}()
-		}
-	}
 	return se
-}
-
-// close releases the worker pool.
-func (se *search) close() {
-	if se.jobs != nil {
-		close(se.jobs)
-	}
 }
 
 // packOneGroup fills a single tenant-group from the order slice and returns
 // it together with the candidates left over: per-round T_best scans over the
-// candidate list (sharded across the worker pool when one is configured and
-// the list is large enough), with every cached-exact transition repaired
-// in place after each commit.
+// candidate list, with every cached-exact transition repaired in place after
+// each commit.
 func (se *search) packOneGroup(order []int) (Group, []int) {
 	se.cs.Reset()
 	se.seed(order)
@@ -362,54 +336,18 @@ func (se *search) commit(best int, order []int) []int {
 }
 
 // pickBest returns the position within order of T_best, together with its
-// transition (so the caller never re-previews the winner).
-func (se *search) pickBest(order []int) (int, epoch.Transition) {
-	shards := len(se.results)
-	if n := len(order) / minShardLen; shards > n {
-		shards = n
-	}
-	if se.jobs == nil || shards < 2 || len(order) < minParallelScan {
-		res := se.scan(order, 0)
-		return res.pos, res.tr
-	}
-	// Shard the candidate list contiguously: shard i scans positions
-	// [i·chunk, (i+1)·chunk). Each shard's scan is exact over its range, and
-	// the merge below visits shards in ascending position order, so ties
-	// resolve to the lowest position exactly as a single serial scan would.
-	chunk := (len(order) + shards - 1) / shards
-	var wg sync.WaitGroup
-	wg.Add(shards)
-	for i := 0; i < shards; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(order) {
-			hi = len(order)
-		}
-		se.jobs <- pickJob{order: order[lo:hi], base: lo, shard: i, wg: &wg}
-	}
-	wg.Wait()
-	best := -1
-	for i := 0; i < shards; i++ {
-		if !se.results[i].ok {
-			continue
-		}
-		if best < 0 || se.cs.CompareTransitions(se.results[i].tr, se.results[best].tr) < 0 {
-			best = i
-		}
-	}
-	return se.results[best].pos, se.results[best].tr
-}
-
-// scan finds T_best within one shard of the candidate order. base is the
-// shard's offset in the full list; the returned pos is absolute.
+// transition (so the caller never re-previews the winner). The transition
+// aliases the winning candidate's buffer and stays valid until that candidate
+// is re-previewed.
 //
 // The incumbent is tracked as (bestMax, bestUp): its resulting maximum active
 // count and the epochs raised into that maximum — the head of the comparison
 // key. A candidate whose cached head already exceeds it is discarded without
 // a look; one whose fresh head does (PreviewBounded) without a walk.
-func (se *search) scan(order []int, base int) pickResult {
+func (se *search) pickBest(order []int) (int, epoch.Transition) {
 	cs := se.cs
-	var res pickResult
+	best := -1 // position in order of the incumbent; -1 before the first
+	var bestTr epoch.Transition
 	var bestMax int
 	var bestUp int64
 
@@ -430,12 +368,12 @@ func (se *search) scan(order []int, base int) pickResult {
 			// winner (least active, then first in input order) first. Such
 			// candidates are never demoted (their key head is minimal), so
 			// pass 1 always sees them.
-			return pickResult{ok: true, pos: base + i, tr: c.tr}
+			return i, c.tr
 		}
 		// The candidate's exact key head, maintained by the patch loop.
 		cM, cU := c.pM, c.pU
-		if !res.ok {
-			res = pickResult{ok: true, pos: base + i, tr: c.tr}
+		if best < 0 {
+			best, bestTr = i, c.tr
 			bestMax, bestUp = cM, cU
 			continue
 		}
@@ -450,8 +388,8 @@ func (se *search) scan(order []int, base int) pickResult {
 			c.pM, c.pU = cM, cU
 			continue
 		}
-		if cs.CompareTransitions(c.tr, res.tr) < 0 {
-			res.pos, res.tr = base+i, c.tr
+		if cs.CompareTransitions(c.tr, bestTr) < 0 {
+			best, bestTr = i, c.tr
 			bestMax, bestUp = cM, cU
 		}
 		// On a tie the incumbent stands: the ascending scan meets candidates
@@ -464,13 +402,13 @@ func (se *search) scan(order []int, base int) pickResult {
 		if c.state == cacheFull {
 			continue
 		}
-		if res.ok && (c.pM > bestMax || (c.pM == bestMax && c.pU > bestUp)) {
+		if best >= 0 && (c.pM > bestMax || (c.pM == bestMax && c.pU > bestUp)) {
 			// The remembered head still exceeds the incumbent's: the
 			// candidate's final key can only be larger. Skip without a look.
 			continue
 		}
 		bm, bt := bestMax, bestUp
-		if !res.ok {
+		if best < 0 {
 			bm = -1 // no incumbent yet: the preview must run to completion
 		}
 		tr, cM, cU, ok := cs.PreviewBounded(c.spans, c.buf, bm, bt)
@@ -487,8 +425,8 @@ func (se *search) scan(order []int, base int) pickResult {
 		c.state = cacheFull
 		c.top = tr.Top()
 		c.pM, c.pU = cM, cU
-		if !res.ok {
-			res = pickResult{ok: true, pos: base + i, tr: tr}
+		if best < 0 {
+			best, bestTr = i, tr
 			bestMax, bestUp = cM, cU
 			continue
 		}
@@ -500,10 +438,10 @@ func (se *search) scan(order []int, base int) pickResult {
 		// Unlike pass 1, a tie here must fall to whichever candidate comes
 		// first in scan-position order — the incumbent may sit at a higher
 		// position than this pass-2 candidate.
-		if cmp := cs.CompareTransitions(c.tr, res.tr); cmp < 0 || (cmp == 0 && base+i < res.pos) {
-			res.pos, res.tr = base+i, c.tr
+		if cmp := cs.CompareTransitions(c.tr, bestTr); cmp < 0 || (cmp == 0 && i < best) {
+			best, bestTr = i, c.tr
 			bestMax, bestUp = cM, cU
 		}
 	}
-	return res
+	return best, bestTr
 }

@@ -41,10 +41,6 @@ type Config struct {
 	Epoch sim.Time
 	// ParallelLoad enables the MPPDB's parallel bulk loading.
 	ParallelLoad bool
-	// SolverWorkers bounds the over-active identification solver's
-	// parallelism (see grouping.Solver); 0 or 1 solves serially. The
-	// identified split is identical at any worker count.
-	SolverWorkers int
 }
 
 // DefaultConfig returns the thesis' settings.
@@ -118,9 +114,6 @@ func New(eng *sim.Engine, pool *cluster.Pool, cfg Config) (*Scaler, error) {
 	}
 	if cfg.CheckInterval <= 0 || cfg.Window <= 0 || cfg.Epoch <= 0 {
 		return nil, fmt.Errorf("scaling: non-positive intervals in %+v", cfg)
-	}
-	if cfg.SolverWorkers < 0 {
-		return nil, fmt.Errorf("scaling: SolverWorkers=%d", cfg.SolverWorkers)
 	}
 	return &Scaler{
 		eng:      eng,
@@ -242,7 +235,7 @@ func (s *Scaler) IdentifyOverActive(t *Target) ([]*tenant.Tenant, error) {
 			Spans: grid.Quantize(act),
 		})
 	}
-	sol, err := grouping.Solver{Workers: s.cfg.SolverWorkers}.TwoStep(prob)
+	sol, err := grouping.TwoStep(prob)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,9 @@
 package scaling
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -25,14 +28,14 @@ type scenario struct {
 	members []*tenant.Tenant
 }
 
-func newScenario(t *testing.T, cfg Config, poolNodes int) *scenario {
+func newScenario(t *testing.T, cfg Config, poolNodes int, extra ...*tenant.Tenant) *scenario {
 	t.Helper()
 	eng := sim.NewEngine()
 	pool := cluster.NewPool(poolNodes)
-	members := []*tenant.Tenant{
+	members := append([]*tenant.Tenant{
 		{ID: "hog", Nodes: 2, DataGB: 200, Users: 1},
 		{ID: "good", Nodes: 2, DataGB: 200, Users: 1},
-	}
+	}, extra...)
 	in := tenant.NewInterner()
 	var dbs []*mppdb.Instance
 	for i := 0; i < cfg.R+0; i++ { // A = R MPPDBs
@@ -129,8 +132,19 @@ func (s *scenario) driveHog(t *testing.T, until sim.Time) {
 
 // TestElasticScalingEndToEnd reproduces the §7.5 mechanism: a continuously
 // active tenant drives RT-TTP below P; the scaler identifies it, provisions
-// a dedicated MPPDB, and re-points it; the group's RT-TTP recovers.
+// a dedicated MPPDB, and re-points it; the group's RT-TTP recovers. The
+// identification solve sizes itself from GOMAXPROCS, so the whole episode
+// runs at two widths.
 func TestElasticScalingEndToEnd(t *testing.T) {
+	for _, procs := range []int{1, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			elasticScalingEndToEnd(t)
+		})
+	}
+}
+
+func elasticScalingEndToEnd(t *testing.T) {
 	s := newScenario(t, testCfg(), 8)
 	s.scaler.Start()
 	horizon := 6 * sim.Hour
@@ -222,6 +236,38 @@ func TestIdentifyOverActiveEmptyWhenCalm(t *testing.T) {
 	}
 	if len(over) != 0 {
 		t.Errorf("calm group identified over-active tenants: %v", over)
+	}
+}
+
+// TestIdentifyOverActiveMixedSizes: plans never mix requested sizes in a
+// group, so a planned group's identification is one class and starts no
+// goroutine; a hand-built target may mix them, and then two classes are
+// solved at once from inside an engine callback. The largest resulting group
+// (three idle 4-node tenants) stays, at either width.
+func TestIdentifyOverActiveMixedSizes(t *testing.T) {
+	for _, procs := range []int{1, 8} {
+		t.Run(fmt.Sprintf("GOMAXPROCS=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			s := newScenario(t, testCfg(), 8,
+				&tenant.Tenant{ID: "wide-a", Nodes: 4, DataGB: 200, Users: 1},
+				&tenant.Tenant{ID: "wide-b", Nodes: 4, DataGB: 200, Users: 1},
+				&tenant.Tenant{ID: "wide-c", Nodes: 4, DataGB: 200, Users: 1})
+			s.driveHog(t, sim.Hour)
+			var got []string
+			s.eng.Schedule(sim.Hour, func(sim.Time) {
+				over, err := s.scaler.IdentifyOverActive(&Target{Router: s.rt, Monitor: s.mon, Members: s.members})
+				if err != nil {
+					t.Error(err)
+				}
+				for _, m := range over {
+					got = append(got, m.ID)
+				}
+			})
+			s.eng.Run(sim.Hour)
+			if want := []string{"good", "hog"}; !reflect.DeepEqual(got, want) {
+				t.Errorf("over-active = %v, want %v", got, want)
+			}
+		})
 	}
 }
 

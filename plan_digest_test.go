@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/epoch"
@@ -39,7 +40,8 @@ func digestPlan(t *testing.T, p *Plan, rep *ReconsolidationReport) string {
 // digests below were taken on commit c4b90b4, before groups were measured by
 // CountSet.Fill and before the advisor's front end read each log once, so a
 // change to either that moves a member, a TTP bit, an exclusion or a report
-// field fails here.
+// field fails here. Both entry points solve size classes on as many workers
+// as GOMAXPROCS allows, so each digest is taken at three widths.
 func TestPlanDigestPinned(t *testing.T) {
 	pinned := []struct {
 		seed         int64
@@ -85,31 +87,36 @@ func TestPlanDigestPinned(t *testing.T) {
 		for _, day := range []sim.Time{0, 1, 5} {
 			busy(subjects[3], day*sim.Day+6*sim.Hour, day*sim.Day+15*sim.Hour)
 		}
-		plan, err := PlanDeployment(w, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var flagged []string
-		for i := 0; i < len(plan.Groups); i += 10 {
-			flagged = append(flagged, plan.Groups[i].ID)
-		}
-		next, rep, err := Reconsolidate(w, plan, cfg, flagged)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reasons := map[byte]int{}
-		for _, e := range plan.Excluded {
-			reasons[e.Reason[0]]++ // "oversized", "always active", "regular bursts"
-		}
-		if reasons['o'] == 0 || reasons['a'] != 1 || reasons['r'] != 2 || rep.KeptGroups == 0 || rep.RepackedTenants == 0 {
-			t.Fatalf("seed %d: exclusions by reason %v, %d groups kept, %d tenants repacked: the digest would not cover every path",
-				want.seed, reasons, rep.KeptGroups, rep.RepackedTenants)
-		}
-		if got := digestPlan(t, plan, nil); got != want.plan {
-			t.Errorf("seed %d: PlanDeployment digest %s, pinned %s", want.seed, got, want.plan)
-		}
-		if got := digestPlan(t, next, rep); got != want.replan {
-			t.Errorf("seed %d: Reconsolidate digest %s, pinned %s", want.seed, got, want.replan)
+		for _, procs := range []int{1, 2, 8} {
+			t.Run(fmt.Sprintf("seed=%d/GOMAXPROCS=%d", want.seed, procs), func(t *testing.T) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				plan, err := PlanDeployment(w, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var flagged []string
+				for i := 0; i < len(plan.Groups); i += 10 {
+					flagged = append(flagged, plan.Groups[i].ID)
+				}
+				next, rep, err := Reconsolidate(w, plan, cfg, flagged)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reasons := map[byte]int{}
+				for _, e := range plan.Excluded {
+					reasons[e.Reason[0]]++ // "oversized", "always active", "regular bursts"
+				}
+				if reasons['o'] == 0 || reasons['a'] != 1 || reasons['r'] != 2 || rep.KeptGroups == 0 || rep.RepackedTenants == 0 {
+					t.Fatalf("exclusions by reason %v, %d groups kept, %d tenants repacked: the digest would not cover every path",
+						reasons, rep.KeptGroups, rep.RepackedTenants)
+				}
+				if got := digestPlan(t, plan, nil); got != want.plan {
+					t.Errorf("PlanDeployment digest %s, pinned %s", got, want.plan)
+				}
+				if got := digestPlan(t, next, rep); got != want.replan {
+					t.Errorf("Reconsolidate digest %s, pinned %s", got, want.replan)
+				}
+			})
 		}
 	}
 }
