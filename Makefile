@@ -1,13 +1,18 @@
 GO ?= go
 
-.PHONY: check vet build test race loc chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke bench-smoke online-smoke service-smoke shared-smoke fuzz-smoke bench-compare
+.PHONY: check fmt vet build test race loc chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke bench-smoke online-smoke service-smoke shared-smoke fuzz-smoke bench-compare
 
-# The full pre-commit gate: static checks, build, the race-enabled suite
-# (which holds every test the *-smoke targets below pick out for local
-# iteration, so check does not run those twice — except grouping-smoke, whose
-# -cpu list the suite's single run does not have), the fuzz smoke and one
-# iteration of the planner benchmarks.
-check: vet build race grouping-smoke fuzz-smoke bench-smoke
+# The full pre-commit gate: formatting and static checks, build, the
+# race-enabled suite (which holds every test the *-smoke targets below pick
+# out for local iteration, so check does not run those twice — except
+# grouping-smoke, whose -cpu list the suite's single run does not have, and
+# service-smoke, whose -count does not either), the fuzz smoke and one
+# iteration of the benchmarks.
+check: fmt vet build race grouping-smoke service-smoke fuzz-smoke bench-smoke
+
+# Fails, listing them, when files are not gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -71,15 +76,17 @@ domain-smoke:
 grouping-smoke: bench-smoke
 	$(GO) test -race -cpu 1,2,4 -run 'TestSolverMatchesReference|TestLaunchOrder' -count=1 ./internal/grouping
 
-# One iteration of the solver-scale benchmarks and the planner's per-stage
-# ones (solve, verify, quantize and burst detection on one 500-tenant composed
-# population), so a benchmark that no longer builds or runs is caught before
+# One iteration of the solver-scale benchmarks, the planner's per-stage ones
+# (solve, verify, quantize and burst detection on one 500-tenant composed
+# population) and the service's two submit paths over a 200-tenant
+# deployment, so a benchmark that no longer builds or runs is caught before
 # commit without paying full benchmark time. The composed solve runs serial
 # and two classes wide.
 bench-smoke:
 	$(GO) test -bench 'BenchmarkTwoStep2000|BenchmarkPickBest|BenchmarkVerifyComposed500|BenchmarkQuantize500' -benchtime=1x -run '^$$' ./internal/grouping
 	$(GO) test -bench 'BenchmarkTwoStepComposed500' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/grouping
 	$(GO) test -bench 'BenchmarkDetectBursts500' -benchtime=1x -run '^$$' ./internal/advisor
+	$(GO) test -bench 'BenchmarkServeSubmit' -benchtime=1x -run '^$$' ./internal/service
 
 # Bounded online-re-consolidation smoke with the race detector on: a seeded
 # drift run (churn, activity shift, live migrations, oracle comparison) plus
@@ -101,9 +108,12 @@ shared-smoke:
 # Batched-submit smoke with the race detector on: per-item error
 # partitioning over /v1/submit-batch (a 429/503/504 never drops a healthy
 # batch-mate), batched-vs-per-query telemetry equivalence in both clock
-# layouts, and the coalesced concurrent single-submit path.
+# layouts, and — ten times over, since several goroutines reach the
+# coalescer and the pacing origin without a server-wide lock — the coalesced
+# concurrent single-submit path and Install under a submit storm.
 service-smoke:
-	$(GO) test -race -run 'TestBatchErrorPartitioning|TestConcurrentSubmitsAndScrapes|TestShardedConcurrentSubmits' -count=1 ./internal/service
+	$(GO) test -race -run 'TestBatchErrorPartitioning' -count=1 ./internal/service
+	$(GO) test -race -run 'TestConcurrentSubmitsAndScrapes|TestShardedConcurrentSubmits|TestInstallDuringSubmitStorm' -count=10 ./internal/service
 	$(GO) test -race -run 'TestBatchSubmitEquivalence' -count=1 .
 
 # Five seconds of differential fuzzing per kernel with a naive oracle: the

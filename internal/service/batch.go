@@ -86,22 +86,33 @@ func (c *coalescer) get() *pendingSubmit {
 	return &pendingSubmit{done: make(chan struct{}, 1)}
 }
 
-// coalescerFor returns the group's coalescer, creating it on first use.
+// take moves up to maxCoalesced queued submits into the leader's batch.
+// Caller holds c.mu.
+func (c *coalescer) take() {
+	n := min(len(c.queue), maxCoalesced)
+	c.batch = append(c.batch[:0], c.queue[:n]...)
+	rest := copy(c.queue, c.queue[n:])
+	clear(c.queue[rest:])
+	c.queue = c.queue[:rest]
+}
+
+// coalescerFor returns the group's coalescer, creating it on first use. A
+// hit, every submit but a group's first, takes no lock.
 func (s *Server) coalescerFor(g *runtime.GroupRuntime) *coalescer {
-	s.coalMu.Lock()
-	defer s.coalMu.Unlock()
-	c := s.coalescers[g]
-	if c == nil {
-		c = &coalescer{}
-		s.coalescers[g] = c
+	if c, ok := s.coalescers.Load(g); ok {
+		return c.(*coalescer)
 	}
-	return c
+	c, _ := s.coalescers.LoadOrStore(g, &coalescer{})
+	return c.(*coalescer)
 }
 
 // submitCoalesced submits one item through the group's coalescer and blocks
 // until its outcome is known. Safe for arbitrary concurrency; per-item
 // semantics are identical to a solo SubmitBatchAt (admission, retries,
-// typed errors).
+// typed errors). The caller holds s.topo read-locked. A drain round locks the
+// coalescer once: the leader claims its role and first batch in the section
+// that queues its own submit, and steps down or takes the next batch in one
+// section after each round — so a lone submit locks twice.
 func (s *Server) submitCoalesced(g *runtime.GroupRuntime, item runtime.BatchItem) runtime.BatchOutcome {
 	c := s.coalescerFor(g)
 	c.mu.Lock()
@@ -120,25 +131,10 @@ func (s *Server) submitCoalesced(g *runtime.GroupRuntime, item runtime.BatchItem
 		return out
 	}
 	c.leader = true
-	c.mu.Unlock()
 
-	mine := p
 	var myOut runtime.BatchOutcome
 	for {
-		c.mu.Lock()
-		if len(c.queue) == 0 {
-			c.leader = false
-			c.free = append(c.free, mine)
-			c.mu.Unlock()
-			return myOut
-		}
-		take := min(len(c.queue), maxCoalesced)
-		c.batch = append(c.batch[:0], c.queue[:take]...)
-		rest := copy(c.queue, c.queue[take:])
-		for i := rest; i < len(c.queue); i++ {
-			c.queue[i] = nil
-		}
-		c.queue = c.queue[:rest]
+		c.take()
 		c.mu.Unlock()
 
 		c.items = c.items[:0]
@@ -154,12 +150,19 @@ func (s *Server) submitCoalesced(g *runtime.GroupRuntime, item runtime.BatchItem
 		// never submit at a stale virtual time.
 		g.SubmitBatchAt(s.target(), c.items, c.outs, s.retry)
 		for i, q := range c.batch {
-			if q == mine {
+			if q == p {
 				myOut = c.outs[i]
 				continue
 			}
 			q.out = c.outs[i]
 			q.done <- struct{}{}
+		}
+		c.mu.Lock()
+		if len(c.queue) == 0 {
+			c.leader = false
+			c.free = append(c.free, p)
+			c.mu.Unlock()
+			return myOut
 		}
 	}
 }
@@ -308,8 +311,8 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Partition the surviving items by tenant-group, preserving batch order
 	// within each group (SubmitBatchAt processes slice order).
-	t := s.target()
 	s.topo.RLock()
+	t := s.target()
 	plane := s.dep.Plane()
 	for i := range items {
 		if results[i].fail.status != 0 {

@@ -21,9 +21,11 @@
 // different groups of a sharded deployment proceed fully in parallel.
 // There is no global lock on the hot path — the server-wide RWMutex is
 // read-acquired by every handler and write-acquired only when Install swaps
-// in a re-consolidated deployment. Pure-read endpoints (plan, pending) touch
-// no clock domain at all, and the telemetry endpoints read the hub, which is
-// internally synchronized, outside every lock.
+// in a re-consolidated deployment; routing is one map read, and the pacing
+// origin and the per-group coalescers are read without a lock. Pure-read
+// endpoints (plan, pending) touch no clock domain at all, and the telemetry
+// endpoints read the hub, which is internally synchronized, outside every
+// lock.
 package service
 
 import (
@@ -35,7 +37,9 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/admission"
@@ -65,10 +69,9 @@ type Server struct {
 	timeScale float64
 	retry     runtime.RetryPolicy
 
-	// clockMu guards the wall-clock pacing origin.
-	clockMu sync.Mutex
-	started time.Time
-	now     func() time.Time // injectable for tests
+	// clock is the wall-clock pacing origin, replaced whole by SetClock and
+	// by Install (under the topology write lock).
+	clock atomic.Pointer[clock]
 
 	// pendMu guards pending registrations; they never touch a clock domain.
 	pendMu  sync.Mutex
@@ -80,18 +83,38 @@ type Server struct {
 	online      *online.Controller
 	reconReport *advisor.ReconsolidationReport
 
-	// coalescers batch concurrent single submits per group (leader/follower);
-	// they are lazily created per group and reset on Install.
-	coalMu     sync.Mutex
-	coalescers map[*runtime.GroupRuntime]*coalescer
+	// coalescers batch concurrent single submits per group (leader/follower):
+	// *runtime.GroupRuntime → *coalescer, created on a group's first submit
+	// and emptied by Install.
+	coalescers sync.Map
 
 	// recCache caches the sorted records view served by GET /v1/records,
 	// keyed on the per-group record counts (the record log is append-only).
 	recCache recordsCache
 
 	matcher *sqlmatch.Matcher
-	mux     *http.ServeMux
+	// routes maps an exact path to its handlers; group serves the one
+	// prefix rule, /v1/groups/{id}.
+	routes map[string]route
+	group  route
 }
+
+// clock is an immutable pacing origin: virtual time is the scaled wall time
+// since started.
+type clock struct {
+	now     func() time.Time // injectable for tests
+	started time.Time
+}
+
+// route is one path's handlers. HEAD is served by get, as http.ServeMux
+// does; allow is the Allow header of a 405 on the path, in the mux's order.
+type route struct {
+	get, post http.HandlerFunc
+	allow     string
+}
+
+// groupPrefix is the prefix of GET /v1/groups/{id}.
+const groupPrefix = "/v1/groups/"
 
 // PendingTenant is a registration awaiting the next (re)-consolidation
 // cycle (§3c: "it is expected that there are new tenants register with and
@@ -148,53 +171,87 @@ func New(dep *master.Deployment, cat *queries.Catalog,
 		retry.Timeout = cfg.SubmitTimeout
 	}
 	s := &Server{
-		dep:        dep,
-		cat:        cat,
-		plan:       plan,
-		timeScale:  cfg.TimeScale,
-		retry:      retry,
-		started:    time.Now(),
-		now:        time.Now,
-		coalescers: make(map[*runtime.GroupRuntime]*coalescer),
-		matcher:    sqlmatch.New(cat),
-		mux:        http.NewServeMux(),
+		dep:       dep,
+		cat:       cat,
+		plan:      plan,
+		timeScale: cfg.TimeScale,
+		retry:     retry,
+		matcher:   sqlmatch.New(cat),
 	}
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-	s.mux.HandleFunc("GET /v1/catalog", s.handleCatalog)
-	s.mux.HandleFunc("GET /v1/plan", s.handlePlan)
-	s.mux.HandleFunc("GET /v1/groups", s.handleGroups)
-	s.mux.HandleFunc("GET /v1/groups/{id}", s.handleGroup)
-	s.mux.HandleFunc("POST /v1/queries", s.handleSubmit)
-	s.mux.HandleFunc("POST /v1/submit-batch", s.handleSubmitBatch)
-	s.mux.HandleFunc("GET /v1/records", s.handleRecords)
-	s.mux.HandleFunc("POST /v1/tenants", s.handleRegister)
-	s.mux.HandleFunc("GET /v1/tenants/pending", s.handlePending)
-	s.mux.HandleFunc("GET /v1/invoices", s.handleInvoices)
-	s.mux.HandleFunc("GET /v1/events", s.handleEvents)
-	s.mux.HandleFunc("GET /v1/slo", s.handleSLO)
-	s.mux.HandleFunc("GET /v1/admission", s.handleAdmission)
-	s.mux.HandleFunc("GET /v1/recovery", s.handleRecovery)
-	s.mux.HandleFunc("GET /v1/pool", s.handlePool)
-	s.mux.HandleFunc("GET /v1/online", s.handleOnline)
-	s.mux.HandleFunc("GET /v1/reconsolidation", s.handleReconsolidation)
+	s.clock.Store(&clock{now: time.Now, started: time.Now()})
+	get := func(h http.HandlerFunc) route { return route{get: h, allow: "GET, HEAD"} }
+	post := func(h http.HandlerFunc) route { return route{post: h, allow: "POST"} }
+	s.routes = map[string]route{
+		"/healthz":            get(s.handleHealth),
+		"/v1/catalog":         get(s.handleCatalog),
+		"/v1/plan":            get(s.handlePlan),
+		"/v1/groups":          get(s.handleGroups),
+		"/v1/queries":         post(s.handleSubmit),
+		"/v1/submit-batch":    post(s.handleSubmitBatch),
+		"/v1/records":         get(s.handleRecords),
+		"/v1/tenants":         post(s.handleRegister),
+		"/v1/tenants/pending": get(s.handlePending),
+		"/v1/invoices":        get(s.handleInvoices),
+		"/v1/events":          get(s.handleEvents),
+		"/v1/slo":             get(s.handleSLO),
+		"/v1/admission":       get(s.handleAdmission),
+		"/v1/recovery":        get(s.handleRecovery),
+		"/v1/pool":            get(s.handlePool),
+		"/v1/online":          get(s.handleOnline),
+		"/v1/reconsolidation": get(s.handleReconsolidation),
+	}
 	if !cfg.DisableMetrics {
-		s.mux.HandleFunc("GET /metrics", s.handleMetrics)
+		s.routes["/metrics"] = get(s.handleMetrics)
 	}
+	s.group = get(s.handleGroup)
 	return s, nil
 }
 
-// ServeHTTP implements http.Handler.
+// ServeHTTP implements http.Handler. Routing is one map read on the request
+// path as sent: unlike http.ServeMux, an unclean path (//v1/queries,
+// /v1/./slo) is not redirected but not found.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+	h, allow := s.handler(r)
+	switch {
+	case h != nil:
+		h(w, r)
+	case allow == "":
+		writeErr(w, http.StatusNotFound, "no endpoint %s", r.URL.Path)
+	default:
+		w.Header().Set("Allow", allow)
+		writeErr(w, http.StatusMethodNotAllowed, "%s does not take %s", r.URL.Path, r.Method)
+	}
+}
+
+// handler resolves r to its handler. With none, allow lists the methods the
+// path takes: empty for an unknown path.
+func (s *Server) handler(r *http.Request) (h http.HandlerFunc, allow string) {
+	rt, ok := s.routes[r.URL.Path]
+	if !ok {
+		id, found := strings.CutPrefix(r.URL.Path, groupPrefix)
+		if !found || id == "" || strings.Contains(id, "/") {
+			return nil, ""
+		}
+		r.SetPathValue("id", id)
+		rt = s.group
+	}
+	switch r.Method {
+	case http.MethodGet, http.MethodHead:
+		h = rt.get
+	case http.MethodPost:
+		h = rt.post
+	}
+	return h, rt.allow
 }
 
 // target returns the virtual time matching the scaled wall clock — where
-// every group's clock should be by now. Domains never move backwards, so a
-// stale target is harmless.
+// every group's clock should be by now. Callers hold s.topo read-locked, so
+// the origin cannot belong to a deployment other than the one they advance;
+// within one deployment, domains never move backwards, so a stale target is
+// harmless.
 func (s *Server) target() sim.Time {
-	s.clockMu.Lock()
-	elapsed := s.now().Sub(s.started).Seconds() * s.timeScale
-	s.clockMu.Unlock()
+	c := s.clock.Load()
+	elapsed := c.now().Sub(c.started).Seconds() * s.timeScale
 	return sim.Time(elapsed * float64(sim.Second))
 }
 
@@ -219,13 +276,21 @@ func (s *Server) Install(dep *master.Deployment, plan *advisor.Plan) error {
 	if dep == nil || plan == nil {
 		return fmt.Errorf("service: nil deployment or plan")
 	}
+	// Origin and coalescers change with the topology, under its write lock:
+	// an old origin would advance the fresh domains by the old deployment's
+	// elapsed time, for good, and the lock waits out every in-flight leader.
+	// The records cache keys on the deployment pointer, so it invalidates
+	// itself.
 	s.topo.Lock()
 	s.dep = dep
 	s.plan = plan
+	now := s.clock.Load().now
+	s.clock.Store(&clock{now: now, started: now()})
+	s.coalescers.Range(func(g, _ any) bool {
+		s.coalescers.Delete(g)
+		return true
+	})
 	s.topo.Unlock()
-	s.clockMu.Lock()
-	s.started = s.now()
-	s.clockMu.Unlock()
 	s.pendMu.Lock()
 	kept := s.pending[:0]
 	for _, p := range s.pending {
@@ -235,12 +300,6 @@ func (s *Server) Install(dep *master.Deployment, plan *advisor.Plan) error {
 	}
 	s.pending = kept
 	s.pendMu.Unlock()
-	// Drop coalescers bound to the old topology's groups; the write lock
-	// above drained every in-flight leader first. The records cache keys on
-	// the deployment pointer, so it invalidates itself.
-	s.coalMu.Lock()
-	s.coalescers = make(map[*runtime.GroupRuntime]*coalescer)
-	s.coalMu.Unlock()
 	return nil
 }
 
@@ -255,10 +314,9 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	t := s.target()
 	s.topo.RLock()
 	plane := s.dep.Plane()
-	plane.AdvanceAll(t)
+	plane.AdvanceAll(s.target())
 	now := plane.Now()
 	s.topo.RUnlock()
 	writeJSON(w, http.StatusOK, map[string]any{
@@ -373,8 +431,8 @@ func toGroupStats(st runtime.Stats) groupStats {
 }
 
 func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
-	t := s.target()
 	s.topo.RLock()
+	t := s.target()
 	var out []groupStats
 	for _, g := range s.dep.Groups() {
 		out = append(out, toGroupStats(g.StatsAt(t)))
@@ -385,8 +443,8 @@ func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	t := s.target()
 	s.topo.RLock()
+	t := s.target()
 	var found *groupStats
 	for _, g := range s.dep.Groups() {
 		if g.Plan.ID == id {
@@ -476,8 +534,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // past ten virtual days, e.g. "10d0:00:00.000" < "2d0:00:00.000".)
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	tenant := r.URL.Query().Get("tenant")
-	t := s.target()
 	s.topo.RLock()
+	t := s.target()
 	var recs []monitor.QueryRecord
 	if tenant == "" {
 		recs = s.allRecords(t)
@@ -609,10 +667,7 @@ func (s *Server) Pending() []PendingTenant {
 
 // SetClock overrides the wall clock (tests drive time deterministically).
 func (s *Server) SetClock(now func() time.Time, started time.Time) {
-	s.clockMu.Lock()
-	defer s.clockMu.Unlock()
-	s.now = now
-	s.started = started
+	s.clock.Store(&clock{now: now, started: started})
 }
 
 // Records exposes the deployment's query records (used by examples).
@@ -627,9 +682,8 @@ func (s *Server) Records() []monitor.QueryRecord {
 // reflects everything that should have happened by now; the registry itself
 // is internally synchronized, so it is read outside every lock.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	t := s.target()
 	s.topo.RLock()
-	s.dep.Plane().AdvanceAll(t)
+	s.dep.Plane().AdvanceAll(s.target())
 	hub := s.dep.Telemetry()
 	s.topo.RUnlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -648,9 +702,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	t := s.target()
 	s.topo.RLock()
-	s.dep.Plane().AdvanceAll(t)
+	s.dep.Plane().AdvanceAll(s.target())
 	hub := s.dep.Telemetry()
 	s.topo.RUnlock()
 	type eventJSON struct {
@@ -678,9 +731,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // handleSLO reports per-tenant SLA attainment against the service guarantee
 // P — the externally visible form of the SLA the paper sells.
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	t := s.target()
 	s.topo.RLock()
-	s.dep.Plane().AdvanceAll(t)
+	s.dep.Plane().AdvanceAll(s.target())
 	hub := s.dep.Telemetry()
 	s.topo.RUnlock()
 	type tenantJSON struct {
@@ -812,9 +864,8 @@ func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) {
 // breakdown with down markers, and every owner's footprint. Virtual time is
 // advanced first so reimage and recovery transitions due by now have fired.
 func (s *Server) handlePool(w http.ResponseWriter, r *http.Request) {
-	t := s.target()
 	s.topo.RLock()
-	s.dep.Plane().AdvanceAll(t)
+	s.dep.Plane().AdvanceAll(s.target())
 	snap := s.dep.Pool().Snapshot()
 	s.topo.RUnlock()
 	writeJSON(w, http.StatusOK, snap)
@@ -847,8 +898,8 @@ type triageStatus struct {
 // any in-flight or failed live migrations. Each group's state is read under
 // its clock domain, advanced to now so due detector beats have fired.
 func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
-	t := s.target()
 	s.topo.RLock()
+	t := s.target()
 	armed := false
 	groups := make([]recoveryGroup, 0)
 	for _, g := range s.dep.Groups() {
@@ -932,9 +983,8 @@ func (s *Server) handleOnline(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
 		return
 	}
-	t := s.target()
 	s.topo.RLock()
-	s.dep.Plane().AdvanceAll(t)
+	s.dep.Plane().AdvanceAll(s.target())
 	s.topo.RUnlock()
 	migs := ctl.Migrations()
 	if migs == nil {
@@ -957,9 +1007,8 @@ func (s *Server) handleReconsolidation(w http.ResponseWriter, r *http.Request) {
 	s.onlineMu.Unlock()
 	source := "offline"
 	if ctl != nil {
-		t := s.target()
 		s.topo.RLock()
-		s.dep.Plane().AdvanceAll(t)
+		s.dep.Plane().AdvanceAll(s.target())
 		s.topo.RUnlock()
 		if lr := ctl.LastReport(); lr != nil {
 			rep = lr
@@ -980,10 +1029,9 @@ func (s *Server) handleReconsolidation(w http.ResponseWriter, r *http.Request) {
 // query records under the default tariff (§3's pricing model: requested
 // nodes plus active usage). The period defaults to [0, now).
 func (s *Server) handleInvoices(w http.ResponseWriter, r *http.Request) {
-	t := s.target()
 	s.topo.RLock()
 	plane := s.dep.Plane()
-	plane.AdvanceAll(t)
+	plane.AdvanceAll(s.target())
 	now := plane.Now()
 	recs := plane.Records()
 	tenants := s.dep.Tenants()

@@ -10,6 +10,7 @@ import (
 	"regexp"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -750,6 +751,72 @@ func TestSubmitDuringInstallWindow(t *testing.T) {
 	close(errCh)
 	for e := range errCh {
 		t.Error(e)
+	}
+}
+
+// TestInstallDuringSubmitStorm swaps deployments under a storm of single
+// submits and health reads, an hour of wall time after the first origin.
+// Install stores the fresh deployment's pacing origin under the same write
+// lock as the deployment, and handlers read it under the read lock, so no
+// request advances the new domains by the old deployment's elapsed time: once
+// Install has returned, the new plane's clock never exceeds the scaled wall
+// time since the swap (run with -race).
+func TestInstallDuringSubmitStorm(t *testing.T) {
+	srv, _, _ := testServerMode(t, true)
+	var wall atomic.Int64 // ns since the first origin, moved by this goroutine only
+	wall.Store(int64(time.Hour))
+	// The clock is slow on purpose: were Install to read it for the new
+	// origin after releasing the topology, the storm would slip in meanwhile.
+	srv.SetClock(func() time.Time {
+		time.Sleep(100 * time.Microsecond)
+		return time.Unix(0, wall.Load())
+	}, time.Unix(0, 0))
+	ids := []string{"t1", "t2", "t3", "t4"}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	storm := func(method, path, body string, want int) {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
+			if rec.Code != want {
+				t.Errorf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
+				return
+			}
+		}
+	}
+	for _, id := range ids {
+		wg.Add(1)
+		go storm(http.MethodPost, "/v1/queries", `{"tenant":"`+id+`","query":"TPCH-Q6"}`, http.StatusAccepted)
+	}
+	wg.Add(1)
+	go storm(http.MethodGet, "/healthz", "", http.StatusOK)
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	for i := 0; i < 8; i++ {
+		dep, plan := deployTenants(t, ids, true)
+		swap := wall.Load()
+		if err := srv.Install(dep, plan); err != nil {
+			t.Fatal(err)
+		}
+		// Wait out every request in flight when Install returned: those are
+		// the ones that could have paired the new deployment with the old
+		// origin.
+		srv.topo.Lock()
+		srv.topo.Unlock()
+		wall.Add(int64(time.Millisecond))
+		limit := sim.Time(time.Duration(wall.Load()-swap).Seconds() * srv.timeScale * float64(sim.Second))
+		if got := dep.Plane().Now(); got > limit {
+			t.Errorf("install %d: new deployment at %v, %v of scaled wall time after the swap", i, got, limit)
+		}
 	}
 }
 
