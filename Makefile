@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race loc chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke bench-smoke online-smoke service-smoke shared-smoke fuzz-smoke bench-compare
+.PHONY: check fmt vet build test race loc chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke bench-smoke online-smoke service-smoke fuzz-smoke bench-compare
 
 # The full pre-commit gate: formatting and static checks, build, the
 # race-enabled suite (which holds every test the *-smoke targets below pick
@@ -68,7 +68,7 @@ domain-smoke:
 	$(GO) test -race -short -run TestDomainSmoke ./internal/recovery/chaos
 
 # Solver-equivalence property tests under the race detector — synthetic,
-# adversarial, shared-credit and composed-log (benchmark-shaped) instances at
+# adversarial and composed-log (benchmark-shaped) instances at
 # workers {0,1,3,4,8} — at three GOMAXPROCS settings, because Workers 0 (what
 # every caller leaves it at) takes its width from there and the runner's own
 # width is one point; the composed one is what catches state shared between
@@ -94,17 +94,6 @@ bench-smoke:
 online-smoke:
 	$(GO) test -race -short -run 'TestDriftSmoke|TestOnlineDeterminism' -count=1 ./internal/experiments
 
-# Shared-work execution smoke with the race detector on: the weighted
-# shared-scan executor's unit surface (merge, late-join, degraded, hedge
-# cancel, member cancel), the sharing-aware admission pressure read, and the
-# small-scale experiment end to end — including the off-mode golden-hash
-# equivalence guard (same-seed sharing-OFF replays must reproduce
-# byte-for-byte).
-shared-smoke:
-	$(GO) test -race -run 'TestShared|TestSharing' -count=1 ./internal/mppdb
-	$(GO) test -race -run 'TestBrownoutSharingEffectiveCapacity' -count=1 ./internal/admission
-	$(GO) test -race -short -run 'TestSharingSmoke' -count=1 -timeout 20m ./internal/experiments
-
 # Batched-submit smoke with the race detector on: per-item error
 # partitioning over /v1/submit-batch (a 429/503/504 never drops a healthy
 # batch-mate), batched-vs-per-query telemetry equivalence in both clock
@@ -121,11 +110,14 @@ service-smoke:
 # stream against collect-then-stable-sort, the CountSet algebra (Add, Remove,
 # Fill, the previews and the top-level view) against one slot per epoch, the
 # ref-indexed monitor with its chunked record log against the map-and-slice
-# monitor it replaced, and the tracer's entry ring against the ring of whole
-# span records it replaced (go test -fuzz takes one target per run). A failing
+# monitor it replaced, the tracer's entry ring against the ring of whole
+# span records it replaced, and the MPPDB executor under submits, hedges,
+# cancels, node faults and slowdowns against plain processor sharing stepped
+# from scratch (go test -fuzz takes one target per run). A failing
 # input lands in the package's testdata/fuzz; commit it. FuzzCountSet,
-# FuzzMonitorOps and FuzzTracerRing find new coverage all the time and the
-# default minute of minimizing each find would eat the whole smoke.
+# FuzzMonitorOps, FuzzTracerRing and FuzzInstancePS find new coverage all
+# the time and the default minute of minimizing each find would eat the
+# whole smoke.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSubmit$$' -fuzztime=5s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=5s ./internal/service
@@ -133,6 +125,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCountSet$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/epoch
 	$(GO) test -run '^$$' -fuzz '^FuzzMonitorOps$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/monitor
 	$(GO) test -run '^$$' -fuzz '^FuzzTracerRing$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzInstancePS$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/mppdb
 
 # Paired comparison of the working tree against another commit on one
 # benchmark workload, the procedure a performance claim needs: ./benchmark is

@@ -71,7 +71,6 @@ var all = []experiment{
 	{"overload", experiments.OverloadStorm, true},
 	{"drift", experiments.Drift, true},
 	{"ablation", table1(experiments.AblationSolvers), true},
-	{"sharing", experiments.Sharing, true},
 	{"divergent", table1(experiments.DivergentDesign), true},
 	{"headline", func(env *experiments.Env) ([]*experiments.Table, error) {
 		res, err := experiments.Headline(env)

@@ -74,7 +74,6 @@ func (o *options) flagSet() *flag.FlagSet {
 	fs.BoolVar(&o.online, "online", false, "arm continuous online re-consolidation (drift detection, local repair, live migrations); needs one shared clock domain, so it excludes -sharded")
 	fs.BoolVar(&o.admission, "admission", true, "arm overload protection per tenant-group (contract enforcement, bounded admission queue, brownout)")
 	fs.BoolVar(&o.gray, "gray", false, "arm fail-slow (gray failure) detection per tenant-group: peer-relative latency anomaly detection with a hedge → drain-and-replace ladder")
-	fs.BoolVar(&o.deploy.Sharing, "sharing", false, "enable shared-work execution: concurrent same-class queries merge into one shared scan per MPPDB, and the advisor packs for the credited capacity")
 	return fs
 }
 
@@ -99,7 +98,6 @@ func build(args []string) (*thrifty.System, *http.Server, error) {
 	if o.deploy.Triage && !o.recovery {
 		return nil, nil, errors.New("-triage requires -recovery")
 	}
-	o.plan.Sharing = o.deploy.Sharing
 	o.serve.DisableMetrics = !o.metrics
 	if o.recovery {
 		cfg := thrifty.DefaultRecoveryConfig()
@@ -144,8 +142,8 @@ func build(args []string) (*thrifty.System, *http.Server, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	fmt.Fprintf(os.Stderr, "thriftyd: deployed (time scale %g×, metrics %v, sharded %v, recovery %v, admission %v, gray %v, online %v, sharing %v)\n",
-		o.serve.TimeScale, o.metrics, o.deploy.Sharded, o.recovery, o.admission, o.gray, o.online, o.deploy.Sharing)
+	fmt.Fprintf(os.Stderr, "thriftyd: deployed (time scale %g×, metrics %v, sharded %v, recovery %v, admission %v, gray %v, online %v)\n",
+		o.serve.TimeScale, o.metrics, o.deploy.Sharded, o.recovery, o.admission, o.gray, o.online)
 	return sys, &http.Server{Addr: o.addr, Handler: h}, nil
 }
 

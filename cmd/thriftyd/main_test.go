@@ -12,11 +12,11 @@ import (
 	"testing"
 )
 
-// TestFlagSet pins the option surface: the sixteen flags that pick a
+// TestFlagSet pins the option surface: the fifteen flags that pick a
 // deployment or arm a subsystem, and no tuning knob beside them.
 func TestFlagSet(t *testing.T) {
 	want := strings.Fields("addr admission days domains gray metrics online p r recovery " +
-		"seed sharded sharing tenants timescale triage")
+		"seed sharded tenants timescale triage")
 	var got []string
 	new(options).flagSet().VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	if !slices.Equal(got, want) {
@@ -43,7 +43,7 @@ func TestBootAndServe(t *testing.T) {
 		args []string
 	}{
 		{"default", nil},
-		{"every-arm", []string{"-gray", "-domains", "3", "-triage", "-online", "-sharing"}},
+		{"every-arm", []string{"-gray", "-domains", "3", "-triage", "-online"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, srv, err := build(append([]string{"-tenants", "20", "-days", "1"}, tc.args...))

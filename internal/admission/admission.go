@@ -318,23 +318,7 @@ func (c *Controller) tick() {
 			degraded++
 		}
 	}
-	pressure := false
-	if len(c.insts) > 0 {
-		if c.insts[0].Sharing() {
-			// Shared-work execution collapses same-class queries into one
-			// processor-sharing participant, so raw active-tenant residency
-			// overstates load: read the effective (batch-collapsed)
-			// concurrency across the group instead, and throttle only when
-			// the merged participants claim every MPPDB.
-			eff := 0
-			for _, inst := range c.insts {
-				eff += inst.EffectiveRunning()
-			}
-			pressure = eff >= len(c.insts)
-		} else {
-			pressure = c.mon.ActiveTenants() >= len(c.insts)
-		}
-	}
+	pressure := len(c.insts) > 0 && c.mon.ActiveTenants() >= len(c.insts)
 	level := LevelNormal
 	switch {
 	case rt < c.p:

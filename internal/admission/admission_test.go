@@ -8,7 +8,6 @@ import (
 	"repro/internal/epoch"
 	"repro/internal/monitor"
 	"repro/internal/mppdb"
-	"repro/internal/queries"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -318,65 +317,5 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(eng, "g", 0, nil, nil, mon, nil, cfg); err == nil {
 		t.Fatal("P=0 accepted")
-	}
-}
-
-// TestBrownoutSharingEffectiveCapacity: with shared-work execution on, the
-// brownout pressure signal reads the batch-collapsed (effective) concurrency
-// of the group's instances, not raw query residency. Three same-class
-// queries merged into one shared scan claim ONE of two MPPDBs — no brownout
-// — where a residency read (3 queries ≥ 2 instances) would have throttled;
-// a second tenant's batch on the other instance then claims the last MPPDB
-// and the group goes hot until the scans drain.
-func TestBrownoutSharingEffectiveCapacity(t *testing.T) {
-	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	cfg.TickInterval = time.Second
-	c, _ := testController(t, eng, 2, cfg)
-	cl := &queries.Class{ID: "Q", ScanSecGB: 6} // iso 150s here; scan-dominated so σ is small
-	for _, inst := range c.insts {
-		if err := inst.SetSharing(true); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c.insts[0].DeployTenant("A", 100)
-	c.insts[1].DeployTenant("B", 100)
-	c.Start()
-
-	for i := 0; i < 3; i++ {
-		if _, err := c.insts[0].Submit("A", cl, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run(2 * sim.Second)
-	if got := c.insts[0].Running(); got != 3 {
-		t.Fatalf("raw residency %d, want 3", got)
-	}
-	if got := c.insts[0].EffectiveRunning(); got != 1 {
-		t.Fatalf("effective concurrency %d, want 1 (merged batch)", got)
-	}
-	if c.Level() != LevelNormal {
-		t.Fatalf("level %d with one merged batch on two instances, want normal "+
-			"(a residency read would see 3 queries >= 2 MPPDBs)", c.Level())
-	}
-
-	// A second tenant's batch claims the remaining MPPDB: pressure.
-	for i := 0; i < 2; i++ {
-		if _, err := c.insts[1].Submit("B", cl, nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	eng.Run(4 * sim.Second)
-	if c.Level() != LevelThrottleHot {
-		t.Fatalf("level %d with every MPPDB claimed, want throttle-hot", c.Level())
-	}
-
-	// The scans drain; the brownout clears.
-	eng.Run(700 * sim.Second)
-	if c.insts[0].Running()+c.insts[1].Running() != 0 {
-		t.Fatal("queries still resident after drain")
-	}
-	if c.Level() != LevelNormal {
-		t.Fatalf("level %d after drain, want normal", c.Level())
 	}
 }

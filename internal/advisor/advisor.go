@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/epoch"
 	"repro/internal/grouping"
-	"repro/internal/queries"
 	"repro/internal/sim"
 	"repro/internal/tdd"
 	"repro/internal/workload"
@@ -63,35 +62,6 @@ type Config struct {
 	// and ≥ 2 domains, spread placement keeps every group available through
 	// any single-domain outage. 0 means unknown/single-domain.
 	FailureDomains int
-	// Sharing enables shared-work-aware planning: the fuzzy-capacity test
-	// is relaxed by the catalog's share-discount weights (queries.ShareModel)
-	// so T_best can pack tenants denser where same-class scan sharing
-	// absorbs over-capacity epochs. Greedy T_best is not monotone under
-	// constraint relaxation, so the advisor solves BOTH tests and keeps the
-	// cheaper plan — a sharing plan never uses more nodes than the plain
-	// one. Off (false) is byte-identical to the paper's planner.
-	Sharing bool
-	// Share overrides the derived share model when Sharing is on. Nil
-	// derives one from the default catalog at the workload generator's
-	// action mix; its R must match Config.R.
-	Share *queries.ShareModel
-}
-
-// ShareWeights returns the grouping-layer capacity-credit weights the
-// configuration implies: nil when sharing is off, otherwise the configured
-// or derived model's weight vector.
-func (c *Config) ShareWeights() []float64 {
-	if !c.Sharing {
-		return nil
-	}
-	if c.Share != nil {
-		return c.Share.Weights()
-	}
-	m, err := queries.NewShareModel(queries.Default(), c.R, workload.MeanActionQueries)
-	if err != nil {
-		return nil
-	}
-	return m.Weights()
 }
 
 // DefaultConfig returns the Table 7.1 default parameters.
@@ -140,10 +110,6 @@ type Plan struct {
 	// Solver diagnostics.
 	Algorithm string
 	SolveTime sim.Time
-	// Shared reports that the sharing-credited capacity test produced this
-	// plan (Config.Sharing was on AND the credited solution packed strictly
-	// fewer nodes than the plain one).
-	Shared bool
 }
 
 // NodesUsed returns the machine nodes the consolidated deployment consumes.
@@ -222,9 +188,6 @@ func New(cfg Config) (*Advisor, error) {
 	if cfg.BurstLookaheadDays < 0 {
 		return nil, fmt.Errorf("advisor: BurstLookaheadDays=%d", cfg.BurstLookaheadDays)
 	}
-	if cfg.Share != nil && cfg.Share.R != cfg.R {
-		return nil, fmt.Errorf("advisor: share model capacity %d != R %d", cfg.Share.R, cfg.R)
-	}
 	return &Advisor{cfg: cfg}, nil
 }
 
@@ -273,41 +236,18 @@ func (a *Advisor) Plan(logs []*workload.TenantLog, horizon sim.Time) (*Plan, err
 	if len(prob.Items) == 0 {
 		return plan, nil
 	}
-	solve := func(p *grouping.Problem) (*grouping.Solution, error) {
-		var s *grouping.Solution
-		var serr error
-		switch a.cfg.Algorithm {
-		case FFD:
-			s, serr = grouping.FFD(p)
-		default:
-			s, serr = grouping.TwoStep(p)
-		}
-		if serr != nil {
-			return nil, serr
-		}
-		if serr := grouping.Verify(p, s); serr != nil {
-			return nil, fmt.Errorf("advisor: solver produced an invalid plan: %w", serr)
-		}
-		return s, nil
+	var sol *grouping.Solution
+	switch a.cfg.Algorithm {
+	case FFD:
+		sol, err = grouping.FFD(prob)
+	default:
+		sol, err = grouping.TwoStep(prob)
 	}
-	sol, err := solve(prob)
 	if err != nil {
 		return nil, err
 	}
-	if w := a.cfg.ShareWeights(); len(w) > 0 {
-		// Sharing-aware pass: same items under the credited capacity test.
-		// Greedy T_best is not monotone under constraint relaxation, so the
-		// credited plan is adopted only when it is strictly cheaper; both
-		// plans are verified against their own test.
-		shared := &grouping.Problem{Items: prob.Items, D: prob.D, R: prob.R, P: prob.P, Share: w}
-		ssol, err := solve(shared)
-		if err != nil {
-			return nil, err
-		}
-		if ssol.NodesUsed(prob.R) < sol.NodesUsed(prob.R) {
-			sol = ssol
-			plan.Shared = true
-		}
+	if err := grouping.Verify(prob, sol); err != nil {
+		return nil, fmt.Errorf("advisor: solver produced an invalid plan: %w", err)
 	}
 	plan.Algorithm = sol.Algorithm
 	plan.SolveTime = sim.Duration(sol.Elapsed)

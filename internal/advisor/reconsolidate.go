@@ -133,14 +133,9 @@ func (a *Advisor) Reconsolidate(in ReconsolidationInput, horizon sim.Time) (*Pla
 	sort.Strings(rep.NewTenants)
 	sort.Strings(rep.Departed)
 
-	// Decide which groups survive. A kept group answers to the test the
-	// previous plan was adopted under: the sharing-credited one when it was
-	// (Plan.Shared), else the plain TTP.
+	// Decide which groups survive.
 	next := &Plan{Config: a.cfg}
 	prob := &grouping.Problem{D: grid.D, R: a.cfg.R, P: a.cfg.P}
-	if in.Previous.Shared {
-		prob.Share = a.cfg.ShareWeights()
-	}
 	cs := epoch.NewCountSet(grid.D)
 	var repackLogs []*workload.TenantLog
 	for _, g := range in.Previous.Groups {
@@ -217,7 +212,6 @@ func (a *Advisor) Reconsolidate(in ReconsolidationInput, horizon sim.Time) (*Pla
 		next.Algorithm = in.Previous.Algorithm
 	}
 	next.SolveTime = sub.SolveTime
-	next.Shared = sub.Shared || (in.Previous.Shared && rep.KeptGroups > 0)
 	for i := range sub.Groups {
 		g := sub.Groups[i]
 		g.ID = fmt.Sprintf("TG-R%04d", i) // new-cycle namespace; avoids collisions

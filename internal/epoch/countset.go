@@ -671,48 +671,3 @@ func CompareNewHists(a, b []int64) int {
 	}
 	return 0
 }
-
-// OverShare returns the effective number of violating epochs at threshold r
-// when an epoch at raw count r+1+i is credited with weight w[i] ∈ [0,1]:
-// shared-work execution absorbs that fraction of the epoch's violation, so
-// only (1−w[i]) of it counts against the budget (fractional epochs are
-// fine — TTP is a ratio). Counts beyond r+len(w) get no credit; a nil or
-// empty w degenerates to OverCount.
-func (cs *CountSet) OverShare(r int, w []float64) float64 {
-	var over float64
-	for c := r + 1; c < len(cs.hist); c++ {
-		h := float64(cs.hist[c])
-		if i := c - r - 1; i >= 0 && i < len(w) {
-			h *= 1 - w[i]
-		}
-		over += h
-	}
-	return over
-}
-
-// TTPShare is TTP under the sharing credit weights (see OverShare).
-func (cs *CountSet) TTPShare(r int, w []float64) float64 {
-	if len(w) == 0 {
-		return cs.TTP(r)
-	}
-	return (float64(cs.d) - cs.OverShare(r, w)) / float64(cs.d)
-}
-
-// NewTTPShare is NewTTP under the sharing credit weights: the TTPShare the
-// set would have after applying tr. O(new maximum count) per call — the
-// capacity checks sit outside the solvers' candidate-scan hot loop.
-func (cs *CountSet) NewTTPShare(r int, w []float64, tr Transition) float64 {
-	if len(w) == 0 {
-		return cs.NewTTP(r, tr)
-	}
-	max := cs.NewMax(tr)
-	var over float64
-	for c := r + 1; c <= max; c++ {
-		h := float64(cs.newHistAt(tr, c))
-		if i := c - r - 1; i >= 0 && i < len(w) {
-			h *= 1 - w[i]
-		}
-		over += h
-	}
-	return (float64(cs.d) - over) / float64(cs.d)
-}

@@ -74,7 +74,7 @@ func Exact(p *Problem) (*Solution, error) {
 		// not deduplicated — instances are tiny.
 		for _, g := range groups {
 			tr := g.cs.Preview(it.Spans)
-			if p.NewTTP(g.cs, tr) < p.P {
+			if g.cs.NewTTP(p.R, tr) < p.P {
 				continue
 			}
 			saved := g.cs
@@ -104,7 +104,7 @@ func Exact(p *Problem) (*Solution, error) {
 				g.MaxNodes = p.Items[idx].Nodes
 			}
 		}
-		g.TTP = p.TTP(cs)
+		g.TTP = cs.TTP(p.R)
 		g.MaxActive = cs.MaxCount()
 		sol.Groups = append(sol.Groups, g)
 	}

@@ -56,7 +56,7 @@ func FFD(p *Problem) (*Solution, error) {
 			placed := false
 			for _, b := range bins {
 				tr := b.cs.Preview(it.Spans)
-				if p.NewTTP(b.cs, tr) >= p.P {
+				if b.cs.NewTTP(p.R, tr) >= p.P {
 					b.cs.Add(it.Spans)
 					b.items = append(b.items, idx)
 					placed = true
@@ -74,7 +74,7 @@ func FFD(p *Problem) (*Solution, error) {
 			sol.Groups = append(sol.Groups, Group{
 				Items:     b.items,
 				MaxNodes:  size,
-				TTP:       p.TTP(b.cs),
+				TTP:       b.cs.TTP(p.R),
 				MaxActive: b.cs.MaxCount(),
 			})
 		}
@@ -113,7 +113,7 @@ func FFDGlobal(p *Problem) (*Solution, error) {
 		placed := false
 		for _, b := range bins {
 			tr := b.cs.Preview(it.Spans)
-			if p.NewTTP(b.cs, tr) >= p.P {
+			if b.cs.NewTTP(p.R, tr) >= p.P {
 				b.cs.Add(it.Spans)
 				b.items = append(b.items, idx)
 				placed = true
@@ -129,7 +129,7 @@ func FFDGlobal(p *Problem) (*Solution, error) {
 	}
 	sol := &Solution{Algorithm: "FFD-global"}
 	for _, b := range bins {
-		g := Group{Items: b.items, TTP: p.TTP(b.cs), MaxActive: b.cs.MaxCount()}
+		g := Group{Items: b.items, TTP: b.cs.TTP(p.R), MaxActive: b.cs.MaxCount()}
 		for _, idx := range b.items {
 			if p.Items[idx].Nodes > g.MaxNodes {
 				g.MaxNodes = p.Items[idx].Nodes

@@ -49,33 +49,6 @@ type Problem struct {
 	// P is the performance SLA guarantee in [0,1]: the fraction of epochs
 	// that must have at most R active tenants per group.
 	P float64
-	// Share, when non-nil, relaxes the fuzzy-capacity test for shared-work
-	// execution: an epoch with R+1+i active tenants counts only (1−Share[i])
-	// against the violation budget, because the executor merges same-class
-	// concurrent queries into one shared scan (queries.ShareModel derives
-	// the weights from the catalog's class profiles). Nil reproduces the
-	// paper's test byte-identically. Weights do not change the T_best
-	// search order — only which additions are deemed to fit.
-	Share []float64
-}
-
-// TTP returns the capacity metric of a group's count set under the
-// problem's test: the plain TTP at threshold R, or the sharing-credited
-// TTPShare when Share is set.
-func (p *Problem) TTP(cs *epoch.CountSet) float64 {
-	if len(p.Share) == 0 {
-		return cs.TTP(p.R)
-	}
-	return cs.TTPShare(p.R, p.Share)
-}
-
-// NewTTP returns the capacity metric after applying tr, under the
-// problem's test (see TTP).
-func (p *Problem) NewTTP(cs *epoch.CountSet, tr epoch.Transition) float64 {
-	if len(p.Share) == 0 {
-		return cs.NewTTP(p.R, tr)
-	}
-	return cs.NewTTPShare(p.R, p.Share, tr)
 }
 
 // Measure fills cs with items, whatever it held, and returns the statistics of
@@ -94,7 +67,7 @@ func (p *Problem) Measure(cs *epoch.CountSet, items []*Item) Group {
 		g.MaxNodes = max(g.MaxNodes, it.Nodes)
 	}
 	cs.Fill(members)
-	g.TTP, g.MaxActive = p.TTP(cs), cs.MaxCount()
+	g.TTP, g.MaxActive = cs.TTP(p.R), cs.MaxCount()
 	return g
 }
 
@@ -108,11 +81,6 @@ func (p *Problem) Validate() error {
 	}
 	if p.P < 0 || p.P > 1 {
 		return fmt.Errorf("grouping: P=%v outside [0,1]", p.P)
-	}
-	for i, w := range p.Share {
-		if w < 0 || w >= 1 {
-			return fmt.Errorf("grouping: share weight [%d]=%v outside [0,1)", i, w)
-		}
 	}
 	seen := make(map[string]bool, len(p.Items))
 	for i, it := range p.Items {

@@ -49,7 +49,7 @@ func referencePackOneGroup(p *Problem, remaining []int) (Group, []int) {
 		best := referencePickBest(p, cs, remaining)
 		it := p.Items[remaining[best]]
 		tr := cs.Preview(it.Spans)
-		if len(members) > 0 && p.NewTTP(cs, tr) < p.P {
+		if len(members) > 0 && cs.NewTTP(p.R, tr) < p.P {
 			break // Algorithm 2 line 9: T_best no longer fits; close the group.
 		}
 		// The first member always enters: a single tenant has max count 1 ≤ R.

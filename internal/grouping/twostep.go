@@ -143,7 +143,7 @@ func finishGroup(p *Problem, cs *epoch.CountSet, members []int) Group {
 	return Group{
 		Items:     members,
 		MaxNodes:  maxNodes,
-		TTP:       p.TTP(cs),
+		TTP:       cs.TTP(p.R),
 		MaxActive: cs.MaxCount(),
 	}
 }
@@ -260,7 +260,7 @@ func (se *search) packOneGroup(order []int) (Group, []int) {
 	for len(order) > 0 {
 		best, tr := se.pickBest(order)
 		c := &se.cands[order[best]]
-		if len(members) > 0 && se.p.NewTTP(se.cs, tr) < se.p.P {
+		if len(members) > 0 && se.cs.NewTTP(se.p.R, tr) < se.p.P {
 			break // Algorithm 2 line 9: T_best no longer fits; close the group.
 		}
 		// The first member always enters: a single tenant has max count 1 ≤ R.

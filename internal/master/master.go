@@ -75,13 +75,6 @@ type Options struct {
 	// siblings avoiding each other's); single-domain pools are unaffected,
 	// so every pre-domain replay stays byte-identical.
 	NoSpread bool
-	// Sharing enables shared-work execution on every instance (and tells the
-	// admission controller to read effective, batch-collapsed concurrency):
-	// concurrent same-class queries merge into one shared scan per
-	// mppdb.SetSharing. Pair with advisor.Config.Sharing so the plan packs
-	// for the capacity the executor delivers. Strictly opt-in so existing
-	// replays stay byte-identical.
-	Sharing bool
 	// Triage arms the cluster-wide scarcity triage: one allocator per
 	// deployment, shared by every group's recovery controller. On pool
 	// exhaustion lifecycles queue ranked by SLA-at-risk (sliding RT-TTP
@@ -223,11 +216,6 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 			return nil, 0, fmt.Errorf("master: group %s: %w", pg.ID, err)
 		}
 		inst := mppdb.NewInterned(eng, id, nodes, interner)
-		if m.opts.Sharing {
-			if err := inst.SetSharing(true); err != nil {
-				return nil, 0, err
-			}
-		}
 		inst.SetTelemetry(tel)
 		for _, tn := range members {
 			inst.DeployTenant(tn.ID, tn.DataGB)

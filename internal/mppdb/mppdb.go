@@ -12,10 +12,7 @@
 //     demand equals its isolated latency on this instance, and k concurrent
 //     queries each progress at rate 1/k. Two concurrent Q1 instances thus
 //     take ≈2× their isolated latency (the paper's 2T-CON line), while
-//     sequential submissions are unaffected (xT-SEQ). The server is
-//     weight-fair: under shared-work execution (SetSharing) a merged batch
-//     holds one scheduler share per member, so merging reduces work without
-//     reducing the members' share of the machine.
+//     sequential submissions are unaffected (xT-SEQ).
 //
 // Instances also model tenant deployment (bulk loading, package cluster's
 // timing model), degraded operation under node failure, and report per-query
@@ -80,15 +77,7 @@ type Result struct {
 	Isolated sim.Time
 	// MaxConcurrency is the largest number of queries resident on the
 	// instance at any point during this execution (including this one).
-	// Under shared-work execution residents include queries queued for the
-	// next batch of their class, so the 2T-CON "two concurrent queries"
-	// regression metric keeps its meaning in either mode.
 	MaxConcurrency int
-	// EffectiveConcurrency is the largest number of processor-sharing
-	// participants during this execution: shared batches count once however
-	// many member queries they merge. Equal to MaxConcurrency when sharing
-	// is off.
-	EffectiveConcurrency int
 }
 
 // Latency returns the observed wall-clock latency.
@@ -120,43 +109,6 @@ type exec struct {
 	tag    uint64
 	tagged bool
 	done   func(Result)
-	// members is non-nil only under shared-work execution: the logical
-	// queries merged into this batch. ref/tag/tagged/done above are unused
-	// then — each member carries its own. maxIso/sumIso aggregate the
-	// members' isolated latencies (seconds) so a late joiner's marginal
-	// shared demand can be derived incrementally.
-	members []batchMember
-	maxIso  float64
-	sumIso  float64
-}
-
-// liveKey identifies an attachable in-flight shared scan: one tenant's
-// queries of one class. Distinct tenants scan distinct databases, so there
-// is no shareable work across tenants even for the same query template —
-// only a tenant's own same-class queries (its batch actions) merge.
-type liveKey struct {
-	ref   tenant.Ref
-	class *queries.Class
-}
-
-// execWeight is an exec's processor-sharing weight: one share per merged
-// logical query. A plain exec (members nil) weighs 1.
-func execWeight(ex *exec) int {
-	if n := len(ex.members); n > 0 {
-		return n
-	}
-	return 1
-}
-
-// batchMember is one logical query merged into a shared batch.
-type batchMember struct {
-	ref    tenant.Ref
-	submit sim.Time
-	iso    sim.Time
-	maxRes int // peak instance residency while in flight
-	tag    uint64
-	tagged bool
-	done   func(Result)
 }
 
 // Instance is one simulated MPPDB.
@@ -182,11 +134,6 @@ type Instance struct {
 	freeExecs  []*exec
 	nextExecID int64
 	lastTouch  sim.Time
-	// weightSum is the total scheduler weight of the live set. Plain execs
-	// weigh 1; a shared batch weighs one share per live member, so merging
-	// never shrinks the capacity share its members would have held unmerged.
-	// With sharing off every weight is 1 and weightSum == len(execs).
-	weightSum int
 
 	// completion is the single outstanding predicted-completion event
 	// (engine-owned, recycled); nextDone is the exec it targets and
@@ -197,17 +144,6 @@ type Instance struct {
 
 	// onDone receives completions of SubmitTagged queries with their tag.
 	onDone func(Result, uint64)
-
-	// Shared-work execution state (SetSharing). A tenant's same-class
-	// queries merge into batches: live maps a (tenant, class) pair to its
-	// in-flight batch, resident counts logical in-flight queries (all batch
-	// members), which equals len(execs) only when sharing is off.
-	// sharedBatches/sharedJoins are cumulative instance counters.
-	sharing       bool
-	resident      int
-	live          map[liveKey]*exec
-	sharedBatches uint64
-	sharedJoins   uint64
 
 	failedNodes int
 	// slowFactor models a fail-slow (gray) fault: the whole instance runs at
@@ -224,10 +160,6 @@ type Instance struct {
 	mSojourn   *telemetry.Histogram
 	mRunning   *telemetry.Gauge
 	mCompleted *telemetry.Counter
-	// Registered only under sharing so a sharing-off /metrics surface is
-	// byte-identical to one predating the mode.
-	mSharedBatches *telemetry.Counter
-	mSharedJoins   *telemetry.Counter
 }
 
 // New creates an instance that is immediately Ready (provisioning timing is
@@ -277,67 +209,12 @@ func (m *Instance) SetTelemetry(h *telemetry.Hub) {
 	m.mSojourn = h.Registry.Histogram("thrifty_mppdb_sojourn_seconds", nil, "mppdb", m.id)
 	m.mRunning = h.Registry.Gauge("thrifty_mppdb_running", "mppdb", m.id)
 	m.mCompleted = h.Registry.Counter("thrifty_mppdb_completed_total", "mppdb", m.id)
-	if m.sharing {
-		m.mSharedBatches = h.Registry.Counter("thrifty_mppdb_shared_batches_total", "mppdb", m.id)
-		m.mSharedJoins = h.Registry.Counter("thrifty_mppdb_shared_joins_total", "mppdb", m.id)
-	}
 }
 
 // SetCompletionHandler installs the pooled completion path: queries started
 // with SubmitTagged report here with their submit-time tag instead of
 // through a per-call closure.
 func (m *Instance) SetCompletionHandler(fn func(Result, uint64)) { m.onDone = fn }
-
-// SetSharing switches shared-work execution on or off. When on, a tenant's
-// concurrent same-class queries execute as one shared scan: the first query
-// starts a batch with service demand maxIso + σ·(ΣIso − maxIso)
-// (queries.SharedDemand). A query of the same (tenant, class) arriving
-// while the batch runs attaches to it in flight: the batch's remaining
-// demand grows by exactly the joiner's marginal shared cost (σ·iso — the
-// increase of the SharedDemand aggregate), and every member finishes when
-// the batch does. The already-scanned prefix a late joiner missed is
-// absorbed into the σ share — the circular-scan discipline of shared-scan
-// systems, where a joiner picks up the scan mid-cycle and the wrap-around
-// rides the same arm.
-//
-// A batch is scheduled under WEIGHTED processor sharing with one share per
-// live member — k merged queries hold exactly the k shares they would have
-// held unmerged. Keeping the share while shrinking the demand (from ΣIso to
-// the σ aggregate) is what makes sharing safe: the batch finishes strictly
-// earlier than its members would have under plain processor sharing, and
-// its early exit only frees capacity for bystanders. Folding k queries into
-// ONE share instead would starve exactly the queries being merged — the
-// share would drop k-fold while the demand only drops to (1+(k−1)σ)/k.
-//
-// Attachment is deterministic FCFS; joiners never queue, so a live window
-// is one shared scan, not a convoy. Sharing never crosses tenants: distinct
-// tenants scan distinct databases, so the same query template on two
-// tenants has no common work — their queries stay independent
-// processor-sharing participants exactly as with sharing off. Queries of
-// distinct classes never interact either, and sharing-off behaviour is
-// byte-identical to an instance predating this mode (all weights are 1).
-// The mode can only be toggled while the instance is idle.
-func (m *Instance) SetSharing(on bool) error {
-	if m.resident > 0 || len(m.execs) > 0 {
-		return fmt.Errorf("mppdb %s: cannot toggle sharing with queries in flight", m.id)
-	}
-	m.sharing = on
-	if on && m.live == nil {
-		m.live = make(map[liveKey]*exec)
-	}
-	return nil
-}
-
-// Sharing reports whether shared-work execution is enabled.
-func (m *Instance) Sharing() bool { return m.sharing }
-
-// SharedStats returns the cumulative shared-execution counters: batches is
-// the number of batches that became multi-member (counted once, when the
-// second member attaches), joins the number of queries that attached to an
-// in-flight shared scan instead of entering processor sharing on their own.
-func (m *Instance) SharedStats() (batches, joins uint64) {
-	return m.sharedBatches, m.sharedJoins
-}
 
 // ID returns the instance identifier.
 func (m *Instance) ID() string { return m.id }
@@ -453,30 +330,11 @@ func (m *Instance) Snapshot() Snapshot {
 }
 
 // Busy reports whether any query is currently executing (§4.3's definition:
-// an MPPDB is free when it is not serving any queries). Queries queued for a
-// class's next shared batch count as executing.
-func (m *Instance) Busy() bool {
-	if m.sharing {
-		return m.resident > 0
-	}
-	return len(m.execs) > 0
-}
+// an MPPDB is free when it is not serving any queries).
+func (m *Instance) Busy() bool { return len(m.execs) > 0 }
 
-// Running returns the number of in-flight logical queries: every submitted,
-// unfinished query counts once, whether it runs alone, inside a shared
-// batch, or queued for its class's next batch.
-func (m *Instance) Running() int {
-	if m.sharing {
-		return m.resident
-	}
-	return len(m.execs)
-}
-
-// EffectiveRunning returns the number of processor-sharing participants:
-// a shared batch counts once however many queries it merges. Equal to
-// Running when sharing is off; sharing-aware capacity decisions (admission
-// brownout) read this instead of the raw residency.
-func (m *Instance) EffectiveRunning() int { return len(m.execs) }
+// Running returns the number of in-flight queries.
+func (m *Instance) Running() int { return len(m.execs) }
 
 // RefRunning returns the number of in-flight queries of one tenant ref.
 func (m *Instance) RefRunning(ref tenant.Ref) int {
@@ -593,9 +451,6 @@ func (m *Instance) SubmitHedge(ref tenant.Ref, class *queries.Class, tag uint64)
 // observed (the hedge winner accounts for the logical query). It reports
 // whether a matching query was found.
 func (m *Instance) CancelTagged(tag uint64) bool {
-	if m.sharing {
-		return m.cancelShared(tag)
-	}
 	m.advance()
 	var ex *exec
 	for _, cand := range m.execs {
@@ -614,69 +469,9 @@ func (m *Instance) CancelTagged(tag uint64) bool {
 	m.execs[last] = nil
 	m.execs = m.execs[:last]
 	ex.idx = -1
-	m.weightSum--
 	m.running[ex.ref]--
 	if m.tel != nil {
 		m.mRunning.Set(float64(len(m.execs)))
-	}
-	m.reschedule()
-	m.releaseExec(ex)
-	return true
-}
-
-// cancelShared withdraws one tagged logical query under shared-work
-// execution. A member of a live multi-member batch is detached without
-// refunding the batch's service demand — the shared scan is already paying
-// that member's σ share and re-deriving a smaller demand mid-flight would
-// advantage exactly the executions a hedge raced, so the cost stays sunk. A
-// batch's sole member cancels the whole batch.
-func (m *Instance) cancelShared(tag uint64) bool {
-	var ex *exec
-	mi := -1
-	for _, cand := range m.execs {
-		for i := range cand.members {
-			if cand.members[i].tagged && cand.members[i].tag == tag {
-				ex, mi = cand, i
-				break
-			}
-		}
-		if ex != nil {
-			break
-		}
-	}
-	if ex == nil {
-		return false
-	}
-	m.resident--
-	m.running[ex.members[mi].ref]--
-	if len(ex.members) > 1 {
-		// Settle progress at the old rates first: the batch loses the
-		// detached member's scheduler share along with its claim on the
-		// results, even though its demand stays sunk.
-		m.advance()
-		ex.members = append(ex.members[:mi], ex.members[mi+1:]...)
-		m.weightSum--
-		if m.tel != nil {
-			m.mRunning.Set(float64(m.resident))
-		}
-		m.reschedule()
-		return true
-	}
-	// Sole member: withdraw the whole batch from processor sharing.
-	m.advance()
-	key := liveKey{ref: ex.ref, class: ex.class}
-	ex.members = nil
-	i := ex.idx
-	last := len(m.execs) - 1
-	m.execs[i] = m.execs[last]
-	m.execs[i].idx = i
-	m.execs[last] = nil
-	m.execs = m.execs[:last]
-	ex.idx = -1
-	m.weightSum--
-	delete(m.live, key)
-	if m.tel != nil {
-		m.mRunning.Set(float64(m.resident))
 	}
 	m.reschedule()
 	m.releaseExec(ex)
@@ -692,9 +487,6 @@ func (m *Instance) submit(ref tenant.Ref, class *queries.Class, done func(Result
 		return 0, err
 	}
 	now := m.eng.Now()
-	if m.sharing {
-		return m.submitShared(ref, class, iso, done, tag, tagged, hedge, now)
-	}
 	m.nextExecID++
 	ex := m.acquireExec()
 	ex.id = m.nextExecID
@@ -713,8 +505,6 @@ func (m *Instance) submit(ref tenant.Ref, class *queries.Class, done func(Result
 	// these scans dominate the submit path.
 	// dec is elapsed*(speed/k), associated exactly as advance() computes it
 	// so the fused path is bit-identical to the unfused one.
-	// The plain path runs only with sharing off, where every weight is 1 and
-	// weightSum == len(execs): the unweighted scan below is exact.
 	dec := 0.0
 	if now > m.lastTouch && len(m.execs) > 0 {
 		dec = (now - m.lastTouch).Seconds() * (m.speed() / float64(len(m.execs)))
@@ -740,7 +530,6 @@ func (m *Instance) submit(ref tenant.Ref, class *queries.Class, done func(Result
 	}
 	ex.idx = len(m.execs)
 	m.execs = append(m.execs, ex)
-	m.weightSum++
 	m.running[ref]++
 	if m.tel != nil {
 		// Hedged duplicates skip the service-demand histogram: the logical
@@ -760,150 +549,6 @@ func (m *Instance) submit(ref tenant.Ref, class *queries.Class, done func(Result
 	return iso, nil
 }
 
-// submitShared is the shared-work submit path: the query either starts a new
-// batch for its class (entering processor sharing) or attaches to the
-// class's in-flight batch, growing its remaining demand by exactly the
-// joiner's marginal shared cost.
-func (m *Instance) submitShared(ref tenant.Ref, class *queries.Class, iso sim.Time, done func(Result), tag uint64, tagged, hedge bool, now sim.Time) (sim.Time, error) {
-	m.resident++
-	m.running[ref]++
-	mem := batchMember{
-		ref: ref, submit: now, iso: iso, maxRes: m.resident,
-		tag: tag, tagged: tagged, done: done,
-	}
-	m.bumpResidency()
-	if m.tel != nil {
-		// Hedged duplicates skip the service-demand histogram (see
-		// SubmitHedge); under sharing mRunning reports logical residency.
-		if !hedge {
-			m.mService.Observe(iso.Seconds())
-		}
-		m.mRunning.Set(float64(m.resident))
-	}
-	if ex, liveNow := m.live[liveKey{ref: ref, class: class}]; liveNow {
-		m.attach(ex, mem, now)
-		return iso, nil
-	}
-	m.startBatch(class, mem, now)
-	return iso, nil
-}
-
-// attach merges a late joiner into its class's in-flight batch. The batch's
-// progress is settled first (advance), then its remaining demand grows by
-// the joiner's marginal shared cost — the increase of the SharedDemand
-// aggregate maxIso + σ·(ΣIso − maxIso), i.e. σ·iso for a same-width joiner —
-// and the batch gains one scheduler share. To the rest of the instance an
-// attachment is therefore indistinguishable from the joiner entering
-// processor sharing on its own (same weight added), while the batch's total
-// demand grows by σ·iso instead of iso: every member, and every bystander,
-// finishes no later than it would have unmerged. The joiner finishes when
-// the batch does; the prefix of the scan it missed is absorbed in the σ
-// share (circular-scan wrap-around).
-func (m *Instance) attach(ex *exec, mem batchMember, now sim.Time) {
-	m.advance()
-	s := mem.iso.Seconds()
-	old := ex.class.SharedDemand(ex.maxIso, ex.sumIso)
-	ex.sumIso += s
-	if s > ex.maxIso {
-		ex.maxIso = s
-	}
-	grown := ex.class.SharedDemand(ex.maxIso, ex.sumIso)
-	ex.remaining += grown - old
-	ex.isolated = sim.Time(grown * float64(sim.Second))
-	ex.members = append(ex.members, mem)
-	m.weightSum++
-	if len(ex.members) == 2 {
-		m.sharedBatches++
-		if m.mSharedBatches != nil {
-			m.mSharedBatches.Inc()
-		}
-	}
-	m.sharedJoins++
-	if m.mSharedJoins != nil {
-		m.mSharedJoins.Inc()
-	}
-	m.reschedule()
-}
-
-// bumpResidency raises every in-flight member's residency peak to the
-// current resident count. Only called under sharing; the plain path keeps
-// its fused submit scan.
-func (m *Instance) bumpResidency() {
-	r := m.resident
-	for _, ex := range m.execs {
-		for i := range ex.members {
-			if r > ex.members[i].maxRes {
-				ex.members[i].maxRes = r
-			}
-		}
-	}
-}
-
-// startBatch enters a new shared batch into processor sharing for its first
-// member (weight 1 — one share per member) and registers it as the class's
-// live batch. The batch's service demand starts as the member's isolated
-// latency and grows by marginal SharedDemand shares as joiners attach — the
-// widest member's scan paid once, every further member only its
-// non-shareable σ share; the exec's recorded isolated latency is the
-// current demand, since it is what the batch would take on an otherwise
-// idle instance.
-func (m *Instance) startBatch(class *queries.Class, mem batchMember, now sim.Time) {
-	iso := mem.iso.Seconds()
-	m.nextExecID++
-	ex := m.acquireExec()
-	ex.id = m.nextExecID
-	ex.ref = mem.ref
-	ex.class = class
-	ex.submit = now
-	ex.isolated = mem.iso
-	ex.remaining = iso
-	ex.tag = 0
-	ex.tagged = false
-	ex.done = nil
-	ex.members = append(ex.members[:0], mem)
-	ex.maxIso = iso
-	ex.sumIso = iso
-	// Weighted variant of the plain submit's fused scan: co-resident batches
-	// may weigh more than 1, so each exec's decrement and the min-selection
-	// are scaled by its weight.
-	dec := 0.0
-	if now > m.lastTouch && len(m.execs) > 0 {
-		dec = (now - m.lastTouch).Seconds() * (m.speed() / float64(m.weightSum))
-	}
-	m.lastTouch = now
-	conc := len(m.execs) + 1
-	ex.maxConc = conc
-	next := ex
-	nw := 1.0
-	for _, other := range m.execs {
-		ow := float64(execWeight(other))
-		if dec > 0 {
-			other.remaining -= dec * ow
-			if other.remaining < 0 {
-				other.remaining = 0
-			}
-		}
-		if conc > other.maxConc {
-			other.maxConc = conc
-		}
-		if other.remaining*nw < next.remaining*ow ||
-			(other.remaining*nw == next.remaining*ow && other.id < next.id) {
-			next, nw = other, ow
-		}
-	}
-	ex.idx = len(m.execs)
-	m.execs = append(m.execs, ex)
-	m.weightSum++
-	if m.completion != nil {
-		m.eng.CancelOwned(m.completion)
-		m.completion = nil
-	}
-	eta := next.remaining * float64(m.weightSum) / (m.speed() * nw)
-	m.nextDone = next
-	m.completion = m.eng.ScheduleOwned(now+sim.Time(eta*float64(sim.Second)), m.completeCb)
-	m.live[liveKey{ref: mem.ref, class: class}] = ex
-}
-
 // acquireExec pops a recycled exec or allocates one.
 func (m *Instance) acquireExec() *exec {
 	n := len(m.freeExecs)
@@ -920,15 +565,11 @@ func (m *Instance) acquireExec() *exec {
 func (m *Instance) releaseExec(ex *exec) {
 	ex.class = nil
 	ex.done = nil
-	ex.members = nil
 	m.freeExecs = append(m.freeExecs, ex)
 }
 
 // advance applies elapsed virtual time to all in-flight queries under
-// weighted processor sharing: an exec of weight w progresses at
-// speed()·w/W where W is the live set's total weight. With sharing off
-// every weight is 1, W == k, and the arithmetic (·1.0 is IEEE-exact) is
-// bit-identical to the unweighted rate speed()/k.
+// processor sharing: each of the k queries progresses at speed()/k.
 func (m *Instance) advance() {
 	now := m.eng.Now()
 	if now <= m.lastTouch {
@@ -940,19 +581,18 @@ func (m *Instance) advance() {
 	if len(m.execs) == 0 {
 		return
 	}
-	rate := m.speed() / float64(m.weightSum)
+	rate := m.speed() / float64(len(m.execs))
 	for _, ex := range m.execs {
-		ex.remaining -= elapsed * rate * float64(execWeight(ex))
+		ex.remaining -= elapsed * rate
 		if ex.remaining < 0 {
 			ex.remaining = 0
 		}
 	}
 }
 
-// reschedule (re)computes the next completion event: the exec minimising
-// remaining/weight (compared cross-multiplied, exact for weight 1, id
-// tie-break). The selection is iteration-order independent, so the
-// swap-remove slice cannot perturb a deterministic run.
+// reschedule (re)computes the next completion event: the exec with the least
+// remaining work (id tie-break). The selection is iteration-order
+// independent, so the swap-remove slice cannot perturb a deterministic run.
 func (m *Instance) reschedule() {
 	if m.completion != nil {
 		m.eng.CancelOwned(m.completion)
@@ -963,15 +603,13 @@ func (m *Instance) reschedule() {
 		return
 	}
 	next := m.execs[0]
-	nw := float64(execWeight(next))
 	for _, ex := range m.execs[1:] {
-		w := float64(execWeight(ex))
-		if ex.remaining*nw < next.remaining*w ||
-			(ex.remaining*nw == next.remaining*w && ex.id < next.id) {
-			next, nw = ex, w
+		if ex.remaining < next.remaining ||
+			(ex.remaining == next.remaining && ex.id < next.id) {
+			next = ex
 		}
 	}
-	eta := next.remaining * float64(m.weightSum) / (m.speed() * nw)
+	eta := next.remaining * float64(len(m.execs)) / m.speed()
 	at := m.eng.Now() + sim.Time(eta*float64(sim.Second))
 	m.nextDone = next
 	m.completion = m.eng.ScheduleOwned(at, m.completeCb)
@@ -985,19 +623,18 @@ func (m *Instance) complete(ex *exec) {
 		return
 	}
 	// Fused advance + next-completion selection, mirroring submit: one scan
-	// decrements every in-flight query by its weighted share and picks the
-	// min-(remaining/weight, id) among the survivors.
+	// decrements every in-flight query by its share and picks the
+	// min-(remaining, id) among the survivors.
 	now := m.eng.Now()
 	dec := 0.0
 	if now > m.lastTouch {
-		dec = (now - m.lastTouch).Seconds() * (m.speed() / float64(m.weightSum))
+		dec = (now - m.lastTouch).Seconds() * (m.speed() / float64(len(m.execs)))
 	}
 	m.lastTouch = now
 	var next *exec
-	nw := 1.0
 	for _, other := range m.execs {
 		if dec > 0 {
-			other.remaining -= dec * float64(execWeight(other))
+			other.remaining -= dec
 			if other.remaining < 0 {
 				other.remaining = 0
 			}
@@ -1005,10 +642,9 @@ func (m *Instance) complete(ex *exec) {
 		if other == ex {
 			continue
 		}
-		ow := float64(execWeight(other))
-		if next == nil || other.remaining*nw < next.remaining*ow ||
-			(other.remaining*nw == next.remaining*ow && other.id < next.id) {
-			next, nw = other, ow
+		if next == nil || other.remaining < next.remaining ||
+			(other.remaining == next.remaining && other.id < next.id) {
+			next = other
 		}
 	}
 	// Guard against float drift: the scheduled completion is authoritative.
@@ -1020,26 +656,11 @@ func (m *Instance) complete(ex *exec) {
 	m.execs[last] = nil
 	m.execs = m.execs[:last]
 	ex.idx = -1
-	m.weightSum -= execWeight(ex)
-	if ex.members != nil {
-		for j := range ex.members {
-			m.running[ex.members[j].ref]--
-		}
-		m.resident -= len(ex.members)
-		if m.tel != nil {
-			for j := range ex.members {
-				m.mSojourn.Observe((now - ex.members[j].submit).Seconds())
-			}
-			m.mRunning.Set(float64(m.resident))
-			m.mCompleted.Add(int64(len(ex.members)))
-		}
-	} else {
-		m.running[ex.ref]--
-		if m.tel != nil {
-			m.mSojourn.Observe((now - ex.submit).Seconds())
-			m.mRunning.Set(float64(len(m.execs)))
-			m.mCompleted.Inc()
-		}
+	m.running[ex.ref]--
+	if m.tel != nil {
+		m.mSojourn.Observe((now - ex.submit).Seconds())
+		m.mRunning.Set(float64(len(m.execs)))
+		m.mCompleted.Inc()
 	}
 	if m.completion != nil {
 		m.eng.CancelOwned(m.completion)
@@ -1048,62 +669,24 @@ func (m *Instance) complete(ex *exec) {
 	if next == nil {
 		m.nextDone = nil
 	} else {
-		eta := next.remaining * float64(m.weightSum) / (m.speed() * nw)
+		eta := next.remaining * float64(len(m.execs)) / m.speed()
 		m.nextDone = next
 		m.completion = m.eng.ScheduleOwned(now+sim.Time(eta*float64(sim.Second)), m.completeCb)
 	}
-	if ex.members != nil {
-		m.finishBatch(ex, now)
-	} else if ex.done != nil {
-		ex.done(Result{
-			Tenant:               m.in.ID(ex.ref),
-			Class:                ex.class,
-			Submit:               ex.submit,
-			Finish:               m.eng.Now(),
-			Isolated:             ex.isolated,
-			MaxConcurrency:       ex.maxConc,
-			EffectiveConcurrency: ex.maxConc,
-		})
-	} else if ex.tagged && m.onDone != nil {
-		m.onDone(Result{
-			Tenant:               m.in.ID(ex.ref),
-			Class:                ex.class,
-			Submit:               ex.submit,
-			Finish:               m.eng.Now(),
-			Isolated:             ex.isolated,
-			MaxConcurrency:       ex.maxConc,
-			EffectiveConcurrency: ex.maxConc,
-		}, ex.tag)
+	if ex.done != nil || (ex.tagged && m.onDone != nil) {
+		res := Result{
+			Tenant:         m.in.ID(ex.ref),
+			Class:          ex.class,
+			Submit:         ex.submit,
+			Finish:         now,
+			Isolated:       ex.isolated,
+			MaxConcurrency: ex.maxConc,
+		}
+		if ex.done != nil {
+			ex.done(res)
+		} else {
+			m.onDone(res, ex.tag)
+		}
 	}
 	m.releaseExec(ex)
-}
-
-// finishBatch retires a completed shared batch: the class's live slot is
-// cleared *before* member completions fire, so a completion callback that
-// immediately resubmits the class starts a fresh batch rather than attaching
-// to a finished scan. Every member reports its own submit time and isolated
-// latency; MaxConcurrency is the member's residency peak and
-// EffectiveConcurrency the batch's processor-sharing peak.
-func (m *Instance) finishBatch(ex *exec, now sim.Time) {
-	class := ex.class
-	members := ex.members
-	ex.members = nil
-	delete(m.live, liveKey{ref: ex.ref, class: class})
-	for i := range members {
-		mem := &members[i]
-		res := Result{
-			Tenant:               m.in.ID(mem.ref),
-			Class:                class,
-			Submit:               mem.submit,
-			Finish:               now,
-			Isolated:             mem.iso,
-			MaxConcurrency:       mem.maxRes,
-			EffectiveConcurrency: ex.maxConc,
-		}
-		if mem.done != nil {
-			mem.done(res)
-		} else if mem.tagged && m.onDone != nil {
-			m.onDone(res, mem.tag)
-		}
-	}
 }

@@ -197,9 +197,6 @@ func New(eng *sim.Engine, dep *master.Deployment, mst *master.Master,
 		retiring: make(map[string]bool),
 		inflight: make(map[int]*flight),
 	}
-	// Placer feasibility must use the same capacity test that licensed the
-	// plan (nil when the advisor's sharing mode is off).
-	c.pl.Share = cfg.Plan.ShareWeights()
 	byID := make(map[string]*workload.TenantLog, len(logs))
 	for _, tl := range logs {
 		byID[tl.Tenant.ID] = tl
@@ -1027,10 +1024,7 @@ func (c *Controller) fallbackReconsolidate(now sim.Time, gid string) {
 // against the LIVBPwFC constraint with the same Verify the offline solvers
 // answer to. Engine-side callers only (it reads the live placer).
 func (c *Controller) Audit() error {
-	// A sharing-planned partition is denser than the plain test allows;
-	// audit it against the same credited test that licensed it.
-	p := &grouping.Problem{D: c.grid.D, R: c.cfg.Plan.R, P: c.cfg.Plan.P,
-		Share: c.cfg.Plan.ShareWeights()}
+	p := &grouping.Problem{D: c.grid.D, R: c.cfg.Plan.R, P: c.cfg.Plan.P}
 	var groups [][]string
 	for _, g := range c.pl.Groups() {
 		if g.Size() == 0 {

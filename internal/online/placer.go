@@ -85,11 +85,6 @@ type Placer struct {
 	D int64
 	R int
 	P float64
-	// Share, when non-nil, applies the sharing-credited capacity test
-	// (grouping.Problem.Share): the live partition of a sharing-enabled plan
-	// is denser than the plain test allows, and feasibility checks here must
-	// match the test that licensed it or every group would read as broken.
-	Share []float64
 
 	tenants map[string]*PTenant
 	groups  map[string]*PGroup
@@ -257,23 +252,6 @@ func (pl *Placer) Groups() []*PGroup {
 // Tenants returns the number of registered tenants.
 func (pl *Placer) Tenants() int { return len(pl.tenants) }
 
-// ttp evaluates the partition's capacity test on a count set: the plain TTP
-// at threshold R, or the sharing-credited variant when Share is set.
-func (pl *Placer) ttp(cs *epoch.CountSet) float64 {
-	if len(pl.Share) == 0 {
-		return cs.TTP(pl.R)
-	}
-	return cs.TTPShare(pl.R, pl.Share)
-}
-
-// newTTP evaluates the capacity test after applying tr (see ttp).
-func (pl *Placer) newTTP(cs *epoch.CountSet, tr epoch.Transition) float64 {
-	if len(pl.Share) == 0 {
-		return cs.NewTTP(pl.R, tr)
-	}
-	return cs.NewTTPShare(pl.R, pl.Share, tr)
-}
-
 // Feasible reports whether the group satisfies the fuzzy-capacity
 // constraint: TTP at threshold R is at least P.
 func (pl *Placer) Feasible(groupID string) bool {
@@ -281,7 +259,7 @@ func (pl *Placer) Feasible(groupID string) bool {
 	if !ok {
 		return false
 	}
-	return pl.ttp(g.CS) >= pl.P-feasSlack
+	return g.CS.TTP(pl.R) >= pl.P-feasSlack
 }
 
 // Infeasible returns the IDs of groups currently violating the constraint,
@@ -289,7 +267,7 @@ func (pl *Placer) Feasible(groupID string) bool {
 func (pl *Placer) Infeasible() []string {
 	var out []string
 	for _, g := range pl.order {
-		if pl.ttp(g.CS) < pl.P-feasSlack {
+		if g.CS.TTP(pl.R) < pl.P-feasSlack {
 			out = append(out, g.ID)
 		}
 	}
@@ -344,7 +322,7 @@ func (pl *Placer) BestGroup(nodes int, sp epoch.Spans, exclude string) (string, 
 		if !ok {
 			continue // resulting max exceeds the incumbent's
 		}
-		if pl.newTTP(cs, tr) < pl.P-feasSlack {
+		if cs.NewTTP(pl.R, tr) < pl.P-feasSlack {
 			continue // addition would break the group
 		}
 		share := cs.NewHistAt(tr, km)

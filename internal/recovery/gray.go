@@ -281,19 +281,15 @@ func (d *GrayDetector) InProgress() int {
 // land here). Raw slowdown conflates contention with sickness — under
 // processor sharing k concurrent queries each legitimately run k× slower —
 // so the sample divides by the peak concurrency the query saw: ≤1 on a
-// healthy instance however busy it is, ≈1/speed on a fail-slow one. The
-// divisor is the *effective* peak — shared batches count once however many
-// queries they merge, since a batch stretches its members by the batch
-// demand, not by the member count (identical to MaxConcurrency when sharing
-// is off).
+// healthy instance however busy it is, ≈1/speed on a fail-slow one.
 func (d *GrayDetector) observe(dbID string, res mppdb.Result) {
 	i, ok := d.byID[dbID]
 	if !ok {
 		return
 	}
 	s := res.Slowdown()
-	if res.EffectiveConcurrency > 1 {
-		s /= float64(res.EffectiveConcurrency)
+	if res.MaxConcurrency > 1 {
+		s /= float64(res.MaxConcurrency)
 	}
 	st := &d.states[i]
 	st.seen++

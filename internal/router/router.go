@@ -59,14 +59,13 @@ type GroupRouter struct {
 	dbs   []*mppdb.Instance // index 0 is the tuning MPPDB G₀
 	mon   *monitor.GroupMonitor
 
-	tenants map[string]*tenant.Tenant
-
 	// The group interner shared with every instance; members and overrides
 	// (an over-active tenant's dedicated MPPDB, which now serves it
-	// exclusively) indexed by ref; the pooled completion table; and routing
-	// scratch space reused across submits.
+	// exclusively) indexed by ref, with the number of members; the pooled
+	// completion table; and routing scratch space reused across submits.
 	in            *tenant.Interner
 	byRef         []*tenant.Tenant
+	members       int
 	overByRef     []override
 	pending       []pending
 	freeTags      []uint64
@@ -116,12 +115,11 @@ func NewGroup(eng *sim.Engine, group string, dbs []*mppdb.Instance,
 		return nil, fmt.Errorf("router: group %s has no MPPDBs", group)
 	}
 	r := &GroupRouter{
-		eng:     eng,
-		group:   group,
-		dbs:     dbs,
-		mon:     mon,
-		tenants: make(map[string]*tenant.Tenant, len(members)),
-		in:      dbs[0].Interner(),
+		eng:   eng,
+		group: group,
+		dbs:   dbs,
+		mon:   mon,
+		in:    dbs[0].Interner(),
 	}
 	for _, db := range dbs {
 		if db.Interner() != r.in {
@@ -129,7 +127,6 @@ func NewGroup(eng *sim.Engine, group string, dbs []*mppdb.Instance,
 		}
 	}
 	for _, m := range members {
-		r.tenants[m.ID] = m
 		for _, db := range dbs {
 			if !db.HasTenant(m.ID) {
 				return nil, fmt.Errorf("router: tenant %s not deployed on %s", m.ID, db.ID())
@@ -155,6 +152,9 @@ func (r *GroupRouter) indexMember(ref tenant.Ref, tn *tenant.Tenant) {
 		r.byRef = append(r.byRef, nil)
 		r.overByRef = append(r.overByRef, override{})
 	}
+	if r.byRef[ref] == nil {
+		r.members++
+	}
 	r.byRef[ref] = tn
 }
 
@@ -165,16 +165,13 @@ func (r *GroupRouter) Group() string { return r.group }
 func (r *GroupRouter) Instances() []*mppdb.Instance { return r.dbs }
 
 // Members returns the number of member tenants.
-func (r *GroupRouter) Members() int { return len(r.tenants) }
+func (r *GroupRouter) Members() int { return r.members }
 
 // Interner returns the group interner.
 func (r *GroupRouter) Interner() *tenant.Interner { return r.in }
 
 // HasTenant reports whether the tenant belongs to this group.
-func (r *GroupRouter) HasTenant(id string) bool {
-	_, ok := r.tenants[id]
-	return ok
-}
+func (r *GroupRouter) HasTenant(id string) bool { return r.Ref(id) != tenant.NoRef }
 
 // Ref resolves a member tenant to its group ref (NoRef when the tenant is not
 // a member).
@@ -195,7 +192,7 @@ func (r *GroupRouter) OnResult(fn func(monitor.QueryRecord)) { r.onResult = fn }
 // all router mutations it must run on the group's engine (inside its clock
 // domain): the router itself is not locked.
 func (r *GroupRouter) AddTenant(tn *tenant.Tenant) error {
-	if _, ok := r.tenants[tn.ID]; ok {
+	if r.Ref(tn.ID) != tenant.NoRef {
 		return nil
 	}
 	for _, db := range r.dbs {
@@ -203,7 +200,6 @@ func (r *GroupRouter) AddTenant(tn *tenant.Tenant) error {
 			return fmt.Errorf("router: tenant %s not deployed on %s", tn.ID, db.ID())
 		}
 	}
-	r.tenants[tn.ID] = tn
 	r.indexMember(r.in.Intern(tn.ID), tn)
 	return nil
 }
@@ -214,10 +210,10 @@ func (r *GroupRouter) AddTenant(tn *tenant.Tenant) error {
 // instance references and never consult the tenant index. In-domain only,
 // like AddTenant.
 func (r *GroupRouter) RemoveTenant(id string) {
-	delete(r.tenants, id)
-	if ref, ok := r.in.Lookup(id); ok && int(ref) < len(r.byRef) {
+	if ref := r.Ref(id); ref != tenant.NoRef {
 		r.byRef[ref] = nil
 		r.overByRef[ref] = override{}
+		r.members--
 	}
 }
 
@@ -312,7 +308,8 @@ func (r *GroupRouter) HedgeStats() (hedged, peerWins int64) {
 // (the §5.1 elastic-scaling outcome: "Thrifty routed all the queries to the
 // new MPPDB"). The instance must be Ready and hold the tenant's data.
 func (r *GroupRouter) SetOverride(tenantID string, db *mppdb.Instance) error {
-	if _, ok := r.tenants[tenantID]; !ok {
+	ref := r.Ref(tenantID)
+	if ref == tenant.NoRef {
 		return fmt.Errorf("router: tenant %s not in group %s", tenantID, r.group)
 	}
 	if db.State() != mppdb.Ready {
@@ -324,7 +321,7 @@ func (r *GroupRouter) SetOverride(tenantID string, db *mppdb.Instance) error {
 	// The override's interner may be private to that instance; record the
 	// tenant's ref in *its* namespace.
 	dbRef, _ := db.Interner().Lookup(tenantID)
-	r.overByRef[r.Ref(tenantID)] = override{db: db, ref: dbRef}
+	r.overByRef[ref] = override{db: db, ref: dbRef}
 	db.SetCompletionHandler(r.completed)
 	if r.mon != nil {
 		r.mon.Exclude(tenantID)

@@ -282,15 +282,15 @@ func (w *bodyWriter) Write(p []byte) (int, error) {
 // one body reader and one writer, reused.
 //
 // At steady state nothing remains: measured with go1.24, a POST /v1/queries
-// and a 64-query POST /v1/submit-batch allocate 0 times, ServeMux and
-// SubmitBatchAt included (the mux matches a method-and-path pattern without
-// allocating, and SubmitBatchAt's three closures — attempt, the deferred
-// scratch return, the Advance callback — do not escape, so they live on its
-// stack). Before the codec the single path allocated 31 times a request and
-// the batch 4.9 times a query, all of it in encoding/json, the map[string]any
-// bodies, Time.String and Header().Set. The bounds below leave one allocation
-// of slack per request for what is not this repository's: ServeMux internals
-// differ between Go releases. "Steady state" starts once the pools are warm;
+// and a 64-query POST /v1/submit-batch allocate 0 times, the route table and
+// SubmitBatchAt included (the table resolves the path with one map lookup and
+// a method compare, and SubmitBatchAt's three closures — attempt, the
+// deferred scratch return, the Advance callback — do not escape, so they live
+// on its stack). Before the codec the single path allocated 31 times a
+// request and the batch 4.9 times a query, all of it in encoding/json, the
+// map[string]any bodies, Time.String and Header().Set. The bounds below leave
+// one allocation of slack per request for what is not this repository's:
+// standard-library internals differ between Go releases. "Steady state" starts once the pools are warm;
 // the tracer's ring has nothing to warm, a query's spans are plain stores
 // into it.
 func TestSubmitPathAllocations(t *testing.T) {

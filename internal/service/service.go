@@ -798,43 +798,6 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 		"overall_attainment": hub.SLA.Overall(),
 		"tenants":            tenants,
 	}
-	// Shared-work execution accounting, present only when the deployment
-	// runs with sharing on (the off-mode response shape is unchanged). The
-	// per-instance counters are read through the telemetry registry's
-	// atomics — no clock domain is touched.
-	type sharedJSON struct {
-		MPPDB   string `json:"mppdb"`
-		Batches int64  `json:"batches"`
-		Joins   int64  `json:"joins"`
-	}
-	var shared []sharedJSON
-	var totalBatches, totalJoins int64
-	sharingOn := false
-	s.topo.RLock()
-	for _, g := range s.dep.Groups() {
-		for _, inst := range g.Instances {
-			if !inst.Sharing() {
-				continue
-			}
-			sharingOn = true
-			b := hub.Registry.Counter("thrifty_mppdb_shared_batches_total", "mppdb", inst.ID()).Value()
-			j := hub.Registry.Counter("thrifty_mppdb_shared_joins_total", "mppdb", inst.ID()).Value()
-			totalBatches += b
-			totalJoins += j
-			if b != 0 || j != 0 {
-				shared = append(shared, sharedJSON{MPPDB: inst.ID(), Batches: b, Joins: j})
-			}
-		}
-	}
-	s.topo.RUnlock()
-	if sharingOn {
-		sort.Slice(shared, func(i, j int) bool { return shared[i].MPPDB < shared[j].MPPDB })
-		resp["sharing"] = map[string]any{
-			"batches":   totalBatches,
-			"joins":     totalJoins,
-			"instances": shared,
-		}
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 

@@ -41,12 +41,6 @@ const (
 // ratios (8.9–12%, 11.9% at defaults) given our query latency profiles.
 const BatchProb = 0.2
 
-// MeanActionQueries is the expected number of queries one user action puts
-// in flight: a single query with probability 1−BatchProb, otherwise a batch
-// of M ~ U[1, MaxBatch] submitted at once. The shared-work capacity model
-// uses it as the in-flight draw count per active stream.
-const MeanActionQueries = (1-BatchProb)*1 + BatchProb*(1+MaxBatch)/2
-
 // SessionEvent is one query submission within a session log.
 type SessionEvent struct {
 	// Offset is the submission time relative to the session start.

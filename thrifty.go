@@ -175,7 +175,7 @@ type System struct {
 // (SpareNodes, Domains), provisioning (Immediate, ParallelLoad), the clock
 // layout (Sharded — leave false for experiments: the shared domain keeps
 // event interleaving globally ordered, so same-seed runs are byte-identical)
-// and the opt-in subsystems (Recovery, Admission, Gray, Triage, Sharing,
+// and the opt-in subsystems (Recovery, Admission, Gray, Triage,
 // NoSpread), each off — and replay byte-identical — at its zero value.
 type DeployOptions = master.Options
 
