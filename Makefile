@@ -78,15 +78,16 @@ grouping-smoke: bench-smoke
 
 # One iteration of the solver-scale benchmarks, the planner's per-stage ones
 # (solve, verify, quantize and burst detection on one 500-tenant composed
-# population) and the service's two submit paths over a 200-tenant
-# deployment, so a benchmark that no longer builds or runs is caught before
-# commit without paying full benchmark time. The composed solve runs serial
-# and two classes wide.
+# population), the service's two submit paths over a 200-tenant deployment
+# and the replay of that deployment's 7-day logs, so a benchmark that no
+# longer builds or runs is caught before commit without paying full
+# benchmark time. The composed solve runs serial and two classes wide.
 bench-smoke:
 	$(GO) test -bench 'BenchmarkTwoStep2000|BenchmarkPickBest|BenchmarkVerifyComposed500|BenchmarkQuantize500' -benchtime=1x -run '^$$' ./internal/grouping
 	$(GO) test -bench 'BenchmarkTwoStepComposed500' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/grouping
 	$(GO) test -bench 'BenchmarkDetectBursts500' -benchtime=1x -run '^$$' ./internal/advisor
 	$(GO) test -bench 'BenchmarkServeSubmit' -benchtime=1x -run '^$$' ./internal/service
+	$(GO) test -bench 'BenchmarkReplay' -benchtime=1x -run '^$$' .
 
 # Bounded online-re-consolidation smoke with the race detector on: a seeded
 # drift run (churn, activity shift, live migrations, oracle comparison) plus
@@ -111,13 +112,15 @@ service-smoke:
 # Fill, the previews and the top-level view) against one slot per epoch, the
 # ref-indexed monitor with its chunked record log against the map-and-slice
 # monitor it replaced, the tracer's entry ring against the ring of whole
-# span records it replaced, and the MPPDB executor under submits, hedges,
+# span records it replaced, the MPPDB executor under submits, hedges,
 # cancels, node faults and slowdowns against plain processor sharing stepped
-# from scratch (go test -fuzz takes one target per run). A failing
+# from scratch, and the event engine under schedules, cancels, re-keys,
+# sources, steps and runs against a slice scanned for its least (time,
+# sequence) key (go test -fuzz takes one target per run). A failing
 # input lands in the package's testdata/fuzz; commit it. FuzzCountSet,
-# FuzzMonitorOps, FuzzTracerRing and FuzzInstancePS find new coverage all
-# the time and the default minute of minimizing each find would eat the
-# whole smoke.
+# FuzzMonitorOps, FuzzTracerRing, FuzzInstancePS and FuzzEngine find new
+# coverage all the time and the default minute of minimizing each find would
+# eat the whole smoke.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSubmit$$' -fuzztime=5s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=5s ./internal/service
@@ -126,6 +129,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzMonitorOps$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/monitor
 	$(GO) test -run '^$$' -fuzz '^FuzzTracerRing$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzInstancePS$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/mppdb
+	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/sim
 
 # Paired comparison of the working tree against another commit on one
 # benchmark workload, the procedure a performance claim needs: ./benchmark is

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -30,7 +31,9 @@ var (
 // Op kinds. The clock ops cover zero-length activity (no step between a start
 // and its finish), ordinary steps, and jumps past twice the window, after
 // which the next interval close prunes the tenant's list and the next
-// violation close prunes the violations.
+// violation close prunes the violations. opStride, an eighth of the window,
+// is only scripted: decodeOps never yields it, so fuzz inputs keep their
+// meaning.
 const (
 	opStart = iota
 	opFinish
@@ -38,6 +41,7 @@ const (
 	opStep
 	opJump
 	opKinds
+	opStride = opKinds
 )
 
 type diffOp struct {
@@ -134,6 +138,8 @@ func (w *diffWorld) apply(op diffOp) {
 		w.eng.Run(w.eng.Now() + sim.Time(op.arg%8)*sim.Second)
 	case opJump:
 		w.eng.Run(w.eng.Now() + sim.Duration(diffWindow)*sim.Time(2+op.arg%2) + sim.Second)
+	case opStride:
+		w.eng.Run(w.eng.Now() + sim.Duration(diffWindow/8))
 	}
 }
 
@@ -212,6 +218,17 @@ func (w *diffWorld) compare(step int, op diffOp) {
 	if !bytes.Equal(promM.Bytes(), promRef.Bytes()) {
 		fail("metrics", promM.String(), promRef.String())
 	}
+	// The lazily pruned lists hold at most one dead interval per live one.
+	compacted := func(what string, v *intervals) {
+		t.Helper()
+		if live := len(v.live()); len(v.all) > 2*live+1 {
+			fail(what+" backing intervals", len(v.all), fmt.Sprintf("at most 2×%d+1", live))
+		}
+	}
+	for ref := range w.mon.tenants {
+		compacted(fmt.Sprintf("ref %d's", ref), &w.mon.tenants[ref].ivs)
+	}
+	compacted("the violations'", &w.mon.violations)
 }
 
 func runDiff(t *testing.T, ops []diffOp, byRef bool) {
@@ -243,6 +260,45 @@ func scriptedOps() []diffOp {
 		{opFinish, 0, 2}, // closes the violation: violations pruned; closes t0: its list pruned
 		{opFinish, 2, 2}, {opFinish, 4, 31},
 		{opJump, 0, 1}, {opStart, 4, 0}, {opStep, 0, 0}, {opFinish, 4, 0}, // pruned to empty, still listed
+	}
+}
+
+// longHorizonOps strides an eighth of the window at a time over 30 windows,
+// so intervals and violations fall out of the window one or two per close
+// instead of all at once after a jump: t0 is active every stride, the others
+// in a rotation that puts three tenants over R=2 every third stride.
+func longHorizonOps() []diffOp {
+	var ops []diffOp
+	for i := 0; i < 30*8; i++ {
+		k := byte(1 + i%(len(diffTenants)-1))
+		ops = append(ops, diffOp{opStart, 0, 0}, diffOp{opStart, k, 0})
+		if i%3 == 0 {
+			ops = append(ops, diffOp{opStart, 1 + (k+1)%(byte(len(diffTenants))-1), 0})
+		}
+		ops = append(ops, diffOp{opStride, 0, 0}, diffOp{opFinish, 0, byte(i)}, diffOp{opFinish, k, byte(i * 7)})
+		if i%3 == 0 {
+			ops = append(ops, diffOp{opFinish, 1 + (k+1)%(byte(len(diffTenants))-1), byte(i * 3)})
+		}
+		ops = append(ops, diffOp{opStep, 0, byte(i)})
+	}
+	return ops
+}
+
+// TestMonitorWindowCompacts runs the long-horizon script: every close prunes
+// a little, the lists compact in place, and t0's backing array — 240 closed
+// intervals — never grows past a couple of windows' worth.
+func TestMonitorWindowCompacts(t *testing.T) {
+	for _, byRef := range []bool{false, true} {
+		w := newDiffWorld(t, byRef)
+		for i, op := range longHorizonOps() {
+			w.apply(op)
+			w.compare(i, op)
+		}
+		ref, _ := w.mon.in.Lookup("t0")
+		st := &w.mon.tenants[ref]
+		if live := len(st.ivs.live()); live == 0 || cap(st.ivs.all) > 4*live {
+			t.Errorf("t0 keeps %d live intervals in a backing array of %d", live, cap(st.ivs.all))
+		}
 	}
 }
 

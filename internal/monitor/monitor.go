@@ -59,7 +59,7 @@ type tenantState struct {
 	activeSince sim.Time
 	// ivs accumulates closed activity intervals, pruned to the window (used
 	// by over-active identification).
-	ivs []epoch.Interval
+	ivs intervals
 	// tally is the tenant's line in the hub's SLA account, fetched at its
 	// first completion under the attached hub.
 	tally *telemetry.SLATally
@@ -89,7 +89,7 @@ type GroupMonitor struct {
 
 	// Violation tracking: spans during which more than R tenants were
 	// active concurrently.
-	violations []epoch.Interval
+	violations intervals
 	overSince  sim.Time
 	over       bool
 
@@ -260,10 +260,10 @@ func (m *GroupMonitor) QueryFinishedRef(ref tenant.Ref, rec QueryRecord) {
 func (m *GroupMonitor) tenantInactive(st *tenantState) {
 	now := m.eng.Now()
 	if now > st.activeSince {
-		st.ivs = append(st.ivs, epoch.Interval{Start: st.activeSince, End: now})
+		st.ivs.all = append(st.ivs.all, epoch.Interval{Start: st.activeSince, End: now})
 		st.closed = true
 	}
-	st.ivs = m.prune(st.ivs)
+	m.prune(&st.ivs)
 	m.active--
 	m.activeChanged()
 }
@@ -280,27 +280,37 @@ func (m *GroupMonitor) activeChanged() {
 	case !overNow && m.over:
 		m.over = false
 		if now > m.overSince {
-			m.violations = append(m.violations, epoch.Interval{Start: m.overSince, End: now})
+			m.violations.all = append(m.violations.all, epoch.Interval{Start: m.overSince, End: now})
 		}
-		m.violations = m.prune(m.violations)
+		m.prune(&m.violations)
 	}
 	if m.tel != nil {
 		m.mActive.Set(float64(m.active))
 	}
 }
 
-// prune drops the intervals that ended more than two windows ago. It shifts
+// intervals is an append-only interval list pruned lazily: all[dead:] are
+// the live intervals, and the dead prefix is only copied over once it is at
+// least half the slice, so a prune costs amortised O(1) per interval.
+type intervals struct {
+	all  []epoch.Interval
+	dead int
+}
+
+// live returns the intervals not pruned yet.
+func (v *intervals) live() []epoch.Interval { return v.all[v.dead:] }
+
+// prune drops the intervals that ended more than two windows ago. It compacts
 // in place: readers get copies, so the backing array is reused across prunes.
-func (m *GroupMonitor) prune(ivs []epoch.Interval) []epoch.Interval {
+func (m *GroupMonitor) prune(v *intervals) {
 	cut := m.eng.Now() - sim.Duration(m.window)*2
-	i := 0
-	for i < len(ivs) && ivs[i].End < cut {
-		i++
+	for v.dead < len(v.all) && v.all[v.dead].End < cut {
+		v.dead++
 	}
-	if i == 0 {
-		return ivs
+	if v.dead > 0 && 2*v.dead >= len(v.all) {
+		v.all = v.all[:copy(v.all, v.all[v.dead:])]
+		v.dead = 0
 	}
-	return ivs[:copy(ivs, ivs[i:])]
 }
 
 // RTTTP returns the run-time TTP over the trailing window: the fraction of
@@ -316,7 +326,7 @@ func (m *GroupMonitor) RTTTP() float64 {
 		return 1
 	}
 	var viol sim.Time
-	for _, v := range m.violations {
+	for _, v := range m.violations.live() {
 		s, e := v.Start, v.End
 		if s < from {
 			s = from
@@ -344,7 +354,7 @@ func (m *GroupMonitor) TenantActivity(tenantID string) epoch.Activity {
 	from := now - sim.Duration(m.window)
 	var ivs []epoch.Interval
 	if st := m.known(tenantID); st != nil {
-		ivs = append(ivs, st.ivs...)
+		ivs = append(ivs, st.ivs.live()...)
 		if st.inflight > 0 && now > st.activeSince {
 			ivs = append(ivs, epoch.Interval{Start: st.activeSince, End: now})
 		}

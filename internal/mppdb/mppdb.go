@@ -135,10 +135,10 @@ type Instance struct {
 	nextExecID int64
 	lastTouch  sim.Time
 
-	// completion is the single outstanding predicted-completion event
-	// (engine-owned, recycled); nextDone is the exec it targets and
-	// completeCb the one persistent callback shared by every reschedule.
-	completion *sim.Event
+	// completion is the instance's one predicted-completion event, re-keyed
+	// by every submit, reschedule and completion for the instance's life;
+	// nextDone is the exec it targets and completeCb its one callback.
+	completion sim.Event
 	nextDone   *exec
 	completeCb func(sim.Time)
 
@@ -185,12 +185,7 @@ func NewInterned(eng *sim.Engine, id string, nodes int, in *tenant.Interner) *In
 		in:         in,
 		slowFactor: 1,
 	}
-	m.completeCb = func(now sim.Time) {
-		// The handle is dead the instant the event fires: drop it before
-		// anything can reschedule (the engine recycles it after we return).
-		m.completion = nil
-		m.complete(m.nextDone)
-	}
+	m.completeCb = func(sim.Time) { m.complete(m.nextDone) }
 	return m
 }
 
@@ -539,13 +534,9 @@ func (m *Instance) submit(ref tenant.Ref, class *queries.Class, done func(Result
 		}
 		m.mRunning.Set(float64(len(m.execs)))
 	}
-	if m.completion != nil {
-		m.eng.CancelOwned(m.completion)
-		m.completion = nil
-	}
 	eta := next.remaining * float64(len(m.execs)) / m.speed()
 	m.nextDone = next
-	m.completion = m.eng.ScheduleOwned(now+sim.Time(eta*float64(sim.Second)), m.completeCb)
+	m.eng.Reschedule(&m.completion, now+sim.Time(eta*float64(sim.Second)), m.completeCb)
 	return iso, nil
 }
 
@@ -594,11 +585,8 @@ func (m *Instance) advance() {
 // remaining work (id tie-break). The selection is iteration-order
 // independent, so the swap-remove slice cannot perturb a deterministic run.
 func (m *Instance) reschedule() {
-	if m.completion != nil {
-		m.eng.CancelOwned(m.completion)
-		m.completion = nil
-	}
 	if len(m.execs) == 0 {
+		m.eng.Cancel(&m.completion)
 		m.nextDone = nil
 		return
 	}
@@ -612,7 +600,7 @@ func (m *Instance) reschedule() {
 	eta := next.remaining * float64(len(m.execs)) / m.speed()
 	at := m.eng.Now() + sim.Time(eta*float64(sim.Second))
 	m.nextDone = next
-	m.completion = m.eng.ScheduleOwned(at, m.completeCb)
+	m.eng.Reschedule(&m.completion, at, m.completeCb)
 }
 
 // complete finishes the targeted query and reschedules.
@@ -662,16 +650,13 @@ func (m *Instance) complete(ex *exec) {
 		m.mRunning.Set(float64(len(m.execs)))
 		m.mCompleted.Inc()
 	}
-	if m.completion != nil {
-		m.eng.CancelOwned(m.completion)
-		m.completion = nil
-	}
 	if next == nil {
+		m.eng.Cancel(&m.completion)
 		m.nextDone = nil
 	} else {
 		eta := next.remaining * float64(len(m.execs)) / m.speed()
 		m.nextDone = next
-		m.completion = m.eng.ScheduleOwned(now+sim.Time(eta*float64(sim.Second)), m.completeCb)
+		m.eng.Reschedule(&m.completion, now+sim.Time(eta*float64(sim.Second)), m.completeCb)
 	}
 	if ex.done != nil || (ex.tagged && m.onDone != nil) {
 		res := Result{

@@ -16,7 +16,7 @@ import (
 // waits, while the oracle re-derives every completion by stepping plain
 // processor sharing from scratch — k queries each progress at speed/k, the
 // one with the least work left finishes next — in float seconds, with none of
-// the instance's fused scans, owned completion event or nanosecond clock.
+// the instance's fused scans, re-keyed completion event or nanosecond clock.
 
 // Op kinds; an op is two bytes, kind and argument.
 const (

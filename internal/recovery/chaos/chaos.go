@@ -24,6 +24,7 @@ import (
 	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/tenant"
 	"repro/internal/workload"
 )
 
@@ -72,12 +73,9 @@ func slackTarget(logged sim.Time) sim.Time { return sim.Time(float64(logged) * S
 
 // submitWithSlack is the storm harnesses' submit hook: the replay's default
 // routing, with the SLO slack on the target.
-func submitWithSlack(dep *master.Deployment) replay.SubmitFunc {
-	route := replay.Route(dep)
-	return func(a workload.Arrival) error {
-		a.SLATarget = slackTarget(a.SLATarget)
-		return route(a)
-	}
+func submitWithSlack(a workload.Arrival, g *master.DeployedGroup, ref tenant.Ref) error {
+	_, err := g.Router.SubmitRef(ref, a.Class, slackTarget(a.SLATarget))
+	return err
 }
 
 // stormTarget checks what the three storm harnesses need of a deployment —

@@ -327,7 +327,7 @@ func RunDomainFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog
 
 	// Every tenant replays its logged traffic through its group's router.
 	opts := cfg.options(24 * time.Hour)
-	opts.Submit = submitWithSlack(dep)
+	opts.Submit = submitWithSlack
 	rep, err := replay.Run(eng, dep, cat, memberLogs(groups, logs), opts)
 	if err != nil {
 		return nil, err

@@ -174,7 +174,7 @@ func RunGrayFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 
 	// Every member of the target replays its logged traffic.
 	opts := cfg.options(6 * time.Hour)
-	opts.Submit = submitWithSlack(dep)
+	opts.Submit = submitWithSlack
 	rep, err := replay.Run(eng, dep, cat, memberLogs([]*master.DeployedGroup{target}, logs), opts)
 	if err != nil {
 		return nil, err

@@ -11,6 +11,7 @@ import (
 	"repro/internal/queries"
 	"repro/internal/replay"
 	"repro/internal/sim"
+	"repro/internal/tenant"
 	"repro/internal/workload"
 )
 
@@ -153,10 +154,11 @@ func RunOverload(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 		res.Aggressors = append(res.Aggressors, id)
 	}
 
-	// submit pushes one query through the group's admission controller
-	// (when armed) and router, tallying typed rejections. Runs inside an
-	// engine callback, so the domain is already held by the driver.
-	submit := func(tenantID string, class *queries.Class, sla sim.Time, storm bool) error {
+	// submit pushes one query of the tenant behind ref through the group's
+	// admission controller (when armed) and router, tallying typed
+	// rejections. Runs inside an engine callback, so the domain is already
+	// held by the driver.
+	submit := func(tenantID string, ref tenant.Ref, class *queries.Class, sla sim.Time, storm bool) error {
 		if ac := target.Admission; ac != nil {
 			if err := ac.Admit(tenantID, sla, false); err != nil {
 				var ce *admission.ContractExceededError
@@ -178,7 +180,7 @@ func RunOverload(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 				return err
 			}
 		}
-		if _, err := target.Router.SubmitWithTarget(tenantID, class, sla); err != nil {
+		if _, err := target.Router.SubmitRef(ref, class, sla); err != nil {
 			if storm {
 				res.StormErrors++
 			}
@@ -227,6 +229,7 @@ func RunOverload(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 			return nil, fmt.Errorf("overload: aggressor %s logged no queries", id)
 		}
 		sla = slackTarget(sla)
+		ref := target.Router.Ref(id)
 		contract := admission.ContractFromLog(tl, cfg.Headroom)
 		interval := sim.Time(float64(sim.Second) / (cfg.Factor * contract.Rate))
 		if interval < 1 {
@@ -238,15 +241,15 @@ func RunOverload(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 				break
 			}
 			res.StormSubmitted++
-			eng.Schedule(at, func(sim.Time) { _ = submit(id, class, sla, true) })
+			eng.Schedule(at, func(sim.Time) { _ = submit(id, ref, class, sla, true) })
 		}
 	}
 
 	// The compliant members replay behind the same admission-then-router
 	// path the storm takes.
 	opts := cfg.options(6 * time.Hour)
-	opts.Submit = func(a workload.Arrival) error {
-		return submit(a.Tenant, a.Class, slackTarget(a.SLATarget), false)
+	opts.Submit = func(a workload.Arrival, _ *master.DeployedGroup, ref tenant.Ref) error {
+		return submit(a.Tenant, ref, a.Class, slackTarget(a.SLATarget), false)
 	}
 	rep, err := replay.Run(eng, dep, cat, compliant, opts)
 	if err != nil {

@@ -21,6 +21,7 @@ import (
 	"repro/internal/scaling"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/tenant"
 	"repro/internal/workload"
 )
 
@@ -76,10 +77,10 @@ type Options struct {
 	// and, with failures, recoveries and re-images — settle (default one
 	// day). Long reloads of data-heavy groups can need more.
 	DrainSlack time.Duration
-	// Submit, when non-nil, routes each replayed arrival instead of Route:
-	// the storm harnesses put admission or an SLO slack
-	// in front of the router here. On a sharded deployment it is called from
-	// every group's goroutine.
+	// Submit, when non-nil, submits each replayed arrival to its resolved
+	// group instead of the group's router alone: the storm harnesses put
+	// admission or an SLO slack in front of the router here. On a sharded
+	// deployment it is called from every group's goroutine.
 	Submit SubmitFunc
 }
 
@@ -173,33 +174,41 @@ func (r *Report) MinRTTTP(group string) float64 {
 	return min
 }
 
-// SubmitFunc routes one replayed arrival. It runs inside the engine event of
-// the arrival's logged time, on the goroutine driving that engine.
-type SubmitFunc func(a workload.Arrival) error
+// SubmitFunc submits one replayed arrival to g, the group its tenant is
+// indexed to, under ref, the tenant's ref in g. It runs inside the engine
+// event of the arrival's logged time, on the goroutine driving that engine.
+type SubmitFunc func(a workload.Arrival, g *master.DeployedGroup, ref tenant.Ref) error
 
-// Route is the default SubmitFunc: the arrival goes to its tenant's group
-// router with its SLATarget — as logged, the before-consolidation latency —
-// as the SLA target. The tenant's group and ref are resolved per query,
-// because the online control loop may live-migrate a tenant mid-window.
-// Master interns every group, so a NoRef is a tenant its router does not
-// hold, and SubmitRef reports it.
-func Route(dep *master.Deployment) SubmitFunc {
-	plane := dep.Plane()
-	return func(a workload.Arrival) error {
-		g, ref, ok := plane.ForTenantRef(a.Tenant)
-		if !ok {
-			return fmt.Errorf("replay: tenant %s not deployed", a.Tenant)
-		}
-		_, err := g.Router.SubmitRef(ref, a.Class, a.SLATarget)
-		return err
-	}
+// route is the default SubmitFunc: the arrival goes to the group's router
+// with its SLATarget — as logged, the before-consolidation latency — as the
+// SLA target. Master interns every group, so a NoRef is a tenant its router
+// does not hold, and SubmitRef reports it.
+func route(a workload.Arrival, g *master.DeployedGroup, ref tenant.Ref) error {
+	_, err := g.Router.SubmitRef(ref, a.Class, a.SLATarget)
+	return err
+}
+
+// resolved is one log's tenant as the plane's index held it at generation
+// gen.
+type resolved struct {
+	g   *master.DeployedGroup
+	ref tenant.Ref
+	gen uint64
 }
 
 // Attach streams the logs' query events in [from, to) into the engine, each
-// through submit (nil: Route) at its logged time, counting into tally. It is
-// the one arrival loop of the tree: Run attaches the replayed population
-// through it, and a caller with traffic on a window of its own (the drift
-// experiment's joiners and leavers) attaches that before calling Run.
+// resolved to its tenant's group and submitted through submit (nil: the
+// group's router) at its logged time, counting into tally; a tenant the plane
+// does not index counts as a submit error. It is the one arrival loop of the
+// tree: Run attaches the replayed population through it, and a caller with
+// traffic on a window of its own (the drift experiment's joiners and
+// leavers) attaches that before calling Run.
+//
+// A tenant is looked up in the plane again only when the plane's index has
+// moved since its last lookup — the online control loop may live-migrate it
+// mid-window — so a static deployment hashes each tenant's ID once. The
+// cache, one slot per log, belongs to this stream's driver goroutine; misses
+// are not cached.
 func Attach(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog, logs []*workload.TenantLog,
 	from, to sim.Time, submit SubmitFunc, tally *Counts) error {
 	arrivals, err := workload.NewStream(cat, logs, from, to)
@@ -207,11 +216,22 @@ func Attach(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog, logs 
 		return fmt.Errorf("replay: %w", err)
 	}
 	if submit == nil {
-		submit = Route(dep)
+		submit = route
 	}
+	plane := dep.Plane()
+	routes := make([]resolved, len(logs))
 	arrivals.Drive(eng, func(a workload.Arrival) {
 		tally.Submitted++
-		if submit(a) != nil {
+		r := &routes[a.Log]
+		if gen := plane.Generation(); r.g == nil || r.gen != gen {
+			g, ref, ok := plane.ForTenantRef(a.Tenant)
+			if !ok {
+				tally.SubmitErrors++
+				return
+			}
+			*r = resolved{g: g, ref: ref, gen: gen}
+		}
+		if submit(a, r.g, r.ref) != nil {
 			tally.SubmitErrors++
 		}
 	})
@@ -229,8 +249,9 @@ func Attach(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog, logs 
 // events are identical run to run (and, with scaling disabled, identical to a
 // shared run of the same seed), and the merged Records are deterministic too
 // — stable-sorted by submit time, deployment group order breaking ties. Only
-// cross-group telemetry ordering (event sequence numbers, trace timestamps
-// from the max-clock) is best-effort under parallelism.
+// cross-group telemetry ordering is best-effort under parallelism: event and
+// span sequence numbers, and the timestamps of general spans, which read the
+// hub's furthest-ahead clock (query spans carry their own group's clock).
 func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	logs []*workload.TenantLog, opts Options) (*Report, error) {
 	if opts.To <= opts.From {
@@ -446,6 +467,7 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, only *mas
 	// gauge, so a /metrics scrape sees the timeline the report sees. A
 	// registry lookup builds its key string, so each group's is done once.
 	gauges := make(map[*master.DeployedGroup]*telemetry.Gauge)
+	var tick sim.Event // one event re-keyed for every sample
 	var sample func(now sim.Time)
 	sample = func(now sim.Time) {
 		for _, g := range groups() {
@@ -463,10 +485,10 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, only *mas
 			}
 		}
 		if now < opts.To {
-			eng.After(opts.SampleEvery, sample)
+			eng.Reschedule(&tick, now.Add(opts.SampleEvery), sample)
 		}
 	}
-	eng.Schedule(opts.From, sample)
+	eng.Reschedule(&tick, opts.From, sample)
 
 	// Elastic scaling: one scaler per engine, all drawing from the one
 	// (mutex-protected) node pool. Scale-up MPPDB IDs stay deterministic: a

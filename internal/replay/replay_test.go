@@ -1,8 +1,13 @@
 package replay
 
 import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -462,5 +467,147 @@ func TestReplayParallelFailureInjection(t *testing.T) {
 	}
 	if badEv.Err == "" {
 		t.Error("unknown group did not surface an error")
+	}
+}
+
+// TestReplayRouteFollowsIndex moves the plane's tenant index under a replay's
+// route cache: engine events mid-window unindex one tenant, move another onto
+// a second group and detach a third group with its members still indexed.
+// The cached run must submit exactly what a run whose hook resolves every
+// arrival through Plane.ForTenantRef submits, and miss exactly the arrivals
+// of tenants that were no longer indexed.
+func TestReplayRouteFollowsIndex(t *testing.T) {
+	opts := Options{From: 0, To: 2 * sim.Day}
+	run := func(resolveEach bool) (*Report, uint64, int) {
+		w := newWorld(t, 30, 3, 1)
+		plane := w.dep.Plane()
+		groups := w.dep.Groups()
+		if len(groups) < 3 || len(groups[0].Members) < 2 {
+			t.Fatalf("%d groups: the scenario needs three, the first with two members", len(groups))
+		}
+		src, dst, gone := groups[0], groups[1], groups[len(groups)-1]
+		left, moved := src.Members[0], src.Members[1]
+		var goneIDs []string
+		for _, tn := range gone.Members {
+			goneIDs = append(goneIDs, tn.ID)
+		}
+
+		times := map[string][]sim.Time{}
+		s, err := workload.NewStream(nil, w.logs, opts.From, opts.To)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a, ok := s.Next(); ok; a, ok = s.Next() {
+			times[a.Tenant] = append(times[a.Tenant], a.At)
+		}
+		// Each change lands on an arrival of a tenant it reroutes whose
+		// previous arrival, after the change before, filled the route cache:
+		// a change that left the plane's generation alone would submit that
+		// arrival through a stale slot. Changes are scheduled before the
+		// replay attaches, so they fire before arrivals of their instant.
+		next := func(ids []string, from sim.Time) sim.Time {
+			at := sim.MaxTime
+			for _, id := range ids {
+				ts := times[id]
+				for i := 1; i < len(ts); i++ {
+					if ts[i-1] >= from && ts[i-1] < ts[i] {
+						at = min(at, ts[i])
+						break
+					}
+				}
+			}
+			if at == sim.MaxTime {
+				t.Fatalf("%v have no two arrivals after %v", ids, from)
+			}
+			return at
+		}
+		unindexAt := next([]string{left.ID}, 0)
+		moveAt := next([]string{moved.ID}, unindexAt)
+		detachAt := next(goneIDs, moveAt)
+		w.eng.Schedule(unindexAt, func(sim.Time) { plane.Unindex([]string{left.ID}) })
+		w.eng.Schedule(moveAt, func(sim.Time) {
+			for _, inst := range dst.Instances {
+				inst.DeployTenant(moved.ID, moved.DataGB)
+			}
+			if err := dst.Router.AddTenant(moved); err != nil {
+				t.Error(err)
+			}
+			plane.Index([]string{moved.ID}, dst)
+		})
+		w.eng.Schedule(detachAt, func(sim.Time) { plane.Detach(gone) })
+
+		// The arrivals no index holds: the unindexed tenant's from its
+		// instant on, the detached group's members' from theirs.
+		misses := 0
+		for id, ts := range times {
+			cut := sim.MaxTime
+			if id == left.ID {
+				cut = unindexAt
+			} else if slices.Contains(goneIDs, id) {
+				cut = detachAt
+			}
+			for _, at := range ts {
+				if at >= cut {
+					misses++
+				}
+			}
+		}
+
+		o := opts
+		if resolveEach {
+			o.Submit = func(a workload.Arrival, _ *master.DeployedGroup, _ tenant.Ref) error {
+				g, ref, ok := plane.ForTenantRef(a.Tenant)
+				if !ok {
+					return fmt.Errorf("tenant %s not indexed", a.Tenant)
+				}
+				_, err := g.Router.SubmitRef(ref, a.Class, a.SLATarget)
+				return err
+			}
+		}
+		rep, err := Run(w.eng, w.dep, w.cat, w.logs, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		movedOver := 0
+		for _, r := range rep.Records {
+			if r.Tenant == moved.ID && r.Submit >= moveAt && strings.HasPrefix(r.MPPDB, dst.Plan.ID) {
+				movedOver++
+			}
+		}
+		if movedOver == 0 {
+			t.Errorf("no query of %s ran on %s after the move", moved.ID, dst.Plan.ID)
+		}
+		var buf bytes.Buffer
+		if err := w.dep.Telemetry().Events.Dump(&buf); err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		h.Write(buf.Bytes())
+		return rep, h.Sum64(), misses
+	}
+	cached, cachedEvents, misses := run(false)
+	each, eachEvents, _ := run(true)
+	if misses == 0 {
+		t.Fatal("no arrival falls after the index changes: the scenario tests nothing")
+	}
+	for _, rep := range []*Report{cached, each} {
+		if rep.SubmitErrors != misses {
+			t.Errorf("%d submit errors, want the %d arrivals of unindexed tenants", rep.SubmitErrors, misses)
+		}
+	}
+	if cached.Submitted != each.Submitted || cached.SubmitErrors != each.SubmitErrors {
+		t.Errorf("cached route submitted %d with %d errors, per-arrival lookup %d with %d",
+			cached.Submitted, cached.SubmitErrors, each.Submitted, each.SubmitErrors)
+	}
+	if len(cached.Records) != len(each.Records) {
+		t.Fatalf("records: cached route %d, per-arrival lookup %d", len(cached.Records), len(each.Records))
+	}
+	for i := range cached.Records {
+		if !recordsEqual(cached.Records[i], each.Records[i]) {
+			t.Fatalf("record %d differs:\n cached %+v\n each   %+v", i, cached.Records[i], each.Records[i])
+		}
+	}
+	if cachedEvents != eachEvents {
+		t.Errorf("event log hash %#x with the cached route, %#x with per-arrival lookups", cachedEvents, eachEvents)
 	}
 }

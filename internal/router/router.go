@@ -93,6 +93,7 @@ type GroupRouter struct {
 
 	routed   int64
 	overflow int64 // queries sent to a busy G₀ (Algorithm 1 line 10)
+	inflight int64 // routed queries not yet completed, the gauge's value
 
 	// Telemetry (optional): routing counters, the group's in-flight gauge,
 	// and one causally-linked trace per query (submit → route → execute →
@@ -438,7 +439,10 @@ func (r *GroupRouter) completed(res mppdb.Result, tag uint64) {
 		if prim.trace.Root != 0 {
 			r.tel.Tracer.EndQuery(prim.trace, rec.Submit, rec.Finish, r.group, rec.Tenant, rec.Class.ID, prim.dbID)
 		}
-		r.mInflight.Add(-1)
+	}
+	r.inflight--
+	if r.tel != nil {
+		r.mInflight.Set(float64(r.inflight))
 	}
 	r.release(tag)
 	if partnerTag != noPartner {
@@ -503,9 +507,10 @@ func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget 
 		r.hedgeTo(tag, targetIdx)
 	}
 	r.routed++
+	r.inflight++
 	if r.tel != nil {
 		r.mRouted.Inc()
-		r.mInflight.Add(1)
+		r.mInflight.Set(float64(r.inflight))
 	}
 	return dbID, nil
 }

@@ -550,9 +550,12 @@ func (g *GroupRuntime) RecordCountAt(at sim.Time) int {
 // atomically at migration cutover, and detaches drained groups. All
 // membership state is guarded by one RWMutex; the lock is never held across
 // a domain advance, so index flips performed from inside an engine callback
-// cannot deadlock against concurrent readers driving the clock.
+// cannot deadlock against concurrent readers driving the clock. Every change
+// to the tenant index moves a generation counter, so a caller that caches
+// lookups knows when they went stale.
 type Plane struct {
 	mu      sync.RWMutex
+	gen     atomic.Uint64
 	groups  []*GroupRuntime
 	byTen   map[string]tenantEntry
 	domains sim.Domains
@@ -599,6 +602,7 @@ func (p *Plane) Add(g *GroupRuntime) {
 	for _, tn := range g.Members {
 		p.byTen[tn.ID] = entry(g, tn.ID)
 	}
+	p.gen.Add(1)
 }
 
 // Attach registers a bound group without indexing its members — the live
@@ -632,6 +636,7 @@ func (p *Plane) Index(tenantIDs []string, g *GroupRuntime) {
 	for _, id := range tenantIDs {
 		p.byTen[id] = entry(g, id)
 	}
+	p.gen.Add(1)
 }
 
 // Unindex removes tenants from the front-door index (tenant departure);
@@ -642,6 +647,7 @@ func (p *Plane) Unindex(tenantIDs []string) {
 	for _, id := range tenantIDs {
 		delete(p.byTen, id)
 	}
+	p.gen.Add(1)
 }
 
 // Detach removes a drained group from the plane. Its domain leaves the
@@ -679,6 +685,7 @@ func (p *Plane) Detach(g *GroupRuntime) {
 			delete(p.byTen, id)
 		}
 	}
+	p.gen.Add(1)
 }
 
 // Groups returns a snapshot of the plane's groups in deployment order.
@@ -745,6 +752,11 @@ func (p *Plane) Lookup(id string) (*GroupRuntime, tenant.Ref, string, bool) {
 	e, ok := p.byTen[id]
 	return e.g, e.ref, e.id, ok
 }
+
+// Generation returns a counter that moves on every change to the tenant
+// index (Add, Index, Unindex, Detach). A lookup made after reading generation
+// n stays current for as long as Generation still returns n.
+func (p *Plane) Generation() uint64 { return p.gen.Load() }
 
 // Tenants returns the number of indexed tenants.
 func (p *Plane) Tenants() int {

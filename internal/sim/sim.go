@@ -8,7 +8,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"strconv"
@@ -70,20 +69,17 @@ func (t Time) AppendFormat(b []byte) []byte {
 }
 
 // Event is a scheduled callback. It is returned by Schedule so callers can
-// cancel pending events (for example, a processor-sharing executor cancels
-// the previously predicted completion whenever a new query arrives).
+// cancel pending events. A caller with one recurring callback (a
+// processor-sharing executor's predicted completion, a sampling tick) passes
+// the same event to Reschedule for its whole life; the zero Event is one that
+// was never queued, so such a caller may embed it instead of holding a
+// pointer.
 type Event struct {
 	at       Time
 	seq      uint64
-	index    int // heap index; -1 once removed
+	pos      int // 1 + heap index; 0 while not queued
 	canceled bool
-	// owned events belong to the engine: they are recycled onto the
-	// engine's freelist the moment they fire (or are CancelOwned-ed), so
-	// holders of an owned handle must drop it at that point. Events from
-	// plain Schedule are never recycled — callers may Cancel them at any
-	// later time.
-	owned bool
-	fn    func(now Time)
+	fn       func(now Time)
 	// src marks the head of an attached source (see Attach): the event fires
 	// src instead of fn and re-keys itself to the next arrival.
 	src func(now Time) (next Time, ok bool)
@@ -95,17 +91,20 @@ func (e *Event) At() Time { return e.at }
 // Canceled reports whether Cancel was called before the event fired.
 func (e *Event) Canceled() bool { return e.canceled }
 
+// before is the queue order: time, then scheduling sequence.
+func (e *Event) before(o *Event) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
+}
+
 // Engine is a discrete-event simulator. The zero value is not usable; create
 // engines with NewEngine.
 type Engine struct {
-	now    Time
-	seq    uint64
-	queue  eventHeap
+	now Time
+	seq uint64
+	// queue is a binary min-heap in (time, sequence) order. It holds only
+	// live events: Cancel takes an event out the moment it is called.
+	queue  []*Event
 	nsteps uint64
-	// free recycles owned events. The engine is single-threaded (callers
-	// serialize through a Domain), so a plain freelist needs no locking —
-	// and unlike a sync.Pool it is deterministic and never drained by GC.
-	free []*Event
 }
 
 // NewEngine returns an engine with the clock at time zero and no pending
@@ -121,63 +120,49 @@ func (e *Engine) Now() Time { return e.now }
 // for guarding against runaway simulations).
 func (e *Engine) Steps() uint64 { return e.nsteps }
 
-// Pending returns the number of events currently scheduled (including
-// canceled events that have not yet been discarded).
-func (e *Engine) Pending() int { return e.queue.Len() }
+// Pending returns the number of events currently scheduled, an attached
+// source counting as one.
+func (e *Engine) Pending() int { return len(e.queue) }
 
-// NextAt reports the fire time of the earliest pending (non-canceled) event.
-// Clock-domain drivers use it to step an engine event-by-event while keeping
-// a lock-free mirror of the clock fresh for concurrent readers.
+// NextAt reports the fire time of the earliest pending event. Clock-domain
+// drivers use it to step an engine event-by-event while keeping a lock-free
+// mirror of the clock fresh for concurrent readers.
 func (e *Engine) NextAt() (Time, bool) {
-	ev := e.peek()
-	if ev == nil {
+	if len(e.queue) == 0 {
 		return 0, false
 	}
-	return ev.at, true
+	return e.queue[0].at, true
 }
 
 // Schedule registers fn to run at the absolute virtual time at. Scheduling in
 // the past panics: it always indicates a logic error in the caller, and
 // silently clamping would hide it.
 func (e *Engine) Schedule(at Time, fn func(now Time)) *Event {
+	return e.Reschedule(nil, at, fn)
+}
+
+// Reschedule makes ev fire fn at at, exactly as cancelling ev and scheduling
+// fn anew would: it takes a fresh sequence number, so it orders after every
+// event already scheduled for at. A queued ev is re-keyed in place; one that
+// fired or was cancelled is queued again and no longer Canceled; a nil ev is
+// allocated. It returns the event, which a caller keeps to pass back on its
+// next Reschedule — one event for the life of a recurring callback. A non-nil
+// ev is a zero Event or one this engine queued before.
+func (e *Engine) Reschedule(ev *Event, at Time, fn func(now Time)) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
 	e.seq++
-	ev := &Event{at: at, seq: e.seq, fn: fn}
-	heap.Push(&e.queue, ev)
-	return ev
-}
-
-// ScheduleOwned is Schedule with the allocation recycled: the event comes
-// from the engine's freelist and returns to it the moment it fires or is
-// CancelOwned-ed. The returned handle is valid only until then — callers
-// must drop their reference at that point and never pass it to Cancel.
-// Firing order is identical to Schedule (the global sequence counter is
-// shared), so mixing the two never perturbs a deterministic run.
-func (e *Engine) ScheduleOwned(at Time, fn func(now Time)) *Event {
-	if at < e.now {
-		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
-	}
-	e.seq++
-	ev := e.acquire()
-	ev.at, ev.seq, ev.fn = at, e.seq, fn
-	heap.Push(&e.queue, ev)
-	return ev
-}
-
-// CancelOwned cancels an event obtained from ScheduleOwned and recycles it
-// immediately. The caller must drop its reference: the engine will hand the
-// same Event out again on a later ScheduleOwned.
-func (e *Engine) CancelOwned(ev *Event) {
 	if ev == nil {
-		return
+		ev = &Event{}
 	}
-	if ev.index >= 0 {
-		heap.Remove(&e.queue, ev.index)
-		ev.index = -1
+	ev.at, ev.seq, ev.fn, ev.canceled = at, e.seq, fn, false
+	if ev.pos > 0 {
+		e.fix(ev.pos - 1)
+	} else {
+		e.push(ev)
 	}
-	e.release(ev)
+	return ev
 }
 
 // Attach registers a source: a lazy, time-ordered sequence of arrivals that
@@ -195,30 +180,7 @@ func (e *Engine) Attach(first Time, fire func(now Time) (next Time, ok bool)) {
 		panic(fmt.Sprintf("sim: attach at %v before now %v", first, e.now))
 	}
 	e.seq++
-	heap.Push(&e.queue, &Event{at: first, seq: e.seq, src: fire})
-}
-
-// acquire pops a recycled event from the freelist (or allocates one) and
-// marks it owned.
-func (e *Engine) acquire() *Event {
-	n := len(e.free)
-	if n == 0 {
-		return &Event{owned: true}
-	}
-	ev := e.free[n-1]
-	e.free[n-1] = nil
-	e.free = e.free[:n-1]
-	ev.canceled = false
-	return ev
-}
-
-// release returns an owned event to the freelist.
-func (e *Engine) release(ev *Event) {
-	if !ev.owned {
-		return
-	}
-	ev.fn = nil
-	e.free = append(e.free, ev)
+	e.push(&Event{at: first, seq: e.seq, src: fire})
 }
 
 // After registers fn to run d after the current virtual time.
@@ -229,46 +191,37 @@ func (e *Engine) After(d time.Duration, fn func(now Time)) *Event {
 	return e.Schedule(e.now.Add(d), fn)
 }
 
-// Cancel marks ev so that it will not fire. Canceling an already-fired or
-// already-canceled event is a no-op. The event is removed from the queue
-// immediately so canceled events do not accumulate.
+// Cancel marks ev so that it will not fire and removes it from the queue.
+// Canceling an already-fired or already-canceled event only marks it.
 func (e *Engine) Cancel(ev *Event) {
-	if ev == nil || ev.canceled || ev.index < 0 {
-		if ev != nil {
-			ev.canceled = true
-		}
+	if ev == nil {
 		return
 	}
 	ev.canceled = true
-	heap.Remove(&e.queue, ev.index)
-	ev.index = -1
+	if ev.pos > 0 {
+		e.remove(ev)
+	}
 }
 
 // Step executes the single earliest pending event. It reports false when the
 // queue is empty.
 func (e *Engine) Step() bool {
-	for e.queue.Len() > 0 {
-		if ev := e.queue[0]; ev.src != nil {
-			e.fireSource(ev)
-			return true
-		}
-		ev := heap.Pop(&e.queue).(*Event)
-		ev.index = -1
-		if ev.canceled {
-			continue
-		}
-		if ev.at < e.now {
-			panic("sim: event time moved backwards")
-		}
-		e.now = ev.at
-		e.nsteps++
-		ev.fn(e.now)
-		// Recycle only after fn returns: fn may itself ScheduleOwned, and
-		// releasing first would hand it this very event mid-flight.
-		e.release(ev)
+	if len(e.queue) == 0 {
+		return false
+	}
+	ev := e.queue[0]
+	if ev.src != nil {
+		e.fireSource(ev)
 		return true
 	}
-	return false
+	e.remove(ev)
+	if ev.at < e.now {
+		panic("sim: event time moved backwards")
+	}
+	e.now = ev.at
+	e.nsteps++
+	ev.fn(e.now)
+	return true
 }
 
 // fireSource delivers the head arrival of the source whose event tops the
@@ -280,29 +233,21 @@ func (e *Engine) fireSource(ev *Event) {
 	e.nsteps++
 	next, ok := ev.src(e.now)
 	if !ok {
-		heap.Remove(&e.queue, ev.index)
-		ev.index = -1
+		e.remove(ev)
 		return
 	}
 	if next < e.now {
 		panic(fmt.Sprintf("sim: source arrival at %v before now %v", next, e.now))
 	}
 	ev.at = next
-	heap.Fix(&e.queue, ev.index)
+	e.fix(ev.pos - 1)
 }
 
 // Run executes events until the queue drains or the next event would fire
 // after until. The clock is finally advanced to until (never backwards), so
 // time-based measurements cover the full horizon even if activity ends early.
 func (e *Engine) Run(until Time) {
-	for e.queue.Len() > 0 {
-		next := e.peek()
-		if next == nil {
-			break
-		}
-		if next.at > until {
-			break
-		}
+	for len(e.queue) > 0 && e.queue[0].at <= until {
 		e.Step()
 	}
 	if until > e.now {
@@ -316,48 +261,76 @@ func (e *Engine) RunAll() {
 	}
 }
 
-// peek returns the earliest non-canceled event without executing it.
-func (e *Engine) peek() *Event {
-	for e.queue.Len() > 0 {
-		ev := e.queue[0]
-		if !ev.canceled {
-			return ev
+// The queue's heap operations, on concrete types: every (time, sequence) key
+// is unique, so any valid heap pops the events in one order.
+
+// push queues ev.
+func (e *Engine) push(ev *Event) {
+	e.queue = append(e.queue, ev)
+	e.up(len(e.queue) - 1)
+}
+
+// remove takes a queued ev out of the queue.
+func (e *Engine) remove(ev *Event) {
+	i, n := ev.pos-1, len(e.queue)-1
+	if i != n {
+		e.queue[i] = e.queue[n]
+		e.queue[i].pos = i + 1
+	}
+	e.queue[n] = nil
+	e.queue = e.queue[:n]
+	if i != n {
+		e.fix(i)
+	}
+	ev.pos = 0
+}
+
+// fix restores the heap after the key at position i changed.
+func (e *Engine) fix(i int) {
+	if !e.down(i) {
+		e.up(i)
+	}
+}
+
+// up moves the event at position i towards the root while it orders before
+// its parent.
+func (e *Engine) up(i int) {
+	q := e.queue
+	ev := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(q[p]) {
+			break
 		}
-		heap.Pop(&e.queue)
+		q[i] = q[p]
+		q[i].pos = i + 1
+		i = p
 	}
-	return nil
+	q[i] = ev
+	ev.pos = i + 1
 }
 
-// eventHeap orders events by (time, sequence) so simultaneous events fire in
-// the order they were scheduled.
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// down moves the event at position i towards the leaves while a child orders
+// before it, reporting whether it moved.
+func (e *Engine) down(i int) bool {
+	q := e.queue
+	ev, i0 := q[i], i
+	for {
+		c := 2*i + 1
+		if c >= len(q) {
+			break
+		}
+		if r := c + 1; r < len(q) && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(ev) {
+			break
+		}
+		q[i] = q[c]
+		q[i].pos = i + 1
+		i = c
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-
-func (h *eventHeap) Push(x any) {
-	ev := x.(*Event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+	q[i] = ev
+	ev.pos = i + 1
+	return i > i0
 }

@@ -15,7 +15,10 @@
 // and delegates to the Ref path.
 package tenant
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
 // Ref is a dense per-group tenant index assigned by an Interner. The zero
 // Ref is a valid index; use NoRef for "absent".
@@ -24,19 +27,22 @@ type Ref int32
 // NoRef marks an unresolved or unknown tenant.
 const NoRef Ref = -1
 
-// Interner assigns dense Refs to tenant IDs. Interning happens at deploy and
-// migration time only; the hot path never touches the Interner — it carries
-// Refs resolved once at the front door. The internal lock therefore guards
-// only cold-path string resolution and growth, never per-query work.
+// Interner assigns dense Refs to tenant IDs. Interning and string lookups
+// happen at deploy, migration and front-door time, under a lock. The hot
+// path reads the other direction — an MPPDB names the tenant behind a Ref on
+// every completion — so ID, IDs and Len take no lock: the append-only ID
+// slice is published through an atomic pointer, and a reader loads it once.
 type Interner struct {
 	mu   sync.RWMutex
 	byID map[string]Ref
-	ids  []string
+	ids  atomic.Pointer[[]string]
 }
 
 // NewInterner returns an empty interner.
 func NewInterner() *Interner {
-	return &Interner{byID: make(map[string]Ref)}
+	in := &Interner{byID: make(map[string]Ref)}
+	in.ids.Store(new([]string))
+	return in
 }
 
 // Intern returns the tenant's Ref, assigning the next dense index on first
@@ -47,9 +53,12 @@ func (in *Interner) Intern(id string) Ref {
 	if ref, ok := in.byID[id]; ok {
 		return ref
 	}
-	ref := Ref(len(in.ids))
+	ids := append(*in.ids.Load(), id)
+	ref := Ref(len(ids) - 1)
 	in.byID[id] = ref
-	in.ids = append(in.ids, id)
+	// A published slice is never written again: append either fills the
+	// backing array past every reader's length or copies it.
+	in.ids.Store(&ids)
 	return ref
 }
 
@@ -63,26 +72,20 @@ func (in *Interner) Lookup(id string) (Ref, bool) {
 
 // ID returns the tenant ID behind a Ref (empty for out-of-range refs).
 func (in *Interner) ID(ref Ref) string {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	if ref < 0 || int(ref) >= len(in.ids) {
+	ids := *in.ids.Load()
+	if ref < 0 || int(ref) >= len(ids) {
 		return ""
 	}
-	return in.ids[ref]
+	return ids[ref]
 }
 
 // IDs returns the tenant IDs interned so far, indexed by Ref. The interner
 // only ever appends, so the view stays valid (and must stay unmodified) after
-// the call; bulk readers take it once where ID would lock per tenant.
+// the call.
 func (in *Interner) IDs() []string {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return in.ids[:len(in.ids):len(in.ids)]
+	ids := *in.ids.Load()
+	return ids[:len(ids):len(ids)]
 }
 
 // Len returns the number of interned tenants. Refs are always < Len.
-func (in *Interner) Len() int {
-	in.mu.RLock()
-	defer in.mu.RUnlock()
-	return len(in.ids)
-}
+func (in *Interner) Len() int { return len(*in.ids.Load()) }
