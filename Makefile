@@ -72,22 +72,27 @@ domain-smoke:
 # workers {0,1,3,4,8} — at three GOMAXPROCS settings, because Workers 0 (what
 # every caller leaves it at) takes its width from there and the runner's own
 # width is one point; the composed one is what catches state shared between
-# two size classes' searches. Plus bench-smoke.
+# two size classes' searches. The same three widths run the other phases of a
+# plan that go GOMAXPROCS wide — Verify (and its error precedence), the
+# advisor's exclusion and quantisation (the pinned plan digests) and
+# Reconsolidate's kept-group check. Plus bench-smoke.
 grouping-smoke: bench-smoke
-	$(GO) test -race -cpu 1,2,4 -run 'TestSolverMatchesReference|TestLaunchOrder' -count=1 ./internal/grouping
+	$(GO) test -race -cpu 1,2,4 -run 'TestSolverMatchesReference|TestLaunchOrder|TestVerifyErrorPrecedence|TestReconsolidate|TestPlanDigestPinned' -count=1 ./internal/grouping ./internal/advisor .
 
 # One iteration of the solver-scale benchmarks, the planner's per-stage ones
 # (solve, verify, quantize and burst detection on one 500-tenant composed
-# population), the service's two submit paths over a 200-tenant deployment
-# and the replay of that deployment's 7-day logs, so a benchmark that no
-# longer builds or runs is caught before commit without paying full
-# benchmark time. The composed solve runs serial and two classes wide.
+# population), the whole planning cycle at the facade, the service's two
+# submit paths over a 200-tenant deployment and the replay of that
+# deployment's 7-day logs, so a benchmark that no longer builds or runs is
+# caught before commit without paying full benchmark time. The composed solve
+# and the planning cycle run serial and two wide.
 bench-smoke:
 	$(GO) test -bench 'BenchmarkTwoStep2000|BenchmarkPickBest|BenchmarkVerifyComposed500|BenchmarkQuantize500' -benchtime=1x -run '^$$' ./internal/grouping
 	$(GO) test -bench 'BenchmarkTwoStepComposed500' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/grouping
 	$(GO) test -bench 'BenchmarkDetectBursts500' -benchtime=1x -run '^$$' ./internal/advisor
 	$(GO) test -bench 'BenchmarkServeSubmit' -benchtime=1x -run '^$$' ./internal/service
 	$(GO) test -bench 'BenchmarkReplay' -benchtime=1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkPlanCycle' -cpu 1,2 -benchtime=1x -run '^$$' .
 
 # Bounded online-re-consolidation smoke with the race detector on: a seeded
 # drift run (churn, activity shift, live migrations, oracle comparison) plus
@@ -110,6 +115,8 @@ service-smoke:
 # hand-written request decoders against encoding/json, the replay arrival
 # stream against collect-then-stable-sort, the CountSet algebra (Add, Remove,
 # Fill, the previews and the top-level view) against one slot per epoch, the
+# DenseSet (Add, Reset, the previews and the patch) against the same oracle
+# and against a CountSet, the
 # ref-indexed monitor with its chunked record log against the map-and-slice
 # monitor it replaced, the tracer's entry ring against the ring of whole
 # span records it replaced, the MPPDB executor under submits, hedges,
@@ -118,7 +125,7 @@ service-smoke:
 # sources, steps and runs against a slice scanned for its least (time,
 # sequence) key (go test -fuzz takes one target per run). A failing
 # input lands in the package's testdata/fuzz; commit it. FuzzCountSet,
-# FuzzMonitorOps, FuzzTracerRing, FuzzInstancePS and FuzzEngine find new
+# FuzzDenseSet, FuzzMonitorOps, FuzzTracerRing, FuzzInstancePS and FuzzEngine find new
 # coverage all the time and the default minute of minimizing each find would
 # eat the whole smoke.
 fuzz-smoke:
@@ -126,6 +133,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=5s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzStreamOrder$$' -fuzztime=5s ./internal/workload
 	$(GO) test -run '^$$' -fuzz '^FuzzCountSet$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/epoch
+	$(GO) test -run '^$$' -fuzz '^FuzzDenseSet$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/epoch
 	$(GO) test -run '^$$' -fuzz '^FuzzMonitorOps$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/monitor
 	$(GO) test -run '^$$' -fuzz '^FuzzTracerRing$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzInstancePS$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/mppdb

@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/epoch"
 	"repro/internal/grouping"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/tdd"
 	"repro/internal/workload"
@@ -200,36 +201,27 @@ func (a *Advisor) Plan(logs []*workload.TenantLog, horizon sim.Time) (*Plan, err
 	}
 	plan := &Plan{Config: a.cfg}
 
-	// Exclusion pass. Burst detection reads the whole log, so it comes last
-	// and only for tenants the two cheaper tests did not already exclude.
-	historyDays := int(horizon / sim.Day)
-	var consolidated []*workload.TenantLog
-	for _, tl := range logs {
-		var reason string
-		if tl.Tenant.DataGB > a.cfg.MaxDataGB {
-			reason = fmt.Sprintf("oversized: %.0f GB > %.0f GB", tl.Tenant.DataGB, a.cfg.MaxDataGB)
-		} else if ratio := tl.Activity.Ratio(horizon); ratio > a.cfg.MaxActiveRatio {
-			reason = fmt.Sprintf("always active: %.0f%% of horizon", 100*ratio)
-		} else if a.cfg.BurstLookaheadDays > 0 {
-			if burst := DetectBursts(tl.Activity, horizon); burst.PredictsBurstWithin(historyDays, a.cfg.BurstLookaheadDays) {
-				reason = fmt.Sprintf("regular bursts every ~%d days; next predicted on day %d",
-					burst.PeriodDays, burst.NextBurstDay)
-			}
+	// Exclusion pass, and the activity of every tenant it keeps quantized,
+	// GOMAXPROCS wide; the results are read back in log order.
+	reasons := make([]string, len(logs))
+	spans := make([]epoch.Spans, len(logs))
+	par.Each(0, len(logs), nil, func(_ any, i int) {
+		if reasons[i] = a.exclusion(logs[i], horizon); reasons[i] == "" {
+			spans[i] = grid.Quantize(logs[i].Activity)
 		}
-		if reason != "" {
-			plan.Excluded = append(plan.Excluded, Exclusion{TenantID: tl.Tenant.ID, Reason: reason, Nodes: tl.Tenant.Nodes})
-			continue
-		}
-		consolidated = append(consolidated, tl)
-	}
+	})
 
 	// Build and solve the LIVBPwFC instance.
 	prob := &grouping.Problem{D: grid.D, R: a.cfg.R, P: a.cfg.P}
-	for _, tl := range consolidated {
+	for i, tl := range logs {
+		if reasons[i] != "" {
+			plan.Excluded = append(plan.Excluded, Exclusion{TenantID: tl.Tenant.ID, Reason: reasons[i], Nodes: tl.Tenant.Nodes})
+			continue
+		}
 		prob.Items = append(prob.Items, &grouping.Item{
 			ID:    tl.Tenant.ID,
 			Nodes: tl.Tenant.Nodes,
-			Spans: grid.Quantize(tl.Activity),
+			Spans: spans[i],
 		})
 		plan.RequestedNodes += tl.Tenant.Nodes
 	}
@@ -270,4 +262,23 @@ func (a *Advisor) Plan(logs []*workload.TenantLog, horizon sim.Time) (*Plan, err
 		plan.Groups = append(plan.Groups, pg)
 	}
 	return plan, nil
+}
+
+// exclusion returns why tl is left out of consolidation, or "" when it is
+// not. Burst detection reads the whole log, so it comes last and only for
+// tenants the two cheaper tests did not already exclude.
+func (a *Advisor) exclusion(tl *workload.TenantLog, horizon sim.Time) string {
+	if tl.Tenant.DataGB > a.cfg.MaxDataGB {
+		return fmt.Sprintf("oversized: %.0f GB > %.0f GB", tl.Tenant.DataGB, a.cfg.MaxDataGB)
+	}
+	if ratio := tl.Activity.Ratio(horizon); ratio > a.cfg.MaxActiveRatio {
+		return fmt.Sprintf("always active: %.0f%% of horizon", 100*ratio)
+	}
+	if a.cfg.BurstLookaheadDays > 0 {
+		if burst := DetectBursts(tl.Activity, horizon); burst.PredictsBurstWithin(int(horizon/sim.Day), a.cfg.BurstLookaheadDays) {
+			return fmt.Sprintf("regular bursts every ~%d days; next predicted on day %d",
+				burst.PeriodDays, burst.NextBurstDay)
+		}
+	}
+	return ""
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/epoch"
 	"repro/internal/grouping"
+	"repro/internal/par"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -133,57 +134,54 @@ func (a *Advisor) Reconsolidate(in ReconsolidationInput, horizon sim.Time) (*Pla
 	sort.Strings(rep.NewTenants)
 	sort.Strings(rep.Departed)
 
-	// Decide which groups survive.
+	// Decide which groups survive, GOMAXPROCS wide; the verdicts are read back
+	// in plan order.
 	next := &Plan{Config: a.cfg}
+	prev := in.Previous.Groups
 	prob := &grouping.Problem{D: grid.D, R: a.cfg.R, P: a.cfg.P}
-	cs := epoch.NewCountSet(grid.D)
+	reasons, fresh := make([]string, len(prev)), make([]grouping.Group, len(prev))
+	newSet := func() *epoch.CountSet { return epoch.NewCountSet(grid.D) }
+	par.Each(0, len(prev), newSet, func(cs *epoch.CountSet, i int) {
+		if flagged[prev[i].ID] {
+			reasons[i] = ReasonFlagged
+			return
+		}
+		items := make([]*grouping.Item, len(prev[i].TenantIDs))
+		for k, id := range prev[i].TenantIDs {
+			tl, here := current[id]
+			if !here {
+				reasons[i] = ReasonDepartedMember
+				return
+			}
+			items[k] = &grouping.Item{ID: id, Nodes: tl.Tenant.Nodes, Spans: grid.Quantize(tl.Activity)}
+		}
+		// Fresh-history feasibility check: if the group's recent activity now
+		// violates the fuzzy capacity, repack it rather than deploy a plan we
+		// already know is broken.
+		reasons[i] = ReasonUnflagged
+		if fresh[i] = prob.Measure(cs, items); fresh[i].TTP < a.cfg.P {
+			reasons[i] = ReasonCapacityViolation
+		}
+	})
 	var repackLogs []*workload.TenantLog
-	for _, g := range in.Previous.Groups {
-		keep := !flagged[g.ID]
-		reason := ReasonUnflagged
-		if !keep {
-			reason = ReasonFlagged
-		}
+	for i, g := range prev {
+		keep := reasons[i] == ReasonUnflagged
 		if keep {
-			// All members still present?
+			kept := g
+			kept.TTP, kept.MaxActive = fresh[i].TTP, fresh[i].MaxActive
+			next.Groups = append(next.Groups, kept)
+			rep.KeptGroups++
 			for _, id := range g.TenantIDs {
-				if _, here := current[id]; !here {
-					keep = false
-					reason = ReasonDepartedMember
-					break
-				}
+				next.RequestedNodes += current[id].Tenant.Nodes
 			}
-		}
-		if keep {
-			// Fresh-history feasibility check: if the group's recent
-			// activity now violates the fuzzy capacity, repack it rather
-			// than deploy a plan we already know is broken.
-			items := make([]*grouping.Item, len(g.TenantIDs))
-			requested := 0
-			for i, id := range g.TenantIDs {
-				tl := current[id]
-				items[i] = &grouping.Item{ID: id, Nodes: tl.Tenant.Nodes, Spans: grid.Quantize(tl.Activity)}
-				requested += tl.Tenant.Nodes
-			}
-			if fresh := prob.Measure(cs, items); fresh.TTP < a.cfg.P {
-				keep = false
-				reason = ReasonCapacityViolation
-			} else {
-				kept := g
-				kept.TTP, kept.MaxActive = fresh.TTP, fresh.MaxActive
-				next.Groups = append(next.Groups, kept)
-				rep.KeptGroups++
-				next.RequestedNodes += requested
-			}
-		}
-		if !keep {
+		} else {
 			for _, id := range g.TenantIDs {
 				if tl, here := current[id]; here {
 					repackLogs = append(repackLogs, tl)
 				}
 			}
 		}
-		rep.Decisions = append(rep.Decisions, GroupDecision{Group: g.ID, Kept: keep, Reason: reason})
+		rep.Decisions = append(rep.Decisions, GroupDecision{Group: g.ID, Kept: keep, Reason: reasons[i]})
 	}
 	// New tenants and previously excluded tenants re-enter the pool.
 	for _, tl := range in.Logs {

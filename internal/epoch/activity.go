@@ -7,16 +7,15 @@
 // intervals are quantized onto a fixed-width epoch grid (Fig 5.1): an epoch
 // counts as active if any part of it overlaps an activity interval.
 //
-// The packing algorithms never materialize one slot per epoch. A group's
-// active-count function is kept as a list of (start, end, count) segments
-// plus an active-count histogram, and candidate tenants are evaluated by a
-// merge-walk that produces the transition vector up[c] — the number of epochs
-// whose count would rise from c to c+1. This makes the cost of evaluating a
-// candidate proportional to the number of *intervals* involved, independent
-// of the epoch width, so sweeping the epoch size from 1800 s down to 0.1 s
-// (Fig 7.1) does not change the planner's complexity. (The audits that
-// re-measure a finished group do keep one counter per epoch as scratch — see
-// CountSet.Fill — but visit only the epochs a span boundary falls on.)
+// A group's active-count function comes in two forms sharing one histogram
+// algebra. A CountSet is a list of (start, end, count) segments, and a
+// candidate tenant is evaluated by a merge-walk yielding the transition vector
+// up[c] — the number of epochs whose count would rise from c to c+1 — at a
+// cost that follows the *intervals* involved, not the epoch width; the online
+// placer, FFD, the exact solver and the audits use it. The T_best search
+// builds its one open group in a DenseSet, one counter per epoch, where the
+// walks follow the candidate's epochs: on the planner's 3 s grid a tenant's
+// spans average under three epochs, so that is the cheaper walk.
 package epoch
 
 import (
@@ -252,8 +251,9 @@ func (g Grid) Quantize(a Activity) Spans {
 	return out
 }
 
-// Dense expands sp into a []bool of length g.D. Only used by tests and small
-// diagnostics; the planner never densifies.
+// Dense expands sp into a []bool of length g.D, for tests and small
+// diagnostics. (The planner's own dense form is the T_best search's
+// DenseSet, one counter per epoch.)
 func (g Grid) Dense(sp Spans) []bool {
 	out := make([]bool, g.D)
 	for _, s := range sp {

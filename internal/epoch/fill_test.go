@@ -124,9 +124,9 @@ func TestFillMatchesAdds(t *testing.T) {
 		requireSameSet(t, c.name+", reused set", cs, want)
 
 		// The filled set under the rest of the algebra.
-		cand, next := randomSpans(rng, c.d), randomSpans(rng, c.d)
+		cand := randomSpans(rng, c.d)
 		if c.d > 10000 {
-			cand, next = officeSpans(rng, c.d, 7), officeSpans(rng, c.d, 7)
+			cand = officeSpans(rng, c.d, 7)
 		}
 		gotTr, wantTr := fresh.Preview(cand), want.Preview(cand)
 		if !spansEqualInt64(gotTr.Up, wantTr.Up) {
@@ -140,16 +140,9 @@ func TestFillMatchesAdds(t *testing.T) {
 					c.name, bound, gm, gu, gok, wm, wu, wok)
 			}
 		}
-		gotNext, wantNext := fresh.Preview(next), want.Preview(next)
 		fresh.Add(cand)
 		want.Add(cand)
 		requireSameSet(t, c.name+", Add on the filled set", fresh, want)
-		gotNext, gotTouched := fresh.PatchTransition(next, cand, gotNext)
-		wantNext, wantTouched := want.PatchTransition(next, cand, wantNext)
-		if !spansEqualInt64(gotNext.Up, wantNext.Up) || gotTouched != wantTouched || !spansEqualInt64(gotNext.Up, want.Preview(next).Up) {
-			t.Fatalf("%s: PatchTransition on the filled set %v (%d), on the Add-built set %v (%d)",
-				c.name, gotNext.Up, gotTouched, wantNext.Up, wantTouched)
-		}
 		for _, sp := range append([]Spans{cand}, c.members...) {
 			fresh.Remove(sp)
 			want.Remove(sp)

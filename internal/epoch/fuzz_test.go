@@ -105,7 +105,7 @@ func (dc *denseCounts) head(sp Spans) (int, int64) {
 // stateOf renders everything a CountSet holds, to show that a call left it
 // alone.
 func stateOf(cs *CountSet) string {
-	return fmt.Sprint(cs.d, cs.n, cs.segs, cs.hist, cs.lvl)
+	return fmt.Sprint(cs.d, cs.n, cs.segs, cs.hist, cs.top)
 }
 
 // checkAgainstDense compares every piece of the set's state with the oracle.
@@ -124,11 +124,8 @@ func checkAgainstDense(t *testing.T, cs *CountSet, ref *denseCounts) {
 	if want := ref.hist(); !spansEqualInt64(cs.Hist(), want) || cs.MaxCount() != len(want)-1 {
 		t.Fatalf("hist %v max %d, oracle %v", cs.Hist(), cs.MaxCount(), want)
 	}
-	top := int64(cs.MaxCount())
-	for i, want := range []Spans{ref.level(top), ref.level(top - 1)} {
-		if got := append(Spans{}, cs.lvl[i]...); !reflect.DeepEqual(got, want) {
-			t.Fatalf("level view [%d] = %v, oracle %v (max %d)", i, got, want, top)
-		}
+	if got, want := append(Spans{}, cs.top...), ref.level(int64(cs.MaxCount())); !reflect.DeepEqual(got, want) {
+		t.Fatalf("top-level view = %v, oracle %v (max %d)", got, want, cs.MaxCount())
 	}
 	requireCleanScratch(t, "Fill's scratch", cs)
 }
@@ -137,13 +134,12 @@ func checkAgainstDense(t *testing.T, cs *CountSet, ref *denseCounts) {
 // same Add/Fill/Remove sequence; a Fill step adds its spans like an Add step
 // but by rebuilding the whole set from its live members in one sweep, so
 // everything that follows also runs on a filled set. After every mutation the
-// segment list, histogram and top-two level view must match the oracle and
+// segment list, histogram and top-level view must match the oracle and
 // Fill's scratch must be wiped; before it, the step's spans are previewed as a
 // candidate under a fuzzed incumbent bound: PreviewBounded must accept exactly
 // the candidates whose oracle key head does not lose, report that exact head
-// either way, agree with Preview when it accepts, and — like Preview and
-// PatchTransition — leave the set untouched. A preview taken before an Add or
-// a Fill and patched after it must equal a fresh one.
+// either way, agree with Preview when it accepts, and — like Preview — leave
+// the set untouched.
 func FuzzCountSet(f *testing.F) {
 	// Figure 5.1's six tenants in the order Figure 5.3 packs them (T3, T2,
 	// T5, T4, T6, then the rejected T1), each previewed against a bound that
@@ -172,7 +168,6 @@ func FuzzCountSet(f *testing.F) {
 		d := int64(10 + r.next()%54)
 		cs, ref := NewCountSet(d), newDense(d)
 		var live []Spans
-		var prev Spans // the previous step's candidate
 		for steps := 0; r.more() && steps < 64; steps++ {
 			op := r.next()
 			sp := r.spans(d)
@@ -207,7 +202,6 @@ func FuzzCountSet(f *testing.F) {
 				}
 			}
 
-			pre := cs.Preview(prev)
 			if now := stateOf(cs); now != before {
 				t.Fatalf("a preview wrote to the set: %s, was %s", now, before)
 			}
@@ -224,20 +218,11 @@ func FuzzCountSet(f *testing.F) {
 				} else {
 					cs.Add(sp)
 				}
-				added := stateOf(cs)
-				patched, _ := cs.PatchTransition(prev, sp, pre)
-				if want := ref.up(prev); !spansEqualInt64(patched.Up, want) {
-					t.Fatalf("PatchTransition(%v after adding %v) = %v, oracle %v", prev, sp, patched.Up, want)
-				}
-				if now := stateOf(cs); now != added {
-					t.Fatalf("PatchTransition wrote to the set: %s, was %s", now, added)
-				}
 			}
 			checkAgainstDense(t, cs, ref)
 			if cs.Size() != len(live) {
 				t.Fatalf("Size %d with %d live activities", cs.Size(), len(live))
 			}
-			prev = sp
 		}
 	})
 }

@@ -19,15 +19,20 @@ func (sp Spans) Union(other Spans) Spans {
 	if len(sp) == 0 {
 		return append(Spans(nil), other...)
 	}
-	out := make(Spans, 0, len(sp)+len(other))
+	return appendUnion(make(Spans, 0, len(sp)+len(other)), sp, other)
+}
+
+// appendUnion appends the union of a and b, normalized, to out, which must
+// not alias either.
+func appendUnion(out, a, b Spans) Spans {
 	i, j := 0, 0
-	for i < len(sp) || j < len(other) {
+	for i < len(a) || j < len(b) {
 		var s Span
-		if j >= len(other) || (i < len(sp) && sp[i].S <= other[j].S) {
-			s = sp[i]
+		if j >= len(b) || (i < len(a) && a[i].S <= b[j].S) {
+			s = a[i]
 			i++
 		} else {
-			s = other[j]
+			s = b[j]
 			j++
 		}
 		if n := len(out); n > 0 && s.S <= out[n-1].E {
@@ -50,7 +55,12 @@ func (sp Spans) Diff(other Spans) Spans {
 	if len(other) == 0 {
 		return append(Spans(nil), sp...)
 	}
-	var out Spans
+	return appendDiff(nil, sp, other)
+}
+
+// appendDiff appends the epochs of sp not in other to out, which must alias
+// neither.
+func appendDiff(out, sp, other Spans) Spans {
 	j := 0
 	for _, s := range sp {
 		cur := s.S

@@ -76,8 +76,10 @@ const (
 // DefaultEpoch is the default epoch size E. The paper defaults to 10 s for
 // queries lasting tens of seconds; with our calibrated ~2–3 s queries the
 // same epoch-to-query-duration ratio (and the saturation point of the
-// Fig 7.1 sweep) sits at 3s. The interval-based planner's cost is
-// epoch-size independent, so the finer grid is free.
+// Fig 7.1 sweep) sits at 3s. A finer grid is not free: the T_best search
+// keeps its open group as one counter per epoch (4 B per epoch per solver
+// worker) and walks a candidate it cannot reject on its key head epoch by
+// epoch, so the search slows as E shrinks below a second.
 var DefaultEpoch = 3 * sim.Second
 
 // Env is the shared experimental environment: the query catalog and the

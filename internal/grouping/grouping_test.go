@@ -377,6 +377,43 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestVerifyErrorPrecedence: Verify measures groups concurrently but must
+// report the error a check of each group in turn meets first — a capacity
+// violation in group 0 before a duplicate in group 3, and a duplicate in
+// group 0 before a capacity violation in group 3 — at any GOMAXPROCS (CI runs
+// it at -cpu 1,2,4).
+func TestVerifyErrorPrecedence(t *testing.T) {
+	mk := func(id string, s, e int32) *Item {
+		return &Item{ID: id, Nodes: 2, Spans: epoch.Spans{{S: s, E: e}}}
+	}
+	// a and b share three epochs: together they break P at R=1.
+	p := &Problem{D: 10, R: 1, P: 0.9, Items: []*Item{
+		mk("a", 0, 3), mk("b", 0, 3), mk("c", 3, 4), mk("d", 4, 5), mk("e", 5, 6), mk("f", 6, 7),
+	}}
+	single := func(idx ...int) Group { return Group{Items: idx, MaxNodes: 2, TTP: 1, MaxActive: 1} }
+	overfull := Group{Items: []int{0, 1}, MaxNodes: 2, TTP: 0.7, MaxActive: 2}
+	cases := []struct {
+		name   string
+		groups []Group
+		want   string
+	}{
+		{"capacity in group 0, duplicate in group 3",
+			[]Group{overfull, single(2), single(3), single(4, 2), single(5)},
+			"grouping: group 0 TTP 0.700000 < P 0.900000"},
+		{"duplicate in group 0, capacity in group 3",
+			[]Group{single(2, 2), single(3), single(4), overfull, single(5)},
+			"grouping: item 2 in multiple groups"},
+	}
+	for _, c := range cases {
+		for i := 0; i < 20; i++ {
+			err := Verify(p, &Solution{Groups: c.groups})
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("%s: Verify = %v, want %q", c.name, err, c.want)
+			}
+		}
+	}
+}
+
 func TestSolutionMetrics(t *testing.T) {
 	p := fig51()
 	sol, _ := TwoStep(p)

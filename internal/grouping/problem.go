@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"repro/internal/epoch"
+	"repro/internal/par"
 )
 
 // Item is one tenant in LIVBPwFC form.
@@ -213,48 +214,76 @@ func SolutionFromMembers(p *Problem, groups [][]string, algorithm string) (*Solu
 
 // Verify checks that the solution is a valid partition of the problem's
 // items and that every group satisfies the fuzzy capacity constraint; it
-// also recomputes each group's reported statistics.
+// also recomputes each group's reported statistics. The groups are measured
+// GOMAXPROCS wide, and the error returned is the one a check of each group in
+// turn — its member list, then its statistics — would meet first.
 func Verify(p *Problem, s *Solution) error {
 	if err := p.Validate(); err != nil {
 		return err
 	}
+	// Member lists in group order, up to the first broken one: only the
+	// groups before it are measured.
 	used := make([]bool, len(p.Items))
-	cs := epoch.NewCountSet(p.D)
-	var items []*Item
-	for gi := range s.Groups {
-		g := &s.Groups[gi]
-		if len(g.Items) == 0 {
-			return fmt.Errorf("grouping: group %d is empty", gi)
+	errs := make([]error, len(s.Groups))
+	listed := 0
+	for ; listed < len(s.Groups); listed++ {
+		if errs[listed] = checkMembers(p, listed, &s.Groups[listed], used); errs[listed] != nil {
+			break
 		}
-		items = items[:0]
-		for _, idx := range g.Items {
-			if idx < 0 || idx >= len(p.Items) {
-				return fmt.Errorf("grouping: group %d references item %d", gi, idx)
-			}
-			if used[idx] {
-				return fmt.Errorf("grouping: item %d in multiple groups", idx)
-			}
-			used[idx] = true
-			items = append(items, p.Items[idx])
-		}
-		want := p.Measure(cs, items)
-		if want.TTP < p.P-1e-12 {
-			return fmt.Errorf("grouping: group %d TTP %.6f < P %.6f", gi, want.TTP, p.P)
-		}
-		if g.MaxNodes != want.MaxNodes {
-			return fmt.Errorf("grouping: group %d MaxNodes %d, recomputed %d", gi, g.MaxNodes, want.MaxNodes)
-		}
-		if diff := g.TTP - want.TTP; diff > 1e-9 || diff < -1e-9 {
-			return fmt.Errorf("grouping: group %d TTP %.9f, recomputed %.9f", gi, g.TTP, want.TTP)
-		}
-		if g.MaxActive != want.MaxActive {
-			return fmt.Errorf("grouping: group %d MaxActive %d, recomputed %d", gi, g.MaxActive, want.MaxActive)
+	}
+	newSet := func() *epoch.CountSet { return epoch.NewCountSet(p.D) }
+	par.Each(0, listed, newSet, func(cs *epoch.CountSet, gi int) {
+		errs[gi] = p.verifyGroup(cs, gi, &s.Groups[gi])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	for i, u := range used {
 		if !u {
 			return fmt.Errorf("grouping: item %d (%s) unassigned", i, p.Items[i].ID)
 		}
+	}
+	return nil
+}
+
+// checkMembers checks group gi's member list and marks its members used.
+func checkMembers(p *Problem, gi int, g *Group, used []bool) error {
+	if len(g.Items) == 0 {
+		return fmt.Errorf("grouping: group %d is empty", gi)
+	}
+	for _, idx := range g.Items {
+		if idx < 0 || idx >= len(p.Items) {
+			return fmt.Errorf("grouping: group %d references item %d", gi, idx)
+		}
+		if used[idx] {
+			return fmt.Errorf("grouping: item %d in multiple groups", idx)
+		}
+		used[idx] = true
+	}
+	return nil
+}
+
+// verifyGroup re-measures group gi in cs and checks it against the fuzzy
+// capacity constraint and its reported statistics.
+func (p *Problem) verifyGroup(cs *epoch.CountSet, gi int, g *Group) error {
+	items := make([]*Item, len(g.Items))
+	for i, idx := range g.Items {
+		items[i] = p.Items[idx]
+	}
+	want := p.Measure(cs, items)
+	if want.TTP < p.P-1e-12 {
+		return fmt.Errorf("grouping: group %d TTP %.6f < P %.6f", gi, want.TTP, p.P)
+	}
+	if g.MaxNodes != want.MaxNodes {
+		return fmt.Errorf("grouping: group %d MaxNodes %d, recomputed %d", gi, g.MaxNodes, want.MaxNodes)
+	}
+	if diff := g.TTP - want.TTP; diff > 1e-9 || diff < -1e-9 {
+		return fmt.Errorf("grouping: group %d TTP %.9f, recomputed %.9f", gi, g.TTP, want.TTP)
+	}
+	if g.MaxActive != want.MaxActive {
+		return fmt.Errorf("grouping: group %d MaxActive %d, recomputed %d", gi, g.MaxActive, want.MaxActive)
 	}
 	return nil
 }

@@ -3,6 +3,8 @@ package grouping
 import (
 	"math/rand"
 	"testing"
+
+	"repro/internal/epoch"
 )
 
 // scaleProblem builds the benchmark population used by the solver-scale
@@ -42,7 +44,7 @@ func BenchmarkPickBest(b *testing.B) {
 			items = is
 		}
 	}
-	se := newSearch(p, items)
+	se := newSearch(p, items, epoch.NewDenseSet(p.D))
 	order := make([]int, len(se.cands))
 	for i := range order {
 		order[i] = i

@@ -2,12 +2,11 @@ package grouping
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/epoch"
+	"repro/internal/par"
 )
 
 // TwoStep runs the paper's two-step tenant-grouping heuristic (Algorithm 2)
@@ -38,15 +37,19 @@ func TwoStep(p *Problem) (*Solution, error) { return Solver{}.TwoStep(p) }
 //   - a candidate's transition is cached across insertions and only
 //     recomputed when its spans overlap the tenant just committed (the only
 //     event that can change it), so steady-state rounds are comparison-only;
+//   - the open group is an epoch.DenseSet, one counter per epoch, so a
+//     preview, a commit and a patch are straight loops over the epochs they
+//     touch;
 //   - a fresh preview first computes the candidate's exact key head from the
-//     group's top two count levels (PreviewBounded) and walks the whole count
-//     function only when that head does not already lose to the incumbent;
-//     a losing head is remembered, so provably-losing candidates are skipped
+//     group's top two count levels (PreviewBounded) and walks the candidate's
+//     epochs only when that head does not already lose to the incumbent; a
+//     losing head is remembered, so provably-losing candidates are skipped
 //     without another look;
 //   - all transitions live in per-candidate scratch buffers owned by the
 //     search, so pickBest performs no steady-state heap allocations;
 //   - independent size classes are solved concurrently, the most populous
-//     first, and spliced back in descending node-count order.
+//     first, each worker reusing one DenseSet, and spliced back in
+//     descending node-count order.
 type Solver struct {
 	// Workers is the number of size classes solved at once. 0 means
 	// runtime.GOMAXPROCS(0); 1 solves them one after the other on the
@@ -64,10 +67,6 @@ func (s Solver) TwoStep(p *Problem) (*Solution, error) {
 	}
 	start := time.Now()
 	sol := &Solution{Algorithm: "2-step"}
-	workers := s.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 
 	// Step 1: initial groups by node count, processed in descending size
 	// order for deterministic output.
@@ -78,27 +77,16 @@ func (s Solver) TwoStep(p *Problem) (*Solution, error) {
 	sizes := sortedSizesDesc(bySize)
 
 	// Step 2 per initial group. Size classes are independent subproblems:
-	// solve up to workers of them at once, and splice the per-class groups
-	// back together in descending-size order whatever order they finished in.
+	// solve up to Workers of them at once, the most populous first, and splice
+	// the per-class groups back together in descending-size order whatever
+	// order they finished in.
 	classGroups := make([][]Group, len(sizes))
-	if workers > 1 && len(sizes) > 1 {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for _, ci := range launchOrder(sizes, bySize) {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(ci int) {
-				defer wg.Done()
-				classGroups[ci] = solveClass(p, bySize[sizes[ci]])
-				<-sem
-			}(ci)
-		}
-		wg.Wait()
-	} else {
-		for ci, n := range sizes {
-			classGroups[ci] = solveClass(p, bySize[n])
-		}
-	}
+	order := launchOrder(sizes, bySize)
+	newSet := func() *epoch.DenseSet { return epoch.NewDenseSet(p.D) }
+	par.Each(s.Workers, len(order), newSet, func(ds *epoch.DenseSet, i int) {
+		ci := order[i]
+		classGroups[ci] = solveClass(p, bySize[sizes[ci]], ds)
+	})
 	for _, gs := range classGroups {
 		sol.Groups = append(sol.Groups, gs...)
 	}
@@ -132,8 +120,12 @@ func launchOrder(sizes []int, bySize map[int][]int) []int {
 	return order
 }
 
-// finishGroup assembles a Group from its committed members and count set.
-func finishGroup(p *Problem, cs *epoch.CountSet, members []int) Group {
+// finishGroup assembles a Group from its committed members and count set
+// (the search's DenseSet, or the reference solver's CountSet).
+func finishGroup(p *Problem, cs interface {
+	TTP(r int) float64
+	MaxCount() int
+}, members []int) Group {
 	maxNodes := 0
 	for _, idx := range members {
 		if p.Items[idx].Nodes > maxNodes {
@@ -148,9 +140,10 @@ func finishGroup(p *Problem, cs *epoch.CountSet, members []int) Group {
 	}
 }
 
-// solveClass runs step 2 over one size-homogeneous initial group.
-func solveClass(p *Problem, items []int) []Group {
-	se := newSearch(p, items)
+// solveClass runs step 2 over one size-homogeneous initial group, building
+// each group in ds.
+func solveClass(p *Problem, items []int, ds *epoch.DenseSet) []Group {
+	se := newSearch(p, items, ds)
 	// order holds the positions (into se.cands) still unassigned.
 	order := make([]int, len(items))
 	for i := range order {
@@ -188,11 +181,10 @@ type candidate struct {
 	buf   []int64          // scratch backing tr.Up, owned by this candidate
 	tr    epoch.Transition // valid when state == cacheFull
 	// top is tr's highest level with mass (-1 when tr raises nothing), kept
-	// current alongside tr: patches only move mass upward, so the new top is
-	// the max of the old one and the highest level a patch touched.
+	// current alongside tr: it is re-read after every patch.
 	top int
 	// (pM, pU) is the candidate's key head in drift-free form (see
-	// CountSet.NewTopUp) — the new maximum and the epochs raised into it.
+	// epoch.DenseSet.NewTopUp) — the new maximum and the epochs raised into it.
 	// When state == cacheFull it is exact, refreshed in O(1) after every
 	// commit from top and the patched transition. When state == cacheAborted
 	// it is the exact head at the moment the candidate was last evaluated (a
@@ -221,14 +213,14 @@ func (s byActive) Swap(a, b int)      { s[a], s[b] = s[b], s[a] }
 // goroutine owns it.
 type search struct {
 	p     *Problem
-	cs    *epoch.CountSet
+	cs    *epoch.DenseSet
 	cands []candidate
 }
 
-func newSearch(p *Problem, items []int) *search {
+func newSearch(p *Problem, items []int, ds *epoch.DenseSet) *search {
 	se := &search{
 		p:     p,
-		cs:    epoch.NewCountSet(p.D),
+		cs:    ds,
 		cands: make([]candidate, len(items)),
 	}
 	for i, idx := range items {
@@ -298,16 +290,16 @@ func (se *search) seed(order []int) {
 // count function only inside the new member's spans, so a cached full
 // transition is repaired by patching the overlap region (skipped outright
 // when the bounding boxes are disjoint) instead of re-previewed, and its key
-// head is refreshed in O(1) from the patched top level and the possibly-
-// raised group maximum. Cached abort bounds stay valid untouched: counts only
+// head is refreshed from the patched top level and the possibly-raised group
+// maximum. Cached abort bounds stay valid untouched: counts only
 // grow within a group, so the (new max, epochs at max) key they lower-bound
 // only grows too.
 func (se *search) commit(best int, order []int) []int {
 	c := &se.cands[order[best]]
 	se.cs.Add(c.spans)
 	order = append(order[:best], order[best+1:]...)
-	if added := c.spans; len(added) > 0 {
-		aLo, aHi := added[0].S, added[len(added)-1].E
+	if c.sLo < c.sHi {
+		aLo, aHi := c.sLo, c.sHi
 		mc := se.cs.MaxCount()
 		for _, pos := range order {
 			cc := &se.cands[pos]
@@ -315,12 +307,9 @@ func (se *search) commit(best int, order []int) []int {
 				continue
 			}
 			if cc.sHi > aLo && cc.sLo < aHi {
-				var mt int
-				cc.tr, mt = se.cs.PatchTransition(cc.spans, added, cc.tr)
+				cc.tr = se.cs.PatchTransition(cc.spans, cc.tr)
 				cc.buf = cc.tr.Up
-				if mt > cc.top {
-					cc.top = mt
-				}
+				cc.top = cc.tr.Top()
 			}
 			pm := mc
 			if cc.top+1 > pm {
@@ -413,26 +402,18 @@ func (se *search) pickBest(order []int) (int, epoch.Transition) {
 		}
 		tr, cM, cU, ok := cs.PreviewBounded(c.spans, c.buf, bm, bt)
 		c.buf = tr.Up
-		c.tr = tr
+		c.pM, c.pU = cM, cU
 		if !ok {
 			// Remember the head. It strictly exceeds the incumbent's (that is
 			// why it lost), so it is stronger than whatever bound previously
 			// failed to skip this candidate.
 			c.state = cacheAborted
-			c.pM, c.pU = cM, cU
 			continue
 		}
-		c.state = cacheFull
-		c.top = tr.Top()
-		c.pM, c.pU = cM, cU
+		c.tr, c.top, c.state = tr, tr.Top(), cacheFull
 		if best < 0 {
 			best, bestTr = i, tr
 			bestMax, bestUp = cM, cU
-			continue
-		}
-		if cM > bestMax || (cM == bestMax && cU > bestUp) {
-			c.state = cacheAborted
-			c.pM, c.pU = cM, cU
 			continue
 		}
 		// Unlike pass 1, a tie here must fall to whichever candidate comes

@@ -125,7 +125,7 @@ func GenerateWorkload(cfg WorkloadConfig) (*Workload, error) {
 // PlanConfig re-exports the Deployment Advisor configuration.
 type PlanConfig = advisor.Config
 
-// DefaultPlanConfig returns R=3, P=99.9%, E=10 s with the 2-step solver.
+// DefaultPlanConfig returns R=3, P=99.9%, E=3 s with the 2-step solver.
 func DefaultPlanConfig() PlanConfig { return advisor.DefaultConfig() }
 
 // Plan re-exports the deployment plan.
