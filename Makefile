@@ -85,7 +85,9 @@ grouping-smoke: bench-smoke
 # submit paths over a 200-tenant deployment and the replay of that
 # deployment's 7-day logs, so a benchmark that no longer builds or runs is
 # caught before commit without paying full benchmark time. The composed solve
-# and the planning cycle run serial and two wide.
+# (BenchmarkTwoStepComposed500 on the 3 s grid and ...Fine on the 0.1 s one,
+# which no benchmark workload plans on) and the planning cycle run serial and
+# two wide.
 bench-smoke:
 	$(GO) test -bench 'BenchmarkTwoStep2000|BenchmarkPickBest|BenchmarkVerifyComposed500|BenchmarkQuantize500' -benchtime=1x -run '^$$' ./internal/grouping
 	$(GO) test -bench 'BenchmarkTwoStepComposed500' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/grouping
@@ -115,8 +117,8 @@ service-smoke:
 # hand-written request decoders against encoding/json, the replay arrival
 # stream against collect-then-stable-sort, the CountSet algebra (Add, Remove,
 # Fill, the previews and the top-level view) against one slot per epoch, the
-# DenseSet (Add, Reset, the previews and the patch) against the same oracle
-# and against a CountSet, the
+# DenseSet (Add, Reset, the previews, the patch and its three bitmaps)
+# against the same oracle and against a CountSet, the
 # ref-indexed monitor with its chunked record log against the map-and-slice
 # monitor it replaced, the tracer's entry ring against the ring of whole
 # span records it replaced, the MPPDB executor under submits, hedges,

@@ -27,6 +27,9 @@ type CountSet struct {
 	histogram
 	segs  []countSeg // disjoint, sorted, count ≥ 1, no equal-count adjacency
 	spare []countSeg // retired segment buffer, reused by the next Add
+	// top lists the epochs at count MaxCount() for the bounded preview's head
+	// check; every mutation rebuilds it.
+	top Spans
 	// Fill's scratch, made by the first Fill and all zero between calls:
 	// diff[x] is the number of member spans that start at epoch x minus the
 	// number that end there, mark has a bit set for every x that has either.
@@ -47,6 +50,7 @@ func NewCountSet(d int64) *CountSet {
 // Reset empties the count function, retaining internal buffers for reuse.
 func (cs *CountSet) Reset() {
 	cs.segs = cs.segs[:0]
+	cs.top = cs.top[:0]
 	cs.reset()
 }
 
@@ -69,13 +73,15 @@ func (cs *CountSet) PreviewInto(sp Spans, buf []int64) Transition {
 // its transition raises into that maximum (its Up[bestMax-1]); a negative
 // bestMax means no incumbent, otherwise bestMax must be at least MaxCount().
 // A candidate whose overlap with the top count level already loses (see
-// headLoses) is turned away before the full merge walk. ok reports whether
-// sp's key head does not lose: true with the exact transition; false with tr
-// only carrying a buffer back. Either way (keyMax, keyUp) is sp's exact key
-// head, as NewTopUp would report it.
+// headChecks and headLoses) is turned away before the full merge walk. ok
+// reports whether sp's key head does not lose: true with the exact
+// transition; false with tr only carrying a buffer back. Either way (keyMax,
+// keyUp) is sp's exact key head, as NewTopUp would report it.
 func (cs *CountSet) PreviewBounded(sp Spans, buf []int64, bestMax int, bestUp int64) (tr Transition, keyMax int, keyUp int64, ok bool) {
-	if keyMax, keyUp, lost := cs.headLoses(sp, nil, bestMax, bestUp); lost {
-		return Transition{Up: buf}, keyMax, keyUp, false
+	if cs.headChecks(bestMax) {
+		if keyMax, keyUp, lost := cs.headLoses(sp.Overlap(cs.top), 0, bestMax, bestUp); lost {
+			return Transition{Up: buf}, keyMax, keyUp, false
+		}
 	}
 	return cs.bounded(cs.PreviewInto(sp, buf), bestMax, bestUp)
 }

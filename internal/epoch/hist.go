@@ -3,19 +3,15 @@ package epoch
 import "fmt"
 
 // histogram is the part of a group's count function the T_best rule reads:
-// the horizon, the members added, how many epochs sit at each active count,
-// and which epochs sit at the maximum. CountSet and DenseSet embed it, so the
-// histogram algebra below — TTP, the maximum and key head a transition would
-// leave, the bounded preview's head check, and the T_best order between two
-// transitions — is written once for both.
+// the horizon, the members added and how many epochs sit at each active
+// count. CountSet and DenseSet embed it, so the histogram algebra below —
+// TTP, the maximum and key head a transition would leave, the bounded
+// preview's head check, and the T_best order between two transitions — is
+// written once for both.
 type histogram struct {
 	d    int64   // total epochs in the horizon
 	hist []int64 // hist[c] = number of epochs with count c, c ≥ 1; hist[0] unused
 	n    int     // number of activities added
-	// top lists the epochs at count MaxCount(), where a candidate's overlap
-	// raises the maximum. Each set keeps it current through its own
-	// mutations; previews only read it.
-	top Spans
 }
 
 func newHistogram(d int64) histogram {
@@ -29,7 +25,6 @@ func newHistogram(d int64) histogram {
 func (h *histogram) reset() {
 	h.hist = append(h.hist[:0], 0)
 	h.n = 0
-	h.top = h.top[:0]
 }
 
 // trim drops the histogram's empty top levels.
@@ -169,25 +164,27 @@ func (h *histogram) NewTopUp(tr Transition) (int, int64) {
 	return m, u
 }
 
-// headLoses is a bounded preview's head check against the incumbent's key
-// head (bestMax, bestUp), run before the walk. A candidate touching the top
-// count level m has the exact head (m+1, its overlap); one missing it keeps
-// the maximum, with its overlap with level m-1 (sub, when not nil) raised
-// into it. Those overlaps read span lists that are short once the maximum is
-// 2 or more; below that the top level is most of the function and the walk
-// decides.
-func (h *histogram) headLoses(sp, sub Spans, bestMax int, bestUp int64) (keyMax int, keyUp int64, lost bool) {
+// headChecks reports whether a bounded preview runs the head check against an
+// incumbent with maximum bestMax: only once the maximum m is 2 or more (below
+// that the top level is most of the function and the walk decides), and only
+// against an incumbent at m or m+1.
+func (h *histogram) headChecks(bestMax int) bool {
 	m := h.MaxCount()
-	if m < 2 || (bestMax != m && bestMax != m+1) {
-		return 0, 0, false
+	return m >= 2 && (bestMax == m || bestMax == m+1)
+}
+
+// headLoses is the head check's verdict against the incumbent's key head
+// (bestMax, bestUp), from the candidate's epochs at the top count level m
+// (top) and at m-1 (sub; 0 when unknown). A candidate touching level m has
+// the exact head (m+1, top); one missing it keeps m, with its sub epochs
+// raised into it.
+func (h *histogram) headLoses(top, sub int64, bestMax int, bestUp int64) (keyMax int, keyUp int64, lost bool) {
+	m := h.MaxCount()
+	if top > 0 {
+		return m + 1, top, bestMax == m || top > bestUp
 	}
-	if up := sp.Overlap(h.top); up > 0 {
-		return m + 1, up, bestMax == m || up > bestUp
-	}
-	if sub != nil && bestMax == m && h.hist[m-1] > bestUp {
-		if up := sp.Overlap(sub); up > bestUp {
-			return m, up, true
-		}
+	if bestMax == m && sub > bestUp {
+		return m, sub, true
 	}
 	return 0, 0, false
 }

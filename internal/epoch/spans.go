@@ -134,3 +134,45 @@ func (sp Spans) seek(from int, x int32) int {
 	}
 	return lo
 }
+
+// Word is one 64-epoch word of a set of epochs: bit b of B stands for epoch
+// 64·I + b.
+type Word struct {
+	I int32
+	B uint64
+}
+
+// AppendWords appends sp's epochs to dst as their non-zero 64-epoch words in
+// ascending I. Words already in dst are never merged with sp's, so one arena
+// can hold several tenants' words back to back.
+func (sp Spans) AppendWords(dst []Word) []Word {
+	first := len(dst)
+	for _, s := range sp {
+		for x, end := s.S, int32(0); x < s.E; x = end {
+			end = min(s.E, x>>6<<6+64)
+			dst = orWord(dst, first, x>>6, (^uint64(0)>>(64-(end-x)))<<(x&63))
+		}
+	}
+	return dst
+}
+
+// AppendBlocks appends the blocks of one tenant's words ws to dst: bit b of
+// block I is set when ws holds word 64·I + b. Like AppendWords, it never
+// merges with what dst already holds.
+func AppendBlocks(dst, ws []Word) []Word {
+	first := len(dst)
+	for _, w := range ws {
+		dst = orWord(dst, first, w.I>>6, 1<<(w.I&63))
+	}
+	return dst
+}
+
+// orWord ORs b into word i at the end of dst[first:], appending the word
+// when it is not there yet.
+func orWord(dst []Word, first int, i int32, b uint64) []Word {
+	if n := len(dst); n > first && dst[n-1].I == i {
+		dst[n-1].B |= b
+		return dst
+	}
+	return append(dst, Word{i, b})
+}

@@ -19,7 +19,14 @@ import (
 // count passes R — the regime the level-view head check exists for.
 func composedProblem(tb testing.TB, n, days int, seed int64, sizes []int) *Problem {
 	tb.Helper()
-	logs, grid := composedLogs(tb, n, days, seed, sizes)
+	return composedProblemOn(tb, n, days, seed, sizes, 3*sim.Second)
+}
+
+// composedProblemOn is composedProblem on epochs of length e.
+func composedProblemOn(tb testing.TB, n, days int, seed int64, sizes []int, e sim.Time) *Problem {
+	tb.Helper()
+	logs, _ := composedLogs(tb, n, days, seed, sizes)
+	grid := epoch.MustGrid(e, sim.Time(days)*sim.Day)
 	p := &Problem{D: grid.D, R: 3, P: 0.999}
 	for _, tl := range logs {
 		p.Items = append(p.Items, &Item{ID: tl.Tenant.ID, Nodes: tl.Tenant.Nodes, Spans: grid.Quantize(tl.Activity)})
@@ -96,6 +103,24 @@ func TestSolverMatchesReferenceComposed(t *testing.T) {
 // days.
 func BenchmarkTwoStepComposed500(b *testing.B) {
 	p := composedProblem(b, 500, 7, 40, tenant.DefaultSizes)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol, err := TwoStep(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := Verify(p, sol); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkTwoStepComposed500Fine is the same population on 0.1 s epochs,
+// the finest point of the paper's Fig 7.1 sweep: 30× the counters and
+// bitmap words of the 3 s grid for the same logs.
+func BenchmarkTwoStepComposed500Fine(b *testing.B) {
+	p := composedProblemOn(b, 500, 7, 40, tenant.DefaultSizes, sim.Second/10)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -44,7 +44,8 @@ func BenchmarkPickBest(b *testing.B) {
 			items = is
 		}
 	}
-	se := newSearch(p, items, epoch.NewDenseSet(p.D))
+	se := &search{p: p, cs: epoch.NewDenseSet(p.D)}
+	se.load(items)
 	order := make([]int, len(se.cands))
 	for i := range order {
 		order[i] = i

@@ -37,19 +37,20 @@ func TwoStep(p *Problem) (*Solution, error) { return Solver{}.TwoStep(p) }
 //   - a candidate's transition is cached across insertions and only
 //     recomputed when its spans overlap the tenant just committed (the only
 //     event that can change it), so steady-state rounds are comparison-only;
-//   - the open group is an epoch.DenseSet, one counter per epoch, so a
-//     preview, a commit and a patch are straight loops over the epochs they
-//     touch;
-//   - a fresh preview first computes the candidate's exact key head from the
-//     group's top two count levels (PreviewBounded) and walks the candidate's
-//     epochs only when that head does not already lose to the incumbent; a
-//     losing head is remembered, so provably-losing candidates are skipped
-//     without another look;
+//   - the open group is an epoch.DenseSet, one counter per epoch plus
+//     bitmaps of its last member and top two count levels, and a candidate
+//     also carries its epochs as 64-epoch words and their blocks: a preview
+//     and a commit walk the candidate's epochs, a patch finds where it meets
+//     the last member one AND per word;
+//   - a fresh preview first counts the candidate's epochs on the top two
+//     levels, its exact key head (PreviewBounded), and walks only when that
+//     head does not lose to the incumbent; a losing head is remembered, so
+//     provably-losing candidates are skipped without another look;
 //   - all transitions live in per-candidate scratch buffers owned by the
 //     search, so pickBest performs no steady-state heap allocations;
 //   - independent size classes are solved concurrently, the most populous
-//     first, each worker reusing one DenseSet, and spliced back in
-//     descending node-count order.
+//     first, each worker reusing one search (DenseSet and word arena
+//     included), and spliced back in descending node-count order.
 type Solver struct {
 	// Workers is the number of size classes solved at once. 0 means
 	// runtime.GOMAXPROCS(0); 1 solves them one after the other on the
@@ -82,10 +83,10 @@ func (s Solver) TwoStep(p *Problem) (*Solution, error) {
 	// order they finished in.
 	classGroups := make([][]Group, len(sizes))
 	order := launchOrder(sizes, bySize)
-	newSet := func() *epoch.DenseSet { return epoch.NewDenseSet(p.D) }
-	par.Each(s.Workers, len(order), newSet, func(ds *epoch.DenseSet, i int) {
+	newSearch := func() *search { return &search{p: p, cs: epoch.NewDenseSet(p.D)} }
+	par.Each(s.Workers, len(order), newSearch, func(se *search, i int) {
 		ci := order[i]
-		classGroups[ci] = solveClass(p, bySize[sizes[ci]], ds)
+		classGroups[ci] = se.solveClass(bySize[sizes[ci]])
 	})
 	for _, gs := range classGroups {
 		sol.Groups = append(sol.Groups, gs...)
@@ -140,10 +141,9 @@ func finishGroup(p *Problem, cs interface {
 	}
 }
 
-// solveClass runs step 2 over one size-homogeneous initial group, building
-// each group in ds.
-func solveClass(p *Problem, items []int, ds *epoch.DenseSet) []Group {
-	se := newSearch(p, items, ds)
+// solveClass runs step 2 over one size-homogeneous initial group.
+func (se *search) solveClass(items []int) []Group {
+	se.load(items)
 	// order holds the positions (into se.cands) still unassigned.
 	order := make([]int, len(items))
 	for i := range order {
@@ -174,7 +174,9 @@ type candidate struct {
 	idx    int   // index into Problem.Items
 	active int64 // ActiveEpochs, the scan sort key
 	spans  epoch.Spans
-	sLo    int32 // spans bounding box [sLo, sHi); sLo == sHi when spans empty
+	words  []epoch.Word // spans as 64-epoch words, in the search's arena
+	blocks []epoch.Word // words' blocks (epoch.AppendBlocks), in the arena
+	sLo    int32        // spans bounding box [sLo, sHi); sLo == sHi when spans empty
 	sHi    int32
 
 	state uint8
@@ -208,27 +210,52 @@ func (s byActive) Len() int           { return len(s) }
 func (s byActive) Less(a, b int) bool { return s[a].active < s[b].active }
 func (s byActive) Swap(a, b int)      { s[a], s[b] = s[b], s[a] }
 
-// search is the per-class T_best search state: the group under construction's
-// count function and the candidates with their cached transitions. One
-// goroutine owns it.
+// search is one size class's T_best search state: the open group's count
+// function and the candidates with their cached transitions and words. One
+// goroutine owns it and reuses it, arena included, for every class it solves.
 type search struct {
 	p     *Problem
 	cs    *epoch.DenseSet
 	cands []candidate
+	words []epoch.Word // the arena the candidates' words are sliced from
 }
 
-func newSearch(p *Problem, items []int, ds *epoch.DenseSet) *search {
-	se := &search{
-		p:     p,
-		cs:    ds,
-		cands: make([]candidate, len(items)),
+// load makes the class's items the search's candidates, in scan order.
+func (se *search) load(items []int) {
+	se.cands = make([]candidate, len(items))
+	se.cs.Reset() // its members point into the arena, which is rewritten below
+	// Size the arena for the class's words and blocks, so appending never
+	// moves it and each candidate's are sliced off it.
+	need := 0
+	for _, idx := range items {
+		prev := int32(-1) // the last word of the tenant's previous span
+		for _, s := range se.p.Items[idx].Spans {
+			lo, hi := s.S>>6, (s.E-1)>>6
+			need += int(hi-lo) + 1 + int(hi>>6-lo>>6) + 1
+			if lo == prev {
+				need--
+			}
+			if lo>>6 == prev>>6 {
+				need--
+			}
+			prev = hi
+		}
 	}
+	if cap(se.words) < need {
+		se.words = make([]epoch.Word, 0, need)
+	}
+	words := se.words[:0]
 	for i, idx := range items {
-		it := p.Items[idx]
+		it := se.p.Items[idx]
 		c := candidate{idx: idx, active: it.ActiveEpochs(), spans: it.Spans}
 		if n := len(it.Spans); n > 0 {
 			c.sLo, c.sHi = it.Spans[0].S, it.Spans[n-1].E
 		}
+		w0 := len(words)
+		words = it.Spans.AppendWords(words)
+		b0 := len(words)
+		words = epoch.AppendBlocks(words, words[w0:])
+		c.words, c.blocks = words[w0:b0], words[b0:]
 		se.cands[i] = c
 	}
 	// Ascending active-epoch order, stable on the input order. This is what
@@ -238,7 +265,6 @@ func newSearch(p *Problem, items []int, ds *epoch.DenseSet) *search {
 	// candidates, where the stable order reproduces the reference
 	// first-in-input-order tie-break.
 	sort.Stable(byActive(se.cands))
-	return se
 }
 
 // packOneGroup fills a single tenant-group from the order slice and returns
@@ -296,7 +322,7 @@ func (se *search) seed(order []int) {
 // only grows too.
 func (se *search) commit(best int, order []int) []int {
 	c := &se.cands[order[best]]
-	se.cs.Add(c.spans)
+	se.cs.Add(c.spans, c.words)
 	order = append(order[:best], order[best+1:]...)
 	if c.sLo < c.sHi {
 		aLo, aHi := c.sLo, c.sHi
@@ -307,7 +333,7 @@ func (se *search) commit(best int, order []int) []int {
 				continue
 			}
 			if cc.sHi > aLo && cc.sLo < aHi {
-				cc.tr = se.cs.PatchTransition(cc.spans, cc.tr)
+				cc.tr = se.cs.PatchTransition(cc.words, cc.tr)
 				cc.buf = cc.tr.Up
 				cc.top = cc.tr.Top()
 			}
@@ -400,7 +426,7 @@ func (se *search) pickBest(order []int) (int, epoch.Transition) {
 		if best < 0 {
 			bm = -1 // no incumbent yet: the preview must run to completion
 		}
-		tr, cM, cU, ok := cs.PreviewBounded(c.spans, c.buf, bm, bt)
+		tr, cM, cU, ok := cs.PreviewBounded(c.spans, c.words, c.blocks, c.buf, bm, bt)
 		c.buf = tr.Up
 		c.pM, c.pU = cM, cU
 		if !ok {
