@@ -49,7 +49,7 @@ type options struct {
 	deploy   thrifty.DeployOptions
 	serve    thrifty.ServeOptions
 
-	metrics, recovery, admission, gray, online bool
+	metrics, recovery, admission, gray bool
 }
 
 // flagSet declares thriftyd's flags over o.
@@ -67,11 +67,10 @@ func (o *options) flagSet() *flag.FlagSet {
 	fs.Float64Var(&o.plan.P, "p", 0.999, "performance SLA guarantee P")
 	fs.Float64Var(&o.serve.TimeScale, "timescale", 60, "virtual seconds per wall second")
 	fs.BoolVar(&o.metrics, "metrics", true, "expose Prometheus text metrics at /metrics")
-	fs.BoolVar(&o.deploy.Sharded, "sharded", true, "per-group clock domains: submits to different tenant-groups proceed in parallel (default false with -online)")
+	fs.BoolVar(&o.deploy.Sharded, "sharded", true, "per-group clock domains: submits to different tenant-groups proceed in parallel")
 	fs.BoolVar(&o.recovery, "recovery", true, "arm an autonomous recovery controller per tenant-group (heartbeat failure detection, pool swap, Table 5.1 reload)")
 	fs.IntVar(&o.deploy.Domains, "domains", 1, "failure domains (racks/zones) the pool is split across; >1 enables spread-aware placement")
 	fs.BoolVar(&o.deploy.Triage, "triage", false, "arm the cluster-wide scarcity triage: exhausted recoveries queue claims ranked by SLA-at-risk instead of uncoordinated backoff (requires -recovery)")
-	fs.BoolVar(&o.online, "online", false, "arm continuous online re-consolidation (drift detection, local repair, live migrations); needs one shared clock domain, so it excludes -sharded")
 	fs.BoolVar(&o.admission, "admission", true, "arm overload protection per tenant-group (contract enforcement, bounded admission queue, brownout)")
 	fs.BoolVar(&o.gray, "gray", false, "arm fail-slow (gray failure) detection per tenant-group: peer-relative latency anomaly detection with a hedge → drain-and-replace ladder")
 	return fs
@@ -85,15 +84,6 @@ func build(args []string) (*thrifty.System, *http.Server, error) {
 	fs := o.flagSet()
 	if err := fs.Parse(args); err != nil {
 		return nil, nil, err
-	}
-	if o.online {
-		// -sharded defaults to true; only an explicit one contradicts -online.
-		explicit := false
-		fs.Visit(func(f *flag.Flag) { explicit = explicit || f.Name == "sharded" })
-		if explicit && o.deploy.Sharded {
-			return nil, nil, errors.New("-online requires one shared clock domain; drop -sharded")
-		}
-		o.deploy.Sharded = false
 	}
 	if o.deploy.Triage && !o.recovery {
 		return nil, nil, errors.New("-triage requires -recovery")
@@ -131,19 +121,12 @@ func build(args []string) (*thrifty.System, *http.Server, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if o.online {
-		ocfg := thrifty.DefaultOnlineConfig(o.plan, w.Horizon)
-		if _, err := sys.EnableOnline(ocfg); err != nil {
-			return nil, nil, err
-		}
-		fmt.Fprintf(os.Stderr, "thriftyd: online re-consolidation armed (control period %v)\n", ocfg.Interval)
-	}
 	h, err := sys.Handler(o.serve)
 	if err != nil {
 		return nil, nil, err
 	}
-	fmt.Fprintf(os.Stderr, "thriftyd: deployed (time scale %g×, metrics %v, sharded %v, recovery %v, admission %v, gray %v, online %v)\n",
-		o.serve.TimeScale, o.metrics, o.deploy.Sharded, o.recovery, o.admission, o.gray, o.online)
+	fmt.Fprintf(os.Stderr, "thriftyd: deployed (time scale %g×, metrics %v, sharded %v, recovery %v, admission %v, gray %v)\n",
+		o.serve.TimeScale, o.metrics, o.deploy.Sharded, o.recovery, o.admission, o.gray)
 	return sys, &http.Server{Addr: o.addr, Handler: h}, nil
 }
 

@@ -12,10 +12,10 @@ import (
 	"testing"
 )
 
-// TestFlagSet pins the option surface: the fifteen flags that pick a
+// TestFlagSet pins the option surface: the fourteen flags that pick a
 // deployment or arm a subsystem, and no tuning knob beside them.
 func TestFlagSet(t *testing.T) {
-	want := strings.Fields("addr admission days domains gray metrics online p r recovery " +
+	want := strings.Fields("addr admission days domains gray metrics p r recovery " +
 		"seed sharded tenants timescale triage")
 	var got []string
 	new(options).flagSet().VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
@@ -26,7 +26,6 @@ func TestFlagSet(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-online", "-sharded"},
 		{"-triage", "-recovery=false"},
 	} {
 		if _, _, err := build(args); err == nil {
@@ -43,7 +42,7 @@ func TestBootAndServe(t *testing.T) {
 		args []string
 	}{
 		{"default", nil},
-		{"every-arm", []string{"-gray", "-domains", "3", "-triage", "-online"}},
+		{"every-arm", []string{"-gray", "-domains", "3", "-triage"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, srv, err := build(append([]string{"-tenants", "20", "-days", "1"}, tc.args...))
@@ -51,10 +50,9 @@ func TestBootAndServe(t *testing.T) {
 				t.Fatal(err)
 			}
 			armed := tc.args != nil
-			if sys.Deployment.Sharded() == armed || (sys.Online != nil) != armed ||
-				(sys.Deployment.Triage() != nil) != armed {
-				t.Errorf("sharded %v, online %v, triage %v with args %v",
-					sys.Deployment.Sharded(), sys.Online != nil, sys.Deployment.Triage() != nil, tc.args)
+			if !sys.Deployment.Sharded() || (sys.Deployment.Triage() != nil) != armed {
+				t.Errorf("sharded %v, triage %v with args %v",
+					sys.Deployment.Sharded(), sys.Deployment.Triage() != nil, tc.args)
 			}
 			for _, g := range sys.Deployment.Groups() {
 				if g.Recovery == nil || g.Admission == nil || (g.Gray != nil) != armed {

@@ -65,12 +65,12 @@ func main() {
 	events, cancel := sys.Telemetry().Events.Subscribe(8192)
 	defer cancel()
 
+	scaler := thrifty.DefaultScalerConfig(0.999, plan.Config.R)
 	rep, err := sys.Replay(thrifty.ReplayOptions{
-		From:          0,
-		To:            4 * sim.Day,
-		SampleEvery:   2 * time.Hour,
-		EnableScaling: true,
-		ScalerConfig:  thrifty.DefaultScalerConfig(0.999, plan.Config.R),
+		From:        0,
+		To:          4 * sim.Day,
+		SampleEvery: 2 * time.Hour,
+		Scaling:     &scaler,
 		TakeOver: &thrifty.TakeOver{
 			Tenant:   victim,
 			Start:    sim.Day,

@@ -42,8 +42,8 @@ type ReconsolidationInput struct {
 const (
 	// ReasonUnflagged: nothing disturbed the group — it kept its placement.
 	ReasonUnflagged = "unflagged"
-	// ReasonFlagged: the elastic scaler (or the online control loop) put the
-	// group on the re-consolidation list.
+	// ReasonFlagged: the elastic scaler put the group on the
+	// re-consolidation list.
 	ReasonFlagged = "flagged"
 	// ReasonDepartedMember: at least one member de-registered this cycle.
 	ReasonDepartedMember = "departed-member"
@@ -53,8 +53,8 @@ const (
 )
 
 // GroupDecision records the keep/repack verdict for one previous group, in
-// plan order. The online control loop and the GET /v1/reconsolidation
-// endpoint surface it so operators can see *why* a group was disturbed.
+// plan order. The GET /v1/reconsolidation endpoint surfaces it so operators
+// can see *why* a group was disturbed.
 type GroupDecision struct {
 	// Group is the previous plan's group ID.
 	Group string `json:"group"`

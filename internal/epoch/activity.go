@@ -11,8 +11,8 @@
 // algebra. A CountSet is a list of (start, end, count) segments, and a
 // candidate tenant is evaluated by a merge-walk yielding the transition vector
 // up[c] — the number of epochs whose count would rise from c to c+1 — at a
-// cost that follows the *intervals* involved, not the epoch width; the online
-// placer, FFD, the exact solver and the audits use it. The T_best search
+// cost that follows the *intervals* involved, not the epoch width; FFD, the
+// exact solver, re-consolidation and the audits use it. The T_best search
 // builds its one open group in a DenseSet, one counter per epoch, where the
 // walks follow the candidate's epochs: on the planner's 3 s grid a tenant's
 // spans average under three epochs, so that is the cheaper walk.

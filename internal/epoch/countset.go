@@ -1,9 +1,6 @@
 package epoch
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "math/bits"
 
 // CountSet maintains the per-epoch active-tenant count of a tenant-group as
 // tenants are added, without storing one slot per epoch. It supports the two
@@ -20,9 +17,9 @@ import (
 //
 // Internally the count function is a sorted list of segments with count ≥ 1;
 // epochs outside every segment have count 0. Its cost follows the spans
-// involved, not the epochs, so it suits the many live sets of the online
-// placer, FFD and the exact solver; the T_best search's one open group is a
-// DenseSet.
+// involved, not the epochs, so it suits the many open groups of FFD and the
+// exact solver and the groups Reconsolidate and Verify re-derive; the T_best
+// search's one open group is a DenseSet.
 type CountSet struct {
 	histogram
 	segs  []countSeg // disjoint, sorted, count ≥ 1, no equal-count adjacency
@@ -138,21 +135,65 @@ func (cs *CountSet) preview(sp Spans, up []int64) Transition {
 	return Transition{Up: up}
 }
 
-// Add commits sp into the count function. sp must be valid and within
+// Add commits sp into the count function in one merge walk. Segments between
+// two spans are untouched and copied as whole runs; the histogram is
+// maintained on exactly the epochs whose count moves; and the retired segment
+// list is kept as the spare buffer for the next commit, so a commit allocates
+// only when the list outgrows both buffers. sp must be valid and within
 // [0, D).
 func (cs *CountSet) Add(sp Spans) {
 	cs.n++
-	cs.shift(sp, 1)
-}
-
-// Remove is the inverse of Add: it commits the departure of a previously
-// added activity, decrementing the count on sp's epochs. Every epoch of sp
-// must currently have count ≥ 1 — callers remove exactly the spans they
-// added (the online control loop removes a tenant's running profile, the
-// union of its planned spans and every streamed delta).
-func (cs *CountSet) Remove(sp Spans) {
-	cs.n--
-	cs.shift(sp, -1)
+	if len(sp) == 0 {
+		return
+	}
+	segs := cs.segs
+	out := cs.spare[:0]
+	if need := len(segs) + 2*len(sp); cap(out) < need {
+		out = make([]countSeg, 0, 2*need) // headroom: a growing set allocates O(log) times
+	}
+	hist := append(cs.hist, 0) // room for a new maximum; trimmed below
+	si := 0
+	for _, s := range sp {
+		// The run of segments that end before this span starts.
+		j := seekSeg(segs, si, s.S)
+		out = appendRun(out, segs[si:j])
+		si = j
+		// A segment may straddle the span start: split it.
+		if si < len(segs) && segs[si].s < s.S {
+			out = appendSeg(out, countSeg{segs[si].s, s.S, segs[si].c})
+			segs[si].s = s.S // consume the head; remainder handled below
+		}
+		for cur := s.S; cur < s.E; {
+			// The piece [cur, hi) sits at one count c: 0 in a gap between
+			// segments, else the count of the segment it lies in.
+			hi, c := s.E, int32(0)
+			switch {
+			case si < len(segs) && segs[si].s <= cur:
+				c = segs[si].c
+				if segs[si].e <= hi {
+					hi = segs[si].e
+					si++
+				} else {
+					segs[si].s = hi // tail of the straddling segment
+				}
+			case si < len(segs) && segs[si].s < hi:
+				hi = segs[si].s
+			}
+			n := int64(hi - cur)
+			if c > 0 {
+				hist[c] -= n
+			}
+			hist[c+1] += n
+			out = appendSeg(out, countSeg{cur, hi, c + 1})
+			cur = hi
+		}
+	}
+	out = appendRun(out, segs[si:])
+	cs.spare = segs[:0] // retire the old list as the next commit's buffer
+	cs.segs = out
+	cs.hist = hist
+	cs.trim()
+	cs.viewTop()
 }
 
 // Fill makes cs the count function of members, as Reset followed by one Add
@@ -204,72 +245,6 @@ func (cs *CountSet) Fill(members []Spans) {
 		}
 	}
 	cs.segs, cs.hist = segs, hist
-	cs.viewTop()
-}
-
-// shift moves the count of every epoch of sp by d (+1 or −1) in one merge
-// walk. Segments between two spans are untouched and copied as whole runs;
-// the histogram is maintained on exactly the epochs whose count moves; and
-// the retired segment list is kept as the spare buffer for the next commit,
-// so a commit allocates only when the list outgrows both buffers.
-func (cs *CountSet) shift(sp Spans, d int32) {
-	if len(sp) == 0 {
-		return
-	}
-	segs := cs.segs
-	out := cs.spare[:0]
-	if need := len(segs) + 2*len(sp); cap(out) < need {
-		out = make([]countSeg, 0, 2*need) // headroom: a growing set allocates O(log) times
-	}
-	hist := cs.hist
-	if d > 0 {
-		hist = append(hist, 0) // room for a new maximum; trimmed below
-	}
-	si := 0
-	for _, s := range sp {
-		// The run of segments that end before this span starts.
-		j := seekSeg(segs, si, s.S)
-		out = appendRun(out, segs[si:j])
-		si = j
-		// A segment may straddle the span start: split it.
-		if si < len(segs) && segs[si].s < s.S {
-			out = appendSeg(out, countSeg{segs[si].s, s.S, segs[si].c})
-			segs[si].s = s.S // consume the head; remainder handled below
-		}
-		for cur := s.S; cur < s.E; {
-			// The piece [cur, hi) sits at one count c: 0 in a gap between
-			// segments, else the count of the segment it lies in.
-			hi, c := s.E, int32(0)
-			switch {
-			case si < len(segs) && segs[si].s <= cur:
-				c = segs[si].c
-				if segs[si].e <= hi {
-					hi = segs[si].e
-					si++
-				} else {
-					segs[si].s = hi // tail of the straddling segment
-				}
-			case d < 0:
-				panic(fmt.Sprintf("epoch: Remove of epochs at count 0 (at epoch %d)", cur))
-			case si < len(segs) && segs[si].s < hi:
-				hi = segs[si].s
-			}
-			n := int64(hi - cur)
-			if c > 0 {
-				hist[c] -= n
-			}
-			if c += d; c > 0 {
-				hist[c] += n
-				out = appendSeg(out, countSeg{cur, hi, c})
-			}
-			cur = hi
-		}
-	}
-	out = appendRun(out, segs[si:])
-	cs.spare = segs[:0] // retire the old list as the next commit's buffer
-	cs.segs = out
-	cs.hist = hist
-	cs.trim()
 	cs.viewTop()
 }
 

@@ -295,3 +295,20 @@ func BenchmarkPreview(b *testing.B) {
 		_ = cs.Preview(cand)
 	}
 }
+
+func TestNewHistAtExported(t *testing.T) {
+	cs := NewCountSet(100)
+	cs.Add(Spans{{0, 10}})
+	cs.Add(Spans{{5, 15}})
+	tr := cs.Preview(Spans{{8, 12}})
+	max := cs.NewMax(tr)
+	hist := cs.NewHist(tr)
+	if got := cs.NewHistAt(tr, max); got != hist[max] {
+		t.Fatalf("NewHistAt(%d)=%d want %d", max, got, hist[max])
+	}
+	for c := 1; c <= max; c++ {
+		if got := cs.NewHistAt(tr, c); got != hist[c] {
+			t.Fatalf("NewHistAt(%d)=%d want %d", c, got, hist[c])
+		}
+	}
+}

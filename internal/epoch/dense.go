@@ -11,8 +11,8 @@ import (
 // member's epochs and of the top two count levels let a patch and the bounded
 // preview's head check meet a candidate's 64-epoch words one AND at a time.
 // The price is 4 bytes plus 3 bits per epoch for as long as the set lives
-// (0.9 MB on a 7-day grid of 3 s epochs): one set per solver worker, not the
-// thousands of live groups the online placer and FFD keep in CountSets. The
+// (0.9 MB on a 7-day grid of 3 s epochs): one set per solver worker, not one
+// per group, as FFD and the exact solver keep CountSets. The
 // counters are int32: members that all share one epoch hold the TTP at
 // (D-1)/D however many they are, so a narrower counter could overflow on a
 // reachable input.

@@ -199,10 +199,8 @@ func (h *histogram) bounded(tr Transition, bestMax int, bestUp int64) (Transitio
 }
 
 // NewHistAt returns the post-transition histogram value at level c ≥ 1
-// without materializing the histogram. The online placer uses it to compare
-// candidate target groups: each group reports its own resulting top-level
-// share (hist[newMax] after the move), so unlike the drift-free Up[m-1] form
-// the values are comparable across different sets.
+// without materializing the histogram — NewHist and CompareTransitions read
+// it level by level.
 func (h *histogram) NewHistAt(tr Transition, c int) int64 {
 	var v int64
 	if c < len(h.hist) {

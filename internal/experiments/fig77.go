@@ -91,8 +91,8 @@ func Fig77ElasticScaling(env *Env) (*Fig77Result, error) {
 			TakeOver:    takeOver,
 		}
 		if r.scaling {
-			opts.EnableScaling = true
-			opts.ScalerConfig = scaling.DefaultConfig(DefaultP, DefaultR)
+			scfg := scaling.DefaultConfig(DefaultP, DefaultR)
+			opts.Scaling = &scfg
 		}
 		rep, err := replay.Run(eng, dep, env.Cat, w.logs, opts)
 		if err != nil {

@@ -55,10 +55,10 @@ type Problem struct {
 // Measure fills cs with items, whatever it held, and returns the statistics of
 // the group they form under the problem's test (Items is left nil). It is the
 // one place a member list becomes TTP, MaxActive and MaxNodes, so the audits
-// that re-derive a group from its members — Verify, SolutionFromMembers, the
-// advisor's kept-group check — cannot drift from the rule the solvers pack
-// under, and it builds the count function in one sweep (CountSet.Fill) where
-// the solvers merge member by member, so an audit does not repeat the solve.
+// that re-derive a group from its members — Verify and the advisor's
+// kept-group check — cannot drift from the rule the solvers pack under, and
+// it builds the count function in one sweep (CountSet.Fill) where the solvers
+// merge member by member, so an audit does not repeat the solve.
 // cs must span p.D epochs; reusing one across calls reuses its buffers.
 func (p *Problem) Measure(cs *epoch.CountSet, items []*Item) Group {
 	var g Group
@@ -176,40 +176,6 @@ func (s *Solution) Effectiveness(p *Problem) float64 {
 		return 0
 	}
 	return 1 - float64(s.NodesUsed(p.R))/float64(req)
-}
-
-// SolutionFromMembers re-expresses an explicit assignment of item IDs to
-// groups as a Solution, recomputing every group's statistics. The online
-// control loop uses it to audit its live, incrementally maintained
-// partition against the LIVBPwFC constraint with the same Verify the
-// offline solvers answer to.
-func SolutionFromMembers(p *Problem, groups [][]string, algorithm string) (*Solution, error) {
-	idx := make(map[string]int, len(p.Items))
-	for i, it := range p.Items {
-		idx[it.ID] = i
-	}
-	sol := &Solution{Algorithm: algorithm}
-	cs := epoch.NewCountSet(p.D)
-	var items []*Item
-	for gi, members := range groups {
-		if len(members) == 0 {
-			return nil, fmt.Errorf("grouping: member group %d is empty", gi)
-		}
-		var indices []int
-		items = items[:0]
-		for _, id := range members {
-			i, ok := idx[id]
-			if !ok {
-				return nil, fmt.Errorf("grouping: member %q is not a problem item", id)
-			}
-			indices = append(indices, i)
-			items = append(items, p.Items[i])
-		}
-		g := p.Measure(cs, items)
-		g.Items = indices
-		sol.Groups = append(sol.Groups, g)
-	}
-	return sol, nil
 }
 
 // Verify checks that the solution is a valid partition of the problem's

@@ -14,7 +14,6 @@ package master
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/admission"
@@ -93,16 +92,13 @@ func (o Options) NewPool(plan *advisor.Plan) *cluster.Pool {
 // DeployedGroup is one tenant-group brought up on the cluster.
 type DeployedGroup = runtime.GroupRuntime
 
-// Deployment is a live MPPDBaaS deployment.
+// Deployment is a live MPPDBaaS deployment. Deploy builds it whole; its
+// groups, tenant index and readiness times do not change afterwards.
 type Deployment struct {
-	eng    *sim.Engine // shared-mode engine; unused by groups when sharded
 	pool   *cluster.Pool
 	plane  *runtime.Plane
-	dom    *sim.Domain // shared-mode domain; nil when sharded
 	triage *recovery.Triage
-
-	mu    sync.Mutex
-	ready map[string]sim.Time
+	ready  map[string]sim.Time
 }
 
 // Master executes deployment plans.
@@ -130,14 +126,13 @@ func (m *Master) Deploy(plan *advisor.Plan, tenants map[string]*tenant.Tenant) (
 	// and therefore safe to call while any single domain is held.
 	engines := make([]*sim.Engine, len(plan.Groups))
 	domains := make([]*sim.Domain, len(plan.Groups))
-	var shared *sim.Domain
 	if m.opts.Sharded {
 		for i := range plan.Groups {
 			engines[i] = sim.NewEngine()
 			domains[i] = sim.NewDomain(engines[i])
 		}
 	} else {
-		shared = sim.NewDomain(m.eng)
+		shared := sim.NewDomain(m.eng)
 		for i := range plan.Groups {
 			engines[i] = m.eng
 			domains[i] = shared
@@ -150,10 +145,8 @@ func (m *Master) Deploy(plan *advisor.Plan, tenants map[string]*tenant.Tenant) (
 		tel = telemetry.NewHub(m.eng, plan.Config.P)
 	}
 	dep := &Deployment{
-		eng:   m.eng,
 		pool:  m.pool,
 		plane: runtime.NewPlane(tel, m.opts.Sharded),
-		dom:   shared,
 		ready: make(map[string]sim.Time),
 	}
 	if m.opts.Triage {
@@ -308,52 +301,6 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 	return g, readyAt, nil
 }
 
-// DeployGroup provisions one additional tenant-group into a live deployment
-// — the online re-consolidation migration path. The group's MPPDBs acquire
-// nodes from the pool and provision with the Table 5.1 startup + bulk-load
-// delay (unless the master runs Immediate); the group joins the
-// deployment's plane *unindexed*, so no tenant routes to it until the
-// caller flips the tenant→group index at cutover (runtime.Plane.Index).
-// Shared-mode deployments put the group on the shared engine and domain
-// (the call must come from the engine's driver); sharded deployments give
-// it a private engine and domain. p is the run-time guarantee for the
-// optional admission controller. The returned time is when provisioning
-// completes (the engine's now under Immediate).
-func (m *Master) DeployGroup(dep *Deployment, pg advisor.PlannedGroup, p float64,
-	tenants map[string]*tenant.Tenant) (*DeployedGroup, sim.Time, error) {
-	eng, dom := m.eng, dep.dom
-	if dep.Sharded() {
-		eng = sim.NewEngine()
-		dom = sim.NewDomain(eng)
-	}
-	tel := dep.plane.Hub()
-	g, readyAt, err := m.buildGroup(eng, dom, tel, dep.triage, pg, p, tenants)
-	if err != nil {
-		return nil, 0, err
-	}
-	if readyAt == 0 {
-		readyAt = eng.Now()
-	}
-	dep.plane.Attach(g)
-	dep.mu.Lock()
-	dep.ready[pg.ID] = readyAt
-	dep.mu.Unlock()
-	return g, readyAt, nil
-}
-
-// ReleaseGroup detaches a drained group from the deployment and returns its
-// machine nodes to the pool. The caller must have migrated every member
-// away (the group no longer appears in the tenant→group index) and allowed
-// in-flight queries to finish.
-func (d *Deployment) ReleaseGroup(g *DeployedGroup) int {
-	d.plane.Detach(g)
-	freed := 0
-	for _, inst := range g.Instances {
-		freed += d.pool.Release(inst.ID())
-	}
-	return freed
-}
-
 // Groups returns the deployed tenant-groups.
 func (d *Deployment) Groups() []*DeployedGroup { return d.plane.Groups() }
 
@@ -379,8 +326,6 @@ func (d *Deployment) GroupFor(tenantID string) (*DeployedGroup, bool) {
 // ReadyAt returns when a group's provisioning completes (zero when deployed
 // with Options.Immediate).
 func (d *Deployment) ReadyAt(groupID string) sim.Time {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	return d.ready[groupID]
 }
 

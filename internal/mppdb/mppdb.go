@@ -250,22 +250,6 @@ func (m *Instance) DeployTenant(tenantID string, dataGB float64) {
 	m.DeployTenantRef(m.in.Intern(tenantID), dataGB)
 }
 
-// RemoveTenantRef drops a tenant schema by ref.
-func (m *Instance) RemoveTenantRef(ref tenant.Ref) {
-	if ref < 0 || int(ref) >= len(m.deployed) {
-		return
-	}
-	m.deployed[ref] = false
-	m.tenantGB[ref] = 0
-}
-
-// RemoveTenant drops a tenant schema.
-func (m *Instance) RemoveTenant(tenantID string) {
-	if ref, ok := m.in.Lookup(tenantID); ok {
-		m.RemoveTenantRef(ref)
-	}
-}
-
 // HasTenantRef reports whether the ref's data is deployed here.
 func (m *Instance) HasTenantRef(ref tenant.Ref) bool {
 	return ref >= 0 && int(ref) < len(m.deployed) && m.deployed[ref]

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/master"
-	"repro/internal/online"
 	"repro/internal/sim"
 )
 
@@ -99,9 +98,8 @@ func disturbed(g *master.DeployedGroup, victim string) Options {
 // the commit before arrivals were streamed (one closure and one engine event
 // per logged query, all scheduled up front). The streamed source must fire
 // the same submissions in the same order against every other event: plain,
-// with a closed-loop take-over and node failures racing the arrivals, across
-// per-group engines, and with the online controller live-migrating a tenant
-// between two of its arrivals.
+// with a closed-loop take-over and node failures racing the arrivals, and
+// across per-group engines.
 func TestReplayEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
@@ -124,24 +122,6 @@ func TestReplayEquivalence(t *testing.T) {
 			w := newWorldMode(t, 30, 3, 1, true)
 			return runParallel(t, w, disturbed(multiMemberGroup(t, w.dep)))
 		}, outcome{58309, 0, 58309, 0xec602d32e7d2581, 0x4ee5ab2e532b0036, 291266, 1}},
-		{"shared-online", func(t *testing.T) outcome {
-			w := newWorld(t, 30, 3, 1)
-			_, victim := multiMemberGroup(t, w.dep)
-			mig := master.New(w.eng, w.dep.Pool(), master.Options{ParallelLoad: true})
-			ctl, err := online.New(w.eng, w.dep, mig, w.plan, w.logs,
-				online.DefaultConfig(w.plan.Config, 3*sim.Day))
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctl.Start()
-			opts := Options{From: 0, To: 2 * sim.Day, TakeOver: &TakeOver{
-				Tenant: victim, Start: sim.Hour, Interval: 2 * time.Second, ClassID: "TPCH-Q1"}}
-			o := runShared(t, w, opts)
-			if len(ctl.Migrations()) == 0 {
-				t.Error("the controller migrated nobody: the scenario no longer re-resolves a tenant mid-replay")
-			}
-			return o
-		}, outcome{60222, 0, 53068, 0x67a00ac398de75f5, 0x17de09f0bb88be65, 177705, 0}},
 	}
 	for _, c := range cases {
 		c := c

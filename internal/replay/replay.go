@@ -60,10 +60,9 @@ type Failure struct {
 type Options struct {
 	// From and To bound the replayed window.
 	From, To sim.Time
-	// EnableScaling arms the lightweight elastic scaler.
-	EnableScaling bool
-	// ScalerConfig parameterizes the scaler when enabled.
-	ScalerConfig scaling.Config
+	// Scaling, when non-nil, arms the §5.1 lightweight elastic scaler with
+	// this config.
+	Scaling *scaling.Config
 	// SampleEvery sets the statistics sampling period (default 10 min).
 	SampleEvery time.Duration
 	// TakeOver, when non-nil, injects the §7.5 over-activity.
@@ -188,12 +187,11 @@ func route(a workload.Arrival, g *master.DeployedGroup, ref tenant.Ref) error {
 	return err
 }
 
-// resolved is one log's tenant as the plane's index held it at generation
-// gen.
+// resolved is one log's tenant as the plane indexes it; g is nil for a
+// tenant the plane does not hold.
 type resolved struct {
 	g   *master.DeployedGroup
 	ref tenant.Ref
-	gen uint64
 }
 
 // Attach streams the logs' query events in [from, to) into the engine, each
@@ -204,11 +202,8 @@ type resolved struct {
 // traffic on a window of its own (the drift experiment's joiners and
 // leavers) attaches that before calling Run.
 //
-// A tenant is looked up in the plane again only when the plane's index has
-// moved since its last lookup — the online control loop may live-migrate it
-// mid-window — so a static deployment hashes each tenant's ID once. The
-// cache, one slot per log, belongs to this stream's driver goroutine; misses
-// are not cached.
+// The plane does not change once deployed, so each log's tenant is resolved
+// once, here, before any arrival is driven.
 func Attach(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog, logs []*workload.TenantLog,
 	from, to sim.Time, submit SubmitFunc, tally *Counts) error {
 	arrivals, err := workload.NewStream(cat, logs, from, to)
@@ -218,20 +213,14 @@ func Attach(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog, logs 
 	if submit == nil {
 		submit = route
 	}
-	plane := dep.Plane()
 	routes := make([]resolved, len(logs))
+	for i, tl := range logs {
+		routes[i].g, routes[i].ref, _ = dep.Plane().ForTenantRef(tl.Tenant.ID)
+	}
 	arrivals.Drive(eng, func(a workload.Arrival) {
 		tally.Submitted++
 		r := &routes[a.Log]
-		if gen := plane.Generation(); r.g == nil || r.gen != gen {
-			g, ref, ok := plane.ForTenantRef(a.Tenant)
-			if !ok {
-				tally.SubmitErrors++
-				return
-			}
-			*r = resolved{g: g, ref: ref, gen: gen}
-		}
-		if submit(a, r.g, r.ref) != nil {
+		if r.g == nil || submit(a, r.g, r.ref) != nil {
 			tally.SubmitErrors++
 		}
 	})
@@ -368,19 +357,17 @@ type part struct {
 // schedule puts one engine's share of the replay on eng — arrivals, take-over,
 // failures, sampling, scaling — for the caller to run through the window and
 // the drain. With only nil, eng is the shared engine of every group of the
-// deployment (read live, so a group the online loop deploys mid-window is
-// sampled from then on); otherwise it is only's private engine and the caller
-// holds its domain, so callbacks use the group's raw subsystems and never
-// re-enter locked GroupRuntime methods.
+// deployment; otherwise it is only's private engine and the caller holds its
+// domain, so callbacks use the group's raw subsystems and never re-enter
+// locked GroupRuntime methods.
 func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, only *master.DeployedGroup) (*part, error) {
 	dep, opts := d.dep, d.opts
 	if eng.Now() > opts.From {
 		return nil, fmt.Errorf("replay: engine already at %v, window starts %v", eng.Now(), opts.From)
 	}
-	groups := dep.Groups
-	if only != nil {
-		one := []*master.DeployedGroup{only}
-		groups = func() []*master.DeployedGroup { return one }
+	groups := []*master.DeployedGroup{only}
+	if only == nil {
+		groups = dep.Groups()
 	}
 	mine := func(tenantID string) bool {
 		g, ok := dep.GroupFor(tenantID)
@@ -406,6 +393,7 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, only *mas
 	// self-inflicted slowdown would drown the group's numbers.
 	if to := opts.TakeOver; to != nil && mine(to.Tenant) {
 		group, _ := dep.GroupFor(to.Tenant)
+		rt := group.Router
 		eng.Schedule(to.Start, func(sim.Time) {
 			if h := dep.Telemetry(); h != nil {
 				h.Events.Publish(telemetry.Event{
@@ -421,13 +409,9 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, only *mas
 			if now >= opts.To {
 				return
 			}
-			// Re-resolve the victim's group every round: the online control
-			// loop may have live-migrated the tenant since the last query
-			// (for a static deployment this is the same group every time).
-			g, ok := dep.GroupFor(to.Tenant)
-			if ok && g.Router.TenantInFlight(to.Tenant) == 0 {
+			if rt.TenantInFlight(to.Tenant) == 0 {
 				p.Submitted++
-				if _, err := g.Router.Submit(to.Tenant, d.takeOver); err != nil {
+				if _, err := rt.Submit(to.Tenant, d.takeOver); err != nil {
 					p.SubmitErrors++
 				}
 			}
@@ -443,7 +427,7 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, only *mas
 	// any group, so the layouts arm the same controllers), so failure-free
 	// replays keep their pre-controller event schedule bit-identically.
 	if len(d.fails) > 0 {
-		for _, g := range groups() {
+		for _, g := range groups {
 			if g.Recovery == nil {
 				rc, err := recovery.New(eng, dep.Pool(), g.Plan.ID, g.Instances, recoveryConfig(opts))
 				if err != nil {
@@ -470,7 +454,7 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, only *mas
 	var tick sim.Event // one event re-keyed for every sample
 	var sample func(now sim.Time)
 	sample = func(now sim.Time) {
-		for _, g := range groups() {
+		for _, g := range groups {
 			rt := g.Monitor.RTTTP()
 			p.samples[g.Plan.ID] = append(p.samples[g.Plan.ID], Sample{
 				At:     now,
@@ -494,14 +478,14 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, only *mas
 	// (mutex-protected) node pool. Scale-up MPPDB IDs stay deterministic: a
 	// scaler numbers the instances it adds under their group's name, and a
 	// private engine's scaler watches that one group.
-	if opts.EnableScaling {
+	if opts.Scaling != nil {
 		var err error
-		p.scaler, err = scaling.New(eng, dep.Pool(), opts.ScalerConfig)
+		p.scaler, err = scaling.New(eng, dep.Pool(), *opts.Scaling)
 		if err != nil {
 			return nil, err
 		}
 		p.scaler.SetTelemetry(dep.Telemetry())
-		for _, g := range groups() {
+		for _, g := range groups {
 			p.scaler.Watch(&scaling.Target{Router: g.Router, Monitor: g.Monitor, Members: g.Members})
 		}
 		p.scaler.Start()

@@ -187,37 +187,6 @@ func (r *GroupRouter) Ref(id string) tenant.Ref {
 // OnResult registers an observer for completed queries.
 func (r *GroupRouter) OnResult(fn func(monitor.QueryRecord)) { r.onResult = fn }
 
-// AddTenant admits a tenant into the group at run time — the live-migration
-// cutover path. The tenant's data must already be loaded on every group
-// MPPDB (the migration provisions before the cutover flips routing). Like
-// all router mutations it must run on the group's engine (inside its clock
-// domain): the router itself is not locked.
-func (r *GroupRouter) AddTenant(tn *tenant.Tenant) error {
-	if r.Ref(tn.ID) != tenant.NoRef {
-		return nil
-	}
-	for _, db := range r.dbs {
-		if !db.HasTenant(tn.ID) {
-			return fmt.Errorf("router: tenant %s not deployed on %s", tn.ID, db.ID())
-		}
-	}
-	r.indexMember(r.in.Intern(tn.ID), tn)
-	return nil
-}
-
-// RemoveTenant withdraws a tenant from the group at run time (departure or
-// migration away): subsequent submits for it fail, while queries already
-// executing complete normally — their completion contexts hold direct
-// instance references and never consult the tenant index. In-domain only,
-// like AddTenant.
-func (r *GroupRouter) RemoveTenant(id string) {
-	if ref := r.Ref(id); ref != tenant.NoRef {
-		r.byRef[ref] = nil
-		r.overByRef[ref] = override{}
-		r.members--
-	}
-}
-
 // SetTelemetry attaches a telemetry hub. A nil hub disables instrumentation.
 func (r *GroupRouter) SetTelemetry(h *telemetry.Hub) {
 	r.tel = h

@@ -225,52 +225,6 @@ func TestAccessors(t *testing.T) {
 		t.Error("Instances wrong")
 	}
 
-	// Membership churn: the member count and HasTenant follow every add and
-	// remove, including the no-op ones.
-	check := func(step string, members int, has map[string]bool) {
-		t.Helper()
-		if got := r.r.Members(); got != members {
-			t.Errorf("%s: Members() = %d, want %d", step, got, members)
-		}
-		for id, want := range has {
-			if got := r.r.HasTenant(id); got != want {
-				t.Errorf("%s: HasTenant(%q) = %v, want %v", step, id, got, want)
-			}
-		}
-	}
-	b := tn("b", 2)
-	for _, db := range r.dbs {
-		db.DeployTenant(b.ID, b.DataGB) // interns b without making it a member
-	}
-	r.r.RemoveTenant("b")
-	r.r.RemoveTenant("ghost")
-	check("remove non-members", 1, map[string]bool{"a": true, "b": false, "ghost": false})
-	for i := 0; i < 2; i++ {
-		if err := r.r.AddTenant(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	check("add twice", 2, map[string]bool{"a": true, "b": true})
-	if _, err := r.r.Submit("b", r.cl); err != nil {
-		t.Errorf("added member rejected: %v", err)
-	}
-	r.r.RemoveTenant("b")
-	r.r.RemoveTenant("b")
-	check("remove twice", 1, map[string]bool{"a": true, "b": false})
-	if _, err := r.r.Submit("b", r.cl); err == nil {
-		t.Error("removed member accepted")
-	}
-	if err := r.r.SetOverride("b", r.dbs[1]); err == nil {
-		t.Error("override for a removed member accepted")
-	}
-	if err := r.r.AddTenant(b); err != nil {
-		t.Fatal(err)
-	}
-	check("re-add", 2, map[string]bool{"a": true, "b": true})
-	r.r.RemoveTenant("a")
-	check("remove the original", 1, map[string]bool{"a": false, "b": true})
-	r.eng.RunAll()
-
 	if dup := newRig(t, 2, 2, tn("a", 2), tn("a", 2)); dup.r.Members() != 1 {
 		t.Errorf("a member listed twice counts %d times", dup.r.Members())
 	}

@@ -67,12 +67,6 @@ type GroupRuntime struct {
 
 	dom *sim.Domain
 
-	// memberIdx indexes Members by tenant ID for O(1) membership checks on
-	// the migration paths. It is built lazily (deploy populates Members via
-	// a struct literal) and maintained by AddMember/RemoveMember. In-domain
-	// only, like the methods that use it.
-	memberIdx map[string]int
-
 	// sheddingOnly is set by the brownout controller at its top level:
 	// stats readers then serve the cached snapshot instead of advancing or
 	// locking the overloaded group's domain.
@@ -110,56 +104,6 @@ func (g *GroupRuntime) Domain() *sim.Domain { return g.dom }
 
 // Now returns the group's virtual time without blocking.
 func (g *GroupRuntime) Now() sim.Time { return g.dom.Now() }
-
-// rebuildMemberIdx (re)derives the membership index from Members.
-func (g *GroupRuntime) rebuildMemberIdx() {
-	g.memberIdx = make(map[string]int, len(g.Members))
-	for i, m := range g.Members {
-		g.memberIdx[m.ID] = i
-	}
-}
-
-// HasMember reports whether the tenant is in the group's member list — O(1)
-// against the membership index. In-domain only.
-func (g *GroupRuntime) HasMember(id string) bool {
-	if g.memberIdx == nil {
-		g.rebuildMemberIdx()
-	}
-	_, ok := g.memberIdx[id]
-	return ok
-}
-
-// AddMember appends a tenant to the group's member list. In-domain only —
-// the migration cutover calls it from an engine callback.
-func (g *GroupRuntime) AddMember(tn *tenant.Tenant) {
-	if g.memberIdx == nil {
-		g.rebuildMemberIdx()
-	}
-	if _, ok := g.memberIdx[tn.ID]; ok {
-		return
-	}
-	g.memberIdx[tn.ID] = len(g.Members)
-	g.Members = append(g.Members, tn)
-}
-
-// RemoveMember drops a tenant from the group's member list, preserving
-// member order. In-domain only.
-func (g *GroupRuntime) RemoveMember(id string) {
-	if g.memberIdx == nil {
-		g.rebuildMemberIdx()
-	}
-	i, ok := g.memberIdx[id]
-	if !ok {
-		return
-	}
-	delete(g.memberIdx, id)
-	// The three-index slice forces a fresh backing array so snapshots of
-	// Members held elsewhere are not clobbered (as before the index).
-	g.Members = append(g.Members[:i:i], g.Members[i+1:]...)
-	for j := i; j < len(g.Members); j++ {
-		g.memberIdx[g.Members[j].ID] = j
-	}
-}
 
 // RetryPolicy shapes SubmitBatchAt: how often a transiently failed submit
 // is re-tried against the group's replica set, and when to give up.
@@ -545,17 +489,11 @@ func (g *GroupRuntime) RecordCountAt(at sim.Time) int {
 // tenant→group index for O(1) dispatch at the front door, and the deduped
 // set of clock domains driving them.
 //
-// The plane is mutable at run time: the online re-consolidation loop
-// attaches new groups while they provision, flips the tenant→group index
-// atomically at migration cutover, and detaches drained groups. All
-// membership state is guarded by one RWMutex; the lock is never held across
-// a domain advance, so index flips performed from inside an engine callback
-// cannot deadlock against concurrent readers driving the clock. Every change
-// to the tenant index moves a generation counter, so a caller that caches
-// lookups knows when they went stale.
+// The plane is built once: the Deployment Master adds every group before it
+// returns the deployment, and nothing changes it afterwards. So concurrent
+// readers — submits, scrapes, replay drivers on every group's goroutine —
+// take no lock here.
 type Plane struct {
-	mu      sync.RWMutex
-	gen     atomic.Uint64
 	groups  []*GroupRuntime
 	byTen   map[string]tenantEntry
 	domains sim.Domains
@@ -565,8 +503,8 @@ type Plane struct {
 }
 
 // tenantEntry is one front-door index entry: the tenant's group plus its
-// interned ref in that group, resolved once at deploy/cutover so the submit
-// hot path never hashes the tenant string below the plane.
+// interned ref in that group, resolved once at deploy so the submit hot path
+// never hashes the tenant string below the plane.
 type tenantEntry struct {
 	g   *GroupRuntime
 	ref tenant.Ref
@@ -584,123 +522,32 @@ func NewPlane(hub *telemetry.Hub, sharded bool) *Plane {
 	}
 }
 
-// entry builds a tenant's index entry, resolving its ref in g's router.
-func entry(g *GroupRuntime, id string) tenantEntry {
-	e := tenantEntry{g: g, ref: tenant.NoRef, id: id}
-	if g.Router != nil {
-		e.ref = g.Router.Ref(id)
-	}
-	return e
-}
-
-// Add registers a bound group: it is indexed by member tenant and its domain
-// joins the plane's domain set (shared domains are deduplicated).
+// Add registers a bound group: it is indexed by member tenant, with each
+// member's ref resolved in the group's router, and its domain joins the
+// plane's domain set (shared domains are deduplicated). It is for building
+// the plane, before any reader sees it.
 func (p *Plane) Add(g *GroupRuntime) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.register(g)
-	for _, tn := range g.Members {
-		p.byTen[tn.ID] = entry(g, tn.ID)
-	}
-	p.gen.Add(1)
-}
-
-// Attach registers a bound group without indexing its members — the live
-// migration path: the group provisions in the background while every member
-// still routes to its current group, until Index flips them over at cutover.
-func (p *Plane) Attach(g *GroupRuntime) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.register(g)
-}
-
-// register adds the group to the group list and domain set; the caller holds
-// the write lock.
-func (p *Plane) register(g *GroupRuntime) {
 	p.groups = append(p.groups, g)
 	p.byDom[g.dom] = append(p.byDom[g.dom], g)
-	for _, d := range p.domains {
-		if d == g.dom {
-			return
+	if len(p.byDom[g.dom]) == 1 {
+		p.domains = append(p.domains, g.dom)
+	}
+	for _, tn := range g.Members {
+		e := tenantEntry{g: g, ref: tenant.NoRef, id: tn.ID}
+		if g.Router != nil {
+			e.ref = g.Router.Ref(tn.ID)
 		}
+		p.byTen[tn.ID] = e
 	}
-	p.domains = append(p.domains, g.dom)
-}
-
-// Index atomically points the given tenants at g — the migration cutover
-// flip. Lookups before the call route to the tenants' previous groups,
-// lookups after it route to g; no lookup ever observes a torn state.
-func (p *Plane) Index(tenantIDs []string, g *GroupRuntime) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, id := range tenantIDs {
-		p.byTen[id] = entry(g, id)
-	}
-	p.gen.Add(1)
-}
-
-// Unindex removes tenants from the front-door index (tenant departure);
-// subsequent lookups fail.
-func (p *Plane) Unindex(tenantIDs []string) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, id := range tenantIDs {
-		delete(p.byTen, id)
-	}
-	p.gen.Add(1)
-}
-
-// Detach removes a drained group from the plane. Its domain leaves the
-// domain set when no other group shares it. Any tenants still indexed to the
-// group are unindexed.
-func (p *Plane) Detach(g *GroupRuntime) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i, og := range p.groups {
-		if og == g {
-			p.groups = append(p.groups[:i:i], p.groups[i+1:]...)
-			break
-		}
-	}
-	gs := p.byDom[g.dom]
-	for i, og := range gs {
-		if og == g {
-			gs = append(gs[:i:i], gs[i+1:]...)
-			break
-		}
-	}
-	if len(gs) == 0 {
-		delete(p.byDom, g.dom)
-		for i, d := range p.domains {
-			if d == g.dom {
-				p.domains = append(p.domains[:i:i], p.domains[i+1:]...)
-				break
-			}
-		}
-	} else {
-		p.byDom[g.dom] = gs
-	}
-	for id, e := range p.byTen {
-		if e.g == g {
-			delete(p.byTen, id)
-		}
-	}
-	p.gen.Add(1)
 }
 
 // Groups returns a snapshot of the plane's groups in deployment order.
 func (p *Plane) Groups() []*GroupRuntime {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make([]*GroupRuntime, len(p.groups))
-	copy(out, p.groups)
-	return out
+	return append([]*GroupRuntime(nil), p.groups...)
 }
 
 // GroupByID returns the group with the given plan ID.
 func (p *Plane) GroupByID(id string) (*GroupRuntime, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	for _, g := range p.groups {
 		if g.Plan.ID == id {
 			return g, true
@@ -713,8 +560,6 @@ func (p *Plane) GroupByID(id string) (*GroupRuntime, bool) {
 // group and instance — the lookup the correlated-failure injector uses to
 // turn pool casualties back into instance degradations.
 func (p *Plane) InstanceByID(id string) (*GroupRuntime, *mppdb.Instance, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	for _, g := range p.groups {
 		for _, inst := range g.Instances {
 			if inst.ID() == id {
@@ -727,43 +572,30 @@ func (p *Plane) InstanceByID(id string) (*GroupRuntime, *mppdb.Instance, bool) {
 
 // ForTenant returns the group hosting the tenant.
 func (p *Plane) ForTenant(id string) (*GroupRuntime, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	e, ok := p.byTen[id]
 	return e.g, ok
 }
 
 // ForTenantRef returns the group hosting the tenant together with the
-// tenant's interned ref in that group, resolved once at deploy or cutover.
-// The ref is NoRef only for a group bound without a router.
+// tenant's interned ref in that group, resolved once at deploy. The ref is
+// NoRef only for a group bound without a router.
 func (p *Plane) ForTenantRef(id string) (*GroupRuntime, tenant.Ref, bool) {
-	g, ref, _, ok := p.Lookup(id)
-	return g, ref, ok
+	e, ok := p.byTen[id]
+	return e.g, e.ref, ok
 }
 
 // Lookup is ForTenantRef for an id that may not outlive the call, such as a
 // string aliasing a request buffer: it also returns the id as the plane
-// holds it, which stays valid for as long as the tenant is indexed. Callers
-// put that one into a BatchItem, since admission, events and typed errors
-// keep the item's tenant string.
+// holds it, which stays valid for as long as the plane. Callers put that one
+// into a BatchItem, since admission, events and typed errors keep the item's
+// tenant string.
 func (p *Plane) Lookup(id string) (*GroupRuntime, tenant.Ref, string, bool) {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
 	e, ok := p.byTen[id]
 	return e.g, e.ref, e.id, ok
 }
 
-// Generation returns a counter that moves on every change to the tenant
-// index (Add, Index, Unindex, Detach). A lookup made after reading generation
-// n stays current for as long as Generation still returns n.
-func (p *Plane) Generation() uint64 { return p.gen.Load() }
-
 // Tenants returns the number of indexed tenants.
-func (p *Plane) Tenants() int {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return len(p.byTen)
-}
+func (p *Plane) Tenants() int { return len(p.byTen) }
 
 // Sharded reports whether groups run on private clock domains.
 func (p *Plane) Sharded() bool { return p.sharded }
@@ -773,25 +605,19 @@ func (p *Plane) Hub() *telemetry.Hub { return p.hub }
 
 // Domains returns a snapshot of the plane's distinct clock domains.
 func (p *Plane) Domains() sim.Domains {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	out := make(sim.Domains, len(p.domains))
-	copy(out, p.domains)
-	return out
+	return append(sim.Domains(nil), p.domains...)
 }
 
 // Now returns the most advanced group clock.
-func (p *Plane) Now() sim.Time { return p.Domains().Now() }
+func (p *Plane) Now() sim.Time { return p.domains.Now() }
 
 // AdvanceAll drives every domain up to the target time. Read-side endpoints
 // use it so a scrape reflects everything that should have happened by now.
 // A domain whose groups are all shedding-only is skipped: the brownout
 // controller owns its pacing, and a scrape must not queue behind — or pile
-// extra work onto — an overloaded group. The membership lock is released
-// before any domain advances: callbacks running inside an advance (the
-// online control loop) are free to mutate the plane.
+// extra work onto — an overloaded group.
 func (p *Plane) AdvanceAll(at sim.Time) {
-	for _, d := range p.Domains() {
+	for _, d := range p.domains {
 		if p.allShedding(d) {
 			continue
 		}
@@ -800,13 +626,7 @@ func (p *Plane) AdvanceAll(at sim.Time) {
 }
 
 func (p *Plane) allShedding(d *sim.Domain) bool {
-	p.mu.RLock()
-	gs := append([]*GroupRuntime(nil), p.byDom[d]...)
-	p.mu.RUnlock()
-	if len(gs) == 0 {
-		return false
-	}
-	for _, g := range gs {
+	for _, g := range p.byDom[d] {
 		if !g.SheddingOnly() {
 			return false
 		}

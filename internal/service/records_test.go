@@ -20,7 +20,9 @@ import (
 func TestRecordsFilterEqualsFilteredAll(t *testing.T) {
 	tenants := []string{"t1", "t2", "down", "t3"} // "down" gets a group of its own
 	dep, plan := deployBatchMix(t, tenants, nil)
-	if g1, _ := dep.GroupFor("t1"); len(dep.Groups()) < 2 || !g1.HasMember("t2") || g1.HasMember("down") {
+	g1, _ := dep.GroupFor("t1")
+	g2, _ := dep.GroupFor("t2")
+	if gd, _ := dep.GroupFor("down"); len(dep.Groups()) < 2 || g1 != g2 || g1 == gd {
 		t.Fatalf("want t1 and t2 sharing a group and down in another; %d groups", len(dep.Groups()))
 	}
 	srv, err := New(dep, queries.Default(), plan, Config{TimeScale: 60})

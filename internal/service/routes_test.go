@@ -46,7 +46,6 @@ func TestRoutesMatchServeMux(t *testing.T) {
 			{"GET /v1/admission", "/v1/admission", s.handleAdmission},
 			{"GET /v1/recovery", "/v1/recovery", s.handleRecovery},
 			{"GET /v1/pool", "/v1/pool", s.handlePool},
-			{"GET /v1/online", "/v1/online", s.handleOnline},
 			{"GET /v1/reconsolidation", "/v1/reconsolidation", s.handleReconsolidation},
 		}
 		if metrics {

@@ -47,7 +47,6 @@ import (
 	"repro/internal/billing"
 	"repro/internal/master"
 	"repro/internal/monitor"
-	"repro/internal/online"
 	"repro/internal/queries"
 	"repro/internal/recovery"
 	"repro/internal/runtime"
@@ -77,10 +76,8 @@ type Server struct {
 	pendMu  sync.Mutex
 	pending []PendingTenant
 
-	// onlineMu guards the optional online control loop and the last offline
-	// re-consolidation report.
-	onlineMu    sync.Mutex
-	online      *online.Controller
+	// reconMu guards the last offline re-consolidation report.
+	reconMu     sync.Mutex
 	reconReport *advisor.ReconsolidationReport
 
 	// coalescers batch concurrent single submits per group (leader/follower):
@@ -197,7 +194,6 @@ func New(dep *master.Deployment, cat *queries.Catalog,
 		"/v1/admission":       get(s.handleAdmission),
 		"/v1/recovery":        get(s.handleRecovery),
 		"/v1/pool":            get(s.handlePool),
-		"/v1/online":          get(s.handleOnline),
 		"/v1/reconsolidation": get(s.handleReconsolidation),
 	}
 	if !cfg.DisableMetrics {
@@ -598,23 +594,13 @@ func (s *Server) allRecords(t sim.Time) []monitor.QueryRecord {
 // tenantRecords returns one tenant's records, sorted; s.topo is read-held. A
 // tenant's queries run in its own group, so only that group's log is read,
 // and the log filters by the tenant's ref — the same rows as filtering
-// allRecords, without materialising and sorting everyone else's. Under the
-// online loop a migrated tenant has records in the group it left as well, so
-// then every group is read.
+// allRecords, without materialising and sorting everyone else's.
 func (s *Server) tenantRecords(tenant string, t sim.Time) []monitor.QueryRecord {
-	s.onlineMu.Lock()
-	migrations := s.online != nil
-	s.onlineMu.Unlock()
-	var groups []*runtime.GroupRuntime
-	if migrations {
-		groups = s.dep.Groups()
-	} else if g, ok := s.dep.Plane().ForTenant(tenant); ok {
-		groups = append(groups, g)
+	g, ok := s.dep.Plane().ForTenant(tenant)
+	if !ok {
+		return nil
 	}
-	var recs []monitor.QueryRecord
-	for _, g := range groups {
-		recs = g.AppendTenantRecordsAt(recs, tenant, t)
-	}
+	recs := g.AppendTenantRecordsAt(nil, tenant, t)
 	slices.SortStableFunc(recs, bySubmit)
 	return recs
 }
@@ -858,8 +844,8 @@ type triageStatus struct {
 // handleRecovery reports the deployment's failure-resilience state: per-group
 // crash-recovery events (node loss → replacement), gray fail-slow episodes
 // with their hedge → drain ladder outcomes, the router's hedge tallies, and
-// any in-flight or failed live migrations. Each group's state is read under
-// its clock domain, advanced to now so due detector beats have fired.
+// the scarcity triage queue when armed. Each group's state is read under its
+// clock domain, advanced to now so due detector beats have fired.
 func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
 	s.topo.RLock()
 	t := s.target()
@@ -895,23 +881,9 @@ func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
 	}
 	s.topo.RUnlock()
 
-	// In-flight and failed migrations, when the online loop is attached —
-	// the crash watchers' abort/promotion outcomes surface here.
-	s.onlineMu.Lock()
-	ctl := s.online
-	s.onlineMu.Unlock()
-	migs := []online.Migration{}
-	if ctl != nil {
-		for _, m := range ctl.Migrations() {
-			if m.Failed || m.Resolution != "" || !m.CutOver {
-				migs = append(migs, m)
-			}
-		}
-	}
 	out := map[string]any{
-		"enabled":    armed,
-		"groups":     groups,
-		"migrations": migs,
+		"enabled": armed,
+		"groups":  groups,
 	}
 	if tri != nil {
 		out["triage"] = tri
@@ -919,71 +891,26 @@ func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// SetOnline attaches the deployment's online re-consolidation loop so
-// GET /v1/online can report it. Pass nil to detach.
-func (s *Server) SetOnline(ctl *online.Controller) {
-	s.onlineMu.Lock()
-	s.online = ctl
-	s.onlineMu.Unlock()
-}
-
 // SetReconsolidationReport stores the report of the last offline
 // re-consolidation cycle for GET /v1/reconsolidation.
 func (s *Server) SetReconsolidationReport(rep *advisor.ReconsolidationReport) {
-	s.onlineMu.Lock()
+	s.reconMu.Lock()
 	s.reconReport = rep
-	s.onlineMu.Unlock()
-}
-
-// handleOnline reports the online control loop: cumulative counters and every
-// live migration executed or in flight. Virtual time is advanced first so
-// control ticks due by now have fired.
-func (s *Server) handleOnline(w http.ResponseWriter, r *http.Request) {
-	s.onlineMu.Lock()
-	ctl := s.online
-	s.onlineMu.Unlock()
-	if ctl == nil {
-		writeJSON(w, http.StatusOK, map[string]any{"enabled": false})
-		return
-	}
-	s.topo.RLock()
-	s.dep.Plane().AdvanceAll(s.target())
-	s.topo.RUnlock()
-	migs := ctl.Migrations()
-	if migs == nil {
-		migs = []online.Migration{}
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"enabled":    true,
-		"stats":      ctl.Status(),
-		"migrations": migs,
-	})
+	s.reconMu.Unlock()
 }
 
 // handleReconsolidation surfaces the per-group keep/repack decisions of the
-// most recent re-consolidation: the online loop's last scoped fallback when
-// one has run, otherwise the last offline cycle's stored report.
+// last offline re-consolidation cycle's stored report.
 func (s *Server) handleReconsolidation(w http.ResponseWriter, r *http.Request) {
-	s.onlineMu.Lock()
-	ctl := s.online
+	s.reconMu.Lock()
 	rep := s.reconReport
-	s.onlineMu.Unlock()
-	source := "offline"
-	if ctl != nil {
-		s.topo.RLock()
-		s.dep.Plane().AdvanceAll(s.target())
-		s.topo.RUnlock()
-		if lr := ctl.LastReport(); lr != nil {
-			rep = lr
-			source = "online"
-		}
-	}
+	s.reconMu.Unlock()
 	if rep == nil {
 		writeErr(w, http.StatusNotFound, "no re-consolidation has run yet")
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]any{
-		"source": source,
+		"source": "offline",
 		"report": rep,
 	})
 }

@@ -18,7 +18,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/epoch"
 	"repro/internal/master"
-	"repro/internal/online"
 	"repro/internal/queries"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -820,17 +819,10 @@ func TestInstallDuringSubmitStorm(t *testing.T) {
 	}
 }
 
-// TestOnlineEndpointsDetached covers the default state: no control loop, no
-// report.
-func TestOnlineEndpointsDetached(t *testing.T) {
+// TestReconsolidationEndpoint covers GET /v1/reconsolidation before and
+// after an offline cycle's report is stored.
+func TestReconsolidationEndpoint(t *testing.T) {
 	srv, ts, _ := testServer(t)
-	var st map[string]any
-	if code := get(t, ts, "/v1/online", &st); code != http.StatusOK {
-		t.Fatalf("online status %d", code)
-	}
-	if st["enabled"] != false {
-		t.Errorf("online enabled = %v, want false", st["enabled"])
-	}
 	if code := get(t, ts, "/v1/reconsolidation", nil); code != http.StatusNotFound {
 		t.Errorf("reconsolidation status %d, want 404", code)
 	}
@@ -847,78 +839,5 @@ func TestOnlineEndpointsDetached(t *testing.T) {
 	}
 	if rep.Source != "offline" || len(rep.Report.Decisions) != 1 || rep.Report.Decisions[0].Reason != advisor.ReasonUnflagged {
 		t.Errorf("reconsolidation = %+v", rep)
-	}
-}
-
-// TestOnlineEndpointAttached wires a live controller into the server: the
-// endpoint advances virtual time (so due control ticks fire) and reports the
-// loop's counters.
-func TestOnlineEndpointAttached(t *testing.T) {
-	ids := []string{"t1", "t2", "t3", "t4"}
-	tenants := map[string]*tenant.Tenant{}
-	var logs []*workload.TenantLog
-	for i, id := range ids {
-		tn := &tenant.Tenant{ID: id, Nodes: 2, DataGB: 200, Users: 1, Suite: queries.TPCH}
-		tenants[id] = tn
-		w := sim.Time(i) * 6 * sim.Hour
-		logs = append(logs, &workload.TenantLog{
-			Tenant:   tn,
-			Activity: epoch.Activity{{Start: w, End: w + sim.Hour}},
-		})
-	}
-	acfg := advisor.DefaultConfig()
-	acfg.R = 2
-	adv, err := advisor.New(acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := adv.Plan(logs, sim.Day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng := sim.NewEngine()
-	mst := master.New(eng, cluster.NewPool(64), master.Options{Immediate: true})
-	dep, err := mst.Deploy(plan, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ocfg := online.DefaultConfig(acfg, sim.Day)
-	ocfg.Immediate = true
-	ctl, err := online.New(eng, dep, mst, plan, logs, ocfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl.Start()
-	srv, err := New(dep, queries.Default(), plan, Config{TimeScale: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv.SetOnline(ctl)
-	wall := time.Unix(0, 0)
-	srv.SetClock(func() time.Time { return wall }, time.Unix(0, 0))
-	ts := httptest.NewServer(srv)
-	t.Cleanup(ts.Close)
-
-	// One wall minute at 60× = one virtual hour = four 15-minute ticks.
-	wall = wall.Add(time.Minute)
-	var out struct {
-		Enabled    bool               `json:"enabled"`
-		Stats      online.Stats       `json:"stats"`
-		Migrations []online.Migration `json:"migrations"`
-	}
-	if code := get(t, ts, "/v1/online", &out); code != http.StatusOK {
-		t.Fatalf("online status %d", code)
-	}
-	if !out.Enabled {
-		t.Fatal("online not enabled after SetOnline")
-	}
-	if out.Stats.Ticks < 1 {
-		t.Errorf("control ticks = %d, want >= 1 after an hour", out.Stats.Ticks)
-	}
-	if out.Stats.Tenants != len(ids) {
-		t.Errorf("tracked tenants = %d, want %d", out.Stats.Tenants, len(ids))
-	}
-	if out.Migrations == nil {
-		t.Error("migrations is null, want []")
 	}
 }

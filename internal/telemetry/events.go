@@ -63,27 +63,6 @@ const (
 	EventBrownoutEntered EventType = "brownout_entered"
 	// EventBrownoutCleared: the group returned to normal admission.
 	EventBrownoutCleared EventType = "brownout_cleared"
-	// EventDriftDetected: the online control loop observed a tenant's live
-	// activity diverging from its planned profile far enough to matter.
-	EventDriftDetected EventType = "drift_detected"
-	// EventOnlineReplan: the online control loop re-placed a tenant — a
-	// join, a departure, or a local repair move restoring the fuzzy-capacity
-	// constraint.
-	EventOnlineReplan EventType = "online_replan"
-	// EventOnlineFallback: local repair could not restore the constraint and
-	// the loop escalated to a scoped offline re-consolidation.
-	EventOnlineFallback EventType = "online_fallback"
-	// EventMigrationStarted: a live migration began provisioning its target
-	// (Table 5.1 startup + reload costing); queries keep draining through
-	// the source group.
-	EventMigrationStarted EventType = "migration_started"
-	// EventMigrationCutover: the target finished provisioning and the
-	// tenant→group index flipped atomically; new queries route to the
-	// target while in-flight queries finish on the source.
-	EventMigrationCutover EventType = "migration_cutover"
-	// EventGroupRetired: a drained source group released its nodes back to
-	// the pool after its post-cutover drain slack.
-	EventGroupRetired EventType = "group_retired"
 	// EventGraySuspected: an instance's completion-latency profile drifted
 	// above its group peers' — a fail-slow (gray) fault is suspected but not
 	// yet confirmed.
@@ -98,14 +77,6 @@ const (
 	// instance is proactively drained and its slow node replaced through the
 	// crash-recovery controller.
 	EventGrayDrain EventType = "gray_drain"
-	// EventMigrationAborted: a live migration's destination died during the
-	// background reload; the migration was aborted cleanly and the tenants
-	// re-placed.
-	EventMigrationAborted EventType = "migration_aborted"
-	// EventMigrationPromoted: a live migration's source died during the
-	// drain; the destination was promoted early and serves degraded until its
-	// originally costed reload would have finished.
-	EventMigrationPromoted EventType = "migration_promoted"
 	// EventDomainFailed: a whole failure domain (rack/zone) went down; every
 	// active node in it failed at once.
 	EventDomainFailed EventType = "domain_failed"

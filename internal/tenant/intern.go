@@ -5,8 +5,8 @@
 // and running-query maps, the admission controller's bucket map. One submit
 // paid five or six string hashes before any real work happened. An Interner
 // assigns each tenant of a group a dense int index (a Ref) exactly once — at
-// deploy or migration time — and every per-tenant structure below the front
-// door becomes a flat slice indexed by that Ref.
+// deploy time — and every per-tenant structure below the front door becomes
+// a flat slice indexed by that Ref.
 //
 // Refs are group-local: each tenant-group owns one Interner, shared by its
 // router, its MPPDB instances, and its admission controller, so a Ref
@@ -28,7 +28,7 @@ type Ref int32
 const NoRef Ref = -1
 
 // Interner assigns dense Refs to tenant IDs. Interning and string lookups
-// happen at deploy, migration and front-door time, under a lock. The hot
+// happen at deploy and front-door time, under a lock. The hot
 // path reads the other direction — an MPPDB names the tenant behind a Ref on
 // every completion — so ID, IDs and Len take no lock: the append-only ID
 // slice is published through an atomic pointer, and a reader loads it once.

@@ -25,12 +25,12 @@ func replayOnce(t *testing.T) (*System, *ReplayReport) {
 		t.Fatal(err)
 	}
 	victim := plan.Groups[0].TenantIDs[0]
+	scaler := DefaultScalerConfig(0.999, plan.Config.R)
 	rep, err := sys.Replay(ReplayOptions{
-		From:          0,
-		To:            sim.Day,
-		SampleEvery:   2 * time.Hour,
-		EnableScaling: true,
-		ScalerConfig:  DefaultScalerConfig(0.999, plan.Config.R),
+		From:        0,
+		To:          sim.Day,
+		SampleEvery: 2 * time.Hour,
+		Scaling:     &scaler,
 		TakeOver: &TakeOver{
 			Tenant:   victim,
 			Start:    6 * sim.Hour,

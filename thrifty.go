@@ -28,7 +28,6 @@ import (
 	"repro/internal/advisor"
 	"repro/internal/cluster"
 	"repro/internal/master"
-	"repro/internal/online"
 	"repro/internal/queries"
 	"repro/internal/recovery"
 	"repro/internal/replay"
@@ -167,8 +166,6 @@ type System struct {
 	Deployment *master.Deployment
 	Plan       *Plan
 	Workload   *Workload
-	// Online is the continuous re-consolidation loop, nil until EnableOnline.
-	Online *OnlineController
 }
 
 // DeployOptions re-exports the Deployment Master's options: the pool shape
@@ -239,41 +236,6 @@ func DefaultAdmissionConfig() AdmissionConfig { return admission.DefaultConfig()
 // rate + burst).
 type Contract = admission.Contract
 
-// OnlineConfig re-exports the continuous re-consolidation loop's
-// configuration (planning parameters, horizon, control period).
-type OnlineConfig = online.Config
-
-// DefaultOnlineConfig returns the loop's standard settings: a 15-minute
-// control period over the given planning config and horizon.
-func DefaultOnlineConfig(plan PlanConfig, horizon sim.Time) OnlineConfig {
-	return online.DefaultConfig(plan, horizon)
-}
-
-// OnlineController re-exports the per-deployment online control loop.
-type OnlineController = online.Controller
-
-// EnableOnline arms continuous incremental re-consolidation on the system:
-// every control period the loop streams observed activity deltas into live
-// per-tenant profiles, detects drift, churn, and broken fuzzy-capacity
-// constraints, repairs the partition with bounded local moves (escalating to
-// a scoped offline re-solve only when necessary), and executes the outcome
-// as live migrations — provision in the background, drain through the old
-// group, flip the routing index atomically at cutover.
-//
-// Requires a shared-domain deployment (DeployOptions.Sharded=false).
-// Migrations run through a second master on the same engine and node pool,
-// paying the Table 5.1 startup and parallel-reload costs unless cfg.Immediate.
-func (s *System) EnableOnline(cfg OnlineConfig) (*OnlineController, error) {
-	mig := master.New(s.Engine, s.Pool, master.Options{Immediate: cfg.Immediate, ParallelLoad: true})
-	ctl, err := online.New(s.Engine, s.Deployment, mig, s.Plan, s.Workload.Logs, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ctl.Start()
-	s.Online = ctl
-	return ctl, nil
-}
-
 // ScalerConfig re-exports the elastic scaler configuration.
 type ScalerConfig = scaling.Config
 
@@ -295,15 +257,11 @@ type ServeOptions = service.Config
 
 // Handler returns the MPPDBaaS HTTP API over the system. Deploy with
 // Sharded for a front end whose submits to different tenant-groups proceed
-// in parallel. An online control loop armed via EnableOnline is surfaced at
-// GET /v1/online and GET /v1/reconsolidation.
+// in parallel.
 func (s *System) Handler(opts ServeOptions) (http.Handler, error) {
 	srv, err := service.New(s.Deployment, s.Workload.Catalog, s.Plan, opts)
 	if err != nil {
 		return nil, err
-	}
-	if s.Online != nil {
-		srv.SetOnline(s.Online)
 	}
 	return srv, nil
 }
