@@ -36,13 +36,13 @@ loc:
 	@printf '%7d thriftyd flags\n' $$($(GO) run ./cmd/thriftyd -h 2>&1 | grep -c '^  -')
 
 # The four fault smokes below drive four harnesses that share one loop: each
-# schedules its own perturbation on the engine and calls replay.Run, so a
-# break in the arrival → sample → drain driver fails all of them.
+# schedules its own perturbation on the coordinator engine and calls
+# replay.Run, so a break in the arrival → sample → drain driver fails all of
+# them.
 #
-# Bounded failure-injection smoke: a small sharded deployment under the
-# chaos harness with the race detector on (~1 s), exercising parallel
-# injection, heartbeat detection, and autonomous recovery end to end
-# (replay.Run's per-group clock-domain layout).
+# Bounded failure-injection smoke: a small deployment under the chaos harness
+# with the race detector on (~1 s), exercising injection on every group's
+# engine, heartbeat detection, and autonomous recovery end to end.
 chaos-smoke:
 	$(GO) test -race -short -run TestChaosSmoke ./internal/recovery/chaos
 
@@ -81,8 +81,9 @@ grouping-smoke: bench-smoke
 
 # One iteration of the solver-scale benchmarks, the planner's per-stage ones
 # (solve, verify, quantize and burst detection on one 500-tenant composed
-# population), the whole planning cycle at the facade, the service's two
-# submit paths over a 200-tenant deployment and the replay of that
+# population), the whole planning cycle at the facade, the service's submit
+# paths (single, 64-batch and parallel singles) over a 200-tenant deployment
+# and the replay of that
 # deployment's 7-day logs, so a benchmark that no longer builds or runs is
 # caught before commit without paying full benchmark time. The composed solve
 # (BenchmarkTwoStepComposed500 on the 3 s grid and ...Fine on the 0.1 s one,
@@ -105,8 +106,8 @@ drift-smoke:
 
 # Batched-submit smoke with the race detector on: per-item error
 # partitioning over /v1/submit-batch (a 429/503/504 never drops a healthy
-# batch-mate), batched-vs-per-query telemetry equivalence in both clock
-# layouts, and — ten times over, since several goroutines reach the
+# batch-mate), batched-vs-per-query telemetry equivalence, and — ten times
+# over, since several goroutines reach the
 # coalescer and the pacing origin without a server-wide lock — the coalesced
 # concurrent single-submit path and Install under a submit storm.
 service-smoke:
@@ -124,11 +125,14 @@ service-smoke:
 # monitor it replaced, the tracer's entry ring against the ring of whole
 # span records it replaced, the MPPDB executor under submits, hedges,
 # cancels, node faults and slowdowns against plain processor sharing stepped
-# from scratch, and the event engine under schedules, cancels, re-keys,
+# from scratch, the event engine under schedules, cancels, re-keys,
 # sources, steps and runs against a slice scanned for its least (time,
-# sequence) key (go test -fuzz takes one target per run). A failing
+# sequence) key, and the clock domains' merge loop (Domains.Drive) under
+# per-group schedules and coordinator events against a linear scan for the
+# least (time, group) (go test -fuzz takes one target per run). A failing
 # input lands in the package's testdata/fuzz; commit it. FuzzCountSet,
-# FuzzDenseSet, FuzzMonitorOps, FuzzTracerRing, FuzzInstancePS and FuzzEngine find new
+# FuzzDenseSet, FuzzMonitorOps, FuzzTracerRing, FuzzInstancePS, FuzzEngine
+# and FuzzDomainsDrive find new
 # coverage all the time and the default minute of minimizing each find would
 # eat the whole smoke.
 fuzz-smoke:
@@ -141,6 +145,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzTracerRing$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzInstancePS$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/mppdb
 	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzDomainsDrive$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/sim
 
 # Paired comparison of the working tree against another commit on one
 # benchmark workload, the procedure a performance claim needs: ./benchmark is

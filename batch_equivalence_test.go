@@ -10,14 +10,14 @@ import (
 )
 
 // batchSystem deploys the small workload for the batch-equivalence tests.
-func batchSystem(t *testing.T, sharded bool) (*System, *Workload) {
+func batchSystem(t *testing.T) (*System, *Workload) {
 	t.Helper()
 	w := smallWorkload(t)
 	plan, err := PlanDeployment(w, DefaultPlanConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Deploy(w, plan, DeployOptions{Immediate: true, SpareNodes: 64, Sharded: sharded})
+	sys, err := Deploy(w, plan, DeployOptions{Immediate: true, SpareNodes: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,9 +27,9 @@ func batchSystem(t *testing.T, sharded bool) (*System, *Workload) {
 // submitAllDump submits two TPCH-Q6 queries per group member — either as one
 // SubmitBatchAt per group or as one call per query — drains the domains past
 // every completion, and returns the telemetry dumps plus flattened outcomes.
-func submitAllDump(t *testing.T, sharded, batched bool) (traces, events string, outs []runtime.BatchOutcome) {
+func submitAllDump(t *testing.T, batched bool) (traces, events string, outs []runtime.BatchOutcome) {
 	t.Helper()
-	sys, w := batchSystem(t, sharded)
+	sys, w := batchSystem(t)
 	class, ok := w.Catalog.ByID("TPCH-Q6")
 	if !ok {
 		t.Fatal("TPCH-Q6 missing from catalog")
@@ -66,13 +66,13 @@ func submitAllDump(t *testing.T, sharded, batched bool) (traces, events string, 
 	return tb.String(), eb.String(), outs
 }
 
-// testBatchEquivalence pins the batch submit path to the per-query one: the
-// same queries at the same virtual instant must yield byte-identical
-// telemetry and identical outcomes whether they arrive one SubmitBatchAt per
-// group or one call per query.
-func testBatchEquivalence(t *testing.T, sharded bool) {
-	seqT, seqE, seqO := submitAllDump(t, sharded, false)
-	batT, batE, batO := submitAllDump(t, sharded, true)
+// TestBatchSubmitEquivalence pins the batch submit path to the per-query
+// one: the same queries at the same virtual instant must yield
+// byte-identical telemetry and identical outcomes whether they arrive one
+// SubmitBatchAt per group or one call per query.
+func TestBatchSubmitEquivalence(t *testing.T) {
+	seqT, seqE, seqO := submitAllDump(t, false)
+	batT, batE, batO := submitAllDump(t, true)
 	if seqT == "" {
 		t.Fatal("empty trace dump")
 	}
@@ -92,9 +92,3 @@ func testBatchEquivalence(t *testing.T, sharded bool) {
 		}
 	}
 }
-
-// TestBatchSubmitEquivalenceShared: shared clock domain.
-func TestBatchSubmitEquivalenceShared(t *testing.T) { testBatchEquivalence(t, false) }
-
-// TestBatchSubmitEquivalenceSharded: per-group clock domains.
-func TestBatchSubmitEquivalenceSharded(t *testing.T) { testBatchEquivalence(t, true) }

@@ -67,7 +67,6 @@ func (o *options) flagSet() *flag.FlagSet {
 	fs.Float64Var(&o.plan.P, "p", 0.999, "performance SLA guarantee P")
 	fs.Float64Var(&o.serve.TimeScale, "timescale", 60, "virtual seconds per wall second")
 	fs.BoolVar(&o.metrics, "metrics", true, "expose Prometheus text metrics at /metrics")
-	fs.BoolVar(&o.deploy.Sharded, "sharded", true, "per-group clock domains: submits to different tenant-groups proceed in parallel")
 	fs.BoolVar(&o.recovery, "recovery", true, "arm an autonomous recovery controller per tenant-group (heartbeat failure detection, pool swap, Table 5.1 reload)")
 	fs.IntVar(&o.deploy.Domains, "domains", 1, "failure domains (racks/zones) the pool is split across; >1 enables spread-aware placement")
 	fs.BoolVar(&o.deploy.Triage, "triage", false, "arm the cluster-wide scarcity triage: exhausted recoveries queue claims ranked by SLA-at-risk instead of uncoordinated backoff (requires -recovery)")
@@ -125,8 +124,8 @@ func build(args []string) (*thrifty.System, *http.Server, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	fmt.Fprintf(os.Stderr, "thriftyd: deployed (time scale %g×, metrics %v, sharded %v, recovery %v, admission %v, gray %v)\n",
-		o.serve.TimeScale, o.metrics, o.deploy.Sharded, o.recovery, o.admission, o.gray)
+	fmt.Fprintf(os.Stderr, "thriftyd: deployed (time scale %g×, metrics %v, recovery %v, admission %v, gray %v)\n",
+		o.serve.TimeScale, o.metrics, o.recovery, o.admission, o.gray)
 	return sys, &http.Server{Addr: o.addr, Handler: h}, nil
 }
 

@@ -12,11 +12,11 @@ import (
 	"testing"
 )
 
-// TestFlagSet pins the option surface: the fourteen flags that pick a
+// TestFlagSet pins the option surface: the thirteen flags that pick a
 // deployment or arm a subsystem, and no tuning knob beside them.
 func TestFlagSet(t *testing.T) {
 	want := strings.Fields("addr admission days domains gray metrics p r recovery " +
-		"seed sharded tenants timescale triage")
+		"seed tenants timescale triage")
 	var got []string
 	new(options).flagSet().VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	if !slices.Equal(got, want) {
@@ -50,9 +50,8 @@ func TestBootAndServe(t *testing.T) {
 				t.Fatal(err)
 			}
 			armed := tc.args != nil
-			if !sys.Deployment.Sharded() || (sys.Deployment.Triage() != nil) != armed {
-				t.Errorf("sharded %v, triage %v with args %v",
-					sys.Deployment.Sharded(), sys.Deployment.Triage() != nil, tc.args)
+			if (sys.Deployment.Triage() != nil) != armed {
+				t.Errorf("triage %v with args %v", sys.Deployment.Triage() != nil, tc.args)
 			}
 			for _, g := range sys.Deployment.Groups() {
 				if g.Recovery == nil || g.Admission == nil || (g.Gray != nil) != armed {

@@ -10,21 +10,23 @@ import (
 	"repro/internal/sim"
 )
 
-// Golden SHA-256 hashes of the canonical shared-domain replay's telemetry
-// dumps, captured on the pre-sharding runtime (before internal/runtime and
-// the per-group clock domains existed). The shared-domain experiment path
-// must stay byte-identical across refactors: every figure in §7 depends on
-// the globally ordered event interleaving these dumps encode. If a change
+// Golden SHA-256 hashes of the canonical replay's telemetry dumps. The
+// event dump was captured on the pre-sharding runtime (before
+// internal/runtime and the per-group clock domains existed); the trace dump
+// was re-taken when every group moved to its own domain, which swaps only
+// same-instant spans of different groups. The experiment path must stay
+// byte-identical across refactors: every figure in §7 depends on the
+// deterministic event interleaving these dumps encode. If a change
 // legitimately alters the replay (new workload defaults, new telemetry
 // sites), re-capture with:
 //
 //	go test -run TestSharedDomainReplayGolden -v . 2>&1 | grep -E 'traces|events'
 const (
-	goldenTraceSum = "8265c95382af48593f08e1c97fa6f3ffe1807a03e989d7b25215b2bef86fa4e7"
+	goldenTraceSum = "89059d0d9495f715ba534a20f3ca8f5a1018a7643a58a0f7fb28d38e43f490bf"
 	goldenEventSum = "f7b23992bddc97af98cfd6830968e7e6b8e02cd936e642534959045e48835d44"
 )
 
-// goldenDump runs the canonical shared-domain replay (replayOnce) and hashes
+// goldenDump runs the canonical replay (replayOnce) and hashes
 // its telemetry dumps.
 func goldenDump(t *testing.T) (traceSum, eventSum string) {
 	t.Helper()
@@ -92,8 +94,8 @@ func TestOverloadReplayDeterminism(t *testing.T) {
 	}
 }
 
-// TestSharedDomainReplayGolden pins the shared-domain replay to the
-// pre-refactor output: same seed, byte-identical telemetry dumps.
+// TestSharedDomainReplayGolden pins the replay to the golden output: same
+// seed, byte-identical telemetry dumps.
 func TestSharedDomainReplayGolden(t *testing.T) {
 	traceSum, eventSum := goldenDump(t)
 	t.Logf("traces: %s", traceSum)

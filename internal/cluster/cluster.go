@@ -65,9 +65,9 @@ type Node struct {
 }
 
 // Pool is the cluster-wide node inventory. It is safe for concurrent use:
-// in a sharded deployment the per-group elastic scalers and the failure
-// injector draw replacement and scale-up nodes from one shared pool while
-// running on different clock domains.
+// the per-group elastic scalers and recovery controllers draw replacement
+// and scale-up nodes from one shared pool while running on different clock
+// domains.
 type Pool struct {
 	mu      sync.Mutex
 	nodes   []*Node

@@ -14,7 +14,7 @@ import (
 //
 //	go test -run TestDriftDeterminism -v ./internal/experiments | grep golden
 const (
-	goldenDriftTelemetry = "9ced29c6100d68d9b8155b934f8c22e740c4a3d7866efd3b0d3841854c1749c2"
+	goldenDriftTelemetry = "b282ce2739195adb370f63e0b4fc54acadfc66c112dff78296c62decdf9d69bc"
 	goldenDriftResult    = "19796|76|19720|76|76|0.98980730223123736|0.92307692307692313|T0109|296.6666666666664|1|1"
 )
 

@@ -84,9 +84,9 @@ func carve(plan *advisor.Plan, logs []*workload.TenantLog, groups []int) subWorl
 	return w
 }
 
-// deploy brings the sub-world up on a fresh engine and the given pool.
+// deploy brings the sub-world up on the given pool, with a fresh coordinator
+// engine for replay.Run.
 func (w subWorld) deploy(pool *cluster.Pool, opts master.Options) (*sim.Engine, *master.Deployment, error) {
-	eng := sim.NewEngine()
-	dep, err := master.New(eng, pool, opts).Deploy(w.plan, Tenants(w.logs))
-	return eng, dep, err
+	dep, err := master.New(pool, opts).Deploy(w.plan, Tenants(w.logs))
+	return sim.NewEngine(), dep, err
 }

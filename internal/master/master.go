@@ -5,11 +5,9 @@
 // hibernated. The resulting Deployment bundles the per-group runtimes
 // (router, activity monitor, clock domain) the run-time side operates on.
 //
-// Deploy supports two clock layouts (see internal/sim's domain
-// documentation): shared mode builds every group on the master's engine
-// behind one domain, so a single driver reproduces experiments
-// bit-identically; sharded mode gives each group a private engine and
-// domain, so the service path can run groups fully in parallel.
+// Every group is built on an engine and clock domain of its own (see
+// internal/sim's domain documentation): the service advances groups in
+// parallel, and replay drives them all in one deterministic order.
 package master
 
 import (
@@ -21,7 +19,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/monitor"
 	"repro/internal/mppdb"
-	"repro/internal/queries"
 	"repro/internal/recovery"
 	"repro/internal/router"
 	"repro/internal/runtime"
@@ -47,11 +44,6 @@ type Options struct {
 	ParallelLoad bool
 	// MonitorWindow is the RT-TTP window (default 24 h).
 	MonitorWindow time.Duration
-	// Sharded gives each tenant-group a private engine and clock domain so
-	// groups can be driven concurrently (the service path). The default —
-	// one shared domain over the master's engine — keeps event interleaving
-	// globally ordered for bit-identical experiment replay.
-	Sharded bool
 	// Recovery, when non-nil, arms an autonomous failure-recovery controller
 	// (§4.4) per group with this config. The service path sets it; replay
 	// arms controllers itself when failures are injected.
@@ -103,50 +95,35 @@ type Deployment struct {
 
 // Master executes deployment plans.
 type Master struct {
-	eng  *sim.Engine
 	pool *cluster.Pool
 	opts Options
 }
 
-// New creates a master over the engine and node pool.
-func New(eng *sim.Engine, pool *cluster.Pool, opts Options) *Master {
+// New creates a master over the node pool.
+func New(pool *cluster.Pool, opts Options) *Master {
 	if opts.MonitorWindow <= 0 {
 		opts.MonitorWindow = 24 * time.Hour
 	}
-	return &Master{eng: eng, pool: pool, opts: opts}
+	return &Master{pool: pool, opts: opts}
 }
 
 // Deploy brings a plan up. tenants must contain every tenant referenced by
 // the plan's groups.
 func (m *Master) Deploy(plan *advisor.Plan, tenants map[string]*tenant.Tenant) (*Deployment, error) {
-	// Clock layout first: the telemetry hub needs its clock before any
-	// instrumented subsystem is built. Shared mode keeps the hub on the
-	// master's engine (the pre-sharding layout, byte-for-byte); sharded mode
-	// reads the max over the per-group domain mirrors, which is lock-free
-	// and therefore safe to call while any single domain is held.
+	// Clock domains first: the telemetry hub needs its clock before any
+	// instrumented subsystem is built. It reads the max over the per-group
+	// domain mirrors, which is lock-free and therefore safe to call while
+	// any single domain is held.
 	engines := make([]*sim.Engine, len(plan.Groups))
-	domains := make([]*sim.Domain, len(plan.Groups))
-	if m.opts.Sharded {
-		for i := range plan.Groups {
-			engines[i] = sim.NewEngine()
-			domains[i] = sim.NewDomain(engines[i])
-		}
-	} else {
-		shared := sim.NewDomain(m.eng)
-		for i := range plan.Groups {
-			engines[i] = m.eng
-			domains[i] = shared
-		}
+	domains := make(sim.Domains, len(plan.Groups))
+	for i := range plan.Groups {
+		engines[i] = sim.NewEngine()
+		domains[i] = sim.NewDomain(engines[i])
 	}
-	var tel *telemetry.Hub
-	if m.opts.Sharded {
-		tel = telemetry.NewHub(sim.Domains(domains), plan.Config.P)
-	} else {
-		tel = telemetry.NewHub(m.eng, plan.Config.P)
-	}
+	tel := telemetry.NewHub(domains, plan.Config.P)
 	dep := &Deployment{
 		pool:  m.pool,
-		plane: runtime.NewPlane(tel, m.opts.Sharded),
+		plane: runtime.NewPlane(tel),
 		ready: make(map[string]sim.Time),
 	}
 	if m.opts.Triage {
@@ -308,9 +285,6 @@ func (d *Deployment) Groups() []*DeployedGroup { return d.plane.Groups() }
 // domains).
 func (d *Deployment) Plane() *runtime.Plane { return d.plane }
 
-// Sharded reports whether groups run on private clock domains.
-func (d *Deployment) Sharded() bool { return d.plane.Sharded() }
-
 // Triage returns the cluster-wide scarcity allocator (nil unless deployed
 // with Options.Triage).
 func (d *Deployment) Triage() *recovery.Triage { return d.triage }
@@ -327,17 +301,6 @@ func (d *Deployment) GroupFor(tenantID string) (*DeployedGroup, bool) {
 // with Options.Immediate).
 func (d *Deployment) ReadyAt(groupID string) sim.Time {
 	return d.ready[groupID]
-}
-
-// Submit routes a query for the tenant through its group's router. It is a
-// single-driver path: the caller must own the group's engine (shared-mode
-// replay does). Concurrent callers use the group's SubmitBatchAt instead.
-func (d *Deployment) Submit(tenantID string, class *queries.Class) (string, error) {
-	g, ok := d.plane.ForTenant(tenantID)
-	if !ok {
-		return "", fmt.Errorf("master: tenant %s not deployed", tenantID)
-	}
-	return g.Router.Submit(tenantID, class)
 }
 
 // NodesUsed returns the number of active nodes in the pool.

@@ -47,9 +47,8 @@ func plannedWorld(t *testing.T) (*advisor.Plan, map[string]*tenant.Tenant) {
 
 func TestDeployImmediate(t *testing.T) {
 	plan, tenants := plannedWorld(t)
-	eng := sim.NewEngine()
 	pool := cluster.NewPool(100)
-	m := New(eng, pool, Options{Immediate: true})
+	m := New(pool, Options{Immediate: true})
 	dep, err := m.Deploy(plan, tenants)
 	if err != nil {
 		t.Fatal(err)
@@ -80,16 +79,21 @@ func TestDeployImmediate(t *testing.T) {
 			t.Errorf("immediate deployment has ReadyAt %v", dep.ReadyAt(g.Plan.ID))
 		}
 	}
-	// Query flow end to end.
+	// Query flow end to end, through the tenant's group inside its domain.
 	cl, _ := queries.Default().ByID("TPCH-Q1")
-	db, err := dep.Submit("Ta", cl)
+	g, ok := dep.GroupFor("Ta")
+	if !ok {
+		t.Fatal("GroupFor failed")
+	}
+	var db string
+	g.Domain().Do(func(*sim.Engine) { db, err = g.Router.Submit("Ta", cl) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if db == "" {
 		t.Error("no instance chosen")
 	}
-	eng.RunAll()
+	dep.Plane().Domains().Drive(nil, sim.Day)
 	recs := dep.Records()
 	if len(recs) != 1 {
 		t.Fatalf("%d records", len(recs))
@@ -97,19 +101,15 @@ func TestDeployImmediate(t *testing.T) {
 	if !recs[0].SLAMet() {
 		t.Errorf("query missed SLA: %.2f", recs[0].Normalized())
 	}
-	if _, err := dep.Submit("ghost", cl); err == nil {
-		t.Error("unknown tenant accepted")
-	}
-	if _, ok := dep.GroupFor("Ta"); !ok {
-		t.Error("GroupFor failed")
+	if _, ok := dep.GroupFor("ghost"); ok {
+		t.Error("unknown tenant indexed")
 	}
 }
 
 func TestDeployWithProvisioningDelay(t *testing.T) {
 	plan, tenants := plannedWorld(t)
-	eng := sim.NewEngine()
 	pool := cluster.NewPool(100)
-	m := New(eng, pool, Options{ParallelLoad: true})
+	m := New(pool, Options{ParallelLoad: true})
 	dep, err := m.Deploy(plan, tenants)
 	if err != nil {
 		t.Fatal(err)
@@ -126,25 +126,27 @@ func TestDeployWithProvisioningDelay(t *testing.T) {
 	}
 	// Until ready, routing fails (no ready MPPDB).
 	cl, _ := queries.Default().ByID("TPCH-Q6")
-	if _, err := dep.Submit(g.Plan.TenantIDs[0], cl); err == nil {
-		t.Error("query accepted before provisioning completed")
-	}
-	eng.Run(ready)
-	for _, inst := range g.Instances {
-		if inst.State() != mppdb.Ready {
-			t.Errorf("instance %s is %v after ReadyAt", inst.ID(), inst.State())
+	g.Domain().Do(func(*sim.Engine) {
+		if _, err := g.Router.Submit(g.Plan.TenantIDs[0], cl); err == nil {
+			t.Error("query accepted before provisioning completed")
 		}
-	}
-	if _, err := dep.Submit(g.Plan.TenantIDs[0], cl); err != nil {
-		t.Errorf("query after provisioning: %v", err)
-	}
+	})
+	g.Domain().Advance(ready, func(*sim.Engine) {
+		for _, inst := range g.Instances {
+			if inst.State() != mppdb.Ready {
+				t.Errorf("instance %s is %v after ReadyAt", inst.ID(), inst.State())
+			}
+		}
+		if _, err := g.Router.Submit(g.Plan.TenantIDs[0], cl); err != nil {
+			t.Errorf("query after provisioning: %v", err)
+		}
+	})
 }
 
 func TestDeployPoolTooSmall(t *testing.T) {
 	plan, tenants := plannedWorld(t)
-	eng := sim.NewEngine()
 	pool := cluster.NewPool(plan.NodesUsed() - 1)
-	m := New(eng, pool, Options{Immediate: true})
+	m := New(pool, Options{Immediate: true})
 	if _, err := m.Deploy(plan, tenants); err == nil {
 		t.Error("deployment on an undersized pool accepted")
 	}
@@ -153,8 +155,7 @@ func TestDeployPoolTooSmall(t *testing.T) {
 func TestDeployUnknownTenant(t *testing.T) {
 	plan, tenants := plannedWorld(t)
 	delete(tenants, plan.Groups[0].TenantIDs[0])
-	eng := sim.NewEngine()
-	m := New(eng, cluster.NewPool(100), Options{Immediate: true})
+	m := New(cluster.NewPool(100), Options{Immediate: true})
 	if _, err := m.Deploy(plan, tenants); err == nil {
 		t.Error("plan with unknown tenant accepted")
 	}

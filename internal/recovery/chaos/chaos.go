@@ -7,8 +7,8 @@
 // (every carted-away node re-imaged, every replacement accounted for).
 //
 // The schedule is a pure function of (deployment shape, Config): with a fixed
-// Seed it is identical run to run, so a chaos run on a shared clock domain is
-// as replayable as any other experiment.
+// Seed it is identical run to run, so a chaos run is as replayable as any
+// other experiment.
 package chaos
 
 import (
@@ -79,12 +79,9 @@ func submitWithSlack(a workload.Arrival, g *master.DeployedGroup, ref tenant.Ref
 }
 
 // stormTarget checks what the three storm harnesses need of a deployment —
-// one shared engine to schedule their perturbation on — and returns its
+// a coordinator engine to schedule their perturbation on — and returns its
 // groups.
 func stormTarget(harness string, eng *sim.Engine, dep *master.Deployment) ([]*master.DeployedGroup, error) {
-	if dep.Sharded() {
-		return nil, fmt.Errorf("%s: requires a shared-domain deployment", harness)
-	}
 	if eng == nil {
 		return nil, fmt.Errorf("%s: nil engine", harness)
 	}
@@ -315,9 +312,10 @@ func (r *Result) Verify(p float64) error {
 	return r.leak("chaos")
 }
 
-// Run builds the schedule and replays the logs under it, on either clock
-// layout (a sharded deployment needs no engine). The post-window drain gives
-// recoveries and re-images time to settle before the pool is tallied.
+// Run builds the schedule and replays the logs under it (replay injects the
+// failures on their groups' engines, so eng may be nil). The post-window
+// drain gives recoveries and re-images time to settle before the pool is
+// tallied.
 func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	logs []*workload.TenantLog, cfg Config) (*Result, error) {
 	if err := cfg.validate(); err != nil {

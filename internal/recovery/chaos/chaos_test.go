@@ -29,7 +29,7 @@ type world struct {
 // newWorld builds a consolidated deployment and its logs. poolFactor sizes
 // the node pool as a multiple of the plan's footprint: 1 leaves no spare
 // capacity for replacements.
-func newWorld(t *testing.T, tenants, days, r int, sharded bool, poolFactor int) *world {
+func newWorld(t *testing.T, tenants, days, r int, poolFactor int) *world {
 	t.Helper()
 	cat := queries.Default()
 	lib, err := workload.BuildLibrary(cat, []int{2}, 4, 7)
@@ -60,7 +60,7 @@ func newWorld(t *testing.T, tenants, days, r int, sharded bool, poolFactor int) 
 	}
 	eng := sim.NewEngine()
 	pool := cluster.NewPool(poolFactor * plan.NodesUsed())
-	m := master.New(eng, pool, master.Options{Immediate: true, Sharded: sharded})
+	m := master.New(pool, master.Options{Immediate: true})
 	byID := map[string]*tenant.Tenant{}
 	for _, tn := range pop {
 		byID[tn.ID] = tn
@@ -82,13 +82,13 @@ func countEvents(h *telemetry.Hub, typ telemetry.EventType) int {
 	return n
 }
 
-// TestChaosEndToEnd is the acceptance run: a sharded R=3 deployment under a
+// TestChaosEndToEnd is the acceptance run: an R=3 deployment under a
 // randomized schedule of crashes, repeat crashes, and bursts. No scripted
 // repair exists anywhere — detection is the controllers' heartbeat, repair
 // the §4.4 swap + Table 5.1 reload — yet SLA attainment holds above the
 // plan's P and the pool ends leak-free.
 func TestChaosEndToEnd(t *testing.T) {
-	w := newWorld(t, 10, 2, 3, true, 3)
+	w := newWorld(t, 10, 2, 3, 3)
 	cfg := DefaultConfig()
 	cfg.Seed = 42
 	cfg.From, cfg.To = 0, sim.Day
@@ -128,7 +128,7 @@ func TestChaosEndToEnd(t *testing.T) {
 // never complete, but it must degrade loudly — recovery_failed telemetry,
 // backoff cycles, the run and drain completing — rather than deadlock.
 func TestChaosPoolExhaustion(t *testing.T) {
-	w := newWorld(t, 4, 1, 2, false, 1)
+	w := newWorld(t, 4, 1, 2, 1)
 	rcfg := recovery.DefaultConfig()
 	rcfg.MaxAttempts = 2
 	rcfg.CoolDown = 30 * time.Minute
@@ -167,8 +167,8 @@ func TestChaosPoolExhaustion(t *testing.T) {
 func TestChaosScheduleDeterministic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.From, cfg.To = 0, sim.Day
-	a := BuildSchedule(newWorld(t, 6, 1, 2, false, 2).dep, cfg)
-	b := BuildSchedule(newWorld(t, 6, 1, 2, false, 2).dep, cfg)
+	a := BuildSchedule(newWorld(t, 6, 1, 2, 2).dep, cfg)
+	b := BuildSchedule(newWorld(t, 6, 1, 2, 2).dep, cfg)
 	if len(a) == 0 {
 		t.Fatal("empty schedule")
 	}
@@ -178,7 +178,7 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 }
 
 func TestChaosValidation(t *testing.T) {
-	w := newWorld(t, 4, 1, 2, false, 2)
+	w := newWorld(t, 4, 1, 2, 2)
 	bad := []Config{
 		{Seed: 1, Window: Window{From: sim.Day, To: 0}, MeanBetween: time.Hour, MaxFailures: 1},
 		{Seed: 1, Window: Window{From: 0, To: sim.Day}, MeanBetween: 0, MaxFailures: 1},
@@ -199,7 +199,7 @@ func TestChaosTelemetryDeterminism(t *testing.T) {
 	var sum, resSum string
 	dump := func() (events, traces []byte) {
 		t.Helper()
-		w := newWorld(t, 4, 1, 2, false, 3)
+		w := newWorld(t, 4, 1, 2, 3)
 		cfg := DefaultConfig()
 		cfg.Seed = 99
 		cfg.From, cfg.To = 0, sim.Day
@@ -237,9 +237,9 @@ func TestChaosTelemetryDeterminism(t *testing.T) {
 }
 
 // TestChaosSmoke is the bounded -race smoke target for make check: a small
-// sharded run that exercises the parallel injection + recovery path.
+// run that exercises injection and recovery on every group's engine.
 func TestChaosSmoke(t *testing.T) {
-	w := newWorld(t, 4, 1, 2, true, 3)
+	w := newWorld(t, 4, 1, 2, 3)
 	cfg := DefaultConfig()
 	cfg.Seed = 3
 	cfg.From, cfg.To = 0, 12*sim.Hour
@@ -261,11 +261,10 @@ func TestChaosSmoke(t *testing.T) {
 }
 
 // TestStormHarnessesRejectWhatTheyCannotDrive: the three storms schedule on
-// one shared engine, so each turns a sharded deployment, a missing engine and
-// an empty window away, in its own voice, before scheduling anything.
+// the coordinator engine, so each turns a missing engine and an empty window
+// away, in its own voice, before scheduling anything.
 func TestStormHarnessesRejectWhatTheyCannotDrive(t *testing.T) {
-	sharded := newWorld(t, 6, 1, 2, true, 2)
-	shared := newWorld(t, 6, 1, 2, false, 2)
+	shared := newWorld(t, 6, 1, 2, 2)
 	win := Window{From: 0, To: sim.Hour}
 	runs := map[string]func(*sim.Engine, *world, Window) error{
 		"overload": func(eng *sim.Engine, w *world, win Window) error {
@@ -294,7 +293,6 @@ func TestStormHarnessesRejectWhatTheyCannotDrive(t *testing.T) {
 			win  Window
 			want string
 		}{
-			{sharded.eng, sharded, win, name + ": requires a shared-domain deployment"},
 			{nil, shared, win, name + ": nil engine"},
 			{shared.eng, shared, Window{From: sim.Hour, To: sim.Hour}, name + ": window [0d01:00:00.000,0d01:00:00.000)"},
 		} {

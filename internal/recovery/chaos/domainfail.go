@@ -285,7 +285,7 @@ func (r *DomainFailResult) Verify() error {
 }
 
 // RunDomainFail drives a seeded correlated-failure storm against every group
-// of a shared-domain deployment on a multi-domain pool: whole failure domains
+// of a deployment on a multi-domain pool: whole failure domains
 // go down and come back per the schedule while every tenant replays its
 // logged traffic. Spread placement, the scarcity triage, quarantine
 // re-routing, and post-restoration re-spread respond when armed; bare

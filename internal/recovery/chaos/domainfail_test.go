@@ -16,7 +16,7 @@ import (
 	"repro/internal/workload"
 )
 
-// domainWorld builds a shared-domain deployment on a multi-domain pool for
+// domainWorld builds a deployment on a multi-domain pool for
 // correlated-failure storms. spread/triage arm the PR-9 defenses; slackPct
 // sizes the spare capacity (scarce by design, so a whole-domain loss forces
 // the triage queue to form).
@@ -61,7 +61,7 @@ func domainWorld(t *testing.T, tenants, days, r, domains int, spread, triage boo
 	used := plan.NodesUsed()
 	pool := cluster.NewPoolDomains(used+(used*slackPct+99)/100, domains)
 	eng := sim.NewEngine()
-	m := master.New(eng, pool, opts)
+	m := master.New(pool, opts)
 	byID := map[string]*tenant.Tenant{}
 	for _, tn := range pop {
 		byID[tn.ID] = tn
@@ -120,8 +120,8 @@ func TestDomainSmoke(t *testing.T) {
 
 // TestDomainFailTelemetryDeterminism: two fresh same-seed protected storms
 // emit byte-identical telemetry — spread acquisition, domain injection,
-// triage polling, quarantine, and re-spread all preserve the shared-domain
-// determinism contract.
+// triage polling, quarantine, and re-spread all preserve the determinism
+// contract.
 func TestDomainFailTelemetryDeterminism(t *testing.T) {
 	var sum, resSum string
 	dump := func() (string, string) {
@@ -249,8 +249,8 @@ func TestDomainRespread(t *testing.T) {
 	}
 }
 
-// TestDomainOutageValidation rejects malformed schedules, single-domain
-// pools, and sharded deployments before any injection runs.
+// TestDomainOutageValidation rejects malformed schedules and single-domain
+// pools before any injection runs.
 func TestDomainOutageValidation(t *testing.T) {
 	if err := ValidateOutages([]DomainOutage{
 		{At: sim.Hour, Duration: time.Hour, Domain: 5},
@@ -281,16 +281,11 @@ func TestDomainOutageValidation(t *testing.T) {
 	}
 
 	// Single-domain pools cannot host a correlated-failure storm.
-	single := newWorld(t, 6, 1, 2, false, 2)
+	single := newWorld(t, 6, 1, 2, 2)
 	cfg := DefaultDomainFailConfig()
 	cfg.From, cfg.To = 0, sim.Hour
 	if _, err := RunDomainFail(single.eng, single.dep, single.cat, single.logs, cfg); err == nil {
 		t.Error("single-domain pool accepted")
 	}
 
-	// Sharded deployments are rejected (cross-domain injection).
-	sharded := newWorld(t, 6, 1, 2, true, 2)
-	if _, err := RunDomainFail(sharded.eng, sharded.dep, sharded.cat, sharded.logs, cfg); err == nil {
-		t.Error("sharded deployment accepted")
-	}
 }

@@ -13,8 +13,11 @@ import (
 // captured on commit 26500ce — before the harnesses were moved in front of
 // replay.Run — so a refactor of the driver has to reproduce the same program:
 // the telemetry sum is the SHA-256 of Events.Dump followed by Tracer.Dump, the
-// result digest covers the condensed outcome (floats to 17 digits). If a
-// change legitimately alters a run, re-capture with
+// result digest covers the condensed outcome (floats to 17 digits). The
+// domain-fail telemetry sum was re-taken when every group moved to its own
+// clock domain: a domain repair on the coordinator now fires after a group's
+// same-instant triage poll. If a change legitimately alters a run, re-capture
+// with
 //
 //	go test -run 'TelemetryDeterminism' -v ./internal/recovery/chaos | grep golden
 const (
@@ -24,7 +27,7 @@ const (
 	goldenOverloadResult    = "a371935eae61dec49a7443e9cba877c0a35190aac0173fa9f7d3e9f982403fd8"
 	goldenGrayTelemetry     = "90690e6fa6476db7b751d705fd46c04151d48842e81d37ccd764baf292cda189"
 	goldenGrayResult        = "bdcc80826c49a173a745683b09eefa63e648a02ee077fa253d868b2c8b5b7afe"
-	goldenDomainTelemetry   = "237f824a314e198334e280e953b337a44450ff0b4642249ea071d1fc21640b26"
+	goldenDomainTelemetry   = "9a48f6a300e35e00552cecdcdeaf9196c065c9ffd2e4ca61ca8ae0d57f25bd8b"
 	goldenDomainResult      = "d6b20c52b7d56d2a0d8a06b279cc2456de60405eb6fb7725fa9149bd3715d1f5"
 )
 

@@ -146,7 +146,7 @@ func (r *GrayFailResult) Verify() error {
 }
 
 // RunGrayFail drives a seeded fail-slow storm against the deployment's
-// largest group on a shared clock domain: the schedule's episodes impose
+// largest group, scheduled on the coordinator engine: the episodes impose
 // fractional slowdowns (stuck, gradual, flapping) while every member replays
 // its logged traffic. With the gray detector armed the hedge → drain ladder
 // responds; bare deployments just eat the slowdown. Deterministic: same seed

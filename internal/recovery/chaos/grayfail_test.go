@@ -31,7 +31,7 @@ func testGrayConfig() recovery.GrayConfig {
 	return cfg
 }
 
-// grayWorld builds a shared-domain deployment for fail-slow storms. A non-nil
+// grayWorld builds a deployment for fail-slow storms. A non-nil
 // gray config arms the per-group detector (which auto-arms the crash
 // controller its drain rung executes through); the pool is doubled so
 // drain-and-replace has spares.
@@ -67,7 +67,7 @@ func grayWorld(t *testing.T, tenants, days int, gray *recovery.GrayConfig) *worl
 	opts := master.Options{Immediate: true, MonitorWindow: time.Hour, Gray: gray}
 	eng := sim.NewEngine()
 	pool := cluster.NewPool(2 * plan.NodesUsed())
-	m := master.New(eng, pool, opts)
+	m := master.New(pool, opts)
 	byID := map[string]*tenant.Tenant{}
 	for _, tn := range pop {
 		byID[tn.ID] = tn
@@ -168,7 +168,7 @@ func TestGrayFailLadder(t *testing.T) {
 
 // TestGrayFailTelemetryDeterminism: two fresh same-seed protected storms emit
 // byte-identical telemetry — the whole ladder (hedging, cancellation, drain,
-// reload) preserves the shared-domain determinism contract.
+// reload) preserves the determinism contract.
 func TestGrayFailTelemetryDeterminism(t *testing.T) {
 	var sum, resSum string
 	dump := func() (string, string) {
@@ -366,16 +366,11 @@ func TestSlowdownScheduleValidation(t *testing.T) {
 	}
 }
 
-// TestGrayFailValidation rejects malformed configs, bad targets, and sharded
-// deployments before any injection runs.
+// TestGrayFailValidation rejects malformed configs and bad targets before
+// any injection runs.
 func TestGrayFailValidation(t *testing.T) {
-	ws := newWorld(t, 6, 1, 2, true, 1) // sharded
 	cfg := DefaultGrayFailConfig()
 	cfg.From, cfg.To = 0, sim.Hour
-	if _, err := RunGrayFail(ws.eng, ws.dep, ws.cat, ws.logs, cfg); err == nil {
-		t.Fatal("sharded deployment accepted")
-	}
-
 	w := grayWorld(t, 6, 1, nil)
 	bad := cfg
 	bad.To = 0

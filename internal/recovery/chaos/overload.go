@@ -115,7 +115,7 @@ func (r *OverloadResult) Verify(p float64) error {
 }
 
 // RunOverload drives a seeded noisy-tenant storm against the deployment's
-// largest group on a shared clock domain: the chosen aggressors submit
+// largest group, scheduled on the coordinator engine: the aggressors submit
 // open-loop at Factor times their contracted rate (the contract derived
 // from their own logs, whether or not admission is armed — so baseline and
 // protected runs face the identical storm) while the remaining members

@@ -17,7 +17,7 @@ import (
 	"repro/internal/workload"
 )
 
-// overloadWorld builds a shared-domain deployment for storm runs. admit
+// overloadWorld builds a deployment for storm runs. admit
 // arms per-group admission with contracts derived from the logs; the
 // monitor window and brownout tick are tightened so the protection loop
 // reacts within the test's short horizon.
@@ -59,7 +59,7 @@ func overloadWorld(t *testing.T, tenants, days int, admit bool) *world {
 	}
 	eng := sim.NewEngine()
 	pool := cluster.NewPool(plan.NodesUsed())
-	m := master.New(eng, pool, opts)
+	m := master.New(pool, opts)
 	byID := map[string]*tenant.Tenant{}
 	for _, tn := range pop {
 		byID[tn.ID] = tn
@@ -134,7 +134,7 @@ func TestOverloadProtection(t *testing.T) {
 
 // TestOverloadTelemetryDeterminism: two fresh same-seed storm runs emit
 // byte-identical telemetry dumps — the admission layer preserves the
-// shared-domain determinism contract.
+// determinism contract.
 func TestOverloadTelemetryDeterminism(t *testing.T) {
 	var sum, resSum string
 	dump := func() (string, string) {
@@ -193,14 +193,10 @@ func TestOverloadSmoke(t *testing.T) {
 	}
 }
 
-// TestOverloadValidation rejects malformed configs and sharded deployments.
+// TestOverloadValidation rejects malformed configs.
 func TestOverloadValidation(t *testing.T) {
-	w := newWorld(t, 6, 1, 2, true, 1) // sharded
 	cfg := DefaultOverloadConfig()
 	cfg.From, cfg.To = 0, sim.Hour
-	if _, err := RunOverload(nil, w.dep, w.cat, w.logs, cfg); err == nil {
-		t.Fatal("sharded deployment accepted")
-	}
 	ws := overloadWorld(t, 6, 1, false)
 	bad := cfg
 	bad.To = 0

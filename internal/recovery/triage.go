@@ -11,10 +11,11 @@
 // existing brownout/admission machinery instead of burning retry cycles.
 //
 // The pull design keeps clock domains safe: the allocator never schedules
-// onto another group's engine. On a shared domain every poll happens in one
-// deterministic engine order, so same-seed runs are byte-identical; on
-// sharded deployments grants are as racy as the shared pool itself already
-// is (best-effort, like every cross-domain pool acquisition).
+// onto another group's engine. Under replay every poll happens in one
+// deterministic order (sim.Domains.Drive), so same-seed runs are
+// byte-identical; under the service, whose domains advance concurrently,
+// grants are as racy as the shared pool itself already is (best-effort, like
+// every cross-domain pool acquisition).
 package recovery
 
 import (
@@ -87,7 +88,7 @@ func (t *Triage) Enqueue(key, group, owner string, deficit float64, tenants int)
 
 // rankLocked returns the claims ordered worst-off first. Ties break toward
 // the larger blast radius, then lexical (group, owner, key) — a total order
-// independent of enqueue timing, so shared-domain runs are deterministic.
+// independent of enqueue timing, so replayed runs are deterministic.
 func (t *Triage) rankLocked() []*triageClaim {
 	out := make([]*triageClaim, 0, len(t.claims))
 	for _, c := range t.claims {

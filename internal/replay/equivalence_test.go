@@ -15,7 +15,7 @@ import (
 
 // outcome condenses everything a replay decides: what it submitted, every
 // completed record in report order, every group's sampled timeline, and how
-// many events the engine(s) executed. Two replays with equal outcomes fired
+// many events the engines executed. Two replays with equal outcomes fired
 // the same events in the same order.
 type outcome struct {
 	submitted, errors, records int
@@ -54,10 +54,7 @@ func condense(rep *Report, dep *master.Deployment, eng *sim.Engine) outcome {
 			o.repaired++
 		}
 	}
-	if !dep.Sharded() {
-		o.steps = eng.Steps()
-		return o
-	}
+	o.steps = eng.Steps()
 	for _, g := range dep.Groups() {
 		g.Domain().Do(func(e *sim.Engine) { o.steps += e.Steps() })
 	}
@@ -97,31 +94,23 @@ func disturbed(g *master.DeployedGroup, victim string) Options {
 // TestReplayEquivalence pins fixed-seed replays to the outcomes recorded on
 // the commit before arrivals were streamed (one closure and one engine event
 // per logged query, all scheduled up front). The streamed source must fire
-// the same submissions in the same order against every other event: plain,
-// with a closed-loop take-over and node failures racing the arrivals, and
-// across per-group engines.
+// the same submissions in the same order against every other event, on every
+// group's engine: plain, and with a closed-loop take-over and node failures
+// racing the arrivals. The step counts include one sampler per group.
 func TestReplayEquivalence(t *testing.T) {
 	cases := []struct {
 		name string
 		run  func(t *testing.T) outcome
 		want outcome
 	}{
-		{"shared", func(t *testing.T) outcome {
-			w := newWorld(t, 30, 3, 1)
-			return runShared(t, w, Options{From: 0, To: 2 * sim.Day})
-		}, outcome{32274, 0, 32274, 0x7cfa74d8ac57e4c1, 0x978340f3996db7b9, 64837, 0}},
-		{"shared-disturbed", func(t *testing.T) outcome {
-			w := newWorld(t, 30, 3, 1)
-			return runShared(t, w, disturbed(multiMemberGroup(t, w.dep)))
-		}, outcome{58309, 0, 58309, 0xc615c4810907571d, 0x4ee5ab2e532b0036, 287798, 1}},
 		{"parallel", func(t *testing.T) outcome {
-			w := newWorldMode(t, 30, 3, 1, true)
-			return runParallel(t, w, Options{From: 0, To: 2 * sim.Day})
-		}, outcome{32274, 0, 32274, 0x1ae3f8d1cc9bce7, 0x978340f3996db7b9, 68305, 0}},
+			w := newWorld(t, 30, 3, 1)
+			return run(t, w, Options{From: 0, To: 2 * sim.Day})
+		}, outcome{32274, 0, 32274, 0x7cfa74d8ac57e4c1, 0x978340f3996db7b9, 68305, 0}},
 		{"parallel-disturbed", func(t *testing.T) outcome {
-			w := newWorldMode(t, 30, 3, 1, true)
-			return runParallel(t, w, disturbed(multiMemberGroup(t, w.dep)))
-		}, outcome{58309, 0, 58309, 0xec602d32e7d2581, 0x4ee5ab2e532b0036, 291266, 1}},
+			w := newWorld(t, 30, 3, 1)
+			return run(t, w, disturbed(multiMemberGroup(t, w.dep)))
+		}, outcome{58309, 0, 58309, 0xc615c4810907571d, 0x4ee5ab2e532b0036, 291266, 1}},
 	}
 	for _, c := range cases {
 		c := c
@@ -133,22 +122,13 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 }
 
-func runShared(t *testing.T, w *world, opts Options) outcome {
+func run(t *testing.T, w *world, opts Options) outcome {
 	t.Helper()
 	rep, err := Run(w.eng, w.dep, w.cat, w.logs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return condense(rep, w.dep, w.eng)
-}
-
-func runParallel(t *testing.T, w *world, opts Options) outcome {
-	t.Helper()
-	rep, err := Run(nil, w.dep, w.cat, w.logs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return condense(rep, w.dep, nil)
 }
 
 // TestReplayAllocations bounds what a replay allocates per logged query once

@@ -2,16 +2,15 @@
 // streams the query submissions of a time window (workload.Stream), routes
 // each through the deployment's per-group routers at its logged time (open
 // loop), samples run-time statistics, and drains. This is the run-time half
-// of the evaluation testbed: Run is the one arrival → sample → drain loop, on
-// either clock layout, and every run-time experiment — §7.5 elastic scaling,
-// the SLA-attainment validation, the fault harnesses of recovery/chaos, the
-// drift scenario — schedules its own perturbation on the engine and calls it.
+// of the evaluation testbed: Run is the one arrival → sample → drain loop,
+// and every run-time experiment — §7.5 elastic scaling, the SLA-attainment
+// validation, the fault harnesses of recovery/chaos, the drift scenario —
+// schedules its own perturbation on the coordinator engine and calls it.
 package replay
 
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/master"
@@ -78,8 +77,7 @@ type Options struct {
 	DrainSlack time.Duration
 	// Submit, when non-nil, submits each replayed arrival to its resolved
 	// group instead of the group's router alone: the storm harnesses put
-	// admission or an SLO slack in front of the router here. On a sharded
-	// deployment it is called from every group's goroutine.
+	// admission or an SLO slack in front of the router here.
 	Submit SubmitFunc
 }
 
@@ -198,9 +196,10 @@ type resolved struct {
 // resolved to its tenant's group and submitted through submit (nil: the
 // group's router) at its logged time, counting into tally; a tenant the plane
 // does not index counts as a submit error. It is the one arrival loop of the
-// tree: Run attaches the replayed population through it, and a caller with
-// traffic on a window of its own (the drift experiment's joiners and
-// leavers) attaches that before calling Run.
+// tree: Run attaches each group's share of the replayed population to the
+// group's engine through it, and a caller with traffic on a window of its own
+// (the drift experiment's joiners and leavers) attaches that to the
+// coordinator engine before calling Run.
 //
 // The plane does not change once deployed, so each log's tenant is resolved
 // once, here, before any arrival is driven.
@@ -231,20 +230,22 @@ func Attach(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog, logs 
 // runs it to the end of the window plus the drain. Tenants in the logs that
 // are not deployed (e.g. excluded ones) are skipped.
 //
-// A shared deployment is driven on eng, one globally ordered event sequence,
-// byte-identical per seed. A sharded one ignores eng (it may be nil) and
-// drives every tenant-group's clock domain in its own goroutine: groups share
-// nothing at query time (§3–§5), so each group's records, samples and scaling
-// events are identical run to run (and, with scaling disabled, identical to a
-// shared run of the same seed), and the merged Records are deterministic too
-// — stable-sorted by submit time, deployment group order breaking ties. Only
-// cross-group telemetry ordering is best-effort under parallelism: event and
-// span sequence numbers, and the timestamps of general spans, which read the
-// hub's furthest-ahead clock (query spans carry their own group's clock).
+// Each tenant-group's share of the replay — its arrivals, take-over,
+// failures, sampler and scaler — is scheduled on the group's own engine. eng
+// is the coordinator (nil: none): it carries the cross-group work the caller
+// scheduled on it beforehand, such as a storm's perturbations or the caller's
+// own traffic. One goroutine then drives every engine (sim.Domains.Drive):
+// events fire by time, then deployment group order, the coordinator's after
+// the groups' at equal instants, so a replay is byte-identical per seed.
+// Records come back in deployment group order, each group's in completion
+// order.
 func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	logs []*workload.TenantLog, opts Options) (*Report, error) {
 	if opts.To <= opts.From {
 		return nil, fmt.Errorf("replay: window [%v,%v)", opts.From, opts.To)
+	}
+	if eng != nil && eng.Now() > opts.From {
+		return nil, fmt.Errorf("replay: coordinator already at %v, window starts %v", eng.Now(), opts.From)
 	}
 	if opts.SampleEvery <= 0 {
 		opts.SampleEvery = 10 * time.Minute
@@ -267,121 +268,71 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 		}
 	}
 
-	var parts []*part
-	if dep.Sharded() {
-		groups := dep.Groups()
-		parts = make([]*part, len(groups))
-		errs := make([]error, len(groups))
-		var wg sync.WaitGroup
-		for i, g := range groups {
-			wg.Add(1)
-			go func(i int, g *master.DeployedGroup) {
-				defer wg.Done()
-				// Everything is scheduled under the domain, then the domain is
-				// advanced through the window; callbacks run while it is held.
-				dom := g.Domain()
-				dom.Do(func(eng *sim.Engine) { parts[i], errs[i] = d.schedule(eng, logs, g) })
-				if errs[i] == nil {
-					dom.Advance(opts.To, nil)
-					dom.Advance(opts.drainUntil(), nil)
-				}
-			}(i, g)
+	mine := make(map[*master.DeployedGroup][]*workload.TenantLog)
+	for _, tl := range logs {
+		if g, ok := dep.GroupFor(tl.Tenant.ID); ok {
+			mine[g] = append(mine[g], tl)
 		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		if eng == nil {
-			return nil, fmt.Errorf("replay: a shared deployment needs its engine")
-		}
-		p, err := d.schedule(eng, logs, nil)
+	}
+	groups := dep.Groups()
+	parts := make([]*part, len(groups))
+	for i, g := range groups {
+		var err error
+		g.Domain().Do(func(eng *sim.Engine) { parts[i], err = d.schedule(eng, mine[g], g) })
 		if err != nil {
 			return nil, err
 		}
-		// Driven directly, not through Domain.Advance: a single driver owns
-		// the engine, and the domain's per-event clock mirror would be paid
-		// on every replayed query.
-		eng.Run(opts.To)
-		eng.Run(opts.drainUntil())
-		parts = []*part{p}
 	}
+	doms := dep.Plane().Domains()
+	doms.Drive(eng, opts.To)
+	doms.Drive(eng, opts.drainUntil())
 
 	rep := &Report{Samples: make(map[string][]Sample), FailureEvents: d.fails, Records: dep.Records()}
 	for _, p := range parts {
-		for id, samples := range p.samples {
-			rep.Samples[id] = samples
-		}
+		rep.Samples[p.group.Plan.ID] = p.samples
 		rep.Submitted += p.Submitted
 		rep.SubmitErrors += p.SubmitErrors
 		if p.scaler != nil {
 			rep.ScalingEvents = append(rep.ScalingEvents, p.scaler.Events()...)
 		}
-		for _, rc := range p.controllers {
-			rep.RecoveryEvents = append(rep.RecoveryEvents, rc.Events()...)
+		if p.controller != nil {
+			rep.RecoveryEvents = append(rep.RecoveryEvents, p.controller.Events()...)
 		}
 	}
 	fillRepairs(rep.FailureEvents, rep.RecoveryEvents)
-	if dep.Sharded() {
-		// Per-group sequences are already deterministic; a stable sort by
-		// submit time (group order breaking ties) yields one canonical order.
-		sort.SliceStable(rep.Records, func(i, j int) bool {
-			return rep.Records[i].Submit < rep.Records[j].Submit
-		})
-	}
 	return rep, nil
 }
 
-// driver is what every engine's share of one replay has in common.
+// driver is what every group's share of one replay has in common.
 type driver struct {
 	dep      *master.Deployment
 	cat      *queries.Catalog
 	opts     Options
 	takeOver *queries.Class
 	// fails has one slot per Options.Failures entry; a slot is written only
-	// by the part driving the failure's group.
+	// by the failure's group.
 	fails []FailureEvent
 }
 
-// part is one engine's share of a replay, written only by the goroutine
-// driving that engine.
+// part is one group's share of a replay.
 type part struct {
 	Counts
-	samples     map[string][]Sample
-	scaler      *scaling.Scaler
-	controllers []*recovery.Controller
+	group      *master.DeployedGroup
+	samples    []Sample
+	scaler     *scaling.Scaler
+	controller *recovery.Controller
 }
 
-// schedule puts one engine's share of the replay on eng — arrivals, take-over,
-// failures, sampling, scaling — for the caller to run through the window and
-// the drain. With only nil, eng is the shared engine of every group of the
-// deployment; otherwise it is only's private engine and the caller holds its
-// domain, so callbacks use the group's raw subsystems and never re-enter
-// locked GroupRuntime methods.
-func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, only *master.DeployedGroup) (*part, error) {
+// schedule puts g's share of the replay on eng, g's engine — the arrivals of
+// logs (g's members), take-over, failures, sampling, scaling — for the caller
+// to run through the window and the drain.
+func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, g *master.DeployedGroup) (*part, error) {
 	dep, opts := d.dep, d.opts
 	if eng.Now() > opts.From {
-		return nil, fmt.Errorf("replay: engine already at %v, window starts %v", eng.Now(), opts.From)
+		return nil, fmt.Errorf("replay: group %s already at %v, window starts %v", g.Plan.ID, eng.Now(), opts.From)
 	}
-	groups := []*master.DeployedGroup{only}
-	if only == nil {
-		groups = dep.Groups()
-	}
-	mine := func(tenantID string) bool {
-		g, ok := dep.GroupFor(tenantID)
-		return ok && (only == nil || g == only)
-	}
-	p := &part{samples: make(map[string][]Sample)}
-
-	var deployed []*workload.TenantLog
-	for _, tl := range logs {
-		if mine(tl.Tenant.ID) {
-			deployed = append(deployed, tl)
-		}
-	}
-	if err := Attach(eng, dep, d.cat, deployed, opts.From, opts.To, opts.Submit, &p.Counts); err != nil {
+	p := &part{group: g}
+	if err := Attach(eng, dep, d.cat, logs, opts.From, opts.To, opts.Submit, &p.Counts); err != nil {
 		return nil, err
 	}
 
@@ -391,82 +342,73 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, only *mas
 	// (§7.5). An open loop with an interval under the query latency would
 	// grow an unbounded queue, which no real client does, and the victim's
 	// self-inflicted slowdown would drown the group's numbers.
-	if to := opts.TakeOver; to != nil && mine(to.Tenant) {
-		group, _ := dep.GroupFor(to.Tenant)
-		rt := group.Router
-		eng.Schedule(to.Start, func(sim.Time) {
-			if h := dep.Telemetry(); h != nil {
-				h.Events.Publish(telemetry.Event{
-					Type:   telemetry.EventTakeOver,
-					Group:  group.Plan.ID,
-					Tenant: to.Tenant,
-					Detail: fmt.Sprintf("continuous %s every %v", to.ClassID, to.Interval),
-				})
-			}
-		})
-		var hammer func(now sim.Time)
-		hammer = func(now sim.Time) {
-			if now >= opts.To {
-				return
-			}
-			if rt.TenantInFlight(to.Tenant) == 0 {
-				p.Submitted++
-				if _, err := rt.Submit(to.Tenant, d.takeOver); err != nil {
-					p.SubmitErrors++
+	if to := opts.TakeOver; to != nil {
+		if victim, _ := dep.GroupFor(to.Tenant); victim == g {
+			rt := g.Router
+			eng.Schedule(to.Start, func(sim.Time) {
+				if h := dep.Telemetry(); h != nil {
+					h.Events.Publish(telemetry.Event{
+						Type:   telemetry.EventTakeOver,
+						Group:  g.Plan.ID,
+						Tenant: to.Tenant,
+						Detail: fmt.Sprintf("continuous %s every %v", to.ClassID, to.Interval),
+					})
 				}
+			})
+			var hammer func(now sim.Time)
+			hammer = func(now sim.Time) {
+				if now >= opts.To {
+					return
+				}
+				if rt.TenantInFlight(to.Tenant) == 0 {
+					p.Submitted++
+					if _, err := rt.Submit(to.Tenant, d.takeOver); err != nil {
+						p.SubmitErrors++
+					}
+				}
+				eng.After(to.Interval, hammer)
 			}
-			eng.After(to.Interval, hammer)
+			eng.Schedule(to.Start, hammer)
 		}
-		eng.Schedule(to.Start, hammer)
 	}
 
 	// Failure injection (§4.4). The injector only breaks things: it degrades
 	// the instance and fails the backing pool node. Detection and repair run
 	// on the groups' recovery controllers — the same autonomous path the
 	// service uses — armed here only when there are failures to recover (in
-	// any group, so the layouts arm the same controllers), so failure-free
-	// replays keep their pre-controller event schedule bit-identically.
+	// any group), so failure-free replays keep their pre-controller event
+	// schedule bit-identically.
 	if len(d.fails) > 0 {
-		for _, g := range groups {
-			if g.Recovery == nil {
-				rc, err := recovery.New(eng, dep.Pool(), g.Plan.ID, g.Instances, recoveryConfig(opts))
-				if err != nil {
-					return nil, err
-				}
-				rc.SetTelemetry(dep.Telemetry())
-				rc.Start()
-				g.Recovery = rc
+		if g.Recovery == nil {
+			rc, err := recovery.New(eng, dep.Pool(), g.Plan.ID, g.Instances, recoveryConfig(opts))
+			if err != nil {
+				return nil, err
 			}
-			p.controllers = append(p.controllers, g.Recovery)
+			rc.SetTelemetry(dep.Telemetry())
+			rc.Start()
+			g.Recovery = rc
 		}
+		p.controller = g.Recovery
 	}
 	for fi := range d.fails {
-		ev := &d.fails[fi]
-		if g, ok := dep.Plane().GroupByID(ev.Group); ok && (only == nil || g == only) {
+		if ev := &d.fails[fi]; ev.Group == g.Plan.ID {
 			eng.Schedule(ev.At, func(sim.Time) { injectFailure(dep, g, ev) })
 		}
 	}
 
 	// Statistics sampling. Each sample also lands on the telemetry RT-TTP
-	// gauge, so a /metrics scrape sees the timeline the report sees. A
-	// registry lookup builds its key string, so each group's is done once.
-	gauges := make(map[*master.DeployedGroup]*telemetry.Gauge)
+	// gauge, so a /metrics scrape sees the timeline the report sees.
+	var gauge *telemetry.Gauge
+	if h := dep.Telemetry(); h != nil {
+		gauge = h.Registry.Gauge("thrifty_group_rt_ttp", "group", g.Plan.ID)
+	}
 	var tick sim.Event // one event re-keyed for every sample
 	var sample func(now sim.Time)
 	sample = func(now sim.Time) {
-		for _, g := range groups {
-			rt := g.Monitor.RTTTP()
-			p.samples[g.Plan.ID] = append(p.samples[g.Plan.ID], Sample{
-				At:     now,
-				RTTTP:  rt,
-				Active: g.Monitor.ActiveTenants(),
-			})
-			if h := dep.Telemetry(); h != nil {
-				if gauges[g] == nil {
-					gauges[g] = h.Registry.Gauge("thrifty_group_rt_ttp", "group", g.Plan.ID)
-				}
-				gauges[g].Set(rt)
-			}
+		rt := g.Monitor.RTTTP()
+		p.samples = append(p.samples, Sample{At: now, RTTTP: rt, Active: g.Monitor.ActiveTenants()})
+		if gauge != nil {
+			gauge.Set(rt)
 		}
 		if now < opts.To {
 			eng.Reschedule(&tick, now.Add(opts.SampleEvery), sample)
@@ -474,10 +416,9 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, only *mas
 	}
 	eng.Reschedule(&tick, opts.From, sample)
 
-	// Elastic scaling: one scaler per engine, all drawing from the one
-	// (mutex-protected) node pool. Scale-up MPPDB IDs stay deterministic: a
-	// scaler numbers the instances it adds under their group's name, and a
-	// private engine's scaler watches that one group.
+	// Elastic scaling: one scaler per group, all drawing from the one
+	// (mutex-protected) node pool. A scaler numbers the instances it adds
+	// under their group's name, so scale-up MPPDB IDs stay deterministic.
 	if opts.Scaling != nil {
 		var err error
 		p.scaler, err = scaling.New(eng, dep.Pool(), *opts.Scaling)
@@ -485,9 +426,7 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, only *mas
 			return nil, err
 		}
 		p.scaler.SetTelemetry(dep.Telemetry())
-		for _, g := range groups {
-			p.scaler.Watch(&scaling.Target{Router: g.Router, Monitor: g.Monitor, Members: g.Members})
-		}
+		p.scaler.Watch(&scaling.Target{Router: g.Router, Monitor: g.Monitor, Members: g.Members})
 		p.scaler.Start()
 	}
 	return p, nil

@@ -2,14 +2,12 @@ package replay
 
 import (
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/advisor"
 	"repro/internal/cluster"
 	"repro/internal/master"
-	"repro/internal/monitor"
 	"repro/internal/queries"
 	"repro/internal/recovery"
 	"repro/internal/scaling"
@@ -28,11 +26,6 @@ type world struct {
 }
 
 func newWorld(t *testing.T, tenants, days int, r int) *world {
-	t.Helper()
-	return newWorldMode(t, tenants, days, r, false)
-}
-
-func newWorldMode(t *testing.T, tenants, days int, r int, sharded bool) *world {
 	t.Helper()
 	cat := queries.Default()
 	lib, err := workload.BuildLibrary(cat, []int{2}, 4, 7)
@@ -61,9 +54,8 @@ func newWorldMode(t *testing.T, tenants, days int, r int, sharded bool) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewEngine()
 	pool := cluster.NewPool(10 * plan.NodesUsed())
-	m := master.New(eng, pool, master.Options{Immediate: true, Sharded: sharded})
+	m := master.New(pool, master.Options{Immediate: true})
 	byID := map[string]*tenant.Tenant{}
 	for _, tn := range pop {
 		byID[tn.ID] = tn
@@ -72,7 +64,7 @@ func newWorldMode(t *testing.T, tenants, days int, r int, sharded bool) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &world{eng: eng, cat: cat, dep: dep, logs: logs, plan: plan}
+	return &world{eng: sim.NewEngine(), cat: cat, dep: dep, logs: logs, plan: plan}
 }
 
 func TestReplayBasics(t *testing.T) {
@@ -260,206 +252,95 @@ func TestReplayFailureInjection(t *testing.T) {
 	}
 }
 
-// canonicalRecords sorts a copy of recs by a total order on the observable
-// fields, so record sets from differently ordered replays compare equal.
-func canonicalRecords(recs []monitor.QueryRecord) []monitor.QueryRecord {
-	out := append([]monitor.QueryRecord(nil), recs...)
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Submit != b.Submit {
-			return a.Submit < b.Submit
-		}
-		if a.Tenant != b.Tenant {
-			return a.Tenant < b.Tenant
-		}
-		if a.Finish != b.Finish {
-			return a.Finish < b.Finish
-		}
-		if a.Class.ID != b.Class.ID {
-			return a.Class.ID < b.Class.ID
-		}
-		return a.MPPDB < b.MPPDB
-	})
-	return out
-}
-
-func recordsEqual(a, b monitor.QueryRecord) bool {
-	return a.Tenant == b.Tenant && a.Class.ID == b.Class.ID &&
-		a.Submit == b.Submit && a.Finish == b.Finish &&
-		a.SLATarget == b.SLATarget && a.MPPDB == b.MPPDB
-}
-
+// TestReplayParallelBasics: every group's share runs on its own engine, and
+// the report's records come back in deployment group order, each group's in
+// completion order — the order Plane.Records keeps.
 func TestReplayParallelBasics(t *testing.T) {
-	w := newWorldMode(t, 10, 2, 3, true)
-	if !w.dep.Sharded() {
-		t.Fatal("deployment not sharded")
-	}
-	rep, err := Run(nil, w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day})
+	w := newWorld(t, 10, 2, 3)
+	rep, err := Run(w.eng, w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Submitted == 0 {
-		t.Fatal("nothing replayed")
+	if rep.Submitted == 0 || rep.SubmitErrors != 0 || len(rep.Records) != rep.Submitted {
+		t.Fatalf("%d submitted, %d errors, %d completed", rep.Submitted, rep.SubmitErrors, len(rep.Records))
 	}
-	if rep.SubmitErrors != 0 {
-		t.Errorf("%d submit errors", rep.SubmitErrors)
+	if w.eng.Steps() != 0 {
+		t.Errorf("the idle coordinator stepped %d events", w.eng.Steps())
 	}
-	if len(rep.Records) == 0 {
-		t.Fatal("no completed queries")
-	}
-	if got := rep.SLAAttainment(); got < 0.97 {
-		t.Errorf("SLA attainment = %.4f, want ≥ 0.97", got)
-	}
-	for _, g := range w.dep.Groups() {
-		if len(rep.Samples[g.Plan.ID]) == 0 {
-			t.Errorf("no samples for group %s", g.Plan.ID)
+	group := map[string]int{}
+	for gi, g := range w.dep.Groups() {
+		for _, id := range g.Plan.TenantIDs {
+			group[id] = gi
 		}
+		g.Domain().Do(func(e *sim.Engine) {
+			if e.Steps() == 0 || e.Now() != sim.Day+sim.Day {
+				t.Errorf("group %s: %d steps, clock %v", g.Plan.ID, e.Steps(), e.Now())
+			}
+		})
 	}
-	// The merged record stream is globally ordered by submit time.
 	for i := 1; i < len(rep.Records); i++ {
-		if rep.Records[i].Submit < rep.Records[i-1].Submit {
-			t.Fatalf("records not merged by submit time at %d", i)
+		a, b := rep.Records[i-1], rep.Records[i]
+		if ga, gb := group[a.Tenant], group[b.Tenant]; ga > gb || ga == gb && a.Finish > b.Finish {
+			t.Fatalf("record %d (%s, finish %v) after %s, finish %v", i, b.Tenant, b.Finish, a.Tenant, a.Finish)
 		}
 	}
 }
 
-// TestReplayParallelMatchesShared: without scaling or failures every group's
-// trajectory is independent of the others, so the per-group clock domains
-// must produce exactly the records the single shared engine does.
-func TestReplayParallelMatchesShared(t *testing.T) {
-	shared := newWorldMode(t, 10, 2, 3, false)
-	sharded := newWorldMode(t, 10, 2, 3, true)
-	opts := Options{From: 0, To: sim.Day}
-	repShared, err := Run(shared.eng, shared.dep, shared.cat, shared.logs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	repPar, err := Run(nil, sharded.dep, sharded.cat, sharded.logs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repShared.Submitted != repPar.Submitted {
-		t.Fatalf("submitted: shared %d, parallel %d", repShared.Submitted, repPar.Submitted)
-	}
-	a := canonicalRecords(repShared.Records)
-	b := canonicalRecords(repPar.Records)
-	if len(a) != len(b) {
-		t.Fatalf("records: shared %d, parallel %d", len(a), len(b))
-	}
-	for i := range a {
-		if !recordsEqual(a[i], b[i]) {
-			t.Fatalf("record %d differs:\n shared   %+v\n parallel %+v", i, a[i], b[i])
-		}
-	}
-}
-
-// TestReplayParallelDeterministic: two identical sharded worlds replayed
-// concurrently yield the same merged record sequence, submit counts and
-// samples — goroutine scheduling must not leak into results.
+// TestReplayParallelDeterministic: two identical worlds replayed one after
+// the other yield the same records in the same order, the same samples and
+// the same step counts.
 func TestReplayParallelDeterministic(t *testing.T) {
-	run := func() (*Report, *master.Deployment) {
-		w := newWorldMode(t, 8, 2, 2, true)
-		rep, err := Run(nil, w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep, w.dep
+	opts := Options{From: 0, To: sim.Day}
+	if a, b := run(t, newWorld(t, 8, 2, 2), opts), run(t, newWorld(t, 8, 2, 2), opts); a != b {
+		t.Errorf("same-seed replays differ:\n %v\n %v", a, b)
 	}
-	rep1, dep1 := run()
-	rep2, dep2 := run()
-	if rep1.Submitted != rep2.Submitted || rep1.SubmitErrors != rep2.SubmitErrors {
-		t.Fatalf("counters differ: (%d,%d) vs (%d,%d)",
-			rep1.Submitted, rep1.SubmitErrors, rep2.Submitted, rep2.SubmitErrors)
-	}
-	if len(rep1.Records) != len(rep2.Records) {
-		t.Fatalf("records: %d vs %d", len(rep1.Records), len(rep2.Records))
-	}
-	// Merged order itself must be reproducible, not just the multiset.
-	for i := range rep1.Records {
-		if !recordsEqual(rep1.Records[i], rep2.Records[i]) {
-			t.Fatalf("record %d differs:\n run1 %+v\n run2 %+v", i, rep1.Records[i], rep2.Records[i])
-		}
-	}
-	for _, g := range dep1.Groups() {
-		if len(rep1.Samples[g.Plan.ID]) != len(rep2.Samples[g.Plan.ID]) {
-			t.Errorf("sample count differs for %s", g.Plan.ID)
-		}
-	}
-	_ = dep2
 }
 
-// TestReplayModeValidation: Run dispatches on the deployment's layout — a
-// sharded one needs no engine (and ignores one it is given), a shared one
-// cannot run without its own — and validates the same way on both.
+// TestReplayModeValidation: Run needs no coordinator — nil replays exactly
+// what an idle one does — and rejects a coordinator or group engine already
+// past the window's start.
 func TestReplayModeValidation(t *testing.T) {
-	sharded := newWorldMode(t, 4, 1, 2, true)
-	if _, err := Run(sharded.eng, sharded.dep, sharded.cat, sharded.logs,
-		Options{From: 0, To: sim.Day}); err != nil {
-		t.Errorf("sharded deployment with a spare engine: %v", err)
+	opts := Options{From: 0, To: sim.Day}
+	w := newWorld(t, 4, 1, 2)
+	rep, err := Run(nil, w.dep, w.cat, w.logs, opts)
+	if err != nil {
+		t.Fatalf("no coordinator: %v", err)
 	}
-	if sharded.eng.Steps() != 0 {
-		t.Error("a sharded replay stepped the engine it was handed")
+	if a, b := condense(rep, w.dep, w.eng), run(t, newWorld(t, 4, 1, 2), opts); a != b {
+		t.Errorf("without a coordinator %v, with an idle one %v", a, b)
 	}
-	shared := newWorldMode(t, 4, 1, 2, false)
-	if _, err := Run(nil, shared.dep, shared.cat, shared.logs,
-		Options{From: 0, To: sim.Day}); err == nil {
-		t.Error("shared deployment accepted without an engine")
+	if _, err := Run(nil, w.dep, w.cat, w.logs, opts); err == nil {
+		t.Error("groups past the window start accepted")
 	}
-	sharded = newWorldMode(t, 4, 1, 2, true)
-	if _, err := Run(nil, sharded.dep, sharded.cat, sharded.logs, Options{From: sim.Day, To: 0}); err == nil {
-		t.Error("inverted window accepted")
-	}
-	if _, err := Run(nil, sharded.dep, sharded.cat, sharded.logs, Options{From: 0, To: sim.Day,
-		TakeOver: &TakeOver{Tenant: "ghost", ClassID: "TPCH-Q1", Interval: time.Minute}}); err == nil {
-		t.Error("take-over of undeployed tenant accepted")
+	w = newWorld(t, 4, 1, 2)
+	w.eng.Run(sim.Hour)
+	if _, err := Run(w.eng, w.dep, w.cat, w.logs, opts); err == nil {
+		t.Error("coordinator past the window start accepted")
 	}
 }
 
-// TestReplayParallelFailureInjection: failures are partitioned to their
-// group's domain; bad specs still surface as event errors in the merged
-// report.
+// TestReplayParallelFailureInjection: failures at one instant in two groups
+// are each injected and repaired on their own group's engine, and the
+// recovery lifecycles come back in deployment group order.
 func TestReplayParallelFailureInjection(t *testing.T) {
-	w := newWorldMode(t, 6, 2, 2, true)
-	g := w.dep.Groups()[0]
-	rep, err := Run(nil, w.dep, w.cat, w.logs, Options{
-		From: 0,
-		To:   sim.Day,
-		Failures: []Failure{
-			{At: 2 * sim.Hour, Group: g.Plan.ID, Instance: 0},
-			{At: 3 * sim.Hour, Group: "TG-NOPE", Instance: 0},
-		},
-	})
+	w := newWorld(t, 10, 2, 3)
+	groups := w.dep.Groups()
+	if len(groups) < 2 {
+		t.Fatalf("%d groups planned, need 2", len(groups))
+	}
+	rep, err := Run(w.eng, w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day, Failures: []Failure{
+		{At: 2 * sim.Hour, Group: groups[1].Plan.ID, Instance: 0},
+		{At: 2 * sim.Hour, Group: groups[0].Plan.ID, Instance: 0},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.FailureEvents) != 2 {
-		t.Fatalf("%d failure events", len(rep.FailureEvents))
-	}
-	var okEv, badEv *FailureEvent
-	for i := range rep.FailureEvents {
-		if rep.FailureEvents[i].Group == g.Plan.ID {
-			okEv = &rep.FailureEvents[i]
-		} else {
-			badEv = &rep.FailureEvents[i]
+	for i, g := range []*master.DeployedGroup{groups[1], groups[0]} {
+		if ev := rep.FailureEvents[i]; ev.Err != "" || ev.MPPDB != g.Instances[0].ID() || ev.RepairedAt <= ev.At {
+			t.Errorf("failure %d not injected and repaired: %+v", i, ev)
 		}
 	}
-	if okEv == nil || badEv == nil {
-		t.Fatalf("events not partitioned: %+v", rep.FailureEvents)
-	}
-	if okEv.Err != "" {
-		t.Fatalf("valid injection failed: %s", okEv.Err)
-	}
-	inst := g.Instances[0]
-	share := inst.TenantDataGB() / float64(inst.Nodes())
-	base := cluster.StartupTime(1) + cluster.LoadTime(share, 1, false)
-	hb := recovery.DefaultConfig().HeartbeatInterval
-	if got := okEv.RepairedAt.Sub(okEv.At); got < base || got > base+hb {
-		t.Errorf("repair took %v, want within [%v, %v]", got, base, base+hb)
-	}
-	if len(rep.RecoveryEvents) == 0 {
-		t.Error("no recovery lifecycles in merged report")
-	}
-	if badEv.Err == "" {
-		t.Error("unknown group did not surface an error")
+	if len(rep.RecoveryEvents) != 2 || rep.RecoveryEvents[0].MPPDB != groups[0].Instances[0].ID() {
+		t.Errorf("recovery lifecycles %+v, want %s's first", rep.RecoveryEvents, groups[0].Plan.ID)
 	}
 }

@@ -6,11 +6,10 @@
 // The paper's architecture (§3–§5) makes tenant-groups independent units of
 // execution: each group has its own MPPDBs, router, monitor, and scaling
 // loop, and nothing crosses group boundaries at query time. GroupRuntime is
-// that unit made explicit. In sharded mode every group owns a private
-// sim.Engine wrapped in a sim.Domain, so submits against different groups
-// proceed fully in parallel; in shared mode all groups sit on one engine
-// behind one domain, preserving the globally ordered event interleaving the
-// experiments (Figs 7.1–7.7) rely on for bit-identical replay.
+// that unit made explicit: every group owns a private sim.Engine wrapped in a
+// sim.Domain, so submits against different groups proceed fully in parallel,
+// and replay drives all of them in one deterministic order
+// (sim.Domains.Drive) for bit-identical experiments (Figs 7.1–7.7).
 package runtime
 
 import (
@@ -41,8 +40,8 @@ const NoTenantRef = tenant.NoRef
 
 // GroupRuntime is one tenant-group brought up on the cluster. The exported
 // fields are the group's subsystems; they are safe to touch directly only
-// from the engine's single driver (the experiment/replay path) or from
-// inside the group's clock domain. Concurrent callers — the HTTP service —
+// from the single driver of every domain (the experiment/replay path) or
+// from inside the group's clock domain. Concurrent callers — the HTTP service —
 // must go through the locked methods below.
 type GroupRuntime struct {
 	Plan      advisor.PlannedGroup
@@ -98,8 +97,7 @@ func (g *GroupRuntime) SetTelemetry(h *telemetry.Hub) {
 // engine.
 func (g *GroupRuntime) Bind(dom *sim.Domain) { g.dom = dom }
 
-// Domain returns the group's clock domain. Groups of a shared-mode
-// deployment all return the same domain.
+// Domain returns the group's clock domain.
 func (g *GroupRuntime) Domain() *sim.Domain { return g.dom }
 
 // Now returns the group's virtual time without blocking.
@@ -486,19 +484,16 @@ func (g *GroupRuntime) RecordCountAt(at sim.Time) int {
 }
 
 // Plane is the runtime half of a deployment: the deployed groups, a
-// tenant→group index for O(1) dispatch at the front door, and the deduped
-// set of clock domains driving them.
+// tenant→group index for O(1) dispatch at the front door, and the groups'
+// clock domains in deployment order.
 //
 // The plane is built once: the Deployment Master adds every group before it
 // returns the deployment, and nothing changes it afterwards. So concurrent
-// readers — submits, scrapes, replay drivers on every group's goroutine —
-// take no lock here.
+// readers — submits, scrapes — take no lock here.
 type Plane struct {
 	groups  []*GroupRuntime
 	byTen   map[string]tenantEntry
 	domains sim.Domains
-	byDom   map[*sim.Domain][]*GroupRuntime
-	sharded bool
 	hub     *telemetry.Hub
 }
 
@@ -511,27 +506,17 @@ type tenantEntry struct {
 	id  string // the plane's own copy of the key, see Lookup
 }
 
-// NewPlane creates an empty plane. sharded records whether groups run on
-// private clock domains (service mode) or share one (experiment mode).
-func NewPlane(hub *telemetry.Hub, sharded bool) *Plane {
-	return &Plane{
-		byTen:   make(map[string]tenantEntry),
-		byDom:   make(map[*sim.Domain][]*GroupRuntime),
-		sharded: sharded,
-		hub:     hub,
-	}
+// NewPlane creates an empty plane.
+func NewPlane(hub *telemetry.Hub) *Plane {
+	return &Plane{byTen: make(map[string]tenantEntry), hub: hub}
 }
 
 // Add registers a bound group: it is indexed by member tenant, with each
 // member's ref resolved in the group's router, and its domain joins the
-// plane's domain set (shared domains are deduplicated). It is for building
-// the plane, before any reader sees it.
+// plane's domains. It is for building the plane, before any reader sees it.
 func (p *Plane) Add(g *GroupRuntime) {
 	p.groups = append(p.groups, g)
-	p.byDom[g.dom] = append(p.byDom[g.dom], g)
-	if len(p.byDom[g.dom]) == 1 {
-		p.domains = append(p.domains, g.dom)
-	}
+	p.domains = append(p.domains, g.dom)
 	for _, tn := range g.Members {
 		e := tenantEntry{g: g, ref: tenant.NoRef, id: tn.ID}
 		if g.Router != nil {
@@ -597,13 +582,11 @@ func (p *Plane) Lookup(id string) (*GroupRuntime, tenant.Ref, string, bool) {
 // Tenants returns the number of indexed tenants.
 func (p *Plane) Tenants() int { return len(p.byTen) }
 
-// Sharded reports whether groups run on private clock domains.
-func (p *Plane) Sharded() bool { return p.sharded }
-
 // Hub returns the plane's telemetry hub.
 func (p *Plane) Hub() *telemetry.Hub { return p.hub }
 
-// Domains returns a snapshot of the plane's distinct clock domains.
+// Domains returns a snapshot of the groups' clock domains, in deployment
+// order.
 func (p *Plane) Domains() sim.Domains {
 	return append(sim.Domains(nil), p.domains...)
 }
@@ -611,27 +594,17 @@ func (p *Plane) Domains() sim.Domains {
 // Now returns the most advanced group clock.
 func (p *Plane) Now() sim.Time { return p.domains.Now() }
 
-// AdvanceAll drives every domain up to the target time. Read-side endpoints
+// AdvanceAll drives every group up to the target time. Read-side endpoints
 // use it so a scrape reflects everything that should have happened by now.
-// A domain whose groups are all shedding-only is skipped: the brownout
-// controller owns its pacing, and a scrape must not queue behind — or pile
-// extra work onto — an overloaded group.
+// A shedding-only group is skipped: the brownout controller owns its pacing,
+// and a scrape must not queue behind — or pile extra work onto — an
+// overloaded group.
 func (p *Plane) AdvanceAll(at sim.Time) {
-	for _, d := range p.domains {
-		if p.allShedding(d) {
-			continue
-		}
-		d.Advance(at, nil)
-	}
-}
-
-func (p *Plane) allShedding(d *sim.Domain) bool {
-	for _, g := range p.byDom[d] {
+	for _, g := range p.groups {
 		if !g.SheddingOnly() {
-			return false
+			g.dom.Advance(at, nil)
 		}
 	}
-	return true
 }
 
 // Records returns all completed query records, materialised from the groups'

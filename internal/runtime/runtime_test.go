@@ -121,7 +121,7 @@ func TestGroupRuntimeSubmitUnknownTenant(t *testing.T) {
 }
 
 func TestPlaneShardedIndexAndClocks(t *testing.T) {
-	p := NewPlane(nil, true)
+	p := NewPlane(nil)
 	var groups []*GroupRuntime
 	for i := 0; i < 3; i++ {
 		eng := sim.NewEngine()
@@ -129,9 +129,6 @@ func TestPlaneShardedIndexAndClocks(t *testing.T) {
 		g.Bind(sim.NewDomain(eng))
 		p.Add(g)
 		groups = append(groups, g)
-	}
-	if !p.Sharded() {
-		t.Error("plane not sharded")
 	}
 	if len(p.Domains()) != 3 {
 		t.Fatalf("%d domains, want 3", len(p.Domains()))
@@ -156,33 +153,22 @@ func TestPlaneShardedIndexAndClocks(t *testing.T) {
 	if p.Now() != 5*sim.Minute {
 		t.Errorf("plane Now = %v", p.Now())
 	}
+	// AdvanceAll leaves a shedding-only group to its brownout controller.
+	groups[2].SetSheddingOnly(true)
 	p.AdvanceAll(sim.Hour)
 	for i, g := range groups {
-		if g.Now() != sim.Hour {
-			t.Errorf("group %d at %v after AdvanceAll", i, g.Now())
+		want := sim.Hour
+		if i == 2 {
+			want = 0
+		}
+		if g.Now() != want {
+			t.Errorf("group %d at %v after AdvanceAll, want %v", i, g.Now(), want)
 		}
 	}
 }
 
-func TestPlaneSharedDomainDedup(t *testing.T) {
-	eng := sim.NewEngine()
-	dom := sim.NewDomain(eng)
-	p := NewPlane(nil, false)
-	for i := 0; i < 3; i++ {
-		g := newGroup(t, eng, fmt.Sprintf("TG-%04d", i), fmt.Sprintf("t%d", i))
-		g.Bind(dom)
-		p.Add(g)
-	}
-	if p.Sharded() {
-		t.Error("plane reports sharded")
-	}
-	if len(p.Domains()) != 1 {
-		t.Fatalf("%d domains, want 1 (shared)", len(p.Domains()))
-	}
-}
-
 func TestPlaneRecordsGroupOrder(t *testing.T) {
-	p := NewPlane(nil, true)
+	p := NewPlane(nil)
 	class := q1(t)
 	for i := 0; i < 2; i++ {
 		eng := sim.NewEngine()

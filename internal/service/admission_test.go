@@ -65,8 +65,7 @@ func deployAdmitted(t *testing.T, ids []string, contracts map[string]admission.C
 	}
 	admCfg := admission.DefaultConfig()
 	admCfg.Contracts = contracts
-	eng := sim.NewEngine()
-	m := master.New(eng, cluster.NewPool(64), master.Options{
+	m := master.New(cluster.NewPool(64), master.Options{
 		Immediate:     true,
 		MonitorWindow: time.Hour,
 		Admission:     &admCfg,
@@ -228,7 +227,7 @@ func TestNoisyNeighborE2E(t *testing.T) {
 // wedged, and the read endpoints must still answer from cached stats
 // instead of advancing or locking the group.
 func TestSheddingOnlyReadPath(t *testing.T) {
-	dep, plan := deployTenants(t, []string{"t1", "t2", "t3", "t4"}, false)
+	dep, plan := deployTenants(t, []string{"t1", "t2", "t3", "t4"})
 	srv, err := New(dep, queries.Default(), plan, Config{TimeScale: 60})
 	if err != nil {
 		t.Fatal(err)

@@ -53,8 +53,7 @@ func deployBatchMix(t *testing.T, ids []string, contracts map[string]admission.C
 	admCfg := admission.DefaultConfig()
 	admCfg.Contracts = contracts
 	admCfg.MaxQueue = 1
-	eng := sim.NewEngine()
-	m := master.New(eng, cluster.NewPool(64), master.Options{
+	m := master.New(cluster.NewPool(64), master.Options{
 		Immediate:     true,
 		MonitorWindow: time.Hour,
 		Admission:     &admCfg,

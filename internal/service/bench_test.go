@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -17,18 +19,79 @@ import (
 
 // The layer's own benchmarks: POST /v1/queries, and POST /v1/submit-batch
 // with 64 queries, through (*service.Server).ServeHTTP on the repository
-// benchmark's 200-tenant, 7-day shared deployment, driven the way its HTTP
-// client drives them (benchmark/httpdrive.go): in-process, with one request,
-// one body reader and one writer reused, and the wall clock set to each
-// request's logged arrival time at time scale 1. A deployment serves the
-// event list once, so the timer stops while a fresh one is deployed each time
-// the list runs out. Profile the front end here:
+// benchmark's 200-tenant, 7-day deployment, driven the way its HTTP client
+// drives them (benchmark/httpdrive.go): in-process, with one request, one
+// body reader and one writer reused, and the wall clock set to each request's
+// logged arrival time at time scale 1. A deployment serves the event list
+// once, so the timer stops while a fresh one is deployed each time the list
+// runs out. Profile the front end here:
 //
 //	go test -run '^$' -bench BenchmarkServeSubmit$ -benchtime 5s -cpuprofile cpu.prof ./internal/service
 
 func BenchmarkServeSubmit(b *testing.B) { benchServe(b, 1) }
 
 func BenchmarkServeSubmitBatch64(b *testing.B) { benchServe(b, 64) }
+
+// BenchmarkServeSubmitParallel sends single POST /v1/queries from GOMAXPROCS
+// clients at once, the way independent tenants reach the front door: client
+// k of P owns the groups whose index is k mod P and sends their logged
+// queries in order, so clients meet only where the server shares state. The
+// wall clock is the furthest arrival any client has reached. One deployment
+// serves the whole run; a client that runs out of queries replays its list a
+// horizon later. Compare -cpu 1 with -cpu 2 for the front end's parallelism:
+//
+//	go test -run '^$' -bench BenchmarkServeSubmitParallel -cpu 1,2 ./internal/service
+func BenchmarkServeSubmitParallel(b *testing.B) {
+	loadServeBench(b)
+	sb := &serveBench
+	clients := runtime.GOMAXPROCS(0)
+	groupOf := map[string]int{}
+	for gi, g := range sb.plan.Groups {
+		for _, id := range g.TenantIDs {
+			groupOf[id] = gi
+		}
+	}
+	own := make([][]benchRequest, clients)
+	for _, q := range sb.events {
+		k := groupOf[q.tenant] % clients
+		own[k] = append(own[k], benchRequest{body: appendQuery(nil, q), at: q.at})
+	}
+	sys, err := thrifty.Deploy(sb.w, sb.plan, thrifty.DeployOptions{Immediate: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv, err := service.New(sys.Deployment, sb.w.Catalog, sb.plan, service.Config{TimeScale: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	origin := time.Unix(0, 0)
+	var furthest atomic.Int64
+	srv.SetClock(func() time.Time { return origin.Add(time.Duration(furthest.Load())) }, origin)
+	var next atomic.Int64
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		reqs := own[int(next.Add(1)-1)%clients]
+		req := httptest.NewRequest(http.MethodPost, "/v1/queries", nil)
+		body := &reusedBody{}
+		req.Body = body
+		w := &lastWrite{hdr: make(http.Header)}
+		for i := 0; pb.Next(); i++ {
+			r := reqs[i%len(reqs)]
+			at := int64(r.at + sim.Time(i/len(reqs))*sb.w.Horizon)
+			for cur := furthest.Load(); at > cur && !furthest.CompareAndSwap(cur, at); cur = furthest.Load() {
+			}
+			body.Reset(r.body)
+			w.status = 0
+			srv.ServeHTTP(w, req)
+			if w.status != http.StatusAccepted {
+				b.Errorf("POST /v1/queries: status %d, body %s", w.status, w.body)
+				return
+			}
+		}
+	})
+}
 
 // serveBench is the set-up both benchmarks share: the testbed, its plan and
 // its logged queries in arrival order.

@@ -297,7 +297,7 @@ func TestSubmitPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	dep, plan := deployTenants(t, []string{"t1", "t2", "t3", "t4"}, false)
+	dep, plan := deployTenants(t, []string{"t1", "t2", "t3", "t4"})
 	srv, err := New(dep, queries.Default(), plan, Config{TimeScale: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -104,9 +104,8 @@ func deployScarce(t *testing.T) (*master.Deployment, *advisor.Plan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewEngine()
 	rcfg := recovery.DefaultConfig()
-	m := master.New(eng, cluster.NewPoolDomains(plan.NodesUsed(), 2),
+	m := master.New(cluster.NewPoolDomains(plan.NodesUsed(), 2),
 		master.Options{Immediate: true, Recovery: &rcfg, Triage: true})
 	dep, err := m.Deploy(plan, tenants)
 	if err != nil {

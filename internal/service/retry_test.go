@@ -16,7 +16,7 @@ import (
 // a typed 504 after the configured budget instead of a hung connection, and
 // succeed again once a replica returns.
 func TestSubmitRetryTimeout(t *testing.T) {
-	dep, plan := deployTenants(t, []string{"t1", "t2"}, false)
+	dep, plan := deployTenants(t, []string{"t1", "t2"})
 	srv, err := New(dep, queries.Default(), plan, Config{
 		TimeScale:     60,
 		SubmitRetries: 2,

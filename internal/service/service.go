@@ -18,7 +18,7 @@
 //
 // Concurrency is per tenant-group: the front door resolves a submit to its
 // group in O(1) and takes only that group's clock domain, so submits to
-// different groups of a sharded deployment proceed fully in parallel.
+// different groups proceed fully in parallel.
 // There is no global lock on the hot path — the server-wide RWMutex is
 // read-acquired by every handler and write-acquired only when Install swaps
 // in a re-consolidated deployment; routing is one map read, and the pacing
@@ -143,9 +143,8 @@ type Config struct {
 	SubmitTimeout time.Duration
 }
 
-// New builds a server over a live deployment. The deployment may be shared
-// (all groups on one clock domain) or sharded (a domain per group); the
-// server is oblivious — sharding only widens the parallelism.
+// New builds a server over a live deployment, whose groups each run on a
+// clock domain of their own.
 func New(dep *master.Deployment, cat *queries.Catalog,
 	plan *advisor.Plan, cfg Config) (*Server, error) {
 	if dep == nil || cat == nil || plan == nil {

@@ -27,7 +27,7 @@ import (
 
 // deployTenants builds and deploys a plan for 2-node TPC-H tenants with the
 // given IDs (R=2, staggered activity windows).
-func deployTenants(t *testing.T, ids []string, sharded bool) (*master.Deployment, *advisor.Plan) {
+func deployTenants(t *testing.T, ids []string) (*master.Deployment, *advisor.Plan) {
 	t.Helper()
 	tenants := map[string]*tenant.Tenant{}
 	var logs []*workload.TenantLog
@@ -50,8 +50,7 @@ func deployTenants(t *testing.T, ids []string, sharded bool) (*master.Deployment
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewEngine()
-	m := master.New(eng, cluster.NewPool(64), master.Options{Immediate: true, Sharded: sharded})
+	m := master.New(cluster.NewPool(64), master.Options{Immediate: true})
 	dep, err := m.Deploy(plan, tenants)
 	if err != nil {
 		t.Fatal(err)
@@ -63,14 +62,7 @@ func deployTenants(t *testing.T, ids []string, sharded bool) (*master.Deployment
 // manually driven clock.
 func testServer(t *testing.T) (*Server, *httptest.Server, func(d time.Duration)) {
 	t.Helper()
-	return testServerMode(t, false)
-}
-
-// testServerMode is testServer with an explicit clock layout: sharded gives
-// each tenant-group a private clock domain.
-func testServerMode(t *testing.T, sharded bool) (*Server, *httptest.Server, func(d time.Duration)) {
-	t.Helper()
-	dep, plan := deployTenants(t, []string{"t1", "t2", "t3", "t4"}, sharded)
+	dep, plan := deployTenants(t, []string{"t1", "t2", "t3", "t4"})
 	srv, err := New(dep, queries.Default(), plan, Config{TimeScale: 60})
 	if err != nil {
 		t.Fatal(err)
@@ -505,60 +497,37 @@ func TestSLOEndpoint(t *testing.T) {
 // race test (run with -race).
 func TestConcurrentSubmitsAndScrapes(t *testing.T) {
 	_, ts, tick := testServer(t)
-	tenants := []string{"t1", "t2", "t3", "t4"}
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				var out map[string]any
-				code := post(t, ts, "/v1/queries",
-					SubmitRequest{Tenant: tenants[(g+i)%len(tenants)], Query: "TPCH-Q6"}, &out)
-				if code != http.StatusAccepted {
-					t.Errorf("submit status %d: %v", code, out)
-				}
-			}
-		}(g)
-	}
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 10; i++ {
-				resp, err := http.Get(ts.URL + "/metrics")
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				io.Copy(io.Discard, resp.Body)
-				resp.Body.Close()
-				if code := get(t, ts, "/v1/slo", nil); code != 200 {
-					t.Errorf("slo status %d", code)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	tick(time.Minute)
-	var recs []map[string]any
-	get(t, ts, "/v1/records", &recs)
-	if len(recs) != 80 {
-		t.Errorf("%d records, want 80", len(recs))
-	}
+	hammer(t, ts, tick, func() {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+	})
 }
 
-// TestShardedConcurrentSubmits runs the same hammer against a sharded
-// deployment: every group has a private clock domain, so submits to
-// different groups serialize only on their own shard (run with -race).
+// TestShardedConcurrentSubmits runs the same hammer beside /v1/groups reads:
+// every group has a private clock domain, so submits to different groups
+// serialize only on their own domain (run with -race).
 func TestShardedConcurrentSubmits(t *testing.T) {
-	srv, ts, tick := testServerMode(t, true)
-	if !srv.dep.Sharded() {
-		t.Fatal("deployment not sharded")
-	}
+	srv, ts, tick := testServer(t)
 	if n := len(srv.dep.Plane().Domains()); n != len(srv.dep.Groups()) {
 		t.Fatalf("%d domains for %d groups", n, len(srv.dep.Groups()))
 	}
+	hammer(t, ts, tick, func() {
+		if code := get(t, ts, "/v1/groups", nil); code != 200 {
+			t.Errorf("groups status %d", code)
+		}
+	})
+}
+
+// hammer posts 80 single submits from eight goroutines while four others
+// each call read and GET /v1/slo ten times, then checks every submit
+// completed.
+func hammer(t *testing.T, ts *httptest.Server, tick func(time.Duration), read func()) {
+	t.Helper()
 	tenants := []string{"t1", "t2", "t3", "t4"}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -580,9 +549,7 @@ func TestShardedConcurrentSubmits(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 10; i++ {
-				if code := get(t, ts, "/v1/groups", nil); code != 200 {
-					t.Errorf("groups status %d", code)
-				}
+				read()
 				if code := get(t, ts, "/v1/slo", nil); code != 200 {
 					t.Errorf("slo status %d", code)
 				}
@@ -598,10 +565,10 @@ func TestShardedConcurrentSubmits(t *testing.T) {
 	}
 }
 
-// TestShardedEndpoints smoke-tests the read endpoints against a sharded
-// deployment (per-group domains behind the same HTTP surface).
+// TestShardedEndpoints smoke-tests the read endpoints against per-group
+// domains behind the one HTTP surface.
 func TestShardedEndpoints(t *testing.T) {
-	_, ts, tick := testServerMode(t, true)
+	_, ts, tick := testServer(t)
 	if code := post(t, ts, "/v1/queries", SubmitRequest{Tenant: "t1", Query: "TPCH-Q6"}, nil); code != http.StatusAccepted {
 		t.Fatalf("submit status %d", code)
 	}
@@ -630,11 +597,11 @@ func TestShardedEndpoints(t *testing.T) {
 }
 
 // TestInstallReconsolidation covers the register → cycle → query flow
-// through sharded deployments: a pending tenant is picked up by a new plan,
+// through per-group domains: a pending tenant is picked up by a new plan,
 // the re-consolidated deployment is installed, and the tenant's queries
 // route to its new group's shard.
 func TestInstallReconsolidation(t *testing.T) {
-	srv, ts, tick := testServerMode(t, true)
+	srv, ts, tick := testServer(t)
 	if code := post(t, ts, "/v1/tenants", PendingTenant{ID: "t9", Nodes: 2, Suite: "TPC-H"}, nil); code != http.StatusAccepted {
 		t.Fatalf("register status %d", code)
 	}
@@ -644,7 +611,7 @@ func TestInstallReconsolidation(t *testing.T) {
 	}
 	// The (re)-consolidation cycle: a fresh plan over the old population
 	// plus the pending registration, deployed into new shards.
-	dep2, plan2 := deployTenants(t, []string{"t1", "t2", "t3", "t4", "t9"}, true)
+	dep2, plan2 := deployTenants(t, []string{"t1", "t2", "t3", "t4", "t9"})
 	if err := srv.Install(dep2, plan2); err != nil {
 		t.Fatal(err)
 	}
@@ -710,7 +677,7 @@ func rawPost(ts *httptest.Server, path string, body any, out any) (int, error) {
 // spurious "not deployed" rejection mid-install would mean the swap exposed
 // a torn topology.
 func TestSubmitDuringInstallWindow(t *testing.T) {
-	srv, ts, _ := testServerMode(t, true)
+	srv, ts, _ := testServer(t)
 	ids := []string{"t1", "t2", "t3", "t4"}
 	stop := make(chan struct{})
 	errCh := make(chan string, len(ids))
@@ -740,7 +707,7 @@ func TestSubmitDuringInstallWindow(t *testing.T) {
 	}
 	// Eight back-to-back re-consolidation cycles while the hammers run.
 	for i := 0; i < 8; i++ {
-		dep, plan := deployTenants(t, ids, true)
+		dep, plan := deployTenants(t, ids)
 		if err := srv.Install(dep, plan); err != nil {
 			t.Fatal(err)
 		}
@@ -761,7 +728,7 @@ func TestSubmitDuringInstallWindow(t *testing.T) {
 // Install has returned, the new plane's clock never exceeds the scaled wall
 // time since the swap (run with -race).
 func TestInstallDuringSubmitStorm(t *testing.T) {
-	srv, _, _ := testServerMode(t, true)
+	srv, _, _ := testServer(t)
 	var wall atomic.Int64 // ns since the first origin, moved by this goroutine only
 	wall.Store(int64(time.Hour))
 	// The clock is slow on purpose: were Install to read it for the new
@@ -801,7 +768,7 @@ func TestInstallDuringSubmitStorm(t *testing.T) {
 	}()
 
 	for i := 0; i < 8; i++ {
-		dep, plan := deployTenants(t, ids, true)
+		dep, plan := deployTenants(t, ids)
 		swap := wall.Load()
 		if err := srv.Install(dep, plan); err != nil {
 			t.Fatal(err)

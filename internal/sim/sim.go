@@ -4,7 +4,8 @@
 // Events scheduled for the same instant fire in scheduling order, which makes
 // every simulation in this repository exactly reproducible from its seed.
 // All subsystems that need the passage of time (MPPDB query execution, bulk
-// loading, activity monitoring, elastic scaling) are driven by one Engine.
+// loading, activity monitoring, elastic scaling) are driven by engines: one
+// per tenant-group, each behind a clock Domain (see domain.go).
 package sim
 
 import (

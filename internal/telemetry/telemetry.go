@@ -21,7 +21,7 @@ package telemetry
 import "repro/internal/sim"
 
 // Clock supplies timestamps for spans and events. *sim.Engine satisfies it
-// directly (virtual time), as does sim.Domains for a sharded deployment.
+// directly (virtual time), as does sim.Domains for a deployment's groups.
 type Clock interface {
 	Now() sim.Time
 }

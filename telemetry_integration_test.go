@@ -182,10 +182,10 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	}
 }
 
-// TestShardedSpanTimesMatchRecords: on the sharded layout the hub's clock is
-// the furthest-ahead group's, which is not when a query of another group was
-// submitted or finished. Every retained query span must carry its own
-// record's times — the router stamps them from its group's engine.
+// TestShardedSpanTimesMatchRecords: the hub's clock is the furthest-ahead
+// group's, which is not always when a query of another group was submitted
+// or finished. Every retained query span must carry its own record's times —
+// the router stamps them from its group's engine.
 func TestShardedSpanTimesMatchRecords(t *testing.T) {
 	w := smallWorkload(t)
 	plan, err := PlanDeployment(w, DefaultPlanConfig())
@@ -195,7 +195,7 @@ func TestShardedSpanTimesMatchRecords(t *testing.T) {
 	if len(plan.Groups) < 2 {
 		t.Fatalf("%d groups planned, need 2", len(plan.Groups))
 	}
-	sys, err := Deploy(w, plan, DeployOptions{Immediate: true, SpareNodes: 16, Sharded: true})
+	sys, err := Deploy(w, plan, DeployOptions{Immediate: true, SpareNodes: 16})
 	if err != nil {
 		t.Fatal(err)
 	}

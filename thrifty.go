@@ -159,7 +159,11 @@ func Reconsolidate(w *Workload, prev *Plan, cfg PlanConfig, flaggedGroups []stri
 	}, w.Horizon)
 }
 
-// System is a deployed MPPDBaaS: the engine, node pool, and live deployment.
+// System is a deployed MPPDBaaS: the coordinator engine, node pool, and live
+// deployment. Every tenant-group runs on a clock domain of its own; Engine
+// is the coordinator Replay drives beside them, for cross-group work a
+// caller schedules before Replay — perturbations, or traffic of its own
+// (replay.Attach). Its events fire after the groups' at equal instants.
 type System struct {
 	Engine     *sim.Engine
 	Pool       *cluster.Pool
@@ -169,11 +173,9 @@ type System struct {
 }
 
 // DeployOptions re-exports the Deployment Master's options: the pool shape
-// (SpareNodes, Domains), provisioning (Immediate, ParallelLoad), the clock
-// layout (Sharded — leave false for experiments: the shared domain keeps
-// event interleaving globally ordered, so same-seed runs are byte-identical)
-// and the opt-in subsystems (Recovery, Admission, Gray, Triage,
-// NoSpread), each off — and replay byte-identical — at its zero value.
+// (SpareNodes, Domains), provisioning (Immediate, ParallelLoad) and the
+// opt-in subsystems (Recovery, Admission, Gray, Triage, NoSpread), each off
+// — and replay byte-identical — at its zero value.
 type DeployOptions = master.Options
 
 // Deploy brings the plan up on a fresh simulated cluster. An Admission config
@@ -185,13 +187,12 @@ func Deploy(w *Workload, plan *Plan, opts DeployOptions) (*System, error) {
 		cfg.Contracts = admission.ContractsFromLogs(w.Logs)
 		opts.Admission = &cfg
 	}
-	eng := sim.NewEngine()
 	pool := opts.NewPool(plan)
-	dep, err := master.New(eng, pool, opts).Deploy(plan, w.Tenants())
+	dep, err := master.New(pool, opts).Deploy(plan, w.Tenants())
 	if err != nil {
 		return nil, err
 	}
-	return &System{Engine: eng, Pool: pool, Deployment: dep, Plan: plan, Workload: w}, nil
+	return &System{Engine: sim.NewEngine(), Pool: pool, Deployment: dep, Plan: plan, Workload: w}, nil
 }
 
 // ReplayOptions re-exports the replay options.
@@ -243,10 +244,9 @@ type ScalerConfig = scaling.Config
 // guarantee and replication factor.
 func DefaultScalerConfig(p float64, r int) ScalerConfig { return scaling.DefaultConfig(p, r) }
 
-// Replay drives the system with its workload's logged queries. A shared
-// deployment is driven on its one engine (deterministic, byte-identical per
-// seed); a sharded one replays every tenant-group in parallel on its own
-// clock domain with a deterministic merge of the resulting records.
+// Replay drives the system with its workload's logged queries: every
+// tenant-group on its own clock domain, beside the coordinator Engine, in one
+// deterministic order (byte-identical per seed).
 func (s *System) Replay(opts ReplayOptions) (*ReplayReport, error) {
 	return replay.Run(s.Engine, s.Deployment, s.Workload.Catalog, s.Workload.Logs, opts)
 }
@@ -255,9 +255,8 @@ func (s *System) Replay(opts ReplayOptions) (*ReplayReport, error) {
 // the /metrics switch and the submit retry policy.
 type ServeOptions = service.Config
 
-// Handler returns the MPPDBaaS HTTP API over the system. Deploy with
-// Sharded for a front end whose submits to different tenant-groups proceed
-// in parallel.
+// Handler returns the MPPDBaaS HTTP API over the system. Submits to
+// different tenant-groups proceed in parallel.
 func (s *System) Handler(opts ServeOptions) (http.Handler, error) {
 	srv, err := service.New(s.Deployment, s.Workload.Catalog, s.Plan, opts)
 	if err != nil {

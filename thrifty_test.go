@@ -77,11 +77,10 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
-// TestShardedReplayTakeOverAndFailures: System.Replay hands either layout to
-// the one replay driver. On a sharded deployment a take-over and a node
-// failure in different groups each land in their own group's clock domain,
-// the failure is repaired autonomously, an unknown group surfaces as an event
-// error, and the merged records come out in submit order.
+// TestShardedReplayTakeOverAndFailures: a take-over and a node failure in
+// different groups each land on their own group's engine, the failure is
+// repaired autonomously, an unknown group surfaces as an event error, and
+// the records come out in deployment group order.
 func TestShardedReplayTakeOverAndFailures(t *testing.T) {
 	w := smallWorkload(t)
 	cfg := DefaultPlanConfig()
@@ -93,7 +92,7 @@ func TestShardedReplayTakeOverAndFailures(t *testing.T) {
 	if len(plan.Groups) < 2 {
 		t.Fatalf("%d groups planned, need 2", len(plan.Groups))
 	}
-	sys, err := Deploy(w, plan, DeployOptions{Immediate: true, SpareNodes: 16, Sharded: true})
+	sys, err := Deploy(w, plan, DeployOptions{Immediate: true, SpareNodes: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +101,7 @@ func TestShardedReplayTakeOverAndFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err = Deploy(w, plan, DeployOptions{Immediate: true, SpareNodes: 16, Sharded: true})
+	sys, err = Deploy(w, plan, DeployOptions{Immediate: true, SpareNodes: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,9 +124,15 @@ func TestShardedReplayTakeOverAndFailures(t *testing.T) {
 	if rep.SubmitErrors != 0 || len(rep.Records) != rep.Submitted {
 		t.Errorf("%d submitted, %d errors, %d completed", rep.Submitted, rep.SubmitErrors, len(rep.Records))
 	}
+	group := map[string]int{}
+	for gi, g := range plan.Groups {
+		for _, id := range g.TenantIDs {
+			group[id] = gi
+		}
+	}
 	for i := 1; i < len(rep.Records); i++ {
-		if rep.Records[i].Submit < rep.Records[i-1].Submit {
-			t.Fatalf("records not merged by submit time at %d", i)
+		if group[rep.Records[i].Tenant] < group[rep.Records[i-1].Tenant] {
+			t.Fatalf("records not in deployment group order at %d", i)
 		}
 	}
 	takeOvers := 0
