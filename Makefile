@@ -23,8 +23,12 @@ build:
 test:
 	$(GO) test ./...
 
+# The packages a replay runs through go again at two widths: at -cpu 2
+# sim.Domains.Drive runs tenant-groups on two goroutines between barriers, so
+# a group touching another group's state inside a window is a race.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -cpu 1,2 -count=1 ./internal/sim ./internal/replay ./internal/recovery/... ./internal/experiments .
 
 # Non-test Go lines per package and in total, and the number of thriftyd
 # flags — the size and option-surface figures ROADMAP.md, CHANGES.md and the
@@ -88,13 +92,15 @@ grouping-smoke: bench-smoke
 # caught before commit without paying full benchmark time. The composed solve
 # (BenchmarkTwoStepComposed500 on the 3 s grid and ...Fine on the 0.1 s one,
 # which no benchmark workload plans on) and the planning cycle run serial and
-# two wide.
+# two wide, as do the clock domains' windowed driver (BenchmarkDomainsDrive)
+# and the replay.
 bench-smoke:
 	$(GO) test -bench 'BenchmarkTwoStep2000|BenchmarkPickBest|BenchmarkVerifyComposed500|BenchmarkQuantize500' -benchtime=1x -run '^$$' ./internal/grouping
 	$(GO) test -bench 'BenchmarkTwoStepComposed500' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/grouping
 	$(GO) test -bench 'BenchmarkDetectBursts500' -benchtime=1x -run '^$$' ./internal/advisor
 	$(GO) test -bench 'BenchmarkServeSubmit' -benchtime=1x -run '^$$' ./internal/service
-	$(GO) test -bench 'BenchmarkReplay' -benchtime=1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkDomainsDrive' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/sim
+	$(GO) test -bench 'BenchmarkReplay' -cpu 1,2 -benchtime=1x -run '^$$' .
 	$(GO) test -bench 'BenchmarkPlanCycle' -cpu 1,2 -benchtime=1x -run '^$$' .
 
 # Bounded tenant-mover smoke with the race detector on: a seeded drift run
@@ -123,13 +129,15 @@ service-smoke:
 # against the same oracle and against a CountSet, the
 # ref-indexed monitor with its chunked record log against the map-and-slice
 # monitor it replaced, the tracer's entry ring against the ring of whole
-# span records it replaced, the MPPDB executor under submits, hedges,
+# span records it replaced and its per-group views, merged after each
+# window, against direct commits, the MPPDB executor under submits, hedges,
 # cancels, node faults and slowdowns against plain processor sharing stepped
 # from scratch, the event engine under schedules, cancels, re-keys,
 # sources, steps and runs against a slice scanned for its least (time,
-# sequence) key, and the clock domains' merge loop (Domains.Drive) under
-# per-group schedules and coordinator events against a linear scan for the
-# least (time, group) (go test -fuzz takes one target per run). A failing
+# sequence) key, and the clock domains' windowed driver (Domains.Drive) under
+# per-group plain and shared schedules and coordinator events, each group
+# logging through a buffer merged at the barriers, against a linear scan for
+# the least (time, group) (go test -fuzz takes one target per run). A failing
 # input lands in the package's testdata/fuzz; commit it. FuzzCountSet,
 # FuzzDenseSet, FuzzMonitorOps, FuzzTracerRing, FuzzInstancePS, FuzzEngine
 # and FuzzDomainsDrive find new

@@ -14,6 +14,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // NodeState is the lifecycle state of one machine node.
@@ -67,12 +69,25 @@ type Node struct {
 // Pool is the cluster-wide node inventory. It is safe for concurrent use:
 // the per-group elastic scalers and recovery controllers draw replacement
 // and scale-up nodes from one shared pool while running on different clock
-// domains.
+// domains. Which node a caller gets depends on the order of calls, so its
+// mutators panic inside a window of its gate (sim.Gate).
 type Pool struct {
 	mu      sync.Mutex
 	nodes   []*Node
 	domains int
 	down    map[int]bool // failure domains currently offline
+	gate    *sim.Gate
+}
+
+// SetGate ties the pool to the gate of the domains that draw on it.
+func (p *Pool) SetGate(g *sim.Gate) { p.gate = g }
+
+// Gate returns the pool's gate (nil: none).
+func (p *Pool) Gate() *sim.Gate { return p.gate }
+
+func (p *Pool) lockMut() {
+	p.gate.Guard("the node pool")
+	p.mu.Lock()
 }
 
 // NewPool creates a pool of n hibernated nodes in a single failure domain —
@@ -127,7 +142,7 @@ func (p *Pool) CountState(s NodeState) int {
 // Acquire marks n hibernated nodes Active on behalf of owner and returns
 // them. It fails without side effects when fewer than n nodes are free.
 func (p *Pool) Acquire(owner string, n int) ([]*Node, error) {
-	p.mu.Lock()
+	p.lockMut()
 	defer p.mu.Unlock()
 	return p.acquireLocked(owner, n)
 }
@@ -168,7 +183,7 @@ func (p *Pool) acquireLocked(owner string, n int) ([]*Node, error) {
 // spread purity. Like Acquire, a failure leaves no side effects. It returns
 // the nodes plus the sorted distinct domains they landed in.
 func (p *Pool) AcquireSpread(owner string, n int, avoid []int) ([]*Node, []int, error) {
-	p.mu.Lock()
+	p.lockMut()
 	defer p.mu.Unlock()
 	if n <= 0 {
 		return nil, nil, fmt.Errorf("cluster: acquire of %d nodes", n)
@@ -241,7 +256,7 @@ func distinctDomains(nodes []*Node) []int {
 // Release returns all of owner's nodes to the hibernated state and reports
 // how many were released.
 func (p *Pool) Release(owner string) int {
-	p.mu.Lock()
+	p.lockMut()
 	defer p.mu.Unlock()
 	n := 0
 	for _, nd := range p.nodes {
@@ -257,7 +272,7 @@ func (p *Pool) Release(owner string) int {
 // Fail marks the node with the given ID failed. It returns the node's owner
 // so the caller can notify the hosting MPPDB.
 func (p *Pool) Fail(id int) (string, error) {
-	p.mu.Lock()
+	p.lockMut()
 	defer p.mu.Unlock()
 	if id < 0 || id >= len(p.nodes) {
 		return "", fmt.Errorf("cluster: no node %d", id)
@@ -277,7 +292,7 @@ func (p *Pool) Fail(id int) (string, error) {
 // hibernated free list when the caller invokes Reimage after ReimageTime.
 // Replace fails without side effects when no hibernated node is free.
 func (p *Pool) Replace(id int) (*Node, error) {
-	p.mu.Lock()
+	p.lockMut()
 	defer p.mu.Unlock()
 	if id < 0 || id >= len(p.nodes) {
 		return nil, fmt.Errorf("cluster: no node %d", id)
@@ -298,7 +313,7 @@ func (p *Pool) Replace(id int) (*Node, error) {
 // Reimage completes a repairing node's re-image: it becomes Hibernated and
 // acquirable again. Callers schedule it ReimageTime after Replace.
 func (p *Pool) Reimage(id int) error {
-	p.mu.Lock()
+	p.lockMut()
 	defer p.mu.Unlock()
 	if id < 0 || id >= len(p.nodes) {
 		return fmt.Errorf("cluster: no node %d", id)
@@ -328,7 +343,7 @@ func (p *Pool) FailedNodesOf(owner string) []int {
 // pool-side half of a node-failure injection (the instance side is
 // mppdb.FailNode).
 func (p *Pool) FailAny(owner string) (int, error) {
-	p.mu.Lock()
+	p.lockMut()
 	defer p.mu.Unlock()
 	for _, nd := range p.nodes {
 		if nd.State == Active && nd.Owner == owner {
@@ -352,7 +367,7 @@ type Casualty struct {
 // and repairing nodes stay in their states but become unacquirable until
 // RestoreDomain. Failing an already-down domain is an error.
 func (p *Pool) FailDomain(d int) ([]Casualty, error) {
-	p.mu.Lock()
+	p.lockMut()
 	defer p.mu.Unlock()
 	if d < 0 || d >= p.domains {
 		return nil, fmt.Errorf("cluster: no domain %d (pool has %d)", d, p.domains)
@@ -376,7 +391,7 @@ func (p *Pool) FailDomain(d int) ([]Casualty, error) {
 // node is re-imaged through the normal Replace/Reimage cycle even after its
 // rack returns.
 func (p *Pool) RestoreDomain(d int) error {
-	p.mu.Lock()
+	p.lockMut()
 	defer p.mu.Unlock()
 	if d < 0 || d >= p.domains {
 		return fmt.Errorf("cluster: no domain %d (pool has %d)", d, p.domains)
@@ -457,7 +472,7 @@ func (p *Pool) ActiveNodesOf(owner string) []int {
 // IDs. On any precondition failure nothing changes — the caller aborts the
 // move by releasing tempOwner instead.
 func (p *Pool) CompleteRespread(owner, tempOwner string) ([]int, error) {
-	p.mu.Lock()
+	p.lockMut()
 	defer p.mu.Unlock()
 	staged := 0
 	for _, nd := range p.nodes {

@@ -1,6 +1,10 @@
 package cluster
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/sim"
+)
 
 func TestPoolAcquireRelease(t *testing.T) {
 	p := NewPool(10)
@@ -231,4 +235,30 @@ func abs(x float64) float64 {
 		return -x
 	}
 	return x
+}
+
+// TestPoolRefusesWindowWrites: a plain event inside a sim.Domains.Drive
+// window may read the pool but not change it; a shared event may.
+func TestPoolRefusesWindowWrites(t *testing.T) {
+	eng := sim.NewEngine()
+	ds := sim.NewDomains([]*sim.Engine{eng, sim.NewEngine()})
+	p := NewPool(4)
+	p.SetGate(ds.Gate())
+	eng.ScheduleShared(sim.Second, func(sim.Time) {
+		if _, err := p.Acquire("db0", 1); err != nil {
+			t.Error(err)
+		}
+	})
+	eng.Schedule(2*sim.Second, func(sim.Time) {
+		if p.Free() != 3 {
+			t.Errorf("free %d", p.Free())
+		}
+		p.Release("db0")
+	})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Release from a plain event inside a window did not panic")
+		}
+	}()
+	ds.Drive(nil, sim.Hour)
 }

@@ -111,16 +111,17 @@ func New(pool *cluster.Pool, opts Options) *Master {
 // the plan's groups.
 func (m *Master) Deploy(plan *advisor.Plan, tenants map[string]*tenant.Tenant) (*Deployment, error) {
 	// Clock domains first: the telemetry hub needs its clock before any
-	// instrumented subsystem is built. It reads the max over the per-group
-	// domain mirrors, which is lock-free and therefore safe to call while
-	// any single domain is held.
+	// instrumented subsystem is built. The root hub reads the max over the
+	// per-group domain mirrors, which is lock-free and therefore safe to call
+	// while any single domain is held; each group writes through a view.
 	engines := make([]*sim.Engine, len(plan.Groups))
-	domains := make(sim.Domains, len(plan.Groups))
 	for i := range plan.Groups {
 		engines[i] = sim.NewEngine()
-		domains[i] = sim.NewDomain(engines[i])
 	}
+	domains := sim.NewDomains(engines)
 	tel := telemetry.NewHub(domains, plan.Config.P)
+	tel.Guard(domains.Gate())
+	m.pool.SetGate(domains.Gate())
 	dep := &Deployment{
 		pool:  m.pool,
 		plane: runtime.NewPlane(tel),
@@ -130,7 +131,7 @@ func (m *Master) Deploy(plan *advisor.Plan, tenants map[string]*tenant.Tenant) (
 		dep.triage = recovery.NewTriage(m.pool)
 	}
 	for gi, pg := range plan.Groups {
-		g, readyAt, err := m.buildGroup(engines[gi], domains[gi], tel, dep.triage, pg, plan.Config.P, tenants)
+		g, readyAt, err := m.buildGroup(engines[gi], domains[gi], tel.View(domains[gi]), dep.triage, pg, plan.Config.P, tenants)
 		if err != nil {
 			return nil, err
 		}
@@ -140,7 +141,7 @@ func (m *Master) Deploy(plan *advisor.Plan, tenants map[string]*tenant.Tenant) (
 	return dep, nil
 }
 
-// buildGroup constructs one tenant-group on the given engine and domain:
+// buildGroup constructs one tenant-group on the given engine, domain and view:
 // node acquisition (spread across failure domains on a multi-domain pool),
 // MPPDB instances with every member bulk-loaded, provisioning delays
 // (Table 5.1 startup + load) unless Immediate, monitor, router, and the
@@ -289,7 +290,8 @@ func (d *Deployment) Plane() *runtime.Plane { return d.plane }
 // with Options.Triage).
 func (d *Deployment) Triage() *recovery.Triage { return d.triage }
 
-// Telemetry returns the deployment's telemetry hub (never nil after Deploy).
+// Telemetry returns the deployment's root telemetry hub (never nil after
+// Deploy); a group's events write through its view (DeployedGroup.Telemetry).
 func (d *Deployment) Telemetry() *telemetry.Hub { return d.plane.Hub() }
 
 // GroupFor returns the group hosting the tenant.

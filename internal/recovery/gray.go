@@ -239,7 +239,8 @@ func (d *GrayDetector) SetTelemetry(h *telemetry.Hub) {
 	d.mActive = h.Registry.Gauge("thrifty_gray_active", "group", d.group)
 }
 
-// Start schedules the periodic evaluation loop. Idempotent.
+// Start schedules the periodic evaluation loop, as shared events: a beat may
+// drain an instance's pool node. Idempotent.
 func (d *GrayDetector) Start() {
 	if d.started {
 		return
@@ -248,9 +249,9 @@ func (d *GrayDetector) Start() {
 	var beat func(now sim.Time)
 	beat = func(now sim.Time) {
 		d.evaluate()
-		d.eng.After(grayInterval, beat)
+		d.eng.AfterShared(grayInterval, beat)
 	}
-	d.eng.After(grayInterval, beat)
+	d.eng.AfterShared(grayInterval, beat)
 }
 
 // Started reports whether the evaluation loop is armed.

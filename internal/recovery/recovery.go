@@ -222,7 +222,8 @@ func (c *Controller) SetTriage(t *Triage, prio func() (float64, int)) {
 // failed node is repaired.
 func (c *Controller) SetQuarantine(fn func(instID string, on bool)) { c.quarantine = fn }
 
-// Start schedules the periodic heartbeat probes. Idempotent.
+// Start schedules the periodic heartbeat probes. Idempotent. A controller's
+// events are shared (sim.Engine.AfterShared): they use the pool.
 func (c *Controller) Start() {
 	if c.started {
 		return
@@ -232,9 +233,9 @@ func (c *Controller) Start() {
 	beat = func(now sim.Time) {
 		c.sweep()
 		c.maybeRespread()
-		c.eng.After(c.cfg.HeartbeatInterval, beat)
+		c.eng.AfterShared(c.cfg.HeartbeatInterval, beat)
 	}
-	c.eng.After(c.cfg.HeartbeatInterval, beat)
+	c.eng.AfterShared(c.cfg.HeartbeatInterval, beat)
 }
 
 // Started reports whether the heartbeat loop is armed.
@@ -348,7 +349,7 @@ func (c *Controller) attempt(ev *Event, inst *mppdb.Instance, try int, backoff t
 					Detail: fmt.Sprintf("cycle exhausted after %d attempts (%v); cooling down %v", try, err, c.cfg.CoolDown),
 				})
 			}
-			c.eng.After(c.cfg.CoolDown, func(sim.Time) {
+			c.eng.AfterShared(c.cfg.CoolDown, func(sim.Time) {
 				ev.CoolingUntil = 0
 				c.attempt(ev, inst, 1, c.cfg.InitialBackoff)
 			})
@@ -370,7 +371,7 @@ func (c *Controller) attempt(ev *Event, inst *mppdb.Instance, try int, backoff t
 		}
 		ev.Backoff = backoff
 		ev.NextAttemptAt = c.eng.Now().Add(backoff)
-		c.eng.After(backoff, func(sim.Time) {
+		c.eng.AfterShared(backoff, func(sim.Time) {
 			c.attempt(ev, inst, try+1, next)
 		})
 		return
@@ -404,12 +405,12 @@ func (c *Controller) enqueueTriage(ev *Event, inst *mppdb.Instance) {
 		failedID, repl, ok := c.triage.TryGrant(key, deficit, tenants)
 		if !ok {
 			ev.NextAttemptAt = c.eng.Now().Add(triageInterval)
-			c.eng.After(triageInterval, poll)
+			c.eng.AfterShared(triageInterval, poll)
 			return
 		}
 		if failedID >= 0 {
 			id := failedID
-			c.eng.After(cluster.ReimageTime(), func(sim.Time) { _ = c.pool.Reimage(id) })
+			c.eng.AfterShared(cluster.ReimageTime(), func(sim.Time) { _ = c.pool.Reimage(id) })
 		}
 		if c.tel != nil {
 			c.tel.Events.Publish(telemetry.Event{
@@ -423,7 +424,7 @@ func (c *Controller) enqueueTriage(ev *Event, inst *mppdb.Instance) {
 		c.replaced(ev, inst, failedID, repl)
 	}
 	ev.NextAttemptAt = c.eng.Now().Add(triageInterval)
-	c.eng.After(triageInterval, poll)
+	c.eng.AfterShared(triageInterval, poll)
 }
 
 // replaced is the success half of a lifecycle: a replacement node is in
@@ -456,7 +457,7 @@ func (c *Controller) replaced(ev *Event, inst *mppdb.Instance, failedID int, rep
 			Detail: fmt.Sprintf("replacement node %d starting; %.0f GB reload, ready in %v", repl.ID, share, delay),
 		})
 	}
-	c.eng.After(delay, func(sim.Time) { c.finish(ev, inst) })
+	c.eng.AfterShared(delay, func(sim.Time) { c.finish(ev, inst) })
 }
 
 // swap exchanges a failed pool node of the instance for a fresh one. When the
@@ -470,7 +471,7 @@ func (c *Controller) swap(owner string) (int, *cluster.Node, error) {
 		if err != nil {
 			return -1, nil, err
 		}
-		c.eng.After(cluster.ReimageTime(), func(sim.Time) { _ = c.pool.Reimage(id) })
+		c.eng.AfterShared(cluster.ReimageTime(), func(sim.Time) { _ = c.pool.Reimage(id) })
 		return id, repl, nil
 	}
 	nodes, err := c.pool.Acquire(owner, 1)

@@ -104,7 +104,7 @@ func (c *Controller) maybeRespread() {
 			Detail: fmt.Sprintf("group collapsed onto %d domain(s); migrating replica to domain %v (%d nodes, ready in %v)", len(used), doms, len(nodes), cost),
 		})
 	}
-	c.eng.After(cost, func(sim.Time) { c.finishRespread(inst, owner, tempOwner, doms) })
+	c.eng.AfterShared(cost, func(sim.Time) { c.finishRespread(inst, owner, tempOwner, doms) })
 }
 
 // finishRespread flips (or aborts) the staged migration once the background

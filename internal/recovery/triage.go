@@ -57,7 +57,8 @@ type triageClaim struct {
 func (c *triageClaim) priority() float64 { return c.deficit * float64(c.tenants) }
 
 // Triage is the cluster-level allocator, shared by every group's recovery
-// controller over one pool. Safe for concurrent use across clock domains.
+// controller over one pool. Safe for concurrent use across clock domains;
+// its mutators panic inside a window of the pool's gate.
 type Triage struct {
 	mu     sync.Mutex
 	pool   *cluster.Pool
@@ -75,6 +76,7 @@ func NewTriage(pool *cluster.Pool) *Triage {
 // Enqueue registers (or refreshes) a claim under key for owner's group. It
 // reports whether the claim is new.
 func (t *Triage) Enqueue(key, group, owner string, deficit float64, tenants int) bool {
+	t.pool.Gate().Guard("the scarcity triage")
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if c, ok := t.claims[key]; ok {
@@ -121,6 +123,7 @@ func (t *Triage) rankLocked() []*triageClaim {
 // On success the claim leaves the queue and the caller schedules the
 // swapped-out node's re-image; on denial the claim stays queued.
 func (t *Triage) TryGrant(key string, deficit float64, tenants int) (failedID int, repl *cluster.Node, ok bool) {
+	t.pool.Gate().Guard("the scarcity triage")
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	c, found := t.claims[key]

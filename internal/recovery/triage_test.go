@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/sim"
 )
 
 func TestTriagePriorityOrdering(t *testing.T) {
@@ -111,4 +112,25 @@ func TestTriageDeny(t *testing.T) {
 	if enq, granted := tr.Stats(); enq != 0 || granted != 0 {
 		t.Fatalf("stats: enqueued=%d granted=%d", enq, granted)
 	}
+}
+
+// TestTriageRefusesWindowWrites: the triage shares its pool's gate, so a
+// plain event inside a sim.Domains.Drive window may not enqueue a claim.
+func TestTriageRefusesWindowWrites(t *testing.T) {
+	eng := sim.NewEngine()
+	ds := sim.NewDomains([]*sim.Engine{eng, sim.NewEngine()})
+	pool := cluster.NewPool(4)
+	pool.SetGate(ds.Gate())
+	tr := NewTriage(pool)
+	eng.ScheduleShared(sim.Second, func(sim.Time) { tr.Enqueue("k1", "g1", "g1/0", 0.1, 2) })
+	eng.Schedule(2*sim.Second, func(sim.Time) { tr.Enqueue("k2", "g1", "g1/0", 0.1, 2) })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Enqueue from a plain event inside a window did not panic")
+		}
+		if enq, _ := tr.Stats(); enq != 1 {
+			t.Errorf("enqueued %d, want the shared event's one", enq)
+		}
+	}()
+	ds.Drive(nil, sim.Hour)
 }

@@ -234,11 +234,11 @@ func Attach(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog, logs 
 // failures, sampler and scaler — is scheduled on the group's own engine. eng
 // is the coordinator (nil: none): it carries the cross-group work the caller
 // scheduled on it beforehand, such as a storm's perturbations or the caller's
-// own traffic. One goroutine then drives every engine (sim.Domains.Drive):
-// events fire by time, then deployment group order, the coordinator's after
-// the groups' at equal instants, so a replay is byte-identical per seed.
-// Records come back in deployment group order, each group's in completion
-// order.
+// own traffic. sim.Domains.Drive then runs every engine, the groups' on
+// GOMAXPROCS goroutines between barriers: events fire by time, then
+// deployment group order, the coordinator's after the groups' at equal
+// instants, so a replay is byte-identical per seed at any width. Records
+// come back in deployment group order, each group's in completion order.
 func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	logs []*workload.TenantLog, opts Options) (*Report, error) {
 	if opts.To <= opts.From {
@@ -346,7 +346,7 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, g *master
 		if victim, _ := dep.GroupFor(to.Tenant); victim == g {
 			rt := g.Router
 			eng.Schedule(to.Start, func(sim.Time) {
-				if h := dep.Telemetry(); h != nil {
+				if h := g.Telemetry(); h != nil {
 					h.Events.Publish(telemetry.Event{
 						Type:   telemetry.EventTakeOver,
 						Group:  g.Plan.ID,
@@ -384,7 +384,7 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, g *master
 			if err != nil {
 				return nil, err
 			}
-			rc.SetTelemetry(dep.Telemetry())
+			rc.SetTelemetry(g.Telemetry())
 			rc.Start()
 			g.Recovery = rc
 		}
@@ -392,14 +392,14 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, g *master
 	}
 	for fi := range d.fails {
 		if ev := &d.fails[fi]; ev.Group == g.Plan.ID {
-			eng.Schedule(ev.At, func(sim.Time) { injectFailure(dep, g, ev) })
+			eng.ScheduleShared(ev.At, func(sim.Time) { injectFailure(dep, g, ev) })
 		}
 	}
 
 	// Statistics sampling. Each sample also lands on the telemetry RT-TTP
 	// gauge, so a /metrics scrape sees the timeline the report sees.
 	var gauge *telemetry.Gauge
-	if h := dep.Telemetry(); h != nil {
+	if h := g.Telemetry(); h != nil {
 		gauge = h.Registry.Gauge("thrifty_group_rt_ttp", "group", g.Plan.ID)
 	}
 	var tick sim.Event // one event re-keyed for every sample
@@ -425,7 +425,7 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, g *master
 		if err != nil {
 			return nil, err
 		}
-		p.scaler.SetTelemetry(dep.Telemetry())
+		p.scaler.SetTelemetry(g.Telemetry())
 		p.scaler.Watch(&scaling.Target{Router: g.Router, Monitor: g.Monitor, Members: g.Members})
 		p.scaler.Start()
 	}
@@ -458,7 +458,7 @@ func injectFailure(dep *master.Deployment, g *master.DeployedGroup, ev *FailureE
 	if id, err := dep.Pool().FailAny(inst.ID()); err == nil {
 		ev.Node = id
 	}
-	if h := dep.Telemetry(); h != nil {
+	if h := g.Telemetry(); h != nil {
 		h.Events.Publish(telemetry.Event{
 			Type:   telemetry.EventNodeFailure,
 			Group:  ev.Group,

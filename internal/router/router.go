@@ -484,25 +484,13 @@ func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget 
 	return dbID, nil
 }
 
-// traceFailed records a submit that started no query, in general spans: the
-// root and route a served query leaves, the error on the route when no MPPDB
-// could be picked (dbID empty), else on the execute child of the one that
-// refused.
+// traceFailed records a submit that started no query: the root and route a
+// served query leaves, the error on the route when no MPPDB could be picked
+// (dbID empty), else on the execute child of the one that refused.
 func (r *GroupRouter) traceFailed(tenantID, classID, dbID string, err error) {
-	if r.tel == nil {
-		return
+	if r.tel != nil {
+		r.tel.Tracer.FailQuery(r.eng.Now(), r.group, tenantID, classID, dbID, err.Error())
 	}
-	tr := r.tel.Tracer
-	root := tr.StartSpan("query", "group", r.group, "tenant", tenantID, "class", classID)
-	failed := tr.StartChild(root.Context(), "route")
-	if dbID != "" {
-		failed.Annotate("mppdb", dbID)
-		failed.End()
-		failed = tr.StartChild(root.Context(), "execute", "mppdb", dbID)
-	}
-	failed.Annotate("error", err.Error())
-	failed.End()
-	root.End()
 }
 
 // hedgePeer picks the healthiest eligible duplicate target for a hedge away

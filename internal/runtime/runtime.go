@@ -92,6 +92,9 @@ func (g *GroupRuntime) SetTelemetry(h *telemetry.Hub) {
 		[]float64{0, 1, 2, 3, 5, 8}, "group", g.Plan.ID)
 }
 
+// Telemetry returns the hub SetTelemetry attached: the group's view.
+func (g *GroupRuntime) Telemetry() *telemetry.Hub { return g.tel }
+
 // Bind attaches the group's clock domain. The Deployment Master calls it
 // once, right after constructing the group's subsystems on the domain's
 // engine.

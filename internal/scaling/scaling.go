@@ -160,7 +160,8 @@ func (s *Scaler) ReconsolidationList() []string {
 	return out
 }
 
-// Start schedules the periodic RT-TTP checks.
+// Start schedules the periodic RT-TTP checks, as shared events (as is a
+// scale-up's ready): a check may acquire nodes from the pool.
 func (s *Scaler) Start() {
 	if s.started {
 		return
@@ -169,9 +170,9 @@ func (s *Scaler) Start() {
 	var tick func(now sim.Time)
 	tick = func(now sim.Time) {
 		s.check()
-		s.eng.After(s.cfg.CheckInterval, tick)
+		s.eng.AfterShared(s.cfg.CheckInterval, tick)
 	}
-	s.eng.After(s.cfg.CheckInterval, tick)
+	s.eng.AfterShared(s.cfg.CheckInterval, tick)
 }
 
 // check evaluates every watched group once.
@@ -316,7 +317,7 @@ func (s *Scaler) scaleUp(t *Target, rtttp float64) {
 	overCopy := over
 	evIdx := len(s.events)
 	s.events = append(s.events, ev)
-	s.eng.After(delay, func(now sim.Time) {
+	s.eng.AfterShared(delay, func(now sim.Time) {
 		inst.SetState(mppdb.Ready)
 		for _, m := range overCopy {
 			if err := t.Router.SetOverride(m.ID, inst); err != nil {

@@ -6,9 +6,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/advisor"
+	"repro/internal/cluster"
+	"repro/internal/epoch"
+	"repro/internal/master"
 	"repro/internal/mppdb"
 	"repro/internal/queries"
 	"repro/internal/sim"
+	"repro/internal/tenant"
+	"repro/internal/workload"
 )
 
 // TestSubmitRetryTimeout drives the submit path against a group whose whole
@@ -70,5 +76,76 @@ func TestSubmitRetryTimeout(t *testing.T) {
 	}
 	if acc["retries"] != float64(0) {
 		t.Errorf("retries = %v, want 0", acc["retries"])
+	}
+}
+
+// TestEventsCarryTheirGroupsClock: control-plane telemetry on the service
+// path is stamped with the clock of the group that publishes it. Group B's
+// domain runs five hours ahead while a submit to group A retries and times
+// out; A's query_retried and query_timeout events carry A's time, not the
+// deployment-wide maximum.
+func TestEventsCarryTheirGroupsClock(t *testing.T) {
+	tenants := map[string]*tenant.Tenant{}
+	var logs []*workload.TenantLog
+	for _, id := range []string{"t1", "t2", "t3", "t4"} {
+		tn := &tenant.Tenant{ID: id, Nodes: 2, DataGB: 200, Users: 1, Suite: queries.TPCH}
+		tenants[id] = tn
+		logs = append(logs, &workload.TenantLog{Tenant: tn, Activity: epoch.Activity{{Start: 0, End: 20 * sim.Hour}}})
+	}
+	acfg := advisor.DefaultConfig()
+	acfg.R = 2
+	adv, err := advisor.New(acfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := adv.Plan(logs, sim.Day)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dep, err := master.New(cluster.NewPool(64), master.Options{Immediate: true}).Deploy(plan, tenants)
+	if err != nil {
+		t.Fatal(err)
+	}
+	groups := dep.Groups()
+	if len(groups) < 2 {
+		t.Fatalf("%d groups, want two", len(groups))
+	}
+	a, b := groups[0], groups[1]
+	b.Domain().Advance(5*sim.Hour, nil)
+	a.Domain().Do(func(*sim.Engine) {
+		for _, inst := range a.Instances {
+			inst.SetState(mppdb.Provisioning)
+		}
+	})
+	srv, err := New(dep, queries.Default(), plan, Config{
+		TimeScale:     60,
+		SubmitRetries: 1,
+		SubmitBackoff: 10 * time.Second,
+		SubmitTimeout: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := time.Unix(60, 0) // one virtual hour in
+	srv.SetClock(func() time.Time { return wall }, time.Unix(0, 0))
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	if code := post(t, ts, "/v1/queries", SubmitRequest{Tenant: a.Members[0].ID, Query: "TPCH-Q6"}, nil); code != http.StatusGatewayTimeout {
+		t.Fatalf("status %d with no ready replica, want 504", code)
+	}
+	seen := 0
+	for _, ev := range dep.Telemetry().Events.Recent(0) {
+		if ev.Group != a.Plan.ID {
+			continue
+		}
+		seen++
+		if ev.At < sim.Hour || ev.At > sim.Hour+30*sim.Second {
+			t.Errorf("%s event at %v, want group %s's time (1 h + ≤ 30 s), not group %s's %v",
+				ev.Type, ev.At, a.Plan.ID, b.Plan.ID, b.Now())
+		}
+	}
+	if seen < 2 {
+		t.Errorf("%d events from group %s, want a retry and a timeout", seen, a.Plan.ID)
 	}
 }

@@ -130,13 +130,23 @@ func TestEngineNextAt(t *testing.T) {
 	}
 }
 
+// driveTick is the fuzzed worlds' time unit: windows end at half-hour strides, so
+// some fall between events and their merges run beside the next window.
+const driveTick = 7 * Minute
+
 // driveWorld is FuzzDomainsDrive's input made engines: member domains and a
 // coordinator (engine index len(ds)), each event logging (engine, id, time).
+// A member's plain event logs the way a telemetry view does: into the
+// member's own buffer while a Drive window is open, which the gate's flush
+// merges into the one log by (time, member, write order); every other write
+// goes straight to the log.
 type driveWorld struct {
-	t     *testing.T
-	ds    Domains
-	coord *Engine
-	log   [][3]int64
+	t      *testing.T
+	ds     Domains
+	coord  *Engine
+	log    [][3]int64
+	bufs   [][][3]int64
+	shared []*Event // per member, the last shared event it scheduled
 }
 
 func (w *driveWorld) engine(i int) *Engine {
@@ -146,29 +156,95 @@ func (w *driveWorld) engine(i int) *Engine {
 	return w.ds[i].eng
 }
 
+// write logs one firing of event id on engine i.
+func (w *driveWorld) write(i, id int, now Time) {
+	e := [3]int64{int64(i), int64(id), int64(now)}
+	if i < len(w.ds) && w.ds[i].gate.Open() {
+		w.bufs[i] = append(w.bufs[i], e)
+		return
+	}
+	w.log = append(w.log, e)
+}
+
+// take hands the members' buffers to a merge into the log — least time
+// first, ties to the lower member, each buffer in its own order — which may
+// run beside the next window.
+func (w *driveWorld) take() func() {
+	bufs := w.bufs
+	w.bufs = make([][][3]int64, len(bufs))
+	return func() {
+		next := make([]int, len(bufs))
+		for {
+			best := -1
+			for i, b := range bufs {
+				if next[i] < len(b) && (best < 0 || b[next[i]][2] < bufs[best][next[best]][2]) {
+					best = i
+				}
+			}
+			if best < 0 {
+				return
+			}
+			w.log = append(w.log, bufs[best][next[best]])
+			next[best]++
+		}
+	}
+}
+
+// schedule puts event id on engine i at at, shared or plain.
+func (w *driveWorld) schedule(i int, at Time, shared bool, id, kind, arg int) {
+	fn := w.event(i, id, kind, arg, shared)
+	if shared {
+		w.shared[i] = w.engine(i).ScheduleShared(at, fn)
+	} else {
+		w.engine(i).Schedule(at, fn)
+	}
+}
+
 // event is event id's callback on engine i. kind 1 chains a follow-up on the
 // same engine (possibly at the same instant); kind 2 on the coordinator
 // schedules into member arg, elsewhere it chains; kind 3 on the coordinator
-// schedules into every member at its own instant. Each checks that every
-// mirror equals its clock, and a coordinator event that no member is ahead.
-func (w *driveWorld) event(i, id, kind, arg int) func(Time) {
+// schedules into every member at its own instant; kind 4 on the coordinator
+// schedules a shared event into member arg, on a member it chains a shared
+// follow-up and a plain one, and is itself scheduled shared; kind 5 on a
+// member cancels the last shared event the member scheduled. Each checks that
+// its own mirror equals its clock, a coordinator event that every member
+// is at its instant, and an event fired outside a window that the gate is
+// shut.
+func (w *driveWorld) event(i, id, kind, arg int, shared bool) func(Time) {
 	return func(now Time) {
-		for j, d := range w.ds {
-			if d.Now() != d.eng.Now() || i == len(w.ds) && d.eng.Now() != now {
-				w.t.Fatalf("event %d on %d at %v: member %d mirror %v, clock %v", id, i, now, j, d.Now(), d.eng.Now())
+		n, child := len(w.ds), 1000*(id+1)
+		if i < n {
+			d := w.ds[i]
+			if d.Now() != d.eng.Now() || d.Now() != now {
+				w.t.Fatalf("event %d on %d at %v: mirror %v, clock %v", id, i, now, d.Now(), d.eng.Now())
+			}
+			if shared && d.gate.Open() {
+				w.t.Fatalf("shared event %d on %d at %v fired in a window", id, i, now)
+			}
+		} else {
+			for j, d := range w.ds {
+				if d.Now() != now || d.eng.Now() != now || d.gate.Open() {
+					w.t.Fatalf("coordinator event %d at %v: member %d mirror %v, clock %v", id, now, j, d.Now(), d.eng.Now())
+				}
 			}
 		}
-		w.log = append(w.log, [3]int64{int64(i), int64(id), int64(now)})
-		n, child := len(w.ds), 1000*(id+1)
+		w.write(i, id, now)
 		switch {
 		case kind == 1 || kind == 2 && i < n:
-			w.engine(i).Schedule(now+Time(arg%3)*Second, w.event(i, child, 0, 0))
+			w.schedule(i, now+Time(arg%3)*driveTick, false, child, 0, 0)
 		case kind == 2:
-			w.ds[arg%n].eng.Schedule(now+Time(arg/n%3)*Second, w.event(arg%n, child, 1, arg))
+			w.schedule(arg%n, now+Time(arg/n%3)*driveTick, false, child, 1, arg)
 		case kind == 3 && i == n:
-			for j, d := range w.ds {
-				d.eng.Schedule(now, w.event(j, child+j, 0, 0))
+			for j := range w.ds {
+				w.schedule(j, now, false, child+j, 0, 0)
 			}
+		case kind == 4 && i == n:
+			w.schedule(arg%n, now+Time(arg/n%3)*driveTick, true, child, 4, arg/3)
+		case kind == 4 && arg > 0:
+			w.schedule(i, now+Time(arg%3)*driveTick, true, child, 4, arg/3)
+			w.schedule(i, now+Time(arg/3%2)*driveTick, false, child+1, 1, arg)
+		case kind == 5 && i < n:
+			w.ds[i].eng.Cancel(w.shared[i])
 		}
 	}
 }
@@ -180,20 +256,24 @@ func decodeDrive(t *testing.T, data []byte) (*driveWorld, Time, Time) {
 		data = append(data, 0)
 	}
 	w := &driveWorld{t: t, coord: NewEngine()}
-	for i := 0; i <= int(data[0]%4); i++ {
-		w.ds = append(w.ds, NewDomain(NewEngine()))
+	engs := make([]*Engine, 1+int(data[0]%4))
+	for i := range engs {
+		engs[i] = NewEngine()
 	}
+	w.ds, w.bufs, w.shared = NewDomains(engs), make([][][3]int64, len(engs)), make([]*Event, len(engs))
+	w.ds.Gate().OnFlush(w.take)
 	until := Time(data[1]%80) * Second
 	for k, op := 0, data[3:]; len(op) >= 4; k, op = k+1, op[4:] {
-		i := int(op[0]) % (len(w.ds) + 1)
-		w.engine(i).Schedule(Time(op[1]%64)*Second, w.event(i, k, int(op[2]%4), int(op[3])))
+		i, kind := int(op[0])%(len(w.ds)+1), int(op[2]%6)
+		w.schedule(i, Time(op[1]%64)*driveTick, kind == 4 && i < len(w.ds), k, kind, int(op[3]))
 	}
-	return w, until, until + Time(data[2]%40)*Second
+	return w, until, until + Time(data[2]%40)*driveTick
 }
 
 // naiveDrive is Drive's oracle: the least (time, member) by linear scan, the
 // coordinator after the members at equal times, every member's clock moved
-// to t before a coordinator event at t.
+// to t before a coordinator event at t; no window ever opens, so every write
+// goes straight to the log.
 func naiveDrive(ds Domains, coord *Engine, until Time) {
 	for {
 		best, bestAt := -1, Time(0)
@@ -218,9 +298,12 @@ func naiveDrive(ds Domains, coord *Engine, until Time) {
 }
 
 func FuzzDomainsDrive(f *testing.F) {
-	// Two members and a coordinator tied at 5 s, a coordinator event that
+	// Two members and a coordinator tied at 5 ticks, a coordinator event that
 	// schedules into member 1 at its own instant, and a chain at 0 s delay.
 	f.Add([]byte{1, 30, 10, 0, 5, 0, 0, 1, 5, 1, 0, 2, 5, 2, 1, 2, 5, 3, 0, 0, 9, 1, 3})
+	// Three members with shared chains tied at 4 ticks against plain events on
+	// both sides of them, and a coordinator event scheduling a shared one.
+	f.Add([]byte{2, 40, 10, 1, 4, 4, 7, 0, 4, 1, 1, 2, 4, 1, 0, 1, 4, 4, 5, 3, 4, 4, 8, 2, 4, 0, 0, 3, 6, 4, 4})
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 64; i++ {
 		data := make([]byte, 3+4*(1+rng.Intn(40)))
@@ -246,4 +329,72 @@ func FuzzDomainsDrive(f *testing.F) {
 			}
 		}
 	})
+}
+
+func TestDriveRefusesSharedFromPlain(t *testing.T) {
+	ds := NewDomains([]*Engine{NewEngine(), NewEngine()})
+	eng := ds[0].eng
+	eng.Schedule(Second, func(Time) { eng.ScheduleShared(2*Second, func(Time) {}) })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a plain event scheduled a shared one inside a window without a panic")
+		}
+	}()
+	ds.Drive(nil, Hour)
+}
+
+func TestGateGuard(t *testing.T) {
+	ds := NewDomains([]*Engine{NewEngine(), NewEngine()})
+	g := ds.Gate()
+	g.Guard("pool") // shut: no panic
+	var inWindow, inShared bool
+	ds[0].eng.ScheduleShared(Second, func(Time) { inShared = g.Open() })
+	ds[1].eng.Schedule(Second, func(Time) { inWindow = g.Open() })
+	ds.Drive(nil, Hour)
+	if !inWindow || inShared {
+		t.Fatalf("gate open in a plain event %v, in a shared one %v", inWindow, inShared)
+	}
+	ds[1].eng.Schedule(2*Hour, func(Time) { g.Guard("pool") })
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Guard inside a window did not panic")
+		}
+	}()
+	ds.Drive(nil, 3*Hour)
+}
+
+// BenchmarkDomainsDrive drives 13 synthetic members through a sim-week:
+// member i fires an event every 7(i+1) s, each doing a few hundred
+// nanoseconds of arithmetic and re-keying its one event, so the largest
+// member has about a third of the events — the skew of a replayed plan's
+// groups — and nothing allocates per event. Run it at -cpu 1,2: ns/event is
+// the wall time per member event.
+func BenchmarkDomainsDrive(b *testing.B) {
+	const members, horizon = 13, 7 * Day
+	var events uint64
+	for n := 0; n < b.N; n++ {
+		engs := make([]*Engine, members)
+		for i := range engs {
+			eng := NewEngine()
+			every := Time(7*(i+1)) * Second
+			var ev Event
+			var tick func(Time)
+			tick = func(now Time) {
+				x := uint64(now) | 1
+				for k := 0; k < 256; k++ {
+					x ^= x << 13
+					x ^= x >> 7
+					x ^= x << 17
+				}
+				eng.Reschedule(&ev, now+every+Time(x&1), tick)
+			}
+			eng.Reschedule(&ev, every, tick)
+			engs[i] = eng
+		}
+		NewDomains(engs).Drive(nil, horizon)
+		for _, eng := range engs {
+			events += eng.Steps()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
 }

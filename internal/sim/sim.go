@@ -11,6 +11,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"time"
 )
@@ -80,6 +81,7 @@ type Event struct {
 	seq      uint64
 	pos      int // 1 + heap index; 0 while not queued
 	canceled bool
+	shared   bool // see ScheduleShared
 	fn       func(now Time)
 	// src marks the head of an attached source (see Attach): the event fires
 	// src instead of fn and re-keys itself to the next arrival.
@@ -106,6 +108,9 @@ type Engine struct {
 	// live events: Cancel takes an event out the moment it is called.
 	queue  []*Event
 	nsteps uint64
+	// shared holds the queued shared events; window is set in a Drive window.
+	shared []*Event
+	window bool
 }
 
 // NewEngine returns an engine with the clock at time zero and no pending
@@ -142,6 +147,18 @@ func (e *Engine) Schedule(at Time, fn func(now Time)) *Event {
 	return e.Reschedule(nil, at, fn)
 }
 
+// ScheduleShared is Schedule for an event that touches what other engines'
+// do — the node pool, the triage — which Domains.Drive fires alone, between
+// windows; a plain event in a window may not schedule one.
+func (e *Engine) ScheduleShared(at Time, fn func(now Time)) *Event {
+	return e.Reschedule(&Event{shared: true}, at, fn)
+}
+
+// AfterShared is After for a shared event.
+func (e *Engine) AfterShared(d time.Duration, fn func(now Time)) *Event {
+	return e.ScheduleShared(e.now.Add(max(d, 0)), fn)
+}
+
 // Reschedule makes ev fire fn at at, exactly as cancelling ev and scheduling
 // fn anew would: it takes a fresh sequence number, so it orders after every
 // event already scheduled for at. A queued ev is re-keyed in place; one that
@@ -153,10 +170,13 @@ func (e *Engine) Reschedule(ev *Event, at Time, fn func(now Time)) *Event {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	e.seq++
 	if ev == nil {
 		ev = &Event{}
 	}
+	if ev.shared && e.window {
+		panic("sim: a plain event scheduled a shared event inside a Drive window")
+	}
+	e.seq++
 	ev.at, ev.seq, ev.fn, ev.canceled = at, e.seq, fn, false
 	if ev.pos > 0 {
 		e.fix(ev.pos - 1)
@@ -269,10 +289,17 @@ func (e *Engine) RunAll() {
 func (e *Engine) push(ev *Event) {
 	e.queue = append(e.queue, ev)
 	e.up(len(e.queue) - 1)
+	if ev.shared {
+		e.shared = append(e.shared, ev)
+	}
 }
 
 // remove takes a queued ev out of the queue.
 func (e *Engine) remove(ev *Event) {
+	if ev.shared {
+		i := slices.Index(e.shared, ev)
+		e.shared = slices.Delete(e.shared, i, i+1)
+	}
 	i, n := ev.pos-1, len(e.queue)-1
 	if i != n {
 		e.queue[i] = e.queue[n]

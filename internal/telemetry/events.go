@@ -140,6 +140,8 @@ func (e Event) String() string {
 // EventLog is a bounded ring of events with optional live subscribers.
 // Publishing never blocks: a subscriber that falls behind loses events (its
 // drop count is tracked) rather than stalling the simulation or a request.
+// A view (Hub.View) publishes to its root with its own clock, buffering in a
+// window of the root's gate until a merge numbers them.
 type EventLog struct {
 	mu      sync.Mutex
 	clock   Clock
@@ -149,6 +151,11 @@ type EventLog struct {
 	nextSeq uint64
 	subs    map[int]*subscriber
 	nextSub int
+	gate    *sim.Gate
+	views   []*EventLog
+
+	root *EventLog // nil on a root log
+	buf  []Event   // a view's events published in the open window
 }
 
 type subscriber struct {
@@ -170,12 +177,39 @@ func NewEventLog(clock Clock, capacity int) *EventLog {
 
 // Publish stamps the event with the next sequence number and the clock's
 // current time, appends it to the ring, and fans it out to subscribers.
-// The stamped event is returned.
+// The stamped event is returned (Seq 0 from a view in a window).
 func (l *EventLog) Publish(ev Event) Event {
+	if ev.At = l.clock.Now(); l.root != nil {
+		if l.root.gate.Open() {
+			l.buf = append(l.buf, ev)
+			return ev
+		}
+		l = l.root
+	}
+	l.gate.Guard("the root event log")
 	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.publishLocked(ev)
+}
+
+// take hands the views' buffered events to a merge that publishes them.
+func (l *EventLog) take() func() {
+	bufs := make([][]Event, len(l.views))
+	for i, v := range l.views {
+		bufs[i], v.buf = v.buf, nil
+	}
+	return func() {
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		merge(bufs, func(ev *Event) sim.Time { return ev.At }, func(_ int, ev *Event) { l.publishLocked(*ev) })
+	}
+}
+
+// publishLocked numbers the stamped event, rings it and fans it out; callers
+// hold l.mu.
+func (l *EventLog) publishLocked(ev Event) Event {
 	l.nextSeq++
 	ev.Seq = l.nextSeq
-	ev.At = l.clock.Now()
 	if l.n == len(l.ring) {
 		l.ring[l.start] = ev
 		l.start = (l.start + 1) % len(l.ring)
@@ -190,7 +224,6 @@ func (l *EventLog) Publish(ev Event) Event {
 			s.dropped++
 		}
 	}
-	l.mu.Unlock()
 	return ev
 }
 

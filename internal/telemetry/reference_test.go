@@ -30,12 +30,15 @@ type refSpan struct {
 	ended bool
 }
 
+// refContext identifies a reference span within its trace, for linking.
+type refContext struct{ Trace, Span uint64 }
+
 func (t *refTracer) StartSpan(name string, attrs ...string) *refSpan {
 	t.nextTrace++
 	return t.newSpan(t.nextTrace, 0, name, attrs)
 }
 
-func (t *refTracer) StartChild(parent SpanContext, name string, attrs ...string) *refSpan {
+func (t *refTracer) StartChild(parent refContext, name string, attrs ...string) *refSpan {
 	return t.newSpan(parent.Trace, parent.Span, name, attrs)
 }
 
@@ -48,8 +51,8 @@ func (t *refTracer) newSpan(trace, parent uint64, name string, attrs []string) *
 	return s
 }
 
-func (s *refSpan) Context() SpanContext {
-	return SpanContext{Trace: s.rec.Trace, Span: s.rec.ID}
+func (s *refSpan) Context() refContext {
+	return refContext{Trace: s.rec.Trace, Span: s.rec.ID}
 }
 
 func (s *refSpan) Annotate(key, value string) {

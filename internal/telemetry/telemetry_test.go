@@ -14,42 +14,33 @@ func TestSpansAgainstSimClock(t *testing.T) {
 	tr := NewTracer(eng, 16)
 
 	root := tr.StartSpan("query", "tenant", "T1", "class", "TPCH-Q1")
-	route := tr.StartChild(root.Context(), "route")
-	route.Annotate("mppdb", "TG-0-db0")
-	route.End()
-	exec := tr.StartChild(root.Context(), "execute")
-	eng.Schedule(5*sim.Second, func(sim.Time) {
-		exec.End()
+	eng.Schedule(5*sim.Second, func(now sim.Time) {
 		root.End()
+		tr.FailQuery(now, "TG-0", "T1", "TPCH-Q1", "TG-0-db0", "refused")
 	})
 	eng.RunAll()
 
 	spans := tr.Finished()
-	if len(spans) != 3 {
+	if len(spans) != 4 {
 		t.Fatalf("%d finished spans", len(spans))
 	}
-	// Commit order: route, execute, query.
-	if spans[0].Name != "route" || spans[1].Name != "execute" || spans[2].Name != "query" {
-		t.Errorf("span order %v %v %v", spans[0].Name, spans[1].Name, spans[2].Name)
+	if spans[0].Duration() != 5*sim.Second || spans[0].ID != 1 || len(spans[0].Attrs) != 2 {
+		t.Errorf("root span %+v", spans[0])
 	}
-	for _, s := range spans[:2] {
-		if s.Parent != spans[2].ID || s.Trace != spans[2].Trace {
-			t.Errorf("span %s not linked to root: %+v", s.Name, s)
+	// A refused query's tree, in commit order: route, execute, query.
+	if spans[1].Name != "route" || spans[2].Name != "execute" || spans[3].Name != "query" {
+		t.Errorf("span order %v %v %v", spans[1].Name, spans[2].Name, spans[3].Name)
+	}
+	for _, s := range spans[1:3] {
+		if s.Parent != spans[3].ID || s.Trace != spans[3].Trace || s.Start != 5*sim.Second {
+			t.Errorf("span %s not linked to its root at 5 s: %+v", s.Name, s)
 		}
 	}
-	if spans[1].Duration() != 5*sim.Second {
-		t.Errorf("execute duration %v", spans[1].Duration())
-	}
-	// End is idempotent, and an ended span takes no more attributes — also
-	// once later spans have been opened and ended.
+	// End is idempotent, also once later spans have been opened and ended.
 	tr.StartSpan("later").End()
 	root.End()
-	root.Annotate("late", "x")
-	if spans = tr.Finished(); len(spans) != 4 {
-		t.Fatalf("double End committed twice: %d spans", len(spans))
-	}
-	if spans[2].ID != root.Context().Span || len(spans[2].Attrs) != 2 || spans[3].Name != "later" {
-		t.Errorf("spans after the second End: %+v", spans[2:])
+	if spans = tr.Finished(); len(spans) != 5 || spans[4].Name != "later" {
+		t.Fatalf("spans after the second End: %+v", spans)
 	}
 }
 
@@ -214,5 +205,41 @@ func TestHubConcurrency(t *testing.T) {
 	}
 	if got := strings.Count(buf.String(), "\n"); got != DefaultSpanCapacity || h.Tracer.Dropped() != 4*3000-DefaultSpanCapacity {
 		t.Errorf("trace dump of %d spans, %d dropped", got, h.Tracer.Dropped())
+	}
+}
+
+// TestRootHubRefusesWindowWrites: inside a sim.Domains.Drive window a group
+// writes through its view, which buffers; the root hub's own tracer and
+// event log panic, since where a write lands in them depends on the order,
+// and so do a view's general spans, which are the root's.
+func TestRootHubRefusesWindowWrites(t *testing.T) {
+	for name, write := range map[string]func(h, v *Hub){
+		"Events.Publish":    func(h, _ *Hub) { h.Events.Publish(Event{Type: EventTakeOver}) },
+		"Tracer.BeginQuery": func(h, _ *Hub) { h.Tracer.BeginQuery(0, "db0") },
+		"Tracer.FailQuery":  func(h, _ *Hub) { h.Tracer.FailQuery(0, "g", "t", "c", "", "refused") },
+		"Tracer.StartSpan":  func(h, _ *Hub) { h.Tracer.StartSpan("s") },
+		"view StartSpan":    func(_, v *Hub) { v.Tracer.StartSpan("s") },
+		"Tracer.EndQuery":   func(h, _ *Hub) { h.Tracer.EndQuery(QueryTrace{Trace: 1, Root: 1}, 0, 0, "g", "t", "c", "db0") },
+	} {
+		t.Run(name, func(t *testing.T) {
+			eng := sim.NewEngine()
+			ds := sim.NewDomains([]*sim.Engine{eng, sim.NewEngine()})
+			h := NewHub(ds, 0.99)
+			h.Guard(ds.Gate())
+			v, viewed := h.View(ds[0]), false
+			eng.Schedule(sim.Second, func(sim.Time) {
+				v.Events.Publish(Event{Type: EventTakeOver})
+				v.Tracer.EndQuery(v.Tracer.BeginQuery(sim.Second, "db0"), sim.Second, sim.Second, "g", "t", "c", "db0")
+				v.Tracer.FailQuery(sim.Second, "g", "t", "c", "", "refused")
+				viewed = true
+			})
+			eng.Schedule(2*sim.Second, func(sim.Time) { write(h, v) })
+			defer func() {
+				if recover() == nil || !viewed {
+					t.Fatalf("view writes passed %v; then a root hub write inside a window did not panic", viewed)
+				}
+			}()
+			ds.Drive(nil, sim.Hour)
+		})
 	}
 }

@@ -8,12 +8,6 @@ import (
 	"repro/internal/sim"
 )
 
-// SpanContext identifies a span within its trace, for causal linking.
-type SpanContext struct {
-	Trace uint64
-	Span  uint64
-}
-
 // SpanRecord is one finished span.
 type SpanRecord struct {
 	Trace  uint64
@@ -67,8 +61,13 @@ func (e *entry) record() SpanRecord {
 // Tracer retains the most recent finished spans in a bounded ring.
 // Identifiers are monotonic counters, so a deterministic simulation yields a
 // byte-identical Dump across runs. A routed query is traced by BeginQuery and
-// EndQuery, one lock round trip each and the caller's own timestamps; any
-// other span is a heap object from StartSpan or StartChild on the Clock.
+// EndQuery, a refused one by FailQuery, each one lock round trip with the
+// caller's own timestamps; any other span is a heap object from StartSpan on
+// the Clock.
+//
+// A view (Hub.View) writes those three through to its root, or buffers them
+// in a window; a query begun then gets a pending handle (Trace 0, Root a
+// count) that the merge maps to the real one.
 type Tracer struct {
 	mu        sync.Mutex
 	clock     Clock
@@ -77,6 +76,24 @@ type Tracer struct {
 	ring      []entry
 	next      int    // ring position the next finished span goes to
 	total     uint64 // spans ever finished; the last len(ring) of them are retained
+	gate      *sim.Gate
+	views     []*Tracer
+
+	// A view's: its group writes buf and begun, the merge the rest. open
+	// holds the real handles of base+1, base+2, ... (zero once ended).
+	root        *Tracer
+	buf, spare  []bufOp
+	begun, base uint64
+	open        []QueryTrace
+	dead        int
+}
+
+// bufOp is a call a view buffered; at is the view's clock, the merge key.
+type bufOp struct {
+	kind                             byte // 'b'egin, 'e'nd or 'f'ail
+	at, start, end                   sim.Time
+	q                                QueryTrace
+	mppdb, group, tenant, class, err string
 }
 
 // NewTracer builds a tracer retaining up to capacity finished spans.
@@ -112,67 +129,166 @@ type QueryTrace struct {
 // BeginQuery opens the trace of a query routed to mppdb at now and commits
 // its route span, the Algorithm 1 decision, which takes no clock time.
 func (t *Tracer) BeginQuery(now sim.Time, mppdb string) QueryTrace {
-	t.mu.Lock()
+	if t.buffers() {
+		t.begun++
+		op := t.push('b')
+		op.q.Root, op.start, op.mppdb = t.begun, now, mppdb
+		return op.q
+	}
+	r := t.write()
+	defer r.mu.Unlock()
+	return r.beginLocked(now, mppdb)
+}
+
+func (t *Tracer) beginLocked(now sim.Time, mppdb string) QueryTrace {
 	t.nextTrace++
 	q := QueryTrace{Trace: t.nextTrace, Root: t.nextSpan + 1}
 	t.nextSpan += 3
 	t.commit(spanRoute, q.Trace, q.Root+1, q.Root, now, now, mppdb)
-	t.mu.Unlock()
 	return q
 }
 
 // EndQuery commits the query's execute span and then its root, both running
 // from submit to finish. mppdb is the instance the query was routed to.
 func (t *Tracer) EndQuery(q QueryTrace, submit, finish sim.Time, group, tenant, class, mppdb string) {
-	t.mu.Lock()
+	if t.buffers() {
+		op := t.push('e')
+		op.q, op.start, op.end = q, submit, finish
+		op.mppdb, op.group, op.tenant, op.class = mppdb, group, tenant, class
+		return
+	}
+	r := t.write()
+	defer r.mu.Unlock()
+	r.endLocked(t.resolve(q), submit, finish, group, tenant, class, mppdb)
+}
+
+func (t *Tracer) endLocked(q QueryTrace, submit, finish sim.Time, group, tenant, class, mppdb string) {
 	t.commit(spanExecute, q.Trace, q.Root+2, q.Root, submit, finish, mppdb)
 	e := t.commit(spanQuery, q.Trace, q.Root, 0, submit, finish, group)
 	e.b, e.c = tenant, class
-	t.mu.Unlock()
 }
 
-// Span is an in-flight operation opened by StartSpan or StartChild. End
-// commits it; an ended span ignores further calls.
+// FailQuery commits the trace of a submit that started no query, at now: a
+// root "query" span (group, tenant, class) with a "route" child and, when
+// mppdb refused the query, an "execute" child; the last carries the error.
+func (t *Tracer) FailQuery(now sim.Time, group, tenant, class, mppdb, err string) {
+	if t.buffers() {
+		op := t.push('f')
+		op.start, op.mppdb, op.group, op.tenant, op.class, op.err = now, mppdb, group, tenant, class, err
+		return
+	}
+	r := t.write()
+	defer r.mu.Unlock()
+	r.failLocked(now, group, tenant, class, mppdb, err)
+}
+
+func (t *Tracer) failLocked(now sim.Time, group, tenant, class, mppdb, err string) {
+	t.nextTrace++
+	trace, root := t.nextTrace, t.nextSpan+1
+	t.nextSpan += 2
+	if mppdb == "" {
+		t.commit(spanGeneral, trace, root+1, root, now, now, "route").attrs = []Label{{"error", err}}
+	} else {
+		t.nextSpan++
+		t.commit(spanGeneral, trace, root+1, root, now, now, "route").attrs = []Label{{"mppdb", mppdb}}
+		t.commit(spanGeneral, trace, root+2, root, now, now, "execute").attrs = []Label{{"mppdb", mppdb}, {"error", err}}
+	}
+	t.commit(spanGeneral, trace, root, 0, now, now, "query").attrs = []Label{{"group", group}, {"tenant", tenant}, {"class", class}}
+}
+
+// buffers reports whether t is a view inside a window.
+func (t *Tracer) buffers() bool { return t.root != nil && t.root.gate.Open() }
+
+// write locks and returns the root, which refuses writes inside a window.
+func (t *Tracer) write() *Tracer {
+	if t.root != nil {
+		t = t.root
+	}
+	t.gate.Guard("the root tracer")
+	t.mu.Lock()
+	return t
+}
+
+// push appends an op of kind at the view's clock for the caller to fill in
+// place: appending a built one would copy it whole.
+func (t *Tracer) push(kind byte) *bufOp {
+	if len(t.buf) < cap(t.buf) {
+		t.buf = t.buf[:len(t.buf)+1]
+	} else {
+		t.buf = append(t.buf, bufOp{})
+	}
+	op := &t.buf[len(t.buf)-1]
+	*op = bufOp{kind: kind, at: t.clock.Now()}
+	return op
+}
+
+// resolve maps a view's pending handle, once merged, to the real one.
+func (t *Tracer) resolve(q QueryTrace) QueryTrace {
+	if q.Trace != 0 {
+		return q
+	}
+	i := q.Root - t.base - 1
+	q, t.open[i] = t.open[i], QueryTrace{}
+	for t.dead < len(t.open) && t.open[t.dead].Trace == 0 {
+		t.dead++
+	}
+	if t.dead > len(t.open)/2 {
+		t.open = t.open[:copy(t.open, t.open[t.dead:])]
+		t.base, t.dead = t.base+uint64(t.dead), 0
+	}
+	return q
+}
+
+// take hands the views' buffers to a merge that commits them, and gives the
+// views the ones the last merge emptied.
+func (t *Tracer) take() func() {
+	bufs := make([][]bufOp, len(t.views))
+	for i, v := range t.views {
+		bufs[i], v.buf, v.spare = v.buf, v.spare, nil
+	}
+	return func() {
+		t.mu.Lock()
+		defer t.mu.Unlock()
+		merge(bufs, func(op *bufOp) sim.Time { return op.at }, func(i int, op *bufOp) {
+			switch v := t.views[i]; op.kind {
+			case 'b':
+				v.open = append(v.open, t.beginLocked(op.start, op.mppdb))
+			case 'e':
+				t.endLocked(v.resolve(op.q), op.start, op.end, op.group, op.tenant, op.class, op.mppdb)
+			default:
+				t.failLocked(op.start, op.group, op.tenant, op.class, op.mppdb, op.err)
+			}
+		})
+		for i, v := range t.views {
+			v.spare = bufs[i][:0]
+		}
+	}
+}
+
+// Span is an in-flight operation opened by StartSpan. End commits it; an
+// ended span ignores further calls.
 type Span struct {
 	t     *Tracer
 	rec   SpanRecord
 	ended bool
 }
 
-// StartSpan opens a root span of a fresh trace. attrs is a flat
-// key, value, ... list recorded on the span.
+// StartSpan opens a root span of a fresh trace on the root tracer's clock.
+// attrs is a flat key, value, ... list recorded on the span.
 func (t *Tracer) StartSpan(name string, attrs ...string) *Span {
-	t.mu.Lock()
+	t = t.write()
 	defer t.mu.Unlock()
 	t.nextTrace++
-	return t.newSpan(t.nextTrace, 0, name, attrs)
-}
-
-// StartChild opens a span causally under parent.
-func (t *Tracer) StartChild(parent SpanContext, name string, attrs ...string) *Span {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.newSpan(parent.Trace, parent.Span, name, attrs)
-}
-
-// newSpan allocates the span and its identifier; callers hold t.mu.
-func (t *Tracer) newSpan(trace, parent uint64, name string, attrs []string) *Span {
 	t.nextSpan++
-	return &Span{t: t, rec: SpanRecord{
-		Trace:  trace,
-		ID:     t.nextSpan,
-		Parent: parent,
-		Name:   name,
-		Start:  t.clock.Now(),
-		Attrs:  attrPairs(attrs),
-	}}
+	return &Span{t: t, rec: SpanRecord{Trace: t.nextTrace, ID: t.nextSpan, Name: name,
+		Start: t.clock.Now(), Attrs: attrPairs(attrs)}}
 }
 
 // attrPairs turns a flat key/value list into labels, preserving insertion
 // order (unlike metric labels, span attributes tell a story in sequence).
 // The panic message deliberately reports only len(kv): formatting kv itself
-// would leak the slice to the heap and force every StartSpan/StartChild
-// caller's variadic attr list to allocate.
+// would leak the slice to the heap and force every StartSpan caller's
+// variadic attr list to allocate.
 func attrPairs(kv []string) []Label {
 	if len(kv)%2 != 0 {
 		panic(fmt.Sprintf("telemetry: odd attribute list (%d items)", len(kv)))
@@ -184,24 +300,10 @@ func attrPairs(kv []string) []Label {
 	return dst
 }
 
-// Context returns the span's identity for linking children.
-func (s *Span) Context() SpanContext {
-	return SpanContext{Trace: s.rec.Trace, Span: s.rec.ID}
-}
-
-// Annotate appends an attribute to the span.
-func (s *Span) Annotate(key, value string) {
-	s.t.mu.Lock()
-	defer s.t.mu.Unlock()
-	if !s.ended {
-		s.rec.Attrs = append(s.rec.Attrs, Label{Key: key, Value: value})
-	}
-}
-
 // End closes the span at the clock's current time and commits it to the
 // tracer's ring, which takes over the span's attributes.
 func (s *Span) End() {
-	s.t.mu.Lock()
+	s.t.write()
 	defer s.t.mu.Unlock()
 	if s.ended {
 		return

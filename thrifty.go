@@ -163,7 +163,8 @@ func Reconsolidate(w *Workload, prev *Plan, cfg PlanConfig, flaggedGroups []stri
 // deployment. Every tenant-group runs on a clock domain of its own; Engine
 // is the coordinator Replay drives beside them, for cross-group work a
 // caller schedules before Replay — perturbations, or traffic of its own
-// (replay.Attach). Its events fire after the groups' at equal instants.
+// (replay.Attach). Its events fire after the groups' at equal instants, with
+// no group running, so they may act on any group and the pool.
 type System struct {
 	Engine     *sim.Engine
 	Pool       *cluster.Pool
@@ -246,7 +247,7 @@ func DefaultScalerConfig(p float64, r int) ScalerConfig { return scaling.Default
 
 // Replay drives the system with its workload's logged queries: every
 // tenant-group on its own clock domain, beside the coordinator Engine, in one
-// deterministic order (byte-identical per seed).
+// deterministic order (byte-identical per seed at any GOMAXPROCS).
 func (s *System) Replay(opts ReplayOptions) (*ReplayReport, error) {
 	return replay.Run(s.Engine, s.Deployment, s.Workload.Catalog, s.Workload.Logs, opts)
 }
