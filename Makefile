@@ -25,10 +25,12 @@ test:
 
 # The packages a replay runs through go again at two widths: at -cpu 2
 # sim.Domains.Drive runs tenant-groups on two goroutines between barriers, so
-# a group touching another group's state inside a window is a race.
+# a group touching another group's state inside a window is a race — among
+# them the telemetry a group writes (its events through its hub view, its
+# trace ops in its router and its monitor's log).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2 -count=1 ./internal/sim ./internal/replay ./internal/recovery/... ./internal/experiments .
+	$(GO) test -race -cpu 1,2 -count=1 ./internal/sim ./internal/replay ./internal/recovery/... ./internal/experiments ./internal/telemetry ./internal/router ./internal/monitor .
 
 # Non-test Go lines per package and in total, and the number of thriftyd
 # flags — the size and option-surface figures ROADMAP.md, CHANGES.md and the
@@ -87,8 +89,8 @@ grouping-smoke: bench-smoke
 # (solve, verify, quantize and burst detection on one 500-tenant composed
 # population), the whole planning cycle at the facade, the service's submit
 # paths (single, 64-batch and parallel singles) over a 200-tenant deployment
-# and the replay of that
-# deployment's 7-day logs, so a benchmark that no longer builds or runs is
+# and the replay of that deployment's 7-day logs, bare and as a flagless
+# thriftyd deploys it, so a benchmark that no longer builds or runs is
 # caught before commit without paying full benchmark time. The composed solve
 # (BenchmarkTwoStepComposed500 on the 3 s grid and ...Fine on the 0.1 s one,
 # which no benchmark workload plans on) and the planning cycle run serial and
@@ -100,7 +102,7 @@ bench-smoke:
 	$(GO) test -bench 'BenchmarkDetectBursts500' -benchtime=1x -run '^$$' ./internal/advisor
 	$(GO) test -bench 'BenchmarkServeSubmit' -benchtime=1x -run '^$$' ./internal/service
 	$(GO) test -bench 'BenchmarkDomainsDrive' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/sim
-	$(GO) test -bench 'BenchmarkReplay' -cpu 1,2 -benchtime=1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkReplay/(bare|default)$$' -cpu 1,2 -benchtime=1x -run '^$$' .
 	$(GO) test -bench 'BenchmarkPlanCycle' -cpu 1,2 -benchtime=1x -run '^$$' .
 
 # Bounded tenant-mover smoke with the race detector on: a seeded drift run
@@ -128,9 +130,10 @@ service-smoke:
 # DenseSet (Add, Reset, the previews, the patch and its three bitmaps)
 # against the same oracle and against a CountSet, the
 # ref-indexed monitor with its chunked record log against the map-and-slice
-# monitor it replaced, the tracer's entry ring against the ring of whole
-# span records it replaced and its per-group views, merged after each
-# window, against direct commits, the MPPDB executor under submits, hedges,
+# monitor it replaced, the tracer's spans read from groups' trace ops —
+# attached directly and through a deployment's views under Drive — against
+# a naive ring of whole span records fed the same queries in (time, group,
+# sequence) order, the MPPDB executor under submits, hedges,
 # cancels, node faults and slowdowns against plain processor sharing stepped
 # from scratch, the event engine under schedules, cancels, re-keys,
 # sources, steps and runs against a slice scanned for its least (time,

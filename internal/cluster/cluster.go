@@ -75,7 +75,8 @@ type Pool struct {
 	mu      sync.Mutex
 	nodes   []*Node
 	domains int
-	down    map[int]bool // failure domains currently offline
+	down    map[int]bool   // failure domains currently offline
+	failed  map[string]int // each owner's Failed nodes
 	gate    *sim.Gate
 }
 
@@ -104,7 +105,7 @@ func NewPoolDomains(n, d int) *Pool {
 	if d > n && n > 0 {
 		d = n
 	}
-	p := &Pool{nodes: make([]*Node, n), domains: d, down: make(map[int]bool)}
+	p := &Pool{nodes: make([]*Node, n), domains: d, down: make(map[int]bool), failed: make(map[string]int)}
 	for i := range p.nodes {
 		p.nodes[i] = &Node{ID: i, State: Hibernated, Domain: i * d / n}
 	}
@@ -266,6 +267,7 @@ func (p *Pool) Release(owner string) int {
 			n++
 		}
 	}
+	delete(p.failed, owner)
 	return n
 }
 
@@ -282,6 +284,7 @@ func (p *Pool) Fail(id int) (string, error) {
 		return "", fmt.Errorf("cluster: node %d is %v, cannot fail", id, nd.State)
 	}
 	nd.State = Failed
+	p.failed[nd.Owner]++
 	return nd.Owner, nil
 }
 
@@ -305,6 +308,7 @@ func (p *Pool) Replace(id int) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
+	p.failed[failed.Owner]--
 	failed.State = Repairing
 	failed.Owner = ""
 	return repl[0], nil
@@ -324,6 +328,13 @@ func (p *Pool) Reimage(id int) error {
 	}
 	nd.State = Hibernated
 	return nil
+}
+
+// FailedCount returns how many of owner's nodes are Failed, without a scan.
+func (p *Pool) FailedCount(owner string) int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.failed[owner]
 }
 
 // FailedNodesOf returns the IDs of owner's failed nodes, ascending.
@@ -348,6 +359,7 @@ func (p *Pool) FailAny(owner string) (int, error) {
 	for _, nd := range p.nodes {
 		if nd.State == Active && nd.Owner == owner {
 			nd.State = Failed
+			p.failed[owner]++
 			return nd.ID, nil
 		}
 	}
@@ -380,6 +392,7 @@ func (p *Pool) FailDomain(d int) ([]Casualty, error) {
 	for _, nd := range p.nodes {
 		if nd.Domain == d && nd.State == Active {
 			nd.State = Failed
+			p.failed[nd.Owner]++
 			out = append(out, Casualty{NodeID: nd.ID, Owner: nd.Owner})
 		}
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
@@ -261,4 +262,57 @@ func TestPoolRefusesWindowWrites(t *testing.T) {
 		}
 	}()
 	ds.Drive(nil, sim.Hour)
+}
+
+// TestFailedCountMatchesScan drives seeded sequences of every pool mutation
+// — acquire (plain and spread), fail, fail-any, replace, re-image, release,
+// respread, domain outage and restore, errors included — and checks each
+// owner's FailedCount against a scan of the pool after every step.
+func TestFailedCountMatchesScan(t *testing.T) {
+	owners := []string{"db0", "db1", "db2", "tmp"}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := NewPoolDomains(24, 3)
+		for step := 0; step < 400; step++ {
+			owner := owners[rng.Intn(len(owners))]
+			var op string
+			switch rng.Intn(10) {
+			case 0:
+				op = "Acquire"
+				p.Acquire(owner, 1+rng.Intn(3))
+			case 1:
+				op = "AcquireSpread"
+				p.AcquireSpread(owner, 1+rng.Intn(3), []int{rng.Intn(3)})
+			case 2:
+				op = "Fail"
+				p.Fail(rng.Intn(p.Size()))
+			case 3:
+				op = "FailAny"
+				p.FailAny(owner)
+			case 4:
+				op = "Replace"
+				p.Replace(rng.Intn(p.Size()))
+			case 5:
+				op = "Reimage"
+				p.Reimage(rng.Intn(p.Size()))
+			case 6:
+				op = "Release"
+				p.Release(owner)
+			case 7:
+				op = "CompleteRespread"
+				p.CompleteRespread(owner, "tmp")
+			case 8:
+				op = "FailDomain"
+				p.FailDomain(rng.Intn(3))
+			default:
+				op = "RestoreDomain"
+				p.RestoreDomain(rng.Intn(3))
+			}
+			for _, o := range owners {
+				if got, want := p.FailedCount(o), len(p.FailedNodesOf(o)); got != want {
+					t.Fatalf("seed %d step %d (%s by %s): FailedCount(%s) = %d, scan finds %d", seed, step, op, owner, o, got, want)
+				}
+			}
+		}
+	}
 }

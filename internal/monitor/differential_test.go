@@ -66,6 +66,15 @@ type diffWorld struct {
 	// world reports by ref, nil when it goes through the string methods.
 	in           *tenant.Interner
 	hubM, hubRef *telemetry.Hub
+	// traced is what TracedRecord must return beside each record: by ref a
+	// route sequence counted up and, now and then, a routed instance the
+	// hedge took the query from; by string Untraced and the serving one.
+	traced []traced
+}
+
+type traced struct {
+	route  uint32
+	routed string
 }
 
 // newDiffWorld builds both monitors with R=2. With byRef the monitor adopts
@@ -123,13 +132,19 @@ func (w *diffWorld) apply(op diffOp) {
 			SLATarget: 10 * sim.Second,
 			MPPDB:     diffInsts[int(op.arg/16)%len(diffInsts)],
 		}
+		tr := traced{telemetry.Untraced, rec.MPPDB}
 		if w.in != nil {
 			// The router's record carries the tenant too, but the ref is
 			// what the monitor goes by.
-			w.mon.QueryFinishedRef(w.in.Intern(id), rec)
+			tr.route = uint32(2 * len(w.traced))
+			if op.arg%3 == 0 {
+				tr.routed = diffInsts[int(op.arg/16+1)%len(diffInsts)]
+			}
+			w.mon.QueryFinishedRef(w.in.Intern(id), rec, tr.route, tr.routed)
 		} else {
 			w.mon.QueryFinished(rec)
 		}
+		w.traced = append(w.traced, tr)
 		w.ref.QueryFinished(rec)
 	case opExclude:
 		w.mon.Exclude(id)
@@ -180,6 +195,13 @@ func (w *diffWorld) compare(step int, op diffOp) {
 	all := w.ref.Records()
 	if got := w.mon.Records(); len(got) != len(all) || len(all) > 0 && !reflect.DeepEqual(got, all) {
 		fail("Records", got, all)
+	}
+	for i, tr := range w.traced {
+		r := all[i]
+		want := telemetry.QueryOp{Seq: tr.route, Submit: r.Submit, Finish: r.Finish, Tenant: r.Tenant, Class: r.Class.ID, MPPDB: tr.routed}
+		if got := w.mon.TracedRecord(i); got != want {
+			fail(fmt.Sprintf("TracedRecord(%d)", i), got, want)
+		}
 	}
 	for _, id := range append([]string{"never-observed", "unknown"}, diffTenants...) {
 		if got, want := w.mon.Excluded(id), w.ref.Excluded(id); got != want {
@@ -368,8 +390,8 @@ func expectRecords(t *testing.T, m *GroupMonitor, want []QueryRecord) {
 // one entry past the end of every chunk, from the first 32-entry chunk up to
 // the second full-size one.
 func TestRecordLogChunkBoundaries(t *testing.T) {
-	if size := unsafe.Sizeof(entry{}); size != 32 {
-		t.Errorf("a log entry takes %d bytes, want 32", size)
+	if size := unsafe.Sizeof(entry{}); size != 40 {
+		t.Errorf("a log entry takes %d bytes, want 40", size)
 	}
 	m, _ := NewGroup(sim.NewEngine(), "g", 1, time.Hour)
 	check := map[int]bool{0: true}
@@ -419,11 +441,13 @@ func TestRecordLogChunkBoundaries(t *testing.T) {
 func TestRecordLogSpill(t *testing.T) {
 	m, _ := NewGroup(sim.NewEngine(), "g", 1, time.Hour)
 	var want []QueryRecord
-	log := func(tenantID string, cl *queries.Class, db string) {
+	var routed []string
+	hedged := func(tenantID string, cl *queries.Class, db, from string) {
 		rec := QueryRecord{Tenant: tenantID, Class: cl, Submit: sim.Time(len(want)), Finish: sim.Time(len(want) + 5), MPPDB: db}
-		m.QueryFinished(rec)
-		want = append(want, rec)
+		m.QueryFinishedRef(m.in.Intern(tenantID), rec, uint32(len(want)), from)
+		want, routed = append(want, rec), append(routed, from)
 	}
+	log := func(tenantID string, cl *queries.Class, db string) { hedged(tenantID, cl, db, db) }
 	log("a", diffClasses[0], "db0")
 	for len(m.log.classes) < spillMark {
 		m.log.classes = append(m.log.classes, &queries.Class{ID: "ADHOC"})
@@ -437,10 +461,17 @@ func TestRecordLogSpill(t *testing.T) {
 	}
 	log("a", diffClasses[0], "db-replacement") // no index left for the instance
 	log("b", diffClasses[0], "db1")
-	if len(m.log.spill) != 3 {
-		t.Fatalf("%d records spilled, want 3", len(m.log.spill))
+	hedged("a", diffClasses[0], "db0", "db-gray") // nor for the instance routed to
+	if len(m.log.spill) != 4 {
+		t.Fatalf("%d records spilled, want 4", len(m.log.spill))
 	}
 	expectRecords(t, m, want)
+	for i, r := range want {
+		q := telemetry.QueryOp{Seq: uint32(i), Submit: r.Submit, Finish: r.Finish, Tenant: r.Tenant, Class: r.Class.ID, MPPDB: routed[i]}
+		if got := m.TracedRecord(i); got != q {
+			t.Errorf("TracedRecord(%d) = %+v, want %+v", i, got, q)
+		}
+	}
 	for _, id := range []string{"a", "b"} {
 		own := recordsOf(want, id)
 		if got := m.AppendTenantRecords(nil, id); !reflect.DeepEqual(got, own) {

@@ -2,38 +2,44 @@ package monitor
 
 import (
 	"slices"
+	"sort"
 
 	"repro/internal/queries"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/tenant"
 )
 
-// entry is one completed query in the record log: 32 bytes and no pointers,
+// entry is one completed query in the record log: 40 bytes and no pointers,
 // so the collector never scans a chunk. The tenant is its ref in the
-// monitor's interner; class and inst index the log's side tables.
+// monitor's interner; class, inst (served it) and routed (routed to: another
+// when a hedge won) index the log's side tables; route is its trace sequence.
 type entry struct {
 	submit, finish, slaTarget sim.Time
 	ref                       tenant.Ref
 	class, inst               uint16
+	route                     uint32
+	routed                    uint16
 }
 
 const (
-	// Chunk capacities double from minChunk to maxChunk entries (1 KB to
-	// 128 KB): a group that completed a handful of queries holds a kilobyte,
-	// a busy one wastes at most one partly filled 128 KB chunk.
+	// Chunk capacities double from minChunk to maxChunk entries (1.25 KB to
+	// 160 KB): a group that completed a handful of queries holds a kilobyte,
+	// a busy one wastes at most one partly filled 160 KB chunk.
 	minChunk = 32
 	maxChunk = 4096
 
-	// spillMark in entry.class says the record's class and instance are the
-	// next pair of recordLog.spill, not table indices.
+	// spillMark in entry.class says the record's class and instances are the
+	// next of recordLog.spill, not table indices.
 	spillMark = 0xFFFF
 )
 
-// offTable is the class and instance of a record the side tables could not
-// index.
+// offTable is the class and instances of the i-th record, which the side
+// tables could not index.
 type offTable struct {
-	class *queries.Class
-	mppdb string
+	i             int
+	class         *queries.Class
+	mppdb, routed string
 }
 
 // recordLog is the append-only log of completed queries. Entries live in
@@ -51,7 +57,7 @@ type recordLog struct {
 	classes  []*queries.Class
 	classIdx map[*queries.Class]uint16
 	insts    []string
-	// spill holds, in log order, the class and instance of every entry
+	// spill holds, in log order, the class and instances of every entry
 	// marked spillMark: those logged after a table ran out of 16-bit indices
 	// (65,535 ad-hoc statements or instance replacements in one group).
 	spill []offTable
@@ -59,15 +65,19 @@ type recordLog struct {
 
 // add logs one completed query of the tenant behind ref; met is whether it
 // met its SLA.
-func (l *recordLog) add(ref tenant.Ref, rec QueryRecord, met bool) {
-	e := entry{submit: rec.Submit, finish: rec.Finish, slaTarget: rec.SLATarget, ref: ref}
+func (l *recordLog) add(ref tenant.Ref, rec QueryRecord, met bool, route uint32, routed string) {
+	e := entry{submit: rec.Submit, finish: rec.Finish, slaTarget: rec.SLATarget, ref: ref, route: route}
 	ci, okc := l.classIndex(rec.Class)
 	ii, oki := l.instIndex(rec.MPPDB)
-	if okc && oki {
-		e.class, e.inst = ci, ii
+	ri, okr := ii, oki
+	if routed != rec.MPPDB {
+		ri, okr = l.instIndex(routed)
+	}
+	if okc && oki && okr {
+		e.class, e.inst, e.routed = ci, ii, ri
 	} else {
 		e.class = spillMark
-		l.spill = append(l.spill, offTable{rec.Class, rec.MPPDB})
+		l.spill = append(l.spill, offTable{l.n, rec.Class, rec.MPPDB, routed})
 	}
 	k := len(l.chunks) - 1
 	if k < 0 || len(l.chunks[k]) == cap(l.chunks[k]) {
@@ -145,4 +155,22 @@ func (l *recordLog) appendTo(dst []QueryRecord, ids []string, only tenant.Ref, r
 		}
 	}
 	return dst
+}
+
+// traced returns the i-th logged query as its spans need it; ids resolves
+// refs to tenant IDs.
+func (l *recordLog) traced(i int, ids []string) telemetry.QueryOp {
+	c, k := 0, i
+	for ; k >= len(l.chunks[c]); c++ {
+		k -= len(l.chunks[c])
+	}
+	e := &l.chunks[c][k]
+	q := telemetry.QueryOp{Seq: e.route, Submit: e.submit, Finish: e.finish, Tenant: ids[e.ref]}
+	if e.class == spillMark {
+		o := &l.spill[sort.Search(len(l.spill), func(j int) bool { return l.spill[j].i >= i })]
+		q.Class, q.MPPDB = o.class.ID, o.routed
+	} else {
+		q.Class, q.MPPDB = l.classes[e.class].ID, l.insts[e.routed]
+	}
+	return q
 }

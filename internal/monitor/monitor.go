@@ -216,17 +216,18 @@ func (m *GroupMonitor) QueryStartedRef(ref tenant.Ref) {
 	}
 }
 
-// QueryFinished records a query completion and logs the full record.
+// QueryFinished records a query completion and logs the full record, untraced.
 func (m *GroupMonitor) QueryFinished(rec QueryRecord) {
-	m.QueryFinishedRef(m.in.Intern(rec.Tenant), rec)
+	m.QueryFinishedRef(m.in.Intern(rec.Tenant), rec, telemetry.Untraced, rec.MPPDB)
 }
 
 // QueryFinishedRef is QueryFinished for the tenant behind a ref of the
-// monitor's interner; rec.Tenant is not read.
-func (m *GroupMonitor) QueryFinishedRef(ref tenant.Ref, rec QueryRecord) {
+// monitor's interner; rec.Tenant is not read. The log keeps the query's
+// route's trace sequence and the instance it was routed to (TracedRecord).
+func (m *GroupMonitor) QueryFinishedRef(ref tenant.Ref, rec QueryRecord, route uint32, routed string) {
 	st := m.state(ref)
 	met := rec.SLAMet()
-	m.log.add(ref, rec, met)
+	m.log.add(ref, rec, met, route, routed)
 	st.finished++
 	if m.tel != nil {
 		m.mCompleted.Inc()
@@ -393,6 +394,12 @@ func (m *GroupMonitor) AppendTenantRecords(dst []QueryRecord, tenantID string) [
 		return dst
 	}
 	return m.log.appendTo(dst, m.in.IDs(), ref, m.tenants[ref].finished)
+}
+
+// TracedRecord returns the i-th record in completion order as its spans need
+// it: its route's trace sequence and the instance it was routed to.
+func (m *GroupMonitor) TracedRecord(i int) telemetry.QueryOp {
+	return m.log.traced(i, m.in.IDs())
 }
 
 // RecordCount returns the number of completed-query records retained. The

@@ -286,7 +286,7 @@ func (c *Controller) sweep() {
 	for _, inst := range c.insts {
 		id := inst.ID()
 		need := inst.FailedNodes() - c.pending[id]
-		if m := len(c.pool.FailedNodesOf(id)) - c.awaitingSwap[id]; m > need {
+		if m := c.pool.FailedCount(id) - c.awaitingSwap[id]; m > need {
 			need = m
 		}
 		for ; need > 0; need-- {

@@ -49,7 +49,7 @@ func (c *Controller) maybeRespread() {
 	}
 	used := map[int]bool{}
 	for _, inst := range c.insts {
-		if inst.FailedNodes() > 0 || len(c.pool.FailedNodesOf(inst.ID())) > 0 {
+		if inst.FailedNodes() > 0 || c.pool.FailedCount(inst.ID()) > 0 {
 			return // recover first, re-spread after
 		}
 		for _, d := range c.pool.OwnerDomains(inst.ID()) {
@@ -125,8 +125,8 @@ func (c *Controller) finishRespread(inst *mppdb.Instance, owner, tempOwner strin
 			})
 		}
 	}
-	if inst.FailedNodes() > 0 || len(c.pool.FailedNodesOf(owner)) > 0 ||
-		len(c.pool.FailedNodesOf(tempOwner)) > 0 {
+	if inst.FailedNodes() > 0 || c.pool.FailedCount(owner) > 0 ||
+		c.pool.FailedCount(tempOwner) > 0 {
 		abort("instance or staged nodes failed during the background reload")
 		return
 	}

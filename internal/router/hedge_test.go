@@ -1,10 +1,13 @@
 package router
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/monitor"
+	"repro/internal/mppdb"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // TestHedgePeerWinsSingleCount: every submit routed to a confirmed-gray
@@ -170,5 +173,46 @@ func TestQuarantineRouting(t *testing.T) {
 	r.eng.RunAll()
 	if r.r.Routed() != 2 {
 		t.Errorf("Routed = %d, want 2", r.r.Routed())
+	}
+}
+
+// TestHedgedQuerySpans: a query's spans name the instance it was routed to,
+// not the hedge peer that won it, which its record names; a query still in
+// flight shows its route, and a refused submit its error.
+func TestHedgedQuerySpans(t *testing.T) {
+	r := newRig(t, 3, 2, tn("a", 2))
+	hub := telemetry.NewHub(r.eng, 0.99)
+	r.r.SetTelemetry(hub)
+	if err := r.dbs[0].SetSlowdown(0.25); err != nil {
+		t.Fatal(err)
+	}
+	r.r.SetGrayFlag("db0", true)
+	if _, err := r.r.Submit("a", r.cl); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.RunAll()
+	if recs := r.mon.Records(); len(recs) != 1 || recs[0].MPPDB == "db0" {
+		t.Fatalf("records %+v, want one won by a peer", recs)
+	}
+	if _, err := r.r.Submit("nobody", r.cl); err == nil {
+		t.Fatal("unknown tenant routed")
+	}
+	for _, db := range r.dbs {
+		db.SetState(mppdb.Provisioning)
+	}
+	if _, err := r.r.Submit("a", r.cl); err == nil {
+		t.Fatal("routed with no ready MPPDB")
+	}
+	r.dbs[1].SetState(mppdb.Ready)
+	if _, err := r.r.Submit("a", r.cl); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range hub.Tracer.Finished() {
+		got = append(got, s.Name+" "+s.Attrs[0].Value)
+	}
+	want := []string{"route db0", "execute db0", "query tg", "route router: group tg has no ready MPPDB", "query tg", "route db1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("spans %q, want %q", got, want)
 	}
 }

@@ -36,9 +36,10 @@ const noPartner = ^uint64(0)
 
 // pending is one in-flight query's completion context, pooled and addressed
 // by the tag issued at submit time. A hedged query occupies two slots: the
-// primary holds the full accounting context and the trace, the hedge slot
-// only what is needed to attribute and cancel — both point at each other via
-// partner, and whichever completes first wins and withdraws the other.
+// primary holds the full accounting context and the route's trace sequence,
+// the hedge slot only what is needed to attribute and cancel — both point at
+// each other via partner, and whichever completes first wins and withdraws
+// the other.
 type pending struct {
 	tenantID  string
 	ref       tenant.Ref // the tenant's group ref, as the monitor indexes it
@@ -46,7 +47,7 @@ type pending struct {
 	submit    sim.Time
 	slaTarget sim.Time
 	dbID      string
-	trace     telemetry.QueryTrace // zero when the query is not traced
+	route     uint32
 	inst      *mppdb.Instance
 	partner   uint64
 	hedge     bool
@@ -95,9 +96,14 @@ type GroupRouter struct {
 	overflow int64 // queries sent to a busy G₀ (Algorithm 1 line 10)
 	inflight int64 // routed queries not yet completed, the gauge's value
 
+	// The group's trace ops: ops numbers routes, ends and refused submits as
+	// they happen, ends counts the ends (the monitor logs their records),
+	// refused holds the refused submits. The tracer reads them (source).
+	ops, ends uint32
+	refused   []telemetry.QueryOp
+
 	// Telemetry (optional): routing counters, the group's in-flight gauge,
-	// and one causally-linked trace per query (submit → route → execute →
-	// complete).
+	// and the group's trace ops as a source of the hub's tracer.
 	tel       *telemetry.Hub
 	mRouted   *telemetry.Counter
 	mOverflow *telemetry.Counter
@@ -198,6 +204,9 @@ func (r *GroupRouter) SetTelemetry(h *telemetry.Hub) {
 	r.mInflight = h.Registry.Gauge("thrifty_router_inflight", "group", r.group)
 	r.mHedged = h.Registry.Counter("thrifty_router_hedged_total", "group", r.group)
 	r.mHedgeWin = h.Registry.Counter("thrifty_router_hedge_peer_wins_total", "group", r.group)
+	if r.mon != nil {
+		h.Tracer.Attach((*source)(r))
+	}
 }
 
 // SetCompletionObserver registers a per-completion observer receiving the
@@ -395,7 +404,7 @@ func (r *GroupRouter) completed(res mppdb.Result, tag uint64) {
 			}
 		}
 	}
-	ref := prim.ref
+	ref, route, routedDB := prim.ref, prim.route, prim.dbID
 	rec := monitor.QueryRecord{
 		Tenant:    prim.tenantID,
 		Class:     prim.class,
@@ -403,11 +412,6 @@ func (r *GroupRouter) completed(res mppdb.Result, tag uint64) {
 		Finish:    res.Finish,
 		SLATarget: prim.slaTarget,
 		MPPDB:     winnerDB,
-	}
-	if r.tel != nil {
-		if prim.trace.Root != 0 {
-			r.tel.Tracer.EndQuery(prim.trace, rec.Submit, rec.Finish, r.group, rec.Tenant, rec.Class.ID, prim.dbID)
-		}
 	}
 	r.inflight--
 	if r.tel != nil {
@@ -417,8 +421,9 @@ func (r *GroupRouter) completed(res mppdb.Result, tag uint64) {
 	if partnerTag != noPartner {
 		r.release(partnerTag)
 	}
+	r.ops, r.ends = r.ops+1, r.ends+1
 	if r.mon != nil {
-		r.mon.QueryFinishedRef(ref, rec)
+		r.mon.QueryFinishedRef(ref, rec, route, routedDB)
 	}
 	if r.onResult != nil {
 		r.onResult(rec)
@@ -429,10 +434,10 @@ func (r *GroupRouter) completed(res mppdb.Result, tag uint64) {
 }
 
 // SubmitRef is the one submit path: one slice index resolves the tenant,
-// Algorithm 1 runs over ref-indexed instance state, the completion context
-// goes into the pooled tag table and the trace into the tracer's ring, a
-// two-word handle on it into that context — no allocation on the steady
-// state. Callers obtain refs via Ref or the group interner.
+// Algorithm 1 runs over ref-indexed instance state, and the completion
+// context, with the route's trace sequence, goes into the pooled tag table —
+// no allocation on the steady state. Callers obtain refs via Ref or the group
+// interner.
 func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget sim.Time) (string, error) {
 	var tn *tenant.Tenant
 	if ref >= 0 && int(ref) < len(r.byRef) {
@@ -443,7 +448,7 @@ func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget 
 	}
 	target, targetRef, targetIdx, err := r.pickRef(ref)
 	if err != nil {
-		r.traceFailed(tn.ID, class.ID, "", err)
+		r.refuse(tn.ID, class.ID, "", err)
 		return "", err
 	}
 	if slaTarget <= 0 {
@@ -453,19 +458,16 @@ func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget 
 	dbID := target.ID()
 	tag := r.acquireTag()
 	r.pending[tag] = pending{tenantID: tn.ID, ref: ref, class: class, submit: submit,
-		slaTarget: slaTarget, dbID: dbID, inst: target, partner: noPartner}
+		slaTarget: slaTarget, dbID: dbID, route: r.ops, inst: target, partner: noPartner}
 	if _, err := target.SubmitTagged(targetRef, class, tag); err != nil {
 		r.release(tag)
-		r.traceFailed(tn.ID, class.ID, dbID, err)
+		r.refuse(tn.ID, class.ID, dbID, err)
 		return "", err
 	}
-	// One trace per query, on this group's engine time: a root span spanning
-	// submit → complete, with a route child (the Algorithm 1 decision) and an
-	// execute child (time on the chosen MPPDB). Under processor sharing there
-	// is no queueing phase: a query starts executing the instant it is routed.
-	if r.tel != nil {
-		r.pending[tag].trace = r.tel.Tracer.BeginQuery(submit, dbID)
-	}
+	// The route is the group's next trace op, on its engine's time. Under
+	// processor sharing there is no queueing phase: a query starts executing
+	// the instant it is routed.
+	r.ops++
 	// The completion callback fires via a later engine event, never
 	// synchronously inside Submit, so the start is recorded first.
 	if r.mon != nil {
@@ -484,13 +486,31 @@ func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget 
 	return dbID, nil
 }
 
-// traceFailed records a submit that started no query: the root and route a
-// served query leaves, the error on the route when no MPPDB could be picked
-// (dbID empty), else on the execute child of the one that refused.
-func (r *GroupRouter) traceFailed(tenantID, classID, dbID string, err error) {
-	if r.tel != nil {
-		r.tel.Tracer.FailQuery(r.eng.Now(), r.group, tenantID, classID, dbID, err.Error())
+// refuse logs a submit that started no query as the group's next trace op:
+// dbID is empty when no MPPDB could be picked, else the one that refused.
+func (r *GroupRouter) refuse(tenantID, classID, dbID string, err error) {
+	now := r.eng.Now()
+	r.refused = append(r.refused, telemetry.QueryOp{Seq: r.ops, Submit: now, Finish: now,
+		Tenant: tenantID, Class: classID, MPPDB: dbID, Err: err.Error()})
+	r.ops++
+}
+
+// source is the router as its tracer reads it, the ends' records from its
+// monitor's log; SetTelemetry attaches it when the group has a monitor.
+type source GroupRouter
+
+func (s *source) Group() string                   { return s.group }
+func (s *source) Ops() (n, ends uint32, recs int) { return s.ops, s.ends, s.mon.RecordCount() }
+func (s *source) Record(i int) telemetry.QueryOp  { return s.mon.TracedRecord(i) }
+func (s *source) Refusals() []telemetry.QueryOp   { return s.refused }
+
+func (s *source) InFlight(dst []telemetry.QueryOp) []telemetry.QueryOp {
+	for i := range s.pending {
+		if p := &s.pending[i]; p.tenantID != "" && !p.hedge {
+			dst = append(dst, telemetry.QueryOp{Seq: p.route, Submit: p.submit, MPPDB: p.dbID})
+		}
 	}
+	return dst
 }
 
 // hedgePeer picks the healthiest eligible duplicate target for a hedge away

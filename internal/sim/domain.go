@@ -32,7 +32,7 @@ import (
 // concurrently (a window); what members share is guarded or buffered.
 type Gate struct {
 	open  atomic.Bool
-	flush []func() func()
+	flush []func()
 }
 
 // Open reports whether a window is open; a nil gate never is.
@@ -46,9 +46,9 @@ func (g *Gate) Guard(what string) {
 	}
 }
 
-// OnFlush registers take, called after each window to hand the buffers to a
-// merge that runs before the barrier event or beside the next window.
-func (g *Gate) OnFlush(take func() func()) { g.flush = append(g.flush, take) }
+// OnFlush registers flush, called after each window to merge what the
+// members buffered in it before the barrier event fires.
+func (g *Gate) OnFlush(flush func()) { g.flush = append(g.flush, flush) }
 
 // Domain is an exclusive handle on one Engine. All engine access — advancing
 // the clock, scheduling, submitting work to subsystems built on the engine —
@@ -147,10 +147,6 @@ func (ds Domains) Gate() *Gate {
 	return ds[0].gate
 }
 
-// stride bounds a window's span, and so its buffers: the 200-tenant replay's
-// busiest half-hour buffers about 9k trace writes, 1 MB.
-const stride = 30 * Minute
-
 // Drive runs every member engine and coord (nil: none) through until, in one
 // deterministic order: events fire by time, then by member index, then by
 // each engine's own sequence, and coord's events fire after every member's at
@@ -161,16 +157,16 @@ const stride = 30 * Minute
 // mirror is stored before each of its steps, so Now readers see the event's
 // own time. Finally every clock is moved to until, as Engine.Run does.
 //
-// Barriers keep that order: the next coord event, the next shared member
-// event (ScheduleShared) by (time, member, sequence), and a stride's end. Up
-// to one, the members fire their plain events on GOMAXPROCS goroutines, with
-// their gate open (NewDomains gives them one). Then its OnFlush hooks take
-// what they buffered, and the barrier event fires alone on the caller.
+// Barriers keep that order: the next coord event and the next shared member
+// event (ScheduleShared) by (time, member, sequence). Up to one, the members
+// fire their plain events on GOMAXPROCS goroutines, with their gate open
+// (NewDomains gives them one). Then its OnFlush hooks merge what they
+// buffered, and the barrier event fires alone on the caller.
 //
 // Drive takes no domain lock: the caller owns every member exclusively for
 // the call (no Advance or Do may run concurrently).
 func (ds Domains) Drive(coord *Engine, until Time) {
-	w := windows{ds: ds, steps: make([]uint64, len(ds))}
+	g, busy, steps := ds.Gate(), []int(nil), make([]uint64, len(ds)) // steps: in the last window each ran
 	for {
 		lim, fire := key{until, len(ds), 0}, (func())(nil)
 		if coord != nil {
@@ -178,11 +174,7 @@ func (ds Domains) Drive(coord *Engine, until Time) {
 				lim.at, fire = at, func() { ds.moveTo(at); coord.Step() }
 			}
 		}
-		first := MaxTime
 		for i, d := range ds {
-			if at, ok := d.eng.NextAt(); ok && at < first {
-				first = at
-			}
 			for _, ev := range d.eng.shared {
 				if k := (key{ev.at, i, ev.seq}); k.less(lim) {
 					lim, fire = k, func() {
@@ -194,11 +186,26 @@ func (ds Domains) Drive(coord *Engine, until Time) {
 				}
 			}
 		}
-		if end := (first/stride + 1) * stride; first < MaxTime-stride && end < lim.at {
-			w.run(key{end, 0, 0}, true)
-			continue
+		// The window: the busiest members of the last one go first.
+		busy = busy[:0]
+		for i, d := range ds {
+			if q := d.eng.queue; len(q) > 0 && (key{q[0].at, i, q[0].seq}).less(lim) {
+				busy = append(busy, i)
+			}
 		}
-		w.run(lim, false)
+		slices.SortStableFunc(busy, func(a, b int) int { return cmp.Compare(steps[b], steps[a]) })
+		g.open.Store(true)
+		for _, i := range busy {
+			ds[i].eng.window = true
+		}
+		par.Each(0, len(busy), nil, func(_ struct{}, k int) { steps[busy[k]] = ds[busy[k]].runBefore(lim, busy[k]) })
+		for _, i := range busy {
+			ds[i].eng.window = false
+		}
+		g.open.Store(false)
+		for _, flush := range g.flush {
+			flush()
+		}
 		if fire == nil {
 			ds.moveTo(until)
 			if coord != nil {
@@ -219,54 +226,6 @@ type key struct {
 
 func (k key) less(o key) bool {
 	return k.at < o.at || k.at == o.at && (k.member < o.member || k.member == o.member && k.seq < o.seq)
-}
-
-// windows is Drive's state across windows.
-type windows struct {
-	ds    Domains
-	busy  []int
-	steps []uint64 // each member's steps in the last window it ran
-	merge []func() // the last window's merges, to run beside this one
-}
-
-// run fires the members' plain events keyed before lim beside the last
-// window's merges, then takes the buffers, merging now unless at a stride.
-func (w *windows) run(lim key, atStride bool) {
-	w.busy = w.busy[:0]
-	for i, d := range w.ds {
-		if q := d.eng.queue; len(q) > 0 && (key{q[0].at, i, q[0].seq}).less(lim) {
-			w.busy = append(w.busy, i)
-		}
-	}
-	// Merges, then the busiest members of the last window go first.
-	slices.SortStableFunc(w.busy, func(a, b int) int { return cmp.Compare(w.steps[b], w.steps[a]) })
-	m, g := len(w.merge), w.ds.Gate()
-	g.open.Store(true)
-	for _, i := range w.busy {
-		w.ds[i].eng.window = true
-	}
-	par.Each(0, m+len(w.busy), nil, func(_ struct{}, k int) {
-		if k < m {
-			w.merge[k]()
-			return
-		}
-		i := w.busy[k-m]
-		w.steps[i] = w.ds[i].runBefore(lim, i)
-	})
-	for _, i := range w.busy {
-		w.ds[i].eng.window = false
-	}
-	g.open.Store(false)
-	w.merge = w.merge[:0]
-	for _, take := range g.flush {
-		w.merge = append(w.merge, take())
-	}
-	if !atStride {
-		for _, fn := range w.merge {
-			fn()
-		}
-		w.merge = w.merge[:0]
-	}
 }
 
 // runBefore fires (and counts) member i's events keyed before lim, all

@@ -130,8 +130,7 @@ func TestEngineNextAt(t *testing.T) {
 	}
 }
 
-// driveTick is the fuzzed worlds' time unit: windows end at half-hour strides, so
-// some fall between events and their merges run beside the next window.
+// driveTick is the fuzzed worlds' time unit.
 const driveTick = 7 * Minute
 
 // driveWorld is FuzzDomainsDrive's input made engines: member domains and a
@@ -166,27 +165,24 @@ func (w *driveWorld) write(i, id int, now Time) {
 	w.log = append(w.log, e)
 }
 
-// take hands the members' buffers to a merge into the log — least time
-// first, ties to the lower member, each buffer in its own order — which may
-// run beside the next window.
-func (w *driveWorld) take() func() {
+// flush merges the members' buffers into the log — least time first, ties
+// to the lower member, each buffer in its own order.
+func (w *driveWorld) flush() {
 	bufs := w.bufs
 	w.bufs = make([][][3]int64, len(bufs))
-	return func() {
-		next := make([]int, len(bufs))
-		for {
-			best := -1
-			for i, b := range bufs {
-				if next[i] < len(b) && (best < 0 || b[next[i]][2] < bufs[best][next[best]][2]) {
-					best = i
-				}
+	next := make([]int, len(bufs))
+	for {
+		best := -1
+		for i, b := range bufs {
+			if next[i] < len(b) && (best < 0 || b[next[i]][2] < bufs[best][next[best]][2]) {
+				best = i
 			}
-			if best < 0 {
-				return
-			}
-			w.log = append(w.log, bufs[best][next[best]])
-			next[best]++
 		}
+		if best < 0 {
+			return
+		}
+		w.log = append(w.log, bufs[best][next[best]])
+		next[best]++
 	}
 }
 
@@ -261,7 +257,7 @@ func decodeDrive(t *testing.T, data []byte) (*driveWorld, Time, Time) {
 		engs[i] = NewEngine()
 	}
 	w.ds, w.bufs, w.shared = NewDomains(engs), make([][][3]int64, len(engs)), make([]*Event, len(engs))
-	w.ds.Gate().OnFlush(w.take)
+	w.ds.Gate().OnFlush(w.flush)
 	until := Time(data[1]%80) * Second
 	for k, op := 0, data[3:]; len(op) >= 4; k, op = k+1, op[4:] {
 		i, kind := int(op[0])%(len(w.ds)+1), int(op[2]%6)

@@ -12,17 +12,17 @@ import (
 	"repro/internal/sim"
 )
 
-// The differential test drives the entry-ring Tracer and the SpanRecord-ring
-// oracle (reference_test.go) with one sequence of operations — routed queries
-// through BeginQuery/EndQuery and failed submits through FailQuery on one
-// side and the router's old general spans on the other, free-standing spans
-// on both — and compares what a reader can see: Finished, Dropped and the
-// Dump bytes.
+// The differential tests compare what a reader of the Tracer sees — Finished,
+// Dropped and the Dump bytes — with the SpanRecord-ring oracle
+// (reference_test.go). General spans go to both as StartSpan and End. Routed
+// and refused queries go to the Tracer as groups' trace ops (fakeGroup, a
+// QuerySource), and to the oracle as the spans the router used to open for
+// them, one op at a time in (time, group, sequence) order.
 
 const (
-	opTick    = iota // wind the clock by arg milliseconds
-	opBegin          // route a query; arg picks its strings
-	opEnd            // complete the arg-th query in flight
+	opTick    = iota // wind a clock
+	opBegin          // route a query; arg picks its group and strings
+	opEnd            // complete a query in flight
 	opFail           // a submit that fails: in pickRef (arg even) or on the MPPDB
 	opSpan           // open a root span with arg%3 attributes
 	opSpanEnd        // end the arg-th open span, twice if arg is odd
@@ -39,8 +39,8 @@ func decodeTraceOps(data []byte) []traceOp {
 	return ops
 }
 
-// failedSubmit is the router's traceFailed as general spans, what
-// FailQuery must commit: mppdb is empty when routing itself failed.
+// failedSubmit is the router's old refused-submit trace as general spans:
+// mppdb is empty when routing itself failed.
 func failedSubmit(t *refTracer, group, tenant, class, mppdb string) {
 	root := t.StartSpan("query", "group", group, "tenant", tenant, "class", class)
 	failed := t.StartChild(root.Context(), "route")
@@ -54,112 +54,202 @@ func failedSubmit(t *refTracer, group, tenant, class, mppdb string) {
 	root.End()
 }
 
-// flight is one routed query in flight on both sides.
-type flight struct {
-	q                           QueryTrace
-	submit                      sim.Time
-	group, tenant, class, mppdb string
-	ref                         refQuery
+// groupOp is one trace op as a group numbered it, what the oracle replays.
+type groupOp struct {
+	at   sim.Time
+	g    int
+	seq  uint32
+	kind byte // 'r'oute, 'e'nd or 'f'ailed
+	q    QueryOp
 }
 
-type traceDiff struct {
-	t       *testing.T
-	clock   *sim.Engine // no events, only wound forward by opTick
-	tr      *Tracer
-	ref     *refTracer
-	flights []flight
-	spans   []*Span
-	refs    []*refSpan
+// fakeGroup is one group's trace ops as its router logs them: routes, ends
+// and refused submits numbered by one sequence, each end's record in its
+// log, now and then a record that was never routed (Untraced, which the
+// tracer passes over), the refusals and the queries in flight.
+type fakeGroup struct {
+	g         int
+	ops, ends uint32
+	records   []QueryOp
+	refused   []QueryOp
+	flight    []QueryOp
+	log       []groupOp
+	spans     int // committed, as the oracle counts them
 }
 
-func newTraceDiff(t *testing.T, capacity int) *traceDiff {
-	clock := sim.NewEngine()
-	return &traceDiff{t: t, clock: clock, tr: NewTracer(clock, capacity), ref: newRefTracer(clock, capacity)}
+func (f *fakeGroup) Group() string                    { return fmt.Sprintf("TG-%d", f.g) }
+func (f *fakeGroup) Ops() (n, ends uint32, recs int)  { return f.ops, f.ends, len(f.records) }
+func (f *fakeGroup) Record(i int) QueryOp             { return f.records[i] }
+func (f *fakeGroup) Refusals() []QueryOp              { return f.refused }
+func (f *fakeGroup) InFlight(dst []QueryOp) []QueryOp { return append(dst, f.flight...) }
+
+func (f *fakeGroup) number(now sim.Time, kind byte, q QueryOp) {
+	f.log = append(f.log, groupOp{now, f.g, f.ops, kind, q})
+	f.ops++
 }
 
-func (d *traceDiff) apply(op traceOp) {
-	a := int(op.arg)
-	group, tenant := fmt.Sprintf("TG-%d", a%3), fmt.Sprintf("T%04d", a%7)
-	class, mppdb := fmt.Sprintf("TPCH-Q%d", a%5+1), fmt.Sprintf("TG-%d-db%d", a%3, a%2)
-	switch op.kind {
-	case opTick:
-		d.clock.Run(d.clock.Now() + sim.Time(a)*sim.Millisecond)
+// apply performs one query op of kind on the group at now; a carries its
+// strings and which query ends.
+func (f *fakeGroup) apply(now sim.Time, kind byte, a int) {
+	tenant, class := fmt.Sprintf("T%04d", a%7), fmt.Sprintf("TPCH-Q%d", a%5+1)
+	mppdb := fmt.Sprintf("TG-%d-db%d", f.g, a%2)
+	switch kind {
 	case opBegin:
-		d.flights = append(d.flights, flight{
-			q: d.tr.BeginQuery(d.clock.Now(), mppdb), submit: d.clock.Now(),
-			group: group, tenant: tenant, class: class, mppdb: mppdb,
-			ref: d.ref.beginQuery(group, tenant, class, mppdb),
-		})
+		q := QueryOp{Seq: f.ops, Submit: now, Tenant: tenant, Class: class, MPPDB: mppdb}
+		f.flight = append(f.flight, q)
+		f.number(now, 'r', q)
+		f.spans++
 	case opEnd:
-		if len(d.flights) == 0 {
+		if len(f.flight) == 0 {
 			return
 		}
-		i := a % len(d.flights)
-		f := d.flights[i]
-		d.flights = append(d.flights[:i], d.flights[i+1:]...)
-		d.tr.EndQuery(f.q, f.submit, d.clock.Now(), f.group, f.tenant, f.class, f.mppdb)
-		f.ref.endQuery()
+		if a%11 == 0 {
+			f.records = append(f.records, QueryOp{Seq: Untraced, Submit: now, Finish: now, Tenant: "untraced"})
+		}
+		i := a % len(f.flight)
+		q := f.flight[i]
+		f.flight = append(f.flight[:i], f.flight[i+1:]...)
+		q.Finish = now
+		f.records = append(f.records, q)
+		f.ends++
+		f.number(now, 'e', q)
+		f.spans += 2
 	case opFail:
 		if a%2 == 0 {
 			mppdb = ""
 		}
-		d.tr.FailQuery(d.clock.Now(), group, tenant, class, mppdb, "refused")
-		failedSubmit(d.ref, group, tenant, class, mppdb)
-	case opSpan:
-		attrs := []string{"worker", tenant, "class", class}[:a%3*2]
-		d.spans = append(d.spans, d.tr.StartSpan("op", attrs...))
-		d.refs = append(d.refs, d.ref.StartSpan("op", attrs...))
-	case opSpanEnd:
-		if len(d.spans) == 0 {
-			return
-		}
-		i := a % len(d.spans)
-		s, r := d.spans[i], d.refs[i]
-		d.spans = append(d.spans[:i], d.spans[i+1:]...)
-		d.refs = append(d.refs[:i], d.refs[i+1:]...)
-		for n := 0; n <= a%2; n++ {
-			s.End()
-			r.End()
+		q := QueryOp{Seq: f.ops, Submit: now, Finish: now, Tenant: tenant, Class: class, MPPDB: mppdb, Err: "refused"}
+		f.refused = append(f.refused, q)
+		f.number(now, 'f', q)
+		if f.spans += 2; mppdb != "" {
+			f.spans++ // and the execute that carries the error
 		}
 	}
 }
 
-func (d *traceDiff) compare(i int, op traceOp) {
-	d.t.Helper()
-	if got, want := d.tr.Dropped(), d.ref.Dropped(); got != want {
-		d.t.Fatalf("after op %d %+v: Dropped = %d, reference %d", i, op, got, want)
+// oracle replays the groups' ops on the reference tracer in (time, group,
+// sequence) order.
+func oracle(capacity int, groups []*fakeGroup) *refTracer {
+	var all []groupOp
+	for _, f := range groups {
+		all = append(all, f.log...)
 	}
-	got, want := d.tr.Finished(), d.ref.Finished()
-	if !reflect.DeepEqual(got, want) {
-		d.t.Fatalf("after op %d %+v: Finished differs\n tracer    %+v\n reference %+v", i, op, got, want)
+	slices.SortFunc(all, func(a, b groupOp) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.g, b.g), cmp.Compare(a.seq, b.seq))
+	})
+	clock := sim.NewEngine()
+	ref := newRefTracer(clock, capacity)
+	open := map[[2]uint32]refQuery{}
+	for _, o := range all {
+		clock.Run(o.at)
+		group, key := fmt.Sprintf("TG-%d", o.g), [2]uint32{uint32(o.g), o.q.Seq}
+		switch o.kind {
+		case 'r':
+			open[key] = ref.beginQuery(group, o.q.Tenant, o.q.Class, o.q.MPPDB)
+		case 'e':
+			open[key].endQuery()
+			delete(open, key)
+		default:
+			failedSubmit(ref, group, o.q.Tenant, o.q.Class, o.q.MPPDB)
+		}
+	}
+	return ref
+}
+
+// compareTracers fails the test at the first reader-visible difference.
+func compareTracers(t *testing.T, at string, tr *Tracer, ref *refTracer) {
+	t.Helper()
+	if got, want := tr.Dropped(), ref.Dropped(); got != want {
+		t.Fatalf("%s: Dropped = %d, reference %d", at, got, want)
+	}
+	if got, want := tr.Finished(), ref.Finished(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: Finished differs\n tracer    %+v\n reference %+v", at, got, want)
 	}
 	var b, rb bytes.Buffer
-	if err := d.tr.Dump(&b); err != nil {
-		d.t.Fatal(err)
+	if err := tr.Dump(&b); err != nil {
+		t.Fatal(err)
 	}
-	d.ref.Dump(&rb)
+	ref.Dump(&rb)
 	if !bytes.Equal(b.Bytes(), rb.Bytes()) {
-		d.t.Fatalf("after op %d %+v: Dump differs\n tracer:\n%s reference:\n%s", i, op, &b, &rb)
+		t.Fatalf("%s: Dump differs\n tracer:\n%s reference:\n%s", at, &b, &rb)
 	}
 }
 
-// runTraceDiff applies ops at the given ring capacity. Reading a ring costs
-// its length, so a ring that retains more than 64 spans is read in
-// full at every 4,001st operation and at the end, and its Dropped count at
-// every one.
-func runTraceDiff(t *testing.T, capacity int, ops []traceOp) *traceDiff {
+const viewGroups = 3
+
+// runSourceDiff applies the ops' query kinds to viewGroups groups attached to
+// one tracer, each group on a clock of its own that a tick winds by 0–3 s, so
+// the groups' ops interleave out of time order and tie at equal instants, in
+// a group and across groups. The oracle replays everything at every op while
+// the groups have committed at most 64 spans, else at every 97th op (of a
+// long run, at 16 ops spread over it) and at the end; in between Dropped is
+// checked against a count of the spans.
+func runSourceDiff(t *testing.T, capacity int, ops []traceOp) *Tracer {
 	t.Helper()
-	d := newTraceDiff(t, capacity)
-	d.compare(-1, traceOp{})
+	tr := NewTracer(sim.NewEngine(), capacity)
+	groups := make([]*fakeGroup, viewGroups)
+	var clocks [viewGroups]sim.Time
+	for g := range groups {
+		groups[g] = &fakeGroup{g: g}
+		tr.Attach(groups[g])
+	}
+	compareTracers(t, "before any op", tr, oracle(capacity, groups))
 	for i, op := range ops {
-		d.apply(op)
-		if d.ref.n <= 64 || i%4001 == 0 || i == len(ops)-1 {
-			d.compare(i, op)
-		} else if got, want := d.tr.Dropped(), d.ref.Dropped(); got != want {
-			t.Fatalf("after op %d %+v: Dropped = %d, reference %d", i, op, got, want)
+		g := int(op.arg) % viewGroups
+		switch op.kind {
+		case opTick:
+			clocks[g] += sim.Time(op.arg/viewGroups%4) * sim.Second
+		case opBegin, opEnd, opFail:
+			groups[g].apply(clocks[g], op.kind, int(op.arg))
+		}
+		at := fmt.Sprintf("after op %d %+v", i, op)
+		spans := 0
+		for _, f := range groups {
+			spans += f.spans
+		}
+		if spans <= 64 || i%max(97, len(ops)/16) == 0 || i == len(ops)-1 {
+			compareTracers(t, at, tr, oracle(capacity, groups))
+		} else if got, want := tr.Dropped(), uint64(max(spans-capacity, 0)); got != want {
+			t.Fatalf("%s: Dropped = %d, want %d", at, got, want)
 		}
 	}
-	return d
+	return tr
+}
+
+// runSpanDiff applies the ops' general-span kinds to a tracer that reads no
+// groups and to the oracle, a tick winding their clock by arg milliseconds,
+// and compares them as runSourceDiff does.
+func runSpanDiff(t *testing.T, capacity int, ops []traceOp) {
+	t.Helper()
+	clock := sim.NewEngine()
+	tr, ref := NewTracer(clock, capacity), newRefTracer(clock, capacity)
+	var spans []*Span
+	var refs []*refSpan
+	for i, op := range ops {
+		a := int(op.arg)
+		switch op.kind {
+		case opTick:
+			clock.Run(clock.Now() + sim.Time(a)*sim.Millisecond)
+		case opSpan:
+			attrs := []string{"worker", fmt.Sprintf("T%04d", a%7), "class", "TPCH-Q1"}[:a%3*2]
+			spans, refs = append(spans, tr.StartSpan("op", attrs...)), append(refs, ref.StartSpan("op", attrs...))
+		case opSpanEnd:
+			if len(spans) == 0 {
+				continue
+			}
+			j := a % len(spans)
+			for n := 0; n <= a%2; n++ {
+				spans[j].End()
+				refs[j].End()
+			}
+			spans, refs = append(spans[:j], spans[j+1:]...), append(refs[:j], refs[j+1:]...)
+		default:
+			continue
+		}
+		if ref.n <= 64 || i%max(97, len(ops)/16) == 0 || i == len(ops)-1 {
+			compareTracers(t, fmt.Sprintf("after op %d %+v", i, op), tr, ref)
+		}
+	}
 }
 
 // traceCapacities: a ring every commit evicts from, one a single query's
@@ -177,16 +267,36 @@ func randomTraceOps(rng *rand.Rand, n int) []traceOp {
 func TestTracerMatchesReference(t *testing.T) {
 	for _, capacity := range traceCapacities {
 		for seed := int64(1); seed <= 10; seed++ {
-			runTraceDiff(t, capacity, randomTraceOps(rand.New(rand.NewSource(seed)), 300))
+			ops := randomTraceOps(rand.New(rand.NewSource(seed)), 300)
+			runSpanDiff(t, capacity, ops)
+			runSourceDiff(t, capacity, ops)
 		}
 	}
 	// Long enough for the hub-sized ring to wrap more than once.
-	d := runTraceDiff(t, DefaultSpanCapacity, randomTraceOps(rand.New(rand.NewSource(11)), 24_000))
-	if d.tr.Dropped() < DefaultSpanCapacity {
-		t.Errorf("the long run evicted %d spans, want a whole ring of them", d.tr.Dropped())
+	long := randomTraceOps(rand.New(rand.NewSource(11)), 24_000)
+	runSpanDiff(t, DefaultSpanCapacity, long)
+	if tr := runSourceDiff(t, DefaultSpanCapacity, long); tr.Dropped() < DefaultSpanCapacity {
+		t.Errorf("the long run evicted %d spans, want a whole ring of them", tr.Dropped())
 	}
-	if tr := NewTracer(sim.NewEngine(), 0); len(tr.ring) != 1 {
-		t.Errorf("capacity 0 built a ring of %d", len(tr.ring))
+	if tr := NewTracer(sim.NewEngine(), 0); tr.capacity != 1 {
+		t.Errorf("capacity 0 built a ring of %d", tr.capacity)
+	}
+}
+
+// TestTracerLongRoutes: a query routed first and completed last, after more
+// than a ring of refusals' spans, keeps its end, whose route the ring has
+// long dropped; another stays in flight throughout.
+func TestTracerLongRoutes(t *testing.T) {
+	ops := []traceOp{{opBegin, 0}, {opBegin, 1}}
+	for i := 0; i < DefaultSpanCapacity/2; i++ {
+		ops = append(ops, traceOp{opFail, byte(2 + i%2*3)}) // group 2 at 0 s, with and without an execute span
+	}
+	ops = append(ops, traceOp{opTick, 3}, traceOp{opEnd, 0}) // group 0 at 1 s
+	for _, capacity := range traceCapacities {
+		tr := runSourceDiff(t, capacity, ops)
+		if spans := tr.Finished(); spans[len(spans)-1].Name != "query" || spans[len(spans)-1].Attrs[0].Value != "TG-0" {
+			t.Errorf("capacity %d: the last span is %+v, want TG-0's query", capacity, spans[len(spans)-1])
+		}
 	}
 }
 
@@ -200,144 +310,50 @@ func FuzzTracerRing(f *testing.F) {
 		}
 		ops := decodeTraceOps(data)
 		for _, capacity := range traceCapacities {
-			runTraceDiff(t, capacity, ops)
+			runSpanDiff(t, capacity, ops)
+			runSourceDiff(t, capacity, ops)
 			runViewDiff(t, capacity, ops)
 		}
 	})
 }
 
-// The view differential runs one op sequence twice: through the views of a
-// root tracer, one per group, each op an event on its group's engine that
-// sim.Domains.Drive fires in windows between half-hour strides and
-// coordinator events, and straight into a plain tracer in the order Drive
-// fires them — by time, then group, then op order, a coordinator's op last.
-// Groups route, complete and refuse queries; general spans are the
-// coordinator's, on the root. Finished, Dropped and the Dump bytes must
-// agree: the merges assign the identifiers one goroutine would have.
-
-const viewGroups = 3
-
-// viewSide is one side's per-group state; tracer(g) is group g's tracer,
-// the coordinator's when g is viewGroups.
-type viewSide struct {
-	tracer  func(g int) *Tracer
-	clock   func(g int) sim.Time
-	flights [viewGroups][]flight
-	spans   []*Span
-}
-
-func (s *viewSide) apply(g int, op traceOp) {
-	a, tr := int(op.arg), s.tracer(g)
-	group, tenant := fmt.Sprintf("TG-%d", g), fmt.Sprintf("T%04d", a%7)
-	class, mppdb := fmt.Sprintf("TPCH-Q%d", a%5+1), fmt.Sprintf("TG-%d-db%d", g, a%2)
-	switch op.kind {
-	case opTick:
-		tr.StartSpan("coordinator", "at", fmt.Sprint(a)).End()
-	case opBegin:
-		now := s.clock(g)
-		s.flights[g] = append(s.flights[g], flight{q: tr.BeginQuery(now, mppdb), submit: now,
-			group: group, tenant: tenant, class: class, mppdb: mppdb})
-	case opEnd:
-		if fs := s.flights[g]; len(fs) > 0 {
-			f := fs[a%len(fs)]
-			s.flights[g] = append(fs[:a%len(fs)], fs[a%len(fs)+1:]...)
-			tr.EndQuery(f.q, f.submit, s.clock(g), f.group, f.tenant, f.class, f.mppdb)
-		}
-	case opFail:
-		if a%2 == 0 {
-			mppdb = ""
-		}
-		tr.FailQuery(s.clock(g), group, tenant, class, mppdb, "refused")
-	case opSpan:
-		s.spans = append(s.spans, tr.StartSpan("op", []string{"worker", tenant, "class", class}[:a%3*2]...))
-	case opSpanEnd:
-		if ss := s.spans; len(ss) > 0 {
-			sp := ss[a%len(ss)]
-			s.spans = append(ss[:a%len(ss)], ss[a%len(ss)+1:]...)
-			sp.End()
-		}
-	}
-}
-
-// runViewDiff applies ops at the given ring capacity. A tick winds the time
-// by arg minutes, every fifth one adding a coordinator span there; a
-// general-span op is the coordinator's, any other goes to group
-// (i+arg)%viewGroups.
+// runViewDiff runs the ops' query kinds as events that sim.Domains.Drive
+// fires — each on its group's engine, every seventh on the coordinator's —
+// into groups attached through the views of a deployment's hub, the
+// groups' engines on GOMAXPROCS goroutines between coordinator events. A
+// tick winds the time by arg minutes. The views' tracer must read what the
+// oracle replays.
 func runViewDiff(t *testing.T, capacity int, ops []traceOp) {
 	t.Helper()
-	type timed struct {
-		at sim.Time
-		g  int
-		op traceOp
-	}
-	var seq []timed
-	now := sim.Time(0)
-	for i, op := range ops {
-		switch op.kind {
-		case opTick:
-			if now += sim.Time(op.arg) * sim.Minute; op.arg%5 == 0 {
-				seq = append(seq, timed{now, viewGroups, op})
-			}
-		case opBegin, opEnd, opFail:
-			seq = append(seq, timed{now, (i + int(op.arg)) % viewGroups, op})
-		default:
-			seq = append(seq, timed{now, viewGroups, op})
-		}
-	}
-
 	engs := make([]*sim.Engine, viewGroups)
 	for g := range engs {
 		engs[g] = sim.NewEngine()
 	}
 	ds, coord := sim.NewDomains(engs), sim.NewEngine()
-	hub := &Hub{Tracer: NewTracer(ds, capacity), Events: NewEventLog(ds, 1)}
+	hub := NewHub(ds, 0.99)
+	hub.Tracer = NewTracer(ds, capacity)
 	hub.Guard(ds.Gate())
-	views := make([]*Tracer, viewGroups+1)
-	for g := range engs {
-		views[g] = hub.View(ds[g]).Tracer
+	groups := make([]*fakeGroup, viewGroups)
+	for g := range groups {
+		groups[g] = &fakeGroup{g: g}
+		hub.View(ds[g]).Tracer.Attach(groups[g])
 	}
-	views[viewGroups] = hub.Tracer
-	side := &viewSide{tracer: func(g int) *Tracer { return views[g] }, clock: func(g int) sim.Time { return ds[g].Now() }}
-	for _, e := range seq {
-		eng := coord
-		if e.g < viewGroups {
-			eng = engs[e.g]
+	now := sim.Time(0)
+	for i, op := range ops {
+		g, kind, a := int(op.arg)%viewGroups, op.kind, int(op.arg)
+		switch kind {
+		case opTick:
+			now += sim.Time(op.arg) * sim.Minute
+		case opBegin, opEnd, opFail:
+			eng := engs[g]
+			if i%7 == 0 {
+				eng = coord
+			}
+			eng.Schedule(now, func(sim.Time) { groups[g].apply(ds[g].Now(), kind, a) })
 		}
-		eng.Schedule(e.at, func(sim.Time) { side.apply(e.g, e.op) })
 	}
 	ds.Drive(coord, now+sim.Hour)
-
-	// The direct side fires in Drive's order: a stable sort by (time, group).
-	slices.SortStableFunc(seq, func(a, b timed) int {
-		if a.at != b.at {
-			return cmp.Compare(a.at, b.at)
-		}
-		return cmp.Compare(a.g, b.g)
-	})
-	clock := sim.NewEngine()
-	direct := NewTracer(clock, capacity)
-	dside := &viewSide{tracer: func(int) *Tracer { return direct }, clock: func(int) sim.Time { return clock.Now() }}
-	for _, e := range seq {
-		clock.Run(e.at)
-		dside.apply(e.g, e.op)
-	}
-
-	if got, want := hub.Tracer.Dropped(), direct.Dropped(); got != want {
-		t.Fatalf("views dropped %d spans, direct commits %d", got, want)
-	}
-	if got, want := hub.Tracer.Finished(), direct.Finished(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("views' spans differ from direct commits\n views  %+v\n direct %+v", got, want)
-	}
-	var b, db bytes.Buffer
-	if err := hub.Tracer.Dump(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := direct.Dump(&db); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(b.Bytes(), db.Bytes()) {
-		t.Fatalf("views' Dump differs from direct commits'\n views:\n%s direct:\n%s", &b, &db)
-	}
+	compareTracers(t, "after the drive", hub.Tracer, oracle(capacity, groups))
 }
 
 func TestViewsMatchDirectCommits(t *testing.T) {

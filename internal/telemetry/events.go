@@ -192,16 +192,23 @@ func (l *EventLog) Publish(ev Event) Event {
 	return l.publishLocked(ev)
 }
 
-// take hands the views' buffered events to a merge that publishes them.
-func (l *EventLog) take() func() {
-	bufs := make([][]Event, len(l.views))
-	for i, v := range l.views {
-		bufs[i], v.buf = v.buf, nil
-	}
-	return func() {
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		merge(bufs, func(ev *Event) sim.Time { return ev.At }, func(_ int, ev *Event) { l.publishLocked(*ev) })
+// flush publishes the events the views buffered in the window in the order
+// one goroutine stepping their groups would have: by time, then view.
+func (l *EventLog) flush() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for {
+		var next *EventLog
+		for _, v := range l.views {
+			if len(v.buf) > 0 && (next == nil || v.buf[0].At < next.buf[0].At) {
+				next = v
+			}
+		}
+		if next == nil {
+			return
+		}
+		l.publishLocked(next.buf[0])
+		next.buf = next.buf[1:]
 	}
 }
 

@@ -5,11 +5,12 @@ import (
 	"io"
 )
 
-// refTracer is the tracer the entry ring replaced, kept as the oracle of
-// TestTracerMatchesReference and FuzzTracerRing: a ring of whole SpanRecords,
-// every span an object against the tracer's clock, attributes copied into the
-// ring on End. It knows nothing of queries: a routed query is the three
-// general spans the router used to open (refQuery below).
+// refTracer is the naive tracer, kept as the oracle of the differential tests
+// (differential_test.go): a ring of whole SpanRecords, every span an object
+// against the tracer's clock, attributes copied into the ring on End. It
+// knows nothing of queries: a routed query is the three general spans the
+// router used to open (refQuery below), committed as the query is routed and
+// ends.
 type refTracer struct {
 	clock     Clock
 	nextTrace uint64
@@ -105,8 +106,8 @@ func (t *refTracer) Dump(w io.Writer) error {
 	return nil
 }
 
-// refQuery is a routed query in flight on the oracle: what the router held in
-// its pending slot before QueryTrace.
+// refQuery is a routed query in flight on the oracle: what the router used to
+// hold in its pending slot.
 type refQuery struct {
 	root, exec *refSpan
 }

@@ -14,51 +14,43 @@ func TestSpansAgainstSimClock(t *testing.T) {
 	tr := NewTracer(eng, 16)
 
 	root := tr.StartSpan("query", "tenant", "T1", "class", "TPCH-Q1")
-	eng.Schedule(5*sim.Second, func(now sim.Time) {
-		root.End()
-		tr.FailQuery(now, "TG-0", "T1", "TPCH-Q1", "TG-0-db0", "refused")
-	})
+	eng.Schedule(5*sim.Second, func(sim.Time) { root.End() })
 	eng.RunAll()
 
 	spans := tr.Finished()
-	if len(spans) != 4 {
+	if len(spans) != 1 {
 		t.Fatalf("%d finished spans", len(spans))
 	}
 	if spans[0].Duration() != 5*sim.Second || spans[0].ID != 1 || len(spans[0].Attrs) != 2 {
 		t.Errorf("root span %+v", spans[0])
 	}
-	// A refused query's tree, in commit order: route, execute, query.
-	if spans[1].Name != "route" || spans[2].Name != "execute" || spans[3].Name != "query" {
-		t.Errorf("span order %v %v %v", spans[1].Name, spans[2].Name, spans[3].Name)
-	}
-	for _, s := range spans[1:3] {
-		if s.Parent != spans[3].ID || s.Trace != spans[3].Trace || s.Start != 5*sim.Second {
-			t.Errorf("span %s not linked to its root at 5 s: %+v", s.Name, s)
-		}
-	}
 	// End is idempotent, also once later spans have been opened and ended.
 	tr.StartSpan("later").End()
 	root.End()
-	if spans = tr.Finished(); len(spans) != 5 || spans[4].Name != "later" {
+	if spans = tr.Finished(); len(spans) != 2 || spans[1].Name != "later" {
 		t.Fatalf("spans after the second End: %+v", spans)
 	}
-}
 
-// TestQueryTraceAllocations: tracing a routed query allocates nothing, from
-// the first query on — there is no ring slot storage to grow into.
-func TestQueryTraceAllocations(t *testing.T) {
-	tr := NewTracer(sim.NewEngine(), DefaultSpanCapacity)
-	now := sim.Time(0)
-	if n := testing.AllocsPerRun(1000, func() {
-		q := tr.BeginQuery(now, "TG-0-db0")
-		now += sim.Second
-		tr.EndQuery(q, now-sim.Second, now, "TG-0", "T0001", "TPCH-Q1", "TG-0-db0")
-	}); n != 0 {
-		t.Errorf("BeginQuery + EndQuery: %v allocs, want 0", n)
+	// A refused query's tree, read from its group's log, in commit order:
+	// route, execute, query, at the refusal's instant.
+	tr = NewTracer(eng, 16)
+	g := &fakeGroup{}
+	tr.Attach(g)
+	g.apply(5*sim.Second, opFail, 1)
+	if spans = tr.Finished(); len(spans) != 3 || spans[0].Name != "route" || spans[1].Name != "execute" || spans[2].Name != "query" {
+		t.Fatalf("refused query's spans %+v", spans)
 	}
-	if got := len(tr.Finished()); got != 3*1001 {
-		t.Errorf("%d spans retained, want %d", got, 3*1001)
+	for _, s := range spans[:2] {
+		if s.Parent != spans[2].ID || s.Trace != spans[2].Trace || s.Start != 5*sim.Second {
+			t.Errorf("span %s not linked to its root at 5 s: %+v", s.Name, s)
+		}
 	}
+	defer func() {
+		if recover() == nil {
+			t.Error("StartSpan on a tracer that reads a group did not panic")
+		}
+	}()
+	tr.StartSpan("general")
 }
 
 func TestTracerRingBound(t *testing.T) {
@@ -180,9 +172,10 @@ func TestHubConcurrency(t *testing.T) {
 				h.Registry.Counter("ops_total").Inc()
 				h.SLA.Observe("T1", float64(j), j%2 == 0)
 				h.Events.Publish(Event{Type: EventSLAViolation, Tenant: "T1"})
-				q := h.Tracer.BeginQuery(0, "db")
+				h.Tracer.StartSpan("inner").End()
 				sp.End()
-				h.Tracer.EndQuery(q, 0, sim.Second, "g", "T1", "c", "db")
+				h.Tracer.StartSpan("after").End()
+				h.Tracer.StartSpan("after").End()
 			}
 		}(i)
 	}
@@ -209,17 +202,14 @@ func TestHubConcurrency(t *testing.T) {
 }
 
 // TestRootHubRefusesWindowWrites: inside a sim.Domains.Drive window a group
-// writes through its view, which buffers; the root hub's own tracer and
-// event log panic, since where a write lands in them depends on the order,
-// and so do a view's general spans, which are the root's.
+// writes events through its view, which buffers; the root hub's own tracer
+// and event log panic, since where a write lands in them depends on the
+// order, and so do a view's general spans, which are the root's.
 func TestRootHubRefusesWindowWrites(t *testing.T) {
 	for name, write := range map[string]func(h, v *Hub){
-		"Events.Publish":    func(h, _ *Hub) { h.Events.Publish(Event{Type: EventTakeOver}) },
-		"Tracer.BeginQuery": func(h, _ *Hub) { h.Tracer.BeginQuery(0, "db0") },
-		"Tracer.FailQuery":  func(h, _ *Hub) { h.Tracer.FailQuery(0, "g", "t", "c", "", "refused") },
-		"Tracer.StartSpan":  func(h, _ *Hub) { h.Tracer.StartSpan("s") },
-		"view StartSpan":    func(_, v *Hub) { v.Tracer.StartSpan("s") },
-		"Tracer.EndQuery":   func(h, _ *Hub) { h.Tracer.EndQuery(QueryTrace{Trace: 1, Root: 1}, 0, 0, "g", "t", "c", "db0") },
+		"Events.Publish":   func(h, _ *Hub) { h.Events.Publish(Event{Type: EventTakeOver}) },
+		"Tracer.StartSpan": func(h, _ *Hub) { h.Tracer.StartSpan("s") },
+		"view StartSpan":   func(_, v *Hub) { v.Tracer.StartSpan("s") },
 	} {
 		t.Run(name, func(t *testing.T) {
 			eng := sim.NewEngine()
@@ -229,8 +219,6 @@ func TestRootHubRefusesWindowWrites(t *testing.T) {
 			v, viewed := h.View(ds[0]), false
 			eng.Schedule(sim.Second, func(sim.Time) {
 				v.Events.Publish(Event{Type: EventTakeOver})
-				v.Tracer.EndQuery(v.Tracer.BeginQuery(sim.Second, "db0"), sim.Second, sim.Second, "g", "t", "c", "db0")
-				v.Tracer.FailQuery(sim.Second, "g", "t", "c", "", "refused")
 				viewed = true
 			})
 			eng.Schedule(2*sim.Second, func(sim.Time) { write(h, v) })

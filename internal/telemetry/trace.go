@@ -3,6 +3,7 @@ package telemetry
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 
 	"repro/internal/sim"
@@ -22,248 +23,71 @@ type SpanRecord struct {
 // Duration returns the span's elapsed clock time.
 func (r SpanRecord) Duration() sim.Time { return r.End - r.Start }
 
-// entryKind says what an entry's strings mean: a query's three spans have
-// fixed names and attribute keys, which only a reader's SpanRecord spells out.
-type entryKind uint8
-
-const (
-	spanGeneral entryKind = iota // a = name, attrs as annotated
-	spanRoute                    // a = mppdb
-	spanExecute                  // a = mppdb
-	spanQuery                    // a, b, c = group, tenant, class
-)
-
-// entry is one finished span as the ring keeps it.
-type entry struct {
-	trace, id, parent uint64
-	start, end        sim.Time
-	kind              entryKind
-	a, b, c           string
-	attrs             []Label // spanGeneral only; handed over by Span.End
-}
-
-// record builds the entry's readable form; Attrs is the caller's own copy.
-func (e *entry) record() SpanRecord {
-	r := SpanRecord{Trace: e.trace, ID: e.id, Parent: e.parent, Start: e.start, End: e.end}
-	switch e.kind {
-	case spanRoute:
-		r.Name, r.Attrs = "route", []Label{{"mppdb", e.a}}
-	case spanExecute:
-		r.Name, r.Attrs = "execute", []Label{{"mppdb", e.a}}
-	case spanQuery:
-		r.Name, r.Attrs = "query", []Label{{"group", e.a}, {"tenant", e.b}, {"class", e.c}}
-	default:
-		r.Name, r.Attrs = e.a, append([]Label(nil), e.attrs...)
-	}
-	return r
-}
-
-// Tracer retains the most recent finished spans in a bounded ring.
-// Identifiers are monotonic counters, so a deterministic simulation yields a
-// byte-identical Dump across runs. A routed query is traced by BeginQuery and
-// EndQuery, a refused one by FailQuery, each one lock round trip with the
-// caller's own timestamps; any other span is a heap object from StartSpan on
-// the Clock.
+// Tracer holds the most recent finished spans of a run, as if in a bounded
+// ring. Identifiers are monotonic counters, so a deterministic simulation
+// yields a byte-identical Dump across runs.
 //
-// A view (Hub.View) writes those three through to its root, or buffers them
-// in a window; a query begun then gets a pending handle (Trace 0, Root a
-// count) that the merge maps to the real one.
+// A query's spans are built at read, from the trace ops its group numbered
+// — route, end, refused submit — in (time, group, sequence) order, the order
+// sim.Domains.Drive fires them in (QuerySource). A routed query has a root
+// "query" span (submit → finish; group, tenant, class) with a "route" child
+// (the Algorithm 1 decision, no clock time) and an "execute" child (on the
+// MPPDB it was routed to); a refused one has the root and the route at its
+// instant, and an execute child when an MPPDB refused it, the last carrying
+// the error. The sources are read without a lock: the deployment must be
+// quiescent while Finished, Dropped or Dump run.
+//
+// Any other span is a heap object from StartSpan on the Clock, committed at
+// End to a tracer that reads no groups.
 type Tracer struct {
 	mu        sync.Mutex
 	clock     Clock
 	nextTrace uint64
 	nextSpan  uint64
-	ring      []entry
-	next      int    // ring position the next finished span goes to
-	total     uint64 // spans ever finished; the last len(ring) of them are retained
+	capacity  int
+	ring      []SpanRecord // StartSpan's, grown to capacity, then overwritten from next
+	next      int
+	total     uint64 // spans ever committed to ring
 	gate      *sim.Gate
-	views     []*Tracer
-
-	// A view's: its group writes buf and begun, the merge the rest. open
-	// holds the real handles of base+1, base+2, ... (zero once ended).
-	root        *Tracer
-	buf, spare  []bufOp
-	begun, base uint64
-	open        []QueryTrace
-	dead        int
-}
-
-// bufOp is a call a view buffered; at is the view's clock, the merge key.
-type bufOp struct {
-	kind                             byte // 'b'egin, 'e'nd or 'f'ail
-	at, start, end                   sim.Time
-	q                                QueryTrace
-	mppdb, group, tenant, class, err string
+	sources   []QuerySource // in merge order, the order they were attached
 }
 
 // NewTracer builds a tracer retaining up to capacity finished spans.
 func NewTracer(clock Clock, capacity int) *Tracer {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &Tracer{clock: clock, ring: make([]entry, capacity)}
+	return &Tracer{clock: clock, capacity: max(capacity, 1)}
 }
 
-// commit writes one finished span over the oldest ring position, field by
-// field (assigning a built entry copies its 120 bytes twice), and returns it
-// for the caller to add what its kind has beyond a; callers hold t.mu.
-func (t *Tracer) commit(kind entryKind, trace, id, parent uint64, start, end sim.Time, a string) *entry {
-	e := &t.ring[t.next]
-	if t.next++; t.next == len(t.ring) {
-		t.next = 0
-	}
-	t.total++
-	e.trace, e.id, e.parent = trace, id, parent
-	e.start, e.end, e.kind = start, end, kind
-	e.a, e.b, e.c, e.attrs = a, "", "", nil
-	return e
+// QueryOp is one routed or refused query as its group logged it: Seq is the
+// route's trace sequence (Untraced: not numbered) or a refused submit's own,
+// Submit and Finish the route's and the end's instants (a refusal's both).
+type QueryOp struct {
+	Seq                  uint32
+	Submit, Finish       sim.Time
+	Tenant, Class, MPPDB string // MPPDB: routed to; "" when none could be picked
+	Err                  string // a refused submit's error
 }
 
-// QueryTrace is the handle on one routed query's trace: a root "query" span
-// Root with a "route" child Root+1 and an "execute" child Root+2. The zero
-// value means the query is not traced.
-type QueryTrace struct {
-	Trace, Root uint64
+// Untraced is the Seq of a logged query whose route was not numbered.
+const Untraced = ^uint32(0)
+
+// QuerySource is one group's trace ops as its router logged them.
+type QuerySource interface {
+	// Group names the group, its query spans' "group" attribute.
+	Group() string
+	// Ops returns how many trace ops the group has numbered, how many of
+	// them are ends, and how many completed queries its log holds.
+	Ops() (n, ends uint32, records int)
+	// Record returns the i-th logged query in completion order, its end's.
+	Record(i int) QueryOp
+	// Refusals returns the refused submits in sequence order; InFlight
+	// appends the routed queries that have not ended, in any order.
+	Refusals() []QueryOp
+	InFlight(dst []QueryOp) []QueryOp
 }
 
-// BeginQuery opens the trace of a query routed to mppdb at now and commits
-// its route span, the Algorithm 1 decision, which takes no clock time.
-func (t *Tracer) BeginQuery(now sim.Time, mppdb string) QueryTrace {
-	if t.buffers() {
-		t.begun++
-		op := t.push('b')
-		op.q.Root, op.start, op.mppdb = t.begun, now, mppdb
-		return op.q
-	}
-	r := t.write()
-	defer r.mu.Unlock()
-	return r.beginLocked(now, mppdb)
-}
-
-func (t *Tracer) beginLocked(now sim.Time, mppdb string) QueryTrace {
-	t.nextTrace++
-	q := QueryTrace{Trace: t.nextTrace, Root: t.nextSpan + 1}
-	t.nextSpan += 3
-	t.commit(spanRoute, q.Trace, q.Root+1, q.Root, now, now, mppdb)
-	return q
-}
-
-// EndQuery commits the query's execute span and then its root, both running
-// from submit to finish. mppdb is the instance the query was routed to.
-func (t *Tracer) EndQuery(q QueryTrace, submit, finish sim.Time, group, tenant, class, mppdb string) {
-	if t.buffers() {
-		op := t.push('e')
-		op.q, op.start, op.end = q, submit, finish
-		op.mppdb, op.group, op.tenant, op.class = mppdb, group, tenant, class
-		return
-	}
-	r := t.write()
-	defer r.mu.Unlock()
-	r.endLocked(t.resolve(q), submit, finish, group, tenant, class, mppdb)
-}
-
-func (t *Tracer) endLocked(q QueryTrace, submit, finish sim.Time, group, tenant, class, mppdb string) {
-	t.commit(spanExecute, q.Trace, q.Root+2, q.Root, submit, finish, mppdb)
-	e := t.commit(spanQuery, q.Trace, q.Root, 0, submit, finish, group)
-	e.b, e.c = tenant, class
-}
-
-// FailQuery commits the trace of a submit that started no query, at now: a
-// root "query" span (group, tenant, class) with a "route" child and, when
-// mppdb refused the query, an "execute" child; the last carries the error.
-func (t *Tracer) FailQuery(now sim.Time, group, tenant, class, mppdb, err string) {
-	if t.buffers() {
-		op := t.push('f')
-		op.start, op.mppdb, op.group, op.tenant, op.class, op.err = now, mppdb, group, tenant, class, err
-		return
-	}
-	r := t.write()
-	defer r.mu.Unlock()
-	r.failLocked(now, group, tenant, class, mppdb, err)
-}
-
-func (t *Tracer) failLocked(now sim.Time, group, tenant, class, mppdb, err string) {
-	t.nextTrace++
-	trace, root := t.nextTrace, t.nextSpan+1
-	t.nextSpan += 2
-	if mppdb == "" {
-		t.commit(spanGeneral, trace, root+1, root, now, now, "route").attrs = []Label{{"error", err}}
-	} else {
-		t.nextSpan++
-		t.commit(spanGeneral, trace, root+1, root, now, now, "route").attrs = []Label{{"mppdb", mppdb}}
-		t.commit(spanGeneral, trace, root+2, root, now, now, "execute").attrs = []Label{{"mppdb", mppdb}, {"error", err}}
-	}
-	t.commit(spanGeneral, trace, root, 0, now, now, "query").attrs = []Label{{"group", group}, {"tenant", tenant}, {"class", class}}
-}
-
-// buffers reports whether t is a view inside a window.
-func (t *Tracer) buffers() bool { return t.root != nil && t.root.gate.Open() }
-
-// write locks and returns the root, which refuses writes inside a window.
-func (t *Tracer) write() *Tracer {
-	if t.root != nil {
-		t = t.root
-	}
-	t.gate.Guard("the root tracer")
-	t.mu.Lock()
-	return t
-}
-
-// push appends an op of kind at the view's clock for the caller to fill in
-// place: appending a built one would copy it whole.
-func (t *Tracer) push(kind byte) *bufOp {
-	if len(t.buf) < cap(t.buf) {
-		t.buf = t.buf[:len(t.buf)+1]
-	} else {
-		t.buf = append(t.buf, bufOp{})
-	}
-	op := &t.buf[len(t.buf)-1]
-	*op = bufOp{kind: kind, at: t.clock.Now()}
-	return op
-}
-
-// resolve maps a view's pending handle, once merged, to the real one.
-func (t *Tracer) resolve(q QueryTrace) QueryTrace {
-	if q.Trace != 0 {
-		return q
-	}
-	i := q.Root - t.base - 1
-	q, t.open[i] = t.open[i], QueryTrace{}
-	for t.dead < len(t.open) && t.open[t.dead].Trace == 0 {
-		t.dead++
-	}
-	if t.dead > len(t.open)/2 {
-		t.open = t.open[:copy(t.open, t.open[t.dead:])]
-		t.base, t.dead = t.base+uint64(t.dead), 0
-	}
-	return q
-}
-
-// take hands the views' buffers to a merge that commits them, and gives the
-// views the ones the last merge emptied.
-func (t *Tracer) take() func() {
-	bufs := make([][]bufOp, len(t.views))
-	for i, v := range t.views {
-		bufs[i], v.buf, v.spare = v.buf, v.spare, nil
-	}
-	return func() {
-		t.mu.Lock()
-		defer t.mu.Unlock()
-		merge(bufs, func(op *bufOp) sim.Time { return op.at }, func(i int, op *bufOp) {
-			switch v := t.views[i]; op.kind {
-			case 'b':
-				v.open = append(v.open, t.beginLocked(op.start, op.mppdb))
-			case 'e':
-				t.endLocked(v.resolve(op.q), op.start, op.end, op.group, op.tenant, op.class, op.mppdb)
-			default:
-				t.failLocked(op.start, op.group, op.tenant, op.class, op.mppdb, op.err)
-			}
-		})
-		for i, v := range t.views {
-			v.spare = bufs[i][:0]
-		}
-	}
-}
+// Attach makes src the source of the next group's query spans: groups merge
+// in the order they were attached, which a deployment makes its domain order.
+func (t *Tracer) Attach(src QuerySource) { t.sources = append(t.sources, src) }
 
 // Span is an in-flight operation opened by StartSpan. End commits it; an
 // ended span ignores further calls.
@@ -273,11 +97,16 @@ type Span struct {
 	ended bool
 }
 
-// StartSpan opens a root span of a fresh trace on the root tracer's clock.
-// attrs is a flat key, value, ... list recorded on the span.
+// StartSpan opens a root span of a fresh trace on the tracer's clock.
+// attrs is a flat key, value, ... list recorded on the span. A tracer that
+// reads groups' query spans panics: its identifiers are theirs.
 func (t *Tracer) StartSpan(name string, attrs ...string) *Span {
-	t = t.write()
+	t.gate.Guard("the root tracer")
+	t.mu.Lock()
 	defer t.mu.Unlock()
+	if len(t.sources) > 0 {
+		panic("telemetry: StartSpan on a tracer that reads groups' queries")
+	}
 	t.nextTrace++
 	t.nextSpan++
 	return &Span{t: t, rec: SpanRecord{Trace: t.nextTrace, ID: t.nextSpan, Name: name,
@@ -303,26 +132,36 @@ func attrPairs(kv []string) []Label {
 // End closes the span at the clock's current time and commits it to the
 // tracer's ring, which takes over the span's attributes.
 func (s *Span) End() {
-	s.t.write()
-	defer s.t.mu.Unlock()
+	t := s.t
+	t.gate.Guard("the root tracer")
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if s.ended {
 		return
 	}
 	s.ended = true
-	r := &s.rec
-	s.t.commit(spanGeneral, r.Trace, r.ID, r.Parent, r.Start, s.t.clock.Now(), r.Name).attrs = r.Attrs
+	s.rec.End = t.clock.Now()
+	if len(t.ring) < t.capacity {
+		t.ring = append(t.ring, s.rec)
+	} else {
+		t.ring[t.next] = s.rec
+		t.next = (t.next + 1) % t.capacity
+	}
+	t.total++
 }
 
 // Finished returns the retained finished spans, oldest first, in the order
 // they were committed (a child that ends before its parent comes first, so
 // span IDs do not ascend). Every record's Attrs is the caller's own.
 func (t *Tracer) Finished() []SpanRecord {
+	if len(t.sources) > 0 {
+		return t.walk()
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n := int(min(t.total, uint64(len(t.ring))))
-	out := make([]SpanRecord, 0, n)
-	for i := len(t.ring) + t.next - n; i < len(t.ring)+t.next; i++ {
-		out = append(out, t.ring[i%len(t.ring)].record())
+	out := append(append(make([]SpanRecord, 0, len(t.ring)), t.ring[t.next:]...), t.ring[:t.next]...)
+	for i := range out {
+		out[i].Attrs = append([]Label(nil), out[i].Attrs...)
 	}
 	return out
 }
@@ -330,8 +169,159 @@ func (t *Tracer) Finished() []SpanRecord {
 // Dropped returns how many finished spans were evicted from the ring.
 func (t *Tracer) Dropped() uint64 {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total - min(t.total, uint64(len(t.ring)))
+	total := t.total
+	t.mu.Unlock()
+	if len(t.sources) > 0 {
+		_, _, total = t.counts()
+	}
+	return total - min(total, uint64(t.capacity))
+}
+
+// counts returns the traces, span IDs and spans the sources' ops committed: a
+// route a trace, three IDs and a span, its end two spans, a refused submit a
+// trace and refusalSpans IDs and spans.
+func (t *Tracer) counts() (traces, ids, spans uint64) {
+	for _, src := range t.sources {
+		n, ends, _ := src.Ops()
+		refs := src.Refusals()
+		routes := uint64(n-ends) - uint64(len(refs))
+		traces += routes + uint64(len(refs))
+		ids, spans = ids+3*routes, spans+routes+2*uint64(ends)
+		for _, q := range refs {
+			k := uint64(refusalSpans(q))
+			ids, spans = ids+k, spans+k
+		}
+	}
+	return traces, ids, spans
+}
+
+func refusalSpans(q QueryOp) int {
+	if q.MPPDB == "" {
+		return 2
+	}
+	return 3
+}
+
+// stream walks one group's ops from its newest back: the op at seq-1 is a
+// route that routes holds, else the last refusal left if it has that
+// sequence, else the end of the last traced record left.
+type stream struct {
+	src    QuerySource
+	seq    uint32
+	rec    int       // records not walked
+	refs   []QueryOp // refusals not walked
+	routes map[uint32]route
+	kind   byte    // the op at seq-1: 'r'oute, 'f'refused or 'e'nd
+	op     QueryOp // its Finish is its instant
+}
+
+// route is a route the walk has yet to reach: of a walked end or a query in
+// flight. span indexes its end's first kept span and kept counts them.
+type route struct {
+	op         QueryOp
+	span, kept int
+}
+
+func (s *stream) peek() {
+	n := s.seq - 1
+	if r, ok := s.routes[n]; ok {
+		s.kind, s.op = 'r', r.op
+		s.op.Finish = s.op.Submit
+	} else if k := len(s.refs) - 1; k >= 0 && s.refs[k].Seq == n {
+		s.kind, s.op = 'f', s.refs[k]
+	} else {
+		for s.kind = 'e'; ; {
+			if s.rec--; s.src.Record(s.rec).Seq != Untraced {
+				s.op = s.src.Record(s.rec)
+				break
+			}
+		}
+	}
+}
+
+// walk builds the spans of the sources' last ops back to where the ring's
+// capacity is filled and the route of every end it kept is reached, counting
+// the identifiers down from the totals.
+func (t *Tracer) walk() []SpanRecord {
+	traces, ids, spans := t.counts()
+	var ss []*stream
+	for _, src := range t.sources {
+		n, _, recs := src.Ops()
+		s := &stream{src: src, seq: n, rec: recs, refs: src.Refusals(), routes: map[uint32]route{}}
+		for _, q := range src.InFlight(nil) {
+			s.routes[q.Seq] = route{op: q}
+		}
+		if n > 0 {
+			s.peek()
+		}
+		ss = append(ss, s)
+	}
+	rev := make([]SpanRecord, 0, min(spans, uint64(t.capacity))) // newest first
+	keep := func(r SpanRecord) bool {
+		if len(rev) == cap(rev) {
+			return false
+		}
+		rev = append(rev, r)
+		return true
+	}
+	for waiting := 0; len(rev) < cap(rev) || waiting > 0; {
+		var s *stream // the latest op: by time, then group, then sequence
+		for _, c := range ss {
+			if c.seq > 0 && (s == nil || c.op.Finish >= s.op.Finish) {
+				s = c
+			}
+		}
+		if s == nil {
+			break
+		}
+		q := s.op
+		query := SpanRecord{Trace: traces, Name: "query", Start: q.Submit, End: q.Finish,
+			Attrs: []Label{{"group", s.src.Group()}, {"tenant", q.Tenant}, {"class", q.Class}}}
+		execute := SpanRecord{Trace: traces, Name: "execute", Start: q.Submit, End: q.Finish, Attrs: []Label{{"mppdb", q.MPPDB}}}
+		switch s.kind {
+		case 'r':
+			r, root := s.routes[s.seq-1], ids-2
+			delete(s.routes, s.seq-1)
+			keep(SpanRecord{Trace: traces, ID: root + 1, Parent: root, Name: "route", Start: q.Submit, End: q.Submit,
+				Attrs: []Label{{"mppdb", q.MPPDB}}})
+			if waiting -= min(r.kept, 1); r.kept > 0 {
+				rev[r.span].Trace, rev[r.span].ID = traces, root
+			}
+			if r.kept == 2 {
+				rev[r.span+1].Trace, rev[r.span+1].ID, rev[r.span+1].Parent = traces, root+2, root
+			}
+			traces, ids = traces-1, ids-3
+		case 'f':
+			s.refs = s.refs[:len(s.refs)-1]
+			k := uint64(refusalSpans(q))
+			root := ids - k + 1
+			query.ID, execute.ID, execute.Parent = root, root+2, root
+			keep(query)
+			failed := SpanRecord{Trace: traces, ID: root + 1, Parent: root, Name: "route", Start: q.Submit, End: q.Submit,
+				Attrs: []Label{{"error", q.Err}}}
+			if q.MPPDB != "" {
+				failed.Attrs[0], execute.Attrs = execute.Attrs[0], append(execute.Attrs, Label{"error", q.Err})
+				keep(execute)
+			}
+			keep(failed)
+			traces, ids = traces-1, ids-k
+		default:
+			r := route{op: q, span: len(rev)}
+			query.Trace, execute.Trace = 0, 0 // set at the route
+			for _, sp := range []SpanRecord{query, execute} {
+				if keep(sp) {
+					r.kept++
+				}
+			}
+			waiting += min(r.kept, 1)
+			s.routes[q.Seq] = r
+		}
+		if s.seq--; s.seq > 0 {
+			s.peek()
+		}
+	}
+	slices.Reverse(rev)
+	return rev
 }
 
 // Dump writes every retained span as one text line:

@@ -7,7 +7,9 @@ import "testing"
 // class, seed 1, planned with the default advisor — replayed whole on a fresh
 // deployment per iteration, the deployment built outside the timer. It
 // reports ns per replayed query beside the allocation figures; profile it
-// with -cpuprofile.
+// with -cpuprofile. bare deploys as the benchmark's replay-7d does
+// (Immediate, nothing armed), default as a flagless thriftyd does
+// (Immediate, ParallelLoad, 64 spare nodes, recovery and admission armed).
 //
 //	go test -run '^$' -bench BenchmarkReplay -benchtime 5x -cpuprofile cpu.prof .
 func BenchmarkReplay(b *testing.B) {
@@ -19,24 +21,34 @@ func BenchmarkReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	queries := 0
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		sys, err := Deploy(w, plan, DeployOptions{Immediate: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.StartTimer()
-		rep, err := sys.Replay(ReplayOptions{From: 0, To: w.Horizon})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if rep.SubmitErrors != 0 || len(rep.Records) != rep.Submitted {
-			b.Fatalf("submitted %d, %d errors, %d completed", rep.Submitted, rep.SubmitErrors, len(rep.Records))
-		}
-		queries += rep.Submitted
+	rec, adm := DefaultRecoveryConfig(), DefaultAdmissionConfig()
+	for _, c := range []struct {
+		name string
+		opts DeployOptions
+	}{
+		{"bare", DeployOptions{Immediate: true}},
+		{"default", DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Recovery: &rec, Admission: &adm}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			queries := 0
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sys, err := Deploy(w, plan, c.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				rep, err := sys.Replay(ReplayOptions{From: 0, To: w.Horizon})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if rep.SubmitErrors != 0 || len(rep.Records) != rep.Submitted {
+					b.Fatalf("submitted %d, %d errors, %d completed", rep.Submitted, rep.SubmitErrors, len(rep.Records))
+				}
+				queries += rep.Submitted
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(queries), "ns/query")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(queries), "ns/query")
 }
