@@ -27,19 +27,28 @@ test:
 # sim.Domains.Drive runs tenant-groups on two goroutines between barriers, so
 # a group touching another group's state inside a window is a race — among
 # them the telemetry a group writes (its events through its hub view, its
-# trace ops in its router and its monitor's log).
+# trace ops in its router and its monitor's log) and the node pool every
+# group's lifecycle writes.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2 -count=1 ./internal/sim ./internal/replay ./internal/recovery/... ./internal/experiments ./internal/telemetry ./internal/router ./internal/monitor .
+	$(GO) test -race -cpu 1,2 -count=1 ./internal/sim ./internal/replay ./internal/recovery/... ./internal/experiments ./internal/telemetry ./internal/router ./internal/monitor ./internal/cluster ./internal/scaling ./internal/master .
 
-# Non-test Go lines per package and in total, and the number of thriftyd
-# flags — the size and option-surface figures ROADMAP.md, CHANGES.md and the
-# issues quote. CI prints them after `make check`.
+# Non-test Go lines per package and in total, the number of thriftyd flags
+# and the field counts of the option structs — the size and option-surface
+# figures ROADMAP.md, CHANGES.md and the issues quote. A field count is the
+# names declared between the struct's braces. CI prints them after
+# `make check`.
+KNOBS = master/master.go:Options scaling/scaling.go:Config recovery/gray.go:GrayConfig \
+	admission/admission.go:Config replay/replay.go:Options
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk '$$2 == "total" { next } { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 	@printf '%7d thriftyd flags\n' $$($(GO) run ./cmd/thriftyd -h 2>&1 | grep -c '^  -')
+	@for k in $(KNOBS); do f=$${k%:*}; \
+		awk -v t=$${k#*:} -v name=$${f%%/*}.$${k#*:} '$$0 ~ "^type " t " struct" { on = 1; next } \
+			on && /^}/ { exit } on && NF && $$1 !~ /^\/\// { n++; for (i = 1; i < NF; i++) if ($$i ~ /,$$/) n++ } \
+			END { printf "%7d %s fields\n", n, name }' internal/$$f; done
 
 # The four fault smokes below drive four harnesses that share one loop: each
 # schedules its own perturbation on the coordinator engine and calls
@@ -140,10 +149,12 @@ service-smoke:
 # sequence) key, and the clock domains' windowed driver (Domains.Drive) under
 # per-group plain and shared schedules and coordinator events, each group
 # logging through a buffer merged at the barriers, against a linear scan for
-# the least (time, group) (go test -fuzz takes one target per run). A failing
-# input lands in the package's testdata/fuzz; commit it. FuzzCountSet,
-# FuzzDenseSet, FuzzMonitorOps, FuzzTracerRing, FuzzInstancePS, FuzzEngine
-# and FuzzDomainsDrive find new
+# the least (time, group), and the node pool under the lifecycle's stage,
+# ready, cut-over, abort and swap, fail-any, domain outages and re-images
+# against a naive owner map (go test -fuzz takes one target per run). A
+# failing input lands in the package's testdata/fuzz; commit it.
+# FuzzCountSet, FuzzDenseSet, FuzzMonitorOps, FuzzTracerRing,
+# FuzzInstancePS, FuzzEngine, FuzzDomainsDrive and FuzzPoolLifecycle find new
 # coverage all the time and the default minute of minimizing each find would
 # eat the whole smoke.
 fuzz-smoke:
@@ -157,6 +168,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzInstancePS$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/mppdb
 	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDomainsDrive$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzPoolLifecycle$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/cluster
 
 # Paired comparison of the working tree against another commit on one
 # benchmark workload, the procedure a performance claim needs: ./benchmark is

@@ -49,7 +49,7 @@ type options struct {
 	deploy   thrifty.DeployOptions
 	serve    thrifty.ServeOptions
 
-	metrics, recovery, admission, gray bool
+	metrics, admission, gray bool
 }
 
 // flagSet declares thriftyd's flags over o.
@@ -67,9 +67,8 @@ func (o *options) flagSet() *flag.FlagSet {
 	fs.Float64Var(&o.plan.P, "p", 0.999, "performance SLA guarantee P")
 	fs.Float64Var(&o.serve.TimeScale, "timescale", 60, "virtual seconds per wall second")
 	fs.BoolVar(&o.metrics, "metrics", true, "expose Prometheus text metrics at /metrics")
-	fs.BoolVar(&o.recovery, "recovery", true, "arm an autonomous recovery controller per tenant-group (heartbeat failure detection, pool swap, Table 5.1 reload)")
+	fs.BoolVar(&o.deploy.Recovery, "recovery", true, "arm an autonomous recovery controller per tenant-group (heartbeat failure detection, pool swap, Table 5.1 reload; an exhausted pool queues claims in the scarcity triage, ranked by SLA-at-risk)")
 	fs.IntVar(&o.deploy.Domains, "domains", 1, "failure domains (racks/zones) the pool is split across; >1 enables spread-aware placement")
-	fs.BoolVar(&o.deploy.Triage, "triage", false, "arm the cluster-wide scarcity triage: exhausted recoveries queue claims ranked by SLA-at-risk instead of uncoordinated backoff (requires -recovery)")
 	fs.BoolVar(&o.admission, "admission", true, "arm overload protection per tenant-group (contract enforcement, bounded admission queue, brownout)")
 	fs.BoolVar(&o.gray, "gray", false, "arm fail-slow (gray failure) detection per tenant-group: peer-relative latency anomaly detection with a hedge → drain-and-replace ladder")
 	return fs
@@ -84,14 +83,7 @@ func build(args []string) (*thrifty.System, *http.Server, error) {
 	if err := fs.Parse(args); err != nil {
 		return nil, nil, err
 	}
-	if o.deploy.Triage && !o.recovery {
-		return nil, nil, errors.New("-triage requires -recovery")
-	}
 	o.serve.DisableMetrics = !o.metrics
-	if o.recovery {
-		cfg := thrifty.DefaultRecoveryConfig()
-		o.deploy.Recovery = &cfg
-	}
 	if o.admission {
 		cfg := thrifty.DefaultAdmissionConfig()
 		o.deploy.Admission = &cfg
@@ -125,7 +117,7 @@ func build(args []string) (*thrifty.System, *http.Server, error) {
 		return nil, nil, err
 	}
 	fmt.Fprintf(os.Stderr, "thriftyd: deployed (time scale %g×, metrics %v, recovery %v, admission %v, gray %v)\n",
-		o.serve.TimeScale, o.metrics, o.recovery, o.admission, o.gray)
+		o.serve.TimeScale, o.metrics, o.deploy.Recovery, o.admission, o.gray)
 	return sys, &http.Server{Addr: o.addr, Handler: h}, nil
 }
 

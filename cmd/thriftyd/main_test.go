@@ -12,11 +12,11 @@ import (
 	"testing"
 )
 
-// TestFlagSet pins the option surface: the thirteen flags that pick a
+// TestFlagSet pins the option surface: the twelve flags that pick a
 // deployment or arm a subsystem, and no tuning knob beside them.
 func TestFlagSet(t *testing.T) {
 	want := strings.Fields("addr admission days domains gray metrics p r recovery " +
-		"seed tenants timescale triage")
+		"seed tenants timescale")
 	var got []string
 	new(options).flagSet().VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
 	if !slices.Equal(got, want) {
@@ -26,7 +26,8 @@ func TestFlagSet(t *testing.T) {
 
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
-		{"-triage", "-recovery=false"},
+		{"-no-such-flag"},
+		{"-domains", "two"},
 	} {
 		if _, _, err := build(args); err == nil {
 			t.Errorf("%v accepted", args)
@@ -42,7 +43,7 @@ func TestBootAndServe(t *testing.T) {
 		args []string
 	}{
 		{"default", nil},
-		{"every-arm", []string{"-gray", "-domains", "3", "-triage"}},
+		{"every-arm", []string{"-gray", "-domains", "3"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, srv, err := build(append([]string{"-tenants", "20", "-days", "1"}, tc.args...))
@@ -50,8 +51,8 @@ func TestBootAndServe(t *testing.T) {
 				t.Fatal(err)
 			}
 			armed := tc.args != nil
-			if (sys.Deployment.Triage() != nil) != armed {
-				t.Errorf("triage %v with args %v", sys.Deployment.Triage() != nil, tc.args)
+			if sys.Deployment.Triage() == nil {
+				t.Errorf("no scarcity triage beside the recovery controllers (args %v)", tc.args)
 			}
 			for _, g := range sys.Deployment.Groups() {
 				if g.Recovery == nil || g.Admission == nil || (g.Gray != nil) != armed {

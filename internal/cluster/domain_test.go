@@ -2,9 +2,11 @@ package cluster
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/sim"
 )
 
 func TestPoolDomainsLayout(t *testing.T) {
@@ -115,9 +117,9 @@ func TestFailDomainRestore(t *testing.T) {
 		t.Fatalf("after restore: free=%d down=%v", p.Free(), p.DownDomains())
 	}
 	// The outage's casualties stay Failed through restoration — they re-join
-	// via the normal Replace/Reimage cycle.
-	if got := p.FailedNodesOf("a"); len(got) != 4 {
-		t.Fatalf("a's failed nodes after restore: %v", got)
+	// via the lifecycle's swap or abort and a re-image.
+	if got := p.FailedCount("a"); got != 4 {
+		t.Fatalf("a's failed nodes after restore: %d", got)
 	}
 }
 
@@ -146,39 +148,31 @@ func TestAcquireNoPartialFailure(t *testing.T) {
 	}
 }
 
-func TestCompleteRespread(t *testing.T) {
+func TestLifecycleCutOver(t *testing.T) {
 	p := NewPoolDomains(8, 2)
-	nodes, _, err := p.AcquireSpread("inst", 3, nil)
-	if err != nil {
+	eng := sim.NewEngine()
+	lc := NewLifecycle(eng, p, false, true)
+	if _, err := lc.Stage("inst", 3, nil); err != nil {
 		t.Fatal(err)
 	}
-	oldIDs := make([]int, len(nodes))
-	for i, nd := range nodes {
-		oldIDs[i] = nd.ID
-	}
-	oldDom := nodes[0].Domain
+	oldIDs := p.ActiveNodesOf("inst")
+	oldDom := p.DomainOf(oldIDs[0])
 	// No staged nodes yet: error, nothing changes.
-	if _, err := p.CompleteRespread("inst", "inst/respread"); err == nil {
-		t.Fatalf("respread with no staged nodes succeeded")
+	if _, err := lc.CutOver("inst", "inst/respread"); err == nil {
+		t.Fatalf("cut-over with no staged nodes succeeded")
 	}
-	if _, _, err := p.AcquireSpread("inst/respread", 3, []int{oldDom}); err != nil {
+	if _, err := lc.Stage("inst/respread", 3, []int{oldDom}); err != nil {
 		t.Fatal(err)
 	}
-	released, err := p.CompleteRespread("inst", "inst/respread")
+	released, err := lc.CutOver("inst", "inst/respread")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Ints(released)
-	if len(released) != 3 {
-		t.Fatalf("released %v, want the 3 old nodes", released)
-	}
-	for i, id := range released {
-		if id != oldIDs[i] {
-			t.Fatalf("released %v, want %v", released, oldIDs)
-		}
+	if !slices.Equal(released, oldIDs) {
+		t.Fatalf("released %v, want the 3 old nodes %v", released, oldIDs)
 	}
 	if doms := p.OwnerDomains("inst"); len(doms) != 1 || doms[0] == oldDom {
-		t.Fatalf("inst still in domain %v after respread from %d", doms, oldDom)
+		t.Fatalf("inst still in domain %v after cut-over from %d", doms, oldDom)
 	}
 	if len(p.ActiveNodesOf("inst/respread")) != 0 {
 		t.Fatalf("staging owner still holds nodes")
@@ -186,20 +180,28 @@ func TestCompleteRespread(t *testing.T) {
 	if p.Free() != p.Size()-3 {
 		t.Fatalf("free=%d, want %d (everything but the 3 live nodes)", p.Free(), p.Size()-3)
 	}
-	// A staged node that failed mid-copy blocks the flip atomically.
-	if _, _, err := p.AcquireSpread("inst/respread", 2, nil); err != nil {
+	// A staged node that failed mid-copy blocks the cut-over atomically, and
+	// the abort re-images it instead of hibernating it.
+	if _, err := lc.Stage("inst/respread", 2, nil); err != nil {
 		t.Fatal(err)
 	}
-	staged := p.ActiveNodesOf("inst/respread")
-	if _, err := p.Fail(staged[0]); err != nil {
+	if _, err := p.FailAny("inst/respread"); err != nil {
 		t.Fatal(err)
 	}
 	beforeActive := p.ActiveNodesOf("inst")
-	if _, err := p.CompleteRespread("inst", "inst/respread"); err == nil {
-		t.Fatalf("respread with a failed staged node succeeded")
+	if _, err := lc.CutOver("inst", "inst/respread"); err == nil {
+		t.Fatalf("cut-over with a failed staged node succeeded")
 	}
 	if got := p.ActiveNodesOf("inst"); len(got) != len(beforeActive) {
-		t.Fatalf("failed respread mutated the owner: %v → %v", beforeActive, got)
+		t.Fatalf("failed cut-over mutated the owner: %v → %v", beforeActive, got)
+	}
+	lc.Abort("inst/respread")
+	if p.CountState(Repairing) != 1 || p.Free() != p.Size()-4 || p.FailedCount("inst/respread") != 0 {
+		t.Fatalf("abort: repairing %d, free %d, want 1 and %d", p.CountState(Repairing), p.Free(), p.Size()-4)
+	}
+	eng.Run(sim.Day)
+	if p.CountState(Repairing) != 0 || p.Free() != p.Size()-3 {
+		t.Fatalf("aborted node not re-imaged: %+v", p.Snapshot().ByState)
 	}
 }
 
@@ -246,7 +248,7 @@ func TestPoolSnapshotView(t *testing.T) {
 	}
 }
 
-// TestPoolConcurrentLifecycles interleaves Acquire/FailAny/Replace/Reimage/
+// TestPoolConcurrentLifecycles interleaves Acquire/FailAny/swap/Reimage/
 // Release from many goroutines under -race. Each goroutine owns a private
 // owner ID and keeps its own book of node IDs; at the end every owner's view
 // must match the pool exactly (no double-owned nodes) and every node must be
@@ -298,13 +300,16 @@ func TestPoolConcurrentLifecycles(t *testing.T) {
 						b.failed[id] = true
 					}
 				case 2: // swap a failed node
-					for id := range b.failed {
-						if repl, err := p.Replace(id); err == nil {
-							delete(b.failed, id)
-							b.repairing[id] = true
-							b.active[repl.ID] = true
-						}
+					if len(b.failed) == 0 {
 						break
+					}
+					if id, repl, err := p.swap(b.owner); err == nil {
+						if !b.failed[id] {
+							t.Errorf("%s swapped node %d it did not have failed", b.owner, id)
+						}
+						delete(b.failed, id)
+						b.repairing[id] = true
+						b.active[repl.ID] = true
 					}
 				case 3: // finish a re-image
 					for id := range b.repairing {
@@ -317,6 +322,9 @@ func TestPoolConcurrentLifecycles(t *testing.T) {
 					if rng.Intn(8) == 0 {
 						p.Release(b.owner)
 						b.active = map[int]bool{}
+						for id := range b.failed {
+							b.repairing[id] = true // failed nodes still re-image
+						}
 						b.failed = map[int]bool{}
 					}
 				}
@@ -337,9 +345,8 @@ func TestPoolConcurrentLifecycles(t *testing.T) {
 				t.Fatalf("%s: pool lists %d, book does not", b.owner, id)
 			}
 		}
-		gotF := p.FailedNodesOf(b.owner)
-		if len(gotF) != len(b.failed) {
-			t.Fatalf("%s: pool says %v failed, book says %v", b.owner, gotF, b.failed)
+		if gotF := p.FailedCount(b.owner); gotF != len(b.failed) {
+			t.Fatalf("%s: pool says %d failed, book says %v", b.owner, gotF, b.failed)
 		}
 		total += len(b.active) + len(b.failed) + len(b.repairing)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/advisor"
 	"repro/internal/cluster"
 	"repro/internal/master"
-	"repro/internal/recovery"
 	"repro/internal/recovery/chaos"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -47,11 +46,12 @@ func smallestShardFirst(plan *advisor.Plan, logs []*workload.TenantLog) func(a, 
 // DomainFail measures correlated-failure resilience: the same seeded schedule
 // of whole-domain outages replays three times against identical tenants on a
 // three-domain pool sized scarce (a fifth of spare capacity, so a domain loss
-// outstrips the free list). The no-fault arm fixes the attainment ceiling;
-// the bare arm (no spread placement, classic per-group backoff) shows what a
-// rack loss costs when groups can collapse into one domain; the protected arm
-// adds spread-aware placement, quarantine re-routing, the cluster scarcity
-// triage, and post-restoration re-spread. The verdict is the paper-style
+// outstrips the free list). Every arm recovers through the cluster scarcity
+// triage and quarantine re-routing. The no-fault arm fixes the attainment
+// ceiling; the bare arm (no spread placement, single-stream reloads) shows
+// what a rack loss costs when groups can collapse into one domain; the
+// protected arm adds spread-aware placement, parallel reloads and
+// post-restoration re-spread. The verdict is the paper-style
 // restoration bar: protected attainment within two points of no-fault, zero
 // dropped queries everywhere, every pool leak-free.
 func DomainFail(env *Env) ([]*Table, error) {
@@ -66,15 +66,13 @@ func DomainFail(env *Env) ([]*Table, error) {
 
 	// One storm config for every arm; an explicit empty schedule turns the
 	// injection off for the baseline while keeping the replay identical.
-	run := func(spread, triage bool, sched []chaos.DomainOutage) (*chaos.DomainFailResult, error) {
+	run := func(spread bool, sched []chaos.DomainOutage) (*chaos.DomainFailResult, error) {
 		used := w.plan.NodesUsed()
 		pool := cluster.NewPoolDomains(used+(used+4)/5, domains)
-		rcfg := recovery.DefaultConfig()
 		// The protected posture also re-replicates a casualty's shard from
 		// its surviving peers in parallel; bare keeps the classic
 		// single-stream reload.
-		rcfg.ParallelReload = spread
-		opts := master.Options{Immediate: true, Recovery: &rcfg, NoSpread: !spread, Triage: triage}
+		opts := master.Options{Immediate: true, ParallelLoad: spread, Recovery: true, NoSpread: !spread}
 		eng, dep, err := w.deploy(pool, opts)
 		if err != nil {
 			return nil, err
@@ -89,15 +87,15 @@ func DomainFail(env *Env) ([]*Table, error) {
 		return chaos.RunDomainFail(eng, dep, env.Cat, w.logs, cfg)
 	}
 
-	baseline, err := run(true, true, []chaos.DomainOutage{})
+	baseline, err := run(true, []chaos.DomainOutage{})
 	if err != nil {
 		return nil, err
 	}
-	bare, err := run(false, false, nil)
+	bare, err := run(false, nil)
 	if err != nil {
 		return nil, err
 	}
-	protected, err := run(true, true, nil)
+	protected, err := run(true, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -125,7 +123,7 @@ func DomainFail(env *Env) ([]*Table, error) {
 	}
 
 	outcome := &Table{
-		Title: fmt.Sprintf("Correlated failure — bare vs spread+triage (%d groups, seed %d)",
+		Title: fmt.Sprintf("Correlated failure — bare vs spread placement (%d groups, seed %d)",
 			len(w.plan.Groups), env.Seed),
 		Columns: []string{"metric", "no-fault", "bare", "protected"},
 	}
@@ -142,7 +140,7 @@ func DomainFail(env *Env) ([]*Table, error) {
 		fmt.Sprintf("%d (%d)", protected.Lifecycles, protected.Triaged))
 	outcome.AddRow("triage claims enqueued/granted",
 		fmt.Sprintf("%d/%d", baseline.TriageEnqueued, baseline.TriageGranted),
-		"—",
+		fmt.Sprintf("%d/%d", bare.TriageEnqueued, bare.TriageGranted),
 		fmt.Sprintf("%d/%d", protected.TriageEnqueued, protected.TriageGranted))
 	outcome.AddRow("re-spread cutovers", baseline.Respreads, bare.Respreads, protected.Respreads)
 	outcome.AddRow("groups collapsed at end", baseline.CollapsedGroups, bare.CollapsedGroups, protected.CollapsedGroups)

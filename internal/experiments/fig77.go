@@ -80,7 +80,7 @@ func Fig77ElasticScaling(env *Env) (*Fig77Result, error) {
 	}
 	runs := []*run{{name: "disabled"}, {name: "enabled", scaling: true}}
 	for _, r := range runs {
-		eng, dep, err := w.deploy(cluster.NewPool(w.plan.NodesUsed()+64), master.Options{Immediate: true})
+		eng, dep, err := w.deploy(cluster.NewPool(w.plan.NodesUsed()+64), master.Options{Immediate: true, ParallelLoad: true})
 		if err != nil {
 			return nil, err
 		}

@@ -37,17 +37,21 @@ type Options struct {
 	// pool — the layout every byte-deterministic replay pins.
 	Domains int
 	// Immediate skips provisioning delays: instances are Ready at once.
-	// Experiments that study steady-state behaviour use this; the elastic
-	// scaling experiment does not.
+	// Experiments that study steady-state behaviour use this, the
+	// elastic-scaling experiment (Fig 7.7) included: its scale-ups still pay
+	// Table 5.1.
 	Immediate bool
-	// ParallelLoad enables the MPPDB parallel loading option (§7.2).
+	// ParallelLoad enables the MPPDB parallel loading option (§7.2) for
+	// every load the groups' lifecycles price: deploy, crash reload,
+	// re-spread and scale-up.
 	ParallelLoad bool
 	// MonitorWindow is the RT-TTP window (default 24 h).
 	MonitorWindow time.Duration
-	// Recovery, when non-nil, arms an autonomous failure-recovery controller
-	// (§4.4) per group with this config. The service path sets it; replay
-	// arms controllers itself when failures are injected.
-	Recovery *recovery.Config
+	// Recovery arms an autonomous failure-recovery controller (§4.4) per
+	// group, with the deployment's scarcity triage, quarantine and
+	// re-spread (ArmRecovery). The service path sets it; replay arms
+	// controllers itself when failures are injected.
+	Recovery bool
 	// Admission, when non-nil, arms an overload-protection controller per
 	// group with this config: per-tenant contract buckets, a bounded
 	// admission queue, and a brownout loop watching the group's live
@@ -57,8 +61,8 @@ type Options struct {
 	// Gray, when non-nil, arms a fail-slow detector per group with this
 	// config: peer-relative completion-latency outlier detection and the
 	// hedge → drain response ladder. The drain rung needs a recovery
-	// controller, so a nil Recovery is auto-armed with recovery.DefaultConfig.
-	// Strictly opt-in, like Admission.
+	// controller, so Gray arms Recovery too. Strictly opt-in, like
+	// Admission.
 	Gray *recovery.GrayConfig
 	// NoSpread disables domain-aware spread placement. By default a group
 	// deployed on a multi-domain pool lands its instances on ≥2 failure
@@ -66,13 +70,6 @@ type Options struct {
 	// siblings avoiding each other's); single-domain pools are unaffected,
 	// so every pre-domain replay stays byte-identical.
 	NoSpread bool
-	// Triage arms the cluster-wide scarcity triage: one allocator per
-	// deployment, shared by every group's recovery controller. On pool
-	// exhaustion lifecycles queue ranked by SLA-at-risk (sliding RT-TTP
-	// deficit × tenant count) instead of burning backoff cycles, and scarce
-	// nodes go to the worst-off group first. Needs Recovery (or Gray, which
-	// auto-arms it).
-	Triage bool
 }
 
 // NewPool returns the node pool the options ask for under a plan: the plan's
@@ -89,7 +86,8 @@ type DeployedGroup = runtime.GroupRuntime
 type Deployment struct {
 	pool   *cluster.Pool
 	plane  *runtime.Plane
-	triage *recovery.Triage
+	triage *recovery.Triage // built with the first recovery controller
+	p      float64
 	ready  map[string]sim.Time
 }
 
@@ -125,13 +123,11 @@ func (m *Master) Deploy(plan *advisor.Plan, tenants map[string]*tenant.Tenant) (
 	dep := &Deployment{
 		pool:  m.pool,
 		plane: runtime.NewPlane(tel),
+		p:     plan.Config.P,
 		ready: make(map[string]sim.Time),
 	}
-	if m.opts.Triage {
-		dep.triage = recovery.NewTriage(m.pool)
-	}
 	for gi, pg := range plan.Groups {
-		g, readyAt, err := m.buildGroup(engines[gi], domains[gi], tel.View(domains[gi]), dep.triage, pg, plan.Config.P, tenants)
+		g, readyAt, err := m.buildGroup(engines[gi], domains[gi], tel.View(domains[gi]), dep, pg, tenants)
 		if err != nil {
 			return nil, err
 		}
@@ -142,12 +138,13 @@ func (m *Master) Deploy(plan *advisor.Plan, tenants map[string]*tenant.Tenant) (
 }
 
 // buildGroup constructs one tenant-group on the given engine, domain and view:
-// node acquisition (spread across failure domains on a multi-domain pool),
-// MPPDB instances with every member bulk-loaded, provisioning delays
-// (Table 5.1 startup + load) unless Immediate, monitor, router, and the
-// optional recovery and admission controllers.
-func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub, tri *recovery.Triage,
-	pg advisor.PlannedGroup, p float64, tenants map[string]*tenant.Tenant) (*DeployedGroup, sim.Time, error) {
+// its lifecycle stages every instance's nodes (spread across failure domains
+// on a multi-domain pool) and, unless Immediate, makes each Ready after
+// Table 5.1 startup + load; then the MPPDB instances with every member
+// bulk-loaded, monitor, router, and the optional recovery, gray and
+// admission controllers.
+func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub, dep *Deployment,
+	pg advisor.PlannedGroup, tenants map[string]*tenant.Tenant) (*DeployedGroup, sim.Time, error) {
 	members := make([]*tenant.Tenant, 0, len(pg.TenantIDs))
 	var groupGB float64
 	for _, id := range pg.TenantIDs {
@@ -158,17 +155,16 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 		members = append(members, tn)
 		groupGB += tn.DataGB
 	}
-	g := &DeployedGroup{Plan: pg, Members: members}
+	lc := cluster.NewLifecycle(eng, m.pool, m.opts.ParallelLoad, !m.opts.NoSpread)
+	g := &DeployedGroup{Plan: pg, Members: members, Lifecycle: lc}
 	// One interner per group, shared by every instance (and adopted by the
 	// router and admission controller): tenant refs resolved once at the
 	// front door stay valid across the whole group.
 	interner := tenant.NewInterner()
-	// On a multi-domain pool, spread the group's replicas: each instance
-	// lands whole in one failure domain, siblings avoid the domains already
-	// used, so the group survives losing any single domain when capacity
-	// allows. Single-domain pools take the classic lowest-ID scan, keeping
-	// pre-domain replays byte-identical.
-	spread := m.pool.Domains() > 1 && !m.opts.NoSpread
+	// On a multi-domain pool the lifecycle spreads the group's replicas: each
+	// instance lands whole in one failure domain, siblings avoid the domains
+	// already used, so the group survives losing any single domain when
+	// capacity allows.
 	var usedDomains []int
 	var readyAt sim.Time
 	for i := 0; i < pg.Design.A; i++ {
@@ -177,15 +173,11 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 			return nil, 0, err
 		}
 		id := fmt.Sprintf("%s-db%d", pg.ID, i)
-		if spread {
-			_, doms, err := m.pool.AcquireSpread(id, nodes, usedDomains)
-			if err != nil {
-				return nil, 0, fmt.Errorf("master: group %s: %w", pg.ID, err)
-			}
-			usedDomains = append(usedDomains, doms...)
-		} else if _, err := m.pool.Acquire(id, nodes); err != nil {
+		doms, err := lc.Stage(id, nodes, usedDomains)
+		if err != nil {
 			return nil, 0, fmt.Errorf("master: group %s: %w", pg.ID, err)
 		}
+		usedDomains = append(usedDomains, doms...)
 		inst := mppdb.NewInterned(eng, id, nodes, interner)
 		inst.SetTelemetry(tel)
 		for _, tn := range members {
@@ -193,12 +185,8 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 		}
 		if !m.opts.Immediate {
 			inst.SetState(mppdb.Provisioning)
-			delay := cluster.StartupTime(nodes) + cluster.LoadTime(groupGB, nodes, m.opts.ParallelLoad)
-			at := eng.Now().Add(delay)
-			if at > readyAt {
-				readyAt = at
-			}
-			eng.After(delay, func(sim.Time) { inst.SetState(mppdb.Ready) })
+			delay := lc.Ready(id, nodes, groupGB, func(bool) { inst.SetState(mppdb.Ready) })
+			readyAt = max(readyAt, eng.Now().Add(delay))
 		}
 		g.Instances = append(g.Instances, inst)
 	}
@@ -216,40 +204,10 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 	g.Router = rt
 	g.Bind(dom)
 	g.SetTelemetry(tel)
-	rcfg := m.opts.Recovery
-	if rcfg == nil && m.opts.Gray != nil {
-		// The gray ladder's drain rung executes through the crash controller;
-		// arming Gray without Recovery implies the default crash config.
-		def := recovery.DefaultConfig()
-		rcfg = &def
-	}
-	if rcfg != nil {
-		rc, err := recovery.New(eng, m.pool, pg.ID, g.Instances, *rcfg)
-		if err != nil {
+	if m.opts.Recovery || m.opts.Gray != nil {
+		if err := dep.ArmRecovery(g); err != nil {
 			return nil, 0, err
 		}
-		rc.SetTelemetry(tel)
-		if tri != nil {
-			// SLA-at-risk priority for the scarcity triage ladder: sliding
-			// RT-TTP deficit below the guarantee × the group's blast radius.
-			rc.SetTriage(tri, func() (float64, int) {
-				d := p - mon.RTTTP()
-				if d < 0 {
-					d = 0
-				}
-				return d, len(members)
-			})
-		}
-		if m.pool.Domains() > 1 {
-			// Lets the controller pull a fully-dead instance out of routing
-			// during a domain outage and re-admit it once repaired.
-			rc.SetQuarantine(rt.SetQuarantine)
-		}
-		if spread {
-			rc.SetRespread(m.opts.ParallelLoad)
-		}
-		rc.Start()
-		g.Recovery = rc
 	}
 	if m.opts.Gray != nil {
 		gd, err := recovery.NewGrayDetector(eng, m.pool, pg.ID, g.Instances, rt, g.Recovery, *m.opts.Gray)
@@ -261,7 +219,7 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 		g.Gray = gd
 	}
 	if m.opts.Admission != nil {
-		ac, err := admission.New(eng, pg.ID, p, pg.TenantIDs,
+		ac, err := admission.New(eng, pg.ID, dep.p, pg.TenantIDs,
 			g.Instances, mon, g.Recovery, *m.opts.Admission)
 		if err != nil {
 			return nil, 0, err
@@ -286,9 +244,34 @@ func (d *Deployment) Groups() []*DeployedGroup { return d.plane.Groups() }
 // domains).
 func (d *Deployment) Plane() *runtime.Plane { return d.plane }
 
-// Triage returns the cluster-wide scarcity allocator (nil unless deployed
-// with Options.Triage).
+// Triage returns the cluster-wide scarcity allocator (nil until a group has
+// a recovery controller).
 func (d *Deployment) Triage() *recovery.Triage { return d.triage }
+
+// ArmRecovery gives g a started recovery controller (§4.4) on its lifecycle,
+// the one way a group gets one: its claims rank in the deployment's scarcity
+// triage by sliding RT-TTP deficit below P × member count; on a multi-domain
+// pool it quarantines fully-dead instances from routing until repaired; and
+// it re-spreads the group when its lifecycle spreads. The caller must hold
+// g's domain.
+func (d *Deployment) ArmRecovery(g *DeployedGroup) error {
+	if d.triage == nil {
+		d.triage = recovery.NewTriage(d.pool)
+	}
+	rc, err := recovery.New(g.Lifecycle, d.triage, g.Plan.ID, g.Instances)
+	if err != nil {
+		return err
+	}
+	rc.SetTelemetry(g.Telemetry())
+	mon, tenants := g.Monitor, len(g.Members)
+	rc.SetPriority(func() (float64, int) { return max(d.p-mon.RTTTP(), 0), tenants })
+	if d.pool.Domains() > 1 {
+		rc.SetQuarantine(g.Router.SetQuarantine)
+	}
+	rc.Start()
+	g.Recovery = rc
+	return nil
+}
 
 // Telemetry returns the deployment's root telemetry hub (never nil after
 // Deploy); a group's events write through its view (DeployedGroup.Telemetry).

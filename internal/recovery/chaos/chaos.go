@@ -20,7 +20,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/master"
 	"repro/internal/queries"
-	"repro/internal/recovery"
 	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -210,8 +209,6 @@ type Config struct {
 	BurstProb float64
 	// MaxFailures bounds the schedule.
 	MaxFailures int
-	// Recovery overrides the recovery controllers' config.
-	Recovery *recovery.Config
 }
 
 // DefaultConfig returns a moderate failure mix: a crash every ~2 h, a quarter
@@ -324,7 +321,6 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	sched := BuildSchedule(dep, cfg)
 	opts := cfg.options(0)
 	opts.Failures = sched
-	opts.Recovery = cfg.Recovery
 	rep, err := replay.Run(eng, dep, cat, logs, opts)
 	if err != nil {
 		return nil, err

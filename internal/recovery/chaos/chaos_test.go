@@ -11,7 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/master"
 	"repro/internal/queries"
-	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
@@ -125,19 +124,16 @@ func TestChaosEndToEnd(t *testing.T) {
 }
 
 // TestChaosPoolExhaustion starves the pool (no spare nodes): recovery can
-// never complete, but it must degrade loudly — recovery_failed telemetry,
-// backoff cycles, the run and drain completing — rather than deadlock.
+// never complete, but it must degrade loudly — every lifecycle queued in the
+// scarcity triage (triage_enqueued telemetry, one claim each), the run and
+// drain completing — rather than deadlock.
 func TestChaosPoolExhaustion(t *testing.T) {
 	w := newWorld(t, 4, 1, 2, 1)
-	rcfg := recovery.DefaultConfig()
-	rcfg.MaxAttempts = 2
-	rcfg.CoolDown = 30 * time.Minute
 	cfg := DefaultConfig()
 	cfg.Seed = 7
 	cfg.From, cfg.To = 0, sim.Day
 	cfg.RepeatProb, cfg.BurstProb = 0, 0
 	cfg.MaxFailures = 2
-	cfg.Recovery = &rcfg
 	res, err := Run(w.eng, w.dep, w.cat, w.logs, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -149,13 +145,16 @@ func TestChaosPoolExhaustion(t *testing.T) {
 		t.Errorf("%d recoveries completed with an empty pool", res.Recovered)
 	}
 	if res.InFlight != res.Applied {
-		t.Errorf("%d recoveries in flight, want %d still retrying", res.InFlight, res.Applied)
+		t.Errorf("%d recoveries in flight, want %d still queued", res.InFlight, res.Applied)
 	}
 	if res.FailedNodes < 1 {
 		t.Error("no failed node left in the pool")
 	}
-	if countEvents(w.dep.Telemetry(), telemetry.EventRecoveryFailed) == 0 {
-		t.Error("pool exhaustion produced no recovery_failed events")
+	if got := countEvents(w.dep.Telemetry(), telemetry.EventTriageEnqueued); got != res.Applied {
+		t.Errorf("%d triage_enqueued events, want one per applied failure (%d)", got, res.Applied)
+	}
+	if q := w.dep.Triage().Queued(); len(q) != res.Applied {
+		t.Errorf("%d queued claims, want %d: %+v", len(q), res.Applied, q)
 	}
 	if err := res.Verify(1); err == nil {
 		t.Error("Verify passed an unrecovered run")

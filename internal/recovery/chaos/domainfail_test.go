@@ -10,17 +10,16 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/master"
 	"repro/internal/queries"
-	"repro/internal/recovery"
 	"repro/internal/sim"
 	"repro/internal/tenant"
 	"repro/internal/workload"
 )
 
-// domainWorld builds a deployment on a multi-domain pool for
-// correlated-failure storms. spread/triage arm the PR-9 defenses; slackPct
-// sizes the spare capacity (scarce by design, so a whole-domain loss forces
-// the triage queue to form).
-func domainWorld(t *testing.T, tenants, days, r, domains int, spread, triage bool, slackPct int) *world {
+// domainWorld builds a recovery-armed deployment on a multi-domain pool for
+// correlated-failure storms. spread arms spread placement and re-spread;
+// slackPct sizes the spare capacity (scarce by design, so a whole-domain loss
+// forces the triage queue to form).
+func domainWorld(t *testing.T, tenants, days, r, domains int, spread bool, slackPct int) *world {
 	t.Helper()
 	cat := queries.Default()
 	lib, err := workload.BuildLibrary(cat, []int{2}, 4, 7)
@@ -50,13 +49,11 @@ func domainWorld(t *testing.T, tenants, days, r, domains int, spread, triage boo
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg := recovery.DefaultConfig()
 	opts := master.Options{
 		Immediate:     true,
 		MonitorWindow: time.Hour,
-		Recovery:      &rcfg,
+		Recovery:      true,
 		NoSpread:      !spread,
-		Triage:        triage,
 	}
 	used := plan.NodesUsed()
 	pool := cluster.NewPoolDomains(used+(used*slackPct+99)/100, domains)
@@ -89,7 +86,7 @@ func domainStormConfig() DomainFailConfig {
 // scarcity triage) must be absorbed — zero dropped queries, every recovery
 // and triage claim drained, pool leak-free.
 func TestDomainSmoke(t *testing.T) {
-	w := domainWorld(t, 12, 1, 3, 3, true, true, 20)
+	w := domainWorld(t, 12, 1, 3, 3, true, 20)
 	res, err := RunDomainFail(w.eng, w.dep, w.cat, w.logs, domainStormConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -125,7 +122,7 @@ func TestDomainSmoke(t *testing.T) {
 func TestDomainFailTelemetryDeterminism(t *testing.T) {
 	var sum, resSum string
 	dump := func() (string, string) {
-		w := domainWorld(t, 12, 1, 3, 3, true, true, 20)
+		w := domainWorld(t, 12, 1, 3, 3, true, 20)
 		res, err := RunDomainFail(w.eng, w.dep, w.cat, w.logs, domainStormConfig())
 		if err != nil {
 			t.Fatal(err)
@@ -166,7 +163,7 @@ func TestDomainFailTelemetryDeterminism(t *testing.T) {
 // overlap, so restoration of one domain races the loss of the next. The
 // protected deployment must still absorb the storm.
 func TestDomainFailRolling(t *testing.T) {
-	w := domainWorld(t, 12, 1, 3, 3, true, true, 25)
+	w := domainWorld(t, 12, 1, 3, 3, true, 25)
 	cfg := domainStormConfig()
 	cfg.Rolling = true
 	cfg.Outages = 3
@@ -197,7 +194,7 @@ func TestDomainFailRolling(t *testing.T) {
 // scarce pool. Both controllers share the triage without tripping over each
 // other.
 func TestDomainFailDuringGrayDrain(t *testing.T) {
-	w := domainWorld(t, 12, 1, 3, 3, true, true, 25)
+	w := domainWorld(t, 12, 1, 3, 3, true, 25)
 	target := w.dep.Groups()[0]
 	for _, g := range w.dep.Groups()[1:] {
 		if len(g.Members) > len(target.Members) {
@@ -230,7 +227,7 @@ func TestDomainFailDuringGrayDrain(t *testing.T) {
 // domain returns, the heartbeat re-spread must live-migrate a replica back
 // and end the run spanning both domains again.
 func TestDomainRespread(t *testing.T) {
-	w := domainWorld(t, 6, 1, 2, 2, true, true, 60)
+	w := domainWorld(t, 6, 1, 2, 2, true, 60)
 	cfg := domainStormConfig()
 	cfg.Schedule = []DomainOutage{{At: 2 * sim.Hour, Duration: 4 * time.Hour, Domain: 1}}
 	cfg.DrainSlack = 96 * time.Hour

@@ -46,10 +46,7 @@ func TestNewGrayDetectorRejectsMissingPieces(t *testing.T) {
 	pool := cluster.NewPool(4)
 	inst := mppdb.New(eng, "g0-db0", 2)
 	insts := []*mppdb.Instance{inst}
-	ctl, err := New(eng, pool, "g0", insts, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctl := newController(t, eng, pool, NewTriage(pool), inst)
 	cfg := DefaultGrayConfig()
 	if _, err := NewGrayDetector(nil, pool, "g0", insts, nopRouter{}, ctl, cfg); err == nil {
 		t.Error("nil engine accepted")

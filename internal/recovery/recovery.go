@@ -10,20 +10,18 @@
 // learn of a failure synchronously (the replay injector) can call Notify to
 // skip the detection latency.
 //
-// Per detected failure the controller drives the full §4.4 lifecycle:
-//
-//  1. swap at the pool — the failed node goes to Repairing (carted away,
-//     re-imaged after cluster.ReimageTime) and a replacement is acquired;
-//  2. replacement startup + bulk reload of the instance's per-node data
-//     share, priced by the Table 5.1 model (single-node startup plus a
-//     single loader stream over TenantDataGB/Nodes);
-//  3. RepairNode — the instance returns to full SpeedFactor.
+// Per detected failure the controller decides that a node is needed; the
+// group's cluster.Lifecycle does the how: its swap sends the failed node to
+// Repairing (re-imaged after cluster.ReimageTime), hands out a fresh one and
+// prices the replacement's start-up plus the reload of the instance's
+// per-node data share (Table 5.1), after which RepairNode returns the
+// instance to full SpeedFactor.
 //
 // Throughout, the instance keeps serving degraded (mppdb's processor sharing
-// slows by 1/SpeedFactor). When the pool is exhausted the controller retries
-// with exponential backoff up to MaxAttempts, emits recovery_failed telemetry
-// per miss, then rests for CoolDown and starts a fresh attempt cycle — it
-// never gives up permanently and never blocks the clock domain.
+// slows by 1/SpeedFactor). When the pool is exhausted the lifecycle queues a
+// claim in the cluster-wide scarcity triage (triage.go) and polls on the
+// group's clock until the allocator grants it a node — it never gives up and
+// never blocks the clock domain.
 package recovery
 
 import (
@@ -36,47 +34,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Config controls a group's recovery controller.
-type Config struct {
-	// HeartbeatInterval is the failure-detection probe period.
-	HeartbeatInterval time.Duration
-	// MaxAttempts bounds one cycle of replacement-acquisition attempts.
-	MaxAttempts int
-	// InitialBackoff is the wait after the first failed attempt; it doubles
-	// per miss up to MaxBackoff.
-	InitialBackoff time.Duration
-	// MaxBackoff caps the exponential backoff.
-	MaxBackoff time.Duration
-	// CoolDown is the rest between exhausted attempt cycles.
-	CoolDown time.Duration
-	// ParallelReload re-replicates a replacement node's shard from the
-	// instance's surviving peers in parallel streams instead of one loader
-	// stream (the same Table 5.1 parallel-load modeling provisioning and
-	// re-spread use). Off by default: the classic single-stream reload.
-	ParallelReload bool
-}
-
-// DefaultConfig returns the controller's standard settings: 30 s heartbeats,
-// 5 attempts backing off 1→16 min, 1 h between cycles.
-func DefaultConfig() Config {
-	return Config{
-		HeartbeatInterval: 30 * time.Second,
-		MaxAttempts:       5,
-		InitialBackoff:    time.Minute,
-		MaxBackoff:        16 * time.Minute,
-		CoolDown:          time.Hour,
-	}
-}
-
-func (c Config) validate() error {
-	if c.HeartbeatInterval <= 0 || c.InitialBackoff <= 0 || c.MaxBackoff <= 0 || c.CoolDown <= 0 {
-		return fmt.Errorf("recovery: non-positive intervals in %+v", c)
-	}
-	if c.MaxAttempts < 1 {
-		return fmt.Errorf("recovery: MaxAttempts=%d", c.MaxAttempts)
-	}
-	return nil
-}
+// HeartbeatInterval is the failure-detection probe period.
+const HeartbeatInterval = 30 * time.Second
 
 // Event records one detected failure's recovery lifecycle.
 type Event struct {
@@ -85,15 +44,13 @@ type Event struct {
 	MPPDB string
 	// Detected is when the controller noticed the failure.
 	Detected sim.Time
-	// Replaced is when a replacement node was acquired (zero while the pool
-	// is exhausted).
+	// Replaced is when a replacement node was acquired (zero while queued
+	// in the triage).
 	Replaced sim.Time
 	// Completed is when RepairNode restored full speed (zero until then).
 	Completed sim.Time
-	// Attempts counts replacement-acquisition tries, across cycles.
+	// Attempts counts replacement-acquisition tries outside the triage.
 	Attempts int
-	// ExhaustedCycles counts attempt cycles that ran out of MaxAttempts.
-	ExhaustedCycles int
 	// FailedNode is the pool ID swapped out for re-imaging, -1 when the
 	// failure was injected at the instance only (no pool-side record).
 	FailedNode int
@@ -101,17 +58,11 @@ type Event struct {
 	ReplacementNode int
 	// Err is the most recent acquisition error, cleared on success.
 	Err string
-	// Backoff is the currently armed retry backoff (zero once replaced or
-	// while cooling down / queued in triage).
-	Backoff time.Duration
-	// NextAttemptAt is when the next acquisition attempt or triage poll
-	// fires (zero once replaced).
+	// NextAttemptAt is when the next triage poll fires (zero once
+	// replaced).
 	NextAttemptAt sim.Time
-	// CoolingUntil is the end of the current post-exhaustion rest (zero
-	// outside a cool-down).
-	CoolingUntil sim.Time
 	// Triaged marks a lifecycle that waited in the cluster scarcity triage
-	// queue instead of the backoff cycle.
+	// queue.
 	Triaged bool
 }
 
@@ -123,27 +74,26 @@ func (e Event) Recovered() bool { return e.Completed > 0 }
 // be called while holding the group's clock domain (or as the engine's
 // single driver).
 type Controller struct {
+	lc    *cluster.Lifecycle
 	eng   *sim.Engine
 	pool  *cluster.Pool
 	group string
 	insts []*mppdb.Instance
-	cfg   Config
 
 	pending map[string]int // instance ID → recoveries in flight
 	// awaitingSwap counts pending lifecycles that have not yet consumed a
-	// pool-side Failed record (pre-swap: backing off, queued in triage, or
-	// about to fall back to a plain acquire). sweep needs the split: a
-	// lifecycle that is mid-reload has already Replaced its pool record, so
-	// a fresh pool failure appearing while it reloads — a domain outage
-	// killing the very replacement it installed — is new work even though
-	// pending already "covers" the instance-side count.
+	// pool-side Failed record (pre-swap: queued in triage, or about to fall
+	// back to a plain acquire). sweep needs the split: a lifecycle that is
+	// mid-reload has already swapped its pool record, so a fresh pool
+	// failure appearing while it reloads — a domain outage killing the very
+	// replacement it installed — is new work even though pending already
+	// "covers" the instance-side count.
 	awaitingSwap map[string]int
 	events       []*Event
 	started      bool
 
-	// Scarcity triage (nil = classic backoff free-for-all). prio supplies
-	// the group's live SLA-at-risk inputs; claimSeq makes claim keys unique
-	// per lifecycle.
+	// Scarcity triage: prio supplies the group's live SLA-at-risk inputs;
+	// claimSeq makes claim keys unique per lifecycle.
 	triage   *Triage
 	prio     func() (deficit float64, tenants int)
 	claimSeq int
@@ -153,37 +103,31 @@ type Controller struct {
 	// flag once the last failed node is repaired.
 	quarantine func(instID string, on bool)
 
-	// respread, when armed, re-spreads the group across failure domains
-	// after a collapse (see respread.go).
-	respread         bool
-	respreadParallel bool
+	// Re-spread (see respread.go) runs when the lifecycle spreads.
 	respreadInFlight bool
 	respreads        int
 
 	tel        *telemetry.Hub
 	mStarted   *telemetry.Counter
 	mCompleted *telemetry.Counter
-	mRetried   *telemetry.Counter
-	mExhausted *telemetry.Counter
 	mActive    *telemetry.Gauge
 	mDuration  *telemetry.Histogram
 }
 
-// New creates a controller for the group's instances over the shared pool.
-func New(eng *sim.Engine, pool *cluster.Pool, group string,
-	insts []*mppdb.Instance, cfg Config) (*Controller, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	if eng == nil || pool == nil || len(insts) == 0 {
-		return nil, fmt.Errorf("recovery: group %q needs an engine, a pool, and instances", group)
+// New creates a controller for the group's instances: lc is the group's
+// node lifecycle and tri the deployment's scarcity triage.
+func New(lc *cluster.Lifecycle, tri *Triage, group string, insts []*mppdb.Instance) (*Controller, error) {
+	if lc == nil || tri == nil || len(insts) == 0 {
+		return nil, fmt.Errorf("recovery: group %q needs a lifecycle, a triage, and instances", group)
 	}
 	return &Controller{
-		eng:          eng,
-		pool:         pool,
+		lc:           lc,
+		eng:          lc.Engine(),
+		pool:         lc.Pool(),
 		group:        group,
 		insts:        insts,
-		cfg:          cfg,
+		triage:       tri,
+		prio:         func() (float64, int) { return 0, 0 },
 		pending:      make(map[string]int),
 		awaitingSwap: make(map[string]int),
 	}, nil
@@ -197,24 +141,14 @@ func (c *Controller) SetTelemetry(h *telemetry.Hub) {
 	}
 	c.mStarted = h.Registry.Counter("thrifty_recovery_started_total", "group", c.group)
 	c.mCompleted = h.Registry.Counter("thrifty_recovery_completed_total", "group", c.group)
-	c.mRetried = h.Registry.Counter("thrifty_recovery_retry_total", "group", c.group)
-	c.mExhausted = h.Registry.Counter("thrifty_recovery_exhausted_total", "group", c.group)
 	c.mActive = h.Registry.Gauge("thrifty_recovery_in_progress", "group", c.group)
 	c.mDuration = h.Registry.Histogram("thrifty_recovery_duration_seconds",
 		[]float64{300, 600, 1200, 1800, 2700, 3600, 7200, 14400, 28800}, "group", c.group)
 }
 
-// SetTriage arms the cluster-wide scarcity triage: when replacement
-// acquisition hits pool exhaustion the lifecycle enqueues a claim ranked by
-// prio (sliding RT-TTP deficit, tenant count) instead of burning backoff
-// retry cycles. Call before Start; a nil triage keeps the classic backoff.
-func (c *Controller) SetTriage(t *Triage, prio func() (float64, int)) {
-	c.triage = t
-	if prio == nil {
-		prio = func() (float64, int) { return 0, 0 }
-	}
-	c.prio = prio
-}
+// SetPriority sets the group's SLA-at-risk inputs a triage claim is ranked
+// by (sliding RT-TTP deficit, tenant count); unset, every claim ranks zero.
+func (c *Controller) SetPriority(prio func() (float64, int)) { c.prio = prio }
 
 // SetQuarantine attaches a routing gate (router.SetQuarantine): the domain
 // injector flags instances whose nodes all died so new queries route to
@@ -233,13 +167,10 @@ func (c *Controller) Start() {
 	beat = func(now sim.Time) {
 		c.sweep()
 		c.maybeRespread()
-		c.eng.AfterShared(c.cfg.HeartbeatInterval, beat)
+		c.eng.AfterShared(HeartbeatInterval, beat)
 	}
-	c.eng.AfterShared(c.cfg.HeartbeatInterval, beat)
+	c.eng.AfterShared(HeartbeatInterval, beat)
 }
-
-// Started reports whether the heartbeat loop is armed.
-func (c *Controller) Started() bool { return c.started }
 
 // Notify prompts an immediate detection sweep — the push half of detection,
 // for callers that already know a node just failed. The caller must hold the
@@ -273,7 +204,7 @@ func (c *Controller) Events() []Event {
 //     instance model caps degradation at nodes-1 (§4.4: the MPPDB stays
 //     online), so when a whole domain dies this count undershoots.
 //   - pool-side: Failed records minus only the pre-swap pending lifecycles
-//     (awaitingSwap) — a mid-reload lifecycle has already Replaced its record,
+//     (awaitingSwap) — a mid-reload lifecycle has already swapped its record,
 //     so it cannot absorb a fresh pool failure. Without this split, an outage
 //     that kills a replacement node mid-reload stays masked until the reload
 //     drains, serializing what should be concurrent recoveries and leaking
@@ -303,6 +234,7 @@ func (c *Controller) begin(inst *mppdb.Instance) {
 		Group:           c.group,
 		MPPDB:           inst.ID(),
 		Detected:        c.eng.Now(),
+		Attempts:        1,
 		FailedNode:      -1,
 		ReplacementNode: -1,
 	}
@@ -318,76 +250,31 @@ func (c *Controller) begin(inst *mppdb.Instance) {
 			Detail: "node failure detected; acquiring replacement",
 		})
 	}
-	c.attempt(ev, inst, 1, c.cfg.InitialBackoff)
-}
-
-// attempt tries to acquire a replacement node; on pool exhaustion it hands
-// the lifecycle to the scarcity triage when one is armed, otherwise backs
-// off exponentially and after MaxAttempts misses rests for CoolDown before
-// a fresh cycle.
-func (c *Controller) attempt(ev *Event, inst *mppdb.Instance, try int, backoff time.Duration) {
-	ev.Attempts++
-	failedID, repl, err := c.swap(inst.ID())
+	failedID, repl, delay, err := c.swap(ev, inst)
 	if err != nil {
 		ev.Err = err.Error()
-		if c.triage != nil {
-			c.enqueueTriage(ev, inst)
-			return
-		}
-		if try >= c.cfg.MaxAttempts {
-			ev.ExhaustedCycles++
-			ev.Backoff = 0
-			ev.CoolingUntil = c.eng.Now().Add(c.cfg.CoolDown)
-			ev.NextAttemptAt = ev.CoolingUntil
-			if c.tel != nil {
-				c.mExhausted.Inc()
-				c.tel.Events.Publish(telemetry.Event{
-					Type:   telemetry.EventRecoveryFailed,
-					Group:  c.group,
-					MPPDB:  inst.ID(),
-					Value:  float64(try),
-					Detail: fmt.Sprintf("cycle exhausted after %d attempts (%v); cooling down %v", try, err, c.cfg.CoolDown),
-				})
-			}
-			c.eng.AfterShared(c.cfg.CoolDown, func(sim.Time) {
-				ev.CoolingUntil = 0
-				c.attempt(ev, inst, 1, c.cfg.InitialBackoff)
-			})
-			return
-		}
-		if c.tel != nil {
-			c.mRetried.Inc()
-			c.tel.Events.Publish(telemetry.Event{
-				Type:   telemetry.EventRecoveryFailed,
-				Group:  c.group,
-				MPPDB:  inst.ID(),
-				Value:  float64(try),
-				Detail: fmt.Sprintf("attempt %d/%d: %v; backing off %v", try, c.cfg.MaxAttempts, err, backoff),
-			})
-		}
-		next := 2 * backoff
-		if next > c.cfg.MaxBackoff {
-			next = c.cfg.MaxBackoff
-		}
-		ev.Backoff = backoff
-		ev.NextAttemptAt = c.eng.Now().Add(backoff)
-		c.eng.AfterShared(backoff, func(sim.Time) {
-			c.attempt(ev, inst, try+1, next)
-		})
+		c.enqueueTriage(ev, inst)
 		return
 	}
-	c.replaced(ev, inst, failedID, repl)
+	c.replaced(ev, inst, failedID, repl, delay)
+}
+
+// swap runs the lifecycle's swap for one failed node of inst: the fresh node
+// reloads the instance's per-node data share, one loader stream per node
+// when loading is parallel, then finish restores full speed.
+func (c *Controller) swap(ev *Event, inst *mppdb.Instance) (failed, repl int, delay time.Duration, err error) {
+	share := inst.TenantDataGB() / float64(inst.Nodes())
+	return c.lc.Swap(inst.ID(), share, inst.Nodes(), func() { c.finish(ev, inst) })
 }
 
 // enqueueTriage parks the lifecycle in the cluster scarcity queue and polls
 // on this group's clock until the allocator ranks it inside the free-node
-// budget. No retry cycles are burned while queued: the instance serves
-// degraded behind the brownout/admission machinery.
+// budget. The instance serves degraded meanwhile, behind the
+// brownout/admission machinery.
 func (c *Controller) enqueueTriage(ev *Event, inst *mppdb.Instance) {
 	c.claimSeq++
 	key := fmt.Sprintf("%s#%d", inst.ID(), c.claimSeq)
 	ev.Triaged = true
-	ev.Backoff = 0
 	deficit, tenants := c.prio()
 	c.triage.Enqueue(key, c.group, inst.ID(), deficit, tenants)
 	if c.tel != nil {
@@ -402,83 +289,51 @@ func (c *Controller) enqueueTriage(ev *Event, inst *mppdb.Instance) {
 	var poll func(sim.Time)
 	poll = func(sim.Time) {
 		deficit, tenants := c.prio()
-		failedID, repl, ok := c.triage.TryGrant(key, deficit, tenants)
-		if !ok {
+		var failedID, repl int
+		var delay time.Duration
+		granted := c.triage.TryGrant(key, deficit, tenants, func() (err error) {
+			failedID, repl, delay, err = c.swap(ev, inst)
+			return err
+		})
+		if !granted {
 			ev.NextAttemptAt = c.eng.Now().Add(triageInterval)
 			c.eng.AfterShared(triageInterval, poll)
 			return
-		}
-		if failedID >= 0 {
-			id := failedID
-			c.eng.AfterShared(cluster.ReimageTime(), func(sim.Time) { _ = c.pool.Reimage(id) })
 		}
 		if c.tel != nil {
 			c.tel.Events.Publish(telemetry.Event{
 				Type:   telemetry.EventTriageGranted,
 				Group:  c.group,
 				MPPDB:  inst.ID(),
-				Value:  float64(repl.ID),
-				Detail: fmt.Sprintf("triage granted node %d after %v queued", repl.ID, c.eng.Now()-ev.Detected),
+				Value:  float64(repl),
+				Detail: fmt.Sprintf("triage granted node %d after %v queued", repl, c.eng.Now()-ev.Detected),
 			})
 		}
-		c.replaced(ev, inst, failedID, repl)
+		c.replaced(ev, inst, failedID, repl, delay)
 	}
 	ev.NextAttemptAt = c.eng.Now().Add(triageInterval)
 	c.eng.AfterShared(triageInterval, poll)
 }
 
 // replaced is the success half of a lifecycle: a replacement node is in
-// hand, Table 5.1 startup + reload run, then finish restores full speed.
-func (c *Controller) replaced(ev *Event, inst *mppdb.Instance, failedID int, repl *cluster.Node) {
+// hand and reloading; finish runs when it is done.
+func (c *Controller) replaced(ev *Event, inst *mppdb.Instance, failedID, repl int, delay time.Duration) {
 	c.awaitingSwap[inst.ID()]--
 	ev.Err = ""
 	ev.Replaced = c.eng.Now()
 	ev.FailedNode = failedID
-	ev.ReplacementNode = repl.ID
-	ev.Backoff = 0
+	ev.ReplacementNode = repl
 	ev.NextAttemptAt = 0
-	ev.CoolingUntil = 0
-	// Table 5.1: start + initialize the one replacement node, then reload
-	// this node's share of the instance's tenant data — over a single loader
-	// stream by default (per-node shard; the surviving nodes keep serving
-	// theirs), or re-replicated from the surviving peers in parallel streams
-	// when ParallelReload is armed.
-	share := inst.TenantDataGB() / float64(inst.Nodes())
-	delay := cluster.StartupTime(1) + cluster.LoadTime(share, 1, false)
-	if c.cfg.ParallelReload {
-		delay = cluster.StartupTime(1) + cluster.LoadTime(share, inst.Nodes(), true)
-	}
 	if c.tel != nil {
+		share := inst.TenantDataGB() / float64(inst.Nodes())
 		c.tel.Events.Publish(telemetry.Event{
 			Type:   telemetry.EventRecoveryReplaced,
 			Group:  c.group,
 			MPPDB:  inst.ID(),
-			Value:  float64(repl.ID),
-			Detail: fmt.Sprintf("replacement node %d starting; %.0f GB reload, ready in %v", repl.ID, share, delay),
+			Value:  float64(repl),
+			Detail: fmt.Sprintf("replacement node %d starting; %.0f GB reload, ready in %v", repl, share, delay),
 		})
 	}
-	c.eng.AfterShared(delay, func(sim.Time) { c.finish(ev, inst) })
-}
-
-// swap exchanges a failed pool node of the instance for a fresh one. When the
-// pool has no Failed record for the instance (instance-only injection), it
-// falls back to a plain acquire. The swapped-out node re-images in the
-// background and re-joins the free list after cluster.ReimageTime.
-func (c *Controller) swap(owner string) (int, *cluster.Node, error) {
-	if ids := c.pool.FailedNodesOf(owner); len(ids) > 0 {
-		id := ids[0]
-		repl, err := c.pool.Replace(id)
-		if err != nil {
-			return -1, nil, err
-		}
-		c.eng.AfterShared(cluster.ReimageTime(), func(sim.Time) { _ = c.pool.Reimage(id) })
-		return id, repl, nil
-	}
-	nodes, err := c.pool.Acquire(owner, 1)
-	if err != nil {
-		return -1, nil, err
-	}
-	return -1, nodes[0], nil
 }
 
 // finish completes the lifecycle: the reloaded replacement joins and the

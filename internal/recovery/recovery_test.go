@@ -2,7 +2,6 @@ package recovery
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/mppdb"
@@ -13,14 +12,15 @@ import (
 // rig is one instrumented group: a 2-node instance holding 10 GB, its pool
 // nodes acquired, a started controller, and a telemetry hub.
 type rig struct {
-	eng  *sim.Engine
-	pool *cluster.Pool
-	inst *mppdb.Instance
-	ctl  *Controller
-	hub  *telemetry.Hub
+	eng    *sim.Engine
+	pool   *cluster.Pool
+	triage *Triage
+	inst   *mppdb.Instance
+	ctl    *Controller
+	hub    *telemetry.Hub
 }
 
-func newRig(t *testing.T, poolSize int, cfg Config) *rig {
+func newRig(t *testing.T, poolSize int) *rig {
 	t.Helper()
 	eng := sim.NewEngine()
 	pool := cluster.NewPool(poolSize)
@@ -29,14 +29,21 @@ func newRig(t *testing.T, poolSize int, cfg Config) *rig {
 	if _, err := pool.Acquire(inst.ID(), 2); err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := New(eng, pool, "g0", []*mppdb.Instance{inst}, cfg)
+	r := &rig{eng: eng, pool: pool, triage: NewTriage(pool), inst: inst, hub: telemetry.NewHub(eng, 0.999)}
+	r.ctl = newController(t, eng, pool, r.triage, inst)
+	r.ctl.SetTelemetry(r.hub)
+	r.ctl.Start()
+	return r
+}
+
+// newController builds a controller for inst on a single-stream lifecycle.
+func newController(t *testing.T, eng *sim.Engine, pool *cluster.Pool, tri *Triage, inst *mppdb.Instance) *Controller {
+	t.Helper()
+	ctl, err := New(cluster.NewLifecycle(eng, pool, false, false), tri, "g0", []*mppdb.Instance{inst})
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := telemetry.NewHub(eng, 0.999)
-	ctl.SetTelemetry(hub)
-	ctl.Start()
-	return &rig{eng: eng, pool: pool, inst: inst, ctl: ctl, hub: hub}
+	return ctl
 }
 
 // crash fails one node at the instance and the pool, like the replay injector.
@@ -64,8 +71,7 @@ func countEvents(hub *telemetry.Hub, typ telemetry.EventType) int {
 }
 
 func TestDetectAndRecover(t *testing.T) {
-	cfg := DefaultConfig()
-	r := newRig(t, 3, cfg) // one spare
+	r := newRig(t, 3) // one spare
 	r.crash(t, 100*sim.Second)
 	r.eng.Run(2 * sim.Day)
 
@@ -87,7 +93,7 @@ func TestDetectAndRecover(t *testing.T) {
 	if got := ev.Completed - ev.Replaced; got != sim.Duration(wantDelay) {
 		t.Errorf("reload took %v, want StartupTime(1)+LoadTime(5GB) = %v", got, wantDelay)
 	}
-	if ev.Attempts != 1 || ev.ExhaustedCycles != 0 || ev.Err != "" {
+	if ev.Attempts != 1 || ev.Triaged || ev.Err != "" {
 		t.Errorf("lifecycle bookkeeping: %+v", ev)
 	}
 	if ev.FailedNode != 0 || ev.ReplacementNode != 2 {
@@ -134,10 +140,7 @@ func TestRepeatCrashDuringRecovery(t *testing.T) {
 	if _, err := pool.Acquire(inst.ID(), 3); err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := New(eng, pool, "g0", []*mppdb.Instance{inst}, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctl := newController(t, eng, pool, NewTriage(pool), inst)
 	ctl.Start()
 	crash := func(at sim.Time) {
 		eng.Schedule(at, func(sim.Time) {
@@ -174,44 +177,30 @@ func TestRepeatCrashDuringRecovery(t *testing.T) {
 	}
 }
 
-// TestPoolExhaustionBacksOff: with no free node, the controller retries with
-// exponential backoff, exhausts the cycle, cools down — and succeeds once
-// capacity appears. The clock domain never deadlocks (Run simply returns).
-func TestPoolExhaustionBacksOff(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxAttempts = 3
-	cfg.CoolDown = 30 * time.Minute
-	r := newRig(t, 2, cfg) // pool exactly covers the instance: no spare
+// TestPoolExhaustionQueuesInTriage: with no free node, the lifecycle queues
+// a claim in the scarcity triage and keeps polling for days without
+// recovering, panicking, or deadlocking the engine — Run simply returns at
+// the bound with the recovery open and the instance serving degraded.
+func TestPoolExhaustionQueuesInTriage(t *testing.T) {
+	r := newRig(t, 2) // pool exactly covers the instance: no spare
 	r.crash(t, 100*sim.Second)
-	// First cycle: attempts at 120 s, +1 min, +2 min — all exhausted.
-	r.eng.Run(20 * sim.Minute)
+	r.eng.Run(3 * sim.Day)
 
 	evs := r.ctl.Events()
 	if len(evs) != 1 {
 		t.Fatalf("%d recovery events, want 1", len(evs))
 	}
-	if evs[0].Recovered() || evs[0].ExhaustedCycles != 1 || evs[0].Attempts != 3 {
-		t.Errorf("after first cycle: %+v", evs[0])
+	if evs[0].Recovered() || !evs[0].Triaged || evs[0].Err == "" {
+		t.Fatalf("exhausted lifecycle: %+v", evs[0])
 	}
-	if evs[0].Err == "" {
-		t.Error("exhausted lifecycle has no error")
+	if want := 3*sim.Day - 60*sim.Second; evs[0].NextAttemptAt <= want {
+		t.Errorf("NextAttemptAt = %v, want the poll after %v", evs[0].NextAttemptAt, want)
 	}
-	if n := countEvents(r.hub, telemetry.EventRecoveryFailed); n != 3 {
-		t.Errorf("%d recovery_failed events, want 3 (2 backoffs + 1 exhaustion)", n)
+	if n := countEvents(r.hub, telemetry.EventTriageEnqueued); n != 1 {
+		t.Errorf("%d triage_enqueued events, want 1", n)
 	}
-	if got := r.hub.Registry.Counter("thrifty_recovery_exhausted_total", "group", "g0").Value(); got != 1 {
-		t.Errorf("exhausted counter = %d", got)
-	}
-	// Days later, still no capacity: the controller keeps cycling (cool-down
-	// + fresh attempts) without recovering, panicking, or deadlocking the
-	// engine — Run simply returns at the bound with the recovery open.
-	r.eng.Run(3 * sim.Day)
-	evs = r.ctl.Events()
-	if evs[0].Recovered() {
-		t.Fatalf("recovered with no capacity: %+v", evs[0])
-	}
-	if evs[0].ExhaustedCycles < 2 {
-		t.Errorf("ExhaustedCycles = %d, want repeated cycles over 3 days", evs[0].ExhaustedCycles)
+	if q := r.triage.Queued(); len(q) != 1 || q[0].Owner != r.inst.ID() || q[0].Polls < 3*24*60-3 {
+		t.Errorf("triage queue after 3 days: %+v", q)
 	}
 	if r.ctl.InProgress() != 1 {
 		t.Errorf("InProgress = %d, want 1 (still waiting for capacity)", r.ctl.InProgress())
@@ -222,12 +211,10 @@ func TestPoolExhaustionBacksOff(t *testing.T) {
 	}
 }
 
-// TestRecoveryAfterCapacityReturns: an exhausted controller completes the
-// recovery in a later cycle when a hibernated node appears.
+// TestRecoveryAfterCapacityReturns: a queued claim is granted at the first
+// triage poll after a hibernated node appears, and the recovery completes
+// Table 5.1 later.
 func TestRecoveryAfterCapacityReturns(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.MaxAttempts = 2
-	cfg.CoolDown = 10 * time.Minute
 	eng := sim.NewEngine()
 	pool := cluster.NewPool(3)
 	inst := mppdb.New(eng, "g0-db0", 2)
@@ -239,10 +226,7 @@ func TestRecoveryAfterCapacityReturns(t *testing.T) {
 	if _, err := pool.Acquire("hog", 1); err != nil {
 		t.Fatal(err)
 	}
-	ctl, err := New(eng, pool, "g0", []*mppdb.Instance{inst}, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctl := newController(t, eng, pool, NewTriage(pool), inst)
 	ctl.Start()
 	eng.Schedule(100*sim.Second, func(sim.Time) {
 		if err := inst.FailNode(); err != nil {
@@ -253,19 +237,24 @@ func TestRecoveryAfterCapacityReturns(t *testing.T) {
 			t.Errorf("FailAny: %v", err)
 		}
 	})
-	// The hog releases its node after the first cycle has exhausted.
-	eng.Schedule(30*sim.Minute, func(sim.Time) { pool.Release("hog") })
+	// The hog releases its node long after the claim queued.
+	const release = 30*sim.Minute + 30*sim.Second
+	eng.Schedule(release, func(sim.Time) { pool.Release("hog") })
 	eng.Run(2 * sim.Day)
 
 	evs := ctl.Events()
-	if len(evs) != 1 || !evs[0].Recovered() {
-		t.Fatalf("recovery did not complete after capacity returned: %+v", evs)
+	if len(evs) != 1 || !evs[0].Recovered() || !evs[0].Triaged {
+		t.Fatalf("recovery did not complete through the triage: %+v", evs)
 	}
-	if evs[0].ExhaustedCycles < 1 || evs[0].Attempts <= cfg.MaxAttempts {
-		t.Errorf("expected at least one exhausted cycle before success: %+v", evs[0])
+	ev := evs[0]
+	if ev.Replaced < release || ev.Replaced > release+sim.Time(triageInterval) {
+		t.Errorf("granted at %v, want within one triage poll of the release at %v", ev.Replaced, release)
 	}
-	if evs[0].Err != "" {
-		t.Errorf("Err not cleared on success: %q", evs[0].Err)
+	if want := cluster.StartupTime(1) + cluster.LoadTime(5, 1, false); ev.Completed-ev.Replaced != sim.Duration(want) {
+		t.Errorf("reload took %v, want Table 5.1's %v", ev.Completed-ev.Replaced, want)
+	}
+	if ev.Err != "" {
+		t.Errorf("Err not cleared on success: %q", ev.Err)
 	}
 	if inst.FailedNodes() != 0 {
 		t.Errorf("instance left degraded")
@@ -278,7 +267,7 @@ func TestRecoveryAfterCapacityReturns(t *testing.T) {
 // TestInstanceOnlyFailureFallsBackToAcquire: a failure injected at the
 // instance alone (no pool-side Failed record) recovers via a plain acquire.
 func TestInstanceOnlyFailureFallsBackToAcquire(t *testing.T) {
-	r := newRig(t, 3, DefaultConfig())
+	r := newRig(t, 3)
 	r.eng.Schedule(50*sim.Second, func(sim.Time) {
 		if err := r.inst.FailNode(); err != nil {
 			t.Errorf("FailNode: %v", err)
@@ -300,7 +289,7 @@ func TestInstanceOnlyFailureFallsBackToAcquire(t *testing.T) {
 // TestNotifySkipsDetectionLatency: a push notification recovers without
 // waiting for the next heartbeat.
 func TestNotifySkipsDetectionLatency(t *testing.T) {
-	r := newRig(t, 3, DefaultConfig())
+	r := newRig(t, 3)
 	r.eng.Schedule(100*sim.Second, func(sim.Time) {
 		if err := r.inst.FailNode(); err != nil {
 			t.Errorf("FailNode: %v", err)
@@ -326,33 +315,66 @@ func TestNotifySkipsDetectionLatency(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	pool := cluster.NewPool(2)
+	lc := cluster.NewLifecycle(eng, pool, false, false)
+	tri := NewTriage(pool)
 	inst := mppdb.New(eng, "x", 2)
-	bad := []Config{
-		{},
-		{HeartbeatInterval: time.Second, MaxAttempts: 0, InitialBackoff: time.Second, MaxBackoff: time.Second, CoolDown: time.Second},
-		{HeartbeatInterval: -time.Second, MaxAttempts: 1, InitialBackoff: time.Second, MaxBackoff: time.Second, CoolDown: time.Second},
+	if _, err := New(nil, tri, "g", []*mppdb.Instance{inst}); err == nil {
+		t.Error("nil lifecycle accepted")
 	}
-	for i, cfg := range bad {
-		if _, err := New(eng, pool, "g", []*mppdb.Instance{inst}, cfg); err == nil {
-			t.Errorf("bad config %d accepted", i)
-		}
+	if _, err := New(lc, nil, "g", []*mppdb.Instance{inst}); err == nil {
+		t.Error("nil triage accepted")
 	}
-	if _, err := New(nil, pool, "g", []*mppdb.Instance{inst}, DefaultConfig()); err == nil {
-		t.Error("nil engine accepted")
-	}
-	if _, err := New(eng, pool, "g", nil, DefaultConfig()); err == nil {
+	if _, err := New(lc, tri, "g", nil); err == nil {
 		t.Error("no instances accepted")
 	}
-	ctl, err := New(eng, pool, "g", []*mppdb.Instance{inst}, DefaultConfig())
+	ctl, err := New(lc, tri, "g", []*mppdb.Instance{inst})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl.Start()
 	ctl.Start() // idempotent
-	if !ctl.Started() {
-		t.Error("Started false after Start")
-	}
 	if n := eng.Pending(); n != 1 {
 		t.Errorf("double Start armed %d heartbeats, want 1", n)
+	}
+}
+
+// TestRespreadAbortReimagesFailedStaging: a group collapsed onto one of two
+// domains re-spreads a replica; a staged node fails mid-load, so the move is
+// aborted — the failed node is re-imaged, not hibernated at once — and a
+// later beat re-spreads successfully.
+func TestRespreadAbortReimagesFailedStaging(t *testing.T) {
+	eng := sim.NewEngine()
+	pool := cluster.NewPoolDomains(8, 2)
+	var insts []*mppdb.Instance
+	for _, id := range []string{"g0-db0", "g0-db1"} {
+		inst := mppdb.New(eng, id, 2)
+		inst.DeployTenant("T0", 10)
+		if _, err := pool.Acquire(id, 2); err != nil { // both in domain 0
+			t.Fatal(err)
+		}
+		insts = append(insts, inst)
+	}
+	ctl, err := New(cluster.NewLifecycle(eng, pool, false, true), NewTriage(pool), "g0", insts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl.Start()
+	// The first beat (30 s) stages g0-db1's move onto domain 1.
+	eng.Schedule(100*sim.Second, func(sim.Time) {
+		if _, err := pool.FailAny("g0-db1/respread"); err != nil {
+			t.Errorf("failing a staged node: %v", err)
+		}
+	})
+	abortAt := 30*sim.Second + sim.Time(cluster.ProvisionTime(2, 10, false))
+	eng.Run(abortAt)
+	if ctl.Respreads() != 0 || pool.CountState(cluster.Repairing) != 1 || pool.FailedCount("g0-db1/respread") != 0 {
+		t.Fatalf("after the abort: respreads %d, pool %+v", ctl.Respreads(), pool.Snapshot().ByState)
+	}
+	eng.Run(sim.Day)
+	if ctl.Respreads() != 1 || pool.CountState(cluster.Repairing) != 0 || pool.CountState(cluster.Active) != 4 {
+		t.Fatalf("re-spread did not recover: respreads %d, pool %+v", ctl.Respreads(), pool.Snapshot().ByState)
+	}
+	if doms := pool.OwnerDomains("g0-db1"); len(doms) != 1 || doms[0] != 1 {
+		t.Errorf("g0-db1 in domains %v, want [1]", doms)
 	}
 }

@@ -3,18 +3,16 @@
 // racks can come out of the outage collapsed onto one — protected against
 // nothing the next time a rack dies. Once the domain returns, the heartbeat
 // notices the collapse and live-migrates one replica back onto a fresh
-// domain with the PR-6 migration mechanics: the target nodes provision and
+// domain through the group's lifecycle: the target nodes are staged and
 // reload in the background (Table 5.1 startup + bulk load) while the old
-// nodes keep serving, then the pool flips atomically — the instance's
-// backing nodes change domains without dropping a query.
+// nodes keep serving, then the lifecycle cuts over — the instance's backing
+// nodes change domains without dropping a query.
 package recovery
 
 import (
 	"fmt"
 
-	"repro/internal/cluster"
 	"repro/internal/mppdb"
-	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
@@ -26,25 +24,14 @@ const respreadMinDomains = 2
 // Respreads returns how many re-spread migrations have cut over.
 func (c *Controller) Respreads() int { return c.respreads }
 
-// SetRespread arms the collapse check, evaluated on each heartbeat;
-// parallelLoad selects the Table 5.1 parallel bulk-load model for the
-// migration reload. Call before Start. Strictly opt-in: unarmed controllers
-// behave byte-identically to the pre-domain code.
-func (c *Controller) SetRespread(parallelLoad bool) {
-	c.respread = true
-	c.respreadParallel = parallelLoad
-}
-
-// maybeRespread runs on the heartbeat: when the group is healthy but spans
+// maybeRespread runs on the heartbeat of a group whose lifecycle spreads
+// (cluster.Lifecycle.Spreads): when the group is healthy but spans
 // fewer failure domains than its target, it starts one live replica
 // migration onto an unused domain. One migration at a time; if no fresh
 // domain has capacity (e.g. the rack is still down), it simply tries again
 // next beat.
 func (c *Controller) maybeRespread() {
-	if !c.respread || c.respreadInFlight || c.InProgress() > 0 {
-		return
-	}
-	if len(c.insts) < 2 || c.pool.Domains() < 2 {
+	if !c.lc.Spreads() || c.respreadInFlight || c.InProgress() > 0 || len(c.insts) < 2 {
 		return
 	}
 	used := map[int]bool{}
@@ -56,14 +43,7 @@ func (c *Controller) maybeRespread() {
 			used[d] = true
 		}
 	}
-	want := respreadMinDomains
-	if c.pool.Domains() < want {
-		want = c.pool.Domains()
-	}
-	if len(c.insts) < want {
-		want = len(c.insts)
-	}
-	if len(used) >= want {
+	if len(used) >= min(respreadMinDomains, c.pool.Domains(), len(c.insts)) {
 		return
 	}
 	avoid := make([]int, 0, len(used))
@@ -75,7 +55,7 @@ func (c *Controller) maybeRespread() {
 	inst := c.insts[len(c.insts)-1]
 	owner := inst.ID()
 	tempOwner := owner + "/respread"
-	nodes, doms, err := c.pool.AcquireSpread(tempOwner, inst.Nodes(), avoid)
+	doms, err := c.lc.Stage(tempOwner, inst.Nodes(), avoid)
 	if err != nil {
 		return // pool too tight; retry next beat
 	}
@@ -89,33 +69,34 @@ func (c *Controller) maybeRespread() {
 	if !fresh {
 		// Only collapsed domains had capacity (the rack is still down);
 		// undo and wait.
-		c.pool.Release(tempOwner)
+		c.lc.Abort(tempOwner)
 		return
 	}
 	c.respreadInFlight = true
-	cost := cluster.StartupTime(inst.Nodes()) +
-		cluster.LoadTime(inst.TenantDataGB(), inst.Nodes(), c.respreadParallel)
+	cost := c.lc.Ready(tempOwner, inst.Nodes(), inst.TenantDataGB(), func(intact bool) {
+		c.finishRespread(inst, owner, tempOwner, doms, intact)
+	})
 	if c.tel != nil {
 		c.tel.Events.Publish(telemetry.Event{
 			Type:   telemetry.EventRespread,
 			Group:  c.group,
 			MPPDB:  owner,
 			Value:  cost.Seconds(),
-			Detail: fmt.Sprintf("group collapsed onto %d domain(s); migrating replica to domain %v (%d nodes, ready in %v)", len(used), doms, len(nodes), cost),
+			Detail: fmt.Sprintf("group collapsed onto %d domain(s); migrating replica to domain %v (%d nodes, ready in %v)", len(used), doms, inst.Nodes(), cost),
 		})
 	}
-	c.eng.AfterShared(cost, func(sim.Time) { c.finishRespread(inst, owner, tempOwner, doms) })
 }
 
-// finishRespread flips (or aborts) the staged migration once the background
-// reload is done. If anything died meanwhile — a staged node's domain went
-// down, or the instance took a crash — the staging is released and the move
-// is retried from scratch by a later beat; the serving nodes were never
-// touched, so either way no query is dropped.
-func (c *Controller) finishRespread(inst *mppdb.Instance, owner, tempOwner string, doms []int) {
+// finishRespread cuts the staged migration over (or aborts it) once the
+// background reload is done. If anything died meanwhile — a staged node's
+// domain went down, or the instance took a crash — the lifecycle aborts the
+// staging (its failed nodes are re-imaged) and a later beat retries from
+// scratch; the serving nodes were never touched, so either way no query is
+// dropped.
+func (c *Controller) finishRespread(inst *mppdb.Instance, owner, tempOwner string, doms []int, intact bool) {
 	c.respreadInFlight = false
 	abort := func(why string) {
-		c.pool.Release(tempOwner)
+		c.lc.Abort(tempOwner)
 		if c.tel != nil {
 			c.tel.Events.Publish(telemetry.Event{
 				Type:   telemetry.EventRespread,
@@ -125,12 +106,11 @@ func (c *Controller) finishRespread(inst *mppdb.Instance, owner, tempOwner strin
 			})
 		}
 	}
-	if inst.FailedNodes() > 0 || c.pool.FailedCount(owner) > 0 ||
-		c.pool.FailedCount(tempOwner) > 0 {
+	if !intact || inst.FailedNodes() > 0 || c.pool.FailedCount(owner) > 0 {
 		abort("instance or staged nodes failed during the background reload")
 		return
 	}
-	released, err := c.pool.CompleteRespread(owner, tempOwner)
+	released, err := c.lc.CutOver(owner, tempOwner)
 	if err != nil {
 		abort(err.Error())
 		return

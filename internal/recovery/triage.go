@@ -1,14 +1,15 @@
-// The cluster-wide scarcity triage allocator. When a correlated failure
-// (a whole rack/zone) takes the pool scarce, every group's recovery
-// controller used to fight for the same few hibernated nodes with
-// uncoordinated exponential backoff — whichever group's timer fired first
-// won, regardless of how close it was to violating its SLA. The Triage
-// replaces that free-for-all: exhausted lifecycles enqueue a claim ranked by
-// SLA-at-risk (sliding RT-TTP deficit × tenant count) and poll on their own
-// clock domain; a poll is granted only when the claim ranks inside the
-// pool's current free-node budget, so scarce nodes always go to the
-// worst-off group first and the losers keep serving degraded behind the
-// existing brownout/admission machinery instead of burning retry cycles.
+// The cluster-wide scarcity triage allocator: the one rule for an exhausted
+// pool. When a correlated failure (a whole rack/zone) takes the pool scarce,
+// every group's recovery controller would otherwise fight for the same few
+// hibernated nodes, and whichever group asked first would win regardless of
+// how close it was to violating its SLA. Instead a lifecycle whose swap
+// finds the pool exhausted enqueues a claim ranked by SLA-at-risk (sliding
+// RT-TTP deficit × tenant count) and polls on its own clock domain; a poll is
+// granted only when the claim ranks inside the pool's current free-node
+// budget, so scarce nodes always go to the worst-off group first and the
+// losers keep serving degraded behind the existing brownout/admission
+// machinery. The triage decides who gets a node; the claimant's
+// cluster.Lifecycle swaps it in, under the triage lock.
 //
 // The pull design keeps clock domains safe: the allocator never schedules
 // onto another group's engine. Under replay every poll happens in one
@@ -117,24 +118,24 @@ func (t *Triage) rankLocked() []*triageClaim {
 
 // TryGrant is one claim poll: the claimant refreshes its priority and asks
 // for a replacement node. A grant happens only when the claim ranks within
-// the pool's free-node budget; the swap itself (Replace of the owner's
-// oldest failed node, or a plain acquire for instance-only failures) runs
-// under the triage lock so concurrent polls cannot over-commit the pool.
-// On success the claim leaves the queue and the caller schedules the
-// swapped-out node's re-image; on denial the claim stays queued.
-func (t *Triage) TryGrant(key string, deficit float64, tenants int) (failedID int, repl *cluster.Node, ok bool) {
+// the pool's free-node budget and swap — the claimant's lifecycle swap —
+// succeeds; it runs under the triage lock so concurrent polls cannot
+// over-commit the pool. On success the claim leaves the queue; on denial,
+// including a swap that lost a race against a non-triage acquirer, it stays
+// queued.
+func (t *Triage) TryGrant(key string, deficit float64, tenants int, swap func() error) bool {
 	t.pool.Gate().Guard("the scarcity triage")
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	c, found := t.claims[key]
 	if !found {
-		return -1, nil, false
+		return false
 	}
 	c.deficit, c.tenants = deficit, tenants
 	c.polls++
 	free := t.pool.Free()
 	if free <= 0 {
-		return -1, nil, false
+		return false
 	}
 	rank := -1
 	for i, rc := range t.rankLocked() {
@@ -143,30 +144,12 @@ func (t *Triage) TryGrant(key string, deficit float64, tenants int) (failedID in
 			break
 		}
 	}
-	if rank < 0 || rank >= free {
-		return -1, nil, false
-	}
-	if ids := t.pool.FailedNodesOf(c.owner); len(ids) > 0 {
-		// Pool-side record: swap the oldest failed node. A lost race against
-		// a non-triage acquirer denies the poll rather than stranding the
-		// failed node.
-		failedID = ids[0]
-		repl, err := t.pool.Replace(failedID)
-		if err != nil {
-			return -1, nil, false
-		}
-		delete(t.claims, key)
-		t.granted++
-		return failedID, repl, true
-	}
-	// Instance-only failure (no pool record): plain acquire.
-	nodes, err := t.pool.Acquire(c.owner, 1)
-	if err != nil {
-		return -1, nil, false
+	if rank < 0 || rank >= free || swap() != nil {
+		return false
 	}
 	delete(t.claims, key)
 	t.granted++
-	return -1, nodes[0], true
+	return true
 }
 
 // Queued returns the outstanding claims, worst-off first.

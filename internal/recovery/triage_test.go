@@ -50,20 +50,21 @@ func TestTriageGrantBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewTriage(pool)
+	lc := cluster.NewLifecycle(sim.NewEngine(), pool, false, false)
 	tr.Enqueue("a", "ga", "a", 0.01, 1)
 	tr.Enqueue("b", "gb", "b", 0.50, 4)
-	if _, _, ok := tr.TryGrant("a", 0.01, 1); ok {
+	if ok := tr.TryGrant("a", 0.01, 1, swapFor(lc, "a", nil)); ok {
 		t.Fatalf("rank-1 claim granted with a budget of 1")
 	}
-	failedID, repl, ok := tr.TryGrant("b", 0.50, 4)
-	if !ok || repl == nil || failedID != -1 {
-		t.Fatalf("worst-off claim denied: failed=%d repl=%v ok=%v", failedID, repl, ok)
+	var sw swapped
+	if ok := tr.TryGrant("b", 0.50, 4, swapFor(lc, "b", &sw)); !ok || sw.repl < 0 || sw.failed != -1 {
+		t.Fatalf("worst-off claim denied: %+v ok=%v", sw, ok)
 	}
 	if got := pool.ActiveNodesOf("b"); len(got) != 2 {
 		t.Fatalf("grant did not acquire for b: %v", got)
 	}
 	// The pool is now empty; the survivor stays queued no matter its rank.
-	if _, _, ok := tr.TryGrant("a", 9.0, 9); ok {
+	if ok := tr.TryGrant("a", 9.0, 9, swapFor(lc, "a", nil)); ok {
 		t.Fatalf("grant from an empty pool")
 	}
 	if q := tr.Queued(); len(q) != 1 || q[0].Polls != 2 {
@@ -76,7 +77,7 @@ func TestTriageGrantBudget(t *testing.T) {
 
 func TestTriageGrantSwapsFailedNode(t *testing.T) {
 	// When the pool holds a Failed record for the owner, a grant is a swap:
-	// Replace the oldest casualty so the caller can schedule its re-image.
+	// the lifecycle replaces the oldest casualty and schedules its re-image.
 	pool := cluster.NewPool(3)
 	if _, err := pool.Acquire("a", 2); err != nil {
 		t.Fatal(err)
@@ -86,12 +87,14 @@ func TestTriageGrantSwapsFailedNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := NewTriage(pool)
+	eng := sim.NewEngine()
+	lc := cluster.NewLifecycle(eng, pool, false, false)
 	tr.Enqueue("a", "ga", "a", 0.1, 1)
-	gotFailed, repl, ok := tr.TryGrant("a", 0.1, 1)
-	if !ok || gotFailed != failed || repl == nil {
-		t.Fatalf("swap grant: failed=%d (want %d) repl=%v ok=%v", gotFailed, failed, repl, ok)
+	var sw swapped
+	if ok := tr.TryGrant("a", 0.1, 1, swapFor(lc, "a", &sw)); !ok || sw.failed != failed || sw.repl < 0 {
+		t.Fatalf("swap grant: %+v (want failed %d) ok=%v", sw, failed, ok)
 	}
-	if len(pool.FailedNodesOf("a")) != 0 {
+	if pool.FailedCount("a") != 0 {
 		t.Fatalf("swap left a's failed record behind")
 	}
 	if pool.CountState(cluster.Repairing) != 1 {
@@ -100,13 +103,32 @@ func TestTriageGrantSwapsFailedNode(t *testing.T) {
 	if len(pool.ActiveNodesOf("a")) != 2 {
 		t.Fatalf("a not back to strength: %v", pool.ActiveNodesOf("a"))
 	}
+	eng.Run(sim.Day)
+	if pool.CountState(cluster.Repairing) != 0 || pool.Free() != 1 {
+		t.Fatalf("swapped-out node not re-imaged: %+v", pool.Snapshot().ByState)
+	}
+}
+
+// swapped records what a granted swap did.
+type swapped struct{ failed, repl int }
+
+// swapFor is a claimant's swap callback: the lifecycle swap of one of
+// owner's nodes, recorded into sw when non-nil.
+func swapFor(lc *cluster.Lifecycle, owner string, sw *swapped) func() error {
+	return func() error {
+		failed, repl, _, err := lc.Swap(owner, 1, 1, func() {})
+		if err == nil && sw != nil {
+			*sw = swapped{failed, repl}
+		}
+		return err
+	}
 }
 
 func TestTriageDeny(t *testing.T) {
 	pool := cluster.NewPool(2)
 	tr := NewTriage(pool)
 	// Unknown key: denied, nothing granted.
-	if _, _, ok := tr.TryGrant("ghost", 1, 1); ok {
+	if ok := tr.TryGrant("ghost", 1, 1, func() error { t.Fatal("swapped for a ghost"); return nil }); ok {
 		t.Fatalf("granted a claim that was never enqueued")
 	}
 	if enq, granted := tr.Stats(); enq != 0 || granted != 0 {

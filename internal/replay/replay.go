@@ -68,9 +68,6 @@ type Options struct {
 	TakeOver *TakeOver
 	// Failures injects node failures.
 	Failures []Failure
-	// Recovery overrides the recovery controllers' config when failures are
-	// injected (default recovery.DefaultConfig).
-	Recovery *recovery.Config
 	// DrainSlack extends the post-window drain that lets in-flight queries —
 	// and, with failures, recoveries and re-images — settle (default one
 	// day). Long reloads of data-heavy groups can need more.
@@ -374,19 +371,15 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, g *master
 
 	// Failure injection (§4.4). The injector only breaks things: it degrades
 	// the instance and fails the backing pool node. Detection and repair run
-	// on the groups' recovery controllers — the same autonomous path the
-	// service uses — armed here only when there are failures to recover (in
-	// any group), so failure-free replays keep their pre-controller event
-	// schedule bit-identically.
+	// on the groups' recovery controllers, which replay arms as the master
+	// does (master.Deployment.ArmRecovery) and only when there are failures
+	// to recover (in any group), so failure-free replays keep their
+	// pre-controller event schedule bit-identically.
 	if len(d.fails) > 0 {
 		if g.Recovery == nil {
-			rc, err := recovery.New(eng, dep.Pool(), g.Plan.ID, g.Instances, recoveryConfig(opts))
-			if err != nil {
+			if err := dep.ArmRecovery(g); err != nil {
 				return nil, err
 			}
-			rc.SetTelemetry(g.Telemetry())
-			rc.Start()
-			g.Recovery = rc
 		}
 		p.controller = g.Recovery
 	}
@@ -416,12 +409,13 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, g *master
 	}
 	eng.Reschedule(&tick, opts.From, sample)
 
-	// Elastic scaling: one scaler per group, all drawing from the one
-	// (mutex-protected) node pool. A scaler numbers the instances it adds
-	// under their group's name, so scale-up MPPDB IDs stay deterministic.
+	// Elastic scaling: one scaler per group on the group's lifecycle, all
+	// drawing from the one (mutex-protected) node pool. A scaler numbers the
+	// instances it adds under their group's name, so scale-up MPPDB IDs stay
+	// deterministic.
 	if opts.Scaling != nil {
 		var err error
-		p.scaler, err = scaling.New(eng, dep.Pool(), *opts.Scaling)
+		p.scaler, err = scaling.New(g.Lifecycle, *opts.Scaling)
 		if err != nil {
 			return nil, err
 		}
@@ -430,14 +424,6 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, g *master
 		p.scaler.Start()
 	}
 	return p, nil
-}
-
-// recoveryConfig resolves the controllers' config for a run with failures.
-func recoveryConfig(opts Options) recovery.Config {
-	if opts.Recovery != nil {
-		return *opts.Recovery
-	}
-	return recovery.DefaultConfig()
 }
 
 // injectFailure applies one scripted failure to its group: the instance loses

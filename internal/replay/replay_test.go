@@ -130,7 +130,6 @@ func TestReplayTakeOverTriggersScaling(t *testing.T) {
 		CheckInterval: 10 * time.Minute,
 		Window:        6 * time.Hour,
 		Epoch:         10 * sim.Second,
-		ParallelLoad:  true,
 	}
 	// The take-over only hurts if the victim shares a group: a hammered
 	// singleton never exceeds R=1 active tenants.
@@ -217,7 +216,7 @@ func TestReplayFailureInjection(t *testing.T) {
 	// startup plus the Table 5.1 reload of the node's data share.
 	share := inst.TenantDataGB() / float64(inst.Nodes())
 	base := cluster.StartupTime(1) + cluster.LoadTime(share, 1, false)
-	hb := recovery.DefaultConfig().HeartbeatInterval
+	hb := recovery.HeartbeatInterval
 	if got := ok.RepairedAt.Sub(ok.At); got < base || got > base+hb {
 		t.Errorf("repair took %v, want within [%v, %v]", got, base, base+hb)
 	}

@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/advisor"
+	"repro/internal/cluster"
 	"repro/internal/monitor"
 	"repro/internal/mppdb"
 	"repro/internal/queries"
@@ -49,6 +50,10 @@ type GroupRuntime struct {
 	Router    *router.GroupRouter
 	Monitor   *monitor.GroupMonitor
 	Members   []*tenant.Tenant
+	// Lifecycle acquires, prices and re-images the group's nodes (Table
+	// 5.1) for every subsystem that changes them. It lives on the group's
+	// engine.
+	Lifecycle *cluster.Lifecycle
 	// Recovery, when non-nil, is the group's autonomous failure-recovery
 	// controller (§4.4), armed by the Deployment Master or the replay
 	// failure injector. It lives on the group's engine.

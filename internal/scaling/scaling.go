@@ -5,7 +5,11 @@
 // group under the grouping algorithm — provisions a new MPPDB sized for just
 // those tenants, bulk loads only their data (the lightweight part: loading a
 // tenant's 400 GB takes ≈5000 s with parallel loading, versus many hours for
-// the whole group), and re-points their queries to the new instance.
+// the whole group), and re-points their queries to the new instance. The
+// scaler decides when and for whom; the group's cluster.Lifecycle stages
+// the nodes and prices the start-up plus load, and a scale-up whose staged
+// nodes fail mid-load is aborted like any other (scaling_failed; the group
+// may scale again on a later check).
 //
 // Groups that scaled are flagged for the next re-consolidation cycle.
 package scaling
@@ -39,8 +43,6 @@ type Config struct {
 	Window time.Duration
 	// Epoch is the epoch width for over-active identification.
 	Epoch sim.Time
-	// ParallelLoad enables the MPPDB's parallel bulk loading.
-	ParallelLoad bool
 }
 
 // DefaultConfig returns the thesis' settings.
@@ -51,7 +53,6 @@ func DefaultConfig(p float64, r int) Config {
 		CheckInterval: 10 * time.Minute,
 		Window:        24 * time.Hour,
 		Epoch:         3 * sim.Second,
-		ParallelLoad:  true,
 	}
 }
 
@@ -84,9 +85,9 @@ type Event struct {
 
 // Scaler watches tenant-groups and reacts to RT-TTP drops.
 type Scaler struct {
-	eng  *sim.Engine
-	pool *cluster.Pool
-	cfg  Config
+	eng *sim.Engine
+	lc  *cluster.Lifecycle
+	cfg Config
 
 	targets  []*Target
 	scaling  map[string]bool // group currently provisioning
@@ -104,8 +105,8 @@ type Scaler struct {
 	mActive  *telemetry.Gauge
 }
 
-// New creates a scaler over the shared node pool.
-func New(eng *sim.Engine, pool *cluster.Pool, cfg Config) (*Scaler, error) {
+// New creates a scaler on its group's lifecycle.
+func New(lc *cluster.Lifecycle, cfg Config) (*Scaler, error) {
 	if cfg.P <= 0 || cfg.P > 1 {
 		return nil, fmt.Errorf("scaling: P=%v", cfg.P)
 	}
@@ -116,8 +117,8 @@ func New(eng *sim.Engine, pool *cluster.Pool, cfg Config) (*Scaler, error) {
 		return nil, fmt.Errorf("scaling: non-positive intervals in %+v", cfg)
 	}
 	return &Scaler{
-		eng:      eng,
-		pool:     pool,
+		eng:      lc.Engine(),
+		lc:       lc,
 		cfg:      cfg,
 		scaling:  make(map[string]bool),
 		disabled: make(map[string]bool),
@@ -287,7 +288,7 @@ func (s *Scaler) scaleUp(t *Target, rtttp float64) {
 	}
 	s.nextID++
 	id := fmt.Sprintf("%s-scale%d", g, s.nextID)
-	if _, err := s.pool.Acquire(id, nodes); err != nil {
+	if _, err := s.lc.Stage(id, nodes, nil); err != nil {
 		ev.Err = err.Error()
 		s.events = append(s.events, ev)
 		s.publishFailure(g, err.Error())
@@ -313,22 +314,28 @@ func (s *Scaler) scaleUp(t *Target, rtttp float64) {
 	}
 	ev.MPPDB = id
 	ev.Nodes = nodes
-	delay := cluster.StartupTime(nodes) + cluster.LoadTime(dataGB, nodes, s.cfg.ParallelLoad)
-	overCopy := over
 	evIdx := len(s.events)
 	s.events = append(s.events, ev)
-	s.eng.AfterShared(delay, func(now sim.Time) {
+	s.lc.Ready(id, nodes, dataGB, func(intact bool) {
+		s.scaling[g] = false
+		if s.tel != nil {
+			s.mActive.Add(-1)
+		}
+		if !intact {
+			s.lc.Abort(id)
+			s.events[evIdx].Err = "staged nodes failed during the bulk load"
+			s.publishFailure(g, fmt.Sprintf("%s aborted: %s", id, s.events[evIdx].Err))
+			return
+		}
 		inst.SetState(mppdb.Ready)
-		for _, m := range overCopy {
+		for _, m := range over {
 			if err := t.Router.SetOverride(m.ID, inst); err != nil {
 				s.events[evIdx].Err = err.Error()
 			}
 		}
-		s.events[evIdx].Ready = now
-		s.scaling[g] = false
+		s.events[evIdx].Ready = s.eng.Now()
 		s.reconsol[g] = true
 		if s.tel != nil {
-			s.mActive.Add(-1)
 			s.tel.Events.Publish(telemetry.Event{
 				Type:   telemetry.EventScalingReady,
 				Group:  g,

@@ -13,6 +13,7 @@ import (
 	"repro/internal/queries"
 	"repro/internal/router"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/tenant"
 )
 
@@ -53,7 +54,7 @@ func newScenario(t *testing.T, cfg Config, poolNodes int, extra ...*tenant.Tenan
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := New(eng, pool, cfg)
+	sc, err := New(cluster.NewLifecycle(eng, pool, true, true), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,6 @@ func testCfg() Config {
 		CheckInterval: 5 * time.Minute,
 		Window:        time.Hour,
 		Epoch:         10 * sim.Second,
-		ParallelLoad:  true,
 	}
 }
 
@@ -88,11 +88,11 @@ func TestNewValidation(t *testing.T) {
 		{P: 0.9, R: 1, CheckInterval: 1, Window: 1, Epoch: 0},
 	}
 	for i, cfg := range bad {
-		if _, err := New(eng, pool, cfg); err == nil {
+		if _, err := New(cluster.NewLifecycle(eng, pool, true, true), cfg); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	if cfg := DefaultConfig(0.999, 3); cfg.P != 0.999 || cfg.R != 3 || !cfg.ParallelLoad {
+	if cfg := DefaultConfig(0.999, 3); cfg.P != 0.999 || cfg.R != 3 {
 		t.Error("DefaultConfig wrong")
 	}
 }
@@ -291,5 +291,57 @@ func TestStartIsIdempotent(t *testing.T) {
 	s.eng.Run(sim.Time(2 * testCfg().CheckInterval.Nanoseconds()))
 	if len(s.scaler.Events()) != 0 {
 		t.Error("calm group produced events")
+	}
+}
+
+// TestScaleUpAbortsWhenStagedNodesFail: a staged node of a scale-up fails
+// mid-load, so the scale-up is aborted — never made Ready or re-pointed, its
+// failed node re-imaged, scaling_failed published — and the un-flagged
+// group scales again on a later check.
+func TestScaleUpAbortsWhenStagedNodesFail(t *testing.T) {
+	s := newScenario(t, testCfg(), 8)
+	hub := telemetry.NewHub(s.eng, 0.99)
+	s.scaler.SetTelemetry(hub)
+	s.scaler.Start()
+	horizon := 6 * sim.Hour
+	s.driveHog(t, horizon)
+	var crash func(sim.Time)
+	crash = func(sim.Time) {
+		if evs := s.scaler.Events(); len(evs) > 0 && evs[0].MPPDB != "" {
+			if _, err := s.pool.FailAny(evs[0].MPPDB); err != nil {
+				t.Errorf("failing a staged node: %v", err)
+			}
+			return
+		}
+		s.eng.After(time.Minute, crash)
+	}
+	s.eng.After(time.Minute, crash)
+	s.eng.Run(horizon)
+
+	evs := s.scaler.Events()
+	if len(evs) < 2 {
+		t.Fatalf("%d scaling events, want the aborted one and a retry: %+v", len(evs), evs)
+	}
+	if evs[0].Err == "" || evs[0].Ready != 0 {
+		t.Errorf("aborted scale-up: %+v", evs[0])
+	}
+	if evs[1].Err != "" || evs[1].Ready == 0 {
+		t.Fatalf("retry failed: %+v", evs[1])
+	}
+	if over, ok := s.rt.Override(evs[1].OverActive[0]); !ok || over.ID() != evs[1].MPPDB {
+		t.Errorf("retry %+v did not re-point its tenants", evs[1])
+	}
+	n := 0
+	for _, ev := range hub.Events.Recent(0) {
+		if ev.Type == telemetry.EventScalingFailed {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("%d scaling_failed events, want 1", n)
+	}
+	if s.pool.FailedCount(evs[0].MPPDB) != 0 || s.pool.CountState(cluster.Repairing) != 0 ||
+		s.pool.CountState(cluster.Active) != evs[1].Nodes {
+		t.Errorf("aborted staging not re-imaged: %+v", s.pool.Snapshot().ByState)
 	}
 }

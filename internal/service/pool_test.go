@@ -104,9 +104,8 @@ func deployScarce(t *testing.T) (*master.Deployment, *advisor.Plan) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg := recovery.DefaultConfig()
 	m := master.New(cluster.NewPoolDomains(plan.NodesUsed(), 2),
-		master.Options{Immediate: true, Recovery: &rcfg, Triage: true})
+		master.Options{Immediate: true, Recovery: true})
 	dep, err := m.Deploy(plan, tenants)
 	if err != nil {
 		t.Fatal(err)
@@ -159,7 +158,7 @@ func TestRecoveryEndpointRetryStateAndTriage(t *testing.T) {
 	}
 	ev := evs[0]
 	if !ev.Triaged || ev.Attempts < 1 || ev.NextAttemptAt == 0 || ev.Recovered() {
-		t.Fatalf("retry-cycle state not surfaced: %+v", ev)
+		t.Fatalf("triage state not surfaced: %+v", ev)
 	}
 	if rv.Triage.Enqueued != 1 || rv.Triage.Granted != 0 || len(rv.Triage.Queued) != 1 {
 		t.Fatalf("triage view: %+v", rv.Triage)

@@ -7,7 +7,7 @@
 // attainment against the guarantee P). GET /v1/pool snapshots the shared
 // node pool (state counts, per-domain breakdown, per-owner footprint) and
 // GET /v1/recovery the failure-resilience state: crash lifecycles with their
-// retry-cycle positions, gray episodes, quarantines, and the scarcity triage
+// triage positions, gray episodes, quarantines, and the scarcity triage
 // queue.
 //
 // The execution substrate is the virtual-time simulator; the service paces
@@ -820,8 +820,8 @@ func (s *Server) handlePool(w http.ResponseWriter, r *http.Request) {
 }
 
 // recoveryGroup is one group's failure-resilience snapshot for
-// GET /v1/recovery. Each crash event carries its retry-cycle state (attempt
-// count, armed backoff, next attempt, cool-down deadline, triaged flag).
+// GET /v1/recovery. Each crash event carries its triage state (triaged flag,
+// next poll).
 type recoveryGroup struct {
 	Group       string               `json:"group"`
 	CrashEvents []recovery.Event     `json:"crash_events"`

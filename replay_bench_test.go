@@ -21,13 +21,13 @@ func BenchmarkReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	rec, adm := DefaultRecoveryConfig(), DefaultAdmissionConfig()
+	adm := DefaultAdmissionConfig()
 	for _, c := range []struct {
 		name string
 		opts DeployOptions
 	}{
 		{"bare", DeployOptions{Immediate: true}},
-		{"default", DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Recovery: &rec, Admission: &adm}},
+		{"default", DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Recovery: true, Admission: &adm}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -175,8 +175,8 @@ type System struct {
 
 // DeployOptions re-exports the Deployment Master's options: the pool shape
 // (SpareNodes, Domains), provisioning (Immediate, ParallelLoad) and the
-// opt-in subsystems (Recovery, Admission, Gray, Triage, NoSpread), each off
-// — and replay byte-identical — at its zero value.
+// opt-in subsystems (Recovery, Admission, Gray, NoSpread), each off — and
+// replay byte-identical — at its zero value.
 type DeployOptions = master.Options
 
 // Deploy brings the plan up on a fresh simulated cluster. An Admission config
@@ -209,14 +209,6 @@ type Failure = replay.Failure
 
 // ReplayReport re-exports the replay report.
 type ReplayReport = replay.Report
-
-// RecoveryConfig re-exports the autonomous recovery controller
-// configuration (heartbeat interval, acquisition attempts, backoff).
-type RecoveryConfig = recovery.Config
-
-// DefaultRecoveryConfig returns 30 s heartbeats and 5 acquisition attempts
-// backing off 1→16 min with an hour between cycles.
-func DefaultRecoveryConfig() RecoveryConfig { return recovery.DefaultConfig() }
 
 // GrayConfig re-exports the fail-slow detector configuration (sample window,
 // confirm/clear beats, drain timing).

@@ -164,13 +164,11 @@ func TestDeployDomainsAndTriage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rcfg := DefaultRecoveryConfig()
 	sys, err := Deploy(w, plan, DeployOptions{
 		Immediate:  true,
 		SpareNodes: 8,
 		Domains:    3,
-		Recovery:   &rcfg,
-		Triage:     true,
+		Recovery:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
