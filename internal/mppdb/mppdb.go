@@ -244,8 +244,9 @@ func (m *Instance) DeployTenantRef(ref tenant.Ref, dataGB float64) {
 }
 
 // DeployTenant registers a tenant schema of dataGB on this instance. The
-// bulk-load *timing* is applied by the caller (Deployment Master / elastic
-// scaler) via cluster.LoadTime; Deploy itself is bookkeeping.
+// bulk-load *timing* is applied by the group's cluster.Lifecycle (its
+// Ready, for the Deployment Master and the elastic scaler); Deploy itself is
+// bookkeeping.
 func (m *Instance) DeployTenant(tenantID string, dataGB float64) {
 	m.DeployTenantRef(m.in.Intern(tenantID), dataGB)
 }
