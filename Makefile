@@ -97,8 +97,9 @@ grouping-smoke: bench-smoke
 # One iteration of the solver-scale benchmarks, the planner's per-stage ones
 # (solve, verify, quantize and burst detection on one 500-tenant composed
 # population), the whole planning cycle at the facade, the service's submit
-# paths (single, 64-batch and parallel singles) over a 200-tenant deployment
-# and the replay of that deployment's 7-day logs, bare and as a flagless
+# paths (single, 64-batch and parallel singles) over a 200-tenant deployment,
+# the Prometheus scrape of a registry shaped like that deployment's and the
+# replay of that deployment's 7-day logs, bare and as a flagless
 # thriftyd deploys it, so a benchmark that no longer builds or runs is
 # caught before commit without paying full benchmark time. The composed solve
 # (BenchmarkTwoStepComposed500 on the 3 s grid and ...Fine on the 0.1 s one,
@@ -110,6 +111,7 @@ bench-smoke:
 	$(GO) test -bench 'BenchmarkTwoStepComposed500' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/grouping
 	$(GO) test -bench 'BenchmarkDetectBursts500' -benchtime=1x -run '^$$' ./internal/advisor
 	$(GO) test -bench 'BenchmarkServeSubmit' -benchtime=1x -run '^$$' ./internal/service
+	$(GO) test -bench 'BenchmarkWritePrometheus' -benchtime=1x -run '^$$' ./internal/telemetry
 	$(GO) test -bench 'BenchmarkDomainsDrive' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/sim
 	$(GO) test -bench 'BenchmarkReplay/(bare|default)$$' -cpu 1,2 -benchtime=1x -run '^$$' .
 	$(GO) test -bench 'BenchmarkPlanCycle' -cpu 1,2 -benchtime=1x -run '^$$' .
@@ -151,12 +153,14 @@ service-smoke:
 # logging through a buffer merged at the barriers, against a linear scan for
 # the least (time, group), and the node pool under the lifecycle's stage,
 # ready, cut-over, abort and swap, fail-any, domain outages and re-images
-# against a naive owner map (go test -fuzz takes one target per run). A
+# against a naive owner map, and the registry's Prometheus text under
+# registrations, updates and scrapes against the Fprintf encoder it replaced
+# (go test -fuzz takes one target per run). A
 # failing input lands in the package's testdata/fuzz; commit it.
 # FuzzCountSet, FuzzDenseSet, FuzzMonitorOps, FuzzTracerRing,
-# FuzzInstancePS, FuzzEngine, FuzzDomainsDrive and FuzzPoolLifecycle find new
-# coverage all the time and the default minute of minimizing each find would
-# eat the whole smoke.
+# FuzzPrometheusText, FuzzInstancePS, FuzzEngine, FuzzDomainsDrive and
+# FuzzPoolLifecycle find new coverage all the time and the default minute of
+# minimizing each find would eat the whole smoke.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSubmit$$' -fuzztime=5s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=5s ./internal/service
@@ -165,6 +169,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDenseSet$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/epoch
 	$(GO) test -run '^$$' -fuzz '^FuzzMonitorOps$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/monitor
 	$(GO) test -run '^$$' -fuzz '^FuzzTracerRing$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/telemetry
+	$(GO) test -run '^$$' -fuzz '^FuzzPrometheusText$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/telemetry
 	$(GO) test -run '^$$' -fuzz '^FuzzInstancePS$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/mppdb
 	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDomainsDrive$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/sim

@@ -6,14 +6,16 @@
 // bodies, struct order for the batch, HTML-safe escaping, trailing newline),
 // pinned by codec_test.go; fuzz_test.go pins that the decoder accepts, rejects
 // and decodes like encoding/json, except that it refuses non-white space after
-// the top-level value and bodies over the endpoint's cap. The cold paths
-// (writeErr, every GET) stay on encoding/json.
+// the top-level value and bodies over the endpoint's cap. GET /v1/slo, which
+// an operator's dashboard polls, is encoded the same way; the cold paths
+// (writeErr, the other GETs) stay on encoding/json.
 package service
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 	"strings"
@@ -518,11 +520,54 @@ func appendString(b []byte, s string) []byte {
 // quoted, with its colon, the comma before it, and for a time the value's
 // opening quote.
 func appendStr(b []byte, key, v string) []byte { return appendString(append(b, key...), v) }
-func appendInt(b []byte, key string, v int) []byte {
+func appendInt[T int | int64](b []byte, key string, v T) []byte {
 	return strconv.AppendInt(append(b, key...), int64(v), 10)
 }
 func appendTime(b []byte, key string, t sim.Time) []byte {
 	return append(t.AppendFormat(append(b, key...)), '"')
+}
+
+// appendFloat appends f as encoding/json encodes a float64: the shortest
+// round-trip form, with an exponent below 1e-6 and from 1e21 on, its two
+// digits cut to one when the first is 0 (1e-7, not 1e-07). f is finite:
+// encoding/json refuses NaN and ±Inf.
+func appendFloat(b []byte, key string, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(append(b, key...), f, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
+}
+
+// appendSLO appends the body of GET /v1/slo: the top-level keys sorted as
+// encoding/json sorts a map's, each tenant in struct order, leaving out what
+// its omitempty tags leave out.
+func appendSLO(b []byte, p, overall float64, tenants []sloTenant) []byte {
+	b = appendFloat(b, `{"overall_attainment":`, overall)
+	b = append(appendFloat(b, `,"p":`, p), `,"tenants":[`...)
+	for i := range tenants {
+		tn := &tenants[i]
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendStr(b, `{"tenant":`, tn.Tenant)
+		b = appendInt(appendInt(b, `,"met":`, tn.Met), `,"missed":`, tn.Missed)
+		b = appendFloat(appendFloat(b, `,"attainment":`, tn.Attainment), `,"worst_normalized":`, tn.WorstNormalized)
+		b = strconv.AppendBool(append(b, `,"ok":`...), tn.OK)
+		if tn.Throttled != 0 {
+			b = appendInt(b, `,"throttled":`, tn.Throttled)
+		}
+		if tn.Shed != 0 {
+			b = appendInt(b, `,"shed":`, tn.Shed)
+		}
+		b = append(b, '}')
+	}
+	return append(b, ']', '}', '\n')
 }
 
 // appendAccepted appends the 202 body of POST /v1/queries, keys sorted as

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -189,6 +191,43 @@ func TestGoldenBatchResponse(t *testing.T) {
 	one := results[:1]
 	if got, want := string(appendBatchResponse(nil, one)), encodeJSON(t, BatchSubmitResponse{Results: want.Results[:1], Accepted: 1}); got != want {
 		t.Errorf("one-item response:\n got %s want %s", got, want)
+	}
+}
+
+// TestGoldenSLO: the /v1/slo body is encoding/json's encoding of the map the
+// handler built before the codec, for nasty tenant IDs, floats on both sides
+// of encoding/json's exponent cut-offs and random ones, and every omitempty
+// case.
+func TestGoldenSLO(t *testing.T) {
+	floats := []float64{0, math.Copysign(0, -1), 1, 0.999, 1.0 / 3, 2.5e-7, 1e-6, 9.99e-7, 1e-7, 123456789,
+		1e20, 1e21, 1.5e22, -4e-10, math.MaxFloat64, math.SmallestNonzeroFloat64}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		f := math.Float64frombits(rng.Uint64())
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			continue
+		}
+		floats = append(floats, f, rng.Float64(), rng.Float64()*math.Pow(10, float64(rng.Intn(50)-25)))
+	}
+	var tenants []sloTenant
+	for i, f := range floats {
+		tenants = append(tenants, sloTenant{
+			Tenant: nasty[i%len(nasty)], Met: int64(i) * 1e9, Missed: int64(i % 3),
+			Attainment: f, WorstNormalized: floats[len(floats)-1-i], OK: i%2 == 0,
+			Throttled: int64(i % 4 / 2), Shed: int64(i % 5 / 3),
+		})
+	}
+	for _, ts := range [][]sloTenant{nil, tenants[:1], tenants} {
+		for _, f := range floats[:16] {
+			want := encodeJSON(t, map[string]any{
+				"p":                  0.999,
+				"overall_attainment": f,
+				"tenants":            append(make([]sloTenant, 0), ts...),
+			})
+			if got := string(appendSLO(nil, 0.999, f, ts)); got != want {
+				t.Fatalf("slo body with %d tenants, overall %v:\n got %s want %s", len(ts), f, got, want)
+			}
+		}
 	}
 }
 

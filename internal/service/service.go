@@ -720,23 +720,9 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 	s.dep.Plane().AdvanceAll(s.target())
 	hub := s.dep.Telemetry()
 	s.topo.RUnlock()
-	type tenantJSON struct {
-		Tenant          string  `json:"tenant"`
-		Met             int64   `json:"met"`
-		Missed          int64   `json:"missed"`
-		Attainment      float64 `json:"attainment"`
-		WorstNormalized float64 `json:"worst_normalized"`
-		OK              bool    `json:"ok"`
-		// Admission accounting: queries rejected over contract (429) and
-		// shed without running (503). Attainment covers completed queries
-		// only, so these surface overload pressure the SLA math cannot.
-		Throttled int64 `json:"throttled,omitempty"`
-		Shed      int64 `json:"shed,omitempty"`
-	}
 	// Per-tenant shed/throttle accounting from the groups' admission
 	// controllers (lock-free reads; no clock domain touched).
-	type admTally struct{ throttled, shed int64 }
-	tallies := make(map[string]admTally)
+	tallies := make(map[string]sloTenant)
 	s.topo.RLock()
 	for _, g := range s.dep.Groups() {
 		if g.Admission == nil {
@@ -744,46 +730,51 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 		}
 		for _, st := range g.Admission.TenantStats() {
 			if st.Throttled != 0 || st.Shed != 0 {
-				tallies[st.Tenant] = admTally{throttled: st.Throttled, shed: st.Shed}
+				tallies[st.Tenant] = sloTenant{Tenant: st.Tenant, Attainment: 1, OK: true, Throttled: st.Throttled, Shed: st.Shed}
 			}
 		}
 	}
 	s.topo.RUnlock()
 	rep := hub.SLA.Report()
-	tenants := make([]tenantJSON, 0, len(rep))
+	tenants := make([]sloTenant, 0, len(rep))
 	for _, tn := range rep {
-		tj := tenantJSON{
+		tj := sloTenant{
 			Tenant: tn.Tenant, Met: tn.Met, Missed: tn.Missed,
 			Attainment: tn.Attainment, WorstNormalized: tn.WorstNormalized,
 			OK: tn.OK,
 		}
 		if ad, ok := tallies[tn.Tenant]; ok {
-			tj.Throttled, tj.Shed = ad.throttled, ad.shed
+			tj.Throttled, tj.Shed = ad.Throttled, ad.Shed
 			delete(tallies, tn.Tenant)
 		}
 		tenants = append(tenants, tj)
 	}
 	// Tenants throttled or shed before completing a single query have no
-	// SLA row yet; report them too, in deterministic order.
-	rest := make([]string, 0, len(tallies))
-	for id := range tallies {
-		rest = append(rest, id)
-	}
-	sort.Strings(rest)
-	for _, id := range rest {
-		ad := tallies[id]
-		tenants = append(tenants, tenantJSON{
-			Tenant: id, Attainment: 1, OK: true,
-			Throttled: ad.throttled, Shed: ad.shed,
-		})
+	// SLA row yet; report them too. Tenant IDs are unique, so the order is
+	// deterministic.
+	for _, tj := range tallies {
+		tenants = append(tenants, tj)
 	}
 	sort.Slice(tenants, func(i, j int) bool { return tenants[i].Tenant < tenants[j].Tenant })
-	resp := map[string]any{
-		"p":                  hub.SLA.P(),
-		"overall_attainment": hub.SLA.Overall(),
-		"tenants":            tenants,
-	}
-	writeJSON(w, http.StatusOK, resp)
+	wb := wireBufPool.Get().(*wireBuf)
+	defer wb.release()
+	wb.out = appendSLO(wb.out[:0], hub.SLA.P(), hub.SLA.Overall(), tenants)
+	writeWire(w, http.StatusOK, wb.out)
+}
+
+// sloTenant is one tenant's row of GET /v1/slo.
+type sloTenant struct {
+	Tenant          string  `json:"tenant"`
+	Met             int64   `json:"met"`
+	Missed          int64   `json:"missed"`
+	Attainment      float64 `json:"attainment"`
+	WorstNormalized float64 `json:"worst_normalized"`
+	OK              bool    `json:"ok"`
+	// Admission accounting: queries rejected over contract (429) and
+	// shed without running (503). Attainment covers completed queries
+	// only, so these surface overload pressure the SLA math cannot.
+	Throttled int64 `json:"throttled,omitempty"`
+	Shed      int64 `json:"shed,omitempty"`
 }
 
 // handleAdmission exposes the groups' admission state: brownout level,

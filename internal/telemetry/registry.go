@@ -1,9 +1,11 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -124,11 +126,16 @@ func (k metricKind) String() string {
 // one of the three instruments.
 type metric struct {
 	name   string
+	key    string // seriesKey(name, labels)
 	labels []Label
 	kind   metricKind
 	c      *Counter
 	g      *Gauge
 	h      *Histogram
+	// heads are the series' sample lines up to their value, rendered by the
+	// first read after the series registered: name{labels} for a counter or
+	// gauge; a histogram's buckets (with le), then _sum and _count.
+	heads []string
 }
 
 // Registry holds named metrics. Get-or-create is serialized; the returned
@@ -139,6 +146,12 @@ type metric struct {
 type Registry struct {
 	mu      sync.RWMutex
 	metrics map[string]*metric
+	// sorted is every series by (name, labels), heads rendered; nil after a
+	// registration until the next read. A published slice is never written.
+	sorted []*metric
+	// buf is the scrape buffer; a scrape takes it, and a concurrent one
+	// grows its own.
+	buf atomic.Pointer[[]byte]
 }
 
 // NewRegistry returns an empty registry.
@@ -159,24 +172,30 @@ func pairs(kv []string) []Label {
 	return out
 }
 
+// appendLabels appends a label set, plus optional extras like le, as
+// {k="v",...}, or nothing when there are none. A value is escaped as the
+// text format 0.0.4 escapes it: backslash, double quote and newline only.
+func appendLabels(b []byte, labels []Label, extra ...Label) []byte {
+	if len(labels)+len(extra) == 0 {
+		return b
+	}
+	b = append(b, '{')
+	for i, l := range append(labels[:len(labels):len(labels)], extra...) {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(append(append(b, l.Key...), '=', '"'), labelEscaper.Replace(l.Value)...)
+		b = append(b, '"')
+	}
+	return append(b, '}')
+}
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
 // seriesKey is the registry map key: name plus the canonical label encoding.
 func seriesKey(name string, labels []Label) string {
-	if len(labels) == 0 {
-		return name
-	}
-	var b strings.Builder
-	b.WriteString(name)
-	b.WriteByte('{')
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(strconv.Quote(l.Value))
-	}
-	b.WriteByte('}')
-	return b.String()
+	var buf [128]byte
+	return string(appendLabels(append(buf[:0], name...), labels))
 }
 
 // lookup returns the series, creating it with mk when absent.
@@ -188,9 +207,10 @@ func (r *Registry) lookup(name string, labels []Label, kind metricKind, mk func(
 	if m == nil {
 		r.mu.Lock()
 		if m = r.metrics[key]; m == nil {
-			m = &metric{name: name, labels: labels, kind: kind}
+			m = &metric{name: name, key: key, labels: labels, kind: kind}
 			mk(m)
 			r.metrics[key] = m
+			r.sorted = nil
 		}
 		r.mu.Unlock()
 	}
@@ -246,23 +266,48 @@ type MetricValue struct {
 	Sum     float64
 }
 
+// series returns every series in (name, labels) order, each with its heads.
+// Only the first read after a registration sorts and renders.
+func (r *Registry) series() []*metric {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.sorted == nil {
+		ms := make([]*metric, 0, len(r.metrics))
+		for _, m := range r.metrics {
+			if m.heads == nil {
+				m.render()
+			}
+			ms = append(ms, m)
+		}
+		slices.SortFunc(ms, func(a, b *metric) int {
+			return cmp.Or(strings.Compare(a.name, b.name), strings.Compare(a.key, b.key))
+		})
+		r.sorted = ms
+	}
+	return r.sorted
+}
+
+// render builds the series' heads.
+func (m *metric) render() {
+	head := func(suffix string, extra ...Label) string {
+		return string(append(appendLabels(append([]byte(m.name), suffix...), m.labels, extra...), ' '))
+	}
+	if m.kind != kindHistogram {
+		m.heads = []string{head("")}
+		return
+	}
+	for _, b := range m.h.bounds {
+		m.heads = append(m.heads, head("_bucket", Label{"le", formatFloat(b)}))
+	}
+	m.heads = append(m.heads, head("_bucket", Label{"le", "+Inf"}), head("_sum"), head("_count"))
+}
+
 // Snapshot returns a consistent-enough point-in-time view of every series,
 // totally ordered by (name, labels) so encodings are deterministic.
 // Individual readings are atomic; the set as a whole is not a transaction —
 // the usual scrape semantics.
 func (r *Registry) Snapshot() []MetricValue {
-	r.mu.RLock()
-	keys := make([]string, 0, len(r.metrics))
-	for k := range r.metrics {
-		keys = append(keys, k)
-	}
-	ms := make([]*metric, 0, len(keys))
-	sort.Strings(keys)
-	for _, k := range keys {
-		ms = append(ms, r.metrics[k])
-	}
-	r.mu.RUnlock()
-
+	ms := r.series()
 	out := make([]MetricValue, 0, len(ms))
 	for _, m := range ms {
 		mv := MetricValue{Name: m.name, Labels: m.labels, Kind: m.kind.String()}
@@ -285,71 +330,48 @@ func (r *Registry) Snapshot() []MetricValue {
 	return out
 }
 
-// WritePrometheus encodes the snapshot in the Prometheus text exposition
+// WritePrometheus encodes the registry in the Prometheus text exposition
 // format (version 0.0.4). Series are grouped under one # TYPE line per
-// metric name, in sorted order.
+// metric name, in sorted order. Each line is its pre-rendered head and the
+// value, floats in their shortest round-trip form ('g'), appended into one
+// reused buffer that goes out in one Write.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	snap := r.Snapshot()
-	lastName := ""
-	for _, mv := range snap {
-		if mv.Name != lastName {
-			if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", mv.Name, mv.Kind); err != nil {
-				return err
-			}
-			lastName = mv.Name
+	p := r.buf.Swap(nil)
+	if p == nil {
+		p = new([]byte)
+	}
+	b, last := (*p)[:0], ""
+	for _, m := range r.series() {
+		if m.name != last {
+			b = append(append(append(b, "# TYPE "...), m.name...), ' ')
+			b = append(append(b, m.kind.String()...), '\n')
+			last = m.name
 		}
-		switch mv.Kind {
-		case "histogram":
+		switch m.kind {
+		case kindCounter:
+			b = strconv.AppendFloat(append(b, m.heads[0]...), float64(m.c.Value()), 'g', -1, 64)
+		case kindGauge:
+			b = strconv.AppendFloat(append(b, m.heads[0]...), m.g.Value(), 'g', -1, 64)
+		case kindHistogram:
 			cum := int64(0)
-			for i, b := range mv.Buckets {
-				cum += b
-				le := "+Inf"
-				if i < len(mv.Bounds) {
-					le = formatFloat(mv.Bounds[i])
-				}
-				if _, err := fmt.Fprintf(w, "%s_bucket%s %d\n",
-					mv.Name, promLabels(mv.Labels, Label{"le", le}), cum); err != nil {
-					return err
-				}
+			for i := range m.h.buckets {
+				cum += m.h.buckets[i].Load()
+				b = append(strconv.AppendInt(append(b, m.heads[i]...), cum, 10), '\n')
 			}
-			if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", mv.Name, promLabels(mv.Labels), formatFloat(mv.Sum)); err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(w, "%s_count%s %d\n", mv.Name, promLabels(mv.Labels), mv.Count); err != nil {
-				return err
-			}
-		default:
-			if _, err := fmt.Fprintf(w, "%s%s %s\n", mv.Name, promLabels(mv.Labels), formatFloat(mv.Value)); err != nil {
-				return err
-			}
+			n := len(m.h.buckets)
+			b = append(strconv.AppendFloat(append(b, m.heads[n]...), m.h.Sum(), 'g', -1, 64), '\n')
+			b = strconv.AppendInt(append(b, m.heads[n+1]...), cum, 10)
 		}
+		b = append(b, '\n')
 	}
-	return nil
+	_, err := w.Write(b)
+	*p = b
+	r.buf.Store(p)
+	return err
 }
 
-// promLabels renders a label set (plus optional extras like le) as
-// {k="v",...}, or the empty string when there are no labels.
-func promLabels(labels []Label, extra ...Label) string {
-	if len(labels)+len(extra) == 0 {
-		return ""
-	}
-	all := append(append([]Label(nil), labels...), extra...)
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, l := range all {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(strconv.Quote(l.Value))
-	}
-	b.WriteByte('}')
-	return b.String()
-}
-
-// formatFloat renders floats the way Prometheus clients do: shortest
-// round-trip representation, integers without an exponent.
+// formatFloat renders floats the way Prometheus clients do: the shortest
+// round-trip representation, with an exponent below 1e-4 and from 1e6 on.
 func formatFloat(v float64) string {
 	return strconv.FormatFloat(v, 'g', -1, 64)
 }

@@ -5,6 +5,7 @@ import (
 	"math"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -182,6 +183,9 @@ func TestRegistryConcurrency(t *testing.T) {
 				r.Gauge("hammer_inflight", "group", g).Add(1)
 				r.Histogram("hammer_seconds", nil, "group", g).Observe(float64(j % 50))
 				r.Gauge("hammer_inflight", "group", g).Add(-1)
+				// Each writer registers 50 series of its own while the
+				// readers scrape the sorted slice.
+				r.Counter("hammer_series_total", "writer", strconv.Itoa(i), "j", strconv.Itoa(j%50)).Inc()
 			}
 		}(i)
 	}
@@ -195,6 +199,9 @@ func TestRegistryConcurrency(t *testing.T) {
 	}
 	if want := int64(writers * perWriter); total != want {
 		t.Errorf("counter total = %d, want %d", total, want)
+	}
+	if n := len(r.Snapshot()); n != 3*len(groups)+writers*50 {
+		t.Errorf("%d series, want %d", n, 3*len(groups)+writers*50)
 	}
 	for _, g := range groups {
 		if v := r.Gauge("hammer_inflight", "group", g).Value(); v != 0 {

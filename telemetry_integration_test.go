@@ -3,11 +3,16 @@ package thrifty
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"sort"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 )
 
 // replayOnce deploys the small workload and replays one day with scaling
@@ -225,5 +230,69 @@ func TestShardedSpanTimesMatchRecords(t *testing.T) {
 	}
 	if queries == 0 || strays > 0 {
 		t.Errorf("%d of %d retained query spans match no record's tenant, submit and finish", strays, queries)
+	}
+}
+
+// TestMetricsMatchReference replays the small workload and reads GET
+// /metrics: it must be, byte for byte, what the encoder WritePrometheus
+// replaced prints from the registry's snapshot — series ordered by their
+// encoded key, label values by strconv.Quote, one Fprintf a line. (The two
+// differ only on a name that is a prefix of another, or on a label value
+// that needs escaping; the tree registers neither.)
+func TestMetricsMatchReference(t *testing.T) {
+	sys, _ := replayOnce(t)
+	h, err := sys.Handler(ServeOptions{TimeScale: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Code != 200 {
+		t.Fatalf("/metrics status %d", rec.Code)
+	}
+
+	labels := func(ls []telemetry.Label, extra ...telemetry.Label) string {
+		var parts []string
+		for _, l := range append(append([]telemetry.Label(nil), ls...), extra...) {
+			parts = append(parts, l.Key+"="+strconv.Quote(l.Value))
+		}
+		if len(parts) == 0 {
+			return ""
+		}
+		return "{" + strings.Join(parts, ",") + "}"
+	}
+	num := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	snap := sys.Telemetry().Registry.Snapshot()
+	sort.Slice(snap, func(i, j int) bool {
+		return snap[i].Name+labels(snap[i].Labels) < snap[j].Name+labels(snap[j].Labels)
+	})
+	var want strings.Builder
+	last := ""
+	for _, mv := range snap {
+		if mv.Name != last {
+			fmt.Fprintf(&want, "# TYPE %s %s\n", mv.Name, mv.Kind)
+			last = mv.Name
+		}
+		if mv.Kind != "histogram" {
+			fmt.Fprintf(&want, "%s%s %s\n", mv.Name, labels(mv.Labels), num(mv.Value))
+			continue
+		}
+		cum := int64(0)
+		for i, n := range mv.Buckets {
+			cum += n
+			le := "+Inf"
+			if i < len(mv.Bounds) {
+				le = num(mv.Bounds[i])
+			}
+			fmt.Fprintf(&want, "%s_bucket%s %d\n", mv.Name, labels(mv.Labels, telemetry.Label{Key: "le", Value: le}), cum)
+		}
+		fmt.Fprintf(&want, "%s_sum%s %s\n", mv.Name, labels(mv.Labels), num(mv.Sum))
+		fmt.Fprintf(&want, "%s_count%s %d\n", mv.Name, labels(mv.Labels), mv.Count)
+	}
+	if got := rec.Body.String(); got != want.String() {
+		t.Errorf("/metrics differs from the reference encoder:\n%s\nwant\n%s", got, want.String())
+	}
+	if n := strings.Count(want.String(), "\n"); n < 500 {
+		t.Errorf("/metrics has %d lines; the replayed deployment registers more", n)
 	}
 }
