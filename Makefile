@@ -57,7 +57,8 @@ loc:
 #
 # Bounded failure-injection smoke: a small deployment under the chaos harness
 # with the race detector on (~1 s), exercising injection on every group's
-# engine, heartbeat detection, and autonomous recovery end to end.
+# engine, detection at the next heartbeat instant, and autonomous recovery
+# end to end.
 chaos-smoke:
 	$(GO) test -race -short -run TestChaosSmoke ./internal/recovery/chaos
 
@@ -99,8 +100,8 @@ grouping-smoke: bench-smoke
 # population), the whole planning cycle at the facade, the service's submit
 # paths (single, 64-batch and parallel singles) over a 200-tenant deployment,
 # the Prometheus scrape of a registry shaped like that deployment's and the
-# replay of that deployment's 7-day logs, bare and as a flagless
-# thriftyd deploys it, so a benchmark that no longer builds or runs is
+# replay of that deployment's 7-day logs — bare, with recovery, with admission
+# and as a flagless thriftyd deploys it — so a benchmark that no longer builds or runs is
 # caught before commit without paying full benchmark time. The composed solve
 # (BenchmarkTwoStepComposed500 on the 3 s grid and ...Fine on the 0.1 s one,
 # which no benchmark workload plans on) and the planning cycle run serial and
@@ -113,7 +114,7 @@ bench-smoke:
 	$(GO) test -bench 'BenchmarkServeSubmit' -benchtime=1x -run '^$$' ./internal/service
 	$(GO) test -bench 'BenchmarkWritePrometheus' -benchtime=1x -run '^$$' ./internal/telemetry
 	$(GO) test -bench 'BenchmarkDomainsDrive' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/sim
-	$(GO) test -bench 'BenchmarkReplay/(bare|default)$$' -cpu 1,2 -benchtime=1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkReplay/(bare|recovery|admission|default)$$' -cpu 1,2 -benchtime=1x -run '^$$' .
 	$(GO) test -bench 'BenchmarkPlanCycle' -cpu 1,2 -benchtime=1x -run '^$$' .
 
 # Bounded tenant-mover smoke with the race detector on: a seeded drift run

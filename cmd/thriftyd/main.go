@@ -67,7 +67,6 @@ func (o *options) flagSet() *flag.FlagSet {
 	fs.Float64Var(&o.plan.P, "p", 0.999, "performance SLA guarantee P")
 	fs.Float64Var(&o.serve.TimeScale, "timescale", 60, "virtual seconds per wall second")
 	fs.BoolVar(&o.metrics, "metrics", true, "expose Prometheus text metrics at /metrics")
-	fs.BoolVar(&o.deploy.Recovery, "recovery", true, "arm an autonomous recovery controller per tenant-group (heartbeat failure detection, pool swap, Table 5.1 reload; an exhausted pool queues claims in the scarcity triage, ranked by SLA-at-risk)")
 	fs.IntVar(&o.deploy.Domains, "domains", 1, "failure domains (racks/zones) the pool is split across; >1 enables spread-aware placement")
 	fs.BoolVar(&o.admission, "admission", true, "arm overload protection per tenant-group (contract enforcement, bounded admission queue, brownout)")
 	fs.BoolVar(&o.gray, "gray", false, "arm fail-slow (gray failure) detection per tenant-group: peer-relative latency anomaly detection with a hedge → drain-and-replace ladder")
@@ -116,8 +115,8 @@ func build(args []string) (*thrifty.System, *http.Server, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	fmt.Fprintf(os.Stderr, "thriftyd: deployed (time scale %g×, metrics %v, recovery %v, admission %v, gray %v)\n",
-		o.serve.TimeScale, o.metrics, o.deploy.Recovery, o.admission, o.gray)
+	fmt.Fprintf(os.Stderr, "thriftyd: deployed (time scale %g×, metrics %v, admission %v, gray %v)\n",
+		o.serve.TimeScale, o.metrics, o.admission, o.gray)
 	return sys, &http.Server{Addr: o.addr, Handler: h}, nil
 }
 

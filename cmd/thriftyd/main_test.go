@@ -12,10 +12,10 @@ import (
 	"testing"
 )
 
-// TestFlagSet pins the option surface: the twelve flags that pick a
+// TestFlagSet pins the option surface: the eleven flags that pick a
 // deployment or arm a subsystem, and no tuning knob beside them.
 func TestFlagSet(t *testing.T) {
-	want := strings.Fields("addr admission days domains gray metrics p r recovery " +
+	want := strings.Fields("addr admission days domains gray metrics p r " +
 		"seed tenants timescale")
 	var got []string
 	new(options).flagSet().VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })

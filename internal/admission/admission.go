@@ -192,7 +192,10 @@ type Controller struct {
 	byRef   []*tenantState
 	level   atomic.Int32
 	waiting atomic.Int32
-	started bool
+	// ticker is the brownout evaluation's one event, re-keyed every
+	// TickInterval with onTicker (set by Start) for the controller's life.
+	ticker   sim.Event
+	onTicker func(sim.Time)
 
 	onLevelChange func(int)
 	onTick        func()
@@ -293,18 +296,14 @@ func (c *Controller) OnTick(fn func()) { c.onTick = fn }
 // clock. Must be called under the clock domain (master calls it during
 // deploy). Idempotent.
 func (c *Controller) Start() {
-	if c.started {
+	if c.onTicker != nil {
 		return
 	}
-	c.started = true
-	c.scheduleTick()
-}
-
-func (c *Controller) scheduleTick() {
-	c.eng.After(c.cfg.TickInterval, func(sim.Time) {
+	c.onTicker = func(now sim.Time) {
 		c.tick()
-		c.scheduleTick()
-	})
+		c.eng.Reschedule(&c.ticker, now.Add(c.cfg.TickInterval), c.onTicker)
+	}
+	c.eng.Reschedule(&c.ticker, c.eng.Now().Add(c.cfg.TickInterval), c.onTicker)
 }
 
 // tick re-evaluates the brownout level from the live RT-TTP estimate, the

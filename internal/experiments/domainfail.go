@@ -72,7 +72,7 @@ func DomainFail(env *Env) ([]*Table, error) {
 		// The protected posture also re-replicates a casualty's shard from
 		// its surviving peers in parallel; bare keeps the classic
 		// single-stream reload.
-		opts := master.Options{Immediate: true, ParallelLoad: spread, Recovery: true, NoSpread: !spread}
+		opts := master.Options{Immediate: true, ParallelLoad: spread, NoSpread: !spread}
 		eng, dep, err := w.deploy(pool, opts)
 		if err != nil {
 			return nil, err

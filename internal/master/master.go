@@ -47,11 +47,6 @@ type Options struct {
 	ParallelLoad bool
 	// MonitorWindow is the RT-TTP window (default 24 h).
 	MonitorWindow time.Duration
-	// Recovery arms an autonomous failure-recovery controller (§4.4) per
-	// group, with the deployment's scarcity triage, quarantine and
-	// re-spread (ArmRecovery). The service path sets it; replay arms
-	// controllers itself when failures are injected.
-	Recovery bool
 	// Admission, when non-nil, arms an overload-protection controller per
 	// group with this config: per-tenant contract buckets, a bounded
 	// admission queue, and a brownout loop watching the group's live
@@ -60,9 +55,8 @@ type Options struct {
 	Admission *admission.Config
 	// Gray, when non-nil, arms a fail-slow detector per group with this
 	// config: peer-relative completion-latency outlier detection and the
-	// hedge → drain response ladder. The drain rung needs a recovery
-	// controller, so Gray arms Recovery too. Strictly opt-in, like
-	// Admission.
+	// hedge → drain response ladder, whose drain rung hands the node to the
+	// group's recovery controller. Strictly opt-in, like Admission.
 	Gray *recovery.GrayConfig
 	// NoSpread disables domain-aware spread placement. By default a group
 	// deployed on a multi-domain pool lands its instances on ≥2 failure
@@ -86,7 +80,7 @@ type DeployedGroup = runtime.GroupRuntime
 type Deployment struct {
 	pool   *cluster.Pool
 	plane  *runtime.Plane
-	triage *recovery.Triage // built with the first recovery controller
+	triage *recovery.Triage
 	p      float64
 	ready  map[string]sim.Time
 }
@@ -121,10 +115,11 @@ func (m *Master) Deploy(plan *advisor.Plan, tenants map[string]*tenant.Tenant) (
 	tel.Guard(domains.Gate())
 	m.pool.SetGate(domains.Gate())
 	dep := &Deployment{
-		pool:  m.pool,
-		plane: runtime.NewPlane(tel),
-		p:     plan.Config.P,
-		ready: make(map[string]sim.Time),
+		pool:   m.pool,
+		triage: recovery.NewTriage(m.pool),
+		plane:  runtime.NewPlane(tel),
+		p:      plan.Config.P,
+		ready:  make(map[string]sim.Time),
 	}
 	for gi, pg := range plan.Groups {
 		g, readyAt, err := m.buildGroup(engines[gi], domains[gi], tel.View(domains[gi]), dep, pg, tenants)
@@ -141,8 +136,8 @@ func (m *Master) Deploy(plan *advisor.Plan, tenants map[string]*tenant.Tenant) (
 // its lifecycle stages every instance's nodes (spread across failure domains
 // on a multi-domain pool) and, unless Immediate, makes each Ready after
 // Table 5.1 startup + load; then the MPPDB instances with every member
-// bulk-loaded, monitor, router, and the optional recovery, gray and
-// admission controllers.
+// bulk-loaded, monitor, router, the recovery controller and the optional
+// gray and admission controllers.
 func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub, dep *Deployment,
 	pg advisor.PlannedGroup, tenants map[string]*tenant.Tenant) (*DeployedGroup, sim.Time, error) {
 	members := make([]*tenant.Tenant, 0, len(pg.TenantIDs))
@@ -179,6 +174,7 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 		}
 		usedDomains = append(usedDomains, doms...)
 		inst := mppdb.NewInterned(eng, id, nodes, interner)
+		inst.SetGate(m.pool.Gate())
 		inst.SetTelemetry(tel)
 		for _, tn := range members {
 			inst.DeployTenant(tn.ID, tn.DataGB)
@@ -204,10 +200,19 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 	g.Router = rt
 	g.Bind(dom)
 	g.SetTelemetry(tel)
-	if m.opts.Recovery || m.opts.Gray != nil {
-		if err := dep.ArmRecovery(g); err != nil {
-			return nil, 0, err
-		}
+	// Every group gets its §4.4 recovery controller. Its claims rank in the
+	// deployment's scarcity triage by sliding RT-TTP deficit below P × member
+	// count; on a multi-domain pool it quarantines fully-dead instances from
+	// routing until repaired; and it re-spreads the group when its lifecycle
+	// spreads. It schedules nothing until a fault calls Detect, unless the
+	// group landed collapsed.
+	if g.Recovery, err = recovery.New(lc, dep.triage, pg.ID, g.Instances); err != nil {
+		return nil, 0, err
+	}
+	g.Recovery.SetTelemetry(tel)
+	g.Recovery.SetPriority(func() (float64, int) { return max(dep.p-mon.RTTTP(), 0), len(members) })
+	if m.pool.Domains() > 1 {
+		g.Recovery.SetQuarantine(rt.SetQuarantine)
 	}
 	if m.opts.Gray != nil {
 		gd, err := recovery.NewGrayDetector(eng, m.pool, pg.ID, g.Instances, rt, g.Recovery, *m.opts.Gray)
@@ -244,34 +249,8 @@ func (d *Deployment) Groups() []*DeployedGroup { return d.plane.Groups() }
 // domains).
 func (d *Deployment) Plane() *runtime.Plane { return d.plane }
 
-// Triage returns the cluster-wide scarcity allocator (nil until a group has
-// a recovery controller).
+// Triage returns the cluster-wide scarcity allocator.
 func (d *Deployment) Triage() *recovery.Triage { return d.triage }
-
-// ArmRecovery gives g a started recovery controller (§4.4) on its lifecycle,
-// the one way a group gets one: its claims rank in the deployment's scarcity
-// triage by sliding RT-TTP deficit below P × member count; on a multi-domain
-// pool it quarantines fully-dead instances from routing until repaired; and
-// it re-spreads the group when its lifecycle spreads. The caller must hold
-// g's domain.
-func (d *Deployment) ArmRecovery(g *DeployedGroup) error {
-	if d.triage == nil {
-		d.triage = recovery.NewTriage(d.pool)
-	}
-	rc, err := recovery.New(g.Lifecycle, d.triage, g.Plan.ID, g.Instances)
-	if err != nil {
-		return err
-	}
-	rc.SetTelemetry(g.Telemetry())
-	mon, tenants := g.Monitor, len(g.Members)
-	rc.SetPriority(func() (float64, int) { return max(d.p-mon.RTTTP(), 0), tenants })
-	if d.pool.Domains() > 1 {
-		rc.SetQuarantine(g.Router.SetQuarantine)
-	}
-	rc.Start()
-	g.Recovery = rc
-	return nil
-}
 
 // Telemetry returns the deployment's root telemetry hub (never nil after
 // Deploy); a group's events write through its view (DeployedGroup.Telemetry).

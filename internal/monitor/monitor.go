@@ -12,6 +12,7 @@ package monitor
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"time"
 
 	"repro/internal/epoch"
@@ -326,8 +327,10 @@ func (m *GroupMonitor) RTTTP() float64 {
 	if span <= 0 {
 		return 1
 	}
+	// Violations are disjoint and in time order; those ended by from add 0.
+	live := m.violations.live()
 	var viol sim.Time
-	for _, v := range m.violations.live() {
+	for _, v := range live[sort.Search(len(live), func(i int) bool { return live[i].End > from }):] {
 		s, e := v.Start, v.End
 		if s < from {
 			s = from

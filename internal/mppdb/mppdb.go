@@ -146,6 +146,7 @@ type Instance struct {
 	onDone func(Result, uint64)
 
 	failedNodes int
+	gate        *sim.Gate // FailNode's guard (SetGate)
 	// slowFactor models a fail-slow (gray) fault: the whole instance runs at
 	// this fraction of nominal speed on top of any node-loss degradation.
 	// 1.0 means healthy; multiplication by exactly 1.0 is IEEE-exact, so an
@@ -191,6 +192,10 @@ func NewInterned(eng *sim.Engine, id string, nodes int, in *tenant.Interner) *In
 
 // Interner returns the interner keying this instance's per-tenant state.
 func (m *Instance) Interner() *tenant.Interner { return m.in }
+
+// SetGate guards FailNode with the deployment's gate: a failed node's
+// detection is a shared event, which a plain event in a window may not start.
+func (m *Instance) SetGate(g *sim.Gate) { m.gate = g }
 
 // SetTelemetry attaches a telemetry hub: per-query service-demand and
 // sojourn-time histograms plus the instance's concurrency level. A nil hub
@@ -335,8 +340,10 @@ func (m *Instance) TenantRunning(tenantID string) int {
 
 // FailNode degrades the instance by one node (the MPPDB "can still stay
 // online even with some node failure", §4.4). Execution slows
-// proportionally until RepairNode is called.
+// proportionally until RepairNode is called. Inside a window of the
+// instance's gate (SetGate) it panics.
 func (m *Instance) FailNode() error {
+	m.gate.Guard("an instance's failed nodes")
 	if m.failedNodes >= m.nodes-1 {
 		return fmt.Errorf("mppdb %s: cannot fail %d of %d nodes", m.id, m.failedNodes+1, m.nodes)
 	}

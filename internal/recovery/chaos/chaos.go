@@ -344,11 +344,7 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 		}
 	}
 	for _, g := range dep.Groups() {
-		g.Domain().Do(func(*sim.Engine) {
-			if g.Recovery != nil {
-				res.InFlight += g.Recovery.InProgress()
-			}
-		})
+		g.Domain().Do(func(*sim.Engine) { res.InFlight += g.Recovery.InProgress() })
 	}
 	return res, nil
 }

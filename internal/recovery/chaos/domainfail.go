@@ -199,9 +199,7 @@ func applyOutages(eng *sim.Engine, dep *master.Deployment, sched []DomainOutage,
 				})
 			}
 			for _, g := range notify {
-				if g.Recovery != nil {
-					g.Recovery.Notify()
-				}
+				g.Recovery.Notify()
 			}
 		})
 		eng.Schedule(o.At.Add(o.Duration), func(sim.Time) {
@@ -344,17 +342,15 @@ func RunDomainFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog
 			}
 		}
 		res.QuarantinedEnd += g.Router.Quarantined()
-		if g.Recovery != nil {
-			res.InFlight += g.Recovery.InProgress()
-			res.Respreads += g.Recovery.Respreads()
-			for _, ev := range g.Recovery.Events() {
-				res.Lifecycles++
-				if ev.Recovered() {
-					res.Recovered++
-				}
-				if ev.Triaged {
-					res.Triaged++
-				}
+		res.InFlight += g.Recovery.InProgress()
+		res.Respreads += g.Recovery.Respreads()
+		for _, ev := range g.Recovery.Events() {
+			res.Lifecycles++
+			if ev.Recovered() {
+				res.Recovered++
+			}
+			if ev.Triaged {
+				res.Triaged++
 			}
 		}
 		if len(g.Instances) >= 2 {
@@ -369,10 +365,8 @@ func RunDomainFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog
 			}
 		}
 	}
-	if tri := dep.Triage(); tri != nil {
-		res.TriageEnqueued, res.TriageGranted = tri.Stats()
-		res.QueuedClaims = len(tri.Queued())
-	}
+	res.TriageEnqueued, res.TriageGranted = dep.Triage().Stats()
+	res.QueuedClaims = len(dep.Triage().Queued())
 	res.DownDomains = len(pool.DownDomains())
 	res.Attainment, res.MinAttainment = attainment(dep, groups)
 	res.PoolTally = tallyPool(dep)

@@ -52,7 +52,6 @@ func domainWorld(t *testing.T, tenants, days, r, domains int, spread bool, slack
 	opts := master.Options{
 		Immediate:     true,
 		MonitorWindow: time.Hour,
-		Recovery:      true,
 		NoSpread:      !spread,
 	}
 	used := plan.NodesUsed()

@@ -205,9 +205,7 @@ func RunGrayFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 		}
 	}
 	res.Hedged, res.HedgeWins = target.Router.HedgeStats()
-	if target.Recovery != nil {
-		res.CrashInFlight = target.Recovery.InProgress()
-	}
+	res.CrashInFlight = target.Recovery.InProgress()
 	for _, g := range dep.Groups() {
 		for _, inst := range g.Instances {
 			if inst.Slowdown() != 1 {

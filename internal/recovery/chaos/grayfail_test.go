@@ -267,6 +267,7 @@ func TestGrayDoubleFailureSoak(t *testing.T) {
 			if _, err := w.dep.Pool().FailAny(inst.ID()); err != nil {
 				t.Errorf("FailAny at %v: %v", at, err)
 			}
+			target.Recovery.Detect()
 		})
 	}
 	// Crash instance 1 mid-episode — while the ladder is draining its stuck

@@ -2,13 +2,14 @@
 // will replace a failed node by starting a new node upon receiving node
 // failure notification. ... The failed node is carted away and re-imaged."
 //
-// A Controller watches one tenant-group. Detection is a heartbeat probe on
-// the group's own engine (deterministic sim-clock time, no wall clock): each
-// beat compares every instance's FailedNodes count against the recoveries
-// already in progress, so a crash is noticed at the next beat — including a
-// repeat crash of an instance that is already mid-recovery. Callers that
-// learn of a failure synchronously (the replay injector) can call Notify to
-// skip the detection latency.
+// A Controller watches one tenant-group. Detection is a sweep on the group's
+// own engine (deterministic sim-clock time, no wall clock) that compares
+// every instance's FailedNodes count against the recoveries already in
+// progress, so it also catches a repeat crash of an instance that is already
+// mid-recovery. Nothing polls: the code that fails a node calls Detect, which
+// schedules the sweep at the next instant of a 30-s heartbeat grid — exactly
+// when a probe would have noticed the fault. Callers that must react at once
+// (the gray drain, a domain outage) call Notify to sweep immediately.
 //
 // Per detected failure the controller decides that a node is needed; the
 // group's cluster.Lifecycle does the how: its swap sends the failed node to
@@ -34,7 +35,8 @@ import (
 	"repro/internal/telemetry"
 )
 
-// HeartbeatInterval is the failure-detection probe period.
+// HeartbeatInterval is the detection grid's period: a fault is detected at
+// the first instant of its controller's grid at or after it.
 const HeartbeatInterval = 30 * time.Second
 
 // Event records one detected failure's recovery lifecycle.
@@ -90,7 +92,12 @@ type Controller struct {
 	// "covers" the instance-side count.
 	awaitingSwap map[string]int
 	events       []*Event
-	started      bool
+
+	// The heartbeat grid is anchor, the arming instant, plus k ×
+	// HeartbeatInterval (k ≥ 1). beatAt is the instant of the last beat
+	// scheduled, queued while queued is set: each instant gets one beat.
+	anchor, beatAt sim.Time
+	queued         bool
 
 	// Scarcity triage: prio supplies the group's live SLA-at-risk inputs;
 	// claimSeq makes claim keys unique per lifecycle.
@@ -114,13 +121,15 @@ type Controller struct {
 	mDuration  *telemetry.Histogram
 }
 
-// New creates a controller for the group's instances: lc is the group's
-// node lifecycle and tri the deployment's scarcity triage.
+// New creates a controller for the group's instances, armed: lc is the
+// group's node lifecycle and tri the deployment's scarcity triage. Its
+// heartbeat grid starts at the engine's now; a group that landed collapsed
+// gets its re-spread check. The caller must hold the group's domain.
 func New(lc *cluster.Lifecycle, tri *Triage, group string, insts []*mppdb.Instance) (*Controller, error) {
 	if lc == nil || tri == nil || len(insts) == 0 {
 		return nil, fmt.Errorf("recovery: group %q needs a lifecycle, a triage, and instances", group)
 	}
-	return &Controller{
+	c := &Controller{
 		lc:           lc,
 		eng:          lc.Engine(),
 		pool:         lc.Pool(),
@@ -130,7 +139,10 @@ func New(lc *cluster.Lifecycle, tri *Triage, group string, insts []*mppdb.Instan
 		prio:         func() (float64, int) { return 0, 0 },
 		pending:      make(map[string]int),
 		awaitingSwap: make(map[string]int),
-	}, nil
+		anchor:       lc.Engine().Now(),
+	}
+	c.checkSpread()
+	return c, nil
 }
 
 // SetTelemetry attaches a telemetry hub. A nil hub disables instrumentation.
@@ -156,25 +168,34 @@ func (c *Controller) SetPriority(prio func() (float64, int)) { c.prio = prio }
 // failed node is repaired.
 func (c *Controller) SetQuarantine(fn func(instID string, on bool)) { c.quarantine = fn }
 
-// Start schedules the periodic heartbeat probes. Idempotent. A controller's
-// events are shared (sim.Engine.AfterShared): they use the pool.
-func (c *Controller) Start() {
-	if c.started {
+// Detect schedules a heartbeat — a detection sweep, then the re-spread
+// check — at the first grid instant at or after now whose beat has not
+// fired, unless one is queued already. The code that fails a node calls it.
+// The beat is a shared event (it uses the pool), so under sim.Domains.Drive
+// the caller is itself a shared event or the coordinator.
+func (c *Controller) Detect() {
+	if c.queued {
 		return
 	}
-	c.started = true
-	var beat func(now sim.Time)
-	beat = func(now sim.Time) {
-		c.sweep()
-		c.maybeRespread()
-		c.eng.AfterShared(HeartbeatInterval, beat)
+	iv := sim.Duration(HeartbeatInterval)
+	at := c.anchor + max((c.eng.Now()-c.anchor+iv-1)/iv, 1)*iv
+	if at == c.beatAt {
+		at += iv
 	}
-	c.eng.AfterShared(HeartbeatInterval, beat)
+	c.beatAt, c.queued = at, true
+	c.eng.ScheduleShared(at, c.beat)
 }
 
-// Notify prompts an immediate detection sweep — the push half of detection,
-// for callers that already know a node just failed. The caller must hold the
-// group's domain.
+// beat is one heartbeat; checkSpread re-arms it while the group is collapsed.
+func (c *Controller) beat(sim.Time) {
+	c.queued = false
+	c.sweep()
+	c.maybeRespread()
+	c.checkSpread()
+}
+
+// Notify sweeps at once — for callers that know a node just failed and must
+// not wait for the grid. The caller must hold the group's domain.
 func (c *Controller) Notify() { c.sweep() }
 
 // InProgress returns the number of recoveries currently in flight.
@@ -344,6 +365,7 @@ func (c *Controller) finish(ev *Event, inst *mppdb.Instance) {
 		if c.tel != nil {
 			c.mActive.Add(-1)
 		}
+		c.checkSpread()
 	}()
 	if inst.FailedNodes() > 0 {
 		if err := inst.RepairNode(); err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 // rig is one instrumented group: a 2-node instance holding 10 GB, its pool
-// nodes acquired, a started controller, and a telemetry hub.
+// nodes acquired, an armed controller, and a telemetry hub.
 type rig struct {
 	eng    *sim.Engine
 	pool   *cluster.Pool
@@ -32,7 +32,6 @@ func newRig(t *testing.T, poolSize int) *rig {
 	r := &rig{eng: eng, pool: pool, triage: NewTriage(pool), inst: inst, hub: telemetry.NewHub(eng, 0.999)}
 	r.ctl = newController(t, eng, pool, r.triage, inst)
 	r.ctl.SetTelemetry(r.hub)
-	r.ctl.Start()
 	return r
 }
 
@@ -46,17 +45,26 @@ func newController(t *testing.T, eng *sim.Engine, pool *cluster.Pool, tri *Triag
 	return ctl
 }
 
-// crash fails one node at the instance and the pool, like the replay injector.
+// crash fails one node at the instance and the pool and schedules its
+// detection, like the replay injector.
 func (r *rig) crash(t *testing.T, at sim.Time) {
 	t.Helper()
-	r.eng.Schedule(at, func(sim.Time) {
-		if err := r.inst.FailNode(); err != nil {
+	crash(t, r.eng, r.pool, r.inst, r.ctl, at)
+}
+
+// crash schedules a node failure of inst at at, at the instance and the
+// pool, and its detection by ctl.
+func crash(t *testing.T, eng *sim.Engine, pool *cluster.Pool, inst *mppdb.Instance, ctl *Controller, at sim.Time) {
+	t.Helper()
+	eng.Schedule(at, func(sim.Time) {
+		if err := inst.FailNode(); err != nil {
 			t.Errorf("FailNode: %v", err)
 			return
 		}
-		if _, err := r.pool.FailAny(r.inst.ID()); err != nil {
+		if _, err := pool.FailAny(inst.ID()); err != nil {
 			t.Errorf("FailAny: %v", err)
 		}
+		ctl.Detect()
 	})
 }
 
@@ -141,20 +149,8 @@ func TestRepeatCrashDuringRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctl := newController(t, eng, pool, NewTriage(pool), inst)
-	ctl.Start()
-	crash := func(at sim.Time) {
-		eng.Schedule(at, func(sim.Time) {
-			if err := inst.FailNode(); err != nil {
-				t.Errorf("FailNode: %v", err)
-				return
-			}
-			if _, err := pool.FailAny(inst.ID()); err != nil {
-				t.Errorf("FailAny: %v", err)
-			}
-		})
-	}
-	crash(100 * sim.Second)
-	crash(200 * sim.Second) // first recovery still reloading (≫100 s)
+	crash(t, eng, pool, inst, ctl, 100*sim.Second)
+	crash(t, eng, pool, inst, ctl, 200*sim.Second) // first recovery still reloading (≫100 s)
 	eng.Run(2 * sim.Day)
 
 	evs := ctl.Events()
@@ -227,16 +223,7 @@ func TestRecoveryAfterCapacityReturns(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctl := newController(t, eng, pool, NewTriage(pool), inst)
-	ctl.Start()
-	eng.Schedule(100*sim.Second, func(sim.Time) {
-		if err := inst.FailNode(); err != nil {
-			t.Errorf("FailNode: %v", err)
-			return
-		}
-		if _, err := pool.FailAny(inst.ID()); err != nil {
-			t.Errorf("FailAny: %v", err)
-		}
-	})
+	crash(t, eng, pool, inst, ctl, 100*sim.Second)
 	// The hog releases its node long after the claim queued.
 	const release = 30*sim.Minute + 30*sim.Second
 	eng.Schedule(release, func(sim.Time) { pool.Release("hog") })
@@ -272,6 +259,7 @@ func TestInstanceOnlyFailureFallsBackToAcquire(t *testing.T) {
 		if err := r.inst.FailNode(); err != nil {
 			t.Errorf("FailNode: %v", err)
 		}
+		r.ctl.Detect()
 	})
 	r.eng.Run(sim.Day)
 	evs := r.ctl.Events()
@@ -287,7 +275,7 @@ func TestInstanceOnlyFailureFallsBackToAcquire(t *testing.T) {
 }
 
 // TestNotifySkipsDetectionLatency: a push notification recovers without
-// waiting for the next heartbeat.
+// waiting for the next heartbeat instant.
 func TestNotifySkipsDetectionLatency(t *testing.T) {
 	r := newRig(t, 3)
 	r.eng.Schedule(100*sim.Second, func(sim.Time) {
@@ -296,6 +284,7 @@ func TestNotifySkipsDetectionLatency(t *testing.T) {
 			return
 		}
 		r.ctl.Notify()
+		r.ctl.Detect()
 	})
 	r.eng.Run(sim.Day)
 	evs := r.ctl.Events()
@@ -331,10 +320,13 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl.Start()
-	ctl.Start() // idempotent
-	if n := eng.Pending(); n != 1 {
-		t.Errorf("double Start armed %d heartbeats, want 1", n)
+	if n := eng.Pending(); n != 0 {
+		t.Errorf("an armed fault-free controller scheduled %d events, want 0", n)
+	}
+	ctl.Detect()
+	ctl.Detect() // one beat covers both
+	if at, ok := eng.NextAt(); eng.Pending() != 1 || !ok || at != sim.Duration(HeartbeatInterval) {
+		t.Errorf("two Detects queued %d beats (first at %v), want 1 at 30s", eng.Pending(), at)
 	}
 }
 
@@ -358,8 +350,8 @@ func TestRespreadAbortReimagesFailedStaging(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctl.Start()
-	// The first beat (30 s) stages g0-db1's move onto domain 1.
+	// The group is armed collapsed, so the first beat (30 s) stages
+	// g0-db1's move onto domain 1.
 	eng.Schedule(100*sim.Second, func(sim.Time) {
 		if _, err := pool.FailAny("g0-db1/respread"); err != nil {
 			t.Errorf("failing a staged node: %v", err)

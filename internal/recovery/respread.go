@@ -1,8 +1,9 @@
 // Restoration re-spread. A whole-domain outage forces mid-outage
 // replacements onto the surviving domains, so a group that was spread across
 // racks can come out of the outage collapsed onto one — protected against
-// nothing the next time a rack dies. Once the domain returns, the heartbeat
-// notices the collapse and live-migrates one replica back onto a fresh
+// nothing the next time a rack dies. The re-spread check runs on the
+// heartbeat grid while the group may be collapsed; once the domain returns,
+// it notices the collapse and live-migrates one replica back onto a fresh
 // domain through the group's lifecycle: the target nodes are staged and
 // reload in the background (Table 5.1 startup + bulk load) while the old
 // nodes keep serving, then the lifecycle cuts over — the instance's backing
@@ -24,6 +25,28 @@ const respreadMinDomains = 2
 // Respreads returns how many re-spread migrations have cut over.
 func (c *Controller) Respreads() int { return c.respreads }
 
+// checkSpread keeps the re-spread check on the heartbeat grid while the
+// group spans fewer failure domains than its target. It runs at arming, when
+// a recovery lifecycle finishes or a re-spread aborts, and after each beat;
+// a lifecycle that does not spread (a single-domain pool's) never needs it.
+func (c *Controller) checkSpread() {
+	if !c.respreadInFlight && c.lc.Spreads() && len(c.insts) >= 2 &&
+		len(c.usedDomains()) < min(respreadMinDomains, c.pool.Domains(), len(c.insts)) {
+		c.Detect()
+	}
+}
+
+// usedDomains returns the failure domains of the group's active nodes.
+func (c *Controller) usedDomains() map[int]bool {
+	used := map[int]bool{}
+	for _, inst := range c.insts {
+		for _, d := range c.pool.OwnerDomains(inst.ID()) {
+			used[d] = true
+		}
+	}
+	return used
+}
+
 // maybeRespread runs on the heartbeat of a group whose lifecycle spreads
 // (cluster.Lifecycle.Spreads): when the group is healthy but spans
 // fewer failure domains than its target, it starts one live replica
@@ -34,15 +57,12 @@ func (c *Controller) maybeRespread() {
 	if !c.lc.Spreads() || c.respreadInFlight || c.InProgress() > 0 || len(c.insts) < 2 {
 		return
 	}
-	used := map[int]bool{}
 	for _, inst := range c.insts {
 		if inst.FailedNodes() > 0 || c.pool.FailedCount(inst.ID()) > 0 {
 			return // recover first, re-spread after
 		}
-		for _, d := range c.pool.OwnerDomains(inst.ID()) {
-			used[d] = true
-		}
 	}
+	used := c.usedDomains()
 	if len(used) >= min(respreadMinDomains, c.pool.Domains(), len(c.insts)) {
 		return
 	}
@@ -90,7 +110,7 @@ func (c *Controller) maybeRespread() {
 // finishRespread cuts the staged migration over (or aborts it) once the
 // background reload is done. If anything died meanwhile — a staged node's
 // domain went down, or the instance took a crash — the lifecycle aborts the
-// staging (its failed nodes are re-imaged) and a later beat retries from
+// staging (its failed nodes are re-imaged) and the next beat retries from
 // scratch; the serving nodes were never touched, so either way no query is
 // dropped.
 func (c *Controller) finishRespread(inst *mppdb.Instance, owner, tempOwner string, doms []int, intact bool) {
@@ -105,6 +125,7 @@ func (c *Controller) finishRespread(inst *mppdb.Instance, owner, tempOwner strin
 				Detail: fmt.Sprintf("re-spread aborted: %s; staged nodes released", why),
 			})
 		}
+		c.checkSpread()
 	}
 	if !intact || inst.FailedNodes() > 0 || c.pool.FailedCount(owner) > 0 {
 		abort("instance or staged nodes failed during the background reload")

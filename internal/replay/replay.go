@@ -43,9 +43,10 @@ type TakeOver struct {
 // MPPDB fails (at the instance and, when the pool holds an active node for
 // it, at the pool too). The MPPDB stays online with degraded throughput;
 // detection and repair are autonomous — the group's recovery.Controller
-// notices the failure on its next heartbeat, swaps the node at the pool,
-// prices replacement startup plus the Table 5.1 bulk reload, and restores
-// full speed. Scripted and service-path recovery share that one code path.
+// notices the failure at the next 30-s heartbeat instant, swaps the node at
+// the pool, prices replacement startup plus the Table 5.1 bulk reload, and
+// restores full speed. Scripted and service-path recovery share that one
+// code path.
 type Failure struct {
 	// At is the failure instant.
 	At sim.Time
@@ -119,8 +120,8 @@ type Report struct {
 	ScalingEvents []scaling.Event
 	// FailureEvents are the injected node failures and their repairs.
 	FailureEvents []FailureEvent
-	// RecoveryEvents are the controllers' recovery lifecycles (empty when no
-	// failures were injected), in deployment group order.
+	// RecoveryEvents are the controllers' recovery lifecycles, in deployment
+	// group order.
 	RecoveryEvents []recovery.Event
 	Counts
 }
@@ -292,9 +293,7 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 		if p.scaler != nil {
 			rep.ScalingEvents = append(rep.ScalingEvents, p.scaler.Events()...)
 		}
-		if p.controller != nil {
-			rep.RecoveryEvents = append(rep.RecoveryEvents, p.controller.Events()...)
-		}
+		rep.RecoveryEvents = append(rep.RecoveryEvents, p.group.Recovery.Events()...)
 	}
 	fillRepairs(rep.FailureEvents, rep.RecoveryEvents)
 	return rep, nil
@@ -314,10 +313,9 @@ type driver struct {
 // part is one group's share of a replay.
 type part struct {
 	Counts
-	group      *master.DeployedGroup
-	samples    []Sample
-	scaler     *scaling.Scaler
-	controller *recovery.Controller
+	group   *master.DeployedGroup
+	samples []Sample
+	scaler  *scaling.Scaler
 }
 
 // schedule puts g's share of the replay on eng, g's engine — the arrivals of
@@ -369,20 +367,7 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, g *master
 		}
 	}
 
-	// Failure injection (§4.4). The injector only breaks things: it degrades
-	// the instance and fails the backing pool node. Detection and repair run
-	// on the groups' recovery controllers, which replay arms as the master
-	// does (master.Deployment.ArmRecovery) and only when there are failures
-	// to recover (in any group), so failure-free replays keep their
-	// pre-controller event schedule bit-identically.
-	if len(d.fails) > 0 {
-		if g.Recovery == nil {
-			if err := dep.ArmRecovery(g); err != nil {
-				return nil, err
-			}
-		}
-		p.controller = g.Recovery
-	}
+	// Failure injection (§4.4), as shared events: a failure writes the pool.
 	for fi := range d.fails {
 		if ev := &d.fails[fi]; ev.Group == g.Plan.ID {
 			eng.ScheduleShared(ev.At, func(sim.Time) { injectFailure(dep, g, ev) })
@@ -428,8 +413,9 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, g *master
 
 // injectFailure applies one scripted failure to its group: the instance loses
 // a node and the pool's backing node (if any is active for that instance) is
-// marked Failed, so the controller's swap has a node to cart away. The caller
-// must own the group's engine.
+// marked Failed, so the controller's swap has a node to cart away; then it
+// schedules the controller's detection. The caller must own the group's
+// engine.
 func injectFailure(dep *master.Deployment, g *master.DeployedGroup, ev *FailureEvent) {
 	if ev.Instance < 0 || ev.Instance >= len(g.Instances) {
 		ev.Err = fmt.Sprintf("group %s has no instance %d", ev.Group, ev.Instance)
@@ -444,6 +430,7 @@ func injectFailure(dep *master.Deployment, g *master.DeployedGroup, ev *FailureE
 	if id, err := dep.Pool().FailAny(inst.ID()); err == nil {
 		ev.Node = id
 	}
+	g.Recovery.Detect()
 	if h := g.Telemetry(); h != nil {
 		h.Events.Publish(telemetry.Event{
 			Type:   telemetry.EventNodeFailure,

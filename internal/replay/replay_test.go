@@ -16,7 +16,7 @@ import (
 	"repro/internal/workload"
 )
 
-// world builds a small consolidated deployment plus its logs.
+// world is a small consolidated deployment plus its logs.
 type world struct {
 	eng  *sim.Engine
 	cat  *queries.Catalog
@@ -25,15 +25,23 @@ type world struct {
 	plan *advisor.Plan
 }
 
+// newWorld deploys 2-node tenants on a single-domain pool.
 func newWorld(t *testing.T, tenants, days int, r int) *world {
 	t.Helper()
+	return newWorldOn(t, tenants, days, r, 2, 1)
+}
+
+// newWorldOn deploys tenants of the given node count on a pool split into
+// domains failure domains.
+func newWorldOn(t *testing.T, tenants, days, r, nodes, domains int) *world {
+	t.Helper()
 	cat := queries.Default()
-	lib, err := workload.BuildLibrary(cat, []int{2}, 4, 7)
+	lib, err := workload.BuildLibrary(cat, []int{nodes}, 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(13))
-	pop, err := tenant.Population(rng, tenants, 0.8, []int{2}, tenant.ZoneOffsets)
+	pop, err := tenant.Population(rng, tenants, 0.8, []int{nodes}, tenant.ZoneOffsets)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +62,7 @@ func newWorld(t *testing.T, tenants, days int, r int) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pool := cluster.NewPool(10 * plan.NodesUsed())
+	pool := cluster.NewPoolDomains(10*plan.NodesUsed(), domains)
 	m := master.New(pool, master.Options{Immediate: true})
 	byID := map[string]*tenant.Tenant{}
 	for _, tn := range pop {

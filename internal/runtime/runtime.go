@@ -14,6 +14,7 @@ package runtime
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -55,8 +56,8 @@ type GroupRuntime struct {
 	// engine.
 	Lifecycle *cluster.Lifecycle
 	// Recovery, when non-nil, is the group's autonomous failure-recovery
-	// controller (§4.4), armed by the Deployment Master or the replay
-	// failure injector. It lives on the group's engine.
+	// controller (§4.4); the Deployment Master arms one in every group. It
+	// lives on the group's engine.
 	Recovery *recovery.Controller
 	// Gray, when non-nil, is the group's fail-slow detector: peer-relative
 	// completion-latency anomaly detection driving the hedge → drain
@@ -75,7 +76,12 @@ type GroupRuntime struct {
 	// stats readers then serve the cached snapshot instead of advancing or
 	// locking the overloaded group's domain.
 	sheddingOnly atomic.Bool
-	lastStats    atomic.Pointer[Stats]
+	// cache is that snapshot, refreshed in place by CacheStats and copied out
+	// by readers under cacheMu; cached is false until an episode's first
+	// refresh.
+	cacheMu sync.Mutex
+	cache   Stats
+	cached  bool
 
 	// Telemetry (optional): submit-path retry/timeout instrumentation.
 	tel      *telemetry.Hub
@@ -407,10 +413,10 @@ type Stats struct {
 	Instances     []mppdb.Snapshot
 }
 
-// snapshot collects Stats; the caller must hold the group's domain. The
-// snapshot is also cached for shedding-only readers.
-func (g *GroupRuntime) snapshot() Stats {
-	st := Stats{
+// snapshot fills st, reusing its Instances slice; the caller must hold the
+// group's domain.
+func (g *GroupRuntime) snapshot(st *Stats) {
+	*st = Stats{
 		Group:         g.Plan.ID,
 		Members:       len(g.Members),
 		ActiveTenants: g.Monitor.ActiveTenants(),
@@ -418,51 +424,57 @@ func (g *GroupRuntime) snapshot() Stats {
 		SLAAttainment: g.Monitor.SLAAttainment(),
 		Routed:        g.Router.Routed(),
 		Overflowed:    g.Router.Overflowed(),
+		Instances:     st.Instances[:0],
 	}
 	for _, inst := range g.Instances {
 		st.Instances = append(st.Instances, inst.Snapshot())
 	}
-	g.lastStats.Store(&st)
-	return st
 }
 
-// CacheStats refreshes the cached snapshot; the caller must hold the
-// group's domain. The admission controller's brownout tick calls it so
-// shedding-only readers see stats no staler than one tick.
-func (g *GroupRuntime) CacheStats() { g.snapshot() }
+// CacheStats refreshes the snapshot shedding-only readers are served; the
+// caller must hold the group's domain. The admission controller's brownout
+// tick calls it, after any level change, so they see stats no staler than
+// one tick. It does nothing while the group is not shedding-only, the only
+// time the snapshot is read, and refreshes it in place: readers take copies.
+func (g *GroupRuntime) CacheStats() {
+	if g.sheddingOnly.Load() {
+		g.cacheMu.Lock()
+		g.snapshot(&g.cache)
+		g.cached = true
+		g.cacheMu.Unlock()
+	}
+}
 
 // SetSheddingOnly marks the group shedding-only: stats readers serve the
 // cached snapshot instead of advancing or locking the group's domain, so
 // read endpoints stay fast while the group digs out of overload. The
-// brownout controller toggles it at its top level.
-func (g *GroupRuntime) SetSheddingOnly(v bool) { g.sheddingOnly.Store(v) }
+// brownout controller toggles it at its top level; clearing it retires the
+// snapshot, so the next episode never serves the last one's.
+func (g *GroupRuntime) SetSheddingOnly(v bool) {
+	g.sheddingOnly.Store(v)
+	g.cacheMu.Lock()
+	g.cached = g.cached && v
+	g.cacheMu.Unlock()
+}
 
 // SheddingOnly reports whether the group is marked shedding-only.
 func (g *GroupRuntime) SheddingOnly() bool { return g.sheddingOnly.Load() }
 
-// Stats snapshots the group at its current virtual time. A shedding-only
-// group returns its cached snapshot without touching the domain.
-func (g *GroupRuntime) Stats() Stats {
-	if g.sheddingOnly.Load() {
-		if st := g.lastStats.Load(); st != nil {
-			return *st
-		}
-	}
-	var st Stats
-	g.dom.Do(func(*sim.Engine) { st = g.snapshot() })
-	return st
-}
-
-// StatsAt advances the group to at and snapshots it. A shedding-only group
-// returns its cached snapshot without advancing or locking the domain.
+// StatsAt advances the group to at (a time at or before its clock advances
+// nothing) and snapshots it. A shedding-only group returns a copy of its
+// cached snapshot without advancing or locking the domain.
 func (g *GroupRuntime) StatsAt(at sim.Time) Stats {
 	if g.sheddingOnly.Load() {
-		if st := g.lastStats.Load(); st != nil {
-			return *st
+		g.cacheMu.Lock()
+		st, ok := g.cache, g.cached
+		st.Instances = slices.Clone(st.Instances)
+		g.cacheMu.Unlock()
+		if ok {
+			return st
 		}
 	}
 	var st Stats
-	g.dom.Advance(at, func(*sim.Engine) { st = g.snapshot() })
+	g.dom.Advance(at, func(*sim.Engine) { g.snapshot(&st) })
 	return st
 }
 

@@ -75,7 +75,7 @@ func TestGroupRuntimeSubmitStatsRecords(t *testing.T) {
 	if !strings.HasPrefix(db, "TG-0001-db") {
 		t.Errorf("routed to %q", db)
 	}
-	st := g.Stats()
+	st := g.StatsAt(0)
 	if st.Group != "TG-0001" || st.Members != 2 {
 		t.Errorf("stats identity: %+v", st)
 	}
@@ -214,7 +214,7 @@ func TestGroupRuntimeConcurrentSubmits(t *testing.T) {
 					t.Errorf("submit %s: %v", tid, err)
 					return
 				}
-				_ = g.Stats()
+				_ = g.StatsAt(0)
 			}
 		}()
 	}
@@ -228,9 +228,57 @@ func TestGroupRuntimeConcurrentSubmits(t *testing.T) {
 	}
 }
 
+// TestShedStatsCache: a shedding-only group's readers get copies of the
+// snapshot its brownout tick refreshes in place — concurrently with the
+// refresh, without advancing the domain, never sharing a slice the tick
+// rewrites, and never the snapshot of an earlier episode.
+func TestShedStatsCache(t *testing.T) {
+	eng := sim.NewEngine()
+	g := newGroup(t, eng, "TG-0001", "t1", "t2")
+	g.Bind(sim.NewDomain(eng))
+	g.SetSheddingOnly(true)
+	g.Domain().Do(func(*sim.Engine) { g.CacheStats() })
+	held := g.StatsAt(sim.Day)
+	if _, _, err := g.SubmitGoverned(sim.Second, "t1", q1(t), 0, RetryPolicy{}, false); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			g.Domain().Do(func(*sim.Engine) { g.CacheStats() })
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			if st := g.StatsAt(sim.Day); len(st.Instances) != 2 {
+				t.Errorf("cached snapshot has %d instances", len(st.Instances))
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	running := func(st Stats) (n int) {
+		for _, in := range st.Instances {
+			n += in.Running
+		}
+		return n
+	}
+	if got := running(g.StatsAt(sim.Day)); got != 1 || running(held) != 0 || g.Now() != sim.Second {
+		t.Errorf("running %d (held copy %d), clock %v: want 1, 0 and the submit's 1s", got, running(held), g.Now())
+	}
+	g.SetSheddingOnly(false)
+	g.SetSheddingOnly(true)
+	if g.StatsAt(sim.Hour); g.Now() != sim.Hour {
+		t.Errorf("a new episode served the last one's snapshot: clock %v, want the domain advanced to 1h", g.Now())
+	}
+}
+
 // TestSnapshotCostIndependentOfLogLength: a group's snapshot is taken on
-// every GET /v1/groups and on every admission brownout tick, so it must not
-// walk the record log. Outside the monitor the only way to walk the log is to
+// every GET /v1/groups and on every brownout tick of a shedding-only group,
+// so it must not walk the record log. Outside the monitor the only way to walk the log is to
 // materialise it, which allocates 64 bytes a record, so the bytes one
 // snapshot allocates are compared between a short log and a long one (a
 // count, not a wall time; internal/monitor pins that the attainment itself
@@ -252,7 +300,7 @@ func TestSnapshotCostIndependentOfLogLength(t *testing.T) {
 		var before, after goruntime.MemStats
 		goruntime.ReadMemStats(&before)
 		for i := 0; i < runs; i++ {
-			if st := g.Stats(); st.SLAAttainment != 0.75 {
+			if st := g.StatsAt(0); st.SLAAttainment != 0.75 {
 				t.Fatalf("attainment = %v over %d records, want 0.75", st.SLAAttainment, g.Monitor.RecordCount())
 			}
 		}

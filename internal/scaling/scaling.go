@@ -307,6 +307,7 @@ func (s *Scaler) scaleUp(t *Target, rtttp float64) {
 		})
 	}
 	inst := mppdb.New(s.eng, id, nodes)
+	inst.SetGate(s.lc.Pool().Gate())
 	inst.SetTelemetry(s.tel)
 	inst.SetState(mppdb.Provisioning)
 	for _, m := range over {

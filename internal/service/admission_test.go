@@ -12,13 +12,9 @@ import (
 
 	"repro/internal/admission"
 	"repro/internal/advisor"
-	"repro/internal/cluster"
-	"repro/internal/epoch"
 	"repro/internal/master"
 	"repro/internal/queries"
 	"repro/internal/sim"
-	"repro/internal/tenant"
-	"repro/internal/workload"
 )
 
 // postRaw posts JSON and returns the raw response (headers readable) plus
@@ -42,39 +38,9 @@ func postRaw(t *testing.T, ts *httptest.Server, path string, body any) (*http.Re
 // under the given explicit contracts.
 func deployAdmitted(t *testing.T, ids []string, contracts map[string]admission.Contract) (*master.Deployment, *advisor.Plan) {
 	t.Helper()
-	tenants := map[string]*tenant.Tenant{}
-	var logs []*workload.TenantLog
-	for i, id := range ids {
-		tn := &tenant.Tenant{ID: id, Nodes: 2, DataGB: 200, Users: 1, Suite: queries.TPCH}
-		tenants[id] = tn
-		w := sim.Time(i) * 6 * sim.Hour
-		logs = append(logs, &workload.TenantLog{
-			Tenant:   tn,
-			Activity: epoch.Activity{{Start: w, End: w + sim.Hour}},
-		})
-	}
-	acfg := advisor.DefaultConfig()
-	acfg.R = 2
-	adv, err := advisor.New(acfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := adv.Plan(logs, sim.Day)
-	if err != nil {
-		t.Fatal(err)
-	}
 	admCfg := admission.DefaultConfig()
 	admCfg.Contracts = contracts
-	m := master.New(cluster.NewPool(64), master.Options{
-		Immediate:     true,
-		MonitorWindow: time.Hour,
-		Admission:     &admCfg,
-	})
-	dep, err := m.Deploy(plan, tenants)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return dep, plan
+	return deployWith(t, ids, master.Options{Immediate: true, MonitorWindow: time.Hour, Admission: &admCfg})
 }
 
 // TestNoisyNeighborE2E drives the noisy-neighbor scenario end to end over
@@ -237,11 +203,12 @@ func TestSheddingOnlyReadPath(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	// Warm each group's stats cache and mark it shedding-only.
+	// Mark each group shedding-only and warm its stats cache, in the
+	// brownout tick's order.
 	for _, g := range dep.Groups() {
 		g := g
-		g.Domain().Do(func(*sim.Engine) { g.CacheStats() })
 		g.SetSheddingOnly(true)
+		g.Domain().Do(func(*sim.Engine) { g.CacheStats() })
 	}
 
 	// Wedge the shared clock domain: a stand-in for a group drowning in

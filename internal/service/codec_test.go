@@ -15,6 +15,8 @@ import (
 	"time"
 
 	"repro/internal/admission"
+	"repro/internal/advisor"
+	"repro/internal/master"
 	"repro/internal/queries"
 	"repro/internal/runtime"
 	"repro/internal/sim"
@@ -331,12 +333,31 @@ func (w *bodyWriter) Write(p []byte) (int, error) {
 // one allocation of slack per request for what is not this repository's:
 // standard-library internals differ between Go releases. "Steady state" starts once the pools are warm;
 // the tracer's ring has nothing to warm, a query's spans are plain stores
-// into it.
+// into it. The bounds hold bare and as a flagless thriftyd deploys (admission
+// armed beside the recovery every deployment has): each request's virtual
+// hour runs 120 brownout ticks, which re-key one event and build no stats
+// snapshot while the group is not shedding-only, and no heartbeat.
 func TestSubmitPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
-	dep, plan := deployTenants(t, []string{"t1", "t2", "t3", "t4"})
+	for _, c := range []struct {
+		name   string
+		deploy func(*testing.T, []string) (*master.Deployment, *advisor.Plan)
+	}{
+		{"bare", deployTenants},
+		{"flagless", func(t *testing.T, ids []string) (*master.Deployment, *advisor.Plan) {
+			adm := admission.DefaultConfig()
+			return deployWith(t, ids, master.Options{Immediate: true, ParallelLoad: true, Admission: &adm})
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) { submitPathAllocations(t, c.deploy) })
+	}
+}
+
+// submitPathAllocations is TestSubmitPathAllocations on one deployment.
+func submitPathAllocations(t *testing.T, deploy func(*testing.T, []string) (*master.Deployment, *advisor.Plan)) {
+	dep, plan := deploy(t, []string{"t1", "t2", "t3", "t4"})
 	srv, err := New(dep, queries.Default(), plan, Config{TimeScale: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -105,7 +105,7 @@ func deployScarce(t *testing.T) (*master.Deployment, *advisor.Plan) {
 		t.Fatal(err)
 	}
 	m := master.New(cluster.NewPoolDomains(plan.NodesUsed(), 2),
-		master.Options{Immediate: true, Recovery: true})
+		master.Options{Immediate: true})
 	dep, err := m.Deploy(plan, tenants)
 	if err != nil {
 		t.Fatal(err)

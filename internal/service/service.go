@@ -834,27 +834,19 @@ type triageStatus struct {
 // handleRecovery reports the deployment's failure-resilience state: per-group
 // crash-recovery events (node loss → replacement), gray fail-slow episodes
 // with their hedge → drain ladder outcomes, the router's hedge tallies, and
-// the scarcity triage queue when armed. Each group's state is read under its
-// clock domain, advanced to now so due detector beats have fired.
+// the scarcity triage queue. Each group's state is read under its clock
+// domain, advanced to now so due detector beats have fired. Every deployment
+// arms recovery, so "enabled" is always true.
 func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
 	s.topo.RLock()
 	t := s.target()
-	armed := false
 	groups := make([]recoveryGroup, 0)
 	for _, g := range s.dep.Groups() {
-		rg := recoveryGroup{
-			Group:       g.Plan.ID,
-			CrashEvents: []recovery.Event{},
-			GrayEvents:  []recovery.GrayEvent{},
-		}
+		rg := recoveryGroup{Group: g.Plan.ID, GrayEvents: []recovery.GrayEvent{}}
 		g.Domain().Advance(t, func(*sim.Engine) {
-			if g.Recovery != nil {
-				armed = true
-				rg.CrashEvents = g.Recovery.Events()
-				rg.CrashActive = g.Recovery.InProgress()
-			}
+			rg.CrashEvents = g.Recovery.Events()
+			rg.CrashActive = g.Recovery.InProgress()
 			if g.Gray != nil {
-				armed = true
 				rg.GrayEvents = g.Gray.Events()
 				rg.GrayActive = g.Gray.InProgress()
 			}
@@ -863,22 +855,10 @@ func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
 		})
 		groups = append(groups, rg)
 	}
-	var tri *triageStatus
-	if tq := s.dep.Triage(); tq != nil {
-		armed = true
-		tri = &triageStatus{Queued: tq.Queued()}
-		tri.Enqueued, tri.Granted = tq.Stats()
-	}
+	tri := &triageStatus{Queued: s.dep.Triage().Queued()}
+	tri.Enqueued, tri.Granted = s.dep.Triage().Stats()
 	s.topo.RUnlock()
-
-	out := map[string]any{
-		"enabled": armed,
-		"groups":  groups,
-	}
-	if tri != nil {
-		out["triage"] = tri
-	}
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, map[string]any{"enabled": true, "groups": groups, "triage": tri})
 }
 
 // SetReconsolidationReport stores the report of the last offline

@@ -29,6 +29,12 @@ import (
 // given IDs (R=2, staggered activity windows).
 func deployTenants(t *testing.T, ids []string) (*master.Deployment, *advisor.Plan) {
 	t.Helper()
+	return deployWith(t, ids, master.Options{Immediate: true})
+}
+
+// deployWith is deployTenants under the given deployment options.
+func deployWith(t *testing.T, ids []string, opts master.Options) (*master.Deployment, *advisor.Plan) {
+	t.Helper()
 	tenants := map[string]*tenant.Tenant{}
 	var logs []*workload.TenantLog
 	for i, id := range ids {
@@ -50,7 +56,7 @@ func deployTenants(t *testing.T, ids []string) (*master.Deployment, *advisor.Pla
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := master.New(cluster.NewPool(64), master.Options{Immediate: true})
+	m := master.New(cluster.NewPool(64), opts)
 	dep, err := m.Deploy(plan, tenants)
 	if err != nil {
 		t.Fatal(err)
@@ -630,7 +636,7 @@ func TestInstallReconsolidation(t *testing.T) {
 	if !ok {
 		t.Fatal("t9 not in new deployment")
 	}
-	if st := g.Stats(); st.Routed != 1 {
+	if st := g.StatsAt(0); st.Routed != 1 {
 		t.Errorf("new shard routed %d queries, want 1", st.Routed)
 	}
 	// Old tenants keep working, and the record surfaces over HTTP.

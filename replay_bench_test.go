@@ -8,8 +8,10 @@ import "testing"
 // deployment per iteration, the deployment built outside the timer. It
 // reports ns per replayed query beside the allocation figures; profile it
 // with -cpuprofile. bare deploys as the benchmark's replay-7d does
-// (Immediate, nothing armed), default as a flagless thriftyd does
-// (Immediate, ParallelLoad, 64 spare nodes, recovery and admission armed).
+// (Immediate), admission arms admission on top, and default deploys as a
+// flagless thriftyd does (Immediate, ParallelLoad, 64 spare nodes, admission
+// armed). Every deployment arms recovery, so recovery deploys as bare does:
+// the row stays to read each subsystem's cost beside the others.
 //
 //	go test -run '^$' -bench BenchmarkReplay -benchtime 5x -cpuprofile cpu.prof .
 func BenchmarkReplay(b *testing.B) {
@@ -27,7 +29,9 @@ func BenchmarkReplay(b *testing.B) {
 		opts DeployOptions
 	}{
 		{"bare", DeployOptions{Immediate: true}},
-		{"default", DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Recovery: true, Admission: &adm}},
+		{"recovery", DeployOptions{Immediate: true}},
+		{"admission", DeployOptions{Immediate: true, Admission: &adm}},
+		{"default", DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Admission: &adm}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

@@ -175,8 +175,9 @@ type System struct {
 
 // DeployOptions re-exports the Deployment Master's options: the pool shape
 // (SpareNodes, Domains), provisioning (Immediate, ParallelLoad) and the
-// opt-in subsystems (Recovery, Admission, Gray, NoSpread), each off — and
-// replay byte-identical — at its zero value.
+// opt-in subsystems (Admission, Gray, NoSpread), each off — and replay
+// byte-identical — at its zero value. Every deployment arms §4.4 recovery,
+// which schedules nothing until a node fails.
 type DeployOptions = master.Options
 
 // Deploy brings the plan up on a fresh simulated cluster. An Admission config
@@ -203,8 +204,8 @@ type ReplayOptions = replay.Options
 type TakeOver = replay.TakeOver
 
 // Failure re-exports the node-failure injection spec. Injected failures
-// only break a node; detection and repair run autonomously through the
-// §4.4 recovery controllers replay arms alongside them.
+// only break a node and schedule its detection; detection and repair run
+// autonomously through the group's §4.4 recovery controller.
 type Failure = replay.Failure
 
 // ReplayReport re-exports the replay report.

@@ -168,7 +168,6 @@ func TestDeployDomainsAndTriage(t *testing.T) {
 		Immediate:  true,
 		SpareNodes: 8,
 		Domains:    3,
-		Recovery:   true,
 	})
 	if err != nil {
 		t.Fatal(err)
