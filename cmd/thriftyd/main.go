@@ -1,7 +1,7 @@
 // Command thriftyd runs the Thrifty MPPDB-as-a-Service front end: it
 // generates a tenant population, plans and deploys the consolidated
 // cluster, and serves the HTTP API (query submission, plan and group
-// inspection, tenant registration, observability).
+// inspection, observability) over that one deployment until it exits.
 //
 // The execution substrate is the virtual-time MPPDB simulator, paced
 // against the wall clock (default 60 virtual seconds per wall second).

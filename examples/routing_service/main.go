@@ -1,6 +1,6 @@
-// Routing service: run the MPPDBaaS HTTP front end in-process, register a
-// pending tenant, submit queries for several tenants over HTTP, and inspect
-// where the TDD router placed them and how they performed.
+// Routing service: run the MPPDBaaS HTTP front end in-process, submit
+// queries for several tenants over HTTP, and inspect where the TDD router
+// placed them and how they performed.
 //
 //	go run ./examples/routing_service
 package main
@@ -64,14 +64,10 @@ func main() {
 		fmt.Printf("%s: TPCH-Q1 routed to %v\n", tn, acc["routed_to"])
 	}
 
-	// Register a new tenant — it is queued for the next consolidation cycle.
-	var reg map[string]any
-	postJSON(srv.URL+"/v1/tenants", service.PendingTenant{ID: "acme-corp", Nodes: 8, Suite: "TPC-H"}, &reg)
-	fmt.Printf("\nregistered acme-corp: %v (%v pending)\n", reg["status"], reg["pending"])
-
 	// Wait a moment of wall time so the virtual clock advances past the
 	// query completions, then fetch the records.
 	time.Sleep(300 * time.Millisecond)
+	fmt.Println()
 	for _, tn := range tenants {
 		var recs []struct {
 			Query      string  `json:"query"`

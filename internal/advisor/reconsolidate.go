@@ -53,8 +53,7 @@ const (
 )
 
 // GroupDecision records the keep/repack verdict for one previous group, in
-// plan order. The GET /v1/reconsolidation endpoint surfaces it so operators
-// can see *why* a group was disturbed.
+// plan order, so the cycle's report shows *why* a group was disturbed.
 type GroupDecision struct {
 	// Group is the previous plan's group ID.
 	Group string `json:"group"`

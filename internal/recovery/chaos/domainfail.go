@@ -221,8 +221,6 @@ func applyOutages(eng *sim.Engine, dep *master.Deployment, sched []DomainOutage,
 type DomainFailResult struct {
 	// Schedule is the injected outage schedule.
 	Schedule []DomainOutage
-	// TriageArmed records whether the deployment ran the scarcity allocator.
-	TriageArmed bool
 	// Casualties counts pool nodes killed by outages; Quarantines the
 	// majority-degraded instances pulled from routing.
 	Casualties, Quarantines int
@@ -309,10 +307,7 @@ func RunDomainFail(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog
 	if err := ValidateOutages(sched, pool.Domains(), cfg.From, cfg.To); err != nil {
 		return nil, err
 	}
-	res := &DomainFailResult{
-		Schedule:    sched,
-		TriageArmed: dep.Triage() != nil,
-	}
+	res := &DomainFailResult{Schedule: sched}
 	if len(cfg.Slowdowns) > 0 {
 		if err := ValidateSlowdowns(cfg.Slowdowns, cfg.From, cfg.To); err != nil {
 			return nil, err

@@ -93,9 +93,6 @@ func TestDomainSmoke(t *testing.T) {
 	if err := res.Verify(); err != nil {
 		t.Fatalf("domain smoke: %v (%+v)", err, res)
 	}
-	if !res.TriageArmed {
-		t.Fatal("smoke deployment has no triage allocator")
-	}
 	if res.Casualties == 0 {
 		t.Fatalf("outages killed no nodes: %+v", res.Schedule)
 	}
@@ -128,7 +125,10 @@ func TestDomainFailTelemetryDeterminism(t *testing.T) {
 		}
 		hub := w.dep.Telemetry()
 		sum = telemetrySum(t, hub)
-		resSum = digest(res.Schedule, res.TriageArmed, res.Casualties, res.Quarantines, res.InjectErrs,
+		// The literal true stands where the result's TriageArmed flag was
+		// hashed: every deployment has the triage, so the flag was constant
+		// and went, and the pinned digest holds unedited.
+		resSum = digest(res.Schedule, true, res.Casualties, res.Quarantines, res.InjectErrs,
 			res.Submitted, res.Errors, res.Attainment, res.MinAttainment, res.MinRTTTP,
 			res.Lifecycles, res.Recovered, res.Triaged, res.TriageEnqueued, res.TriageGranted,
 			res.QueuedClaims, res.Respreads, res.CollapsedGroups,

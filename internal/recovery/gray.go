@@ -254,9 +254,6 @@ func (d *GrayDetector) Start() {
 	d.eng.AfterShared(grayInterval, beat)
 }
 
-// Started reports whether the evaluation loop is armed.
-func (d *GrayDetector) Started() bool { return d.started }
-
 // Events returns a copy of all gray episodes so far, suspicion order.
 func (d *GrayDetector) Events() []GrayEvent {
 	out := make([]GrayEvent, len(d.events))

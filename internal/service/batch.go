@@ -12,7 +12,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/master"
 	"repro/internal/monitor"
 	"repro/internal/queries"
 	"repro/internal/runtime"
@@ -44,10 +43,10 @@ func (s *Server) classFor(q *SubmitRequest) (*queries.Class, bool, error) {
 	}
 }
 
-// pendingSubmit is one coalesced single submit. Entries are pooled per
+// queuedSubmit is one coalesced single submit. Entries are pooled per
 // coalescer; the done channel (buffered, capacity 1) is reused across
 // checkouts, so a steady-state submit allocates nothing here.
-type pendingSubmit struct {
+type queuedSubmit struct {
 	item runtime.BatchItem
 	out  runtime.BatchOutcome
 	done chan struct{}
@@ -64,26 +63,26 @@ const maxCoalesced = 64
 // contend on the group's clock domain at all.
 type coalescer struct {
 	mu     sync.Mutex
-	queue  []*pendingSubmit
+	queue  []*queuedSubmit
 	leader bool
-	free   []*pendingSubmit
+	free   []*queuedSubmit
 
 	// Leader scratch, reused across drain rounds (leader-only; the leader is
 	// unique per coalescer, so no lock is needed while using them).
-	batch []*pendingSubmit
+	batch []*queuedSubmit
 	items []runtime.BatchItem
 	outs  []runtime.BatchOutcome
 }
 
 // get checks a pooled entry out. Caller holds c.mu.
-func (c *coalescer) get() *pendingSubmit {
+func (c *coalescer) get() *queuedSubmit {
 	if n := len(c.free); n > 0 {
 		p := c.free[n-1]
 		c.free[n-1] = nil
 		c.free = c.free[:n-1]
 		return p
 	}
-	return &pendingSubmit{done: make(chan struct{}, 1)}
+	return &queuedSubmit{done: make(chan struct{}, 1)}
 }
 
 // take moves up to maxCoalesced queued submits into the leader's batch.
@@ -96,25 +95,15 @@ func (c *coalescer) take() {
 	c.queue = c.queue[:rest]
 }
 
-// coalescerFor returns the group's coalescer, creating it on first use. A
-// hit, every submit but a group's first, takes no lock.
-func (s *Server) coalescerFor(g *runtime.GroupRuntime) *coalescer {
-	if c, ok := s.coalescers.Load(g); ok {
-		return c.(*coalescer)
-	}
-	c, _ := s.coalescers.LoadOrStore(g, &coalescer{})
-	return c.(*coalescer)
-}
-
 // submitCoalesced submits one item through the group's coalescer and blocks
 // until its outcome is known. Safe for arbitrary concurrency; per-item
 // semantics are identical to a solo SubmitBatchAt (admission, retries,
-// typed errors). The caller holds s.topo read-locked. A drain round locks the
-// coalescer once: the leader claims its role and first batch in the section
-// that queues its own submit, and steps down or takes the next batch in one
-// section after each round — so a lone submit locks twice.
+// typed errors). A drain round locks the coalescer once: the leader claims
+// its role and first batch in the section that queues its own submit, and
+// steps down or takes the next batch in one section after each round — so a
+// lone submit locks twice.
 func (s *Server) submitCoalesced(g *runtime.GroupRuntime, item runtime.BatchItem) runtime.BatchOutcome {
-	c := s.coalescerFor(g)
+	c := s.coalescers[g]
 	c.mu.Lock()
 	p := c.get()
 	p.item = item
@@ -168,12 +157,11 @@ func (s *Server) submitCoalesced(g *runtime.GroupRuntime, item runtime.BatchItem
 }
 
 // recordsCache caches the time-sorted records view behind GET /v1/records.
-// The per-group record logs are append-only, so unchanged counts (under an
-// unchanged deployment) mean the cached slice is still exact; a rebuild
-// allocates a fresh slice so concurrent readers of the old one are safe.
+// The per-group record logs are append-only, so unchanged counts mean the
+// cached slice is still exact; a rebuild allocates a fresh slice so
+// concurrent readers of the old one are safe.
 type recordsCache struct {
 	mu     sync.Mutex
-	dep    *master.Deployment
 	counts []int
 	recs   []monitor.QueryRecord
 }
@@ -311,7 +299,6 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 
 	// Partition the surviving items by tenant-group, preserving batch order
 	// within each group (SubmitBatchAt processes slice order).
-	s.topo.RLock()
 	t := s.target()
 	plane := s.dep.Plane()
 	for i := range items {
@@ -359,7 +346,6 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 			res.db, res.retries, res.at = outs[k].DB, outs[k].Retries, now
 		}
 	}
-	s.topo.RUnlock()
 	wb.out = appendBatchResponse(wb.out[:0], results)
 	writeWire(w, http.StatusOK, wb.out)
 }

@@ -38,8 +38,7 @@ type poolView struct {
 
 // recoveryView mirrors the GET /v1/recovery response.
 type recoveryView struct {
-	Enabled bool `json:"enabled"`
-	Groups  []struct {
+	Groups []struct {
 		Group       string           `json:"group"`
 		CrashEvents []recovery.Event `json:"crash_events"`
 		CrashActive int              `json:"crash_in_progress"`
@@ -128,7 +127,7 @@ func TestRecoveryEndpointRetryStateAndTriage(t *testing.T) {
 	if code := get(t, ts, "/v1/recovery", &rv); code != 200 {
 		t.Fatalf("GET /v1/recovery: %d", code)
 	}
-	if !rv.Enabled || rv.Triage == nil || rv.Triage.Enqueued != 0 {
+	if rv.Triage == nil || rv.Triage.Enqueued != 0 {
 		t.Fatalf("idle recovery view: %+v", rv)
 	}
 

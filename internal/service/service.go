@@ -19,13 +19,13 @@
 // Concurrency is per tenant-group: the front door resolves a submit to its
 // group in O(1) and takes only that group's clock domain, so submits to
 // different groups proceed fully in parallel.
-// There is no global lock on the hot path — the server-wide RWMutex is
-// read-acquired by every handler and write-acquired only when Install swaps
-// in a re-consolidated deployment; routing is one map read, and the pacing
-// origin and the per-group coalescers are read without a lock. Pure-read
-// endpoints (plan, pending) touch no clock domain at all, and the telemetry
-// endpoints read the hub, which is internally synchronized, outside every
-// lock.
+// There is no server-wide lock: a Server serves the deployment it was built
+// with for its whole life (the §3c re-consolidation cycle runs offline, in
+// thrifty.Reconsolidate), so the deployment, the plan, the route table and
+// the per-group coalescers are read without one, and the pacing origin is an
+// immutable value behind an atomic pointer. Pure-read endpoints (catalog,
+// plan, admission) touch no clock domain at all, and the telemetry endpoints
+// read the hub, which is internally synchronized, outside every lock.
 package service
 
 import (
@@ -38,7 +38,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -58,9 +57,6 @@ import (
 // traffic; engine access is serialized per tenant-group by the groups' clock
 // domains.
 type Server struct {
-	// topo guards the deployment topology: Install swaps dep/plan under the
-	// write lock, every handler works under the read lock.
-	topo sync.RWMutex
 	dep  *master.Deployment
 	plan *advisor.Plan
 
@@ -68,22 +64,12 @@ type Server struct {
 	timeScale float64
 	retry     runtime.RetryPolicy
 
-	// clock is the wall-clock pacing origin, replaced whole by SetClock and
-	// by Install (under the topology write lock).
+	// clock is the wall-clock pacing origin, replaced whole by SetClock.
 	clock atomic.Pointer[clock]
 
-	// pendMu guards pending registrations; they never touch a clock domain.
-	pendMu  sync.Mutex
-	pending []PendingTenant
-
-	// reconMu guards the last offline re-consolidation report.
-	reconMu     sync.Mutex
-	reconReport *advisor.ReconsolidationReport
-
-	// coalescers batch concurrent single submits per group (leader/follower):
-	// *runtime.GroupRuntime → *coalescer, created on a group's first submit
-	// and emptied by Install.
-	coalescers sync.Map
+	// coalescers batch concurrent single submits per group (leader/follower),
+	// one per group, built by New and never written after.
+	coalescers map[*runtime.GroupRuntime]*coalescer
 
 	// recCache caches the sorted records view served by GET /v1/records,
 	// keyed on the per-group record counts (the record log is append-only).
@@ -112,15 +98,6 @@ type route struct {
 
 // groupPrefix is the prefix of GET /v1/groups/{id}.
 const groupPrefix = "/v1/groups/"
-
-// PendingTenant is a registration awaiting the next (re)-consolidation
-// cycle (§3c: "it is expected that there are new tenants register with and
-// existing tenants de-register with the service").
-type PendingTenant struct {
-	ID    string `json:"id"`
-	Nodes int    `json:"nodes"`
-	Suite string `json:"suite"`
-}
 
 // Config parameterizes the server.
 type Config struct {
@@ -167,33 +144,34 @@ func New(dep *master.Deployment, cat *queries.Catalog,
 		retry.Timeout = cfg.SubmitTimeout
 	}
 	s := &Server{
-		dep:       dep,
-		cat:       cat,
-		plan:      plan,
-		timeScale: cfg.TimeScale,
-		retry:     retry,
-		matcher:   sqlmatch.New(cat),
+		dep:        dep,
+		cat:        cat,
+		plan:       plan,
+		timeScale:  cfg.TimeScale,
+		retry:      retry,
+		matcher:    sqlmatch.New(cat),
+		coalescers: make(map[*runtime.GroupRuntime]*coalescer),
+	}
+	for _, g := range dep.Groups() {
+		s.coalescers[g] = &coalescer{}
 	}
 	s.clock.Store(&clock{now: time.Now, started: time.Now()})
 	get := func(h http.HandlerFunc) route { return route{get: h, allow: "GET, HEAD"} }
 	post := func(h http.HandlerFunc) route { return route{post: h, allow: "POST"} }
 	s.routes = map[string]route{
-		"/healthz":            get(s.handleHealth),
-		"/v1/catalog":         get(s.handleCatalog),
-		"/v1/plan":            get(s.handlePlan),
-		"/v1/groups":          get(s.handleGroups),
-		"/v1/queries":         post(s.handleSubmit),
-		"/v1/submit-batch":    post(s.handleSubmitBatch),
-		"/v1/records":         get(s.handleRecords),
-		"/v1/tenants":         post(s.handleRegister),
-		"/v1/tenants/pending": get(s.handlePending),
-		"/v1/invoices":        get(s.handleInvoices),
-		"/v1/events":          get(s.handleEvents),
-		"/v1/slo":             get(s.handleSLO),
-		"/v1/admission":       get(s.handleAdmission),
-		"/v1/recovery":        get(s.handleRecovery),
-		"/v1/pool":            get(s.handlePool),
-		"/v1/reconsolidation": get(s.handleReconsolidation),
+		"/healthz":         get(s.handleHealth),
+		"/v1/catalog":      get(s.handleCatalog),
+		"/v1/plan":         get(s.handlePlan),
+		"/v1/groups":       get(s.handleGroups),
+		"/v1/queries":      post(s.handleSubmit),
+		"/v1/submit-batch": post(s.handleSubmitBatch),
+		"/v1/records":      get(s.handleRecords),
+		"/v1/invoices":     get(s.handleInvoices),
+		"/v1/events":       get(s.handleEvents),
+		"/v1/slo":          get(s.handleSLO),
+		"/v1/admission":    get(s.handleAdmission),
+		"/v1/recovery":     get(s.handleRecovery),
+		"/v1/pool":         get(s.handlePool),
 	}
 	if !cfg.DisableMetrics {
 		s.routes["/metrics"] = get(s.handleMetrics)
@@ -240,10 +218,8 @@ func (s *Server) handler(r *http.Request) (h http.HandlerFunc, allow string) {
 }
 
 // target returns the virtual time matching the scaled wall clock — where
-// every group's clock should be by now. Callers hold s.topo read-locked, so
-// the origin cannot belong to a deployment other than the one they advance;
-// within one deployment, domains never move backwards, so a stale target is
-// harmless.
+// every group's clock should be by now. Domains never move backwards, so a
+// stale target is harmless.
 func (s *Server) target() sim.Time {
 	c := s.clock.Load()
 	elapsed := c.now().Sub(c.started).Seconds() * s.timeScale
@@ -261,43 +237,6 @@ func (s *Server) wallRetryAfter(d sim.Time) string {
 	return strconv.Itoa(int(secs))
 }
 
-// Install swaps in a re-consolidated deployment and its plan (§3c/§5.1: the
-// periodic cycle re-groups flagged groups and places pending registrations).
-// In-flight requests finish against the old topology; new requests see the
-// new one. The wall-clock pacing origin resets so the fresh deployment's
-// clocks start at zero, and pending registrations placed by the new plan are
-// dropped from the queue.
-func (s *Server) Install(dep *master.Deployment, plan *advisor.Plan) error {
-	if dep == nil || plan == nil {
-		return fmt.Errorf("service: nil deployment or plan")
-	}
-	// Origin and coalescers change with the topology, under its write lock:
-	// an old origin would advance the fresh domains by the old deployment's
-	// elapsed time, for good, and the lock waits out every in-flight leader.
-	// The records cache keys on the deployment pointer, so it invalidates
-	// itself.
-	s.topo.Lock()
-	s.dep = dep
-	s.plan = plan
-	now := s.clock.Load().now
-	s.clock.Store(&clock{now: now, started: now()})
-	s.coalescers.Range(func(g, _ any) bool {
-		s.coalescers.Delete(g)
-		return true
-	})
-	s.topo.Unlock()
-	s.pendMu.Lock()
-	kept := s.pending[:0]
-	for _, p := range s.pending {
-		if _, placed := dep.GroupFor(p.ID); !placed {
-			kept = append(kept, p)
-		}
-	}
-	s.pending = kept
-	s.pendMu.Unlock()
-	return nil
-}
-
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -309,14 +248,11 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.topo.RLock()
 	plane := s.dep.Plane()
 	plane.AdvanceAll(s.target())
-	now := plane.Now()
-	s.topo.RUnlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":       "ok",
-		"virtual_time": now.String(),
+		"virtual_time": plane.Now().String(),
 	})
 }
 
@@ -338,10 +274,7 @@ func (s *Server) handleCatalog(w http.ResponseWriter, r *http.Request) {
 // handlePlan is a pure read: the plan is immutable once deployed, so no
 // clock domain is touched and no submit is ever blocked.
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
-	s.topo.RLock()
 	plan := s.plan
-	nodesUsed := s.dep.NodesUsed()
-	s.topo.RUnlock()
 	type group struct {
 		ID        string   `json:"id"`
 		Tenants   []string `json:"tenants"`
@@ -366,7 +299,7 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		R:              plan.Config.R,
 		P:              plan.Config.P,
 		RequestedNodes: plan.RequestedNodes,
-		NodesUsed:      nodesUsed,
+		NodesUsed:      s.dep.NodesUsed(),
 		Effectiveness:  plan.Effectiveness(),
 	}
 	for _, g := range plan.Groups {
@@ -426,34 +359,22 @@ func toGroupStats(st runtime.Stats) groupStats {
 }
 
 func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
-	s.topo.RLock()
 	t := s.target()
 	var out []groupStats
 	for _, g := range s.dep.Groups() {
 		out = append(out, toGroupStats(g.StatsAt(t)))
 	}
-	s.topo.RUnlock()
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	s.topo.RLock()
-	t := s.target()
-	var found *groupStats
-	for _, g := range s.dep.Groups() {
-		if g.Plan.ID == id {
-			st := toGroupStats(g.StatsAt(t))
-			found = &st
-			break
-		}
-	}
-	s.topo.RUnlock()
-	if found == nil {
+	g, ok := s.dep.Plane().GroupByID(id)
+	if !ok {
 		writeErr(w, http.StatusNotFound, "no group %q", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, found)
+	writeJSON(w, http.StatusOK, toGroupStats(g.StatsAt(s.target())))
 }
 
 // SubmitRequest is the body of POST /v1/queries. Exactly one of Query
@@ -491,10 +412,8 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// O(1) and take only that group's clock domain. Submits to other groups
 	// do not contend, and concurrent submits to the same group coalesce into
 	// shard-local batches (one domain lock, one Advance per batch).
-	s.topo.RLock()
 	g, ref, tenant, ok := s.dep.Plane().Lookup(req.Tenant)
 	if !ok {
-		s.topo.RUnlock()
 		writeErr(w, http.StatusUnprocessableEntity, "tenant %s not deployed", req.Tenant)
 		return
 	}
@@ -509,7 +428,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	}
 	out := s.submitCoalesced(g, item)
 	now := g.Now()
-	s.topo.RUnlock()
 	if out.Err != nil {
 		f := s.classify(out.Err)
 		if f.kind != "" {
@@ -529,7 +447,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 // past ten virtual days, e.g. "10d0:00:00.000" < "2d0:00:00.000".)
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	tenant := r.URL.Query().Get("tenant")
-	s.topo.RLock()
 	t := s.target()
 	var recs []monitor.QueryRecord
 	if tenant == "" {
@@ -537,7 +454,6 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	} else {
 		recs = s.tenantRecords(tenant, t)
 	}
-	s.topo.RUnlock()
 	type rec struct {
 		Tenant     string  `json:"tenant"`
 		Query      string  `json:"query"`
@@ -563,13 +479,12 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 func bySubmit(a, b monitor.QueryRecord) int { return cmp.Compare(a.Submit, b.Submit) }
 
 // allRecords returns every group's records as one sorted view the caller must
-// not modify; s.topo is read-held. Gathering and sorting every record on
+// not modify. Gathering and sorting every record on
 // every request is O(n log n) in the full history; the logs are append-only,
 // so the view is cached and revalidated with one O(groups) count sweep — a
 // hit costs no copy and no sort.
 func (s *Server) allRecords(t sim.Time) []monitor.QueryRecord {
-	dep := s.dep
-	groups := dep.Groups()
+	groups := s.dep.Groups()
 	counts := make([]int, len(groups))
 	for i, g := range groups {
 		counts[i] = g.RecordCountAt(t)
@@ -577,7 +492,7 @@ func (s *Server) allRecords(t sim.Time) []monitor.QueryRecord {
 	rc := &s.recCache
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
-	if rc.dep != dep || !slices.Equal(rc.counts, counts) {
+	if !slices.Equal(rc.counts, counts) {
 		// Fresh slice on every rebuild: readers of the previous cached view
 		// may still be marshaling it outside the lock.
 		recs := make([]monitor.QueryRecord, 0, sum(counts))
@@ -585,13 +500,12 @@ func (s *Server) allRecords(t sim.Time) []monitor.QueryRecord {
 			recs = g.AppendRecordsAt(recs, t)
 		}
 		slices.SortStableFunc(recs, bySubmit)
-		rc.dep, rc.counts, rc.recs = dep, counts, recs
+		rc.counts, rc.recs = counts, recs
 	}
 	return rc.recs
 }
 
-// tenantRecords returns one tenant's records, sorted; s.topo is read-held. A
-// tenant's queries run in its own group, so only that group's log is read,
+// tenantRecords returns one tenant's records, sorted. A tenant's queries run in its own group, so only that group's log is read,
 // and the log filters by the tenant's ref — the same rows as filtering
 // allRecords, without materialising and sorting everyone else's.
 func (s *Server) tenantRecords(tenant string, t sim.Time) []monitor.QueryRecord {
@@ -612,54 +526,9 @@ func sum(xs []int) int {
 	return n
 }
 
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	var req PendingTenant
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad body: %v", err)
-		return
-	}
-	if req.ID == "" || req.Nodes < 1 {
-		writeErr(w, http.StatusBadRequest, "tenant needs id and nodes ≥ 1")
-		return
-	}
-	s.pendMu.Lock()
-	s.pending = append(s.pending, req)
-	n := len(s.pending)
-	s.pendMu.Unlock()
-	writeJSON(w, http.StatusAccepted, map[string]any{
-		"status":  "pending",
-		"detail":  "tenant will be placed at the next (re)-consolidation cycle",
-		"pending": n,
-	})
-}
-
-func (s *Server) handlePending(w http.ResponseWriter, r *http.Request) {
-	s.pendMu.Lock()
-	out := append([]PendingTenant(nil), s.pending...)
-	s.pendMu.Unlock()
-	if out == nil {
-		out = []PendingTenant{}
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-// Pending returns a copy of the pending tenant registrations.
-func (s *Server) Pending() []PendingTenant {
-	s.pendMu.Lock()
-	defer s.pendMu.Unlock()
-	return append([]PendingTenant(nil), s.pending...)
-}
-
 // SetClock overrides the wall clock (tests drive time deterministically).
 func (s *Server) SetClock(now func() time.Time, started time.Time) {
 	s.clock.Store(&clock{now: now, started: started})
-}
-
-// Records exposes the deployment's query records (used by examples).
-func (s *Server) Records() []monitor.QueryRecord {
-	s.topo.RLock()
-	defer s.topo.RUnlock()
-	return s.dep.Plane().Records()
 }
 
 // handleMetrics serves the deployment's metrics registry in the Prometheus
@@ -667,10 +536,8 @@ func (s *Server) Records() []monitor.QueryRecord {
 // reflects everything that should have happened by now; the registry itself
 // is internally synchronized, so it is read outside every lock.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.topo.RLock()
 	s.dep.Plane().AdvanceAll(s.target())
 	hub := s.dep.Telemetry()
-	s.topo.RUnlock()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = hub.Registry.WritePrometheus(w)
 }
@@ -687,10 +554,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		n = v
 	}
-	s.topo.RLock()
 	s.dep.Plane().AdvanceAll(s.target())
 	hub := s.dep.Telemetry()
-	s.topo.RUnlock()
 	type eventJSON struct {
 		Seq    uint64  `json:"seq"`
 		At     string  `json:"at"`
@@ -716,14 +581,11 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // handleSLO reports per-tenant SLA attainment against the service guarantee
 // P — the externally visible form of the SLA the paper sells.
 func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
-	s.topo.RLock()
 	s.dep.Plane().AdvanceAll(s.target())
 	hub := s.dep.Telemetry()
-	s.topo.RUnlock()
 	// Per-tenant shed/throttle accounting from the groups' admission
 	// controllers (lock-free reads; no clock domain touched).
 	tallies := make(map[string]sloTenant)
-	s.topo.RLock()
 	for _, g := range s.dep.Groups() {
 		if g.Admission == nil {
 			continue
@@ -734,7 +596,6 @@ func (s *Server) handleSLO(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
-	s.topo.RUnlock()
 	rep := hub.SLA.Report()
 	tenants := make([]sloTenant, 0, len(rep))
 	for _, tn := range rep {
@@ -782,7 +643,6 @@ type sloTenant struct {
 // read — no clock domain is advanced or locked — so it stays responsive
 // even while groups are overloaded.
 func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) {
-	s.topo.RLock()
 	groups := make([]admission.Snapshot, 0)
 	for _, g := range s.dep.Groups() {
 		if g.Admission == nil {
@@ -792,7 +652,6 @@ func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) {
 		snap.SheddingOnly = g.SheddingOnly()
 		groups = append(groups, snap)
 	}
-	s.topo.RUnlock()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"enabled": len(groups) > 0,
 		"groups":  groups,
@@ -803,11 +662,8 @@ func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) {
 // breakdown with down markers, and every owner's footprint. Virtual time is
 // advanced first so reimage and recovery transitions due by now have fired.
 func (s *Server) handlePool(w http.ResponseWriter, r *http.Request) {
-	s.topo.RLock()
 	s.dep.Plane().AdvanceAll(s.target())
-	snap := s.dep.Pool().Snapshot()
-	s.topo.RUnlock()
-	writeJSON(w, http.StatusOK, snap)
+	writeJSON(w, http.StatusOK, s.dep.Pool().Snapshot())
 }
 
 // recoveryGroup is one group's failure-resilience snapshot for
@@ -835,10 +691,8 @@ type triageStatus struct {
 // crash-recovery events (node loss → replacement), gray fail-slow episodes
 // with their hedge → drain ladder outcomes, the router's hedge tallies, and
 // the scarcity triage queue. Each group's state is read under its clock
-// domain, advanced to now so due detector beats have fired. Every deployment
-// arms recovery, so "enabled" is always true.
+// domain, advanced to now so due detector beats have fired.
 func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
-	s.topo.RLock()
 	t := s.target()
 	groups := make([]recoveryGroup, 0)
 	for _, g := range s.dep.Groups() {
@@ -857,55 +711,26 @@ func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
 	}
 	tri := &triageStatus{Queued: s.dep.Triage().Queued()}
 	tri.Enqueued, tri.Granted = s.dep.Triage().Stats()
-	s.topo.RUnlock()
-	writeJSON(w, http.StatusOK, map[string]any{"enabled": true, "groups": groups, "triage": tri})
-}
-
-// SetReconsolidationReport stores the report of the last offline
-// re-consolidation cycle for GET /v1/reconsolidation.
-func (s *Server) SetReconsolidationReport(rep *advisor.ReconsolidationReport) {
-	s.reconMu.Lock()
-	s.reconReport = rep
-	s.reconMu.Unlock()
-}
-
-// handleReconsolidation surfaces the per-group keep/repack decisions of the
-// last offline re-consolidation cycle's stored report.
-func (s *Server) handleReconsolidation(w http.ResponseWriter, r *http.Request) {
-	s.reconMu.Lock()
-	rep := s.reconReport
-	s.reconMu.Unlock()
-	if rep == nil {
-		writeErr(w, http.StatusNotFound, "no re-consolidation has run yet")
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"source": "offline",
-		"report": rep,
-	})
+	writeJSON(w, http.StatusOK, map[string]any{"groups": groups, "triage": tri})
 }
 
 // handleInvoices bills the metering period from the deployment's completed
 // query records under the default tariff (§3's pricing model: requested
 // nodes plus active usage). The period defaults to [0, now).
 func (s *Server) handleInvoices(w http.ResponseWriter, r *http.Request) {
-	s.topo.RLock()
 	plane := s.dep.Plane()
 	plane.AdvanceAll(s.target())
 	now := plane.Now()
-	recs := plane.Records()
-	tenants := s.dep.Tenants()
-	s.topo.RUnlock()
 	if now <= 0 {
 		writeErr(w, http.StatusUnprocessableEntity, "no metered time yet")
 		return
 	}
-	meter, err := billing.NewMeter(billing.DefaultRates(), tenants)
+	meter, err := billing.NewMeter(billing.DefaultRates(), s.dep.Tenants())
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	if err := meter.RecordAll(recs); err != nil {
+	if err := meter.RecordAll(plane.Records()); err != nil {
 		writeErr(w, http.StatusInternalServerError, "%v", err)
 		return
 	}

@@ -3,14 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"regexp"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -230,27 +228,6 @@ func TestGroupsEndpoints(t *testing.T) {
 	}
 	if code := get(t, ts, "/v1/groups/TG-9999", nil); code != http.StatusNotFound {
 		t.Errorf("missing group status %d", code)
-	}
-}
-
-func TestRegisterTenant(t *testing.T) {
-	srv, ts, _ := testServer(t)
-	var out map[string]any
-	if code := post(t, ts, "/v1/tenants", PendingTenant{ID: "newbie", Nodes: 4, Suite: "TPC-H"}, &out); code != http.StatusAccepted {
-		t.Fatalf("register status %d", code)
-	}
-	if code := post(t, ts, "/v1/tenants", PendingTenant{Nodes: 4}, nil); code != http.StatusBadRequest {
-		t.Errorf("empty id status %d", code)
-	}
-	var pending []PendingTenant
-	if code := get(t, ts, "/v1/tenants/pending", &pending); code != 200 {
-		t.Fatalf("pending status %d", code)
-	}
-	if len(pending) != 1 || pending[0].ID != "newbie" {
-		t.Errorf("pending = %+v", pending)
-	}
-	if got := srv.Pending(); len(got) != 1 {
-		t.Errorf("Pending() = %+v", got)
 	}
 }
 
@@ -599,218 +576,5 @@ func TestShardedEndpoints(t *testing.T) {
 	get(t, ts, "/v1/records", &recs)
 	if len(recs) != 1 {
 		t.Errorf("%d records", len(recs))
-	}
-}
-
-// TestInstallReconsolidation covers the register → cycle → query flow
-// through per-group domains: a pending tenant is picked up by a new plan,
-// the re-consolidated deployment is installed, and the tenant's queries
-// route to its new group's shard.
-func TestInstallReconsolidation(t *testing.T) {
-	srv, ts, tick := testServer(t)
-	if code := post(t, ts, "/v1/tenants", PendingTenant{ID: "t9", Nodes: 2, Suite: "TPC-H"}, nil); code != http.StatusAccepted {
-		t.Fatalf("register status %d", code)
-	}
-	// Not deployed yet: submits are rejected until the next cycle.
-	if code := post(t, ts, "/v1/queries", SubmitRequest{Tenant: "t9", Query: "TPCH-Q6"}, nil); code != http.StatusUnprocessableEntity {
-		t.Fatalf("pre-cycle submit status %d, want 422", code)
-	}
-	// The (re)-consolidation cycle: a fresh plan over the old population
-	// plus the pending registration, deployed into new shards.
-	dep2, plan2 := deployTenants(t, []string{"t1", "t2", "t3", "t4", "t9"})
-	if err := srv.Install(dep2, plan2); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Pending(); len(got) != 0 {
-		t.Errorf("pending after install = %+v", got)
-	}
-	var acc map[string]any
-	if code := post(t, ts, "/v1/queries", SubmitRequest{Tenant: "t9", Query: "TPCH-Q6"}, &acc); code != http.StatusAccepted {
-		t.Fatalf("post-cycle submit status %d: %v", code, acc)
-	}
-	if !strings.HasPrefix(acc["routed_to"].(string), "TG-") {
-		t.Errorf("routed_to = %v", acc["routed_to"])
-	}
-	// The query went through the new deployment's shard.
-	g, ok := dep2.GroupFor("t9")
-	if !ok {
-		t.Fatal("t9 not in new deployment")
-	}
-	if st := g.StatsAt(0); st.Routed != 1 {
-		t.Errorf("new shard routed %d queries, want 1", st.Routed)
-	}
-	// Old tenants keep working, and the record surfaces over HTTP.
-	if code := post(t, ts, "/v1/queries", SubmitRequest{Tenant: "t1", Query: "TPCH-Q6"}, nil); code != http.StatusAccepted {
-		t.Fatal("old tenant broken after install")
-	}
-	tick(time.Minute)
-	var recs []map[string]any
-	get(t, ts, "/v1/records?tenant=t9", &recs)
-	if len(recs) != 1 {
-		t.Errorf("t9 records = %d, want 1", len(recs))
-	}
-}
-
-// TestInstallValidation rejects nil swaps.
-func TestInstallValidation(t *testing.T) {
-	srv, _, _ := testServer(t)
-	if err := srv.Install(nil, nil); err == nil {
-		t.Error("nil install accepted")
-	}
-}
-
-// rawPost is post without t.Fatal, safe to call from worker goroutines.
-func rawPost(ts *httptest.Server, path string, body any, out any) (int, error) {
-	b, _ := json.Marshal(body)
-	resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(b))
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if out != nil {
-		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
-			return resp.StatusCode, err
-		}
-	} else {
-		_, _ = io.Copy(io.Discard, resp.Body)
-	}
-	return resp.StatusCode, nil
-}
-
-// TestSubmitDuringInstallWindow hammers submits from every tenant while the
-// topology is swapped underneath them, repeatedly. A tenant deployed in both
-// the old and the new plan must land every query in one of the two — a
-// spurious "not deployed" rejection mid-install would mean the swap exposed
-// a torn topology.
-func TestSubmitDuringInstallWindow(t *testing.T) {
-	srv, ts, _ := testServer(t)
-	ids := []string{"t1", "t2", "t3", "t4"}
-	stop := make(chan struct{})
-	errCh := make(chan string, len(ids))
-	var wg sync.WaitGroup
-	for _, id := range ids {
-		wg.Add(1)
-		go func(id string) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				var body map[string]any
-				code, err := rawPost(ts, "/v1/queries", SubmitRequest{Tenant: id, Query: "TPCH-Q6"}, &body)
-				if err != nil {
-					errCh <- err.Error()
-					return
-				}
-				if code != http.StatusAccepted {
-					errCh <- fmt.Sprintf("tenant %s: status %d during install window: %v", id, code, body)
-					return
-				}
-			}
-		}(id)
-	}
-	// Eight back-to-back re-consolidation cycles while the hammers run.
-	for i := 0; i < 8; i++ {
-		dep, plan := deployTenants(t, ids)
-		if err := srv.Install(dep, plan); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	close(errCh)
-	for e := range errCh {
-		t.Error(e)
-	}
-}
-
-// TestInstallDuringSubmitStorm swaps deployments under a storm of single
-// submits and health reads, an hour of wall time after the first origin.
-// Install stores the fresh deployment's pacing origin under the same write
-// lock as the deployment, and handlers read it under the read lock, so no
-// request advances the new domains by the old deployment's elapsed time: once
-// Install has returned, the new plane's clock never exceeds the scaled wall
-// time since the swap (run with -race).
-func TestInstallDuringSubmitStorm(t *testing.T) {
-	srv, _, _ := testServer(t)
-	var wall atomic.Int64 // ns since the first origin, moved by this goroutine only
-	wall.Store(int64(time.Hour))
-	// The clock is slow on purpose: were Install to read it for the new
-	// origin after releasing the topology, the storm would slip in meanwhile.
-	srv.SetClock(func() time.Time {
-		time.Sleep(100 * time.Microsecond)
-		return time.Unix(0, wall.Load())
-	}, time.Unix(0, 0))
-	ids := []string{"t1", "t2", "t3", "t4"}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	storm := func(method, path, body string, want int) {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			rec := httptest.NewRecorder()
-			srv.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader(body)))
-			if rec.Code != want {
-				t.Errorf("%s %s: status %d: %s", method, path, rec.Code, rec.Body)
-				return
-			}
-		}
-	}
-	for _, id := range ids {
-		wg.Add(1)
-		go storm(http.MethodPost, "/v1/queries", `{"tenant":"`+id+`","query":"TPCH-Q6"}`, http.StatusAccepted)
-	}
-	wg.Add(1)
-	go storm(http.MethodGet, "/healthz", "", http.StatusOK)
-	defer func() {
-		close(stop)
-		wg.Wait()
-	}()
-
-	for i := 0; i < 8; i++ {
-		dep, plan := deployTenants(t, ids)
-		swap := wall.Load()
-		if err := srv.Install(dep, plan); err != nil {
-			t.Fatal(err)
-		}
-		// Wait out every request in flight when Install returned: those are
-		// the ones that could have paired the new deployment with the old
-		// origin.
-		srv.topo.Lock()
-		srv.topo.Unlock()
-		wall.Add(int64(time.Millisecond))
-		limit := sim.Time(time.Duration(wall.Load()-swap).Seconds() * srv.timeScale * float64(sim.Second))
-		if got := dep.Plane().Now(); got > limit {
-			t.Errorf("install %d: new deployment at %v, %v of scaled wall time after the swap", i, got, limit)
-		}
-	}
-}
-
-// TestReconsolidationEndpoint covers GET /v1/reconsolidation before and
-// after an offline cycle's report is stored.
-func TestReconsolidationEndpoint(t *testing.T) {
-	srv, ts, _ := testServer(t)
-	if code := get(t, ts, "/v1/reconsolidation", nil); code != http.StatusNotFound {
-		t.Errorf("reconsolidation status %d, want 404", code)
-	}
-	srv.SetReconsolidationReport(&advisor.ReconsolidationReport{
-		KeptGroups: 1,
-		Decisions:  []advisor.GroupDecision{{Group: "TG-0000", Kept: true, Reason: advisor.ReasonUnflagged}},
-	})
-	var rep struct {
-		Source string                        `json:"source"`
-		Report advisor.ReconsolidationReport `json:"report"`
-	}
-	if code := get(t, ts, "/v1/reconsolidation", &rep); code != http.StatusOK {
-		t.Fatalf("reconsolidation status %d after set", code)
-	}
-	if rep.Source != "offline" || len(rep.Report.Decisions) != 1 || rep.Report.Decisions[0].Reason != advisor.ReasonUnflagged {
-		t.Errorf("reconsolidation = %+v", rep)
 	}
 }
