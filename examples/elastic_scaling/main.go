@@ -1,10 +1,10 @@
 // Elastic scaling: the §7.5 / Figure 7.7 scenario. One tenant-group is
 // deployed and its logged activity replayed; partway in we "take over" a
 // tenant and submit queries continuously on its behalf. With the scaler
-// armed, Thrifty detects the RT-TTP drop, identifies the over-active
-// tenant, provisions a dedicated MPPDB (paying realistic startup +
-// parallel-bulk-load time), and re-points the tenant — the group's RT-TTP
-// recovers.
+// armed at deploy (DeployOptions.Scaling), Thrifty detects the RT-TTP drop,
+// identifies the over-active tenant, provisions a dedicated MPPDB (paying
+// realistic startup + parallel-bulk-load time), and re-points the tenant —
+// the group's RT-TTP recovers.
 //
 // The Fig 7.7 narrative below is reconstructed entirely from the telemetry
 // subsystem: the timeline comes from the deployment's SLA-event stream (the
@@ -55,6 +55,7 @@ func main() {
 		Immediate:    true,
 		ParallelLoad: true,
 		SpareNodes:   64,
+		Scaling:      true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -65,12 +66,10 @@ func main() {
 	events, cancel := sys.Telemetry().Events.Subscribe(8192)
 	defer cancel()
 
-	scaler := thrifty.DefaultScalerConfig(0.999, plan.Config.R)
 	rep, err := sys.Replay(thrifty.ReplayOptions{
 		From:        0,
 		To:          4 * sim.Day,
 		SampleEvery: 2 * time.Hour,
-		Scaling:     &scaler,
 		TakeOver: &thrifty.TakeOver{
 			Tenant:   victim,
 			Start:    sim.Day,
@@ -95,37 +94,23 @@ func main() {
 	// The Fig 7.7 story, narrated by the event stream: the take-over, the
 	// accumulating SLA violations, the RT-TTP dip, the scaling trigger, and
 	// the recovery once the dedicated MPPDB takes the victim's queries.
-	// Violations are folded into counts so the timeline stays readable.
-	// Violations and repeated retries (e.g. scaling_failed every check while
-	// the pool stays exhausted) are folded into counts so it stays readable.
+	// Violations are folded into counts so the timeline stays readable. A
+	// scale-up the pool cannot stage shows once, as triage_enqueued: it
+	// waits there for nodes instead of retrying every check.
 	fmt.Println("\nSLA-event timeline (from the telemetry stream):")
-	violations, repeats, last := 0, 0, ""
+	violations := 0
 	flush := func() {
 		if violations > 0 {
 			fmt.Printf("  ... %d SLA violation(s)\n", violations)
 			violations = 0
 		}
-		if repeats > 0 {
-			fmt.Printf("  ... repeated %d more time(s)\n", repeats)
-			repeats = 0
-		}
 	}
 	for ev := range events {
 		if ev.Type == telemetry.EventSLAViolation {
-			if repeats > 0 {
-				fmt.Printf("  ... repeated %d more time(s)\n", repeats)
-				repeats = 0
-			}
 			violations++
 			continue
 		}
-		key := string(ev.Type) + "|" + ev.Group + "|" + ev.Detail
-		if key == last && violations == 0 {
-			repeats++
-			continue
-		}
 		flush()
-		last = key
 		fmt.Printf("  %s\n", ev.String())
 	}
 	flush()

@@ -108,7 +108,6 @@ type DriftResult struct {
 // driftWorld is the setup both arms share.
 type driftWorld struct {
 	subWorld // initially deployed population
-	acfg     advisor.Config
 	joiners  []*workload.TenantLog
 	leavers  []*workload.TenantLog
 	victim   string
@@ -119,14 +118,13 @@ type driftWorld struct {
 // groups become joiners, members of the last-picked group become leavers,
 // and the largest group's first member is the take-over victim.
 func buildDriftWorld(env *Env, cfg DriftConfig) (*driftWorld, error) {
-	acfg := advisor.DefaultConfig()
-	logs, plan, err := planDefault(env, acfg)
+	logs, plan, err := planDefault(env, advisor.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}
 	ranked := rank(plan, largestFirst(plan))
 	picked := top(ranked, env.Scale.ReplayGroups)
-	w := &driftWorld{subWorld: carve(plan, logs, picked), acfg: acfg}
+	w := &driftWorld{subWorld: carve(plan, logs, picked)}
 	if len(w.plan.Groups) == 0 {
 		return nil, fmt.Errorf("drift: the plan has no groups")
 	}
@@ -168,11 +166,11 @@ func telemetryHash(dep *master.Deployment) string {
 // take-over, the leavers' traffic up to their departure and the joiners'
 // traffic from their registration. Nothing re-plans inside the window, so a
 // leaver stays deployed (and idle) and a joiner's arrivals are rejected.
-// scaler, when non-nil, arms the §5.1 scaler — the one difference between
-// the static and the paper arm.
-func runDrift(env *Env, cfg DriftConfig, w *driftWorld, scaler *scaling.Config) (*DriftArm, error) {
+// scaler arms the §5.1 scaler — the one difference between the static and
+// the paper arm.
+func runDrift(env *Env, cfg DriftConfig, w *driftWorld, scaler bool) (*DriftArm, error) {
 	pool := cluster.NewPool(w.plan.NodesUsed() + 64)
-	eng, dep, err := w.deploy(pool, master.Options{Immediate: true, ParallelLoad: true, MonitorWindow: 24 * time.Hour})
+	eng, dep, err := w.deploy(pool, master.Options{Immediate: true, ParallelLoad: true, MonitorWindow: 24 * time.Hour, Scaling: scaler})
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +209,6 @@ func runDrift(env *Env, cfg DriftConfig, w *driftWorld, scaler *scaling.Config) 
 		From:        0,
 		To:          cfg.Window,
 		SampleEvery: time.Hour,
-		Scaling:     scaler,
 		TakeOver: &replay.TakeOver{
 			Tenant:   w.victim,
 			Start:    cfg.TakeOverStart,
@@ -278,11 +275,10 @@ func DriftOutcome(env *Env, cfg DriftConfig) (*DriftResult, error) {
 	for _, ll := range w.leavers {
 		res.Left = append(res.Left, ll.Tenant.ID)
 	}
-	if res.Static, err = runDrift(env, cfg, w, nil); err != nil {
+	if res.Static, err = runDrift(env, cfg, w, false); err != nil {
 		return nil, err
 	}
-	scfg := scaling.DefaultConfig(w.acfg.P, w.acfg.R)
-	if res.Paper, err = runDrift(env, cfg, w, &scfg); err != nil {
+	if res.Paper, err = runDrift(env, cfg, w, true); err != nil {
 		return nil, err
 	}
 	return res, nil

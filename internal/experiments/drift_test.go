@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"testing"
-
-	"repro/internal/scaling"
 )
 
 // Golden fingerprints of TestDriftDeterminism's fixed-seed paper arm: the
@@ -38,8 +36,7 @@ func runPaperArm(t *testing.T) (*driftWorld, *DriftArm) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scfg := scaling.DefaultConfig(w.acfg.P, w.acfg.R)
-	arm, err := runDrift(env, cfg, w, &scfg)
+	arm, err := runDrift(env, cfg, w, true)
 	if err != nil {
 		t.Fatal(err)
 	}

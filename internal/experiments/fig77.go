@@ -8,7 +8,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/master"
 	"repro/internal/replay"
-	"repro/internal/scaling"
 	"repro/internal/sim"
 )
 
@@ -80,21 +79,17 @@ func Fig77ElasticScaling(env *Env) (*Fig77Result, error) {
 	}
 	runs := []*run{{name: "disabled"}, {name: "enabled", scaling: true}}
 	for _, r := range runs {
-		eng, dep, err := w.deploy(cluster.NewPool(w.plan.NodesUsed()+64), master.Options{Immediate: true, ParallelLoad: true})
+		eng, dep, err := w.deploy(cluster.NewPool(w.plan.NodesUsed()+64),
+			master.Options{Immediate: true, ParallelLoad: true, Scaling: r.scaling})
 		if err != nil {
 			return nil, err
 		}
-		opts := replay.Options{
+		rep, err := replay.Run(eng, dep, env.Cat, w.logs, replay.Options{
 			From:        0,
 			To:          window,
 			SampleEvery: time.Hour,
 			TakeOver:    takeOver,
-		}
-		if r.scaling {
-			scfg := scaling.DefaultConfig(DefaultP, DefaultR)
-			opts.Scaling = &scfg
-		}
-		rep, err := replay.Run(eng, dep, env.Cat, w.logs, opts)
+		})
 		if err != nil {
 			return nil, err
 		}

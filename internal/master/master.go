@@ -22,6 +22,7 @@ import (
 	"repro/internal/recovery"
 	"repro/internal/router"
 	"repro/internal/runtime"
+	"repro/internal/scaling"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
@@ -58,6 +59,9 @@ type Options struct {
 	// hedge → drain response ladder, whose drain rung hands the node to the
 	// group's recovery controller. Strictly opt-in, like Admission.
 	Gray *recovery.GrayConfig
+	// Scaling arms the §5.1 elastic scaler per group, on the plan's P, R and
+	// epoch and MonitorWindow. Strictly opt-in, like Admission.
+	Scaling bool
 	// NoSpread disables domain-aware spread placement. By default a group
 	// deployed on a multi-domain pool lands its instances on ≥2 failure
 	// domains when capacity allows (each instance whole within one domain,
@@ -81,7 +85,7 @@ type Deployment struct {
 	pool   *cluster.Pool
 	plane  *runtime.Plane
 	triage *recovery.Triage
-	p      float64
+	cfg    advisor.Config
 	ready  map[string]sim.Time
 }
 
@@ -118,7 +122,7 @@ func (m *Master) Deploy(plan *advisor.Plan, tenants map[string]*tenant.Tenant) (
 		pool:   m.pool,
 		triage: recovery.NewTriage(m.pool),
 		plane:  runtime.NewPlane(tel),
-		p:      plan.Config.P,
+		cfg:    plan.Config,
 		ready:  make(map[string]sim.Time),
 	}
 	for gi, pg := range plan.Groups {
@@ -137,7 +141,7 @@ func (m *Master) Deploy(plan *advisor.Plan, tenants map[string]*tenant.Tenant) (
 // on a multi-domain pool) and, unless Immediate, makes each Ready after
 // Table 5.1 startup + load; then the MPPDB instances with every member
 // bulk-loaded, monitor, router, the recovery controller and the optional
-// gray and admission controllers.
+// gray and admission controllers and scaler.
 func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub, dep *Deployment,
 	pg advisor.PlannedGroup, tenants map[string]*tenant.Tenant) (*DeployedGroup, sim.Time, error) {
 	members := make([]*tenant.Tenant, 0, len(pg.TenantIDs))
@@ -202,15 +206,16 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 	g.SetTelemetry(tel)
 	// Every group gets its §4.4 recovery controller. Its claims rank in the
 	// deployment's scarcity triage by sliding RT-TTP deficit below P × member
-	// count; on a multi-domain pool it quarantines fully-dead instances from
-	// routing until repaired; and it re-spreads the group when its lifecycle
-	// spreads. It schedules nothing until a fault calls Detect, unless the
-	// group landed collapsed.
+	// count, as the scaler's do; on a multi-domain pool it quarantines
+	// fully-dead instances from routing until repaired; and it re-spreads
+	// the group when its lifecycle spreads. It schedules nothing until a
+	// fault calls Detect, unless the group landed collapsed.
 	if g.Recovery, err = recovery.New(lc, dep.triage, pg.ID, g.Instances); err != nil {
 		return nil, 0, err
 	}
+	prio := func() (float64, int) { return max(dep.cfg.P-mon.RTTTP(), 0), len(members) }
 	g.Recovery.SetTelemetry(tel)
-	g.Recovery.SetPriority(func() (float64, int) { return max(dep.p-mon.RTTTP(), 0), len(members) })
+	g.Recovery.SetPriority(prio)
 	if m.pool.Domains() > 1 {
 		g.Recovery.SetQuarantine(rt.SetQuarantine)
 	}
@@ -224,7 +229,7 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 		g.Gray = gd
 	}
 	if m.opts.Admission != nil {
-		ac, err := admission.New(eng, pg.ID, dep.p, pg.TenantIDs,
+		ac, err := admission.New(eng, pg.ID, dep.cfg.P, pg.TenantIDs,
 			g.Instances, mon, g.Recovery, *m.opts.Admission)
 		if err != nil {
 			return nil, 0, err
@@ -238,6 +243,14 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 		ac.OnTick(grt.CacheStats)
 		ac.Start()
 		g.Admission = ac
+	}
+	if m.opts.Scaling {
+		scfg := scaling.Config{P: dep.cfg.P, R: dep.cfg.R, Window: m.opts.MonitorWindow, Epoch: dep.cfg.Epoch}
+		if g.Scaler, err = scaling.New(lc, dep.triage, rt, mon, members, scfg, prio); err != nil {
+			return nil, 0, err
+		}
+		g.Scaler.SetTelemetry(tel)
+		g.Scaler.Start()
 	}
 	return g, readyAt, nil
 }
@@ -270,8 +283,8 @@ func (d *Deployment) ReadyAt(groupID string) sim.Time {
 // NodesUsed returns the number of active nodes in the pool.
 func (d *Deployment) NodesUsed() int { return d.pool.CountState(cluster.Active) }
 
-// Pool returns the deployment's node pool (the elastic scaler draws
-// replacement and scale-up nodes from it).
+// Pool returns the deployment's node pool (recovery and the elastic scaler
+// draw replacement and scale-up nodes from it).
 func (d *Deployment) Pool() *cluster.Pool { return d.pool }
 
 // Tenants returns the deployed tenant index.

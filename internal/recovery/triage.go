@@ -2,14 +2,15 @@
 // pool. When a correlated failure (a whole rack/zone) takes the pool scarce,
 // every group's recovery controller would otherwise fight for the same few
 // hibernated nodes, and whichever group asked first would win regardless of
-// how close it was to violating its SLA. Instead a lifecycle whose swap
-// finds the pool exhausted enqueues a claim ranked by SLA-at-risk (sliding
-// RT-TTP deficit × tenant count) and polls on its own clock domain; a poll is
-// granted only when the claim ranks inside the pool's current free-node
-// budget, so scarce nodes always go to the worst-off group first and the
-// losers keep serving degraded behind the existing brownout/admission
-// machinery. The triage decides who gets a node; the claimant's
-// cluster.Lifecycle swaps it in, under the triage lock.
+// how close it was to violating its SLA. Instead a lifecycle whose swap (or
+// a §5.1 scale-up whose staging) finds the pool exhausted enqueues a claim
+// for its nodes ranked by SLA-at-risk (sliding RT-TTP deficit × tenant
+// count) and polls on its own clock domain; a poll is granted only when the
+// claim fits the free-node budget the claims ranked ahead of it leave, so
+// scarce nodes always go to the worst-off group first and the losers keep
+// serving degraded behind the existing brownout/admission machinery. The
+// triage decides who gets nodes; the claimant's cluster.Lifecycle takes
+// them, under the triage lock.
 //
 // The pull design keeps clock domains safe: the allocator never schedules
 // onto another group's engine. Under replay every poll happens in one
@@ -31,11 +32,13 @@ import (
 // its priority and asks for a grant once per interval on its own clock domain.
 const triageInterval = time.Minute
 
-// TriageClaim is one queued recovery's entry, snapshot for observability.
+// TriageClaim is one queued claim, snapshot for observability.
 type TriageClaim struct {
-	// Group and Owner locate the starved lifecycle (owner = instance ID).
+	// Group and Owner locate the starved claimant (owner = instance ID).
 	Group string `json:"group"`
 	Owner string `json:"owner"`
+	// Nodes is how many nodes it asks for: 1 for a recovery.
+	Nodes int `json:"nodes"`
 	// Deficit is the group's sliding RT-TTP shortfall below its guarantee P
 	// (0 while the guarantee still holds).
 	Deficit float64 `json:"deficit"`
@@ -50,6 +53,7 @@ type TriageClaim struct {
 type triageClaim struct {
 	key          string
 	group, owner string
+	nodes        int
 	deficit      float64
 	tenants      int
 	polls        int
@@ -74,9 +78,14 @@ func NewTriage(pool *cluster.Pool) *Triage {
 	return &Triage{pool: pool, claims: make(map[string]*triageClaim)}
 }
 
-// Enqueue registers (or refreshes) a claim under key for owner's group. It
-// reports whether the claim is new.
+// Enqueue is EnqueueNodes for one node.
 func (t *Triage) Enqueue(key, group, owner string, deficit float64, tenants int) bool {
+	return t.EnqueueNodes(key, group, owner, 1, deficit, tenants)
+}
+
+// EnqueueNodes registers (or refreshes) a claim for nodes nodes under key
+// for owner's group. It reports whether the claim is new.
+func (t *Triage) EnqueueNodes(key, group, owner string, nodes int, deficit float64, tenants int) bool {
 	t.pool.Gate().Guard("the scarcity triage")
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -84,9 +93,17 @@ func (t *Triage) Enqueue(key, group, owner string, deficit float64, tenants int)
 		c.deficit, c.tenants = deficit, tenants
 		return false
 	}
-	t.claims[key] = &triageClaim{key: key, group: group, owner: owner, deficit: deficit, tenants: tenants}
+	t.claims[key] = &triageClaim{key: key, group: group, owner: owner, nodes: nodes, deficit: deficit, tenants: tenants}
 	t.enqueued++
 	return true
+}
+
+// Withdraw drops the claim under key, if queued.
+func (t *Triage) Withdraw(key string) {
+	t.pool.Gate().Guard("the scarcity triage")
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	delete(t.claims, key)
 }
 
 // rankLocked returns the claims ordered worst-off first. Ties break toward
@@ -117,13 +134,13 @@ func (t *Triage) rankLocked() []*triageClaim {
 }
 
 // TryGrant is one claim poll: the claimant refreshes its priority and asks
-// for a replacement node. A grant happens only when the claim ranks within
-// the pool's free-node budget and swap — the claimant's lifecycle swap —
-// succeeds; it runs under the triage lock so concurrent polls cannot
-// over-commit the pool. On success the claim leaves the queue; on denial,
-// including a swap that lost a race against a non-triage acquirer, it stays
-// queued.
-func (t *Triage) TryGrant(key string, deficit float64, tenants int, swap func() error) bool {
+// for its nodes. Worst-off first, each claim that fits the free-node budget
+// still left takes its nodes from it, and one that does not fit is skipped.
+// A grant happens only when the claim fits and take — the claimant's
+// lifecycle swap or stage — succeeds, under the triage lock so concurrent
+// polls cannot over-commit the pool. On success the claim leaves the queue;
+// on denial, including a take that lost a race, it stays queued.
+func (t *Triage) TryGrant(key string, deficit float64, tenants int, take func() error) bool {
 	t.pool.Gate().Guard("the scarcity triage")
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -134,22 +151,22 @@ func (t *Triage) TryGrant(key string, deficit float64, tenants int, swap func() 
 	c.deficit, c.tenants = deficit, tenants
 	c.polls++
 	free := t.pool.Free()
-	if free <= 0 {
-		return false
-	}
-	rank := -1
-	for i, rc := range t.rankLocked() {
-		if rc.key == key {
-			rank = i
-			break
+	for _, rc := range t.rankLocked() {
+		if rc.nodes > free {
+			continue
 		}
+		if rc.key != key {
+			free -= rc.nodes
+			continue
+		}
+		if take() != nil {
+			return false
+		}
+		delete(t.claims, key)
+		t.granted++
+		return true
 	}
-	if rank < 0 || rank >= free || swap() != nil {
-		return false
-	}
-	delete(t.claims, key)
-	t.granted++
-	return true
+	return false
 }
 
 // Queued returns the outstanding claims, worst-off first.
@@ -159,7 +176,7 @@ func (t *Triage) Queued() []TriageClaim {
 	out := make([]TriageClaim, 0, len(t.claims))
 	for _, c := range t.rankLocked() {
 		out = append(out, TriageClaim{
-			Group: c.group, Owner: c.owner,
+			Group: c.group, Owner: c.owner, Nodes: c.nodes,
 			Deficit: c.deficit, Tenants: c.tenants,
 			Priority: c.priority(), Polls: c.polls,
 		})

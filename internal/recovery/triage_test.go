@@ -124,6 +124,44 @@ func swapFor(lc *cluster.Lifecycle, owner string, sw *swapped) func() error {
 	}
 }
 
+// TestTriageWideClaimSkipped: a claim that does not fit the free budget is
+// skipped, so a 32-node scale-up ranked first does not block a 1-node
+// recovery ranked second; a claim that fits takes its nodes from the budget
+// the claims behind it share.
+func TestTriageWideClaimSkipped(t *testing.T) {
+	pool := cluster.NewPool(5)
+	tr := NewTriage(pool)
+	tr.EnqueueNodes("scale", "g1", "g1-scale1", 32, 0.5, 10) // priority 5
+	tr.Enqueue("rec", "g2", "g2-db0", 0.1, 2)                // priority 0.2
+	if ok := tr.TryGrant("scale", 0.5, 10, func() error { t.Fatal("took nodes for a claim that does not fit"); return nil }); ok {
+		t.Fatal("32-node claim granted on 5 free nodes")
+	}
+	took := false
+	if ok := tr.TryGrant("rec", 0.1, 2, func() error { took = true; return nil }); !ok || !took {
+		t.Fatalf("1-node claim behind a wide one denied (took=%v)", took)
+	}
+	if q := tr.Queued(); len(q) != 1 || q[0].Owner != "g1-scale1" || q[0].Nodes != 32 {
+		t.Fatalf("queue after the grant: %+v", q)
+	}
+
+	// A 3-node claim that fits leaves 2 of the 5 free nodes to the 1-node
+	// claims behind it (equal priority, ranked by group): the second and
+	// third fit, the fourth does not.
+	tr = NewTriage(pool)
+	tr.EnqueueNodes("wide", "g0", "g0-scale1", 3, 0.9, 10)
+	for _, key := range []string{"r1", "r2", "r3"} {
+		tr.Enqueue(key, "g"+key, key, 0.1, 1)
+	}
+	for _, c := range []struct {
+		key  string
+		want bool
+	}{{"r3", false}, {"r2", true}, {"r1", true}} {
+		if ok := tr.TryGrant(c.key, 0.1, 1, func() error { return nil }); ok != c.want {
+			t.Errorf("TryGrant(%s) = %v, want %v", c.key, ok, c.want)
+		}
+	}
+}
+
 func TestTriageDeny(t *testing.T) {
 	pool := cluster.NewPool(2)
 	tr := NewTriage(pool)

@@ -60,9 +60,6 @@ type Failure struct {
 type Options struct {
 	// From and To bound the replayed window.
 	From, To sim.Time
-	// Scaling, when non-nil, arms the §5.1 lightweight elastic scaler with
-	// this config.
-	Scaling *scaling.Config
 	// SampleEvery sets the statistics sampling period (default 10 min).
 	SampleEvery time.Duration
 	// TakeOver, when non-nil, injects the §7.5 over-activity.
@@ -115,8 +112,8 @@ type Report struct {
 	Samples map[string][]Sample
 	// Records are all completed queries.
 	Records []monitor.QueryRecord
-	// ScalingEvents are the elastic-scaling actions taken (empty when
-	// scaling is disabled).
+	// ScalingEvents are the elastic-scaling actions taken, in deployment
+	// group order (empty unless the deployment armed its scalers).
 	ScalingEvents []scaling.Event
 	// FailureEvents are the injected node failures and their repairs.
 	FailureEvents []FailureEvent
@@ -229,7 +226,7 @@ func Attach(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog, logs 
 // are not deployed (e.g. excluded ones) are skipped.
 //
 // Each tenant-group's share of the replay — its arrivals, take-over,
-// failures, sampler and scaler — is scheduled on the group's own engine. eng
+// failures and sampler — is scheduled on the group's own engine. eng
 // is the coordinator (nil: none): it carries the cross-group work the caller
 // scheduled on it beforehand, such as a storm's perturbations or the caller's
 // own traffic. sim.Domains.Drive then runs every engine, the groups' on
@@ -290,8 +287,8 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 		rep.Samples[p.group.Plan.ID] = p.samples
 		rep.Submitted += p.Submitted
 		rep.SubmitErrors += p.SubmitErrors
-		if p.scaler != nil {
-			rep.ScalingEvents = append(rep.ScalingEvents, p.scaler.Events()...)
+		if p.group.Scaler != nil {
+			rep.ScalingEvents = append(rep.ScalingEvents, p.group.Scaler.Events()...)
 		}
 		rep.RecoveryEvents = append(rep.RecoveryEvents, p.group.Recovery.Events()...)
 	}
@@ -315,11 +312,10 @@ type part struct {
 	Counts
 	group   *master.DeployedGroup
 	samples []Sample
-	scaler  *scaling.Scaler
 }
 
 // schedule puts g's share of the replay on eng, g's engine — the arrivals of
-// logs (g's members), take-over, failures, sampling, scaling — for the caller
+// logs (g's members), take-over, failures, sampling — for the caller
 // to run through the window and the drain.
 func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, g *master.DeployedGroup) (*part, error) {
 	dep, opts := d.dep, d.opts
@@ -394,20 +390,6 @@ func (d *driver) schedule(eng *sim.Engine, logs []*workload.TenantLog, g *master
 	}
 	eng.Reschedule(&tick, opts.From, sample)
 
-	// Elastic scaling: one scaler per group on the group's lifecycle, all
-	// drawing from the one (mutex-protected) node pool. A scaler numbers the
-	// instances it adds under their group's name, so scale-up MPPDB IDs stay
-	// deterministic.
-	if opts.Scaling != nil {
-		var err error
-		p.scaler, err = scaling.New(g.Lifecycle, *opts.Scaling)
-		if err != nil {
-			return nil, err
-		}
-		p.scaler.SetTelemetry(g.Telemetry())
-		p.scaler.Watch(&scaling.Target{Router: g.Router, Monitor: g.Monitor, Members: g.Members})
-		p.scaler.Start()
-	}
 	return p, nil
 }
 

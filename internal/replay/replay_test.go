@@ -10,7 +10,6 @@ import (
 	"repro/internal/master"
 	"repro/internal/queries"
 	"repro/internal/recovery"
-	"repro/internal/scaling"
 	"repro/internal/sim"
 	"repro/internal/tenant"
 	"repro/internal/workload"
@@ -35,6 +34,15 @@ func newWorld(t *testing.T, tenants, days int, r int) *world {
 // domains failure domains.
 func newWorldOn(t *testing.T, tenants, days, r, nodes, domains int) *world {
 	t.Helper()
+	acfg := advisor.DefaultConfig()
+	acfg.R = r
+	return newWorldWith(t, tenants, days, nodes, domains, acfg, master.Options{Immediate: true})
+}
+
+// newWorldWith plans tenants of the given node count under acfg and deploys
+// them with opts on a pool split into domains failure domains.
+func newWorldWith(t *testing.T, tenants, days, nodes, domains int, acfg advisor.Config, opts master.Options) *world {
+	t.Helper()
 	cat := queries.Default()
 	lib, err := workload.BuildLibrary(cat, []int{nodes}, 4, 7)
 	if err != nil {
@@ -52,8 +60,6 @@ func newWorldOn(t *testing.T, tenants, days, r, nodes, domains int) *world {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acfg := advisor.DefaultConfig()
-	acfg.R = r
 	adv, err := advisor.New(acfg)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +69,7 @@ func newWorldOn(t *testing.T, tenants, days, r, nodes, domains int) *world {
 		t.Fatal(err)
 	}
 	pool := cluster.NewPoolDomains(10*plan.NodesUsed(), domains)
-	m := master.New(pool, master.Options{Immediate: true})
+	m := master.New(pool, opts)
 	byID := map[string]*tenant.Tenant{}
 	for _, tn := range pop {
 		byID[tn.ID] = tn
@@ -127,18 +133,14 @@ func TestReplayValidation(t *testing.T) {
 // scale: hammering one tenant drives its group's RT-TTP below P; the scaler
 // carves it out; RT-TTP recovers.
 func TestReplayTakeOverTriggersScaling(t *testing.T) {
-	w := newWorld(t, 30, 3, 1) // R=1 so a single overlap already violates
-	// P is looser than the plan's 99.9% so that violations must accumulate
-	// before detection — by then the hammered tenant's observed activity
-	// dwarfs its groupmates' and identification singles it out (the paper's
-	// 24 h window achieves the same separation at full scale).
-	scfg := scaling.Config{
-		P:             0.995,
-		R:             1,
-		CheckInterval: 10 * time.Minute,
-		Window:        6 * time.Hour,
-		Epoch:         10 * sim.Second,
-	}
+	// R=1 so a single overlap already violates. P is looser than the
+	// default 99.9% so that violations must accumulate before detection — by
+	// then the hammered tenant's observed activity dwarfs its groupmates' and
+	// identification singles it out (the paper's 24 h window achieves the
+	// same separation at full scale).
+	acfg := advisor.DefaultConfig()
+	acfg.R, acfg.P, acfg.Epoch = 1, 0.995, 10*sim.Second
+	w := newWorldWith(t, 30, 3, 2, 1, acfg, master.Options{Immediate: true, MonitorWindow: 6 * time.Hour, Scaling: true})
 	// The take-over only hurts if the victim shares a group: a hammered
 	// singleton never exceeds R=1 active tenants.
 	victim := ""
@@ -152,9 +154,8 @@ func TestReplayTakeOverTriggersScaling(t *testing.T) {
 		t.Fatal("no multi-member group in the plan")
 	}
 	rep, err := Run(w.eng, w.dep, w.cat, w.logs, Options{
-		From:    0,
-		To:      2 * sim.Day,
-		Scaling: &scfg,
+		From: 0,
+		To:   2 * sim.Day,
 		TakeOver: &TakeOver{
 			Tenant:   victim,
 			Start:    sim.Hour,
@@ -185,7 +186,7 @@ func TestReplayTakeOverTriggersScaling(t *testing.T) {
 	}
 	// The group's RT-TTP dipped below P at some point.
 	g, _ := w.dep.GroupFor(victim)
-	if min := rep.MinRTTTP(g.Plan.ID); min >= scfg.P {
+	if min := rep.MinRTTTP(g.Plan.ID); min >= acfg.P {
 		t.Errorf("RT-TTP never dipped: min %v", min)
 	}
 }

@@ -27,6 +27,7 @@ import (
 	"repro/internal/queries"
 	"repro/internal/recovery"
 	"repro/internal/router"
+	"repro/internal/scaling"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
@@ -69,6 +70,8 @@ type GroupRuntime struct {
 	// queue, and the brownout loop. It lives on the group's engine and is
 	// consulted by SubmitGoverned.
 	Admission *admission.Controller
+	// Scaler, when non-nil, is the group's §5.1 scaler (Options.Scaling).
+	Scaler *scaling.Scaler
 
 	dom *sim.Domain
 

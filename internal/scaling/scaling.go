@@ -1,16 +1,19 @@
 // Package scaling implements Thrifty's lightweight elastic scaling (thesis
 // §5.1). When a tenant-group's run-time TTP over the trailing 24-hour window
-// drops below the performance SLA guarantee P, the scaler identifies the
-// over-active tenant(s) — the ones whose recent activity no longer fits the
-// group under the grouping algorithm — provisions a new MPPDB sized for just
-// those tenants, bulk loads only their data (the lightweight part: loading a
-// tenant's 400 GB takes ≈5000 s with parallel loading, versus many hours for
-// the whole group), and re-points their queries to the new instance. The
-// scaler decides when and for whom; the group's cluster.Lifecycle stages
-// the nodes and prices the start-up plus load, and a scale-up whose staged
-// nodes fail mid-load is aborted like any other (scaling_failed; the group
-// may scale again on a later check).
+// drops below the performance SLA guarantee P, the group's scaler identifies
+// the over-active tenant(s) — the ones whose recent activity no longer fits
+// the group under the grouping algorithm — provisions a new MPPDB sized for
+// just those tenants, bulk loads only their data (the lightweight part:
+// loading a tenant's 400 GB takes ≈5000 s with parallel loading, versus many
+// hours for the whole group), and re-points their queries to the new
+// instance. The scaler decides when and for whom; the group's
+// cluster.Lifecycle stages the nodes and prices the start-up plus load, and
+// a scale-up whose staged nodes fail mid-load is aborted like any other
+// (scaling_failed; the group may scale again on a later check).
 //
+// A scale-up the pool cannot stage queues one claim for its nodes in the
+// scarcity triage (recovery.Triage), the one rule for an exhausted pool;
+// later checks poll it, and withdraw it once the group holds P again.
 // Groups that scaled are flagged for the next re-consolidation cycle.
 package scaling
 
@@ -24,43 +27,27 @@ import (
 	"repro/internal/grouping"
 	"repro/internal/monitor"
 	"repro/internal/mppdb"
+	"repro/internal/recovery"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/tenant"
 )
 
-// Config controls the scaler.
+// CheckInterval is how often a scaler evaluates its group's RT-TTP.
+const CheckInterval = 10 * time.Minute
+
+// Config is what the scaler reads from its deployment: the plan's guarantee,
+// replication factor and epoch, and the monitors' RT-TTP window.
 type Config struct {
 	// P is the performance SLA guarantee (fraction, e.g. 0.999).
 	P float64
 	// R is the replication factor used by over-active identification.
 	R int
-	// CheckInterval is how often RT-TTP is evaluated.
-	CheckInterval time.Duration
-	// Window is the RT-TTP window (must match the monitors'; 24 h in the
-	// thesis).
+	// Window is the RT-TTP window (24 h in the thesis).
 	Window time.Duration
 	// Epoch is the epoch width for over-active identification.
 	Epoch sim.Time
-}
-
-// DefaultConfig returns the thesis' settings.
-func DefaultConfig(p float64, r int) Config {
-	return Config{
-		P:             p,
-		R:             r,
-		CheckInterval: 10 * time.Minute,
-		Window:        24 * time.Hour,
-		Epoch:         3 * sim.Second,
-	}
-}
-
-// Target is one tenant-group under the scaler's watch.
-type Target struct {
-	Router  *router.GroupRouter
-	Monitor *monitor.GroupMonitor
-	Members []*tenant.Tenant
 }
 
 // Event records one elastic-scaling action.
@@ -79,50 +66,63 @@ type Event struct {
 	Nodes int
 	// Ready is when the new MPPDB began serving (after startup + load).
 	Ready sim.Time
-	// Err is non-empty when the action failed (e.g. node pool exhausted).
+	// Err is non-empty when the action failed.
 	Err string
 }
 
-// Scaler watches tenant-groups and reacts to RT-TTP drops.
-type Scaler struct {
-	eng *sim.Engine
-	lc  *cluster.Lifecycle
-	cfg Config
+// scaleUp is one identified scale-up and the tenants it carves out.
+type scaleUp struct {
+	ev   Event
+	over []*tenant.Tenant
+}
 
-	targets  []*Target
-	scaling  map[string]bool // group currently provisioning
-	disabled map[string]bool // administrator override (§6)
-	reconsol map[string]bool // groups flagged for re-consolidation
+// Scaler watches one tenant-group and reacts to its RT-TTP drops. It is
+// confined to the group's engine.
+type Scaler struct {
+	lc      *cluster.Lifecycle
+	triage  *recovery.Triage
+	cfg     Config
+	group   string
+	router  *router.GroupRouter
+	monitor *monitor.GroupMonitor
+	members []*tenant.Tenant
+	prio    func() (deficit float64, tenants int)
+
+	scaling  bool     // a scale-up is starting up and loading
+	waiting  *scaleUp // a scale-up queued in the triage, nil when none
+	reconsol bool     // flagged for re-consolidation
 	events   []Event
 	nextID   int
-	started  bool
 
-	// Telemetry (optional): RT-TTP gauges sampled at every check, dip events
-	// on the below-P transition, and the scaling-phase event timeline.
+	// Telemetry (optional): the RT-TTP gauge sampled at every check, a dip
+	// event on the below-P transition, and the scaling-phase event timeline.
 	tel      *telemetry.Hub
-	belowP   map[string]bool
+	belowP   bool
 	mActions *telemetry.Counter
 	mActive  *telemetry.Gauge
 }
 
-// New creates a scaler on its group's lifecycle.
-func New(lc *cluster.Lifecycle, cfg Config) (*Scaler, error) {
+// New creates the scaler of the group routed by rt and monitored by mon, on
+// the group's lifecycle. A scale-up that cannot stage waits in tri, the
+// deployment's scarcity triage, ranked by prio's SLA-at-risk inputs
+// (sliding RT-TTP deficit, tenant count), as the group's recovery claims are.
+func New(lc *cluster.Lifecycle, tri *recovery.Triage, rt *router.GroupRouter, mon *monitor.GroupMonitor,
+	members []*tenant.Tenant, cfg Config, prio func() (float64, int)) (*Scaler, error) {
 	if cfg.P <= 0 || cfg.P > 1 {
 		return nil, fmt.Errorf("scaling: P=%v", cfg.P)
 	}
 	if cfg.R < 1 {
 		return nil, fmt.Errorf("scaling: R=%d", cfg.R)
 	}
-	if cfg.CheckInterval <= 0 || cfg.Window <= 0 || cfg.Epoch <= 0 {
-		return nil, fmt.Errorf("scaling: non-positive intervals in %+v", cfg)
-	}
 	return &Scaler{
-		eng:      lc.Engine(),
-		lc:       lc,
-		cfg:      cfg,
-		scaling:  make(map[string]bool),
-		disabled: make(map[string]bool),
-		reconsol: make(map[string]bool),
+		lc:      lc,
+		triage:  tri,
+		cfg:     cfg,
+		group:   rt.Group(),
+		router:  rt,
+		monitor: mon,
+		members: members,
+		prio:    prio,
 	}, nil
 }
 
@@ -132,76 +132,61 @@ func (s *Scaler) SetTelemetry(h *telemetry.Hub) {
 	if h == nil {
 		return
 	}
-	s.belowP = make(map[string]bool)
 	s.mActions = h.Registry.Counter("thrifty_scaling_actions_total")
 	s.mActive = h.Registry.Gauge("thrifty_scaling_in_progress")
 }
-
-// Watch adds a tenant-group to the scaler.
-func (s *Scaler) Watch(t *Target) { s.targets = append(s.targets, t) }
-
-// Disable suppresses automatic scaling for a group — the §6 manual-tuning
-// path where the administrator instead raises U on the tuning MPPDB.
-func (s *Scaler) Disable(group string) { s.disabled[group] = true }
-
-// Enable re-enables automatic scaling for a group.
-func (s *Scaler) Enable(group string) { delete(s.disabled, group) }
 
 // Events returns all scaling actions so far.
 func (s *Scaler) Events() []Event { return s.events }
 
 // ReconsolidationList returns the groups flagged for the next
-// (re)-consolidation cycle, sorted.
+// (re)-consolidation cycle: the scaler's group once it has scaled.
 func (s *Scaler) ReconsolidationList() []string {
-	out := make([]string, 0, len(s.reconsol))
-	for g := range s.reconsol {
-		out = append(out, g)
+	if !s.reconsol {
+		return nil
 	}
-	sort.Strings(out)
-	return out
+	return []string{s.group}
 }
 
 // Start schedules the periodic RT-TTP checks, as shared events (as is a
 // scale-up's ready): a check may acquire nodes from the pool.
 func (s *Scaler) Start() {
-	if s.started {
-		return
-	}
-	s.started = true
 	var tick func(now sim.Time)
 	tick = func(now sim.Time) {
 		s.check()
-		s.eng.AfterShared(s.cfg.CheckInterval, tick)
+		s.lc.Engine().AfterShared(CheckInterval, tick)
 	}
-	s.eng.AfterShared(s.cfg.CheckInterval, tick)
+	s.lc.Engine().AfterShared(CheckInterval, tick)
 }
 
-// check evaluates every watched group once.
+// check evaluates the group once. A scale-up waiting in the triage is
+// polled, or withdrawn once the group holds P again; otherwise a group below
+// P with no scale-up loading identifies its over-active tenants.
 func (s *Scaler) check() {
-	for _, t := range s.targets {
-		g := t.Router.Group()
-		rt := t.Monitor.RTTTP()
-		if s.tel != nil {
-			s.tel.Registry.Gauge("thrifty_group_rt_ttp", "group", g).Set(rt)
-			// Publish the dip once per crossing, not on every low sample.
-			below := rt < s.cfg.P
-			if below && !s.belowP[g] {
-				s.tel.Events.Publish(telemetry.Event{
-					Type:   telemetry.EventRTTTPDip,
-					Group:  g,
-					Value:  rt,
-					Detail: fmt.Sprintf("RT-TTP below P=%v", s.cfg.P),
-				})
-			}
-			s.belowP[g] = below
+	rt := s.monitor.RTTTP()
+	if s.tel != nil {
+		s.tel.Registry.Gauge("thrifty_group_rt_ttp", "group", s.group).Set(rt)
+		// Publish the dip once per crossing, not on every low sample.
+		below := rt < s.cfg.P
+		if below && !s.belowP {
+			s.tel.Events.Publish(telemetry.Event{
+				Type:   telemetry.EventRTTTPDip,
+				Group:  s.group,
+				Value:  rt,
+				Detail: fmt.Sprintf("RT-TTP below P=%v", s.cfg.P),
+			})
 		}
-		if s.scaling[g] || s.disabled[g] {
-			continue
-		}
-		if rt >= s.cfg.P {
-			continue
-		}
-		s.scaleUp(t, rt)
+		s.belowP = below
+	}
+	switch {
+	case s.scaling:
+	case s.waiting != nil && rt >= s.cfg.P:
+		s.triage.Withdraw(s.waiting.ev.MPPDB)
+		s.waiting = nil
+	case s.waiting != nil:
+		s.poll()
+	case rt < s.cfg.P:
+		s.identify(rt)
 	}
 }
 
@@ -209,8 +194,8 @@ func (s *Scaler) check() {
 // (§5.1): the tenant-grouping algorithm applied to just this group's tenants
 // using their *observed* activity of the trailing window. Tenants that no
 // longer fit into the group's main tenant-group are over-active.
-func (s *Scaler) IdentifyOverActive(t *Target) ([]*tenant.Tenant, error) {
-	now := s.eng.Now()
+func (s *Scaler) IdentifyOverActive() ([]*tenant.Tenant, error) {
+	now := s.lc.Engine().Now()
 	from := now - sim.Duration(s.cfg.Window)
 	if from < 0 {
 		from = 0
@@ -224,13 +209,13 @@ func (s *Scaler) IdentifyOverActive(t *Target) ([]*tenant.Tenant, error) {
 		return nil, err
 	}
 	prob := &grouping.Problem{D: grid.D, R: s.cfg.R, P: s.cfg.P}
-	members := make(map[string]*tenant.Tenant, len(t.Members))
-	for _, m := range t.Members {
-		if _, overridden := t.Router.Override(m.ID); overridden {
+	members := make(map[string]*tenant.Tenant, len(s.members))
+	for _, m := range s.members {
+		if _, overridden := s.router.Override(m.ID); overridden {
 			continue // already moved out by a previous scaling action
 		}
 		members[m.ID] = m
-		act := t.Monitor.TenantActivity(m.ID).Shift(-from)
+		act := s.monitor.TenantActivity(m.ID).Shift(-from)
 		prob.Items = append(prob.Items, &grouping.Item{
 			ID:    m.ID,
 			Nodes: m.Nodes,
@@ -261,15 +246,15 @@ func (s *Scaler) IdentifyOverActive(t *Target) ([]*tenant.Tenant, error) {
 	return over, nil
 }
 
-// scaleUp performs one lightweight scaling action for the group.
-func (s *Scaler) scaleUp(t *Target, rtttp float64) {
-	g := t.Router.Group()
-	ev := Event{Group: g, Detected: s.eng.Now(), RTTTP: rtttp}
-	over, err := s.IdentifyOverActive(t)
+// identify runs over-active identification for a group below P and stages
+// the scale-up it finds, or queues it in the triage when the pool cannot.
+func (s *Scaler) identify(rtttp float64) {
+	su := &scaleUp{ev: Event{Group: s.group, Detected: s.lc.Engine().Now(), RTTTP: rtttp}}
+	over, err := s.IdentifyOverActive()
 	if err != nil {
-		ev.Err = err.Error()
-		s.events = append(s.events, ev)
-		s.publishFailure(g, err.Error())
+		su.ev.Err = err.Error()
+		s.events = append(s.events, su.ev)
+		s.publishFailure(err.Error())
 		return
 	}
 	if len(over) == 0 {
@@ -277,85 +262,115 @@ func (s *Scaler) scaleUp(t *Target, rtttp float64) {
 		// nothing and let the next check re-evaluate.
 		return
 	}
-	nodes := 0
-	var dataGB float64
+	su.over = over
 	for _, m := range over {
-		ev.OverActive = append(ev.OverActive, m.ID)
-		if m.Nodes > nodes {
-			nodes = m.Nodes
-		}
-		dataGB += m.DataGB
+		su.ev.OverActive = append(su.ev.OverActive, m.ID)
+		su.ev.Nodes = max(su.ev.Nodes, m.Nodes)
 	}
 	s.nextID++
-	id := fmt.Sprintf("%s-scale%d", g, s.nextID)
-	if _, err := s.lc.Stage(id, nodes, nil); err != nil {
-		ev.Err = err.Error()
-		s.events = append(s.events, ev)
-		s.publishFailure(g, err.Error())
+	su.ev.MPPDB = fmt.Sprintf("%s-scale%d", s.group, s.nextID)
+	if s.stage(su) == nil {
+		s.start(su)
 		return
 	}
-	s.scaling[g] = true
+	s.waiting = su
+	deficit, tenants := s.prio()
+	s.triage.EnqueueNodes(su.ev.MPPDB, s.group, su.ev.MPPDB, su.ev.Nodes, deficit, tenants)
+	if s.tel != nil {
+		s.tel.Events.Publish(telemetry.Event{
+			Type:   telemetry.EventTriageEnqueued,
+			Group:  s.group,
+			MPPDB:  su.ev.MPPDB,
+			Value:  deficit * float64(tenants),
+			Detail: fmt.Sprintf("pool exhausted; %d-node scale-up queued for triage (deficit %.4g × %d tenants)", su.ev.Nodes, deficit, tenants),
+		})
+	}
+}
+
+// poll asks the triage for the waiting scale-up's nodes.
+func (s *Scaler) poll() {
+	su := s.waiting
+	deficit, tenants := s.prio()
+	if !s.triage.TryGrant(su.ev.MPPDB, deficit, tenants, func() error { return s.stage(su) }) {
+		return
+	}
+	s.waiting = nil
+	s.start(su)
+}
+
+// stage acquires the scale-up's nodes from the pool.
+func (s *Scaler) stage(su *scaleUp) error {
+	_, err := s.lc.Stage(su.ev.MPPDB, su.ev.Nodes, nil)
+	return err
+}
+
+// start runs a staged scale-up: the new MPPDB starts and bulk loads the
+// over-active tenants, then their queries are re-pointed to it.
+func (s *Scaler) start(su *scaleUp) {
+	id, nodes := su.ev.MPPDB, su.ev.Nodes
+	s.scaling = true
 	if s.tel != nil {
 		s.mActions.Inc()
 		s.mActive.Add(1)
 		s.tel.Events.Publish(telemetry.Event{
 			Type:   telemetry.EventScalingTriggered,
-			Group:  g,
+			Group:  s.group,
 			MPPDB:  id,
-			Value:  rtttp,
-			Detail: fmt.Sprintf("over-active %v → %d-node MPPDB", ev.OverActive, nodes),
+			Value:  su.ev.RTTTP,
+			Detail: fmt.Sprintf("over-active %v → %d-node MPPDB", su.ev.OverActive, nodes),
 		})
 	}
-	inst := mppdb.New(s.eng, id, nodes)
+	inst := mppdb.New(s.lc.Engine(), id, nodes)
 	inst.SetGate(s.lc.Pool().Gate())
 	inst.SetTelemetry(s.tel)
 	inst.SetState(mppdb.Provisioning)
-	for _, m := range over {
+	var dataGB float64
+	for _, m := range su.over {
 		inst.DeployTenant(m.ID, m.DataGB)
+		dataGB += m.DataGB
 	}
-	ev.MPPDB = id
-	ev.Nodes = nodes
 	evIdx := len(s.events)
-	s.events = append(s.events, ev)
+	s.events = append(s.events, su.ev)
 	s.lc.Ready(id, nodes, dataGB, func(intact bool) {
-		s.scaling[g] = false
+		s.scaling = false
 		if s.tel != nil {
 			s.mActive.Add(-1)
 		}
+		ev := &s.events[evIdx]
 		if !intact {
 			s.lc.Abort(id)
-			s.events[evIdx].Err = "staged nodes failed during the bulk load"
-			s.publishFailure(g, fmt.Sprintf("%s aborted: %s", id, s.events[evIdx].Err))
+			ev.Err = "staged nodes failed during the bulk load"
+			s.publishFailure(fmt.Sprintf("%s aborted: %s", id, ev.Err))
 			return
 		}
 		inst.SetState(mppdb.Ready)
-		for _, m := range over {
-			if err := t.Router.SetOverride(m.ID, inst); err != nil {
-				s.events[evIdx].Err = err.Error()
+		for _, m := range su.over {
+			if err := s.router.SetOverride(m.ID, inst); err != nil {
+				ev.Err = err.Error()
 			}
 		}
-		s.events[evIdx].Ready = s.eng.Now()
-		s.reconsol[g] = true
+		ev.Ready = s.lc.Engine().Now()
+		s.reconsol = true
 		if s.tel != nil {
 			s.tel.Events.Publish(telemetry.Event{
 				Type:   telemetry.EventScalingReady,
-				Group:  g,
+				Group:  s.group,
 				MPPDB:  id,
 				Value:  float64(nodes),
-				Detail: fmt.Sprintf("queries of %v re-pointed", s.events[evIdx].OverActive),
+				Detail: fmt.Sprintf("queries of %v re-pointed", ev.OverActive),
 			})
 		}
 	})
 }
 
 // publishFailure emits a scaling_failed event when telemetry is attached.
-func (s *Scaler) publishFailure(group, detail string) {
+func (s *Scaler) publishFailure(detail string) {
 	if s.tel == nil {
 		return
 	}
 	s.tel.Events.Publish(telemetry.Event{
 		Type:   telemetry.EventScalingFailed,
-		Group:  group,
+		Group:  s.group,
 		Detail: detail,
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/mppdb"
 	"repro/internal/queries"
+	"repro/internal/recovery"
 	"repro/internal/router"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -18,15 +19,15 @@ import (
 )
 
 // scenario wires a 2-MPPDB tenant-group with a well-behaved tenant and a
-// hog, plus a scaler with a shared pool.
+// hog, plus a scaler with a shared pool and its triage.
 type scenario struct {
-	eng     *sim.Engine
-	pool    *cluster.Pool
-	mon     *monitor.GroupMonitor
-	rt      *router.GroupRouter
-	scaler  *Scaler
-	cl      *queries.Class
-	members []*tenant.Tenant
+	eng    *sim.Engine
+	pool   *cluster.Pool
+	triage *recovery.Triage
+	mon    *monitor.GroupMonitor
+	rt     *router.GroupRouter
+	scaler *Scaler
+	cl     *queries.Class
 }
 
 func newScenario(t *testing.T, cfg Config, poolNodes int, extra ...*tenant.Tenant) *scenario {
@@ -54,46 +55,33 @@ func newScenario(t *testing.T, cfg Config, poolNodes int, extra ...*tenant.Tenan
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := New(cluster.NewLifecycle(eng, pool, true, true), cfg)
+	tri := recovery.NewTriage(pool)
+	sc, err := New(cluster.NewLifecycle(eng, pool, true, true), tri, rt, mon, members, cfg,
+		func() (float64, int) { return max(cfg.P-mon.RTTTP(), 0), len(members) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc.Watch(&Target{Router: rt, Monitor: mon, Members: members})
 	return &scenario{
-		eng: eng, pool: pool, mon: mon, rt: rt, scaler: sc,
-		cl:      &queries.Class{ID: "q", FixedSec: 0.5, ScanSecGB: 0.05}, // 10.5 s on 200GB/2n
-		members: members,
+		eng: eng, pool: pool, triage: tri, mon: mon, rt: rt, scaler: sc,
+		cl: &queries.Class{ID: "q", FixedSec: 0.5, ScanSecGB: 0.05}, // 10.5 s on 200GB/2n
 	}
 }
 
 func testCfg() Config {
-	return Config{
-		P:             0.99,
-		R:             1,
-		CheckInterval: 5 * time.Minute,
-		Window:        time.Hour,
-		Epoch:         10 * sim.Second,
-	}
+	return Config{P: 0.99, R: 1, Window: time.Hour, Epoch: 10 * sim.Second}
 }
 
 func TestNewValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	pool := cluster.NewPool(4)
-	bad := []Config{
-		{P: 0, R: 1, CheckInterval: 1, Window: 1, Epoch: 1},
-		{P: 1.5, R: 1, CheckInterval: 1, Window: 1, Epoch: 1},
-		{P: 0.9, R: 0, CheckInterval: 1, Window: 1, Epoch: 1},
-		{P: 0.9, R: 1, CheckInterval: 0, Window: 1, Epoch: 1},
-		{P: 0.9, R: 1, CheckInterval: 1, Window: 0, Epoch: 1},
-		{P: 0.9, R: 1, CheckInterval: 1, Window: 1, Epoch: 0},
+	rt, err := router.NewGroup(eng, "g0", []*mppdb.Instance{mppdb.New(eng, "g0-db0", 2)}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, cfg := range bad {
-		if _, err := New(cluster.NewLifecycle(eng, pool, true, true), cfg); err == nil {
+	for i, cfg := range []Config{{P: 0, R: 1}, {P: 1.5, R: 1}, {P: 0.9, R: 0}} {
+		if _, err := New(cluster.NewLifecycle(eng, pool, true, true), recovery.NewTriage(pool), rt, nil, nil, cfg, nil); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
-	}
-	if cfg := DefaultConfig(0.999, 3); cfg.P != 0.999 || cfg.R != 3 {
-		t.Error("DefaultConfig wrong")
 	}
 }
 
@@ -192,37 +180,104 @@ func elasticScalingEndToEnd(t *testing.T) {
 	}
 }
 
-func TestScalingDisabled(t *testing.T) {
-	s := newScenario(t, testCfg(), 8)
-	s.scaler.Disable("g0")
-	s.scaler.Start()
-	s.driveHog(t, 4*sim.Hour)
-	s.eng.Run(4 * sim.Hour)
-	if len(s.scaler.Events()) != 0 {
-		t.Errorf("disabled group scaled anyway: %+v", s.scaler.Events())
+// TestScalerClaimsOnExhaustion: a scale-up the pool cannot stage queues one
+// claim in the triage, for the tenants already identified. Later checks
+// poll that claim — they run no further identification and record no
+// failed Event — and once nodes are released the next check is granted,
+// stages, and re-points the tenant. A group back at P withdraws its claim
+// instead.
+func TestScalerClaimsOnExhaustion(t *testing.T) {
+	// One free node: a blocker holds two of the three, so the hog's 2-node
+	// MPPDB cannot stage.
+	newExhausted := func(t *testing.T) (*scenario, *cluster.Lifecycle) {
+		s := newScenario(t, testCfg(), 3)
+		blocker := cluster.NewLifecycle(s.eng, s.pool, false, false)
+		if _, err := blocker.Stage("blocker", 2, nil); err != nil {
+			t.Fatal(err)
+		}
+		s.scaler.Start()
+		return s, blocker
 	}
-	s.scaler.Enable("g0")
-	s.driveHog(t, 5*sim.Hour)
-	s.eng.Run(5 * sim.Hour)
-	if len(s.scaler.Events()) == 0 {
-		t.Error("re-enabled group never scaled")
+	// waitForClaim runs until the scaler's claim is queued and returns it.
+	waitForClaim := func(t *testing.T, s *scenario) recovery.TriageClaim {
+		for end := sim.Time(0); end < 6*sim.Hour; {
+			end += sim.Time(CheckInterval)
+			s.eng.Run(end)
+			if q := s.triage.Queued(); len(q) > 0 {
+				return q[0]
+			}
+		}
+		t.Fatalf("no claim queued; RT-TTP %v, events %+v", s.mon.RTTTP(), s.scaler.Events())
+		return recovery.TriageClaim{}
 	}
-}
 
-func TestScalingPoolExhausted(t *testing.T) {
-	// Pool too small for a new 2-node MPPDB (all 2 nodes go to... give 0
-	// spare).
-	s := newScenario(t, testCfg(), 0)
-	s.scaler.Start()
-	s.driveHog(t, 4*sim.Hour)
-	s.eng.Run(4 * sim.Hour)
-	evs := s.scaler.Events()
-	if len(evs) == 0 {
-		t.Fatal("no events")
-	}
-	if evs[0].Err == "" {
-		t.Error("exhausted pool did not surface an error")
-	}
+	t.Run("granted", func(t *testing.T) {
+		s, blocker := newExhausted(t)
+		s.driveHog(t, 12*sim.Hour)
+		c := waitForClaim(t, s)
+		if c.Group != "g0" || c.Owner != "g0-scale1" || c.Nodes != 2 || c.Tenants != 2 || c.Deficit <= 0 {
+			t.Fatalf("claim %+v", c)
+		}
+		queuedAt := s.eng.Now()
+		s.eng.Run(queuedAt + 4*sim.Hour)
+		q := s.triage.Queued()
+		if len(q) != 1 || q[0].Owner != "g0-scale1" || q[0].Polls != 24 {
+			t.Fatalf("after 24 checks the queue is %+v, want the one claim polled 24 times", q)
+		}
+		if s.scaler.nextID != 1 {
+			t.Errorf("%d identifications found tenants while the claim waited, want 1", s.scaler.nextID)
+		}
+		if evs := s.scaler.Events(); len(evs) != 0 {
+			t.Errorf("a waiting claim recorded events: %+v", evs)
+		}
+		// Release the blocker's nodes; the next check is granted.
+		released := s.eng.Now()
+		s.eng.Schedule(released, func(sim.Time) { blocker.Abort("blocker") })
+		s.eng.Run(released + sim.Time(CheckInterval))
+		if q := s.triage.Queued(); len(q) != 0 {
+			t.Fatalf("claim still queued after the release: %+v", q)
+		}
+		if enq, granted := s.triage.Stats(); enq != 1 || granted != 1 {
+			t.Errorf("triage stats enqueued=%d granted=%d, want 1/1", enq, granted)
+		}
+		s.eng.Run(released + 6*sim.Hour)
+		evs := s.scaler.Events()
+		if len(evs) != 1 {
+			t.Fatalf("%d events after the grant, want 1: %+v", len(evs), evs)
+		}
+		ev := evs[0]
+		if ev.Err != "" || ev.MPPDB != "g0-scale1" || ev.Nodes != 2 || ev.Detected != queuedAt || ev.Ready <= released {
+			t.Errorf("granted scale-up %+v (queued at %v, released at %v)", ev, queuedAt, released)
+		}
+		if over, ok := s.rt.Override(ev.OverActive[0]); !ok || over.ID() != "g0-scale1" {
+			t.Errorf("granted scale-up did not re-point %v", ev.OverActive)
+		}
+	})
+
+	t.Run("withdrawn", func(t *testing.T) {
+		s, blocker := newExhausted(t)
+		s.driveHog(t, 2*sim.Hour)
+		waitForClaim(t, s)
+		// The hog stops; a window later the group holds P again and the
+		// next check withdraws the claim.
+		s.eng.Run(2*sim.Hour + sim.Time(time.Hour) + 2*sim.Time(CheckInterval))
+		if s.mon.RTTTP() < testCfg().P {
+			t.Fatalf("group still below P: %v", s.mon.RTTTP())
+		}
+		if q := s.triage.Queued(); len(q) != 0 {
+			t.Fatalf("claim not withdrawn: %+v", q)
+		}
+		// Nodes freed now are never granted to the withdrawn claim.
+		at := s.eng.Now()
+		s.eng.Schedule(at, func(sim.Time) { blocker.Abort("blocker") })
+		s.eng.Run(at + sim.Hour)
+		if _, granted := s.triage.Stats(); granted != 0 || len(s.scaler.Events()) != 0 {
+			t.Errorf("withdrawn claim granted: %d grants, events %+v", granted, s.scaler.Events())
+		}
+		if _, ok := s.rt.Override("hog"); ok {
+			t.Error("withdrawn claim carved the hog out")
+		}
+	})
 }
 
 func TestIdentifyOverActiveEmptyWhenCalm(t *testing.T) {
@@ -230,7 +285,7 @@ func TestIdentifyOverActiveEmptyWhenCalm(t *testing.T) {
 	// Only the good tenant is mildly active.
 	s.eng.Schedule(0, func(sim.Time) { s.rt.Submit("good", s.cl) })
 	s.eng.Run(sim.Hour)
-	over, err := s.scaler.IdentifyOverActive(&Target{Router: s.rt, Monitor: s.mon, Members: s.members})
+	over, err := s.scaler.IdentifyOverActive()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +310,7 @@ func TestIdentifyOverActiveMixedSizes(t *testing.T) {
 			s.driveHog(t, sim.Hour)
 			var got []string
 			s.eng.Schedule(sim.Hour, func(sim.Time) {
-				over, err := s.scaler.IdentifyOverActive(&Target{Router: s.rt, Monitor: s.mon, Members: s.members})
+				over, err := s.scaler.IdentifyOverActive()
 				if err != nil {
 					t.Error(err)
 				}
@@ -273,24 +328,12 @@ func TestIdentifyOverActiveMixedSizes(t *testing.T) {
 
 func TestIdentifyOverActiveZeroHorizon(t *testing.T) {
 	s := newScenario(t, testCfg(), 8)
-	over, err := s.scaler.IdentifyOverActive(&Target{Router: s.rt, Monitor: s.mon, Members: s.members})
+	over, err := s.scaler.IdentifyOverActive()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if over != nil {
 		t.Errorf("zero-horizon identification returned %v", over)
-	}
-}
-
-func TestStartIsIdempotent(t *testing.T) {
-	s := newScenario(t, testCfg(), 8)
-	s.scaler.Start()
-	s.scaler.Start()
-	// One tick per interval, not two: run 2 intervals and count pending
-	// indirectly via no panic / no duplicate events on a calm group.
-	s.eng.Run(sim.Time(2 * testCfg().CheckInterval.Nanoseconds()))
-	if len(s.scaler.Events()) != 0 {
-		t.Error("calm group produced events")
 	}
 }
 

@@ -33,6 +33,12 @@ func deployTenants(t *testing.T, ids []string) (*master.Deployment, *advisor.Pla
 // deployWith is deployTenants under the given deployment options.
 func deployWith(t *testing.T, ids []string, opts master.Options) (*master.Deployment, *advisor.Plan) {
 	t.Helper()
+	return deployWithR(t, ids, 2, opts)
+}
+
+// deployWithR is deployWith under replication factor r.
+func deployWithR(t *testing.T, ids []string, r int, opts master.Options) (*master.Deployment, *advisor.Plan) {
+	t.Helper()
 	tenants := map[string]*tenant.Tenant{}
 	var logs []*workload.TenantLog
 	for i, id := range ids {
@@ -45,7 +51,7 @@ func deployWith(t *testing.T, ids []string, opts master.Options) (*master.Deploy
 		})
 	}
 	acfg := advisor.DefaultConfig()
-	acfg.R = 2
+	acfg.R = r
 	adv, err := advisor.New(acfg)
 	if err != nil {
 		t.Fatal(err)

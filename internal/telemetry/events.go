@@ -23,8 +23,8 @@ const (
 	// EventScalingReady: the dedicated MPPDB finished loading and queries
 	// were re-pointed.
 	EventScalingReady EventType = "scaling_ready"
-	// EventScalingFailed: a scaling action could not complete (e.g. node
-	// pool exhausted).
+	// EventScalingFailed: a scaling action could not complete
+	// (identification failed, or its staged nodes failed during the load).
 	EventScalingFailed EventType = "scaling_failed"
 	// EventTakeOver: a tenant began continuous query submission (§7.5).
 	EventTakeOver EventType = "take_over"
@@ -83,9 +83,9 @@ const (
 	// EventDomainRestored: a failed domain came back; its hibernated nodes
 	// are acquirable again and queued recoveries can drain.
 	EventDomainRestored EventType = "domain_restored"
-	// EventTriageEnqueued: a recovery lifecycle hit pool exhaustion and
-	// entered the cluster-wide scarcity triage queue instead of burning
-	// backoff retry cycles.
+	// EventTriageEnqueued: a recovery lifecycle or a scale-up hit pool
+	// exhaustion and entered the cluster-wide scarcity triage queue instead
+	// of retrying on its own.
 	EventTriageEnqueued EventType = "triage_enqueued"
 	// EventTriageGranted: the triage allocator handed a scarce node to the
 	// queued lifecycle with the highest SLA-at-risk priority.

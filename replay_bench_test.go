@@ -8,10 +8,9 @@ import "testing"
 // deployment per iteration, the deployment built outside the timer. It
 // reports ns per replayed query beside the allocation figures; profile it
 // with -cpuprofile. bare deploys as the benchmark's replay-7d does
-// (Immediate), admission arms admission on top, and default deploys as a
+// (Immediate), admission arms admission on top, default deploys as a
 // flagless thriftyd does (Immediate, ParallelLoad, 64 spare nodes, admission
-// armed). Every deployment arms recovery, so recovery deploys as bare does:
-// the row stays to read each subsystem's cost beside the others.
+// armed), and scaler arms the §5.1 scaler on top of default.
 //
 //	go test -run '^$' -bench BenchmarkReplay -benchtime 5x -cpuprofile cpu.prof .
 func BenchmarkReplay(b *testing.B) {
@@ -29,9 +28,9 @@ func BenchmarkReplay(b *testing.B) {
 		opts DeployOptions
 	}{
 		{"bare", DeployOptions{Immediate: true}},
-		{"recovery", DeployOptions{Immediate: true}},
 		{"admission", DeployOptions{Immediate: true, Admission: &adm}},
 		{"default", DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Admission: &adm}},
+		{"scaler", DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Admission: &adm, Scaling: true}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

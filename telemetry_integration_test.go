@@ -25,17 +25,15 @@ func replayOnce(t *testing.T) (*System, *ReplayReport) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := Deploy(w, plan, DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64})
+	sys, err := Deploy(w, plan, DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Scaling: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	victim := plan.Groups[0].TenantIDs[0]
-	scaler := DefaultScalerConfig(0.999, plan.Config.R)
 	rep, err := sys.Replay(ReplayOptions{
 		From:        0,
 		To:          sim.Day,
 		SampleEvery: 2 * time.Hour,
-		Scaling:     &scaler,
 		TakeOver: &TakeOver{
 			Tenant:   victim,
 			Start:    6 * sim.Hour,

@@ -13,7 +13,7 @@
 //  3. Deploy — execute the plan on a simulated cluster, producing live
 //     MPPDB instances with per-group query routers and activity monitors;
 //  4. Replay / Serve — drive the deployment with logged or interactive
-//     queries, optionally with lightweight elastic scaling armed.
+//     queries, optionally with lightweight elastic scaling armed at deploy.
 //
 // Everything is deterministic from the seeds in the configs. The underlying
 // packages (internal/...) expose the individual subsystems; this package
@@ -31,7 +31,6 @@ import (
 	"repro/internal/queries"
 	"repro/internal/recovery"
 	"repro/internal/replay"
-	"repro/internal/scaling"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -175,8 +174,8 @@ type System struct {
 
 // DeployOptions re-exports the Deployment Master's options: the pool shape
 // (SpareNodes, Domains), provisioning (Immediate, ParallelLoad) and the
-// opt-in subsystems (Admission, Gray, NoSpread), each off — and replay
-// byte-identical — at its zero value. Every deployment arms §4.4 recovery,
+// opt-in subsystems (Admission, Gray, Scaling, NoSpread), each off — and
+// replay byte-identical — at its zero value. Every deployment arms §4.4 recovery,
 // which schedules nothing until a node fails.
 type DeployOptions = master.Options
 
@@ -230,13 +229,6 @@ func DefaultAdmissionConfig() AdmissionConfig { return admission.DefaultConfig()
 // Contract re-exports a tenant's contracted arrival process (token-bucket
 // rate + burst).
 type Contract = admission.Contract
-
-// ScalerConfig re-exports the elastic scaler configuration.
-type ScalerConfig = scaling.Config
-
-// DefaultScalerConfig returns the thesis' scaler settings for the given
-// guarantee and replication factor.
-func DefaultScalerConfig(p float64, r int) ScalerConfig { return scaling.DefaultConfig(p, r) }
 
 // Replay drives the system with its workload's logged queries: every
 // tenant-group on its own clock domain, beside the coordinator Engine, in one
