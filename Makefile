@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race loc chaos-smoke overload-smoke gray-smoke domain-smoke grouping-smoke bench-smoke drift-smoke service-smoke fuzz-smoke bench-compare
+.PHONY: check fmt vet build test race loc fault-smoke grouping-smoke bench-smoke drift-smoke service-smoke fuzz-smoke bench-compare
 
 # The full pre-commit gate: formatting and static checks, build, the
 # race-enabled suite (which holds every test the *-smoke targets below pick
@@ -50,38 +50,19 @@ loc:
 			on && /^}/ { exit } on && NF && $$1 !~ /^\/\// { n++; for (i = 1; i < NF; i++) if ($$i ~ /,$$/) n++ } \
 			END { printf "%7d %s fields\n", n, name }' internal/$$f; done
 
-# The four fault smokes below drive four harnesses that share one loop: each
-# schedules its own perturbation on the coordinator engine and calls
-# replay.Run, so a break in the arrival → sample → drain driver fails all of
-# them.
-#
-# Bounded failure-injection smoke: a small deployment under the chaos harness
-# with the race detector on (~1 s), exercising injection on every group's
-# engine, detection at the next heartbeat instant, and autonomous recovery
-# end to end.
-chaos-smoke:
-	$(GO) test -race -short -run TestChaosSmoke ./internal/recovery/chaos
-
-# Bounded noisy-tenant smoke with the race detector on: a seeded storm
-# against an admission-armed group (replay.Run with an admission-then-router
-# submit hook), verifying the aggressor is throttled and compliant tenants
-# hold their guarantee.
-overload-smoke:
-	$(GO) test -race -short -run TestOverloadSmoke ./internal/recovery/chaos
-
-# Bounded fail-slow smoke with the race detector on: a seeded gray-failure
-# storm (stuck, gradual, flapping slowdowns scheduled ahead of replay.Run)
-# against a detector-armed group, verifying the hedge → drain-and-replace ladder restores attainment and
-# leaves the pool leak-free.
-gray-smoke:
-	$(GO) test -race -short -run TestGraySmoke ./internal/recovery/chaos
-
-# Bounded correlated-failure smoke with the race detector on: a seeded
-# whole-domain outage (scheduled ahead of replay.Run) against a spread-placed,
-# triage-armed deployment, verifying quarantine re-routing, the scarcity triage queue, and
-# restoration re-spread leave zero dropped queries and a leak-free pool.
-domain-smoke:
-	$(GO) test -race -short -run TestDomainSmoke ./internal/recovery/chaos
+# Bounded fault smokes with the race detector on, one per fault class, each a
+# small deployment replayed through the one chaos.Run under one fault value
+# (~1 s each): crashes injected on every group's engine, detected at the
+# controller's next 30-s grid instant and recovered autonomously; a
+# noisy-tenant storm against an admission-armed group, the aggressor
+# throttled while compliant tenants hold their guarantee; a fail-slow storm
+# (stuck, gradual, flapping) against a detector-armed group, the hedge →
+# drain-and-replace ladder restoring attainment; and a whole-domain outage
+# against a spread-placed deployment, quarantine re-routing, the scarcity
+# triage and re-spread leaving zero dropped queries. All four end on a
+# leak-free pool. A break in Run or in the replay it drives fails all four.
+fault-smoke:
+	$(GO) test -race -short -run 'TestChaosSmoke|TestOverloadSmoke|TestGraySmoke|TestDomainSmoke' ./internal/recovery/chaos
 
 # Solver-equivalence property tests under the race detector — synthetic,
 # adversarial and composed-log (benchmark-shaped) instances at
@@ -155,13 +136,15 @@ service-smoke:
 # the least (time, group), and the node pool under the lifecycle's stage,
 # ready, cut-over, abort and swap, fail-any, domain outages and re-images
 # against a naive owner map, and the registry's Prometheus text under
-# registrations, updates and scrapes against the Fprintf encoder it replaced
-# (go test -fuzz takes one target per run). A
+# registrations, updates and scrapes against the Fprintf encoder it replaced,
+# and the fault schedule validators (ValidateSlowdowns, ValidateOutages)
+# against O(n²) restatements of their contracts, with what BuildSlowdowns and
+# BuildOutages derive validating (go test -fuzz takes one target per run). A
 # failing input lands in the package's testdata/fuzz; commit it.
 # FuzzCountSet, FuzzDenseSet, FuzzMonitorOps, FuzzTracerRing,
-# FuzzPrometheusText, FuzzInstancePS, FuzzEngine, FuzzDomainsDrive and
-# FuzzPoolLifecycle find new coverage all the time and the default minute of
-# minimizing each find would eat the whole smoke.
+# FuzzPrometheusText, FuzzInstancePS, FuzzEngine, FuzzDomainsDrive,
+# FuzzPoolLifecycle and FuzzFaultSchedules find new coverage all the time and
+# the default minute of minimizing each find would eat the whole smoke.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSubmit$$' -fuzztime=5s ./internal/service
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBatch$$' -fuzztime=5s ./internal/service
@@ -175,6 +158,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEngine$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzDomainsDrive$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzPoolLifecycle$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/cluster
+	$(GO) test -run '^$$' -fuzz '^FuzzFaultSchedules$$' -fuzztime=5s -fuzzminimizetime=20x ./internal/recovery/chaos
 
 # Paired comparison of the working tree against another commit on one
 # benchmark workload, the procedure a performance claim needs: ./benchmark is

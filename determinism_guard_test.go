@@ -58,10 +58,8 @@ func overloadDump(t *testing.T) (traceSum, eventSum string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := chaos.DefaultOverloadConfig()
-	cfg.Seed = 7
-	cfg.From, cfg.To = 0, sim.Day
-	if _, err := chaos.RunOverload(sys.Engine, sys.Deployment, w.Catalog, w.Logs, cfg); err != nil {
+	cfg := chaos.Config{Seed: 7, Window: chaos.Window{To: sim.Day}, Faults: []chaos.Fault{chaos.Storm{Aggressors: 1}}}
+	if _, err := chaos.Run(sys.Engine, sys.Deployment, w.Catalog, w.Logs, cfg); err != nil {
 		t.Fatal(err)
 	}
 	var traces, events bytes.Buffer

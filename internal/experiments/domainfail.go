@@ -64,90 +64,51 @@ func DomainFail(env *Env) ([]*Table, error) {
 	}
 	w := carve(plan, logs, top(rank(plan, smallestShardFirst(plan, logs)), env.Scale.ReplayGroups))
 
-	// One storm config for every arm; an explicit empty schedule turns the
+	// One storm for every arm; an explicit empty schedule turns the
 	// injection off for the baseline while keeping the replay identical.
-	run := func(spread bool, sched []chaos.DomainOutage) (*chaos.DomainFailResult, error) {
+	// The protected posture also re-replicates a casualty's shard from its
+	// surviving peers in parallel; bare keeps the classic single-stream
+	// reload. Recoveries queue behind the outage and pay Table 5.1 reloads
+	// that run for hours per node on the largest groups.
+	arm := func(spread bool, outages chaos.Outages) faultArm {
 		used := w.plan.NodesUsed()
-		pool := cluster.NewPoolDomains(used+(used+4)/5, domains)
-		// The protected posture also re-replicates a casualty's shard from
-		// its surviving peers in parallel; bare keeps the classic
-		// single-stream reload.
-		opts := master.Options{Immediate: true, ParallelLoad: spread, NoSpread: !spread}
-		eng, dep, err := w.deploy(pool, opts)
-		if err != nil {
-			return nil, err
-		}
-		cfg := chaos.DefaultDomainFailConfig()
-		cfg.Seed = env.Seed
-		cfg.From, cfg.To = 0, sim.Day
-		// Recoveries queue behind the outage and pay Table 5.1 reloads that
-		// run for hours per node on the largest groups.
-		cfg.DrainSlack = 3 * 24 * time.Hour
-		cfg.Schedule = sched
-		return chaos.RunDomainFail(eng, dep, env.Cat, w.logs, cfg)
+		return faultArm{cluster.NewPoolDomains(used+(used+4)/5, domains),
+			master.Options{Immediate: true, ParallelLoad: spread, NoSpread: !spread}, outages}
 	}
-
-	baseline, err := run(true, []chaos.DomainOutage{})
+	res, err := runArms(env, w, chaos.Window{To: sim.Day, DrainSlack: 3 * 24 * time.Hour},
+		arm(true, chaos.Outages{Schedule: []chaos.DomainOutage{}}),
+		arm(false, chaos.Outages{}),
+		arm(true, chaos.Outages{}))
 	if err != nil {
 		return nil, err
 	}
-	bare, err := run(false, nil)
-	if err != nil {
-		return nil, err
-	}
-	protected, err := run(true, nil)
-	if err != nil {
-		return nil, err
-	}
+	baseline, bare, protected := res[0], res[1], res[2]
 
 	schedule := &Table{
 		Title:   fmt.Sprintf("Correlated failure — injected domain outages (%d domains, seed %d)", domains, env.Seed),
 		Columns: []string{"at", "domain", "duration"},
 	}
-	for _, o := range bare.Schedule {
+	for _, o := range bare.OutageSchedule {
 		schedule.AddRow(o.At.String(), o.Domain, o.Duration.String())
 	}
 
-	verdict := "PASS"
-	if err := baseline.Verify(); err != nil {
-		verdict = fmt.Sprintf("FAIL: baseline: %v", err)
-	} else if err := bare.Verify(); err != nil {
-		verdict = fmt.Sprintf("FAIL: bare: %v", err)
-	} else if err := protected.Verify(); err != nil {
-		verdict = fmt.Sprintf("FAIL: protected: %v", err)
-	} else if protected.Attainment < baseline.Attainment-0.02 {
+	verdict := verifyArms(plan.Config.P, res)
+	switch {
+	case verdict != "":
+	case protected.Attainment < baseline.Attainment-0.02:
 		verdict = fmt.Sprintf("FAIL: protected attainment %.4f more than 2 points below no-fault %.4f",
 			protected.Attainment, baseline.Attainment)
-	} else if protected.CollapsedGroups != 0 {
+	case protected.CollapsedGroups != 0:
 		verdict = fmt.Sprintf("FAIL: %d protected groups still collapsed onto one domain", protected.CollapsedGroups)
 	}
-
-	outcome := &Table{
-		Title: fmt.Sprintf("Correlated failure — bare vs spread placement (%d groups, seed %d)",
-			len(w.plan.Groups), env.Seed),
-		Columns: []string{"metric", "no-fault", "bare", "protected"},
-	}
-	outcome.AddRow("per-query SLA attainment", pct(baseline.Attainment), pct(bare.Attainment), pct(protected.Attainment))
-	outcome.AddRow("worst member attainment", pct(baseline.MinAttainment), pct(bare.MinAttainment), pct(protected.MinAttainment))
-	outcome.AddRow("min RT-TTP", fmt.Sprintf("%.4f", baseline.MinRTTTP),
-		fmt.Sprintf("%.4f", bare.MinRTTTP), fmt.Sprintf("%.4f", protected.MinRTTTP))
-	outcome.AddRow("node casualties", baseline.Casualties, bare.Casualties, protected.Casualties)
-	outcome.AddRow("instances quarantined", baseline.Quarantines, bare.Quarantines, protected.Quarantines)
-	outcome.AddRow("dropped queries", baseline.Errors, bare.Errors, protected.Errors)
-	outcome.AddRow("recovery lifecycles (triaged)",
-		fmt.Sprintf("%d (%d)", baseline.Lifecycles, baseline.Triaged),
-		fmt.Sprintf("%d (%d)", bare.Lifecycles, bare.Triaged),
-		fmt.Sprintf("%d (%d)", protected.Lifecycles, protected.Triaged))
-	outcome.AddRow("triage claims enqueued/granted",
-		fmt.Sprintf("%d/%d", baseline.TriageEnqueued, baseline.TriageGranted),
-		fmt.Sprintf("%d/%d", bare.TriageEnqueued, bare.TriageGranted),
-		fmt.Sprintf("%d/%d", protected.TriageEnqueued, protected.TriageGranted))
-	outcome.AddRow("re-spread cutovers", baseline.Respreads, bare.Respreads, protected.Respreads)
-	outcome.AddRow("groups collapsed at end", baseline.CollapsedGroups, bare.CollapsedGroups, protected.CollapsedGroups)
-	outcome.AddRow("pool active/expected",
-		fmt.Sprintf("%d/%d", baseline.ActiveNodes, baseline.ExpectedActive),
-		fmt.Sprintf("%d/%d", bare.ActiveNodes, bare.ExpectedActive),
-		fmt.Sprintf("%d/%d", protected.ActiveNodes, protected.ExpectedActive))
-	outcome.AddRow("verdict", "", "", verdict)
+	outcome := armsTable(fmt.Sprintf("Correlated failure — bare vs spread placement (%d groups, seed %d)",
+		len(w.plan.Groups), env.Seed), res, verdict,
+		[]string{"node casualties", "instances quarantined", "dropped queries", "recovery lifecycles (triaged)",
+			"triage claims enqueued/granted", "re-spread cutovers", "groups collapsed at end"},
+		func(r *chaos.Result) []any {
+			return []any{r.Casualties, r.Quarantines, r.Report.SubmitErrors,
+				fmt.Sprintf("%d (%d)", r.Lifecycles, r.Triaged), fmt.Sprintf("%d/%d", r.TriageEnqueued, r.TriageGranted),
+				r.Respreads, r.CollapsedGroups}
+		})
 	return []*Table{schedule, outcome}, nil
 }

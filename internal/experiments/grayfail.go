@@ -28,31 +28,6 @@ func GrayFail(env *Env) ([]*Table, error) {
 	}
 	w := carve(plan, logs, top(rank(plan, largestFirst(plan)), env.Scale.ReplayGroups))
 
-	// One storm config for every arm; an explicit empty schedule turns the
-	// injection off for the baseline while keeping the replay identical.
-	run := func(gray *recovery.GrayConfig, sched []chaos.Slowdown) (*chaos.GrayFailResult, error) {
-		eng, dep, err := w.deploy(cluster.NewPool(2*w.plan.NodesUsed()), master.Options{Immediate: true, Gray: gray})
-		if err != nil {
-			return nil, err
-		}
-		cfg := chaos.DefaultGrayFailConfig()
-		cfg.Seed = env.Seed
-		cfg.From, cfg.To = 0, sim.Day
-		// Drain-and-replace pays the Table 5.1 reload of the group's share,
-		// which for the largest groups runs past a day.
-		cfg.DrainSlack = 3 * 24 * time.Hour
-		cfg.Slowdowns = sched
-		return chaos.RunGrayFail(eng, dep, env.Cat, w.logs, cfg)
-	}
-
-	baseline, err := run(nil, []chaos.Slowdown{})
-	if err != nil {
-		return nil, err
-	}
-	bare, err := run(nil, nil)
-	if err != nil {
-		return nil, err
-	}
 	// Affinity routing leaves some instances sample-sparse, so the profile
 	// window is short enough for the mean to track an onset within a few
 	// completions. Clearing demands a healthy stretch longer than the
@@ -68,16 +43,27 @@ func GrayFail(env *Env) ([]*Table, error) {
 	gcfg.ConfirmBeats = 2
 	gcfg.ClearBeats = 30
 	gcfg.DrainAfter = 4 * time.Hour
-	protected, err := run(&gcfg, nil)
+	// One storm for every arm; an explicit empty schedule turns the
+	// injection off for the baseline while keeping the replay identical.
+	// Drain-and-replace pays the Table 5.1 reload of the group's share,
+	// which for the largest groups runs past a day.
+	arm := func(gray *recovery.GrayConfig, slow chaos.Slowdowns) faultArm {
+		return faultArm{cluster.NewPool(2 * w.plan.NodesUsed()), master.Options{Immediate: true, Gray: gray}, slow}
+	}
+	res, err := runArms(env, w, chaos.Window{To: sim.Day, DrainSlack: 3 * 24 * time.Hour},
+		arm(nil, chaos.Slowdowns{Schedule: []chaos.Slowdown{}}),
+		arm(nil, chaos.Slowdowns{}),
+		arm(&gcfg, chaos.Slowdowns{}))
 	if err != nil {
 		return nil, err
 	}
+	baseline, bare, protected := res[0], res[1], res[2]
 
 	schedule := &Table{
 		Title:   fmt.Sprintf("Gray failure — injected fail-slow schedule (group %s, seed %d)", bare.Group, env.Seed),
 		Columns: []string{"at", "instance", "profile", "factor", "duration"},
 	}
-	for _, e := range bare.Schedule {
+	for _, e := range bare.SlowSchedule {
 		schedule.AddRow(e.At.String(), e.Instance, string(e.Profile),
 			fmt.Sprintf("%.2f", e.Factor), e.Duration.String())
 	}
@@ -97,36 +83,17 @@ func GrayFail(env *Env) ([]*Table, error) {
 			mark(ev.Drained), mark(ev.Cleared), ev.Resolution, ev.Hedged)
 	}
 
-	verdict := "PASS"
-	if err := baseline.Verify(); err != nil {
-		verdict = fmt.Sprintf("FAIL: baseline: %v", err)
-	} else if err := bare.Verify(); err != nil {
-		verdict = fmt.Sprintf("FAIL: bare: %v", err)
-	} else if err := protected.Verify(); err != nil {
-		verdict = fmt.Sprintf("FAIL: protected: %v", err)
-	} else if protected.Attainment < baseline.Attainment-0.01 {
+	verdict := verifyArms(plan.Config.P, res)
+	if verdict == "" && protected.Attainment < baseline.Attainment-0.01 {
 		verdict = fmt.Sprintf("FAIL: protected attainment %.4f more than 1%% below no-fault %.4f",
 			protected.Attainment, baseline.Attainment)
 	}
-
-	outcome := &Table{
-		Title:   fmt.Sprintf("Gray failure — bare vs hedge→drain ladder (%d groups, seed %d)", len(w.plan.Groups), env.Seed),
-		Columns: []string{"metric", "no-fault", "bare", "protected"},
-	}
-	outcome.AddRow("per-query SLA attainment", pct(baseline.Attainment), pct(bare.Attainment), pct(protected.Attainment))
-	outcome.AddRow("worst member attainment", pct(baseline.MinAttainment), pct(bare.MinAttainment), pct(protected.MinAttainment))
-	outcome.AddRow("min RT-TTP", fmt.Sprintf("%.4f", baseline.MinRTTTP),
-		fmt.Sprintf("%.4f", bare.MinRTTTP), fmt.Sprintf("%.4f", protected.MinRTTTP))
-	outcome.AddRow("episodes suspected/confirmed/drained", "0/0/0",
-		fmt.Sprintf("%d/%d/%d", bare.Suspected, bare.Confirmed, bare.Drained),
-		fmt.Sprintf("%d/%d/%d", protected.Suspected, protected.Confirmed, protected.Drained))
-	outcome.AddRow("queries hedged (peer wins)", "0 (0)",
-		fmt.Sprintf("%d (%d)", bare.Hedged, bare.HedgeWins),
-		fmt.Sprintf("%d (%d)", protected.Hedged, protected.HedgeWins))
-	outcome.AddRow("pool active/expected",
-		fmt.Sprintf("%d/%d", baseline.ActiveNodes, baseline.ExpectedActive),
-		fmt.Sprintf("%d/%d", bare.ActiveNodes, bare.ExpectedActive),
-		fmt.Sprintf("%d/%d", protected.ActiveNodes, protected.ExpectedActive))
-	outcome.AddRow("verdict", "", "", verdict)
+	outcome := armsTable(fmt.Sprintf("Gray failure — bare vs hedge→drain ladder (%d groups, seed %d)",
+		len(w.plan.Groups), env.Seed), res, verdict,
+		[]string{"episodes suspected/confirmed/drained", "queries hedged (peer wins)"},
+		func(r *chaos.Result) []any {
+			return []any{fmt.Sprintf("%d/%d/%d", r.Suspected, r.Confirmed, r.Drained),
+				fmt.Sprintf("%d (%d)", r.Hedged, r.HedgeWins)}
+		})
 	return []*Table{schedule, ladder, outcome}, nil
 }

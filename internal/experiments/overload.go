@@ -28,85 +28,62 @@ func OverloadStorm(env *Env) ([]*Table, error) {
 	// stays bounded.
 	w := carve(plan, logs, top(rank(plan, largestFirst(plan)), 1))
 
-	// Replay the advisor's whole horizon: the RT-TTP guarantee holds over
-	// that window, so any sub-window (e.g. one busy day) can dip below P
-	// even without a storm.
-	runOne := func(aggressors int, admit bool) (*chaos.OverloadResult, error) {
-		cfg := chaos.DefaultOverloadConfig()
-		cfg.Seed = env.Seed
-		cfg.From, cfg.To = 0, env.Horizon()
-		cfg.Aggressors = aggressors
+	// Three runs over the identical replay of the advisor's whole horizon
+	// (the RT-TTP guarantee holds over that window, so any sub-window — one
+	// busy day — can dip below P even without a storm): a no-storm control
+	// fixing each tenant's intrinsic attainment, the storm bare, and the
+	// storm with admission armed.
+	arm := func(aggressors int, admit bool) faultArm {
 		opts := master.Options{Immediate: true, MonitorWindow: time.Hour}
 		if admit {
 			acfg := admission.DefaultConfig()
 			acfg.Contracts = admission.ContractsFromLogs(w.logs)
 			opts.Admission = &acfg
 		}
-		eng, dep, err := w.deploy(cluster.NewPool(w.plan.NodesUsed()), opts)
-		if err != nil {
-			return nil, err
-		}
-		return chaos.RunOverload(eng, dep, env.Cat, w.logs, cfg)
+		return faultArm{cluster.NewPool(w.plan.NodesUsed()), opts, chaos.Storm{Aggressors: aggressors}}
 	}
-	// Three runs over the identical replay: a no-storm control fixing each
-	// tenant's intrinsic attainment, the storm bare, and the storm with
-	// admission armed.
-	ctl, err := runOne(0, false)
+	res, err := runArms(env, w, chaos.Window{To: env.Horizon()}, arm(0, false), arm(1, false), arm(1, true))
 	if err != nil {
 		return nil, err
 	}
-	base, err := runOne(1, false)
-	if err != nil {
-		return nil, err
-	}
-	prot, err := runOne(1, true)
-	if err != nil {
-		return nil, err
-	}
+	ctl, base, prot := res[0], res[1], res[2]
 
+	// Every arm's outcomes are the group's members, in member order.
 	p := plan.Config.P
-	ctlAtt := map[string]float64{}
-	baseAtt := map[string]float64{}
-	for _, o := range ctl.Outcomes {
-		ctlAtt[o.Tenant] = o.Attainment
-	}
-	for _, o := range base.Outcomes {
-		baseAtt[o.Tenant] = o.Attainment
-	}
 	outcomes := &Table{
 		Title: fmt.Sprintf("Overload storm — per-tenant outcome (group %s, seed %d, 5× over contract)",
 			prot.Group, env.Seed),
 		Columns: []string{"tenant", "aggressor", "control", "bare", "admission", "admitted", "throttled", "shed"},
 	}
-	for _, o := range prot.Outcomes {
-		outcomes.AddRow(o.Tenant, fmt.Sprint(o.Aggressor), pct(ctlAtt[o.Tenant]),
-			pct(baseAtt[o.Tenant]), pct(o.Attainment), o.Admitted, o.Throttled, o.Shed)
+	for i, o := range prot.Outcomes {
+		outcomes.AddRow(o.Tenant, fmt.Sprint(o.Aggressor), pct(ctl.Outcomes[i].Attainment),
+			pct(base.Outcomes[i].Attainment), pct(o.Attainment), o.Admitted, o.Throttled, o.Shed)
 	}
 
 	// Verdicts are measured against each tenant's no-storm control: the bare
 	// storm must drag some compliant tenant below both its intrinsic
 	// attainment and P, and the armed run must hold every compliant tenant at
-	// its intrinsic floor (or P, whichever is lower).
-	baseVerdict := fmt.Sprintf("storm absorbed without damage (min compliant %s)", pct(base.MinCompliantAttainment))
-	for _, o := range base.Outcomes {
-		floor := min(p, ctlAtt[o.Tenant])
-		if !o.Aggressor && o.Attainment < floor {
-			baseVerdict = fmt.Sprintf("storm burned compliant %s from %s to %s (P=%.4f)",
-				o.Tenant, pct(ctlAtt[o.Tenant]), pct(o.Attainment), p)
-			break
+	// its intrinsic floor (or P, whichever is lower). burned returns the
+	// first compliant member below that floor, or -1.
+	burned := func(r *chaos.Result) int {
+		for i, o := range r.Outcomes {
+			if !o.Aggressor && o.Attainment < min(p, ctl.Outcomes[i].Attainment) {
+				return i
+			}
 		}
+		return -1
+	}
+	baseVerdict := fmt.Sprintf("storm absorbed without damage (min compliant %s)", pct(base.MinCompliantAttainment))
+	if i := burned(base); i >= 0 {
+		baseVerdict = fmt.Sprintf("storm burned compliant %s from %s to %s (P=%.4f)",
+			base.Outcomes[i].Tenant, pct(ctl.Outcomes[i].Attainment), pct(base.Outcomes[i].Attainment), p)
 	}
 	protVerdict := "PASS"
 	if err := prot.Verify(min(p, ctl.MinCompliantAttainment)); err != nil {
 		protVerdict = fmt.Sprintf("FAIL: %v", err)
-	} else {
-		for _, o := range prot.Outcomes {
-			if floor := min(p, ctlAtt[o.Tenant]); !o.Aggressor && o.Attainment < floor {
-				protVerdict = fmt.Sprintf("FAIL: compliant %s at %s below its control %s",
-					o.Tenant, pct(o.Attainment), pct(ctlAtt[o.Tenant]))
-				break
-			}
-		}
+	} else if i := burned(prot); i >= 0 {
+		protVerdict = fmt.Sprintf("FAIL: compliant %s at %s below its control %s",
+			prot.Outcomes[i].Tenant, pct(prot.Outcomes[i].Attainment), pct(ctl.Outcomes[i].Attainment))
 	}
 	summary := &Table{
 		Title:   fmt.Sprintf("Overload storm — control vs bare vs admission-controlled (aggressors %v)", prot.Aggressors),

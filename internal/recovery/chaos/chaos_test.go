@@ -81,26 +81,33 @@ func countEvents(h *telemetry.Hub, typ telemetry.EventType) int {
 	return n
 }
 
+// crashMix is a moderate failure mix: a crash every ~2 h, a quarter of them
+// repeated mid-recovery, one in ten a cross-group burst.
+var crashMix = Crashes{RepeatProb: 0.25, BurstProb: 0.1}
+
+// crashConfig is a crash-only run over [0, to).
+func crashConfig(seed int64, to sim.Time, c Crashes) Config {
+	return Config{Seed: seed, Window: Window{To: to}, Faults: []Fault{c}}
+}
+
 // TestChaosEndToEnd is the acceptance run: an R=3 deployment under a
 // randomized schedule of crashes, repeat crashes, and bursts. No scripted
-// repair exists anywhere — detection is the controllers' heartbeat, repair
-// the §4.4 swap + Table 5.1 reload — yet SLA attainment holds above the
-// plan's P and the pool ends leak-free.
+// repair exists anywhere — detection is scheduled on the controllers' 30-s
+// grid, repair is the §4.4 swap + Table 5.1 reload — yet SLA attainment
+// holds above the plan's P and the pool ends leak-free.
 func TestChaosEndToEnd(t *testing.T) {
 	w := newWorld(t, 10, 2, 3, 3)
-	cfg := DefaultConfig()
-	cfg.Seed = 42
-	cfg.From, cfg.To = 0, sim.Day
-	cfg.MeanBetween = 90 * time.Minute
-	cfg.RepeatProb = 0.3
-	cfg.BurstProb = 0.2
-	cfg.MaxFailures = 10
-	res, err := Run(nil, w.dep, w.cat, w.logs, cfg)
+	crashes := crashMix
+	crashes.MeanBetween = 90 * time.Minute
+	crashes.RepeatProb = 0.3
+	crashes.BurstProb = 0.2
+	crashes.MaxFailures = 10
+	res, err := Run(nil, w.dep, w.cat, w.logs, crashConfig(42, sim.Day, crashes))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Applied < 3 {
-		t.Fatalf("only %d failures applied (schedule %d) — not enough chaos", res.Applied, res.Injected)
+		t.Fatalf("only %d failures applied (schedule %d) — not enough chaos", res.Applied, len(res.CrashSchedule))
 	}
 	if err := res.Verify(w.plan.Config.P); err != nil {
 		t.Error(err)
@@ -129,12 +136,10 @@ func TestChaosEndToEnd(t *testing.T) {
 // drain completing — rather than deadlock.
 func TestChaosPoolExhaustion(t *testing.T) {
 	w := newWorld(t, 4, 1, 2, 1)
-	cfg := DefaultConfig()
-	cfg.Seed = 7
-	cfg.From, cfg.To = 0, sim.Day
-	cfg.RepeatProb, cfg.BurstProb = 0, 0
-	cfg.MaxFailures = 2
-	res, err := Run(w.eng, w.dep, w.cat, w.logs, cfg)
+	crashes := crashMix
+	crashes.RepeatProb, crashes.BurstProb = 0, 0
+	crashes.MaxFailures = 2
+	res, err := Run(w.eng, w.dep, w.cat, w.logs, crashConfig(7, sim.Day, crashes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,10 +169,9 @@ func TestChaosPoolExhaustion(t *testing.T) {
 // TestChaosScheduleDeterministic: the schedule is a pure function of the
 // deployment shape and config.
 func TestChaosScheduleDeterministic(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.From, cfg.To = 0, sim.Day
-	a := BuildSchedule(newWorld(t, 6, 1, 2, 2).dep, cfg)
-	b := BuildSchedule(newWorld(t, 6, 1, 2, 2).dep, cfg)
+	win := Window{To: sim.Day}
+	a := BuildCrashes(newWorld(t, 6, 1, 2, 2).dep, 1, win, crashMix)
+	b := BuildCrashes(newWorld(t, 6, 1, 2, 2).dep, 1, win, crashMix)
 	if len(a) == 0 {
 		t.Fatal("empty schedule")
 	}
@@ -178,11 +182,13 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 
 func TestChaosValidation(t *testing.T) {
 	w := newWorld(t, 4, 1, 2, 2)
+	day := Window{To: sim.Day}
 	bad := []Config{
-		{Seed: 1, Window: Window{From: sim.Day, To: 0}, MeanBetween: time.Hour, MaxFailures: 1},
-		{Seed: 1, Window: Window{From: 0, To: sim.Day}, MeanBetween: 0, MaxFailures: 1},
-		{Seed: 1, Window: Window{From: 0, To: sim.Day}, MeanBetween: time.Hour, MaxFailures: 0},
-		{Seed: 1, Window: Window{From: 0, To: sim.Day}, MeanBetween: time.Hour, MaxFailures: 1, RepeatProb: 0.5},
+		{Seed: 1, Window: Window{From: sim.Day, To: 0}, Faults: []Fault{Crashes{MeanBetween: time.Hour, MaxFailures: 1}}},
+		{Seed: 1, Window: day, Faults: []Fault{Crashes{MeanBetween: -time.Hour}}},
+		{Seed: 1, Window: day, Faults: []Fault{Crashes{MaxFailures: -1}}},
+		{Seed: 1, Window: day, Faults: []Fault{Crashes{RepeatProb: 0.5, RepeatDelay: -time.Minute}}},
+		{Seed: 1, Window: day},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(w.eng, w.dep, w.cat, w.logs, cfg); err == nil {
@@ -199,17 +205,15 @@ func TestChaosTelemetryDeterminism(t *testing.T) {
 	dump := func() (events, traces []byte) {
 		t.Helper()
 		w := newWorld(t, 4, 1, 2, 3)
-		cfg := DefaultConfig()
-		cfg.Seed = 99
-		cfg.From, cfg.To = 0, sim.Day
-		cfg.MaxFailures = 4
-		res, err := Run(w.eng, w.dep, w.cat, w.logs, cfg)
+		crashes := crashMix
+		crashes.MaxFailures = 4
+		res, err := Run(w.eng, w.dep, w.cat, w.logs, crashConfig(99, sim.Day, crashes))
 		if err != nil {
 			t.Fatal(err)
 		}
 		sum = telemetrySum(t, w.dep.Telemetry())
 		resSum = digest(res.Report.Submitted, res.Report.SubmitErrors, len(res.Report.Records),
-			res.Attainment, res.MinRTTTP, res.Schedule, res.Injected, res.Applied, res.Recovered,
+			res.Attainment, res.MinRTTTP, res.CrashSchedule, len(res.CrashSchedule), res.Applied, res.Recovered,
 			res.InFlight, res.ExpectedActive, res.ActiveNodes, res.FailedNodes, res.RepairingNodes)
 		var ev, tr bytes.Buffer
 		if err := w.dep.Telemetry().Events.Dump(&ev); err != nil {
@@ -239,12 +243,10 @@ func TestChaosTelemetryDeterminism(t *testing.T) {
 // run that exercises injection and recovery on every group's engine.
 func TestChaosSmoke(t *testing.T) {
 	w := newWorld(t, 4, 1, 2, 3)
-	cfg := DefaultConfig()
-	cfg.Seed = 3
-	cfg.From, cfg.To = 0, 12*sim.Hour
-	cfg.MeanBetween = time.Hour
-	cfg.MaxFailures = 3
-	res, err := Run(nil, w.dep, w.cat, w.logs, cfg)
+	crashes := crashMix
+	crashes.MeanBetween = time.Hour
+	crashes.MaxFailures = 3
+	res, err := Run(nil, w.dep, w.cat, w.logs, crashConfig(3, 12*sim.Hour, crashes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,48 +261,81 @@ func TestChaosSmoke(t *testing.T) {
 	}
 }
 
-// TestStormHarnessesRejectWhatTheyCannotDrive: the three storms schedule on
-// the coordinator engine, so each turns a missing engine and an empty window
-// away, in its own voice, before scheduling anything.
+// TestStormHarnessesRejectWhatTheyCannotDrive: slowdowns, outages and
+// storms schedule on the coordinator engine, so each turns a missing engine
+// away in its own voice, and Run turns an empty window away, before anything
+// is scheduled.
 func TestStormHarnessesRejectWhatTheyCannotDrive(t *testing.T) {
-	shared := newWorld(t, 6, 1, 2, 2)
-	win := Window{From: 0, To: sim.Hour}
-	runs := map[string]func(*sim.Engine, *world, Window) error{
-		"overload": func(eng *sim.Engine, w *world, win Window) error {
-			cfg := DefaultOverloadConfig()
-			cfg.Window = win
-			_, err := RunOverload(eng, w.dep, w.cat, w.logs, cfg)
-			return err
-		},
-		"grayfail": func(eng *sim.Engine, w *world, win Window) error {
-			cfg := DefaultGrayFailConfig()
-			cfg.Window = win
-			_, err := RunGrayFail(eng, w.dep, w.cat, w.logs, cfg)
-			return err
-		},
-		"domainfail": func(eng *sim.Engine, w *world, win Window) error {
-			cfg := DefaultDomainFailConfig()
-			cfg.Window = win
-			_, err := RunDomainFail(eng, w.dep, w.cat, w.logs, cfg)
-			return err
-		},
-	}
-	for name, run := range runs {
+	w := newWorld(t, 6, 1, 2, 2)
+	win := Window{To: sim.Hour}
+	for name, f := range map[string]Fault{
+		"overload":   Storm{Aggressors: 1},
+		"grayfail":   Slowdowns{},
+		"domainfail": Outages{},
+	} {
 		for _, tc := range []struct {
 			eng  *sim.Engine
-			w    *world
 			win  Window
 			want string
 		}{
-			{nil, shared, win, name + ": nil engine"},
-			{shared.eng, shared, Window{From: sim.Hour, To: sim.Hour}, name + ": window [0d01:00:00.000,0d01:00:00.000)"},
+			{nil, win, name + ": nil engine"},
+			{w.eng, Window{From: sim.Hour, To: sim.Hour}, "chaos: window [0d01:00:00.000,0d01:00:00.000)"},
 		} {
-			if err := run(tc.eng, tc.w, tc.win); err == nil || err.Error() != tc.want {
+			_, err := Run(tc.eng, w.dep, w.cat, w.logs, Config{Seed: 1, Window: tc.win, Faults: []Fault{f}})
+			if err == nil || err.Error() != tc.want {
 				t.Errorf("%s: got %v, want %q", name, err, tc.want)
 			}
 		}
-		if shared.eng.Pending() != 0 {
+		if w.eng.Pending() != 0 {
 			t.Errorf("%s scheduled events before rejecting", name)
+		}
+	}
+}
+
+// TestRejectedConfigSchedulesNothing: every fault is validated, targets
+// included, before any fault schedules anything — a Config that fails on
+// its last fault, or on the last entry of a schedule, leaves the
+// coordinator engine as it found it.
+func TestRejectedConfigSchedulesNothing(t *testing.T) {
+	w := overloadWorld(t, 8, 1, true)
+	gid := w.dep.Groups()[0].Plan.ID
+	good := Slowdown{At: sim.Hour, Duration: time.Hour, Group: gid, Profile: ProfileStuck, Factor: 0.3}
+	badTarget := good
+	badTarget.Group = "TG-NOPE"
+	twoStorms := Storm{Aggressors: 1}
+	twoStorms.MaxStorm = 10
+	// The seed-1 storm's second aggressor, with its log left out.
+	target := largest(w.dep.Groups())
+	second := target.Members[rand.New(rand.NewSource(1)).Perm(len(target.Members))[1]].ID
+	var noSecond []*workload.TenantLog
+	for _, tl := range w.logs {
+		if tl.Tenant.ID != second {
+			noSecond = append(noSecond, tl)
+		}
+	}
+	noLog := Storm{Aggressors: 1}
+	noLog.Aggressors = 2
+	win := Window{To: 4 * sim.Hour}
+	for name, tc := range map[string]struct {
+		faults []Fault
+		logs   []*workload.TenantLog
+	}{
+		"second slowdown names no group": {faults: []Fault{Slowdowns{Schedule: []Slowdown{good, badTarget}}}},
+		"storm then a bad slowdown":      {faults: []Fault{Storm{Aggressors: 1}, Slowdowns{Schedule: []Slowdown{badTarget}}}},
+		"slowdown then a bad outage":     {faults: []Fault{Slowdowns{Schedule: []Slowdown{good}}, Outages{}}},
+		"two storms":                     {faults: []Fault{Storm{Aggressors: 1}, twoStorms}},
+		"two slowdown faults":            {faults: []Fault{Slowdowns{Schedule: []Slowdown{good}}, Slowdowns{}}},
+		"second aggressor without a log": {faults: []Fault{noLog}, logs: noSecond},
+	} {
+		logs := w.logs
+		if tc.logs != nil {
+			logs = tc.logs
+		}
+		if _, err := Run(w.eng, w.dep, w.cat, logs, Config{Seed: 1, Window: win, Faults: tc.faults}); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if n := w.eng.Pending(); n != 0 {
+			t.Errorf("%s: %d events left on the coordinator after the rejection", name, n)
 		}
 	}
 }

@@ -69,32 +69,36 @@ func domainWorld(t *testing.T, tenants, days, r, domains int, spread bool, slack
 	return &world{eng: eng, cat: cat, dep: dep, logs: logs, plan: plan}
 }
 
-func domainStormConfig() DomainFailConfig {
-	cfg := DefaultDomainFailConfig()
-	cfg.Seed = 7
-	cfg.From, cfg.To = 0, 12*sim.Hour
-	cfg.Duration = 2 * time.Hour
+// domainStormConfig is a seeded 12-h run of the faults; derived outages
+// last 2 h.
+func domainStormConfig(faults ...Fault) Config {
 	// Table 5.1 reloads of the bigger groups run for hours; triage queues
 	// drain only after the domain returns.
-	cfg.DrainSlack = 48 * time.Hour
-	return cfg
+	return Config{Seed: 7, Window: Window{To: 12 * sim.Hour, DrainSlack: 48 * time.Hour}, Faults: faults}
 }
 
-// TestDomainSmoke is the bounded CI gate (make domain-smoke): a short seeded
+// twoHourOutages is the default outage storm with 2-h outages.
+func twoHourOutages() Outages {
+	o := Outages{}
+	o.Duration = 2 * time.Hour
+	return o
+}
+
+// TestDomainSmoke is a bounded CI gate (make fault-smoke): a short seeded
 // whole-domain outage against a protected deployment (spread placement +
 // scarcity triage) must be absorbed — zero dropped queries, every recovery
 // and triage claim drained, pool leak-free.
 func TestDomainSmoke(t *testing.T) {
 	w := domainWorld(t, 12, 1, 3, 3, true, 20)
-	res, err := RunDomainFail(w.eng, w.dep, w.cat, w.logs, domainStormConfig())
+	res, err := Run(w.eng, w.dep, w.cat, w.logs, domainStormConfig(twoHourOutages()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Verify(); err != nil {
+	if err := res.Verify(w.plan.Config.P); err != nil {
 		t.Fatalf("domain smoke: %v (%+v)", err, res)
 	}
 	if res.Casualties == 0 {
-		t.Fatalf("outages killed no nodes: %+v", res.Schedule)
+		t.Fatalf("outages killed no nodes: %+v", res.OutageSchedule)
 	}
 	if res.Quarantines == 0 {
 		t.Error("no fully covered instance was quarantined — spread placement should put whole instances in one domain")
@@ -103,7 +107,7 @@ func TestDomainSmoke(t *testing.T) {
 		t.Errorf("recovered %d of %d lifecycles", res.Recovered, res.Lifecycles)
 	}
 	met, missed := slaTotals(w)
-	if got, want := int(met+missed), res.Submitted-res.Errors; got != want {
+	if got, want := int(met+missed), res.Report.Submitted-res.Report.SubmitErrors; got != want {
 		t.Errorf("SLA report counts %d queries, want %d", got, want)
 	}
 	t.Logf("casualties %d, quarantines %d, lifecycles %d (triaged %d), triage %d/%d, attainment %.4f",
@@ -119,7 +123,7 @@ func TestDomainFailTelemetryDeterminism(t *testing.T) {
 	var sum, resSum string
 	dump := func() (string, string) {
 		w := domainWorld(t, 12, 1, 3, 3, true, 20)
-		res, err := RunDomainFail(w.eng, w.dep, w.cat, w.logs, domainStormConfig())
+		res, err := Run(w.eng, w.dep, w.cat, w.logs, domainStormConfig(twoHourOutages()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,8 +132,8 @@ func TestDomainFailTelemetryDeterminism(t *testing.T) {
 		// The literal true stands where the result's TriageArmed flag was
 		// hashed: every deployment has the triage, so the flag was constant
 		// and went, and the pinned digest holds unedited.
-		resSum = digest(res.Schedule, true, res.Casualties, res.Quarantines, res.InjectErrs,
-			res.Submitted, res.Errors, res.Attainment, res.MinAttainment, res.MinRTTTP,
+		resSum = digest(res.OutageSchedule, true, res.Casualties, res.Quarantines, res.InjectErrs,
+			res.Report.Submitted, res.Report.SubmitErrors, res.Attainment, res.MinAttainment, res.MinRTTTP,
 			res.Lifecycles, res.Recovered, res.Triaged, res.TriageEnqueued, res.TriageGranted,
 			res.QueuedClaims, res.Respreads, res.CollapsedGroups,
 			res.InFlight, res.ResidualDegraded, res.QuarantinedEnd, res.DownDomains,
@@ -163,35 +167,36 @@ func TestDomainFailTelemetryDeterminism(t *testing.T) {
 // protected deployment must still absorb the storm.
 func TestDomainFailRolling(t *testing.T) {
 	w := domainWorld(t, 12, 1, 3, 3, true, 25)
-	cfg := domainStormConfig()
-	cfg.Rolling = true
-	cfg.Outages = 3
+	rolling := twoHourOutages()
+	rolling.Rolling = true
+	rolling.Count = 3
+	cfg := domainStormConfig(rolling)
 	cfg.To = 18 * sim.Hour
 	cfg.DrainSlack = 60 * time.Hour
-	res, err := RunDomainFail(w.eng, w.dep, w.cat, w.logs, cfg)
+	res, err := Run(w.eng, w.dep, w.cat, w.logs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Schedule) != 3 {
-		t.Fatalf("rolling schedule has %d outages, want 3", len(res.Schedule))
+	if len(res.OutageSchedule) != 3 {
+		t.Fatalf("rolling schedule has %d outages, want 3", len(res.OutageSchedule))
 	}
 	doms := map[int]bool{}
-	for _, o := range res.Schedule {
+	for _, o := range res.OutageSchedule {
 		doms[o.Domain] = true
 	}
 	if len(doms) != 3 {
-		t.Errorf("rolling storm hit %d distinct domains, want 3: %+v", len(doms), res.Schedule)
+		t.Errorf("rolling storm hit %d distinct domains, want 3: %+v", len(doms), res.OutageSchedule)
 	}
-	if err := res.Verify(); err != nil {
+	if err := res.Verify(w.plan.Config.P); err != nil {
 		t.Fatalf("rolling storm: %v (%+v)", err, res)
 	}
 }
 
-// TestDomainFailDuringGrayDrain composes the PR-8 and PR-9 failure classes:
-// a stuck fail-slow episode overlaps a whole-domain outage, so the gray
-// ladder's drain-and-replace races the correlated casualty rush for the same
-// scarce pool. Both controllers share the triage without tripping over each
-// other.
+// TestDomainFailDuringGrayDrain composes two fault classes as two values in
+// Faults: a stuck fail-slow episode overlaps a whole-domain outage, so the
+// gray ladder's drain-and-replace races the correlated casualty rush for the
+// same scarce pool. Both controllers share the triage without tripping over
+// each other.
 func TestDomainFailDuringGrayDrain(t *testing.T) {
 	w := domainWorld(t, 12, 1, 3, 3, true, 25)
 	target := w.dep.Groups()[0]
@@ -200,19 +205,19 @@ func TestDomainFailDuringGrayDrain(t *testing.T) {
 			target = g
 		}
 	}
-	cfg := domainStormConfig()
-	cfg.Schedule = []DomainOutage{{At: 2 * sim.Hour, Duration: 2 * time.Hour, Domain: 0}}
-	cfg.Slowdowns = []Slowdown{{
+	outages := Outages{Schedule: []DomainOutage{{At: 2 * sim.Hour, Duration: 2 * time.Hour, Domain: 0}}}
+	slowdowns := Slowdowns{Schedule: []Slowdown{{
 		At: sim.Hour, Duration: 4 * time.Hour,
 		Group: target.Plan.ID, Instance: 0,
 		Profile: ProfileStuck, Factor: 0.25,
-	}}
+	}}}
+	cfg := domainStormConfig(outages, slowdowns)
 	cfg.DrainSlack = 72 * time.Hour
-	res, err := RunDomainFail(w.eng, w.dep, w.cat, w.logs, cfg)
+	res, err := Run(w.eng, w.dep, w.cat, w.logs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Verify(); err != nil {
+	if err := res.Verify(w.plan.Config.P); err != nil {
 		t.Fatalf("outage during gray episode: %v (%+v)", err, res)
 	}
 	if res.Casualties == 0 {
@@ -223,18 +228,17 @@ func TestDomainFailDuringGrayDrain(t *testing.T) {
 // TestDomainRespread forces a collapse: a two-domain pool, a spread group,
 // and a long outage of one domain. Mid-outage replacements can only come
 // from the surviving domain, so the group collapses onto it; after the
-// domain returns, the heartbeat re-spread must live-migrate a replica back
-// and end the run spanning both domains again.
+// domain returns, the re-spread check on the 30-s grid must live-migrate a
+// replica back and end the run spanning both domains again.
 func TestDomainRespread(t *testing.T) {
 	w := domainWorld(t, 6, 1, 2, 2, true, 60)
-	cfg := domainStormConfig()
-	cfg.Schedule = []DomainOutage{{At: 2 * sim.Hour, Duration: 4 * time.Hour, Domain: 1}}
+	cfg := domainStormConfig(Outages{Schedule: []DomainOutage{{At: 2 * sim.Hour, Duration: 4 * time.Hour, Domain: 1}}})
 	cfg.DrainSlack = 96 * time.Hour
-	res, err := RunDomainFail(w.eng, w.dep, w.cat, w.logs, cfg)
+	res, err := Run(w.eng, w.dep, w.cat, w.logs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Verify(); err != nil {
+	if err := res.Verify(w.plan.Config.P); err != nil {
 		t.Fatalf("respread run: %v (%+v)", err, res)
 	}
 	if res.Respreads == 0 {
@@ -278,9 +282,8 @@ func TestDomainOutageValidation(t *testing.T) {
 
 	// Single-domain pools cannot host a correlated-failure storm.
 	single := newWorld(t, 6, 1, 2, 2)
-	cfg := DefaultDomainFailConfig()
-	cfg.From, cfg.To = 0, sim.Hour
-	if _, err := RunDomainFail(single.eng, single.dep, single.cat, single.logs, cfg); err == nil {
+	cfg := Config{Seed: 1, Window: Window{To: sim.Hour}, Faults: []Fault{Outages{}}}
+	if _, err := Run(single.eng, single.dep, single.cat, single.logs, cfg); err == nil {
 		t.Error("single-domain pool accepted")
 	}
 

@@ -9,9 +9,10 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Golden fingerprints of the four harnesses' fixed-seed determinism runs,
-// captured on commit 26500ce — before the harnesses were moved in front of
-// replay.Run — so a refactor of the driver has to reproduce the same program:
+// Golden fingerprints of the fixed-seed determinism runs of the four fault
+// classes, captured on commit 26500ce — when each class was its own harness,
+// before they were moved in front of replay.Run and then behind one Run — so
+// a refactor of the driver has to reproduce the same program:
 // the telemetry sum is the SHA-256 of Events.Dump followed by Tracer.Dump, the
 // result digest covers the condensed outcome (floats to 17 digits). The
 // domain-fail telemetry sum was re-taken when every group moved to its own

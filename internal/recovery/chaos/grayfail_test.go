@@ -79,13 +79,10 @@ func grayWorld(t *testing.T, tenants, days int, gray *recovery.GrayConfig) *worl
 	return &world{eng: eng, cat: cat, dep: dep, logs: logs, plan: plan}
 }
 
-func grayStormConfig() GrayFailConfig {
-	cfg := DefaultGrayFailConfig()
-	cfg.Seed = 11
-	cfg.From, cfg.To = 0, 12*sim.Hour
+// grayStormConfig is a seeded 12-h run of the slowdowns alone.
+func grayStormConfig(s Slowdowns) Config {
 	// Drain-and-replace pays the Table 5.1 reload of the group's data share.
-	cfg.DrainSlack = 48 * time.Hour
-	return cfg
+	return Config{Seed: 11, Window: Window{To: 12 * sim.Hour, DrainSlack: 48 * time.Hour}, Faults: []Fault{s}}
 }
 
 // slaTotals sums met/missed over the deployment's per-tenant SLA report.
@@ -105,22 +102,21 @@ func slaTotals(w *world) (met, missed int64) {
 // baseline. The SLA accounting must balance exactly — hedged duplicates
 // never double-count.
 func TestGrayFailLadder(t *testing.T) {
-	cfg := grayStormConfig()
+	cfg := grayStormConfig(Slowdowns{})
 
 	base := grayWorld(t, 12, 2, nil)
-	baseRes, err := RunGrayFail(base.eng, base.dep, base.cat, base.logs, GrayFailConfig{
-		Seed: cfg.Seed, Window: cfg.Window,
-		Slowdowns: []Slowdown{}, // explicit empty schedule: the no-fault arm
-	})
+	p := base.plan.Config.P
+	// An explicit empty schedule: the no-fault arm.
+	baseRes, err := Run(base.eng, base.dep, base.cat, base.logs, grayStormConfig(Slowdowns{Schedule: []Slowdown{}}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := baseRes.Verify(); err != nil {
+	if err := baseRes.Verify(p); err != nil {
 		t.Fatalf("no-fault baseline: %v", err)
 	}
 
 	bare := grayWorld(t, 12, 2, nil)
-	bareRes, err := RunGrayFail(bare.eng, bare.dep, bare.cat, bare.logs, cfg)
+	bareRes, err := Run(bare.eng, bare.dep, bare.cat, bare.logs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,20 +127,20 @@ func TestGrayFailLadder(t *testing.T) {
 		t.Fatalf("bare run shows detector activity: %d suspected, %d hedged",
 			bareRes.Suspected, bareRes.Hedged)
 	}
-	if err := bareRes.Verify(); err != nil {
+	if err := bareRes.Verify(p); err != nil {
 		t.Fatalf("bare run: %v", err)
 	}
 
 	gcfg := testGrayConfig()
 	prot := grayWorld(t, 12, 2, &gcfg)
-	protRes, err := RunGrayFail(prot.eng, prot.dep, prot.cat, prot.logs, cfg)
+	protRes, err := Run(prot.eng, prot.dep, prot.cat, prot.logs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !protRes.GrayArmed {
 		t.Fatal("protected run has no detector")
 	}
-	if err := protRes.Verify(); err != nil {
+	if err := protRes.Verify(p); err != nil {
 		t.Fatalf("protected run: %v (events %+v)", err, protRes.GrayEvents)
 	}
 	if protRes.Hedged == 0 {
@@ -157,9 +153,9 @@ func TestGrayFailLadder(t *testing.T) {
 	// Hedge accounting: exactly one SLA-counted record per successful submit,
 	// end to end through the monitor into the per-tenant report.
 	met, missed := slaTotals(prot)
-	if got, want := int(met+missed), protRes.Submitted-protRes.Errors; got != want {
+	if got, want := int(met+missed), protRes.Report.Submitted-protRes.Report.SubmitErrors; got != want {
 		t.Errorf("SLA report counts %d queries, want %d (submitted %d, errors %d) — hedges double-counted?",
-			got, want, protRes.Submitted, protRes.Errors)
+			got, want, protRes.Report.Submitted, protRes.Report.SubmitErrors)
 	}
 	t.Logf("attainment no-fault %.4f / bare %.4f / protected %.4f; episodes %d/%d/%d; hedged %d (%d peer wins)",
 		baseRes.Attainment, bareRes.Attainment, protRes.Attainment,
@@ -174,16 +170,16 @@ func TestGrayFailTelemetryDeterminism(t *testing.T) {
 	dump := func() (string, string) {
 		gcfg := testGrayConfig()
 		w := grayWorld(t, 12, 2, &gcfg)
-		res, err := RunGrayFail(w.eng, w.dep, w.cat, w.logs, grayStormConfig())
+		res, err := Run(w.eng, w.dep, w.cat, w.logs, grayStormConfig(Slowdowns{}))
 		if err != nil {
 			t.Fatal(err)
 		}
 		hub := w.dep.Telemetry()
 		sum = telemetrySum(t, hub)
-		resSum = digest(res.Group, res.Schedule, res.GrayArmed, res.Submitted, res.Errors,
+		resSum = digest(res.Group, res.SlowSchedule, res.GrayArmed, res.Report.Submitted, res.Report.SubmitErrors,
 			res.Attainment, res.MinAttainment, res.MinRTTTP, res.GrayEvents,
 			res.Suspected, res.Confirmed, res.Drained, res.Hedged, res.HedgeWins,
-			res.CrashInFlight, res.ResidualSlow,
+			res.InFlight, res.ResidualSlow,
 			res.ExpectedActive, res.ActiveNodes, res.FailedNodes, res.RepairingNodes)
 		var ev, tr bytes.Buffer
 		if err := hub.Events.Dump(&ev); err != nil {
@@ -209,27 +205,28 @@ func TestGrayFailTelemetryDeterminism(t *testing.T) {
 	checkGolden(t, "gray-fail result", resSum, goldenGrayResult)
 }
 
-// TestGraySmoke is the bounded CI gate (make gray-smoke): a short seeded
+// TestGraySmoke is a bounded CI gate (make fault-smoke): a short seeded
 // storm against a protected deployment must be confirmed and contained.
 func TestGraySmoke(t *testing.T) {
-	cfg := grayStormConfig()
+	slow := Slowdowns{}
+	slow.Episodes = 2
+	cfg := grayStormConfig(slow)
 	cfg.To = 6 * sim.Hour
-	cfg.Episodes = 2
 	cfg.DrainSlack = 36 * time.Hour
 	gcfg := testGrayConfig()
 	w := grayWorld(t, 12, 1, &gcfg)
-	res, err := RunGrayFail(w.eng, w.dep, w.cat, w.logs, cfg)
+	res, err := Run(w.eng, w.dep, w.cat, w.logs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Verify(); err != nil {
+	if err := res.Verify(w.plan.Config.P); err != nil {
 		t.Fatal(err)
 	}
 	if res.Hedged == 0 {
 		t.Fatalf("smoke storm never hedged: %+v", res)
 	}
 	met, missed := slaTotals(w)
-	if got, want := int(met+missed), res.Submitted-res.Errors; got != want {
+	if got, want := int(met+missed), res.Report.Submitted-res.Report.SubmitErrors; got != want {
 		t.Fatalf("SLA report counts %d queries, want %d", got, want)
 	}
 }
@@ -276,18 +273,17 @@ func TestGrayDoubleFailureSoak(t *testing.T) {
 	crash(90*sim.Minute, target.Instances[1])
 	crash(30*sim.Hour, target.Instances[1])
 
-	cfg := grayStormConfig()
-	cfg.DrainSlack = 72 * time.Hour
-	cfg.Slowdowns = []Slowdown{{
+	cfg := grayStormConfig(Slowdowns{Schedule: []Slowdown{{
 		At: sim.Hour, Duration: 3 * time.Hour,
 		Group: target.Plan.ID, Instance: 0,
 		Profile: ProfileStuck, Factor: 0.25,
-	}}
-	res, err := RunGrayFail(w.eng, w.dep, w.cat, w.logs, cfg)
+	}}})
+	cfg.DrainSlack = 72 * time.Hour
+	res, err := Run(w.eng, w.dep, w.cat, w.logs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := res.Verify(); err != nil {
+	if err := res.Verify(w.plan.Config.P); err != nil {
 		t.Fatalf("double-failure soak: %v (gray events %+v)", err, res.GrayEvents)
 	}
 	if res.Drained == 0 {
@@ -367,35 +363,39 @@ func TestSlowdownScheduleValidation(t *testing.T) {
 	}
 }
 
-// TestGrayFailValidation rejects malformed configs and bad targets before
-// any injection runs.
+// TestGrayFailValidation rejects malformed slowdowns and bad targets
+// before any injection runs.
 func TestGrayFailValidation(t *testing.T) {
-	cfg := DefaultGrayFailConfig()
-	cfg.From, cfg.To = 0, sim.Hour
 	w := grayWorld(t, 6, 1, nil)
-	bad := cfg
-	bad.To = 0
-	if _, err := RunGrayFail(w.eng, w.dep, w.cat, w.logs, bad); err == nil {
+	run := func(win Window, s Slowdowns) error {
+		_, err := Run(w.eng, w.dep, w.cat, w.logs, Config{Seed: 1, Window: win, Faults: []Fault{s}})
+		return err
+	}
+	hour := Window{To: sim.Hour}
+	if run(Window{}, Slowdowns{}) == nil {
 		t.Fatal("empty window accepted")
 	}
-	bad = cfg
+	bad := Slowdowns{}
 	bad.Factor = 1
-	if _, err := RunGrayFail(w.eng, w.dep, w.cat, w.logs, bad); err == nil {
+	if run(hour, bad) == nil {
 		t.Fatal("Factor outside (0.05,0.95) accepted")
 	}
-	// Unresolvable targets surface as typed schedule errors at apply time.
+	// Unresolvable targets surface as typed schedule errors.
 	var se *ScheduleError
-	err := applySlowdowns(w.eng, w.dep, []Slowdown{{
+	err := run(hour, Slowdowns{Schedule: []Slowdown{{
 		At: 0, Duration: time.Hour, Group: "TG-NOPE", Profile: ProfileStuck, Factor: 0.3,
-	}})
+	}}})
 	if !errors.As(err, &se) || se.Reason != "bad_target" {
 		t.Errorf("unknown group: %v, want bad_target ScheduleError", err)
 	}
 	gid := w.dep.Groups()[0].Plan.ID
-	err = applySlowdowns(w.eng, w.dep, []Slowdown{{
+	err = run(hour, Slowdowns{Schedule: []Slowdown{{
 		At: 0, Duration: time.Hour, Group: gid, Instance: 99, Profile: ProfileStuck, Factor: 0.3,
-	}})
+	}}})
 	if !errors.As(err, &se) || se.Reason != "bad_target" {
 		t.Errorf("out-of-range instance: %v, want bad_target ScheduleError", err)
+	}
+	if w.eng.Pending() != 0 {
+		t.Errorf("%d events scheduled by rejected runs", w.eng.Pending())
 	}
 }

@@ -71,12 +71,9 @@ func overloadWorld(t *testing.T, tenants, days int, admit bool) *world {
 	return &world{eng: eng, cat: cat, dep: dep, logs: logs, plan: plan}
 }
 
-func stormConfig() OverloadConfig {
-	cfg := DefaultOverloadConfig()
-	cfg.Seed = 11
-	cfg.From, cfg.To = 0, 12*sim.Hour
-	cfg.DrainSlack = 2 * time.Hour
-	return cfg
+// stormConfig is a seeded 12-h run of the storm alone.
+func stormConfig(s Storm) Config {
+	return Config{Seed: 11, Window: Window{To: 12 * sim.Hour, DrainSlack: 2 * time.Hour}, Faults: []Fault{s}}
 }
 
 // TestOverloadProtection is the acceptance run: the identical seeded storm
@@ -85,10 +82,10 @@ func stormConfig() OverloadConfig {
 // armed the aggressor is throttled with typed 429s and every compliant
 // member's attainment holds the guarantee.
 func TestOverloadProtection(t *testing.T) {
-	cfg := stormConfig()
+	cfg := stormConfig(Storm{Aggressors: 1})
 
 	base := overloadWorld(t, 12, 2, false)
-	baseRes, err := RunOverload(base.eng, base.dep, base.cat, base.logs, cfg)
+	baseRes, err := Run(base.eng, base.dep, base.cat, base.logs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +99,7 @@ func TestOverloadProtection(t *testing.T) {
 	}
 
 	prot := overloadWorld(t, 12, 2, true)
-	protRes, err := RunOverload(prot.eng, prot.dep, prot.cat, prot.logs, cfg)
+	protRes, err := Run(prot.eng, prot.dep, prot.cat, prot.logs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +136,7 @@ func TestOverloadTelemetryDeterminism(t *testing.T) {
 	var sum, resSum string
 	dump := func() (string, string) {
 		w := overloadWorld(t, 12, 2, true)
-		res, err := RunOverload(w.eng, w.dep, w.cat, w.logs, stormConfig())
+		res, err := Run(w.eng, w.dep, w.cat, w.logs, stormConfig(Storm{Aggressors: 1}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +144,7 @@ func TestOverloadTelemetryDeterminism(t *testing.T) {
 		sum = telemetrySum(t, hub)
 		resSum = digest(res.Group, res.Aggressors, res.AdmissionOn,
 			res.StormSubmitted, res.StormAdmitted, res.StormThrottled, res.StormShed, res.StormErrors,
-			res.NormalSubmitted, res.NormalThrottled, res.NormalShed, res.Outcomes,
+			res.Report.Submitted, res.NormalThrottled, res.NormalShed, res.Outcomes,
 			res.MinCompliantAttainment, res.MinRTTTP)
 		var ev, tr bytes.Buffer
 		if err := hub.Events.Dump(&ev); err != nil {
@@ -173,15 +170,16 @@ func TestOverloadTelemetryDeterminism(t *testing.T) {
 	checkGolden(t, "overload result", resSum, goldenOverloadResult)
 }
 
-// TestOverloadSmoke is the bounded CI gate (make overload-smoke): a short
+// TestOverloadSmoke is a bounded CI gate (make fault-smoke): a short
 // seeded storm against a protected deployment must be contained.
 func TestOverloadSmoke(t *testing.T) {
-	cfg := stormConfig()
+	storm := Storm{Aggressors: 1}
+	storm.MaxStorm = 500
+	cfg := stormConfig(storm)
 	cfg.To = 4 * sim.Hour
-	cfg.MaxStorm = 500
 	cfg.DrainSlack = time.Hour
 	w := overloadWorld(t, 8, 1, true)
-	res, err := RunOverload(w.eng, w.dep, w.cat, w.logs, cfg)
+	res, err := Run(w.eng, w.dep, w.cat, w.logs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,24 +191,25 @@ func TestOverloadSmoke(t *testing.T) {
 	}
 }
 
-// TestOverloadValidation rejects malformed configs.
+// TestOverloadValidation rejects malformed storms.
 func TestOverloadValidation(t *testing.T) {
-	cfg := DefaultOverloadConfig()
-	cfg.From, cfg.To = 0, sim.Hour
 	ws := overloadWorld(t, 6, 1, false)
-	bad := cfg
-	bad.To = 0
-	if _, err := RunOverload(ws.eng, ws.dep, ws.cat, ws.logs, bad); err == nil {
+	run := func(win Window, s Storm) error {
+		_, err := Run(ws.eng, ws.dep, ws.cat, ws.logs, Config{Seed: 1, Window: win, Faults: []Fault{s}})
+		return err
+	}
+	hour := Window{To: sim.Hour}
+	if run(Window{}, Storm{Aggressors: 1}) == nil {
 		t.Fatal("empty window accepted")
 	}
-	bad = cfg
+	bad := Storm{Aggressors: 1}
 	bad.Factor = 1
-	if _, err := RunOverload(ws.eng, ws.dep, ws.cat, ws.logs, bad); err == nil {
+	if run(hour, bad) == nil {
 		t.Fatal("Factor <= 1 accepted")
 	}
-	bad = cfg
+	bad = Storm{Aggressors: 1}
 	bad.Aggressors = 100
-	if _, err := RunOverload(ws.eng, ws.dep, ws.cat, ws.logs, bad); err == nil {
+	if run(hour, bad) == nil {
 		t.Fatal("oversized aggressor count accepted")
 	}
 }

@@ -4,7 +4,7 @@
 // loop), samples run-time statistics, and drains. This is the run-time half
 // of the evaluation testbed: Run is the one arrival → sample → drain loop,
 // and every run-time experiment — §7.5 elastic scaling, the SLA-attainment
-// validation, the fault harnesses of recovery/chaos, the drift scenario —
+// validation, the fault harness of recovery/chaos, the drift scenario —
 // schedules its own perturbation on the coordinator engine and calls it.
 package replay
 
@@ -42,10 +42,11 @@ type TakeOver struct {
 // Failure injects a node failure (§4.4): at At, one node of the group's
 // MPPDB fails (at the instance and, when the pool holds an active node for
 // it, at the pool too). The MPPDB stays online with degraded throughput;
-// detection and repair are autonomous — the group's recovery.Controller
-// notices the failure at the next 30-s heartbeat instant, swaps the node at
-// the pool, prices replacement startup plus the Table 5.1 bulk reload, and
-// restores full speed. Scripted and service-path recovery share that one
+// detection and repair are autonomous — the injection schedules the group's
+// recovery.Controller's detection at the first instant of its 30-s grid at or
+// after the fault, and the controller swaps the node at the pool, prices
+// replacement startup plus the Table 5.1 bulk reload, and restores full
+// speed. Scripted and service-path recovery share that one
 // code path.
 type Failure struct {
 	// At is the failure instant.
@@ -71,7 +72,7 @@ type Options struct {
 	// day). Long reloads of data-heavy groups can need more.
 	DrainSlack time.Duration
 	// Submit, when non-nil, submits each replayed arrival to its resolved
-	// group instead of the group's router alone: the storm harnesses put
+	// group instead of the group's router alone: the fault harness puts
 	// admission or an SLO slack in front of the router here.
 	Submit SubmitFunc
 }

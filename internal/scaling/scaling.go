@@ -98,6 +98,7 @@ type Scaler struct {
 	// event on the below-P transition, and the scaling-phase event timeline.
 	tel      *telemetry.Hub
 	belowP   bool
+	mRTTTP   *telemetry.Gauge
 	mActions *telemetry.Counter
 	mActive  *telemetry.Gauge
 }
@@ -132,6 +133,7 @@ func (s *Scaler) SetTelemetry(h *telemetry.Hub) {
 	if h == nil {
 		return
 	}
+	s.mRTTTP = h.Registry.Gauge("thrifty_group_rt_ttp", "group", s.group)
 	s.mActions = h.Registry.Counter("thrifty_scaling_actions_total")
 	s.mActive = h.Registry.Gauge("thrifty_scaling_in_progress")
 }
@@ -165,7 +167,7 @@ func (s *Scaler) Start() {
 func (s *Scaler) check() {
 	rt := s.monitor.RTTTP()
 	if s.tel != nil {
-		s.tel.Registry.Gauge("thrifty_group_rt_ttp", "group", s.group).Set(rt)
+		s.mRTTTP.Set(rt)
 		// Publish the dip once per crossing, not on every low sample.
 		below := rt < s.cfg.P
 		if below && !s.belowP {

@@ -388,3 +388,17 @@ func TestScaleUpAbortsWhenStagedNodesFail(t *testing.T) {
 		t.Errorf("aborted staging not re-imaged: %+v", s.pool.Snapshot().ByState)
 	}
 }
+
+// TestCheckAllocs: a telemetry-armed check of a group at P — the check every
+// healthy group runs every CheckInterval — allocates nothing: the RT-TTP
+// gauge is looked up once, when the hub is attached.
+func TestCheckAllocs(t *testing.T) {
+	s := newScenario(t, testCfg(), 8)
+	s.scaler.SetTelemetry(telemetry.NewHub(s.eng, 0.99))
+	if rt := s.mon.RTTTP(); rt < s.scaler.cfg.P {
+		t.Fatalf("idle group at RT-TTP %v, want at least P", rt)
+	}
+	if n := testing.AllocsPerRun(100, s.scaler.check); n != 0 {
+		t.Errorf("check allocates %v times, want 0", n)
+	}
+}
