@@ -28,10 +28,11 @@ test:
 # a group touching another group's state inside a window is a race — among
 # them the telemetry a group writes (its events through its hub view, its
 # trace ops in its router and its monitor's log) and the node pool every
-# group's lifecycle writes.
+# group's lifecycle writes. The generator is among them: workload.Compose
+# builds tenants' activity GOMAXPROCS wide.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -cpu 1,2 -count=1 ./internal/sim ./internal/replay ./internal/recovery/... ./internal/experiments ./internal/telemetry ./internal/router ./internal/monitor ./internal/cluster ./internal/scaling ./internal/master .
+	$(GO) test -race -cpu 1,2 -count=1 ./internal/sim ./internal/replay ./internal/recovery/... ./internal/experiments ./internal/telemetry ./internal/router ./internal/monitor ./internal/cluster ./internal/scaling ./internal/master ./internal/workload .
 
 # Non-test Go lines per package and in total, the number of thriftyd flags
 # and the field counts of the option structs — the size and option-surface
@@ -80,14 +81,16 @@ grouping-smoke: bench-smoke
 # (solve, verify, quantize and burst detection on one 500-tenant composed
 # population), the whole planning cycle at the facade, the service's submit
 # paths (single, 64-batch and parallel singles) over a 200-tenant deployment,
-# the Prometheus scrape of a registry shaped like that deployment's and the
-# replay of that deployment's 7-day logs — bare, with recovery, with admission
-# and as a flagless thriftyd deploys it — so a benchmark that no longer builds or runs is
-# caught before commit without paying full benchmark time. The composed solve
-# (BenchmarkTwoStepComposed500 on the 3 s grid and ...Fine on the 0.1 s one,
-# which no benchmark workload plans on) and the planning cycle run serial and
-# two wide, as do the clock domains' windowed driver (BenchmarkDomainsDrive)
-# and the replay.
+# the Prometheus scrape of a registry shaped like that deployment's, the
+# replay of that deployment's 7-day logs — bare, with admission,
+# as a flagless thriftyd deploys it and with the fail-slow detector's
+# per-minute barriers — and the generator on plan-4x500's four populations,
+# so a benchmark that no longer builds or runs is caught before commit without
+# paying full benchmark time. The composed solve (BenchmarkTwoStepComposed500
+# on the 3 s grid and ...Fine on the 0.1 s one, which no benchmark workload
+# plans on) and the planning cycle run serial and two wide, as do the clock
+# domains' windowed driver (BenchmarkDomainsDrive), the replay and the
+# generator.
 bench-smoke:
 	$(GO) test -bench 'BenchmarkTwoStep2000|BenchmarkPickBest|BenchmarkVerifyComposed500|BenchmarkQuantize500' -benchtime=1x -run '^$$' ./internal/grouping
 	$(GO) test -bench 'BenchmarkTwoStepComposed500' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/grouping
@@ -95,7 +98,8 @@ bench-smoke:
 	$(GO) test -bench 'BenchmarkServeSubmit' -benchtime=1x -run '^$$' ./internal/service
 	$(GO) test -bench 'BenchmarkWritePrometheus' -benchtime=1x -run '^$$' ./internal/telemetry
 	$(GO) test -bench 'BenchmarkDomainsDrive' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/sim
-	$(GO) test -bench 'BenchmarkReplay/(bare|recovery|admission|default)$$' -cpu 1,2 -benchtime=1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkReplay/(bare|admission|default|gray)$$' -cpu 1,2 -benchtime=1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkGenerateWorkload' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/workload
 	$(GO) test -bench 'BenchmarkPlanCycle' -cpu 1,2 -benchtime=1x -run '^$$' .
 
 # Bounded tenant-mover smoke with the race detector on: a seeded drift run

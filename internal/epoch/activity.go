@@ -19,7 +19,9 @@
 package epoch
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/sim"
@@ -43,27 +45,19 @@ type Activity []Interval
 // Normalize sorts ivs, drops empty intervals, and merges overlapping or
 // touching ones. The input slice is not modified.
 func Normalize(ivs []Interval) Activity {
-	work := make([]Interval, 0, len(ivs))
-	for _, iv := range ivs {
-		if iv.End > iv.Start {
-			work = append(work, iv)
-		}
-	}
-	sort.Slice(work, func(i, j int) bool {
-		if work[i].Start != work[j].Start {
-			return work[i].Start < work[j].Start
-		}
-		return work[i].End < work[j].End
+	work := slices.Clone(ivs)
+	slices.SortFunc(work, func(a, b Interval) int {
+		return cmp.Or(cmp.Compare(a.Start, b.Start), cmp.Compare(a.End, b.End))
 	})
 	out := work[:0]
 	for _, iv := range work {
-		if n := len(out); n > 0 && iv.Start <= out[n-1].End {
-			if iv.End > out[n-1].End {
-				out[n-1].End = iv.End
-			}
-			continue
+		switch n := len(out); {
+		case iv.End <= iv.Start: // empty
+		case n > 0 && iv.Start <= out[n-1].End:
+			out[n-1].End = max(out[n-1].End, iv.End)
+		default:
+			out = append(out, iv)
 		}
-		out = append(out, iv)
 	}
 	return Activity(out)
 }

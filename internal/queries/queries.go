@@ -22,9 +22,10 @@
 package queries
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -109,11 +110,12 @@ func (c *Class) LinearScaleOut() bool {
 type Catalog struct {
 	classes []*Class
 	byID    map[string]*Class
+	suites  map[Suite][]*Class // each suite's classes ordered by number
 }
 
 // NewCatalog builds a catalog from the given classes. IDs must be unique.
 func NewCatalog(classes []*Class) (*Catalog, error) {
-	c := &Catalog{byID: make(map[string]*Class, len(classes))}
+	c := &Catalog{byID: make(map[string]*Class, len(classes)), suites: make(map[Suite][]*Class)}
 	for _, cl := range classes {
 		if cl.ID == "" {
 			return nil, fmt.Errorf("queries: class with empty ID")
@@ -124,7 +126,13 @@ func NewCatalog(classes []*Class) (*Catalog, error) {
 		c.byID[cl.ID] = cl
 		c.classes = append(c.classes, cl)
 	}
-	sort.Slice(c.classes, func(i, j int) bool { return c.classes[i].ID < c.classes[j].ID })
+	slices.SortFunc(c.classes, func(a, b *Class) int { return cmp.Compare(a.ID, b.ID) })
+	for _, cl := range c.classes {
+		c.suites[cl.Suite] = append(c.suites[cl.Suite], cl)
+	}
+	for _, set := range c.suites { // equal numbers stay in ID order
+		slices.SortStableFunc(set, func(a, b *Class) int { return cmp.Compare(a.Number, b.Number) })
+	}
 	return c, nil
 }
 
@@ -150,22 +158,14 @@ func (c *Catalog) ByID(id string) (*Class, bool) {
 	return cl, ok
 }
 
-// Suite returns the classes belonging to one suite, ordered by number.
-func (c *Catalog) Suite(s Suite) []*Class {
-	var out []*Class
-	for _, cl := range c.classes {
-		if cl.Suite == s {
-			out = append(out, cl)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Number < out[j].Number })
-	return out
-}
+// Suite returns the classes belonging to one suite, ordered by number. The
+// slice is the catalog's own: callers must not modify it.
+func (c *Catalog) Suite(s Suite) []*Class { return c.suites[s] }
 
 // Random draws a uniformly random query from suite s (the paper's users
 // submit "a random TPC-H/DS query", §7.1 step 1, uniform distribution).
 func (c *Catalog) Random(rng *rand.Rand, s Suite) *Class {
-	set := c.Suite(s)
+	set := c.suites[s]
 	if len(set) == 0 {
 		return nil
 	}

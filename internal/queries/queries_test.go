@@ -2,6 +2,7 @@ package queries
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -188,5 +189,43 @@ func TestSuiteString(t *testing.T) {
 	}
 	if Suite(9).String() != "Suite(9)" {
 		t.Error("unknown suite string wrong")
+	}
+}
+
+// TestSuiteMatchesOracle checks each suite's table against filtering the
+// ID-ordered classes and sorting them by number, on the built-in catalog and
+// on one whose input order is scrambled, with numbers shared inside a suite
+// and a suite with no classes.
+func TestSuiteMatchesOracle(t *testing.T) {
+	custom, err := NewCatalog([]*Class{
+		{ID: "B", Suite: TPCH, Number: 2}, {ID: "A", Suite: TPCH, Number: 2},
+		{ID: "C", Suite: TPCDS, Number: 9}, {ID: "D", Suite: TPCH, Number: 1},
+		{ID: "E", Suite: TPCDS, Number: 3},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []*Catalog{Default(), custom} {
+		for _, s := range []Suite{TPCH, TPCDS, Suite(7)} {
+			var want []*Class
+			for _, cl := range c.Classes() {
+				if cl.Suite == s {
+					want = append(want, cl)
+				}
+			}
+			slices.SortStableFunc(want, func(a, b *Class) int { return a.Number - b.Number })
+			if got := c.Suite(s); !slices.Equal(got, want) {
+				t.Errorf("%v: Suite = %v, oracle %v", s, got, want)
+			}
+		}
+	}
+}
+
+// TestRandomAllocs checks that a draw allocates nothing: the step-1 collector
+// draws one per simulated query.
+func TestRandomAllocs(t *testing.T) {
+	c, rng := Default(), rand.New(rand.NewSource(3))
+	if n := testing.AllocsPerRun(100, func() { c.Random(rng, TPCDS) }); n != 0 {
+		t.Errorf("Random allocates %v per draw", n)
 	}
 }

@@ -159,30 +159,32 @@ func (ds Domains) Gate() *Gate {
 //
 // Barriers keep that order: the next coord event and the next shared member
 // event (ScheduleShared) by (time, member, sequence). Up to one, the members
-// fire their plain events on GOMAXPROCS goroutines, with their gate open
-// (NewDomains gives them one). Then its OnFlush hooks merge what they
-// buffered, and the barrier event fires alone on the caller.
+// fire their plain events on GOMAXPROCS goroutines (a lone busy member on
+// the caller), with their gate open (NewDomains gives them one). Then its
+// OnFlush hooks merge what they buffered, and the barrier event fires alone
+// on the caller. A barrier allocates nothing.
 //
 // Drive takes no domain lock: the caller owns every member exclusively for
 // the call (no Advance or Do may run concurrently).
 func (ds Domains) Drive(coord *Engine, until Time) {
 	g, busy, steps := ds.Gate(), []int(nil), make([]uint64, len(ds)) // steps: in the last window each ran
+	// The barrier: lim keys it; owner is the member whose shared event ev it
+	// is, len(ds) when it is coord's next event, -1 with none.
+	var lim key
+	var owner int
+	var ev *Event
+	run := func(_ struct{}, k int) { steps[busy[k]] = ds[busy[k]].runBefore(lim, busy[k]) }
 	for {
-		lim, fire := key{until, len(ds), 0}, (func())(nil)
+		lim, owner, ev = key{until, len(ds), 0}, -1, nil
 		if coord != nil {
-			if at, ok := coord.NextAt(); ok && at <= until {
-				lim.at, fire = at, func() { ds.moveTo(at); coord.Step() }
+			if t, ok := coord.NextAt(); ok && t <= until {
+				lim.at, owner = t, len(ds)
 			}
 		}
 		for i, d := range ds {
-			for _, ev := range d.eng.shared {
-				if k := (key{ev.at, i, ev.seq}); k.less(lim) {
-					lim, fire = k, func() {
-						if ev.pos > 0 { // not cancelled in the window: the head
-							d.now.Store(int64(ev.at))
-							d.eng.Step()
-						}
-					}
+			for _, e := range d.eng.shared {
+				if k := (key{e.at, i, e.seq}); k.less(lim) {
+					lim, owner, ev = k, i, e
 				}
 			}
 		}
@@ -193,12 +195,16 @@ func (ds Domains) Drive(coord *Engine, until Time) {
 				busy = append(busy, i)
 			}
 		}
-		slices.SortStableFunc(busy, func(a, b int) int { return cmp.Compare(steps[b], steps[a]) })
 		g.open.Store(true)
 		for _, i := range busy {
 			ds[i].eng.window = true
 		}
-		par.Each(0, len(busy), nil, func(_ struct{}, k int) { steps[busy[k]] = ds[busy[k]].runBefore(lim, busy[k]) })
+		if len(busy) == 1 {
+			run(struct{}{}, 0)
+		} else if len(busy) > 1 {
+			slices.SortStableFunc(busy, func(a, b int) int { return cmp.Compare(steps[b], steps[a]) })
+			par.Each(0, len(busy), nil, run)
+		}
 		for _, i := range busy {
 			ds[i].eng.window = false
 		}
@@ -206,14 +212,20 @@ func (ds Domains) Drive(coord *Engine, until Time) {
 		for _, flush := range g.flush {
 			flush()
 		}
-		if fire == nil {
+		switch {
+		case owner < 0:
 			ds.moveTo(until)
 			if coord != nil {
 				coord.Run(until)
 			}
 			return
+		case owner == len(ds):
+			ds.moveTo(lim.at)
+			coord.Step()
+		case ev.pos > 0: // not cancelled in the window: the head
+			ds[owner].now.Store(int64(ev.at))
+			ds[owner].eng.Step()
 		}
-		fire()
 	}
 }
 

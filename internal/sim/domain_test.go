@@ -359,6 +359,32 @@ func TestGateGuard(t *testing.T) {
 	ds.Drive(nil, 3*Hour)
 }
 
+// TestDriveAllocs drives two members and a coordinator through barriers every
+// sim-minute — member 0's shared event at :00, member 1's at :45, the
+// coordinator's at :50 — with one plain event on member 1 at :30, so each
+// window has at most one busy member: twice the barriers must cost no more
+// allocations.
+func TestDriveAllocs(t *testing.T) {
+	drive := func(minutes Time) func() {
+		return func() {
+			engs, coord := []*Engine{NewEngine(), NewEngine()}, NewEngine()
+			every := func(eng *Engine, ev *Event, first Time) {
+				var tick func(Time)
+				tick = func(now Time) { eng.Reschedule(ev, now+Minute, tick) }
+				eng.Reschedule(ev, first, tick)
+			}
+			every(engs[0], &Event{shared: true}, Minute)
+			every(engs[1], &Event{shared: true}, Minute+45*Second)
+			every(engs[1], new(Event), Minute+30*Second)
+			every(coord, new(Event), Minute+50*Second)
+			NewDomains(engs).Drive(coord, minutes*Minute)
+		}
+	}
+	if n, n2 := testing.AllocsPerRun(5, drive(500)), testing.AllocsPerRun(5, drive(1000)); n != n2 {
+		t.Errorf("500 sim-minutes of barriers allocate %v, 1000 allocate %v", n, n2)
+	}
+}
+
 // BenchmarkDomainsDrive drives 13 synthetic members through a sim-week:
 // member i fires an event every 7(i+1) s, each doing a few hundred
 // nanoseconds of arithmetic and re-keying its one event, so the largest

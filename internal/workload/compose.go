@@ -3,9 +3,11 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/epoch"
+	"repro/internal/par"
 	"repro/internal/queries"
 	"repro/internal/sim"
 	"repro/internal/tenant"
@@ -70,6 +72,8 @@ type TenantLog struct {
 // office hours at O, afternoon at O+3(+2 with lunch), and report
 // generation / remote-office activity 9 hours after the afternoon session
 // begins. Weekends (two days in seven) and per-zone holidays are inactive.
+// The tenants' activity is merged on GOMAXPROCS workers once every draw is
+// made.
 func Compose(lib *Library, tenants []*tenant.Tenant, cfg ComposeConfig) ([]*TenantLog, error) {
 	if cfg.Days < 1 {
 		return nil, fmt.Errorf("workload: %d-day horizon", cfg.Days)
@@ -111,12 +115,13 @@ func Compose(lib *Library, tenants []*tenant.Tenant, cfg ComposeConfig) ([]*Tena
 	}
 	report := afternoon + 9*sim.Hour
 
-	out := make([]*TenantLog, 0, len(tenants))
-	for _, tn := range tenants {
-		tl := &TenantLog{Tenant: tn}
+	// Every draw first, serially, in one order: a session picked for a day
+	// whose start falls past the horizon still takes its draw.
+	out := make([]*TenantLog, len(tenants))
+	for k, tn := range tenants {
+		tl := &TenantLog{Tenant: tn, Sessions: make([]SessionRef, 0, 3*len(weekdays))}
 		holidays := holidayByZone[tn.ZoneOffsetHours]
 		base := sim.Time(tn.ZoneOffsetHours) * sim.Hour
-		var intervals []epoch.Interval
 		for d := 0; d < cfg.Days; d++ {
 			if d%7 >= 5 || holidays[d] {
 				continue // weekend or public holiday
@@ -127,26 +132,37 @@ func Compose(lib *Library, tenants []*tenant.Tenant, cfg ComposeConfig) ([]*Tena
 				if err != nil {
 					return nil, err
 				}
-				start := dayStart + off
-				if start >= horizon {
-					continue
-				}
-				tl.Sessions = append(tl.Sessions, SessionRef{Start: start, Log: s})
-				for _, iv := range s.Activity {
-					ivs := epoch.Interval{Start: start + iv.Start, End: start + iv.End}
-					if ivs.Start >= horizon {
-						break
-					}
-					if ivs.End > horizon {
-						ivs.End = horizon
-					}
-					intervals = append(intervals, ivs)
+				if start := dayStart + off; start < horizon {
+					tl.Sessions = append(tl.Sessions, SessionRef{Start: start, Log: s})
 				}
 			}
 		}
-		tl.Activity = epoch.Normalize(intervals)
-		out = append(out, tl)
+		out[k] = tl
 	}
+	// Then each tenant's activity on every core, each worker merging into one
+	// buffer it reuses. The sessions' intervals arrive sorted by start — a
+	// session's queries all start before the next session does — so they
+	// merge as they come; Normalize takes any that would not.
+	par.Each(0, len(out), func() *[]epoch.Interval { return new([]epoch.Interval) }, func(buf *[]epoch.Interval, k int) {
+		tl, act, sorted := out[k], (*buf)[:0], true
+		for _, ref := range tl.Sessions {
+			for _, iv := range ref.Log.Activity {
+				s, e := ref.Start+iv.Start, min(ref.Start+iv.End, horizon)
+				if s >= horizon {
+					break
+				}
+				n := len(act)
+				if sorted = sorted && (n == 0 || s >= act[n-1].Start); sorted && n > 0 && s <= act[n-1].End {
+					act[n-1].End = max(act[n-1].End, e)
+				} else {
+					act = append(act, epoch.Interval{Start: s, End: e})
+				}
+			}
+		}
+		if *buf, tl.Activity = act, slices.Clone(act); !sorted {
+			tl.Activity = epoch.Normalize(act)
+		}
+	})
 	return out, nil
 }
 

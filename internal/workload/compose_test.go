@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/epoch"
@@ -64,6 +65,39 @@ func TestComposeBasics(t *testing.T) {
 			}
 			if ref.Log.Suite != tl.Tenant.Suite {
 				t.Errorf("%s: session suite mismatch", tl.Tenant.ID)
+			}
+		}
+	}
+}
+
+// TestComposeActivityMatchesOracle checks each tenant's activity against
+// Normalize over its sessions' intervals clipped to the horizon, on collected
+// sessions and on hand-made ones whose intervals run into the next session's
+// and the horizon, which take Compose off its in-order merge.
+func TestComposeActivityMatchesOracle(t *testing.T) {
+	long := &Library{logs: map[libKey][]*SessionLog{}}
+	for _, n := range []int{2, 4} {
+		for _, suite := range []queries.Suite{queries.TPCH, queries.TPCDS} {
+			long.logs[libKey{n, suite}] = []*SessionLog{
+				{Nodes: n, Suite: suite, Activity: epoch.Activity{{Start: sim.Minute, End: 2 * sim.Minute}, {Start: 7 * sim.Hour, End: 40 * sim.Hour}}},
+				{Nodes: n, Suite: suite, Activity: epoch.Activity{{Start: sim.Hour, End: 2 * sim.Hour}, {Start: 2*sim.Hour + sim.Second, End: 3 * sim.Hour}}},
+			}
+		}
+	}
+	for name, lib := range map[string]*Library{"collected": testLibrary(t), "overlapping": long} {
+		cfg := DefaultComposeConfig(9)
+		cfg.Days, cfg.Lunch = 10, false
+		logs, err := Compose(lib, testTenants(30), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tl := range logs {
+			var ivs []epoch.Interval
+			for _, ref := range tl.Sessions {
+				ivs = append(ivs, ref.Log.Activity.Shift(ref.Start).Clip(0, cfg.Horizon())...)
+			}
+			if want := epoch.Normalize(ivs); !slices.Equal(tl.Activity, want) {
+				t.Fatalf("%s: %s's activity %v, oracle %v", name, tl.Tenant.ID, tl.Activity, want)
 			}
 		}
 	}

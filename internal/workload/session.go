@@ -6,6 +6,13 @@
 // dedicated simulated MPPDB. Step 2 (compose.go) composes 30-day
 // multi-tenant activity logs from those session logs using time-zone
 // offsets, office-hour schedules, weekends, and holidays.
+//
+// Both steps draw from one seeded rand each, serially, so a seed fixes every
+// log. Step 1's draws depend on what its simulation does and stay on the
+// caller. Compose makes all of its draws first — every zone's holidays and
+// every tenant's session picks, a pick past the horizon included — and then
+// merges each tenant's activity from its picked sessions on GOMAXPROCS
+// workers, which draw nothing: the logs are the same at any width.
 package workload
 
 import (

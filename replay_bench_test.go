@@ -10,7 +10,10 @@ import "testing"
 // with -cpuprofile. bare deploys as the benchmark's replay-7d does
 // (Immediate), admission arms admission on top, default deploys as a
 // flagless thriftyd does (Immediate, ParallelLoad, 64 spare nodes, admission
-// armed), and scaler arms the §5.1 scaler on top of default.
+// armed), scaler arms the §5.1 scaler on top of default, and gray arms the
+// fail-slow detector on top of bare, whose per-minute sampling tick is a
+// shared event on every group's engine, so it is the row that measures what
+// a Drive barrier costs.
 //
 //	go test -run '^$' -bench BenchmarkReplay -benchtime 5x -cpuprofile cpu.prof .
 func BenchmarkReplay(b *testing.B) {
@@ -22,7 +25,7 @@ func BenchmarkReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	adm := DefaultAdmissionConfig()
+	adm, gray := DefaultAdmissionConfig(), DefaultGrayConfig()
 	for _, c := range []struct {
 		name string
 		opts DeployOptions
@@ -31,6 +34,7 @@ func BenchmarkReplay(b *testing.B) {
 		{"admission", DeployOptions{Immediate: true, Admission: &adm}},
 		{"default", DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Admission: &adm}},
 		{"scaler", DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Admission: &adm, Scaling: true}},
+		{"gray", DeployOptions{Immediate: true, Gray: &gray}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
