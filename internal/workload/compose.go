@@ -152,14 +152,18 @@ func Compose(lib *Library, tenants []*tenant.Tenant, cfg ComposeConfig) ([]*Tena
 					break
 				}
 				n := len(act)
-				if sorted = sorted && (n == 0 || s >= act[n-1].Start); sorted && n > 0 && s <= act[n-1].End {
+				sorted = sorted && (n == 0 || s >= act[n-1].Start)
+				if sorted && n > 0 && s <= act[n-1].End {
 					act[n-1].End = max(act[n-1].End, e)
 				} else {
 					act = append(act, epoch.Interval{Start: s, End: e})
 				}
 			}
 		}
-		if *buf, tl.Activity = act, slices.Clone(act); !sorted {
+		*buf = act
+		if sorted {
+			tl.Activity = slices.Clone(act)
+		} else {
 			tl.Activity = epoch.Normalize(act)
 		}
 	})
