@@ -14,10 +14,21 @@ import (
 // s from one call of scratch (the zero S when scratch is nil) before its first
 // iteration, so no two concurrent calls share one. Callers write results to
 // slots indexed by i and read them back in order, so what they build does not
-// depend on the width.
+// depend on the width. A single iteration runs on the caller, and Each
+// allocates nothing for it.
 func Each[S any](workers, n int, scratch func() S, fn func(s S, i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
+	}
+	if n <= 1 { // on the caller, before anything escapes to a goroutine
+		if n == 1 {
+			var s S
+			if scratch != nil {
+				s = scratch()
+			}
+			fn(s, 0)
+		}
+		return
 	}
 	var next atomic.Int64
 	loop := func() {

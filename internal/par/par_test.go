@@ -45,3 +45,12 @@ func TestEachRunsEveryIndexOnce(t *testing.T) {
 		t.Fatalf("one worker ran %v", order)
 	}
 }
+
+// TestEachOneAllocs: a single iteration runs on the caller, and Each
+// allocates nothing for it.
+func TestEachOneAllocs(t *testing.T) {
+	fn := func(_ struct{}, _ int) {}
+	if a := testing.AllocsPerRun(100, func() { Each(0, 1, nil, fn) }); a != 0 {
+		t.Fatalf("Each over one index: %v allocs", a)
+	}
+}

@@ -158,9 +158,8 @@ func (c *Catalog) ByID(id string) (*Class, bool) {
 	return cl, ok
 }
 
-// Suite returns the classes belonging to one suite, ordered by number. The
-// slice is the catalog's own: callers must not modify it.
-func (c *Catalog) Suite(s Suite) []*Class { return c.suites[s] }
+// Suite returns the classes belonging to one suite, ordered by number.
+func (c *Catalog) Suite(s Suite) []*Class { return slices.Clone(c.suites[s]) }
 
 // Random draws a uniformly random query from suite s (the paper's users
 // submit "a random TPC-H/DS query", §7.1 step 1, uniform distribution).

@@ -159,10 +159,10 @@ func (ds Domains) Gate() *Gate {
 //
 // Barriers keep that order: the next coord event and the next shared member
 // event (ScheduleShared) by (time, member, sequence). Up to one, the members
-// fire their plain events on GOMAXPROCS goroutines (a lone busy member on
-// the caller), with their gate open (NewDomains gives them one). Then its
-// OnFlush hooks merge what they buffered, and the barrier event fires alone
-// on the caller. A barrier allocates nothing.
+// fire their plain events on GOMAXPROCS goroutines, with their gate open
+// (NewDomains gives them one). Then its OnFlush hooks merge what they
+// buffered, and the barrier event fires alone on the caller. A barrier
+// allocates nothing.
 //
 // Drive takes no domain lock: the caller owns every member exclusively for
 // the call (no Advance or Do may run concurrently).
@@ -199,12 +199,8 @@ func (ds Domains) Drive(coord *Engine, until Time) {
 		for _, i := range busy {
 			ds[i].eng.window = true
 		}
-		if len(busy) == 1 {
-			run(struct{}{}, 0)
-		} else if len(busy) > 1 {
-			slices.SortStableFunc(busy, func(a, b int) int { return cmp.Compare(steps[b], steps[a]) })
-			par.Each(0, len(busy), nil, run)
-		}
+		slices.SortStableFunc(busy, func(a, b int) int { return cmp.Compare(steps[b], steps[a]) })
+		par.Each(0, len(busy), nil, run)
 		for _, i := range busy {
 			ds[i].eng.window = false
 		}

@@ -3,7 +3,6 @@ package workload
 import (
 	"fmt"
 	"math/rand"
-	"slices"
 	"sort"
 
 	"repro/internal/epoch"
@@ -139,33 +138,20 @@ func Compose(lib *Library, tenants []*tenant.Tenant, cfg ComposeConfig) ([]*Tena
 		}
 		out[k] = tl
 	}
-	// Then each tenant's activity on every core, each worker merging into one
-	// buffer it reuses. The sessions' intervals arrive sorted by start — a
-	// session's queries all start before the next session does — so they
-	// merge as they come; Normalize takes any that would not.
+	// Then each tenant's activity on every core, each worker collecting the
+	// shifted, clipped intervals into one buffer it reuses.
 	par.Each(0, len(out), func() *[]epoch.Interval { return new([]epoch.Interval) }, func(buf *[]epoch.Interval, k int) {
-		tl, act, sorted := out[k], (*buf)[:0], true
+		tl, ivs := out[k], (*buf)[:0]
 		for _, ref := range tl.Sessions {
 			for _, iv := range ref.Log.Activity {
-				s, e := ref.Start+iv.Start, min(ref.Start+iv.End, horizon)
-				if s >= horizon {
+				if ref.Start+iv.Start >= horizon {
 					break
 				}
-				n := len(act)
-				sorted = sorted && (n == 0 || s >= act[n-1].Start)
-				if sorted && n > 0 && s <= act[n-1].End {
-					act[n-1].End = max(act[n-1].End, e)
-				} else {
-					act = append(act, epoch.Interval{Start: s, End: e})
-				}
+				ivs = append(ivs, epoch.Interval{Start: ref.Start + iv.Start, End: min(ref.Start+iv.End, horizon)})
 			}
 		}
-		*buf = act
-		if sorted {
-			tl.Activity = slices.Clone(act)
-		} else {
-			tl.Activity = epoch.Normalize(act)
-		}
+		*buf = ivs
+		tl.Activity = epoch.Normalize(ivs)
 	})
 	return out, nil
 }

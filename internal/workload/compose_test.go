@@ -73,7 +73,7 @@ func TestComposeBasics(t *testing.T) {
 // TestComposeActivityMatchesOracle checks each tenant's activity against
 // Normalize over its sessions' intervals clipped to the horizon, on collected
 // sessions and on hand-made ones whose intervals run into the next session's
-// and the horizon, which take Compose off its in-order merge.
+// and past the horizon, which collected ones do not.
 func TestComposeActivityMatchesOracle(t *testing.T) {
 	long := &Library{logs: map[libKey][]*SessionLog{}}
 	for _, n := range []int{2, 4} {
@@ -84,7 +84,7 @@ func TestComposeActivityMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	for name, lib := range map[string]*Library{"collected": testLibrary(t), "overlapping": long} {
+	for name, lib := range map[string]*Library{"collected": testLibrary(t), "long": long} {
 		cfg := DefaultComposeConfig(9)
 		cfg.Days, cfg.Lunch = 10, false
 		logs, err := Compose(lib, testTenants(30), cfg)
