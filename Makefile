@@ -40,7 +40,7 @@ race:
 # names declared between the struct's braces. CI prints them after
 # `make check`.
 KNOBS = master/master.go:Options scaling/scaling.go:Config recovery/gray.go:GrayConfig \
-	admission/admission.go:Config replay/replay.go:Options
+	admission/admission.go:Config replay/replay.go:Options service/service.go:Config
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk '$$2 == "total" { next } { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
@@ -80,7 +80,8 @@ grouping-smoke: bench-smoke
 # One iteration of the solver-scale benchmarks, the planner's per-stage ones
 # (solve, verify, quantize and burst detection on one 500-tenant composed
 # population), the whole planning cycle at the facade, the service's submit
-# paths (single, 64-batch and parallel singles) over a 200-tenant deployment,
+# paths (single, 64-batch, and parallel singles to distinct groups and to one
+# group) over a 200-tenant deployment,
 # the Prometheus scrape of a registry shaped like that deployment's, the
 # replay of that deployment's 7-day logs — bare, with admission,
 # as a flagless thriftyd deploys it and with the fail-slow detector's
@@ -112,9 +113,9 @@ drift-smoke:
 # Batched-submit smoke with the race detector on: per-item error
 # partitioning over /v1/submit-batch (a 429/503/504 never drops a healthy
 # batch-mate), batched-vs-per-query telemetry equivalence, and — ten times
-# over, since several goroutines reach the coalescer and the pacing origin
-# without a server-wide lock — the coalesced concurrent single-submit path
-# under a storm of submits beside scrapes and group reads.
+# over, since several goroutines reach the groups' clock-domain locks and
+# the pacing origin without a server-wide lock — concurrent single submits
+# in a storm beside scrapes and group reads.
 service-smoke:
 	$(GO) test -race -run 'TestBatchErrorPartitioning' -count=1 ./internal/service
 	$(GO) test -race -run 'TestConcurrentSubmitsAndScrapes|TestShardedConcurrentSubmits' -count=10 ./internal/service

@@ -29,7 +29,7 @@ func TestSubmitWithRetrySucceedsWhenReplicaReturns(t *testing.T) {
 	eng.Schedule(40*sim.Second, func(sim.Time) { g.Instances[0].SetState(mppdb.Ready) })
 
 	pol := RetryPolicy{MaxRetries: 5, Backoff: 15 * time.Second, Timeout: 5 * time.Minute}
-	db, retries, err := g.SubmitGoverned(sim.Second, "t1", q1(t), 0, pol, false)
+	db, retries, err := submitOne(g, sim.Second, "t1", q1(t), pol)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestSubmitWithRetryTimesOut(t *testing.T) {
 
 	pol := RetryPolicy{MaxRetries: 10, Backoff: 15 * time.Second, Timeout: 30 * time.Second}
 	start := sim.Second
-	_, retries, err := g.SubmitGoverned(start, "t1", q1(t), 0, pol, false)
+	_, retries, err := submitOne(g, start, "t1", q1(t), pol)
 	if err == nil {
 		t.Fatal("submit succeeded with no ready replica")
 	}
@@ -107,7 +107,7 @@ func TestSubmitWithRetryPermanentErrorNoRetry(t *testing.T) {
 	g := newGroup(t, eng, "TG-0001", "t1")
 	g.Bind(sim.NewDomain(eng))
 
-	_, retries, err := g.SubmitGoverned(sim.Second, "stranger", q1(t), 0, DefaultRetryPolicy(), false)
+	_, retries, err := submitOne(g, sim.Second, "stranger", q1(t), DefaultRetryPolicy())
 	if err == nil {
 		t.Fatal("unknown tenant accepted")
 	}
@@ -126,8 +126,8 @@ func TestSubmitWithRetryZeroRetriesFailsFast(t *testing.T) {
 	g.Bind(sim.NewDomain(eng))
 	degrade(g)
 
-	_, retries, err := g.SubmitGoverned(sim.Second, "t1", q1(t), 0,
-		RetryPolicy{MaxRetries: 0, Backoff: time.Second, Timeout: time.Minute}, false)
+	_, retries, err := submitOne(g, sim.Second, "t1", q1(t),
+		RetryPolicy{MaxRetries: 0, Backoff: time.Second, Timeout: time.Minute})
 	var te *TimeoutError
 	if !errors.As(err, &te) || retries != 0 || te.Attempts != 1 {
 		t.Errorf("zero-retry policy: retries=%d err=%v", retries, err)

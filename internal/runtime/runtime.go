@@ -68,7 +68,7 @@ type GroupRuntime struct {
 	// Admission, when non-nil, is the group's overload-protection
 	// controller: per-tenant contract buckets, the bounded admission
 	// queue, and the brownout loop. It lives on the group's engine and is
-	// consulted by SubmitGoverned.
+	// consulted by SubmitBatchAt.
 	Admission *admission.Controller
 	// Scaler, when non-nil, is the group's §5.1 scaler (Options.Scaling).
 	Scaler *scaling.Scaler
@@ -132,8 +132,8 @@ type RetryPolicy struct {
 	Timeout time.Duration
 }
 
-// DefaultRetryPolicy matches the service front end's defaults: three retries
-// 30 s apart within a 5-minute budget.
+// DefaultRetryPolicy is the service front end's policy: three retries 30 s
+// apart within a 5-minute budget.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{MaxRetries: 3, Backoff: 30 * time.Second, Timeout: 5 * time.Minute}
 }
@@ -159,36 +159,6 @@ func (e *TimeoutError) Error() string {
 
 // Unwrap exposes the final routing error.
 func (e *TimeoutError) Unwrap() error { return e.Last }
-
-// SubmitGoverned advances the group to at and routes one query for the
-// tenant through the group's router (TDD Algorithm 1), shielding the caller
-// from transient routing failures: when the router cannot place the query
-// (every replica of the set R busy recovering or not Ready), the submit is
-// re-tried at virtual-time backoff — the domain is released between attempts,
-// so other callers and the group's own recovery keep progressing. Once the
-// policy is exhausted it returns a *TimeoutError. A non-positive sla falls
-// back to the tenant's isolated latency. It returns the chosen MPPDB's ID and
-// the number of retries used.
-//
-// With an admission controller armed, the first attempt must pass the
-// tenant's contract bucket and the brownout policy — a typed
-// *admission.ContractExceededError (429) or *admission.ShedError (503) is
-// returned immediately, before any routing work. A submit that fails
-// transiently claims a slot in the bounded admission queue for the wait; if
-// the queue is full, or the projected start delay alone would blow the
-// query's SLA deadline, the query is shed with a typed *admission.ShedError
-// instead of occupying the group. bestEffort marks traffic the brownout
-// controller may drop wholesale at its top level.
-//
-// SubmitGoverned is a one-item batch: there is a single retry/admission
-// implementation, SubmitBatchAt, and this is its scalar shim.
-func (g *GroupRuntime) SubmitGoverned(at sim.Time, tenantID string, class *queries.Class,
-	sla sim.Time, pol RetryPolicy, bestEffort bool) (string, int, error) {
-	items := [1]BatchItem{{Tenant: tenantID, Class: class, SLA: sla, BestEffort: bestEffort}}
-	var outs [1]BatchOutcome
-	g.SubmitBatchAt(at, items[:], outs[:], pol)
-	return outs[0].DB, outs[0].Retries, outs[0].Err
-}
 
 // BatchItem is one query of a batched submit.
 type BatchItem struct {
@@ -219,20 +189,6 @@ type BatchOutcome struct {
 	Err     error
 }
 
-// SubmitBatchAt advances the group to at once and routes all items inside a
-// single engine callback — one domain lock and one Advance per batch (plus
-// one per backoff round while any item retries), instead of one per query.
-// Results land in outs (which must be at least as long as items); item i's
-// outcome is outs[i].
-//
-// Per-item semantics are identical to SubmitGoverned: admission is consulted
-// once per item, transient routing failures claim an admission queue slot
-// and retry on the policy's backoff, and exhaustion yields a *TimeoutError.
-// Items are processed in slice order, so a batch at time t is
-// operation-for-operation equivalent to submitting its items sequentially at
-// t — same-seed telemetry is byte-identical (the determinism guard pins
-// this). Retry rounds run round-major: every live item attempts once per
-// round before the clock moves again.
 // batchScratch is the reusable round-tracking state of one SubmitBatchAt
 // call, pooled so steady-state batched submits allocate nothing here.
 type batchScratch struct {
@@ -242,6 +198,37 @@ type batchScratch struct {
 
 var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
+// SubmitBatchAt advances the group to at once and routes all items through
+// the group's router (TDD Algorithm 1) inside a single engine callback — one
+// domain lock and one Advance per batch (plus one per backoff round while
+// any item retries), instead of one per query. Results land in outs (which
+// must be at least as long as items); item i's outcome is outs[i]: the
+// chosen MPPDB's ID and the number of retries used, or a typed error. A
+// single submit is a one-item batch.
+//
+// The caller is shielded from transient routing failures: when the router
+// cannot place an item (every replica of the set R busy recovering or not
+// Ready), the item is re-tried at the policy's virtual-time backoff — the
+// domain is released between rounds, so other callers and the group's own
+// recovery keep progressing. Once the policy is exhausted the item fails
+// with a *TimeoutError. A non-positive SLA falls back to the tenant's
+// isolated latency.
+//
+// With an admission controller armed, an item's first attempt must pass the
+// tenant's contract bucket and the brownout policy — a typed
+// *admission.ContractExceededError (429) or *admission.ShedError (503) is
+// its outcome at once, before any routing work. An item that fails
+// transiently claims a slot in the bounded admission queue for the wait; if
+// the queue is full, or the projected start delay alone would blow the
+// query's SLA deadline, the item is shed with a typed *admission.ShedError
+// instead of occupying the group. BestEffort marks traffic the brownout
+// controller may drop wholesale at its top level.
+//
+// Items are processed in slice order, so a batch at time t is
+// operation-for-operation equivalent to submitting its items one at a time
+// at t — same-seed telemetry is byte-identical (the determinism guard pins
+// this). Retry rounds run round-major: every live item attempts once per
+// round before the clock moves again.
 func (g *GroupRuntime) SubmitBatchAt(at sim.Time, items []BatchItem, outs []BatchOutcome, pol RetryPolicy) {
 	n := len(items)
 	if n == 0 {

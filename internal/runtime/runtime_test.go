@@ -63,12 +63,21 @@ func q1(t *testing.T) *queries.Class {
 	return c
 }
 
+// submitOne submits one query for tenantID at at as a one-item batch and
+// returns its outcome: the chosen MPPDB, the retries used and the error.
+func submitOne(g *GroupRuntime, at sim.Time, tenantID string, class *queries.Class, pol RetryPolicy) (string, int, error) {
+	items := [1]BatchItem{{Tenant: tenantID, Class: class}}
+	var outs [1]BatchOutcome
+	g.SubmitBatchAt(at, items[:], outs[:], pol)
+	return outs[0].DB, outs[0].Retries, outs[0].Err
+}
+
 func TestGroupRuntimeSubmitStatsRecords(t *testing.T) {
 	eng := sim.NewEngine()
 	g := newGroup(t, eng, "TG-0001", "t1", "t2")
 	g.Bind(sim.NewDomain(eng))
 
-	db, _, err := g.SubmitGoverned(sim.Second, "t1", q1(t), 0, RetryPolicy{}, false)
+	db, _, err := submitOne(g, sim.Second, "t1", q1(t), RetryPolicy{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +124,7 @@ func TestGroupRuntimeSubmitUnknownTenant(t *testing.T) {
 	eng := sim.NewEngine()
 	g := newGroup(t, eng, "TG-0001", "t1")
 	g.Bind(sim.NewDomain(eng))
-	if _, _, err := g.SubmitGoverned(sim.Second, "ghost", q1(t), 0, RetryPolicy{}, false); err == nil {
+	if _, _, err := submitOne(g, sim.Second, "ghost", q1(t), RetryPolicy{}); err == nil {
 		t.Error("submit for non-member accepted")
 	}
 }
@@ -177,10 +186,10 @@ func TestPlaneRecordsGroupOrder(t *testing.T) {
 		p.Add(g)
 	}
 	// Submit in reverse group order; Records still returns group order.
-	if _, _, err := p.Groups()[1].SubmitGoverned(sim.Second, "t1", class, 0, RetryPolicy{}, false); err != nil {
+	if _, _, err := submitOne(p.Groups()[1], sim.Second, "t1", class, RetryPolicy{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := p.Groups()[0].SubmitGoverned(2*sim.Second, "t0", class, 0, RetryPolicy{}, false); err != nil {
+	if _, _, err := submitOne(p.Groups()[0], 2*sim.Second, "t0", class, RetryPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	p.AdvanceAll(sim.Day)
@@ -210,7 +219,7 @@ func TestGroupRuntimeConcurrentSubmits(t *testing.T) {
 			tid := fmt.Sprintf("t%d", w+1)
 			for i := 0; i < per; i++ {
 				at := sim.Time(i+1) * sim.Second
-				if _, _, err := g.SubmitGoverned(at, tid, class, 0, RetryPolicy{}, false); err != nil {
+				if _, _, err := submitOne(g, at, tid, class, RetryPolicy{}); err != nil {
 					t.Errorf("submit %s: %v", tid, err)
 					return
 				}
@@ -239,7 +248,7 @@ func TestShedStatsCache(t *testing.T) {
 	g.SetSheddingOnly(true)
 	g.Domain().Do(func(*sim.Engine) { g.CacheStats() })
 	held := g.StatsAt(sim.Day)
-	if _, _, err := g.SubmitGoverned(sim.Second, "t1", q1(t), 0, RetryPolicy{}, false); err != nil {
+	if _, _, err := submitOne(g, sim.Second, "t1", q1(t), RetryPolicy{}); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup

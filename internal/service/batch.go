@@ -1,9 +1,6 @@
 // Batched submit: the POST /v1/submit-batch endpoint routes many queries
-// through one SubmitBatchAt per tenant-group (one domain lock, one Advance),
-// and the coalescer below batches concurrent single submits the same way —
-// the first goroutine to arrive at an idle group becomes the leader and
-// drains everything queued behind it in shard-local batches, so N concurrent
-// POST /v1/queries to one group cost one lock handoff instead of N.
+// through one SubmitBatchAt per tenant-group (one domain lock, one Advance).
+// A single POST /v1/queries is the one-item case of the same call.
 package service
 
 import (
@@ -40,119 +37,6 @@ func (s *Server) classFor(q *SubmitRequest) (*queries.Class, bool, error) {
 		return res.Class, res.Template, nil
 	default:
 		return nil, false, fmt.Errorf("missing query or sql")
-	}
-}
-
-// queuedSubmit is one coalesced single submit. Entries are pooled per
-// coalescer; the done channel (buffered, capacity 1) is reused across
-// checkouts, so a steady-state submit allocates nothing here.
-type queuedSubmit struct {
-	item runtime.BatchItem
-	out  runtime.BatchOutcome
-	done chan struct{}
-}
-
-// maxCoalesced caps how many coalesced submits one SubmitBatchAt call takes;
-// excess stays queued for the next drain round.
-const maxCoalesced = 64
-
-// coalescer batches concurrent single submits to one tenant-group. The
-// first arrival at an idle group becomes the leader: it drains the queue in
-// batches through SubmitBatchAt, delivers each follower's outcome over its
-// channel, and steps down only when the queue is empty — so followers never
-// contend on the group's clock domain at all.
-type coalescer struct {
-	mu     sync.Mutex
-	queue  []*queuedSubmit
-	leader bool
-	free   []*queuedSubmit
-
-	// Leader scratch, reused across drain rounds (leader-only; the leader is
-	// unique per coalescer, so no lock is needed while using them).
-	batch []*queuedSubmit
-	items []runtime.BatchItem
-	outs  []runtime.BatchOutcome
-}
-
-// get checks a pooled entry out. Caller holds c.mu.
-func (c *coalescer) get() *queuedSubmit {
-	if n := len(c.free); n > 0 {
-		p := c.free[n-1]
-		c.free[n-1] = nil
-		c.free = c.free[:n-1]
-		return p
-	}
-	return &queuedSubmit{done: make(chan struct{}, 1)}
-}
-
-// take moves up to maxCoalesced queued submits into the leader's batch.
-// Caller holds c.mu.
-func (c *coalescer) take() {
-	n := min(len(c.queue), maxCoalesced)
-	c.batch = append(c.batch[:0], c.queue[:n]...)
-	rest := copy(c.queue, c.queue[n:])
-	clear(c.queue[rest:])
-	c.queue = c.queue[:rest]
-}
-
-// submitCoalesced submits one item through the group's coalescer and blocks
-// until its outcome is known. Safe for arbitrary concurrency; per-item
-// semantics are identical to a solo SubmitBatchAt (admission, retries,
-// typed errors). A drain round locks the coalescer once: the leader claims
-// its role and first batch in the section that queues its own submit, and
-// steps down or takes the next batch in one section after each round — so a
-// lone submit locks twice.
-func (s *Server) submitCoalesced(g *runtime.GroupRuntime, item runtime.BatchItem) runtime.BatchOutcome {
-	c := s.coalescers[g]
-	c.mu.Lock()
-	p := c.get()
-	p.item = item
-	p.out = runtime.BatchOutcome{}
-	c.queue = append(c.queue, p)
-	if c.leader {
-		// Follower: a leader is draining; wait for it to deliver.
-		c.mu.Unlock()
-		<-p.done
-		out := p.out
-		c.mu.Lock()
-		c.free = append(c.free, p)
-		c.mu.Unlock()
-		return out
-	}
-	c.leader = true
-
-	var myOut runtime.BatchOutcome
-	for {
-		c.take()
-		c.mu.Unlock()
-
-		c.items = c.items[:0]
-		for _, q := range c.batch {
-			c.items = append(c.items, q.item)
-		}
-		if cap(c.outs) < len(c.batch) {
-			c.outs = make([]runtime.BatchOutcome, len(c.batch))
-		} else {
-			c.outs = c.outs[:len(c.batch)]
-		}
-		// Each drain round targets the current wall clock, so queued items
-		// never submit at a stale virtual time.
-		g.SubmitBatchAt(s.target(), c.items, c.outs, s.retry)
-		for i, q := range c.batch {
-			if q == p {
-				myOut = c.outs[i]
-				continue
-			}
-			q.out = c.outs[i]
-			q.done <- struct{}{}
-		}
-		c.mu.Lock()
-		if len(c.queue) == 0 {
-			c.leader = false
-			c.free = append(c.free, p)
-			c.mu.Unlock()
-			return myOut
-		}
 	}
 }
 

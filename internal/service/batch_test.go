@@ -13,6 +13,7 @@ import (
 	"repro/internal/master"
 	"repro/internal/mppdb"
 	"repro/internal/queries"
+	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/tenant"
 	"repro/internal/workload"
@@ -84,15 +85,11 @@ func TestBatchErrorPartitioning(t *testing.T) {
 	if gAgg == gDown {
 		t.Fatal("test needs agg and down in different groups")
 	}
-	srv, err := New(dep, queries.Default(), plan, Config{
-		TimeScale:     60,
-		SubmitRetries: 1,
-		SubmitBackoff: 10 * time.Second,
-		SubmitTimeout: 15 * time.Second,
-	})
+	srv, err := New(dep, queries.Default(), plan, Config{TimeScale: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.retry = runtime.RetryPolicy{MaxRetries: 1, Backoff: 10 * time.Second, Timeout: 15 * time.Second}
 	wall := time.Unix(0, 0)
 	srv.SetClock(func() time.Time { return wall }, time.Unix(0, 0))
 	ts := httptest.NewServer(srv)

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -35,27 +36,58 @@ func BenchmarkServeSubmitBatch64(b *testing.B) { benchServe(b, 64) }
 // BenchmarkServeSubmitParallel sends single POST /v1/queries from GOMAXPROCS
 // clients at once, the way independent tenants reach the front door: client
 // k of P owns the groups whose index is k mod P and sends their logged
-// queries in order, so clients meet only where the server shares state. The
-// wall clock is the furthest arrival any client has reached. One deployment
-// serves the whole run; a client that runs out of queries replays its list a
-// horizon later. Compare -cpu 1 with -cpu 2 for the front end's parallelism:
+// queries in order, so clients meet only where the server shares state.
+// Compare -cpu 1 with -cpu 2 for the front end's parallelism:
 //
 //	go test -run '^$' -bench BenchmarkServeSubmitParallel -cpu 1,2 ./internal/service
 func BenchmarkServeSubmitParallel(b *testing.B) {
 	loadServeBench(b)
 	sb := &serveBench
 	clients := runtime.GOMAXPROCS(0)
-	groupOf := map[string]int{}
-	for gi, g := range sb.plan.Groups {
-		for _, id := range g.TenantIDs {
-			groupOf[id] = gi
-		}
+	own := make([][]benchRequest, clients)
+	for _, q := range sb.events {
+		k := sb.groupOf[q.tenant] % clients
+		own[k] = append(own[k], benchRequest{body: appendQuery(nil, q), at: q.at})
+	}
+	serveParallel(b, own)
+}
+
+// BenchmarkServeSubmitOneGroup sends single POST /v1/queries from GOMAXPROCS
+// clients to one tenant-group at once — the group with the most logged
+// queries, its tenants dealt round-robin over the clients — so every client
+// meets the others on that group's clock domain:
+//
+//	go test -run '^$' -bench BenchmarkServeSubmitOneGroup -cpu 1,2 ./internal/service
+func BenchmarkServeSubmitOneGroup(b *testing.B) {
+	loadServeBench(b)
+	sb := &serveBench
+	clients := runtime.GOMAXPROCS(0)
+	logged := make([]int, len(sb.plan.Groups))
+	for _, q := range sb.events {
+		logged[sb.groupOf[q.tenant]]++
+	}
+	busiest := sb.plan.Groups[slices.Index(logged, slices.Max(logged))]
+	clientOf := map[string]int{}
+	for j, id := range busiest.TenantIDs {
+		clientOf[id] = j % clients
 	}
 	own := make([][]benchRequest, clients)
 	for _, q := range sb.events {
-		k := groupOf[q.tenant] % clients
-		own[k] = append(own[k], benchRequest{body: appendQuery(nil, q), at: q.at})
+		if k, ok := clientOf[q.tenant]; ok {
+			own[k] = append(own[k], benchRequest{body: appendQuery(nil, q), at: q.at})
+		}
 	}
+	serveParallel(b, own)
+}
+
+// serveParallel runs one client per RunParallel goroutine over one
+// deployment, client i sending the requests of own[i mod len(own)] (empty
+// lists dropped) in order. The wall clock is the furthest arrival any client
+// has reached; a client that runs out of requests replays its list a horizon
+// later.
+func serveParallel(b *testing.B, own [][]benchRequest) {
+	sb := &serveBench
+	own = slices.DeleteFunc(own, func(reqs []benchRequest) bool { return len(reqs) == 0 })
 	sys, err := thrifty.Deploy(sb.w, sb.plan, thrifty.DeployOptions{Immediate: true})
 	if err != nil {
 		b.Fatal(err)
@@ -72,7 +104,7 @@ func BenchmarkServeSubmitParallel(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		reqs := own[int(next.Add(1)-1)%clients]
+		reqs := own[int(next.Add(1)-1)%len(own)]
 		req := httptest.NewRequest(http.MethodPost, "/v1/queries", nil)
 		body := &reusedBody{}
 		req.Body = body
@@ -93,14 +125,16 @@ func BenchmarkServeSubmitParallel(b *testing.B) {
 	})
 }
 
-// serveBench is the set-up both benchmarks share: the testbed, its plan and
-// its logged queries in arrival order.
+// serveBench is the set-up every benchmark here shares: the testbed, its
+// plan, each deployed tenant's group index in it and the tenants' logged
+// queries in arrival order.
 var serveBench struct {
-	once   sync.Once
-	err    error
-	w      *thrifty.Workload
-	plan   *thrifty.Plan
-	events []loggedQuery
+	once    sync.Once
+	err     error
+	w       *thrifty.Workload
+	plan    *thrifty.Plan
+	groupOf map[string]int
+	events  []loggedQuery
 }
 
 type loggedQuery struct {
@@ -119,14 +153,14 @@ func loadServeBench(b *testing.B) {
 		if sb.plan, sb.err = thrifty.PlanDeployment(sb.w, thrifty.DefaultPlanConfig()); sb.err != nil {
 			return
 		}
-		deployed := map[string]bool{}
-		for _, g := range sb.plan.Groups {
+		sb.groupOf = map[string]int{}
+		for gi, g := range sb.plan.Groups {
 			for _, id := range g.TenantIDs {
-				deployed[id] = true
+				sb.groupOf[id] = gi
 			}
 		}
 		for _, tl := range sb.w.Logs {
-			if !deployed[tl.Tenant.ID] {
+			if _, ok := sb.groupOf[tl.Tenant.ID]; !ok {
 				continue
 			}
 			for _, ref := range tl.Sessions {

@@ -12,6 +12,7 @@ import (
 	"repro/internal/master"
 	"repro/internal/mppdb"
 	"repro/internal/queries"
+	"repro/internal/runtime"
 	"repro/internal/sim"
 	"repro/internal/tenant"
 	"repro/internal/workload"
@@ -23,15 +24,11 @@ import (
 // succeed again once a replica returns.
 func TestSubmitRetryTimeout(t *testing.T) {
 	dep, plan := deployTenants(t, []string{"t1", "t2"})
-	srv, err := New(dep, queries.Default(), plan, Config{
-		TimeScale:     60,
-		SubmitRetries: 2,
-		SubmitBackoff: 10 * time.Second,
-		SubmitTimeout: 30 * time.Second,
-	})
+	srv, err := New(dep, queries.Default(), plan, Config{TimeScale: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.retry = runtime.RetryPolicy{MaxRetries: 2, Backoff: 10 * time.Second, Timeout: 30 * time.Second}
 	wall := time.Unix(0, 0)
 	srv.SetClock(func() time.Time { return wall }, time.Unix(0, 0))
 	ts := httptest.NewServer(srv)
@@ -117,15 +114,11 @@ func TestEventsCarryTheirGroupsClock(t *testing.T) {
 			inst.SetState(mppdb.Provisioning)
 		}
 	})
-	srv, err := New(dep, queries.Default(), plan, Config{
-		TimeScale:     60,
-		SubmitRetries: 1,
-		SubmitBackoff: 10 * time.Second,
-		SubmitTimeout: 30 * time.Second,
-	})
+	srv, err := New(dep, queries.Default(), plan, Config{TimeScale: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
+	srv.retry = runtime.RetryPolicy{MaxRetries: 1, Backoff: 10 * time.Second, Timeout: 30 * time.Second}
 	wall := time.Unix(60, 0) // one virtual hour in
 	srv.SetClock(func() time.Time { return wall }, time.Unix(0, 0))
 	ts := httptest.NewServer(srv)

@@ -18,14 +18,15 @@
 //
 // Concurrency is per tenant-group: the front door resolves a submit to its
 // group in O(1) and takes only that group's clock domain, so submits to
-// different groups proceed fully in parallel.
-// There is no server-wide lock: a Server serves the deployment it was built
-// with for its whole life (the §3c re-consolidation cycle runs offline, in
-// thrifty.Reconsolidate), so the deployment, the plan, the route table and
-// the per-group coalescers are read without one, and the pacing origin is an
-// immutable value behind an atomic pointer. Pure-read endpoints (catalog,
-// plan, admission) touch no clock domain at all, and the telemetry endpoints
-// read the hub, which is internally synchronized, outside every lock.
+// different groups proceed fully in parallel, and submits to one group take
+// its domain in turn. There is no server-wide lock: a Server serves the
+// deployment it was built with for its whole life (the §3c
+// re-consolidation cycle runs offline, in thrifty.Reconsolidate), so the
+// deployment, the plan and the route table are read without one, and the
+// pacing origin is an immutable value behind an atomic pointer. Pure-read
+// endpoints (catalog, plan, admission) touch no clock domain at all, and the
+// telemetry endpoints read the hub, which is internally synchronized,
+// outside every lock.
 package service
 
 import (
@@ -67,10 +68,6 @@ type Server struct {
 	// clock is the wall-clock pacing origin, replaced whole by SetClock.
 	clock atomic.Pointer[clock]
 
-	// coalescers batch concurrent single submits per group (leader/follower),
-	// one per group, built by New and never written after.
-	coalescers map[*runtime.GroupRuntime]*coalescer
-
 	// recCache caches the sorted records view served by GET /v1/records,
 	// keyed on the per-group record counts (the record log is append-only).
 	recCache recordsCache
@@ -107,17 +104,6 @@ type Config struct {
 	// DisableMetrics removes the Prometheus GET /metrics endpoint (the
 	// observability JSON endpoints under /v1 stay).
 	DisableMetrics bool
-	// SubmitRetries bounds how often a transiently failed submit is
-	// re-tried against the tenant's replica set before timing out
-	// (default 3; negative disables retries).
-	SubmitRetries int
-	// SubmitBackoff is the virtual-time wait between submit attempts
-	// (default 30 s).
-	SubmitBackoff time.Duration
-	// SubmitTimeout is the virtual-time budget per submit; past it the
-	// request fails with 504 instead of hanging the group's clock domain
-	// (default 5 min).
-	SubmitTimeout time.Duration
 }
 
 // New builds a server over a live deployment, whose groups each run on a
@@ -133,27 +119,13 @@ func New(dep *master.Deployment, cat *queries.Catalog,
 	if cfg.TimeScale < 0 {
 		return nil, fmt.Errorf("service: negative time scale")
 	}
-	retry := runtime.DefaultRetryPolicy()
-	if cfg.SubmitRetries != 0 {
-		retry.MaxRetries = max(cfg.SubmitRetries, 0)
-	}
-	if cfg.SubmitBackoff > 0 {
-		retry.Backoff = cfg.SubmitBackoff
-	}
-	if cfg.SubmitTimeout > 0 {
-		retry.Timeout = cfg.SubmitTimeout
-	}
 	s := &Server{
-		dep:        dep,
-		cat:        cat,
-		plan:       plan,
-		timeScale:  cfg.TimeScale,
-		retry:      retry,
-		matcher:    sqlmatch.New(cat),
-		coalescers: make(map[*runtime.GroupRuntime]*coalescer),
-	}
-	for _, g := range dep.Groups() {
-		s.coalescers[g] = &coalescer{}
+		dep:       dep,
+		cat:       cat,
+		plan:      plan,
+		timeScale: cfg.TimeScale,
+		retry:     runtime.DefaultRetryPolicy(),
+		matcher:   sqlmatch.New(cat),
 	}
 	s.clock.Store(&clock{now: time.Now, started: time.Now()})
 	get := func(h http.HandlerFunc) route { return route{get: h, allow: "GET, HEAD"} }
@@ -409,24 +381,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// The hot path: resolve the tenant's group — and its interned ref — in
-	// O(1) and take only that group's clock domain. Submits to other groups
-	// do not contend, and concurrent submits to the same group coalesce into
-	// shard-local batches (one domain lock, one Advance per batch).
+	// O(1) and submit a one-item batch on that group's clock domain alone.
+	// Submits to other groups do not contend; concurrent submits to the same
+	// group take its domain in turn, as batches and reads do.
 	g, ref, tenant, ok := s.dep.Plane().Lookup(req.Tenant)
 	if !ok {
 		writeErr(w, http.StatusUnprocessableEntity, "tenant %s not deployed", req.Tenant)
 		return
 	}
-	item := runtime.BatchItem{
+	items := [1]runtime.BatchItem{{
 		Tenant:     tenant,
 		Class:      class,
 		BestEffort: req.BestEffort,
-	}
+	}}
 	if ref != runtime.NoTenantRef {
-		item.Ref = ref
-		item.HasRef = true
+		items[0].Ref = ref
+		items[0].HasRef = true
 	}
-	out := s.submitCoalesced(g, item)
+	var outs [1]runtime.BatchOutcome
+	g.SubmitBatchAt(s.target(), items[:], outs[:], s.retry)
+	out := &outs[0]
 	now := g.Now()
 	if out.Err != nil {
 		f := s.classify(out.Err)

@@ -40,8 +40,10 @@ func TestServeDumpIndependentOfAdvanceOrder(t *testing.T) {
 		for _, o := range order {
 			for k := 0; k < 40; k++ {
 				at := sim.Time(k) * 20 * sim.Second
-				if _, _, err := o.g.SubmitGoverned(at, o.id, cl, 0, runtime.DefaultRetryPolicy(), false); err != nil {
-					t.Fatal(err)
+				items := [1]runtime.BatchItem{{Tenant: o.id, Class: cl}}
+				var outs [1]runtime.BatchOutcome
+				if o.g.SubmitBatchAt(at, items[:], outs[:], runtime.DefaultRetryPolicy()); outs[0].Err != nil {
+					t.Fatal(outs[0].Err)
 				}
 			}
 			o.g.Domain().Advance(sim.Day, nil)

@@ -237,8 +237,8 @@ func (s *System) Replay(opts ReplayOptions) (*ReplayReport, error) {
 	return replay.Run(s.Engine, s.Deployment, s.Workload.Catalog, s.Workload.Logs, opts)
 }
 
-// ServeOptions re-exports the HTTP front end's configuration: the time scale,
-// the /metrics switch and the submit retry policy.
+// ServeOptions re-exports the HTTP front end's configuration: the time scale
+// and the /metrics switch.
 type ServeOptions = service.Config
 
 // Handler returns the MPPDBaaS HTTP API over the system. Submits to
