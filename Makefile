@@ -40,14 +40,15 @@ race:
 # names declared between the struct's braces. CI prints them after
 # `make check`.
 KNOBS = master/master.go:Options scaling/scaling.go:Config recovery/gray.go:GrayConfig \
-	admission/admission.go:Config replay/replay.go:Options service/service.go:Config
+	admission/admission.go:Config replay/replay.go:Options service/service.go:Config \
+	recovery/chaos/chaos.go:Window
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk '$$2 == "total" { next } { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
 	@printf '%7d thriftyd flags\n' $$($(GO) run ./cmd/thriftyd -h 2>&1 | grep -c '^  -')
-	@for k in $(KNOBS); do f=$${k%:*}; \
-		awk -v t=$${k#*:} -v name=$${f%%/*}.$${k#*:} '$$0 ~ "^type " t " struct" { on = 1; next } \
+	@for k in $(KNOBS); do f=$${k%:*}; d=$${f%/*}; \
+		awk -v t=$${k#*:} -v name=$${d##*/}.$${k#*:} '$$0 ~ "^type " t " struct" { on = 1; next } \
 			on && /^}/ { exit } on && NF && $$1 !~ /^\/\// { n++; for (i = 1; i < NF; i++) if ($$i ~ /,$$/) n++ } \
 			END { printf "%7d %s fields\n", n, name }' internal/$$f; done
 

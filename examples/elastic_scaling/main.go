@@ -1,6 +1,7 @@
 // Elastic scaling: the §7.5 / Figure 7.7 scenario. One tenant-group is
 // deployed and its logged activity replayed; partway in we "take over" a
-// tenant and submit queries continuously on its behalf. With the scaler
+// tenant and submit queries continuously on its behalf — the take-over is a
+// fault value, chaos.TakeOver, replayed by chaos.Run. With the scaler
 // armed at deploy (DeployOptions.Scaling), Thrifty detects the RT-TTP drop,
 // identifies the over-active tenant, provisions a dedicated MPPDB (paying
 // realistic startup + parallel-bulk-load time), and re-points the tenant —
@@ -21,6 +22,7 @@ import (
 	"time"
 
 	thrifty "repro"
+	"repro/internal/recovery/chaos"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -66,21 +68,20 @@ func main() {
 	events, cancel := sys.Telemetry().Events.Subscribe(8192)
 	defer cancel()
 
-	rep, err := sys.Replay(thrifty.ReplayOptions{
-		From:        0,
-		To:          4 * sim.Day,
-		SampleEvery: 2 * time.Hour,
-		TakeOver: &thrifty.TakeOver{
+	res, err := chaos.Run(sys.Engine, sys.Deployment, w.Catalog, w.Logs, chaos.Config{
+		Window: chaos.Window{To: 4 * sim.Day, SampleEvery: 2 * time.Hour},
+		Faults: []chaos.Fault{chaos.TakeOver{
 			Tenant:   victim,
 			Start:    sim.Day,
 			Interval: 3 * time.Second,
 			ClassID:  "TPCH-Q1",
-		},
+		}},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
 	cancel()
+	rep := res.Report
 
 	fmt.Printf("\nRT-TTP timeline of %s:\n", pick.ID)
 	for i, s := range rep.Samples[pick.ID] {

@@ -6,8 +6,9 @@
 // "point C" effect from Fig 1.1b).
 //
 // This example deploys the same tenant-group twice, with U = n₁ and with
-// U = n₁ + 4, drives it into overflow with a take-over, and compares the
-// overflow queries' outcomes.
+// U = n₁ + 4, drives it into overflow with a take-over (the chaos.TakeOver
+// fault value, replayed by chaos.Run), and compares the overflow queries'
+// outcomes.
 //
 //	go run ./examples/manual_tuning
 package main
@@ -18,6 +19,7 @@ import (
 	"time"
 
 	thrifty "repro"
+	"repro/internal/recovery/chaos"
 	"repro/internal/sim"
 )
 
@@ -49,15 +51,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		rep, err := sys.Replay(thrifty.ReplayOptions{
-			From: 0,
-			To:   3 * sim.Day,
-			TakeOver: &thrifty.TakeOver{
+		res, err := chaos.Run(sys.Engine, sys.Deployment, w.Catalog, w.Logs, chaos.Config{
+			Window: chaos.Window{To: 3 * sim.Day},
+			Faults: []chaos.Fault{chaos.TakeOver{
 				Tenant:   pick.TenantIDs[0],
 				Start:    12 * sim.Hour,
 				Interval: 3 * time.Second,
 				ClassID:  "TPCH-Q1",
-			},
+			}},
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -82,7 +83,7 @@ func main() {
 			}
 			fmt.Printf("U = n₁+%d (G₀ has %d nodes): %d bystander queries ran on G₀, "+
 				"%d missed their SLA; group attainment %.2f%%\n",
-				uextra, g.Plan.Design.U, onG0, missed, 100*rep.SLAAttainment())
+				uextra, g.Plan.Design.U, onG0, missed, 100*res.Report.SLAAttainment())
 		}
 	}
 	fmt.Println("\nWith the wider G₀, queries that overflow to a busy tuning MPPDB get")

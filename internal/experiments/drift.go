@@ -11,6 +11,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/master"
 	"repro/internal/monitor"
+	"repro/internal/recovery/chaos"
 	"repro/internal/replay"
 	"repro/internal/scaling"
 	"repro/internal/sim"
@@ -205,22 +206,21 @@ func runDrift(env *Env, cfg DriftConfig, w *driftWorld, scaler bool) (*DriftArm,
 		}
 	}
 	eng.Schedule(0, sample)
-	rep, err := replay.Run(eng, dep, env.Cat, steady, replay.Options{
-		From:        0,
-		To:          cfg.Window,
-		SampleEvery: time.Hour,
-		TakeOver: &replay.TakeOver{
+	res, err := chaos.Run(eng, dep, env.Cat, steady, chaos.Config{
+		Window: chaos.Window{To: cfg.Window, SampleEvery: time.Hour},
+		Faults: []chaos.Fault{chaos.TakeOver{
 			Tenant:   w.victim,
 			Start:    cfg.TakeOverStart,
 			Interval: 3 * time.Second,
 			ClassID:  "TPCH-Q1",
-		},
+		}},
 	})
 	if err != nil {
 		return nil, err
 	}
-	arm.Submitted = rep.Submitted + joiners.Submitted + leavers.Submitted
-	arm.SubmitErrors = rep.SubmitErrors + joiners.SubmitErrors + leavers.SubmitErrors
+	rep := res.Report
+	arm.Submitted = rep.Submitted + res.TakeOverSubmitted + joiners.Submitted + leavers.Submitted
+	arm.SubmitErrors = rep.SubmitErrors + res.TakeOverErrors + joiners.SubmitErrors + leavers.SubmitErrors
 	arm.JoinerArrivals, arm.JoinerRejected = joiners.Submitted, joiners.SubmitErrors
 	arm.Completed = len(rep.Records)
 	arm.Attainment = rep.SLAAttainment()

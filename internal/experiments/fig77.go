@@ -7,6 +7,7 @@ import (
 	"repro/internal/advisor"
 	"repro/internal/cluster"
 	"repro/internal/master"
+	"repro/internal/recovery/chaos"
 	"repro/internal/replay"
 	"repro/internal/sim"
 )
@@ -64,7 +65,7 @@ func Fig77ElasticScaling(env *Env) (*Fig77Result, error) {
 	// Continuous submission: the interval is shorter than TPCH-Q1's latency
 	// on the victim's configuration, so the tenant never goes inactive —
 	// the paper's "continuously submitted queries on behalf of that tenant".
-	takeOver := &replay.TakeOver{
+	takeOver := chaos.TakeOver{
 		Tenant:   victim,
 		Start:    sim.Time(1) * sim.Day,
 		Interval: 3 * time.Second,
@@ -72,29 +73,19 @@ func Fig77ElasticScaling(env *Env) (*Fig77Result, error) {
 	}
 	window := sim.Time(min(env.Scale.Days, 4)) * sim.Day
 
+	arm := func(scaling bool) faultArm {
+		return faultArm{cluster.NewPool(w.plan.NodesUsed() + 64),
+			master.Options{Immediate: true, ParallelLoad: true, Scaling: scaling}, takeOver}
+	}
+	arms, err := runArms(env, w, chaos.Window{To: window, SampleEvery: time.Hour}, arm(false), arm(true))
+	if err != nil {
+		return nil, err
+	}
 	type run struct {
-		name    string
-		scaling bool
-		rep     *replay.Report
+		name string
+		rep  *replay.Report
 	}
-	runs := []*run{{name: "disabled"}, {name: "enabled", scaling: true}}
-	for _, r := range runs {
-		eng, dep, err := w.deploy(cluster.NewPool(w.plan.NodesUsed()+64),
-			master.Options{Immediate: true, ParallelLoad: true, Scaling: r.scaling})
-		if err != nil {
-			return nil, err
-		}
-		rep, err := replay.Run(eng, dep, env.Cat, w.logs, replay.Options{
-			From:        0,
-			To:          window,
-			SampleEvery: time.Hour,
-			TakeOver:    takeOver,
-		})
-		if err != nil {
-			return nil, err
-		}
-		r.rep = rep
-	}
+	runs := []run{{"disabled", arms[0].Report}, {"enabled", arms[1].Report}}
 
 	res := &Fig77Result{Group: pick.ID, Members: len(pick.TenantIDs), TakeOverAt: takeOver.Start}
 

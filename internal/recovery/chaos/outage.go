@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/master"
-	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -72,7 +71,7 @@ func (o Outages) arm(r *run) (*armed, error) {
 		every:  true,
 		drain:  24 * time.Hour,
 		slack:  true,
-		inject: func(*replay.Options) { applyOutages(r.eng, r.dep, sched, r.res) },
+		inject: func() { applyOutages(r.eng, r.dep, sched, r.res) },
 	}, nil
 }
 

@@ -66,7 +66,7 @@ func (s Slowdowns) arm(r *run) (*armed, error) {
 	return &armed{
 		drain:  6 * time.Hour,
 		slack:  true,
-		inject: func(*replay.Options) { applySlowdowns(r.eng, insts, sched) },
+		inject: func() { applySlowdowns(r.eng, insts, sched) },
 		condense: func(*replay.Report) {
 			if target.Gray != nil {
 				res.GrayEvents = target.Gray.Events()

@@ -153,7 +153,7 @@ func (s Storm) arm(r *run) (*armed, error) {
 			return submit(g, a.Tenant, ref, a.Class, slackTarget(a.SLATarget), false)
 		},
 		skip: hot,
-		inject: func(*replay.Options) {
+		inject: func() {
 			for _, storm := range storms {
 				storm()
 			}

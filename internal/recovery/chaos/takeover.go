@@ -1,0 +1,84 @@
+package chaos
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/sim"
+	"repro/internal/telemetry"
+)
+
+// TakeOver reproduces the §7.5 intervention: "we manually took over a tenant
+// at time Y and continuously submitted queries to the system on behalf of
+// that tenant". The hammer runs on the tenant's group engine while every
+// group replays its logged traffic, against its logged SLO targets; the
+// drain defaults to one day.
+type TakeOver struct {
+	// Tenant to take over; it must be deployed.
+	Tenant string
+	// Start of the continuous submission.
+	Start sim.Time
+	// Interval between submissions (continuous = shorter than the query
+	// latency).
+	Interval time.Duration
+	// ClassID of the query to hammer with.
+	ClassID string
+}
+
+func (to TakeOver) arm(r *run) (*armed, error) {
+	class, ok := r.cat.ByID(to.ClassID)
+	if !ok {
+		return nil, fmt.Errorf("takeover: unknown class %q", to.ClassID)
+	}
+	g, ok := r.dep.GroupFor(to.Tenant)
+	if !ok {
+		return nil, fmt.Errorf("takeover: tenant %q not deployed", to.Tenant)
+	}
+	if to.Interval <= 0 {
+		return nil, fmt.Errorf("takeover: interval %v", to.Interval)
+	}
+	res, end := r.res, r.cfg.To
+	// The interval is a floor, not an open-loop rate: a new query is only
+	// submitted once the previous one finishes — the paper's tester
+	// "continuously submitted queries" one after another (§7.5). An open
+	// loop with an interval under the query latency would grow an unbounded
+	// queue, which no real client does, and the victim's self-inflicted
+	// slowdown would drown the group's numbers.
+	inject := func() {
+		g.Domain().Do(func(eng *sim.Engine) {
+			eng.Schedule(to.Start, func(sim.Time) {
+				if h := g.Telemetry(); h != nil {
+					h.Events.Publish(telemetry.Event{
+						Type:   telemetry.EventTakeOver,
+						Group:  g.Plan.ID,
+						Tenant: to.Tenant,
+						Detail: fmt.Sprintf("continuous %s every %v", to.ClassID, to.Interval),
+					})
+				}
+			})
+			var hammer func(now sim.Time)
+			hammer = func(now sim.Time) {
+				if now >= end {
+					return
+				}
+				if g.Router.TenantInFlight(to.Tenant) == 0 {
+					res.TakeOverSubmitted++
+					if _, err := g.Router.Submit(to.Tenant, class); err != nil {
+						res.TakeOverErrors++
+					}
+				}
+				eng.After(to.Interval, hammer)
+			}
+			eng.Schedule(to.Start, hammer)
+		})
+	}
+	return &armed{every: true, drain: 24 * time.Hour, inject: inject}, nil
+}
+
+// check holds that every take-over submission reached the router.
+func (TakeOver) check(r *Result, _ float64) error {
+	if r.TakeOverErrors != 0 {
+		return fmt.Errorf("takeover: %d of %d submissions failed", r.TakeOverErrors, r.TakeOverSubmitted)
+	}
+	return nil
+}

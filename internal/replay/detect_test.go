@@ -1,4 +1,4 @@
-package replay
+package replay_test
 
 import (
 	"fmt"
@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/recovery"
+	"repro/internal/recovery/chaos"
+	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -42,34 +44,37 @@ func TestDetectionAtPolledInstant(t *testing.T) {
 		w := newWorldOn(t, 10, 2, 3, 4, 1)
 		groups := w.dep.Groups()
 		rng := rand.New(rand.NewSource(5))
-		var fs []Failure
+		var fs []chaos.Crash
 		for i := 0; i < 6; i++ {
 			g := groups[rng.Intn(len(groups))]
 			at := sim.Hour + sim.Time(rng.Int63n(int64(19*sim.Hour)))
-			fs = append(fs, Failure{At: at, Group: g.Plan.ID, Instance: rng.Intn(len(g.Instances))})
+			fs = append(fs, chaos.Crash{At: at, Group: g.Plan.ID, Instance: rng.Intn(len(g.Instances))})
 		}
 		// On a beat instant, then a repeat crash while the first reloads.
-		fs = append(fs, Failure{At: 5*sim.Hour + 30*sim.Second, Group: groups[0].Plan.ID, Instance: 0})
+		fs = append(fs, chaos.Crash{At: 5*sim.Hour + 30*sim.Second, Group: groups[0].Plan.ID, Instance: 0})
 		big := groups[len(groups)-1]
 		if n := big.Instances[0].Nodes(); n < 3 {
 			t.Fatalf("%s has %d nodes, a repeat crash needs 3", big.Instances[0].ID(), n)
 		}
 		first := 9*sim.Hour + 17*sim.Second + 3*sim.Millisecond
-		fs = append(fs, Failure{At: first, Group: big.Plan.ID, Instance: 0},
-			Failure{At: first.Add(10*time.Minute + 1500*time.Millisecond), Group: big.Plan.ID, Instance: 0})
-		rep, err := Run(w.eng, w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day, Failures: fs, DrainSlack: 72 * time.Hour})
-		if err != nil {
-			t.Fatal(err)
+		fs = append(fs, chaos.Crash{At: first, Group: big.Plan.ID, Instance: 0},
+			chaos.Crash{At: first.Add(10*time.Minute + 1500*time.Millisecond), Group: big.Plan.ID, Instance: 0})
+		res := faultRun(t, w, chaos.Window{To: sim.Day, DrainSlack: 72 * time.Hour}, chaos.Crashes{Schedule: fs})
+		rep := res.Report
+		if res.Applied != len(fs) {
+			t.Errorf("%d of %d crashes applied", res.Applied, len(fs))
 		}
 		want := map[string][]sim.Time{}
-		for _, f := range rep.FailureEvents {
-			if f.Err != "" || f.RepairedAt == 0 {
-				t.Errorf("failure %+v not applied and repaired", f)
-			}
-			want[f.MPPDB] = append(want[f.MPPDB], gridCeil(f.At))
+		for _, f := range fs {
+			g, _ := w.dep.Plane().GroupByID(f.Group)
+			db := g.Instances[f.Instance].ID()
+			want[db] = append(want[db], gridCeil(f.At))
 		}
 		got := map[string][]sim.Time{}
 		for _, ev := range rep.RecoveryEvents {
+			if !ev.Recovered() {
+				t.Errorf("%s (detected %v) never recovered", ev.MPPDB, ev.Detected)
+			}
 			got[ev.MPPDB] = append(got[ev.MPPDB], ev.Detected)
 		}
 		for db, ts := range want {
@@ -120,11 +125,8 @@ func TestDetectionAtPolledInstant(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		rep, err := Run(w.eng, w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day,
-			Failures: []Failure{{At: crash, Group: g.Plan.ID, Instance: 0}}, DrainSlack: 72 * time.Hour})
-		if err != nil {
-			t.Fatal(err)
-		}
+		rep := faultRun(t, w, chaos.Window{To: sim.Day, DrainSlack: 72 * time.Hour},
+			chaos.Crashes{Schedule: []chaos.Crash{{At: crash, Group: g.Plan.ID, Instance: 0}}}).Report
 		for _, ev := range rep.RecoveryEvents {
 			if want := gridCeil(crash); ev.Detected != want && ev.Detected != gridCeil(kill) {
 				t.Errorf("%s detected at %v, want %v or %v", ev.MPPDB, ev.Detected, want, gridCeil(kill))
@@ -159,7 +161,7 @@ func TestDetectionAtPolledInstant(t *testing.T) {
 		w := newWorld(t, 10, 2, 3)
 		windows := 0
 		w.dep.Plane().Domains().Gate().OnFlush(func() { windows++ })
-		rep, err := Run(w.eng, w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day})
+		rep, err := replay.Run(w.eng, w.dep, w.cat, w.logs, replay.Options{From: 0, To: sim.Day})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -197,7 +199,7 @@ func TestFailNodeGuarded(t *testing.T) {
 			g.Recovery.Detect()
 		})
 	})
-	if _, err := Run(w.eng, w.dep, w.cat, w.logs, Options{From: 0, To: sim.Day}); err != nil {
+	if _, err := replay.Run(w.eng, w.dep, w.cat, w.logs, replay.Options{From: 0, To: sim.Day}); err != nil {
 		t.Fatal(err)
 	}
 	if msg, _ := plain.(string); msg != "sim: an instance's failed nodes written by a plain event inside a Drive window" {

@@ -1,5 +1,5 @@
 //go:build !race
 
-package replay
+package replay_test
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package replay
+package replay_test
 
 // raceEnabled reports that the race detector is on; its instrumentation
 // allocates, so allocation counts mean nothing under it.

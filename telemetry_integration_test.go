@@ -11,14 +11,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/recovery/chaos"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
 
 // replayOnce deploys the small workload and replays one day with scaling
-// armed, returning the system and its report. Identical inputs every call —
-// the determinism tests diff two of these runs.
-func replayOnce(t *testing.T) (*System, *ReplayReport) {
+// armed under a take-over, returning the system and the run's result.
+// Identical inputs every call — the determinism tests diff two of these runs.
+func replayOnce(t *testing.T) (*System, *chaos.Result) {
 	t.Helper()
 	w := smallWorkload(t)
 	plan, err := PlanDeployment(w, DefaultPlanConfig())
@@ -30,21 +31,19 @@ func replayOnce(t *testing.T) (*System, *ReplayReport) {
 		t.Fatal(err)
 	}
 	victim := plan.Groups[0].TenantIDs[0]
-	rep, err := sys.Replay(ReplayOptions{
-		From:        0,
-		To:          sim.Day,
-		SampleEvery: 2 * time.Hour,
-		TakeOver: &TakeOver{
+	res, err := chaos.Run(sys.Engine, sys.Deployment, w.Catalog, w.Logs, chaos.Config{
+		Window: chaos.Window{To: sim.Day, SampleEvery: 2 * time.Hour},
+		Faults: []chaos.Fault{chaos.TakeOver{
 			Tenant:   victim,
 			Start:    6 * sim.Hour,
 			Interval: 3 * time.Second,
 			ClassID:  "TPCH-Q1",
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return sys, rep
+	return sys, res
 }
 
 // TestTelemetryDeterminism runs the same seeded simulation twice and demands
@@ -79,7 +78,8 @@ func TestTelemetryDeterminism(t *testing.T) {
 // report's own per-record accounting on the same log (ISSUE acceptance
 // criterion): same per-tenant met/missed tallies, same overall attainment.
 func TestSLOMatchesReplayAccounting(t *testing.T) {
-	sys, rep := replayOnce(t)
+	sys, res := replayOnce(t)
+	rep := res.Report
 	h, err := sys.Handler(ServeOptions{TimeScale: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestSLOMatchesReplayAccounting(t *testing.T) {
 // TestTelemetryEndToEnd sanity-checks the whole wiring: counters move, the
 // event stream saw the take-over and the scaler, and spans cover queries.
 func TestTelemetryEndToEnd(t *testing.T) {
-	sys, rep := replayOnce(t)
+	sys, res := replayOnce(t)
 	hub := sys.Telemetry()
 
 	var routed int64
@@ -157,7 +157,8 @@ func TestTelemetryEndToEnd(t *testing.T) {
 			routed += int64(mv.Value)
 		}
 	}
-	if want := int64(rep.Submitted - rep.SubmitErrors); routed != want {
+	rep := res.Report
+	if want := int64(rep.Submitted - rep.SubmitErrors + res.TakeOverSubmitted - res.TakeOverErrors); routed != want {
 		t.Errorf("routed counter %d, want %d", routed, want)
 	}
 

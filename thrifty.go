@@ -161,9 +161,11 @@ func Reconsolidate(w *Workload, prev *Plan, cfg PlanConfig, flaggedGroups []stri
 // System is a deployed MPPDBaaS: the coordinator engine, node pool, and live
 // deployment. Every tenant-group runs on a clock domain of its own; Engine
 // is the coordinator Replay drives beside them, for cross-group work a
-// caller schedules before Replay — perturbations, or traffic of its own
+// caller schedules before Replay, such as traffic of its own
 // (replay.Attach). Its events fire after the groups' at equal instants, with
-// no group running, so they may act on any group and the pool.
+// no group running, so they may act on any group and the pool. Replay
+// injects no fault: a run under crashes, a take-over or any other fault is
+// internal/recovery/chaos's Run over the same Engine and Deployment.
 type System struct {
 	Engine     *sim.Engine
 	Pool       *cluster.Pool
@@ -175,8 +177,8 @@ type System struct {
 // DeployOptions re-exports the Deployment Master's options: the pool shape
 // (SpareNodes, Domains), provisioning (Immediate, ParallelLoad) and the
 // opt-in subsystems (Admission, Gray, Scaling, NoSpread), each off — and
-// replay byte-identical — at its zero value. Every deployment arms §4.4 recovery,
-// which schedules nothing until a node fails.
+// replay byte-identical — at its zero value. Every deployment arms §4.4
+// recovery, which schedules nothing until a fault fails a node.
 type DeployOptions = master.Options
 
 // Deploy brings the plan up on a fresh simulated cluster. An Admission config
@@ -198,14 +200,6 @@ func Deploy(w *Workload, plan *Plan, opts DeployOptions) (*System, error) {
 
 // ReplayOptions re-exports the replay options.
 type ReplayOptions = replay.Options
-
-// TakeOver re-exports the §7.5 take-over injection spec.
-type TakeOver = replay.TakeOver
-
-// Failure re-exports the node-failure injection spec. Injected failures
-// only break a node and schedule its detection; detection and repair run
-// autonomously through the group's §4.4 recovery controller.
-type Failure = replay.Failure
 
 // ReplayReport re-exports the replay report.
 type ReplayReport = replay.Report

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/recovery/chaos"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 	"repro/internal/workload"
@@ -77,10 +78,10 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 }
 
-// TestShardedReplayTakeOverAndFailures: a take-over and a node failure in
-// different groups each land on their own group's engine, the failure is
-// repaired autonomously, an unknown group surfaces as an event error, and
-// the records come out in deployment group order.
+// TestShardedReplayTakeOverAndFailures: a take-over and a node crash in
+// different groups each land on their own group's engine beside an
+// unchanged replay, the crash is repaired autonomously, and the records
+// come out in deployment group order.
 func TestShardedReplayTakeOverAndFailures(t *testing.T) {
 	w := smallWorkload(t)
 	cfg := DefaultPlanConfig()
@@ -105,24 +106,23 @@ func TestShardedReplayTakeOverAndFailures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := sys.Replay(ReplayOptions{
-		From:     0,
-		To:       6 * sim.Hour,
-		TakeOver: &TakeOver{Tenant: victim, Start: sim.Hour, Interval: 3 * time.Second, ClassID: "TPCH-Q1"},
-		Failures: []Failure{
-			{At: 2 * sim.Hour, Group: plan.Groups[1].ID, Instance: 0},
-			{At: 2 * sim.Hour, Group: "TG-NOPE", Instance: 0},
+	res, err := chaos.Run(sys.Engine, sys.Deployment, w.Catalog, w.Logs, chaos.Config{
+		Window: chaos.Window{To: 6 * sim.Hour, DrainSlack: 3 * 24 * time.Hour},
+		Faults: []chaos.Fault{
+			chaos.TakeOver{Tenant: victim, Start: sim.Hour, Interval: 3 * time.Second, ClassID: "TPCH-Q1"},
+			chaos.Crashes{Schedule: []chaos.Crash{{At: 2 * sim.Hour, Group: plan.Groups[1].ID, Instance: 0}}},
 		},
-		DrainSlack: 3 * 24 * time.Hour,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Submitted <= quiet.Submitted {
-		t.Errorf("take-over submitted nothing: %d queries with it, %d without", rep.Submitted, quiet.Submitted)
+	rep := res.Report
+	if rep.Submitted != quiet.Submitted || res.TakeOverSubmitted == 0 {
+		t.Errorf("%d replayed queries (%d without faults), %d take-over submissions",
+			rep.Submitted, quiet.Submitted, res.TakeOverSubmitted)
 	}
-	if rep.SubmitErrors != 0 || len(rep.Records) != rep.Submitted {
-		t.Errorf("%d submitted, %d errors, %d completed", rep.Submitted, rep.SubmitErrors, len(rep.Records))
+	if n := rep.Submitted + res.TakeOverSubmitted; rep.SubmitErrors+res.TakeOverErrors != 0 || len(rep.Records) != n {
+		t.Errorf("%d submitted, %d errors, %d completed", n, rep.SubmitErrors+res.TakeOverErrors, len(rep.Records))
 	}
 	group := map[string]int{}
 	for gi, g := range plan.Groups {
@@ -144,15 +144,10 @@ func TestShardedReplayTakeOverAndFailures(t *testing.T) {
 	if takeOvers != 1 {
 		t.Errorf("%d take-over events, want 1", takeOvers)
 	}
-	ok, bad := rep.FailureEvents[0], rep.FailureEvents[1]
-	if ok.Err != "" || ok.RepairedAt <= ok.At {
-		t.Errorf("failure not injected and repaired: %+v", ok)
-	}
-	if bad.Err == "" {
-		t.Error("unknown group did not surface an error")
-	}
-	if len(rep.RecoveryEvents) != 1 {
-		t.Errorf("%d recovery lifecycles, want 1", len(rep.RecoveryEvents))
+	if evs := rep.RecoveryEvents; res.Applied != 1 || len(evs) != 1 || !evs[0].Recovered() ||
+		evs[0].MPPDB != sys.Deployment.Groups()[1].Instances[0].ID() || evs[0].Detected < 2*sim.Hour {
+		t.Errorf("%d crashes applied, recovery lifecycles %+v, want one recovered on %s's G₀",
+			res.Applied, evs, plan.Groups[1].ID)
 	}
 }
 
