@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet build test race loc fault-smoke grouping-smoke bench-smoke drift-smoke service-smoke fuzz-smoke bench-compare
+.PHONY: check fmt vet build test race loc fault-smoke grouping-smoke bench-smoke service-smoke fuzz-smoke bench-compare
 
 # The full pre-commit gate: formatting and static checks, build, the
 # race-enabled suite (which holds every test the *-smoke targets below pick
@@ -103,13 +103,6 @@ bench-smoke:
 	$(GO) test -bench 'BenchmarkReplay/(bare|admission|default|gray)$$' -cpu 1,2 -benchtime=1x -run '^$$' .
 	$(GO) test -bench 'BenchmarkGenerateWorkload' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/workload
 	$(GO) test -bench 'BenchmarkPlanCycle' -cpu 1,2 -benchtime=1x -run '^$$' .
-
-# Bounded tenant-mover smoke with the race detector on: a seeded drift run
-# against the paper's loop (churn waiting for the next cycle, the victim's
-# activity shift answered by the §5.1 scaler, no dropped queries) plus the
-# same-seed byte-determinism guard over the telemetry dumps, pinned.
-drift-smoke:
-	$(GO) test -race -short -run 'TestDriftSmoke|TestDriftDeterminism' -count=1 ./internal/experiments
 
 # Batched-submit smoke with the race detector on: per-item error
 # partitioning over /v1/submit-batch (a 429/503/504 never drops a healthy

@@ -69,7 +69,6 @@ var all = []experiment{
 	{"grayfail", experiments.GrayFail, true},
 	{"domainfail", experiments.DomainFail, true},
 	{"overload", experiments.OverloadStorm, true},
-	{"drift", experiments.Drift, true},
 	{"ablation", table1(experiments.AblationSolvers), true},
 	{"divergent", table1(experiments.DivergentDesign), true},
 	{"headline", func(env *experiments.Env) ([]*experiments.Table, error) {

@@ -275,13 +275,7 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	for _, a := range arms {
 		a.inject()
 	}
-	// An every-group replay keeps the caller's log order, which breaks ties
-	// between simultaneous arrivals; replay.Run skips undeployed tenants.
-	replayed := logs
-	if len(scope) < len(groups) || len(skip) > 0 {
-		replayed = memberLogs(scope, logs, skip)
-	}
-	rep, err := replay.Run(eng, dep, cat, replayed, opts)
+	rep, err := replay.Run(eng, dep, cat, memberLogs(scope, logs, skip), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -352,23 +346,17 @@ func largest(groups []*master.DeployedGroup) *master.DeployedGroup {
 	return slices.MaxFunc(groups, func(a, b *master.DeployedGroup) int { return cmp.Compare(len(a.Members), len(b.Members)) })
 }
 
-// memberLogs returns the logs of the groups' members but the skipped, in
-// group then member order — the order that breaks ties between simultaneous
-// arrivals.
+// memberLogs returns the logs of the groups' members but the skipped, in the
+// caller's order — the order that breaks ties between simultaneous arrivals,
+// whatever the scope.
 func memberLogs(groups []*master.DeployedGroup, logs []*workload.TenantLog, skip map[string]bool) []*workload.TenantLog {
-	byID := make(map[string]*workload.TenantLog, len(logs))
-	for _, tl := range logs {
-		byID[tl.Tenant.ID] = tl
-	}
-	var out []*workload.TenantLog
+	member := make(map[string]bool)
 	for _, g := range groups {
 		for _, tn := range g.Members {
-			if tl := byID[tn.ID]; tl != nil && !skip[tn.ID] {
-				out = append(out, tl)
-			}
+			member[tn.ID] = !skip[tn.ID]
 		}
 	}
-	return out
+	return slices.DeleteFunc(slices.Clone(logs), func(tl *workload.TenantLog) bool { return !member[tl.Tenant.ID] })
 }
 
 // attainment condenses the hub's per-tenant SLA tallies over the groups'

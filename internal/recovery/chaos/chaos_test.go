@@ -11,6 +11,7 @@ import (
 	"repro/internal/advisor"
 	"repro/internal/cluster"
 	"repro/internal/master"
+	"repro/internal/monitor"
 	"repro/internal/queries"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -178,6 +179,40 @@ func TestChaosScheduleDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("schedules diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// TestScopeKeepsCallerOrder replays the same world under a fault scoped to
+// the largest group (an empty slowdown schedule) and under one scoped to
+// every group (an empty crash schedule): either way the replay takes the
+// caller's logs in the caller's order, which breaks ties between
+// simultaneous arrivals, so the largest group's record log is the same.
+// Only the slowdowns slack the SLO targets, so those are zeroed.
+func TestScopeKeepsCallerOrder(t *testing.T) {
+	win := Window{To: sim.Day, DrainSlack: 24 * time.Hour}
+	largestRecords := func(f Fault) []monitor.QueryRecord {
+		w := newWorld(t, 60, 2, 3, 2)
+		res, err := Run(w.eng, w.dep, w.cat, w.logs, Config{Seed: 1, Window: win, Faults: []Fault{f}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _ := w.dep.Plane().GroupByID(res.Group)
+		var out []monitor.QueryRecord
+		for _, rec := range res.Report.Records {
+			if g.Router.HasTenant(rec.Tenant) {
+				rec.SLATarget = 0
+				out = append(out, rec)
+			}
+		}
+		return out
+	}
+	scoped := largestRecords(Slowdowns{Schedule: []Slowdown{}})
+	every := largestRecords(Crashes{Schedule: []Crash{}})
+	if len(scoped) == 0 {
+		t.Fatal("the largest group completed no query")
+	}
+	if !slices.Equal(scoped, every) {
+		t.Errorf("the largest group's records differ by scope: %d records scoped, %d under every group", len(scoped), len(every))
 	}
 }
 

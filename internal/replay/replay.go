@@ -90,17 +90,6 @@ func (r *Report) SLAAttainment() float64 {
 	return float64(met) / float64(len(r.Records))
 }
 
-// WorstRTTTP returns the lowest RT-TTP sampled in any group.
-func (r *Report) WorstRTTTP() float64 {
-	min := 1.0
-	for group := range r.Samples {
-		if m := r.MinRTTTP(group); m < min {
-			min = m
-		}
-	}
-	return min
-}
-
 // MinRTTTP returns the lowest sampled RT-TTP of the group.
 func (r *Report) MinRTTTP(group string) float64 {
 	min := 1.0
@@ -126,61 +115,23 @@ func route(a workload.Arrival, g *master.DeployedGroup, ref tenant.Ref) error {
 	return err
 }
 
-// resolved is one log's tenant as the plane indexes it; g is nil for a
-// tenant the plane does not hold.
-type resolved struct {
-	g   *master.DeployedGroup
-	ref tenant.Ref
-}
-
-// Attach streams the logs' query events in [from, to) into the engine, each
-// resolved to its tenant's group and submitted through submit (nil: the
-// group's router) at its logged time, counting into tally; a tenant the plane
-// does not index counts as a submit error. It is the one arrival loop of the
-// tree: Run attaches each group's share of the replayed population to the
-// group's engine through it, and a caller with traffic on a window of its own
-// (the drift experiment's joiners and leavers) attaches that to the
-// coordinator engine before calling Run.
-//
-// The plane does not change once deployed, so each log's tenant is resolved
-// once, here, before any arrival is driven.
-func Attach(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog, logs []*workload.TenantLog,
-	from, to sim.Time, submit SubmitFunc, tally *Counts) error {
-	arrivals, err := workload.NewStream(cat, logs, from, to)
-	if err != nil {
-		return fmt.Errorf("replay: %w", err)
-	}
-	if submit == nil {
-		submit = route
-	}
-	routes := make([]resolved, len(logs))
-	for i, tl := range logs {
-		routes[i].g, routes[i].ref, _ = dep.Plane().ForTenantRef(tl.Tenant.ID)
-	}
-	arrivals.Drive(eng, func(a workload.Arrival) {
-		tally.Submitted++
-		r := &routes[a.Log]
-		if r.g == nil || submit(a, r.g, r.ref) != nil {
-			tally.SubmitErrors++
-		}
-	})
-	return nil
-}
-
 // Run replays the logs' query events in [From, To) against the deployment and
-// runs it to the end of the window plus the drain. Tenants in the logs that
-// are not deployed (e.g. excluded ones) are skipped.
+// runs it to the end of the window plus the drain: each arrival is submitted
+// through Options.Submit (nil: its group's router) at its logged time.
+// Tenants in the logs that are not deployed (e.g. excluded ones) are
+// skipped; a group's logs keep their order in logs, which breaks ties
+// between its simultaneous arrivals.
 //
 // Each tenant-group's share of the replay — its arrivals and sampler — is
 // scheduled on the group's own engine. eng is the coordinator (nil: none):
 // it carries the cross-group work the caller scheduled on it beforehand,
-// such as a storm's perturbations or the caller's own traffic; a caller's
-// work on one group (a crash, a take-over) goes on that group's engine
-// beforehand. sim.Domains.Drive then runs every engine, the groups' on
-// GOMAXPROCS goroutines between barriers: events fire by time, then
-// deployment group order, the coordinator's after the groups' at equal
-// instants, so a replay is byte-identical per seed at any width. Records
-// come back in deployment group order, each group's in completion order.
+// such as a storm's perturbations; a caller's work on one group (a crash, a
+// take-over) goes on that group's engine beforehand. sim.Domains.Drive then
+// runs every engine, the groups' on GOMAXPROCS goroutines between barriers:
+// events fire by time, then deployment group order, the coordinator's after
+// the groups' at equal instants, so a replay is byte-identical per seed at
+// any width. Records come back in deployment group order, each group's in
+// completion order.
 func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	logs []*workload.TenantLog, opts Options) (*Report, error) {
 	if opts.To <= opts.From {
@@ -202,7 +153,7 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	parts := make([]*part, len(groups))
 	for i, g := range groups {
 		var err error
-		g.Domain().Do(func(eng *sim.Engine) { parts[i], err = schedule(eng, dep, cat, mine[g], g, opts) })
+		g.Domain().Do(func(eng *sim.Engine) { parts[i], err = schedule(eng, cat, mine[g], g, opts) })
 		if err != nil {
 			return nil, err
 		}
@@ -234,15 +185,32 @@ type part struct {
 // schedule puts g's share of the replay on eng, g's engine — the arrivals of
 // logs (g's members) and the sampler — for the caller to run through the
 // window and the drain.
-func schedule(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog, logs []*workload.TenantLog,
+func schedule(eng *sim.Engine, cat *queries.Catalog, logs []*workload.TenantLog,
 	g *master.DeployedGroup, opts Options) (*part, error) {
 	if eng.Now() > opts.From {
 		return nil, fmt.Errorf("replay: group %s already at %v, window starts %v", g.Plan.ID, eng.Now(), opts.From)
 	}
-	p := &part{group: g}
-	if err := Attach(eng, dep, cat, logs, opts.From, opts.To, opts.Submit, &p.Counts); err != nil {
-		return nil, err
+	arrivals, err := workload.NewStream(cat, logs, opts.From, opts.To)
+	if err != nil {
+		return nil, fmt.Errorf("replay: %w", err)
 	}
+	submit := opts.Submit
+	if submit == nil {
+		submit = route
+	}
+	// Every log is one of g's members, and the plane does not change once
+	// deployed, so each log's ref is resolved once, before any arrival.
+	refs := make([]tenant.Ref, len(logs))
+	for i, tl := range logs {
+		refs[i] = g.Router.Ref(tl.Tenant.ID)
+	}
+	p := &part{group: g}
+	arrivals.Drive(eng, func(a workload.Arrival) {
+		p.Submitted++
+		if submit(a, g, refs[a.Log]) != nil {
+			p.SubmitErrors++
+		}
+	})
 
 	// Statistics sampling. Each sample also lands on the telemetry RT-TTP
 	// gauge, so a /metrics scrape sees the timeline the report sees.

@@ -160,12 +160,12 @@ func Reconsolidate(w *Workload, prev *Plan, cfg PlanConfig, flaggedGroups []stri
 
 // System is a deployed MPPDBaaS: the coordinator engine, node pool, and live
 // deployment. Every tenant-group runs on a clock domain of its own; Engine
-// is the coordinator Replay drives beside them, for cross-group work a
-// caller schedules before Replay, such as traffic of its own
-// (replay.Attach). Its events fire after the groups' at equal instants, with
-// no group running, so they may act on any group and the pool. Replay
-// injects no fault: a run under crashes, a take-over or any other fault is
-// internal/recovery/chaos's Run over the same Engine and Deployment.
+// is the coordinator a replay drives beside them, for cross-group work
+// scheduled before the replay, such as a storm's perturbations. Its events
+// fire after the groups' at equal instants, with no group running, so they
+// may act on any group and the pool. Replay injects no fault: a run under
+// crashes, a take-over or any other fault is internal/recovery/chaos's Run
+// over the same Engine and Deployment.
 type System struct {
 	Engine     *sim.Engine
 	Pool       *cluster.Pool

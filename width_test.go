@@ -3,25 +3,25 @@ package thrifty
 import (
 	"runtime"
 	"testing"
-
-	"repro/internal/experiments"
 )
 
 // Fingerprints pinned for TestDriveWidthInvariant, captured on the
-// one-goroutine replay driver: overloadDump's trace and event sums, and the
-// drift scenario's telemetry hash per arm (the paper arm's is
-// internal/experiments' goldenDriftTelemetry).
+// one-goroutine replay driver: overloadDump's trace and event sums. They
+// were re-taken once when the storm's replay took the caller's log order
+// instead of its group-then-member order (f127662c… / 27afdebd… before): the
+// same 3,073 records by (tenant, class, submit), the same storm tallies
+// (2,652 replayed, 2,000 storm submits, 1,579 throttled, 421 admitted) and
+// MinCompliantAttainment 0.99471830985915488, with 444 records served on
+// another instance, since arrivals at one instant route in the new order.
 const (
-	goldenOverloadTraceSum = "f127662c485cefdb7336bab03d53d8e9efa4badc900ea68c6ce644a9718df11d"
-	goldenOverloadEventSum = "27afdebd2e067ea1946c2ed074856d804f14d6c9fe0b524059ad6490c6b97efb"
-	goldenDriftPaperHash   = "b282ce2739195adb370f63e0b4fc54acadfc66c112dff78296c62decdf9d69bc"
-	goldenDriftStaticHash  = "82fc559e8fd2060861f6996858f2b671d5bad8cde655e2385dea3feea34823f1"
+	goldenOverloadTraceSum = "a55f736c61bce688c63b15fe8b0b41244d2859f6f46a24e97761496bc6d21d87"
+	goldenOverloadEventSum = "c62928ac906a6224630be2e97cb925629912d3bce783043b61ea3237222cc061"
 )
 
 // TestDriveWidthInvariant replays the canonical golden run (scaling and a
-// take-over), the seeded overload storm and the drift scenario at
-// GOMAXPROCS 1, 2 and 4: sim.Domains.Drive runs the groups' engines that
-// wide, and every telemetry dump must still hash to its pinned sum.
+// take-over) and the seeded overload storm at GOMAXPROCS 1, 2 and 4:
+// sim.Domains.Drive runs the groups' engines that wide, and every telemetry
+// dump must still hash to its pinned sum.
 func TestDriveWidthInvariant(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, width := range []int{1, 2, 4} {
@@ -31,18 +31,6 @@ func TestDriveWidthInvariant(t *testing.T) {
 		}
 		if ts, es := overloadDump(t); ts != goldenOverloadTraceSum || es != goldenOverloadEventSum {
 			t.Errorf("GOMAXPROCS=%d: overload storm dumps hash to %s / %s", width, ts, es)
-		}
-		env, err := experiments.NewEnv(experiments.Scale{Name: "tiny", Tenants: 120, TenantSweep: []int{60, 120},
-			Days: 7, SessionsPerClass: 4, Sizes: []int{2, 4, 8}, EpochSweep: []float64{10, 600}, ReplayGroups: 2}, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := experiments.DriftOutcome(env, experiments.DefaultDriftConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Paper.Hash != goldenDriftPaperHash || res.Static.Hash != goldenDriftStaticHash {
-			t.Errorf("GOMAXPROCS=%d: drift telemetry hashes to %s (paper) / %s (static)", width, res.Paper.Hash, res.Static.Hash)
 		}
 	}
 }
