@@ -41,7 +41,9 @@ race:
 # `make check`.
 KNOBS = master/master.go:Options scaling/scaling.go:Config recovery/gray.go:GrayConfig \
 	admission/admission.go:Config replay/replay.go:Options service/service.go:Config \
-	recovery/chaos/chaos.go:Window
+	recovery/chaos/chaos.go:Window advisor/advisor.go:Config recovery/chaos/crashes.go:Crashes \
+	recovery/chaos/slowdown.go:Slowdowns recovery/chaos/outage.go:Outages \
+	recovery/chaos/storm.go:Storm recovery/chaos/takeover.go:TakeOver
 loc:
 	@find . -name '*.go' ! -name '*_test.go' | xargs wc -l | \
 		awk '$$2 == "total" { next } { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \

@@ -74,7 +74,6 @@ func main() {
 			Tenant:   victim,
 			Start:    sim.Day,
 			Interval: 3 * time.Second,
-			ClassID:  "TPCH-Q1",
 		}},
 	})
 	if err != nil {

@@ -57,7 +57,6 @@ func main() {
 				Tenant:   pick.TenantIDs[0],
 				Start:    12 * sim.Hour,
 				Interval: 3 * time.Second,
-				ClassID:  "TPCH-Q1",
 			}},
 		})
 		if err != nil {

@@ -84,21 +84,21 @@ type Config struct {
 	// absent from the map is unlimited (counted, never throttled). Derive
 	// from the advisor's workload model with ContractsFromLogs.
 	Contracts map[string]Contract
-	// MaxQueue bounds how many submits may wait in the group's admission
-	// queue for a retry slot (default 32).
-	MaxQueue int
 	// TickInterval is the brownout controller's evaluation cadence on the
 	// group's virtual clock (default 30 s).
 	TickInterval time.Duration
-	// StrikeLimit is how many consecutive rejections a tenant may accrue
-	// before the policer turns punitive regardless of brownout level: each
-	// further attempt restarts its refill from zero, locking an open-loop
-	// flooder out until it actually backs off. A client that honors
-	// Retry-After never accumulates strikes (default 8).
-	StrikeLimit int
 }
 
 const (
+	// maxQueue bounds how many submits may wait in the group's admission
+	// queue for a retry slot.
+	maxQueue = 32
+	// strikeLimit is how many consecutive rejections a tenant may accrue
+	// before the policer turns punitive regardless of brownout level: each
+	// further attempt restarts its refill from zero, locking an open-loop
+	// flooder out until it actually backs off. A client that honors
+	// Retry-After never accumulates strikes.
+	strikeLimit = 8
 	// deadlineFactor sheds a queued query whose projected start delay exceeds
 	// (deadlineFactor-1) x its SLA target: a query that would wait more than
 	// a quarter of its target before starting is shed at once instead of
@@ -110,24 +110,14 @@ const (
 	hotFraction = 0.5
 )
 
-// DefaultConfig returns the production defaults described above.
+// DefaultConfig returns a 30 s brownout cadence and no contracts.
 func DefaultConfig() Config {
-	return Config{
-		MaxQueue:     32,
-		TickInterval: 30 * time.Second,
-		StrikeLimit:  8,
-	}
+	return Config{TickInterval: 30 * time.Second}
 }
 
 func (c *Config) normalize() {
-	if c.MaxQueue <= 0 {
-		c.MaxQueue = 32
-	}
 	if c.TickInterval <= 0 {
 		c.TickInterval = 30 * time.Second
-	}
-	if c.StrikeLimit <= 0 {
-		c.StrikeLimit = 8
 	}
 }
 
@@ -420,9 +410,9 @@ func (c *Controller) admit(ts *tenantState, tenant string, sla sim.Time, bestEff
 		ts.strikes = 0
 	} else {
 		ts.strikes++
-		if level >= LevelThrottleHot || ts.strikes >= c.cfg.StrikeLimit {
+		if level >= LevelThrottleHot || ts.strikes >= strikeLimit {
 			// Punitive policing: a tenant that keeps submitting while
-			// rejected — brownout in effect, or StrikeLimit consecutive
+			// rejected — brownout in effect, or strikeLimit consecutive
 			// denials with Retry-After ignored — restarts its refill from
 			// zero, so only actually backing off readmits it.
 			ts.bucket.punish()
@@ -475,10 +465,10 @@ func (c *Controller) EnterQueue(tenant string, sla, delay sim.Time) error {
 			}
 		}
 	}
-	if int(c.waiting.Load()) >= c.cfg.MaxQueue {
+	if int(c.waiting.Load()) >= maxQueue {
 		c.shedTenant(tenant)
 		c.countShed(tenant, ShedQueueFull,
-			fmt.Sprintf("admission queue at capacity %d", c.cfg.MaxQueue))
+			fmt.Sprintf("admission queue at capacity %d", maxQueue))
 		return &ShedError{
 			Group: c.group, Tenant: tenant, Reason: ShedQueueFull,
 			RetryAfter: delay,

@@ -152,7 +152,6 @@ func TestAdmitStrikePolicing(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.Contracts = map[string]Contract{"A": {Rate: 1, Burst: 4}}
-	cfg.StrikeLimit = 3
 	c, _ := testController(t, eng, 2, cfg)
 
 	for i := 0; i < 4; i++ {
@@ -160,13 +159,14 @@ func TestAdmitStrikePolicing(t *testing.T) {
 			t.Fatalf("burst admit %d: %v", i, err)
 		}
 	}
-	// An open loop at 5 q/s against a 1 q/s contract: without the punitive
+	// An open loop at 10 q/s against a 1 q/s contract: without the punitive
 	// policer the bucket would still admit one query per second sustained;
-	// with it, the flooder accrues StrikeLimit consecutive denials and then
-	// every further attempt restarts its refill from zero.
+	// with it, the flooder accrues strikeLimit consecutive denials within
+	// its first second and then every further attempt restarts its refill
+	// from zero.
 	admitted := 0
-	for i := 0; i < 50; i++ {
-		eng.Run(eng.Now().Add(200 * time.Millisecond))
+	for i := 0; i < 100; i++ {
+		eng.Run(eng.Now().Add(100 * time.Millisecond))
 		if c.Admit("A", 0, false) == nil {
 			admitted++
 		}
@@ -270,9 +270,7 @@ func TestBrownoutTransitions(t *testing.T) {
 
 func TestQueueBounds(t *testing.T) {
 	eng := sim.NewEngine()
-	cfg := DefaultConfig()
-	cfg.MaxQueue = 2
-	c, _ := testController(t, eng, 2, cfg)
+	c, _ := testController(t, eng, 2, DefaultConfig())
 
 	// A delay that alone blows the SLA deadline sheds immediately: slack is
 	// (deadlineFactor-1) x SLA = 25 s here.
@@ -282,21 +280,21 @@ func TestQueueBounds(t *testing.T) {
 		t.Fatalf("want deadline shed, got %v", err)
 	}
 
-	if err := c.EnterQueue("A", 0, sim.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.EnterQueue("B", 0, sim.Second); err != nil {
-		t.Fatal(err)
+	for i := 0; i < maxQueue; i++ {
+		if err := c.EnterQueue([]string{"A", "B"}[i%2], 0, sim.Second); err != nil {
+			t.Fatal(err)
+		}
 	}
 	err = c.EnterQueue("A", 0, sim.Second)
 	if !errors.As(err, &se) || se.Reason != ShedQueueFull {
 		t.Fatalf("want queue-full shed, got %v", err)
 	}
-	if c.QueueDepth() != 2 {
+	if c.QueueDepth() != maxQueue {
 		t.Fatalf("queue depth %d", c.QueueDepth())
 	}
-	c.LeaveQueue()
-	c.LeaveQueue()
+	for i := 0; i < maxQueue; i++ {
+		c.LeaveQueue()
+	}
 	if c.QueueDepth() != 0 {
 		t.Fatalf("queue depth after leave %d", c.QueueDepth())
 	}

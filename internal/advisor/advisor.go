@@ -42,39 +42,32 @@ type Config struct {
 	Epoch sim.Time
 	// Algorithm selects the solver (default TwoStep).
 	Algorithm Algorithm
-	// MaxActiveRatio excludes always-active tenants: a tenant active more
-	// than this fraction of the horizon is served on dedicated nodes.
-	MaxActiveRatio float64
 	// MaxDataGB excludes oversized tenants.
 	MaxDataGB float64
-	// BurstLookaheadDays excludes tenants whose history shows regular
-	// activity bursts recurring within this many days after deployment
-	// (§5.1: bursty tenants are excluded "before the bursts arrive").
-	// 0 disables the check.
-	BurstLookaheadDays int
 	// U optionally widens every group's tuning MPPDB G₀ by this many nodes
 	// beyond n₁ (§6 manual tuning). 0 keeps U = n₁.
 	UExtra int
-	// FailureDomains records the failure-domain count of the pool the plan
-	// will deploy onto (racks/zones). The grouping itself is
-	// placement-agnostic — the master's spread-aware acquisition realizes
-	// domain diversity at deploy time — but a plan that knows the domain
-	// count documents the R-vs-domains relationship: with R ≥ 2 replicas
-	// and ≥ 2 domains, spread placement keeps every group available through
-	// any single-domain outage. 0 means unknown/single-domain.
-	FailureDomains int
 }
+
+// The exclusion rules beside MaxDataGB.
+const (
+	// maxActiveRatio excludes always-active tenants: a tenant active more
+	// than this fraction of the horizon is served on dedicated nodes.
+	maxActiveRatio = 0.90
+	// burstLookaheadDays excludes tenants whose history shows regular
+	// activity bursts recurring within this many days after deployment
+	// (§5.1: bursty tenants are excluded "before the bursts arrive").
+	burstLookaheadDays = 7
+)
 
 // DefaultConfig returns the Table 7.1 default parameters.
 func DefaultConfig() Config {
 	return Config{
-		R:                  3,
-		P:                  0.999,
-		Epoch:              3 * sim.Second,
-		Algorithm:          TwoStep,
-		MaxActiveRatio:     0.90,
-		MaxDataGB:          10 * 1024,
-		BurstLookaheadDays: 7,
+		R:         3,
+		P:         0.999,
+		Epoch:     3 * sim.Second,
+		Algorithm: TwoStep,
+		MaxDataGB: 10 * 1024,
 	}
 }
 
@@ -177,17 +170,11 @@ func New(cfg Config) (*Advisor, error) {
 	if cfg.Algorithm != TwoStep && cfg.Algorithm != FFD {
 		return nil, fmt.Errorf("advisor: unknown algorithm %q", cfg.Algorithm)
 	}
-	if cfg.MaxActiveRatio <= 0 {
-		cfg.MaxActiveRatio = 0.90
-	}
 	if cfg.MaxDataGB <= 0 {
 		cfg.MaxDataGB = 10 * 1024
 	}
 	if cfg.UExtra < 0 {
 		return nil, fmt.Errorf("advisor: UExtra=%d", cfg.UExtra)
-	}
-	if cfg.BurstLookaheadDays < 0 {
-		return nil, fmt.Errorf("advisor: BurstLookaheadDays=%d", cfg.BurstLookaheadDays)
 	}
 	return &Advisor{cfg: cfg}, nil
 }
@@ -271,14 +258,12 @@ func (a *Advisor) exclusion(tl *workload.TenantLog, horizon sim.Time) string {
 	if tl.Tenant.DataGB > a.cfg.MaxDataGB {
 		return fmt.Sprintf("oversized: %.0f GB > %.0f GB", tl.Tenant.DataGB, a.cfg.MaxDataGB)
 	}
-	if ratio := tl.Activity.Ratio(horizon); ratio > a.cfg.MaxActiveRatio {
+	if ratio := tl.Activity.Ratio(horizon); ratio > maxActiveRatio {
 		return fmt.Sprintf("always active: %.0f%% of horizon", 100*ratio)
 	}
-	if a.cfg.BurstLookaheadDays > 0 {
-		if burst := DetectBursts(tl.Activity, horizon); burst.PredictsBurstWithin(int(horizon/sim.Day), a.cfg.BurstLookaheadDays) {
-			return fmt.Sprintf("regular bursts every ~%d days; next predicted on day %d",
-				burst.PeriodDays, burst.NextBurstDay)
-		}
+	if burst := DetectBursts(tl.Activity, horizon); burst.PredictsBurstWithin(int(horizon/sim.Day), burstLookaheadDays) {
+		return fmt.Sprintf("regular bursts every ~%d days; next predicted on day %d",
+			burst.PeriodDays, burst.NextBurstDay)
 	}
 	return ""
 }

@@ -117,17 +117,6 @@ func TestPlanExcludesBurstyTenant(t *testing.T) {
 	if !found {
 		t.Errorf("bursty tenant not excluded; exclusions: %+v", plan.Excluded)
 	}
-	// Disabled lookahead keeps the tenant in.
-	cfg := DefaultConfig()
-	cfg.BurstLookaheadDays = 0
-	a2, _ := New(cfg)
-	plan2, err := a2.Plan(logs, 28*sim.Day)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := plan2.Group("fiscal"); !ok {
-		t.Error("with lookahead disabled the bursty tenant should be consolidated")
-	}
 }
 
 // detectBurstsByClip is DetectBursts as it was defined before it read the log

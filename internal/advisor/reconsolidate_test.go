@@ -295,7 +295,6 @@ func TestReconsolidateRequiresPrevious(t *testing.T) {
 // come back with no algorithm name, which GET /v1/plan then served as "".
 func TestReconsolidateWithoutRepackingKeepsAlgorithm(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.BurstLookaheadDays = 0
 	a, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

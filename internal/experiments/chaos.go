@@ -30,14 +30,13 @@ func ChaosRecovery(env *Env) ([]*Table, error) {
 	// One deployment of the largest groups (so failure bursts span groups),
 	// bounded like the headline SLA validation.
 	w := carve(plan, logs, top(rank(plan, largestFirst(plan)), env.Scale.ReplayGroups))
-	// A crash every ~2 h, a quarter of them repeated mid-recovery, one in
-	// ten a cross-group burst. The largest groups reload for over a day
-	// (Table 5.1, single-stream share of the tenant data), so the drain
-	// needs enough room to finish every recovery and re-image before the
-	// pool is tallied.
-	crashes := chaos.Crashes{RepeatProb: 0.25, BurstProb: 0.1}
+	// The derived crash mix: a crash every ~2 h, a quarter of them repeated
+	// mid-recovery, one in ten a cross-group burst. The largest groups
+	// reload for over a day (Table 5.1, single-stream share of the tenant
+	// data), so the drain needs enough room to finish every recovery and
+	// re-image before the pool is tallied.
 	arms, err := runArms(env, w, chaos.Window{To: sim.Day, DrainSlack: 3 * 24 * time.Hour},
-		faultArm{cluster.NewPool(2 * w.plan.NodesUsed()), master.Options{Immediate: true}, crashes})
+		faultArm{cluster.NewPool(2 * w.plan.NodesUsed()), master.Options{Immediate: true}, chaos.Crashes{}})
 	if err != nil {
 		return nil, err
 	}

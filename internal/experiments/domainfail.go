@@ -56,9 +56,7 @@ func smallestShardFirst(plan *advisor.Plan, logs []*workload.TenantLog) func(a, 
 // dropped queries everywhere, every pool leak-free.
 func DomainFail(env *Env) ([]*Table, error) {
 	const domains = 3
-	acfg := advisor.DefaultConfig()
-	acfg.FailureDomains = domains
-	logs, plan, err := planDefault(env, acfg)
+	logs, plan, err := planDefault(env, advisor.DefaultConfig())
 	if err != nil {
 		return nil, err
 	}

@@ -69,7 +69,6 @@ func Fig77ElasticScaling(env *Env) (*Fig77Result, error) {
 		Tenant:   victim,
 		Start:    sim.Time(1) * sim.Day,
 		Interval: 3 * time.Second,
-		ClassID:  "TPCH-Q1",
 	}
 	window := sim.Time(min(env.Scale.Days, 4)) * sim.Day
 

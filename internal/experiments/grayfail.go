@@ -31,10 +31,10 @@ func GrayFail(env *Env) ([]*Table, error) {
 	// Affinity routing leaves some instances sample-sparse, so the profile
 	// window is short enough for the mean to track an onset within a few
 	// completions. Clearing demands a healthy stretch longer than the
-	// flapping profile's off-phase (BuildSlowdowns flaps on a Duration/6
-	// half-cycle), so a flapper stays hedged across its whole episode
-	// instead of being re-admitted and re-detected every cycle. Drain
-	// patience must outlast a transient episode (~2 h here) so hedging
+	// flapping profile's off-phase (BuildSlowdowns flaps on a half-cycle of
+	// a sixth of its 2-h episodes, 20 min), so a flapper stays hedged across
+	// its whole episode instead of being re-admitted and re-detected every
+	// cycle. Drain patience must outlast a transient episode (2 h) so hedging
 	// carries the group through and the multi-day Table 5.1 reload is
 	// reserved for instances that stay sick.
 	gcfg := recovery.DefaultGrayConfig()

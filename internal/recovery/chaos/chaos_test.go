@@ -83,27 +83,31 @@ func countEvents(h *telemetry.Hub, typ telemetry.EventType) int {
 	return n
 }
 
-// crashMix is a moderate failure mix: a crash every ~2 h, a quarter of them
-// repeated mid-recovery, one in ten a cross-group burst.
-var crashMix = Crashes{RepeatProb: 0.25, BurstProb: 0.1}
-
 // crashConfig is a crash-only run over [0, to).
 func crashConfig(seed int64, to sim.Time, c Crashes) Config {
 	return Config{Seed: seed, Window: Window{To: to}, Faults: []Fault{c}}
 }
 
-// TestChaosEndToEnd is the acceptance run: an R=3 deployment under a
-// randomized schedule of crashes, repeat crashes, and bursts. No scripted
-// repair exists anywhere — detection is scheduled on the controllers' 30-s
-// grid, repair is the §4.4 swap + Table 5.1 reload — yet SLA attainment
-// holds above the plan's P and the pool ends leak-free.
+// TestChaosEndToEnd is the acceptance run: an R=3 deployment under a dense
+// schedule of crashes, repeat crashes, and bursts — a seeded draw of a
+// crash every ~90 min, three in ten repeated and one instant in five a
+// burst. No scripted repair exists anywhere — detection is scheduled on the
+// controllers' 30-s grid, repair is the §4.4 swap + Table 5.1 reload — yet
+// SLA attainment holds above the plan's P and the pool ends leak-free.
 func TestChaosEndToEnd(t *testing.T) {
 	w := newWorld(t, 10, 2, 3, 3)
-	crashes := crashMix
-	crashes.MeanBetween = 90 * time.Minute
-	crashes.RepeatProb = 0.3
-	crashes.BurstProb = 0.2
-	crashes.MaxFailures = 10
+	crashes := Crashes{Schedule: []Crash{
+		{At: 2676987440472, Group: "TG-0000", Instance: 2},  // 0d00:44:36.987, a burst
+		{At: 2676987440472, Group: "TG-0001", Instance: 0},  // 0d00:44:36.987
+		{At: 3303194329959, Group: "TG-0001", Instance: 2},  // 0d00:55:03.194
+		{At: 11005073870512, Group: "TG-0001", Instance: 0}, // 0d03:03:25.073
+		{At: 11605073870512, Group: "TG-0001", Instance: 0}, // 0d03:13:25.073, a repeat
+		{At: 12784952200094, Group: "TG-0000", Instance: 2}, // 0d03:33:04.952
+		{At: 15905583097994, Group: "TG-0000", Instance: 0}, // 0d04:25:05.583, a burst
+		{At: 15905583097994, Group: "TG-0001", Instance: 1}, // 0d04:25:05.583
+		{At: 18955567560840, Group: "TG-0001", Instance: 2}, // 0d05:15:55.567
+		{At: 19555567560840, Group: "TG-0001", Instance: 2}, // 0d05:25:55.567, a repeat
+	}}
 	res, err := Run(nil, w.dep, w.cat, w.logs, crashConfig(42, sim.Day, crashes))
 	if err != nil {
 		t.Fatal(err)
@@ -138,9 +142,10 @@ func TestChaosEndToEnd(t *testing.T) {
 // drain completing — rather than deadlock.
 func TestChaosPoolExhaustion(t *testing.T) {
 	w := newWorld(t, 4, 1, 2, 1)
-	crashes := crashMix
-	crashes.RepeatProb, crashes.BurstProb = 0, 0
-	crashes.MaxFailures = 2
+	crashes := Crashes{Schedule: []Crash{
+		{At: 6001382089394, Group: "TG-0000", Instance: 1},  // 0d01:40:01.382
+		{At: 10240358086508, Group: "TG-0000", Instance: 0}, // 0d02:50:40.358
+	}}
 	res, err := Run(w.eng, w.dep, w.cat, w.logs, crashConfig(7, sim.Day, crashes))
 	if err != nil {
 		t.Fatal(err)
@@ -169,11 +174,11 @@ func TestChaosPoolExhaustion(t *testing.T) {
 }
 
 // TestChaosScheduleDeterministic: the schedule is a pure function of the
-// deployment shape and config.
+// deployment shape, the seed and the window.
 func TestChaosScheduleDeterministic(t *testing.T) {
 	win := Window{To: sim.Day}
-	a := BuildCrashes(newWorld(t, 6, 1, 2, 2).dep, 1, win, crashMix)
-	b := BuildCrashes(newWorld(t, 6, 1, 2, 2).dep, 1, win, crashMix)
+	a := BuildCrashes(newWorld(t, 6, 1, 2, 2).dep, 1, win)
+	b := BuildCrashes(newWorld(t, 6, 1, 2, 2).dep, 1, win)
 	if len(a) == 0 {
 		t.Fatal("empty schedule")
 	}
@@ -220,10 +225,7 @@ func TestChaosValidation(t *testing.T) {
 	w := newWorld(t, 4, 1, 2, 2)
 	day := Window{To: sim.Day}
 	bad := []Config{
-		{Seed: 1, Window: Window{From: sim.Day, To: 0}, Faults: []Fault{Crashes{MeanBetween: time.Hour, MaxFailures: 1}}},
-		{Seed: 1, Window: day, Faults: []Fault{Crashes{MeanBetween: -time.Hour}}},
-		{Seed: 1, Window: day, Faults: []Fault{Crashes{MaxFailures: -1}}},
-		{Seed: 1, Window: day, Faults: []Fault{Crashes{RepeatProb: 0.5, RepeatDelay: -time.Minute}}},
+		{Seed: 1, Window: Window{From: sim.Day, To: 0}, Faults: []Fault{Crashes{}}},
 		{Seed: 1, Window: day},
 	}
 	for i, cfg := range bad {
@@ -231,13 +233,13 @@ func TestChaosValidation(t *testing.T) {
 			t.Errorf("bad config %d accepted", i)
 		}
 	}
-	// A derived repeat crash may land past the window's end: it fires
-	// during the drain, after the first crash's repair, and is repaired there.
-	late := Crashes{MeanBetween: 10 * time.Minute, RepeatProb: 1, RepeatDelay: 6 * time.Hour, MaxFailures: 2}
+	// A repeat crash may land past the window's end: it fires during the
+	// drain, after the first crash's repair, and is repaired there.
+	late := Crashes{Schedule: []Crash{
+		{At: 352378929543, Group: "TG-0000", Instance: 1},   // 0d00:05:52.378
+		{At: 21952378929543, Group: "TG-0000", Instance: 1}, // 0d06:05:52.378
+	}}
 	cfg := crashConfig(1, sim.Hour, late)
-	if s := BuildCrashes(w.dep, cfg.Seed, cfg.Window, late); len(s) != 2 || s[1].At < cfg.To {
-		t.Fatalf("schedule %+v has no repeat crash past the window", s)
-	}
 	res, err := Run(w.eng, w.dep, w.cat, w.logs, cfg)
 	if err != nil {
 		t.Fatalf("a repeat crash past the window rejected: %v", err)
@@ -255,8 +257,12 @@ func TestChaosTelemetryDeterminism(t *testing.T) {
 	dump := func() (events, traces []byte) {
 		t.Helper()
 		w := newWorld(t, 4, 1, 2, 3)
-		crashes := crashMix
-		crashes.MaxFailures = 4
+		crashes := Crashes{Schedule: []Crash{
+			{At: 3619600147178, Group: "TG-0000", Instance: 0},  // 0d01:00:19.600
+			{At: 9420439116451, Group: "TG-0000", Instance: 1},  // 0d02:37:00.439
+			{At: 10020439116451, Group: "TG-0000", Instance: 1}, // 0d02:47:00.439, a repeat
+			{At: 12964922841243, Group: "TG-0000", Instance: 0}, // 0d03:36:04.922
+		}}
 		res, err := Run(w.eng, w.dep, w.cat, w.logs, crashConfig(99, sim.Day, crashes))
 		if err != nil {
 			t.Fatal(err)
@@ -293,9 +299,11 @@ func TestChaosTelemetryDeterminism(t *testing.T) {
 // run that exercises injection and recovery on every group's engine.
 func TestChaosSmoke(t *testing.T) {
 	w := newWorld(t, 4, 1, 2, 3)
-	crashes := crashMix
-	crashes.MeanBetween = time.Hour
-	crashes.MaxFailures = 3
+	crashes := Crashes{Schedule: []Crash{
+		{At: 6969615508579, Group: "TG-0000", Instance: 0}, // 0d01:56:09.615
+		{At: 7913471347156, Group: "TG-0000", Instance: 0}, // 0d02:11:53.471
+		{At: 9165306725939, Group: "TG-0000", Instance: 1}, // 0d02:32:45.306
+	}}
 	res, err := Run(nil, w.dep, w.cat, w.logs, crashConfig(3, 12*sim.Hour, crashes))
 	if err != nil {
 		t.Fatal(err)
@@ -352,8 +360,6 @@ func TestRejectedConfigSchedulesNothing(t *testing.T) {
 	good := Slowdown{At: sim.Hour, Duration: time.Hour, Group: gid, Profile: ProfileStuck, Factor: 0.3}
 	badTarget := good
 	badTarget.Group = "TG-NOPE"
-	twoStorms := Storm{Aggressors: 1}
-	twoStorms.MaxStorm = 10
 	// The seed-1 storm's second aggressor, with its log left out.
 	target := largest(w.dep.Groups())
 	second := target.Members[rand.New(rand.NewSource(1)).Perm(len(target.Members))[1]].ID
@@ -363,35 +369,42 @@ func TestRejectedConfigSchedulesNothing(t *testing.T) {
 			noSecond = append(noSecond, tl)
 		}
 	}
-	noLog := Storm{Aggressors: 1}
-	noLog.Aggressors = 2
+	noLog := Storm{Aggressors: 2}
 	crash := Crash{At: sim.Hour, Group: gid}
-	hammer := TakeOver{Tenant: target.Members[0].ID, Start: sim.Hour, Interval: time.Second, ClassID: "TPCH-Q1"}
-	ghost, nope := hammer, hammer
-	ghost.Tenant, nope.ClassID = "ghost", "NOPE"
+	hammer := TakeOver{Tenant: target.Members[0].ID, Start: sim.Hour, Interval: time.Second}
+	ghost := hammer
+	ghost.Tenant = "ghost"
+	noQ1, err := queries.NewCatalog(w.cat.Suite(queries.TPCDS))
+	if err != nil {
+		t.Fatal(err)
+	}
 	win := Window{To: 4 * sim.Hour}
 	for name, tc := range map[string]struct {
 		faults []Fault
 		logs   []*workload.TenantLog
+		cat    *queries.Catalog
 	}{
 		"second slowdown names no group": {faults: []Fault{Slowdowns{Schedule: []Slowdown{good, badTarget}}}},
 		"storm then a bad slowdown":      {faults: []Fault{Storm{Aggressors: 1}, Slowdowns{Schedule: []Slowdown{badTarget}}}},
 		"slowdown then a bad outage":     {faults: []Fault{Slowdowns{Schedule: []Slowdown{good}}, Outages{}}},
-		"two storms":                     {faults: []Fault{Storm{Aggressors: 1}, twoStorms}},
+		"two storms":                     {faults: []Fault{Storm{Aggressors: 1}, Storm{Aggressors: 2}}},
 		"two slowdown faults":            {faults: []Fault{Slowdowns{Schedule: []Slowdown{good}}, Slowdowns{}}},
 		"second aggressor without a log": {faults: []Fault{noLog}, logs: noSecond},
 		"second crash names no group":    {faults: []Fault{Crashes{Schedule: []Crash{crash, {At: sim.Hour, Group: "TG-NOPE"}}}}},
 		"take-over then a crash on no instance": {faults: []Fault{hammer,
 			Crashes{Schedule: []Crash{{At: sim.Hour, Group: gid, Instance: len(w.dep.Groups()[0].Instances)}}}}},
 		"crash then a take-over of an undeployed tenant": {faults: []Fault{Crashes{Schedule: []Crash{crash}}, ghost}},
-		"crash then a take-over with an unknown class":   {faults: []Fault{Crashes{Schedule: []Crash{crash}}, nope}},
+		"crash then a take-over without its class":       {faults: []Fault{Crashes{Schedule: []Crash{crash}}, hammer}, cat: noQ1},
 	} {
-		logs := w.logs
+		logs, cat := w.logs, w.cat
 		if tc.logs != nil {
 			logs = tc.logs
 		}
+		if tc.cat != nil {
+			cat = tc.cat
+		}
 		before := pending(w.dep)
-		if _, err := Run(w.eng, w.dep, w.cat, logs, Config{Seed: 1, Window: win, Faults: tc.faults}); err == nil {
+		if _, err := Run(w.eng, w.dep, cat, logs, Config{Seed: 1, Window: win, Faults: tc.faults}); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 		if n := w.eng.Pending(); n != 0 {

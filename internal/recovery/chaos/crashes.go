@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -29,37 +28,38 @@ type Crash struct {
 // cross-group bursts. Each crash lands as a shared event on its group's own
 // engine, and every repair is the autonomous §4.4 loop. Every group replays
 // its logged traffic, against its logged SLO targets; the drain defaults to
-// one day. A zero field takes its default; the zero value is a lone crash
-// every ~2 h.
+// one day. The zero value derives the crash experiment's mix: a failure
+// instant every ~2 h, a quarter of its crashes repeated mid-recovery, one
+// instant in ten a cross-group burst.
 type Crashes struct {
 	// Schedule, when non-nil, is the crashes to inject, each at or after
 	// the window's start on an instance the deployment has; one at or past
 	// its end fires during the drain, as a derived repeat crash can. Nil
-	// derives one from the run's seed and the fields below.
+	// derives one from the run's seed with BuildCrashes.
 	Schedule []Crash
-	// MeanBetween is the mean gap between failure instants, exponentially
-	// distributed (default 2 h).
-	MeanBetween time.Duration
-	// RepeatProb is the chance a crash is followed by a second crash of the
-	// same instance RepeatDelay later — typically while the first recovery
-	// is still reloading.
-	RepeatProb float64
-	// RepeatDelay is the lag of the repeat crash (default 10 min).
-	RepeatDelay time.Duration
-	// BurstProb is the chance a failure instant hits every group at once
-	// instead of one.
-	BurstProb float64
-	// MaxFailures bounds the schedule (default 16).
-	MaxFailures int
 }
+
+// The derived crash mix.
+const (
+	// crashMeanBetween is the mean gap between failure instants,
+	// exponentially distributed.
+	crashMeanBetween = 2 * time.Hour
+	// repeatProb is the chance a crash is followed by a second crash of the
+	// same instance repeatDelay later — typically while the first recovery
+	// is still reloading.
+	repeatProb  = 0.25
+	repeatDelay = 10 * time.Minute
+	// burstProb is the chance a failure instant hits every group at once
+	// instead of one.
+	burstProb = 0.1
+	// maxCrashes bounds the schedule.
+	maxCrashes = 16
+)
 
 func (c Crashes) arm(r *run) (*armed, error) {
 	sched := c.Schedule
 	if sched == nil {
-		if c.MeanBetween < 0 || c.RepeatDelay < 0 || c.MaxFailures < 0 {
-			return nil, fmt.Errorf("chaos: MeanBetween=%v RepeatDelay=%v MaxFailures=%d", c.MeanBetween, c.RepeatDelay, c.MaxFailures)
-		}
-		sched = BuildCrashes(r.dep, r.cfg.Seed, r.cfg.Window, c)
+		sched = BuildCrashes(r.dep, r.cfg.Seed, r.cfg.Window)
 	}
 	groups := make([]*master.DeployedGroup, len(sched))
 	for i, f := range sched {
@@ -126,22 +126,20 @@ func (c Crashes) check(r *Result, p float64) error {
 }
 
 // BuildCrashes derives the crash schedule for the deployment over the
-// window. It is deterministic in (deployment group order, seed, window, c).
-func BuildCrashes(dep *master.Deployment, seed int64, w Window, c Crashes) []Crash {
-	c.MeanBetween, c.RepeatDelay = cmp.Or(c.MeanBetween, 2*time.Hour), cmp.Or(c.RepeatDelay, 10*time.Minute)
-	c.MaxFailures = cmp.Or(c.MaxFailures, 16)
+// window. It is deterministic in (deployment group order, seed, window).
+func BuildCrashes(dep *master.Deployment, seed int64, w Window) []Crash {
 	rng := rand.New(rand.NewSource(seed))
 	groups := dep.Groups()
 	var out []Crash
 	t := w.From
-	for len(out) < c.MaxFailures {
-		t = t.Add(time.Duration(rng.ExpFloat64() * float64(c.MeanBetween)))
+	for len(out) < maxCrashes {
+		t = t.Add(time.Duration(rng.ExpFloat64() * float64(crashMeanBetween)))
 		if t >= w.To {
 			break
 		}
-		if rng.Float64() < c.BurstProb {
+		if rng.Float64() < burstProb {
 			for _, g := range groups {
-				if len(out) >= c.MaxFailures {
+				if len(out) >= maxCrashes {
 					break
 				}
 				out = append(out, Crash{At: t, Group: g.Plan.ID, Instance: rng.Intn(len(g.Instances))})
@@ -151,8 +149,8 @@ func BuildCrashes(dep *master.Deployment, seed int64, w Window, c Crashes) []Cra
 		g := groups[rng.Intn(len(groups))]
 		f := Crash{At: t, Group: g.Plan.ID, Instance: rng.Intn(len(g.Instances))}
 		out = append(out, f)
-		if len(out) < c.MaxFailures && rng.Float64() < c.RepeatProb {
-			out = append(out, Crash{At: t.Add(c.RepeatDelay), Group: f.Group, Instance: f.Instance})
+		if len(out) < maxCrashes && rng.Float64() < repeatProb {
+			out = append(out, Crash{At: t.Add(repeatDelay), Group: f.Group, Instance: f.Instance})
 		}
 	}
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })

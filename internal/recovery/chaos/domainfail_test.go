@@ -40,7 +40,6 @@ func domainWorld(t *testing.T, tenants, days, r, domains int, spread bool, slack
 	}
 	acfg := advisor.DefaultConfig()
 	acfg.R = r
-	acfg.FailureDomains = domains
 	adv, err := advisor.New(acfg)
 	if err != nil {
 		t.Fatal(err)
@@ -69,19 +68,20 @@ func domainWorld(t *testing.T, tenants, days, r, domains int, spread bool, slack
 	return &world{eng: eng, cat: cat, dep: dep, logs: logs, plan: plan}
 }
 
-// domainStormConfig is a seeded 12-h run of the faults; derived outages
-// last 2 h.
+// domainStormConfig is a seeded 12-h run of the faults.
 func domainStormConfig(faults ...Fault) Config {
 	// Table 5.1 reloads of the bigger groups run for hours; triage queues
 	// drain only after the domain returns.
 	return Config{Seed: 7, Window: Window{To: 12 * sim.Hour, DrainSlack: 48 * time.Hour}, Faults: faults}
 }
 
-// twoHourOutages is the default outage storm with 2-h outages.
+// twoHourOutages is a storm of two 2-h outages, evenly spaced through the
+// 12-h window on seeded domains.
 func twoHourOutages() Outages {
-	o := Outages{}
-	o.Duration = 2 * time.Hour
-	return o
+	return Outages{Schedule: []DomainOutage{
+		{At: 3 * sim.Hour, Duration: 2 * time.Hour, Domain: 2},
+		{At: 7 * sim.Hour, Duration: 2 * time.Hour, Domain: 0},
+	}}
 }
 
 // TestDomainSmoke is a bounded CI gate (make fault-smoke): a short seeded
@@ -162,30 +162,21 @@ func TestDomainFailTelemetryDeterminism(t *testing.T) {
 	checkGolden(t, "domain-fail result", resSum, goldenDomainResult)
 }
 
-// TestDomainFailRolling marches outages through consecutive domains with
-// overlap, so restoration of one domain races the loss of the next. The
-// protected deployment must still absorb the storm.
+// TestDomainFailRolling marches 2-h outages through consecutive domains
+// back-to-back with a 25% overlap, so restoration of one domain races the
+// loss of the next. The protected deployment must still absorb the storm.
 func TestDomainFailRolling(t *testing.T) {
 	w := domainWorld(t, 12, 1, 3, 3, true, 25)
-	rolling := twoHourOutages()
-	rolling.Rolling = true
-	rolling.Count = 3
-	cfg := domainStormConfig(rolling)
+	cfg := domainStormConfig(Outages{Schedule: []DomainOutage{
+		{At: 4*sim.Hour + 30*sim.Minute, Duration: 2 * time.Hour, Domain: 2},
+		{At: 6 * sim.Hour, Duration: 2 * time.Hour, Domain: 0},
+		{At: 7*sim.Hour + 30*sim.Minute, Duration: 2 * time.Hour, Domain: 1},
+	}})
 	cfg.To = 18 * sim.Hour
 	cfg.DrainSlack = 60 * time.Hour
 	res, err := Run(w.eng, w.dep, w.cat, w.logs, cfg)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(res.OutageSchedule) != 3 {
-		t.Fatalf("rolling schedule has %d outages, want 3", len(res.OutageSchedule))
-	}
-	doms := map[int]bool{}
-	for _, o := range res.OutageSchedule {
-		doms[o.Domain] = true
-	}
-	if len(doms) != 3 {
-		t.Errorf("rolling storm hit %d distinct domains, want 3: %+v", len(doms), res.OutageSchedule)
 	}
 	if err := res.Verify(w.plan.Config.P); err != nil {
 		t.Fatalf("rolling storm: %v (%+v)", err, res)

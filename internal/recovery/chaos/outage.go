@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -30,23 +29,21 @@ type DomainOutage struct {
 // SLO targets. Spread placement, the scarcity triage, quarantine re-routing,
 // and post-restoration re-spread respond when armed; bare deployments just
 // eat the outages. The drain defaults to one day, so queued triage claims
-// drain and Table 5.1 reloads finish before the pool is tallied. A zero
-// field takes its default; the zero value is two 3-h outages.
+// drain and Table 5.1 reloads finish before the pool is tallied. The zero
+// value derives two 3-h outages.
 type Outages struct {
 	// Schedule, when non-nil, is the outages to inject — an empty schedule
-	// for a no-fault control. Nil derives Count outages from the run's seed.
+	// for a no-fault control. Nil derives outageCount outages from the
+	// run's seed with BuildOutages.
 	Schedule []DomainOutage
-	// Count is how many outages to derive (default 2).
-	Count int
-	// Duration is each derived outage's length (default 3 h), clamped so
-	// same-domain outages can never overlap.
-	Duration time.Duration
-	// Rolling switches the derived schedule from evenly spaced independent
-	// outages to a rolling storm: consecutive domains go down back-to-back
-	// with a 25% overlap, so recovery of one domain races the loss of the
-	// next.
-	Rolling bool
 }
+
+// The derived outage storm: outageCount outages of outageDuration each,
+// the duration clamped so same-domain outages can never overlap.
+const (
+	outageCount    = 2
+	outageDuration = 3 * time.Hour
+)
 
 func (o Outages) arm(r *run) (*armed, error) {
 	if r.eng == nil {
@@ -58,10 +55,7 @@ func (o Outages) arm(r *run) (*armed, error) {
 	}
 	sched := o.Schedule
 	if sched == nil {
-		if o.Count < 0 || o.Duration < 0 {
-			return nil, fmt.Errorf("domainfail: Count=%d Duration=%v", o.Count, o.Duration)
-		}
-		sched = BuildOutages(domains, r.cfg.Seed, r.cfg.Window, o)
+		sched = BuildOutages(domains, r.cfg.Seed, r.cfg.Window)
 	}
 	if err := ValidateOutages(sched, domains, r.cfg.From, r.cfg.To); err != nil {
 		return nil, err
@@ -126,35 +120,19 @@ func ValidateOutages(sched []DomainOutage, domains int, from, to sim.Time) error
 }
 
 // BuildOutages derives an outage schedule over a pool of the given domain
-// count. Plain storms space o.Count outages evenly through the window, each
-// hitting a seeded domain; rolling storms march through consecutive domains
-// back-to-back with a 25% overlap so restoration of one races the loss of
-// the next. It is deterministic in its arguments and, for at least two
-// domains, outages of at least a minute and a window of at least a minute
-// per outage, always returns a schedule that passes ValidateOutages.
-func BuildOutages(domains int, seed int64, w Window, o Outages) []DomainOutage {
-	o.Count, o.Duration = cmp.Or(o.Count, 2), cmp.Or(o.Duration, 3*time.Hour)
+// count: outageCount outages spaced evenly through the window, each hitting
+// a seeded domain. It is deterministic in its arguments and, for at least
+// two domains and a window of at least a minute per outage, always returns
+// a schedule that passes ValidateOutages.
+func BuildOutages(domains int, seed int64, w Window) []DomainOutage {
 	rng := rand.New(rand.NewSource(seed))
-	dur := sim.Duration(o.Duration)
-	out := make([]DomainOutage, 0, o.Count)
-	if o.Rolling {
-		step := dur * 3 / 4
-		start := w.From + (w.To-w.From)/4
-		d0 := rng.Intn(domains)
-		for i := 0; i < o.Count; i++ {
-			at := start + sim.Time(i)*step
-			if at >= w.To {
-				break
-			}
-			out = append(out, DomainOutage{At: at, Duration: time.Duration(dur), Domain: (d0 + i) % domains})
-		}
-		return out
-	}
-	spacing := (w.To - w.From) / sim.Time(o.Count+1)
+	dur := sim.Duration(outageDuration)
+	spacing := (w.To - w.From) / sim.Time(outageCount+1)
 	if dur >= spacing {
 		dur = spacing * 3 / 4
 	}
-	for i := 0; i < o.Count; i++ {
+	out := make([]DomainOutage, 0, outageCount)
+	for i := 0; i < outageCount; i++ {
 		out = append(out, DomainOutage{
 			At:       w.From + sim.Time(i+1)*spacing - dur/2,
 			Duration: time.Duration(dur),

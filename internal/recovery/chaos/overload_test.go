@@ -173,9 +173,7 @@ func TestOverloadTelemetryDeterminism(t *testing.T) {
 // TestOverloadSmoke is a bounded CI gate (make fault-smoke): a short
 // seeded storm against a protected deployment must be contained.
 func TestOverloadSmoke(t *testing.T) {
-	storm := Storm{Aggressors: 1}
-	storm.MaxStorm = 500
-	cfg := stormConfig(storm)
+	cfg := stormConfig(Storm{Aggressors: 1})
 	cfg.To = 4 * sim.Hour
 	cfg.DrainSlack = time.Hour
 	w := overloadWorld(t, 8, 1, true)
@@ -202,14 +200,7 @@ func TestOverloadValidation(t *testing.T) {
 	if run(Window{}, Storm{Aggressors: 1}) == nil {
 		t.Fatal("empty window accepted")
 	}
-	bad := Storm{Aggressors: 1}
-	bad.Factor = 1
-	if run(hour, bad) == nil {
-		t.Fatal("Factor <= 1 accepted")
-	}
-	bad = Storm{Aggressors: 1}
-	bad.Aggressors = 100
-	if run(hour, bad) == nil {
+	if run(hour, Storm{Aggressors: 100}) == nil {
 		t.Fatal("oversized aggressor count accepted")
 	}
 }

@@ -75,8 +75,8 @@ func naiveOutageError(sched []DomainOutage, domains int, from, to sim.Time) stri
 // oracles — horizon, factor, profile shape and same-target overlap, on
 // schedules of up to a dozen entries over two groups of three instances
 // and three domains, in minutes — and checks that BuildSlowdowns and
-// BuildOutages keep their promise: given at least a minute per episode and
-// a window of at least a minute per episode, what they derive validates.
+// BuildOutages keep their promise: for any seed, instance or domain count
+// and window of at least a minute per episode, what they derive validates.
 func FuzzFaultSchedules(f *testing.F) {
 	for seed := int64(1); seed <= 16; seed++ {
 		b := make([]byte, 8+6*int(seed%12))
@@ -131,24 +131,18 @@ func FuzzFaultSchedules(f *testing.F) {
 			t.Fatalf("ValidateOutages: %q, want %q\n%+v", got, want, outages)
 		}
 
-		// The builders' promise, over a window of at least a minute per
-		// episode.
+		// The builders' promise, for any seed and shape over a window of at
+		// least a minute per episode — short windows clamp the derived
+		// episodes and outages, windows of days leave them whole.
 		seed := int64(in[2])<<8 | int64(in[3])
-		n := 1 + int(in[4]%8)
-		w := Window{From: from, To: from + sim.Time(n)*sim.Minute + mins(in[1], 0)}
-		s := Slowdowns{
-			Episodes: n,
-			Factor:   0.051 + float64(in[5])/256*0.898,
-			Duration: time.Duration(mins(in[6], 1)),
+		w := Window{From: from, To: from + slowEpisodes*sim.Minute + mins(in[1], 0)*sim.Time(1+in[4]%16)}
+		derived := BuildSlowdowns("TG-0000", 1+int(in[7]%4), seed, w)
+		if err := ValidateSlowdowns(derived, w.From, w.To); err != nil || len(derived) != slowEpisodes {
+			t.Fatalf("BuildSlowdowns(%+v) = %d episodes failing validation: %v\n%+v", w, len(derived), err, derived)
 		}
-		derived := BuildSlowdowns("TG-0000", 1+int(in[7]%4), seed, w, s)
-		if err := ValidateSlowdowns(derived, w.From, w.To); err != nil || len(derived) != n {
-			t.Fatalf("BuildSlowdowns(%+v, %+v) = %d episodes failing validation: %v\n%+v", w, s, len(derived), err, derived)
-		}
-		o := Outages{Count: n, Duration: s.Duration, Rolling: in[7]&0x80 != 0}
 		domains := 2 + int(in[7]>>4)%3
-		if err := ValidateOutages(BuildOutages(domains, seed, w, o), domains, w.From, w.To); err != nil {
-			t.Fatalf("BuildOutages(%d, %+v, %+v) fails validation: %v", domains, w, o, err)
+		if err := ValidateOutages(BuildOutages(domains, seed, w), domains, w.From, w.To); err != nil {
+			t.Fatalf("BuildOutages(%d, %+v) fails validation: %v", domains, w, err)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"cmp"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -18,24 +17,28 @@ import (
 // their logged traffic against slacked SLO targets. With the gray detector
 // armed the hedge → drain ladder responds; bare deployments just eat the
 // slowdown. The drain defaults to 6 h, so drain-replacements finish
-// reloading before the pool is tallied. A zero field takes its default; the
-// zero value is three episodes cycling through the stuck, gradual, and
-// flapping profiles.
+// reloading before the pool is tallied. The zero value derives three
+// episodes cycling through the stuck, gradual, and flapping profiles.
 type Slowdowns struct {
 	// Schedule, when non-nil, is the episodes to inject — any group's
 	// instances, an empty schedule for a no-fault control. Nil derives
-	// Episodes episodes against the largest group from the run's seed.
+	// slowEpisodes episodes against the largest group from the run's seed
+	// with BuildSlowdowns.
 	Schedule []Slowdown
-	// Episodes is how many episodes to derive (default 3). They are spaced
-	// evenly through the window, one instance each.
-	Episodes int
-	// Factor is the derived episodes' depth — the fraction of nominal speed
-	// a gray instance drops to, jittered ±0.05 by the seed (default 0.3).
-	Factor float64
-	// Duration is each derived episode's length (default 2 h), clamped to
-	// the inter-episode spacing so a same-instance pair can never overlap.
-	Duration time.Duration
 }
+
+// The derived fail-slow storm.
+const (
+	// slowEpisodes is how many episodes are derived, spaced evenly through
+	// the window, one instance each.
+	slowEpisodes = 3
+	// slowFactor is the episodes' depth — the fraction of nominal speed a
+	// gray instance drops to, jittered ±0.05 by the seed.
+	slowFactor = 0.3
+	// slowDuration is each episode's length, clamped to the inter-episode
+	// spacing so a same-instance pair can never overlap.
+	slowDuration = 2 * time.Hour
+)
 
 func (s Slowdowns) arm(r *run) (*armed, error) {
 	if r.eng == nil {
@@ -43,11 +46,7 @@ func (s Slowdowns) arm(r *run) (*armed, error) {
 	}
 	target, sched := r.target, s.Schedule
 	if sched == nil {
-		if s.Episodes < 0 || s.Duration < 0 || s.Factor != 0 && (s.Factor <= 0.05 || s.Factor >= 0.95) {
-			return nil, fmt.Errorf("grayfail: Episodes=%d Factor=%v (outside (0.05,0.95)) Duration=%v",
-				s.Episodes, s.Factor, s.Duration)
-		}
-		sched = BuildSlowdowns(target.Plan.ID, len(target.Instances), r.cfg.Seed, r.cfg.Window, s)
+		sched = BuildSlowdowns(target.Plan.ID, len(target.Instances), r.cfg.Seed, r.cfg.Window)
 	}
 	if err := ValidateSlowdowns(sched, r.cfg.From, r.cfg.To); err != nil {
 		return nil, err
@@ -100,24 +99,22 @@ func (s Slowdowns) check(r *Result, _ float64) error {
 }
 
 // BuildSlowdowns derives a fail-slow schedule against the named group of
-// the given instance count: s.Episodes episodes spaced evenly through the
+// the given instance count: slowEpisodes episodes spaced evenly through the
 // window, each hitting a seeded instance with the stuck, gradual, and
 // flapping profiles in rotation. It is deterministic in its arguments and,
-// for at least one instance, episodes of at least a minute and a window of
-// at least a minute per episode, always returns a schedule that passes
-// ValidateSlowdowns.
-func BuildSlowdowns(group string, instances int, seed int64, w Window, s Slowdowns) []Slowdown {
-	s.Episodes, s.Factor, s.Duration = cmp.Or(s.Episodes, 3), cmp.Or(s.Factor, 0.3), cmp.Or(s.Duration, 2*time.Hour)
+// for at least one instance and a window of at least a minute per episode,
+// always returns a schedule that passes ValidateSlowdowns.
+func BuildSlowdowns(group string, instances int, seed int64, w Window) []Slowdown {
 	rng := rand.New(rand.NewSource(seed))
 	profiles := []SlowProfile{ProfileStuck, ProfileGradual, ProfileFlapping}
-	spacing := (w.To - w.From) / sim.Time(s.Episodes+1)
-	dur := sim.Duration(s.Duration)
+	spacing := (w.To - w.From) / sim.Time(slowEpisodes+1)
+	dur := sim.Duration(slowDuration)
 	if dur >= spacing {
 		dur = spacing * 3 / 4
 	}
-	out := make([]Slowdown, 0, s.Episodes)
-	for i := 0; i < s.Episodes; i++ {
-		factor := s.Factor + (rng.Float64()-0.5)*0.1
+	out := make([]Slowdown, 0, slowEpisodes)
+	for i := 0; i < slowEpisodes; i++ {
+		factor := slowFactor + (rng.Float64()-0.5)*0.1
 		out = append(out, Slowdown{
 			At:       w.From + sim.Time(i+1)*spacing - dur/2,
 			Duration: time.Duration(dur),

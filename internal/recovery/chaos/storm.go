@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -18,28 +17,31 @@ import (
 )
 
 // Storm is a seeded noisy-tenant storm: aggressors among the largest
-// group's members submit open-loop, on the coordinator engine, at Factor
-// times the contracted rate derived from their own logs — whether or not
-// admission is armed, so baseline and protected runs face the identical
-// storm — while the group's other members replay their logged traffic
-// against slacked SLO targets. Every submission, storm and replayed, goes
-// through its group's admission controller when armed and then its router;
-// typed rejections are tallied, never retried. The drain defaults to 6 h. A
-// zero Factor or MaxStorm takes its default.
+// group's members submit open-loop, on the coordinator engine, at
+// stormFactor times the contracted rate derived from their own logs —
+// whether or not admission is armed, so baseline and protected runs face the
+// identical storm — while the group's other members replay their logged
+// traffic against slacked SLO targets. Every submission, storm and replayed,
+// goes through its group's admission controller when armed and then its
+// router; typed rejections are tallied, never retried. The drain defaults to
+// 6 h.
 type Storm struct {
 	// Aggressors is how many members of the largest group run hot; the
 	// run's seed picks them. Zero is the no-storm control: every member
 	// replays its logged traffic, which measures the group's intrinsic
 	// attainment.
 	Aggressors int
-	// Factor is the multiple of its contract an aggressor submits at
-	// (default 5). The contract is derived from the aggressor's log as
-	// admission derives the contracts it enforces, so the storm is measured
-	// against the enforced contract.
-	Factor float64
-	// MaxStorm bounds each aggressor's storm submissions (default 2,000).
-	MaxStorm int
 }
+
+const (
+	// stormFactor is the multiple of its contract an aggressor submits at.
+	// The contract is derived from the aggressor's log as admission derives
+	// the contracts it enforces, so the storm is measured against the
+	// enforced contract.
+	stormFactor = 5
+	// maxStorm bounds each aggressor's storm submissions.
+	maxStorm = 2000
+)
 
 // TenantOutcome is one target-group member's storm outcome.
 type TenantOutcome struct {
@@ -54,14 +56,12 @@ type TenantOutcome struct {
 }
 
 func (s Storm) arm(r *run) (*armed, error) {
-	s.Factor, s.MaxStorm = cmp.Or(s.Factor, 5), cmp.Or(s.MaxStorm, 2000)
 	if r.eng == nil {
 		return nil, fmt.Errorf("overload: nil engine")
 	}
 	target, res, cfg := r.target, r.res, r.cfg
-	if s.Aggressors < 0 || s.Aggressors > 0 && (s.Aggressors >= len(target.Members) || s.Factor <= 1 || s.MaxStorm < 1) {
-		return nil, fmt.Errorf("overload: Aggressors=%d in a group of %d, Factor=%v MaxStorm=%d",
-			s.Aggressors, len(target.Members), s.Factor, s.MaxStorm)
+	if s.Aggressors < 0 || s.Aggressors > 0 && s.Aggressors >= len(target.Members) {
+		return nil, fmt.Errorf("overload: Aggressors=%d in a group of %d", s.Aggressors, len(target.Members))
 	}
 	perm := rand.New(rand.NewSource(cfg.Seed)).Perm(len(target.Members))
 	hot := make(map[string]bool, s.Aggressors)
@@ -104,8 +104,8 @@ func (s Storm) arm(r *run) (*armed, error) {
 		return err
 	}
 	// Each aggressor's storm: open-loop submissions of the heaviest query in
-	// its own log, at Factor times the contract derived from that log — an
-	// open loop of long queries backlogs the aggressor's instance, so
+	// its own log, at stormFactor times the contract derived from that log —
+	// an open loop of long queries backlogs the aggressor's instance, so
 	// overflow traffic that lands there shares with the whole pile-up. The
 	// storm replaces the aggressor's own traffic.
 	var storms []func()
@@ -133,9 +133,9 @@ func (s Storm) arm(r *run) (*armed, error) {
 		sla = slackTarget(sla)
 		ref := target.Router.Ref(id)
 		contract := admission.ContractFromLog(r.logs[i], 0) // admission's own headroom
-		interval := max(sim.Time(float64(sim.Second)/(s.Factor*contract.Rate)), 1)
+		interval := max(sim.Time(float64(sim.Second)/(stormFactor*contract.Rate)), 1)
 		storms = append(storms, func() {
-			for k := 0; k < s.MaxStorm; k++ {
+			for k := 0; k < maxStorm; k++ {
 				at := cfg.From + sim.Time(k)*interval
 				if at >= cfg.To {
 					break

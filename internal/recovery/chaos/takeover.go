@@ -10,9 +10,9 @@ import (
 
 // TakeOver reproduces the §7.5 intervention: "we manually took over a tenant
 // at time Y and continuously submitted queries to the system on behalf of
-// that tenant". The hammer runs on the tenant's group engine while every
-// group replays its logged traffic, against its logged SLO targets; the
-// drain defaults to one day.
+// that tenant". The hammer submits TPC-H Q1 queries on the tenant's group
+// engine while every group replays its logged traffic, against its
+// logged SLO targets; the drain defaults to one day.
 type TakeOver struct {
 	// Tenant to take over; it must be deployed.
 	Tenant string
@@ -21,14 +21,15 @@ type TakeOver struct {
 	// Interval between submissions (continuous = shorter than the query
 	// latency).
 	Interval time.Duration
-	// ClassID of the query to hammer with.
-	ClassID string
 }
 
+// takeOverClass is the query class the take-over hammers with.
+const takeOverClass = "TPCH-Q1"
+
 func (to TakeOver) arm(r *run) (*armed, error) {
-	class, ok := r.cat.ByID(to.ClassID)
+	class, ok := r.cat.ByID(takeOverClass)
 	if !ok {
-		return nil, fmt.Errorf("takeover: unknown class %q", to.ClassID)
+		return nil, fmt.Errorf("takeover: the catalog has no class %s", takeOverClass)
 	}
 	g, ok := r.dep.GroupFor(to.Tenant)
 	if !ok {
@@ -52,7 +53,7 @@ func (to TakeOver) arm(r *run) (*armed, error) {
 						Type:   telemetry.EventTakeOver,
 						Group:  g.Plan.ID,
 						Tenant: to.Tenant,
-						Detail: fmt.Sprintf("continuous %s every %v", to.ClassID, to.Interval),
+						Detail: fmt.Sprintf("continuous %s every %v", takeOverClass, to.Interval),
 					})
 				}
 			})

@@ -85,7 +85,7 @@ func disturbed(t *testing.T, w *world) outcome {
 	t.Helper()
 	g, victim := multiMemberGroup(t, w.dep)
 	res := faultRun(t, w, chaos.Window{To: 2 * sim.Day},
-		chaos.TakeOver{Tenant: victim, Start: sim.Hour, Interval: 2 * time.Second, ClassID: "TPCH-Q1"},
+		chaos.TakeOver{Tenant: victim, Start: sim.Hour, Interval: 2 * time.Second},
 		chaos.Crashes{Schedule: []chaos.Crash{
 			{At: 2 * sim.Hour, Group: g.Plan.ID, Instance: 0},
 			{At: 3 * sim.Hour, Group: g.Plan.ID, Instance: 0},

@@ -162,7 +162,6 @@ func TestReplayTakeOverTriggersScaling(t *testing.T) {
 		Tenant:   victim,
 		Start:    sim.Hour,
 		Interval: 2 * time.Second,
-		ClassID:  "TPCH-Q1",
 	}).Report
 	if len(rep.ScalingEvents) == 0 {
 		g, _ := w.dep.GroupFor(victim)

@@ -483,16 +483,6 @@ func (g *GroupRuntime) AppendTenantRecordsAt(dst []monitor.QueryRecord, tenantID
 	return dst
 }
 
-// RecordCountAt advances the group to at and returns how many completed
-// query records it holds. The record log is append-only, so an unchanged
-// count means an unchanged log — the service's records cache keys on it to
-// skip re-copying and re-sorting.
-func (g *GroupRuntime) RecordCountAt(at sim.Time) int {
-	var n int
-	g.dom.Advance(at, func(*sim.Engine) { n = g.Monitor.RecordCount() })
-	return n
-}
-
 // Plane is the runtime half of a deployment: the deployed groups, a
 // tenant→group index for O(1) dispatch at the front door, and the groups'
 // clock domains in deployment order.

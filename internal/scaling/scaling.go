@@ -88,11 +88,10 @@ type Scaler struct {
 	members []*tenant.Tenant
 	prio    func() (deficit float64, tenants int)
 
-	scaling  bool     // a scale-up is starting up and loading
-	waiting  *scaleUp // a scale-up queued in the triage, nil when none
-	reconsol bool     // flagged for re-consolidation
-	events   []Event
-	nextID   int
+	scaling bool     // a scale-up is starting up and loading
+	waiting *scaleUp // a scale-up queued in the triage, nil when none
+	events  []Event
+	nextID  int
 
 	// Telemetry (optional): the RT-TTP gauge sampled at every check, a dip
 	// event on the below-P transition, and the scaling-phase event timeline.
@@ -140,15 +139,6 @@ func (s *Scaler) SetTelemetry(h *telemetry.Hub) {
 
 // Events returns all scaling actions so far.
 func (s *Scaler) Events() []Event { return s.events }
-
-// ReconsolidationList returns the groups flagged for the next
-// (re)-consolidation cycle: the scaler's group once it has scaled.
-func (s *Scaler) ReconsolidationList() []string {
-	if !s.reconsol {
-		return nil
-	}
-	return []string{s.group}
-}
 
 // Start schedules the periodic RT-TTP checks, as shared events (as is a
 // scale-up's ready): a check may acquire nodes from the pool.
@@ -352,7 +342,6 @@ func (s *Scaler) start(su *scaleUp) {
 			}
 		}
 		ev.Ready = s.lc.Engine().Now()
-		s.reconsol = true
 		if s.tel != nil {
 			s.tel.Events.Publish(telemetry.Event{
 				Type:   telemetry.EventScalingReady,

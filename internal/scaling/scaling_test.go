@@ -168,10 +168,6 @@ func elasticScalingEndToEnd(t *testing.T) {
 	if !s.mon.Excluded("hog") {
 		t.Error("hog not excluded from the monitor")
 	}
-	// Re-consolidation list includes the group.
-	if list := s.scaler.ReconsolidationList(); len(list) != 1 || list[0] != "g0" {
-		t.Errorf("reconsolidation list = %v", list)
-	}
 	// RT-TTP recovers: run 30 more hours so the window forgets the episode.
 	s.driveHog(t, horizon) // note: loops ended; re-arm from now
 	s.eng.Run(horizon + 30*sim.Hour)

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/monitor"
 	"repro/internal/queries"
 	"repro/internal/runtime"
 )
@@ -38,16 +37,6 @@ func (s *Server) classFor(q *SubmitRequest) (*queries.Class, bool, error) {
 	default:
 		return nil, false, fmt.Errorf("missing query or sql")
 	}
-}
-
-// recordsCache caches the time-sorted records view behind GET /v1/records.
-// The per-group record logs are append-only, so unchanged counts mean the
-// cached slice is still exact; a rebuild allocates a fresh slice so
-// concurrent readers of the old one are safe.
-type recordsCache struct {
-	mu     sync.Mutex
-	counts []int
-	recs   []monitor.QueryRecord
 }
 
 // BatchSubmitRequest is the body of POST /v1/submit-batch.

@@ -20,8 +20,8 @@ import (
 )
 
 // deployBatchMix deploys TPC-H tenants with admission armed under explicit
-// contracts and a 1-slot admission queue, so one batch can exercise 429
-// (contract), 503 (queue full), and 504 (no ready replica) side by side.
+// contracts, so one batch can exercise 429 (contract), 503 (queue full), and
+// 504 (no ready replica) side by side.
 // The tenant named "down" gets a 4-node cluster, which lands it in its own
 // tenant-group — its replica outage must not touch the others.
 func deployBatchMix(t *testing.T, ids []string, contracts map[string]admission.Contract) (*master.Deployment, *advisor.Plan) {
@@ -53,7 +53,6 @@ func deployBatchMix(t *testing.T, ids []string, contracts map[string]admission.C
 	}
 	admCfg := admission.DefaultConfig()
 	admCfg.Contracts = contracts
-	admCfg.MaxQueue = 1
 	m := master.New(cluster.NewPool(64), master.Options{
 		Immediate:     true,
 		MonitorWindow: time.Hour,
@@ -75,7 +74,7 @@ func TestBatchErrorPartitioning(t *testing.T) {
 	dep, plan := deployBatchMix(t, []string{"agg", "good", "down"}, map[string]admission.Contract{
 		"agg":  {Rate: 1.0 / 60, Burst: 2},
 		"good": {Rate: 1, Burst: 16},
-		"down": {Rate: 1, Burst: 16},
+		"down": {Rate: 1, Burst: 64},
 	})
 	gAgg, okA := dep.GroupFor("agg")
 	gDown, okD := dep.GroupFor("down")
@@ -96,7 +95,7 @@ func TestBatchErrorPartitioning(t *testing.T) {
 	t.Cleanup(ts.Close)
 
 	// Take down's whole replica set: its submits retry, time out (504), and
-	// overflow the 1-slot admission queue (503).
+	// overflow the admission queue's 32 slots (503).
 	gDown.Domain().Do(func(*sim.Engine) {
 		for _, inst := range gDown.Instances {
 			inst.SetState(mppdb.Provisioning)
@@ -104,37 +103,36 @@ func TestBatchErrorPartitioning(t *testing.T) {
 	})
 
 	q6 := func(id string) SubmitRequest { return SubmitRequest{Tenant: id, Query: "TPCH-Q6"} }
+	type want struct {
+		status int
+		kind   string
+	}
+	var batch []SubmitRequest
+	var wants []want
+	add := func(q SubmitRequest, status int, kind string) {
+		batch = append(batch, q)
+		wants = append(wants, want{status, kind})
+	}
+	add(q6("good"), http.StatusAccepted, "")
+	const queued = 32 // the admission queue's capacity
+	for range queued {
+		add(q6("down"), http.StatusGatewayTimeout, "timeout") // queues, retries, times out
+	}
+	add(q6("agg"), http.StatusAccepted, "")                         // within burst
+	add(q6("agg"), http.StatusAccepted, "")                         // within burst
+	add(q6("down"), http.StatusServiceUnavailable, "shed")          // queue already full
+	add(q6("agg"), http.StatusTooManyRequests, "contract_exceeded") // burst exhausted
+	add(q6("nosuch"), http.StatusUnprocessableEntity, "")           // unknown tenant
+	add(SubmitRequest{Tenant: "good"}, http.StatusBadRequest, "")   // no query or sql
 	var out BatchSubmitResponse
-	code := post(t, ts, "/v1/submit-batch", BatchSubmitRequest{Queries: []SubmitRequest{
-		q6("good"),       // 202
-		q6("down"),       // 504: queues, retries, times out
-		q6("agg"),        // 202: within burst
-		q6("agg"),        // 202: within burst
-		q6("down"),       // 503: queue already full
-		q6("agg"),        // 429: burst exhausted
-		q6("nosuch"),     // 422: unknown tenant
-		{Tenant: "good"}, // 400: no query or sql
-	}}, &out)
+	code := post(t, ts, "/v1/submit-batch", BatchSubmitRequest{Queries: batch}, &out)
 	if code != http.StatusOK {
 		t.Fatalf("batch status %d, want 200", code)
 	}
-	want := []struct {
-		status int
-		kind   string
-	}{
-		{http.StatusAccepted, ""},
-		{http.StatusGatewayTimeout, "timeout"},
-		{http.StatusAccepted, ""},
-		{http.StatusAccepted, ""},
-		{http.StatusServiceUnavailable, "shed"},
-		{http.StatusTooManyRequests, "contract_exceeded"},
-		{http.StatusUnprocessableEntity, ""},
-		{http.StatusBadRequest, ""},
+	if len(out.Results) != len(wants) {
+		t.Fatalf("%d results, want %d", len(out.Results), len(wants))
 	}
-	if len(out.Results) != len(want) {
-		t.Fatalf("%d results, want %d", len(out.Results), len(want))
-	}
-	for i, w := range want {
+	for i, w := range wants {
 		r := out.Results[i]
 		if r.Status != w.status {
 			t.Errorf("item %d: status %d, want %d (result %+v)", i, r.Status, w.status, r)
@@ -149,14 +147,16 @@ func TestBatchErrorPartitioning(t *testing.T) {
 			t.Errorf("item %d: failure with empty error: %+v", i, r)
 		}
 	}
-	if out.Accepted != 3 || out.Failed != 5 {
-		t.Errorf("accepted/failed = %d/%d, want 3/5", out.Accepted, out.Failed)
+	if out.Accepted != 3 || out.Failed != queued+4 {
+		t.Errorf("accepted/failed = %d/%d, want 3/%d", out.Accepted, out.Failed, queued+4)
 	}
-	// The 504 burned one retry; the 503 was shed before any attempt.
-	if out.Results[1].Attempts != 2 {
-		t.Errorf("504 attempts = %d, want 2", out.Results[1].Attempts)
+	// Each 504 burned one retry; the 503 was shed before any attempt.
+	for i := 1; i <= queued; i++ {
+		if out.Results[i].Attempts != 2 {
+			t.Errorf("504 attempts = %d, want 2", out.Results[i].Attempts)
+		}
 	}
-	if out.Results[5].RetryAfterVirtual == "" {
-		t.Errorf("429 lacks retry_after_virtual: %+v", out.Results[5])
+	if r := out.Results[queued+4]; r.RetryAfterVirtual == "" {
+		t.Errorf("429 lacks retry_after_virtual: %+v", r)
 	}
 }

@@ -68,10 +68,6 @@ type Server struct {
 	// clock is the wall-clock pacing origin, replaced whole by SetClock.
 	clock atomic.Pointer[clock]
 
-	// recCache caches the sorted records view served by GET /v1/records,
-	// keyed on the per-group record counts (the record log is append-only).
-	recCache recordsCache
-
 	matcher *sqlmatch.Matcher
 	// routes maps an exact path to its handlers; group serves the one
 	// prefix rule, /v1/groups/{id}.
@@ -452,31 +448,15 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 
 func bySubmit(a, b monitor.QueryRecord) int { return cmp.Compare(a.Submit, b.Submit) }
 
-// allRecords returns every group's records as one sorted view the caller must
-// not modify. Gathering and sorting every record on
-// every request is O(n log n) in the full history; the logs are append-only,
-// so the view is cached and revalidated with one O(groups) count sweep — a
-// hit costs no copy and no sort.
+// allRecords returns every group's records as one view sorted by submit
+// time.
 func (s *Server) allRecords(t sim.Time) []monitor.QueryRecord {
-	groups := s.dep.Groups()
-	counts := make([]int, len(groups))
-	for i, g := range groups {
-		counts[i] = g.RecordCountAt(t)
+	var recs []monitor.QueryRecord
+	for _, g := range s.dep.Groups() {
+		recs = g.AppendRecordsAt(recs, t)
 	}
-	rc := &s.recCache
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	if !slices.Equal(rc.counts, counts) {
-		// Fresh slice on every rebuild: readers of the previous cached view
-		// may still be marshaling it outside the lock.
-		recs := make([]monitor.QueryRecord, 0, sum(counts))
-		for _, g := range groups {
-			recs = g.AppendRecordsAt(recs, t)
-		}
-		slices.SortStableFunc(recs, bySubmit)
-		rc.counts, rc.recs = counts, recs
-	}
-	return rc.recs
+	slices.SortStableFunc(recs, bySubmit)
+	return recs
 }
 
 // tenantRecords returns one tenant's records, sorted. A tenant's queries run in its own group, so only that group's log is read,
@@ -490,14 +470,6 @@ func (s *Server) tenantRecords(tenant string, t sim.Time) []monitor.QueryRecord 
 	recs := g.AppendTenantRecordsAt(nil, tenant, t)
 	slices.SortStableFunc(recs, bySubmit)
 	return recs
-}
-
-func sum(xs []int) int {
-	n := 0
-	for _, x := range xs {
-		n += x
-	}
-	return n
 }
 
 // SetClock overrides the wall clock (tests drive time deterministically).

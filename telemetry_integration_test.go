@@ -37,7 +37,6 @@ func replayOnce(t *testing.T) (*System, *chaos.Result) {
 			Tenant:   victim,
 			Start:    6 * sim.Hour,
 			Interval: 3 * time.Second,
-			ClassID:  "TPCH-Q1",
 		}},
 	})
 	if err != nil {

@@ -56,18 +56,6 @@ type WorkloadConfig struct {
 	Seed int64
 }
 
-// DefaultWorkloadConfig returns the paper's Table 7.1 defaults.
-func DefaultWorkloadConfig(seed int64) WorkloadConfig {
-	return WorkloadConfig{
-		Tenants:          5000,
-		Theta:            0.8,
-		Sizes:            append([]int(nil), tenant.DefaultSizes...),
-		Days:             30,
-		SessionsPerClass: 100,
-		Seed:             seed,
-	}
-}
-
 // Workload is a generated multi-tenant testbed.
 type Workload struct {
 	Catalog *queries.Catalog
@@ -175,10 +163,11 @@ type System struct {
 }
 
 // DeployOptions re-exports the Deployment Master's options: the pool shape
-// (SpareNodes, Domains), provisioning (Immediate, ParallelLoad) and the
-// opt-in subsystems (Admission, Gray, Scaling, NoSpread), each off — and
-// replay byte-identical — at its zero value. Every deployment arms §4.4
-// recovery, which schedules nothing until a fault fails a node.
+// (SpareNodes, Domains), provisioning (Immediate, ParallelLoad), the RT-TTP
+// window (MonitorWindow) and the opt-in subsystems (Admission, Gray,
+// Scaling, NoSpread), each off — and replay byte-identical — at its zero
+// value. Every deployment arms §4.4 recovery, which schedules nothing until
+// a fault fails a node.
 type DeployOptions = master.Options
 
 // Deploy brings the plan up on a fresh simulated cluster. An Admission config
@@ -212,12 +201,13 @@ type GrayConfig = recovery.GrayConfig
 // a 10 min hedge-first grace before drain.
 func DefaultGrayConfig() GrayConfig { return recovery.DefaultGrayConfig() }
 
-// AdmissionConfig re-exports the overload-protection configuration
-// (per-tenant contracts, queue bound, brownout cadence, strike limit).
+// AdmissionConfig re-exports the overload-protection configuration: the
+// per-tenant contracts and the brownout cadence. Every controller's queue
+// bound (32) and strike limit (8) are constants.
 type AdmissionConfig = admission.Config
 
-// DefaultAdmissionConfig returns a 32-slot admission queue, 30 s brownout
-// evaluation and an 8-strike policing limit.
+// DefaultAdmissionConfig returns a 30 s brownout evaluation and no contracts
+// (Deploy derives them from the workload's logs).
 func DefaultAdmissionConfig() AdmissionConfig { return admission.DefaultConfig() }
 
 // Contract re-exports a tenant's contracted arrival process (token-bucket

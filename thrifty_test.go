@@ -109,7 +109,7 @@ func TestShardedReplayTakeOverAndFailures(t *testing.T) {
 	res, err := chaos.Run(sys.Engine, sys.Deployment, w.Catalog, w.Logs, chaos.Config{
 		Window: chaos.Window{To: 6 * sim.Hour, DrainSlack: 3 * 24 * time.Hour},
 		Faults: []chaos.Fault{
-			chaos.TakeOver{Tenant: victim, Start: sim.Hour, Interval: 3 * time.Second, ClassID: "TPCH-Q1"},
+			chaos.TakeOver{Tenant: victim, Start: sim.Hour, Interval: 3 * time.Second},
 			chaos.Crashes{Schedule: []chaos.Crash{{At: 2 * sim.Hour, Group: plan.Groups[1].ID, Instance: 0}}},
 		},
 	})
