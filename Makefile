@@ -87,8 +87,8 @@ grouping-smoke: bench-smoke
 # group) over a 200-tenant deployment,
 # the Prometheus scrape of a registry shaped like that deployment's, the
 # replay of that deployment's 7-day logs — bare, with admission,
-# as a flagless thriftyd deploys it and with the fail-slow detector's
-# per-minute barriers — and the generator on plan-4x500's four populations,
+# as a flagless thriftyd deploys it, with the §5.1 scaler per group and with
+# the fail-slow detector's per-minute barriers — and the generator on plan-4x500's four populations,
 # so a benchmark that no longer builds or runs is caught before commit without
 # paying full benchmark time. The composed solve (BenchmarkTwoStepComposed500
 # on the 3 s grid and ...Fine on the 0.1 s one, which no benchmark workload
@@ -102,7 +102,7 @@ bench-smoke:
 	$(GO) test -bench 'BenchmarkServeSubmit' -benchtime=1x -run '^$$' ./internal/service
 	$(GO) test -bench 'BenchmarkWritePrometheus' -benchtime=1x -run '^$$' ./internal/telemetry
 	$(GO) test -bench 'BenchmarkDomainsDrive' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/sim
-	$(GO) test -bench 'BenchmarkReplay/(bare|admission|default|gray)$$' -cpu 1,2 -benchtime=1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkReplay/(bare|admission|default|gray|scaler)$$' -cpu 1,2 -benchtime=1x -run '^$$' .
 	$(GO) test -bench 'BenchmarkGenerateWorkload' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/workload
 	$(GO) test -bench 'BenchmarkPlanCycle' -cpu 1,2 -benchtime=1x -run '^$$' .
 

@@ -9,7 +9,7 @@
 // Observability: unless -metrics=false, GET /metrics serves the telemetry
 // registry in Prometheus text format (routing decisions, in-flight queries,
 // per-MPPDB service/sojourn histograms, RT-TTP, SLA counters);
-// GET /v1/events streams the recent SLA-event log and GET /v1/slo the
+// GET /v1/events serves the recent SLA events and GET /v1/slo the
 // per-tenant SLA attainment against P.
 //
 // The daemon shuts down gracefully on SIGINT/SIGTERM: in-flight requests

@@ -8,10 +8,10 @@
 // the group's RT-TTP recovers.
 //
 // The Fig 7.7 narrative below is reconstructed entirely from the telemetry
-// subsystem: the timeline comes from the deployment's SLA-event stream (the
-// same events GET /v1/events serves) and the closing per-tenant attainment
-// from the SLA account behind GET /v1/slo — not from bespoke experiment
-// bookkeeping.
+// subsystem: the timeline comes from the deployment's SLA-event ring, read
+// after the run (the same events GET /v1/events serves), and the closing
+// per-tenant attainment from the SLA account behind GET /v1/slo — not from
+// bespoke experiment bookkeeping.
 //
 //	go run ./examples/elastic_scaling
 package main
@@ -63,11 +63,6 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Subscribe to the SLA-event stream before the replay starts, exactly
-	// as a live dashboard would against /v1/events.
-	events, cancel := sys.Telemetry().Events.Subscribe(8192)
-	defer cancel()
-
 	res, err := chaos.Run(sys.Engine, sys.Deployment, w.Catalog, w.Logs, chaos.Config{
 		Window: chaos.Window{To: 4 * sim.Day, SampleEvery: 2 * time.Hour},
 		Faults: []chaos.Fault{chaos.TakeOver{
@@ -79,7 +74,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	cancel()
 	rep := res.Report
 
 	fmt.Printf("\nRT-TTP timeline of %s:\n", pick.ID)
@@ -91,7 +85,7 @@ func main() {
 		fmt.Printf("  %v  %.4f  %s\n", s.At, s.RTTTP, stars(bar))
 	}
 
-	// The Fig 7.7 story, narrated by the event stream: the take-over, the
+	// The Fig 7.7 story, narrated by the event ring: the take-over, the
 	// accumulating SLA violations, the RT-TTP dip, the scaling trigger, and
 	// the recovery once the dedicated MPPDB takes the victim's queries.
 	// Violations are folded into counts so the timeline stays readable. A
@@ -105,7 +99,8 @@ func main() {
 			violations = 0
 		}
 	}
-	for ev := range events {
+	// The run's events fit the ring, so every one is still retained.
+	for _, ev := range sys.Telemetry().Events.Recent(0) {
 		if ev.Type == telemetry.EventSLAViolation {
 			violations++
 			continue

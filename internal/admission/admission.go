@@ -161,31 +161,30 @@ type Snapshot struct {
 	Tenants      []TenantStat `json:"tenants"`
 }
 
-// Controller is one tenant-group's admission controller. Admit, EnterQueue,
-// and LeaveQueue must run under the group's clock domain (they use the
-// engine clock and mutate buckets); the inspection methods are lock-free
-// and safe from any goroutine.
+// Controller is one tenant-group's admission controller. AdmitRef,
+// EnterQueue, and LeaveQueue must run under the group's clock domain (they
+// use the engine clock and mutate buckets); the inspection methods are
+// lock-free and safe from any goroutine.
 type Controller struct {
-	eng    *sim.Engine
-	group  string
-	p      float64
-	enter  float64
-	cfg    Config
-	mon    *monitor.GroupMonitor
-	rec    *recovery.Controller
-	insts  []*mppdb.Instance
-	states map[string]*tenantState // read-only after New
-	order  []string                // sorted member IDs
-	// Interned fast path (optional, via AdoptInterner): member states
-	// indexed by the group's dense tenant refs for AdmitRef.
+	eng   *sim.Engine
+	group string
+	p     float64
+	enter float64
+	cfg   Config
+	mon   *monitor.GroupMonitor
+	rec   *recovery.Controller
+	insts []*mppdb.Instance
+	// Member states indexed by the group interner's dense refs (nil for a
+	// ref that is not a member), and the same states sorted by tenant ID for
+	// the inspection endpoints. Read-only after New.
 	in      *tenant.Interner
 	byRef   []*tenantState
+	order   []*tenantState
 	level   atomic.Int32
 	waiting atomic.Int32
 	// ticker is the brownout evaluation's one event, re-keyed every
-	// TickInterval with onTicker (set by Start) for the controller's life.
-	ticker   sim.Event
-	onTicker func(sim.Time)
+	// TickInterval for the controller's life.
+	ticker sim.Event
 
 	onLevelChange func(int)
 	onTick        func()
@@ -198,18 +197,26 @@ type Controller struct {
 	gQueue     *telemetry.Gauge
 }
 
-// New builds the controller for one group. members are the group's tenant
-// IDs; mon/rec/insts feed the brownout controller (rec may be nil).
-func New(eng *sim.Engine, group string, p float64, members []string,
-	insts []*mppdb.Instance, mon *monitor.GroupMonitor, rec *recovery.Controller,
-	cfg Config) (*Controller, error) {
-	if eng == nil {
+// New builds the controller for one group, armed: its brownout evaluation is
+// queued on eng every cfg.TickInterval, so the caller must hold the group's
+// clock domain. tel is the group's telemetry view; in is the group interner,
+// which resolves members to the refs AdmitRef takes. members are the group's
+// tenant IDs; mon/rec/insts feed the brownout controller (rec may be nil).
+// onLevelChange fires (under the domain) when the brownout level changes and
+// onTick after every evaluation; either may be nil.
+func New(eng *sim.Engine, tel *telemetry.Hub, in *tenant.Interner, group string, p float64,
+	members []string, insts []*mppdb.Instance, mon *monitor.GroupMonitor, rec *recovery.Controller,
+	cfg Config, onLevelChange func(level int), onTick func()) (*Controller, error) {
+	switch {
+	case eng == nil:
 		return nil, fmt.Errorf("admission: nil engine")
-	}
-	if mon == nil {
+	case tel == nil:
+		return nil, fmt.Errorf("admission: nil telemetry hub for group %s", group)
+	case in == nil:
+		return nil, fmt.Errorf("admission: nil interner for group %s", group)
+	case mon == nil:
 		return nil, fmt.Errorf("admission: nil monitor for group %s", group)
-	}
-	if p <= 0 || p >= 1 {
+	case p <= 0 || p >= 1:
 		return nil, fmt.Errorf("admission: guarantee P=%v out of (0,1)", p)
 	}
 	cfg.normalize()
@@ -218,83 +225,54 @@ func New(eng *sim.Engine, group string, p float64, members []string,
 		group: group,
 		p:     p,
 		// Halfway into the headroom that remains above the guarantee.
-		enter:  p + (1-p)/2,
-		cfg:    cfg,
-		mon:    mon,
-		rec:    rec,
-		insts:  insts,
-		states: make(map[string]*tenantState, len(members)),
+		enter:         p + (1-p)/2,
+		cfg:           cfg,
+		mon:           mon,
+		rec:           rec,
+		insts:         insts,
+		in:            in,
+		onLevelChange: onLevelChange,
+		onTick:        onTick,
+		tel:           tel,
+		mAdmitted:     tel.Registry.Counter("thrifty_admission_admitted_total", "group", group),
+		mThrottled:    tel.Registry.Counter("thrifty_admission_throttled_total", "group", group),
+		mShed: map[string]*telemetry.Counter{
+			ShedQueueFull:  tel.Registry.Counter("thrifty_admission_shed_total", "group", group, "reason", ShedQueueFull),
+			ShedDeadline:   tel.Registry.Counter("thrifty_admission_shed_total", "group", group, "reason", ShedDeadline),
+			ShedBestEffort: tel.Registry.Counter("thrifty_admission_shed_total", "group", group, "reason", ShedBestEffort),
+		},
+		gLevel: tel.Registry.Gauge("thrifty_admission_brownout_level", "group", group),
+		gQueue: tel.Registry.Gauge("thrifty_admission_queue_depth", "group", group),
 	}
 	for _, id := range members {
+		ref := in.Intern(id)
+		for int(ref) >= len(c.byRef) {
+			c.byRef = append(c.byRef, nil)
+		}
+		if c.byRef[ref] != nil {
+			continue
+		}
 		ct := cfg.Contracts[id]
 		ts := &tenantState{tenant: id, contract: ct}
 		if !ct.Unlimited() {
 			ts.bucket = newBucket(ct)
 			ts.mirror()
 		}
-		c.states[id] = ts
-		c.order = append(c.order, id)
+		c.byRef[ref] = ts
+		c.order = append(c.order, ts)
 	}
-	sort.Strings(c.order)
+	sort.Slice(c.order, func(i, j int) bool { return c.order[i].tenant < c.order[j].tenant })
+	var tick func(now sim.Time)
+	tick = func(now sim.Time) {
+		c.tick()
+		c.eng.Reschedule(&c.ticker, now.Add(c.cfg.TickInterval), tick)
+	}
+	c.eng.Reschedule(&c.ticker, c.eng.Now().Add(c.cfg.TickInterval), tick)
 	return c, nil
 }
 
 // Group returns the controller's tenant-group ID.
 func (c *Controller) Group() string { return c.group }
-
-// AdoptInterner indexes the member states by the group interner's dense refs
-// so the submit hot path can use AdmitRef instead of the string map. Call
-// before the controller serves traffic (master wires it at deploy).
-func (c *Controller) AdoptInterner(in *tenant.Interner) {
-	c.in = in
-	c.byRef = nil
-	for id, ts := range c.states {
-		ref := in.Intern(id)
-		for int(ref) >= len(c.byRef) {
-			c.byRef = append(c.byRef, nil)
-		}
-		c.byRef[ref] = ts
-	}
-}
-
-// SetTelemetry wires the hub; call before Start.
-func (c *Controller) SetTelemetry(h *telemetry.Hub) {
-	if h == nil {
-		return
-	}
-	c.tel = h
-	c.mAdmitted = h.Registry.Counter("thrifty_admission_admitted_total", "group", c.group)
-	c.mThrottled = h.Registry.Counter("thrifty_admission_throttled_total", "group", c.group)
-	c.mShed = map[string]*telemetry.Counter{
-		ShedQueueFull:  h.Registry.Counter("thrifty_admission_shed_total", "group", c.group, "reason", ShedQueueFull),
-		ShedDeadline:   h.Registry.Counter("thrifty_admission_shed_total", "group", c.group, "reason", ShedDeadline),
-		ShedBestEffort: h.Registry.Counter("thrifty_admission_shed_total", "group", c.group, "reason", ShedBestEffort),
-	}
-	c.gLevel = h.Registry.Gauge("thrifty_admission_brownout_level", "group", c.group)
-	c.gQueue = h.Registry.Gauge("thrifty_admission_queue_depth", "group", c.group)
-}
-
-// OnLevelChange registers a callback fired (under the clock domain) when
-// the brownout level changes. Call before Start.
-func (c *Controller) OnLevelChange(fn func(level int)) { c.onLevelChange = fn }
-
-// OnTick registers a callback fired (under the clock domain) after every
-// brownout evaluation. Call before Start.
-func (c *Controller) OnTick(fn func()) { c.onTick = fn }
-
-// Start arms the periodic brownout evaluation on the group's virtual
-// clock. Must be called under the clock domain (master calls it during
-// deploy). Idempotent.
-func (c *Controller) Start() {
-	if c.onTicker != nil {
-		return
-	}
-	c.onTicker = func(now sim.Time) {
-		c.tick()
-		c.eng.Reschedule(&c.ticker, now.Add(c.cfg.TickInterval), c.onTicker)
-	}
-	c.eng.Reschedule(&c.ticker, c.eng.Now().Add(c.cfg.TickInterval), c.onTicker)
-}
 
 // tick re-evaluates the brownout level from the live RT-TTP estimate, the
 // group's instantaneous pressure (every MPPDB claimed by an active tenant —
@@ -317,21 +295,17 @@ func (c *Controller) tick() {
 	}
 	prev := int(c.level.Swap(int32(level)))
 	if level != prev {
-		if c.gLevel != nil {
-			c.gLevel.Set(float64(level))
+		c.gLevel.Set(float64(level))
+		typ := telemetry.EventBrownoutEntered
+		if level == LevelNormal {
+			typ = telemetry.EventBrownoutCleared
 		}
-		if c.tel != nil {
-			typ := telemetry.EventBrownoutEntered
-			if level == LevelNormal {
-				typ = telemetry.EventBrownoutCleared
-			}
-			c.tel.Events.Publish(telemetry.Event{
-				Type:   typ,
-				Group:  c.group,
-				Value:  float64(level),
-				Detail: fmt.Sprintf("rt_ttp=%.6f degraded=%d", rt, degraded),
-			})
-		}
+		c.tel.Events.Publish(telemetry.Event{
+			Type:   typ,
+			Group:  c.group,
+			Value:  float64(level),
+			Detail: fmt.Sprintf("rt_ttp=%.6f degraded=%d", rt, degraded),
+		})
 		if c.onLevelChange != nil {
 			c.onLevelChange(level)
 		}
@@ -348,36 +322,24 @@ func (c *Controller) Level() int { return int(c.level.Load()) }
 // Lock-free.
 func (c *Controller) QueueDepth() int { return int(c.waiting.Load()) }
 
-// Admit decides whether one query from tenant may enter the group now.
-// Must run under the group's clock domain. A nil return admits; otherwise
-// the error is a *ContractExceededError (429) or *ShedError (503).
-func (c *Controller) Admit(tenant string, sla sim.Time, bestEffort bool) error {
-	return c.admit(c.states[tenant], tenant, sla, bestEffort)
+// state resolves a group ref to its member state (nil for a non-member)
+// and the tenant's ID.
+func (c *Controller) state(ref tenant.Ref) (*tenantState, string) {
+	if ref >= 0 && int(ref) < len(c.byRef) && c.byRef[ref] != nil {
+		return c.byRef[ref], c.byRef[ref].tenant
+	}
+	return nil, c.in.ID(ref)
 }
 
-// AdmitRef is Admit over an interned tenant ref (requires AdoptInterner):
-// the member state resolves with one slice index instead of a string hash.
+// AdmitRef decides whether one query from the tenant behind the group ref
+// may enter the group now. Must run under the group's clock domain. A nil
+// return admits; otherwise the error is a *ContractExceededError (429) or
+// *ShedError (503).
 func (c *Controller) AdmitRef(ref tenant.Ref, sla sim.Time, bestEffort bool) error {
-	var ts *tenantState
-	if ref >= 0 && int(ref) < len(c.byRef) {
-		ts = c.byRef[ref]
-	}
-	name := ""
-	if ts != nil {
-		name = ts.tenant
-	} else if c.in != nil {
-		name = c.in.ID(ref)
-	}
-	return c.admit(ts, name, sla, bestEffort)
-}
-
-func (c *Controller) admit(ts *tenantState, tenant string, sla sim.Time, bestEffort bool) error {
+	ts, tenant := c.state(ref)
 	level := int(c.level.Load())
 	if bestEffort && level >= LevelShedBestEffort {
-		if ts != nil {
-			ts.shed.Add(1)
-		}
-		c.countShed(tenant, ShedBestEffort, "brownout sheds best-effort traffic")
+		c.shed(ts, tenant, ShedBestEffort, "brownout sheds best-effort traffic")
 		return &ShedError{
 			Group: c.group, Tenant: tenant, Reason: ShedBestEffort,
 			RetryAfter: sim.Duration(c.cfg.TickInterval),
@@ -389,9 +351,7 @@ func (c *Controller) admit(ts *tenantState, tenant string, sla sim.Time, bestEff
 		if ts != nil {
 			ts.admitted.Add(1)
 		}
-		if c.mAdmitted != nil {
-			c.mAdmitted.Inc()
-		}
+		c.mAdmitted.Inc()
 		return nil
 	}
 	// During brownout a tenant must hold hotFraction of its burst in
@@ -422,42 +382,37 @@ func (c *Controller) admit(ts *tenantState, tenant string, sla sim.Time, bestEff
 	ts.mirror()
 	if !ok {
 		ts.throttled.Add(1)
-		if c.mThrottled != nil {
-			c.mThrottled.Inc()
-		}
-		if c.tel != nil {
-			c.tel.Events.Publish(telemetry.Event{
-				Type:   telemetry.EventContractExceeded,
-				Group:  c.group,
-				Tenant: tenant,
-				Value:  retryAfter.Seconds(),
-				Detail: fmt.Sprintf("level=%d %s", level, ts.contract),
-			})
-		}
+		c.mThrottled.Inc()
+		c.tel.Events.Publish(telemetry.Event{
+			Type:   telemetry.EventContractExceeded,
+			Group:  c.group,
+			Tenant: tenant,
+			Value:  retryAfter.Seconds(),
+			Detail: fmt.Sprintf("level=%d %s", level, ts.contract),
+		})
 		return &ContractExceededError{
 			Group: c.group, Tenant: tenant,
 			RetryAfter: retryAfter, Brownout: level >= LevelThrottleHot,
 		}
 	}
 	ts.admitted.Add(1)
-	if c.mAdmitted != nil {
-		c.mAdmitted.Inc()
-	}
+	c.mAdmitted.Inc()
 	return nil
 }
 
-// EnterQueue claims a slot in the bounded admission queue for a submit
-// whose first attempt failed transiently and will retry after delay.
+// EnterQueue claims a slot in the bounded admission queue for a submit of
+// the tenant behind the group ref whose first attempt failed transiently and
+// will retry after delay.
 // Must run under the group's clock domain. It sheds immediately — typed
 // *ShedError — when the queue is full or the projected start delay alone
 // would blow the query's SLA deadline (no wasted work). A nil return means
 // the slot is held until LeaveQueue.
-func (c *Controller) EnterQueue(tenant string, sla, delay sim.Time) error {
+func (c *Controller) EnterQueue(ref tenant.Ref, sla, delay sim.Time) error {
+	ts, tenant := c.state(ref)
 	if sla > 0 {
 		slack := sim.Time(float64(sla) * (deadlineFactor - 1))
 		if delay > slack {
-			c.shedTenant(tenant)
-			c.countShed(tenant, ShedDeadline,
+			c.shed(ts, tenant, ShedDeadline,
 				fmt.Sprintf("start delay %v exceeds deadline slack %v", delay, slack))
 			return &ShedError{
 				Group: c.group, Tenant: tenant, Reason: ShedDeadline,
@@ -466,58 +421,45 @@ func (c *Controller) EnterQueue(tenant string, sla, delay sim.Time) error {
 		}
 	}
 	if int(c.waiting.Load()) >= maxQueue {
-		c.shedTenant(tenant)
-		c.countShed(tenant, ShedQueueFull,
+		c.shed(ts, tenant, ShedQueueFull,
 			fmt.Sprintf("admission queue at capacity %d", maxQueue))
 		return &ShedError{
 			Group: c.group, Tenant: tenant, Reason: ShedQueueFull,
 			RetryAfter: delay,
 		}
 	}
-	d := c.waiting.Add(1)
-	if c.gQueue != nil {
-		c.gQueue.Set(float64(d))
-	}
+	c.gQueue.Set(float64(c.waiting.Add(1)))
 	return nil
 }
 
 // LeaveQueue releases a slot claimed by EnterQueue. Must run under the
 // group's clock domain.
 func (c *Controller) LeaveQueue() {
-	d := c.waiting.Add(-1)
-	if c.gQueue != nil {
-		c.gQueue.Set(float64(d))
-	}
+	c.gQueue.Set(float64(c.waiting.Add(-1)))
 }
 
-func (c *Controller) shedTenant(tenant string) {
-	if ts := c.states[tenant]; ts != nil {
+// shed counts one shed query of the tenant (ts nil for a non-member) and
+// publishes it.
+func (c *Controller) shed(ts *tenantState, tenant, reason, detail string) {
+	if ts != nil {
 		ts.shed.Add(1)
 	}
-}
-
-func (c *Controller) countShed(tenant, reason, detail string) {
-	if m := c.mShed[reason]; m != nil {
-		m.Inc()
-	}
-	if c.tel != nil {
-		c.tel.Events.Publish(telemetry.Event{
-			Type:   telemetry.EventQueryShed,
-			Group:  c.group,
-			Tenant: tenant,
-			Detail: reason + ": " + detail,
-		})
-	}
+	c.mShed[reason].Inc()
+	c.tel.Events.Publish(telemetry.Event{
+		Type:   telemetry.EventQueryShed,
+		Group:  c.group,
+		Tenant: tenant,
+		Detail: reason + ": " + detail,
+	})
 }
 
 // TenantStats returns every member's admission accounting, sorted by
 // tenant ID. Lock-free.
 func (c *Controller) TenantStats() []TenantStat {
 	out := make([]TenantStat, 0, len(c.order))
-	for _, id := range c.order {
-		ts := c.states[id]
+	for _, ts := range c.order {
 		st := TenantStat{
-			Tenant:    id,
+			Tenant:    ts.tenant,
 			Rate:      ts.contract.Rate,
 			Burst:     ts.contract.Burst,
 			Admitted:  ts.admitted.Load(),

@@ -10,6 +10,7 @@ import (
 	"repro/internal/mppdb"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
+	"repro/internal/tenant"
 	"repro/internal/workload"
 )
 
@@ -86,9 +87,9 @@ func TestBucket(t *testing.T) {
 	}
 }
 
-// testController builds a controller over a live monitor and insts Ready
-// instances.
-func testController(t *testing.T, eng *sim.Engine, insts int, cfg Config) (*Controller, *monitor.GroupMonitor) {
+// testController builds a controller over a live monitor, insts Ready
+// instances and its own telemetry hub; onLevelChange may be nil.
+func testController(t *testing.T, eng *sim.Engine, insts int, cfg Config, onLevelChange func(int)) (*Controller, *monitor.GroupMonitor) {
 	t.Helper()
 	mon, err := monitor.NewGroup(eng, "g0", 1, time.Hour)
 	if err != nil {
@@ -98,26 +99,62 @@ func testController(t *testing.T, eng *sim.Engine, insts int, cfg Config) (*Cont
 	for i := range dbs {
 		dbs[i] = mppdb.New(eng, "i", 4)
 	}
-	c, err := New(eng, "g0", 0.999, []string{"A", "B"}, dbs, mon, nil, cfg)
+	c, err := New(eng, telemetry.NewHub(eng, 0.999), tenant.NewInterner(), "g0", 0.999,
+		[]string{"A", "B"}, dbs, mon, nil, cfg, onLevelChange, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return c, mon
 }
 
+// ref resolves a member to its group ref.
+func ref(t *testing.T, c *Controller, id string) tenant.Ref {
+	t.Helper()
+	r, ok := c.in.Lookup(id)
+	if !ok {
+		t.Fatalf("tenant %s not interned", id)
+	}
+	return r
+}
+
+// TestNewArms: New alone arms the controller — its brownout tick is queued
+// one TickInterval out and its metric families are registered on the hub.
+func TestNewArms(t *testing.T) {
+	eng := sim.NewEngine()
+	c, _ := testController(t, eng, 1, DefaultConfig(), nil)
+	if at, ok := eng.NextAt(); eng.Pending() != 1 || !ok || at != sim.Duration(c.cfg.TickInterval) {
+		t.Fatalf("%d events pending, next at %v: want the one brownout tick at %v",
+			eng.Pending(), at, c.cfg.TickInterval)
+	}
+	families := map[string]bool{}
+	for _, mv := range c.tel.Registry.Snapshot() {
+		families[mv.Name] = true
+	}
+	for _, name := range []string{"thrifty_admission_admitted_total", "thrifty_admission_throttled_total",
+		"thrifty_admission_shed_total", "thrifty_admission_brownout_level", "thrifty_admission_queue_depth"} {
+		if !families[name] {
+			t.Errorf("metric family %s not registered", name)
+		}
+	}
+	eng.Run(sim.Duration(3 * c.cfg.TickInterval))
+	if eng.Pending() != 1 {
+		t.Errorf("%d events pending after three ticks, want the one re-keyed tick", eng.Pending())
+	}
+}
+
 func TestAdmitContractEnforcement(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.Contracts = map[string]Contract{"A": {Rate: 1, Burst: 4}}
-	c, _ := testController(t, eng, 2, cfg)
+	c, _ := testController(t, eng, 2, cfg, nil)
 
 	// A's burst admits, then the typed 429 with a sane Retry-After.
 	for i := 0; i < 4; i++ {
-		if err := c.Admit("A", 0, false); err != nil {
+		if err := c.AdmitRef(ref(t, c, "A"), 0, false); err != nil {
 			t.Fatalf("burst admit %d: %v", i, err)
 		}
 	}
-	err := c.Admit("A", 0, false)
+	err := c.AdmitRef(ref(t, c, "A"), 0, false)
 	var ce *ContractExceededError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want ContractExceededError, got %v", err)
@@ -128,7 +165,7 @@ func TestAdmitContractEnforcement(t *testing.T) {
 
 	// B has no contract and the zero Default is unlimited.
 	for i := 0; i < 100; i++ {
-		if err := c.Admit("B", 0, false); err != nil {
+		if err := c.AdmitRef(ref(t, c, "B"), 0, false); err != nil {
 			t.Fatalf("unlimited tenant throttled: %v", err)
 		}
 	}
@@ -143,7 +180,7 @@ func TestAdmitContractEnforcement(t *testing.T) {
 
 	// Honoring Retry-After readmits.
 	eng.Run(eng.Now().Add(time.Duration(ce.RetryAfter)))
-	if err := c.Admit("A", 0, false); err != nil {
+	if err := c.AdmitRef(ref(t, c, "A"), 0, false); err != nil {
 		t.Fatalf("after backoff: %v", err)
 	}
 }
@@ -152,10 +189,10 @@ func TestAdmitStrikePolicing(t *testing.T) {
 	eng := sim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.Contracts = map[string]Contract{"A": {Rate: 1, Burst: 4}}
-	c, _ := testController(t, eng, 2, cfg)
+	c, _ := testController(t, eng, 2, cfg, nil)
 
 	for i := 0; i < 4; i++ {
-		if err := c.Admit("A", 0, false); err != nil {
+		if err := c.AdmitRef(ref(t, c, "A"), 0, false); err != nil {
 			t.Fatalf("burst admit %d: %v", i, err)
 		}
 	}
@@ -167,7 +204,7 @@ func TestAdmitStrikePolicing(t *testing.T) {
 	admitted := 0
 	for i := 0; i < 100; i++ {
 		eng.Run(eng.Now().Add(100 * time.Millisecond))
-		if c.Admit("A", 0, false) == nil {
+		if c.AdmitRef(ref(t, c, "A"), 0, false) == nil {
 			admitted++
 		}
 	}
@@ -176,22 +213,18 @@ func TestAdmitStrikePolicing(t *testing.T) {
 	}
 	// Actually backing off (a full token's worth of idle time) readmits.
 	eng.Run(eng.Now().Add(time.Second))
-	if err := c.Admit("A", 0, false); err != nil {
+	if err := c.AdmitRef(ref(t, c, "A"), 0, false); err != nil {
 		t.Fatalf("after genuine backoff: %v", err)
 	}
 }
 
 func TestBrownoutTransitions(t *testing.T) {
 	eng := sim.NewEngine()
-	hub := telemetry.NewHub(eng, 0.999)
 	cfg := DefaultConfig()
 	cfg.Contracts = map[string]Contract{"A": {Rate: 1, Burst: 4}, "B": {Rate: 1, Burst: 4}}
 	cfg.TickInterval = time.Second
-	c, mon := testController(t, eng, 1, cfg)
-	c.SetTelemetry(hub)
 	var levels []int
-	c.OnLevelChange(func(l int) { levels = append(levels, l) })
-	c.Start()
+	c, mon := testController(t, eng, 1, cfg, func(l int) { levels = append(levels, l) })
 
 	eng.Run(2 * sim.Second)
 	if c.Level() != LevelNormal {
@@ -208,13 +241,13 @@ func TestBrownoutTransitions(t *testing.T) {
 	// Brownout withdraws the burst allowance: A holds 4 tokens but must
 	// retain hotFraction x Burst = 2 in reserve, so the third take denies
 	// and the policer drains the bucket.
-	if err := c.Admit("A", 0, false); err != nil {
+	if err := c.AdmitRef(ref(t, c, "A"), 0, false); err != nil {
 		t.Fatalf("hot admit 1: %v", err)
 	}
-	if err := c.Admit("A", 0, false); err != nil {
+	if err := c.AdmitRef(ref(t, c, "A"), 0, false); err != nil {
 		t.Fatalf("hot admit 2: %v", err)
 	}
-	err := c.Admit("A", 0, false)
+	err := c.AdmitRef(ref(t, c, "A"), 0, false)
 	var ce *ContractExceededError
 	if !errors.As(err, &ce) || !ce.Brownout {
 		t.Fatalf("want brownout 429, got %v", err)
@@ -238,13 +271,13 @@ func TestBrownoutTransitions(t *testing.T) {
 	if c.Level() != LevelShedBestEffort {
 		t.Fatalf("level under violation %d (rt %v)", c.Level(), mon.RTTTP())
 	}
-	err = c.Admit("B", 0, true)
+	err = c.AdmitRef(ref(t, c, "B"), 0, true)
 	var se *ShedError
 	if !errors.As(err, &se) || se.Reason != ShedBestEffort {
 		t.Fatalf("want best-effort shed, got %v", err)
 	}
 	// SLA traffic from a contract-abiding tenant still passes.
-	if err := c.Admit("B", sim.Minute, false); err != nil {
+	if err := c.AdmitRef(ref(t, c, "B"), sim.Minute, false); err != nil {
 		t.Fatalf("SLA traffic shed during brownout: %v", err)
 	}
 
@@ -252,7 +285,7 @@ func TestBrownoutTransitions(t *testing.T) {
 		t.Fatalf("level transitions %v", levels)
 	}
 	entered, cleared := 0, 0
-	for _, ev := range hub.Events.Recent(0) {
+	for _, ev := range c.tel.Events.Recent(0) {
 		switch ev.Type {
 		case telemetry.EventBrownoutEntered:
 			entered++
@@ -270,22 +303,22 @@ func TestBrownoutTransitions(t *testing.T) {
 
 func TestQueueBounds(t *testing.T) {
 	eng := sim.NewEngine()
-	c, _ := testController(t, eng, 2, DefaultConfig())
+	c, _ := testController(t, eng, 2, DefaultConfig(), nil)
 
 	// A delay that alone blows the SLA deadline sheds immediately: slack is
 	// (deadlineFactor-1) x SLA = 25 s here.
-	err := c.EnterQueue("A", 100*sim.Second, 30*sim.Second)
+	err := c.EnterQueue(ref(t, c, "A"), 100*sim.Second, 30*sim.Second)
 	var se *ShedError
 	if !errors.As(err, &se) || se.Reason != ShedDeadline {
 		t.Fatalf("want deadline shed, got %v", err)
 	}
 
 	for i := 0; i < maxQueue; i++ {
-		if err := c.EnterQueue([]string{"A", "B"}[i%2], 0, sim.Second); err != nil {
+		if err := c.EnterQueue(ref(t, c, []string{"A", "B"}[i%2]), 0, sim.Second); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err = c.EnterQueue("A", 0, sim.Second)
+	err = c.EnterQueue(ref(t, c, "A"), 0, sim.Second)
 	if !errors.As(err, &se) || se.Reason != ShedQueueFull {
 		t.Fatalf("want queue-full shed, got %v", err)
 	}
@@ -306,14 +339,23 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	if _, err := New(nil, "g", 0.999, nil, nil, mon, nil, cfg); err == nil {
+	hub, in, cfg := telemetry.NewHub(eng, 0.999), tenant.NewInterner(), DefaultConfig()
+	if _, err := New(nil, hub, in, "g", 0.999, nil, nil, mon, nil, cfg, nil, nil); err == nil {
 		t.Fatal("nil engine accepted")
 	}
-	if _, err := New(eng, "g", 0.999, nil, nil, nil, nil, cfg); err == nil {
+	if _, err := New(eng, nil, in, "g", 0.999, nil, nil, mon, nil, cfg, nil, nil); err == nil {
+		t.Fatal("nil hub accepted")
+	}
+	if _, err := New(eng, hub, nil, "g", 0.999, nil, nil, mon, nil, cfg, nil, nil); err == nil {
+		t.Fatal("nil interner accepted")
+	}
+	if _, err := New(eng, hub, in, "g", 0.999, nil, nil, nil, nil, cfg, nil, nil); err == nil {
 		t.Fatal("nil monitor accepted")
 	}
-	if _, err := New(eng, "g", 0, nil, nil, mon, nil, cfg); err == nil {
+	if _, err := New(eng, hub, in, "g", 0, nil, nil, mon, nil, cfg, nil, nil); err == nil {
 		t.Fatal("P=0 accepted")
+	}
+	if eng.Pending() != 0 {
+		t.Fatalf("rejected controllers left %d events queued", eng.Pending())
 	}
 }

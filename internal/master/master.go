@@ -156,7 +156,7 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 	}
 	lc := cluster.NewLifecycle(eng, m.pool, m.opts.ParallelLoad, !m.opts.NoSpread)
 	g := &DeployedGroup{Plan: pg, Members: members, Lifecycle: lc}
-	// One interner per group, shared by every instance (and adopted by the
+	// One interner per group, shared by every instance (and taken by the
 	// router and admission controller): tenant refs resolved once at the
 	// front door stay valid across the whole group.
 	interner := tenant.NewInterner()
@@ -202,55 +202,42 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 	rt.SetTelemetry(tel)
 	g.Monitor = mon
 	g.Router = rt
-	g.Bind(dom)
-	g.SetTelemetry(tel)
+	g.Bind(dom, tel)
 	// Every group gets its §4.4 recovery controller. Its claims rank in the
 	// deployment's scarcity triage by sliding RT-TTP deficit below P × member
 	// count, as the scaler's do; on a multi-domain pool it quarantines
 	// fully-dead instances from routing until repaired; and it re-spreads
 	// the group when its lifecycle spreads. It schedules nothing until a
-	// fault calls Detect, unless the group landed collapsed.
-	if g.Recovery, err = recovery.New(lc, dep.triage, pg.ID, g.Instances); err != nil {
+	// fault calls Detect, unless the group landed collapsed. Every controller
+	// is armed when its constructor returns.
+	prio := func() (float64, int) { return max(dep.cfg.P-mon.RTTTP(), 0), len(members) }
+	if g.Recovery, err = recovery.New(lc, dep.triage, tel, pg.ID, g.Instances, prio); err != nil {
 		return nil, 0, err
 	}
-	prio := func() (float64, int) { return max(dep.cfg.P-mon.RTTTP(), 0), len(members) }
-	g.Recovery.SetTelemetry(tel)
-	g.Recovery.SetPriority(prio)
+	// Only on a multi-domain pool: on a single-domain one, recovery's finish
+	// would lift a gray drain's quarantine at repair, before the detector has
+	// reset the slowdown.
 	if m.pool.Domains() > 1 {
 		g.Recovery.SetQuarantine(rt.SetQuarantine)
 	}
 	if m.opts.Gray != nil {
-		gd, err := recovery.NewGrayDetector(eng, m.pool, pg.ID, g.Instances, rt, g.Recovery, *m.opts.Gray)
-		if err != nil {
+		if g.Gray, err = recovery.NewGrayDetector(eng, m.pool, tel, pg.ID, g.Instances, rt, g.Recovery, *m.opts.Gray); err != nil {
 			return nil, 0, err
 		}
-		gd.SetTelemetry(tel)
-		gd.Start()
-		g.Gray = gd
 	}
 	if m.opts.Admission != nil {
-		ac, err := admission.New(eng, pg.ID, dep.cfg.P, pg.TenantIDs,
-			g.Instances, mon, g.Recovery, *m.opts.Admission)
-		if err != nil {
+		if g.Admission, err = admission.New(eng, tel, interner, pg.ID, dep.cfg.P, pg.TenantIDs,
+			g.Instances, mon, g.Recovery, *m.opts.Admission,
+			func(level int) { g.SetSheddingOnly(level >= admission.LevelShedBestEffort) },
+			g.CacheStats); err != nil {
 			return nil, 0, err
 		}
-		ac.SetTelemetry(tel)
-		ac.AdoptInterner(interner)
-		grt := g
-		ac.OnLevelChange(func(level int) {
-			grt.SetSheddingOnly(level >= admission.LevelShedBestEffort)
-		})
-		ac.OnTick(grt.CacheStats)
-		ac.Start()
-		g.Admission = ac
 	}
 	if m.opts.Scaling {
 		scfg := scaling.Config{P: dep.cfg.P, R: dep.cfg.R, Window: m.opts.MonitorWindow, Epoch: dep.cfg.Epoch}
-		if g.Scaler, err = scaling.New(lc, dep.triage, rt, mon, members, scfg, prio); err != nil {
+		if g.Scaler, err = scaling.New(lc, dep.triage, tel, rt, mon, members, scfg, prio); err != nil {
 			return nil, 0, err
 		}
-		g.Scaler.SetTelemetry(tel)
-		g.Scaler.Start()
 	}
 	return g, readyAt, nil
 }

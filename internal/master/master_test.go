@@ -86,7 +86,7 @@ func TestDeployImmediate(t *testing.T) {
 		t.Fatal("GroupFor failed")
 	}
 	var db string
-	g.Domain().Do(func(*sim.Engine) { db, err = g.Router.Submit("Ta", cl) })
+	g.Domain().Do(func(*sim.Engine) { db, err = g.Router.SubmitRef(g.Router.Ref("Ta"), cl, 0) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestDeployWithProvisioningDelay(t *testing.T) {
 	// Until ready, routing fails (no ready MPPDB).
 	cl, _ := queries.Default().ByID("TPCH-Q6")
 	g.Domain().Do(func(*sim.Engine) {
-		if _, err := g.Router.Submit(g.Plan.TenantIDs[0], cl); err == nil {
+		if _, err := g.Router.SubmitRef(g.Router.Ref(g.Plan.TenantIDs[0]), cl, 0); err == nil {
 			t.Error("query accepted before provisioning completed")
 		}
 	})
@@ -137,7 +137,7 @@ func TestDeployWithProvisioningDelay(t *testing.T) {
 				t.Errorf("instance %s is %v after ReadyAt", inst.ID(), inst.State())
 			}
 		}
-		if _, err := g.Router.Submit(g.Plan.TenantIDs[0], cl); err != nil {
+		if _, err := g.Router.SubmitRef(g.Router.Ref(g.Plan.TenantIDs[0]), cl, 0); err != nil {
 			t.Errorf("query after provisioning: %v", err)
 		}
 	})

@@ -95,15 +95,13 @@ func (c Crashes) arm(r *run) (*armed, error) {
 						res.Applied++
 						res.CrashNodes[i], _ = r.dep.Pool().FailAny(inst.ID())
 						g.Recovery.Detect()
-						if h := g.Telemetry(); h != nil {
-							h.Events.Publish(telemetry.Event{
-								Type:   telemetry.EventNodeFailure,
-								Group:  g.Plan.ID,
-								MPPDB:  inst.ID(),
-								Value:  float64(inst.FailedNodes()),
-								Detail: "degraded; awaiting autonomous recovery",
-							})
-						}
+						g.Telemetry().Events.Publish(telemetry.Event{
+							Type:   telemetry.EventNodeFailure,
+							Group:  g.Plan.ID,
+							MPPDB:  inst.ID(),
+							Value:  float64(inst.FailedNodes()),
+							Detail: "degraded; awaiting autonomous recovery",
+						})
 					})
 				})
 			}

@@ -76,13 +76,13 @@ func (s Storm) arm(r *run) (*armed, error) {
 	// controller (when armed) and router, tallying typed rejections. Runs
 	// inside an engine callback, so the domain is already held by the
 	// driver.
-	submit := func(g *master.DeployedGroup, tenantID string, ref tenant.Ref, class *queries.Class, sla sim.Time, storm bool) error {
+	submit := func(g *master.DeployedGroup, ref tenant.Ref, class *queries.Class, sla sim.Time, storm bool) error {
 		throttled, shed := &res.NormalThrottled, &res.NormalShed
 		if storm {
 			throttled, shed = &res.StormThrottled, &res.StormShed
 		}
 		if ac := g.Admission; ac != nil {
-			if err := ac.Admit(tenantID, sla, false); err != nil {
+			if err := ac.AdmitRef(ref, sla, false); err != nil {
 				var ce *admission.ContractExceededError
 				var se *admission.ShedError
 				switch {
@@ -141,7 +141,7 @@ func (s Storm) arm(r *run) (*armed, error) {
 					break
 				}
 				res.StormSubmitted++
-				r.eng.Schedule(at, func(sim.Time) { _ = submit(target, id, ref, class, sla, true) })
+				r.eng.Schedule(at, func(sim.Time) { _ = submit(target, ref, class, sla, true) })
 			}
 		})
 	}
@@ -150,7 +150,7 @@ func (s Storm) arm(r *run) (*armed, error) {
 		// The replayed members take the same admission-then-router path
 		// the storm takes.
 		submit: func(a workload.Arrival, g *master.DeployedGroup, ref tenant.Ref) error {
-			return submit(g, a.Tenant, ref, a.Class, slackTarget(a.SLATarget), false)
+			return submit(g, ref, a.Class, slackTarget(a.SLATarget), false)
 		},
 		skip: hot,
 		inject: func() {

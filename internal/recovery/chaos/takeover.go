@@ -39,6 +39,7 @@ func (to TakeOver) arm(r *run) (*armed, error) {
 		return nil, fmt.Errorf("takeover: interval %v", to.Interval)
 	}
 	res, end := r.res, r.cfg.To
+	ref := g.Router.Ref(to.Tenant)
 	// The interval is a floor, not an open-loop rate: a new query is only
 	// submitted once the previous one finishes — the paper's tester
 	// "continuously submitted queries" one after another (§7.5). An open
@@ -48,14 +49,12 @@ func (to TakeOver) arm(r *run) (*armed, error) {
 	inject := func() {
 		g.Domain().Do(func(eng *sim.Engine) {
 			eng.Schedule(to.Start, func(sim.Time) {
-				if h := g.Telemetry(); h != nil {
-					h.Events.Publish(telemetry.Event{
-						Type:   telemetry.EventTakeOver,
-						Group:  g.Plan.ID,
-						Tenant: to.Tenant,
-						Detail: fmt.Sprintf("continuous %s every %v", takeOverClass, to.Interval),
-					})
-				}
+				g.Telemetry().Events.Publish(telemetry.Event{
+					Type:   telemetry.EventTakeOver,
+					Group:  g.Plan.ID,
+					Tenant: to.Tenant,
+					Detail: fmt.Sprintf("continuous %s every %v", takeOverClass, to.Interval),
+				})
 			})
 			var hammer func(now sim.Time)
 			hammer = func(now sim.Time) {
@@ -64,7 +63,7 @@ func (to TakeOver) arm(r *run) (*armed, error) {
 				}
 				if g.Router.TenantInFlight(to.Tenant) == 0 {
 					res.TakeOverSubmitted++
-					if _, err := g.Router.Submit(to.Tenant, class); err != nil {
+					if _, err := g.Router.SubmitRef(ref, class, 0); err != nil {
 						res.TakeOverErrors++
 					}
 				}

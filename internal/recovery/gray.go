@@ -185,8 +185,6 @@ type GrayDetector struct {
 	byID   map[string]int
 	events []*GrayEvent
 
-	started bool
-
 	tel        *telemetry.Hub
 	mSuspected *telemetry.Counter
 	mConfirmed *telemetry.Counter
@@ -195,63 +193,50 @@ type GrayDetector struct {
 	mActive    *telemetry.Gauge
 }
 
-// NewGrayDetector builds a detector over the group's instances. rt must be
-// the group's router (its completion stream becomes the sample feed) and
-// ctrl the group's crash-recovery controller, which executes the drain
-// rung's node replacement.
-func NewGrayDetector(eng *sim.Engine, pool *cluster.Pool, group string,
+// NewGrayDetector builds a detector over the group's instances, armed: its
+// evaluation beat is queued on eng every minute, as shared events (a beat
+// may drain an instance's pool node), so the caller must hold the group's
+// clock domain. tel is the group's telemetry view, rt the group's router
+// (its completion stream becomes the sample feed) and ctrl the group's
+// crash-recovery controller, which executes the drain rung's node
+// replacement.
+func NewGrayDetector(eng *sim.Engine, pool *cluster.Pool, tel *telemetry.Hub, group string,
 	insts []*mppdb.Instance, rt HedgeRouter, ctrl *Controller, cfg GrayConfig) (*GrayDetector, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	if eng == nil || pool == nil || len(insts) == 0 || rt == nil || ctrl == nil {
-		return nil, fmt.Errorf("recovery: gray detector for %q needs engine, pool, instances, router, and controller", group)
+	if eng == nil || pool == nil || tel == nil || len(insts) == 0 || rt == nil || ctrl == nil {
+		return nil, fmt.Errorf("recovery: gray detector for %q needs engine, pool, telemetry hub, instances, router, and controller", group)
 	}
 	d := &GrayDetector{
-		eng:    eng,
-		group:  group,
-		insts:  insts,
-		rt:     rt,
-		ctrl:   ctrl,
-		pool:   pool,
-		cfg:    cfg,
-		states: make([]grayState, len(insts)),
-		byID:   make(map[string]int, len(insts)),
+		eng:        eng,
+		group:      group,
+		insts:      insts,
+		rt:         rt,
+		ctrl:       ctrl,
+		pool:       pool,
+		cfg:        cfg,
+		states:     make([]grayState, len(insts)),
+		byID:       make(map[string]int, len(insts)),
+		tel:        tel,
+		mSuspected: tel.Registry.Counter("thrifty_gray_suspected_total", "group", group),
+		mConfirmed: tel.Registry.Counter("thrifty_gray_confirmed_total", "group", group),
+		mDrained:   tel.Registry.Counter("thrifty_gray_drained_total", "group", group),
+		mCleared:   tel.Registry.Counter("thrifty_gray_cleared_total", "group", group),
+		mActive:    tel.Registry.Gauge("thrifty_gray_active", "group", group),
 	}
 	for i, inst := range insts {
 		d.states[i].ring = make([]float64, cfg.Window)
 		d.byID[inst.ID()] = i
 	}
 	rt.SetCompletionObserver(d.observe)
-	return d, nil
-}
-
-// SetTelemetry attaches a telemetry hub. A nil hub disables instrumentation.
-func (d *GrayDetector) SetTelemetry(h *telemetry.Hub) {
-	d.tel = h
-	if h == nil {
-		return
-	}
-	d.mSuspected = h.Registry.Counter("thrifty_gray_suspected_total", "group", d.group)
-	d.mConfirmed = h.Registry.Counter("thrifty_gray_confirmed_total", "group", d.group)
-	d.mDrained = h.Registry.Counter("thrifty_gray_drained_total", "group", d.group)
-	d.mCleared = h.Registry.Counter("thrifty_gray_cleared_total", "group", d.group)
-	d.mActive = h.Registry.Gauge("thrifty_gray_active", "group", d.group)
-}
-
-// Start schedules the periodic evaluation loop, as shared events: a beat may
-// drain an instance's pool node. Idempotent.
-func (d *GrayDetector) Start() {
-	if d.started {
-		return
-	}
-	d.started = true
 	var beat func(now sim.Time)
 	beat = func(now sim.Time) {
 		d.evaluate()
 		d.eng.AfterShared(grayInterval, beat)
 	}
 	d.eng.AfterShared(grayInterval, beat)
+	return d, nil
 }
 
 // Events returns a copy of all gray episodes so far, suspicion order.
@@ -404,18 +389,16 @@ func (d *GrayDetector) escalate(i int, inst *mppdb.Instance, now sim.Time, obser
 		// on suspicion — the blind window is one beat, not ConfirmBeats.
 		d.rt.SetGrayFlag(inst.ID(), true)
 		st.ev.Hedged = d.rt.HedgeInFlight(inst.ID())
-		if d.tel != nil {
-			d.mSuspected.Inc()
-			d.mActive.Add(1)
-			d.tel.Events.Publish(telemetry.Event{
-				Type:  telemetry.EventGraySuspected,
-				Group: d.group,
-				MPPDB: inst.ID(),
-				Value: observed,
-				Detail: fmt.Sprintf("completion slowdown %.2f vs peer median %.2f; hedging engaged (%d in-flight duplicated)",
-					observed, pm, st.ev.Hedged),
-			})
-		}
+		d.mSuspected.Inc()
+		d.mActive.Add(1)
+		d.tel.Events.Publish(telemetry.Event{
+			Type:  telemetry.EventGraySuspected,
+			Group: d.group,
+			MPPDB: inst.ID(),
+			Value: observed,
+			Detail: fmt.Sprintf("completion slowdown %.2f vs peer median %.2f; hedging engaged (%d in-flight duplicated)",
+				observed, pm, st.ev.Hedged),
+		})
 	case graySuspected:
 		if st.suspectBeats < d.cfg.ConfirmBeats {
 			return
@@ -428,16 +411,14 @@ func (d *GrayDetector) escalate(i int, inst *mppdb.Instance, now sim.Time, obser
 		st.strikes++
 		st.ev.Confirmed = now
 		st.ev.Strikes = st.strikes
-		if d.tel != nil {
-			d.mConfirmed.Inc()
-			d.tel.Events.Publish(telemetry.Event{
-				Type:   telemetry.EventGrayConfirmed,
-				Group:  d.group,
-				MPPDB:  inst.ID(),
-				Value:  observed,
-				Detail: fmt.Sprintf("episode confirmed, strike %d; drain clock started", st.strikes),
-			})
-		}
+		d.mConfirmed.Inc()
+		d.tel.Events.Publish(telemetry.Event{
+			Type:   telemetry.EventGrayConfirmed,
+			Group:  d.group,
+			MPPDB:  inst.ID(),
+			Value:  observed,
+			Detail: fmt.Sprintf("episode confirmed, strike %d; drain clock started", st.strikes),
+		})
 		// A flapping instance that has struck out skips the patience window.
 		if st.strikes >= maxStrikes {
 			d.drain(i, inst, now)
@@ -470,16 +451,14 @@ func (d *GrayDetector) drain(i int, inst *mppdb.Instance, now sim.Time) {
 	d.rt.SetQuarantine(inst.ID(), true)
 	st.phase = grayDraining
 	st.ev.Drained = now
-	if d.tel != nil {
-		d.mDrained.Inc()
-		d.tel.Events.Publish(telemetry.Event{
-			Type:   telemetry.EventGrayDrain,
-			Group:  d.group,
-			MPPDB:  inst.ID(),
-			Value:  inst.Slowdown(),
-			Detail: "quarantined; slow node failed over to the recovery controller",
-		})
-	}
+	d.mDrained.Inc()
+	d.tel.Events.Publish(telemetry.Event{
+		Type:   telemetry.EventGrayDrain,
+		Group:  d.group,
+		MPPDB:  inst.ID(),
+		Value:  inst.Slowdown(),
+		Detail: "quarantined; slow node failed over to the recovery controller",
+	})
 	d.ctrl.Notify()
 }
 
@@ -509,16 +488,14 @@ func (d *GrayDetector) clear(i int, inst *mppdb.Instance, now sim.Time, how stri
 		}
 		st.ev.Resolution = how
 	}
-	if d.tel != nil {
-		d.mCleared.Inc()
-		d.mActive.Add(-1)
-		d.tel.Events.Publish(telemetry.Event{
-			Type:   telemetry.EventGrayCleared,
-			Group:  d.group,
-			MPPDB:  inst.ID(),
-			Detail: how,
-		})
-	}
+	d.mCleared.Inc()
+	d.mActive.Add(-1)
+	d.tel.Events.Publish(telemetry.Event{
+		Type:   telemetry.EventGrayCleared,
+		Group:  d.group,
+		MPPDB:  inst.ID(),
+		Detail: how,
+	})
 	st.phase = grayHealthy
 	st.suspectBeats, st.healthyBeats = 0, 0
 	st.clearedAt = now

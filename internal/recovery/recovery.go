@@ -122,12 +122,15 @@ type Controller struct {
 }
 
 // New creates a controller for the group's instances, armed: lc is the
-// group's node lifecycle and tri the deployment's scarcity triage. Its
-// heartbeat grid starts at the engine's now; a group that landed collapsed
-// gets its re-spread check. The caller must hold the group's domain.
-func New(lc *cluster.Lifecycle, tri *Triage, group string, insts []*mppdb.Instance) (*Controller, error) {
-	if lc == nil || tri == nil || len(insts) == 0 {
-		return nil, fmt.Errorf("recovery: group %q needs a lifecycle, a triage, and instances", group)
+// group's node lifecycle, tri the deployment's scarcity triage, tel the
+// group's telemetry view, and prio the group's SLA-at-risk inputs a triage
+// claim is ranked by (sliding RT-TTP deficit, tenant count). Its heartbeat
+// grid starts at the engine's now; a group that landed collapsed gets its
+// re-spread check. The caller must hold the group's domain.
+func New(lc *cluster.Lifecycle, tri *Triage, tel *telemetry.Hub, group string, insts []*mppdb.Instance,
+	prio func() (deficit float64, tenants int)) (*Controller, error) {
+	if lc == nil || tri == nil || tel == nil || len(insts) == 0 || prio == nil {
+		return nil, fmt.Errorf("recovery: group %q needs a lifecycle, a triage, a telemetry hub, instances, and a priority", group)
 	}
 	c := &Controller{
 		lc:           lc,
@@ -136,31 +139,20 @@ func New(lc *cluster.Lifecycle, tri *Triage, group string, insts []*mppdb.Instan
 		group:        group,
 		insts:        insts,
 		triage:       tri,
-		prio:         func() (float64, int) { return 0, 0 },
+		prio:         prio,
 		pending:      make(map[string]int),
 		awaitingSwap: make(map[string]int),
 		anchor:       lc.Engine().Now(),
+		tel:          tel,
+		mStarted:     tel.Registry.Counter("thrifty_recovery_started_total", "group", group),
+		mCompleted:   tel.Registry.Counter("thrifty_recovery_completed_total", "group", group),
+		mActive:      tel.Registry.Gauge("thrifty_recovery_in_progress", "group", group),
+		mDuration: tel.Registry.Histogram("thrifty_recovery_duration_seconds",
+			[]float64{300, 600, 1200, 1800, 2700, 3600, 7200, 14400, 28800}, "group", group),
 	}
 	c.checkSpread()
 	return c, nil
 }
-
-// SetTelemetry attaches a telemetry hub. A nil hub disables instrumentation.
-func (c *Controller) SetTelemetry(h *telemetry.Hub) {
-	c.tel = h
-	if h == nil {
-		return
-	}
-	c.mStarted = h.Registry.Counter("thrifty_recovery_started_total", "group", c.group)
-	c.mCompleted = h.Registry.Counter("thrifty_recovery_completed_total", "group", c.group)
-	c.mActive = h.Registry.Gauge("thrifty_recovery_in_progress", "group", c.group)
-	c.mDuration = h.Registry.Histogram("thrifty_recovery_duration_seconds",
-		[]float64{300, 600, 1200, 1800, 2700, 3600, 7200, 14400, 28800}, "group", c.group)
-}
-
-// SetPriority sets the group's SLA-at-risk inputs a triage claim is ranked
-// by (sliding RT-TTP deficit, tenant count); unset, every claim ranks zero.
-func (c *Controller) SetPriority(prio func() (float64, int)) { c.prio = prio }
 
 // SetQuarantine attaches a routing gate (router.SetQuarantine): the domain
 // injector flags instances whose nodes all died so new queries route to
@@ -260,17 +252,15 @@ func (c *Controller) begin(inst *mppdb.Instance) {
 		ReplacementNode: -1,
 	}
 	c.events = append(c.events, ev)
-	if c.tel != nil {
-		c.mStarted.Inc()
-		c.mActive.Add(1)
-		c.tel.Events.Publish(telemetry.Event{
-			Type:   telemetry.EventRecoveryStarted,
-			Group:  c.group,
-			MPPDB:  inst.ID(),
-			Value:  float64(inst.FailedNodes()),
-			Detail: "node failure detected; acquiring replacement",
-		})
-	}
+	c.mStarted.Inc()
+	c.mActive.Add(1)
+	c.tel.Events.Publish(telemetry.Event{
+		Type:   telemetry.EventRecoveryStarted,
+		Group:  c.group,
+		MPPDB:  inst.ID(),
+		Value:  float64(inst.FailedNodes()),
+		Detail: "node failure detected; acquiring replacement",
+	})
 	failedID, repl, delay, err := c.swap(ev, inst)
 	if err != nil {
 		ev.Err = err.Error()
@@ -298,15 +288,13 @@ func (c *Controller) enqueueTriage(ev *Event, inst *mppdb.Instance) {
 	ev.Triaged = true
 	deficit, tenants := c.prio()
 	c.triage.Enqueue(key, c.group, inst.ID(), deficit, tenants)
-	if c.tel != nil {
-		c.tel.Events.Publish(telemetry.Event{
-			Type:   telemetry.EventTriageEnqueued,
-			Group:  c.group,
-			MPPDB:  inst.ID(),
-			Value:  deficit * float64(tenants),
-			Detail: fmt.Sprintf("pool exhausted; queued for triage (deficit %.4g × %d tenants)", deficit, tenants),
-		})
-	}
+	c.tel.Events.Publish(telemetry.Event{
+		Type:   telemetry.EventTriageEnqueued,
+		Group:  c.group,
+		MPPDB:  inst.ID(),
+		Value:  deficit * float64(tenants),
+		Detail: fmt.Sprintf("pool exhausted; queued for triage (deficit %.4g × %d tenants)", deficit, tenants),
+	})
 	var poll func(sim.Time)
 	poll = func(sim.Time) {
 		deficit, tenants := c.prio()
@@ -321,15 +309,13 @@ func (c *Controller) enqueueTriage(ev *Event, inst *mppdb.Instance) {
 			c.eng.AfterShared(triageInterval, poll)
 			return
 		}
-		if c.tel != nil {
-			c.tel.Events.Publish(telemetry.Event{
-				Type:   telemetry.EventTriageGranted,
-				Group:  c.group,
-				MPPDB:  inst.ID(),
-				Value:  float64(repl),
-				Detail: fmt.Sprintf("triage granted node %d after %v queued", repl, c.eng.Now()-ev.Detected),
-			})
-		}
+		c.tel.Events.Publish(telemetry.Event{
+			Type:   telemetry.EventTriageGranted,
+			Group:  c.group,
+			MPPDB:  inst.ID(),
+			Value:  float64(repl),
+			Detail: fmt.Sprintf("triage granted node %d after %v queued", repl, c.eng.Now()-ev.Detected),
+		})
 		c.replaced(ev, inst, failedID, repl, delay)
 	}
 	ev.NextAttemptAt = c.eng.Now().Add(triageInterval)
@@ -345,16 +331,14 @@ func (c *Controller) replaced(ev *Event, inst *mppdb.Instance, failedID, repl in
 	ev.FailedNode = failedID
 	ev.ReplacementNode = repl
 	ev.NextAttemptAt = 0
-	if c.tel != nil {
-		share := inst.TenantDataGB() / float64(inst.Nodes())
-		c.tel.Events.Publish(telemetry.Event{
-			Type:   telemetry.EventRecoveryReplaced,
-			Group:  c.group,
-			MPPDB:  inst.ID(),
-			Value:  float64(repl),
-			Detail: fmt.Sprintf("replacement node %d starting; %.0f GB reload, ready in %v", repl, share, delay),
-		})
-	}
+	share := inst.TenantDataGB() / float64(inst.Nodes())
+	c.tel.Events.Publish(telemetry.Event{
+		Type:   telemetry.EventRecoveryReplaced,
+		Group:  c.group,
+		MPPDB:  inst.ID(),
+		Value:  float64(repl),
+		Detail: fmt.Sprintf("replacement node %d starting; %.0f GB reload, ready in %v", repl, share, delay),
+	})
 }
 
 // finish completes the lifecycle: the reloaded replacement joins and the
@@ -362,9 +346,7 @@ func (c *Controller) replaced(ev *Event, inst *mppdb.Instance, failedID, repl in
 func (c *Controller) finish(ev *Event, inst *mppdb.Instance) {
 	defer func() {
 		c.pending[inst.ID()]--
-		if c.tel != nil {
-			c.mActive.Add(-1)
-		}
+		c.mActive.Add(-1)
 		c.checkSpread()
 	}()
 	if inst.FailedNodes() > 0 {
@@ -373,14 +355,12 @@ func (c *Controller) finish(ev *Event, inst *mppdb.Instance) {
 			// failure it detected); record rather than panic if an operator
 			// repaired by hand meanwhile.
 			ev.Err = err.Error()
-			if c.tel != nil {
-				c.tel.Events.Publish(telemetry.Event{
-					Type:   telemetry.EventRecoveryFailed,
-					Group:  c.group,
-					MPPDB:  inst.ID(),
-					Detail: fmt.Sprintf("repair: %v", err),
-				})
-			}
+			c.tel.Events.Publish(telemetry.Event{
+				Type:   telemetry.EventRecoveryFailed,
+				Group:  c.group,
+				MPPDB:  inst.ID(),
+				Detail: fmt.Sprintf("repair: %v", err),
+			})
 			return
 		}
 	}
@@ -393,16 +373,14 @@ func (c *Controller) finish(ev *Event, inst *mppdb.Instance) {
 		// outage imposed while all its nodes were down.
 		c.quarantine(inst.ID(), false)
 	}
-	if c.tel != nil {
-		dur := (ev.Completed - ev.Detected).Seconds()
-		c.mCompleted.Inc()
-		c.mDuration.Observe(dur)
-		c.tel.Events.Publish(telemetry.Event{
-			Type:   telemetry.EventRecoveryCompleted,
-			Group:  c.group,
-			MPPDB:  inst.ID(),
-			Value:  dur,
-			Detail: fmt.Sprintf("full speed restored after %d attempt(s)", ev.Attempts),
-		})
-	}
+	dur := (ev.Completed - ev.Detected).Seconds()
+	c.mCompleted.Inc()
+	c.mDuration.Observe(dur)
+	c.tel.Events.Publish(telemetry.Event{
+		Type:   telemetry.EventRecoveryCompleted,
+		Group:  c.group,
+		MPPDB:  inst.ID(),
+		Value:  dur,
+		Detail: fmt.Sprintf("full speed restored after %d attempt(s)", ev.Attempts),
+	})
 }

@@ -29,16 +29,21 @@ func newRig(t *testing.T, poolSize int) *rig {
 	if _, err := pool.Acquire(inst.ID(), 2); err != nil {
 		t.Fatal(err)
 	}
-	r := &rig{eng: eng, pool: pool, triage: NewTriage(pool), inst: inst, hub: telemetry.NewHub(eng, 0.999)}
+	r := &rig{eng: eng, pool: pool, triage: NewTriage(pool), inst: inst}
 	r.ctl = newController(t, eng, pool, r.triage, inst)
-	r.ctl.SetTelemetry(r.hub)
+	r.hub = r.ctl.tel
 	return r
 }
 
-// newController builds a controller for inst on a single-stream lifecycle.
+// noPriority ranks every triage claim zero.
+func noPriority() (float64, int) { return 0, 0 }
+
+// newController builds a controller for inst on a single-stream lifecycle,
+// reporting into a hub of its own.
 func newController(t *testing.T, eng *sim.Engine, pool *cluster.Pool, tri *Triage, inst *mppdb.Instance) *Controller {
 	t.Helper()
-	ctl, err := New(cluster.NewLifecycle(eng, pool, false, false), tri, "g0", []*mppdb.Instance{inst})
+	ctl, err := New(cluster.NewLifecycle(eng, pool, false, false), tri, telemetry.NewHub(eng, 0.999), "g0",
+		[]*mppdb.Instance{inst}, noPriority)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,17 +311,24 @@ func TestConfigValidation(t *testing.T) {
 	pool := cluster.NewPool(2)
 	lc := cluster.NewLifecycle(eng, pool, false, false)
 	tri := NewTriage(pool)
-	inst := mppdb.New(eng, "x", 2)
-	if _, err := New(nil, tri, "g", []*mppdb.Instance{inst}); err == nil {
+	hub := telemetry.NewHub(eng, 0.999)
+	insts := []*mppdb.Instance{mppdb.New(eng, "x", 2)}
+	if _, err := New(nil, tri, hub, "g", insts, noPriority); err == nil {
 		t.Error("nil lifecycle accepted")
 	}
-	if _, err := New(lc, nil, "g", []*mppdb.Instance{inst}); err == nil {
+	if _, err := New(lc, nil, hub, "g", insts, noPriority); err == nil {
 		t.Error("nil triage accepted")
 	}
-	if _, err := New(lc, tri, "g", nil); err == nil {
+	if _, err := New(lc, tri, nil, "g", insts, noPriority); err == nil {
+		t.Error("nil hub accepted")
+	}
+	if _, err := New(lc, tri, hub, "g", nil, noPriority); err == nil {
 		t.Error("no instances accepted")
 	}
-	ctl, err := New(lc, tri, "g", []*mppdb.Instance{inst})
+	if _, err := New(lc, tri, hub, "g", insts, nil); err == nil {
+		t.Error("nil priority accepted")
+	}
+	ctl, err := New(lc, tri, hub, "g", insts, noPriority)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +358,8 @@ func TestRespreadAbortReimagesFailedStaging(t *testing.T) {
 		}
 		insts = append(insts, inst)
 	}
-	ctl, err := New(cluster.NewLifecycle(eng, pool, false, true), NewTriage(pool), "g0", insts)
+	ctl, err := New(cluster.NewLifecycle(eng, pool, false, true), NewTriage(pool), telemetry.NewHub(eng, 0.999),
+		"g0", insts, noPriority)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,15 +96,13 @@ func (c *Controller) maybeRespread() {
 	cost := c.lc.Ready(tempOwner, inst.Nodes(), inst.TenantDataGB(), func(intact bool) {
 		c.finishRespread(inst, owner, tempOwner, doms, intact)
 	})
-	if c.tel != nil {
-		c.tel.Events.Publish(telemetry.Event{
-			Type:   telemetry.EventRespread,
-			Group:  c.group,
-			MPPDB:  owner,
-			Value:  cost.Seconds(),
-			Detail: fmt.Sprintf("group collapsed onto %d domain(s); migrating replica to domain %v (%d nodes, ready in %v)", len(used), doms, inst.Nodes(), cost),
-		})
-	}
+	c.tel.Events.Publish(telemetry.Event{
+		Type:   telemetry.EventRespread,
+		Group:  c.group,
+		MPPDB:  owner,
+		Value:  cost.Seconds(),
+		Detail: fmt.Sprintf("group collapsed onto %d domain(s); migrating replica to domain %v (%d nodes, ready in %v)", len(used), doms, inst.Nodes(), cost),
+	})
 }
 
 // finishRespread cuts the staged migration over (or aborts it) once the
@@ -117,14 +115,12 @@ func (c *Controller) finishRespread(inst *mppdb.Instance, owner, tempOwner strin
 	c.respreadInFlight = false
 	abort := func(why string) {
 		c.lc.Abort(tempOwner)
-		if c.tel != nil {
-			c.tel.Events.Publish(telemetry.Event{
-				Type:   telemetry.EventRespread,
-				Group:  c.group,
-				MPPDB:  owner,
-				Detail: fmt.Sprintf("re-spread aborted: %s; staged nodes released", why),
-			})
-		}
+		c.tel.Events.Publish(telemetry.Event{
+			Type:   telemetry.EventRespread,
+			Group:  c.group,
+			MPPDB:  owner,
+			Detail: fmt.Sprintf("re-spread aborted: %s; staged nodes released", why),
+		})
 		c.checkSpread()
 	}
 	if !intact || inst.FailedNodes() > 0 || c.pool.FailedCount(owner) > 0 {
@@ -137,13 +133,11 @@ func (c *Controller) finishRespread(inst *mppdb.Instance, owner, tempOwner strin
 		return
 	}
 	c.respreads++
-	if c.tel != nil {
-		c.tel.Events.Publish(telemetry.Event{
-			Type:   telemetry.EventRespread,
-			Group:  c.group,
-			MPPDB:  owner,
-			Value:  float64(len(released)),
-			Detail: fmt.Sprintf("re-spread cut over to domain %v; %d source nodes released", doms, len(released)),
-		})
-	}
+	c.tel.Events.Publish(telemetry.Event{
+		Type:   telemetry.EventRespread,
+		Group:  c.group,
+		MPPDB:  owner,
+		Value:  float64(len(released)),
+		Detail: fmt.Sprintf("re-spread cut over to domain %v; %d source nodes released", doms, len(released)),
+	})
 }

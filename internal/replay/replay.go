@@ -18,7 +18,6 @@ import (
 	"repro/internal/recovery"
 	"repro/internal/scaling"
 	"repro/internal/sim"
-	"repro/internal/telemetry"
 	"repro/internal/tenant"
 	"repro/internal/workload"
 )
@@ -214,18 +213,13 @@ func schedule(eng *sim.Engine, cat *queries.Catalog, logs []*workload.TenantLog,
 
 	// Statistics sampling. Each sample also lands on the telemetry RT-TTP
 	// gauge, so a /metrics scrape sees the timeline the report sees.
-	var gauge *telemetry.Gauge
-	if h := g.Telemetry(); h != nil {
-		gauge = h.Registry.Gauge("thrifty_group_rt_ttp", "group", g.Plan.ID)
-	}
+	gauge := g.Telemetry().Registry.Gauge("thrifty_group_rt_ttp", "group", g.Plan.ID)
 	var tick sim.Event // one event re-keyed for every sample
 	var sample func(now sim.Time)
 	sample = func(now sim.Time) {
 		rt := g.Monitor.RTTTP()
 		p.samples = append(p.samples, Sample{At: now, RTTTP: rt, Active: g.Monitor.ActiveTenants()})
-		if gauge != nil {
-			gauge.Set(rt)
-		}
+		gauge.Set(rt)
 		if now < opts.To {
 			eng.Reschedule(&tick, now.Add(opts.SampleEvery), sample)
 		}

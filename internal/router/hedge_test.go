@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/monitor"
 	"repro/internal/mppdb"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -13,11 +12,9 @@ import (
 // TestHedgePeerWinsSingleCount: every submit routed to a confirmed-gray
 // instance is duplicated onto a healthy peer; the fast peer wins every race,
 // the gray copy is cancelled, and exactly one record per logical query
-// reaches the observers — hedging never double-counts.
+// reaches the monitor — hedging never double-counts.
 func TestHedgePeerWinsSingleCount(t *testing.T) {
 	r := newRig(t, 3, 2, tn("a", 2))
-	var recs []monitor.QueryRecord
-	r.r.OnResult(func(rec monitor.QueryRecord) { recs = append(recs, rec) })
 	if err := r.dbs[0].SetSlowdown(0.25); err != nil {
 		t.Fatal(err)
 	}
@@ -29,12 +26,13 @@ func TestHedgePeerWinsSingleCount(t *testing.T) {
 	for i := 0; i < n; i++ {
 		i := i
 		r.eng.Schedule(sim.Time(i)*10*sim.Minute, func(sim.Time) {
-			if _, err := r.r.Submit("a", r.cl); err != nil {
+			if _, err := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0); err != nil {
 				t.Errorf("submit %d: %v", i, err)
 			}
 		})
 	}
 	r.eng.RunAll()
+	recs := r.mon.Records()
 
 	if len(recs) != n {
 		t.Fatalf("%d records for %d hedged submits, want exactly one each", len(recs), n)
@@ -60,8 +58,6 @@ func TestHedgePeerWinsSingleCount(t *testing.T) {
 // record, attributed to the gray winner, with zero peer wins.
 func TestHedgeGrayWinSingleCount(t *testing.T) {
 	r := newRig(t, 3, 2, tn("a", 2))
-	var recs []monitor.QueryRecord
-	r.r.OnResult(func(rec monitor.QueryRecord) { recs = append(recs, rec) })
 	// db0 is flagged gray but actually healthy; the peers are the slow ones.
 	for _, db := range r.dbs[1:] {
 		if err := db.SetSlowdown(0.25); err != nil {
@@ -73,12 +69,13 @@ func TestHedgeGrayWinSingleCount(t *testing.T) {
 	const n = 3
 	for i := 0; i < n; i++ {
 		r.eng.Schedule(sim.Time(i)*10*sim.Minute, func(sim.Time) {
-			if _, err := r.r.Submit("a", r.cl); err != nil {
+			if _, err := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0); err != nil {
 				t.Errorf("submit: %v", err)
 			}
 		})
 	}
 	r.eng.RunAll()
+	recs := r.mon.Records()
 
 	if len(recs) != n {
 		t.Fatalf("%d records, want %d", len(recs), n)
@@ -103,12 +100,10 @@ func TestHedgeGrayWinSingleCount(t *testing.T) {
 // moment it is confirmed gray, exactly once each.
 func TestHedgeInFlight(t *testing.T) {
 	r := newRig(t, 2, 2, tn("a", 2))
-	var recs []monitor.QueryRecord
-	r.r.OnResult(func(rec monitor.QueryRecord) { recs = append(recs, rec) })
 	if err := r.dbs[0].SetSlowdown(0.1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.r.Submit("a", r.cl); err != nil {
+	if _, err := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.Schedule(sim.Second, func(sim.Time) {
@@ -122,6 +117,7 @@ func TestHedgeInFlight(t *testing.T) {
 		}
 	})
 	r.eng.RunAll()
+	recs := r.mon.Records()
 
 	if len(recs) != 1 {
 		t.Fatalf("%d records for one in-flight-hedged query", len(recs))
@@ -138,14 +134,12 @@ func TestHedgeInFlight(t *testing.T) {
 // duplicate target just runs the query itself — no hedge, no drop.
 func TestHedgeWithoutPeerDegradesGracefully(t *testing.T) {
 	r := newRig(t, 1, 2, tn("a", 2))
-	var recs []monitor.QueryRecord
-	r.r.OnResult(func(rec monitor.QueryRecord) { recs = append(recs, rec) })
 	r.r.SetGrayFlag("db0", true)
-	if _, err := r.r.Submit("a", r.cl); err != nil {
+	if _, err := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.RunAll()
-	if len(recs) != 1 {
+	if recs := r.mon.Records(); len(recs) != 1 {
 		t.Fatalf("%d records, want 1", len(recs))
 	}
 	if hedged, _ := r.r.HedgeStats(); hedged != 0 {
@@ -159,7 +153,7 @@ func TestHedgeWithoutPeerDegradesGracefully(t *testing.T) {
 func TestQuarantineRouting(t *testing.T) {
 	r := newRig(t, 2, 2, tn("a", 2), tn("b", 2))
 	r.r.SetQuarantine("db0", true)
-	db, err := r.r.Submit("a", r.cl)
+	db, err := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +161,7 @@ func TestQuarantineRouting(t *testing.T) {
 		t.Error("query routed to a quarantined instance")
 	}
 	r.r.SetQuarantine("db1", true)
-	if _, err := r.r.Submit("b", r.cl); err != nil {
+	if _, err := r.r.SubmitRef(r.r.Ref("b"), r.cl, 0); err != nil {
 		t.Errorf("submit with every instance quarantined dropped: %v", err)
 	}
 	r.eng.RunAll()
@@ -187,24 +181,24 @@ func TestHedgedQuerySpans(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.r.SetGrayFlag("db0", true)
-	if _, err := r.r.Submit("a", r.cl); err != nil {
+	if _, err := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0); err != nil {
 		t.Fatal(err)
 	}
 	r.eng.RunAll()
 	if recs := r.mon.Records(); len(recs) != 1 || recs[0].MPPDB == "db0" {
 		t.Fatalf("records %+v, want one won by a peer", recs)
 	}
-	if _, err := r.r.Submit("nobody", r.cl); err == nil {
+	if _, err := r.r.SubmitRef(r.r.Ref("nobody"), r.cl, 0); err == nil {
 		t.Fatal("unknown tenant routed")
 	}
 	for _, db := range r.dbs {
 		db.SetState(mppdb.Provisioning)
 	}
-	if _, err := r.r.Submit("a", r.cl); err == nil {
+	if _, err := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0); err == nil {
 		t.Fatal("routed with no ready MPPDB")
 	}
 	r.dbs[1].SetState(mppdb.Ready)
-	if _, err := r.r.Submit("a", r.cl); err != nil {
+	if _, err := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0); err != nil {
 		t.Fatal(err)
 	}
 	var got []string

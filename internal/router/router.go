@@ -8,8 +8,8 @@
 // wires groups; NewGroup insists on it), so the router has one submit path:
 // tenants are dense indices, routing state lives in flat slices, completions
 // report through one pooled tag table, and a steady-state submit allocates
-// nothing. The string-keyed entry points resolve the tenant's ref and take
-// that path.
+// nothing. Callers resolve a tenant's ref once (Ref) and submit through
+// SubmitRef.
 package router
 
 import (
@@ -74,8 +74,6 @@ type GroupRouter struct {
 	scratchReady  []*mppdb.Instance
 	scratchIdx    []int
 
-	// onResult, when set, observes every completed query.
-	onResult func(monitor.QueryRecord)
 	// onCompletion, when set, observes every real completion with the serving
 	// instance — the gray detector's per-instance latency-profile feed
 	// (cancelled hedge losers never report).
@@ -189,9 +187,6 @@ func (r *GroupRouter) Ref(id string) tenant.Ref {
 	}
 	return ref
 }
-
-// OnResult registers an observer for completed queries.
-func (r *GroupRouter) OnResult(fn func(monitor.QueryRecord)) { r.onResult = fn }
 
 // SetTelemetry attaches a telemetry hub. A nil hub disables instrumentation.
 func (r *GroupRouter) SetTelemetry(h *telemetry.Hub) {
@@ -339,26 +334,6 @@ func (r *GroupRouter) Routed() int64 { return r.routed }
 // MPPDBs were occupied (the potential SLA-violation path).
 func (r *GroupRouter) Overflowed() int64 { return r.overflow }
 
-// Submit routes one query for the tenant and starts it on the chosen MPPDB.
-// The SLA target defaults to the isolated latency on the tenant's requested
-// configuration (the before-consolidation latency, §1). The returned
-// instance ID indicates where the query went.
-func (r *GroupRouter) Submit(tenantID string, class *queries.Class) (string, error) {
-	return r.SubmitWithTarget(tenantID, class, 0)
-}
-
-// SubmitWithTarget routes a query with an explicit SLA target — replay uses
-// the duration recorded on the tenant's own dedicated MPPDB (which includes
-// the tenant's self-contention; that slack is the tenant's own business,
-// §4.4). A non-positive target falls back to the isolated latency.
-func (r *GroupRouter) SubmitWithTarget(tenantID string, class *queries.Class, slaTarget sim.Time) (string, error) {
-	ref := r.Ref(tenantID)
-	if ref == tenant.NoRef {
-		return "", fmt.Errorf("router: unknown tenant %s in group %s", tenantID, r.group)
-	}
-	return r.SubmitRef(ref, class, slaTarget)
-}
-
 // acquireTag hands out a pooled completion slot.
 func (r *GroupRouter) acquireTag() uint64 {
 	if n := len(r.freeTags); n > 0 {
@@ -424,9 +399,6 @@ func (r *GroupRouter) completed(res mppdb.Result, tag uint64) {
 	r.ops, r.ends = r.ops+1, r.ends+1
 	if r.mon != nil {
 		r.mon.QueryFinishedRef(ref, rec, route, routedDB)
-	}
-	if r.onResult != nil {
-		r.onResult(rec)
 	}
 	if r.onCompletion != nil {
 		r.onCompletion(winnerDB, res)

@@ -51,17 +51,14 @@ func tn(id string, nodes int) *tenant.Tenant {
 
 func TestRouterBasicFlow(t *testing.T) {
 	r := newRig(t, 3, 4, tn("a", 2), tn("b", 2))
-	var results []monitor.QueryRecord
-	r.r.OnResult(func(rec monitor.QueryRecord) { results = append(results, rec) })
-
-	db, err := r.r.Submit("a", r.cl)
+	db, err := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if db != "db0" {
 		t.Errorf("first query routed to %s, want db0 (free G₀)", db)
 	}
-	db, err = r.r.Submit("b", r.cl)
+	db, err = r.r.SubmitRef(r.r.Ref("b"), r.cl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,6 +69,7 @@ func TestRouterBasicFlow(t *testing.T) {
 		t.Errorf("monitor sees %d active tenants", r.mon.ActiveTenants())
 	}
 	r.eng.RunAll()
+	results := r.mon.Records()
 	if len(results) != 2 {
 		t.Fatalf("%d results", len(results))
 	}
@@ -89,8 +87,8 @@ func TestRouterBasicFlow(t *testing.T) {
 
 func TestRouterAffinity(t *testing.T) {
 	r := newRig(t, 3, 2, tn("a", 2))
-	first, _ := r.r.Submit("a", r.cl)
-	second, _ := r.r.Submit("a", r.cl)
+	first, _ := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0)
+	second, _ := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0)
 	if first != second {
 		t.Errorf("concurrent queries of one tenant split across %s and %s", first, second)
 	}
@@ -98,10 +96,10 @@ func TestRouterAffinity(t *testing.T) {
 
 func TestRouterOverflowCount(t *testing.T) {
 	r := newRig(t, 2, 2, tn("a", 2), tn("b", 2), tn("c", 2))
-	r.r.Submit("a", r.cl)
-	r.r.Submit("b", r.cl)
+	r.r.SubmitRef(r.r.Ref("a"), r.cl, 0)
+	r.r.SubmitRef(r.r.Ref("b"), r.cl, 0)
 	// Third active tenant with A=2 → overflow to busy G₀.
-	db, err := r.r.Submit("c", r.cl)
+	db, err := r.r.SubmitRef(r.r.Ref("c"), r.cl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +113,7 @@ func TestRouterOverflowCount(t *testing.T) {
 
 func TestRouterUnknownTenant(t *testing.T) {
 	r := newRig(t, 2, 2, tn("a", 2))
-	if _, err := r.r.Submit("ghost", r.cl); err == nil {
+	if _, err := r.r.SubmitRef(r.r.Ref("ghost"), r.cl, 0); err == nil {
 		t.Error("unknown tenant accepted")
 	}
 }
@@ -142,7 +140,7 @@ func TestNewGroupValidatesDeployment(t *testing.T) {
 func TestRouterSkipsNonReadyInstances(t *testing.T) {
 	r := newRig(t, 3, 2, tn("a", 2), tn("b", 2))
 	r.dbs[0].SetState(mppdb.Loading)
-	db, err := r.r.Submit("a", r.cl)
+	db, err := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +149,7 @@ func TestRouterSkipsNonReadyInstances(t *testing.T) {
 	}
 	r.dbs[1].SetState(mppdb.Stopped)
 	r.dbs[2].SetState(mppdb.Provisioning)
-	if _, err := r.r.Submit("b", r.cl); err == nil {
+	if _, err := r.r.SubmitRef(r.r.Ref("b"), r.cl, 0); err == nil {
 		t.Error("routing with no ready MPPDB accepted")
 	}
 }
@@ -185,7 +183,7 @@ func TestOverride(t *testing.T) {
 	if db, ok := r.r.Override("hog"); !ok || db != ded {
 		t.Error("Override lookup wrong")
 	}
-	got, err := r.r.Submit("hog", r.cl)
+	got, err := r.r.SubmitRef(r.r.Ref("hog"), r.cl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,18 +198,16 @@ func TestOverride(t *testing.T) {
 		t.Errorf("excluded tenant counted: %d", r.mon.ActiveTenants())
 	}
 	// The query completes on the dedicated instance and reports through the
-	// router.
-	var done []monitor.QueryRecord
-	r.r.OnResult(func(rec monitor.QueryRecord) { done = append(done, rec) })
+	// router to the monitor.
 	r.eng.RunAll()
-	if len(done) != 1 || done[0].Tenant != "hog" || done[0].MPPDB != "dedicated" {
+	if done := r.mon.Records(); len(done) != 1 || done[0].Tenant != "hog" || done[0].MPPDB != "dedicated" {
 		t.Errorf("override completion not reported: %+v", done)
 	}
 	if r.r.TenantInFlight("hog") != 0 {
 		t.Error("overridden tenant still in flight after completion")
 	}
 	// Other tenants unaffected.
-	if db, _ := r.r.Submit("b", r.cl); db == "dedicated" {
+	if db, _ := r.r.SubmitRef(r.r.Ref("b"), r.cl, 0); db == "dedicated" {
 		t.Error("regular tenant routed to the dedicated MPPDB")
 	}
 }

@@ -21,9 +21,8 @@ func degrade(g *GroupRuntime) {
 func TestSubmitWithRetrySucceedsWhenReplicaReturns(t *testing.T) {
 	eng := sim.NewEngine()
 	g := newGroup(t, eng, "TG-0001", "t1")
-	g.Bind(sim.NewDomain(eng))
 	hub := telemetry.NewHub(eng, 0.999)
-	g.SetTelemetry(hub)
+	g.Bind(sim.NewDomain(eng), hub)
 	degrade(g)
 	// One replica comes back mid-retry (recovery completing).
 	eng.Schedule(40*sim.Second, func(sim.Time) { g.Instances[0].SetState(mppdb.Ready) })
@@ -61,9 +60,8 @@ func TestSubmitWithRetrySucceedsWhenReplicaReturns(t *testing.T) {
 func TestSubmitWithRetryTimesOut(t *testing.T) {
 	eng := sim.NewEngine()
 	g := newGroup(t, eng, "TG-0001", "t1")
-	g.Bind(sim.NewDomain(eng))
 	hub := telemetry.NewHub(eng, 0.999)
-	g.SetTelemetry(hub)
+	g.Bind(sim.NewDomain(eng), hub)
 	degrade(g)
 
 	pol := RetryPolicy{MaxRetries: 10, Backoff: 15 * time.Second, Timeout: 30 * time.Second}
@@ -105,7 +103,7 @@ func TestSubmitWithRetryTimesOut(t *testing.T) {
 func TestSubmitWithRetryPermanentErrorNoRetry(t *testing.T) {
 	eng := sim.NewEngine()
 	g := newGroup(t, eng, "TG-0001", "t1")
-	g.Bind(sim.NewDomain(eng))
+	g.Bind(sim.NewDomain(eng), telemetry.NewHub(eng, 0.999))
 
 	_, retries, err := submitOne(g, sim.Second, "stranger", q1(t), DefaultRetryPolicy())
 	if err == nil {
@@ -123,7 +121,7 @@ func TestSubmitWithRetryPermanentErrorNoRetry(t *testing.T) {
 func TestSubmitWithRetryZeroRetriesFailsFast(t *testing.T) {
 	eng := sim.NewEngine()
 	g := newGroup(t, eng, "TG-0001", "t1")
-	g.Bind(sim.NewDomain(eng))
+	g.Bind(sim.NewDomain(eng), telemetry.NewHub(eng, 0.999))
 	degrade(g)
 
 	_, retries, err := submitOne(g, sim.Second, "t1", q1(t),

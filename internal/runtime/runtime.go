@@ -86,33 +86,28 @@ type GroupRuntime struct {
 	cache   Stats
 	cached  bool
 
-	// Telemetry (optional): submit-path retry/timeout instrumentation.
+	// The group's telemetry view and its submit-path retry/timeout
+	// instrumentation.
 	tel      *telemetry.Hub
 	mRetried *telemetry.Counter
 	mTimeout *telemetry.Counter
 	hRetries *telemetry.Histogram
 }
 
-// SetTelemetry attaches a telemetry hub for the group's submit-path retry
-// instrumentation. A nil hub disables it.
-func (g *GroupRuntime) SetTelemetry(h *telemetry.Hub) {
-	g.tel = h
-	if h == nil {
-		return
-	}
-	g.mRetried = h.Registry.Counter("thrifty_query_retried_total", "group", g.Plan.ID)
-	g.mTimeout = h.Registry.Counter("thrifty_query_timeout_total", "group", g.Plan.ID)
-	g.hRetries = h.Registry.Histogram("thrifty_query_retries",
+// Bind attaches the group's clock domain and its telemetry view, on which it
+// registers the submit path's retry instrumentation. The Deployment Master
+// calls it once, right after constructing the group's router on the domain's
+// engine.
+func (g *GroupRuntime) Bind(dom *sim.Domain, tel *telemetry.Hub) {
+	g.dom, g.tel = dom, tel
+	g.mRetried = tel.Registry.Counter("thrifty_query_retried_total", "group", g.Plan.ID)
+	g.mTimeout = tel.Registry.Counter("thrifty_query_timeout_total", "group", g.Plan.ID)
+	g.hRetries = tel.Registry.Histogram("thrifty_query_retries",
 		[]float64{0, 1, 2, 3, 5, 8}, "group", g.Plan.ID)
 }
 
-// Telemetry returns the hub SetTelemetry attached: the group's view.
+// Telemetry returns the hub Bind attached: the group's view.
 func (g *GroupRuntime) Telemetry() *telemetry.Hub { return g.tel }
-
-// Bind attaches the group's clock domain. The Deployment Master calls it
-// once, right after constructing the group's subsystems on the domain's
-// engine.
-func (g *GroupRuntime) Bind(dom *sim.Domain) { g.dom = dom }
 
 // Domain returns the group's clock domain.
 func (g *GroupRuntime) Domain() *sim.Domain { return g.dom }
@@ -204,7 +199,8 @@ var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // any item retries), instead of one per query. Results land in outs (which
 // must be at least as long as items); item i's outcome is outs[i]: the
 // chosen MPPDB's ID and the number of retries used, or a typed error. A
-// single submit is a one-item batch.
+// single submit is a one-item batch. An item whose tenant is not a member
+// of the group fails at once, before admission.
 //
 // The caller is shielded from transient routing failures: when the router
 // cannot place an item (every replica of the set R busy recovering or not
@@ -268,31 +264,21 @@ func (g *GroupRuntime) SubmitBatchAt(at sim.Time, items []BatchItem, outs []Batc
 	// reports whether the item stays live. In-domain only.
 	attempt := func(i, retries int, t sim.Time) bool {
 		it := &items[i]
-		ref := tenant.NoRef
-		if it.HasRef {
-			ref = it.Ref
-		} else if r := g.Router; r != nil {
-			ref = r.Ref(it.Tenant)
+		ref := it.Ref
+		if !it.HasRef {
+			ref = g.Router.Ref(it.Tenant)
+		}
+		if ref == tenant.NoRef {
+			outs[i].Err = fmt.Errorf("runtime: unknown tenant %s in group %s", it.Tenant, g.Plan.ID)
+			return false
 		}
 		if adm != nil && retries == 0 {
-			var admErr error
-			if ref != tenant.NoRef {
-				admErr = adm.AdmitRef(ref, it.SLA, it.BestEffort)
-			} else {
-				admErr = adm.Admit(it.Tenant, it.SLA, it.BestEffort)
-			}
-			if admErr != nil {
-				outs[i].Err = admErr
+			if err := adm.AdmitRef(ref, it.SLA, it.BestEffort); err != nil {
+				outs[i].Err = err
 				return false
 			}
 		}
-		var db string
-		var err error
-		if ref != tenant.NoRef {
-			db, err = g.Router.SubmitRef(ref, it.Class, it.SLA)
-		} else {
-			db, err = g.Router.SubmitWithTarget(it.Tenant, it.Class, it.SLA)
-		}
+		db, err := g.Router.SubmitRef(ref, it.Class, it.SLA)
 		if err == nil {
 			if queued[i] {
 				adm.LeaveQueue()
@@ -300,9 +286,7 @@ func (g *GroupRuntime) SubmitBatchAt(at sim.Time, items []BatchItem, outs []Batc
 			}
 			outs[i].DB = db
 			outs[i].Retries = retries
-			if g.hRetries != nil {
-				g.hRetries.Observe(float64(retries))
-			}
+			g.hRetries.Observe(float64(retries))
 			return false
 		}
 		if !g.Router.HasTenant(it.Tenant) {
@@ -317,40 +301,36 @@ func (g *GroupRuntime) SubmitBatchAt(at sim.Time, items []BatchItem, outs []Batc
 		}
 		if next := t + sim.Duration(pol.Backoff); retries < pol.MaxRetries && next <= deadline {
 			if adm != nil && !queued[i] {
-				if shedErr := adm.EnterQueue(it.Tenant, it.SLA, next-at); shedErr != nil {
+				if shedErr := adm.EnterQueue(ref, it.SLA, next-at); shedErr != nil {
 					outs[i].Retries = retries
 					outs[i].Err = shedErr
 					return false
 				}
 				queued[i] = true
 			}
-			if g.tel != nil {
-				g.mRetried.Inc()
-				g.tel.Events.Publish(telemetry.Event{
-					Type:   telemetry.EventQueryRetried,
-					Group:  g.Plan.ID,
-					Tenant: it.Tenant,
-					Value:  float64(retries + 1),
-					Detail: err.Error(),
-				})
-			}
+			g.mRetried.Inc()
+			g.tel.Events.Publish(telemetry.Event{
+				Type:   telemetry.EventQueryRetried,
+				Group:  g.Plan.ID,
+				Tenant: it.Tenant,
+				Value:  float64(retries + 1),
+				Detail: err.Error(),
+			})
 			return true
 		}
 		if queued[i] {
 			adm.LeaveQueue()
 			queued[i] = false
 		}
-		if g.tel != nil {
-			g.mTimeout.Inc()
-			g.hRetries.Observe(float64(retries))
-			g.tel.Events.Publish(telemetry.Event{
-				Type:   telemetry.EventQueryTimeout,
-				Group:  g.Plan.ID,
-				Tenant: it.Tenant,
-				Value:  float64(retries),
-				Detail: err.Error(),
-			})
-		}
+		g.mTimeout.Inc()
+		g.hRetries.Observe(float64(retries))
+		g.tel.Events.Publish(telemetry.Event{
+			Type:   telemetry.EventQueryTimeout,
+			Group:  g.Plan.ID,
+			Tenant: it.Tenant,
+			Value:  float64(retries),
+			Detail: err.Error(),
+		})
 		outs[i].Retries = retries
 		outs[i].Err = &TimeoutError{
 			Group:    g.Plan.ID,
@@ -518,11 +498,7 @@ func (p *Plane) Add(g *GroupRuntime) {
 	p.groups = append(p.groups, g)
 	p.domains = append(p.domains, g.dom)
 	for _, tn := range g.Members {
-		e := tenantEntry{g: g, ref: tenant.NoRef, id: tn.ID}
-		if g.Router != nil {
-			e.ref = g.Router.Ref(tn.ID)
-		}
-		p.byTen[tn.ID] = e
+		p.byTen[tn.ID] = tenantEntry{g: g, ref: g.Router.Ref(tn.ID), id: tn.ID}
 	}
 }
 
@@ -562,8 +538,7 @@ func (p *Plane) ForTenant(id string) (*GroupRuntime, bool) {
 }
 
 // ForTenantRef returns the group hosting the tenant together with the
-// tenant's interned ref in that group, resolved once at deploy. The ref is
-// NoRef only for a group bound without a router.
+// tenant's interned ref in that group, resolved once at deploy.
 func (p *Plane) ForTenantRef(id string) (*GroupRuntime, tenant.Ref, bool) {
 	e, ok := p.byTen[id]
 	return e.g, e.ref, ok

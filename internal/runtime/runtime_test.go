@@ -14,6 +14,7 @@ import (
 	"repro/internal/queries"
 	"repro/internal/router"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/tenant"
 )
 
@@ -75,7 +76,7 @@ func submitOne(g *GroupRuntime, at sim.Time, tenantID string, class *queries.Cla
 func TestGroupRuntimeSubmitStatsRecords(t *testing.T) {
 	eng := sim.NewEngine()
 	g := newGroup(t, eng, "TG-0001", "t1", "t2")
-	g.Bind(sim.NewDomain(eng))
+	g.Bind(sim.NewDomain(eng), telemetry.NewHub(eng, 0.999))
 
 	db, _, err := submitOne(g, sim.Second, "t1", q1(t), RetryPolicy{})
 	if err != nil {
@@ -123,7 +124,7 @@ func TestGroupRuntimeSubmitStatsRecords(t *testing.T) {
 func TestGroupRuntimeSubmitUnknownTenant(t *testing.T) {
 	eng := sim.NewEngine()
 	g := newGroup(t, eng, "TG-0001", "t1")
-	g.Bind(sim.NewDomain(eng))
+	g.Bind(sim.NewDomain(eng), telemetry.NewHub(eng, 0.999))
 	if _, _, err := submitOne(g, sim.Second, "ghost", q1(t), RetryPolicy{}); err == nil {
 		t.Error("submit for non-member accepted")
 	}
@@ -135,7 +136,7 @@ func TestPlaneShardedIndexAndClocks(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		eng := sim.NewEngine()
 		g := newGroup(t, eng, fmt.Sprintf("TG-%04d", i), fmt.Sprintf("t%d", i))
-		g.Bind(sim.NewDomain(eng))
+		g.Bind(sim.NewDomain(eng), telemetry.NewHub(eng, 0.999))
 		p.Add(g)
 		groups = append(groups, g)
 	}
@@ -182,7 +183,7 @@ func TestPlaneRecordsGroupOrder(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		eng := sim.NewEngine()
 		g := newGroup(t, eng, fmt.Sprintf("TG-%04d", i), fmt.Sprintf("t%d", i))
-		g.Bind(sim.NewDomain(eng))
+		g.Bind(sim.NewDomain(eng), telemetry.NewHub(eng, 0.999))
 		p.Add(g)
 	}
 	// Submit in reverse group order; Records still returns group order.
@@ -207,7 +208,7 @@ func TestPlaneRecordsGroupOrder(t *testing.T) {
 func TestGroupRuntimeConcurrentSubmits(t *testing.T) {
 	eng := sim.NewEngine()
 	g := newGroup(t, eng, "TG-0001", "t1", "t2", "t3", "t4")
-	g.Bind(sim.NewDomain(eng))
+	g.Bind(sim.NewDomain(eng), telemetry.NewHub(eng, 0.999))
 	class := q1(t)
 	var wg sync.WaitGroup
 	const per = 25
@@ -244,7 +245,7 @@ func TestGroupRuntimeConcurrentSubmits(t *testing.T) {
 func TestShedStatsCache(t *testing.T) {
 	eng := sim.NewEngine()
 	g := newGroup(t, eng, "TG-0001", "t1", "t2")
-	g.Bind(sim.NewDomain(eng))
+	g.Bind(sim.NewDomain(eng), telemetry.NewHub(eng, 0.999))
 	g.SetSheddingOnly(true)
 	g.Domain().Do(func(*sim.Engine) { g.CacheStats() })
 	held := g.StatsAt(sim.Day)
@@ -295,7 +296,7 @@ func TestShedStatsCache(t *testing.T) {
 func TestSnapshotCostIndependentOfLogLength(t *testing.T) {
 	eng := sim.NewEngine()
 	g := newGroup(t, eng, "TG-0001", "t1", "t2")
-	g.Bind(sim.NewDomain(eng))
+	g.Bind(sim.NewDomain(eng), telemetry.NewHub(eng, 0.999))
 	cl := q1(t)
 	grow := func(n int) {
 		for i := 0; i < n; i++ {

@@ -93,8 +93,8 @@ type Scaler struct {
 	events  []Event
 	nextID  int
 
-	// Telemetry (optional): the RT-TTP gauge sampled at every check, a dip
-	// event on the below-P transition, and the scaling-phase event timeline.
+	// Telemetry: the RT-TTP gauge sampled at every check, a dip event on the
+	// below-P transition, and the scaling-phase event timeline.
 	tel      *telemetry.Hub
 	belowP   bool
 	mRTTTP   *telemetry.Gauge
@@ -103,73 +103,66 @@ type Scaler struct {
 }
 
 // New creates the scaler of the group routed by rt and monitored by mon, on
-// the group's lifecycle. A scale-up that cannot stage waits in tri, the
-// deployment's scarcity triage, ranked by prio's SLA-at-risk inputs
-// (sliding RT-TTP deficit, tenant count), as the group's recovery claims are.
-func New(lc *cluster.Lifecycle, tri *recovery.Triage, rt *router.GroupRouter, mon *monitor.GroupMonitor,
-	members []*tenant.Tenant, cfg Config, prio func() (float64, int)) (*Scaler, error) {
-	if cfg.P <= 0 || cfg.P > 1 {
+// the group's lifecycle, armed: its RT-TTP check is queued every
+// CheckInterval, as shared events (as is a scale-up's ready) because a check
+// may acquire nodes from the pool, so the caller must hold the group's clock
+// domain. tel is the group's telemetry view. A scale-up that cannot stage
+// waits in tri, the deployment's scarcity triage, ranked by prio's
+// SLA-at-risk inputs (sliding RT-TTP deficit, tenant count), as the group's
+// recovery claims are.
+func New(lc *cluster.Lifecycle, tri *recovery.Triage, tel *telemetry.Hub, rt *router.GroupRouter,
+	mon *monitor.GroupMonitor, members []*tenant.Tenant, cfg Config, prio func() (float64, int)) (*Scaler, error) {
+	switch {
+	case cfg.P <= 0 || cfg.P > 1:
 		return nil, fmt.Errorf("scaling: P=%v", cfg.P)
-	}
-	if cfg.R < 1 {
+	case cfg.R < 1:
 		return nil, fmt.Errorf("scaling: R=%d", cfg.R)
+	case tel == nil:
+		return nil, fmt.Errorf("scaling: nil telemetry hub for group %s", rt.Group())
 	}
-	return &Scaler{
-		lc:      lc,
-		triage:  tri,
-		cfg:     cfg,
-		group:   rt.Group(),
-		router:  rt,
-		monitor: mon,
-		members: members,
-		prio:    prio,
-	}, nil
-}
-
-// SetTelemetry attaches a telemetry hub. A nil hub disables instrumentation.
-func (s *Scaler) SetTelemetry(h *telemetry.Hub) {
-	s.tel = h
-	if h == nil {
-		return
+	s := &Scaler{
+		lc:       lc,
+		triage:   tri,
+		cfg:      cfg,
+		group:    rt.Group(),
+		router:   rt,
+		monitor:  mon,
+		members:  members,
+		prio:     prio,
+		tel:      tel,
+		mRTTTP:   tel.Registry.Gauge("thrifty_group_rt_ttp", "group", rt.Group()),
+		mActions: tel.Registry.Counter("thrifty_scaling_actions_total"),
+		mActive:  tel.Registry.Gauge("thrifty_scaling_in_progress"),
 	}
-	s.mRTTTP = h.Registry.Gauge("thrifty_group_rt_ttp", "group", s.group)
-	s.mActions = h.Registry.Counter("thrifty_scaling_actions_total")
-	s.mActive = h.Registry.Gauge("thrifty_scaling_in_progress")
+	var tick func(now sim.Time)
+	tick = func(now sim.Time) {
+		s.check()
+		lc.Engine().AfterShared(CheckInterval, tick)
+	}
+	lc.Engine().AfterShared(CheckInterval, tick)
+	return s, nil
 }
 
 // Events returns all scaling actions so far.
 func (s *Scaler) Events() []Event { return s.events }
-
-// Start schedules the periodic RT-TTP checks, as shared events (as is a
-// scale-up's ready): a check may acquire nodes from the pool.
-func (s *Scaler) Start() {
-	var tick func(now sim.Time)
-	tick = func(now sim.Time) {
-		s.check()
-		s.lc.Engine().AfterShared(CheckInterval, tick)
-	}
-	s.lc.Engine().AfterShared(CheckInterval, tick)
-}
 
 // check evaluates the group once. A scale-up waiting in the triage is
 // polled, or withdrawn once the group holds P again; otherwise a group below
 // P with no scale-up loading identifies its over-active tenants.
 func (s *Scaler) check() {
 	rt := s.monitor.RTTTP()
-	if s.tel != nil {
-		s.mRTTTP.Set(rt)
-		// Publish the dip once per crossing, not on every low sample.
-		below := rt < s.cfg.P
-		if below && !s.belowP {
-			s.tel.Events.Publish(telemetry.Event{
-				Type:   telemetry.EventRTTTPDip,
-				Group:  s.group,
-				Value:  rt,
-				Detail: fmt.Sprintf("RT-TTP below P=%v", s.cfg.P),
-			})
-		}
-		s.belowP = below
+	s.mRTTTP.Set(rt)
+	// Publish the dip once per crossing, not on every low sample.
+	below := rt < s.cfg.P
+	if below && !s.belowP {
+		s.tel.Events.Publish(telemetry.Event{
+			Type:   telemetry.EventRTTTPDip,
+			Group:  s.group,
+			Value:  rt,
+			Detail: fmt.Sprintf("RT-TTP below P=%v", s.cfg.P),
+		})
 	}
+	s.belowP = below
 	switch {
 	case s.scaling:
 	case s.waiting != nil && rt >= s.cfg.P:
@@ -268,15 +261,13 @@ func (s *Scaler) identify(rtttp float64) {
 	s.waiting = su
 	deficit, tenants := s.prio()
 	s.triage.EnqueueNodes(su.ev.MPPDB, s.group, su.ev.MPPDB, su.ev.Nodes, deficit, tenants)
-	if s.tel != nil {
-		s.tel.Events.Publish(telemetry.Event{
-			Type:   telemetry.EventTriageEnqueued,
-			Group:  s.group,
-			MPPDB:  su.ev.MPPDB,
-			Value:  deficit * float64(tenants),
-			Detail: fmt.Sprintf("pool exhausted; %d-node scale-up queued for triage (deficit %.4g × %d tenants)", su.ev.Nodes, deficit, tenants),
-		})
-	}
+	s.tel.Events.Publish(telemetry.Event{
+		Type:   telemetry.EventTriageEnqueued,
+		Group:  s.group,
+		MPPDB:  su.ev.MPPDB,
+		Value:  deficit * float64(tenants),
+		Detail: fmt.Sprintf("pool exhausted; %d-node scale-up queued for triage (deficit %.4g × %d tenants)", su.ev.Nodes, deficit, tenants),
+	})
 }
 
 // poll asks the triage for the waiting scale-up's nodes.
@@ -301,17 +292,15 @@ func (s *Scaler) stage(su *scaleUp) error {
 func (s *Scaler) start(su *scaleUp) {
 	id, nodes := su.ev.MPPDB, su.ev.Nodes
 	s.scaling = true
-	if s.tel != nil {
-		s.mActions.Inc()
-		s.mActive.Add(1)
-		s.tel.Events.Publish(telemetry.Event{
-			Type:   telemetry.EventScalingTriggered,
-			Group:  s.group,
-			MPPDB:  id,
-			Value:  su.ev.RTTTP,
-			Detail: fmt.Sprintf("over-active %v → %d-node MPPDB", su.ev.OverActive, nodes),
-		})
-	}
+	s.mActions.Inc()
+	s.mActive.Add(1)
+	s.tel.Events.Publish(telemetry.Event{
+		Type:   telemetry.EventScalingTriggered,
+		Group:  s.group,
+		MPPDB:  id,
+		Value:  su.ev.RTTTP,
+		Detail: fmt.Sprintf("over-active %v → %d-node MPPDB", su.ev.OverActive, nodes),
+	})
 	inst := mppdb.New(s.lc.Engine(), id, nodes)
 	inst.SetGate(s.lc.Pool().Gate())
 	inst.SetTelemetry(s.tel)
@@ -325,9 +314,7 @@ func (s *Scaler) start(su *scaleUp) {
 	s.events = append(s.events, su.ev)
 	s.lc.Ready(id, nodes, dataGB, func(intact bool) {
 		s.scaling = false
-		if s.tel != nil {
-			s.mActive.Add(-1)
-		}
+		s.mActive.Add(-1)
 		ev := &s.events[evIdx]
 		if !intact {
 			s.lc.Abort(id)
@@ -342,23 +329,18 @@ func (s *Scaler) start(su *scaleUp) {
 			}
 		}
 		ev.Ready = s.lc.Engine().Now()
-		if s.tel != nil {
-			s.tel.Events.Publish(telemetry.Event{
-				Type:   telemetry.EventScalingReady,
-				Group:  s.group,
-				MPPDB:  id,
-				Value:  float64(nodes),
-				Detail: fmt.Sprintf("queries of %v re-pointed", ev.OverActive),
-			})
-		}
+		s.tel.Events.Publish(telemetry.Event{
+			Type:   telemetry.EventScalingReady,
+			Group:  s.group,
+			MPPDB:  id,
+			Value:  float64(nodes),
+			Detail: fmt.Sprintf("queries of %v re-pointed", ev.OverActive),
+		})
 	})
 }
 
-// publishFailure emits a scaling_failed event when telemetry is attached.
+// publishFailure emits a scaling_failed event.
 func (s *Scaler) publishFailure(detail string) {
-	if s.tel == nil {
-		return
-	}
 	s.tel.Events.Publish(telemetry.Event{
 		Type:   telemetry.EventScalingFailed,
 		Group:  s.group,

@@ -26,6 +26,7 @@ type scenario struct {
 	triage *recovery.Triage
 	mon    *monitor.GroupMonitor
 	rt     *router.GroupRouter
+	hub    *telemetry.Hub
 	scaler *Scaler
 	cl     *queries.Class
 }
@@ -56,13 +57,14 @@ func newScenario(t *testing.T, cfg Config, poolNodes int, extra ...*tenant.Tenan
 		t.Fatal(err)
 	}
 	tri := recovery.NewTriage(pool)
-	sc, err := New(cluster.NewLifecycle(eng, pool, true, true), tri, rt, mon, members, cfg,
+	hub := telemetry.NewHub(eng, cfg.P)
+	sc, err := New(cluster.NewLifecycle(eng, pool, true, true), tri, hub, rt, mon, members, cfg,
 		func() (float64, int) { return max(cfg.P-mon.RTTTP(), 0), len(members) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &scenario{
-		eng: eng, pool: pool, triage: tri, mon: mon, rt: rt, scaler: sc,
+		eng: eng, pool: pool, triage: tri, mon: mon, rt: rt, hub: hub, scaler: sc,
 		cl: &queries.Class{ID: "q", FixedSec: 0.5, ScanSecGB: 0.05}, // 10.5 s on 200GB/2n
 	}
 }
@@ -78,10 +80,41 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	hub := telemetry.NewHub(eng, 0.9)
 	for i, cfg := range []Config{{P: 0, R: 1}, {P: 1.5, R: 1}, {P: 0.9, R: 0}} {
-		if _, err := New(cluster.NewLifecycle(eng, pool, true, true), recovery.NewTriage(pool), rt, nil, nil, cfg, nil); err == nil {
+		if _, err := New(cluster.NewLifecycle(eng, pool, true, true), recovery.NewTriage(pool), hub, rt, nil, nil, cfg, nil); err == nil {
 			t.Errorf("bad config %d accepted", i)
 		}
+	}
+	if _, err := New(cluster.NewLifecycle(eng, pool, true, true), recovery.NewTriage(pool), nil, rt, nil, nil,
+		Config{P: 0.9, R: 1}, nil); err == nil {
+		t.Error("nil hub accepted")
+	}
+	if eng.Pending() != 0 {
+		t.Errorf("rejected scalers left %d events queued", eng.Pending())
+	}
+}
+
+// TestNewArms: New alone arms the scaler — its RT-TTP check is queued one
+// CheckInterval out, as a shared event, and its metric families are
+// registered on the hub.
+func TestNewArms(t *testing.T) {
+	s := newScenario(t, testCfg(), 8)
+	if at, ok := s.eng.NextAt(); s.eng.Pending() != 1 || !ok || at != sim.Duration(CheckInterval) {
+		t.Fatalf("%d events pending, next at %v: want the one check at %v", s.eng.Pending(), at, CheckInterval)
+	}
+	families := map[string]bool{}
+	for _, mv := range s.hub.Registry.Snapshot() {
+		families[mv.Name] = true
+	}
+	for _, name := range []string{"thrifty_group_rt_ttp", "thrifty_scaling_actions_total", "thrifty_scaling_in_progress"} {
+		if !families[name] {
+			t.Errorf("metric family %s not registered", name)
+		}
+	}
+	s.eng.Run(sim.Duration(3 * CheckInterval))
+	if s.eng.Pending() != 1 {
+		t.Errorf("%d events pending after three checks of an idle group, want the next check alone", s.eng.Pending())
 	}
 }
 
@@ -94,7 +127,7 @@ func (s *scenario) driveHog(t *testing.T, until sim.Time) {
 			return
 		}
 		// Route through the router so overrides apply.
-		if _, err := s.rt.Submit("hog", s.cl); err != nil {
+		if _, err := s.rt.SubmitRef(s.rt.Ref("hog"), s.cl, 0); err != nil {
 			t.Errorf("hog submit at %v: %v", now, err)
 			return
 		}
@@ -109,7 +142,7 @@ func (s *scenario) driveHog(t *testing.T, until sim.Time) {
 		if now >= until {
 			return
 		}
-		if _, err := s.rt.Submit("good", s.cl); err != nil {
+		if _, err := s.rt.SubmitRef(s.rt.Ref("good"), s.cl, 0); err != nil {
 			t.Errorf("good submit at %v: %v", now, err)
 			return
 		}
@@ -134,7 +167,6 @@ func TestElasticScalingEndToEnd(t *testing.T) {
 
 func elasticScalingEndToEnd(t *testing.T) {
 	s := newScenario(t, testCfg(), 8)
-	s.scaler.Start()
 	horizon := 6 * sim.Hour
 	s.driveHog(t, horizon)
 	s.eng.Run(horizon)
@@ -191,7 +223,6 @@ func TestScalerClaimsOnExhaustion(t *testing.T) {
 		if _, err := blocker.Stage("blocker", 2, nil); err != nil {
 			t.Fatal(err)
 		}
-		s.scaler.Start()
 		return s, blocker
 	}
 	// waitForClaim runs until the scaler's claim is queued and returns it.
@@ -279,7 +310,7 @@ func TestScalerClaimsOnExhaustion(t *testing.T) {
 func TestIdentifyOverActiveEmptyWhenCalm(t *testing.T) {
 	s := newScenario(t, testCfg(), 8)
 	// Only the good tenant is mildly active.
-	s.eng.Schedule(0, func(sim.Time) { s.rt.Submit("good", s.cl) })
+	s.eng.Schedule(0, func(sim.Time) { s.rt.SubmitRef(s.rt.Ref("good"), s.cl, 0) })
 	s.eng.Run(sim.Hour)
 	over, err := s.scaler.IdentifyOverActive()
 	if err != nil {
@@ -339,9 +370,6 @@ func TestIdentifyOverActiveZeroHorizon(t *testing.T) {
 // group scales again on a later check.
 func TestScaleUpAbortsWhenStagedNodesFail(t *testing.T) {
 	s := newScenario(t, testCfg(), 8)
-	hub := telemetry.NewHub(s.eng, 0.99)
-	s.scaler.SetTelemetry(hub)
-	s.scaler.Start()
 	horizon := 6 * sim.Hour
 	s.driveHog(t, horizon)
 	var crash func(sim.Time)
@@ -371,7 +399,7 @@ func TestScaleUpAbortsWhenStagedNodesFail(t *testing.T) {
 		t.Errorf("retry %+v did not re-point its tenants", evs[1])
 	}
 	n := 0
-	for _, ev := range hub.Events.Recent(0) {
+	for _, ev := range s.hub.Events.Recent(0) {
 		if ev.Type == telemetry.EventScalingFailed {
 			n++
 		}
@@ -390,7 +418,6 @@ func TestScaleUpAbortsWhenStagedNodesFail(t *testing.T) {
 // gauge is looked up once, when the hub is attached.
 func TestCheckAllocs(t *testing.T) {
 	s := newScenario(t, testCfg(), 8)
-	s.scaler.SetTelemetry(telemetry.NewHub(s.eng, 0.99))
 	if rt := s.mon.RTTTP(); rt < s.scaler.cfg.P {
 		t.Fatalf("idle group at RT-TTP %v, want at least P", rt)
 	}

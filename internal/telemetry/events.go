@@ -137,10 +137,9 @@ func (e Event) String() string {
 	return b.String()
 }
 
-// EventLog is a bounded ring of events with optional live subscribers.
-// Publishing never blocks: a subscriber that falls behind loses events (its
-// drop count is tracked) rather than stalling the simulation or a request.
-// A view (Hub.View) publishes to its root with its own clock, buffering in a
+// EventLog is a bounded ring of events: once full, each publish overwrites
+// the oldest retained event, so publishing never stalls the simulation or a
+// request. Readers take copies of the recent events (Recent, Dump). A view (Hub.View) publishes to its root with its own clock, buffering in a
 // window of the root's gate until a merge numbers them.
 type EventLog struct {
 	mu      sync.Mutex
@@ -149,18 +148,11 @@ type EventLog struct {
 	start   int
 	n       int
 	nextSeq uint64
-	subs    map[int]*subscriber
-	nextSub int
 	gate    *sim.Gate
 	views   []*EventLog
 
 	root *EventLog // nil on a root log
 	buf  []Event   // a view's events published in the open window
-}
-
-type subscriber struct {
-	ch      chan Event
-	dropped uint64
 }
 
 // NewEventLog builds a log retaining up to capacity recent events.
@@ -171,12 +163,11 @@ func NewEventLog(clock Clock, capacity int) *EventLog {
 	return &EventLog{
 		clock: clock,
 		ring:  make([]Event, capacity),
-		subs:  make(map[int]*subscriber),
 	}
 }
 
 // Publish stamps the event with the next sequence number and the clock's
-// current time, appends it to the ring, and fans it out to subscribers.
+// current time and appends it to the ring.
 // The stamped event is returned (Seq 0 from a view in a window).
 func (l *EventLog) Publish(ev Event) Event {
 	if ev.At = l.clock.Now(); l.root != nil {
@@ -212,8 +203,7 @@ func (l *EventLog) flush() {
 	}
 }
 
-// publishLocked numbers the stamped event, rings it and fans it out; callers
-// hold l.mu.
+// publishLocked numbers the stamped event and rings it; callers hold l.mu.
 func (l *EventLog) publishLocked(ev Event) Event {
 	l.nextSeq++
 	ev.Seq = l.nextSeq
@@ -223,13 +213,6 @@ func (l *EventLog) publishLocked(ev Event) Event {
 	} else {
 		l.ring[(l.start+l.n)%len(l.ring)] = ev
 		l.n++
-	}
-	for _, s := range l.subs {
-		select {
-		case s.ch <- ev:
-		default:
-			s.dropped++
-		}
 	}
 	return ev
 }
@@ -256,32 +239,8 @@ func (l *EventLog) Total() uint64 {
 	return l.nextSeq
 }
 
-// Subscribe registers a live consumer with the given channel buffer and
-// returns the channel plus a cancel function. After cancel the channel is
-// closed and no further events arrive on it.
-func (l *EventLog) Subscribe(buffer int) (<-chan Event, func()) {
-	if buffer < 1 {
-		buffer = 1
-	}
-	l.mu.Lock()
-	id := l.nextSub
-	l.nextSub++
-	s := &subscriber{ch: make(chan Event, buffer)}
-	l.subs[id] = s
-	l.mu.Unlock()
-	cancel := func() {
-		l.mu.Lock()
-		if _, ok := l.subs[id]; ok {
-			delete(l.subs, id)
-			close(s.ch)
-		}
-		l.mu.Unlock()
-	}
-	return s.ch, cancel
-}
-
 // Dump writes every retained event as one line, oldest first — the
-// deterministic counterpart of a live subscription.
+// deterministic record of a run's events.
 func (l *EventLog) Dump(w io.Writer) error {
 	for _, ev := range l.Recent(0) {
 		if _, err := fmt.Fprintln(w, ev.String()); err != nil {

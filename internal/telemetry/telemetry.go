@@ -1,8 +1,8 @@
 // Package telemetry is Thrifty's self-observation layer: a dependency-free
 // metrics registry (atomic counters, gauges, and fixed-boundary latency
 // histograms with Prometheus text encoding), causally-linked trace spans, a
-// bounded subscribable stream of SLA-relevant events, and per-tenant SLA
-// attainment accounting.
+// bounded ring of recent SLA-relevant events (what GET /v1/events serves),
+// and per-tenant SLA attainment accounting.
 //
 // The whole layer is deterministic under the simulator: span and event
 // identifiers are monotonic counters (never random), timestamps come from
@@ -14,8 +14,10 @@
 // A Hub bundles one of each component and is what the instrumented
 // subsystems (router, mppdb, monitor, scaling, replay, service) share. All
 // components are safe for concurrent use, but for the tracer's reads of its
-// groups' query spans; instrumentation sites treat a nil Hub as "telemetry
-// disabled".
+// groups' query spans. A deployed group's runtime and controllers (recovery,
+// gray, admission, scaling) take their group's view at construction; the
+// router, the MPPDB instances and the activity monitor, which can be built
+// bare, treat a nil Hub as "telemetry disabled".
 //
 // A deployment's groups publish events through views of its hub (Hub.View)
 // on their own clocks, buffered while sim.Domains.Drive runs the groups

@@ -10,9 +10,10 @@
 //
 // Refs are group-local: each tenant-group owns one Interner, shared by its
 // router, its MPPDB instances, and its admission controller, so a Ref
-// resolved at the front door stays valid across all of them. The string API
-// everywhere remains as a thin shim that resolves through the Interner once
-// and delegates to the Ref path.
+// resolved at the front door stays valid across all of them. A group's
+// router submits and its admission controller admits by Ref only; the
+// string APIs that remain resolve through the Interner once and delegate to
+// the Ref path.
 package tenant
 
 import (
