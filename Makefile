@@ -39,7 +39,7 @@ race:
 # figures ROADMAP.md, CHANGES.md and the issues quote. A field count is the
 # names declared between the struct's braces. CI prints them after
 # `make check`.
-KNOBS = master/master.go:Options scaling/scaling.go:Config recovery/gray.go:GrayConfig \
+KNOBS = master/master.go:Options scaling/scaling.go:Config \
 	admission/admission.go:Config replay/replay.go:Options service/service.go:Config \
 	recovery/chaos/chaos.go:Window advisor/advisor.go:Config recovery/chaos/crashes.go:Crashes \
 	recovery/chaos/slowdown.go:Slowdowns recovery/chaos/outage.go:Outages \
@@ -60,8 +60,8 @@ loc:
 # controller's next 30-s grid instant and recovered autonomously; a
 # noisy-tenant storm against an admission-armed group, the aggressor
 # throttled while compliant tenants hold their guarantee; a fail-slow storm
-# (stuck, gradual, flapping) against a detector-armed group, the hedge →
-# drain-and-replace ladder restoring attainment; and a whole-domain outage
+# (stuck, gradual, flapping) against the bare deployment, served through and
+# lifted with the SLA accounting balanced; and a whole-domain outage
 # against a spread-placed deployment, quarantine re-routing, the scarcity
 # triage and re-spread leaving zero dropped queries. All four end on a
 # leak-free pool. A break in Run or in the replay it drives fails all four.
@@ -87,8 +87,8 @@ grouping-smoke: bench-smoke
 # group) over a 200-tenant deployment,
 # the Prometheus scrape of a registry shaped like that deployment's, the
 # replay of that deployment's 7-day logs — bare, with admission,
-# as a flagless thriftyd deploys it, with the §5.1 scaler per group and with
-# the fail-slow detector's per-minute barriers — and the generator on plan-4x500's four populations,
+# as a flagless thriftyd deploys it and with the §5.1 scaler per group — and
+# the generator on plan-4x500's four populations,
 # so a benchmark that no longer builds or runs is caught before commit without
 # paying full benchmark time. The composed solve (BenchmarkTwoStepComposed500
 # on the 3 s grid and ...Fine on the 0.1 s one, which no benchmark workload
@@ -102,7 +102,7 @@ bench-smoke:
 	$(GO) test -bench 'BenchmarkServeSubmit' -benchtime=1x -run '^$$' ./internal/service
 	$(GO) test -bench 'BenchmarkWritePrometheus' -benchtime=1x -run '^$$' ./internal/telemetry
 	$(GO) test -bench 'BenchmarkDomainsDrive' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/sim
-	$(GO) test -bench 'BenchmarkReplay/(bare|admission|default|gray|scaler)$$' -cpu 1,2 -benchtime=1x -run '^$$' .
+	$(GO) test -bench 'BenchmarkReplay/(bare|admission|default|scaler)$$' -cpu 1,2 -benchtime=1x -run '^$$' .
 	$(GO) test -bench 'BenchmarkGenerateWorkload' -cpu 1,2 -benchtime=1x -run '^$$' ./internal/workload
 	$(GO) test -bench 'BenchmarkPlanCycle' -cpu 1,2 -benchtime=1x -run '^$$' .
 
@@ -127,8 +127,8 @@ service-smoke:
 # monitor it replaced, the tracer's spans read from groups' trace ops —
 # attached directly and through a deployment's views under Drive — against
 # a naive ring of whole span records fed the same queries in (time, group,
-# sequence) order, the MPPDB executor under submits, hedges,
-# cancels, node faults and slowdowns against plain processor sharing stepped
+# sequence) order, the MPPDB executor under submits, node faults and
+# slowdowns against plain processor sharing stepped
 # from scratch, the event engine under schedules, cancels, re-keys,
 # sources, steps and runs against a slice scanned for its least (time,
 # sequence) key, and the clock domains' windowed driver (Domains.Drive) under

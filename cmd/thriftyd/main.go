@@ -49,7 +49,7 @@ type options struct {
 	deploy   thrifty.DeployOptions
 	serve    thrifty.ServeOptions
 
-	metrics, admission, gray bool
+	metrics, admission bool
 }
 
 // flagSet declares thriftyd's flags over o.
@@ -69,7 +69,6 @@ func (o *options) flagSet() *flag.FlagSet {
 	fs.BoolVar(&o.metrics, "metrics", true, "expose Prometheus text metrics at /metrics")
 	fs.IntVar(&o.deploy.Domains, "domains", 1, "failure domains (racks/zones) the pool is split across; >1 enables spread-aware placement")
 	fs.BoolVar(&o.admission, "admission", true, "arm overload protection per tenant-group (contract enforcement, bounded admission queue, brownout)")
-	fs.BoolVar(&o.gray, "gray", false, "arm fail-slow (gray failure) detection per tenant-group: peer-relative latency anomaly detection with a hedge → drain-and-replace ladder")
 	return fs
 }
 
@@ -86,10 +85,6 @@ func build(args []string) (*thrifty.System, *http.Server, error) {
 	if o.admission {
 		cfg := thrifty.DefaultAdmissionConfig()
 		o.deploy.Admission = &cfg
-	}
-	if o.gray {
-		cfg := thrifty.DefaultGrayConfig()
-		o.deploy.Gray = &cfg
 	}
 
 	fmt.Fprintf(os.Stderr, "thriftyd: generating %d tenants (%d-day history)...\n", o.workload.Tenants, o.workload.Days)
@@ -115,8 +110,8 @@ func build(args []string) (*thrifty.System, *http.Server, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	fmt.Fprintf(os.Stderr, "thriftyd: deployed (time scale %g×, metrics %v, admission %v, gray %v)\n",
-		o.serve.TimeScale, o.metrics, o.admission, o.gray)
+	fmt.Fprintf(os.Stderr, "thriftyd: deployed (time scale %g×, metrics %v, admission %v)\n",
+		o.serve.TimeScale, o.metrics, o.admission)
 	return sys, &http.Server{Addr: o.addr, Handler: h}, nil
 }
 

@@ -12,10 +12,10 @@ import (
 	"testing"
 )
 
-// TestFlagSet pins the option surface: the eleven flags that pick a
+// TestFlagSet pins the option surface: the ten flags that pick a
 // deployment or arm a subsystem, and no tuning knob beside them.
 func TestFlagSet(t *testing.T) {
-	want := strings.Fields("addr admission days domains gray metrics p r " +
+	want := strings.Fields("addr admission days domains metrics p r " +
 		"seed tenants timescale")
 	var got []string
 	new(options).flagSet().VisitAll(func(f *flag.Flag) { got = append(got, f.Name) })
@@ -27,6 +27,7 @@ func TestFlagSet(t *testing.T) {
 func TestUsageErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-no-such-flag"},
+		{"-gray"},
 		{"-domains", "two"},
 	} {
 		if _, _, err := build(args); err == nil {
@@ -43,21 +44,20 @@ func TestBootAndServe(t *testing.T) {
 		args []string
 	}{
 		{"default", nil},
-		{"every-arm", []string{"-gray", "-domains", "3"}},
+		{"every-arm", []string{"-domains", "3"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, srv, err := build(append([]string{"-tenants", "20", "-days", "1"}, tc.args...))
 			if err != nil {
 				t.Fatal(err)
 			}
-			armed := tc.args != nil
 			if sys.Deployment.Triage() == nil {
 				t.Errorf("no scarcity triage beside the recovery controllers (args %v)", tc.args)
 			}
 			for _, g := range sys.Deployment.Groups() {
-				if g.Recovery == nil || g.Admission == nil || (g.Gray != nil) != armed {
-					t.Errorf("group %s: recovery %v, admission %v, gray %v",
-						g.Plan.ID, g.Recovery != nil, g.Admission != nil, g.Gray != nil)
+				if g.Recovery == nil || g.Admission == nil {
+					t.Errorf("group %s: recovery %v, admission %v",
+						g.Plan.ID, g.Recovery != nil, g.Admission != nil)
 				}
 			}
 

@@ -108,24 +108,25 @@ func runArms(env *Env, w subWorld, win chaos.Window, arms ...faultArm) ([]*chaos
 	return res, nil
 }
 
-// verifyArms runs Verify on a fault experiment's no-fault, bare and
-// protected arms, in that order, and words the first failure; "" when all
-// three pass.
+// verifyArms runs Verify on a fault experiment's arms — no-fault, bare and,
+// when there is one, protected, in that order — and words the first
+// failure; "" when all pass.
 func verifyArms(p float64, res []*chaos.Result) string {
-	for i, name := range []string{"baseline", "bare", "protected"} {
-		if err := res[i].Verify(p); err != nil {
-			return fmt.Sprintf("FAIL: %s: %v", name, err)
+	for i, r := range res {
+		if err := r.Verify(p); err != nil {
+			return fmt.Sprintf("FAIL: %s: %v", []string{"baseline", "bare", "protected"}[i], err)
 		}
 	}
 	return ""
 }
 
-// armsTable renders a three-arm fault experiment's outcome, one column per
-// arm: the attainment and RT-TTP rows every fault experiment reports, the
-// experiment's own metrics (cells returns an arm's, in order), the pool leak
-// check and the verdict ("" renders PASS).
+// armsTable renders a fault experiment's outcome, one column per arm (no-fault,
+// bare and, when there is one, protected): the attainment and RT-TTP rows
+// every fault experiment reports, the experiment's own metrics (cells returns
+// an arm's, in order), the pool leak check and, under the last arm, the
+// verdict ("" renders PASS).
 func armsTable(title string, res []*chaos.Result, verdict string, metrics []string, cells func(*chaos.Result) []any) *Table {
-	t := &Table{Title: title, Columns: []string{"metric", "no-fault", "bare", "protected"}}
+	t := &Table{Title: title, Columns: append([]string{"metric"}, []string{"no-fault", "bare", "protected"}[:len(res)]...)}
 	metrics = append(append([]string{"per-query SLA attainment", "worst member attainment", "min RT-TTP"},
 		metrics...), "pool active/expected")
 	cols := make([][]any, len(res))
@@ -134,8 +135,16 @@ func armsTable(title string, res []*chaos.Result, verdict string, metrics []stri
 			cells(r)...), fmt.Sprintf("%d/%d", r.ActiveNodes, r.ExpectedActive))
 	}
 	for k, m := range metrics {
-		t.AddRow(m, cols[0][k], cols[1][k], cols[2][k])
+		row := []any{m}
+		for _, c := range cols {
+			row = append(row, c[k])
+		}
+		t.AddRow(row...)
 	}
-	t.AddRow("verdict", "", "", cmp.Or(verdict, "PASS"))
+	row := []any{"verdict"}
+	for range res[1:] {
+		row = append(row, "")
+	}
+	t.AddRow(append(row, cmp.Or(verdict, "PASS"))...)
 	return t
 }

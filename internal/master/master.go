@@ -54,11 +54,6 @@ type Options struct {
 	// RT-TTP and recovery state. Strictly opt-in so the bare replay path
 	// stays byte-identical.
 	Admission *admission.Config
-	// Gray, when non-nil, arms a fail-slow detector per group with this
-	// config: peer-relative completion-latency outlier detection and the
-	// hedge → drain response ladder, whose drain rung hands the node to the
-	// group's recovery controller. Strictly opt-in, like Admission.
-	Gray *recovery.GrayConfig
 	// Scaling arms the §5.1 elastic scaler per group, on the plan's P, R and
 	// epoch and MonitorWindow. Strictly opt-in, like Admission.
 	Scaling bool
@@ -141,7 +136,7 @@ func (m *Master) Deploy(plan *advisor.Plan, tenants map[string]*tenant.Tenant) (
 // on a multi-domain pool) and, unless Immediate, makes each Ready after
 // Table 5.1 startup + load; then the MPPDB instances with every member
 // bulk-loaded, monitor, router, the recovery controller and the optional
-// gray and admission controllers and scaler.
+// admission controller and scaler.
 func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub, dep *Deployment,
 	pg advisor.PlannedGroup, tenants map[string]*tenant.Tenant) (*DeployedGroup, sim.Time, error) {
 	members := make([]*tenant.Tenant, 0, len(pg.TenantIDs))
@@ -205,25 +200,14 @@ func (m *Master) buildGroup(eng *sim.Engine, dom *sim.Domain, tel *telemetry.Hub
 	g.Bind(dom, tel)
 	// Every group gets its §4.4 recovery controller. Its claims rank in the
 	// deployment's scarcity triage by sliding RT-TTP deficit below P × member
-	// count, as the scaler's do; on a multi-domain pool it quarantines
-	// fully-dead instances from routing until repaired; and it re-spreads
-	// the group when its lifecycle spreads. It schedules nothing until a
-	// fault calls Detect, unless the group landed collapsed. Every controller
-	// is armed when its constructor returns.
+	// count, as the scaler's do; it lifts the routing quarantine a domain
+	// outage puts on an instance once the instance is whole again; and it
+	// re-spreads the group when its lifecycle spreads. It schedules nothing
+	// until a fault calls Detect, unless the group landed collapsed. Every
+	// controller is armed when its constructor returns.
 	prio := func() (float64, int) { return max(dep.cfg.P-mon.RTTTP(), 0), len(members) }
-	if g.Recovery, err = recovery.New(lc, dep.triage, tel, pg.ID, g.Instances, prio); err != nil {
+	if g.Recovery, err = recovery.New(lc, dep.triage, tel, pg.ID, g.Instances, prio, rt.SetQuarantine); err != nil {
 		return nil, 0, err
-	}
-	// Only on a multi-domain pool: on a single-domain one, recovery's finish
-	// would lift a gray drain's quarantine at repair, before the detector has
-	// reset the slowdown.
-	if m.pool.Domains() > 1 {
-		g.Recovery.SetQuarantine(rt.SetQuarantine)
-	}
-	if m.opts.Gray != nil {
-		if g.Gray, err = recovery.NewGrayDetector(eng, m.pool, tel, pg.ID, g.Instances, rt, g.Recovery, *m.opts.Gray); err != nil {
-			return nil, 0, err
-		}
 	}
 	if m.opts.Admission != nil {
 		if g.Admission, err = admission.New(eng, tel, interner, pg.ID, dep.cfg.P, pg.TenantIDs,

@@ -66,15 +66,9 @@ type diffWorld struct {
 	// world reports by ref, nil when it goes through the string methods.
 	in           *tenant.Interner
 	hubM, hubRef *telemetry.Hub
-	// traced is what TracedRecord must return beside each record: by ref a
-	// route sequence counted up and, now and then, a routed instance the
-	// hedge took the query from; by string Untraced and the serving one.
-	traced []traced
-}
-
-type traced struct {
-	route  uint32
-	routed string
+	// routes is the route sequence TracedRecord must return beside each
+	// record: by ref counted up, by string Untraced.
+	routes []uint32
 }
 
 // newDiffWorld builds both monitors with R=2. With byRef the monitor adopts
@@ -122,7 +116,7 @@ func (w *diffWorld) apply(op diffOp) {
 	case opFinish:
 		// arg picks class and instance, and whether the query met a target
 		// of 10 s: latencies run from 1 to 16 s. A finish may come without
-		// a start, as a hedge winner's does after an Exclude.
+		// a start, as one started after its tenant's Exclude does.
 		now := w.eng.Now()
 		rec := QueryRecord{
 			Tenant:    id,
@@ -132,19 +126,16 @@ func (w *diffWorld) apply(op diffOp) {
 			SLATarget: 10 * sim.Second,
 			MPPDB:     diffInsts[int(op.arg/16)%len(diffInsts)],
 		}
-		tr := traced{telemetry.Untraced, rec.MPPDB}
+		route := telemetry.Untraced
 		if w.in != nil {
 			// The router's record carries the tenant too, but the ref is
 			// what the monitor goes by.
-			tr.route = uint32(2 * len(w.traced))
-			if op.arg%3 == 0 {
-				tr.routed = diffInsts[int(op.arg/16+1)%len(diffInsts)]
-			}
-			w.mon.QueryFinishedRef(w.in.Intern(id), rec, tr.route, tr.routed)
+			route = uint32(2 * len(w.routes))
+			w.mon.QueryFinishedRef(w.in.Intern(id), rec, route)
 		} else {
 			w.mon.QueryFinished(rec)
 		}
-		w.traced = append(w.traced, tr)
+		w.routes = append(w.routes, route)
 		w.ref.QueryFinished(rec)
 	case opExclude:
 		w.mon.Exclude(id)
@@ -196,9 +187,9 @@ func (w *diffWorld) compare(step int, op diffOp) {
 	if got := w.mon.Records(); len(got) != len(all) || len(all) > 0 && !reflect.DeepEqual(got, all) {
 		fail("Records", got, all)
 	}
-	for i, tr := range w.traced {
+	for i, route := range w.routes {
 		r := all[i]
-		want := telemetry.QueryOp{Seq: tr.route, Submit: r.Submit, Finish: r.Finish, Tenant: r.Tenant, Class: r.Class.ID, MPPDB: tr.routed}
+		want := telemetry.QueryOp{Seq: route, Submit: r.Submit, Finish: r.Finish, Tenant: r.Tenant, Class: r.Class.ID, MPPDB: r.MPPDB}
 		if got := w.mon.TracedRecord(i); got != want {
 			fail(fmt.Sprintf("TracedRecord(%d)", i), got, want)
 		}
@@ -441,13 +432,11 @@ func TestRecordLogChunkBoundaries(t *testing.T) {
 func TestRecordLogSpill(t *testing.T) {
 	m, _ := NewGroup(sim.NewEngine(), "g", 1, time.Hour)
 	var want []QueryRecord
-	var routed []string
-	hedged := func(tenantID string, cl *queries.Class, db, from string) {
+	log := func(tenantID string, cl *queries.Class, db string) {
 		rec := QueryRecord{Tenant: tenantID, Class: cl, Submit: sim.Time(len(want)), Finish: sim.Time(len(want) + 5), MPPDB: db}
-		m.QueryFinishedRef(m.in.Intern(tenantID), rec, uint32(len(want)), from)
-		want, routed = append(want, rec), append(routed, from)
+		m.QueryFinishedRef(m.in.Intern(tenantID), rec, uint32(len(want)))
+		want = append(want, rec)
 	}
-	log := func(tenantID string, cl *queries.Class, db string) { hedged(tenantID, cl, db, db) }
 	log("a", diffClasses[0], "db0")
 	for len(m.log.classes) < spillMark {
 		m.log.classes = append(m.log.classes, &queries.Class{ID: "ADHOC"})
@@ -461,13 +450,12 @@ func TestRecordLogSpill(t *testing.T) {
 	}
 	log("a", diffClasses[0], "db-replacement") // no index left for the instance
 	log("b", diffClasses[0], "db1")
-	hedged("a", diffClasses[0], "db0", "db-gray") // nor for the instance routed to
-	if len(m.log.spill) != 4 {
-		t.Fatalf("%d records spilled, want 4", len(m.log.spill))
+	if len(m.log.spill) != 3 {
+		t.Fatalf("%d records spilled, want 3", len(m.log.spill))
 	}
 	expectRecords(t, m, want)
 	for i, r := range want {
-		q := telemetry.QueryOp{Seq: uint32(i), Submit: r.Submit, Finish: r.Finish, Tenant: r.Tenant, Class: r.Class.ID, MPPDB: routed[i]}
+		q := telemetry.QueryOp{Seq: uint32(i), Submit: r.Submit, Finish: r.Finish, Tenant: r.Tenant, Class: r.Class.ID, MPPDB: r.MPPDB}
 		if got := m.TracedRecord(i); got != q {
 			t.Errorf("TracedRecord(%d) = %+v, want %+v", i, got, q)
 		}

@@ -12,14 +12,13 @@ import (
 
 // entry is one completed query in the record log: 40 bytes and no pointers,
 // so the collector never scans a chunk. The tenant is its ref in the
-// monitor's interner; class, inst (served it) and routed (routed to: another
-// when a hedge won) index the log's side tables; route is its trace sequence.
+// monitor's interner; class and inst (served it) index the log's side
+// tables; route is its trace sequence.
 type entry struct {
 	submit, finish, slaTarget sim.Time
 	ref                       tenant.Ref
 	class, inst               uint16
 	route                     uint32
-	routed                    uint16
 }
 
 const (
@@ -29,17 +28,17 @@ const (
 	minChunk = 32
 	maxChunk = 4096
 
-	// spillMark in entry.class says the record's class and instances are the
+	// spillMark in entry.class says the record's class and instance are the
 	// next of recordLog.spill, not table indices.
 	spillMark = 0xFFFF
 )
 
-// offTable is the class and instances of the i-th record, which the side
+// offTable is the class and instance of the i-th record, which the side
 // tables could not index.
 type offTable struct {
-	i             int
-	class         *queries.Class
-	mppdb, routed string
+	i     int
+	class *queries.Class
+	mppdb string
 }
 
 // recordLog is the append-only log of completed queries. Entries live in
@@ -57,7 +56,7 @@ type recordLog struct {
 	classes  []*queries.Class
 	classIdx map[*queries.Class]uint16
 	insts    []string
-	// spill holds, in log order, the class and instances of every entry
+	// spill holds, in log order, the class and instance of every entry
 	// marked spillMark: those logged after a table ran out of 16-bit indices
 	// (65,535 ad-hoc statements or instance replacements in one group).
 	spill []offTable
@@ -65,19 +64,15 @@ type recordLog struct {
 
 // add logs one completed query of the tenant behind ref; met is whether it
 // met its SLA.
-func (l *recordLog) add(ref tenant.Ref, rec QueryRecord, met bool, route uint32, routed string) {
+func (l *recordLog) add(ref tenant.Ref, rec QueryRecord, met bool, route uint32) {
 	e := entry{submit: rec.Submit, finish: rec.Finish, slaTarget: rec.SLATarget, ref: ref, route: route}
 	ci, okc := l.classIndex(rec.Class)
 	ii, oki := l.instIndex(rec.MPPDB)
-	ri, okr := ii, oki
-	if routed != rec.MPPDB {
-		ri, okr = l.instIndex(routed)
-	}
-	if okc && oki && okr {
-		e.class, e.inst, e.routed = ci, ii, ri
+	if okc && oki {
+		e.class, e.inst = ci, ii
 	} else {
 		e.class = spillMark
-		l.spill = append(l.spill, offTable{l.n, rec.Class, rec.MPPDB, routed})
+		l.spill = append(l.spill, offTable{l.n, rec.Class, rec.MPPDB})
 	}
 	k := len(l.chunks) - 1
 	if k < 0 || len(l.chunks[k]) == cap(l.chunks[k]) {
@@ -168,9 +163,9 @@ func (l *recordLog) traced(i int, ids []string) telemetry.QueryOp {
 	q := telemetry.QueryOp{Seq: e.route, Submit: e.submit, Finish: e.finish, Tenant: ids[e.ref]}
 	if e.class == spillMark {
 		o := &l.spill[sort.Search(len(l.spill), func(j int) bool { return l.spill[j].i >= i })]
-		q.Class, q.MPPDB = o.class.ID, o.routed
+		q.Class, q.MPPDB = o.class.ID, o.mppdb
 	} else {
-		q.Class, q.MPPDB = l.classes[e.class].ID, l.insts[e.routed]
+		q.Class, q.MPPDB = l.classes[e.class].ID, l.insts[e.inst]
 	}
 	return q
 }

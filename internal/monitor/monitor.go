@@ -219,16 +219,16 @@ func (m *GroupMonitor) QueryStartedRef(ref tenant.Ref) {
 
 // QueryFinished records a query completion and logs the full record, untraced.
 func (m *GroupMonitor) QueryFinished(rec QueryRecord) {
-	m.QueryFinishedRef(m.in.Intern(rec.Tenant), rec, telemetry.Untraced, rec.MPPDB)
+	m.QueryFinishedRef(m.in.Intern(rec.Tenant), rec, telemetry.Untraced)
 }
 
 // QueryFinishedRef is QueryFinished for the tenant behind a ref of the
 // monitor's interner; rec.Tenant is not read. The log keeps the query's
-// route's trace sequence and the instance it was routed to (TracedRecord).
-func (m *GroupMonitor) QueryFinishedRef(ref tenant.Ref, rec QueryRecord, route uint32, routed string) {
+// route's trace sequence (TracedRecord).
+func (m *GroupMonitor) QueryFinishedRef(ref tenant.Ref, rec QueryRecord, route uint32) {
 	st := m.state(ref)
 	met := rec.SLAMet()
-	m.log.add(ref, rec, met, route, routed)
+	m.log.add(ref, rec, met, route)
 	st.finished++
 	if m.tel != nil {
 		m.mCompleted.Inc()
@@ -400,7 +400,7 @@ func (m *GroupMonitor) AppendTenantRecords(dst []QueryRecord, tenantID string) [
 }
 
 // TracedRecord returns the i-th record in completion order as its spans need
-// it: its route's trace sequence and the instance it was routed to.
+// it: its route's trace sequence and the instance that served it.
 func (m *GroupMonitor) TracedRecord(i int) telemetry.QueryOp {
 	return m.log.traced(i, m.in.IDs())
 }

@@ -75,9 +75,6 @@ type Result struct {
 	// Isolated is what the query would have taken on this instance with no
 	// concurrent queries.
 	Isolated sim.Time
-	// MaxConcurrency is the largest number of queries resident on the
-	// instance at any point during this execution (including this one).
-	MaxConcurrency int
 }
 
 // Latency returns the observed wall-clock latency.
@@ -101,8 +98,7 @@ type exec struct {
 	submit    sim.Time
 	isolated  sim.Time
 	remaining float64 // seconds of dedicated-instance work left
-	maxConc   int
-	idx       int // position in Instance.execs; -1 once finished
+	idx       int     // position in Instance.execs; -1 once finished
 	// tag correlates the pooled completion path (SubmitTagged /
 	// SetCompletionHandler); done is the legacy per-call closure and is nil
 	// on the tagged path.
@@ -128,8 +124,8 @@ type Instance struct {
 	running  []int32
 
 	// Processor-sharing executor state. execs is the live set (swap-remove
-	// on completion: every consumer of the slice — advance, reschedule,
-	// maxConc — is iteration-order independent).
+	// on completion: every consumer of the slice — advance, reschedule — is
+	// iteration-order independent).
 	execs      []*exec
 	freeExecs  []*exec
 	nextExecID int64
@@ -415,57 +411,17 @@ func (m *Instance) Submit(tenantID string, class *queries.Class, done func(Resul
 	if !ok {
 		return 0, fmt.Errorf("mppdb %s: tenant %q not deployed", m.id, tenantID)
 	}
-	return m.submit(ref, class, done, 0, false, false)
+	return m.submit(ref, class, done, 0, false)
 }
 
 // SubmitTagged is the pooled hot path: the query is identified by its
 // interned ref, and completion reports through the instance-level handler
 // (SetCompletionHandler) with tag — no per-call closure is allocated.
 func (m *Instance) SubmitTagged(ref tenant.Ref, class *queries.Class, tag uint64) (sim.Time, error) {
-	return m.submit(ref, class, nil, tag, true, false)
+	return m.submit(ref, class, nil, tag, true)
 }
 
-// SubmitHedge starts a hedged duplicate of a query already running on a
-// sibling instance. It behaves like SubmitTagged except that the
-// service-demand histogram is not observed — the logical query was already
-// counted at its primary submit, and hedges must never double-count.
-func (m *Instance) SubmitHedge(ref tenant.Ref, class *queries.Class, tag uint64) (sim.Time, error) {
-	return m.submit(ref, class, nil, tag, true, true)
-}
-
-// CancelTagged withdraws an in-flight tagged query without completing it:
-// no completion handler fires and no sojourn/completed telemetry is
-// observed (the hedge winner accounts for the logical query). It reports
-// whether a matching query was found.
-func (m *Instance) CancelTagged(tag uint64) bool {
-	m.advance()
-	var ex *exec
-	for _, cand := range m.execs {
-		if cand.tagged && cand.tag == tag {
-			ex = cand
-			break
-		}
-	}
-	if ex == nil {
-		return false
-	}
-	i := ex.idx
-	last := len(m.execs) - 1
-	m.execs[i] = m.execs[last]
-	m.execs[i].idx = i
-	m.execs[last] = nil
-	m.execs = m.execs[:last]
-	ex.idx = -1
-	m.running[ex.ref]--
-	if m.tel != nil {
-		m.mRunning.Set(float64(len(m.execs)))
-	}
-	m.reschedule()
-	m.releaseExec(ex)
-	return true
-}
-
-func (m *Instance) submit(ref tenant.Ref, class *queries.Class, done func(Result), tag uint64, tagged, hedge bool) (sim.Time, error) {
+func (m *Instance) submit(ref tenant.Ref, class *queries.Class, done func(Result), tag uint64, tagged bool) (sim.Time, error) {
 	if m.state != Ready {
 		return 0, fmt.Errorf("mppdb %s: not ready (%v)", m.id, m.state)
 	}
@@ -485,11 +441,11 @@ func (m *Instance) submit(ref tenant.Ref, class *queries.Class, done func(Result
 	ex.tag = tag
 	ex.tagged = tagged
 	ex.done = done
-	// One fused pass over the in-flight set does the work of advance(), the
-	// max-concurrency update, and reschedule()'s min-selection — same
-	// arithmetic and same unique (remaining, id) minimum, one O(n) scan
-	// instead of three. The submit path dominates the service hot loop, and
-	// these scans dominate the submit path.
+	// One fused pass over the in-flight set does the work of advance() and
+	// reschedule()'s min-selection — same arithmetic and same unique
+	// (remaining, id) minimum, one O(n) scan instead of two. The submit path
+	// dominates the service hot loop, and these scans dominate the submit
+	// path.
 	// dec is elapsed*(speed/k), associated exactly as advance() computes it
 	// so the fused path is bit-identical to the unfused one.
 	dec := 0.0
@@ -497,8 +453,6 @@ func (m *Instance) submit(ref tenant.Ref, class *queries.Class, done func(Result
 		dec = (now - m.lastTouch).Seconds() * (m.speed() / float64(len(m.execs)))
 	}
 	m.lastTouch = now
-	conc := len(m.execs) + 1
-	ex.maxConc = conc
 	next := ex
 	for _, other := range m.execs {
 		if dec > 0 {
@@ -506,9 +460,6 @@ func (m *Instance) submit(ref tenant.Ref, class *queries.Class, done func(Result
 			if other.remaining < 0 {
 				other.remaining = 0
 			}
-		}
-		if conc > other.maxConc {
-			other.maxConc = conc
 		}
 		if other.remaining < next.remaining ||
 			(other.remaining == next.remaining && other.id < next.id) {
@@ -519,11 +470,7 @@ func (m *Instance) submit(ref tenant.Ref, class *queries.Class, done func(Result
 	m.execs = append(m.execs, ex)
 	m.running[ref]++
 	if m.tel != nil {
-		// Hedged duplicates skip the service-demand histogram: the logical
-		// query was already observed at its primary submit.
-		if !hedge {
-			m.mService.Observe(iso.Seconds())
-		}
+		m.mService.Observe(iso.Seconds())
 		m.mRunning.Set(float64(len(m.execs)))
 	}
 	eta := next.remaining * float64(len(m.execs)) / m.speed()
@@ -652,12 +599,11 @@ func (m *Instance) complete(ex *exec) {
 	}
 	if ex.done != nil || (ex.tagged && m.onDone != nil) {
 		res := Result{
-			Tenant:         m.in.ID(ex.ref),
-			Class:          ex.class,
-			Submit:         ex.submit,
-			Finish:         now,
-			Isolated:       ex.isolated,
-			MaxConcurrency: ex.maxConc,
+			Tenant:   m.in.ID(ex.ref),
+			Class:    ex.class,
+			Submit:   ex.submit,
+			Finish:   now,
+			Isolated: ex.isolated,
 		}
 		if ex.done != nil {
 			ex.done(res)

@@ -12,8 +12,7 @@ import (
 )
 
 // The executor against a naive oracle: one instance takes a sequence of
-// submits, hedged submits, cancels, node failures and repairs, slowdowns and
-// waits, while the oracle re-derives every completion by stepping plain
+// submits, node failures and repairs, slowdowns and waits, while the oracle re-derives every completion by stepping plain
 // processor sharing from scratch — k queries each progress at speed/k, the
 // one with the least work left finishes next — in float seconds, with none of
 // the instance's fused scans, re-keyed completion event or nanosecond clock.
@@ -21,8 +20,6 @@ import (
 // Op kinds; an op is two bytes, kind and argument.
 const (
 	psSubmit = iota
-	psHedge
-	psCancel
 	psFail
 	psRepair
 	psSlow
@@ -114,40 +111,9 @@ func (o *psOracle) runTo(t float64) {
 	}
 }
 
-// cancel withdraws the tag's query and reports whether it was in flight.
-func (o *psOracle) cancel(tag uint64) bool {
-	for i, j := range o.jobs {
-		if j.tag == tag {
-			o.jobs = slices.Delete(o.jobs, i, i+1)
-			return true
-		}
-	}
-	return false
-}
-
-// nearFinish reports whether the tag's query finished, or with no further
-// ops would finish, within psTie of t: whether a cancel at t still finds it
-// in flight is then down to rounding.
-func (o *psOracle) nearFinish(tag uint64, t float64) bool {
-	for _, d := range o.done {
-		if d.tag == tag {
-			return t-d.at <= psTie
-		}
-	}
-	ahead := psOracle{now: o.now, failed: o.failed, slow: o.slow, jobs: slices.Clone(o.jobs)}
-	ahead.runTo(math.Inf(1))
-	for _, d := range ahead.done {
-		if d.tag == tag {
-			return d.at-t <= psTie
-		}
-	}
-	return false
-}
-
 // runPS drives one instance and the oracle through ops and fails unless they
-// complete the same queries in the same order at the same times. It returns
-// how many cancels found their query in flight.
-func runPS(t *testing.T, ops []psOp) (cancelled int) {
+// complete the same queries in the same order at the same times.
+func runPS(t *testing.T, ops []psOp) {
 	t.Helper()
 	eng := sim.NewEngine()
 	m := New(eng, "db0", psNodes)
@@ -172,14 +138,10 @@ func runPS(t *testing.T, ops []psOp) (cancelled int) {
 		eng.Run(now)
 		o.runTo(now.Seconds())
 		switch op.kind % psKinds {
-		case psSubmit, psHedge:
+		case psSubmit:
 			tn := int(op.arg) % len(psTenants)
 			cl := psClasses[int(op.arg)/len(psTenants)%len(psClasses)]
-			submit := m.SubmitTagged
-			if op.kind%psKinds == psHedge {
-				submit = m.SubmitHedge
-			}
-			iso, err := submit(refs[tn], cl, nextTag)
+			iso, err := m.SubmitTagged(refs[tn], cl, nextTag)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,18 +151,6 @@ func runPS(t *testing.T, ops []psOp) (cancelled int) {
 			starts[nextTag] = started{now, iso}
 			o.jobs = append(o.jobs, psJob{nextTag, iso.Seconds()})
 			nextTag++
-		case psCancel:
-			tag := uint64(op.arg) % (nextTag + 1) // nextTag was never issued
-			if o.nearFinish(tag, now.Seconds()) {
-				continue
-			}
-			want := o.cancel(tag)
-			if got := m.CancelTagged(tag); got != want {
-				t.Fatalf("CancelTagged(%d) at %v = %v, want %v", tag, now, got, want)
-			}
-			if want {
-				cancelled++
-			}
 		case psFail:
 			ok := o.failed < psNodes-1
 			if err := m.FailNode(); (err == nil) != ok {
@@ -260,20 +210,18 @@ func runPS(t *testing.T, ops []psOp) (cancelled int) {
 			t.Errorf("tenant %s still has %d queries in flight", psTenants[i].id, n)
 		}
 	}
-	return cancelled
 }
 
 // TestInstanceMatchesNaivePS runs seeded random op sequences, biased toward
 // submits and short waits so a dozen queries overlap, through runPS.
 func TestInstanceMatchesNaivePS(t *testing.T) {
-	weights := []int{psSubmit: 30, psHedge: 8, psCancel: 14, psFail: 5, psRepair: 5, psSlow: 5, psWait: 33}
+	weights := []int{psSubmit: 30, psFail: 5, psRepair: 5, psSlow: 5, psWait: 33}
 	var kinds []byte
 	for k, w := range weights {
 		for range w {
 			kinds = append(kinds, byte(k))
 		}
 	}
-	cancelled := 0
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		ops := make([]psOp, 300)
@@ -283,19 +231,16 @@ func TestInstanceMatchesNaivePS(t *testing.T) {
 				ops[i].arg = byte(rng.Intn(12))
 			}
 		}
-		cancelled += runPS(t, ops)
+		runPS(t, ops)
 		if t.Failed() {
 			t.Fatalf("seed %d", seed)
 		}
 	}
-	if cancelled == 0 {
-		t.Error("no cancel found its query in flight: the sequences do not exercise CancelTagged")
-	}
 }
 
 func FuzzInstancePS(f *testing.F) {
-	f.Add([]byte{psSubmit, 0, psSubmit, 4, psWait, 3, psHedge, 7, psFail, 0, psWait, 1, psCancel, 1, psSlow, 3, psRepair, 0})
-	f.Add([]byte{psSubmit, 1, psSubmit, 1, psSubmit, 1, psWait, 0, psCancel, 0, psCancel, 0, psCancel, 9})
+	f.Add([]byte{psSubmit, 0, psSubmit, 4, psWait, 3, psSubmit, 7, psFail, 0, psWait, 1, psSlow, 3, psRepair, 0})
+	f.Add([]byte{psSubmit, 1, psSubmit, 1, psSubmit, 1, psWait, 0, psSubmit, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 2*300 {
 			data = data[:2*300]

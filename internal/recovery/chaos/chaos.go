@@ -25,7 +25,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/master"
 	"repro/internal/queries"
-	"repro/internal/recovery"
 	"repro/internal/replay"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -159,14 +158,8 @@ type Result struct {
 	CrashNodes    []int
 	Applied       int
 
-	// Slowdowns: the injected fail-slow schedule; whether the largest
-	// group had the gray detector armed; the detector's episodes and the
-	// rungs they reached; the group router's hedge tallies.
-	SlowSchedule                  []Slowdown
-	GrayArmed                     bool
-	GrayEvents                    []recovery.GrayEvent
-	Suspected, Confirmed, Drained int
-	Hedged, HedgeWins             int64
+	// Slowdowns: the injected fail-slow schedule.
+	SlowSchedule []Slowdown
 
 	// Outages: the injected outage schedule; pool nodes the outages killed;
 	// majority-degraded instances pulled from routing; outages or

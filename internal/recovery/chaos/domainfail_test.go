@@ -106,10 +106,7 @@ func TestDomainSmoke(t *testing.T) {
 	if res.Lifecycles == 0 || res.Recovered != res.Lifecycles {
 		t.Errorf("recovered %d of %d lifecycles", res.Recovered, res.Lifecycles)
 	}
-	met, missed := slaTotals(w)
-	if got, want := int(met+missed), res.Report.Submitted-res.Report.SubmitErrors; got != want {
-		t.Errorf("SLA report counts %d queries, want %d", got, want)
-	}
+	checkSLATotals(t, w, res)
 	t.Logf("casualties %d, quarantines %d, lifecycles %d (triaged %d), triage %d/%d, attainment %.4f",
 		res.Casualties, res.Quarantines, res.Lifecycles, res.Triaged,
 		res.TriageEnqueued, res.TriageGranted, res.Attainment)
@@ -183,12 +180,13 @@ func TestDomainFailRolling(t *testing.T) {
 	}
 }
 
-// TestDomainFailDuringGrayDrain composes two fault classes as two values in
-// Faults: a stuck fail-slow episode overlaps a whole-domain outage, so the
-// gray ladder's drain-and-replace races the correlated casualty rush for the
-// same scarce pool. Both controllers share the triage without tripping over
-// each other.
-func TestDomainFailDuringGrayDrain(t *testing.T) {
+// TestDomainFailDuringSlowdown composes two fault classes as two values in
+// Faults: a whole-domain outage lands in the middle of a stuck fail-slow
+// episode on the bare deployment, so the casualties' replacements reload
+// onto the surviving domains while an instance of the largest group runs at
+// a quarter speed. Every recovery completes, the pool ends leak-free, and
+// the slowdown is lifted.
+func TestDomainFailDuringSlowdown(t *testing.T) {
 	w := domainWorld(t, 12, 1, 3, 3, true, 25)
 	target := w.dep.Groups()[0]
 	for _, g := range w.dep.Groups()[1:] {
@@ -209,7 +207,7 @@ func TestDomainFailDuringGrayDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := res.Verify(w.plan.Config.P); err != nil {
-		t.Fatalf("outage during gray episode: %v (%+v)", err, res)
+		t.Fatalf("outage during slowdown: %v (%+v)", err, res)
 	}
 	if res.Casualties == 0 {
 		t.Fatal("domain outage killed no nodes")

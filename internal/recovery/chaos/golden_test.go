@@ -17,8 +17,10 @@ import (
 // result digest covers the condensed outcome (floats to 17 digits). The
 // domain-fail telemetry sum was re-taken when every group moved to its own
 // clock domain: a domain repair on the coordinator now fires after a group's
-// same-instant triage poll. If a change legitimately alters a run, re-capture
-// with
+// same-instant triage poll. The slowdown pair pins the bare deployment
+// under the fail-slow storm; it was taken when the fail-slow detector was
+// deleted, and the commit before that gives the same sums for the same run.
+// If a change legitimately alters a run, re-capture with
 //
 //	go test -run 'TelemetryDeterminism' -v ./internal/recovery/chaos | grep golden
 const (
@@ -26,8 +28,8 @@ const (
 	goldenChaosResult       = "daa5258a4f338ca3384cbb5bebb7beb7dbcac138d2d38ed9ddba6cd5ff9bc8d2"
 	goldenOverloadTelemetry = "46c75f5c1bb5a32a4be1c87f9bfd81114befa88ddf3493052ffc2f5f41914987"
 	goldenOverloadResult    = "a371935eae61dec49a7443e9cba877c0a35190aac0173fa9f7d3e9f982403fd8"
-	goldenGrayTelemetry     = "90690e6fa6476db7b751d705fd46c04151d48842e81d37ccd764baf292cda189"
-	goldenGrayResult        = "bdcc80826c49a173a745683b09eefa63e648a02ee077fa253d868b2c8b5b7afe"
+	goldenSlowdownTelemetry = "a3cb858bb655fe8ae4f0d15c0985358bb80cfb7dece625c3863e2ec62e68e051"
+	goldenSlowdownResult    = "c981a6c37304e4d27ce48669c1930aac0323ee57e73f4c6dc57eb8db890069b5"
 	goldenDomainTelemetry   = "9a48f6a300e35e00552cecdcdeaf9196c065c9ffd2e4ca61ca8ae0d57f25bd8b"
 	goldenDomainResult      = "d6b20c52b7d56d2a0d8a06b279cc2456de60405eb6fb7725fa9149bd3715d1f5"
 )

@@ -8,8 +8,8 @@
 // progress, so it also catches a repeat crash of an instance that is already
 // mid-recovery. Nothing polls: the code that fails a node calls Detect, which
 // schedules the sweep at the next instant of a 30-s heartbeat grid — exactly
-// when a probe would have noticed the fault. Callers that must react at once
-// (the gray drain, a domain outage) call Notify to sweep immediately.
+// when a probe would have noticed the fault. A caller that must react at
+// once (a domain outage) calls Notify to sweep immediately.
 //
 // Per detected failure the controller decides that a node is needed; the
 // group's cluster.Lifecycle does the how: its swap sends the failed node to
@@ -105,9 +105,9 @@ type Controller struct {
 	prio     func() (deficit float64, tenants int)
 	claimSeq int
 
-	// quarantine, when set, gates an instance in/out of routing: the domain
-	// injector flags instances whose every node died, and finish lifts the
-	// flag once the last failed node is repaired.
+	// quarantine gates an instance in/out of routing: the domain injector
+	// flags instances whose every node died, and finish lifts the flag once
+	// the last failed node is repaired.
 	quarantine func(instID string, on bool)
 
 	// Re-spread (see respread.go) runs when the lifecycle spreads.
@@ -123,14 +123,16 @@ type Controller struct {
 
 // New creates a controller for the group's instances, armed: lc is the
 // group's node lifecycle, tri the deployment's scarcity triage, tel the
-// group's telemetry view, and prio the group's SLA-at-risk inputs a triage
-// claim is ranked by (sliding RT-TTP deficit, tenant count). Its heartbeat
-// grid starts at the engine's now; a group that landed collapsed gets its
-// re-spread check. The caller must hold the group's domain.
+// group's telemetry view, prio the group's SLA-at-risk inputs a triage
+// claim is ranked by (sliding RT-TTP deficit, tenant count), and quarantine
+// the group router's routing gate (router.SetQuarantine), which finish
+// lifts once an instance is whole. Its heartbeat grid starts at the
+// engine's now; a group that landed collapsed gets its re-spread check. The
+// caller must hold the group's domain.
 func New(lc *cluster.Lifecycle, tri *Triage, tel *telemetry.Hub, group string, insts []*mppdb.Instance,
-	prio func() (deficit float64, tenants int)) (*Controller, error) {
-	if lc == nil || tri == nil || tel == nil || len(insts) == 0 || prio == nil {
-		return nil, fmt.Errorf("recovery: group %q needs a lifecycle, a triage, a telemetry hub, instances, and a priority", group)
+	prio func() (deficit float64, tenants int), quarantine func(instID string, on bool)) (*Controller, error) {
+	if lc == nil || tri == nil || tel == nil || len(insts) == 0 || prio == nil || quarantine == nil {
+		return nil, fmt.Errorf("recovery: group %q needs a lifecycle, a triage, a telemetry hub, instances, a priority, and a quarantine gate", group)
 	}
 	c := &Controller{
 		lc:           lc,
@@ -140,6 +142,7 @@ func New(lc *cluster.Lifecycle, tri *Triage, tel *telemetry.Hub, group string, i
 		insts:        insts,
 		triage:       tri,
 		prio:         prio,
+		quarantine:   quarantine,
 		pending:      make(map[string]int),
 		awaitingSwap: make(map[string]int),
 		anchor:       lc.Engine().Now(),
@@ -153,12 +156,6 @@ func New(lc *cluster.Lifecycle, tri *Triage, tel *telemetry.Hub, group string, i
 	c.checkSpread()
 	return c, nil
 }
-
-// SetQuarantine attaches a routing gate (router.SetQuarantine): the domain
-// injector flags instances whose nodes all died so new queries route to
-// surviving replicas, and finish clears the flag once the instance's last
-// failed node is repaired.
-func (c *Controller) SetQuarantine(fn func(instID string, on bool)) { c.quarantine = fn }
 
 // Detect schedules a heartbeat — a detection sweep, then the re-spread
 // check — at the first grid instant at or after now whose beat has not
@@ -223,7 +220,7 @@ func (c *Controller) Events() []Event {
 //     drains, serializing what should be concurrent recoveries and leaking
 //     Failed nodes past any drain horizon.
 //
-// On crash and gray paths the two expressions are provably equal (every
+// On the crash path the two expressions are provably equal (every
 // FailNode pairs 1:1 with a pool FailAny and every swap consumes exactly one
 // record), so this is byte-for-byte the old behavior there.
 func (c *Controller) sweep() {
@@ -368,7 +365,7 @@ func (c *Controller) finish(ev *Event, inst *mppdb.Instance) {
 	// absorbed its nodes-1 degradation cap when a whole domain died, so
 	// this replacement restores pool capacity without a node to repair.
 	ev.Completed = c.eng.Now()
-	if c.quarantine != nil && inst.FailedNodes() == 0 {
+	if inst.FailedNodes() == 0 {
 		// The instance is whole again: lift any routing quarantine a domain
 		// outage imposed while all its nodes were down.
 		c.quarantine(inst.ID(), false)

@@ -38,12 +38,15 @@ func newRig(t *testing.T, poolSize int) *rig {
 // noPriority ranks every triage claim zero.
 func noPriority() (float64, int) { return 0, 0 }
 
+// noQuarantine is the routing gate of a controller with no router.
+func noQuarantine(string, bool) {}
+
 // newController builds a controller for inst on a single-stream lifecycle,
 // reporting into a hub of its own.
 func newController(t *testing.T, eng *sim.Engine, pool *cluster.Pool, tri *Triage, inst *mppdb.Instance) *Controller {
 	t.Helper()
 	ctl, err := New(cluster.NewLifecycle(eng, pool, false, false), tri, telemetry.NewHub(eng, 0.999), "g0",
-		[]*mppdb.Instance{inst}, noPriority)
+		[]*mppdb.Instance{inst}, noPriority, noQuarantine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -313,22 +316,25 @@ func TestConfigValidation(t *testing.T) {
 	tri := NewTriage(pool)
 	hub := telemetry.NewHub(eng, 0.999)
 	insts := []*mppdb.Instance{mppdb.New(eng, "x", 2)}
-	if _, err := New(nil, tri, hub, "g", insts, noPriority); err == nil {
+	if _, err := New(nil, tri, hub, "g", insts, noPriority, noQuarantine); err == nil {
 		t.Error("nil lifecycle accepted")
 	}
-	if _, err := New(lc, nil, hub, "g", insts, noPriority); err == nil {
+	if _, err := New(lc, nil, hub, "g", insts, noPriority, noQuarantine); err == nil {
 		t.Error("nil triage accepted")
 	}
-	if _, err := New(lc, tri, nil, "g", insts, noPriority); err == nil {
+	if _, err := New(lc, tri, nil, "g", insts, noPriority, noQuarantine); err == nil {
 		t.Error("nil hub accepted")
 	}
-	if _, err := New(lc, tri, hub, "g", nil, noPriority); err == nil {
+	if _, err := New(lc, tri, hub, "g", nil, noPriority, noQuarantine); err == nil {
 		t.Error("no instances accepted")
 	}
-	if _, err := New(lc, tri, hub, "g", insts, nil); err == nil {
+	if _, err := New(lc, tri, hub, "g", insts, nil, noQuarantine); err == nil {
 		t.Error("nil priority accepted")
 	}
-	ctl, err := New(lc, tri, hub, "g", insts, noPriority)
+	if _, err := New(lc, tri, hub, "g", insts, noPriority, nil); err == nil {
+		t.Error("nil quarantine accepted")
+	}
+	ctl, err := New(lc, tri, hub, "g", insts, noPriority, noQuarantine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +365,7 @@ func TestRespreadAbortReimagesFailedStaging(t *testing.T) {
 		insts = append(insts, inst)
 	}
 	ctl, err := New(cluster.NewLifecycle(eng, pool, false, true), NewTriage(pool), telemetry.NewHub(eng, 0.999),
-		"g0", insts, noPriority)
+		"g0", insts, noPriority, noQuarantine)
 	if err != nil {
 		t.Fatal(err)
 	}

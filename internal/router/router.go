@@ -14,6 +14,7 @@ package router
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/monitor"
 	"repro/internal/mppdb"
@@ -31,15 +32,8 @@ type override struct {
 	ref tenant.Ref
 }
 
-// noPartner marks a pending slot with no hedged duplicate.
-const noPartner = ^uint64(0)
-
 // pending is one in-flight query's completion context, pooled and addressed
-// by the tag issued at submit time. A hedged query occupies two slots: the
-// primary holds the full accounting context and the route's trace sequence,
-// the hedge slot only what is needed to attribute and cancel — both point at
-// each other via partner, and whichever completes first wins and withdraws
-// the other.
+// by the tag issued at submit time.
 type pending struct {
 	tenantID  string
 	ref       tenant.Ref // the tenant's group ref, as the monitor indexes it
@@ -48,9 +42,6 @@ type pending struct {
 	slaTarget sim.Time
 	dbID      string
 	route     uint32
-	inst      *mppdb.Instance
-	partner   uint64
-	hedge     bool
 }
 
 // GroupRouter routes queries for one tenant-group.
@@ -72,23 +63,11 @@ type GroupRouter struct {
 	freeTags      []uint64
 	scratchStates []tdd.MPPDBStateRef
 	scratchReady  []*mppdb.Instance
-	scratchIdx    []int
 
-	// onCompletion, when set, observes every real completion with the serving
-	// instance — the gray detector's per-instance latency-profile feed
-	// (cancelled hedge losers never report).
-	onCompletion func(dbID string, res mppdb.Result)
-
-	// Gray-failure response state, indexed parallel to dbs.
-	// A gray-flagged instance still receives its routed queries but each is
-	// hedged to a healthy peer; a quarantined instance is excluded from
-	// routing altogether unless it is the only ready one left.
-	grayOn      []bool
+	// Quarantine flags, indexed parallel to dbs: a quarantined instance is
+	// excluded from routing unless it is the only ready one left.
 	quarantined []bool
-	nGray       int
 	nQuar       int
-	hedges      int64
-	hedgeWins   int64
 
 	routed   int64
 	overflow int64 // queries sent to a busy G₀ (Algorithm 1 line 10)
@@ -106,8 +85,6 @@ type GroupRouter struct {
 	mRouted   *telemetry.Counter
 	mOverflow *telemetry.Counter
 	mInflight *telemetry.Gauge
-	mHedged   *telemetry.Counter
-	mHedgeWin *telemetry.Counter
 }
 
 // NewGroup builds a router over the group's A MPPDB instances. dbs[0] is the
@@ -197,67 +174,24 @@ func (r *GroupRouter) SetTelemetry(h *telemetry.Hub) {
 	r.mRouted = h.Registry.Counter("thrifty_router_routed_total", "group", r.group)
 	r.mOverflow = h.Registry.Counter("thrifty_router_overflow_total", "group", r.group)
 	r.mInflight = h.Registry.Gauge("thrifty_router_inflight", "group", r.group)
-	r.mHedged = h.Registry.Counter("thrifty_router_hedged_total", "group", r.group)
-	r.mHedgeWin = h.Registry.Counter("thrifty_router_hedge_peer_wins_total", "group", r.group)
 	if r.mon != nil {
 		h.Tracer.Attach((*source)(r))
 	}
 }
 
-// SetCompletionObserver registers a per-completion observer receiving the
-// serving instance's ID and the raw result — the gray detector's feed.
-func (r *GroupRouter) SetCompletionObserver(fn func(dbID string, res mppdb.Result)) {
-	r.onCompletion = fn
-}
-
-// ensureGraySlots sizes the gray/quarantine flag slices to the member set.
-func (r *GroupRouter) ensureGraySlots() {
-	for len(r.grayOn) < len(r.dbs) {
-		r.grayOn = append(r.grayOn, false)
+// SetQuarantine excludes (or re-admits) an instance from routing — a domain
+// outage pulls an instance that lost most of its nodes. A quarantined
+// instance still finishes its in-flight queries, and it is re-admitted
+// implicitly if it is the only ready instance left, so queries are never
+// dropped.
+func (r *GroupRouter) SetQuarantine(dbID string, on bool) {
+	i := slices.IndexFunc(r.dbs, func(db *mppdb.Instance) bool { return db.ID() == dbID })
+	if i < 0 {
+		return
+	}
+	for len(r.quarantined) < len(r.dbs) {
 		r.quarantined = append(r.quarantined, false)
 	}
-}
-
-// dbIndex resolves a group instance ID to its position in dbs (-1 if absent).
-func (r *GroupRouter) dbIndex(dbID string) int {
-	for i, db := range r.dbs {
-		if db.ID() == dbID {
-			return i
-		}
-	}
-	return -1
-}
-
-// SetGrayFlag marks (or clears) an instance as confirmed-gray: every query
-// subsequently routed to it is hedged to a healthy peer (the hedge pairing
-// rides the pooled tag table).
-func (r *GroupRouter) SetGrayFlag(dbID string, on bool) {
-	i := r.dbIndex(dbID)
-	if i < 0 {
-		return
-	}
-	r.ensureGraySlots()
-	if r.grayOn[i] == on {
-		return
-	}
-	r.grayOn[i] = on
-	if on {
-		r.nGray++
-	} else {
-		r.nGray--
-	}
-}
-
-// SetQuarantine excludes (or re-admits) an instance from routing — the drain
-// stage of the gray-response ladder. A quarantined instance still finishes
-// its in-flight queries, and it is re-admitted implicitly if it is the only
-// ready instance left, so queries are never dropped.
-func (r *GroupRouter) SetQuarantine(dbID string, on bool) {
-	i := r.dbIndex(dbID)
-	if i < 0 {
-		return
-	}
-	r.ensureGraySlots()
 	if r.quarantined[i] == on {
 		return
 	}
@@ -271,12 +205,6 @@ func (r *GroupRouter) SetQuarantine(dbID string, on bool) {
 
 // Quarantined returns how many instances are currently quarantined.
 func (r *GroupRouter) Quarantined() int { return r.nQuar }
-
-// HedgeStats returns how many queries were hedged and how many of those
-// hedges the peer (not the gray instance) won.
-func (r *GroupRouter) HedgeStats() (hedged, peerWins int64) {
-	return r.hedges, r.hedgeWins
-}
 
 // SetOverride directs all future queries of the tenant to a dedicated MPPDB
 // (the §5.1 elastic-scaling outcome: "Thrifty routed all the queries to the
@@ -347,61 +275,32 @@ func (r *GroupRouter) acquireTag() uint64 {
 
 // release clears a pending slot's references and returns its tag to the pool.
 func (r *GroupRouter) release(tag uint64) {
-	r.pending[tag] = pending{partner: noPartner}
+	r.pending[tag] = pending{}
 	r.freeTags = append(r.freeTags, tag)
 }
 
 // completed is the pooled completion handler shared by every group instance:
-// it rebuilds the query record from the tag's pending slot and performs the
-// observer sequence. For a hedged query, whichever
-// copy completes first lands here and withdraws its partner before it can
-// report — exactly one QueryFinished per logical query, attributed to the
-// instance that actually won.
+// it rebuilds the query record from the tag's pending slot and reports it to
+// the monitor.
 func (r *GroupRouter) completed(res mppdb.Result, tag uint64) {
 	p := &r.pending[tag]
-	winnerDB := p.dbID
-	prim, partnerTag := p, noPartner
-	if p.partner != noPartner {
-		partnerTag = p.partner
-		q := &r.pending[partnerTag]
-		// Cancel the slower copy: no completion fires, no sojourn/completed
-		// telemetry is observed, no double accounting anywhere downstream.
-		if q.inst != nil {
-			q.inst.CancelTagged(partnerTag)
-		}
-		if p.hedge {
-			// The duplicate beat the gray instance — the accounting context
-			// lives on the primary slot.
-			prim = q
-			r.hedgeWins++
-			if r.tel != nil {
-				r.mHedgeWin.Inc()
-			}
-		}
-	}
-	ref, route, routedDB := prim.ref, prim.route, prim.dbID
+	ref, route := p.ref, p.route
 	rec := monitor.QueryRecord{
-		Tenant:    prim.tenantID,
-		Class:     prim.class,
-		Submit:    prim.submit,
+		Tenant:    p.tenantID,
+		Class:     p.class,
+		Submit:    p.submit,
 		Finish:    res.Finish,
-		SLATarget: prim.slaTarget,
-		MPPDB:     winnerDB,
+		SLATarget: p.slaTarget,
+		MPPDB:     p.dbID,
 	}
 	r.inflight--
 	if r.tel != nil {
 		r.mInflight.Set(float64(r.inflight))
 	}
 	r.release(tag)
-	if partnerTag != noPartner {
-		r.release(partnerTag)
-	}
 	r.ops, r.ends = r.ops+1, r.ends+1
 	if r.mon != nil {
-		r.mon.QueryFinishedRef(ref, rec, route, routedDB)
-	}
-	if r.onCompletion != nil {
-		r.onCompletion(winnerDB, res)
+		r.mon.QueryFinishedRef(ref, rec, route)
 	}
 }
 
@@ -418,7 +317,7 @@ func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget 
 	if tn == nil {
 		return "", fmt.Errorf("router: unknown tenant %s in group %s", r.in.ID(ref), r.group)
 	}
-	target, targetRef, targetIdx, err := r.pickRef(ref)
+	target, targetRef, err := r.pickRef(ref)
 	if err != nil {
 		r.refuse(tn.ID, class.ID, "", err)
 		return "", err
@@ -430,7 +329,7 @@ func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget 
 	dbID := target.ID()
 	tag := r.acquireTag()
 	r.pending[tag] = pending{tenantID: tn.ID, ref: ref, class: class, submit: submit,
-		slaTarget: slaTarget, dbID: dbID, route: r.ops, inst: target, partner: noPartner}
+		slaTarget: slaTarget, dbID: dbID, route: r.ops}
 	if _, err := target.SubmitTagged(targetRef, class, tag); err != nil {
 		r.release(tag)
 		r.refuse(tn.ID, class.ID, dbID, err)
@@ -444,10 +343,6 @@ func (r *GroupRouter) SubmitRef(ref tenant.Ref, class *queries.Class, slaTarget 
 	// synchronously inside Submit, so the start is recorded first.
 	if r.mon != nil {
 		r.mon.QueryStartedRef(ref)
-	}
-	// Routed to a confirmed-gray instance: duplicate onto a healthy peer.
-	if r.nGray > 0 && targetIdx >= 0 && r.grayOn[targetIdx] {
-		r.hedgeTo(tag, targetIdx)
 	}
 	r.routed++
 	r.inflight++
@@ -478,104 +373,29 @@ func (s *source) Refusals() []telemetry.QueryOp   { return s.refused }
 
 func (s *source) InFlight(dst []telemetry.QueryOp) []telemetry.QueryOp {
 	for i := range s.pending {
-		if p := &s.pending[i]; p.tenantID != "" && !p.hedge {
+		if p := &s.pending[i]; p.tenantID != "" {
 			dst = append(dst, telemetry.QueryOp{Seq: p.route, Submit: p.submit, MPPDB: p.dbID})
 		}
 	}
 	return dst
 }
 
-// hedgePeer picks the healthiest eligible duplicate target for a hedge away
-// from dbs[exclude]: Ready, not gray, not quarantined, least loaded, ties to
-// the lowest index (deterministic). Returns nil when no peer qualifies.
-func (r *GroupRouter) hedgePeer(exclude int) *mppdb.Instance {
-	var best *mppdb.Instance
-	bestLoad := 0
-	for i, db := range r.dbs {
-		if i == exclude || db.State() != mppdb.Ready {
-			continue
-		}
-		if i < len(r.grayOn) && (r.grayOn[i] || r.quarantined[i]) {
-			continue
-		}
-		if load := db.Running(); best == nil || load < bestLoad {
-			best, bestLoad = db, load
-		}
-	}
-	return best
-}
-
-// hedgeTo duplicates the in-flight query in pending[tag] onto a healthy
-// peer of dbs[grayIdx]. First completion wins; the loser is cancelled.
-func (r *GroupRouter) hedgeTo(tag uint64, grayIdx int) {
-	peer := r.hedgePeer(grayIdx)
-	if peer == nil {
-		return
-	}
-	ht := r.acquireTag()
-	// acquireTag may grow the pending slice; re-resolve both slots after.
-	h, p := &r.pending[ht], &r.pending[tag]
-	*h = pending{tenantID: p.tenantID, ref: p.ref, class: p.class, submit: p.submit,
-		slaTarget: p.slaTarget, dbID: peer.ID(), inst: peer, partner: tag, hedge: true}
-	if _, err := peer.SubmitHedge(p.ref, p.class, ht); err != nil {
-		r.release(ht)
-		return
-	}
-	p.partner = ht
-	r.hedges++
-	if r.tel != nil {
-		r.mHedged.Inc()
-	}
-}
-
-// HedgeInFlight duplicates every un-hedged in-flight query currently running
-// on the given instance onto healthy peers — invoked by the gray detector at
-// the moment a suspicion is confirmed, so queries already stuck on the slow
-// instance get a second chance too. Returns how many hedges were placed.
-func (r *GroupRouter) HedgeInFlight(dbID string) int {
-	idx := r.dbIndex(dbID)
-	if idx < 0 {
-		return 0
-	}
-	r.ensureGraySlots()
-	// Collect first: hedging appends pending slots, which may grow the table
-	// mid-iteration.
-	var tags []uint64
-	for tag := range r.pending {
-		p := &r.pending[tag]
-		if p.tenantID != "" && !p.hedge && p.partner == noPartner && p.dbID == dbID {
-			tags = append(tags, uint64(tag))
-		}
-	}
-	n := 0
-	for _, tag := range tags {
-		before := r.pending[tag].partner
-		r.hedgeTo(tag, idx)
-		if r.pending[tag].partner != before {
-			n++
-		}
-	}
-	return n
-}
-
-// pickRef chooses the target instance: a dedicated override if present, otherwise Algorithm 1 over the group's ready MPPDBs. It also
-// returns the tenant's ref in the *target's* interner namespace and the
-// target's position in dbs (-1 for an override instance).
-func (r *GroupRouter) pickRef(ref tenant.Ref) (*mppdb.Instance, tenant.Ref, int, error) {
+// pickRef chooses the target instance: a dedicated override if present,
+// otherwise Algorithm 1 over the group's ready MPPDBs. It also returns the
+// tenant's ref in the *target's* interner namespace.
+func (r *GroupRouter) pickRef(ref tenant.Ref) (*mppdb.Instance, tenant.Ref, error) {
 	if int(ref) < len(r.overByRef) {
 		if o := r.overByRef[ref]; o.db != nil {
-			return o.db, o.ref, -1, nil
+			return o.db, o.ref, nil
 		}
 	}
 	// Only Ready instances participate; a replacement MPPDB still loading
-	// must not receive queries. Quarantined (draining-gray) instances are
-	// skipped too, unless that would leave nothing to route to — a query is
+	// must not receive queries. Quarantined instances are skipped too, unless that would leave nothing to route to — a query is
 	// never dropped for the sake of a quarantine. The scratch slices are
 	// reused across submits — the router is single-threaded under its clock
 	// domain.
 	states := r.scratchStates[:0]
 	ready := r.scratchReady[:0]
-	readyIdx := r.scratchIdx[:0]
 	for i, db := range r.dbs {
 		if db.State() != mppdb.Ready {
 			continue
@@ -585,25 +405,23 @@ func (r *GroupRouter) pickRef(ref tenant.Ref) (*mppdb.Instance, tenant.Ref, int,
 		}
 		states = append(states, db)
 		ready = append(ready, db)
-		readyIdx = append(readyIdx, i)
 	}
 	if len(ready) == 0 && r.nQuar > 0 {
-		for i, db := range r.dbs {
+		for _, db := range r.dbs {
 			if db.State() != mppdb.Ready {
 				continue
 			}
 			states = append(states, db)
 			ready = append(ready, db)
-			readyIdx = append(readyIdx, i)
 		}
 	}
-	r.scratchStates, r.scratchReady, r.scratchIdx = states, ready, readyIdx
+	r.scratchStates, r.scratchReady = states, ready
 	if len(ready) == 0 {
-		return nil, tenant.NoRef, -1, fmt.Errorf("router: group %s has no ready MPPDB", r.group)
+		return nil, tenant.NoRef, fmt.Errorf("router: group %s has no ready MPPDB", r.group)
 	}
 	idx, err := tdd.RouteRef(ref, states)
 	if err != nil {
-		return nil, tenant.NoRef, -1, err
+		return nil, tenant.NoRef, err
 	}
 	// Detect the overflow path: the chosen MPPDB is busy with other
 	// tenants' queries (concurrent processing on G₀).
@@ -614,5 +432,5 @@ func (r *GroupRouter) pickRef(ref tenant.Ref) (*mppdb.Instance, tenant.Ref, int,
 			r.mOverflow.Inc()
 		}
 	}
-	return chosen, ref, readyIdx[idx], nil
+	return chosen, ref, nil
 }

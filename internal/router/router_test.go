@@ -1,6 +1,7 @@
 package router
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/mppdb"
 	"repro/internal/queries"
 	"repro/internal/sim"
+	"repro/internal/telemetry"
 	"repro/internal/tenant"
 )
 
@@ -223,5 +225,65 @@ func TestAccessors(t *testing.T) {
 
 	if dup := newRig(t, 2, 2, tn("a", 2), tn("a", 2)); dup.r.Members() != 1 {
 		t.Errorf("a member listed twice counts %d times", dup.r.Members())
+	}
+}
+
+// TestQuarantineRouting: a quarantined instance is skipped by routing until
+// it is the only ready choice left — a query is never dropped for the sake
+// of a quarantine.
+func TestQuarantineRouting(t *testing.T) {
+	r := newRig(t, 2, 2, tn("a", 2), tn("b", 2))
+	r.r.SetQuarantine("db0", true)
+	db, err := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if db == "db0" {
+		t.Error("query routed to a quarantined instance")
+	}
+	r.r.SetQuarantine("db1", true)
+	if _, err := r.r.SubmitRef(r.r.Ref("b"), r.cl, 0); err != nil {
+		t.Errorf("submit with every instance quarantined dropped: %v", err)
+	}
+	r.eng.RunAll()
+	if r.r.Routed() != 2 {
+		t.Errorf("Routed = %d, want 2", r.r.Routed())
+	}
+}
+
+// TestQuerySpans: a completed query's spans name the instance that served
+// it, a query still in flight shows its route, and a refused submit its
+// error.
+func TestQuerySpans(t *testing.T) {
+	r := newRig(t, 3, 2, tn("a", 2))
+	hub := telemetry.NewHub(r.eng, 0.99)
+	r.r.SetTelemetry(hub)
+	if _, err := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.RunAll()
+	if recs := r.mon.Records(); len(recs) != 1 || recs[0].MPPDB != "db0" {
+		t.Fatalf("records %+v, want one served by db0", recs)
+	}
+	if _, err := r.r.SubmitRef(r.r.Ref("nobody"), r.cl, 0); err == nil {
+		t.Fatal("unknown tenant routed")
+	}
+	for _, db := range r.dbs {
+		db.SetState(mppdb.Provisioning)
+	}
+	if _, err := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0); err == nil {
+		t.Fatal("routed with no ready MPPDB")
+	}
+	r.dbs[1].SetState(mppdb.Ready)
+	if _, err := r.r.SubmitRef(r.r.Ref("a"), r.cl, 0); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, s := range hub.Tracer.Finished() {
+		got = append(got, s.Name+" "+s.Attrs[0].Value)
+	}
+	want := []string{"route db0", "execute db0", "query tg", "route router: group tg has no ready MPPDB", "query tg", "route db1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("spans %q, want %q", got, want)
 	}
 }

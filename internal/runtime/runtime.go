@@ -60,11 +60,6 @@ type GroupRuntime struct {
 	// controller (§4.4); the Deployment Master arms one in every group. It
 	// lives on the group's engine.
 	Recovery *recovery.Controller
-	// Gray, when non-nil, is the group's fail-slow detector: peer-relative
-	// completion-latency anomaly detection driving the hedge → drain
-	// response ladder. It lives on the group's engine and requires Recovery
-	// (the drain rung replaces the slow node through it).
-	Gray *recovery.GrayDetector
 	// Admission, when non-nil, is the group's overload-protection
 	// controller: per-tenant contract buckets, the bounded admission
 	// queue, and the brownout loop. It lives on the group's engine and is

@@ -7,8 +7,7 @@
 // attainment against the guarantee P). GET /v1/pool snapshots the shared
 // node pool (state counts, per-domain breakdown, per-owner footprint) and
 // GET /v1/recovery the failure-resilience state: crash lifecycles with their
-// triage positions, gray episodes, quarantines, and the scarcity triage
-// queue.
+// triage positions, quarantines, and the scarcity triage queue.
 //
 // The execution substrate is the virtual-time simulator; the service paces
 // it against the wall clock with a configurable time-scale factor (virtual
@@ -616,14 +615,10 @@ func (s *Server) handlePool(w http.ResponseWriter, r *http.Request) {
 // GET /v1/recovery. Each crash event carries its triage state (triaged flag,
 // next poll).
 type recoveryGroup struct {
-	Group       string               `json:"group"`
-	CrashEvents []recovery.Event     `json:"crash_events"`
-	CrashActive int                  `json:"crash_in_progress"`
-	GrayEvents  []recovery.GrayEvent `json:"gray_events"`
-	GrayActive  int                  `json:"gray_in_progress"`
-	Hedged      int64                `json:"hedged"`
-	HedgeWins   int64                `json:"hedge_peer_wins"`
-	Quarantined int                  `json:"quarantined"`
+	Group       string           `json:"group"`
+	CrashEvents []recovery.Event `json:"crash_events"`
+	CrashActive int              `json:"crash_in_progress"`
+	Quarantined int              `json:"quarantined"`
 }
 
 // triageStatus is the cluster scarcity allocator's view for GET /v1/recovery.
@@ -634,23 +629,18 @@ type triageStatus struct {
 }
 
 // handleRecovery reports the deployment's failure-resilience state: per-group
-// crash-recovery events (node loss → replacement), gray fail-slow episodes
-// with their hedge → drain ladder outcomes, the router's hedge tallies, and
-// the scarcity triage queue. Each group's state is read under its clock
-// domain, advanced to now so due detector beats have fired.
+// crash-recovery events (node loss → replacement), the instances
+// quarantined from routing, and the scarcity triage queue. Each group's
+// state is read under its clock domain, advanced to now so due heartbeats
+// have fired.
 func (s *Server) handleRecovery(w http.ResponseWriter, r *http.Request) {
 	t := s.target()
 	groups := make([]recoveryGroup, 0)
 	for _, g := range s.dep.Groups() {
-		rg := recoveryGroup{Group: g.Plan.ID, GrayEvents: []recovery.GrayEvent{}}
+		rg := recoveryGroup{Group: g.Plan.ID}
 		g.Domain().Advance(t, func(*sim.Engine) {
 			rg.CrashEvents = g.Recovery.Events()
 			rg.CrashActive = g.Recovery.InProgress()
-			if g.Gray != nil {
-				rg.GrayEvents = g.Gray.Events()
-				rg.GrayActive = g.Gray.InProgress()
-			}
-			rg.Hedged, rg.HedgeWins = g.Router.HedgeStats()
 			rg.Quarantined = g.Router.Quarantined()
 		})
 		groups = append(groups, rg)

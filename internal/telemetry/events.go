@@ -63,20 +63,6 @@ const (
 	EventBrownoutEntered EventType = "brownout_entered"
 	// EventBrownoutCleared: the group returned to normal admission.
 	EventBrownoutCleared EventType = "brownout_cleared"
-	// EventGraySuspected: an instance's completion-latency profile drifted
-	// above its group peers' — a fail-slow (gray) fault is suspected but not
-	// yet confirmed.
-	EventGraySuspected EventType = "gray_suspected"
-	// EventGrayConfirmed: the suspicion persisted across consecutive
-	// evaluations; hedged re-routing engages for the instance.
-	EventGrayConfirmed EventType = "gray_confirmed"
-	// EventGrayCleared: a suspected/confirmed-gray instance returned to its
-	// peers' latency profile (or its drain-replacement restored full speed).
-	EventGrayCleared EventType = "gray_cleared"
-	// EventGrayDrain: the response ladder escalated past hedging — the gray
-	// instance is proactively drained and its slow node replaced through the
-	// crash-recovery controller.
-	EventGrayDrain EventType = "gray_drain"
 	// EventDomainFailed: a whole failure domain (rack/zone) went down; every
 	// active node in it failed at once.
 	EventDomainFailed EventType = "domain_failed"

@@ -269,7 +269,6 @@ func servingRegistry(groups, perGroup int) *Registry {
 	for g := 0; g < groups; g++ {
 		id := fmt.Sprintf("TG-%04d", g)
 		for _, name := range []string{"thrifty_router_routed_total", "thrifty_router_overflow_total",
-			"thrifty_router_hedged_total", "thrifty_router_hedge_peer_wins_total",
 			"thrifty_queries_completed_total", "thrifty_queries_sla_missed_total",
 			"thrifty_query_retried_total", "thrifty_query_timeout_total"} {
 			r.Counter(name, "group", id).Add(int64(g) * 1e5)

@@ -15,7 +15,7 @@
 // subsystems (router, mppdb, monitor, scaling, replay, service) share. All
 // components are safe for concurrent use, but for the tracer's reads of its
 // groups' query spans. A deployed group's runtime and controllers (recovery,
-// gray, admission, scaling) take their group's view at construction; the
+// admission, scaling) take their group's view at construction; the
 // router, the MPPDB instances and the activity monitor, which can be built
 // bare, treat a nil Hub as "telemetry disabled".
 //

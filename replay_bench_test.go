@@ -10,10 +10,8 @@ import "testing"
 // with -cpuprofile. bare deploys as the benchmark's replay-7d does
 // (Immediate), admission arms admission on top, default deploys as a
 // flagless thriftyd does (Immediate, ParallelLoad, 64 spare nodes, admission
-// armed), scaler arms the §5.1 scaler on top of default, and gray arms the
-// fail-slow detector on top of bare, whose per-minute sampling tick is a
-// shared event on every group's engine, so it is the row that measures what
-// a Drive barrier costs.
+// armed), and scaler arms the §5.1 scaler on top of default. What a Drive
+// barrier costs is BenchmarkDomainsDrive's to measure (internal/sim).
 //
 //	go test -run '^$' -bench BenchmarkReplay -benchtime 5x -cpuprofile cpu.prof .
 func BenchmarkReplay(b *testing.B) {
@@ -25,7 +23,7 @@ func BenchmarkReplay(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	adm, gray := DefaultAdmissionConfig(), DefaultGrayConfig()
+	adm := DefaultAdmissionConfig()
 	for _, c := range []struct {
 		name string
 		opts DeployOptions
@@ -34,7 +32,6 @@ func BenchmarkReplay(b *testing.B) {
 		{"admission", DeployOptions{Immediate: true, Admission: &adm}},
 		{"default", DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Admission: &adm}},
 		{"scaler", DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Admission: &adm, Scaling: true}},
-		{"gray", DeployOptions{Immediate: true, Gray: &gray}},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()

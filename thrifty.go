@@ -29,7 +29,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/master"
 	"repro/internal/queries"
-	"repro/internal/recovery"
 	"repro/internal/replay"
 	"repro/internal/service"
 	"repro/internal/sim"
@@ -164,8 +163,8 @@ type System struct {
 
 // DeployOptions re-exports the Deployment Master's options: the pool shape
 // (SpareNodes, Domains), provisioning (Immediate, ParallelLoad), the RT-TTP
-// window (MonitorWindow) and the opt-in subsystems (Admission, Gray,
-// Scaling, NoSpread), each off — and replay byte-identical — at its zero
+// window (MonitorWindow) and the opt-in subsystems (Admission, Scaling,
+// NoSpread), each off — and replay byte-identical — at its zero
 // value. Every deployment arms §4.4 recovery, which schedules nothing until
 // a fault fails a node.
 type DeployOptions = master.Options
@@ -192,14 +191,6 @@ type ReplayOptions = replay.Options
 
 // ReplayReport re-exports the replay report.
 type ReplayReport = replay.Report
-
-// GrayConfig re-exports the fail-slow detector configuration (sample window,
-// confirm/clear beats, drain timing).
-type GrayConfig = recovery.GrayConfig
-
-// DefaultGrayConfig returns a 64-sample window, 3 confirm / 2 clear beats and
-// a 10 min hedge-first grace before drain.
-func DefaultGrayConfig() GrayConfig { return recovery.DefaultGrayConfig() }
 
 // AdmissionConfig re-exports the overload-protection configuration: the
 // per-tenant contracts and the brownout cadence. Every controller's queue
