@@ -107,11 +107,13 @@ bench-smoke:
 	$(GO) test -bench 'BenchmarkPlanCycle' -cpu 1,2 -benchtime=1x -run '^$$' .
 
 # Batched-submit smoke with the race detector on: per-item error
-# partitioning over /v1/submit-batch (a 429/503/504 never drops a healthy
-# batch-mate), batched-vs-per-query telemetry equivalence, and — ten times
-# over, since several goroutines reach the groups' clock-domain locks and
-# the pacing origin without a server-wide lock — concurrent single submits
-# in a storm beside scrapes and group reads.
+# partitioning over /v1/submit-batch (a 400/422/429/504 never drops a
+# healthy batch-mate, and all 33 submits to a group with no Ready MPPDB
+# retry and time out, none shed), batched-vs-per-query telemetry
+# equivalence, and — ten times over, since several goroutines reach the
+# groups' clock-domain locks and the pacing origin without a server-wide
+# lock — concurrent single submits in a storm beside scrapes and group
+# reads.
 service-smoke:
 	$(GO) test -race -run 'TestBatchErrorPartitioning' -count=1 ./internal/service
 	$(GO) test -race -run 'TestConcurrentSubmitsAndScrapes|TestShardedConcurrentSubmits' -count=10 ./internal/service

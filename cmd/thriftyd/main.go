@@ -68,7 +68,7 @@ func (o *options) flagSet() *flag.FlagSet {
 	fs.Float64Var(&o.serve.TimeScale, "timescale", 60, "virtual seconds per wall second")
 	fs.BoolVar(&o.metrics, "metrics", true, "expose Prometheus text metrics at /metrics")
 	fs.IntVar(&o.deploy.Domains, "domains", 1, "failure domains (racks/zones) the pool is split across; >1 enables spread-aware placement")
-	fs.BoolVar(&o.admission, "admission", true, "arm overload protection per tenant-group (contract enforcement, bounded admission queue, brownout)")
+	fs.BoolVar(&o.admission, "admission", true, "arm overload protection per tenant-group (contract enforcement, brownout)")
 	return fs
 }
 

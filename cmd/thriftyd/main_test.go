@@ -37,19 +37,25 @@ func TestUsageErrors(t *testing.T) {
 }
 
 // TestBootAndServe starts the configurations an operator starts — no flags,
-// and every subsystem armed — and drives each through the HTTP surface.
+// and the pool split across three failure domains (every subsystem is armed
+// in both: no flag arms one that is off by default) — and drives each
+// through the HTTP surface.
 func TestBootAndServe(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		args []string
+		name    string
+		args    []string
+		domains int
 	}{
-		{"default", nil},
-		{"every-arm", []string{"-domains", "3"}},
+		{"default", nil, 1},
+		{"three-domains", []string{"-domains", "3"}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			sys, srv, err := build(append([]string{"-tenants", "20", "-days", "1"}, tc.args...))
 			if err != nil {
 				t.Fatal(err)
+			}
+			if n := sys.Deployment.Pool().Domains(); n != tc.domains {
+				t.Errorf("pool has %d failure domains, want %d (args %v)", n, tc.domains, tc.args)
 			}
 			if sys.Deployment.Triage() == nil {
 				t.Errorf("no scarcity triage beside the recovery controllers (args %v)", tc.args)

@@ -32,16 +32,9 @@ const (
 	LevelShedBestEffort = 2
 )
 
-// Shed reasons carried by ShedError and the per-reason shed counters.
-const (
-	// ShedQueueFull: the bounded admission queue is at capacity.
-	ShedQueueFull = "queue_full"
-	// ShedDeadline: the query could not start soon enough to meet its SLA
-	// deadline, so running it would be wasted work.
-	ShedDeadline = "deadline"
-	// ShedBestEffort: brownout dropped best-effort traffic.
-	ShedBestEffort = "best_effort"
-)
+// ShedBestEffort is the one shed reason ShedError carries: brownout
+// dropped best-effort traffic.
+const ShedBestEffort = "best_effort"
 
 // ContractExceededError is the typed 429: the tenant ran past its
 // contracted arrival process. RetryAfter is the virtual time until the
@@ -64,8 +57,8 @@ func (e *ContractExceededError) Error() string {
 		e.Tenant, e.Group, why, e.RetryAfter)
 }
 
-// ShedError is the typed 503: the query was shed without being run —
-// queue full, unmeetable deadline, or best-effort traffic during brownout.
+// ShedError is the typed 503: brownout shed a best-effort query without
+// running it.
 type ShedError struct {
 	Group      string
 	Tenant     string
@@ -90,20 +83,12 @@ type Config struct {
 }
 
 const (
-	// maxQueue bounds how many submits may wait in the group's admission
-	// queue for a retry slot.
-	maxQueue = 32
 	// strikeLimit is how many consecutive rejections a tenant may accrue
 	// before the policer turns punitive regardless of brownout level: each
 	// further attempt restarts its refill from zero, locking an open-loop
 	// flooder out until it actually backs off. A client that honors
 	// Retry-After never accumulates strikes.
 	strikeLimit = 8
-	// deadlineFactor sheds a queued query whose projected start delay exceeds
-	// (deadlineFactor-1) x its SLA target: a query that would wait more than
-	// a quarter of its target before starting is shed at once instead of
-	// wasting group capacity.
-	deadlineFactor = 1.25
 	// hotFraction is the fraction of its burst a tenant must retain to be
 	// admitted during brownout: one that drained below it has been submitting
 	// above its sustained rate and is rejected first.
@@ -156,15 +141,14 @@ type TenantStat struct {
 type Snapshot struct {
 	Group        string       `json:"group"`
 	Level        int          `json:"level"`
-	QueueDepth   int          `json:"queue_depth"`
 	SheddingOnly bool         `json:"shedding_only"`
 	Tenants      []TenantStat `json:"tenants"`
 }
 
-// Controller is one tenant-group's admission controller. AdmitRef,
-// EnterQueue, and LeaveQueue must run under the group's clock domain (they
-// use the engine clock and mutate buckets); the inspection methods are
-// lock-free and safe from any goroutine.
+// Controller is one tenant-group's admission controller. AdmitRef must run
+// under the group's clock domain (it uses the engine clock and mutates
+// buckets); the inspection methods are lock-free and safe from any
+// goroutine.
 type Controller struct {
 	eng   *sim.Engine
 	group string
@@ -177,11 +161,10 @@ type Controller struct {
 	// Member states indexed by the group interner's dense refs (nil for a
 	// ref that is not a member), and the same states sorted by tenant ID for
 	// the inspection endpoints. Read-only after New.
-	in      *tenant.Interner
-	byRef   []*tenantState
-	order   []*tenantState
-	level   atomic.Int32
-	waiting atomic.Int32
+	in    *tenant.Interner
+	byRef []*tenantState
+	order []*tenantState
+	level atomic.Int32
 	// ticker is the brownout evaluation's one event, re-keyed every
 	// TickInterval for the controller's life.
 	ticker sim.Event
@@ -192,9 +175,8 @@ type Controller struct {
 	tel        *telemetry.Hub
 	mAdmitted  *telemetry.Counter
 	mThrottled *telemetry.Counter
-	mShed      map[string]*telemetry.Counter // by reason
+	mShed      *telemetry.Counter
 	gLevel     *telemetry.Gauge
-	gQueue     *telemetry.Gauge
 }
 
 // New builds the controller for one group, armed: its brownout evaluation is
@@ -236,13 +218,8 @@ func New(eng *sim.Engine, tel *telemetry.Hub, in *tenant.Interner, group string,
 		tel:           tel,
 		mAdmitted:     tel.Registry.Counter("thrifty_admission_admitted_total", "group", group),
 		mThrottled:    tel.Registry.Counter("thrifty_admission_throttled_total", "group", group),
-		mShed: map[string]*telemetry.Counter{
-			ShedQueueFull:  tel.Registry.Counter("thrifty_admission_shed_total", "group", group, "reason", ShedQueueFull),
-			ShedDeadline:   tel.Registry.Counter("thrifty_admission_shed_total", "group", group, "reason", ShedDeadline),
-			ShedBestEffort: tel.Registry.Counter("thrifty_admission_shed_total", "group", group, "reason", ShedBestEffort),
-		},
-		gLevel: tel.Registry.Gauge("thrifty_admission_brownout_level", "group", group),
-		gQueue: tel.Registry.Gauge("thrifty_admission_queue_depth", "group", group),
+		mShed:         tel.Registry.Counter("thrifty_admission_shed_total", "group", group, "reason", ShedBestEffort),
+		gLevel:        tel.Registry.Gauge("thrifty_admission_brownout_level", "group", group),
 	}
 	for _, id := range members {
 		ref := in.Intern(id)
@@ -318,10 +295,6 @@ func (c *Controller) tick() {
 // Level returns the current brownout level. Lock-free.
 func (c *Controller) Level() int { return int(c.level.Load()) }
 
-// QueueDepth returns how many submits wait in the admission queue.
-// Lock-free.
-func (c *Controller) QueueDepth() int { return int(c.waiting.Load()) }
-
 // state resolves a group ref to its member state (nil for a non-member)
 // and the tenant's ID.
 func (c *Controller) state(ref tenant.Ref) (*tenantState, string) {
@@ -335,11 +308,20 @@ func (c *Controller) state(ref tenant.Ref) (*tenantState, string) {
 // may enter the group now. Must run under the group's clock domain. A nil
 // return admits; otherwise the error is a *ContractExceededError (429) or
 // *ShedError (503).
-func (c *Controller) AdmitRef(ref tenant.Ref, sla sim.Time, bestEffort bool) error {
+func (c *Controller) AdmitRef(ref tenant.Ref, bestEffort bool) error {
 	ts, tenant := c.state(ref)
 	level := int(c.level.Load())
 	if bestEffort && level >= LevelShedBestEffort {
-		c.shed(ts, tenant, ShedBestEffort, "brownout sheds best-effort traffic")
+		if ts != nil {
+			ts.shed.Add(1)
+		}
+		c.mShed.Inc()
+		c.tel.Events.Publish(telemetry.Event{
+			Type:   telemetry.EventQueryShed,
+			Group:  c.group,
+			Tenant: tenant,
+			Detail: ShedBestEffort + ": brownout sheds best-effort traffic",
+		})
 		return &ShedError{
 			Group: c.group, Tenant: tenant, Reason: ShedBestEffort,
 			RetryAfter: sim.Duration(c.cfg.TickInterval),
@@ -400,59 +382,6 @@ func (c *Controller) AdmitRef(ref tenant.Ref, sla sim.Time, bestEffort bool) err
 	return nil
 }
 
-// EnterQueue claims a slot in the bounded admission queue for a submit of
-// the tenant behind the group ref whose first attempt failed transiently and
-// will retry after delay.
-// Must run under the group's clock domain. It sheds immediately — typed
-// *ShedError — when the queue is full or the projected start delay alone
-// would blow the query's SLA deadline (no wasted work). A nil return means
-// the slot is held until LeaveQueue.
-func (c *Controller) EnterQueue(ref tenant.Ref, sla, delay sim.Time) error {
-	ts, tenant := c.state(ref)
-	if sla > 0 {
-		slack := sim.Time(float64(sla) * (deadlineFactor - 1))
-		if delay > slack {
-			c.shed(ts, tenant, ShedDeadline,
-				fmt.Sprintf("start delay %v exceeds deadline slack %v", delay, slack))
-			return &ShedError{
-				Group: c.group, Tenant: tenant, Reason: ShedDeadline,
-				RetryAfter: delay,
-			}
-		}
-	}
-	if int(c.waiting.Load()) >= maxQueue {
-		c.shed(ts, tenant, ShedQueueFull,
-			fmt.Sprintf("admission queue at capacity %d", maxQueue))
-		return &ShedError{
-			Group: c.group, Tenant: tenant, Reason: ShedQueueFull,
-			RetryAfter: delay,
-		}
-	}
-	c.gQueue.Set(float64(c.waiting.Add(1)))
-	return nil
-}
-
-// LeaveQueue releases a slot claimed by EnterQueue. Must run under the
-// group's clock domain.
-func (c *Controller) LeaveQueue() {
-	c.gQueue.Set(float64(c.waiting.Add(-1)))
-}
-
-// shed counts one shed query of the tenant (ts nil for a non-member) and
-// publishes it.
-func (c *Controller) shed(ts *tenantState, tenant, reason, detail string) {
-	if ts != nil {
-		ts.shed.Add(1)
-	}
-	c.mShed[reason].Inc()
-	c.tel.Events.Publish(telemetry.Event{
-		Type:   telemetry.EventQueryShed,
-		Group:  c.group,
-		Tenant: tenant,
-		Detail: reason + ": " + detail,
-	})
-}
-
 // TenantStats returns every member's admission accounting, sorted by
 // tenant ID. Lock-free.
 func (c *Controller) TenantStats() []TenantStat {
@@ -480,7 +409,6 @@ func (c *Controller) Snapshot() Snapshot {
 	return Snapshot{
 		Group:        c.group,
 		Level:        level,
-		QueueDepth:   c.QueueDepth(),
 		SheddingOnly: level >= LevelShedBestEffort,
 		Tenants:      c.TenantStats(),
 	}

@@ -131,7 +131,7 @@ func TestNewArms(t *testing.T) {
 		families[mv.Name] = true
 	}
 	for _, name := range []string{"thrifty_admission_admitted_total", "thrifty_admission_throttled_total",
-		"thrifty_admission_shed_total", "thrifty_admission_brownout_level", "thrifty_admission_queue_depth"} {
+		"thrifty_admission_shed_total", "thrifty_admission_brownout_level"} {
 		if !families[name] {
 			t.Errorf("metric family %s not registered", name)
 		}
@@ -150,11 +150,11 @@ func TestAdmitContractEnforcement(t *testing.T) {
 
 	// A's burst admits, then the typed 429 with a sane Retry-After.
 	for i := 0; i < 4; i++ {
-		if err := c.AdmitRef(ref(t, c, "A"), 0, false); err != nil {
+		if err := c.AdmitRef(ref(t, c, "A"), false); err != nil {
 			t.Fatalf("burst admit %d: %v", i, err)
 		}
 	}
-	err := c.AdmitRef(ref(t, c, "A"), 0, false)
+	err := c.AdmitRef(ref(t, c, "A"), false)
 	var ce *ContractExceededError
 	if !errors.As(err, &ce) {
 		t.Fatalf("want ContractExceededError, got %v", err)
@@ -165,7 +165,7 @@ func TestAdmitContractEnforcement(t *testing.T) {
 
 	// B has no contract and the zero Default is unlimited.
 	for i := 0; i < 100; i++ {
-		if err := c.AdmitRef(ref(t, c, "B"), 0, false); err != nil {
+		if err := c.AdmitRef(ref(t, c, "B"), false); err != nil {
 			t.Fatalf("unlimited tenant throttled: %v", err)
 		}
 	}
@@ -180,7 +180,7 @@ func TestAdmitContractEnforcement(t *testing.T) {
 
 	// Honoring Retry-After readmits.
 	eng.Run(eng.Now().Add(time.Duration(ce.RetryAfter)))
-	if err := c.AdmitRef(ref(t, c, "A"), 0, false); err != nil {
+	if err := c.AdmitRef(ref(t, c, "A"), false); err != nil {
 		t.Fatalf("after backoff: %v", err)
 	}
 }
@@ -192,7 +192,7 @@ func TestAdmitStrikePolicing(t *testing.T) {
 	c, _ := testController(t, eng, 2, cfg, nil)
 
 	for i := 0; i < 4; i++ {
-		if err := c.AdmitRef(ref(t, c, "A"), 0, false); err != nil {
+		if err := c.AdmitRef(ref(t, c, "A"), false); err != nil {
 			t.Fatalf("burst admit %d: %v", i, err)
 		}
 	}
@@ -204,7 +204,7 @@ func TestAdmitStrikePolicing(t *testing.T) {
 	admitted := 0
 	for i := 0; i < 100; i++ {
 		eng.Run(eng.Now().Add(100 * time.Millisecond))
-		if c.AdmitRef(ref(t, c, "A"), 0, false) == nil {
+		if c.AdmitRef(ref(t, c, "A"), false) == nil {
 			admitted++
 		}
 	}
@@ -213,7 +213,7 @@ func TestAdmitStrikePolicing(t *testing.T) {
 	}
 	// Actually backing off (a full token's worth of idle time) readmits.
 	eng.Run(eng.Now().Add(time.Second))
-	if err := c.AdmitRef(ref(t, c, "A"), 0, false); err != nil {
+	if err := c.AdmitRef(ref(t, c, "A"), false); err != nil {
 		t.Fatalf("after genuine backoff: %v", err)
 	}
 }
@@ -241,13 +241,13 @@ func TestBrownoutTransitions(t *testing.T) {
 	// Brownout withdraws the burst allowance: A holds 4 tokens but must
 	// retain hotFraction x Burst = 2 in reserve, so the third take denies
 	// and the policer drains the bucket.
-	if err := c.AdmitRef(ref(t, c, "A"), 0, false); err != nil {
+	if err := c.AdmitRef(ref(t, c, "A"), false); err != nil {
 		t.Fatalf("hot admit 1: %v", err)
 	}
-	if err := c.AdmitRef(ref(t, c, "A"), 0, false); err != nil {
+	if err := c.AdmitRef(ref(t, c, "A"), false); err != nil {
 		t.Fatalf("hot admit 2: %v", err)
 	}
-	err := c.AdmitRef(ref(t, c, "A"), 0, false)
+	err := c.AdmitRef(ref(t, c, "A"), false)
 	var ce *ContractExceededError
 	if !errors.As(err, &ce) || !ce.Brownout {
 		t.Fatalf("want brownout 429, got %v", err)
@@ -271,13 +271,13 @@ func TestBrownoutTransitions(t *testing.T) {
 	if c.Level() != LevelShedBestEffort {
 		t.Fatalf("level under violation %d (rt %v)", c.Level(), mon.RTTTP())
 	}
-	err = c.AdmitRef(ref(t, c, "B"), 0, true)
+	err = c.AdmitRef(ref(t, c, "B"), true)
 	var se *ShedError
 	if !errors.As(err, &se) || se.Reason != ShedBestEffort {
 		t.Fatalf("want best-effort shed, got %v", err)
 	}
 	// SLA traffic from a contract-abiding tenant still passes.
-	if err := c.AdmitRef(ref(t, c, "B"), sim.Minute, false); err != nil {
+	if err := c.AdmitRef(ref(t, c, "B"), false); err != nil {
 		t.Fatalf("SLA traffic shed during brownout: %v", err)
 	}
 
@@ -298,38 +298,6 @@ func TestBrownoutTransitions(t *testing.T) {
 	}
 	if snap := c.Snapshot(); !snap.SheddingOnly || snap.Level != LevelShedBestEffort {
 		t.Fatalf("snapshot %+v", snap)
-	}
-}
-
-func TestQueueBounds(t *testing.T) {
-	eng := sim.NewEngine()
-	c, _ := testController(t, eng, 2, DefaultConfig(), nil)
-
-	// A delay that alone blows the SLA deadline sheds immediately: slack is
-	// (deadlineFactor-1) x SLA = 25 s here.
-	err := c.EnterQueue(ref(t, c, "A"), 100*sim.Second, 30*sim.Second)
-	var se *ShedError
-	if !errors.As(err, &se) || se.Reason != ShedDeadline {
-		t.Fatalf("want deadline shed, got %v", err)
-	}
-
-	for i := 0; i < maxQueue; i++ {
-		if err := c.EnterQueue(ref(t, c, []string{"A", "B"}[i%2]), 0, sim.Second); err != nil {
-			t.Fatal(err)
-		}
-	}
-	err = c.EnterQueue(ref(t, c, "A"), 0, sim.Second)
-	if !errors.As(err, &se) || se.Reason != ShedQueueFull {
-		t.Fatalf("want queue-full shed, got %v", err)
-	}
-	if c.QueueDepth() != maxQueue {
-		t.Fatalf("queue depth %d", c.QueueDepth())
-	}
-	for i := 0; i < maxQueue; i++ {
-		c.LeaveQueue()
-	}
-	if c.QueueDepth() != 0 {
-		t.Fatalf("queue depth after leave %d", c.QueueDepth())
 	}
 }
 

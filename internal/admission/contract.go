@@ -1,10 +1,11 @@
 // Package admission implements overload protection for a deployed
 // MPPDBaaS: per-tenant contract enforcement (virtual-time token buckets
-// derived from each tenant's contracted workload), a bounded per-group
-// admission queue with deadline-aware load shedding, and a group-level
-// brownout controller that watches the live RT-TTP estimate and recovery
-// state and progressively sheds over-contract tenants first, best-effort
-// traffic second — never contract-abiding SLA traffic.
+// derived from each tenant's contracted workload) and a group-level brownout
+// controller that watches the live RT-TTP estimate and recovery state and
+// progressively sheds over-contract tenants first, best-effort traffic
+// second — never contract-abiding SLA traffic. It decides once per query, at
+// the query's first attempt; a query the router cannot place waits out its
+// retries in the runtime, not in a queue here.
 //
 // Thrifty's consolidation math (§3–§5) is only valid while every tenant
 // stays inside the arrival process the advisor grouped it by; this package

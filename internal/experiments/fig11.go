@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/mppdb"
 	"repro/internal/sim"
+	"repro/internal/tenant"
 )
 
 // fig11Nodes is the node-count axis of the Figure 1.1 speedup plots.
@@ -22,26 +23,26 @@ func measureShared(classID string, nodes, tenants int, concurrent bool) (sim.Tim
 	if !ok {
 		return 0, fmt.Errorf("experiments: unknown class %s", classID)
 	}
-	ids := make([]string, tenants)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("tenant%d", i)
-		inst.DeployTenant(ids[i], 100) // SF100
+	refs := make([]tenant.Ref, tenants)
+	for i := range refs {
+		refs[i] = inst.Interner().Intern(fmt.Sprintf("tenant%d", i))
+		inst.DeployTenantRef(refs[i], 100) // SF100
 	}
 	var total sim.Time
 	done := 0
-	var submit func(i int)
-	submit = func(i int) {
-		_, err := inst.Submit(ids[i], class, func(r mppdb.Result) {
-			total += r.Latency()
-			done++
-			if !concurrent && done < tenants {
-				submit(done)
-			}
-		})
-		if err != nil {
+	// submit starts tenant i's query, tagged with i.
+	submit := func(i int) {
+		if _, err := inst.SubmitTagged(refs[i], class, uint64(i)); err != nil {
 			panic(err) // deployment above guarantees tenants exist
 		}
 	}
+	inst.SetCompletionHandler(func(r mppdb.Result, _ uint64) {
+		total += r.Latency()
+		done++
+		if !concurrent && done < tenants {
+			submit(done)
+		}
+	})
 	if concurrent {
 		for i := 0; i < tenants; i++ {
 			submit(i)

@@ -14,10 +14,10 @@ import (
 // OverloadStorm replays the same seeded noisy-tenant storm against the
 // plan's largest tenant-group twice: once bare and once with per-group
 // admission control armed (contract enforcement derived from the tenants'
-// own logs, bounded admission queue, brownout controller). The first run
-// shows how one over-contract tenant burns its co-tenants' guarantee
-// through processor-sharing contention; the second shows the aggressor
-// being throttled with typed 429s while every contract-abiding tenant's
+// own logs, brownout controller). The first run shows how one
+// over-contract tenant burns its co-tenants' guarantee through
+// processor-sharing contention; the second shows the aggressor being
+// throttled with typed 429s while every contract-abiding tenant's
 // attainment holds.
 func OverloadStorm(env *Env) ([]*Table, error) {
 	logs, plan, err := planDefault(env, advisor.DefaultConfig())

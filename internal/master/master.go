@@ -49,10 +49,9 @@ type Options struct {
 	// MonitorWindow is the RT-TTP window (default 24 h).
 	MonitorWindow time.Duration
 	// Admission, when non-nil, arms an overload-protection controller per
-	// group with this config: per-tenant contract buckets, a bounded
-	// admission queue, and a brownout loop watching the group's live
-	// RT-TTP and recovery state. Strictly opt-in so the bare replay path
-	// stays byte-identical.
+	// group with this config: per-tenant contract buckets and a brownout
+	// loop watching the group's live RT-TTP and recovery state. Strictly
+	// opt-in so the bare replay path stays byte-identical.
 	Admission *admission.Config
 	// Scaling arms the §5.1 elastic scaler per group, on the plan's P, R and
 	// epoch and MonitorWindow. Strictly opt-in, like Admission.

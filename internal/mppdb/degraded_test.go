@@ -16,7 +16,8 @@ func runOne(t *testing.T, nodes int, prep func(*Instance)) sim.Time {
 		prep(m)
 	}
 	var res *Result
-	if _, err := m.Submit("a", testClass(0.3), func(r Result) { res = &r }); err != nil {
+	m.SetCompletionHandler(func(r Result, _ uint64) { res = &r })
+	if _, err := m.SubmitTagged(refOf(m, "a"), testClass(0.3), 0); err != nil {
 		t.Fatal(err)
 	}
 	eng.RunAll()
@@ -45,7 +46,8 @@ func TestDegradedLatencyScalesBySpeedFactor(t *testing.T) {
 				t.Errorf("nodes=%d k=%d: SpeedFactor = %v, want %v", nodes, k, got, wantSpeed)
 			}
 			var res *Result
-			if _, err := m.Submit("a", testClass(0.3), func(r Result) { res = &r }); err != nil {
+			m.SetCompletionHandler(func(r Result, _ uint64) { res = &r })
+			if _, err := m.SubmitTagged(refOf(m, "a"), testClass(0.3), 0); err != nil {
 				t.Fatal(err)
 			}
 			eng.RunAll()

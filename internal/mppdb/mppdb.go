@@ -99,12 +99,7 @@ type exec struct {
 	isolated  sim.Time
 	remaining float64 // seconds of dedicated-instance work left
 	idx       int     // position in Instance.execs; -1 once finished
-	// tag correlates the pooled completion path (SubmitTagged /
-	// SetCompletionHandler); done is the legacy per-call closure and is nil
-	// on the tagged path.
-	tag    uint64
-	tagged bool
-	done   func(Result)
+	tag       uint64  // SubmitTagged's tag, handed to the completion handler
 }
 
 // Instance is one simulated MPPDB.
@@ -138,7 +133,7 @@ type Instance struct {
 	nextDone   *exec
 	completeCb func(sim.Time)
 
-	// onDone receives completions of SubmitTagged queries with their tag.
+	// onDone receives every completion with its SubmitTagged tag.
 	onDone func(Result, uint64)
 
 	failedNodes int
@@ -207,9 +202,8 @@ func (m *Instance) SetTelemetry(h *telemetry.Hub) {
 	m.mCompleted = h.Registry.Counter("thrifty_mppdb_completed_total", "mppdb", m.id)
 }
 
-// SetCompletionHandler installs the pooled completion path: queries started
-// with SubmitTagged report here with their submit-time tag instead of
-// through a per-call closure.
+// SetCompletionHandler installs the instance's one completion path: every
+// query started with SubmitTagged reports here with its submit-time tag.
 func (m *Instance) SetCompletionHandler(fn func(Result, uint64)) { m.onDone = fn }
 
 // ID returns the instance identifier.
@@ -403,25 +397,12 @@ func (m *Instance) IsolatedLatencyRef(ref tenant.Ref, class *queries.Class) (sim
 	return sim.Duration(class.Latency(m.tenantGB[ref], m.nodes)), nil
 }
 
-// Submit starts executing a query for a deployed tenant. done (optional) is
-// invoked when the query completes. Submit returns the isolated latency so
-// callers can set expectations without re-deriving it.
-func (m *Instance) Submit(tenantID string, class *queries.Class, done func(Result)) (sim.Time, error) {
-	ref, ok := m.in.Lookup(tenantID)
-	if !ok {
-		return 0, fmt.Errorf("mppdb %s: tenant %q not deployed", m.id, tenantID)
-	}
-	return m.submit(ref, class, done, 0, false)
-}
-
-// SubmitTagged is the pooled hot path: the query is identified by its
-// interned ref, and completion reports through the instance-level handler
-// (SetCompletionHandler) with tag — no per-call closure is allocated.
+// SubmitTagged starts executing a query of the deployed tenant behind the
+// interned ref; its completion reports through the instance's handler
+// (SetCompletionHandler) with tag, so no per-call closure is allocated. It
+// returns the isolated latency so callers can set expectations without
+// re-deriving it.
 func (m *Instance) SubmitTagged(ref tenant.Ref, class *queries.Class, tag uint64) (sim.Time, error) {
-	return m.submit(ref, class, nil, tag, true)
-}
-
-func (m *Instance) submit(ref tenant.Ref, class *queries.Class, done func(Result), tag uint64, tagged bool) (sim.Time, error) {
 	if m.state != Ready {
 		return 0, fmt.Errorf("mppdb %s: not ready (%v)", m.id, m.state)
 	}
@@ -439,8 +420,6 @@ func (m *Instance) submit(ref tenant.Ref, class *queries.Class, done func(Result
 	ex.isolated = iso
 	ex.remaining = iso.Seconds()
 	ex.tag = tag
-	ex.tagged = tagged
-	ex.done = done
 	// One fused pass over the in-flight set does the work of advance() and
 	// reschedule()'s min-selection — same arithmetic and same unique
 	// (remaining, id) minimum, one O(n) scan instead of two. The submit path
@@ -494,7 +473,6 @@ func (m *Instance) acquireExec() *exec {
 // releaseExec returns a finished exec to the freelist.
 func (m *Instance) releaseExec(ex *exec) {
 	ex.class = nil
-	ex.done = nil
 	m.freeExecs = append(m.freeExecs, ex)
 }
 
@@ -597,19 +575,14 @@ func (m *Instance) complete(ex *exec) {
 		m.nextDone = next
 		m.eng.Reschedule(&m.completion, now+sim.Time(eta*float64(sim.Second)), m.completeCb)
 	}
-	if ex.done != nil || (ex.tagged && m.onDone != nil) {
-		res := Result{
+	if m.onDone != nil {
+		m.onDone(Result{
 			Tenant:   m.in.ID(ex.ref),
 			Class:    ex.class,
 			Submit:   ex.submit,
 			Finish:   now,
 			Isolated: ex.isolated,
-		}
-		if ex.done != nil {
-			ex.done(res)
-		} else {
-			m.onDone(res, ex.tag)
-		}
+		}, ex.tag)
 	}
 	m.releaseExec(ex)
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/queries"
 	"repro/internal/sim"
+	"repro/internal/tenant"
 )
 
 func testClass(scanSecGB float64) *queries.Class {
@@ -24,11 +25,16 @@ func newReady(t *testing.T, nodes int, tenants ...string) (*sim.Engine, *Instanc
 	return eng, m
 }
 
+// refOf is the tenant's ref in the instance's interner (a fresh one for a
+// tenant never deployed).
+func refOf(m *Instance, id string) tenant.Ref { return m.Interner().Intern(id) }
+
 func TestSingleQueryIsolatedLatency(t *testing.T) {
 	eng, m := newReady(t, 4, "a")
 	cl := testClass(0.2)
 	var res *Result
-	iso, err := m.Submit("a", cl, func(r Result) { res = &r })
+	m.SetCompletionHandler(func(r Result, _ uint64) { res = &r })
+	iso, err := m.SubmitTagged(refOf(m, "a"), cl, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,9 +68,10 @@ func TestConcurrentSlowdown(t *testing.T) {
 		eng, m := newReady(t, 2, "a", "b", "c", "d")
 		cl := testClass(0.5)
 		var results []Result
+		m.SetCompletionHandler(func(r Result, _ uint64) { results = append(results, r) })
 		tenants := []string{"a", "b", "c", "d"}
 		for i := 0; i < k; i++ {
-			if _, err := m.Submit(tenants[i], cl, func(r Result) { results = append(results, r) }); err != nil {
+			if _, err := m.SubmitTagged(refOf(m, tenants[i]), cl, uint64(i)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -86,12 +93,13 @@ func TestSequentialNoSlowdown(t *testing.T) {
 	eng, m := newReady(t, 2, "a", "b")
 	cl := testClass(0.5)
 	var slowdowns []float64
-	m.Submit("a", cl, func(r Result) {
+	m.SetCompletionHandler(func(r Result, tag uint64) {
 		slowdowns = append(slowdowns, r.Slowdown())
-		m.Submit("b", cl, func(r2 Result) {
-			slowdowns = append(slowdowns, r2.Slowdown())
-		})
+		if tag == 0 {
+			m.SubmitTagged(refOf(m, "b"), cl, 1)
+		}
 	})
+	m.SubmitTagged(refOf(m, "a"), cl, 0)
 	eng.RunAll()
 	if len(slowdowns) != 2 {
 		t.Fatalf("%d completions, want 2", len(slowdowns))
@@ -113,27 +121,31 @@ func TestStaggeredProcessorSharing(t *testing.T) {
 	m.DeployTenant("a", 9) // 1 + 9·1 = 10 s with ScanSecGB=1
 	m.DeployTenant("b", 9)
 	cl := testClass(1.0)
-	var finA, finB sim.Time
-	m.Submit("a", cl, func(r Result) { finA = r.Finish })
+	fin := make([]sim.Time, 2) // by tag: A, B
+	m.SetCompletionHandler(func(r Result, tag uint64) { fin[tag] = r.Finish })
+	m.SubmitTagged(refOf(m, "a"), cl, 0)
 	eng.Schedule(5*sim.Second, func(sim.Time) {
-		m.Submit("b", cl, func(r Result) { finB = r.Finish })
+		m.SubmitTagged(refOf(m, "b"), cl, 1)
 	})
 	eng.RunAll()
-	if finA != 15*sim.Second {
-		t.Errorf("A finished at %v, want 15s", finA)
+	if fin[0] != 15*sim.Second {
+		t.Errorf("A finished at %v, want 15s", fin[0])
 	}
-	if finB != 20*sim.Second {
-		t.Errorf("B finished at %v, want 20s", finB)
+	if fin[1] != 20*sim.Second {
+		t.Errorf("B finished at %v, want 20s", fin[1])
 	}
 }
 
 func TestSubmitErrors(t *testing.T) {
 	eng, m := newReady(t, 2, "a")
-	if _, err := m.Submit("ghost", testClass(1), nil); err == nil {
+	if _, err := m.SubmitTagged(refOf(m, "ghost"), testClass(1), 0); err == nil {
 		t.Error("undeployed tenant accepted")
 	}
+	if _, err := m.SubmitTagged(tenant.NoRef, testClass(1), 0); err == nil {
+		t.Error("unresolved ref accepted")
+	}
 	m.SetState(Loading)
-	if _, err := m.Submit("a", testClass(1), nil); err == nil {
+	if _, err := m.SubmitTagged(refOf(m, "a"), testClass(1), 0); err == nil {
 		t.Error("non-ready instance accepted a query")
 	}
 	_ = eng
@@ -160,7 +172,8 @@ func TestNodeFailureDegradesThroughput(t *testing.T) {
 	m.DeployTenant("a", 18) // 1 + 18·1/2 = 10 s isolated on 2 nodes
 	cl := testClass(1.0)
 	var fin sim.Time
-	m.Submit("a", cl, func(r Result) { fin = r.Finish })
+	m.SetCompletionHandler(func(r Result, _ uint64) { fin = r.Finish })
+	m.SubmitTagged(refOf(m, "a"), cl, 0)
 	// Fail a node halfway through: 5 s done, 5 s left at half speed = 10 s.
 	eng.Schedule(5*sim.Second, func(sim.Time) {
 		if err := m.FailNode(); err != nil {
@@ -203,13 +216,14 @@ func TestWorkConservation(t *testing.T) {
 		m := New(eng, "db", 4)
 		m.DeployTenant("t", 100)
 		var results []Result
+		m.SetCompletionHandler(func(r Result, _ uint64) { results = append(results, r) })
 		var totalIso float64
 		n := 2 + rng.Intn(8)
 		for i := 0; i < n; i++ {
 			at := sim.Time(rng.Int63n(30)) * sim.Second
 			cl := testClass(0.01 + rng.Float64()*0.2)
 			eng.Schedule(at, func(sim.Time) {
-				iso, err := m.Submit("t", cl, func(r Result) { results = append(results, r) })
+				iso, err := m.SubmitTagged(refOf(m, "t"), cl, 0)
 				if err != nil {
 					t.Fatal(err)
 				}

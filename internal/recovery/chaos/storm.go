@@ -82,7 +82,7 @@ func (s Storm) arm(r *run) (*armed, error) {
 			throttled, shed = &res.StormThrottled, &res.StormShed
 		}
 		if ac := g.Admission; ac != nil {
-			if err := ac.AdmitRef(ref, sla, false); err != nil {
+			if err := ac.AdmitRef(ref, false); err != nil {
 				var ce *admission.ContractExceededError
 				var se *admission.ShedError
 				switch {

@@ -61,9 +61,9 @@ type GroupRuntime struct {
 	// lives on the group's engine.
 	Recovery *recovery.Controller
 	// Admission, when non-nil, is the group's overload-protection
-	// controller: per-tenant contract buckets, the bounded admission
-	// queue, and the brownout loop. It lives on the group's engine and is
-	// consulted by SubmitBatchAt.
+	// controller: per-tenant contract buckets and the brownout loop. It
+	// lives on the group's engine and SubmitBatchAt consults it once per
+	// item, at the item's first attempt.
 	Admission *admission.Controller
 	// Scaler, when non-nil, is the group's §5.1 scaler (Options.Scaling).
 	Scaler *scaling.Scaler
@@ -169,24 +169,15 @@ type BatchItem struct {
 }
 
 // BatchOutcome is one item's result: the chosen MPPDB and retries used on
-// success, or the typed error (*admission.ContractExceededError,
-// *admission.ShedError, *TimeoutError, or a permanent routing error).
-// Outcomes are strictly per item — one item's failure never affects its
-// batch-mates.
+// success, or the typed error (*admission.ContractExceededError or
+// *admission.ShedError at the first attempt, *TimeoutError once the retries
+// are spent, or a permanent routing error). Outcomes are strictly per item —
+// one item's failure never affects its batch-mates.
 type BatchOutcome struct {
 	DB      string
 	Retries int
 	Err     error
 }
-
-// batchScratch is the reusable round-tracking state of one SubmitBatchAt
-// call, pooled so steady-state batched submits allocate nothing here.
-type batchScratch struct {
-	live   []int
-	queued []bool
-}
-
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 
 // SubmitBatchAt advances the group to at once and routes all items through
 // the group's router (TDD Algorithm 1) inside a single engine callback — one
@@ -208,12 +199,10 @@ var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // With an admission controller armed, an item's first attempt must pass the
 // tenant's contract bucket and the brownout policy — a typed
 // *admission.ContractExceededError (429) or *admission.ShedError (503) is
-// its outcome at once, before any routing work. An item that fails
-// transiently claims a slot in the bounded admission queue for the wait; if
-// the queue is full, or the projected start delay alone would blow the
-// query's SLA deadline, the item is shed with a typed *admission.ShedError
-// instead of occupying the group. BestEffort marks traffic the brownout
-// controller may drop wholesale at its top level.
+// its outcome at once, before any routing work. Retries do not consult
+// admission again: an item the router cannot place retries and times out
+// (504) however many batch-mates wait with it. BestEffort marks traffic the
+// brownout controller may drop wholesale at its top level.
 //
 // Items are processed in slice order, so a batch at time t is
 // operation-for-operation equivalent to submitting its items one at a time
@@ -239,21 +228,9 @@ func (g *GroupRuntime) SubmitBatchAt(at sim.Time, items []BatchItem, outs []Batc
 	for i := range outs[:n] {
 		outs[i] = BatchOutcome{}
 	}
-
-	// live holds the indices of items still in flight across rounds; queued
-	// marks items holding an admission queue slot. Both come from a pool so
-	// a steady stream of batches allocates nothing here.
-	sc := batchScratchPool.Get().(*batchScratch)
-	live := sc.live[:0]
-	defer func() {
-		sc.live = live[:0]
-		batchScratchPool.Put(sc)
-	}()
-	if cap(sc.queued) < n {
-		sc.queued = make([]bool, n)
-	}
-	queued := sc.queued[:n]
-	clear(queued)
+	// live holds the indices of items still in flight across rounds; it
+	// stays nil, and allocates nothing, unless an item retries.
+	var live []int
 
 	// attempt runs one routing attempt for item i at round `retries` and
 	// reports whether the item stays live. In-domain only.
@@ -268,17 +245,13 @@ func (g *GroupRuntime) SubmitBatchAt(at sim.Time, items []BatchItem, outs []Batc
 			return false
 		}
 		if adm != nil && retries == 0 {
-			if err := adm.AdmitRef(ref, it.SLA, it.BestEffort); err != nil {
+			if err := adm.AdmitRef(ref, it.BestEffort); err != nil {
 				outs[i].Err = err
 				return false
 			}
 		}
 		db, err := g.Router.SubmitRef(ref, it.Class, it.SLA)
 		if err == nil {
-			if queued[i] {
-				adm.LeaveQueue()
-				queued[i] = false
-			}
 			outs[i].DB = db
 			outs[i].Retries = retries
 			g.hRetries.Observe(float64(retries))
@@ -286,23 +259,11 @@ func (g *GroupRuntime) SubmitBatchAt(at sim.Time, items []BatchItem, outs []Batc
 		}
 		if !g.Router.HasTenant(it.Tenant) {
 			// Permanent: this group will never accept the tenant.
-			if queued[i] {
-				adm.LeaveQueue()
-				queued[i] = false
-			}
 			outs[i].Retries = retries
 			outs[i].Err = err
 			return false
 		}
-		if next := t + sim.Duration(pol.Backoff); retries < pol.MaxRetries && next <= deadline {
-			if adm != nil && !queued[i] {
-				if shedErr := adm.EnterQueue(ref, it.SLA, next-at); shedErr != nil {
-					outs[i].Retries = retries
-					outs[i].Err = shedErr
-					return false
-				}
-				queued[i] = true
-			}
+		if retries < pol.MaxRetries && t+sim.Duration(pol.Backoff) <= deadline {
 			g.mRetried.Inc()
 			g.tel.Events.Publish(telemetry.Event{
 				Type:   telemetry.EventQueryRetried,
@@ -312,10 +273,6 @@ func (g *GroupRuntime) SubmitBatchAt(at sim.Time, items []BatchItem, outs []Batc
 				Detail: err.Error(),
 			})
 			return true
-		}
-		if queued[i] {
-			adm.LeaveQueue()
-			queued[i] = false
 		}
 		g.mTimeout.Inc()
 		g.hRetries.Observe(float64(retries))

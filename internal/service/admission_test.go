@@ -151,8 +151,15 @@ func TestNoisyNeighborE2E(t *testing.T) {
 			} `json:"tenants"`
 		} `json:"groups"`
 	}
-	if code := get(t, ts, "/v1/admission", &adm); code != http.StatusOK {
+	var raw json.RawMessage
+	if code := get(t, ts, "/v1/admission", &raw); code != http.StatusOK {
 		t.Fatalf("/v1/admission status %d", code)
+	}
+	if bytes.Contains(raw, []byte("queue_depth")) {
+		t.Fatalf("/v1/admission reports a queue depth: %s", raw)
+	}
+	if err := json.Unmarshal(raw, &adm); err != nil {
+		t.Fatal(err)
 	}
 	if !adm.Enabled || len(adm.Groups) == 0 {
 		t.Fatalf("/v1/admission %+v", adm)
@@ -185,6 +192,9 @@ func TestNoisyNeighborE2E(t *testing.T) {
 	if !strings.Contains(body, "thrifty_admission_throttled_total") ||
 		!strings.Contains(body, "thrifty_admission_admitted_total") {
 		t.Fatal("metrics lack admission counters")
+	}
+	if strings.Contains(body, "thrifty_admission_queue_depth") {
+		t.Fatal("metrics carry an admission queue depth")
 	}
 }
 

@@ -20,8 +20,8 @@ import (
 )
 
 // deployBatchMix deploys TPC-H tenants with admission armed under explicit
-// contracts, so one batch can exercise 429 (contract), 503 (queue full), and
-// 504 (no ready replica) side by side.
+// contracts, so one batch can exercise 429 (contract) and 504 (no ready
+// replica) side by side.
 // The tenant named "down" gets a 4-node cluster, which lands it in its own
 // tenant-group — its replica outage must not touch the others.
 func deployBatchMix(t *testing.T, ids []string, contracts map[string]admission.Contract) (*master.Deployment, *advisor.Plan) {
@@ -65,11 +65,15 @@ func deployBatchMix(t *testing.T, ids []string, contracts map[string]admission.C
 	return dep, plan
 }
 
-// TestBatchErrorPartitioning drives one POST /v1/submit-batch through every
-// per-item failure mode at once — 400 (bad request), 422 (unknown tenant),
-// 429 (contract exceeded), 503 (admission queue full), 504 (no ready
+// TestBatchErrorPartitioning drives one POST /v1/submit-batch through the
+// per-item failure modes of a deployment at brownout level 0 at once — 400
+// (bad request), 422 (unknown tenant), 429 (contract exceeded), 504 (no ready
 // replica) — and demands that the healthy batch-mates still come back 202:
-// a failing entry never drops or degrades the rest of its batch.
+// a failing entry never drops or degrades the rest of its batch. Admission
+// decides at an item's first attempt only, so every one of the 33 submits to
+// the parked group retries and times out, however many wait beside it; none
+// is shed. (A 503 is a best-effort shed at brownout level 2, which
+// TestGoldenFailures encodes.)
 func TestBatchErrorPartitioning(t *testing.T) {
 	dep, plan := deployBatchMix(t, []string{"agg", "good", "down"}, map[string]admission.Contract{
 		"agg":  {Rate: 1.0 / 60, Burst: 2},
@@ -94,8 +98,7 @@ func TestBatchErrorPartitioning(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)
 
-	// Take down's whole replica set: its submits retry, time out (504), and
-	// overflow the admission queue's 32 slots (503).
+	// Take down's whole replica set: its submits retry and time out (504).
 	gDown.Domain().Do(func(*sim.Engine) {
 		for _, inst := range gDown.Instances {
 			inst.SetState(mppdb.Provisioning)
@@ -114,13 +117,13 @@ func TestBatchErrorPartitioning(t *testing.T) {
 		wants = append(wants, want{status, kind})
 	}
 	add(q6("good"), http.StatusAccepted, "")
-	const queued = 32 // the admission queue's capacity
-	for range queued {
-		add(q6("down"), http.StatusGatewayTimeout, "timeout") // queues, retries, times out
+	const parked = 33 // submits to the parked group; none is shed, however many wait
+	for range parked - 1 {
+		add(q6("down"), http.StatusGatewayTimeout, "timeout") // retries, times out
 	}
 	add(q6("agg"), http.StatusAccepted, "")                         // within burst
 	add(q6("agg"), http.StatusAccepted, "")                         // within burst
-	add(q6("down"), http.StatusServiceUnavailable, "shed")          // queue already full
+	add(q6("down"), http.StatusGatewayTimeout, "timeout")           // the 33rd waits like the rest
 	add(q6("agg"), http.StatusTooManyRequests, "contract_exceeded") // burst exhausted
 	add(q6("nosuch"), http.StatusUnprocessableEntity, "")           // unknown tenant
 	add(SubmitRequest{Tenant: "good"}, http.StatusBadRequest, "")   // no query or sql
@@ -147,16 +150,16 @@ func TestBatchErrorPartitioning(t *testing.T) {
 			t.Errorf("item %d: failure with empty error: %+v", i, r)
 		}
 	}
-	if out.Accepted != 3 || out.Failed != queued+4 {
-		t.Errorf("accepted/failed = %d/%d, want 3/%d", out.Accepted, out.Failed, queued+4)
+	if out.Accepted != 3 || out.Failed != parked+3 {
+		t.Errorf("accepted/failed = %d/%d, want 3/%d", out.Accepted, out.Failed, parked+3)
 	}
-	// Each 504 burned one retry; the 503 was shed before any attempt.
-	for i := 1; i <= queued; i++ {
-		if out.Results[i].Attempts != 2 {
-			t.Errorf("504 attempts = %d, want 2", out.Results[i].Attempts)
+	// Each 504 burned its one retry.
+	for i, r := range out.Results {
+		if wants[i].status == http.StatusGatewayTimeout && r.Attempts != 2 {
+			t.Errorf("item %d: 504 attempts = %d, want 2", i, r.Attempts)
 		}
 	}
-	if r := out.Results[queued+4]; r.RetryAfterVirtual == "" {
+	if r := out.Results[parked+3]; r.RetryAfterVirtual == "" {
 		t.Errorf("429 lacks retry_after_virtual: %+v", r)
 	}
 }

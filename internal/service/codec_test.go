@@ -117,7 +117,7 @@ var nasty = []string{
 var failureCases = []error{
 	&admission.ContractExceededError{Group: "TG1", Tenant: "t<1>", RetryAfter: 90 * sim.Second},
 	&admission.ContractExceededError{Group: "TG1", Tenant: "t1", RetryAfter: 12*sim.Day + 5*sim.Millisecond, Brownout: true},
-	&admission.ShedError{Group: "TG2", Tenant: "t2", Reason: "queue full", RetryAfter: 30 * sim.Second},
+	&admission.ShedError{Group: "TG2", Tenant: "t2", Reason: admission.ShedBestEffort, RetryAfter: 30 * sim.Second},
 	&admission.ShedError{Group: "TG2", Tenant: "t2", Reason: "", RetryAfter: 0},
 	fmt.Errorf("wrapped: %w", &admission.ShedError{Group: "g", Tenant: "t", Reason: "a&b", RetryAfter: sim.Minute}),
 	&runtime.TimeoutError{Group: "TG3", Tenant: "t3", Timeout: 15 * time.Second, Attempts: 2, Last: errors.New("no ready replica")},
@@ -325,11 +325,12 @@ func (w *bodyWriter) Write(p []byte) (int, error) {
 // At steady state nothing remains: measured with go1.24, a POST /v1/queries
 // and a 64-query POST /v1/submit-batch allocate 0 times, the route table and
 // SubmitBatchAt included (the table resolves the path with one map lookup and
-// a method compare, and SubmitBatchAt's three closures — attempt, the
-// deferred scratch return, the Advance callback — do not escape, so they live
-// on its stack). Before the codec the single path allocated 31 times a
-// request and the batch 4.9 times a query, all of it in encoding/json, the
-// map[string]any bodies, Time.String and Header().Set. The bounds below leave
+// a method compare, SubmitBatchAt's two closures — attempt and the Advance
+// callback — do not escape, so they live on its stack, and its list of
+// retrying items stays nil while nothing retries). Before the codec the
+// single path allocated 31 times a request and the batch 4.9 times a query,
+// all of it in encoding/json, the map[string]any bodies, Time.String and
+// Header().Set. The bounds below leave
 // one allocation of slack per request for what is not this repository's:
 // standard-library internals differ between Go releases. "Steady state" starts once the pools are warm;
 // the tracer's ring has nothing to warm, a query's spans are plain stores

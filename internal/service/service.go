@@ -583,10 +583,10 @@ type sloTenant struct {
 	Shed      int64 `json:"shed,omitempty"`
 }
 
-// handleAdmission exposes the groups' admission state: brownout level,
-// queue depth, and per-tenant contract accounting. It is a pure lock-free
-// read — no clock domain is advanced or locked — so it stays responsive
-// even while groups are overloaded.
+// handleAdmission exposes the groups' admission state: brownout level and
+// per-tenant contract accounting. It is a pure lock-free read — no clock
+// domain is advanced or locked — so it stays responsive even while groups
+// are overloaded.
 func (s *Server) handleAdmission(w http.ResponseWriter, r *http.Request) {
 	groups := make([]admission.Snapshot, 0)
 	for _, g := range s.dep.Groups() {

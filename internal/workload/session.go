@@ -94,8 +94,8 @@ func CollectSession(cat *queries.Catalog, nodes int, suite queries.Suite, rng *r
 	}
 	eng := sim.NewEngine()
 	inst := mppdb.New(eng, "collector", nodes)
-	const self = "self"
-	inst.DeployTenant(self, 100*float64(nodes))
+	self := inst.Interner().Intern("self")
+	inst.DeployTenantRef(self, 100*float64(nodes))
 
 	log := &SessionLog{
 		Nodes: nodes,
@@ -105,26 +105,25 @@ func CollectSession(cat *queries.Catalog, nodes int, suite queries.Suite, rng *r
 	horizon := sim.Duration(SessionLength)
 	var intervals []epoch.Interval
 	batchSeq := 0
+	// pending counts each user's queries of the action in flight: a user
+	// acts again only once its action's last query completes.
+	pending := make([]int, log.Users)
 
-	// submit one query and return its event index so completion can fill in
-	// the duration.
-	submit := func(user, batch int, onDone func()) error {
+	// submit one query, tagged with its event index so completion can fill
+	// in the duration.
+	submit := func(user, batch int) error {
 		class := cat.Random(rng, suite)
 		if class == nil {
 			return fmt.Errorf("workload: empty suite %v", suite)
 		}
-		idx := len(log.Events)
+		tag := uint64(len(log.Events))
 		log.Events = append(log.Events, SessionEvent{
 			Offset:  eng.Now(),
 			ClassID: class.ID,
 			User:    user,
 			Batch:   batch,
 		})
-		_, err := inst.Submit(self, class, func(r mppdb.Result) {
-			log.Events[idx].Duration = r.Latency()
-			intervals = append(intervals, epoch.Interval{Start: r.Submit, End: r.Finish})
-			onDone()
-		})
+		_, err := inst.SubmitTagged(self, class, tag)
 		return err
 	}
 
@@ -134,35 +133,33 @@ func CollectSession(cat *queries.Catalog, nodes int, suite queries.Suite, rng *r
 		if submitErr != nil || eng.Now() >= horizon {
 			return
 		}
-		next := func() {
-			// Pause W seconds, then act again (if within the session).
-			w := time.Duration(PauseMinSec+rng.Intn(PauseMaxSec-PauseMinSec+1)) * time.Second
-			eng.After(w, func(sim.Time) { act(user) })
-		}
 		batchSeq++
-		if rng.Float64() >= BatchProb {
-			// (a) single random query.
-			if err := submit(user, batchSeq, next); err != nil {
-				submitErr = err
-			}
-			return
+		// (a) a single random query, or (b) a batch of M random queries;
+		// either action completes only when all of its queries finish.
+		m := 1
+		if rng.Float64() < BatchProb {
+			m = 1 + rng.Intn(MaxBatch)
 		}
-		// (b) batch of M random queries, complete only when all finish.
-		m := 1 + rng.Intn(MaxBatch)
-		remaining := m
-		done := func() {
-			remaining--
-			if remaining == 0 {
-				next()
-			}
-		}
+		pending[user] = m
 		for i := 0; i < m; i++ {
-			if err := submit(user, batchSeq, done); err != nil {
+			if err := submit(user, batchSeq); err != nil {
 				submitErr = err
 				return
 			}
 		}
 	}
+	inst.SetCompletionHandler(func(r mppdb.Result, tag uint64) {
+		ev := &log.Events[tag]
+		ev.Duration = r.Latency()
+		intervals = append(intervals, epoch.Interval{Start: r.Submit, End: r.Finish})
+		user := ev.User
+		if pending[user]--; pending[user] > 0 {
+			return
+		}
+		// Pause W seconds, then act again (if within the session).
+		w := time.Duration(PauseMinSec+rng.Intn(PauseMaxSec-PauseMinSec+1)) * time.Second
+		eng.After(w, func(sim.Time) { act(user) })
+	})
 	// Users log in over the first think-time window rather than all at the
 	// session's first instant; a synchronized burst at every 9:00:00 would
 	// be an artifact of the generator, not of office-hour behaviour.

@@ -1,6 +1,12 @@
 package thrifty
 
-import "testing"
+import (
+	"flag"
+	"runtime"
+	"strconv"
+	"strings"
+	"testing"
+)
 
 // BenchmarkReplay is the replay layer's bench: the repository benchmark's
 // replay-7d shape — 200 tenants over 7 days from a library of 10 sessions per
@@ -12,6 +18,16 @@ import "testing"
 // flagless thriftyd does (Immediate, ParallelLoad, 64 spare nodes, admission
 // armed), and scaler arms the §5.1 scaler on top of default. What a Drive
 // barrier costs is BenchmarkDomainsDrive's to measure (internal/sim).
+//
+// The rows share only the workload and the plan, which a replay reads and
+// never writes. What they would share besides is the width: at -benchtime
+// 1x the testing package reports a row's first -cpu entry from the row's
+// sizing run, made at whatever GOMAXPROCS is current — the last -cpu value,
+// left by the test loop or the row before. Drive and the scaler's solver run
+// that wide, so under -cpu 1,2 the entry labelled 1 would read width 2's
+// figures (scaler: 40.6k allocs/op against 39.4k at width 1). Each row
+// therefore starts at the first -cpu width, and reads the same alone as
+// after the others.
 //
 //	go test -run '^$' -bench BenchmarkReplay -benchtime 5x -cpuprofile cpu.prof .
 func BenchmarkReplay(b *testing.B) {
@@ -33,6 +49,9 @@ func BenchmarkReplay(b *testing.B) {
 		{"default", DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Admission: &adm}},
 		{"scaler", DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Admission: &adm, Scaling: true}},
 	} {
+		if width := firstCPU(); width > 0 {
+			runtime.GOMAXPROCS(width)
+		}
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			queries := 0
@@ -55,4 +74,16 @@ func BenchmarkReplay(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(queries), "ns/query")
 		})
 	}
+}
+
+// firstCPU is the first width of the -test.cpu list, or 0 when the flag is
+// unset (the list is then the process's own GOMAXPROCS, which no row moves).
+func firstCPU() int {
+	f := flag.Lookup("test.cpu")
+	if f == nil {
+		return 0
+	}
+	first, _, _ := strings.Cut(f.Value.String(), ",")
+	width, _ := strconv.Atoi(first)
+	return width
 }

@@ -193,8 +193,8 @@ type ReplayOptions = replay.Options
 type ReplayReport = replay.Report
 
 // AdmissionConfig re-exports the overload-protection configuration: the
-// per-tenant contracts and the brownout cadence. Every controller's queue
-// bound (32) and strike limit (8) are constants.
+// per-tenant contracts and the brownout cadence. Every controller's strike
+// limit (8) is a constant.
 type AdmissionConfig = admission.Config
 
 // DefaultAdmissionConfig returns a 30 s brownout evaluation and no contracts
