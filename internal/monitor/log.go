@@ -137,7 +137,9 @@ func (l *recordLog) appendTo(dst []QueryRecord, ids []string, only tenant.Ref, r
 			// Written field by field into the slot Grow made room for:
 			// appending a composite literal builds it on the stack and moves
 			// it in through the bulk write barrier while the collector runs
-			// (allocating dst usually starts it), a quarter more per record.
+			// (growing dst at the heap's peak usually starts it; a replay's,
+			// allocated before its drive, usually leaves it idle), a quarter
+			// more per record.
 			dst = dst[:len(dst)+1]
 			r := &dst[len(dst)-1]
 			if e.class == spillMark {

@@ -130,7 +130,10 @@ func route(a workload.Arrival, g *master.DeployedGroup, ref tenant.Ref) error {
 // events fire by time, then deployment group order, the coordinator's after
 // the groups' at equal instants, so a replay is byte-identical per seed at
 // any width. Records come back in deployment group order, each group's in
-// completion order.
+// completion order, in a slice allocated before the drive: one slot per
+// record already logged and per arrival in the window, so the collector sets
+// its target from what the pass uses, not from the drained heap. A drive that
+// completes more than that (a storm's coordinator submits) grows it once.
 func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	logs []*workload.TenantLog, opts Options) (*Report, error) {
 	if opts.To <= opts.From {
@@ -150,18 +153,21 @@ func Run(eng *sim.Engine, dep *master.Deployment, cat *queries.Catalog,
 	}
 	groups := dep.Groups()
 	parts := make([]*part, len(groups))
+	room := 0
 	for i, g := range groups {
 		var err error
 		g.Domain().Do(func(eng *sim.Engine) { parts[i], err = schedule(eng, cat, mine[g], g, opts) })
 		if err != nil {
 			return nil, err
 		}
+		room += parts[i].room
 	}
+	records := make([]monitor.QueryRecord, 0, room)
 	doms := dep.Plane().Domains()
 	doms.Drive(eng, opts.To)
 	doms.Drive(eng, opts.drainUntil())
 
-	rep := &Report{Samples: make(map[string][]Sample), Records: dep.Records()}
+	rep := &Report{Samples: make(map[string][]Sample), Records: dep.Plane().AppendRecords(records)}
 	for _, p := range parts {
 		rep.Samples[p.group.Plan.ID] = p.samples
 		rep.Submitted += p.Submitted
@@ -179,6 +185,9 @@ type part struct {
 	Counts
 	group   *master.DeployedGroup
 	samples []Sample
+	// room is how many records the group can have once the window drains:
+	// those it logged before, plus one per arrival of its stream.
+	room int
 }
 
 // schedule puts g's share of the replay on eng, g's engine — the arrivals of
@@ -203,7 +212,7 @@ func schedule(eng *sim.Engine, cat *queries.Catalog, logs []*workload.TenantLog,
 	for i, tl := range logs {
 		refs[i] = g.Router.Ref(tl.Tenant.ID)
 	}
-	p := &part{group: g}
+	p := &part{group: g, room: g.Monitor.RecordCount() + arrivals.Len()}
 	arrivals.Drive(eng, func(a workload.Arrival) {
 		p.Submitted++
 		if submit(a, g, refs[a.Log]) != nil {

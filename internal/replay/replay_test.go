@@ -2,12 +2,14 @@ package replay_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/advisor"
 	"repro/internal/cluster"
 	"repro/internal/master"
+	"repro/internal/monitor"
 	"repro/internal/queries"
 	"repro/internal/recovery"
 	"repro/internal/recovery/chaos"
@@ -328,4 +330,68 @@ func TestReplayParallelFailureInjection(t *testing.T) {
 			t.Errorf("lifecycle %d %+v, want %s's G₀ detected and recovered", i, ev, g.Plan.ID)
 		}
 	}
+}
+
+// TestReplayRecordsSized: the report's records are the deployment's, in a
+// slice sized before the drive to what the window can complete — the records
+// already logged plus one per arrival — or, when the drive completes more,
+// grown once to the exact count; either way no slot is left over.
+func TestReplayRecordsSized(t *testing.T) {
+	same := func(name string, got []monitor.QueryRecord, dep *master.Deployment) {
+		t.Helper()
+		if want := dep.Records(); !slices.Equal(got, want) {
+			t.Errorf("%s: %d records differ from the deployment's %d", name, len(got), len(want))
+		}
+		if cap(got) != len(got) {
+			t.Errorf("%s: %d records in a slice of %d", name, len(got), cap(got))
+		}
+	}
+
+	// (a) A bare replay completes exactly what it submitted.
+	w := newWorld(t, 10, 3, 3)
+	first, err := replay.Run(w.eng, w.dep, w.cat, w.logs, replay.Options{From: 0, To: sim.Day})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Submitted == 0 || first.SubmitErrors != 0 || len(first.Records) != first.Submitted {
+		t.Fatalf("%d submitted, %d errors, %d completed", first.Submitted, first.SubmitErrors, len(first.Records))
+	}
+	same("bare", first.Records, w.dep)
+
+	// (b) A second window on the same deployment: the first window's records,
+	// then its own. The first drained before the second starts, so its
+	// records are the ones submitted before it.
+	second, err := replay.Run(w.eng, w.dep, w.cat, w.logs, replay.Options{From: 2 * sim.Day, To: 3 * sim.Day})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("second window", second.Records, w.dep)
+	earlier := slices.DeleteFunc(slices.Clone(second.Records), func(r monitor.QueryRecord) bool { return r.Submit >= 2*sim.Day })
+	if !slices.Equal(earlier, first.Records) || len(second.Records)-len(earlier) != second.Submitted {
+		t.Errorf("second window: %d earlier records (first window %d), %d own of %d submitted",
+			len(earlier), len(first.Records), len(second.Records)-len(earlier), second.Submitted)
+	}
+
+	// (d) AppendRecords keeps dst's prefix: grown to the exact count when dst
+	// lacks the room, filled in place when it has it.
+	head := second.Records[len(second.Records)-1]
+	got := w.dep.Plane().AppendRecords([]monitor.QueryRecord{head})
+	if got[0] != head {
+		t.Errorf("prefix %+v became %+v", head, got[0])
+	}
+	same("appended", got[1:], w.dep)
+	roomy := make([]monitor.QueryRecord, 1, 1+len(second.Records))
+	if got := w.dep.Plane().AppendRecords(roomy); &got[0] != &roomy[0] || len(got) != cap(roomy) {
+		t.Errorf("a dst with room for %d was not filled in place", len(second.Records))
+	}
+
+	// (c) A storm's coordinator submits more than the members' streams hold:
+	// the fill grows the slice once, to the exact count.
+	w = newWorld(t, 10, 1, 3)
+	res := faultRun(t, w, chaos.Window{To: sim.Day}, chaos.Storm{Aggressors: 1})
+	rep := res.Report
+	if res.StormAdmitted == 0 || len(rep.Records) <= rep.Submitted {
+		t.Fatalf("%d storm submits admitted, %d records of %d replayed arrivals", res.StormAdmitted, len(rep.Records), rep.Submitted)
+	}
+	same("storm", rep.Records, w.dep)
 }

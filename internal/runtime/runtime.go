@@ -537,16 +537,22 @@ func (p *Plane) AdvanceAll(at sim.Time) {
 // Records returns all completed query records, materialised from the groups'
 // logs into one slice in deployment group order (each group's records in
 // completion order).
-func (p *Plane) Records() []monitor.QueryRecord {
+func (p *Plane) Records() []monitor.QueryRecord { return p.AppendRecords(nil) }
+
+// AppendRecords appends what Records returns to dst. When dst lacks the room,
+// it is grown once, to exactly the records counted in a first pass; groups
+// that completed more since just append.
+func (p *Plane) AppendRecords(dst []monitor.QueryRecord) []monitor.QueryRecord {
 	groups := p.Groups()
-	n := 0
+	n := len(dst)
 	for _, g := range groups {
 		g.dom.Do(func(*sim.Engine) { n += g.Monitor.RecordCount() })
 	}
-	// Sized from a first pass; groups that completed more since just append.
-	out := make([]monitor.QueryRecord, 0, n)
-	for _, g := range groups {
-		g.dom.Do(func(*sim.Engine) { out = g.Monitor.AppendRecords(out) })
+	if n > cap(dst) {
+		dst = append(make([]monitor.QueryRecord, 0, n), dst...)
 	}
-	return out
+	for _, g := range groups {
+		g.dom.Do(func(*sim.Engine) { dst = g.Monitor.AppendRecords(dst) })
+	}
+	return dst
 }

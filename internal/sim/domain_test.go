@@ -1,8 +1,12 @@
 package sim
 
 import (
+	"flag"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -393,30 +397,43 @@ func TestDriveAllocs(t *testing.T) {
 // the wall time per member event.
 func BenchmarkDomainsDrive(b *testing.B) {
 	const members, horizon = 13, 7 * Day
-	var events uint64
-	for n := 0; n < b.N; n++ {
-		engs := make([]*Engine, members)
-		for i := range engs {
-			eng := NewEngine()
-			every := Time(7*(i+1)) * Second
-			var ev Event
-			var tick func(Time)
-			tick = func(now Time) {
-				x := uint64(now) | 1
-				for k := 0; k < 256; k++ {
-					x ^= x << 13
-					x ^= x >> 7
-					x ^= x << 17
+	runAtFirstCPU(b, "13x7d", func(b *testing.B) {
+		var events uint64
+		for n := 0; n < b.N; n++ {
+			engs := make([]*Engine, members)
+			for i := range engs {
+				eng := NewEngine()
+				every := Time(7*(i+1)) * Second
+				var ev Event
+				var tick func(Time)
+				tick = func(now Time) {
+					x := uint64(now) | 1
+					for k := 0; k < 256; k++ {
+						x ^= x << 13
+						x ^= x >> 7
+						x ^= x << 17
+					}
+					eng.Reschedule(&ev, now+every+Time(x&1), tick)
 				}
-				eng.Reschedule(&ev, now+every+Time(x&1), tick)
+				eng.Reschedule(&ev, every, tick)
+				engs[i] = eng
 			}
-			eng.Reschedule(&ev, every, tick)
-			engs[i] = eng
+			NewDomains(engs).Drive(nil, horizon)
+			for _, eng := range engs {
+				events += eng.Steps()
+			}
 		}
-		NewDomains(engs).Drive(nil, horizon)
-		for _, eng := range engs {
-			events += eng.Steps()
-		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	})
+}
+
+// runAtFirstCPU runs f as b's sub-benchmark name, starting at the first width
+// of the -test.cpu list, so a -benchtime 1x entry is measured at the width it
+// is labelled with (see the root package's runAtFirstCPU).
+func runAtFirstCPU(b *testing.B, name string, f func(b *testing.B)) {
+	first, _, _ := strings.Cut(flag.Lookup("test.cpu").Value.String(), ",")
+	if width, err := strconv.Atoi(first); err == nil {
+		runtime.GOMAXPROCS(width)
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")
+	b.Run(name, f)
 }

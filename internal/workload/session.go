@@ -108,6 +108,10 @@ func CollectSession(cat *queries.Catalog, nodes int, suite queries.Suite, rng *r
 	// pending counts each user's queries of the action in flight: a user
 	// acts again only once its action's last query completes.
 	pending := make([]int, log.Users)
+	// Each user has one event and one callback, made at login and re-keyed
+	// for every later action.
+	next := make([]sim.Event, log.Users)
+	acts := make([]func(sim.Time), log.Users)
 
 	// submit one query, tagged with its event index so completion can fill
 	// in the duration.
@@ -158,15 +162,15 @@ func CollectSession(cat *queries.Catalog, nodes int, suite queries.Suite, rng *r
 		}
 		// Pause W seconds, then act again (if within the session).
 		w := time.Duration(PauseMinSec+rng.Intn(PauseMaxSec-PauseMinSec+1)) * time.Second
-		eng.After(w, func(sim.Time) { act(user) })
+		eng.Reschedule(&next[user], eng.Now().Add(w), acts[user])
 	})
 	// Users log in over the first think-time window rather than all at the
 	// session's first instant; a synchronized burst at every 9:00:00 would
 	// be an artifact of the generator, not of office-hour behaviour.
-	for u := 0; u < log.Users; u++ {
-		u := u
+	for u := range acts {
+		acts[u] = func(sim.Time) { act(u) }
 		w0 := sim.Time(PauseMinSec+rng.Intn(PauseMaxSec-PauseMinSec+1)) * sim.Second
-		eng.Schedule(w0, func(sim.Time) { act(u) })
+		eng.Reschedule(&next[u], w0, acts[u])
 	}
 	eng.RunAll() // in-flight queries at the 3-hour mark run to completion
 	if submitErr != nil {

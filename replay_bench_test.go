@@ -20,14 +20,13 @@ import (
 // barrier costs is BenchmarkDomainsDrive's to measure (internal/sim).
 //
 // The rows share only the workload and the plan, which a replay reads and
-// never writes. What they would share besides is the width: at -benchtime
-// 1x the testing package reports a row's first -cpu entry from the row's
-// sizing run, made at whatever GOMAXPROCS is current — the last -cpu value,
-// left by the test loop or the row before. Drive and the scaler's solver run
-// that wide, so under -cpu 1,2 the entry labelled 1 would read width 2's
-// figures (scaler: 40.6k allocs/op against 39.4k at width 1). Each row
-// therefore starts at the first -cpu width, and reads the same alone as
-// after the others.
+// never writes. What they would share besides is the width, which
+// runAtFirstCPU resets: Drive and the scaler's solver run GOMAXPROCS wide, so
+// a row's -cpu 1 entry at -benchtime 1x would otherwise read width 2's
+// figures (scaler: 40.6k allocs/op against 39.4k at width 1). Each iteration
+// starts from a collected heap, as every pass of the repository benchmark
+// does, so an iteration does not inherit the last one's collector target;
+// gc/op counts the collections the replay itself ran.
 //
 //	go test -run '^$' -bench BenchmarkReplay -benchtime 5x -cpuprofile cpu.prof .
 func BenchmarkReplay(b *testing.B) {
@@ -49,20 +48,24 @@ func BenchmarkReplay(b *testing.B) {
 		{"default", DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Admission: &adm}},
 		{"scaler", DeployOptions{Immediate: true, ParallelLoad: true, SpareNodes: 64, Admission: &adm, Scaling: true}},
 	} {
-		if width := firstCPU(); width > 0 {
-			runtime.GOMAXPROCS(width)
-		}
-		b.Run(c.name, func(b *testing.B) {
+		runAtFirstCPU(b, c.name, func(b *testing.B) {
 			b.ReportAllocs()
-			queries := 0
+			var ms runtime.MemStats
+			queries, gcs := 0, uint32(0)
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
+				runtime.GC()
 				sys, err := Deploy(w, plan, c.opts)
 				if err != nil {
 					b.Fatal(err)
 				}
+				runtime.ReadMemStats(&ms)
+				before := ms.NumGC
 				b.StartTimer()
 				rep, err := sys.Replay(ReplayOptions{From: 0, To: w.Horizon})
+				b.StopTimer()
+				runtime.ReadMemStats(&ms)
+				gcs += ms.NumGC - before
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -72,18 +75,22 @@ func BenchmarkReplay(b *testing.B) {
 				queries += rep.Submitted
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(queries), "ns/query")
+			b.ReportMetric(float64(gcs)/float64(b.N), "gc/op")
 		})
 	}
 }
 
-// firstCPU is the first width of the -test.cpu list, or 0 when the flag is
-// unset (the list is then the process's own GOMAXPROCS, which no row moves).
-func firstCPU() int {
-	f := flag.Lookup("test.cpu")
-	if f == nil {
-		return 0
+// runAtFirstCPU runs f as b's sub-benchmark name, starting at the first width
+// of the -test.cpu list. The testing package reports a benchmark's first -cpu
+// entry at -benchtime 1x from its sizing run, made at whatever GOMAXPROCS is
+// current: the last -cpu value, left by the test loop or the benchmark
+// before. Work that runs GOMAXPROCS wide would then read, under -cpu 1,2,
+// width 2's figures in the entry labelled 1; started here, it reads the same
+// alone as after the others.
+func runAtFirstCPU(b *testing.B, name string, f func(b *testing.B)) {
+	first, _, _ := strings.Cut(flag.Lookup("test.cpu").Value.String(), ",")
+	if width, err := strconv.Atoi(first); err == nil {
+		runtime.GOMAXPROCS(width)
 	}
-	first, _, _ := strings.Cut(f.Value.String(), ",")
-	width, _ := strconv.Atoi(first)
-	return width
+	b.Run(name, f)
 }
